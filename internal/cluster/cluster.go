@@ -298,9 +298,20 @@ type attemptOut[T any] struct {
 // the remote enumeration stays alive while rows are pulled. Losing
 // attempts are canceled; a loser that still completes with a value is
 // released through discard (closing a stream body), never leaked.
+//
+// Two attempts only ever run at once when a hedge timer fires. Without
+// one — hedging off, or a single candidate — the attempts run one after
+// the other on the caller's goroutine (inOrder).
 func hedge[T any](ctx context.Context, r *Replicas, call func(ctx context.Context, ep endpoint.Endpoint) (T, error), discard func(T)) (T, context.CancelFunc, error) {
 	var zero T
 	cands := r.order()
+	var delay time.Duration
+	if len(cands) > 1 {
+		delay = r.hedgeDelay()
+	}
+	if delay <= 0 {
+		return inOrder(ctx, r, cands, call)
+	}
 	outs := make(chan attemptOut[T], len(cands))
 	cancels := make([]context.CancelFunc, 0, len(cands))
 	launched := 0
@@ -318,12 +329,9 @@ func hedge[T any](ctx context.Context, r *Replicas, call func(ctx context.Contex
 	}
 	launch()
 
-	var timerC <-chan time.Time
-	if d := r.hedgeDelay(); d > 0 && len(cands) > 1 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timerC = t.C
-	}
+	t := time.NewTimer(delay)
+	defer t.Stop()
+	timerC := t.C
 
 	pending := 1
 	var firstErr error
@@ -378,6 +386,31 @@ func hedge[T any](ctx context.Context, r *Replicas, call func(ctx context.Contex
 			}
 		}
 	}
+}
+
+// inOrder is hedge with no hedge timer armed: the candidates are tried
+// in order until one succeeds, fails with an error no replica would
+// answer differently, or none is left.
+func inOrder[T any](ctx context.Context, r *Replicas, cands []*replica, call func(ctx context.Context, ep endpoint.Endpoint) (T, error)) (T, context.CancelFunc, error) {
+	var zero T
+	var firstErr error
+	for _, rep := range cands {
+		actx, cancel := context.WithCancel(ctx)
+		start := time.Now()
+		v, err := call(actx, rep.ep)
+		r.observeAttempt(rep, time.Since(start), err)
+		if err == nil {
+			return v, cancel, nil
+		}
+		cancel()
+		if firstErr == nil {
+			firstErr = err
+		}
+		if !endpoint.Retriable(err) && ctx.Err() == nil {
+			return zero, nil, err
+		}
+	}
+	return zero, nil, firstErr
 }
 
 func (r *Replicas) observeAttempt(rep *replica, d time.Duration, err error) {
@@ -487,10 +520,13 @@ func (p *replicasPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool
 func closeRows(rows endpoint.Rows) { rows.Close() }
 
 // Stream implements PreparedQuery. The hedge race is decided at stream
-// open (for a wire stream, the head frame's arrival — the server has
-// started answering); the winning attempt's context stays alive until
-// the stream is closed or exhausted, and losing attempts' streams are
-// canceled and closed.
+// open. For a wire stream that is the arrival of the server's first
+// write, which carries the head frame together with the first frame
+// that has data — a full batch of rows, or the whole of a shorter
+// answer — so the race goes to the replica that first has rows to show,
+// not to the one that first acknowledged the request. The winning
+// attempt's context stays alive until the stream is closed or
+// exhausted, and losing attempts' streams are canceled and closed.
 func (p *replicasPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
 	return p.stream(ctx, func(ctx context.Context, pq endpoint.PreparedQuery) (endpoint.Rows, error) {
 		return pq.Stream(ctx, args...)

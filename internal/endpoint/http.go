@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -48,49 +49,44 @@ type wireReq struct {
 	orderspec string // original ordered query text for key attachment
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. The query text is parsed once, by
+// the endpoint that executes it: the handler only looks at the leading
+// keyword to tell ASK from SELECT, and a text that does not parse comes
+// back from the endpoint as the parser's error, answered 400.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	req, err := extractQuery(r)
+	req, err := extractQuery(w, r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
-	q, err := sparql.Parse(req.query)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.stream && q.Form == sparql.SelectForm {
+	form := sparql.FormOf(req.query)
+	if req.stream && form == sparql.SelectForm {
 		s.serveStream(w, r, req)
 		return
 	}
 	var body []byte
-	switch q.Form {
-	case sparql.AskForm:
+	if form == sparql.AskForm {
 		ok, err := s.local.AskCtx(r.Context(), req.query)
 		if err != nil {
 			writeQueryError(w, err)
 			return
 		}
-		body, err = MarshalAsk(ok)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	default:
+		body, _ = MarshalAsk(ok)
+	} else {
 		res, err := s.local.SelectCtx(r.Context(), req.query)
 		if err != nil {
 			writeQueryError(w, err)
 			return
 		}
-		body, err = MarshalSelect(res)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		body, _ = MarshalSelect(res)
 	}
 	w.Header().Set("Content-Type", ResultsContentType)
-	w.WriteHeader(http.StatusOK)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 }
 
@@ -153,16 +149,21 @@ func tooManyErr(resp *http.Response, body []byte) error {
 	return ErrQuotaExceeded
 }
 
-func extractQuery(r *http.Request) (*wireReq, error) {
+// maxQueryBytes bounds a request body. A longer one is refused whole
+// (413): its first megabyte could well parse, as another query.
+const maxQueryBytes = 1 << 20
+
+func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
 	var get func(name string) string
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
 		get = q.Get
 	case http.MethodPost:
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 		ct := r.Header.Get("Content-Type")
 		if strings.HasPrefix(ct, "application/sparql-query") {
-			b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+			b, err := io.ReadAll(r.Body)
 			if err != nil {
 				return nil, err
 			}
@@ -306,8 +307,43 @@ func (c *Client) Name() string { return c.name }
 // experiments, not for tuning down.
 func (c *Client) SetWireBatch(n int) { c.batch = n }
 
-func (c *Client) post(ctx context.Context, form url.Values) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL, strings.NewReader(form.Encode()))
+// appendFormField appends name=value to a form body, the value escaped
+// as url.QueryEscape escapes it. Appending a request's fields in name
+// order yields the bytes url.Values.Encode would.
+func appendFormField(dst []byte, name, value string) []byte {
+	if len(dst) > 0 {
+		dst = append(dst, '&')
+	}
+	dst = append(dst, name...)
+	dst = append(dst, '=')
+	for i := 0; i < len(value); i++ {
+		switch c := value[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '-', c == '_', c == '.', c == '~':
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, '+')
+		default:
+			dst = append(dst, '%', "0123456789ABCDEF"[c>>4], "0123456789ABCDEF"[c&0xF])
+		}
+	}
+	return dst
+}
+
+// post sends one protocol request: the query text, and for a streamed
+// one (stream=1) the client's frame size and the orderspec, if any.
+func (c *Client) post(ctx context.Context, query string, stream bool, orderspec string) (*http.Response, error) {
+	form := make([]byte, 0, 64+len(query)+len(query)/2+2*len(orderspec))
+	if stream && c.batch > 0 {
+		form = appendFormField(form, "batch", strconv.Itoa(c.batch))
+	}
+	if orderspec != "" {
+		form = appendFormField(form, "orderspec", orderspec)
+	}
+	form = appendFormField(form, "query", query)
+	if stream {
+		form = appendFormField(form, "stream", "1")
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL, bytes.NewReader(form))
 	if err != nil {
 		return nil, err
 	}
@@ -315,56 +351,62 @@ func (c *Client) post(ctx context.Context, form url.Values) (*http.Response, err
 	return c.httpc.Do(req)
 }
 
+// maxAnswerBytes bounds a whole-result answer held in memory.
+const maxAnswerBytes = 64 << 20
+
+// readBody reads a response body of at most limit bytes (more is cut
+// off, and then fails to parse), into a buffer of the declared length
+// when the response has one.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= limit {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, limit))
+}
+
+// statusErr turns a non-200 answer into the error it stands for.
+func (c *Client) statusErr(resp *http.Response) error {
+	body, _ := readBody(resp, 1<<20) // a partial body still makes a snippet
+	if resp.StatusCode == http.StatusTooManyRequests {
+		return tooManyErr(resp, body)
+	}
+	return &StatusError{URL: c.baseURL, Code: resp.StatusCode, Snippet: bodySnippet(body)}
+}
+
 func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, error) {
-	resp, err := c.post(ctx, url.Values{"query": {query}})
+	resp, err := c.post(ctx, query, false, "")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if resp.StatusCode != http.StatusOK {
+		return nil, c.statusErr(resp)
+	}
+	body, err := readBody(resp, maxAnswerBytes)
 	if err != nil {
 		return nil, err
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return UnmarshalResults(body)
-	case http.StatusTooManyRequests:
-		return nil, tooManyErr(resp, body)
-	default:
-		return nil, &StatusError{URL: c.baseURL, Code: resp.StatusCode, Snippet: bodySnippet(body)}
-	}
+	return UnmarshalResults(body)
 }
 
 // openStream requests the batch-framed stream for a SELECT text. A
 // server that answers with a plain JSON document (an older build, a
 // generic SPARQL endpoint) is transparently drained and replayed.
 func (c *Client) openStream(ctx context.Context, query, orderspec string) (Rows, error) {
-	form := url.Values{"query": {query}, "stream": {"1"}}
-	if c.batch > 0 {
-		form.Set("batch", strconv.Itoa(c.batch))
-	}
-	if orderspec != "" {
-		form.Set("orderspec", orderspec)
-	}
-	resp, err := c.post(ctx, form)
+	resp, err := c.post(ctx, query, true, orderspec)
 	if err != nil {
 		return nil, err
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusTooManyRequests:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		return nil, tooManyErr(resp, body)
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		return nil, &StatusError{URL: c.baseURL, Code: resp.StatusCode, Snippet: bodySnippet(body)}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, c.statusErr(resp)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, StreamContentType) {
 		// Not a framed stream: drain the whole JSON answer and replay.
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
+		defer resp.Body.Close()
+		body, err := readBody(resp, maxAnswerBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -374,7 +416,7 @@ func (c *Client) openStream(ctx context.Context, query, orderspec string) (Rows,
 		}
 		return newReplayRows(res), nil
 	}
-	return newWireRows(resp.Body, nil)
+	return newWireRows(resp.Body, resp.ContentLength, nil)
 }
 
 // Select implements Endpoint.

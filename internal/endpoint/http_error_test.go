@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -301,6 +302,96 @@ func TestServerStreamAskRejected(t *testing.T) {
 	res, err := UnmarshalResults(body)
 	if err != nil || !res.Ask {
 		t.Fatalf("ASK answer corrupted: %v %v", res, err)
+	}
+}
+
+// TestClientFormEncoding: the request body the client builds by hand is
+// byte for byte what url.Values.Encode makes of the same fields.
+func TestClientFormEncoding(t *testing.T) {
+	for _, fields := range []url.Values{
+		{"query": {"SELECT ?x WHERE { ?x <http://x/p> \"a b+c&d=e%\\n\"@en } LIMIT 3"}},
+		{"query": {"ASK { }"}, "stream": {"1"}, "batch": {"7"}, "orderspec": {"é\x00\xff~_-.*/:?#[]@!$'()"}},
+		{"query": {""}, "stream": {"1"}},
+	} {
+		var got []byte
+		for _, name := range []string{"batch", "orderspec", "query", "stream"} {
+			if fields.Has(name) {
+				got = appendFormField(got, name, fields.Get(name))
+			}
+		}
+		if want := fields.Encode(); string(got) != want {
+			t.Errorf("form body %q, url.Values.Encode gives %q", got, want)
+		}
+	}
+}
+
+// TestServerParseErrorMessage: the handler does not parse the query
+// itself, and still a text that does not parse is a 400 that carries
+// the parser's message — on the document path, the stream path and the
+// ASK path alike.
+func TestServerParseErrorMessage(t *testing.T) {
+	srv := httptest.NewServer(NewServer(NewLocal(testKB(), 1)))
+	defer srv.Close()
+	for name, form := range map[string]url.Values{
+		"select": {"query": {"SELECT ?x WHERE { ?x <http://x/p> }"}},
+		"stream": {"query": {"SELECT ?x WHERE { ?x <http://x/p> }"}, "stream": {"1"}},
+		"ask":    {"query": {"PREFIX x: <http://x/> ASK { ?x x:p }"}},
+		"words":  {"query": {"this is not SPARQL"}, "stream": {"1"}},
+	} {
+		resp, err := http.PostForm(srv.URL, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "sparql: ") {
+			t.Errorf("%s: status %d, body %q; want 400 and the parser's message", name, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestServerOversizedQuery: a request body over the limit is refused
+// whole with a 413, whichever way it carries the query. Reading only
+// its first megabyte would execute a different query whenever the cut
+// leaves one that parses — here LIMIT 10 would become LIMIT 1.
+func TestServerOversizedQuery(t *testing.T) {
+	srv := httptest.NewServer(NewServer(NewLocal(bigKB(20), 1)))
+	defer srv.Close()
+	const query = "SELECT ?s WHERE { ?s <http://x/p> ?o } LIMIT 10"
+	post := func(contentType, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL, contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		answer, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, answer
+	}
+	// The query sits at the end of the body, behind padding that is
+	// white space to the parser ("+" in a form), so that a body one
+	// byte over the limit loses exactly the last digit of its LIMIT.
+	for _, c := range []struct{ contentType, prefix, pad string }{
+		{"application/sparql-query", "", " "},
+		{"application/x-www-form-urlencoded", "query=", "+"},
+	} {
+		tail := query
+		if c.prefix != "" {
+			tail = url.QueryEscape(query)
+		}
+		body := func(size int) string {
+			return c.prefix + strings.Repeat(c.pad, size-len(c.prefix)-len(tail)) + tail
+		}
+		code, answer := post(c.contentType, body(maxQueryBytes-1))
+		if code != http.StatusOK {
+			t.Fatalf("%s: a body one byte under the limit: status %d: %s", c.contentType, code, answer)
+		}
+		if res, err := UnmarshalResults(answer); err != nil || len(res.Rows) != 10 {
+			t.Fatalf("%s: a body one byte under the limit: %v, %v", c.contentType, res, err)
+		}
+		if code, answer := post(c.contentType, body(maxQueryBytes+1)); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: a body one byte over the limit: status %d, want 413: %.100s", c.contentType, code, answer)
+		}
 	}
 }
 

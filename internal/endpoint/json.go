@@ -1,127 +1,290 @@
 package endpoint
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
 
-// The wire format is the W3C "SPARQL 1.1 Query Results JSON Format":
+// The whole-result wire format is the W3C "SPARQL 1.1 Query Results JSON
+// Format":
 //
 //	{"head":{"vars":["x"]},
 //	 "results":{"bindings":[{"x":{"type":"uri","value":"http://..."}}]}}
 //
-// ASK results carry {"head":{},"boolean":true}.
+// ASK results carry {"head":{},"boolean":true}. A top-level
+// "truncated":true is a nonstandard extension flag used by this
+// repository's endpoints to signal a row cap, mirroring the
+// X-SPARQL-MaxRows headers some public endpoints emit.
+//
+// Documents from other endpoints are read as leniently as the format
+// allows: members in any order, unknown members ("link", "distinct")
+// skipped, "typed-literal" read as "literal".
 
-type jsonResults struct {
-	Head    jsonHead     `json:"head"`
-	Results *jsonResRows `json:"results,omitempty"`
-	Boolean *bool        `json:"boolean,omitempty"`
-	// Truncated is a nonstandard extension flag used by this
-	// repository's endpoints to signal a row cap, mirroring the
-	// X-SPARQL-MaxRows headers some public endpoints emit.
-	Truncated bool `json:"truncated,omitempty"`
-}
-
-type jsonHead struct {
-	Vars []string `json:"vars,omitempty"`
-}
-
-type jsonResRows struct {
-	Bindings []map[string]jsonTerm `json:"bindings"`
-}
-
-type jsonTerm struct {
-	Type     string `json:"type"` // uri | literal | bnode
-	Value    string `json:"value"`
-	Lang     string `json:"xml:lang,omitempty"`
-	Datatype string `json:"datatype,omitempty"`
-}
-
-func termToJSON(t rdf.Term) jsonTerm {
-	switch t.Kind {
-	case rdf.IRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case rdf.Blank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang, Datatype: t.Datatype}
-	}
-}
-
-func termFromJSON(j jsonTerm) (rdf.Term, error) {
-	switch j.Type {
-	case "uri":
-		return rdf.NewIRI(j.Value), nil
-	case "bnode":
-		return rdf.NewBlank(j.Value), nil
-	case "literal", "typed-literal":
-		switch {
-		case j.Lang != "":
-			return rdf.NewLangLiteral(j.Value, j.Lang), nil
-		case j.Datatype != "" && j.Datatype != rdf.XSDString:
-			return rdf.NewTypedLiteral(j.Value, j.Datatype), nil
-		default:
-			return rdf.NewLiteral(j.Value), nil
-		}
-	default:
-		return rdf.Term{}, fmt.Errorf("endpoint: unknown term type %q", j.Type)
-	}
-}
-
-// MarshalSelect encodes a SELECT result in SPARQL-results JSON.
+// MarshalSelect encodes a SELECT result in SPARQL-results JSON. The
+// error is always nil.
 func MarshalSelect(res *sparql.Result) ([]byte, error) {
-	out := jsonResults{
-		Head:      jsonHead{Vars: res.Vars},
-		Results:   &jsonResRows{Bindings: make([]map[string]jsonTerm, 0, len(res.Rows))},
-		Truncated: res.Truncated,
+	out := make([]byte, 0, 64+96*len(res.Vars)*len(res.Rows))
+	out = append(out, `{"head":{`...)
+	if len(res.Vars) > 0 {
+		out = append(out, `"vars":`...)
+		out = appendVars(out, res.Vars)
 	}
-	for _, row := range res.Rows {
-		b := make(map[string]jsonTerm, len(res.Vars))
-		for i, v := range res.Vars {
-			b[v] = termToJSON(row[i])
+	out = append(out, `},"results":{"bindings":[`...)
+	cols := bindingCols(res.Vars)
+	for i, row := range res.Rows {
+		if i > 0 {
+			out = append(out, ',')
 		}
-		out.Results.Bindings = append(out.Results.Bindings, b)
+		out = append(out, '{')
+		for j, c := range cols {
+			if j > 0 {
+				out = append(out, ',')
+			}
+			out = append(out, c.key...)
+			out = appendTerm(out, row[c.col])
+		}
+		out = append(out, '}')
 	}
-	return json.Marshal(out)
+	out = append(out, `]}`...)
+	if res.Truncated {
+		out = append(out, `,"truncated":true`...)
+	}
+	return append(out, '}'), nil
 }
 
-// MarshalAsk encodes an ASK result in SPARQL-results JSON.
+// MarshalAsk encodes an ASK result in SPARQL-results JSON. The error is
+// always nil.
 func MarshalAsk(ok bool) ([]byte, error) {
-	return json.Marshal(jsonResults{Boolean: &ok})
+	if ok {
+		return []byte(`{"head":{},"boolean":true}`), nil
+	}
+	return []byte(`{"head":{},"boolean":false}`), nil
 }
 
 // UnmarshalResults decodes a SPARQL-results JSON document into a Result.
 // ASK answers come back with Ask set and no rows.
 func UnmarshalResults(data []byte) (*sparql.Result, error) {
-	var in jsonResults
-	if err := json.Unmarshal(data, &in); err != nil {
+	d := jsonDec{data: data}
+	res, err := d.resultsDoc()
+	if err != nil {
 		return nil, fmt.Errorf("endpoint: bad results JSON: %w", err)
 	}
-	res := &sparql.Result{Vars: in.Head.Vars, Truncated: in.Truncated}
-	if in.Boolean != nil {
-		res.Ask = *in.Boolean
-		return res, nil
+	return res, nil
+}
+
+// resultsDoc reads one results document.
+func (d *jsonDec) resultsDoc() (*sparql.Result, error) {
+	const (
+		mHead = 1 << iota
+		mResults
+	)
+	res := &sparql.Result{}
+	var (
+		seen      uint
+		boolean   bool
+		isAsk     bool
+		resultsAt = -1 // where a "results" that came before "head" starts
+	)
+	if err := d.open('{'); err != nil {
+		return nil, err
 	}
-	if in.Results == nil {
-		return res, nil
-	}
-	for _, b := range in.Results.Bindings {
-		row := make([]rdf.Term, len(res.Vars))
-		for i, v := range res.Vars {
-			jt, ok := b[v]
-			if !ok {
-				return nil, fmt.Errorf("endpoint: binding missing variable %q", v)
+	for first := true; ; first = false {
+		name, ok, err := d.member(first)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		// A null member is an absent one — but for counting as given,
+		// where a second one is refused.
+		switch {
+		case is(name, "head"):
+			if seen&mHead != 0 {
+				return nil, d.errRepeated("head")
 			}
-			t, err := termFromJSON(jt)
+			if seen |= mHead; !d.null() {
+				res.Vars, err = d.docHead()
+			}
+		case is(name, "results"):
+			if seen&mResults != 0 {
+				return nil, d.errRepeated("results")
+			}
+			if seen |= mResults; d.null() {
+				continue
+			}
+			if seen&mHead == 0 {
+				// The columns are not known yet: come back for the rows.
+				d.peek()
+				resultsAt = d.pos
+				err = d.skip(0)
+			} else {
+				res.Rows, err = d.docResults(res.Vars)
+			}
+		case is(name, "boolean"):
+			if isAsk = !d.null(); isAsk {
+				boolean, err = d.boolean()
+			}
+		case d.null():
+		case is(name, "truncated"):
+			res.Truncated, err = d.boolean()
+		default:
+			err = d.skip(0)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	if resultsAt >= 0 {
+		d.pos = resultsAt
+		var err error
+		if res.Rows, err = d.docResults(res.Vars); err != nil {
+			return nil, err
+		}
+	}
+	if isAsk {
+		res.Ask, res.Rows = boolean, nil
+	}
+	return res, nil
+}
+
+// docHead reads the document's head object and returns its vars.
+func (d *jsonDec) docHead() (vars []string, err error) {
+	if err := d.open('{'); err != nil {
+		return nil, err
+	}
+	for first := true; ; first = false {
+		name, ok, err := d.member(first)
+		if err != nil || !ok {
+			return vars, err
+		}
+		if is(name, "vars") {
+			// given twice, the later list replaces the earlier; null is none
+			if vars = nil; !d.null() {
+				vars, err = d.stringList()
+			}
+		} else {
+			err = d.skip(0)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// docResults reads the document's results object and returns the rows
+// of its bindings, in the column order of vars.
+func (d *jsonDec) docResults(vars []string) (rows [][]rdf.Term, err error) {
+	if err := d.open('{'); err != nil {
+		return nil, err
+	}
+	seen := false
+	for first := true; ; first = false {
+		name, ok, err := d.member(first)
+		if err != nil || !ok {
+			return rows, err
+		}
+		if is(name, "bindings") {
+			if seen {
+				return nil, d.errRepeated("bindings")
+			}
+			if seen = true; !d.null() {
+				rows, err = d.bindings(vars)
+			}
+		} else {
+			err = d.skip(0)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// bindings reads the array of binding objects into rows cut from one
+// backing slice. Every binding must bind every variable of vars; members
+// that name no variable are read as terms and dropped.
+func (d *jsonDec) bindings(vars []string) ([][]rdf.Term, error) {
+	if err := d.open('['); err != nil {
+		return nil, err
+	}
+	w := len(vars)
+	var slab []rdf.Term
+	bound := make([]int, w) // bound[c] == n: column c is bound in row n-1
+	n := 0
+	for first := true; ; first = false {
+		ok, err := d.element(first)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if err := d.open('{'); err != nil {
+			return nil, err
+		}
+		n++
+		base, missing := len(slab), w
+		for c := 0; c < w; c++ {
+			slab = append(slab, rdf.Term{})
+		}
+		for first := true; ; first = false {
+			name, ok, err := d.member(first)
 			if err != nil {
 				return nil, err
 			}
-			row[i] = t
+			if !ok {
+				break
+			}
+			col := -1
+			for c, v := range vars {
+				if string(name) == v {
+					col = c
+					break
+				}
+			}
+			if col < 0 {
+				if !d.null() {
+					if _, err := d.rawTerm(); err != nil {
+						return nil, err
+					}
+				}
+				continue
+			}
+			t, err := d.term()
+			if err != nil {
+				return nil, err
+			}
+			// A variable repeated in vars takes the member in each of
+			// its columns.
+			for c := col; c < w; c++ {
+				if vars[c] == vars[col] {
+					slab[base+c] = t
+					if bound[c] != n {
+						bound[c] = n
+						missing--
+					}
+				}
+			}
 		}
-		res.Rows = append(res.Rows, row)
+		if missing > 0 {
+			for c, v := range vars {
+				if bound[c] != n {
+					return nil, fmt.Errorf("endpoint: binding missing variable %q", v)
+				}
+			}
+		}
 	}
-	return res, nil
+	if n == 0 {
+		return nil, nil
+	}
+	rows := make([][]rdf.Term, n)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows, nil
 }

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -289,13 +290,10 @@ func TestCoalescingStreamBroadcast(t *testing.T) {
 	results := make([][][]rdf.Term, waiters)
 	errs := make([]error, waiters)
 	var wg sync.WaitGroup
-	var started sync.WaitGroup
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
-		started.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started.Done()
 			rows, err := pq.Stream(context.Background(), sparql.IRIArg("http://x/p"))
 			if err != nil {
 				errs[i] = err
@@ -308,7 +306,11 @@ func TestCoalescingStreamBroadcast(t *testing.T) {
 			errs[i] = rows.Err()
 		}(i)
 	}
-	started.Wait()
+	// Open the gate once every waiter is on the one stream — the opener
+	// held at the gate, the rest joined to it — not merely started.
+	for inner.selects.Load() != 1 || co.Coalesced() != waiters-1 {
+		runtime.Gosched()
+	}
 	close(gate) // release the single gated inner drain
 	wg.Wait()
 

@@ -1,12 +1,14 @@
 package endpoint
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
@@ -27,11 +29,19 @@ import (
 //	  {"end":{"truncated":false}}                       — or —
 //	  {"error":"...","quota":true}
 //
-// Each frame is one JSON line, flushed as a unit: the consumer costs
-// one network read per batch, not per row. The terminal frame is either
-// an end frame (with the stream's truncation flag) or an error frame —
-// a stream that stops without one was cut mid-flight and the client
-// reports the transport error instead of a silently short result.
+// Each frame is one JSON line. A full batch is written and flushed as a
+// unit: the consumer costs one network read per batch, not per row. The
+// head frame, a final partial batch and the terminal frame are never
+// flushed on their own — they leave with the next batch or when the
+// handler returns — so an answer shorter than one batch is a single
+// write, and a stream opens for its reader when its first rows (or its
+// end) arrive. The terminal frame is either an end frame (with the
+// stream's truncation flag) or an error frame — a stream that stops
+// without one was cut mid-flight and the client reports the transport
+// error instead of a silently short result; bytes after one are a
+// protocol error.
+//
+// The frames are encoded and decoded by codec.go.
 //
 // orderspec carries the canonical text of the *original* ordered query
 // whose stripped enumeration this stream is (the federation's ORDER BY
@@ -55,77 +65,6 @@ const WireBatch = 64
 // maxWireBatch bounds client-requested frame sizes.
 const maxWireBatch = 4096
 
-type wireHead struct {
-	Vars []string `json:"vars"`
-	// Keys lists the ORDER BY key indices whose values ride along with
-	// every row (the deterministic keys of the orderspec query).
-	Keys []int `json:"keys,omitempty"`
-}
-
-type wireEnd struct {
-	Truncated bool `json:"truncated"`
-}
-
-type wireFrame struct {
-	Head    *wireHead     `json:"head,omitempty"`
-	Rows    [][]jsonTerm  `json:"rows,omitempty"`
-	KeyVals [][]wireValue `json:"keyvals,omitempty"`
-	End     *wireEnd      `json:"end,omitempty"`
-	Error   string        `json:"error,omitempty"`
-	Quota   bool          `json:"quota,omitempty"`
-}
-
-// wireValue is the JSON rendering of a sparql.Value ORDER BY key:
-// exactly one of the kind fields is meaningful, selected by K.
-type wireValue struct {
-	K string    `json:"k"` // "b" | "n" | "s" | "t" | "e"
-	B bool      `json:"b,omitempty"`
-	N float64   `json:"n,omitempty"`
-	S string    `json:"s,omitempty"`
-	T *jsonTerm `json:"t,omitempty"`
-}
-
-func valueToWire(v sparql.Value) wireValue {
-	if b, ok := v.AsBool(); ok {
-		return wireValue{K: "b", B: b}
-	}
-	if n, ok := v.AsNum(); ok {
-		return wireValue{K: "n", N: n}
-	}
-	if s, ok := v.AsStr(); ok {
-		return wireValue{K: "s", S: s}
-	}
-	if t, ok := v.AsTerm(); ok {
-		jt := termToJSON(t)
-		return wireValue{K: "t", T: &jt}
-	}
-	return wireValue{K: "e"}
-}
-
-func valueFromWire(w wireValue) (sparql.Value, error) {
-	switch w.K {
-	case "b":
-		return sparql.BoolValue(w.B), nil
-	case "n":
-		return sparql.NumValue(w.N), nil
-	case "s":
-		return sparql.StrValue(w.S), nil
-	case "t":
-		if w.T == nil {
-			return sparql.Value{}, errors.New("endpoint: term key value without a term")
-		}
-		t, err := termFromJSON(*w.T)
-		if err != nil {
-			return sparql.Value{}, err
-		}
-		return sparql.TermValue(t), nil
-	case "e":
-		return sparql.ErrValue(), nil
-	default:
-		return sparql.Value{}, fmt.Errorf("endpoint: unknown key value kind %q", w.K)
-	}
-}
-
 // orderKeyEvals compiles the deterministic ORDER BY key evaluators of
 // an orderspec query text: the canonical original query whose stripped
 // enumeration is being streamed. Returned evaluators run over projected
@@ -147,134 +86,218 @@ func orderKeyEvals(orderspec string) (idx []int, evals []func([]rdf.Term) sparql
 	return idx, evals, nil
 }
 
+// frameBufs recycles writeStream's two encode buffers, so that a
+// steady stream of small answers allocates none; buffers a large batch
+// has grown beyond maxPooledFrameBufs are left to the collector.
+var frameBufs = sync.Pool{New: func() any { return new([2][]byte) }}
+
+const maxPooledFrameBufs = 64 << 10
+
 // writeStream drains rows into batch frames on w. Any mid-stream error
 // — a shard quota trip, a failed upstream — becomes the terminal error
 // frame; transport write errors just stop the stream (the peer is gone).
+//
+// Only a full batch is written out and flushed on its own. The head
+// frame, a final partial batch and the terminal frame ride in whatever
+// write carries them, so an answer shorter than a batch — most probes —
+// is one write with a Content-Length, and its reader sees the end of
+// the body with the last frame.
 func writeStream(w http.ResponseWriter, rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value, batch int) {
+	defer rows.Close()
 	if batch <= 0 {
 		batch = WireBatch
 	} else if batch > maxWireBatch {
 		batch = maxWireBatch
 	}
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	w.Header().Set("Content-Type", StreamContentType)
-	w.WriteHeader(http.StatusOK)
 
-	emit := func(f *wireFrame) bool {
-		if err := enc.Encode(f); err != nil {
-			return false
+	// out holds the frames not yet written; the rows frame being built
+	// starts at frameAt and has n rows so far. Its key values collect in
+	// kv until it is closed, because they follow the rows in it.
+	bufs := frameBufs.Get().(*[2][]byte)
+	out, kv := appendHeadFrame(bufs[0][:0], rows.Vars(), keyIdx), bufs[1][:0]
+	defer func() {
+		if cap(out)+cap(kv) <= maxPooledFrameBufs {
+			bufs[0], bufs[1] = out, kv
+			frameBufs.Put(bufs)
 		}
-		if flusher != nil {
-			flusher.Flush()
+	}()
+	n, frameAt, wrote := 0, 0, false
+	closeFrame := func() {
+		if n == 0 {
+			return
 		}
-		return true
-	}
-	if !emit(&wireFrame{Head: &wireHead{Vars: rows.Vars(), Keys: keyIdx}}) {
-		rows.Close()
-		return
-	}
-
-	frame := wireFrame{Rows: make([][]jsonTerm, 0, batch)}
-	if len(keyEvals) > 0 {
-		frame.KeyVals = make([][]wireValue, 0, batch)
-	}
-	flushBatch := func() bool {
-		if len(frame.Rows) == 0 {
-			return true
+		out = append(out, ']')
+		if len(keyEvals) > 0 {
+			out = append(out, `,"keyvals":[`...)
+			out = append(out, kv...)
+			out = append(out, ']')
+			kv = kv[:0]
 		}
-		ok := emit(&frame)
-		frame.Rows = frame.Rows[:0]
-		if frame.KeyVals != nil {
-			frame.KeyVals = frame.KeyVals[:0]
-		}
-		return ok
+		out = append(out, "}\n"...)
+		n = 0
 	}
+	var err error
+rows:
 	for rows.Next() {
 		row := rows.Row()
-		jr := make([]jsonTerm, len(row))
+		if n == 0 {
+			frameAt = len(out)
+			out = append(out, `{"rows":[[`...)
+		} else {
+			out = append(out, ",["...)
+		}
 		for i, t := range row {
-			jr[i] = termToJSON(t)
-		}
-		frame.Rows = append(frame.Rows, jr)
-		if frame.KeyVals != nil {
-			kv := make([]wireValue, len(keyEvals))
-			for i, ev := range keyEvals {
-				kv[i] = valueToWire(ev(row))
+			if i > 0 {
+				out = append(out, ',')
 			}
-			frame.KeyVals = append(frame.KeyVals, kv)
+			out = appendTerm(out, t)
 		}
-		if len(frame.Rows) == batch {
-			if !flushBatch() {
-				rows.Close()
+		out = append(out, ']')
+		if len(keyEvals) > 0 {
+			if n > 0 {
+				kv = append(kv, ',')
+			}
+			kv = append(kv, '[')
+			for i, ev := range keyEvals {
+				if i > 0 {
+					kv = append(kv, ',')
+				}
+				if kv, err = appendKeyValue(kv, ev(row)); err != nil {
+					// The frame that would misstate a key is dropped:
+					// the stream ends in the error.
+					out, n = out[:frameAt], 0
+					break rows
+				}
+			}
+			kv = append(kv, ']')
+		}
+		if n++; n == batch {
+			closeFrame()
+			if _, werr := w.Write(out); werr != nil {
 				return
 			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			out, wrote = out[:0], true
 		}
 	}
-	if !flushBatch() {
-		rows.Close()
-		return
-	}
-	if err := rows.Err(); err != nil {
-		emit(&wireFrame{Error: err.Error(), Quota: errors.Is(err, ErrQuotaExceeded)})
-		rows.Close()
-		return
+	closeFrame()
+	if err == nil {
+		err = rows.Err()
 	}
 	trunc := rows.Truncated()
 	rows.Close()
-	emit(&wireFrame{End: &wireEnd{Truncated: trunc}})
+	if err != nil {
+		out = appendErrorFrame(out, err)
+	} else {
+		out = appendEndFrame(out, trunc)
+	}
+	if !wrote {
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	}
+	_, _ = w.Write(out)
 }
 
 // wireRows is the client side of a batch-framed stream: Rows over an
-// HTTP response body, decoding one frame per network read. It
-// implements KeyedRows — rows of an orderspec stream carry their
-// deterministic ORDER BY key values, which the federation merge
-// consumes instead of re-evaluating expressions.
+// HTTP response body, decoding one frame per line. It implements
+// KeyedRows — rows of an orderspec stream carry their deterministic
+// ORDER BY key values, which the federation merge consumes instead of
+// re-evaluating expressions.
 type wireRows struct {
-	body    io.Closer
-	dec     *json.Decoder
-	cancel  context.CancelFunc // releases the request context; nil when caller-owned
-	vars    []string
-	keyIdx  []int
-	rows    [][]rdf.Term
-	keyvals [][]sparql.Value
-	bi      int
+	body   io.ReadCloser
+	cancel context.CancelFunc // releases the request context; nil when caller-owned
+
+	// buf[rd:wr] is read from the body and not yet consumed; buf[rd:nl]
+	// is known to hold no newline. readErr is what the body's last Read
+	// returned, once that is not nil.
+	buf        []byte
+	rd, nl, wr int
+	readErr    error
+	dec        jsonDec
+
+	vars   []string
+	keyIdx []int
+	// The current frame: n rows, row-major in terms — one backing slice
+	// per frame, never reused, because rows stay valid after Next — and
+	// their key values likewise in keyvals when the frame carries any.
+	terms   []rdf.Term
+	keyvals []sparql.Value
+	n, bi   int
 	row     []rdf.Term
 	keys    []sparql.Value
 	err     error
 	trunc   bool
-	ended   bool // terminal frame seen
 	done    bool
 }
 
+// maxFrameBytes bounds one frame line, like the 64 MiB a whole-result
+// document may take.
+const maxFrameBytes = 64 << 20
+
 // newWireRows reads the stream's head frame — the open completes when
-// the server has actually started answering, which is the signal hedged
-// reads race on.
-func newWireRows(body io.ReadCloser, cancel context.CancelFunc) (*wireRows, error) {
-	r := &wireRows{body: body, dec: json.NewDecoder(body), cancel: cancel}
-	var f wireFrame
-	if err := r.dec.Decode(&f); err != nil {
-		body.Close()
-		return nil, fmt.Errorf("endpoint: reading stream head: %w", err)
+// the server's first write arrives, which carries the first rows or the
+// whole answer: the signal hedged reads race on. size is the body's
+// length when the response declared one, for the read buffer.
+func newWireRows(body io.ReadCloser, size int64, cancel context.CancelFunc) (*wireRows, error) {
+	if size <= 0 || size > 64<<10 {
+		size = 4 << 10
 	}
-	if f.Error != "" {
-		body.Close()
-		return nil, streamError(&f)
+	r := &wireRows{body: body, cancel: cancel, buf: make([]byte, size)}
+	var f frame
+	line, err := r.line()
+	if err == nil {
+		err = r.dec.frame(line, &f, -1, 0)
 	}
-	if f.Head == nil {
-		body.Close()
-		return nil, errors.New("endpoint: stream did not start with a head frame")
+	switch {
+	case err != nil:
+		err = fmt.Errorf("endpoint: reading stream head: %w", err)
+	case f.kind == frameError:
+		err = f.err
+	case f.kind != frameHead:
+		err = errors.New("endpoint: stream did not start with a head frame")
 	}
-	r.vars = f.Head.Vars
-	r.keyIdx = f.Head.Keys
+	if err != nil {
+		body.Close()
+		return nil, err
+	}
+	r.vars, r.keyIdx = f.vars, f.keys
 	return r, nil
 }
 
-func streamError(f *wireFrame) error {
-	if f.Quota {
-		return ErrQuotaExceeded
+// line returns the next frame line without its newline, valid until the
+// next call. A line the body ends in the middle of is not a frame.
+func (r *wireRows) line() ([]byte, error) {
+	for {
+		if i := bytes.IndexByte(r.buf[r.nl:r.wr], '\n'); i >= 0 {
+			line := r.buf[r.rd : r.nl+i]
+			r.rd = r.nl + i + 1
+			r.nl = r.rd
+			return line, nil
+		}
+		r.nl = r.wr
+		if r.readErr != nil {
+			if r.readErr == io.EOF {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return nil, r.readErr
+		}
+		if r.rd > 0 {
+			r.wr = copy(r.buf, r.buf[r.rd:r.wr])
+			r.rd, r.nl = 0, r.wr
+		}
+		if r.wr == len(r.buf) {
+			if len(r.buf) >= maxFrameBytes {
+				return nil, errors.New("endpoint: stream frame too long")
+			}
+			r.buf = append(r.buf, make([]byte, len(r.buf))...)
+		}
+		n, err := r.body.Read(r.buf[r.wr:])
+		r.wr += n
+		r.readErr = err
 	}
-	return fmt.Errorf("endpoint: remote stream: %s", f.Error)
 }
 
 func (r *wireRows) Vars() []string          { return r.vars }
@@ -288,79 +311,77 @@ func (r *wireRows) Next() bool {
 	if r.done {
 		return false
 	}
-	for r.bi >= len(r.rows) {
-		if !r.decodeFrame() {
+	for r.bi >= r.n {
+		if !r.nextFrame() {
 			return false
 		}
 	}
-	r.row = r.rows[r.bi]
+	w, k := len(r.vars), len(r.keyIdx)
+	r.row = r.terms[r.bi*w : (r.bi+1)*w : (r.bi+1)*w]
 	r.keys = nil
 	if r.keyvals != nil {
-		r.keys = r.keyvals[r.bi]
+		r.keys = r.keyvals[r.bi*k : (r.bi+1)*k : (r.bi+1)*k]
 	}
 	r.bi++
 	return true
 }
 
-// decodeFrame pulls the next frame; false at stream end (clean or not).
-func (r *wireRows) decodeFrame() bool {
-	var f wireFrame
-	if err := r.dec.Decode(&f); err != nil {
+// nextFrame pulls the next rows frame; false at stream end (clean or
+// not).
+func (r *wireRows) nextFrame() bool {
+	line, err := r.line()
+	if err != nil {
 		// The terminal frame never arrived: the connection died
 		// mid-stream. Surface the transport error rather than passing
 		// the prefix off as the whole result.
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
 		r.err = fmt.Errorf("endpoint: stream cut mid-flight: %w", err)
 		r.finish()
 		return false
 	}
-	switch {
-	case f.Error != "":
-		r.err = streamError(&f)
-		r.ended = true
-		r.finish()
-		return false
-	case f.End != nil:
-		r.trunc = f.End.Truncated
-		r.ended = true
+	var f frame
+	if err := r.dec.frame(line, &f, len(r.vars), len(r.keyIdx)); err != nil {
+		r.err = fmt.Errorf("endpoint: bad stream frame: %w", err)
 		r.finish()
 		return false
 	}
-	rows := make([][]rdf.Term, len(f.Rows))
-	for i, jr := range f.Rows {
-		row := make([]rdf.Term, len(jr))
-		for j, jt := range jr {
-			t, err := termFromJSON(jt)
-			if err != nil {
-				r.err = err
-				r.finish()
-				return false
-			}
-			row[j] = t
-		}
-		rows[i] = row
+	switch f.kind {
+	case frameHead:
+		r.err = errors.New("endpoint: second head frame in a stream")
+	case frameError:
+		r.err = f.err
+		r.readTail()
+	case frameEnd:
+		r.trunc = f.truncated
+		r.readTail()
+	default:
+		r.terms, r.keyvals, r.n, r.bi = f.terms, f.keyvals, f.n, 0
+		return true
 	}
-	r.rows, r.bi = rows, 0
-	r.keyvals = nil
-	if len(f.KeyVals) > 0 {
-		r.keyvals = make([][]sparql.Value, len(f.KeyVals))
-		for i, kvs := range f.KeyVals {
-			vals := make([]sparql.Value, len(kvs))
-			for j, kv := range kvs {
-				v, err := valueFromWire(kv)
-				if err != nil {
-					r.err = err
-					r.finish()
-					return false
-				}
-				vals[j] = v
+	r.finish()
+	return false
+}
+
+// readTail reads the body to its end once the terminal frame is in, so
+// that the transport sees the end too and keeps the connection for the
+// next request instead of tearing down one closed with a chunk trailer
+// unread. All that may follow a terminal frame is white space, and it
+// is not read for long.
+func (r *wireRows) readTail() {
+	rest := r.buf[r.rd:r.wr]
+	for reads := 0; ; reads++ {
+		if len(bytes.TrimSpace(rest)) > 0 {
+			if r.err == nil {
+				r.err = errors.New("endpoint: data after the stream's terminal frame")
 			}
-			r.keyvals[i] = vals
+			return
 		}
+		if r.readErr != nil || reads == 4 {
+			return // io.EOF; another error no longer matters to a complete answer
+		}
+		var n int
+		n, r.readErr = r.body.Read(r.buf[:min(len(r.buf), 64)])
+		rest = r.buf[:n]
 	}
-	return true
 }
 
 func (r *wireRows) Close() { r.finish() }

@@ -2,8 +2,11 @@ package endpoint
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -64,8 +67,9 @@ func (w *flushCountingWriter) Flush() {
 }
 
 // TestWireBatchRoundTrips is the acceptance check for the framing
-// budget: streaming R rows costs head + ceil(R/64) row frames + end —
-// at most 2 flushes per 64-row batch window, never one per row.
+// budget: streaming R rows costs one flush per full 64-row batch — the
+// head rides with the first, a partial last batch and the end with the
+// handler's return — never one per row or per frame.
 func TestWireBatchRoundTrips(t *testing.T) {
 	const rows = 256
 	local := NewLocal(bigKB(rows), 1)
@@ -102,12 +106,94 @@ func TestWireBatchRoundTrips(t *testing.T) {
 	got := flushes
 	mu.Unlock()
 	windows := (rows + WireBatch - 1) / WireBatch
-	budget := 2 * windows
-	if got > budget {
-		t.Fatalf("%d flushes for %d rows — exceeds 2 per %d-row batch window (budget %d)", got, rows, WireBatch, budget)
+	if got > windows+1 {
+		t.Fatalf("%d flushes for %d rows — more than one per %d-row batch window (%d) and one to spare", got, rows, WireBatch, windows)
 	}
 	if got < windows {
-		t.Fatalf("only %d flushes for %d batch windows — frames are not being flushed individually", got, windows)
+		t.Fatalf("only %d flushes for %d batch windows — batches are not being flushed individually", got, windows)
+	}
+}
+
+// TestWireSmallResultSingleWrite: an answer shorter than one batch is
+// never flushed — head, rows and end leave together when the handler
+// returns — and so arrives with a Content-Length instead of chunked.
+func TestWireSmallResultSingleWrite(t *testing.T) {
+	const rows = WireBatch - 1
+	inner := NewServer(NewLocal(bigKB(rows), 1))
+	flushes := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inner.ServeHTTP(&countOnlyWriter{ResponseWriter: w, flushes: &flushes}, r)
+	}))
+	defer srv.Close()
+	resp, err := http.PostForm(srv.URL, url.Values{
+		"query":  {"SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"},
+		"stream": {"1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flushes != 0 {
+		t.Fatalf("%d flushes for a %d-row answer, want none", flushes, rows)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte answer", resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	got, err := decodeStream(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.rows) != rows || got.err != nil {
+		t.Fatalf("%d rows, error %v; want %d", len(got.rows), got.err, rows)
+	}
+}
+
+// TestWireStreamReusesConnection: a stream drained to its terminal
+// frame hands its connection back to the pool — the client reads the
+// chunked body's trailer before closing it — so sequential streams dial
+// once. A stream closed midway may cost its connection.
+func TestWireStreamReusesConnection(t *testing.T) {
+	srv := httptest.NewServer(NewServer(NewLocal(bigKB(3*WireBatch+5), 1)))
+	defer srv.Close()
+	pq, err := NewClient("wire", srv.URL, nil).Prepare("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialed := 0
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if !info.Reused {
+				dialed++
+			}
+		},
+	})
+	pull := func(limit int) {
+		t.Helper()
+		stream, err := pq.Stream(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < limit && stream.Next(); n++ {
+		}
+		if err := stream.Err(); err != nil {
+			t.Fatal(err)
+		}
+		stream.Close()
+	}
+	for i := 0; i < 8; i++ {
+		pull(1 << 20)
+	}
+	if dialed != 1 {
+		t.Fatalf("8 sequential drained streams dialed %d connections, want 1", dialed)
+	}
+	pull(WireBatch + 1) // closed inside the second batch
+	pull(1 << 20)
+	if dialed > 2 {
+		t.Fatalf("one early close cost %d new connections, want at most 1", dialed-1)
 	}
 }
 

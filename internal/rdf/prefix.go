@@ -40,22 +40,29 @@ func StandardPrefixes() *PrefixMap {
 	return pm
 }
 
-// Add registers (or replaces) a prefix binding.
+// Add registers (or replaces) a prefix binding. The entry is placed
+// where a stable sort by decreasing base length would leave it, without
+// re-sorting the table.
 func (pm *PrefixMap) Add(prefix, base string) {
-	if _, ok := pm.byPrefix[prefix]; !ok {
-		pm.bases = append(pm.bases, prefixEntry{prefix, base})
-	} else {
+	at := len(pm.bases)
+	if _, ok := pm.byPrefix[prefix]; ok {
 		for i := range pm.bases {
 			if pm.bases[i].prefix == prefix {
-				pm.bases[i].base = base
+				at = i
 				break
 			}
 		}
+		pm.bases = append(pm.bases[:at], pm.bases[at+1:]...)
 	}
 	pm.byPrefix[prefix] = base
-	sort.SliceStable(pm.bases, func(i, j int) bool {
-		return len(pm.bases[i].base) > len(pm.bases[j].base)
-	})
+	// Entries with a base as long as the new one keep their side of
+	// the old position: [lo, hi) is their block.
+	lo := sort.Search(len(pm.bases), func(i int) bool { return len(pm.bases[i].base) <= len(base) })
+	hi := sort.Search(len(pm.bases), func(i int) bool { return len(pm.bases[i].base) < len(base) })
+	at = min(max(at, lo), hi)
+	pm.bases = append(pm.bases, prefixEntry{})
+	copy(pm.bases[at+1:], pm.bases[at:])
+	pm.bases[at] = prefixEntry{prefix, base}
 }
 
 // Base returns the base IRI bound to prefix, if any.

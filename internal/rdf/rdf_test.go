@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,6 +307,40 @@ func TestPrefixMapLongestBaseWins(t *testing.T) {
 	pm.Add("a", "http://y/")
 	if got := pm.Compact("http://y/z"); got != "a:z" {
 		t.Fatalf("Compact after rebind = %q", got)
+	}
+}
+
+// TestPrefixMapAddOrder: Add places an entry where re-sorting the whole
+// table stably by decreasing base length — what Add used to do on every
+// insert — would leave it, for new and rebound prefixes alike.
+func TestPrefixMapAddOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		pm := NewPrefixMap()
+		var want []prefixEntry
+		for step := 0; step < 12; step++ {
+			prefix := string(rune('a' + rng.Intn(5)))
+			base := strings.Repeat("x", 1+rng.Intn(4))
+			pm.Add(prefix, base)
+			replaced := false
+			for i := range want {
+				if want[i].prefix == prefix {
+					want[i].base, replaced = base, true
+				}
+			}
+			if !replaced {
+				want = append(want, prefixEntry{prefix, base})
+			}
+			sort.SliceStable(want, func(i, j int) bool { return len(want[i].base) > len(want[j].base) })
+			if len(pm.bases) != len(want) {
+				t.Fatalf("round %d step %d: %d entries, want %d", round, step, len(pm.bases), len(want))
+			}
+			for i := range want {
+				if pm.bases[i] != want[i] {
+					t.Fatalf("round %d step %d: order %v, want %v", round, step, pm.bases, want)
+				}
+			}
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // not crashing, it checks the canonicalization invariant the engine's
 // RAND() determinism rests on: any query that parses must serialize to
 // canonical text that reparses, and that canonical text must be a
-// fixpoint of String ∘ Parse.
+// fixpoint of String ∘ Parse. FormOf, which routes a text before it is
+// parsed, must name the form the parse then finds.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// discover window / body sample
@@ -44,6 +45,7 @@ func FuzzParse(f *testing.F) {
 		`SELECT ?v WHERE { ?s <http://x/p> ?v . FILTER (?v >= "1990"^^<http://www.w3.org/2001/XMLSchema#gYear> || ?v = "x"@en || ?v < 3.25) }`,
 		`SELECT ?v WHERE { ?s ?p ?v . FILTER (DATATYPE(?v) = <http://www.w3.org/2001/XMLSchema#date> && !ISBLANK(?s)) }`,
 		"SELECT ?x WHERE { ?x <http://x/p> ?y . FILTER (SAMETERM(?x, ?y) || CONTAINS(LCASE(STR(?y)), UCASE(\"a\"))) } ORDER BY RAND() LIMIT 0",
+		"# probe\nPREFIX : <http://x/> prefix x: <http://x/> ask where { :a x:p ?o }",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -52,6 +54,9 @@ func FuzzParse(f *testing.F) {
 		q, err := Parse(in)
 		if err != nil {
 			return
+		}
+		if got := FormOf(in); got != q.Form {
+			t.Fatalf("FormOf = %d, parsed form %d\ninput: %q", got, q.Form, in)
 		}
 		canon := q.String()
 		q2, err := Parse(canon)

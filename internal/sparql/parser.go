@@ -7,32 +7,56 @@ import (
 	"sofya/internal/rdf"
 )
 
+// stdPrefixes is the prefix environment every Parse starts from. It is
+// shared and never written: a parser copies it before applying its first
+// PREFIX declaration.
+var stdPrefixes = rdf.StandardPrefixes()
+
 // Parse parses a SPARQL query using the standard prefixes
 // (rdf.StandardPrefixes) as the initial prefix environment; PREFIX
 // declarations in the query extend or override it.
 func Parse(query string) (*Query, error) {
-	return ParseWithPrefixes(query, rdf.StandardPrefixes())
+	return ParseWithPrefixes(query, stdPrefixes)
 }
 
 // ParseWithPrefixes parses a SPARQL query with a caller-supplied prefix
-// environment. The map is copied before applying in-query PREFIX
-// declarations.
+// environment. The map is never modified: in-query PREFIX declarations
+// apply to a copy, made when the first one is met.
 func ParseWithPrefixes(query string, prefixes *rdf.PrefixMap) (*Query, error) {
 	toks, err := lex(query)
 	if err != nil {
 		return nil, err
 	}
-	pm := rdf.NewPrefixMap()
-	for _, p := range prefixes.Prefixes() {
-		base, _ := prefixes.Base(p)
-		pm.Add(p, base)
+	p := &parser{toks: toks, prefixes: prefixes}
+	return p.query()
+}
+
+// FormOf reports the form of a query from its leading tokens alone: the
+// keyword that follows the PREFIX declarations. It is for callers that
+// must route a query text before something else parses it — text that
+// does not get as far as ASK reads as SELECT, and the parse reports
+// what is wrong with it.
+func FormOf(query string) Form {
+	l := &lexer{in: query}
+	for {
+		t, err := l.next()
+		if err != nil || t.kind != tokIdent {
+			return SelectForm
+		}
+		switch {
+		case keywordEq(t.text, "ASK"):
+			return AskForm
+		case keywordEq(t.text, "PREFIX"):
+			// "PREFIX name: <iri>": two tokens; the parser checks them.
+			for i := 0; i < 2; i++ {
+				if t, err = l.next(); err != nil || t.kind == tokEOF {
+					return SelectForm
+				}
+			}
+		default:
+			return SelectForm
+		}
 	}
-	p := &parser{toks: toks, prefixes: pm}
-	q, err := p.query()
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
 }
 
 // MustParse parses a query and panics on error; for tests and examples.
@@ -48,6 +72,8 @@ type parser struct {
 	toks     []token
 	pos      int
 	prefixes *rdf.PrefixMap
+	// ownPrefixes is set once prefixes is the parser's private copy.
+	ownPrefixes bool
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -202,6 +228,14 @@ func (p *parser) prefixDecl() error {
 	iriTok := p.take()
 	if iriTok.kind != tokIRI {
 		return p.errf("expected IRI after PREFIX %q", name)
+	}
+	if !p.ownPrefixes {
+		own := rdf.NewPrefixMap()
+		for _, prefix := range p.prefixes.Prefixes() {
+			base, _ := p.prefixes.Base(prefix)
+			own.Add(prefix, base)
+		}
+		p.prefixes, p.ownPrefixes = own, true
 	}
 	p.prefixes.Add(name[:len(name)-1], iriTok.text)
 	return nil

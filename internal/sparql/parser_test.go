@@ -70,6 +70,63 @@ SELECT ?x WHERE { ?x ex:knows ex:alice }`)
 	}
 }
 
+// TestParsePrefixesNotShared: every Parse starts from the same standard
+// prefix environment, and a query that rebinds a standard prefix does it
+// for itself alone — neither later parses nor a caller's own map see it.
+func TestParsePrefixesNotShared(t *testing.T) {
+	own := rdf.StandardPrefixes()
+	for _, parse := range []func(string) (*Query, error){
+		Parse,
+		func(q string) (*Query, error) { return ParseWithPrefixes(q, own) },
+	} {
+		q, err := parse(`PREFIX yago: <http://elsewhere/> PREFIX new: <http://new/> SELECT ?x WHERE { ?x yago:p new:o }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp := q.Where.Triples[0]; tp.P.Term.Value != "http://elsewhere/p" || tp.O.Term.Value != "http://new/o" {
+			t.Fatalf("declared prefixes not applied: %+v", tp)
+		}
+		q, err = parse(`SELECT ?x WHERE { ?x yago:p ?y }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := q.Where.Triples[0].P.Term.Value; got != "http://yago-knowledge.org/resource/p" {
+			t.Fatalf("an earlier query's PREFIX leaked: yago:p = %q", got)
+		}
+		if _, err := parse(`SELECT ?x WHERE { ?x new:p ?y }`); err == nil {
+			t.Fatal("an earlier query's new prefix leaked")
+		}
+	}
+	if base, _ := own.Base("yago"); base != "http://yago-knowledge.org/resource/" {
+		t.Fatalf("the caller's prefix map was modified: yago = %q", base)
+	}
+}
+
+// TestFormOf: the form is read off the first keyword after the PREFIX
+// declarations, and whatever does not get as far as ASK reads as SELECT.
+func TestFormOf(t *testing.T) {
+	for text, want := range map[string]Form{
+		"SELECT ?x WHERE { ?x ?p ?o }":                       SelectForm,
+		"ASK { ?x ?p ?o }":                                   AskForm,
+		"  # a comment\n ask where { ?x ?p ?o }":             AskForm,
+		"PREFIX a: <http://a/> PREFIX : <http://b/> ASK { }": AskForm,
+		"prefix a: <http://a/> select * where { }":           SelectForm,
+		"PREFIX ask: <http://a/> SELECT ?ask WHERE { }":      SelectForm,
+		"":                         SelectForm,
+		"DESCRIBE <http://x/a>":    SelectForm,
+		"PREFIX a:":                SelectForm,
+		"PREFIX":                   SelectForm,
+		`"ASK"`:                    SelectForm,
+		"\x00\xff ASK":             SelectForm,
+		"?ask ASK":                 SelectForm,
+		"PREFIX a: <http://a/ ASK": SelectForm,
+	} {
+		if got := FormOf(text); got != want {
+			t.Errorf("FormOf(%q) = %d, want %d", text, got, want)
+		}
+	}
+}
+
 func TestParseTypeShorthand(t *testing.T) {
 	q := MustParse(`SELECT ?x WHERE { ?x a <http://x/Person> }`)
 	if q.Where.Triples[0].P.Term.Value != rdf.RDFType {
