@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,6 +139,10 @@ type Index struct {
 	name nameIndex
 	sig  sigIndex
 
+	// fp is Fingerprint(rels, opt), computed once when the index is
+	// built or decoded.
+	fp uint64
+
 	// Posting-truncation accounting (Options.MaxPostings): how many
 	// grams lost entries and how many posting entries were dropped.
 	truncGrams, truncPostings int
@@ -198,6 +203,7 @@ func BuildCtx(ctx context.Context, target endpoint.Endpoint, rels []string, link
 	opt.Parallelism = 0
 	ix := &Index{opt: opt, rels: append([]string(nil), rels...)}
 	sort.Strings(ix.rels)
+	ix.fp = Fingerprint(ix.rels, opt)
 	ix.buildNameIndex()
 
 	probe, err := target.Prepare(sampling.TmplSample, "r", "n")
@@ -389,17 +395,8 @@ func profileOf(iri string, n int) *strsim.Profile {
 
 // dedupSorted sorts keys and removes duplicates in place.
 func dedupSorted(keys []uint64) []uint64 {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := keys[:0]
-	var last uint64
-	for i, k := range keys {
-		if i > 0 && k == last {
-			continue
-		}
-		out = append(out, k)
-		last = k
-	}
-	return out
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 var _ Translator = sampling.LinkView{}

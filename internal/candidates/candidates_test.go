@@ -1,12 +1,20 @@
 package candidates
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"sofya/internal/endpoint"
+	"sofya/internal/kb"
+	"sofya/internal/rdf"
 	"sofya/internal/sampling"
+	"sofya/internal/sparql"
 	"sofya/internal/synth"
 )
 
@@ -244,9 +252,37 @@ func TestTopKFindsGoldAlignments(t *testing.T) {
 	}
 }
 
+// hookEndpoint routes every sampling probe prepared on it through
+// probe, which gets the real execution as next.
+type hookEndpoint struct {
+	endpoint.Endpoint
+	probe func(next func() (*sparql.Result, error)) (*sparql.Result, error)
+}
+
+func (h *hookEndpoint) Prepare(tmpl string, params ...string) (endpoint.PreparedQuery, error) {
+	pq, err := h.Endpoint.Prepare(tmpl, params...)
+	if err != nil {
+		return nil, err
+	}
+	return &hookPrepared{PreparedQuery: pq, probe: h.probe}, nil
+}
+
+type hookPrepared struct {
+	endpoint.PreparedQuery
+	probe func(next func() (*sparql.Result, error)) (*sparql.Result, error)
+}
+
+func (h *hookPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	return h.probe(func() (*sparql.Result, error) { return h.PreparedQuery.SelectCtx(ctx, args...) })
+}
+
+// TestTopKConcurrent pins the Prober's concurrency contract: any number
+// of goroutines get exactly the serial results from one Prober, and no
+// call holds anything another call needs while its sampling probe is
+// out at the source endpoint.
 func TestTopKConcurrent(t *testing.T) {
 	b := newBed(t, synth.TinySpec())
-	_, pr := b.build(t, Options{})
+	ix, pr := b.build(t, Options{})
 	rels := b.world.Report.YagoRelations
 	ref := make([][]Candidate, len(rels))
 	for i, r := range rels {
@@ -256,27 +292,162 @@ func TestTopKConcurrent(t *testing.T) {
 		}
 		ref[i] = c
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i, r := range rels {
-				c, err := pr.TopK(r, 10)
-				if err != nil {
-					t.Errorf("concurrent TopK: %v", err)
-					return
-				}
-				for j := range c {
-					if c[j] != ref[i][j] {
+
+	t.Run("serial results", func(t *testing.T) {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, r := range rels {
+					c, err := pr.TopK(r, 10)
+					if err != nil {
+						t.Errorf("concurrent TopK: %v", err)
+						return
+					}
+					if !reflect.DeepEqual(c, ref[i]) {
 						t.Errorf("concurrent TopK(%s) diverged", r)
 						return
 					}
 				}
+			}()
+		}
+		wg.Wait()
+	})
+
+	// Two calls must both be inside the sampling probe before either is
+	// let through: with a lock held across the probe the second never
+	// arrives.
+	t.Run("both inside the probe", func(t *testing.T) {
+		arrived := make(chan struct{})
+		release := make(chan struct{})
+		gated, err := NewProber(ix, &hookEndpoint{
+			Endpoint: b.source,
+			probe: func(next func() (*sparql.Result, error)) (*sparql.Result, error) {
+				arrived <- struct{}{}
+				<-release
+				return next()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := gated.TopK(rels[i], 10)
+				if err != nil {
+					t.Errorf("gated TopK: %v", err)
+				} else if !reflect.DeepEqual(c, ref[i]) {
+					t.Errorf("gated TopK(%s) diverged", rels[i])
+				}
+			}()
+		}
+		timeout := time.After(10 * time.Second)
+		for i := 0; i < 2; i++ {
+			select {
+			case <-arrived:
+			case <-timeout:
+				close(release)
+				t.Fatalf("only %d of 2 TopK calls reached the sampling probe: the other is waiting on the first", i)
 			}
-		}(g)
+		}
+		close(release)
+		wg.Wait()
+	})
+}
+
+// wordInventory names n relations with three-word local names over a
+// 40-word vocabulary (a word is in at most 7.5 % of the names, so its
+// grams stay under the stop cutoff and a probe scores thousands of
+// relations at n = 20 000) and gives each a small random key set;
+// relation 7 gets exactly keys.
+func wordInventory(n int, keys []uint64) *Index {
+	rng := rand.New(rand.NewSource(5))
+	words := make([]string, 40)
+	for i := range words {
+		w := make([]byte, 6)
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		words[i] = string(w)
 	}
-	wg.Wait()
+	ix := &Index{opt: Options{}.normalized(), rels: make([]string, n)}
+	for i := range ix.rels {
+		ix.rels[i] = "http://t/" + words[i%40] + words[i/40%40] + words[i/1600%40]
+	}
+	sort.Strings(ix.rels)
+	ix.fp = Fingerprint(ix.rels, ix.opt)
+	ix.buildNameIndex()
+	sets := make([][]uint64, n)
+	for i := range sets {
+		for j := 0; j < 8; j++ {
+			sets[i] = append(sets[i], uint64(rng.Intn(40*n)))
+		}
+		sets[i] = dedupSorted(sets[i])
+	}
+	sets[7] = keys
+	ix.buildSigIndex(sets)
+	return ix
+}
+
+// TestAllocCeilingProbeTopK pins what a TopK call may allocate once its
+// prober's scratch is warm: the result slice and the query's name
+// profile — nothing per touched relation, so the same on a 200- and a
+// 20 000-relation inventory. The source endpoint answers from a canned
+// sample, so its own allocations stay out of the count.
+func TestAllocCeilingProbeTopK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	sample := &sparql.Result{Vars: []string{"x", "y"}}
+	var keys []uint64
+	for i := 0; i < 40; i++ {
+		x, y := fmt.Sprintf("http://k/e%d", i), fmt.Sprintf("http://k/e%d", i+1)
+		sample.Rows = append(sample.Rows, []rdf.Term{rdf.NewIRI(x), rdf.NewIRI(y)})
+		keys = append(keys, subjectKey(x), objectKey(y))
+	}
+	keys = dedupSorted(keys)
+	source := &hookEndpoint{
+		Endpoint: endpoint.NewLocal(kb.New("empty"), 1),
+		probe:    func(func() (*sparql.Result, error)) (*sparql.Result, error) { return sample, nil },
+	}
+	const k = 16
+	allocs := func(n int) (perCall float64, touched int) {
+		ix := wordInventory(n, keys)
+		pr, err := NewProber(ix, source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := ix.rels[n/2]
+		run := func() {
+			if c, err := pr.TopK(query, k); err != nil || len(c) == 0 || len(c) > k {
+				t.Fatalf("TopK: %d candidates, %v", len(c), err)
+			}
+		}
+		run() // size the scratch
+		all, err := pr.TopK(query, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, run), len(all)
+	}
+	small, touchedSmall := allocs(200)
+	large, touchedLarge := allocs(20_000)
+	if touchedLarge < 10*k {
+		t.Fatalf("the probe scores only %d relations of 20 000: nothing for the ceiling to bound", touchedLarge)
+	}
+	if small != large {
+		t.Fatalf("%.0f allocs/call scoring %d relations of 200, %.0f scoring %d of 20 000", small, touchedSmall, large, touchedLarge)
+	}
+	// One result slice, the probe's argument list, and strsim's profile
+	// of the 18-letter query name, which is most of it.
+	if large > 32 {
+		t.Fatalf("%.0f allocs/call, ceiling 32", large)
+	}
+	t.Logf("%.0f allocs/call (%d and %d relations scored)", large, touchedSmall, touchedLarge)
 }
 
 // scaleBed caches one mid-size world + index for the benchmarks, so

@@ -128,8 +128,9 @@ func Fingerprint(rels []string, opt Options) uint64 {
 }
 
 // Fingerprint returns the fingerprint of the index's own inventory and
-// options — what Fingerprint(ix.Relations(), ix.Options()) computes.
-func (ix *Index) Fingerprint() uint64 { return Fingerprint(ix.rels, ix.opt) }
+// options — what Fingerprint(ix.Relations(), ix.Options()) computes,
+// remembered from when the index was built or decoded.
+func (ix *Index) Fingerprint() uint64 { return ix.fp }
 
 // fpHash is an incremental FNV-64a with length-prefixed strings so
 // field boundaries cannot alias.
@@ -540,6 +541,9 @@ func decodeIndex(data []byte) (*Index, error) {
 	if nU > math.MaxInt32 {
 		return nil, badIdx("relation count %d exceeds int32 id space", nU)
 	}
+	if nU*uint64(opt.Bands) > math.MaxUint32 {
+		return nil, badIdx("%d relations × %d bands exceed the bucket table's offsets", nU, opt.Bands)
+	}
 	N := int(nU)
 	if truncG > uint64(math.MaxInt) || truncP > uint64(math.MaxInt) {
 		return nil, badIdx("truncation counters overflow")
@@ -740,25 +744,16 @@ func decodeIndex(data []byte) (*Index, error) {
 	}
 
 	// LSH buckets are not serialized: they rebuild deterministically
-	// from the signatures in the same relation-ascending order the
-	// builder used, keeping the file smaller.
-	s.buckets = make(map[uint64][]int32)
-	for i := 0; i < N; i++ {
-		if s.empty[i] {
-			continue
-		}
-		sig := s.sigs[i*s.hashes : (i+1)*s.hashes]
-		for b := 0; b < s.bands; b++ {
-			key := bandHash(b, sig[b*s.rows:(b+1)*s.rows])
-			s.buckets[key] = append(s.buckets[key], int32(i))
-		}
-	}
+	// from the signatures, through the builder's own table
+	// construction, keeping the file smaller.
+	s.buildBuckets()
 
 	// The stored fingerprint must match the decoded content: a sidecar
 	// whose inventory or options were tampered with (with checksums
 	// re-stamped) still fails closed.
-	if got := ix.Fingerprint(); got != storedFP {
-		return nil, badIdx("stored fingerprint %016x disagrees with content fingerprint %016x", storedFP, got)
+	ix.fp = Fingerprint(ix.rels, ix.opt)
+	if ix.fp != storedFP {
+		return nil, badIdx("stored fingerprint %016x disagrees with content fingerprint %016x", storedFP, ix.fp)
 	}
 	return ix, nil
 }

@@ -101,6 +101,7 @@ func tinyIndex() *Index {
 			"http://t/spouse",
 		},
 	}
+	ix.fp = Fingerprint(ix.rels, ix.opt)
 	ix.buildNameIndex()
 	sets := [][]uint64{
 		{3, 7, 12, 40},

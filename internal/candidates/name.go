@@ -261,15 +261,17 @@ func (n *nameIndex) lookupGram(g string) (int32, bool) {
 	return 0, false
 }
 
-// accumulate adds the query's cosine contributions into scores (a
-// sparse rel→score map) by walking the posting lists of the query's
-// grams in ascending gram order. Touches only relations sharing at
-// least one non-stop gram with the query.
-func (n *nameIndex) accumulate(qv *queryVec, scores map[int32]float64) {
+// accumulate adds the query's cosine contributions into sc's dense name
+// accumulators by walking the posting lists of the query's grams in
+// ascending gram order. Touches only relations sharing at least one
+// non-stop gram with the query.
+func (n *nameIndex) accumulate(qv *queryVec, sc *probeScratch) {
 	for i, g := range qv.gram {
 		qw := qv.w[i]
 		for j := n.gramStart[g]; j < n.gramStart[g+1]; j++ {
-			scores[n.postRel[j]] += qw * n.postW[j]
+			id := n.postRel[j]
+			sc.touch(id)
+			sc.name[id] += qw * n.postW[j]
 		}
 	}
 }

@@ -1,8 +1,9 @@
 package candidates
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sofya/internal/endpoint"
@@ -10,22 +11,46 @@ import (
 )
 
 // Prober answers top-k candidate queries against an Index for source
-// relations living on a source endpoint. It owns the prepared sampling
-// probe and reusable scratch buffers; a mutex serializes probes, so one
-// Prober is safe for concurrent use (the aligner already bounds probe
-// concurrency with its endpoint semaphores).
+// relations living on a source endpoint. It holds only immutable
+// state — the index, the prepared sampling probe — so any number of
+// goroutines may call TopK/ExactTopK on one Prober without
+// serializing: each call takes its working memory from the prober's
+// scratch pool, and nothing is locked while the sampling probe is out
+// at the source endpoint.
 type Prober struct {
 	ix     *Index
 	source endpoint.Endpoint
+	probe  endpoint.PreparedQuery
 
-	mu        sync.Mutex
-	probe     endpoint.PreparedQuery
-	qv        queryVec
-	keys      []uint64
-	sig       []uint64
-	cand      []int32
-	scores    map[int32]float64
-	sigScores map[int32]float64
+	// scratch pools *probeScratch values sized to ix (per prober, not
+	// package-wide: the accumulators are inventory-length).
+	scratch sync.Pool
+}
+
+// probeScratch is the working memory of one TopK/ExactTopK call.
+type probeScratch struct {
+	qv   queryVec
+	keys []uint64 // sampled query key set
+	sig  []uint64 // its minhash signature
+	cand []int32  // LSH band-collision pool
+
+	// Dense per-relation accumulators. name[id] and jac[id] are valid
+	// only where stamp[id] == epoch — bumping epoch invalidates them all
+	// without clearing inventory-length arrays per call — and touched
+	// lists those ids in first-touch order.
+	name, jac []float64
+	stamp     []uint32
+	epoch     uint32
+	touched   []int32
+
+	ranked []scored
+}
+
+// scored is the compact selection key of one touched relation. ix.rels
+// is sorted, so comparing ids is comparing relation IRIs.
+type scored struct {
+	score float64
+	id    int32
 }
 
 // NewProber prepares the sampling probe for source-relation queries.
@@ -34,14 +59,36 @@ func NewProber(ix *Index, source endpoint.Endpoint) (*Prober, error) {
 	if err != nil {
 		return nil, fmt.Errorf("candidates: preparing source probe against %s: %w", source.Name(), err)
 	}
-	return &Prober{
-		ix:        ix,
-		source:    source,
-		probe:     probe,
-		sig:       make([]uint64, ix.opt.Hashes),
-		scores:    make(map[int32]float64),
-		sigScores: make(map[int32]float64),
-	}, nil
+	p := &Prober{ix: ix, source: source, probe: probe}
+	p.scratch.New = func() any {
+		n := ix.Len()
+		return &probeScratch{
+			sig:   make([]uint64, ix.opt.Hashes),
+			name:  make([]float64, n),
+			jac:   make([]float64, n),
+			stamp: make([]uint32, n),
+		}
+	}
+	return p, nil
+}
+
+// begin starts a fresh accumulation: no relation is touched.
+func (sc *probeScratch) begin() {
+	sc.touched = sc.touched[:0]
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+}
+
+// touch zeroes id's accumulators on its first use in this call.
+func (sc *probeScratch) touch(id int32) {
+	if sc.stamp[id] != sc.epoch {
+		sc.stamp[id] = sc.epoch
+		sc.name[id], sc.jac[id] = 0, 0
+		sc.touched = append(sc.touched, id)
+	}
 }
 
 // TopK returns the top-k candidate target relations for source relation
@@ -58,50 +105,21 @@ func NewProber(ix *Index, source endpoint.Endpoint) (*Prober, error) {
 // selection is the only approximation, and the experiments measure it
 // as candidate recall. Ordering is deterministic.
 func (p *Prober) TopK(rel string, k int) ([]Candidate, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	qv, qkeys, qsig, err := p.queryState(rel)
-	if err != nil {
+	sc := p.scratch.Get().(*probeScratch)
+	defer p.scratch.Put(sc)
+	if err := p.queryState(sc, rel); err != nil {
 		return nil, err
 	}
-
-	for id := range p.scores {
-		delete(p.scores, id)
-	}
-	p.ix.name.accumulate(qv, p.scores)
-
-	for id := range p.sigScores {
-		delete(p.sigScores, id)
-	}
-	if len(qkeys) > 0 {
-		p.cand = p.ix.sig.candidates(qsig, p.cand[:0])
-		for _, id := range p.cand {
-			p.sigScores[id] = p.ix.sig.exactJaccard(qkeys, id)
+	sc.begin()
+	p.ix.name.accumulate(&sc.qv, sc)
+	if len(sc.keys) > 0 {
+		sc.cand = p.ix.sig.candidates(sc.sig, sc.cand[:0])
+		for _, id := range sc.cand {
+			sc.touch(id)
+			sc.jac[id] = p.ix.sig.exactJaccard(sc.keys, id)
 		}
 	}
-
-	out := make([]Candidate, 0, len(p.scores)+len(p.sigScores))
-	for id, name := range p.scores {
-		sig := p.sigScores[id]
-		out = append(out, Candidate{
-			Rel:   p.ix.rels[id],
-			Score: p.ix.opt.NameWeight*name + p.ix.opt.SigWeight*sig,
-			Name:  name,
-			Sig:   sig,
-		})
-	}
-	for id, sig := range p.sigScores {
-		if _, ok := p.scores[id]; ok {
-			continue
-		}
-		out = append(out, Candidate{
-			Rel:   p.ix.rels[id],
-			Score: p.ix.opt.SigWeight * sig,
-			Sig:   sig,
-		})
-	}
-	rankAndTrim(&out, k)
-	return out, nil
+	return p.rank(sc, k), nil
 }
 
 // ExactTopK is the all-pairs reference: every indexed relation is
@@ -111,90 +129,92 @@ func (p *Prober) TopK(rel string, k int) ([]Candidate, error) {
 // is linear in the inventory — the differential experiments use it as
 // the unpruned baseline and recall reference.
 func (p *Prober) ExactTopK(rel string, k int) ([]Candidate, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	qv, qkeys, _, err := p.queryState(rel)
-	if err != nil {
+	sc := p.scratch.Get().(*probeScratch)
+	defer p.scratch.Put(sc)
+	if err := p.queryState(sc, rel); err != nil {
 		return nil, err
 	}
-	out := make([]Candidate, 0, p.ix.Len())
+	sc.begin()
 	for id := int32(0); id < int32(p.ix.Len()); id++ {
-		name := p.ix.name.exactScore(qv, id)
-		sig := p.ix.sig.exactJaccard(qkeys, id)
-		out = append(out, Candidate{
-			Rel:   p.ix.rels[id],
-			Score: p.ix.opt.NameWeight*name + p.ix.opt.SigWeight*sig,
-			Name:  name,
-			Sig:   sig,
-		})
+		sc.touch(id)
+		sc.name[id] = p.ix.name.exactScore(&sc.qv, id)
+		sc.jac[id] = p.ix.sig.exactJaccard(sc.keys, id)
 	}
-	rankAndTrim(&out, k)
-	return out, nil
+	return p.rank(sc, k), nil
 }
 
 // queryState samples rel from the source endpoint and derives the
-// query-side scoring state: name vector, signature keys, minhash
-// signature. Callers hold p.mu.
-func (p *Prober) queryState(rel string) (*queryVec, []uint64, []uint64, error) {
+// query-side scoring state into sc: name vector, signature keys,
+// minhash signature (meaningful only when keys is non-empty).
+func (p *Prober) queryState(sc *probeScratch, rel string) error {
 	prof := profileOf(rel, p.ix.opt.GramN)
-	p.ix.name.queryVector(prof, &p.qv)
+	p.ix.name.queryVector(prof, &sc.qv)
 	var err error
-	p.keys, err = sampleQueryKeys(p.keys[:0], p.probe, rel, p.ix.opt.SampleSize)
+	sc.keys, err = sampleQueryKeys(sc.keys[:0], p.probe, rel, p.ix.opt.SampleSize)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("candidates: sampling query <%s>: %w", rel, err)
+		return fmt.Errorf("candidates: sampling query <%s>: %w", rel, err)
 	}
-	if len(p.keys) > 0 {
-		minhash(p.sig, p.keys, p.ix.sig.seed)
+	if len(sc.keys) > 0 {
+		minhash(sc.sig, sc.keys, p.ix.sig.seed)
 	}
-	return &p.qv, p.keys, p.sig, nil
+	return nil
 }
 
-// rankAndTrim orders candidates by (score desc, rel asc), drops
-// zero-score rows, and truncates to k (k <= 0 keeps all scored rows).
-// When the scored row count dwarfs k, a bounded min-heap selects the
-// survivors in O(n log k) before the final O(k log k) sort — the
-// relation IRI tiebreak makes the order strict and total, so the
-// selected set (and therefore the output) is identical to a full sort.
-func rankAndTrim(out *[]Candidate, k int) {
-	rows := *out
-	w := 0
-	for _, c := range rows {
-		if c.Score > 0 {
-			rows[w] = c
-			w++
+// rank blends the touched relations' accumulators, orders them by
+// (score desc, relation asc), drops zero-score rows, truncates to k
+// (k <= 0 keeps all scored rows) and only then builds Candidate values
+// — selection runs on 16-byte (score, id) keys however many relations
+// the probe touched. When the scored count dwarfs k, a bounded
+// min-heap selects the survivors in O(n log k) before the final
+// O(k log k) sort; the id tiebreak makes the order strict and total,
+// so the selected set (and therefore the output) is identical to a
+// full sort.
+func (p *Prober) rank(sc *probeScratch, k int) []Candidate {
+	nw, sw := p.ix.opt.NameWeight, p.ix.opt.SigWeight
+	rows := sc.ranked[:0]
+	for _, id := range sc.touched {
+		if s := nw*sc.name[id] + sw*sc.jac[id]; s > 0 {
+			rows = append(rows, scored{s, id})
 		}
 	}
-	rows = rows[:w]
+	sc.ranked = rows
 	if k > 0 && len(rows) > 4*k {
 		rows = selectTopK(rows, k)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		return outranks(rows[i], rows[j])
-	})
+	slices.SortFunc(rows, compareScored)
 	if k > 0 && len(rows) > k {
 		rows = rows[:k]
 	}
-	*out = rows
+	out := make([]Candidate, len(rows))
+	for i, r := range rows {
+		out[i] = Candidate{
+			Rel:   p.ix.rels[r.id],
+			Score: r.score,
+			Name:  sc.name[r.id],
+			Sig:   sc.jac[r.id],
+		}
+	}
+	return out
 }
 
-// outranks is the strict total candidate order: score descending,
-// relation IRI ascending (IRIs are unique, so no ties remain).
-func outranks(a, b Candidate) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// compareScored is the strict total candidate order: score descending,
+// relation id (= IRI) ascending.
+func compareScored(a, b scored) int {
+	if a.score != b.score {
+		return cmp.Compare(b.score, a.score)
 	}
-	return a.Rel < b.Rel
+	return cmp.Compare(a.id, b.id)
 }
 
 // selectTopK keeps the k best rows (in unspecified order) via a
 // min-heap over the prefix whose root is the worst kept row.
-func selectTopK(rows []Candidate, k int) []Candidate {
+func selectTopK(rows []scored, k int) []scored {
 	h := rows[:k]
 	for i := k/2 - 1; i >= 0; i-- {
 		siftWorstDown(h, i)
 	}
 	for _, c := range rows[k:] {
-		if outranks(c, h[0]) {
+		if compareScored(c, h[0]) < 0 {
 			h[0] = c
 			siftWorstDown(h, 0)
 		}
@@ -202,15 +222,15 @@ func selectTopK(rows []Candidate, k int) []Candidate {
 	return h
 }
 
-// siftWorstDown restores the heap property at i: every parent is
-// outranked by (worse than) its children.
-func siftWorstDown(h []Candidate, i int) {
+// siftWorstDown restores the heap property at i: every parent orders
+// after (is worse than) its children.
+func siftWorstDown(h []scored, i int) {
 	for {
 		worst := i
-		if l := 2*i + 1; l < len(h) && outranks(h[worst], h[l]) {
+		if l := 2*i + 1; l < len(h) && compareScored(h[worst], h[l]) < 0 {
 			worst = l
 		}
-		if r := 2*i + 2; r < len(h) && outranks(h[worst], h[r]) {
+		if r := 2*i + 2; r < len(h) && compareScored(h[worst], h[r]) < 0 {
 			worst = r
 		}
 		if worst == i {

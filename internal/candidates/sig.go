@@ -1,6 +1,9 @@
 package candidates
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+)
 
 // sigIndex is the instance-signature side of the Index: a minhash
 // sketch per relation over its sampled (subject, object) key set, LSH
@@ -26,9 +29,16 @@ type sigIndex struct {
 	keyStart []int32
 	keys     []uint64
 
-	// buckets maps a band hash to the relations whose signature falls
-	// in that bucket, ascending.
-	buckets map[uint64][]int32
+	// The LSH buckets, as one flat table: a band hash's top bits pick
+	// a slot, entries bucketStart[slot]:bucketStart[slot+1] of the
+	// parallel bucketKey/bucketRel arrays are the (band hash, relation)
+	// pairs that landed there, ordered by hash and, within one hash, by
+	// ascending relation — so a bucket is a sub-slice of bucketRel.
+	// There are at least as many slots as pairs; most hold one entry.
+	bucketShift uint8
+	bucketStart []uint32
+	bucketKey   []uint64
+	bucketRel   []int32
 }
 
 // splitmix64 is the standard 64-bit finalizer used to derive the
@@ -101,7 +111,6 @@ func (ix *Index) buildSigIndex(sets [][]uint64) {
 	s.keys = make([]uint64, 0, total)
 	s.sigs = make([]uint64, N*s.hashes)
 	s.empty = make([]bool, N)
-	s.buckets = make(map[uint64][]int32)
 	for i, set := range sets {
 		s.keyStart[i+1] = s.keyStart[i] + int32(len(set))
 		s.keys = append(s.keys, set...)
@@ -109,13 +118,86 @@ func (ix *Index) buildSigIndex(sets [][]uint64) {
 			s.empty[i] = true
 			continue
 		}
-		sig := s.sigs[i*s.hashes : (i+1)*s.hashes]
-		minhash(sig, set, s.seed)
-		for b := 0; b < s.bands; b++ {
-			key := bandHash(b, sig[b*s.rows:(b+1)*s.rows])
-			s.buckets[key] = append(s.buckets[key], int32(i))
+		minhash(s.sigs[i*s.hashes:(i+1)*s.hashes], set, s.seed)
+	}
+	s.buildBuckets()
+}
+
+// buildBuckets derives the bucket table from sigs and empty: a count
+// pass sizes every slot, a prefix sum places them, a fill pass in
+// (relation, band) order drops the pairs in, and slots that took more
+// than one hash are put in hash order. The builder and the sidecar
+// decoder both end here, so a loaded index holds the same table.
+func (s *sigIndex) buildBuckets() {
+	pairs := 0
+	for _, e := range s.empty {
+		if !e {
+			pairs += s.bands
 		}
 	}
+	slotBits := 0
+	if pairs > 1 {
+		slotBits = bits.Len(uint(pairs - 1))
+	}
+	s.bucketShift = uint8(64 - slotBits)
+	slots := 1 << slotBits
+	eachPair := func(visit func(key uint64, rel int32)) {
+		for i, e := range s.empty {
+			if e {
+				continue
+			}
+			sig := s.sigs[i*s.hashes : (i+1)*s.hashes]
+			for b := 0; b < s.bands; b++ {
+				visit(bandHash(b, sig[b*s.rows:(b+1)*s.rows]), int32(i))
+			}
+		}
+	}
+
+	// Slot s counts into at[s+2]; after the prefix sum at[s+1] is where
+	// slot s begins and serves as its fill cursor, which leaves at[s]
+	// at the beginning of slot s once every pair is placed.
+	at := make([]uint32, slots+2)
+	eachPair(func(key uint64, _ int32) { at[key>>s.bucketShift+2]++ })
+	for i := 2; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	s.bucketKey = make([]uint64, pairs)
+	s.bucketRel = make([]int32, pairs)
+	eachPair(func(key uint64, rel int32) {
+		cur := &at[key>>s.bucketShift+1]
+		s.bucketKey[*cur], s.bucketRel[*cur] = key, rel
+		*cur++
+	})
+	s.bucketStart = at[:slots+1]
+
+	// Stable insertion sort by hash inside each slot: relations of one
+	// hash stay in the ascending order the fill pass appended them in.
+	for slot := 0; slot < slots; slot++ {
+		lo, hi := int(at[slot]), int(at[slot+1])
+		for i := lo + 1; i < hi; i++ {
+			key, rel := s.bucketKey[i], s.bucketRel[i]
+			j := i
+			for ; j > lo && s.bucketKey[j-1] > key; j-- {
+				s.bucketKey[j], s.bucketRel[j] = s.bucketKey[j-1], s.bucketRel[j-1]
+			}
+			s.bucketKey[j], s.bucketRel[j] = key, rel
+		}
+	}
+}
+
+// bucket returns the relations whose signature hashed to key in the
+// band key was derived for, ascending (a view into the table).
+func (s *sigIndex) bucket(key uint64) []int32 {
+	slot := key >> s.bucketShift
+	lo, hi := s.bucketStart[slot], s.bucketStart[slot+1]
+	for lo < hi && s.bucketKey[lo] < key {
+		lo++
+	}
+	end := lo
+	for end < hi && s.bucketKey[end] == key {
+		end++
+	}
+	return s.bucketRel[lo:end]
 }
 
 // candidates appends to out the relations colliding with sig in at
@@ -124,20 +206,10 @@ func (ix *Index) buildSigIndex(sets [][]uint64) {
 func (s *sigIndex) candidates(sig []uint64, out []int32) []int32 {
 	for b := 0; b < s.bands; b++ {
 		key := bandHash(b, sig[b*s.rows:(b+1)*s.rows])
-		out = append(out, s.buckets[key]...)
+		out = append(out, s.bucket(key)...)
 	}
-	if len(out) < 2 {
-		return out
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // exactJaccard computes |Q ∩ rel| / |Q ∪ rel| over the sorted key

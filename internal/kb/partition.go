@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,12 +47,18 @@ type PredStats struct {
 // friends). A shard carrying the source KB's global statistics chooses
 // exactly the join orders the unsharded engine would, so shard-local
 // enumeration — and with it RAND() pairing — interleaves back into the
-// whole-KB order. Terms unseen by the shard are interned on the fly;
-// call SetPlanStats before freezing the KB.
+// whole-KB order. Terms unseen by the shard are interned, in term
+// order — the ids they get, and with them the snapshot's bytes, must
+// not depend on map iteration; call SetPlanStats before freezing the KB.
 func (k *KB) SetPlanStats(stats map[rdf.Term]PredStats) {
+	preds := make([]rdf.Term, 0, len(stats))
+	for t := range stats {
+		preds = append(preds, t)
+	}
+	slices.SortFunc(preds, rdf.Term.Compare)
 	k.planStats = make(map[TermID]PredStats, len(stats))
-	for t, s := range stats {
-		k.planStats[k.Intern(t)] = s
+	for _, t := range preds {
+		k.planStats[k.Intern(t)] = stats[t]
 	}
 }
 

@@ -67,6 +67,37 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 }
 
+// TestPartitionSnapshotsByteStable pins TestSnapshotDeterministic's
+// contract for shards: a shard interns the predicates it holds no fact
+// of only to carry their planner statistics, and the ids they get must
+// not follow the iteration order of the statistics map — that order
+// differs from one Partition call to the next within one process.
+func TestPartitionSnapshotsByteStable(t *testing.T) {
+	src := New("stable")
+	for i := 0; i < 24; i++ {
+		// One subject per predicate: every shard lacks most predicates.
+		src.AddIRIs(fmt.Sprintf("http://x/s%d", i), fmt.Sprintf("http://x/p%d", i), "http://x/o")
+	}
+	for _, n := range []int{2, 3, 7} {
+		a, b := Partition(src, n), Partition(src, n)
+		for i := range a {
+			if len(a[i].Relations()) == len(src.Relations()) {
+				t.Fatalf("n=%d: shard %d holds every predicate, the test needs one it lacks", n, i)
+			}
+			var wa, wb bytes.Buffer
+			if err := a[i].WriteSnapshot(&wa); err != nil {
+				t.Fatal(err)
+			}
+			if err := b[i].WriteSnapshot(&wb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+				t.Fatalf("n=%d: shard %d snapshots differ between two Partition calls", n, i)
+			}
+		}
+	}
+}
+
 func TestPartitionPreservesObjectOrder(t *testing.T) {
 	src := buildTestKB(t)
 	shards := Partition(src, 2)

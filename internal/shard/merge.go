@@ -19,7 +19,8 @@ import (
 // rows are pulled and keeps only a bounded top-(offset+limit) selection
 // of winners — O(k) memory and row materialization over an O(result)
 // enumeration, byte-identical to the unsharded engine because the
-// selection is the engine's own (sparql.TopK under sparql.CompareKeys).
+// selection is the engine's own (sparql.TopK under sparql.CompareKeys,
+// sparql.RandTopK for a lone RAND() key).
 
 // rowsSource is the per-shard stream the mergers consume. The ordered
 // merge feeds on borrowed streams (endpoint.StreamBorrowed): a source's
@@ -453,8 +454,8 @@ type orderedRows struct {
 
 	started bool
 	done    bool
-	out     []mrow // sorted winners awaiting emission
-	next    int    // emission cursor into out
+	out     [][]rdf.Term // sorted winners awaiting emission
+	next    int          // emission cursor into out
 	row     []rdf.Term
 	err     error
 	trunc   bool
@@ -519,7 +520,7 @@ func (r *orderedRows) Next() bool {
 		r.row = nil
 		return false
 	}
-	r.row = r.out[r.next].row
+	r.row = r.out[r.next]
 	r.next++
 	return true
 }
@@ -545,7 +546,88 @@ func (r *orderedRows) run() {
 	if spec.limit >= 0 {
 		target = spec.offset + spec.limit
 	}
+	if target == 0 {
+		r.trunc = r.merge.truncated()
+		r.merge.close()
+		return
+	}
 
+	// The engine's own case split (Prepared.orderRand): a lone
+	// ascending RAND() key under a LIMIT is selected on the bare draws.
+	var rows [][]rdf.Term // winners in emission order, from row 0
+	var err error
+	if len(spec.keys) == 1 && spec.keys[0].Rand && !spec.keys[0].Desc && target > 0 {
+		rows, err = r.selectRand(target)
+	} else {
+		rows, err = r.selectKeyed(target)
+	}
+	if err != nil {
+		r.err = err
+		r.merge.close()
+		return
+	}
+	r.trunc = r.merge.truncated()
+	r.merge.close()
+
+	if spec.offset < len(rows) {
+		rows = rows[spec.offset:]
+	} else {
+		rows = nil
+	}
+	if spec.maxRows > 0 && len(rows) > spec.maxRows {
+		rows = rows[:spec.maxRows]
+		r.trunc = true
+	}
+	r.out = rows
+}
+
+// selectRand is the merged enumeration for ORDER BY RAND() LIMIT n:
+// every row that survives DISTINCT consumes the stream's next draw, and
+// sparql.RandTopK — the selector the engine runs on this shape — says
+// which payload slot, if any, the borrowed row is copied into. Slots
+// are reusable term rows, so at most target rows are ever held.
+func (r *orderedRows) selectRand(target int) ([][]rdf.Term, error) {
+	draw, release := sparql.RandFloats(r.spec.seed, r.spec.text)
+	defer release()
+	var dedup *rowDedup
+	if r.spec.distinct {
+		dedup = newRowDedup()
+	}
+	sel := sparql.NewRandTopK(target)
+	var slots [][]rdf.Term
+	for {
+		row, _, ok, err := r.merge.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if dedup != nil && dedup.dup(row) {
+			continue
+		}
+		slot := sel.Offer(draw())
+		if slot < 0 {
+			continue
+		}
+		if slot == len(slots) {
+			slots = append(slots, nil)
+		}
+		slots[slot] = append(slots[slot][:0], row...)
+	}
+	sel.Sort()
+	rows := make([][]rdf.Term, sel.Len())
+	for i := range rows {
+		rows[i] = slots[sel.Slot(i)]
+	}
+	return rows, nil
+}
+
+// selectKeyed is the merged enumeration for every other key list: keys
+// are re-drawn, taken from the shard that attached them or re-evaluated
+// per row, and compared by the engine's own comparator.
+func (r *orderedRows) selectKeyed(target int) ([][]rdf.Term, error) {
+	spec := &r.spec
 	// The comparators are the engine's own (sparql.CompareKeys, the
 	// single definition both sides use), with the enumeration index as
 	// the tiebreak that makes `before` total.
@@ -565,15 +647,11 @@ func (r *orderedRows) run() {
 		return a.idx < b.idx
 	}
 
-	if target == 0 {
-		r.trunc = r.merge.truncated()
-		r.merge.close()
-		return
-	}
-
 	var draw func() float64
 	if hasRand {
-		draw = sparql.RandFloats(spec.seed, spec.text)
+		var release func()
+		draw, release = sparql.RandFloats(spec.seed, spec.text)
+		defer release()
 	}
 	var dedup *rowDedup
 	if spec.distinct {
@@ -603,9 +681,7 @@ func (r *orderedRows) run() {
 	for {
 		row, src, ok, err := r.merge.next()
 		if err != nil {
-			r.err = err
-			r.merge.close()
-			return
+			return nil, err
 		}
 		if !ok {
 			break
@@ -662,32 +738,22 @@ func (r *orderedRows) run() {
 			r.closeLosers(topk.Worst().row)
 		}
 	}
-	r.trunc = r.merge.truncated()
-	r.merge.close()
 
-	var rows []mrow
 	if topk != nil {
-		rows = topk.Sorted()
+		all = topk.Sorted()
 	} else {
 		// rows are in reconstructed enumeration order; the stable sort
 		// with the pure key comparator reproduces the engine exactly.
 		sort.SliceStable(all, func(i, j int) bool { return keyLess(&all[i], &all[j]) })
-		rows = all
+		if target >= 0 && target < len(all) {
+			all = all[:target]
+		}
 	}
-	end := len(rows)
-	if target >= 0 && target < end {
-		end = target
+	rows := make([][]rdf.Term, len(all))
+	for i := range all {
+		rows[i] = all[i].row
 	}
-	if spec.offset < end {
-		rows = rows[spec.offset:end]
-	} else {
-		rows = nil
-	}
-	if spec.maxRows > 0 && len(rows) > spec.maxRows {
-		rows = rows[:spec.maxRows]
-		r.trunc = true
-	}
-	r.out = rows
+	return rows, nil
 }
 
 // closeLosers closes every stream whose head subject orders strictly

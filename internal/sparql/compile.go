@@ -92,6 +92,10 @@ type Prepared struct {
 	// comparable/incomparable keys make the comparator non-transitive,
 	// so those queries take the materialize-and-stable-sort path.
 	orderTotal bool
+	// orderRand marks the sampling-probe shape, ORDER BY RAND() and
+	// nothing else: with a LIMIT it is selected by RandTopK on the bare
+	// draws instead of by TopK on boxed key lists (streamRandSample).
+	orderRand bool
 
 	text string    // canonical text, when the plan has no parameters
 	tmpl *Template // source template, when compiled from one
@@ -234,6 +238,7 @@ func (e *Engine) compile(q *Query, tmpl *Template, lift bool) (*Prepared, error)
 	p.orderKeys = make([]cexpr, len(q.OrderBy))
 	p.orderDesc = make([]bool, len(q.OrderBy))
 	p.orderTotal = len(q.OrderBy) > 0
+	p.orderRand = len(q.OrderBy) == 1 && isBareRand(q.OrderBy[0].Expr) && !q.OrderBy[0].Desc
 	for i, k := range q.OrderBy {
 		p.orderKeys[i] = c.lowerExpr(k.Expr)
 		p.orderDesc[i] = k.Desc
@@ -369,6 +374,13 @@ func exprAlwaysNumeric(e Expr) bool {
 	default:
 		return false
 	}
+}
+
+// isBareRand reports whether the expression is the RAND() call itself,
+// not an expression over it.
+func isBareRand(e Expr) bool {
+	call, ok := e.(exCall)
+	return ok && call.name == "RAND" && len(call.args) == 0
 }
 
 // exprUsesRand reports whether the expression draws from the RAND()

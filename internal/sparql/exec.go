@@ -3,10 +3,10 @@ package sparql
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"sofya/internal/kb"
 	"sofya/internal/rdf"
@@ -101,6 +101,7 @@ func (p *Prepared) exec(args []Arg, textFn func() string) (*Result, error) {
 	ex, limit, offset := p.start(args, textFn)
 
 	if p.form == AskForm {
+		defer ex.releaseRand()
 		found := false
 		err := ex.runGroup(p.main, func() error {
 			found = true
@@ -143,6 +144,10 @@ func (ex *execState) runGroup(g *cgroup, emit func() error) error {
 // Enumeration aborts as soon as yield returns false or the LIMIT is
 // satisfied, so a consumer that stops pulling stops paying.
 func (ex *execState) streamSelect(limit, offset int, yield func([]rdf.Term) bool) error {
+	// Every SELECT execution ends here — drained, exhausted, closed
+	// early (yield returns false) or failed — so this is where its PRNG
+	// goes back to the pool.
+	defer ex.releaseRand()
 	if !ex.p.projOK {
 		// A projected variable the pattern never binds drops every row.
 		return nil
@@ -248,7 +253,10 @@ type orderedRow struct {
 // byte-identical to the tree-walking evaluator by construction even
 // when some key pairs are incomparable (a non-transitive comparator
 // would make heap selection diverge from the stable sort, so the
-// bounded path is gated on the total-order guarantee).
+// bounded path is gated on the total-order guarantee). The sampling
+// probes' own key list, a lone ascending RAND() under a LIMIT
+// (Prepared.orderRand), leaves for streamRandSample: the same bounded
+// selection without boxed keys.
 func (ex *execState) streamOrdered(limit, offset int, yield func([]rdf.Term) bool) error {
 	p := ex.p
 	target := -1 // unbounded: full stable sort
@@ -257,6 +265,9 @@ func (ex *execState) streamOrdered(limit, offset int, yield func([]rdf.Term) boo
 		if target == 0 {
 			return nil
 		}
+	}
+	if p.orderRand && target > 0 {
+		return ex.streamRandSample(target, offset, yield)
 	}
 	bounded := target >= 0 && p.orderTotal
 	var distinct *distinctFilter
@@ -359,6 +370,57 @@ func (ex *execState) streamOrdered(limit, offset int, yield func([]rdf.Term) boo
 			row = make([]rdf.Term, len(rows[i].ids))
 		}
 		for j, id := range rows[i].ids {
+			row[j] = ex.k.Term(id)
+		}
+		if !yield(row) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// streamRandSample is streamOrdered for ORDER BY RAND() LIMIT n, the
+// shape of every sampling probe: the same rows in the same order,
+// selected by RandTopK on the bare draws. Each enumerated row consumes
+// one draw, after DISTINCT and in enumeration order, exactly as the key
+// closure would; an admitted row's projected ids go into its slot of
+// one flat arena (at most target slots, however many rows match), and
+// terms are materialized for the emitted window only.
+func (ex *execState) streamRandSample(target, offset int, yield func([]rdf.Term) bool) error {
+	p := ex.p
+	var distinct *distinctFilter
+	if p.distinct {
+		distinct = newDistinctFilter(len(p.projSlot))
+	}
+	sel := NewRandTopK(target)
+	w := len(p.projSlot)
+	var arena []kb.TermID
+	err := ex.runGroup(p.main, func() error {
+		if distinct != nil && distinct.dup(ex) {
+			return nil
+		}
+		slot := sel.Offer(ex.rng().Float64())
+		if slot < 0 {
+			return nil
+		}
+		if slot*w == len(arena) {
+			arena = slices.Grow(arena, w)[:len(arena)+w]
+		}
+		for i, s := range p.projSlot {
+			arena[slot*w+i] = ex.regs[s]
+		}
+		return nil
+	})
+	if err != nil && err != errStop {
+		return err
+	}
+	sel.Sort()
+	for i := offset; i < sel.Len(); i++ {
+		row := ex.borrowRow
+		if row == nil {
+			row = make([]rdf.Term, w)
+		}
+		for j, id := range arena[sel.Slot(i)*w:][:w] {
 			row[j] = ex.k.Term(id)
 		}
 		if !yield(row) {
@@ -520,25 +582,45 @@ func (ex *execState) match(tp cpattern, found func() error) error {
 	}
 }
 
+// randPool recycles PRNG states: a rand.Rand over the standard source
+// is 4.9 KiB, and every RAND() execution needs one.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // randSource derives the deterministic PRNG of one query execution from
-// the engine seed and the canonical query text. It is the single
-// definition of the RAND() stream: the execution path (rng) and the
-// federation merge layer (RandFloats) both draw from it, which is what
-// keeps sharded RAND() results byte-identical to unsharded ones.
+// the engine seed and the canonical query text (FNV-64a). It is the
+// single definition of the RAND() stream: the execution path (rng) and
+// the federation merge layer (RandFloats) both draw from it, which is
+// what keeps sharded RAND() results byte-identical to unsharded ones.
+// The state comes from randPool — Seed leaves it exactly as
+// rand.NewSource would create it — and the caller hands it back with
+// randPool.Put when its execution ends.
 func randSource(seed int64, text string) *rand.Rand {
-	h := fnv.New64a()
-	io.WriteString(h, text)
-	return rand.New(rand.NewSource(seed*1_000_003 ^ int64(h.Sum64())))
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(text); i++ {
+		h = (h ^ uint64(text[i])) * 1099511628211
+	}
+	r := randPool.Get().(*rand.Rand)
+	r.Seed(seed*1_000_003 ^ int64(h))
+	return r
 }
 
 // rng derives the execution's PRNG on first use, exactly like the
 // reference engine: queries that never call RAND() pay neither the text
-// rendering nor the PRNG construction.
+// rendering nor the PRNG seeding.
 func (ex *execState) rng() *rand.Rand {
 	if ex.rnd == nil {
 		ex.rnd = randSource(ex.p.eng.seed, ex.textFn())
 	}
 	return ex.rnd
+}
+
+// releaseRand returns the execution's PRNG, if it drew one, to the
+// pool. The execution must not draw afterwards.
+func (ex *execState) releaseRand() {
+	if ex.rnd != nil {
+		randPool.Put(ex.rnd)
+		ex.rnd = nil
+	}
 }
 
 // runExists probes a compiled EXISTS subgroup against the current

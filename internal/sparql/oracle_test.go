@@ -315,6 +315,95 @@ func TestOracleMixedTypeOrderKeys(t *testing.T) {
 	}
 }
 
+// TestOracleRandSelection walks the ORDER BY RAND() shapes around the
+// typed selector's edges — LIMIT above the match count, LIMIT 1, a
+// window that starts past row 0 or past the last row, DISTINCT before
+// the draw — and two key lists that must stay on the generic path (a
+// descending RAND key, a RAND key with a second key behind it). Naive,
+// drained, streamed and borrowed execution must agree byte for byte.
+func TestOracleRandSelection(t *testing.T) {
+	w := synth.Generate(synth.TinySpec())
+	k := w.Yago
+	k.Freeze()
+	naive := newNaiveEngine(k, 31)
+	compiled := NewEngineSeeded(k, 31)
+
+	// The relation with the most facts and the one with the fewest.
+	rels := k.Relations()
+	big, small := rels[0], rels[0]
+	for _, r := range rels {
+		if k.NumFactsOf(r) > k.NumFactsOf(big) {
+			big = r
+		}
+		if k.NumFactsOf(r) < k.NumFactsOf(small) {
+			small = r
+		}
+	}
+	cases := []struct {
+		tail  string
+		typed bool
+	}{
+		{"ORDER BY RAND() LIMIT 1048576", true},
+		{"ORDER BY RAND() LIMIT 1", true},
+		{"ORDER BY RAND() LIMIT 5 OFFSET 3", true},
+		{"ORDER BY RAND() LIMIT 5 OFFSET 1048576", true},
+		{"ORDER BY DESC(RAND()) LIMIT 6", false},
+		{"ORDER BY RAND() ?x LIMIT 6", false},
+	}
+	for _, r := range []kb.TermID{big, small} {
+		for _, sel := range []string{"SELECT ?x ?y", "SELECT DISTINCT ?y"} {
+			for _, c := range cases {
+				if sel == "SELECT DISTINCT ?y" && c.tail == "ORDER BY RAND() ?x LIMIT 6" {
+					continue // ?x is not projected
+				}
+				qtext := fmt.Sprintf("%s WHERE { ?x <%s> ?y } %s", sel, k.Term(r).Value, c.tail)
+				q := MustParse(qtext)
+				want, err := naive.Eval(q)
+				if err != nil {
+					t.Fatalf("naive eval %q: %v", qtext, err)
+				}
+				got, err := compiled.Eval(q)
+				if err != nil {
+					t.Fatalf("compiled eval %q: %v", qtext, err)
+				}
+				if err := rowsEqual(want, got); err != nil {
+					t.Fatalf("drained differs from naive for %q: %v", qtext, err)
+				}
+				it, err := compiled.Stream(q)
+				if err := rowsEqual(want, drainIter(t, it, err)); err != nil {
+					t.Fatalf("streamed differs from naive for %q: %v", qtext, err)
+				}
+
+				tm, err := TemplateFromQuery(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := compiled.Prepare(tm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.orderRand != c.typed {
+					t.Fatalf("orderRand = %v for %q, want %v", p.orderRand, qtext, c.typed)
+				}
+				bit, err := p.IterBorrowed()
+				if err != nil {
+					t.Fatal(err)
+				}
+				borrowed := &Result{Vars: bit.Vars()}
+				for bit.Next() {
+					borrowed.Rows = append(borrowed.Rows, append([]rdf.Term(nil), bit.Row()...))
+				}
+				if err := bit.Err(); err != nil {
+					t.Fatalf("borrowed iteration of %q: %v", qtext, err)
+				}
+				if err := rowsEqual(want, borrowed); err != nil {
+					t.Fatalf("borrowed differs from naive for %q: %v", qtext, err)
+				}
+			}
+		}
+	}
+}
+
 // TestOraclePreparedMatchesText proves the prepared-template fast path
 // produces byte-identical results — RAND() streams included — to the
 // text path for the aligner's probe templates.

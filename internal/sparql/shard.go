@@ -195,7 +195,7 @@ func AnalyzeShard(q *Query, isParam func(name string) bool) ShardShape {
 			sh.OrderTotal = false
 		}
 		sh.Keys[i].Desc = k.Desc
-		if call, ok := k.Expr.(exCall); ok && call.name == "RAND" && len(call.args) == 0 {
+		if isBareRand(k.Expr) {
 			sh.Keys[i].Rand = true
 			continue
 		}
@@ -314,7 +314,9 @@ func (v Value) AsTerm() (rdf.Term, bool) { return v.t, v.kind == vTerm }
 // seed derives for the canonical text of a query — the same stream, in
 // the same order, that the engine pairs with rows as it enumerates
 // them. The merge layer uses it to re-assign RAND keys to merged rows
-// in reconstructed enumeration order.
-func RandFloats(seed int64, canonicalText string) func() float64 {
-	return randSource(seed, canonicalText).Float64
+// in reconstructed enumeration order. release returns the stream's
+// state for reuse; draw must not be called after it.
+func RandFloats(seed int64, canonicalText string) (draw func() float64, release func()) {
+	r := randSource(seed, canonicalText)
+	return r.Float64, func() { randPool.Put(r) }
 }

@@ -142,7 +142,8 @@ func TestRandFloatsMatchesEngineStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	draw := RandFloats(42, q.String())
+	draw, release := RandFloats(42, q.String())
+	defer release()
 	type keyed struct {
 		row []rdf.Term
 		k   float64

@@ -144,3 +144,56 @@ func BenchmarkFilterClosureProbe(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRandSample is the selection the aligner's two sampling
+// probes run (sampling.TmplSample and sampling.TmplOverlap, copied here
+// because sampling imports this package), over a relation smaller than
+// the 200-row fetch window — every match is kept — and one far larger.
+func BenchmarkRandSample(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		facts int
+	}{{"small", 100}, {"large", benchProbeRows}} {
+		k := kb.New("sample")
+		for i := 0; i < size.facts; i++ {
+			s := fmt.Sprintf("http://b/s%06d", i)
+			k.AddIRIs(s, "http://b/p", fmt.Sprintf("http://b/o%06d", i))
+			k.AddIRIs(s, "http://b/q", fmt.Sprintf("http://b/o%06d", i+1))
+		}
+		k.Freeze()
+		e := NewEngineSeeded(k, 1)
+		p, q := IRIArg("http://b/p"), IRIArg("http://b/q")
+		for _, probe := range []struct {
+			name string
+			tmpl *Template
+			args []Arg
+		}{
+			{"sample", MustParseTemplate(
+				"SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n", "r", "n"),
+				[]Arg{p, IntArg(200)}},
+			{"overlap", MustParseTemplate(`SELECT ?x ?y1 ?y2 WHERE {
+  ?x $a ?y1 .
+  ?x $b ?y2 .
+  FILTER NOT EXISTS { ?x $a ?y2 }
+} ORDER BY RAND() LIMIT $n`, "a", "b", "n"),
+				[]Arg{p, q, IntArg(200)}},
+		} {
+			prep, err := e.Prepare(probe.tmpl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(probe.name+"/"+size.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := prep.Exec(probe.args...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if want := min(size.facts, 200); len(res.Rows) != want {
+						b.Fatalf("rows = %d, want %d", len(res.Rows), want)
+					}
+				}
+			})
+		}
+	}
+}

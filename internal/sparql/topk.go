@@ -1,6 +1,10 @@
 package sparql
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // topk.go is the bounded top-k selection primitive shared by the
 // executor's ORDER BY path (streamOrdered) and the federation merge
@@ -8,7 +12,9 @@ import "sort"
 // reject losers in O(log k) without retaining them, and emit the
 // winners sorted. Both sides selecting with literally the same code is
 // part of what keeps sharded ORDER BY results byte-identical to the
-// unsharded engine's.
+// unsharded engine's. TopK is the selector for any key list; RandTopK
+// is the same selection for the one shape the aligner's sampling probes
+// have, a single ascending RAND() key, done on 24-byte entries.
 
 // TopK selects the `target` least items under a total `before` order
 // over a stream of candidates, holding at most `target` items at any
@@ -73,10 +79,22 @@ func (t *TopK[T]) Push(x T) {
 // Sorted sorts the kept items into emission order (least first, under
 // `before`) and returns them. The selection must not be used afterwards.
 func (t *TopK[T]) Sorted() []T {
-	items, before := t.items, t.before
-	sort.Slice(items, func(i, j int) bool { return before(&items[i], &items[j]) })
-	return items
+	sort.Sort(byBefore[T]{t.items, t.before})
+	return t.items
 }
+
+// byBefore sorts items under before through sort.Interface: no
+// reflection-built swapper as with sort.Slice, and the comparator sees
+// the elements in place (slices.SortFunc would hand it copies, whose
+// addresses escape through the dynamic before call).
+type byBefore[T any] struct {
+	items  []T
+	before func(a, b *T) bool
+}
+
+func (s byBefore[T]) Len() int           { return len(s.items) }
+func (s byBefore[T]) Less(i, j int) bool { return s.before(&s.items[i], &s.items[j]) }
+func (s byBefore[T]) Swap(i, j int)      { s.items[i], s.items[j] = s.items[j], s.items[i] }
 
 // siftUp restores the max-heap property (the root orders last under
 // `before`) upward from i.
@@ -101,6 +119,111 @@ func siftDown[T any](s []T, i int, before func(a, b *T) bool) {
 			largest = l
 		}
 		if r < n && before(&s[largest], &s[r]) {
+			largest = r
+		}
+		if largest == i {
+			return
+		}
+		s[i], s[largest] = s[largest], s[i]
+		i = largest
+	}
+}
+
+// RandTopK is TopK for rows ordered by one ascending RAND() key: the
+// `target` rows with the least draws, ties going to the row enumerated
+// first — the order `before` gives orderedRow and mrow for that key
+// list, without boxing the draw into a Value or comparing through a
+// closure. It sees only the draws. Offer hands back a payload slot in
+// [0, target) for each admitted row and the caller keeps the row there,
+// in whatever form it likes (the executor: ids in a flat arena; the
+// federation merge: reusable term rows); a slot is reused when its row
+// is evicted, so at most target payloads are ever live.
+//
+// Most sampled relations have fewer matches than the fetch window, so
+// entries are only appended until the selection is full; the heap is
+// built when the first row beyond target arrives, if one does.
+//
+// The zero value is not usable; construct with NewRandTopK. A RandTopK
+// is not safe for concurrent use.
+type RandTopK struct {
+	ents   []randEntry
+	target int
+	seen   int  // rows offered so far: the next enumeration index
+	heaped bool // ents is a max-heap under compareRand
+}
+
+type randEntry struct {
+	f    float64
+	idx  int // enumeration index
+	slot int // payload slot
+}
+
+func compareRand(a, b randEntry) int {
+	switch { // draws are never NaN
+	case a.f < b.f:
+		return -1
+	case a.f > b.f:
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// NewRandTopK returns a selector for the `target` least draws. target
+// must be positive.
+func NewRandTopK(target int) *RandTopK {
+	return &RandTopK{target: target}
+}
+
+// Offer considers the next enumerated row, whose draw is f. It returns
+// the payload slot the caller must now fill with the row, or -1 when
+// the row is rejected. Rows must be offered in enumeration order.
+func (t *RandTopK) Offer(f float64) int {
+	idx := t.seen
+	t.seen++
+	if len(t.ents) < t.target {
+		slot := len(t.ents)
+		t.ents = append(t.ents, randEntry{f, idx, slot})
+		return slot
+	}
+	if !t.heaped {
+		for i := len(t.ents)/2 - 1; i >= 0; i-- {
+			siftDownRand(t.ents, i)
+		}
+		t.heaped = true
+	}
+	// idx exceeds every kept index, so an equal draw loses the tiebreak.
+	worst := &t.ents[0]
+	if f >= worst.f {
+		return -1
+	}
+	slot := worst.slot
+	worst.f, worst.idx = f, idx
+	siftDownRand(t.ents, 0)
+	return slot
+}
+
+// Sort puts the kept rows in emission order for Len and Slot. The
+// selection must not be offered rows afterwards.
+func (t *RandTopK) Sort() { slices.SortFunc(t.ents, compareRand) }
+
+// Len returns the number of rows currently held.
+func (t *RandTopK) Len() int { return len(t.ents) }
+
+// Slot returns the payload slot of the i-th kept row (after Sort: the
+// i-th row in emission order).
+func (t *RandTopK) Slot(i int) int { return t.ents[i].slot }
+
+// siftDownRand restores the max-heap property (the root orders last
+// under compareRand) downward from i.
+func siftDownRand(s []randEntry, i int) {
+	n := len(s)
+	for {
+		l, r := 2*i+1, 2*i+2
+		largest := i
+		if l < n && compareRand(s[largest], s[l]) < 0 {
+			largest = l
+		}
+		if r < n && compareRand(s[largest], s[r]) < 0 {
 			largest = r
 		}
 		if largest == i {
