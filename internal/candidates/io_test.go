@@ -3,6 +3,7 @@ package candidates
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -402,5 +403,17 @@ func BenchmarkOpenIndex(b *testing.B) {
 		if _, err := OpenIndex(path); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestIndexGoldenBytes pins format version 1 to the byte: sidecars
+// written by one commit are opened by the next, so WriteIndex must keep
+// emitting exactly these bytes (magic, section order, padding and
+// reserved bytes included).
+func TestIndexGoldenBytes(t *testing.T) {
+	data := encodeIndex(t, tinyIndex())
+	const wantLen, wantSum = 4696, "ab3ea1d9a401402b09895fffdd03553dff16af85400fb2d321d8a74c651fd78c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != wantLen || got != wantSum {
+		t.Fatalf("WriteIndex(tinyIndex()) = %d bytes, sha256 %s; want %d bytes, %s", len(data), got, wantLen, wantSum)
 	}
 }

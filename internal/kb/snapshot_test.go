@@ -2,7 +2,9 @@ package kb
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -469,5 +471,20 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 		got.Close()
+	}
+}
+
+// TestSnapshotGoldenBytes pins format version 1 to the byte: fixture
+// caches written by one commit are opened by the next, so WriteSnapshot
+// must keep emitting exactly these bytes (magic, section order, padding
+// and reserved bytes included).
+func TestSnapshotGoldenBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gnarlyKB().WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const wantLen, wantSum = 1664, "e9bb1256d197a98b7cbc1f7e8646f3ceabcbec5fc9bb0c61306126b41553ccfb"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || got != wantSum {
+		t.Fatalf("WriteSnapshot(gnarlyKB()) = %d bytes, sha256 %s; want %d bytes, %s", buf.Len(), got, wantLen, wantSum)
 	}
 }
