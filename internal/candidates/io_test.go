@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"sofya/internal/binfmt/binfmttest"
 	"sofya/internal/endpoint"
 	"sofya/internal/sparql"
 	"sofya/internal/synth"
@@ -148,6 +149,17 @@ func TestOpenIndexTruncated(t *testing.T) {
 			t.Fatalf("truncation to %d bytes: error %v does not wrap ErrBadIndex", n, err)
 		}
 	}
+}
+
+// TestIndexContainer runs the container suite of internal/binfmt
+// (flips, truncations, fields disagreeing between the two ends, table
+// offsets that wrap, table entries pointing outside the file) against
+// an encoded sidecar, through the sidecar decoder.
+func TestIndexContainer(t *testing.T) {
+	binfmttest.Container(t, idxFormat, encodeIndex(t, tinyIndex()), func(data []byte) error {
+		_, err := decodeIndex(data)
+		return err
+	})
 }
 
 func TestFingerprintSemantics(t *testing.T) {

@@ -15,9 +15,9 @@
 //
 // Per replica set the package provides:
 //
-//   - routing policies (primary-first or round-robin) over the healthy
-//     replicas, with ejected replicas kept as a last resort so a fully
-//     ejected set degrades to trying rather than failing outright;
+//   - primary-first routing over the healthy replicas, with ejected
+//     replicas kept as a last resort so a fully ejected set degrades to
+//     trying rather than failing outright;
 //   - active health checks — a periodic cheap ASK probe per replica,
 //     consecutive-failure ejection, re-admission on the first success —
 //     plus passive strikes from real traffic errors;
@@ -38,18 +38,6 @@ import (
 
 	"sofya/internal/endpoint"
 	"sofya/internal/sparql"
-)
-
-// Policy selects how reads spread over a healthy replica set.
-type Policy int
-
-const (
-	// PreferPrimary always tries replicas in declaration order: the
-	// first healthy replica takes all traffic, the rest are failover
-	// and hedge targets. Keeps caches hot on one machine per shard.
-	PreferPrimary Policy = iota
-	// RoundRobin rotates the first attempt across healthy replicas.
-	RoundRobin
 )
 
 // Options configures a replica set (and, via Group, every replica set
@@ -74,8 +62,6 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds each probe (default 2s).
 	ProbeTimeout time.Duration
-	// Policy routes first attempts (default PreferPrimary).
-	Policy Policy
 }
 
 func (o Options) withDefaults() Options {
@@ -169,9 +155,6 @@ type Replicas struct {
 	opt  Options
 	reps []*replica
 
-	mu sync.Mutex
-	rr int // round-robin cursor
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -229,27 +212,21 @@ func (r *Replicas) Status() []ReplicaStatus {
 	return out
 }
 
-// order returns the replicas in attempt order: healthy ones first
-// (rotated under RoundRobin), ejected ones appended as a last resort —
-// a set with every replica ejected still tries rather than failing
+// order returns the replicas in attempt order: healthy ones first, in
+// declaration order — the first healthy replica takes all traffic,
+// which keeps caches hot on one machine per shard, and the rest are
+// failover and hedge targets — then ejected ones as a last resort: a
+// set with every replica ejected still tries rather than failing
 // outright, and the attempt doubles as its recovery probe.
 func (r *Replicas) order() []*replica {
 	out := make([]*replica, 0, len(r.reps))
-	start := 0
-	if r.opt.Policy == RoundRobin {
-		r.mu.Lock()
-		start = r.rr
-		r.rr++
-		r.mu.Unlock()
-	}
-	n := len(r.reps)
-	for k := 0; k < n; k++ {
-		if rep := r.reps[(start+k)%n]; rep.isHealthy() {
+	for _, rep := range r.reps {
+		if rep.isHealthy() {
 			out = append(out, rep)
 		}
 	}
-	for k := 0; k < n; k++ {
-		if rep := r.reps[(start+k)%n]; !rep.isHealthy() {
+	for _, rep := range r.reps {
+		if !rep.isHealthy() {
 			out = append(out, rep)
 		}
 	}

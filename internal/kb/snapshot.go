@@ -22,28 +22,18 @@ package kb
 // valid because the read-only mapping is kept until an explicit Close.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
-	"unsafe"
 
+	"sofya/internal/binfmt"
 	"sofya/internal/rdf"
 )
-
-// snapMagic brands snapshot files at both ends; the final byte is the
-// major format generation (bumped only on incompatible relayouts).
-const snapMagic = "SOFYAKB\x01"
-
-// snapVersion is the format version checked on load.
-const snapVersion = 1
 
 // Section ids, in file order. The section table is indexed by these
 // constants, so the order is part of the format.
@@ -75,113 +65,17 @@ const (
 	numSections
 )
 
-const (
-	footerSize   = 32 // tableOff u64 | count u32 | version u32 | tableCRC u32 | reserved u32 | magic
-	tableEntSize = 24 // off u64 | len u64 | crc u32 | reserved u32
-	preludeSize  = 16 // magic | version u32 | count u32
-)
-
 // ErrBadSnapshot is wrapped by every load-time failure caused by the
 // file itself (bad magic, version mismatch, checksum failure,
 // inconsistent section layout) — as opposed to I/O errors.
 var ErrBadSnapshot = errors.New("kb: invalid or corrupt snapshot")
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// snapFormat is the snapshot format over the binfmt container. The
+// magic's final byte is the major format generation (bumped only on
+// incompatible relayouts).
+var snapFormat = binfmt.Format{Magic: "SOFYAKB\x01", Version: 1, Sections: numSections, Err: ErrBadSnapshot}
 
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// ---------------------------------------------------------------------
-// Writing
-
-// countingWriter tracks the byte offset and the first error so the
-// section writers can stay unconditional.
-type countingWriter struct {
-	w   io.Writer
-	off uint64
-	err error
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	n, err := cw.w.Write(p)
-	cw.off += uint64(n)
-	cw.err = err
-	return n, err
-}
-
-var zeroPad [8]byte
-
-// align8 pads the stream to the next 8-byte boundary (sections are
-// 8-aligned so mapped int32 arrays are aligned in memory).
-func (cw *countingWriter) align8() {
-	if rem := cw.off % 8; rem != 0 {
-		cw.Write(zeroPad[:8-rem])
-	}
-}
-
-// snapSection records one table entry while writing.
-type snapSection struct {
-	off, len uint64
-	crc      uint32
-}
-
-// sectionWriter checksums a section body as it streams out.
-type sectionWriter struct {
-	cw  *countingWriter
-	crc uint32
-}
-
-func (sw *sectionWriter) Write(p []byte) (int, error) {
-	n, err := sw.cw.Write(p)
-	sw.crc = crc32.Update(sw.crc, castagnoli, p[:n])
-	return n, err
-}
-
-func (sw *sectionWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	sw.Write(b[:])
-}
-
-func (sw *sectionWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	sw.Write(b[:])
-}
-
-// int32s writes a []int32 little-endian. On little-endian hosts the
-// slice's backing bytes go out directly; elsewhere a chunked encode
-// produces the same bytes.
-func (sw *sectionWriter) int32s(a []int32) {
-	if len(a) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		sw.Write(unsafe.Slice((*byte)(unsafe.Pointer(&a[0])), len(a)*4))
-		return
-	}
-	var buf [512]byte
-	for len(a) > 0 {
-		n := len(a)
-		if n > len(buf)/4 {
-			n = len(buf) / 4
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(a[i]))
-		}
-		sw.Write(buf[:n*4])
-		a = a[n:]
-	}
-}
-
-func (sw *sectionWriter) termIDs(a []TermID) {
-	sw.int32s(unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(a))), len(a)))
-}
+var badSnap = snapFormat.Errorf
 
 // WriteSnapshot serializes the KB — term dictionary, CSR posting
 // arrays, per-predicate statistics and planner-stat overrides — as a
@@ -189,7 +83,7 @@ func (sw *sectionWriter) termIDs(a []TermID) {
 // is frozen first (snapshots always capture the compacted serving
 // form). The output is deterministic: the same KB content and interning
 // order produce byte-identical snapshots.
-func (k *KB) WriteSnapshot(w io.Writer) error {
+func (k *KB) WriteSnapshot(out io.Writer) error {
 	// Terms may legally be interned after a Freeze (they just carry no
 	// frozen facts); the snapshot's term sections would then outgrow
 	// the frozen arrays and the file would never load. Re-freeze so
@@ -201,214 +95,70 @@ func (k *KB) WriteSnapshot(w io.Writer) error {
 	fr := k.fr
 	nt := len(k.terms)
 
-	// String blobs are offset by u32; enforce the format bound.
-	var val, dt, lang uint64
-	for _, t := range k.terms {
-		val += uint64(len(t.Value))
-		dt += uint64(len(t.Datatype))
-		lang += uint64(len(t.Lang))
-	}
-	if val > math.MaxUint32 || dt > math.MaxUint32 || lang > math.MaxUint32 {
-		return fmt.Errorf("kb: snapshot term blob exceeds 4 GiB (values %d, datatypes %d, langs %d bytes)", val, dt, lang)
-	}
+	w := binfmt.NewWriter(out, snapFormat)
 
-	// Buffer the stream: the string columns and plan-stat records are
-	// emitted a few bytes at a time, which must not become one syscall
-	// each when w is a file.
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &countingWriter{w: bw}
-	cw.Write([]byte(snapMagic))
-	var prelude [8]byte
-	binary.LittleEndian.PutUint32(prelude[0:], snapVersion)
-	binary.LittleEndian.PutUint32(prelude[4:], numSections)
-	cw.Write(prelude[:])
+	w.Section() // secMeta
+	w.U32(uint32(len(k.name)))
+	w.Write([]byte(k.name))
+	w.U64(uint64(nt))
+	w.U64(uint64(k.size))
 
-	sections := make([]snapSection, 0, numSections)
-	section := func(body func(sw *sectionWriter)) {
-		cw.align8()
-		sw := &sectionWriter{cw: cw}
-		start := cw.off
-		body(sw)
-		sections = append(sections, snapSection{off: start, len: cw.off - start, crc: sw.crc})
+	w.Section() // secTermKinds
+	kinds := make([]byte, nt)
+	for i, t := range k.terms {
+		kinds[i] = byte(t.Kind)
 	}
+	w.Write(kinds)
 
-	// secMeta
-	section(func(sw *sectionWriter) {
-		sw.u32(uint32(len(k.name)))
-		sw.Write([]byte(k.name))
-		sw.u64(uint64(nt))
-		sw.u64(uint64(k.size))
-	})
-	// secTermKinds
-	section(func(sw *sectionWriter) {
-		buf := make([]byte, 0, 4096)
-		for _, t := range k.terms {
-			buf = append(buf, byte(t.Kind))
-			if len(buf) == cap(buf) {
-				sw.Write(buf)
-				buf = buf[:0]
-			}
-		}
-		sw.Write(buf)
-	})
 	// The three string columns: a u32 offsets section then the blob.
-	strCol := func(get func(t rdf.Term) string) {
-		section(func(sw *sectionWriter) {
-			off := uint32(0)
-			sw.u32(0)
-			for _, t := range k.terms {
-				off += uint32(len(get(t)))
-				sw.u32(off)
-			}
-		})
-		section(func(sw *sectionWriter) {
-			for _, t := range k.terms {
-				io.WriteString(sw, get(t))
-			}
-		})
-	}
-	strCol(func(t rdf.Term) string { return t.Value })
-	strCol(func(t rdf.Term) string { return t.Datatype })
-	strCol(func(t rdf.Term) string { return t.Lang })
+	w.Strings(nt, func(i int) string { return k.terms[i].Value })
+	w.Strings(nt, func(i int) string { return k.terms[i].Datatype })
+	w.Strings(nt, func(i int) string { return k.terms[i].Lang })
 
 	// The CSR arrays, verbatim.
-	section(func(sw *sectionWriter) { sw.int32s(fr.rank) })
-	section(func(sw *sectionWriter) { sw.int32s(fr.spoOff) })
-	section(func(sw *sectionWriter) { sw.termIDs(fr.spoPred) })
-	section(func(sw *sectionWriter) { sw.int32s(fr.spoPost) })
-	section(func(sw *sectionWriter) { sw.termIDs(fr.spoObj) })
-	section(func(sw *sectionWriter) { sw.int32s(fr.posOff) })
-	section(func(sw *sectionWriter) { sw.termIDs(fr.posObjE) })
-	section(func(sw *sectionWriter) { sw.int32s(fr.posPost) })
-	section(func(sw *sectionWriter) { sw.termIDs(fr.posSub) })
-	section(func(sw *sectionWriter) { sw.int32s(fr.psoOff) })
-	section(func(sw *sectionWriter) { sw.termIDs(fr.psoSubE) })
-	section(func(sw *sectionWriter) { sw.int32s(fr.psoPost) })
-	section(func(sw *sectionWriter) { sw.termIDs(fr.psoObj) })
-	section(func(sw *sectionWriter) { sw.termIDs(fr.relations) })
-	section(func(sw *sectionWriter) { sw.int32s(fr.litObjs) })
+	binfmt.Slice(w, fr.rank)
+	binfmt.Slice(w, fr.spoOff)
+	binfmt.Slice(w, fr.spoPred)
+	binfmt.Slice(w, fr.spoPost)
+	binfmt.Slice(w, fr.spoObj)
+	binfmt.Slice(w, fr.posOff)
+	binfmt.Slice(w, fr.posObjE)
+	binfmt.Slice(w, fr.posPost)
+	binfmt.Slice(w, fr.posSub)
+	binfmt.Slice(w, fr.psoOff)
+	binfmt.Slice(w, fr.psoSubE)
+	binfmt.Slice(w, fr.psoPost)
+	binfmt.Slice(w, fr.psoObj)
+	binfmt.Slice(w, fr.relations)
+	binfmt.Slice(w, fr.litObjs)
 
 	// secPlanStats, sorted by predicate id for determinism.
-	section(func(sw *sectionWriter) {
-		preds := make([]TermID, 0, len(k.planStats))
-		for p := range k.planStats {
-			preds = append(preds, p)
-		}
-		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
-		sw.u64(uint64(len(preds)))
-		for _, p := range preds {
-			s := k.planStats[p]
-			sw.u64(uint64(int64(p)))
-			sw.u64(uint64(int64(s.Facts)))
-			sw.u64(uint64(int64(s.Subjects)))
-			sw.u64(uint64(int64(s.Objects)))
-		}
-	})
-
-	// Section table + footer.
-	cw.align8()
-	tableOff := cw.off
-	tableCRC := uint32(0)
-	for _, s := range sections {
-		var ent [tableEntSize]byte
-		binary.LittleEndian.PutUint64(ent[0:], s.off)
-		binary.LittleEndian.PutUint64(ent[8:], s.len)
-		binary.LittleEndian.PutUint32(ent[16:], s.crc)
-		tableCRC = crc32.Update(tableCRC, castagnoli, ent[:])
-		cw.Write(ent[:])
+	w.Section()
+	preds := make([]TermID, 0, len(k.planStats))
+	for p := range k.planStats {
+		preds = append(preds, p)
 	}
-	var foot [footerSize]byte
-	binary.LittleEndian.PutUint64(foot[0:], tableOff)
-	binary.LittleEndian.PutUint32(foot[8:], numSections)
-	binary.LittleEndian.PutUint32(foot[12:], snapVersion)
-	binary.LittleEndian.PutUint32(foot[16:], tableCRC)
-	copy(foot[24:], snapMagic)
-	cw.Write(foot[:])
-	if cw.err != nil {
-		return cw.err
+	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	w.U64(uint64(len(preds)))
+	for _, p := range preds {
+		s := k.planStats[p]
+		w.U64(uint64(int64(p)))
+		w.U64(uint64(int64(s.Facts)))
+		w.U64(uint64(int64(s.Subjects)))
+		w.U64(uint64(int64(s.Objects)))
 	}
-	return bw.Flush()
+	return w.Finish()
 }
 
 // WriteSnapshotFile is WriteSnapshot to a file. The write is atomic
 // (temp file + rename), so an interrupted write never leaves a
 // truncated snapshot under the target name.
 func (k *KB) WriteSnapshotFile(path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".snap-tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := k.WriteSnapshot(f); err != nil {
-		return fail(err)
-	}
-	// Flush to stable storage before the rename so a crash cannot
-	// persist the new name over unwritten data.
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	// CreateTemp makes the file 0600; match the 0644 the N-Triples
-	// writers get from os.Create so service users can read snapshots.
-	if err := f.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return binfmt.WriteFile(path, k.WriteSnapshot)
 }
 
 // ---------------------------------------------------------------------
 // Reading
-
-func badSnap(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
-}
-
-// leInt32s views b as a little-endian []int32. On little-endian hosts
-// with aligned data the slice aliases b (this is the zero-copy mmap
-// path); otherwise it decodes into a fresh slice.
-func leInt32s(b []byte) []int32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-func leUint32s(b []byte) []uint32 {
-	a := leInt32s(b)
-	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(a))), len(a))
-}
-
-// aliasString views b as a string sharing b's storage. This is safe
-// because the snapshot bytes are immutable and the mapping, once
-// created, is only ever released by an explicit Close — auto-thaw
-// copies the KB's own state to the heap but keeps the mapping alive
-// for Terms that escaped before the thaw.
-func aliasString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
 
 // snapMapping keeps a memory-mapped snapshot alive while a KB serves
 // from it.
@@ -441,9 +191,6 @@ func OpenSnapshot(path string) (*KB, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
-	}
-	if st.Size() < preludeSize+footerSize {
-		return nil, badSnap("%s: file too small (%d bytes)", path, st.Size())
 	}
 	if st.Size() > math.MaxInt {
 		return nil, badSnap("%s: file too large to map (%d bytes)", path, st.Size())
@@ -490,13 +237,13 @@ func ReadSnapshotFile(path string) (*KB, error) {
 // decodeSnapshot validates data and builds a KB whose frozen arrays,
 // term strings and dictionary alias data wherever the host allows.
 func decodeSnapshot(data []byte) (*KB, error) {
-	secs, err := snapshotSections(data)
+	file, err := snapFormat.Open(data)
 	if err != nil {
 		return nil, err
 	}
 
 	// Meta.
-	meta := secs[secMeta]
+	meta := file.Bytes(secMeta)
 	if len(meta) < 4 {
 		return nil, badSnap("meta section too short")
 	}
@@ -512,36 +259,24 @@ func decodeSnapshot(data []byte) (*KB, error) {
 	}
 	nt := int(ntU)
 
-	// Terms.
-	kinds := secs[secTermKinds]
+	// Terms. Their strings share the file's storage, which is safe
+	// because the snapshot bytes are immutable and the mapping, once
+	// created, is only ever released by an explicit Close — auto-thaw
+	// copies the KB's own state to the heap but keeps the mapping alive
+	// for Terms that escaped before the thaw.
+	kinds := file.Bytes(secTermKinds)
 	if len(kinds) != nt {
 		return nil, badSnap("term kind section has %d entries, want %d", len(kinds), nt)
 	}
-	strCol := func(offSec, blobSec int, what string) ([]uint32, []byte, error) {
-		if len(secs[offSec]) != (nt+1)*4 {
-			return nil, nil, badSnap("%s offsets section has %d bytes, want %d", what, len(secs[offSec]), (nt+1)*4)
-		}
-		offs := leUint32s(secs[offSec])
-		blob := secs[blobSec]
-		if offs[0] != 0 || uint64(offs[nt]) != uint64(len(blob)) {
-			return nil, nil, badSnap("%s offsets do not span the blob (first %d, last %d, blob %d)", what, offs[0], offs[nt], len(blob))
-		}
-		for i := 0; i < nt; i++ {
-			if offs[i] > offs[i+1] {
-				return nil, nil, badSnap("%s offsets decrease at term %d", what, i)
-			}
-		}
-		return offs, blob, nil
-	}
-	valOff, valBlob, err := strCol(secTermValOff, secTermValBlob, "term value")
+	vals, err := file.Strings(secTermValOff, secTermValBlob, nt, "term value offsets")
 	if err != nil {
 		return nil, err
 	}
-	dtOff, dtBlob, err := strCol(secTermDTOff, secTermDTBlob, "term datatype")
+	dts, err := file.Strings(secTermDTOff, secTermDTBlob, nt, "term datatype offsets")
 	if err != nil {
 		return nil, err
 	}
-	langOff, langBlob, err := strCol(secTermLangOff, secTermLangBlob, "term lang")
+	langs, err := file.Strings(secTermLangOff, secTermLangBlob, nt, "term lang offsets")
 	if err != nil {
 		return nil, err
 	}
@@ -552,9 +287,9 @@ func decodeSnapshot(data []byte) (*KB, error) {
 		}
 		terms[i] = rdf.Term{
 			Kind:     rdf.Kind(kinds[i]),
-			Value:    aliasString(valBlob[valOff[i]:valOff[i+1]]),
-			Datatype: aliasString(dtBlob[dtOff[i]:dtOff[i+1]]),
-			Lang:     aliasString(langBlob[langOff[i]:langOff[i+1]]),
+			Value:    vals.At(i),
+			Datatype: dts.At(i),
+			Lang:     langs.At(i),
 		}
 	}
 
@@ -562,18 +297,8 @@ func decodeSnapshot(data []byte) (*KB, error) {
 	// monotonic and span their value arrays, id arrays must stay inside
 	// the term space — a checksum-valid but hand-corrupted file fails
 	// here instead of faulting a serving endpoint later.
-	int32Sec := func(sec int, wantLen int, what string) ([]int32, error) {
-		if len(secs[sec])%4 != 0 {
-			return nil, badSnap("%s section length %d is not a multiple of 4", what, len(secs[sec]))
-		}
-		a := leInt32s(secs[sec])
-		if wantLen >= 0 && len(a) != wantLen {
-			return nil, badSnap("%s section has %d entries, want %d", what, len(a), wantLen)
-		}
-		return a, nil
-	}
-	idSec := func(sec int, wantLen int, what string) ([]TermID, error) {
-		a, err := int32Sec(sec, wantLen, what)
+	idSec := func(sec int, what string) ([]TermID, error) {
+		a, err := binfmt.View[TermID](file, sec, -1, what)
 		if err != nil {
 			return nil, err
 		}
@@ -582,22 +307,11 @@ func decodeSnapshot(data []byte) (*KB, error) {
 				return nil, badSnap("%s entry %d holds out-of-range term id %d", what, i, id)
 			}
 		}
-		return unsafe.Slice((*TermID)(unsafe.Pointer(unsafe.SliceData(a))), len(a)), nil
-	}
-	checkOffsets := func(off []int32, max int, what string) error {
-		if off[0] != 0 || int(off[len(off)-1]) != max {
-			return badSnap("%s offsets do not span [0,%d]", what, max)
-		}
-		for i := 1; i < len(off); i++ {
-			if off[i] < off[i-1] {
-				return badSnap("%s offsets decrease at entry %d", what, i)
-			}
-		}
-		return nil
+		return a, nil
 	}
 
 	fr := &frozen{}
-	if fr.rank, err = int32Sec(secRank, nt, "rank"); err != nil {
+	if fr.rank, err = binfmt.View[int32](file, secRank, nt, "rank"); err != nil {
 		return nil, err
 	}
 	// rank must be a permutation of [0,nt): Triples inverts it, and a
@@ -612,7 +326,7 @@ func decodeSnapshot(data []byte) (*KB, error) {
 		}
 		rankSeen[r] = true
 	}
-	if fr.litObjs, err = int32Sec(secLitObjs, nt, "litObjs"); err != nil {
+	if fr.litObjs, err = binfmt.View[int32](file, secLitObjs, nt, "litObjs"); err != nil {
 		return nil, err
 	}
 
@@ -627,14 +341,14 @@ func decodeSnapshot(data []byte) (*KB, error) {
 		{secPosOff, secPosObjE, secPosPost, secPosSub, &fr.posOff, &fr.posPost, &fr.posObjE, &fr.posSub, "pos"},
 		{secPsoOff, secPsoSubE, secPsoPost, secPsoObj, &fr.psoOff, &fr.psoPost, &fr.psoSubE, &fr.psoObj, "pso"},
 	} {
-		if *c.off, err = int32Sec(c.offSec, nt+1, c.name+" offsets"); err != nil {
+		if *c.off, err = binfmt.View[int32](file, c.offSec, nt+1, c.name+" offsets"); err != nil {
 			return nil, err
 		}
-		if *c.keys, err = idSec(c.keySec, -1, c.name+" keys"); err != nil {
+		if *c.keys, err = idSec(c.keySec, c.name+" keys"); err != nil {
 			return nil, err
 		}
 		nk := len(*c.keys)
-		if err = checkOffsets(*c.off, nk, c.name); err != nil {
+		if err = snapFormat.CheckOffsets(*c.off, nk, c.name); err != nil {
 			return nil, err
 		}
 		// Key entries must be strictly rank-sorted within each bucket:
@@ -648,17 +362,17 @@ func decodeSnapshot(data []byte) (*KB, error) {
 				}
 			}
 		}
-		if *c.post, err = int32Sec(c.postSec, nk+1, c.name+" postings"); err != nil {
+		if *c.post, err = binfmt.View[int32](file, c.postSec, nk+1, c.name+" postings"); err != nil {
 			return nil, err
 		}
-		if *c.vals, err = idSec(c.valSec, -1, c.name+" values"); err != nil {
+		if *c.vals, err = idSec(c.valSec, c.name+" values"); err != nil {
 			return nil, err
 		}
-		if err = checkOffsets(*c.post, len(*c.vals), c.name+" postings"); err != nil {
+		if err = snapFormat.CheckOffsets(*c.post, len(*c.vals), c.name+" postings"); err != nil {
 			return nil, err
 		}
 	}
-	if fr.relations, err = idSec(secRelations, -1, "relations"); err != nil {
+	if fr.relations, err = idSec(secRelations, "relations"); err != nil {
 		return nil, err
 	}
 	for i := 1; i < len(fr.relations); i++ {
@@ -674,7 +388,7 @@ func decodeSnapshot(data []byte) (*KB, error) {
 	}
 
 	// Planner-stat overrides.
-	ps := secs[secPlanStats]
+	ps := file.Bytes(secPlanStats)
 	if len(ps) < 8 {
 		return nil, badSnap("plan stats section too short")
 	}
@@ -711,60 +425,6 @@ func decodeSnapshot(data []byte) (*KB, error) {
 		planStats: planStats,
 		size:      int(size),
 	}, nil
-}
-
-// snapshotSections validates the prelude, footer, table checksum and
-// every section checksum, returning the payload byte ranges indexed by
-// section id.
-func snapshotSections(data []byte) ([][]byte, error) {
-	if len(data) < preludeSize+footerSize {
-		return nil, badSnap("file too small (%d bytes)", len(data))
-	}
-	if string(data[:8]) != snapMagic {
-		return nil, badSnap("bad magic %q", data[:8])
-	}
-	foot := data[len(data)-footerSize:]
-	if string(foot[24:]) != snapMagic {
-		return nil, badSnap("bad trailing magic (file truncated?)")
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != snapVersion {
-		return nil, badSnap("unsupported version %d (want %d)", v, snapVersion)
-	}
-	if v := binary.LittleEndian.Uint32(foot[12:]); v != snapVersion {
-		return nil, badSnap("footer version %d disagrees with prelude", v)
-	}
-	count := binary.LittleEndian.Uint32(foot[8:])
-	if count != numSections || binary.LittleEndian.Uint32(data[12:]) != numSections {
-		return nil, badSnap("section count %d, want %d", count, numSections)
-	}
-	tableOff := binary.LittleEndian.Uint64(foot)
-	tableLen := uint64(numSections) * tableEntSize
-	// The table abuts the footer, so its offset is fully determined;
-	// compare against the subtraction-safe expected value rather than
-	// computing tableOff+tableLen, which a huge tableOff could wrap.
-	body := uint64(len(data) - footerSize)
-	if body < preludeSize+tableLen || tableOff != body-tableLen {
-		return nil, badSnap("section table at %d does not abut the footer", tableOff)
-	}
-	table := data[tableOff : tableOff+tableLen]
-	if crc := crc32.Checksum(table, castagnoli); crc != binary.LittleEndian.Uint32(foot[16:]) {
-		return nil, badSnap("section table checksum mismatch")
-	}
-	secs := make([][]byte, numSections)
-	for i := range secs {
-		ent := table[i*tableEntSize:]
-		off := binary.LittleEndian.Uint64(ent)
-		length := binary.LittleEndian.Uint64(ent[8:])
-		if off%8 != 0 || off < preludeSize || off+length < off || off+length > tableOff {
-			return nil, badSnap("section %d range [%d,%d) escapes the file", i, off, off+length)
-		}
-		sec := data[off : off+length]
-		if crc := crc32.Checksum(sec, castagnoli); crc != binary.LittleEndian.Uint32(ent[16:]) {
-			return nil, badSnap("section %d checksum mismatch", i)
-		}
-		secs[i] = sec
-	}
-	return secs, nil
 }
 
 // ---------------------------------------------------------------------

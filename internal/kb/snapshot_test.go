@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sofya/internal/binfmt/binfmttest"
 	"sofya/internal/rdf"
 )
 
@@ -374,52 +375,19 @@ func TestSnapshotTruncated(t *testing.T) {
 	}
 }
 
-// TestSnapshotTableOffsetOverflow: a footer whose tableOff wraps
-// tableOff+tableLen back into range must fail cleanly, not panic.
-func TestSnapshotTableOffsetOverflow(t *testing.T) {
-	k := gnarlyKB()
+// TestSnapshotContainer runs the container suite of internal/binfmt
+// (flips, truncations, fields disagreeing between the two ends, table
+// offsets that wrap, table entries pointing outside the file) against
+// an encoded snapshot, through the snapshot decoder.
+func TestSnapshotContainer(t *testing.T) {
 	var buf bytes.Buffer
-	if err := k.WriteSnapshot(&buf); err != nil {
+	if err := gnarlyKB().WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	tableLen := uint64(numSections) * tableEntSize
-
-	// Large bogus offsets in an otherwise valid file.
-	for _, off := range []uint64{1 << 63, ^uint64(0)} {
-		crafted := append([]byte(nil), data...)
-		foot := crafted[len(crafted)-footerSize:]
-		for i := 0; i < 8; i++ {
-			foot[i] = byte(off >> (8 * i))
-		}
-		if _, err := ReadSnapshot(bytes.NewReader(crafted)); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("tableOff %#x: err = %v, want ErrBadSnapshot", off, err)
-		}
-	}
-
-	// The wrap attack proper: a file shorter than prelude+table+footer
-	// whose tableOff underflows so that tableOff+tableLen wraps back to
-	// the expected position — data[tableOff:] would panic unchecked.
-	short := make([]byte, preludeSize+footerSize)
-	copy(short, snapMagic)
-	putU32 := func(b []byte, v uint32) {
-		for i := 0; i < 4; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-	}
-	putU32(short[8:], snapVersion)
-	putU32(short[12:], numSections)
-	foot := short[len(short)-footerSize:]
-	wrap := uint64(preludeSize) - tableLen // underflows to ~2^64
-	for i := 0; i < 8; i++ {
-		foot[i] = byte(wrap >> (8 * i))
-	}
-	putU32(foot[8:], numSections)
-	putU32(foot[12:], snapVersion)
-	copy(foot[24:], snapMagic)
-	if _, err := ReadSnapshot(bytes.NewReader(short)); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("wrapping tableOff in short file: err = %v, want ErrBadSnapshot", err)
-	}
+	binfmttest.Container(t, snapFormat, buf.Bytes(), func(data []byte) error {
+		_, err := decodeSnapshot(data)
+		return err
+	})
 }
 
 func TestOpenSnapshotMissingFile(t *testing.T) {

@@ -71,7 +71,6 @@ type Group struct {
 	name    string
 	shards  []endpoint.Endpoint
 	seed    int64
-	workers int
 	maxRows int
 
 	mu    sync.Mutex
@@ -80,16 +79,6 @@ type Group struct {
 
 // Option configures a Group.
 type Option func(*Group)
-
-// Workers bounds the fan-out concurrency (default: one worker per
-// shard).
-func Workers(n int) Option {
-	return func(g *Group) {
-		if n > 0 {
-			g.workers = n
-		}
-	}
-}
 
 // RowCap caps the rows of every SELECT the group answers — the
 // group-level equivalent of Quota.MaxRows, applied to the merged (or
@@ -113,11 +102,10 @@ func NewGroup(name string, seed int64, shards []endpoint.Endpoint, opts ...Optio
 		return nil, fmt.Errorf("shard: a group needs at least one shard")
 	}
 	g := &Group{
-		name:    name,
-		shards:  append([]endpoint.Endpoint(nil), shards...),
-		seed:    seed,
-		workers: len(shards),
-		plans:   make(map[string]*textPlan),
+		name:   name,
+		shards: append([]endpoint.Endpoint(nil), shards...),
+		seed:   seed,
+		plans:  make(map[string]*textPlan),
 	}
 	for _, opt := range opts {
 		opt(g)
@@ -263,14 +251,13 @@ func (g *Group) drainShards(ctx context.Context, push string) ([]*sparql.Result,
 	return results, nil
 }
 
-// fanout runs task(i) for every shard index concurrently, bounded by
-// the worker count. The first error cancels the remaining work. A
+// fanout runs task(i) for every shard index concurrently, one
+// goroutine per shard. The first error cancels the remaining work. A
 // caller-context cancellation that skipped any task surfaces as the
 // context's error — never as a clean success with holes in the output.
 func (g *Group) fanout(parent context.Context, task func(ctx context.Context, i int) error) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	sem := make(chan struct{}, g.workers)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -280,8 +267,6 @@ func (g *Group) fanout(parent context.Context, task func(ctx context.Context, i 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			if ctx.Err() != nil {
 				return
 			}
@@ -310,7 +295,6 @@ func (g *Group) fanout(parent context.Context, task func(ctx context.Context, i 
 func (g *Group) fanoutAsk(parent context.Context, probe func(ctx context.Context, i int) (bool, error)) (bool, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
-	sem := make(chan struct{}, g.workers)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -321,8 +305,6 @@ func (g *Group) fanoutAsk(parent context.Context, probe func(ctx context.Context
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			mu.Lock()
 			done := found
 			mu.Unlock()

@@ -194,9 +194,18 @@ func writeTSV(path string, body func(*bufio.Writer) error) error {
 // was saved from: same KBs (contents and iteration orders), links,
 // truth, relation universe and report, so experiment output over a
 // loaded world matches the generated one byte for byte.
-func LoadWorld(dir string) (*World, error) {
+func LoadWorld(dir string) (_ *World, err error) {
 	w := &World{Links: sameas.New(), Truth: newGroundTruth()}
-	var err error
+	// A load that fails part-way must not leave its snapshots mapped.
+	defer func() {
+		if err != nil {
+			for _, k := range []*kb.KB{w.Yago, w.Dbp} {
+				if k != nil {
+					k.Close()
+				}
+			}
+		}
+	}()
 	if w.Yago, err = loadKBFile(dir, "yago"); err != nil {
 		return nil, err
 	}
