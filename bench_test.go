@@ -8,6 +8,7 @@ package sofya
 // paper` and recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -209,7 +210,7 @@ func BenchmarkEndpointSelect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ep.Select(`SELECT ?x ?y WHERE { ?x <http://yago-knowledge.org/resource/wasBornIn> ?y } LIMIT 20`); err != nil {
+		if _, err := ep.SelectCtx(context.Background(), `SELECT ?x ?y WHERE { ?x <http://yago-knowledge.org/resource/wasBornIn> ?y } LIMIT 20`); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +248,7 @@ func BenchmarkQueryTextPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := fmt.Sprintf("SELECT ?p WHERE { <%s> ?p <%s> }", x, y)
-		if _, err := ep.Select(q); err != nil {
+		if _, err := ep.SelectCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +266,7 @@ func BenchmarkQueryPreparedPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pq.Select(ax, ay); err != nil {
+		if _, err := pq.SelectCtx(context.Background(), ax, ay); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -280,7 +281,7 @@ func BenchmarkSampleTextPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q := fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY RAND() LIMIT %d",
 			"http://yago-knowledge.org/resource/wasBornIn", 50)
-		if _, err := ep.Select(q); err != nil {
+		if _, err := ep.SelectCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -298,7 +299,7 @@ func BenchmarkSamplePreparedPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pq.Select(r, n); err != nil {
+		if _, err := pq.SelectCtx(context.Background(), r, n); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -493,12 +494,12 @@ func BenchmarkCachingEndpointHit(b *testing.B) {
 	w := world(b)
 	ep := endpoint.NewCaching(endpoint.NewLocal(w.Yago, 1), 0)
 	q := `SELECT ?x ?y WHERE { ?x <http://yago-knowledge.org/resource/wasBornIn> ?y } LIMIT 20`
-	if _, err := ep.Select(q); err != nil {
+	if _, err := ep.SelectCtx(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ep.Select(q); err != nil {
+		if _, err := ep.SelectCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}

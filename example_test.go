@@ -1,6 +1,7 @@
 package sofya_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -41,11 +42,11 @@ func ExampleNewShardedEndpoint() {
 	const probe = `SELECT ?x ?y WHERE {
 		?x <http://yago-knowledge.org/resource/wasBornIn> ?y .
 	} ORDER BY RAND() LIMIT 2`
-	want, err := local.Select(probe)
+	want, err := local.SelectCtx(context.Background(), probe)
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := sharded.Select(probe)
+	got, err := sharded.SelectCtx(context.Background(), probe)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func ExampleOpenKBSnapshot() {
 		log.Fatal(err)
 	}
 	ep := sofya.NewLocalEndpoint(reopened, 1)
-	res, err := ep.Select("SELECT ?p ?o WHERE { <http://x/Marie> ?p ?o }")
+	res, err := ep.SelectCtx(context.Background(), "SELECT ?p ?o WHERE { <http://x/Marie> ?p ?o }")
 	if err != nil {
 		log.Fatal(err)
 	}

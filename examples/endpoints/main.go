@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -59,7 +60,7 @@ func main() {
 
 	// quota exhaustion surfaces as a typed error through the client
 	restricted.SetQuota(sofya.Quota{MaxQueries: st.Queries}) // budget spent
-	_, err = remote.Select(`SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`)
+	_, err = remote.SelectCtx(context.Background(), `SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`)
 	if errors.Is(err, endpoint.ErrQuotaExceeded) {
 		fmt.Println("further queries denied:", err)
 	} else {

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	world := sofya.Generate(sofya.TinyWorldSpec())
 	k := sofya.NewLocalEndpoint(world.Yago, 1)
 	kp := sofya.NewLocalEndpoint(world.Dbp, 2)
@@ -56,7 +58,7 @@ func main() {
 	fmt.Println("\nrewritten query (DBpedia):")
 	fmt.Println(rewritten)
 
-	res, err := kp.Select(rewritten)
+	res, err := kp.SelectCtx(ctx, rewritten)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func main() {
 		if ok1 && ok2 {
 			ask := fmt.Sprintf(
 				"ASK { <%s> <http://yago-knowledge.org/resource/wasBornIn> <%s> }", yWho, yWhere)
-			if yes, err := k.Ask(ask); err == nil && yes {
+			if yes, err := k.AskCtx(ctx, ask); err == nil && yes {
 				confirm = "  (confirmed in YAGO)"
 				matched++
 			}

@@ -308,7 +308,7 @@ func sampleQueryKeys(keys []uint64, probe endpoint.PreparedQuery, rel string, n 
 // the endpoint-agnostic inventory query (it needs no KB access, only
 // SPARQL).
 func Relations(ep endpoint.Endpoint) ([]string, error) {
-	res, err := ep.Select("SELECT DISTINCT ?p WHERE { ?s ?p ?o }")
+	res, err := ep.SelectCtx(context.Background(), "SELECT DISTINCT ?p WHERE { ?s ?p ?o }")
 	if err != nil {
 		return nil, fmt.Errorf("candidates: relation inventory of %s: %w", ep.Name(), err)
 	}

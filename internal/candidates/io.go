@@ -226,15 +226,6 @@ func OpenIndex(path string) (*Index, error) {
 	return ix, nil
 }
 
-// ReadIndex is OpenIndex from an io.Reader.
-func ReadIndex(r io.Reader) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeIndex(data)
-}
-
 // decodeIndex validates data and builds an Index aliasing it where the
 // host allows.
 func decodeIndex(data []byte) (*Index, error) {

@@ -47,9 +47,8 @@ func drainBench(b *testing.B, pq endpoint.PreparedQuery, n int) {
 	}
 }
 
-// newBenchCluster builds a 3-shard × 1-replica HTTP cluster with the
-// given wire batch size (0 = server default).
-func newBenchCluster(b *testing.B, src *kb.KB, batch int) (*Group, func()) {
+// newBenchCluster builds a 3-shard × 1-replica HTTP cluster.
+func newBenchCluster(b *testing.B, src *kb.KB) (*Group, func()) {
 	b.Helper()
 	const seed = 41
 	parts := kb.Partition(src, 3)
@@ -58,11 +57,7 @@ func newBenchCluster(b *testing.B, src *kb.KB, batch int) (*Group, func()) {
 	for i, part := range parts {
 		srv := httptest.NewServer(endpoint.NewServer(endpoint.NewLocal(part, seed)))
 		servers = append(servers, srv)
-		c := endpoint.NewClient(part.Name(), srv.URL, nil)
-		if batch > 0 {
-			c.SetWireBatch(batch)
-		}
-		shards[i] = []endpoint.Endpoint{c}
+		shards[i] = []endpoint.Endpoint{endpoint.NewClient(part.Name(), srv.URL, nil)}
 	}
 	g, err := NewGroup(src.Name(), seed, shards, Options{})
 	if err != nil {
@@ -77,26 +72,10 @@ func newBenchCluster(b *testing.B, src *kb.KB, batch int) (*Group, func()) {
 }
 
 // BenchmarkClusterProbeHTTP: the RAND-ordered probe over a 3-shard
-// HTTP cluster with default (64-row) batch framing.
+// HTTP cluster (64-row batch framing).
 func BenchmarkClusterProbeHTTP(b *testing.B) {
 	src := benchKB(4096)
-	g, cleanup := newBenchCluster(b, src, 0)
-	defer cleanup()
-	pq, err := g.Prepare(benchProbe, "n")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drainBench(b, pq, 32)
-	}
-}
-
-// BenchmarkClusterProbeHTTPRowFraming: the same probe with 1-row
-// frames — the before of the batching comparison.
-func BenchmarkClusterProbeHTTPRowFraming(b *testing.B) {
-	src := benchKB(4096)
-	g, cleanup := newBenchCluster(b, src, 1)
+	g, cleanup := newBenchCluster(b, src)
 	defer cleanup()
 	pq, err := g.Prepare(benchProbe, "n")
 	if err != nil {
@@ -127,11 +106,11 @@ func BenchmarkClusterProbeInProcess(b *testing.B) {
 // and alignment loop's shape) over HTTP.
 func BenchmarkClusterAskProbe(b *testing.B) {
 	src := benchKB(1024)
-	g, cleanup := newBenchCluster(b, src, 0)
+	g, cleanup := newBenchCluster(b, src)
 	defer cleanup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := g.Ask("ASK { <http://x/s00007> <http://x/p> ?o }")
+		ok, err := g.AskCtx(context.Background(), "ASK { <http://x/s00007> <http://x/p> ?o }")
 		if err != nil || !ok {
 			b.Fatalf("ask = %v, %v", ok, err)
 		}

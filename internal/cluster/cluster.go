@@ -60,16 +60,11 @@ type Options struct {
 	// ProbeInterval is the active health probe period. 0 disables
 	// active probing (passive strikes still eject).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each probe (default 2s).
-	ProbeTimeout time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.FailAfter <= 0 {
 		o.FailAfter = 3
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -399,16 +394,6 @@ func (r *Replicas) observeAttempt(rep *replica, d time.Duration, err error) {
 // caching and routing above.
 func (r *Replicas) Name() string { return r.name }
 
-// Select implements Endpoint.
-func (r *Replicas) Select(query string) (*sparql.Result, error) {
-	return r.SelectCtx(context.Background(), query)
-}
-
-// Ask implements Endpoint.
-func (r *Replicas) Ask(query string) (bool, error) {
-	return r.AskCtx(context.Background(), query)
-}
-
 // SelectCtx implements Endpoint with failover and hedging.
 func (r *Replicas) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
 	res, cancel, err := hedge(ctx, r, func(ctx context.Context, ep endpoint.Endpoint) (*sparql.Result, error) {
@@ -463,14 +448,6 @@ func (p *replicasPrepared) handleFor(ep endpoint.Endpoint) endpoint.PreparedQuer
 		}
 	}
 	return nil // unreachable: hedge only passes the set's own endpoints
-}
-
-func (p *replicasPrepared) Select(args ...sparql.Arg) (*sparql.Result, error) {
-	return p.SelectCtx(context.Background(), args...)
-}
-
-func (p *replicasPrepared) Ask(args ...sparql.Arg) (bool, error) {
-	return p.AskCtx(context.Background(), args...)
 }
 
 func (p *replicasPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -88,6 +89,7 @@ func testWorld(t *testing.T, seed int64) (*synth.World, *endpoint.Local, string,
 type testCluster struct {
 	group   *Group
 	servers [][]*httptest.Server // [shard][replica]
+	locals  []*endpoint.Local    // every replica's backing endpoint
 }
 
 func newTestCluster(t *testing.T, src *kb.KB, nShards, nReplicas int, seed int64, opt Options) *testCluster {
@@ -95,9 +97,12 @@ func newTestCluster(t *testing.T, src *kb.KB, nShards, nReplicas int, seed int64
 	parts := kb.Partition(src, nShards)
 	shards := make([][]endpoint.Endpoint, nShards)
 	servers := make([][]*httptest.Server, nShards)
+	var locals []*endpoint.Local
 	for i, part := range parts {
 		for j := 0; j < nReplicas; j++ {
-			srv := httptest.NewServer(endpoint.NewServer(endpoint.NewLocal(part, seed)))
+			local := endpoint.NewLocal(part, seed)
+			locals = append(locals, local)
+			srv := httptest.NewServer(endpoint.NewServer(local))
 			servers[i] = append(servers[i], srv)
 			shards[i] = append(shards[i], endpoint.NewClient(part.Name(), srv.URL, nil))
 		}
@@ -106,7 +111,7 @@ func newTestCluster(t *testing.T, src *kb.KB, nShards, nReplicas int, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &testCluster{group: g, servers: servers}
+	tc := &testCluster{group: g, servers: servers, locals: locals}
 	t.Cleanup(tc.close)
 	return tc
 }
@@ -153,11 +158,11 @@ func oracleAsks(rel string) []string {
 func runOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel, rel2 string) {
 	t.Helper()
 	for _, q := range oracleSelects(rel, rel2) {
-		want, err := local.Select(q)
+		want, err := local.SelectCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: local %q: %v", label, q, err)
 		}
-		got, err := g.Select(q)
+		got, err := g.SelectCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: cluster %q: %v", label, q, err)
 		}
@@ -167,11 +172,11 @@ func runOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel,
 		}
 	}
 	for _, q := range oracleAsks(rel) {
-		want, err := local.Ask(q)
+		want, err := local.AskCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: local %q: %v", label, q, err)
 		}
-		got, err := g.Ask(q)
+		got, err := g.AskCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: cluster %q: %v", label, q, err)
 		}
@@ -206,11 +211,11 @@ func runPreparedOracle(t *testing.T, label string, local *endpoint.Local, g *Gro
 		if err != nil {
 			t.Fatalf("%s: probe %d Prepare: %v", label, pi, err)
 		}
-		want, err := lp.Select(pr.args...)
+		want, err := lp.SelectCtx(context.Background(), pr.args...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gp.Select(pr.args...)
+		got, err := gp.SelectCtx(context.Background(), pr.args...)
 		if err != nil {
 			t.Fatalf("%s: probe %d Select: %v", label, pi, err)
 		}
@@ -291,6 +296,71 @@ func TestClusterHedged(t *testing.T) {
 	runPreparedOracle(t, "hedged", local, tc.group, rel, rel2)
 }
 
+// TestClusterContextCancellation is the query surface's cancellation
+// contract (the endpoint package runs the same table over its stacks)
+// over a 3 × 2 cluster: a call under a cancelled context returns
+// promptly with context.Canceled, hands back no Rows to close, reaches
+// no replica's KB — and costs no replica its health, because the
+// caller's cancellation says nothing about the replica.
+func TestClusterContextCancellation(t *testing.T) {
+	const seed = 31
+	w, _, rel, _ := testWorld(t, seed)
+	tc := newTestCluster(t, w.Yago, 3, 2, seed, Options{FailAfter: 1})
+	g := tc.group
+	sel, err := g.Prepare("SELECT ?x ?y WHERE { ?x $r ?y }", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask, err := g.Prepare("ASK { ?x $r ?y }", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := sparql.IRIArg(rel)
+	for _, op := range []struct {
+		name string
+		run  func() (endpoint.Rows, error)
+	}{
+		{"text SelectCtx", func() (endpoint.Rows, error) {
+			_, err := g.SelectCtx(ctx, fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y }", rel))
+			return nil, err
+		}},
+		{"text AskCtx", func() (endpoint.Rows, error) {
+			_, err := g.AskCtx(ctx, fmt.Sprintf("ASK { ?x <%s> ?y }", rel))
+			return nil, err
+		}},
+		{"prepared SelectCtx", func() (endpoint.Rows, error) { _, err := sel.SelectCtx(ctx, r); return nil, err }},
+		{"prepared AskCtx", func() (endpoint.Rows, error) { _, err := ask.AskCtx(ctx, r); return nil, err }},
+		{"prepared Stream", func() (endpoint.Rows, error) { return sel.Stream(ctx, r) }},
+	} {
+		start := time.Now()
+		rows, err := op.run()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", op.name, err)
+		}
+		if rows != nil {
+			rows.Close()
+			t.Errorf("%s: a failed call returned Rows", op.name)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: took %v to notice a context cancelled beforehand", op.name, d)
+		}
+	}
+	for i, local := range tc.locals {
+		if q := local.Stats().Queries; q != 0 {
+			t.Errorf("replica %d: %d queries reached its KB", i, q)
+		}
+	}
+	for _, set := range g.ReplicaSets() {
+		for _, st := range set.Status() {
+			if !st.Healthy {
+				t.Errorf("replica %s ejected by its caller's cancellation: %+v", st.Name, st)
+			}
+		}
+	}
+}
+
 // flakyEndpoint forwards to an inner endpoint until tripped, then
 // fails everything with a retriable 503.
 type flakyEndpoint struct {
@@ -303,14 +373,6 @@ func (f *flakyEndpoint) err() error {
 }
 
 func (f *flakyEndpoint) Name() string { return f.inner.Name() }
-
-func (f *flakyEndpoint) Select(q string) (*sparql.Result, error) {
-	return f.SelectCtx(context.Background(), q)
-}
-
-func (f *flakyEndpoint) Ask(q string) (bool, error) {
-	return f.AskCtx(context.Background(), q)
-}
 
 func (f *flakyEndpoint) SelectCtx(ctx context.Context, q string) (*sparql.Result, error) {
 	if f.fail() {
@@ -345,7 +407,6 @@ func TestHealthEjectionReadmission(t *testing.T) {
 	good := endpoint.NewLocal(parts[0], seed)
 	set, err := NewReplicas([]endpoint.Endpoint{flaky, good}, Options{
 		ProbeInterval: 5 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 		FailAfter:     2,
 	})
 	if err != nil {
@@ -370,7 +431,7 @@ func TestHealthEjectionReadmission(t *testing.T) {
 	failing.Store(true)
 	waitHealth(false, "ejected")
 	// Ejected replica: traffic routes around it and still succeeds.
-	if _, err := set.Select(fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } LIMIT 2", rel)); err != nil {
+	if _, err := set.SelectCtx(context.Background(), fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } LIMIT 2", rel)); err != nil {
 		t.Fatalf("query during outage: %v", err)
 	}
 	failing.Store(false)

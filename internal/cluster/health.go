@@ -10,6 +10,9 @@ import (
 // index peek; the answer's value is irrelevant, only that one arrived.
 const healthProbe = "ASK { ?s ?p ?o }"
 
+// probeTimeout bounds each health probe.
+const probeTimeout = 2 * time.Second
+
 // healthLoop actively probes every replica each ProbeInterval:
 // consecutive probe failures eject (FailAfter), the first success
 // re-admits. It runs until Close.
@@ -31,7 +34,7 @@ func (r *Replicas) healthLoop() {
 // prober goroutine per set keeps the idle cost of a large cluster flat.
 func (r *Replicas) probeAll() {
 	for _, rep := range r.reps {
-		ctx, cancel := context.WithTimeout(context.Background(), r.opt.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		_, err := rep.ep.AskCtx(ctx, healthProbe)
 		cancel()
 		if err != nil {

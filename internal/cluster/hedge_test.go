@@ -40,14 +40,6 @@ func (g *gateEndpoint) wait(ctx context.Context) error {
 
 func (g *gateEndpoint) Name() string { return g.inner.Name() }
 
-func (g *gateEndpoint) Select(q string) (*sparql.Result, error) {
-	return g.SelectCtx(context.Background(), q)
-}
-
-func (g *gateEndpoint) Ask(q string) (bool, error) {
-	return g.AskCtx(context.Background(), q)
-}
-
 func (g *gateEndpoint) SelectCtx(ctx context.Context, q string) (*sparql.Result, error) {
 	if err := g.wait(ctx); err != nil {
 		return nil, err
@@ -89,7 +81,7 @@ func hedgeFixture(t *testing.T) (*gateEndpoint, *Replicas) {
 func TestHedgeCancelsLoser(t *testing.T) {
 	slow, set := hedgeFixture(t)
 	start := time.Now()
-	res, err := set.Select("SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
+	res, err := set.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +138,7 @@ func TestFatalErrorSkipsFailover(t *testing.T) {
 	k.AddIRIs("http://x/a", "http://x/p", "http://x/b")
 	k.Freeze()
 	quotaed := endpoint.NewLocalRestricted(k, 1, endpoint.Quota{MaxQueries: 1})
-	if _, err := quotaed.Ask("ASK { ?x <http://x/p> ?y }"); err != nil {
+	if _, err := quotaed.AskCtx(context.Background(), "ASK { ?x <http://x/p> ?y }"); err != nil {
 		t.Fatal(err)
 	}
 	backup := endpoint.NewLocal(k, 1)
@@ -155,7 +147,7 @@ func TestFatalErrorSkipsFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	_, err = set.Select("SELECT ?x WHERE { ?x <http://x/p> ?y }")
+	_, err = set.SelectCtx(context.Background(), "SELECT ?x WHERE { ?x <http://x/p> ?y }")
 	if !errors.Is(err, endpoint.ErrQuotaExceeded) {
 		t.Fatalf("quota error was masked: %v", err)
 	}
@@ -174,7 +166,7 @@ func TestFailoverWithinOneCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer set.Close()
-	res, err := set.Select("SELECT ?x WHERE { ?x <http://x/p> ?y }")
+	res, err := set.SelectCtx(context.Background(), "SELECT ?x WHERE { ?x <http://x/p> ?y }")
 	if err != nil {
 		t.Fatalf("failover did not recover: %v", err)
 	}

@@ -35,7 +35,6 @@ func TestReplicasFailOverOnShed(t *testing.T) {
 	reps, err := NewReplicas([]endpoint.Endpoint{c0, c1}, Options{
 		FailAfter:     2,
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +59,7 @@ func TestReplicasFailOverOnShed(t *testing.T) {
 	// Traffic keeps succeeding: replica 0 sheds retriably, the set
 	// fails over to replica 1 on every call.
 	for i := 0; i < 4; i++ {
-		res, err := reps.Select(q)
+		res, err := reps.SelectCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("select %d during shed: %v", i, err)
 		}
@@ -94,7 +93,7 @@ func TestReplicasFailOverOnShed(t *testing.T) {
 	}
 
 	// And the recovered replica serves again.
-	res, err := reps.Select(q)
+	res, err := reps.SelectCtx(context.Background(), q)
 	if err != nil || len(res.Rows) != 3 {
 		t.Fatalf("post-recovery select: %d rows, %v", len(res.Rows), err)
 	}
@@ -123,12 +122,12 @@ func TestReplicasQuotaDoesNotFailOver(t *testing.T) {
 	defer reps.Close()
 
 	const q = `SELECT ?x WHERE { ?x <http://x/p> ?y }`
-	if _, err := reps.Select(q); err != nil {
+	if _, err := reps.SelectCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	// Replica 0's quota is spent: the next call must surface the quota
 	// error, not mask it by retrying replica 1.
-	if _, err := reps.Select(q); !errors.Is(err, endpoint.ErrQuotaExceeded) || errors.Is(err, endpoint.ErrOverloaded) {
+	if _, err := reps.SelectCtx(context.Background(), q); !errors.Is(err, endpoint.ErrQuotaExceeded) || errors.Is(err, endpoint.ErrOverloaded) {
 		t.Fatalf("quota err = %v, want ErrQuotaExceeded (no failover)", err)
 	}
 	st := reps.Status()

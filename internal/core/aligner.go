@@ -304,7 +304,7 @@ func (a *Aligner) discoverProbes(r string, window int) ([]discoveryProbe, error)
 			}
 			probes = append(probes, discoveryProbe{
 				exec: func() (*sparql.Result, error) {
-					return a.pEntityPreds.Select(sparql.IRIArg(xp), sparql.IRIArg(yp))
+					return a.pEntityPreds.SelectCtx(context.Background(), sparql.IRIArg(xp), sparql.IRIArg(yp))
 				},
 			})
 		case y.IsLiteral():
@@ -313,7 +313,7 @@ func (a *Aligner) discoverProbes(r string, window int) ([]discoveryProbe, error)
 			}
 			probes = append(probes, discoveryProbe{
 				exec: func() (*sparql.Result, error) {
-					return a.pLiteralAttrs.Select(sparql.IRIArg(xp))
+					return a.pLiteralAttrs.SelectCtx(context.Background(), sparql.IRIArg(xp))
 				},
 				lit: y,
 			})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 
 	"sofya/internal/flight"
@@ -43,8 +44,9 @@ func (c *Cache) AlignRelation(r string) ([]Alignment, error) {
 	// Miss: compute through the singleflight group so that concurrent
 	// misses on the same relation run one alignment. The computation
 	// stores its outcome (error included) before releasing the waiters;
-	// flightErr is only non-nil if the aligner panicked.
-	got, flightErr, _ := c.group.Do(r, func() (cached, error) {
+	// flightErr is only non-nil if the aligner panicked (the aligner
+	// is ctx-less, so there is no caller context to wait under).
+	got, flightErr, _ := c.group.DoCtx(context.Background(), r, func() (cached, error) {
 		als, err := c.aligner.AlignRelation(r)
 		got := cached{als: als, err: err}
 		c.mu.Lock()

@@ -62,7 +62,9 @@ func NewIndexCache() *IndexCache { return &IndexCache{} }
 // sidecar at path is restored if its fingerprint matches, and the index
 // is built by sampling otherwise (candidates.LoadOrBuild). An empty
 // path always builds. Concurrent first calls for the same key share one
-// computation.
+// computation, which runs detached from every caller's cancellation:
+// each caller stops waiting when its own ctx ends, the build completes
+// for whoever remains, and no caller's ctx.Err() is ever cached.
 func (c *IndexCache) Get(ctx context.Context, target endpoint.Endpoint, links candidates.Translator, path string, opt candidates.Options) (*candidates.Index, error) {
 	key := fmt.Sprintf("%s\x00%s\x00%016x", target.Name(), path, candidates.Fingerprint(nil, opt))
 	c.mu.Lock()
@@ -73,8 +75,8 @@ func (c *IndexCache) Get(ctx context.Context, target endpoint.Endpoint, links ca
 	}
 	c.mu.Unlock()
 
-	got, flightErr, _ := c.group.Do(key, func() (idxCached, error) {
-		got := c.compute(ctx, target, links, path, opt)
+	got, flightErr, _ := c.group.DoCtx(ctx, key, func() (idxCached, error) {
+		got := c.compute(context.WithoutCancel(ctx), target, links, path, opt)
 		c.mu.Lock()
 		if c.results == nil {
 			c.results = make(map[string]idxCached)

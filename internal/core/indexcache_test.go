@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"sofya/internal/candidates"
 	"sofya/internal/endpoint"
@@ -173,29 +175,95 @@ func TestAlignerStaleSidecarFallsBack(t *testing.T) {
 
 // TestIndexCacheCachesErrors checks a failing target is computed once,
 // the error replayed from memory, and Invalidate clears the way for a
-// retry.
+// retry. The failure is the endpoint's own: a query budget that the
+// inventory query spends, so the build's first probe is denied.
 func TestIndexCacheCachesErrors(t *testing.T) {
-	target, links := d2yTarget()
+	_, d, l := paperWorld()
+	target := endpoint.NewLocalRestricted(d, 4, endpoint.Quota{MaxQueries: 1})
+	links := sampling.LinkView{Links: l, KIsA: true}
 	cache := NewIndexCache()
-	bad := candidates.Options{}
-	// Fail the first computation by cancelling its build.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := cache.Get(ctx, target, links, "", bad); err == nil {
-		t.Fatal("cancelled build did not fail")
+	ctx := context.Background()
+	if _, err := cache.Get(ctx, target, links, "", candidates.Options{}); !errors.Is(err, endpoint.ErrQuotaExceeded) {
+		t.Fatalf("build over a spent quota: err = %v, want ErrQuotaExceeded", err)
 	}
-	if _, err := cache.Get(context.Background(), target, links, "", bad); err == nil {
-		t.Fatal("error was not cached")
+	denied := target.Stats().Denied
+	if _, err := cache.Get(ctx, target, links, "", candidates.Options{}); !errors.Is(err, endpoint.ErrQuotaExceeded) {
+		t.Fatalf("error was not cached: err = %v", err)
+	}
+	if got := target.Stats().Denied; got != denied {
+		t.Fatalf("cached error still reached the endpoint: %d denials, was %d", got, denied)
 	}
 	s := cache.Stats()
 	if s.Misses != 1 || s.Hits != 1 {
 		t.Fatalf("want one miss then one (error) hit, got %+v", s)
 	}
 	cache.Invalidate()
-	if _, err := cache.Get(context.Background(), target, links, "", bad); err != nil {
+	target.SetQuota(endpoint.Quota{})
+	if _, err := cache.Get(ctx, target, links, "", candidates.Options{}); err != nil {
 		t.Fatalf("retry after Invalidate: %v", err)
 	}
 	if s := cache.Stats(); s.Built != 1 {
 		t.Fatalf("retry did not rebuild: %+v", s)
+	}
+}
+
+// heldTarget holds Prepare at a gate — the index build's first step
+// after the inventory — so a test can act while the shared build is in
+// flight.
+type heldTarget struct {
+	endpoint.Endpoint
+	started chan struct{} // closed when the build arrives
+	once    sync.Once
+	gate    chan struct{} // the build proceeds once closed
+}
+
+func (h *heldTarget) Prepare(template string, params ...string) (endpoint.PreparedQuery, error) {
+	h.once.Do(func() { close(h.started) })
+	<-h.gate
+	return h.Endpoint.Prepare(template, params...)
+}
+
+// TestIndexCacheCancelledCallerDoesNotPoison: the shared build belongs
+// to no caller. One whose context ends mid-build stops waiting at once
+// with its own ctx.Err(); the build completes for whoever remains, and
+// the cancellation is never cached.
+func TestIndexCacheCancelledCallerDoesNotPoison(t *testing.T) {
+	inner, links := d2yTarget()
+	target := &heldTarget{Endpoint: inner, started: make(chan struct{}), gate: make(chan struct{})}
+	cache := NewIndexCache()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	errA := make(chan error, 1)
+	go func() {
+		_, err := cache.Get(ctxA, target, links, "", candidates.Options{})
+		errA <- err
+	}()
+	<-target.started
+	cancelA()
+	select {
+	case err := <-errA:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled caller: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(target.gate)
+		t.Fatal("cancelled caller still waits for the build")
+	}
+
+	type got struct {
+		ix  *candidates.Index
+		err error
+	}
+	gotB := make(chan got, 1)
+	go func() {
+		ix, err := cache.Get(context.Background(), target, links, "", candidates.Options{})
+		gotB <- got{ix, err}
+	}()
+	close(target.gate)
+	if b := <-gotB; b.err != nil || b.ix == nil || b.ix.Len() == 0 {
+		t.Fatalf("caller after the cancelled one: index %v, err %v", b.ix, b.err)
+	}
+	if s := cache.Stats(); s.Built != 1 {
+		t.Fatalf("want the one build the cancelled caller started, got %+v", s)
 	}
 }

@@ -177,16 +177,6 @@ func (a *Admission) releaser() releaseFunc {
 // Name implements Endpoint.
 func (a *Admission) Name() string { return a.inner.Name() }
 
-// Select implements Endpoint.
-func (a *Admission) Select(query string) (*sparql.Result, error) {
-	return a.SelectCtx(context.Background(), query)
-}
-
-// Ask implements Endpoint.
-func (a *Admission) Ask(query string) (bool, error) {
-	return a.AskCtx(context.Background(), query)
-}
-
 // SelectCtx implements Endpoint, holding an admission slot for the
 // duration of the inner call.
 func (a *Admission) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
@@ -239,14 +229,6 @@ func (a *Admission) ResetStats() {
 type admissionPrepared struct {
 	a     *Admission
 	inner PreparedQuery
-}
-
-func (p *admissionPrepared) Select(args ...sparql.Arg) (*sparql.Result, error) {
-	return p.SelectCtx(context.Background(), args...)
-}
-
-func (p *admissionPrepared) Ask(args ...sparql.Arg) (bool, error) {
-	return p.AskCtx(context.Background(), args...)
 }
 
 func (p *admissionPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {

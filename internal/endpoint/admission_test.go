@@ -32,8 +32,8 @@ func TestAdmissionTransparent(t *testing.T) {
 			`SELECT DISTINCT ?x WHERE { ?x <http://x/p> ?y }`,
 		}
 		for _, q := range shapes {
-			want, err1 := bare.Select(q)
-			got, err2 := wrapped.Select(q)
+			want, err1 := bare.SelectCtx(context.Background(), q)
+			got, err2 := wrapped.SelectCtx(context.Background(), q)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s: errs %v %v", q, err1, err2)
 			}
@@ -41,8 +41,8 @@ func TestAdmissionTransparent(t *testing.T) {
 				t.Fatalf("%s: wrapped result diverged", q)
 			}
 		}
-		wantOK, _ := bare.Ask(askAB)
-		gotOK, err := wrapped.Ask(askAB)
+		wantOK, _ := bare.AskCtx(context.Background(), askAB)
+		gotOK, err := wrapped.AskCtx(context.Background(), askAB)
 		if err != nil || wantOK != gotOK {
 			t.Fatalf("ask diverged: %v %v %v", wantOK, gotOK, err)
 		}
@@ -56,8 +56,8 @@ func TestAdmissionTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := bp.Select()
-		got, err := wp.Select()
+		want, _ := bp.SelectCtx(context.Background())
+		got, err := wp.SelectCtx(context.Background())
 		if err != nil || renderRes(want) != renderRes(got) {
 			t.Fatalf("prepared diverged: %v", err)
 		}
@@ -116,13 +116,13 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	holderErr := make(chan error, 1)
 	go func() {
 		close(started)
-		_, err := a.Select(selP)
+		_, err := a.SelectCtx(context.Background(), selP)
 		holderErr <- err
 	}()
 	<-started
 	waitForInflight(t, a, 1)
 
-	_, err := a.Select(selPX)
+	_, err := a.SelectCtx(context.Background(), selPX)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -179,20 +179,20 @@ func TestAdmissionQueueOutcomes(t *testing.T) {
 
 	holderErr := make(chan error, 1)
 	go func() {
-		_, err := a.Select(selP)
+		_, err := a.SelectCtx(context.Background(), selP)
 		holderErr <- err
 	}()
 	waitForInflight(t, a, 1)
 
 	queuedErr := make(chan error, 1)
 	go func() {
-		_, err := a.Select(selPX)
+		_, err := a.SelectCtx(context.Background(), selPX)
 		queuedErr <- err
 	}()
 	waitForWaiting(t, a, 1)
 
 	// The queue is full: a third caller sheds immediately.
-	if _, err := a.Select(askQ); !errors.Is(err, ErrOverloaded) {
+	if _, err := a.SelectCtx(context.Background(), askQ); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third caller: %v, want shed", err)
 	}
 
@@ -220,11 +220,11 @@ func TestAdmissionQueueTimeoutAndContext(t *testing.T) {
 	defer close(inner.gate)
 	a := NewAdmission(inner, Limits{MaxInFlight: 1, Queue: 2, QueueTimeout: 20 * time.Millisecond})
 
-	go a.Select(selP) //nolint:errcheck — released by the deferred gate close
+	go a.SelectCtx(context.Background(), selP) //nolint:errcheck — released by the deferred gate close
 	waitForInflight(t, a, 1)
 
 	start := time.Now()
-	_, err := a.Select(selPX)
+	_, err := a.SelectCtx(context.Background(), selPX)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("timed-out caller: %v", err)
 	}
@@ -265,12 +265,12 @@ func TestAdmissionStreamHoldsSlotUntilClose(t *testing.T) {
 	if !rows.Next() {
 		t.Fatal("no rows")
 	}
-	if _, err := a.Select(selPX); !errors.Is(err, ErrOverloaded) {
+	if _, err := a.SelectCtx(context.Background(), selPX); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("open stream did not hold the slot: %v", err)
 	}
 	rows.Close()
 	rows.Close() // idempotent: must not double-release
-	if _, err := a.Select(selPX); err != nil {
+	if _, err := a.SelectCtx(context.Background(), selPX); err != nil {
 		t.Fatalf("slot not released on Close: %v", err)
 	}
 	// Exhaustion releases too.
@@ -280,7 +280,7 @@ func TestAdmissionStreamHoldsSlotUntilClose(t *testing.T) {
 	}
 	for rows.Next() {
 	}
-	if _, err := a.Select(selPX); err != nil {
+	if _, err := a.SelectCtx(context.Background(), selPX); err != nil {
 		t.Fatalf("slot not released on exhaustion: %v", err)
 	}
 	rows.Close()
@@ -370,19 +370,19 @@ func TestAdmissionShedOverHTTP(t *testing.T) {
 
 	holderErr := make(chan error, 1)
 	go func() {
-		_, err := c.Select(selP)
+		_, err := c.SelectCtx(context.Background(), selP)
 		holderErr <- err
 	}()
 	waitForInflight(t, a, 1)
 
-	_, err := c.Select(selPX)
+	_, err := c.SelectCtx(context.Background(), selPX)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("client err = %v, want ErrOverloaded", err)
 	}
 	if !Retriable(err) {
 		t.Fatal("client-side shed must be retriable")
 	}
-	if ok, err := c.Ask(askAB); ok || !errors.Is(err, ErrOverloaded) {
+	if ok, err := c.AskCtx(context.Background(), askAB); ok || !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("ask shed = %v, %v", ok, err)
 	}
 	// The streamed path sheds identically (shed happens at open).
@@ -405,10 +405,10 @@ func TestAdmissionShedOverHTTP(t *testing.T) {
 	qsrv := httptest.NewServer(NewServer(q))
 	defer qsrv.Close()
 	qc := NewClient("test", qsrv.URL, qsrv.Client())
-	if _, err := qc.Select(selP); err != nil {
+	if _, err := qc.SelectCtx(context.Background(), selP); err != nil {
 		t.Fatal(err)
 	}
-	_, err = qc.Select(selPX)
+	_, err = qc.SelectCtx(context.Background(), selPX)
 	if !errors.Is(err, ErrQuotaExceeded) || errors.Is(err, ErrOverloaded) {
 		t.Fatalf("quota err = %v", err)
 	}
@@ -425,7 +425,7 @@ func BenchmarkAdmissionAcquire(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := ep.Ask(askAB); err != nil {
+				if _, err := ep.AskCtx(context.Background(), askAB); err != nil {
 					b.Fatal(err)
 				}
 			}

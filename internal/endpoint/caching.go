@@ -52,7 +52,7 @@ type cacheEntry struct {
 	// were closed early store their drained prefix with complete=false:
 	// a later identical stream replays the prefix and only re-probes
 	// the inner endpoint if its consumer pulls past it, while the
-	// drain-everything paths (Select/Ask) treat prefixes as misses.
+	// drain-everything paths (SelectCtx/AskCtx) treat prefixes as misses.
 	complete bool
 }
 
@@ -72,16 +72,6 @@ func NewCaching(inner Endpoint, maxEntries int) *Caching {
 
 // Name implements Endpoint.
 func (c *Caching) Name() string { return c.inner.Name() }
-
-// Select implements Endpoint.
-func (c *Caching) Select(query string) (*sparql.Result, error) {
-	return c.SelectCtx(context.Background(), query)
-}
-
-// Ask implements Endpoint.
-func (c *Caching) Ask(query string) (bool, error) {
-	return c.AskCtx(context.Background(), query)
-}
 
 // SelectCtx implements Endpoint.
 func (c *Caching) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
@@ -192,14 +182,6 @@ type cachingPrepared struct {
 	params []string
 }
 
-func (p *cachingPrepared) Select(args ...sparql.Arg) (*sparql.Result, error) {
-	return p.SelectCtx(context.Background(), args...)
-}
-
-func (p *cachingPrepared) Ask(args ...sparql.Arg) (bool, error) {
-	return p.AskCtx(context.Background(), args...)
-}
-
 func (p *cachingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
 	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
 	if res, ok := p.c.lookup(key); ok {
@@ -240,7 +222,7 @@ func (p *cachingPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows,
 	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
 	if res, complete, ok := p.c.lookupPrefix(key); ok {
 		if complete {
-			return newReplayRows(&res), nil
+			return ReplayRows(&res), nil
 		}
 		return &cachingRows{
 			c: p.c, key: key, vars: res.Vars, prefix: res.Rows,

@@ -68,16 +68,6 @@ func (c *Coalescing) textKey(query string) string {
 // Name implements Endpoint.
 func (c *Coalescing) Name() string { return c.inner.Name() }
 
-// Select implements Endpoint.
-func (c *Coalescing) Select(query string) (*sparql.Result, error) {
-	return c.SelectCtx(context.Background(), query)
-}
-
-// Ask implements Endpoint.
-func (c *Coalescing) Ask(query string) (bool, error) {
-	return c.AskCtx(context.Background(), query)
-}
-
 // SelectCtx implements Endpoint.
 func (c *Coalescing) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
 	res, err, shared := c.core.sel.DoCtx(ctx, c.textKey(query), func() (*sparql.Result, error) {
@@ -122,14 +112,6 @@ type coalescingPrepared struct {
 	params []string
 }
 
-func (p *coalescingPrepared) Select(args ...sparql.Arg) (*sparql.Result, error) {
-	return p.SelectCtx(context.Background(), args...)
-}
-
-func (p *coalescingPrepared) Ask(args ...sparql.Arg) (bool, error) {
-	return p.AskCtx(context.Background(), args...)
-}
-
 func (p *coalescingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
 	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
 	res, err, shared := p.c.core.sel.DoCtx(ctx, key, func() (*sparql.Result, error) {
@@ -161,12 +143,16 @@ func (p *coalescingPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bo
 // stream, rows are buffered as whoever is furthest ahead pulls them,
 // and joiners replay the buffered prefix before pulling new rows — so
 // all waiters observe identical prefixes while the inner endpoint does
-// the work once. The shared stream is detached from every caller's
-// context; each consumer leaves by closing its own Rows, and the inner
+// the work once. A caller already cancelled neither opens nor joins a
+// shared stream; past that, the stream is detached from every caller's
+// context: each consumer leaves by closing its own Rows, and the inner
 // stream closes when the last consumer leaves (early, if none of them
 // drained it). Like the drain paths, nothing is remembered: once the
 // last consumer closes, the next identical call probes again.
 func (p *coalescingPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
 	core := p.c.core
 	core.smu.Lock()

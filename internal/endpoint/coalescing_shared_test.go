@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestCoalescingSharedAcrossEndpoints(t *testing.T) {
 	errs := make(chan error, 2*rounds)
 	check := func(c *Coalescing, want string) {
 		defer wg.Done()
-		res, err := c.Select(query)
+		res, err := c.SelectCtx(context.Background(), query)
 		if err != nil {
 			errs <- err
 			return
@@ -63,11 +64,11 @@ func TestCoalescingSharedAcrossEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := pa.Select(sparql.IRIArg("http://x/s"))
+	ra, err := pa.SelectCtx(context.Background(), sparql.IRIArg("http://x/s"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := pb.Select(sparql.IRIArg("http://x/s"))
+	rb, err := pb.SelectCtx(context.Background(), sparql.IRIArg("http://x/s"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,16 +203,16 @@ type stream struct {
 }
 
 // refEncodeStream renders s as the frames writeStream used to emit: a
-// head, rows in frames of batch, the terminal frame.
-func refEncodeStream(s *stream, batch int) ([]byte, error) {
+// head, rows in frames of WireBatch, the terminal frame.
+func refEncodeStream(s *stream) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	if err := enc.Encode(&wireFrame{Head: &wireHead{Vars: s.vars, Keys: s.keyIdx}}); err != nil {
 		return nil, err
 	}
-	for at := 0; at < len(s.rows); at += batch {
+	for at := 0; at < len(s.rows); at += WireBatch {
 		var f wireFrame
-		for i := at; i < len(s.rows) && i < at+batch; i++ {
+		for i := at; i < len(s.rows) && i < at+WireBatch; i++ {
 			jr := make([]jsonTerm, len(s.rows[i]))
 			for j, t := range s.rows[i] {
 				jr[j] = termToJSON(t)

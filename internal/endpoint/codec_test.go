@@ -100,10 +100,10 @@ func (r *streamRows) keyEvals() []func([]rdf.Term) sparql.Value {
 
 // encodeStream is writeStream's output for s: the body, and the recorder
 // it went to.
-func encodeStream(s *stream, batch int) ([]byte, *httptest.ResponseRecorder) {
+func encodeStream(s *stream) ([]byte, *httptest.ResponseRecorder) {
 	rec := httptest.NewRecorder()
 	rows := &streamRows{s: s}
-	writeStream(rec, rows, s.keyIdx, rows.keyEvals(), batch)
+	writeStream(rec, rows, s.keyIdx, rows.keyEvals())
 	return rec.Body.Bytes(), rec
 }
 
@@ -189,8 +189,9 @@ func sameResult(a, b *sparql.Result) error {
 }
 
 // TestCodecStreamInterop: over hostile terms and all five key value
-// kinds, at several batch sizes, the codec writes the reference's bytes,
-// and each side reads the other's frames to the same stream.
+// kinds, in answers of less than a frame and of several, the codec
+// writes the reference's bytes, and each side reads the other's frames
+// to the same stream.
 func TestCodecStreamInterop(t *testing.T) {
 	streams := map[string]*stream{
 		"hostile":   hostileStream(),
@@ -200,41 +201,46 @@ func TestCodecStreamInterop(t *testing.T) {
 		"quota":     {vars: []string{"x"}, rows: [][]rdf.Term{{rdf.NewBlank("b")}}, err: ErrQuotaExceeded},
 		"failed":    {vars: []string{"x"}, err: errors.New("endpoint: remote stream: upstream \"gone\"\n")},
 	}
+	// two full frames and a partial one of the hostile rows
+	long := hostileStream()
+	for i := 0; len(long.rows) < 2*WireBatch+WireBatch/3; i++ {
+		long.rows = append(long.rows, long.rows[i])
+		long.keys = append(long.keys, long.keys[i])
+	}
+	streams["long"] = long
 	for name, s := range streams {
-		for _, batch := range []int{1, 3, 64} {
-			want, err := refEncodeStream(s, batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := encodeStream(s, batch)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s, batch %d: encoded\n%s\nreference\n%s", name, batch, got, want)
-			}
-			// reference-encoded frames → the codec's reader,
-			// codec-encoded frames → the reference decoder
-			hand, err := decodeStream(want)
-			if err != nil {
-				t.Fatalf("%s, batch %d: reading reference frames: %v", name, batch, err)
-			}
-			ref, err := refDecodeStream(got)
-			if err != nil {
-				t.Fatalf("%s, batch %d: reference reading codec frames: %v", name, batch, err)
-			}
-			if err := sameStream(hand, ref); err != nil {
-				t.Fatalf("%s, batch %d: codec and reference read differently: %v", name, batch, err)
-			}
-			// What arrives is what was sent, up to what the format itself
-			// normalizes (xsd:string, invalid UTF-8, -0).
-			norm, err := refDecodeStream(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameStream(hand, norm); err != nil {
-				t.Fatalf("%s, batch %d: round trip: %v", name, batch, err)
-			}
-			if len(hand.rows) != len(s.rows) {
-				t.Fatalf("%s, batch %d: %d rows arrived of %d", name, batch, len(hand.rows), len(s.rows))
-			}
+		want, err := refEncodeStream(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := encodeStream(s)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: encoded\n%s\nreference\n%s", name, got, want)
+		}
+		// reference-encoded frames → the codec's reader,
+		// codec-encoded frames → the reference decoder
+		hand, err := decodeStream(want)
+		if err != nil {
+			t.Fatalf("%s: reading reference frames: %v", name, err)
+		}
+		ref, err := refDecodeStream(got)
+		if err != nil {
+			t.Fatalf("%s: reference reading codec frames: %v", name, err)
+		}
+		if err := sameStream(hand, ref); err != nil {
+			t.Fatalf("%s: codec and reference read differently: %v", name, err)
+		}
+		// What arrives is what was sent, up to what the format itself
+		// normalizes (xsd:string, invalid UTF-8, -0).
+		norm, err := refDecodeStream(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameStream(hand, norm); err != nil {
+			t.Fatalf("%s: round trip: %v", name, err)
+		}
+		if len(hand.rows) != len(s.rows) {
+			t.Fatalf("%s: %d rows arrived of %d", name, len(hand.rows), len(s.rows))
 		}
 	}
 }
@@ -243,17 +249,17 @@ func TestCodecStreamInterop(t *testing.T) {
 // stream in an error frame, after the batches already complete.
 func TestCodecStreamKeyNotFinite(t *testing.T) {
 	s := &stream{vars: []string{"x"}, keyIdx: []int{0}}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < WireBatch+5; i++ {
 		s.rows = append(s.rows, []rdf.Term{rdf.NewBlank(fmt.Sprint(i))})
 		s.keys = append(s.keys, []sparql.Value{sparql.NumValue(float64(i))})
 	}
-	s.keys[3][0] = sparql.NumValue(math.Inf(1))
-	body, _ := encodeStream(s, 2)
+	s.keys[WireBatch+3][0] = sparql.NumValue(math.Inf(1))
+	body, _ := encodeStream(s)
 	got, err := decodeStream(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.rows) != 2 || got.err == nil || !strings.Contains(got.err.Error(), "not a finite number") {
+	if len(got.rows) != WireBatch || got.err == nil || !strings.Contains(got.err.Error(), "not a finite number") {
 		t.Fatalf("%d rows, error %v; want the first full batch and the key error", len(got.rows), got.err)
 	}
 }
@@ -498,7 +504,7 @@ func FuzzWireFrames(f *testing.F) {
 	// input it keeps, one byte at a time.
 	small := hostileStream()
 	for at := 0; at+3 <= len(small.rows); at += 8 {
-		body, _ := encodeStream(&stream{vars: small.vars, keyIdx: small.keyIdx, rows: small.rows[at : at+3], keys: small.keys[at : at+3]}, 2)
+		body, _ := encodeStream(&stream{vars: small.vars, keyIdx: small.keyIdx, rows: small.rows[at : at+3], keys: small.keys[at : at+3]})
 		f.Add(body)
 	}
 	f.Add([]byte(`{"head":{"vars":["x"],"keys":[0]}}` + "\n" +
@@ -544,11 +550,11 @@ func agreeOnStream(t *testing.T, data []byte) {
 		if len(hand.keyIdx) == 0 {
 			hand.keys = nil
 		}
-		want, err := refEncodeStream(hand, 2)
+		want, err := refEncodeStream(hand)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := encodeStream(hand, 2)
+		got, _ := encodeStream(hand)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encoded\n%s\nreference\n%s", got, want)
 		}
@@ -623,7 +629,7 @@ func agreeOnResults(t *testing.T, data []byte) {
 	}
 }
 
-// frame64 is a full default batch: 64 rows of two IRIs and a key each,
+// frame64 is a full batch: 64 rows of two IRIs and a key each,
 // as one frame line, with the head it belongs under.
 func frame64() (s *stream, head, line []byte) {
 	s = &stream{vars: []string{"s", "o"}, keyIdx: []int{0}}
@@ -632,7 +638,7 @@ func frame64() (s *stream, head, line []byte) {
 		s.rows = append(s.rows, []rdf.Term{rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/Subject_%04d", i)), o})
 		s.keys = append(s.keys, []sparql.Value{sparql.TermValue(o)})
 	}
-	body, _ := encodeStream(s, WireBatch)
+	body, _ := encodeStream(s)
 	lines := bytes.SplitAfter(body, []byte("\n"))
 	return s, lines[0], bytes.TrimSuffix(lines[1], []byte("\n"))
 }
@@ -654,7 +660,7 @@ func BenchmarkWireFrameEncode(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		rows.i = 0
-		writeStream(w, rows, s.keyIdx, evals, WireBatch)
+		writeStream(w, rows, s.keyIdx, evals)
 	}
 }
 
@@ -693,7 +699,7 @@ func TestAllocCeilingWireFrameEncode(t *testing.T) {
 	w := discardWriter{h: http.Header{}}
 	allocCeiling(t, 2, func() {
 		rows.i = 0
-		writeStream(w, rows, s.keyIdx, evals, WireBatch)
+		writeStream(w, rows, s.keyIdx, evals)
 	})
 }
 

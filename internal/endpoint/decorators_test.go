@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"sync"
@@ -38,14 +39,6 @@ func (g *gatedEndpoint) AskCtx(ctx context.Context, query string) (bool, error) 
 	return g.Local.AskCtx(ctx, query)
 }
 
-func (g *gatedEndpoint) Select(query string) (*sparql.Result, error) {
-	return g.SelectCtx(context.Background(), query)
-}
-
-func (g *gatedEndpoint) Ask(query string) (bool, error) {
-	return g.AskCtx(context.Background(), query)
-}
-
 // Prepare routes prepared executions through the gated text path (not
 // the embedded Local's fast path) so tests count and block them like
 // any other probe.
@@ -66,11 +59,11 @@ func TestCachingMemoizesSelectAndAsk(t *testing.T) {
 		t.Fatalf("name = %q", c.Name())
 	}
 
-	first, err := c.Select(selP)
+	first, err := c.SelectCtx(context.Background(), selP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Select(selP)
+	second, err := c.SelectCtx(context.Background(), selP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +75,7 @@ func TestCachingMemoizesSelectAndAsk(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		ok, err := c.Ask(askAB)
+		ok, err := c.AskCtx(context.Background(), askAB)
 		if err != nil || !ok {
 			t.Fatalf("ask = %v, %v", ok, err)
 		}
@@ -107,7 +100,7 @@ func TestCachingMemoizesSelectAndAsk(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("Purge left entries")
 	}
-	if _, err := c.Select(selP); err != nil {
+	if _, err := c.SelectCtx(context.Background(), selP); err != nil {
 		t.Fatal(err)
 	}
 	if inner.selects.Load() != 2 {
@@ -120,13 +113,13 @@ func TestCachingLRUEviction(t *testing.T) {
 	c := NewCaching(inner, 2)
 
 	queries := []string{selP, selPX, askAB}
-	if _, err := c.Select(queries[0]); err != nil {
+	if _, err := c.SelectCtx(context.Background(), queries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Select(queries[1]); err != nil {
+	if _, err := c.SelectCtx(context.Background(), queries[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Ask(queries[2]); err != nil {
+	if _, err := c.AskCtx(context.Background(), queries[2]); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -137,7 +130,7 @@ func TestCachingLRUEviction(t *testing.T) {
 	}
 	// queries[0] was the least recently used → re-fetched
 	before := inner.selects.Load()
-	if _, err := c.Select(queries[0]); err != nil {
+	if _, err := c.SelectCtx(context.Background(), queries[0]); err != nil {
 		t.Fatal(err)
 	}
 	if inner.selects.Load() != before+1 {
@@ -148,15 +141,15 @@ func TestCachingLRUEviction(t *testing.T) {
 func TestCachingDoesNotCacheErrors(t *testing.T) {
 	local := NewLocalRestricted(testKB(), 1, Quota{MaxQueries: 1})
 	c := NewCaching(local, 0)
-	if _, err := c.Select(selP); err != nil {
+	if _, err := c.SelectCtx(context.Background(), selP); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Select(selPX); err == nil {
+	if _, err := c.SelectCtx(context.Background(), selPX); err == nil {
 		t.Fatal("want quota error")
 	}
 	// the failed query must not be memoized: lift the quota and retry
 	local.SetQuota(Quota{})
-	if _, err := c.Select(selPX); err != nil {
+	if _, err := c.SelectCtx(context.Background(), selPX); err != nil {
 		t.Fatalf("error was cached: %v", err)
 	}
 }
@@ -171,7 +164,7 @@ func TestCachingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 40; j++ {
 				q := fmt.Sprintf(`SELECT ?y WHERE { <http://x/a> <http://x/p%d> ?y }`, j%12)
-				if _, err := c.Select(q); err != nil {
+				if _, err := c.SelectCtx(context.Background(), q); err != nil {
 					t.Error(err)
 					return
 				}
@@ -202,7 +195,7 @@ func TestCoalescingSharesInFlightQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Select(selP)
+			res, err := c.SelectCtx(context.Background(), selP)
 			if err != nil {
 				t.Error(err)
 				return
@@ -230,7 +223,7 @@ func TestCoalescingSharesInFlightQueries(t *testing.T) {
 		}
 	}
 	// after completion the flight is forgotten: next call probes again
-	if _, err := c.Select(selP); err != nil {
+	if _, err := c.SelectCtx(context.Background(), selP); err != nil {
 		t.Fatal(err)
 	}
 	if inner.selects.Load() != 2 {
@@ -257,7 +250,7 @@ func TestCoalescingLeaderCancellationDoesNotPoisonWaiters(t *testing.T) {
 	followerRows := make(chan int, 1)
 	followerErr := make(chan error, 1)
 	go func() {
-		res, err := c.Select(selP)
+		res, err := c.SelectCtx(context.Background(), selP)
 		if err != nil {
 			followerErr <- err
 			return
@@ -291,7 +284,7 @@ func TestCoalescingLeaderCancellationDoesNotPoisonWaiters(t *testing.T) {
 func TestCoalescingAsk(t *testing.T) {
 	inner := &gatedEndpoint{Local: NewLocal(testKB(), 1)}
 	c := NewCoalescing(inner)
-	ok, err := c.Ask(askAB)
+	ok, err := c.AskCtx(context.Background(), askAB)
 	if err != nil || !ok {
 		t.Fatalf("ask = %v, %v", ok, err)
 	}
@@ -309,11 +302,11 @@ func TestStackedDecoratorsExactlyOnceTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if _, err := ep.Select(selP); err != nil {
+				if _, err := ep.SelectCtx(context.Background(), selP); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := ep.Select(selPX); err != nil {
+				if _, err := ep.SelectCtx(context.Background(), selPX); err != nil {
 					t.Error(err)
 					return
 				}
@@ -340,21 +333,12 @@ func TestLocalSelectCtxCancellation(t *testing.T) {
 	if time.Since(start) > 150*time.Millisecond {
 		t.Fatal("cancellation did not cut the latency sleep short")
 	}
-
-	canceled, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := ep.SelectCtx(canceled, selP); err != context.Canceled {
-		t.Fatalf("pre-canceled ctx: err = %v", err)
-	}
-	if ok, err := ep.AskCtx(canceled, askAB); ok || err != context.Canceled {
-		t.Fatalf("pre-canceled ask: %v, %v", ok, err)
-	}
 }
 
 func TestLocalConcurrentIdenticalResults(t *testing.T) {
 	ep := NewLocal(testKB(), 3)
 	q := `SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND()`
-	want, err := NewLocal(testKB(), 3).Select(q)
+	want, err := NewLocal(testKB(), 3).SelectCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +348,7 @@ func TestLocalConcurrentIdenticalResults(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
-				got, err := ep.Select(q)
+				got, err := ep.SelectCtx(context.Background(), q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -384,17 +368,99 @@ func TestLocalConcurrentIdenticalResults(t *testing.T) {
 	}
 }
 
-func TestClientSelectCtx(t *testing.T) {
-	srv := httptest.NewServer(NewServer(NewLocal(testKB(), 1)))
-	defer srv.Close()
-	c := NewClient("test", srv.URL, srv.Client())
-	res, err := c.SelectCtx(context.Background(), selP)
-	if err != nil || len(res.Rows) != 3 {
-		t.Fatalf("res=%v err=%v", res, err)
+// cancelOps is every way a call reaches a KB through the query surface;
+// sel and ask are handles prepared on ep. Each op gets a context that
+// is already cancelled.
+var cancelOps = []struct {
+	name string
+	run  func(ctx context.Context, ep Endpoint, sel, ask PreparedQuery) (Rows, error)
+}{
+	{"text SelectCtx", func(ctx context.Context, ep Endpoint, _, _ PreparedQuery) (Rows, error) {
+		_, err := ep.SelectCtx(ctx, selP)
+		return nil, err
+	}},
+	{"text AskCtx", func(ctx context.Context, ep Endpoint, _, _ PreparedQuery) (Rows, error) {
+		_, err := ep.AskCtx(ctx, askAB)
+		return nil, err
+	}},
+	{"prepared SelectCtx", func(ctx context.Context, _ Endpoint, sel, _ PreparedQuery) (Rows, error) {
+		_, err := sel.SelectCtx(ctx, sparql.IRIArg("http://x/a"))
+		return nil, err
+	}},
+	{"prepared AskCtx", func(ctx context.Context, _ Endpoint, _, ask PreparedQuery) (Rows, error) {
+		_, err := ask.AskCtx(ctx, sparql.IRIArg("http://x/a"))
+		return nil, err
+	}},
+	{"prepared Stream", func(ctx context.Context, _ Endpoint, sel, _ PreparedQuery) (Rows, error) {
+		return sel.Stream(ctx, sparql.IRIArg("http://x/a"))
+	}},
+}
+
+// TestCancellationContract states cancellation once for the whole query
+// surface, over every stack shape of this package (shard.Group and
+// cluster.Group run the same table in their packages): a call under a
+// cancelled context returns promptly with context.Canceled, hands back
+// no Rows to close, never reaches the KB, and leaves no coalesced
+// execution in flight behind it.
+func TestCancellationContract(t *testing.T) {
+	stacks := []struct {
+		name  string
+		build func(t *testing.T, l *Local) (Endpoint, *Coalescing)
+	}{
+		{"Local", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return l, nil }},
+		{"Caching(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return NewCaching(l, 0), nil }},
+		{"Coalescing(Caching(Local))", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
+			c := NewCoalescing(NewCaching(l, 0))
+			return c, c
+		}},
+		{"Admission(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
+			return NewAdmission(l, Limits{MaxInFlight: 1}), nil
+		}},
+		{"Client", func(t *testing.T, l *Local) (Endpoint, *Coalescing) {
+			srv := httptest.NewServer(NewServer(l))
+			t.Cleanup(srv.Close)
+			return NewClient("test", srv.URL, srv.Client()), nil
+		}},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.SelectCtx(ctx, selP); err == nil {
-		t.Fatal("canceled ctx did not fail the HTTP exchange")
+	for _, st := range stacks {
+		for _, op := range cancelOps {
+			t.Run(st.name+"/"+op.name, func(t *testing.T) {
+				local := NewLocal(testKB(), 1)
+				ep, co := st.build(t, local)
+				sel, err := ep.Prepare(`SELECT ?y WHERE { $x <http://x/p> ?y }`, "x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ask, err := ep.Prepare(`ASK { $x <http://x/p> ?y }`, "x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				rows, err := op.run(ctx, ep, sel, ask)
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("err = %v, want context.Canceled", err)
+				}
+				if rows != nil {
+					rows.Close()
+					t.Error("a failed call returned Rows")
+				}
+				if d := time.Since(start); d > time.Second {
+					t.Errorf("took %v to notice a context cancelled beforehand", d)
+				}
+				if q := local.Stats().Queries; q != 0 {
+					t.Errorf("%d queries reached the KB", q)
+				}
+				if co != nil {
+					co.core.smu.Lock()
+					streams := len(co.core.streams)
+					co.core.smu.Unlock()
+					if n := co.core.sel.InFlight() + co.core.ask.InFlight() + streams; n != 0 {
+						t.Errorf("%d coalesced executions left in flight", n)
+					}
+				}
+			})
+		}
 	}
 }

@@ -15,9 +15,9 @@
 //     LRU bound, Coalescing singleflights identical in-flight queries
 //     so concurrent aligners share one probe.
 //
-// Every endpoint offers context-aware methods (SelectCtx / AskCtx) for
-// cancellation and deadlines; Select / Ask are the background-context
-// convenience forms.
+// Every call that reaches a KB takes a context (SelectCtx / AskCtx /
+// Stream), and there is no context-free spelling: the endpoints SOFYA
+// aligns over stall, shed and time out, so every probe can be abandoned.
 //
 // All endpoints record Stats, which the experiments use to report the
 // number of queries and rows each alignment consumed (experiment E4).
@@ -40,14 +40,11 @@ var ErrQuotaExceeded = errors.New("endpoint: query quota exceeded")
 type Endpoint interface {
 	// Name identifies the dataset behind the endpoint.
 	Name() string
-	// Select runs a SELECT query and returns its bindings. The result
-	// may be truncated (Result.Truncated) by a row cap.
-	Select(query string) (*sparql.Result, error)
-	// Ask runs an ASK query.
-	Ask(query string) (bool, error)
-	// SelectCtx is Select honoring ctx for cancellation and deadlines.
+	// SelectCtx runs a SELECT query and returns its bindings, honoring
+	// ctx for cancellation and deadlines. The result may be truncated
+	// (Result.Truncated) by a row cap.
 	SelectCtx(ctx context.Context, query string) (*sparql.Result, error)
-	// AskCtx is Ask honoring ctx for cancellation and deadlines.
+	// AskCtx runs an ASK query, honoring ctx like SelectCtx.
 	AskCtx(ctx context.Context, query string) (bool, error)
 	// Prepare compiles a query template (parameters written $name in
 	// term positions, or LIMIT $name) for repeated execution. Results
@@ -153,16 +150,6 @@ func (l *Local) admit() error {
 	}
 	l.stats.Queries++
 	return nil
-}
-
-// Select implements Endpoint.
-func (l *Local) Select(query string) (*sparql.Result, error) {
-	return l.SelectCtx(context.Background(), query)
-}
-
-// Ask implements Endpoint.
-func (l *Local) Ask(query string) (bool, error) {
-	return l.AskCtx(context.Background(), query)
 }
 
 var (

@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -24,14 +25,14 @@ func testKB() *kb.KB {
 
 func TestLocalSelectAndAsk(t *testing.T) {
 	ep := NewLocal(testKB(), 1)
-	res, err := ep.Select(`SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`)
+	res, err := ep.SelectCtx(context.Background(), `SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	ok, err := ep.Ask(`ASK { <http://x/a> <http://x/p> <http://x/b> }`)
+	ok, err := ep.AskCtx(context.Background(), `ASK { <http://x/a> <http://x/p> <http://x/b> }`)
 	if err != nil || !ok {
 		t.Fatalf("ask = %v, %v", ok, err)
 	}
@@ -47,17 +48,17 @@ func TestLocalSelectAndAsk(t *testing.T) {
 
 func TestLocalFormMismatch(t *testing.T) {
 	ep := NewLocal(testKB(), 1)
-	if _, err := ep.Select(`ASK { ?x <http://x/p> ?y }`); err == nil {
+	if _, err := ep.SelectCtx(context.Background(), `ASK { ?x <http://x/p> ?y }`); err == nil {
 		t.Fatal("Select accepted an ASK query")
 	}
-	if _, err := ep.Ask(`SELECT ?x WHERE { ?x <http://x/p> ?y }`); err == nil {
+	if _, err := ep.AskCtx(context.Background(), `SELECT ?x WHERE { ?x <http://x/p> ?y }`); err == nil {
 		t.Fatal("Ask accepted a SELECT query")
 	}
 }
 
 func TestLocalParseErrorPropagates(t *testing.T) {
 	ep := NewLocal(testKB(), 1)
-	if _, err := ep.Select(`SELEC ?x`); err == nil {
+	if _, err := ep.SelectCtx(context.Background(), `SELEC ?x`); err == nil {
 		t.Fatal("want parse error")
 	}
 }
@@ -65,11 +66,11 @@ func TestLocalParseErrorPropagates(t *testing.T) {
 func TestQuotaMaxQueries(t *testing.T) {
 	ep := NewLocalRestricted(testKB(), 1, Quota{MaxQueries: 2})
 	for i := 0; i < 2; i++ {
-		if _, err := ep.Select(`SELECT ?x WHERE { ?x <http://x/p> ?y }`); err != nil {
+		if _, err := ep.SelectCtx(context.Background(), `SELECT ?x WHERE { ?x <http://x/p> ?y }`); err != nil {
 			t.Fatalf("query %d failed: %v", i, err)
 		}
 	}
-	_, err := ep.Select(`SELECT ?x WHERE { ?x <http://x/p> ?y }`)
+	_, err := ep.SelectCtx(context.Background(), `SELECT ?x WHERE { ?x <http://x/p> ?y }`)
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("want ErrQuotaExceeded, got %v", err)
 	}
@@ -80,7 +81,7 @@ func TestQuotaMaxQueries(t *testing.T) {
 
 func TestQuotaMaxRowsTruncates(t *testing.T) {
 	ep := NewLocalRestricted(testKB(), 1, Quota{MaxRows: 2})
-	res, err := ep.Select(`SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`)
+	res, err := ep.SelectCtx(context.Background(), `SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestHTTPServerClientRoundTrip(t *testing.T) {
 		t.Fatal("client name")
 	}
 
-	res, err := c.Select(`SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`)
+	res, err := c.SelectCtx(context.Background(), `SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +172,14 @@ func TestHTTPServerClientRoundTrip(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	// literals survive the wire
-	res, err = c.Select(`SELECT ?n WHERE { <http://x/a> <http://x/name> ?n }`)
+	res, err = c.SelectCtx(context.Background(), `SELECT ?n WHERE { <http://x/a> <http://x/name> ?n }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0] != rdf.NewLangLiteral("Ay", "en") {
 		t.Fatalf("literal = %v", res.Rows[0][0])
 	}
-	ok, err := c.Ask(`ASK { <http://x/a> <http://x/p> <http://x/b> }`)
+	ok, err := c.AskCtx(context.Background(), `ASK { <http://x/a> <http://x/p> <http://x/b> }`)
 	if err != nil || !ok {
 		t.Fatalf("ask = %v, %v", ok, err)
 	}
@@ -247,10 +248,10 @@ func TestHTTPQuotaSurfacesAsTooManyRequests(t *testing.T) {
 	srv := httptest.NewServer(NewServer(local))
 	defer srv.Close()
 	c := NewClient("test", srv.URL, srv.Client())
-	if _, err := c.Select(`SELECT ?x WHERE { ?x <http://x/p> ?y }`); err != nil {
+	if _, err := c.SelectCtx(context.Background(), `SELECT ?x WHERE { ?x <http://x/p> ?y }`); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Select(`SELECT ?x WHERE { ?x <http://x/p> ?y }`)
+	_, err := c.SelectCtx(context.Background(), `SELECT ?x WHERE { ?x <http://x/p> ?y }`)
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("want ErrQuotaExceeded over HTTP, got %v", err)
 	}
@@ -258,7 +259,7 @@ func TestHTTPQuotaSurfacesAsTooManyRequests(t *testing.T) {
 
 func TestClientAgainstDeadServer(t *testing.T) {
 	c := NewClient("dead", "http://127.0.0.1:1/sparql", nil)
-	if _, err := c.Select(`SELECT ?x WHERE { ?x <http://x/p> ?y }`); err == nil {
+	if _, err := c.SelectCtx(context.Background(), `SELECT ?x WHERE { ?x <http://x/p> ?y }`); err == nil {
 		t.Fatal("want connection error")
 	}
 }

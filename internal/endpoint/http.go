@@ -27,7 +27,7 @@ const ResultsContentType = "application/sparql-results+json"
 //
 // A request carrying stream=1 selects the batch-framed streaming
 // response for SELECT queries (see wire.go): rows cross the wire in
-// flushed frames of up to `batch` rows instead of one drained JSON
+// flushed frames of up to WireBatch rows instead of one drained JSON
 // document, and an orderspec field makes the server attach deterministic
 // ORDER BY key values to every row.
 type Server struct {
@@ -45,7 +45,6 @@ func NewServerEndpoint(ep Endpoint) *Server { return &Server{local: ep} }
 type wireReq struct {
 	query     string
 	stream    bool
-	batch     int    // requested rows per frame; 0 = server default
 	orderspec string // original ordered query text for key attachment
 }
 
@@ -114,7 +113,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *wireRe
 		writeQueryError(w, err)
 		return
 	}
-	writeStream(w, rows, keyIdx, keyEvals, req.batch)
+	writeStream(w, rows, keyIdx, keyEvals)
 }
 
 // OverloadedHeader marks a 429 as a load shed rather than a quota
@@ -183,13 +182,6 @@ func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
 	}
 	if req.query == "" {
 		return nil, errors.New("endpoint: missing query parameter")
-	}
-	if b := get("batch"); b != "" {
-		n, err := strconv.Atoi(b)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("endpoint: bad batch size %q", b)
-		}
-		req.batch = n
 	}
 	return req, nil
 }
@@ -284,7 +276,6 @@ type Client struct {
 	name    string
 	baseURL string
 	httpc   *http.Client
-	batch   int // requested stream frame size; 0 = server default
 }
 
 // NewClient builds a client for the service at baseURL (e.g.
@@ -300,12 +291,6 @@ func NewClient(name, baseURL string, httpc *http.Client) *Client {
 
 // Name implements Endpoint.
 func (c *Client) Name() string { return c.name }
-
-// SetWireBatch requests a specific rows-per-frame granularity for
-// streamed queries (0 = the server's default, WireBatch). Smaller
-// batches mean more round trips; the setting exists for the framing
-// experiments, not for tuning down.
-func (c *Client) SetWireBatch(n int) { c.batch = n }
 
 // appendFormField appends name=value to a form body, the value escaped
 // as url.QueryEscape escapes it. Appending a request's fields in name
@@ -330,12 +315,9 @@ func appendFormField(dst []byte, name, value string) []byte {
 }
 
 // post sends one protocol request: the query text, and for a streamed
-// one (stream=1) the client's frame size and the orderspec, if any.
+// one (stream=1) the orderspec, if any.
 func (c *Client) post(ctx context.Context, query string, stream bool, orderspec string) (*http.Response, error) {
 	form := make([]byte, 0, 64+len(query)+len(query)/2+2*len(orderspec))
-	if stream && c.batch > 0 {
-		form = appendFormField(form, "batch", strconv.Itoa(c.batch))
-	}
 	if orderspec != "" {
 		form = appendFormField(form, "orderspec", orderspec)
 	}
@@ -414,19 +396,9 @@ func (c *Client) openStream(ctx context.Context, query, orderspec string) (Rows,
 		if err != nil {
 			return nil, err
 		}
-		return newReplayRows(res), nil
+		return ReplayRows(res), nil
 	}
 	return newWireRows(resp.Body, resp.ContentLength, nil)
-}
-
-// Select implements Endpoint.
-func (c *Client) Select(query string) (*sparql.Result, error) {
-	return c.SelectCtx(context.Background(), query)
-}
-
-// Ask implements Endpoint.
-func (c *Client) Ask(query string) (bool, error) {
-	return c.AskCtx(context.Background(), query)
 }
 
 // SelectCtx implements Endpoint; the context cancels the HTTP exchange.
@@ -470,16 +442,12 @@ type clientPrepared struct {
 // stream: rows arrive in batches as the consumer pulls, and closing the
 // stream aborts the remote enumeration with the request context.
 func (p *clientPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows, error) {
-	text, err := p.tmpl.Text(args...)
-	if err != nil {
-		return nil, err
-	}
-	return p.c.openStream(ctx, text, "")
+	return p.StreamKeyed(ctx, "", args...)
 }
 
 // StreamKeyed implements KeyedStreamer: the server evaluates the
 // deterministic ORDER BY keys of orderText per row and ships the values
-// with the frames.
+// with the frames (none for an empty orderText).
 func (p *clientPrepared) StreamKeyed(ctx context.Context, orderText string, args ...sparql.Arg) (Rows, error) {
 	text, err := p.tmpl.Text(args...)
 	if err != nil {

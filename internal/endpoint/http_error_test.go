@@ -25,7 +25,7 @@ func TestClientMalformedJSON(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := NewClient("bad", srv.URL, nil)
-	if _, err := client.Select("SELECT ?x WHERE { ?x ?p ?o }"); err == nil {
+	if _, err := client.SelectCtx(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }"); err == nil {
 		t.Fatal("malformed JSON was accepted")
 	}
 }
@@ -37,7 +37,7 @@ func TestClientStatusErrorSnippet(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := NewClient("bad", srv.URL, nil)
-	_, err := client.Select("SELECT ?x WHERE { ?x ?p ?o }")
+	_, err := client.SelectCtx(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }")
 	var se *StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("error is not a StatusError: %v", err)
@@ -62,7 +62,7 @@ func TestClient4xxNotRetriable(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := NewClient("bad", srv.URL, nil)
-	_, err := client.Select("SELECT ?x WHERE { ?x ?p ?o }")
+	_, err := client.SelectCtx(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }")
 	if err == nil || Retriable(err) {
 		t.Fatalf("4xx must be a fatal error, got %v (retriable=%v)", err, Retriable(err))
 	}
@@ -74,7 +74,7 @@ func TestClientQuotaIdentityPreserved(t *testing.T) {
 	}))
 	defer srv.Close()
 	client := NewClient("q", srv.URL, nil)
-	if _, err := client.Select("SELECT ?x WHERE { ?x ?p ?o }"); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := client.SelectCtx(context.Background(), "SELECT ?x WHERE { ?x ?p ?o }"); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("429 did not map to ErrQuotaExceeded: %v", err)
 	}
 	pq, err := client.Prepare("SELECT ?x WHERE { ?x ?p ?o }")
@@ -310,11 +310,11 @@ func TestServerStreamAskRejected(t *testing.T) {
 func TestClientFormEncoding(t *testing.T) {
 	for _, fields := range []url.Values{
 		{"query": {"SELECT ?x WHERE { ?x <http://x/p> \"a b+c&d=e%\\n\"@en } LIMIT 3"}},
-		{"query": {"ASK { }"}, "stream": {"1"}, "batch": {"7"}, "orderspec": {"é\x00\xff~_-.*/:?#[]@!$'()"}},
+		{"query": {"ASK { }"}, "stream": {"1"}, "orderspec": {"é\x00\xff~_-.*/:?#[]@!$'()"}},
 		{"query": {""}, "stream": {"1"}},
 	} {
 		var got []byte
-		for _, name := range []string{"batch", "orderspec", "query", "stream"} {
+		for _, name := range []string{"orderspec", "query", "stream"} {
 			if fields.Has(name) {
 				got = appendFormField(got, name, fields.Get(name))
 			}
@@ -392,70 +392,6 @@ func TestServerOversizedQuery(t *testing.T) {
 		if code, answer := post(c.contentType, body(maxQueryBytes+1)); code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s: a body one byte over the limit: status %d, want 413: %.100s", c.contentType, code, answer)
 		}
-	}
-}
-
-// TestServerBadBatch: an invalid batch size is a 400.
-func TestServerBadBatch(t *testing.T) {
-	local := NewLocal(testKB(), 1)
-	srv := httptest.NewServer(NewServer(local))
-	defer srv.Close()
-	for _, batch := range []string{"0", "-5", "nope"} {
-		resp, err := http.PostForm(srv.URL, map[string][]string{
-			"query":  {"SELECT ?x WHERE { ?x <http://x/p> ?y }"},
-			"stream": {"1"},
-			"batch":  {batch},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("batch=%q: status = %d, want 400", batch, resp.StatusCode)
-		}
-	}
-}
-
-// TestSetWireBatch: the client's requested frame size shapes the
-// server's framing (more flushes for smaller batches).
-func TestSetWireBatch(t *testing.T) {
-	const rows = 64
-	local := NewLocal(bigKB(rows), 1)
-	client := func(batch int, flushes *int) int {
-		inner := NewServer(local)
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			inner.ServeHTTP(&countOnlyWriter{ResponseWriter: w, flushes: flushes}, r)
-		}))
-		defer srv.Close()
-		c := NewClient("batch", srv.URL, nil)
-		c.SetWireBatch(batch)
-		pq, err := c.Prepare("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }")
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err := pq.Stream(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stream.Close()
-		n := 0
-		for stream.Next() {
-			n++
-		}
-		return n
-	}
-	var rowFlushes, batchFlushes int
-	if n := client(1, &rowFlushes); n != rows {
-		t.Fatalf("batch=1 streamed %d rows", n)
-	}
-	if n := client(64, &batchFlushes); n != rows {
-		t.Fatalf("batch=64 streamed %d rows", n)
-	}
-	if rowFlushes <= batchFlushes {
-		t.Fatalf("row framing (%d flushes) not worse than batch framing (%d) — framing knob inert", rowFlushes, batchFlushes)
-	}
-	if batchFlushes > 3 { // head + one full batch + end
-		t.Fatalf("batch=64 framing cost %d flushes for %d rows", batchFlushes, rows)
 	}
 }
 

@@ -18,13 +18,10 @@ import (
 //
 // Implementations are safe for concurrent use.
 type PreparedQuery interface {
-	// Select executes the template as a SELECT query.
-	Select(args ...sparql.Arg) (*sparql.Result, error)
-	// SelectCtx is Select honoring ctx for cancellation and deadlines.
+	// SelectCtx executes the template as a SELECT query, honoring ctx
+	// for cancellation and deadlines.
 	SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error)
-	// Ask executes the template as an ASK query.
-	Ask(args ...sparql.Arg) (bool, error)
-	// AskCtx is Ask honoring ctx.
+	// AskCtx executes the template as an ASK query, honoring ctx.
 	AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error)
 	// Stream executes the template as a SELECT query returning rows on
 	// demand. Draining the stream yields exactly the rows SelectCtx
@@ -128,14 +125,6 @@ type localPrepared struct {
 	plan *sparql.Prepared
 }
 
-func (p *localPrepared) Select(args ...sparql.Arg) (*sparql.Result, error) {
-	return p.SelectCtx(context.Background(), args...)
-}
-
-func (p *localPrepared) Ask(args ...sparql.Arg) (bool, error) {
-	return p.AskCtx(context.Background(), args...)
-}
-
 func (p *localPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
 	if err := p.l.admitCtx(ctx); err != nil {
 		return nil, err
@@ -218,14 +207,6 @@ func NewTextPrepared(ep Endpoint, template string, params ...string) (PreparedQu
 	return &textPrepared{ep: ep, tmpl: t}, nil
 }
 
-func (p *textPrepared) Select(args ...sparql.Arg) (*sparql.Result, error) {
-	return p.SelectCtx(context.Background(), args...)
-}
-
-func (p *textPrepared) Ask(args ...sparql.Arg) (bool, error) {
-	return p.AskCtx(context.Background(), args...)
-}
-
 func (p *textPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
 	text, err := p.tmpl.Text(args...)
 	if err != nil {
@@ -252,7 +233,7 @@ func (p *textPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows, er
 	if err != nil {
 		return nil, err
 	}
-	return newReplayRows(res), nil
+	return ReplayRows(res), nil
 }
 
 var (

@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func TestLocalPreparedMatchesText(t *testing.T) {
 	epText := NewLocal(testKB(), 7)
 	epPrep := NewLocal(testKB(), 7)
 
-	want, err := epText.Select(
+	want, err := epText.SelectCtx(context.Background(),
 		`SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND() LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +27,7 @@ func TestLocalPreparedMatchesText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pq.Select(sparql.IRIArg("http://x/p"), sparql.IntArg(2))
+	got, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"), sparql.IntArg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +53,17 @@ func TestLocalPreparedQuotaAndRowCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pq.Select(sparql.IRIArg("http://x/p"))
+	res, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 || !res.Truncated {
 		t.Fatalf("row cap not applied: %d rows, truncated=%v", len(res.Rows), res.Truncated)
 	}
-	if _, err := pq.Select(sparql.IRIArg("http://x/p")); err != nil {
+	if _, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pq.Select(sparql.IRIArg("http://x/p")); err != ErrQuotaExceeded {
+	if _, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p")); err != ErrQuotaExceeded {
 		t.Fatalf("err = %v, want quota exceeded", err)
 	}
 	if st := ep.Stats(); st.Queries != 2 || st.Denied != 1 || st.Truncations != 2 {
@@ -76,18 +77,18 @@ func TestLocalPreparedFormMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pq.Ask(sparql.IRIArg("http://x/a")); err == nil {
+	if _, err := pq.AskCtx(context.Background(), sparql.IRIArg("http://x/a")); err == nil {
 		t.Fatal("Ask on a SELECT template should fail")
 	}
 	apq, err := ep.Prepare("ASK { $s <http://x/p> $o }", "s", "o")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := apq.Ask(sparql.IRIArg("http://x/a"), sparql.IRIArg("http://x/b"))
+	ok, err := apq.AskCtx(context.Background(), sparql.IRIArg("http://x/a"), sparql.IRIArg("http://x/b"))
 	if err != nil || !ok {
 		t.Fatalf("ASK = %v, %v", ok, err)
 	}
-	if _, err := apq.Select(sparql.IRIArg("http://x/a"), sparql.IRIArg("http://x/b")); err == nil {
+	if _, err := apq.SelectCtx(context.Background(), sparql.IRIArg("http://x/a"), sparql.IRIArg("http://x/b")); err == nil {
 		t.Fatal("Select on an ASK template should fail")
 	}
 }
@@ -102,11 +103,11 @@ func TestCachingPrepared(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := pq.Select(sparql.IRIArg("http://x/a")); err != nil {
+		if _, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/a")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := pq.Select(sparql.IRIArg("http://x/b")); err != nil {
+	if _, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/b")); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.CacheStats(); st.Hits != 2 || st.Misses != 2 {
@@ -130,7 +131,7 @@ func TestCoalescingPrepared(t *testing.T) {
 	done := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, err := pq.Select(sparql.IRIArg("http://x/a"))
+			_, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/a"))
 			done <- err
 		}()
 	}
@@ -161,7 +162,7 @@ func TestClientPreparedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cq.Select(sparql.IRIArg("http://x/p"), sparql.IntArg(2))
+	got, err := cq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"), sparql.IntArg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestClientPreparedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dq.Select(sparql.IRIArg("http://x/p"), sparql.IntArg(2))
+	want, err := dq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"), sparql.IntArg(2))
 	if err != nil {
 		t.Fatal(err)
 	}

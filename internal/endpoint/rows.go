@@ -39,16 +39,14 @@ type replayRows struct {
 	row   []rdf.Term
 }
 
-// newReplayRows wraps a drained result. The rows are shared, not
-// copied: treat them as read-only, as with any endpoint result.
-func newReplayRows(res *sparql.Result) *replayRows {
+// ReplayRows wraps a drained result as a stream — the drain-then-iterate
+// adapter, for this package and for other endpoint implementations (the
+// shard federation replays merged results with it). The rows are
+// shared, not copied: treat them as read-only, as with any endpoint
+// result.
+func ReplayRows(res *sparql.Result) Rows {
 	return &replayRows{vars: res.Vars, rows: res.Rows, trunc: res.Truncated}
 }
-
-// ReplayRows exposes the drain-then-iterate adapter to other endpoint
-// implementations (the shard federation replays merged results with
-// it). The result's rows are shared, not copied.
-func ReplayRows(res *sparql.Result) Rows { return newReplayRows(res) }
 
 func (r *replayRows) Vars() []string { return r.vars }
 

@@ -50,7 +50,7 @@ func TestLocalStreamMatchesSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pq.Select(sparql.IRIArg("http://x/p"))
+	want, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestLocalStreamExactCapNotTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pq.Select(sparql.IRIArg("http://x/p"))
+	want, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTextPreparedStreamFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pq.Select(sparql.IRIArg("http://x/p"))
+	want, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCachingStreamPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := pq.Select(sparql.IRIArg("http://x/p"))
+	full, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCachingStreamCompleteServesSelect(t *testing.T) {
 	}
 	rows, err := pq.Stream(context.Background(), sparql.IRIArg("http://x/p"))
 	streamed := drainRows(t, rows, err)
-	if _, err := pq.Select(sparql.IRIArg("http://x/p")); err != nil {
+	if _, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p")); err != nil {
 		t.Fatal(err)
 	}
 	if n := inner.selects.Load(); n != 1 {
@@ -266,7 +266,7 @@ func TestCachingStreamCompleteServesSelect(t *testing.T) {
 	}
 	rows.Next()
 	rows.Close()
-	if _, err := pq.Select(sparql.IRIArg("http://x/p")); err != nil {
+	if _, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p")); err != nil {
 		t.Fatal(err)
 	}
 	if n := inner.selects.Load(); n != 3 {
@@ -361,7 +361,7 @@ func TestCoalescingStreamErrorNotSticky(t *testing.T) {
 	}
 	// exhaust the query budget so the opener's drain will be denied
 	go func() { gate <- struct{}{} }()
-	if _, err := inner.Select(`SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`); err != nil {
+	if _, err := inner.SelectCtx(context.Background(), `SELECT ?x ?y WHERE { ?x <http://x/p> ?y }`); err != nil {
 		t.Fatal(err)
 	}
 

@@ -20,11 +20,11 @@ import (
 // regress that to a round trip per row, so streamed prepared queries
 // cross the wire in the same granularity:
 //
-//	POST /sparql   query=<text>&stream=1[&batch=n][&orderspec=<text>]
+//	POST /sparql   query=<text>&stream=1[&orderspec=<text>]
 //
 //	→ 200 Content-Type: application/x-sofya-rows+jsonl
 //	  {"head":{"vars":["s","o"],"keys":[1]}}
-//	  {"rows":[[term,term],...], "keyvals":[[v],...]}   ≤ batch rows
+//	  {"rows":[[term,term],...], "keyvals":[[v],...]}   ≤ WireBatch rows
 //	  ...
 //	  {"end":{"truncated":false}}                       — or —
 //	  {"error":"...","quota":true}
@@ -57,13 +57,10 @@ import (
 // StreamContentType is the media type of the batch-framed row stream.
 const StreamContentType = "application/x-sofya-rows+jsonl"
 
-// WireBatch is the default number of rows per stream frame — matched to
-// the 64-row batches the in-process merge pulls, so one network read
-// feeds one merge batch.
+// WireBatch is the number of rows per stream frame — matched to the
+// 64-row batches the in-process merge pulls, so one network read feeds
+// one merge batch.
 const WireBatch = 64
-
-// maxWireBatch bounds client-requested frame sizes.
-const maxWireBatch = 4096
 
 // orderKeyEvals compiles the deterministic ORDER BY key evaluators of
 // an orderspec query text: the canonical original query whose stripped
@@ -102,13 +99,8 @@ const maxPooledFrameBufs = 64 << 10
 // write carries them, so an answer shorter than a batch — most probes —
 // is one write with a Content-Length, and its reader sees the end of
 // the body with the last frame.
-func writeStream(w http.ResponseWriter, rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value, batch int) {
+func writeStream(w http.ResponseWriter, rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value) {
 	defer rows.Close()
-	if batch <= 0 {
-		batch = WireBatch
-	} else if batch > maxWireBatch {
-		batch = maxWireBatch
-	}
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", StreamContentType)
 
@@ -173,7 +165,7 @@ rows:
 			}
 			kv = append(kv, ']')
 		}
-		if n++; n == batch {
+		if n++; n == WireBatch {
 			closeFrame()
 			if _, werr := w.Write(out); werr != nil {
 				return

@@ -360,7 +360,7 @@ func TestWirePlainResultsFallback(t *testing.T) {
 	local := NewLocal(testKB(), 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Ignore the stream flag: answer like a pre-streaming server.
-		res, err := local.Select(r.FormValue("query"))
+		res, err := local.SelectCtx(context.Background(), r.FormValue("query"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

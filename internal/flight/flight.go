@@ -34,22 +34,21 @@ type call[V any] struct {
 	dups int
 }
 
-// Do executes fn, making sure only one execution per key is in flight
-// at a time. Callers arriving while an execution runs wait for it and
-// receive the same result; shared reports that the result came from an
-// execution another caller initiated.
-func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bool) {
-	return g.DoCtx(context.Background(), key, fn)
-}
-
-// DoCtx is Do with cancellation: fn runs in its own goroutine and
-// always completes, serving every caller still joined to the flight,
-// while each caller — the initiator included — stops waiting and
-// returns ctx.Err() as soon as its own context ends. fn should
-// therefore not abort on any individual caller's context (see
-// context.WithoutCancel). A panic in fn is recovered and surfaces to
-// every caller as an error wrapping ErrPanicked.
+// DoCtx executes fn, making sure only one execution per key is in
+// flight at a time. Callers arriving while an execution runs wait for
+// it and receive the same result; shared reports that the result came
+// from an execution another caller initiated. fn runs in its own
+// goroutine and always completes, serving every caller still joined to
+// the flight, while each caller — the initiator included — stops
+// waiting and returns ctx.Err() as soon as its own context ends. fn
+// should therefore not abort on any individual caller's context (see
+// context.WithoutCancel). A caller whose context has already ended
+// neither starts nor joins an execution. A panic in fn is recovered and
+// surfaces to every caller as an error wrapping ErrPanicked.
 func (g *Group[K, V]) DoCtx(ctx context.Context, key K, fn func() (V, error)) (v V, err error, shared bool) {
+	if err := ctx.Err(); err != nil {
+		return v, err, false
+	}
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[K]*call[V])

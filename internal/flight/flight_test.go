@@ -23,7 +23,7 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err, _ := g.Do("k", func() (int, error) {
+		v, err, _ := g.DoCtx(context.Background(), "k", func() (int, error) {
 			execs.Add(1)
 			close(started)
 			<-gate
@@ -39,7 +39,7 @@ func TestDoCoalescesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, shared := g.Do("k", func() (int, error) {
+			v, err, shared := g.DoCtx(context.Background(), "k", func() (int, error) {
 				execs.Add(1)
 				return 42, nil
 			})
@@ -82,7 +82,7 @@ func TestDoDistinctKeysRunIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, _ := g.Do(i, func() (int, error) { return i * i, nil })
+			v, err, _ := g.DoCtx(context.Background(), i, func() (int, error) { return i * i, nil })
 			if err != nil || v != i*i {
 				t.Errorf("key %d: v=%d err=%v", i, v, err)
 			}
@@ -95,7 +95,7 @@ func TestDoForgetsCompletedKeys(t *testing.T) {
 	var g Group[string, int]
 	runs := 0
 	for i := 0; i < 3; i++ {
-		v, err, shared := g.Do("k", func() (int, error) { runs++; return runs, nil })
+		v, err, shared := g.DoCtx(context.Background(), "k", func() (int, error) { runs++; return runs, nil })
 		if err != nil || shared {
 			t.Fatalf("call %d: v=%d err=%v shared=%v", i, v, err, shared)
 		}
@@ -108,7 +108,7 @@ func TestDoForgetsCompletedKeys(t *testing.T) {
 func TestDoPropagatesErrors(t *testing.T) {
 	var g Group[string, int]
 	boom := errors.New("boom")
-	_, err, _ := g.Do("k", func() (int, error) { return 0, boom })
+	_, err, _ := g.DoCtx(context.Background(), "k", func() (int, error) { return 0, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -118,7 +118,7 @@ func TestDoCtxWaiterCancellation(t *testing.T) {
 	var g Group[string, int]
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	go g.Do("k", func() (int, error) {
+	go g.DoCtx(context.Background(), "k", func() (int, error) {
 		close(started)
 		<-gate
 		return 1, nil
@@ -141,7 +141,7 @@ func TestDoPanicServesWaiters(t *testing.T) {
 
 	initiatorErr := make(chan error, 1)
 	go func() {
-		_, err, _ := g.Do("k", func() (int, error) {
+		_, err, _ := g.DoCtx(context.Background(), "k", func() (int, error) {
 			close(started)
 			<-gate
 			panic("kaboom")
@@ -152,7 +152,7 @@ func TestDoPanicServesWaiters(t *testing.T) {
 
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err, _ := g.Do("k", func() (int, error) { return 0, nil })
+		_, err, _ := g.DoCtx(context.Background(), "k", func() (int, error) { return 0, nil })
 		waiterErr <- err
 	}()
 	for g.Waiting("k") < 1 {

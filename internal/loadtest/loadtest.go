@@ -19,7 +19,7 @@ import (
 
 // Probe is one query shape in the traffic mix, selected with
 // probability proportional to Weight. The query is prepared once per
-// run and executed whole-result (Select or Ask by its form), which is
+// run and executed whole-result (SELECT or ASK by its form), which is
 // how alignment probes and protocol clients consume the endpoint.
 type Probe struct {
 	Name   string

@@ -239,7 +239,7 @@ func (v *Validator) HeadObjects(r, x string) ([]rdf.Term, error) {
 	if err := v.prepare(); err != nil {
 		return nil, err
 	}
-	res, err := v.pHeadObjects.Select(sparql.IRIArg(x), sparql.IRIArg(r))
+	res, err := v.pHeadObjects.SelectCtx(context.Background(), sparql.IRIArg(x), sparql.IRIArg(r))
 	if err != nil {
 		return nil, fmt.Errorf("sampling: head objects of <%s> for <%s>: %w", r, x, err)
 	}

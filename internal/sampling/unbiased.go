@@ -155,7 +155,7 @@ func (v *Validator) Contradictions(side Side, a, b, check string, m int) (*UBSRe
 // object probe — the same template Simple Sample Extraction uses, so a
 // caching endpoint deduplicates the two stages against each other.
 func fetchObjects(pq endpoint.PreparedQuery, r, x string) ([]rdf.Term, error) {
-	res, err := pq.Select(sparql.IRIArg(x), sparql.IRIArg(r))
+	res, err := pq.SelectCtx(context.Background(), sparql.IRIArg(x), sparql.IRIArg(r))
 	if err != nil {
 		return nil, fmt.Errorf("sampling: UBS check objects of <%s> for <%s>: %w", r, x, err)
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"testing"
 
 	"sofya/internal/endpoint"
@@ -36,7 +37,7 @@ func probeFn(t *testing.T, ep endpoint.Endpoint) func() {
 	}
 	args := []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(10)}
 	return func() {
-		if _, err := pq.Select(args...); err != nil {
+		if _, err := pq.SelectCtx(context.Background(), args...); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,7 +35,7 @@ func BenchmarkShardedProbe(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pq.Select(args...); err != nil {
+			if _, err := pq.SelectCtx(context.Background(), args...); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -67,7 +67,7 @@ func TestGroupTruncatedAggregation(t *testing.T) {
 		k.AddIRIs(fmt.Sprintf("http://x/s%d", i), "http://x/p", fmt.Sprintf("http://x/o%d", i))
 	}
 	g := PartitionedRestricted(k, 3, 1, endpoint.Quota{MaxRows: 5})
-	res, err := g.Select("SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
+	res, err := g.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestGroupTruncatedAggregation(t *testing.T) {
 
 	// An uncapped group stays untruncated.
 	g2 := Partitioned(k, 3, 1)
-	res2, err := g2.Select("SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
+	res2, err := g2.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +110,14 @@ func TestGroupQuotaSurfaces(t *testing.T) {
 		k.AddIRIs(fmt.Sprintf("http://x/s%d", i), "http://x/p", "http://x/o")
 	}
 	g := PartitionedRestricted(k, 2, 1, endpoint.Quota{MaxQueries: 1})
-	if _, err := g.Select("SELECT ?x ?y WHERE { ?x <http://x/p> ?y }"); err != nil {
+	if _, err := g.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }"); err != nil {
 		t.Fatalf("first fan-out should fit the budget: %v", err)
 	}
-	_, err := g.Select("SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
+	_, err := g.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
 	if !errors.Is(err, endpoint.ErrQuotaExceeded) {
 		t.Fatalf("exhausted quota surfaced as %v, want ErrQuotaExceeded", err)
 	}
-	if _, err := g.Ask("ASK { ?x <http://x/nothere> ?y }"); !errors.Is(err, endpoint.ErrQuotaExceeded) {
+	if _, err := g.AskCtx(context.Background(), "ASK { ?x <http://x/nothere> ?y }"); !errors.Is(err, endpoint.ErrQuotaExceeded) {
 		t.Fatalf("exhausted quota on ASK surfaced as %v, want ErrQuotaExceeded", err)
 	}
 }
@@ -182,7 +182,7 @@ func TestGroupLimitPushdownStopsShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pq.Select(sparql.IRIArg("http://x/p"), sparql.IntArg(3))
+	res, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"), sparql.IntArg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestGroupUnderDecorators(t *testing.T) {
 	deco := endpoint.NewCoalescing(endpoint.NewCaching(g, 0))
 
 	q := fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY RAND() LIMIT 5", rel)
-	want, err := local.Select(q)
+	want, err := local.SelectCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ { // second round hits the cache
-		got, err := deco.Select(q)
+		got, err := deco.SelectCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestGroupUnderDecorators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pq.Select(sparql.IRIArg(rel), sparql.IntArg(5))
+	got, err := pq.SelectCtx(context.Background(), sparql.IRIArg(rel), sparql.IntArg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestGroupStatsAggregate(t *testing.T) {
 		k.AddIRIs(fmt.Sprintf("http://x/s%d", i), "http://x/p", "http://x/o")
 	}
 	g := Partitioned(k, 3, 1)
-	if _, err := g.Select("SELECT ?x ?y WHERE { ?x <http://x/p> ?y }"); err != nil {
+	if _, err := g.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }"); err != nil {
 		t.Fatal(err)
 	}
 	st := g.Stats()

@@ -53,7 +53,7 @@ func drainStream(t *testing.T, rows endpoint.Rows) *sparql.Result {
 // sampleFact returns one (s, o) entity pair of rel from the endpoint.
 func sampleFact(t *testing.T, ep endpoint.Endpoint, rel string) (string, string) {
 	t.Helper()
-	res, err := ep.Select(fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } LIMIT 1", rel))
+	res, err := ep.SelectCtx(context.Background(), fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } LIMIT 1", rel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestGroupTextOracle(t *testing.T) {
 	for _, k := range oracleShardCounts {
 		g := Partitioned(w.Yago, k, seed)
 		for _, q := range selects {
-			want, err := local.Select(q)
+			want, err := local.SelectCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("local %q: %v", q, err)
 			}
-			got, err := g.Select(q)
+			got, err := g.SelectCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("k=%d %q: %v", k, q, err)
 			}
@@ -152,11 +152,11 @@ func TestGroupTextOracle(t *testing.T) {
 			}
 		}
 		for _, q := range asks {
-			want, err := local.Ask(q)
+			want, err := local.AskCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("local %q: %v", q, err)
 			}
-			got, err := g.Ask(q)
+			got, err := g.AskCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("k=%d %q: %v", k, q, err)
 			}
@@ -209,11 +209,11 @@ func TestGroupPreparedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d probe %d Prepare: %v", k, pi, err)
 			}
-			want, err := lp.Select(pr.args...)
+			want, err := lp.SelectCtx(context.Background(), pr.args...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := gp.Select(pr.args...)
+			got, err := gp.SelectCtx(context.Background(), pr.args...)
 			if err != nil {
 				t.Fatalf("k=%d probe %d Select: %v", k, pi, err)
 			}
@@ -295,11 +295,11 @@ func TestGroupEmptyShardOracle(t *testing.T) {
 		"SELECT DISTINCT ?x WHERE { ?x <http://x/p> ?y } LIMIT 2",
 	}
 	for _, q := range queries {
-		want, err := local.Select(q)
+		want, err := local.SelectCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := g.Select(q)
+		got, err := g.SelectCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -307,7 +307,7 @@ func TestGroupEmptyShardOracle(t *testing.T) {
 			t.Errorf("empty-shard Select diverges for %q:\n%s\nvs\n%s", q, renderResult(got), renderResult(want))
 		}
 	}
-	ok, err := g.Ask("ASK { ?x <http://x/p> ?y }")
+	ok, err := g.AskCtx(context.Background(), "ASK { ?x <http://x/p> ?y }")
 	if err != nil || !ok {
 		t.Fatalf("Ask over lopsided shards = %v, %v", ok, err)
 	}
@@ -325,8 +325,8 @@ func TestGroupRejectsNonDecomposable(t *testing.T) {
 		"SELECT ?y WHERE { ?x <http://x/p> ?y } ORDER BY ?y",
 		"ASK { }",
 	} {
-		if _, err := g.Select(q); err == nil {
-			if _, err := g.Ask(q); err == nil {
+		if _, err := g.SelectCtx(context.Background(), q); err == nil {
+			if _, err := g.AskCtx(context.Background(), q); err == nil {
 				t.Errorf("query %q was accepted", q)
 			}
 		} else if !errors.Is(err, ErrNotDecomposable) {

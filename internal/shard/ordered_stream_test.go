@@ -54,11 +54,11 @@ func TestOrderedMergeOffsetSpans(t *testing.T) {
 				}
 				for _, n := range limits {
 					args := []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(n)}
-					want, err := lp.Select(args...)
+					want, err := lp.SelectCtx(context.Background(), args...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := gp.Select(args...)
+					got, err := gp.SelectCtx(context.Background(), args...)
 					if err != nil {
 						t.Fatalf("k=%d %q n=%d: %v", shards, tmpl, n, err)
 					}
@@ -229,7 +229,7 @@ func TestOrderedMergeEarlyClosesLosingShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(limit)}
-	want, err := lp.Select(args...)
+	want, err := lp.SelectCtx(context.Background(), args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestOrderedMergeEarlyClosesLosingShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gp.Select(args...)
+		got, err := gp.SelectCtx(context.Background(), args...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func TestGroupDistinctDedupMatchesEngine(t *testing.T) {
 		return strings.Join(keys, "\x00")
 	}
 	const qSet = "SELECT DISTINCT ?y WHERE { ?x <http://x/p> ?y }"
-	want, err := local.Select(qSet)
+	want, err := local.SelectCtx(context.Background(), qSet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestGroupDistinctDedupMatchesEngine(t *testing.T) {
 	}
 	for _, shards := range oracleShardCounts {
 		g := Partitioned(build(), shards, seed)
-		got, err := g.Select(qSet)
+		got, err := g.SelectCtx(context.Background(), qSet)
 		if err != nil {
 			t.Fatalf("k=%d %q: %v", shards, qSet, err)
 		}
@@ -343,11 +343,11 @@ func TestGroupDistinctDedupMatchesEngine(t *testing.T) {
 		// With the subject projected, the ordered merge must stay
 		// byte-identical through the DISTINCT pipeline stage.
 		const qOrd = "SELECT DISTINCT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND() LIMIT 4"
-		wantOrd, err := local.Select(qOrd)
+		wantOrd, err := local.SelectCtx(context.Background(), qOrd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotOrd, err := g.Select(qOrd)
+		gotOrd, err := g.SelectCtx(context.Background(), qOrd)
 		if err != nil {
 			t.Fatalf("k=%d %q: %v", shards, qOrd, err)
 		}
@@ -386,11 +386,11 @@ func TestGroupRowCapMidDistinctDedup(t *testing.T) {
 		for _, shards := range []int{2, 3} {
 			g := PartitionedRestricted(build(), shards, seed, quota)
 			for _, q := range queries {
-				want, err := local.Select(q)
+				want, err := local.SelectCtx(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := g.Select(q)
+				got, err := g.SelectCtx(context.Background(), q)
 				if err != nil {
 					t.Fatalf("k=%d cap=%d %q: %v", shards, cap, q, err)
 				}

@@ -181,14 +181,6 @@ func (p *groupPrepared) effective(args []sparql.Arg) (limit, offset int) {
 	return limit, p.offset
 }
 
-func (p *groupPrepared) Select(args ...sparql.Arg) (*sparql.Result, error) {
-	return p.SelectCtx(context.Background(), args...)
-}
-
-func (p *groupPrepared) Ask(args ...sparql.Arg) (bool, error) {
-	return p.AskCtx(context.Background(), args...)
-}
-
 func (p *groupPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
 	if p.form != sparql.SelectForm {
 		return nil, fmt.Errorf("shard: Select needs a SELECT query")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"sofya/internal/endpoint"
 	"sofya/internal/kb"
@@ -35,11 +36,11 @@ func TestGroupRowCapOracle(t *testing.T) {
 	for _, k := range []int{2, 3} {
 		g := PartitionedRestricted(w.Yago, k, seed, quota)
 		for _, q := range queries {
-			want, err := local.Select(q)
+			want, err := local.SelectCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := g.Select(q)
+			got, err := g.SelectCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("k=%d %q: %v", k, q, err)
 			}
@@ -79,30 +80,59 @@ func TestGroupRowCapRoutedStream(t *testing.T) {
 	rows.Close()
 }
 
-// Cancelling the caller's context surfaces as the context error from
-// every fan-out path — never as a clean partial result, a nil-row
-// panic, or a definitive false ASK.
+// The cancellation contract of the query surface (the endpoint package
+// runs the same table over its stacks), over every fan-out path: a call
+// under a cancelled context returns promptly with context.Canceled —
+// never a clean partial result, a nil-row panic, or a definitive false
+// ASK — hands back no Rows to close, and reaches no shard.
 func TestGroupContextCancellation(t *testing.T) {
 	k := kb.New("cancel")
 	for i := 0; i < 30; i++ {
 		k.AddIRIs(fmt.Sprintf("http://x/s%d", i), "http://x/p", "http://x/o")
 	}
 	g := Partitioned(k, 3, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	if _, err := g.SelectCtx(ctx, "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled fan-out Select returned %v, want context.Canceled", err)
-	}
-	if _, err := g.AskCtx(ctx, "ASK { ?x <http://x/p> ?y }"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled fan-out Ask returned %v, want context.Canceled", err)
-	}
-	pq, err := g.Prepare("SELECT ?x ?y WHERE { ?x $r ?y }", "r")
+	sel, err := g.Prepare("SELECT ?x ?y WHERE { ?x $r ?y }", "r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pq.Stream(ctx, sparql.IRIArg("http://x/p")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled fan-out Stream returned %v, want context.Canceled", err)
+	ask, err := g.Prepare("ASK { ?x $r ?y }", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := sparql.IRIArg("http://x/p")
+	for _, op := range []struct {
+		name string
+		run  func() (endpoint.Rows, error)
+	}{
+		{"text SelectCtx", func() (endpoint.Rows, error) {
+			_, err := g.SelectCtx(ctx, "SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
+			return nil, err
+		}},
+		{"text AskCtx", func() (endpoint.Rows, error) {
+			_, err := g.AskCtx(ctx, "ASK { ?x <http://x/p> ?y }")
+			return nil, err
+		}},
+		{"prepared SelectCtx", func() (endpoint.Rows, error) { _, err := sel.SelectCtx(ctx, p); return nil, err }},
+		{"prepared AskCtx", func() (endpoint.Rows, error) { _, err := ask.AskCtx(ctx, p); return nil, err }},
+		{"prepared Stream", func() (endpoint.Rows, error) { return sel.Stream(ctx, p) }},
+	} {
+		start := time.Now()
+		rows, err := op.run()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", op.name, err)
+		}
+		if rows != nil {
+			rows.Close()
+			t.Errorf("%s: a failed call returned Rows", op.name)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: took %v to notice a context cancelled beforehand", op.name, d)
+		}
+	}
+	if q := g.Stats().Queries; q != 0 {
+		t.Errorf("%d queries reached the shards", q)
 	}
 }
 
@@ -119,11 +149,11 @@ func TestGroupConcatBagSemantics(t *testing.T) {
 	g := Partitioned(k, 3, 1)
 
 	const q = "SELECT ?y WHERE { ?x <http://x/p> ?y }" // subject not projected
-	want, err := local.Select(q)
+	want, err := local.SelectCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Select(q)
+	got, err := g.SelectCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +179,7 @@ func TestGroupConcatBagSemantics(t *testing.T) {
 		"SELECT ?y WHERE { ?x <http://x/p> ?y } LIMIT 5",
 		"SELECT ?y WHERE { ?x <http://x/p> ?y } OFFSET 2",
 	} {
-		if _, err := g.Select(rejected); !errors.Is(err, ErrNotDecomposable) {
+		if _, err := g.SelectCtx(context.Background(), rejected); !errors.Is(err, ErrNotDecomposable) {
 			t.Errorf("%q: err = %v, want ErrNotDecomposable", rejected, err)
 		}
 	}

@@ -32,7 +32,7 @@ func TestGroupConcurrentFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := local.Select("SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND() LIMIT 9")
+	want, err := local.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND() LIMIT 9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGroupConcurrentFanout(t *testing.T) {
 			defer wg.Done()
 			switch i % 3 {
 			case 0: // prepared probe, full drain
-				res, err := pq.Select(sparql.IRIArg("http://x/p"), sparql.IntArg(9))
+				res, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/p"), sparql.IntArg(9))
 				if err != nil {
 					errs <- err
 					return
@@ -68,11 +68,11 @@ func TestGroupConcurrentFanout(t *testing.T) {
 					errs <- rows.Err()
 				}
 			default: // text traffic
-				if _, err := g.Select("SELECT ?x ?y WHERE { ?x <http://x/q> ?y } LIMIT 5"); err != nil {
+				if _, err := g.SelectCtx(context.Background(), "SELECT ?x ?y WHERE { ?x <http://x/q> ?y } LIMIT 5"); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := g.Ask("ASK { ?x <http://x/p> ?y }"); err != nil {
+				if _, err := g.AskCtx(context.Background(), "ASK { ?x <http://x/p> ?y }"); err != nil {
 					errs <- err
 				}
 			}

@@ -146,16 +146,6 @@ func (g *Group) Name() string { return g.name }
 // Shards exposes the federated shard endpoints, in partition order.
 func (g *Group) Shards() []endpoint.Endpoint { return g.shards }
 
-// Select implements Endpoint.
-func (g *Group) Select(query string) (*sparql.Result, error) {
-	return g.SelectCtx(context.Background(), query)
-}
-
-// Ask implements Endpoint.
-func (g *Group) Ask(query string) (bool, error) {
-	return g.AskCtx(context.Background(), query)
-}
-
 // SelectCtx implements Endpoint: the query is classified once (cached
 // by text), then routed or fanned out and merged.
 func (g *Group) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {

@@ -93,11 +93,11 @@ func TestSnapshotGroupOracle(t *testing.T) {
 
 	for name, ep := range endpoints {
 		for _, q := range selects {
-			want, err := local.Select(q)
+			want, err := local.SelectCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("local %q: %v", q, err)
 			}
-			got, err := ep.Select(q)
+			got, err := ep.SelectCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, q, err)
 			}
@@ -107,11 +107,11 @@ func TestSnapshotGroupOracle(t *testing.T) {
 			}
 		}
 		for _, q := range asks {
-			want, err := local.Ask(q)
+			want, err := local.AskCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("local %q: %v", q, err)
 			}
-			got, err := ep.Ask(q)
+			got, err := ep.AskCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, q, err)
 			}
@@ -162,11 +162,11 @@ func TestSnapshotGroupPreparedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d probe %d Prepare: %v", n, pi, err)
 			}
-			want, err := lp.Select(pr.args...)
+			want, err := lp.SelectCtx(context.Background(), pr.args...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := gp.Select(pr.args...)
+			got, err := gp.SelectCtx(context.Background(), pr.args...)
 			if err != nil {
 				t.Fatalf("n=%d probe %d Select: %v", n, pi, err)
 			}

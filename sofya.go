@@ -39,7 +39,7 @@
 // traffic, and — because a Local endpoint answers a given query
 // identically regardless of execution order — the batch output is
 // byte-identical to the sequential run for fixed endpoint seeds.
-// Endpoints also expose context-aware methods (SelectCtx / AskCtx) for
+// Every endpoint call takes a context (SelectCtx / AskCtx / Stream) for
 // cancellation and deadlines, and NewAlignerCache memoizes per-relation
 // results with singleflighted misses for query-time serving.
 //
@@ -48,7 +48,7 @@
 // Every endpoint compiles query templates for repeated execution:
 //
 //	pq, _ := k.Prepare("SELECT ?p WHERE { $x ?p $y }", "x", "y")
-//	res, _ := pq.Select(sofya.IRIArg(a), sofya.IRIArg(b))
+//	res, _ := pq.SelectCtx(ctx, sofya.IRIArg(a), sofya.IRIArg(b))
 //
 // Against a local endpoint a prepared execution binds arguments into
 // the compiled plan's registers directly — no parsing, no planning, no
@@ -65,7 +65,7 @@
 //	defer rows.Close()
 //	for rows.Next() { use(rows.Row()) }
 //
-// A drained stream is byte-identical to the equivalent Select — RAND()
+// A drained stream is byte-identical to the equivalent SelectCtx — RAND()
 // ordering included — and the caching/coalescing decorators stay
 // streaming-aware (drained prefixes are cached; coalesced waiters
 // replay one shared stream).
@@ -172,7 +172,7 @@ type (
 	// Rows is a streamed SELECT result: rows arrive on demand through
 	// PreparedQuery.Stream, and closing early aborts the remaining
 	// work on endpoints that can (a drained stream is byte-identical
-	// to the equivalent Select).
+	// to the equivalent SelectCtx).
 	Rows = endpoint.Rows
 	// QueryArg is one bound argument of a prepared query.
 	QueryArg = sparql.Arg

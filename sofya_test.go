@@ -1,6 +1,7 @@
 package sofya
 
 import (
+	"context"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -37,7 +38,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := kp.Select(got)
+	res, err := kp.SelectCtx(context.Background(), got)
 	if err != nil {
 		t.Fatal(err)
 	}
