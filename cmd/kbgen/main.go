@@ -29,7 +29,7 @@
 // loaded index is the one sofya would have built.
 //
 // Shard N-Triples files need the <name>-planstats.tsv sidecar to plan
-// like the whole KB (kb.ReadPlanStatsFile + KB.SetPlanStats); shard
+// like the whole KB (kb.ReadPlanStats + KB.SetPlanStats); shard
 // snapshots embed those statistics and are self-contained.
 package main
 

@@ -112,18 +112,16 @@ func New(k, kprime endpoint.Endpoint, links sampling.Translator, cfg Config) *Al
 		cfg: cfg,
 		sem: make(chan struct{}, cfg.Parallelism),
 		val: &sampling.Validator{
-			K:           k,
-			KPrime:      kprime,
-			Links:       links,
-			Matcher:     cfg.Matcher,
-			FetchWindow: cfg.FetchWindow,
+			K:       k,
+			KPrime:  kprime,
+			Links:   links,
+			Matcher: cfg.Matcher,
 		},
 		flipped: &sampling.Validator{
-			K:           kprime,
-			KPrime:      k,
-			Links:       flipTranslator{links},
-			Matcher:     cfg.Matcher,
-			FetchWindow: cfg.FetchWindow,
+			K:       kprime,
+			KPrime:  k,
+			Links:   flipTranslator{links},
+			Matcher: cfg.Matcher,
 		},
 		kName:      k.Name(),
 		kPrimeName: kprime.Name(),
@@ -276,7 +274,7 @@ type discoveryProbe struct {
 	lit  rdf.Term
 }
 
-// discoverProbes pulls the discovery sample stream until DiscoverySize
+// discoverProbes pulls the discovery sample stream until SampleSize
 // translatable probes are collected, then closes it — rows past that
 // point are never pulled from the endpoint.
 func (a *Aligner) discoverProbes(r string, window int) ([]discoveryProbe, error) {
@@ -286,7 +284,7 @@ func (a *Aligner) discoverProbes(r string, window int) ([]discoveryProbe, error)
 	}
 	defer rows.Close()
 	var probes []discoveryProbe
-	for len(probes) < a.cfg.DiscoverySize && rows.Next() {
+	for len(probes) < a.cfg.SampleSize && rows.Next() {
 		row := rows.Row()
 		x, y := row[0], row[1]
 		if !x.IsIRI() {
@@ -327,7 +325,7 @@ func (a *Aligner) discoverProbes(r string, window int) ([]discoveryProbe, error)
 
 // discover samples r-facts from K, translates them into K', and
 // collects candidate predicates by co-occurrence. The sample window is
-// consumed as a stream: once DiscoverySize translatable probes are
+// consumed as a stream: once SampleSize translatable probes are
 // found, the stream closes and the endpoint stops producing — the
 // window rows past that point are never materialized. The collected
 // probes then fan out over the worker pool; hit counts merge
@@ -351,7 +349,6 @@ func (a *Aligner) ensureCandidates() (*candidates.Prober, error) {
 			cache.Trace = a.cfg.Trace
 		}
 		ix, err := cache.Get(context.Background(), a.val.KPrime, a.val.Links, a.cfg.CandidateIndexPath, candidates.Options{
-			SampleSize:  a.cfg.CandidateSampleSize,
 			MaxPostings: a.cfg.CandidateMaxPostings,
 			Parallelism: a.cfg.Parallelism,
 		})
@@ -390,12 +387,9 @@ func (a *Aligner) prune(r string) (map[string]bool, error) {
 }
 
 func (a *Aligner) discover(r string, allowed map[string]bool) ([]*candidate, error) {
-	window := a.cfg.FetchWindow
-	if window <= 0 {
-		window = 40 * a.cfg.DiscoverySize
-		if window < 200 {
-			window = 200
-		}
+	window := 40 * a.cfg.SampleSize
+	if window < 200 {
+		window = 200
 	}
 	// the sample stream occupies an endpoint like any stage task
 	a.sem <- struct{}{}
@@ -451,8 +445,8 @@ func (a *Aligner) discover(r string, allowed map[string]bool) ([]*candidate, err
 		}
 		return cands[i].rel < cands[j].rel
 	})
-	if len(cands) > a.cfg.MaxCandidates {
-		cands = cands[:a.cfg.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	return cands, nil
 }
@@ -624,8 +618,8 @@ func (a *Aligner) headSiblings(r string, c *candidate) ([]string, error) {
 		}
 		return sibs[i].rel < sibs[j].rel
 	})
-	if len(sibs) > a.cfg.UBSMaxSiblings {
-		sibs = sibs[:a.cfg.UBSMaxSiblings]
+	if len(sibs) > ubsMaxSiblings {
+		sibs = sibs[:ubsMaxSiblings]
 	}
 	out := make([]string, len(sibs))
 	for i, s := range sibs {

@@ -313,12 +313,11 @@ func TestAcceptedFilter(t *testing.T) {
 
 func TestConfigNormalization(t *testing.T) {
 	c := Config{}.normalized()
-	if c.SampleSize != 10 || c.DiscoverySize != 10 || c.MaxCandidates != 16 ||
-		c.MinSupport != 1 || c.MinContradictions != 1 {
+	if c.SampleSize != 10 || c.MinSupport != 1 || c.MinContradictions != 1 {
 		t.Fatalf("normalized = %+v", c)
 	}
 	c2 := Config{SampleSize: 5}.normalized()
-	if c2.DiscoverySize != 5 || c2.UBSSampleSize != 5 {
+	if c2.UBSSampleSize != 5 {
 		t.Fatalf("normalized = %+v", c2)
 	}
 }

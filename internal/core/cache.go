@@ -47,6 +47,15 @@ func (c *Cache) AlignRelation(r string) ([]Alignment, error) {
 	// flightErr is only non-nil if the aligner panicked (the aligner
 	// is ctx-less, so there is no caller context to wait under).
 	got, flightErr, _ := c.group.DoCtx(context.Background(), r, func() (cached, error) {
+		// A flight forgets its key once served: a caller that missed
+		// above and got here after an earlier flight finished must find
+		// that flight's result, not compute again.
+		c.mu.Lock()
+		if got, ok := c.results[r]; ok {
+			c.mu.Unlock()
+			return got, nil
+		}
+		c.mu.Unlock()
 		als, err := c.aligner.AlignRelation(r)
 		got := cached{als: als, err: err}
 		c.mu.Lock()

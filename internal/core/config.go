@@ -31,11 +31,9 @@ import (
 // configurations evaluated in the paper's Table 1.
 type Config struct {
 	// SampleSize is the number of sampled subject entities per
-	// candidate validation (the paper evaluates 10).
+	// candidate validation (the paper evaluates 10), and the number of
+	// sampled r-facts used for candidate discovery.
 	SampleSize int
-	// DiscoverySize is the number of sampled r-facts used for candidate
-	// discovery; 0 means SampleSize.
-	DiscoverySize int
 	// Measure selects pcaconf or cwaconf.
 	Measure ilp.Measure
 	// Threshold is the acceptance threshold τ on the selected measure.
@@ -44,12 +42,6 @@ type Config struct {
 	// less support are rejected regardless of confidence (a confidence
 	// of 1.0 from a single pair is not evidence).
 	MinSupport int
-	// MaxCandidates caps how many discovered candidates are validated,
-	// keeping the most frequently co-occurring ones.
-	MaxCandidates int
-	// FetchWindow bounds the rows fetched by each sampling query before
-	// link filtering; 0 derives it from the sample size.
-	FetchWindow int
 
 	// Parallelism bounds the aligner's total concurrent endpoint work:
 	// every endpoint-bound pipeline task (discovery probes, candidate
@@ -81,9 +73,6 @@ type Config struct {
 	// feature. The index costs one sampling query per target relation,
 	// paid once per aligner on first use.
 	CandidateTopK int
-	// CandidateSampleSize is the per-relation signature sample size for
-	// the candidate index; 0 uses the index default.
-	CandidateSampleSize int
 	// CandidateMaxPostings caps the candidate index's per-gram posting
 	// lists (candidates.Options.MaxPostings): stem-heavy namespaces
 	// concentrate document frequency just below the stop-gram cutoff,
@@ -118,8 +107,6 @@ type Config struct {
 	// body-broader-than-head rules such as created ⇒ composerOf, the
 	// paper's "subsumptions that are not equivalences" case).
 	UBSHeadSiblings bool
-	// UBSMaxSiblings caps sibling relations tried per candidate.
-	UBSMaxSiblings int
 	// MinContradictions is how many UBS counter-examples prune a rule;
 	// the paper: "we need only one case".
 	MinContradictions int
@@ -144,16 +131,23 @@ type Config struct {
 	Trace func(format string, args ...any)
 }
 
+const (
+	// maxCandidates caps how many discovered candidates are validated,
+	// keeping the most frequently co-occurring ones.
+	maxCandidates = 16
+	// ubsMaxSiblings caps sibling relations tried per candidate.
+	ubsMaxSiblings = 4
+)
+
 // DefaultConfig is the baseline of Table 1: pcaconf with τ > 0.3 over
 // simple samples of 10 subjects.
 func DefaultConfig() Config {
 	return Config{
-		SampleSize:    10,
-		Measure:       ilp.PCA,
-		Threshold:     0.3,
-		MinSupport:    1,
-		MaxCandidates: 16,
-		Matcher:       strsim.DefaultMatcher(),
+		SampleSize: 10,
+		Measure:    ilp.PCA,
+		Threshold:  0.3,
+		MinSupport: 1,
+		Matcher:    strsim.DefaultMatcher(),
 	}
 }
 
@@ -176,7 +170,6 @@ func UBSConfig() Config {
 	c.UBSSampleSize = 14
 	c.UBSBodySiblings = true
 	c.UBSHeadSiblings = true
-	c.UBSMaxSiblings = 4
 	// Two independent contradictions prune a rule, and they must cover
 	// at least 20% of the inspected overlap rows. The paper prunes on a
 	// single case; the stricter gate absorbs residual cross-KB value
@@ -193,17 +186,8 @@ func (c Config) normalized() Config {
 	if c.SampleSize <= 0 {
 		c.SampleSize = 10
 	}
-	if c.DiscoverySize <= 0 {
-		c.DiscoverySize = c.SampleSize
-	}
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 16
-	}
 	if c.UBSSampleSize <= 0 {
 		c.UBSSampleSize = c.SampleSize
-	}
-	if c.UBSMaxSiblings <= 0 {
-		c.UBSMaxSiblings = 4
 	}
 	if c.MinContradictions <= 0 {
 		c.MinContradictions = 1

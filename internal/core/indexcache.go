@@ -76,6 +76,16 @@ func (c *IndexCache) Get(ctx context.Context, target endpoint.Endpoint, links ca
 	c.mu.Unlock()
 
 	got, flightErr, _ := c.group.DoCtx(ctx, key, func() (idxCached, error) {
+		// Re-check under the flight, as Cache.AlignRelation does: a
+		// result stored by a flight that finished since the check above
+		// is a hit.
+		c.mu.Lock()
+		if got, ok := c.results[key]; ok {
+			c.stats.Hits++
+			c.mu.Unlock()
+			return got, nil
+		}
+		c.mu.Unlock()
 		got := c.compute(context.WithoutCancel(ctx), target, links, path, opt)
 		c.mu.Lock()
 		if c.results == nil {

@@ -17,10 +17,8 @@ import (
 // batch of concurrent aligners exactly-once endpoint traffic per
 // distinct query.
 //
-// Flight keys include the inner endpoint's Name(), so one coalescer can
-// be shared across endpoints (For) — the shards of a federation group,
-// or a group and its inner endpoints — without a query against one
-// endpoint answering the same text against another.
+// Flight keys carry the inner endpoint's Name(): prepared executions
+// are keyed by preparedKey, the form Caching uses for its entries.
 //
 // Unlike Caching it remembers nothing: once a query completes, the next
 // identical call probes again. The shared probe is detached from every
@@ -31,12 +29,8 @@ import (
 // treat rows as read-only, as with any endpoint.
 type Coalescing struct {
 	inner Endpoint
-	core  *coalesceCore
-}
 
-// coalesceCore is the in-flight state a family of Coalescing views
-// shares: the drain-path singleflight groups and the shared streams.
-type coalesceCore struct {
+	// The drain-path singleflight groups.
 	sel       flight.Group[string, *sparql.Result]
 	ask       flight.Group[string, bool]
 	coalesced atomic.Int64
@@ -49,15 +43,7 @@ type coalesceCore struct {
 
 // NewCoalescing wraps inner with in-flight query deduplication.
 func NewCoalescing(inner Endpoint) *Coalescing {
-	return &Coalescing{inner: inner, core: &coalesceCore{streams: make(map[string]*sharedStream)}}
-}
-
-// For returns a view of this coalescer over a different inner endpoint.
-// The views share one in-flight table; keys carry each endpoint's name,
-// so identical query texts against different endpoints never coalesce
-// with each other, while concurrent callers of the same endpoint do.
-func (c *Coalescing) For(inner Endpoint) *Coalescing {
-	return &Coalescing{inner: inner, core: c.core}
+	return &Coalescing{inner: inner, streams: make(map[string]*sharedStream)}
 }
 
 // textKey scopes a raw query text to the inner endpoint.
@@ -70,11 +56,11 @@ func (c *Coalescing) Name() string { return c.inner.Name() }
 
 // SelectCtx implements Endpoint.
 func (c *Coalescing) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	res, err, shared := c.core.sel.DoCtx(ctx, c.textKey(query), func() (*sparql.Result, error) {
+	res, err, shared := c.sel.DoCtx(ctx, c.textKey(query), func() (*sparql.Result, error) {
 		return c.inner.SelectCtx(context.WithoutCancel(ctx), query)
 	})
 	if shared {
-		c.core.coalesced.Add(1)
+		c.coalesced.Add(1)
 	}
 	if err != nil {
 		return nil, err
@@ -85,11 +71,11 @@ func (c *Coalescing) SelectCtx(ctx context.Context, query string) (*sparql.Resul
 
 // AskCtx implements Endpoint.
 func (c *Coalescing) AskCtx(ctx context.Context, query string) (bool, error) {
-	ok, err, shared := c.core.ask.DoCtx(ctx, c.textKey(query), func() (bool, error) {
+	ok, err, shared := c.ask.DoCtx(ctx, c.textKey(query), func() (bool, error) {
 		return c.inner.AskCtx(context.WithoutCancel(ctx), query)
 	})
 	if shared {
-		c.core.coalesced.Add(1)
+		c.coalesced.Add(1)
 	}
 	return ok, err
 }
@@ -114,11 +100,11 @@ type coalescingPrepared struct {
 
 func (p *coalescingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
 	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
-	res, err, shared := p.c.core.sel.DoCtx(ctx, key, func() (*sparql.Result, error) {
+	res, err, shared := p.c.sel.DoCtx(ctx, key, func() (*sparql.Result, error) {
 		return p.inner.SelectCtx(context.WithoutCancel(ctx), args...)
 	})
 	if shared {
-		p.c.core.coalesced.Add(1)
+		p.c.coalesced.Add(1)
 	}
 	if err != nil {
 		return nil, err
@@ -129,11 +115,11 @@ func (p *coalescingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) 
 
 func (p *coalescingPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
 	key := preparedKey('A', p.c.inner.Name(), p.source, p.params, args)
-	ok, err, shared := p.c.core.ask.DoCtx(ctx, key, func() (bool, error) {
+	ok, err, shared := p.c.ask.DoCtx(ctx, key, func() (bool, error) {
 		return p.inner.AskCtx(context.WithoutCancel(ctx), args...)
 	})
 	if shared {
-		p.c.core.coalesced.Add(1)
+		p.c.coalesced.Add(1)
 	}
 	return ok, err
 }
@@ -154,17 +140,17 @@ func (p *coalescingPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Ro
 		return nil, err
 	}
 	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
-	core := p.c.core
-	core.smu.Lock()
-	if s, ok := core.streams[key]; ok {
+	c := p.c
+	c.smu.Lock()
+	if s, ok := c.streams[key]; ok {
 		s.refs++
-		core.smu.Unlock()
-		core.coalesced.Add(1)
+		c.smu.Unlock()
+		c.coalesced.Add(1)
 		return &sharedRows{s: s}, nil
 	}
-	s := newSharedStream(core, key)
-	core.streams[key] = s
-	core.smu.Unlock()
+	s := newSharedStream(c, key)
+	c.streams[key] = s
+	c.smu.Unlock()
 
 	inner, err := p.inner.Stream(context.WithoutCancel(ctx), args...)
 	s.opened(inner, err)
@@ -179,8 +165,8 @@ func (p *coalescingPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Ro
 // coalesced consumers: a grow-only row buffer fed from the inner stream
 // by whichever consumer needs a row first.
 type sharedStream struct {
-	core *coalesceCore
-	key  string
+	c   *Coalescing
+	key string
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -193,11 +179,11 @@ type sharedStream struct {
 	err       error
 	trunc     bool
 
-	refs int // guarded by core.smu
+	refs int // guarded by c.smu
 }
 
-func newSharedStream(core *coalesceCore, key string) *sharedStream {
-	s := &sharedStream{core: core, key: key, refs: 1}
+func newSharedStream(c *Coalescing, key string) *sharedStream {
+	s := &sharedStream{c: c, key: key, refs: 1}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -219,11 +205,11 @@ func (s *sharedStream) opened(inner Rows, err error) {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	if err != nil {
-		s.core.smu.Lock()
-		if s.core.streams[s.key] == s {
-			delete(s.core.streams, s.key)
+		s.c.smu.Lock()
+		if s.c.streams[s.key] == s {
+			delete(s.c.streams, s.key)
 		}
-		s.core.smu.Unlock()
+		s.c.smu.Unlock()
 	}
 }
 
@@ -273,13 +259,13 @@ func (s *sharedStream) state() (err error, trunc bool) {
 // delete is guarded: an errored stream may already have been replaced
 // under the same key, and the replacement must not be removed.
 func (s *sharedStream) detach() {
-	s.core.smu.Lock()
+	s.c.smu.Lock()
 	s.refs--
 	last := s.refs == 0
-	if last && s.core.streams[s.key] == s {
-		delete(s.core.streams, s.key)
+	if last && s.c.streams[s.key] == s {
+		delete(s.c.streams, s.key)
 	}
-	s.core.smu.Unlock()
+	s.c.smu.Unlock()
 	if last && s.inner != nil {
 		s.inner.Close()
 	}
@@ -338,9 +324,8 @@ func (r *sharedRows) Close() {
 var _ Rows = (*sharedRows)(nil)
 
 // Coalesced reports how many calls were served by another caller's
-// in-flight query instead of probing an inner endpoint. Views created
-// with For share the counter.
-func (c *Coalescing) Coalesced() int64 { return c.core.coalesced.Load() }
+// in-flight query instead of probing the inner endpoint.
+func (c *Coalescing) Coalesced() int64 { return c.coalesced.Load() }
 
 // Stats implements StatsReporter by delegating to the inner endpoint.
 func (c *Coalescing) Stats() Stats {

@@ -205,7 +205,7 @@ func TestCoalescingSharesInFlightQueries(t *testing.T) {
 	}
 	// wait until the leader holds the gate and every follower has
 	// joined its flight, then release
-	for inner.selects.Load() == 0 || c.core.sel.Waiting(c.textKey(selP)) < n-1 {
+	for inner.selects.Load() == 0 || c.sel.Waiting(c.textKey(selP)) < n-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(inner.gate)
@@ -257,7 +257,7 @@ func TestCoalescingLeaderCancellationDoesNotPoisonWaiters(t *testing.T) {
 		}
 		followerRows <- len(res.Rows)
 	}()
-	for c.core.sel.Waiting(c.textKey(selP)) < 1 {
+	for c.sel.Waiting(c.textKey(selP)) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -453,10 +453,10 @@ func TestCancellationContract(t *testing.T) {
 					t.Errorf("%d queries reached the KB", q)
 				}
 				if co != nil {
-					co.core.smu.Lock()
-					streams := len(co.core.streams)
-					co.core.smu.Unlock()
-					if n := co.core.sel.InFlight() + co.core.ask.InFlight() + streams; n != 0 {
+					co.smu.Lock()
+					streams := len(co.streams)
+					co.smu.Unlock()
+					if n := co.sel.InFlight() + co.ask.InFlight() + streams; n != 0 {
 						t.Errorf("%d coalesced executions left in flight", n)
 					}
 				}

@@ -8,7 +8,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"sofya/internal/core"
@@ -229,35 +228,4 @@ func (t *Table) Markdown() string {
 		sb.WriteString("| " + strings.Join(r, " | ") + " |\n")
 	}
 	return sb.String()
-}
-
-// FalsePositives lists accepted rules absent from gold, sorted, for
-// debugging experiment calibration.
-func FalsePositives(accepted []core.Alignment, gold *Gold) []string {
-	var out []string
-	for _, al := range accepted {
-		if al.Accepted && !gold.Holds(al.Rule.Body, al.Rule.Head) {
-			out = append(out, al.Rule.String())
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FalseNegativeKeys lists gold pairs missing from the accepted set.
-func FalseNegativeKeys(accepted []core.Alignment, gold *Gold) []string {
-	pred := map[string]bool{}
-	for _, al := range accepted {
-		if al.Accepted {
-			pred[al.Rule.Body+"\x00"+al.Rule.Head] = true
-		}
-	}
-	var out []string
-	for k := range gold.set {
-		if !pred[k] {
-			out = append(out, strings.ReplaceAll(k, "\x00", " => "))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -142,19 +142,3 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("markdown = %q", md)
 	}
 }
-
-func TestFalsePositivesAndNegatives(t *testing.T) {
-	g := NewGold([][2]string{{"b1", "h1"}, {"b2", "h2"}})
-	accepted := []core.Alignment{
-		al("b1", "h1", 0.9, 5, true),
-		al("bX", "h1", 0.9, 5, true),
-	}
-	fps := FalsePositives(accepted, g)
-	if len(fps) != 1 || !strings.Contains(fps[0], "bX") {
-		t.Fatalf("fps = %v", fps)
-	}
-	fns := FalseNegativeKeys(accepted, g)
-	if len(fns) != 1 || !strings.Contains(fns[0], "b2") {
-		t.Fatalf("fns = %v", fns)
-	}
-}

@@ -135,29 +135,6 @@ func TestGoldenSweepAndBestTau(t *testing.T) {
 	}
 }
 
-// TestGoldenFalsePositivesAndNegatives pins the diagnostic listings.
-func TestGoldenFalsePositivesAndNegatives(t *testing.T) {
-	gold, all := goldenWorld(t)
-	fps := FalsePositives(all, gold)
-	if len(fps) != 3 {
-		t.Fatalf("FalsePositives = %v", fps)
-	}
-	for _, fp := range fps {
-		if !strings.Contains(fp, "fake") {
-			t.Fatalf("unexpected false positive %q", fp)
-		}
-	}
-	fns := FalseNegativeKeys(all, gold)
-	if len(fns) != 2 {
-		t.Fatalf("FalseNegativeKeys = %v", fns)
-	}
-	for _, fn := range fns {
-		if !strings.Contains(fn, " => ") {
-			t.Fatalf("malformed false-negative key %q", fn)
-		}
-	}
-}
-
 // TestGoldenTableRendering pins the exact rendering of a small metric
 // table in both output formats.
 func TestGoldenTableRendering(t *testing.T) {

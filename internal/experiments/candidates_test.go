@@ -131,7 +131,6 @@ func TestRunExactModeIsByteStable(t *testing.T) {
 	}
 	cfg := core.UBSConfig()
 	cfg.CandidateTopK = 0
-	cfg.CandidateSampleSize = 64 // irrelevant while pruning is off
 	got, err := tinySetup().Run(DbpToYago, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -28,11 +28,6 @@ type TermID int32
 // NoTerm is returned by lookups that find nothing.
 const NoTerm TermID = -1
 
-// Fact is an interned triple.
-type Fact struct {
-	S, P, O TermID
-}
-
 // KB is an in-memory, indexed collection of triples. The zero value is
 // not usable; call New, Load, or OpenSnapshot.
 //

@@ -176,16 +176,6 @@ func ReadPlanStats(r io.Reader) (map[rdf.Term]PredStats, error) {
 	return stats, nil
 }
 
-// ReadPlanStatsFile is ReadPlanStats from a file.
-func ReadPlanStatsFile(path string) (map[rdf.Term]PredStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPlanStats(f)
-}
-
 // Partition splits src into n shards by subject hash. Shard i is named
 // "<src>/shard-<i>-of-<n>". Every shard carries src's global planner
 // statistics (SetPlanStats), so queries plan identically on a shard and

@@ -224,16 +224,6 @@ func ReadSnapshot(r io.Reader) (*KB, error) {
 	return decodeSnapshot(data)
 }
 
-// ReadSnapshotFile is ReadSnapshot from a file.
-func ReadSnapshotFile(path string) (*KB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
-}
-
 // decodeSnapshot validates data and builds a KB whose frozen arrays,
 // term strings and dictionary alias data wherever the host allows.
 func decodeSnapshot(data []byte) (*KB, error) {

@@ -173,12 +173,6 @@ func TestOpenSnapshotMmap(t *testing.T) {
 		t.Error("snapshot KB should open frozen")
 	}
 	assertKBEquivalent(t, k, got)
-
-	heap, err := ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertKBEquivalent(t, k, heap)
 }
 
 func TestSnapshotAutoThaw(t *testing.T) {

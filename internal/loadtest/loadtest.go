@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -481,21 +480,4 @@ func MarkdownTable(results []Result) string {
 			100*r.ShedRate(), r.Errors)
 	}
 	return sb.String()
-}
-
-// Saturation returns the index of the sweep row where throughput stops
-// improving meaningfully: the first count whose throughput is within
-// tol (e.g. 0.1 = 10%) of the best seen at any larger count. It is the
-// anchor for "overload = ≥ 4× the saturation client count".
-func Saturation(results []Result, tol float64) int {
-	best := 0.0
-	for _, r := range results {
-		best = math.Max(best, r.Throughput)
-	}
-	for i, r := range results {
-		if r.Throughput >= best*(1-tol) {
-			return i
-		}
-	}
-	return len(results) - 1
 }

@@ -98,9 +98,6 @@ type Validator struct {
 	Links Translator
 	// Matcher aligns literal objects; nil disables literal alignment.
 	Matcher *strsim.LiteralMatcher
-	// FetchWindow bounds how many candidate facts one sampling query
-	// retrieves before link-filtering (default 40× the sample size).
-	FetchWindow int
 
 	// prepared probe handles, compiled lazily once per validator.
 	prepOnce     sync.Once
@@ -159,10 +156,9 @@ type SampleSet struct {
 	SkippedNoLink int
 }
 
+// window bounds how many candidate facts one sampling query retrieves
+// before link-filtering: 40× the sample size, at least 200.
 func (v *Validator) window(n int) int {
-	if v.FetchWindow > 0 {
-		return v.FetchWindow
-	}
 	w := 40 * n
 	if w < 200 {
 		w = 200

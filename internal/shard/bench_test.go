@@ -78,3 +78,46 @@ func BenchmarkShardedScan(b *testing.B) {
 		run(b, Partitioned(benchKB(facts), 4, 1))
 	})
 }
+
+// BenchmarkTextThroughGroup measures query texts answered through a
+// Group's text methods: a routed SELECT and ASK whose text is new on
+// every call (the plan cache misses, one shard prepares), the same
+// routed text repeated (the cache hits), and the sampling shape with a
+// varying LIMIT (a miss that fans out and merges).
+func BenchmarkTextThroughGroup(b *testing.B) {
+	const facts = 20000
+	g := Partitioned(benchKB(facts), 4, 1)
+	ctx := context.Background()
+	sel := func(b *testing.B, text func(i int) string) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := g.SelectCtx(ctx, text(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("routed-miss", func(b *testing.B) {
+		sel(b, func(i int) string {
+			return fmt.Sprintf("SELECT ?y WHERE { <http://x/s%05d> <http://x/p> ?y }", i%facts)
+		})
+	})
+	b.Run("routed-hit", func(b *testing.B) {
+		sel(b, func(int) string { return "SELECT ?y WHERE { <http://x/s00042> <http://x/p> ?y }" })
+	})
+	b.Run("sample-miss", func(b *testing.B) {
+		// The LIMIT cycles over more values than the cache holds, so no
+		// text is still cached when it comes round again.
+		sel(b, func(i int) string {
+			return fmt.Sprintf("SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND() LIMIT %d", 10+i%(maxCachedPlans+1))
+		})
+	})
+	b.Run("ask-routed-miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % facts
+			if _, err := g.AskCtx(ctx, fmt.Sprintf("ASK { <http://x/s%05d> <http://x/p> <http://x/o%d> }", j, j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

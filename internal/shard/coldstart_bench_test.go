@@ -65,7 +65,12 @@ func BenchmarkGroupColdStartParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := kb.ReadPlanStatsFile(files.statsPath)
+		f, err := os.Open(files.statsPath)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stats, err := kb.ReadPlanStats(f)
+		f.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -225,8 +225,7 @@ func TestGroupStreamEarlyClose(t *testing.T) {
 }
 
 // Decorator composition: Caching and Coalescing wrap a Group like any
-// endpoint, and a shared coalescer over the group and its shards keeps
-// their flights apart.
+// endpoint.
 func TestGroupUnderDecorators(t *testing.T) {
 	w := synth.Generate(synth.TinySpec())
 	rel, _ := entityRelations(t, w)

@@ -28,16 +28,6 @@ import (
 // the rows they keep.
 type rowsSource = endpoint.Rows
 
-// replaySources wraps drained shard results as merge inputs
-// (endpoint.ReplayRows is the shared drain-then-iterate adapter).
-func replaySources(results []*sparql.Result) []rowsSource {
-	out := make([]rowsSource, len(results))
-	for i, res := range results {
-		out[i] = endpoint.ReplayRows(res)
-	}
-	return out
-}
-
 // capResult applies a group-level row cap to a final result, with the
 // unsharded endpoint's semantics: truncate only when rows actually
 // exceed the cap, and flag it. The result is copied before truncation
@@ -396,11 +386,6 @@ func drainRows(rows endpoint.Rows) (*sparql.Result, error) {
 	}
 	res.Truncated = rows.Truncated()
 	return res, nil
-}
-
-// drainMerged collects an unordered merged stream into a Result.
-func drainMerged(vars []string, p puller, distinct bool, offset, limit, maxRows int) (*sparql.Result, error) {
-	return drainRows(newFanoutRows(vars, p, distinct, offset, limit, maxRows))
 }
 
 // orderedMergeSpec parameterizes the ORDER BY reassembly.
@@ -778,10 +763,3 @@ func (r *orderedRows) closeLosers(worst []rdf.Term) {
 }
 
 var _ endpoint.Rows = (*orderedRows)(nil)
-
-// mergeOrderedResults reassembles an ORDER BY query from drained shard
-// results — the text-query path, which has no per-shard streams to pull
-// from — by replaying them through the same streaming merge.
-func mergeOrderedResults(vars []string, results []*sparql.Result, spec orderedMergeSpec) (*sparql.Result, error) {
-	return drainRows(newOrderedRows(vars, replaySources(results), spec))
-}

@@ -150,6 +150,28 @@ func TestGroupTextOracle(t *testing.T) {
 				t.Errorf("k=%d Select diverges for %q:\n--- sharded ---\n%s\n--- local ---\n%s",
 					k, q, renderResult(got), renderResult(want))
 			}
+			// The same text as a zero-parameter template: drained and
+			// streamed, it is the same answer.
+			pq, err := g.Prepare(q)
+			if err != nil {
+				t.Fatalf("k=%d Prepare(%q): %v", k, q, err)
+			}
+			got, err = pq.SelectCtx(context.Background())
+			if err != nil {
+				t.Fatalf("k=%d prepared %q: %v", k, q, err)
+			}
+			if renderResult(got) != renderResult(want) {
+				t.Errorf("k=%d prepared Select diverges for %q:\n--- sharded ---\n%s\n--- local ---\n%s",
+					k, q, renderResult(got), renderResult(want))
+			}
+			rows, err := pq.Stream(context.Background())
+			if err != nil {
+				t.Fatalf("k=%d Stream %q: %v", k, q, err)
+			}
+			if gotS := drainStream(t, rows); renderResult(gotS) != renderResult(want) {
+				t.Errorf("k=%d Stream diverges for %q:\n--- sharded ---\n%s\n--- local ---\n%s",
+					k, q, renderResult(gotS), renderResult(want))
+			}
 		}
 		for _, q := range asks {
 			want, err := local.AskCtx(context.Background(), q)
@@ -162,6 +184,13 @@ func TestGroupTextOracle(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("k=%d Ask(%q) = %v, want %v", k, q, got, want)
+			}
+			pq, err := g.Prepare(q)
+			if err != nil {
+				t.Fatalf("k=%d Prepare(%q): %v", k, q, err)
+			}
+			if got, err := pq.AskCtx(context.Background()); err != nil || got != want {
+				t.Errorf("k=%d prepared Ask(%q) = %v, %v, want %v", k, q, got, err, want)
 			}
 		}
 	}
@@ -334,6 +363,120 @@ func TestGroupRejectsNonDecomposable(t *testing.T) {
 		}
 		if _, err := g.Prepare(q); err == nil {
 			t.Errorf("Prepare(%q) was accepted", q)
+		}
+	}
+}
+
+// countingShard counts the Prepare calls that reach a shard.
+type countingShard struct {
+	endpoint.Endpoint
+	prepares int
+}
+
+func (c *countingShard) Prepare(template string, params ...string) (endpoint.PreparedQuery, error) {
+	c.prepares++
+	return c.Endpoint.Prepare(template, params...)
+}
+
+// The text path's plan cache: bounded, shared with parameterless
+// Prepare, never holding an error, and preparing a constant-subject
+// text on its one shard only.
+func TestGroupTextPlanCache(t *testing.T) {
+	ctx := context.Background()
+	const n, seed = 3, 1
+	k := kb.New("plans")
+	for i := 0; i < maxCachedPlans+1; i++ {
+		k.AddIRIs(fmt.Sprintf("http://x/s%03d", i), "http://x/p", fmt.Sprintf("http://x/o%d", i))
+	}
+	parts := kb.Partition(k, n)
+	shards := make([]*countingShard, n)
+	eps := make([]endpoint.Endpoint, n)
+	for i, p := range parts {
+		shards[i] = &countingShard{Endpoint: endpoint.NewLocal(p, seed)}
+		eps[i] = shards[i]
+	}
+	g, err := NewGroup("plans", seed, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func() int {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return len(g.plans)
+	}
+	prepares := func() (total int, per []int) {
+		for _, sh := range shards {
+			total += sh.prepares
+			per = append(per, sh.prepares)
+		}
+		return total, per
+	}
+
+	// (iii) A constant-subject text prepares on the subject's shard only,
+	// and a repeat prepares nowhere.
+	routed := "SELECT ?y WHERE { <http://x/s007> <http://x/p> ?y }"
+	home := kb.SubjectShard(rdf.NewIRI("http://x/s007"), n)
+	for round := 0; round < 2; round++ {
+		res, err := g.SelectCtx(ctx, routed)
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Value != "http://x/o7" {
+			t.Fatalf("round %d: routed text answered %v, %v", round, res, err)
+		}
+		if total, per := prepares(); total != 1 || per[home] != 1 {
+			t.Fatalf("round %d: Prepare calls per shard = %v, want one on shard %d", round, per, home)
+		}
+	}
+
+	// (iv) Prepare without parameters and the text methods share the entry.
+	pq, err := g.Prepare(routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total, _ := prepares(); total != 1 || cached() != 1 {
+		t.Fatalf("Prepare(text) after SelectCtx(text): %d shard prepares, %d cached plans, want 1 and 1", total, cached())
+	}
+	if planned, _ := g.planFor(routed); pq != endpoint.PreparedQuery(planned) {
+		t.Fatal("Prepare(text) returned a handle other than the cached plan")
+	}
+
+	// (v) Wrong-form calls keep their error text, cached plan or not.
+	ask := "ASK { <http://x/s007> <http://x/p> <http://x/o7> }"
+	for round := 0; round < 2; round++ {
+		if _, err := g.AskCtx(ctx, routed); err == nil || err.Error() != "shard: Ask needs an ASK query" {
+			t.Fatalf("AskCtx on a SELECT text: %v", err)
+		}
+		if _, err := g.SelectCtx(ctx, ask); err == nil || err.Error() != "shard: Select needs a SELECT query" {
+			t.Fatalf("SelectCtx on an ASK text: %v", err)
+		}
+	}
+
+	// (ii) Errors are returned on every call and never cached.
+	before := cached()
+	for round := 0; round < 2; round++ {
+		if _, err := g.SelectCtx(ctx, "SELECT ?x WHERE {"); err == nil {
+			t.Fatal("parse error was accepted")
+		}
+		_, err := g.SelectCtx(ctx, "SELECT ?x ?z WHERE { ?x <http://x/p> ?y . ?y <http://x/p> ?z }")
+		if !errors.Is(err, ErrNotDecomposable) {
+			t.Fatalf("cross-subject join: %v, want ErrNotDecomposable", err)
+		}
+	}
+	if cached() != before {
+		t.Fatalf("failed texts grew the plan cache from %d to %d", before, cached())
+	}
+
+	// (i) More distinct texts than the bound: the cache stays bounded and
+	// every answer is still right.
+	for i := 0; i < maxCachedPlans+1; i++ {
+		q := fmt.Sprintf("SELECT ?y WHERE { <http://x/s%03d> <http://x/p> ?y }", i)
+		res, err := g.SelectCtx(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("http://x/o%d", i); len(res.Rows) != 1 || res.Rows[0][0].Value != want {
+			t.Fatalf("text %d answered %v, want %s", i, res.Rows, want)
+		}
+		if c := cached(); c > maxCachedPlans {
+			t.Fatalf("plan cache holds %d entries after %d texts, bound is %d", c, i+1, maxCachedPlans)
 		}
 	}
 }

@@ -3,14 +3,13 @@ package shard
 import (
 	"fmt"
 
-	"sofya/internal/kb"
 	"sofya/internal/sparql"
 )
 
-// plan.go classifies queries into federation strategies and derives the
-// per-shard pushdown form. The classification rests on
-// sparql.AnalyzeShard: it is the same analysis for text queries and
-// prepared templates, with template parameters treated as concrete
+// plan.go classifies templates into federation strategies, derives the
+// per-shard pushdown form, and caches the handles of query texts
+// (templates without parameters). The classification rests on
+// sparql.AnalyzeShard, with template parameters treated as concrete
 // terms bound per execution.
 
 // strategy is how one query executes across the shards.
@@ -102,87 +101,28 @@ func pushdownQuery(q *sparql.Query, strat strategy) *sparql.Query {
 	return push
 }
 
-// textPlan is the cached federation plan of one query text.
-type textPlan struct {
-	form       sparql.Form
-	strat      strategy
-	shape      sparql.ShardShape
-	vars       []string
-	distinct   bool
-	limit      int
-	offset     int
-	routeShard int    // valid for stratRoute
-	push       string // pushdown text for fan-out strategies
-	canonical  string // canonical original text (RAND stream derivation)
-}
-
-// orderedSpec bundles what the ordered merge needs from a text plan.
-func (pl *textPlan) orderedSpec(seed int64, maxRows int) orderedMergeSpec {
-	return orderedMergeSpec{
-		col:        pl.shape.SubjectCol,
-		keys:       pl.shape.Keys,
-		orderTotal: pl.shape.OrderTotal,
-		distinct:   pl.distinct,
-		limit:      pl.limit,
-		offset:     pl.offset,
-		maxRows:    maxRows,
-		seed:       seed,
-		text:       pl.canonical,
-	}
-}
-
 // maxCachedPlans bounds the text-plan cache; alignment traffic draws
 // from a handful of shapes, so the bound is rarely reached.
 const maxCachedPlans = 256
 
-// planFor parses and classifies a query text, caching the outcome.
-func (g *Group) planFor(query string) (*textPlan, error) {
+// planFor prepares a query text as a zero-parameter template, caching
+// the handle by text. Errors (parse, ErrNotDecomposable) are not cached.
+func (g *Group) planFor(query string) (*groupPrepared, error) {
 	g.mu.Lock()
-	if pl, ok := g.plans[query]; ok {
-		g.mu.Unlock()
-		return pl, nil
-	}
+	p, ok := g.plans[query]
 	g.mu.Unlock()
-
-	q, err := sparql.Parse(query)
+	if ok {
+		return p, nil
+	}
+	p, err := g.prepare(query, nil)
 	if err != nil {
 		return nil, err
 	}
-	shape := sparql.AnalyzeShard(q, nil)
-	strat, err := classify(q, shape)
-	if err != nil {
-		return nil, err
-	}
-	pl := &textPlan{
-		form:      q.Form,
-		strat:     strat,
-		shape:     shape,
-		vars:      q.Vars,
-		distinct:  q.Distinct,
-		limit:     q.Limit,
-		offset:    q.Offset,
-		canonical: q.String(),
-	}
-	if strat == stratRoute {
-		pl.routeShard = kb.SubjectShard(shape.Subject, len(g.shards))
-	} else if q.Form == sparql.SelectForm {
-		pl.push = pushdownQuery(q, strat).String()
-	}
-
 	g.mu.Lock()
 	if len(g.plans) >= maxCachedPlans {
-		g.plans = make(map[string]*textPlan, maxCachedPlans)
+		g.plans = make(map[string]*groupPrepared, maxCachedPlans)
 	}
-	g.plans[query] = pl
+	g.plans[query] = p
 	g.mu.Unlock()
-	return pl, nil
-}
-
-// mergePuller selects the unordered merge for a plan over opened shard
-// sources.
-func (g *Group) mergePuller(pl *textPlan, sources []rowsSource) puller {
-	if pl.strat == stratMerge {
-		return newSubjectPuller(sources, pl.shape.SubjectCol)
-	}
-	return newConcatPuller(sources)
+	return p, nil
 }

@@ -42,7 +42,7 @@ type groupPrepared struct {
 }
 
 // prepare builds the per-shard handles for a template.
-func (g *Group) prepare(template string, params []string) (endpoint.PreparedQuery, error) {
+func (g *Group) prepare(template string, params []string) (*groupPrepared, error) {
 	tmpl, err := sparql.ParseTemplate(template, params...)
 	if err != nil {
 		return nil, err
@@ -93,11 +93,15 @@ func (g *Group) prepare(template string, params []string) (endpoint.PreparedQuer
 	}
 
 	// Original-template handles serve routed executions and ASK probes;
-	// fan-out SELECTs only ever run their pushdown form, so skip the
-	// per-shard compilation they would never use.
+	// fan-out SELECTs only ever run their pushdown form, and a constant
+	// routing subject only ever runs on its one shard, so skip the
+	// per-shard compilations that would never be used.
 	if strat == stratRoute || q.Form == sparql.AskForm {
 		p.orig = make([]endpoint.PreparedQuery, len(g.shards))
 		for i, sh := range g.shards {
+			if p.routeTo >= 0 && i != p.routeTo {
+				continue
+			}
 			if p.orig[i], err = sh.Prepare(template, params...); err != nil {
 				return nil, err
 			}
@@ -206,12 +210,12 @@ func (p *groupPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*spa
 		}
 		return drainRows(rows)
 	}
-	results, err := p.drain(ctx, args)
+	sources, err := p.drain(ctx, args)
 	if err != nil {
 		return nil, err
 	}
 	limit, offset := p.effective(args)
-	return drainMerged(p.vars(), p.puller(replaySources(results)), p.distinct, offset, limit, p.g.maxRows)
+	return drainRows(newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows))
 }
 
 func (p *groupPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
@@ -266,7 +270,7 @@ func (p *groupPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoin
 		return nil, err
 	}
 	limit, offset := p.effective(args)
-	return newFanoutRows(p.vars(), p.puller(sources), p.distinct, offset, limit, p.g.maxRows), nil
+	return newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows), nil
 }
 
 // streamOrdered opens borrowed per-shard streams and reassembles the
@@ -297,7 +301,7 @@ func (p *groupPrepared) streamOrdered(ctx context.Context, args []sparql.Arg) (e
 	if err != nil {
 		return nil, err
 	}
-	return newOrderedRows(p.vars(), sources, spec), nil
+	return newOrderedRows(p.projVars, sources, spec), nil
 }
 
 // openStreams opens the pushdown query's stream on every shard
@@ -343,22 +347,23 @@ func (p *groupPrepared) openStreams(ctx context.Context, args []sparql.Arg, borr
 	return sources, nil
 }
 
-// drain runs the pushdown on every shard concurrently.
-func (p *groupPrepared) drain(ctx context.Context, args []sparql.Arg) ([]*sparql.Result, error) {
+// drain runs the pushdown on every shard concurrently and hands the
+// whole results to the merge as replayed streams.
+func (p *groupPrepared) drain(ctx context.Context, args []sparql.Arg) ([]rowsSource, error) {
 	pargs := p.pushArgs(args)
-	results := make([]*sparql.Result, len(p.push))
+	sources := make([]rowsSource, len(p.push))
 	err := p.g.fanout(ctx, func(ctx context.Context, i int) error {
 		res, err := p.push[i].SelectCtx(ctx, pargs...)
 		if err != nil {
 			return err
 		}
-		results[i] = res
+		sources[i] = endpoint.ReplayRows(res)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
+	return sources, nil
 }
 
 // orderedSpec assembles the ORDER BY reassembly parameters of one
@@ -388,9 +393,6 @@ func (p *groupPrepared) orderedSpec(args []sparql.Arg) (orderedMergeSpec, error)
 	}
 	return spec, nil
 }
-
-// vars returns the projected variable names of the template's query.
-func (p *groupPrepared) vars() []string { return p.projVars }
 
 // puller selects the unordered merge for this template's strategy.
 func (p *groupPrepared) puller(sources []rowsSource) puller {

@@ -5,9 +5,12 @@
 // query class the alignment pipeline issues.
 //
 // The fan-out seam is the prepared-query interface: a template prepares
-// once per shard and every execution binds arguments per shard. The
-// merge seam is the streaming Rows interface: shard streams interleave
-// at the merge point.
+// once per shard and every execution binds arguments per shard. A query
+// text is a template with no parameters — SelectCtx and AskCtx prepare
+// it once, keep the handle in a bounded cache keyed by text, and run it
+// like any other prepared query, so the Group has one plan type and one
+// execution path. The merge seam is the streaming Rows interface: shard
+// streams interleave at the merge point.
 //
 // Three execution strategies cover the federated query classes:
 //
@@ -74,7 +77,7 @@ type Group struct {
 	maxRows int
 
 	mu    sync.Mutex
-	plans map[string]*textPlan // parsed-text plan cache
+	plans map[string]*groupPrepared // zero-parameter templates, by query text
 }
 
 // Option configures a Group.
@@ -105,7 +108,7 @@ func NewGroup(name string, seed int64, shards []endpoint.Endpoint, opts ...Optio
 		name:   name,
 		shards: append([]endpoint.Endpoint(nil), shards...),
 		seed:   seed,
-		plans:  make(map[string]*textPlan),
+		plans:  make(map[string]*groupPrepared),
 	}
 	for _, opt := range opts {
 		opt(g)
@@ -146,56 +149,41 @@ func (g *Group) Name() string { return g.name }
 // Shards exposes the federated shard endpoints, in partition order.
 func (g *Group) Shards() []endpoint.Endpoint { return g.shards }
 
-// SelectCtx implements Endpoint: the query is classified once (cached
-// by text), then routed or fanned out and merged.
+// SelectCtx implements Endpoint: the text is a zero-parameter template,
+// prepared once (cached by text) and executed like any prepared query.
 func (g *Group) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	pl, err := g.planFor(query)
+	p, err := g.planFor(query)
 	if err != nil {
 		return nil, err
 	}
-	if pl.form != sparql.SelectForm {
-		return nil, fmt.Errorf("shard: Select needs a SELECT query")
-	}
-	if pl.strat == stratRoute {
-		res, err := g.shards[pl.routeShard].SelectCtx(ctx, query)
-		if err != nil {
-			return nil, err
-		}
-		return capResult(res, g.maxRows), nil
-	}
-	results, err := g.drainShards(ctx, pl.push)
-	if err != nil {
-		return nil, err
-	}
-	if pl.strat == stratMergeOrdered {
-		return mergeOrderedResults(pl.vars, results, pl.orderedSpec(g.seed, g.maxRows))
-	}
-	return drainMerged(pl.vars, g.mergePuller(pl, replaySources(results)), pl.distinct, pl.offset, pl.limit, g.maxRows)
+	return p.SelectCtx(ctx)
 }
 
-// AskCtx implements Endpoint: routed to the subject's shard, or fanned
-// out with a short-circuit on the first true answer.
+// AskCtx implements Endpoint, like SelectCtx.
 func (g *Group) AskCtx(ctx context.Context, query string) (bool, error) {
-	pl, err := g.planFor(query)
+	p, err := g.planFor(query)
 	if err != nil {
 		return false, err
 	}
-	if pl.form != sparql.AskForm {
-		return false, fmt.Errorf("shard: Ask needs an ASK query")
-	}
-	if pl.strat == stratRoute {
-		return g.shards[pl.routeShard].AskCtx(ctx, query)
-	}
-	return g.fanoutAsk(ctx, func(ctx context.Context, i int) (bool, error) {
-		return g.shards[i].AskCtx(ctx, query)
-	})
+	return p.AskCtx(ctx)
 }
 
 // Prepare implements Endpoint: the template is analyzed once, prepared
 // once per shard (original and pushdown forms), and every execution
-// routes or fans out per its bound arguments.
+// routes or fans out per its bound arguments. A template without
+// parameters is a query text and shares the text path's cache.
 func (g *Group) Prepare(template string, params ...string) (endpoint.PreparedQuery, error) {
-	return g.prepare(template, params)
+	var p *groupPrepared
+	var err error
+	if len(params) == 0 {
+		p, err = g.planFor(template)
+	} else {
+		p, err = g.prepare(template, params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Stats implements StatsReporter by aggregating the shard endpoints'
@@ -221,24 +209,6 @@ func (g *Group) ResetStats() {
 			sr.ResetStats()
 		}
 	}
-}
-
-// drainShards runs the pushdown text on every shard concurrently under
-// the worker bound and collects the results in shard order.
-func (g *Group) drainShards(ctx context.Context, push string) ([]*sparql.Result, error) {
-	results := make([]*sparql.Result, len(g.shards))
-	err := g.fanout(ctx, func(ctx context.Context, i int) error {
-		res, err := g.shards[i].SelectCtx(ctx, push)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // fanout runs task(i) for every shard index concurrently, one

@@ -202,12 +202,3 @@ func (e *Engine) Stream(q *Query) (*RowIter, error) {
 		return ex.streamSelect(limit, offset, yield)
 	}), nil
 }
-
-// StreamString parses and streams a SELECT query.
-func (e *Engine) StreamString(query string) (*RowIter, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.Stream(q)
-}

@@ -256,12 +256,6 @@ func compileRowKey(e Expr, vars []string) (func(row []rdf.Term) Value, bool) {
 	}, true
 }
 
-// OrderValues exposes the engine's ORDER BY comparison: the ordering of
-// two key Values, and whether they are comparable at all. The merge
-// layer must compare shard keys with exactly this function to stay
-// byte-identical with the in-engine sort.
-func OrderValues(a, b Value) (int, bool) { return valuesOrder(a, b) }
-
 // CompareKeys is the engine's ORDER BY key-list comparison — the single
 // definition the executor (streamOrdered) and the federation merge both
 // sort with. It returns a negative value when key list a orders before

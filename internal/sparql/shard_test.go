@@ -106,7 +106,7 @@ func TestAnalyzeShardShapes(t *testing.T) {
 	}
 	row := []rdf.Term{rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/b")}
 	v := sh.Keys[0].Eval(row)
-	if c, ok := OrderValues(v, sh.Keys[0].Eval(row)); !ok || c != 0 {
+	if c, ok := valuesOrder(v, sh.Keys[0].Eval(row)); !ok || c != 0 {
 		t.Fatalf("key evaluator unstable: %v %v", c, ok)
 	}
 

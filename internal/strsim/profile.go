@@ -7,11 +7,10 @@ import (
 
 // Profile is the character n-gram multiset of one string in a compact,
 // immutable form: the distinct grams sorted ascending with their
-// multiplicities. Profiles are built once per (string, n) and shared —
-// similarity functions that used to rebuild both gram sets on every
-// call (NGramDice) now merge two prebuilt profiles instead, and the
-// candidate-generation index reuses the same profiles for its weighted
-// trigram postings.
+// multiplicities. Profiles are built once per (string, n) and shared:
+// a comparison merges two prebuilt profiles instead of rebuilding both
+// gram sets, and the candidate-generation index reuses the same
+// profiles for its weighted trigram postings.
 type Profile struct {
 	// N is the gram length the profile was built with.
 	N int
@@ -53,7 +52,7 @@ func NewProfile(s string, n int) *Profile {
 // Dice computes the Dice coefficient between two profiles of the same
 // n: 2·|A∩B| / (|A|+|B|) over the gram multisets. Two empty profiles
 // score 0 (callers that want the equal-short-string convention must
-// compare the strings themselves, as NGramDice does).
+// compare the strings themselves).
 func (p *Profile) Dice(q *Profile) float64 {
 	if p.Total == 0 || q.Total == 0 {
 		return 0

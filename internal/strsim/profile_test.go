@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// ngramDiceRebuild is the pre-memoization NGramDice: both gram
-// multisets rebuilt on every call. It is the differential reference and
-// the "before" side of the benchmark pair.
+// ngramDiceRebuild is the n-gram Dice coefficient with both gram
+// multisets rebuilt on every call. It is the differential reference for
+// Profile.Dice and the "before" side of the benchmark pair.
 func ngramDiceRebuild(a, b string, n int) float64 {
 	if n < 1 {
 		n = 2
@@ -58,10 +58,13 @@ var dicePairs = [][2]string{
 func TestNGramDiceMatchesRebuildReference(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4} {
 		for _, p := range dicePairs {
+			pa, pb := ProfileOf(p[0], n), ProfileOf(p[1], n)
+			if pa.Total == 0 && pb.Total == 0 {
+				continue // no grams on either side: the reference compares the strings
+			}
 			want := ngramDiceRebuild(p[0], p[1], n)
-			got := NGramDice(p[0], p[1], n)
-			if got != want {
-				t.Errorf("NGramDice(%q, %q, %d) = %v, reference %v", p[0], p[1], n, got, want)
+			if got := pa.Dice(pb); got != want {
+				t.Errorf("Dice(%q, %q, %d) = %v, reference %v", p[0], p[1], n, got, want)
 			}
 		}
 	}
@@ -119,8 +122,8 @@ func TestProfileOfConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				s := fmt.Sprintf("conc-%d", i%17)
-				if NGramDice(s, "conc-3", 3) != ngramDiceRebuild(s, "conc-3", 3) {
-					t.Errorf("concurrent NGramDice diverged for %q", s)
+				if ProfileOf(s, 3).Dice(ProfileOf("conc-3", 3)) != ngramDiceRebuild(s, "conc-3", 3) {
+					t.Errorf("concurrent Dice diverged for %q", s)
 					return
 				}
 			}
@@ -143,6 +146,6 @@ func BenchmarkNGramDiceRebuild(b *testing.B) {
 func BenchmarkNGramDiceMemoized(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NGramDice("The Nocturne of the River 42", "Nocturne_of_the_River_42", 3)
+		ProfileOf("The Nocturne of the River 42", 3).Dice(ProfileOf("Nocturne_of_the_River_42", 3))
 	}
 }

@@ -3,8 +3,8 @@
 // entity-literal relation, we retrieve from K facts of the samples and
 // apply string similarity functions to align the literals").
 //
-// It implements the classical token- and edit-based measures
-// (Levenshtein, Jaro, Jaro-Winkler, Jaccard, n-gram Dice) plus a
+// It implements the classical edit-based measures (Levenshtein, Jaro,
+// Jaro-Winkler), n-gram profiles compared by Dice coefficient, and a
 // datatype-aware LiteralMatcher that short-circuits numeric and date
 // literals through value comparison before falling back to string
 // similarity — which is what makes "1815-12-10" match "10 December 1815".
@@ -43,56 +43,6 @@ func Levenshtein(a, b string) int {
 		prev, curr = curr, prev
 	}
 	return prev[len(rb)]
-}
-
-// DamerauLevenshtein returns the edit distance allowing adjacent
-// transpositions in addition to insertions, deletions and substitutions
-// (the optimal-string-alignment variant).
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev2 := make([]int, len(rb)+1)
-	prev := make([]int, len(rb)+1)
-	curr := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		curr[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			curr[j] = min3(curr[j-1]+1, prev[j]+1, prev[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := prev2[j-2] + 1; t < curr[j] {
-					curr[j] = t
-				}
-			}
-		}
-		prev2, prev, curr = prev, curr, prev2
-	}
-	return prev[len(rb)]
-}
-
-// LevenshteinSim normalizes Levenshtein into a similarity in [0,1]:
-// 1 - dist/maxLen. Two empty strings are fully similar.
-func LevenshteinSim(a, b string) float64 {
-	if a == "" && b == "" {
-		return 1
-	}
-	la, lb := len([]rune(a)), len([]rune(b))
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(maxLen)
 }
 
 // Jaro returns the Jaro similarity in [0,1].
@@ -169,51 +119,6 @@ func Tokens(s string) []string {
 	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
-}
-
-// JaccardTokens computes |A∩B|/|A∪B| over the token sets of a and b.
-func JaccardTokens(a, b string) float64 {
-	ta, tb := Tokens(a), Tokens(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	set := make(map[string]uint8, len(ta)+len(tb))
-	for _, t := range ta {
-		set[t] |= 1
-	}
-	for _, t := range tb {
-		set[t] |= 2
-	}
-	inter, union := 0, 0
-	for _, m := range set {
-		union++
-		if m == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(union)
-}
-
-// NGramDice computes the Dice coefficient over character n-grams
-// (n ≥ 1). Strings shorter than n compare by equality. The per-string
-// gram multisets are memoized (ProfileOf), so repeated comparisons
-// against the same strings — the aligner scores each literal against
-// many candidates — skip gram extraction entirely.
-func NGramDice(a, b string, n int) float64 {
-	if n < 1 {
-		n = 2
-	}
-	pa, pb := ProfileOf(a, n), ProfileOf(b, n)
-	if pa.Total == 0 && pb.Total == 0 {
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	return pa.Dice(pb)
 }
 
 func ngrams(s string, n int) []string {

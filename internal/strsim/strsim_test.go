@@ -1,6 +1,8 @@
 package strsim
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -24,18 +26,6 @@ func TestLevenshtein(t *testing.T) {
 		if got := Levenshtein(c.a, c.b); got != c.want {
 			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestLevenshteinSim(t *testing.T) {
-	if LevenshteinSim("", "") != 1 {
-		t.Fatal("empty strings should be fully similar")
-	}
-	if s := LevenshteinSim("abc", "abc"); s != 1 {
-		t.Fatalf("identical = %f", s)
-	}
-	if s := LevenshteinSim("abc", "xyz"); s != 0 {
-		t.Fatalf("disjoint = %f", s)
 	}
 }
 
@@ -77,34 +67,6 @@ func TestTokensAndJaccard(t *testing.T) {
 			t.Fatalf("tokens = %v", toks)
 		}
 	}
-	if s := JaccardTokens("Frank Sinatra", "Sinatra, Frank"); s != 1 {
-		t.Fatalf("word-order invariance: %f", s)
-	}
-	if s := JaccardTokens("alpha beta", "beta gamma"); s < 0.32 || s > 0.34 {
-		t.Fatalf("jaccard = %f", s)
-	}
-	if JaccardTokens("", "") != 1 || JaccardTokens("a", "") != 0 {
-		t.Fatal("empty handling")
-	}
-}
-
-func TestNGramDice(t *testing.T) {
-	if s := NGramDice("night", "nacht", 2); s <= 0 || s >= 1 {
-		t.Fatalf("dice = %f", s)
-	}
-	if NGramDice("ab", "ab", 2) != 1 {
-		t.Fatal("identity")
-	}
-	if NGramDice("a", "a", 2) != 1 {
-		t.Fatal("short equal strings")
-	}
-	if NGramDice("a", "b", 2) != 0 {
-		t.Fatal("short distinct strings")
-	}
-	// n < 1 falls back to bigrams rather than panicking
-	if NGramDice("ab", "ab", 0) != 1 {
-		t.Fatal("n<1 fallback")
-	}
 }
 
 func TestNormalize(t *testing.T) {
@@ -138,11 +100,8 @@ func TestParseNumber(t *testing.T) {
 // for identical strings.
 func TestQuickMetricAxioms(t *testing.T) {
 	measures := map[string]func(a, b string) float64{
-		"levenshteinSim": LevenshteinSim,
-		"jaro":           Jaro,
-		"jaroWinkler":    JaroWinkler,
-		"jaccard":        JaccardTokens,
-		"dice2":          func(a, b string) float64 { return NGramDice(a, b, 2) },
+		"jaro":        Jaro,
+		"jaroWinkler": JaroWinkler,
 	}
 	for name, sim := range measures {
 		f := func(a, b string) bool {
@@ -239,7 +198,16 @@ func TestLiteralMatcherBest(t *testing.T) {
 }
 
 func TestLiteralMatcherCustomSim(t *testing.T) {
-	m := &LiteralMatcher{Threshold: 0.5, Sim: JaccardTokens}
+	sameTokens := func(a, b string) float64 {
+		ta, tb := Tokens(a), Tokens(b)
+		sort.Strings(ta)
+		sort.Strings(tb)
+		if reflect.DeepEqual(ta, tb) {
+			return 1
+		}
+		return 0
+	}
+	m := &LiteralMatcher{Threshold: 0.5, Sim: sameTokens}
 	ok, _ := m.Match(rdf.NewLiteral("alpha beta gamma"), rdf.NewLiteral("beta gamma alpha"))
 	if !ok {
 		t.Fatal("token-based matcher should be order-invariant")
@@ -249,44 +217,5 @@ func TestLiteralMatcherCustomSim(t *testing.T) {
 	ok, _ = m2.Match(rdf.NewLiteral("abc"), rdf.NewLiteral("abc"))
 	if !ok {
 		t.Fatal("default sim fallback broken")
-	}
-}
-
-func TestDamerauLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"abc", "acb", 1}, // one transposition (plain Levenshtein: 2)
-		{"ca", "abc", 3},  // OSA variant: no substring moves
-		{"kitten", "sitting", 3},
-		{"hello", "ehllo", 1},
-	}
-	for _, c := range cases {
-		if got := DamerauLevenshtein(c.a, c.b); got != c.want {
-			t.Errorf("DamerauLevenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// Property: Damerau-Levenshtein never exceeds Levenshtein, and both are
-// symmetric with zero self-distance.
-func TestQuickDamerauBounds(t *testing.T) {
-	f := func(a, b string) bool {
-		d := DamerauLevenshtein(a, b)
-		l := Levenshtein(a, b)
-		if d > l || d < 0 {
-			return false
-		}
-		if DamerauLevenshtein(b, a) != d {
-			return false
-		}
-		return DamerauLevenshtein(a, a) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
