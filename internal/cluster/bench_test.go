@@ -87,6 +87,45 @@ func BenchmarkClusterProbeHTTP(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterProbeBatchHTTP: ten object fetches — one sampled
+// subject each, the aligner's commonest probe — over a 3-shard HTTP
+// cluster, as one group (one request per shard that has a subject) and
+// as ten single probes (one request each).
+func BenchmarkClusterProbeBatchHTTP(b *testing.B) {
+	src := benchKB(1024)
+	g, cleanup := newBenchCluster(b, src)
+	defer cleanup()
+	pq, err := g.Prepare("SELECT ?y WHERE { $x $r ?y }", "x", "r")
+	if err != nil {
+		b.Fatal(err)
+	}
+	argSets := make([][]sparql.Arg, 10)
+	for i := range argSets {
+		argSets[i] = []sparql.Arg{sparql.IRIArg(fmt.Sprintf("http://x/s%05d", 7*i)), sparql.IRIArg("http://x/p")}
+	}
+	check := func(res *sparql.Result, err error) {
+		if err != nil || len(res.Rows) != 1 {
+			b.Fatalf("%v, %v", res, err)
+		}
+	}
+	b.Run("group", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			results, err := endpoint.SelectBatch(context.Background(), pq, argSets)
+			if err != nil || len(results) != len(argSets) {
+				b.Fatalf("%d results, %v", len(results), err)
+			}
+			check(results[0], nil)
+		}
+	})
+	b.Run("single", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, args := range argSets {
+				check(pq.SelectCtx(context.Background(), args...))
+			}
+		}
+	})
+}
+
 // BenchmarkClusterProbeInProcess: the in-process baseline — the same
 // federation merge over Locals, no network.
 func BenchmarkClusterProbeInProcess(b *testing.B) {

@@ -274,15 +274,22 @@ type attemptOut[T any] struct {
 // Two attempts only ever run at once when a hedge timer fires. Without
 // one — hedging off, or a single candidate — the attempts run one after
 // the other on the caller's goroutine (inOrder).
-func hedge[T any](ctx context.Context, r *Replicas, call func(ctx context.Context, ep endpoint.Endpoint) (T, error), discard func(T)) (T, context.CancelFunc, error) {
+//
+// tuples is how many executions one attempt carries: 1, or the size of
+// a SelectBatch group. A group is one attempt — one request, one
+// success or strike, moved whole on failover — but not one latency
+// sample: the window holds per-execution latencies, so an attempt
+// records its duration divided by tuples and is given tuples times the
+// hedge delay before its hedge launches.
+func hedge[T any](ctx context.Context, r *Replicas, tuples int, call func(ctx context.Context, ep endpoint.Endpoint) (T, error), discard func(T)) (T, context.CancelFunc, error) {
 	var zero T
 	cands := r.order()
 	var delay time.Duration
 	if len(cands) > 1 {
-		delay = r.hedgeDelay()
+		delay = r.hedgeDelay() * time.Duration(tuples)
 	}
 	if delay <= 0 {
-		return inOrder(ctx, r, cands, call)
+		return inOrder(ctx, r, cands, tuples, call)
 	}
 	outs := make(chan attemptOut[T], len(cands))
 	cancels := make([]context.CancelFunc, 0, len(cands))
@@ -295,7 +302,7 @@ func hedge[T any](ctx context.Context, r *Replicas, call func(ctx context.Contex
 		go func() {
 			start := time.Now()
 			v, err := call(actx, rep.ep)
-			r.observeAttempt(rep, time.Since(start), err)
+			r.observeAttempt(rep, time.Since(start)/time.Duration(tuples), err)
 			outs <- attemptOut[T]{val: v, err: err, id: id}
 		}()
 	}
@@ -363,14 +370,14 @@ func hedge[T any](ctx context.Context, r *Replicas, call func(ctx context.Contex
 // inOrder is hedge with no hedge timer armed: the candidates are tried
 // in order until one succeeds, fails with an error no replica would
 // answer differently, or none is left.
-func inOrder[T any](ctx context.Context, r *Replicas, cands []*replica, call func(ctx context.Context, ep endpoint.Endpoint) (T, error)) (T, context.CancelFunc, error) {
+func inOrder[T any](ctx context.Context, r *Replicas, cands []*replica, tuples int, call func(ctx context.Context, ep endpoint.Endpoint) (T, error)) (T, context.CancelFunc, error) {
 	var zero T
 	var firstErr error
 	for _, rep := range cands {
 		actx, cancel := context.WithCancel(ctx)
 		start := time.Now()
 		v, err := call(actx, rep.ep)
-		r.observeAttempt(rep, time.Since(start), err)
+		r.observeAttempt(rep, time.Since(start)/time.Duration(tuples), err)
 		if err == nil {
 			return v, cancel, nil
 		}
@@ -396,7 +403,7 @@ func (r *Replicas) Name() string { return r.name }
 
 // SelectCtx implements Endpoint with failover and hedging.
 func (r *Replicas) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	res, cancel, err := hedge(ctx, r, func(ctx context.Context, ep endpoint.Endpoint) (*sparql.Result, error) {
+	res, cancel, err := hedge(ctx, r, 1, func(ctx context.Context, ep endpoint.Endpoint) (*sparql.Result, error) {
 		return ep.SelectCtx(ctx, query)
 	}, nil)
 	if cancel != nil {
@@ -407,7 +414,7 @@ func (r *Replicas) SelectCtx(ctx context.Context, query string) (*sparql.Result,
 
 // AskCtx implements Endpoint with failover and hedging.
 func (r *Replicas) AskCtx(ctx context.Context, query string) (bool, error) {
-	ok, cancel, err := hedge(ctx, r, func(ctx context.Context, ep endpoint.Endpoint) (bool, error) {
+	ok, cancel, err := hedge(ctx, r, 1, func(ctx context.Context, ep endpoint.Endpoint) (bool, error) {
 		return ep.AskCtx(ctx, query)
 	}, nil)
 	if cancel != nil {
@@ -451,7 +458,7 @@ func (p *replicasPrepared) handleFor(ep endpoint.Endpoint) endpoint.PreparedQuer
 }
 
 func (p *replicasPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
-	res, cancel, err := hedge(ctx, p.r, func(ctx context.Context, ep endpoint.Endpoint) (*sparql.Result, error) {
+	res, cancel, err := hedge(ctx, p.r, 1, func(ctx context.Context, ep endpoint.Endpoint) (*sparql.Result, error) {
 		return p.handleFor(ep).SelectCtx(ctx, args...)
 	}, nil)
 	if cancel != nil {
@@ -461,13 +468,30 @@ func (p *replicasPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*
 }
 
 func (p *replicasPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
-	ok, cancel, err := hedge(ctx, p.r, func(ctx context.Context, ep endpoint.Endpoint) (bool, error) {
+	ok, cancel, err := hedge(ctx, p.r, 1, func(ctx context.Context, ep endpoint.Endpoint) (bool, error) {
 		return p.handleFor(ep).AskCtx(ctx, args...)
 	}, nil)
 	if cancel != nil {
 		cancel()
 	}
 	return ok, err
+}
+
+// SelectBatch implements endpoint.BatchSelector: the whole group is one
+// hedged call, answered by one replica. A retriable error moves the
+// group, whole, to the next replica; a semantic one — quota, parse,
+// caller cancellation — propagates at once.
+func (p *replicasPrepared) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+	if len(argSets) == 0 {
+		return []*sparql.Result{}, nil // no attempt to make
+	}
+	res, cancel, err := hedge(ctx, p.r, len(argSets), func(ctx context.Context, ep endpoint.Endpoint) ([]*sparql.Result, error) {
+		return endpoint.SelectBatch(ctx, p.handleFor(ep), argSets)
+	}, nil)
+	if cancel != nil {
+		cancel()
+	}
+	return res, err
 }
 
 // closeRows releases a losing attempt's open stream.
@@ -504,7 +528,7 @@ func (p *replicasPrepared) StreamKeyed(ctx context.Context, orderText string, ar
 }
 
 func (p *replicasPrepared) stream(ctx context.Context, open func(ctx context.Context, pq endpoint.PreparedQuery) (endpoint.Rows, error)) (endpoint.Rows, error) {
-	rows, cancel, err := hedge(ctx, p.r, func(ctx context.Context, ep endpoint.Endpoint) (endpoint.Rows, error) {
+	rows, cancel, err := hedge(ctx, p.r, 1, func(ctx context.Context, ep endpoint.Endpoint) (endpoint.Rows, error) {
 		return open(ctx, p.handleFor(ep))
 	}, closeRows)
 	if err != nil {
@@ -560,5 +584,6 @@ var (
 	_ endpoint.PreparedQuery  = (*replicasPrepared)(nil)
 	_ endpoint.StreamBorrower = (*replicasPrepared)(nil)
 	_ endpoint.KeyedStreamer  = (*replicasPrepared)(nil)
+	_ endpoint.BatchSelector  = (*replicasPrepared)(nil)
 	_ endpoint.KeyedRows      = (*rowsWithCancel)(nil)
 )

@@ -186,9 +186,62 @@ func runOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel,
 	}
 }
 
-// runPreparedOracle diffs prepared execution and streaming.
+// runBatchOracle diffs grouped execution: the routed object and
+// predicate probes of twelve facts of rel (and a subject that has none),
+// and a group of sample probes — which fans every execution out — each
+// as one SelectBatch, against the unsharded reference probe by probe.
+func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel string) {
+	t.Helper()
+	facts, err := local.SelectCtx(context.Background(), fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } LIMIT 12", rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects, preds := [][]sparql.Arg{{sparql.IRIArg("http://nowhere/s"), sparql.IRIArg(rel)}}, [][]sparql.Arg{}
+	for _, row := range facts.Rows {
+		objects = append(objects, []sparql.Arg{sparql.TermArg(row[0]), sparql.IRIArg(rel)})
+		preds = append(preds, []sparql.Arg{sparql.TermArg(row[0]), sparql.TermArg(row[1])})
+	}
+	for gi, group := range []struct {
+		tmpl    string
+		params  []string
+		argSets [][]sparql.Arg
+	}{
+		{"SELECT ?y WHERE { $x $r ?y }", []string{"x", "r"}, objects},
+		{"SELECT ?p WHERE { $x ?p $y }", []string{"x", "y"}, preds},
+		{"SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n", []string{"r", "n"},
+			[][]sparql.Arg{{sparql.IRIArg(rel), sparql.IntArg(5)}, {sparql.IRIArg(rel), sparql.IntArg(2)}}},
+		{"SELECT ?y WHERE { $x $r ?y }", []string{"x", "r"}, nil},
+	} {
+		lp, err := local.Prepare(group.tmpl, group.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gp, err := g.Prepare(group.tmpl, group.params...)
+		if err != nil {
+			t.Fatalf("%s: group %d Prepare: %v", label, gi, err)
+		}
+		got, err := endpoint.SelectBatch(context.Background(), gp, group.argSets)
+		if err != nil || len(got) != len(group.argSets) {
+			t.Fatalf("%s: group %d SelectBatch: %d results for %d tuples, %v", label, gi, len(got), len(group.argSets), err)
+		}
+		for i, args := range group.argSets {
+			want, err := lp.SelectCtx(context.Background(), args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if renderResult(got[i]) != renderResult(want) {
+				t.Errorf("%s: group %d tuple %d diverges:\n--- cluster ---\n%s\n--- local ---\n%s",
+					label, gi, i, renderResult(got[i]), renderResult(want))
+			}
+		}
+	}
+}
+
+// runPreparedOracle diffs prepared execution, streaming and grouped
+// execution.
 func runPreparedOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel, rel2 string) {
 	t.Helper()
+	runBatchOracle(t, label, local, g, rel)
 	const (
 		tmplSample  = "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n"
 		tmplOrdered = "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY ?y LIMIT $n"
@@ -315,6 +368,10 @@ func TestClusterContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	routed, err := g.Prepare("SELECT ?y WHERE { $x $r ?y }", "x", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := sparql.IRIArg(rel)
@@ -333,6 +390,15 @@ func TestClusterContextCancellation(t *testing.T) {
 		{"prepared SelectCtx", func() (endpoint.Rows, error) { _, err := sel.SelectCtx(ctx, r); return nil, err }},
 		{"prepared AskCtx", func() (endpoint.Rows, error) { _, err := ask.AskCtx(ctx, r); return nil, err }},
 		{"prepared Stream", func() (endpoint.Rows, error) { return sel.Stream(ctx, r) }},
+		{"prepared SelectBatch, routed", func() (endpoint.Rows, error) {
+			_, err := endpoint.SelectBatch(ctx, routed, [][]sparql.Arg{
+				{sparql.IRIArg("http://x/s1"), r}, {sparql.IRIArg("http://x/s2"), r}, {sparql.IRIArg("http://x/s3"), r}})
+			return nil, err
+		}},
+		{"prepared SelectBatch, fanned out", func() (endpoint.Rows, error) {
+			_, err := endpoint.SelectBatch(ctx, sel, [][]sparql.Arg{{r}, {r}})
+			return nil, err
+		}},
 	} {
 		start := time.Now()
 		rows, err := op.run()

@@ -174,3 +174,184 @@ func TestFailoverWithinOneCall(t *testing.T) {
 		t.Fatalf("failover answered %d rows, want 1", len(res.Rows))
 	}
 }
+
+// batchStub is a replica whose prepared handle takes groups natively:
+// SelectBatch waits for release (when set), takes perTuple per tuple,
+// and fails with err when that is set. It records what arrived and how
+// long the group took, measured inside the call.
+type batchStub struct {
+	name     string
+	perTuple time.Duration
+	err      error
+	release  chan struct{}
+
+	groups, tuples atomic.Int64
+	elapsed        atomic.Int64 // ns, of the last group
+}
+
+func (s *batchStub) Name() string { return s.name }
+func (s *batchStub) SelectCtx(context.Context, string) (*sparql.Result, error) {
+	return nil, errors.New("batchStub: text query")
+}
+func (s *batchStub) AskCtx(context.Context, string) (bool, error) { return true, nil }
+func (s *batchStub) Prepare(string, ...string) (endpoint.PreparedQuery, error) {
+	return batchStubHandle{s}, nil
+}
+
+type batchStubHandle struct{ s *batchStub }
+
+func (h batchStubHandle) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	res, err := h.SelectBatch(ctx, [][]sparql.Arg{args})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+func (h batchStubHandle) AskCtx(context.Context, ...sparql.Arg) (bool, error) { return true, nil }
+func (h batchStubHandle) Stream(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
+	res, err := h.SelectCtx(ctx, args...)
+	if err != nil {
+		return nil, err
+	}
+	return endpoint.ReplayRows(res), nil
+}
+
+func (h batchStubHandle) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+	start := time.Now()
+	h.s.groups.Add(1)
+	h.s.tuples.Add(int64(len(argSets)))
+	if h.s.release != nil {
+		select {
+		case <-h.s.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	time.Sleep(time.Duration(len(argSets)) * h.s.perTuple)
+	h.s.elapsed.Store(int64(time.Since(start)))
+	if h.s.err != nil {
+		return nil, h.s.err
+	}
+	out := make([]*sparql.Result, len(argSets))
+	for i := range out {
+		out[i] = &sparql.Result{Vars: []string{"y"}}
+	}
+	return out, nil
+}
+
+func stubGroup(n int) [][]sparql.Arg {
+	out := make([][]sparql.Arg, n)
+	for i := range out {
+		out[i] = []sparql.Arg{sparql.IRIArg(fmt.Sprintf("http://x/s%d", i))}
+	}
+	return out
+}
+
+// A group is one attempt and not one latency sample: one request and
+// one success on the replica's books, and in the hedge window its
+// duration divided by its tuples. The bounds are the group's duration
+// as the replica measured it inside the call and as this test measured
+// it around it — whatever the clock did, the attempt's lies between.
+func TestGroupIsOneAttemptNotOneSample(t *testing.T) {
+	const n = 10
+	stub := &batchStub{name: "stub/shard-0-of-1", perTuple: 2 * time.Millisecond}
+	set, err := NewReplicas([]endpoint.Endpoint{stub}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	pq, err := set.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(n))
+	around := time.Since(start)
+	if err != nil || len(res) != n {
+		t.Fatalf("%d results, %v", len(res), err)
+	}
+	rep := set.reps[0]
+	rep.mu.Lock()
+	requests, samples, sample := rep.requests, rep.latN, rep.lat[0]
+	rep.mu.Unlock()
+	if requests != 1 || samples != 1 || stub.groups.Load() != 1 || stub.tuples.Load() != n {
+		t.Fatalf("%d requests, %d samples, %d groups of %d tuples; want one of each and %d tuples",
+			requests, samples, stub.groups.Load(), stub.tuples.Load(), n)
+	}
+	inside := time.Duration(stub.elapsed.Load())
+	if sample < inside/n || sample > around/n {
+		t.Fatalf("recorded %v for a %d-tuple group that took %v inside the call and %v around it: want a per-tuple sample between %v and %v",
+			sample, n, inside, around, inside/n, around/n)
+	}
+	// An empty group is no attempt at all.
+	if res, err := endpoint.SelectBatch(context.Background(), pq, nil); err != nil || len(res) != 0 || stub.groups.Load() != 1 {
+		t.Fatalf("empty group: %v, %v, %d groups reached the replica", res, err, stub.groups.Load())
+	}
+}
+
+// A retriable error moves the whole group to the next replica and costs
+// the failed one a single strike; a semantic error propagates at once.
+func TestGroupFailsOverWhole(t *testing.T) {
+	const n = 8
+	down := &batchStub{name: "stub/shard-0-of-1", err: &endpoint.StatusError{Code: 503}}
+	up := &batchStub{name: "stub/shard-0-of-1"}
+	set, err := NewReplicas([]endpoint.Endpoint{down, up}, Options{FailAfter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	pq, err := set.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(n)); err != nil || len(res) != n {
+		t.Fatalf("%d results, %v", len(res), err)
+	}
+	if down.groups.Load() != 1 || up.groups.Load() != 1 || up.tuples.Load() != n {
+		t.Fatalf("failed replica saw %d groups, the next %d groups of %d tuples; want 1, 1 and %d",
+			down.groups.Load(), up.groups.Load(), up.tuples.Load(), n)
+	}
+	if st := set.Status()[0]; st.Fails != 1 || st.Errors != 1 || st.Requests != 1 {
+		t.Fatalf("failed replica's books: %+v; want one request, one error, one strike", st)
+	}
+
+	down.err = endpoint.ErrQuotaExceeded
+	if _, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(n)); !errors.Is(err, endpoint.ErrQuotaExceeded) {
+		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
+	}
+	if up.groups.Load() != 1 {
+		t.Fatal("a quota error was retried on the next replica")
+	}
+}
+
+// An attempt carrying n tuples is given n times the hedge delay: a
+// 50-tuple group still running after three delays has not been hedged,
+// where a single probe would have been after one.
+func TestGroupHedgeDelayScales(t *testing.T) {
+	const delay = 10 * time.Millisecond
+	first := &batchStub{name: "stub/shard-0-of-1", release: make(chan struct{})}
+	second := &batchStub{name: "stub/shard-0-of-1"}
+	set, err := NewReplicas([]endpoint.Endpoint{first, second}, Options{HedgeDelay: delay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	pq, err := set.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(50))
+		done <- err
+	}()
+	time.Sleep(3 * delay)
+	hedged := second.groups.Load()
+	close(first.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if hedged != 0 {
+		t.Fatalf("a 50-tuple group was hedged within %v of a %v delay", 3*delay, delay)
+	}
+}

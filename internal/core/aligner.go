@@ -265,26 +265,28 @@ func sortAlignments(out []Alignment) {
 	})
 }
 
-// discoveryProbe is one K'-side co-occurrence query of the discovery
-// stage: an entity probe (which predicates connect the translated
-// pair?) or, when lit is a literal, a literal scan matched against it.
-// exec runs the bound prepared query.
-type discoveryProbe struct {
-	exec func() (*sparql.Result, error)
-	lit  rdf.Term
+// discoveryProbes are the K'-side co-occurrence queries of one
+// discovery sample, as the argument tuples of their two templates:
+// entity probes on pEntityPreds (which predicates connect the translated
+// pair?) and literal scans on pLiteralAttrs, scan i matched against
+// lits[i].
+type discoveryProbes struct {
+	entity  [][]sparql.Arg
+	literal [][]sparql.Arg
+	lits    []rdf.Term
 }
 
 // discoverProbes pulls the discovery sample stream until SampleSize
 // translatable probes are collected, then closes it — rows past that
 // point are never pulled from the endpoint.
-func (a *Aligner) discoverProbes(r string, window int) ([]discoveryProbe, error) {
+func (a *Aligner) discoverProbes(r string, window int) (discoveryProbes, error) {
+	var probes discoveryProbes
 	rows, err := a.pDiscover.Stream(context.Background(), sparql.IRIArg(r), sparql.IntArg(window))
 	if err != nil {
-		return nil, err
+		return probes, err
 	}
 	defer rows.Close()
-	var probes []discoveryProbe
-	for len(probes) < a.cfg.SampleSize && rows.Next() {
+	for len(probes.entity)+len(probes.literal) < a.cfg.SampleSize && rows.Next() {
 		row := rows.Row()
 		x, y := row[0], row[1]
 		if !x.IsIRI() {
@@ -300,37 +302,18 @@ func (a *Aligner) discoverProbes(r string, window int) ([]discoveryProbe, error)
 			if !ok {
 				continue
 			}
-			probes = append(probes, discoveryProbe{
-				exec: func() (*sparql.Result, error) {
-					return a.pEntityPreds.SelectCtx(context.Background(), sparql.IRIArg(xp), sparql.IRIArg(yp))
-				},
-			})
+			probes.entity = append(probes.entity, []sparql.Arg{sparql.IRIArg(xp), sparql.IRIArg(yp)})
 		case y.IsLiteral():
 			if a.cfg.Matcher == nil {
 				continue
 			}
-			probes = append(probes, discoveryProbe{
-				exec: func() (*sparql.Result, error) {
-					return a.pLiteralAttrs.SelectCtx(context.Background(), sparql.IRIArg(xp))
-				},
-				lit: y,
-			})
+			probes.literal = append(probes.literal, []sparql.Arg{sparql.IRIArg(xp)})
+			probes.lits = append(probes.lits, y)
 		}
 	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	return probes, nil
+	return probes, rows.Err()
 }
 
-// discover samples r-facts from K, translates them into K', and
-// collects candidate predicates by co-occurrence. The sample window is
-// consumed as a stream: once SampleSize translatable probes are
-// found, the stream closes and the endpoint stops producing — the
-// window rows past that point are never materialized. The collected
-// probes then fan out over the worker pool; hit counts merge
-// commutatively, so the result is independent of probe completion
-// order.
 // ensureCandidates obtains the candidate index over the target
 // inventory, once per aligner: from Config.CandidateIndexCache when one
 // is shared (so co-targeted aligners resolve the index once), through a
@@ -386,6 +369,14 @@ func (a *Aligner) prune(r string) (map[string]bool, error) {
 	return allowed, nil
 }
 
+// discover samples r-facts from K, translates them into K', and
+// collects candidate predicates by co-occurrence. The sample window is
+// consumed as a stream: once SampleSize translatable probes are
+// found, the stream closes and the endpoint stops producing — the
+// window rows past that point are never materialized. The collected
+// probes are independent, so each kind goes to K' as one group
+// (endpoint.SelectBatch) — a stage task of its own, when there is any of
+// that kind — and the hits are counted once both are back.
 func (a *Aligner) discover(r string, allowed map[string]bool) ([]*candidate, error) {
 	window := 40 * a.cfg.SampleSize
 	if window < 200 {
@@ -399,39 +390,44 @@ func (a *Aligner) discover(r string, allowed map[string]bool) ([]*candidate, err
 		return nil, fmt.Errorf("core: discovery sample for <%s>: %w", r, err)
 	}
 
-	partial := make([]map[string]int, len(probes))
-	err = a.runStage(len(probes), func(i int) error {
-		p := probes[i]
-		pres, err := p.exec()
-		if err != nil {
-			return err
-		}
-		h := map[string]int{}
-		for _, prow := range pres.Rows {
-			if !prow[0].IsIRI() {
-				continue
-			}
-			if p.lit.IsLiteral() {
-				if ok, _ := a.cfg.Matcher.Match(p.lit, prow[1]); ok {
-					h[prow[0].Value]++
-				}
-			} else {
-				h[prow[0].Value]++
-			}
-		}
-		partial[i] = h
-		return nil
+	// One group per kind of probe, one stage task per group that has
+	// any: a relation's probes are mostly of one kind, and often none.
+	groups := [2]struct {
+		pq      endpoint.PreparedQuery
+		argSets [][]sparql.Arg
+		results []*sparql.Result
+	}{{pq: a.pEntityPreds, argSets: probes.entity}, {pq: a.pLiteralAttrs, argSets: probes.literal}}
+	run := groups[:]
+	if len(probes.entity) == 0 {
+		run = run[1:]
+	}
+	if len(probes.literal) == 0 {
+		run = run[:len(run)-1]
+	}
+	err = a.runStage(len(run), func(i int) error {
+		var err error
+		run[i].results, err = endpoint.SelectBatch(context.Background(), run[i].pq, run[i].argSets)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	hits := map[string]int{}
-	for _, h := range partial {
-		for rel, n := range h {
-			if allowed != nil && !allowed[rel] {
-				continue
+	count := func(rel rdf.Term) {
+		if rel.IsIRI() && (allowed == nil || allowed[rel.Value]) {
+			hits[rel.Value]++
+		}
+	}
+	for _, res := range groups[0].results {
+		for _, row := range res.Rows {
+			count(row[0])
+		}
+	}
+	for i, res := range groups[1].results {
+		for _, row := range res.Rows {
+			if ok, _ := a.cfg.Matcher.Match(probes.lits[i], row[1]); ok {
+				count(row[0])
 			}
-			hits[rel] += n
 		}
 	}
 
@@ -578,7 +574,11 @@ func (a *Aligner) entityCandidate(c *candidate) bool {
 
 // headSiblings discovers relations z of K (z ≠ r) that also cover the
 // candidate's translated sample pairs — the sibling set for the
-// mirrored UBS strategy.
+// mirrored UBS strategy. Its probes are independent too, but stay
+// single streams on a measurement: submitted as a group they moved the
+// benchmark's batch_topk_scale peak resident set from 280 to 359 MiB, past
+// its bound (EXPERIMENTS.md, "One request per shard per stage"; ROADMAP
+// item 3a has why, and what grouping them would save).
 func (a *Aligner) headSiblings(r string, c *candidate) ([]string, error) {
 	counts := map[string]int{}
 	checked := 0

@@ -394,6 +394,10 @@ var cancelOps = []struct {
 	{"prepared Stream", func(ctx context.Context, _ Endpoint, sel, _ PreparedQuery) (Rows, error) {
 		return sel.Stream(ctx, sparql.IRIArg("http://x/a"))
 	}},
+	{"prepared SelectBatch", func(ctx context.Context, _ Endpoint, sel, _ PreparedQuery) (Rows, error) {
+		_, err := SelectBatch(ctx, sel, [][]sparql.Arg{{sparql.IRIArg("http://x/a")}, {sparql.IRIArg("http://x/b")}, {sparql.IRIArg("http://x/a")}})
+		return nil, err
+	}},
 }
 
 // TestCancellationContract states cancellation once for the whole query

@@ -29,7 +29,8 @@ const ResultsContentType = "application/sparql-results+json"
 // response for SELECT queries (see wire.go): rows cross the wire in
 // flushed frames of up to WireBatch rows instead of one drained JSON
 // document, and an orderspec field makes the server attach deterministic
-// ORDER BY key values to every row.
+// ORDER BY key values to every row. A request carrying multi=1 holds
+// several SELECT texts, answered in one response (see multi.go).
 type Server struct {
 	local Endpoint
 }
@@ -45,7 +46,8 @@ func NewServerEndpoint(ep Endpoint) *Server { return &Server{local: ep} }
 type wireReq struct {
 	query     string
 	stream    bool
-	orderspec string // original ordered query text for key attachment
+	orderspec string   // original ordered query text for key attachment
+	multi     []string // every query text of a multi=1 request, query first
 }
 
 // ServeHTTP implements http.Handler. The query text is parsed once, by
@@ -61,6 +63,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		http.Error(w, err.Error(), code)
+		return
+	}
+	if req.multi != nil {
+		s.serveMulti(w, r, req)
 		return
 	}
 	form := sparql.FormOf(req.query)
@@ -153,11 +159,10 @@ func tooManyErr(resp *http.Response, body []byte) error {
 const maxQueryBytes = 1 << 20
 
 func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
-	var get func(name string) string
+	var vals url.Values
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query()
-		get = q.Get
+		vals = r.URL.Query()
 	case http.MethodPost:
 		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 		ct := r.Header.Get("Content-Type")
@@ -171,17 +176,20 @@ func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
 		if err := r.ParseForm(); err != nil {
 			return nil, err
 		}
-		get = r.PostForm.Get
+		vals = r.PostForm
 	default:
 		return nil, fmt.Errorf("endpoint: method %s not allowed", r.Method)
 	}
 	req := &wireReq{
-		query:     get("query"),
-		stream:    get("stream") == "1",
-		orderspec: get("orderspec"),
+		query:     vals.Get("query"),
+		stream:    vals.Get("stream") == "1",
+		orderspec: vals.Get("orderspec"),
 	}
 	if req.query == "" {
 		return nil, errors.New("endpoint: missing query parameter")
+	}
+	if vals.Get("multi") == "1" {
+		req.multi = vals["query"]
 	}
 	return req, nil
 }
@@ -325,6 +333,11 @@ func (c *Client) post(ctx context.Context, query string, stream bool, orderspec 
 	if stream {
 		form = appendFormField(form, "stream", "1")
 	}
+	return c.postForm(ctx, form)
+}
+
+// postForm sends an encoded form body.
+func (c *Client) postForm(ctx context.Context, form []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL, bytes.NewReader(form))
 	if err != nil {
 		return nil, err
@@ -357,16 +370,22 @@ func (c *Client) statusErr(resp *http.Response) error {
 	return &StatusError{URL: c.baseURL, Code: resp.StatusCode, Snippet: bodySnippet(body)}
 }
 
-func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, error) {
-	resp, err := c.post(ctx, query, false, "")
+// wholeAnswer reads the answer to a sent request whole: the body of a
+// 200 and its media type, or the error any other status stands for.
+func (c *Client) wholeAnswer(resp *http.Response, err error) ([]byte, string, error) {
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, c.statusErr(resp)
+		return nil, "", c.statusErr(resp)
 	}
 	body, err := readBody(resp, maxAnswerBytes)
+	return body, resp.Header.Get("Content-Type"), err
+}
+
+func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, error) {
+	body, _, err := c.wholeAnswer(c.post(ctx, query, false, ""))
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +451,8 @@ func (c *Client) Prepare(template string, params ...string) (PreparedQuery, erro
 
 // clientPrepared is the HTTP client's PreparedQuery: text interpolation
 // for whole-result calls (one request, one JSON document), the framed
-// wire stream for Stream/StreamKeyed.
+// wire stream for Stream/StreamKeyed, one multi=1 request for a group
+// (SelectBatch, multi.go).
 type clientPrepared struct {
 	textPrepared
 	c *Client
@@ -460,4 +480,5 @@ var (
 	_ Endpoint      = (*Client)(nil)
 	_ PreparedQuery = (*clientPrepared)(nil)
 	_ KeyedStreamer = (*clientPrepared)(nil)
+	_ BatchSelector = (*clientPrepared)(nil)
 )

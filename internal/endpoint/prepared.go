@@ -87,6 +87,39 @@ func StreamKeyed(ctx context.Context, pq PreparedQuery, orderText string, args .
 	return StreamBorrowed(ctx, pq, args...)
 }
 
+// BatchSelector is an optional PreparedQuery extension for callers that
+// hold several independent executions of one template at once — a
+// stage's per-subject object fetches, say. SelectBatch runs the template
+// once per argument tuple and returns the results in tuple order, each
+// byte-identical to SelectCtx on that tuple; the first failing tuple
+// fails the group, and tuples after it are not executed. It counts as
+// len(argSets) queries wherever queries are counted. What an
+// implementation saves is the per-call overhead between the caller and
+// the KB: the HTTP client sends a group as one request, the federation
+// as one per shard.
+type BatchSelector interface {
+	SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error)
+}
+
+// SelectBatch runs pq once per tuple of argSets: natively when pq is a
+// BatchSelector, one SelectCtx after the other otherwise — which is also
+// what keeps Caching, Coalescing, Admission and Local exact: they see a
+// group as the single probes it stands for.
+func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+	if b, ok := pq.(BatchSelector); ok {
+		return b.SelectBatch(ctx, argSets)
+	}
+	out := make([]*sparql.Result, len(argSets))
+	for i, args := range argSets {
+		res, err := pq.SelectCtx(ctx, args...)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
 // preparedKey renders a stable cache/coalescing key for one execution
 // of a prepared query: the endpoint name, the template source, its
 // parameter declaration order, and the canonical argument renderings.

@@ -16,7 +16,11 @@
 //
 // Both samplers speak only SPARQL against endpoint.Endpoint values and
 // translate entities through a Translator, so they run unchanged against
-// in-process KBs and remote HTTP endpoints.
+// in-process KBs and remote HTTP endpoints. Each issues one streamed
+// sample probe, read to its stopping point and closed, and then the
+// object fetches of the sampled subjects as one group
+// (endpoint.SelectBatch): against a remote KB a sampler costs two round
+// trips per shard, not one per subject.
 package sampling
 
 import (
@@ -229,21 +233,39 @@ func (v *Validator) SampleBody(rsub string, n int) (*SampleSet, error) {
 	return set, nil
 }
 
-// HeadObjects fetches every object of r(x, ·) from K — the full r-facts
-// of one sampled subject, as pcaconf requires.
-func (v *Validator) HeadObjects(r, x string) ([]rdf.Term, error) {
-	if err := v.prepare(); err != nil {
-		return nil, err
+// objectsOf fetches every object of r(x, ·) for each subject of xs
+// through the object probe pq, as one group (endpoint.SelectBatch): the
+// fetches are independent, so an endpoint that can take them together
+// does — one request, one per shard — and any other runs them in order,
+// stopping at the first failure. objs[i] holds the objects of xs[i].
+// It is the one object fetch of both samplers: Simple Sample Extraction
+// needs the full r-facts of its sampled subjects for the PCA
+// denominator, the UBS check stage those of its overlap subjects — over
+// the same template, so a caching endpoint deduplicates the two stages
+// against each other.
+func objectsOf(pq endpoint.PreparedQuery, r string, xs []string) ([][]rdf.Term, error) {
+	if len(xs) == 0 {
+		return nil, nil
 	}
-	res, err := v.pHeadObjects.SelectCtx(context.Background(), sparql.IRIArg(x), sparql.IRIArg(r))
+	args := make([]sparql.Arg, 2*len(xs))
+	argSets := make([][]sparql.Arg, len(xs))
+	rel := sparql.IRIArg(r)
+	for i, x := range xs {
+		args[2*i], args[2*i+1] = sparql.IRIArg(x), rel
+		argSets[i] = args[2*i : 2*i+2 : 2*i+2]
+	}
+	results, err := endpoint.SelectBatch(context.Background(), pq, argSets)
 	if err != nil {
-		return nil, fmt.Errorf("sampling: head objects of <%s> for <%s>: %w", r, x, err)
+		return nil, fmt.Errorf("sampling: objects of <%s> for %d subjects: %w", r, len(xs), err)
 	}
-	out := make([]rdf.Term, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		out = append(out, row[0])
+	objs := make([][]rdf.Term, len(xs))
+	for i, res := range results {
+		objs[i] = make([]rdf.Term, len(res.Rows))
+		for j, row := range res.Rows {
+			objs[i][j] = row[0]
+		}
 	}
-	return out, nil
+	return objs, nil
 }
 
 // SimpleEvidence runs the full Simple Sample Extraction pipeline for the
@@ -254,14 +276,14 @@ func (v *Validator) SimpleEvidence(rsub, r string, n int) (*ilp.Evidence, *Sampl
 	if err != nil {
 		return nil, nil, err
 	}
+	objs, err := objectsOf(v.pHeadObjects, r, set.Subjects)
+	if err != nil {
+		return nil, nil, err
+	}
 	ev := &ilp.Evidence{}
-	headObjs := map[string][]rdf.Term{}
-	for _, x := range set.Subjects {
-		objs, err := v.HeadObjects(r, x)
-		if err != nil {
-			return nil, nil, err
-		}
-		headObjs[x] = objs
+	headObjs := make(map[string][]rdf.Term, len(objs))
+	for i, x := range set.Subjects {
+		headObjs[x] = objs[i]
 	}
 	for _, f := range set.Facts {
 		objs := headObjs[f.X]

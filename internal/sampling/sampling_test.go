@@ -225,13 +225,26 @@ func TestSimpleEvidenceWrongDirectionIsBlindWithoutUBS(t *testing.T) {
 }
 
 func TestHeadObjects(t *testing.T) {
-	v, _, _ := newValidator(t)
-	objs, err := v.HeadObjects(yNS+"creatorOf", yNS+"poly")
+	v, ky, _ := newValidator(t)
+	if err := v.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	// one group: a subject with two objects, one with one, one with none
+	objs, err := objectsOf(v.pHeadObjects, yNS+"creatorOf", []string{yNS + "poly", yNS + "c0", yNS + "nobody"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(objs) != 2 {
+	if len(objs) != 3 || len(objs[0]) != 2 || len(objs[1]) != 1 || len(objs[2]) != 0 {
 		t.Fatalf("objects = %v", objs)
+	}
+	if objs[1][0] != rdf.NewIRI(yNS+"comp0") {
+		t.Fatalf("objects of c0 = %v", objs[1])
+	}
+	if q := ky.Stats().Queries; q != 3 {
+		t.Fatalf("K queries = %d, want 3 (one per subject)", q)
+	}
+	if objs, err := objectsOf(v.pHeadObjects, yNS+"creatorOf", nil); err != nil || objs != nil || ky.Stats().Queries != 3 {
+		t.Fatalf("empty group: %v, %v, %d queries", objs, err, ky.Stats().Queries)
 	}
 }
 

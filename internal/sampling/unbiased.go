@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"sofya/internal/endpoint"
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
@@ -110,9 +109,14 @@ func (v *Validator) Contradictions(side Side, a, b, check string, m int) (*UBSRe
 	if err != nil {
 		return nil, fmt.Errorf("sampling: UBS overlap query (%s,%s): %w", a, b, err)
 	}
-	defer rows.Close()
+	// Translation alone decides where the stream stops, so it is read to
+	// that point and closed before any check object is fetched: the
+	// stream — over HTTP a response body and a server-side enumeration —
+	// is not held open across the fetches, and the fetches, independent
+	// once their subjects are known, go out as one group.
 	out := &UBSResult{}
-	objsCache := map[string][]rdf.Term{}
+	var xs []string        // distinct overlap subjects, first seen first
+	at := map[string]int{} // subject → its index in xs
 	for len(out.Rows) < m && rows.Next() {
 		out.Sampled++
 		row := rows.Row()
@@ -127,41 +131,28 @@ func (v *Validator) Contradictions(side Side, a, b, check string, m int) (*UBSRe
 			out.Untranslatable++
 			continue
 		}
-		objs, cached := objsCache[x]
-		if !cached {
-			var err error
-			objs, err = fetchObjects(checkObjs, check, x)
-			if err != nil {
-				return nil, err
+		if _, seen := at[x]; !seen {
+			if xs == nil {
+				xs = make([]string, 0, m)
 			}
-			objsCache[x] = objs
+			at[x] = len(xs)
+			xs = append(xs, x)
 		}
-		c := Contradiction{
-			X:       x,
-			Y1:      rdf.NewIRI(y1),
-			Y2:      rdf.NewIRI(y2),
-			CheckY1: containsIRI(objs, y1),
-			CheckY2: containsIRI(objs, y2),
-		}
-		out.Rows = append(out.Rows, c)
+		out.Rows = append(out.Rows, Contradiction{X: x, Y1: rdf.NewIRI(y1), Y2: rdf.NewIRI(y2)})
 	}
-	if err := rows.Err(); err != nil {
+	err = rows.Err()
+	rows.Close()
+	if err != nil {
 		return nil, fmt.Errorf("sampling: UBS overlap query (%s,%s): %w", a, b, err)
 	}
-	return out, nil
-}
-
-// fetchObjects retrieves all objects of r(x, ·) through the prepared
-// object probe — the same template Simple Sample Extraction uses, so a
-// caching endpoint deduplicates the two stages against each other.
-func fetchObjects(pq endpoint.PreparedQuery, r, x string) ([]rdf.Term, error) {
-	res, err := pq.SelectCtx(context.Background(), sparql.IRIArg(x), sparql.IRIArg(r))
+	objs, err := objectsOf(checkObjs, check, xs)
 	if err != nil {
-		return nil, fmt.Errorf("sampling: UBS check objects of <%s> for <%s>: %w", r, x, err)
+		return nil, err
 	}
-	out := make([]rdf.Term, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		out = append(out, row[0])
+	for i := range out.Rows {
+		c := &out.Rows[i]
+		held := objs[at[c.X]]
+		c.CheckY1, c.CheckY2 = containsIRI(held, c.Y1.Value), containsIRI(held, c.Y2.Value)
 	}
 	return out, nil
 }

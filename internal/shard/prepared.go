@@ -218,6 +218,65 @@ func (p *groupPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*spa
 	return drainRows(newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows))
 }
 
+// SelectBatch implements endpoint.BatchSelector for routed templates:
+// the tuples are grouped by the shard their subject hashes to, every
+// shard with any runs its group as one call (one request, when the shard
+// is remote), and the results scatter back into tuple order. Within a
+// shard the tuples run in order and stop at the first failure; across
+// shards they run concurrently, and the first error cancels the rest.
+// Any other strategy already fans every execution out to all shards, so
+// its group is the executions one after the other.
+func (p *groupPrepared) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+	out := make([]*sparql.Result, len(argSets))
+	if p.form != sparql.SelectForm || p.strat != stratRoute || len(argSets) < 2 {
+		for i, args := range argSets {
+			res, err := p.SelectCtx(ctx, args...)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = res
+		}
+		return out, nil
+	}
+	shardOf := make([]int, len(argSets))
+	for i, args := range argSets {
+		if err := p.validateArgs(args); err != nil {
+			return nil, err
+		}
+		var err error
+		if shardOf[i], err = p.routeShard(args); err != nil {
+			return nil, err
+		}
+	}
+	err := p.g.fanout(ctx, func(ctx context.Context, sh int) error {
+		var sub [][]sparql.Arg
+		for i, args := range argSets {
+			if shardOf[i] == sh {
+				sub = append(sub, args)
+			}
+		}
+		if len(sub) == 0 {
+			return nil
+		}
+		results, err := endpoint.SelectBatch(ctx, p.orig[sh], sub)
+		if err != nil {
+			return err
+		}
+		k := 0
+		for i := range argSets {
+			if shardOf[i] == sh {
+				out[i] = capResult(results[k], p.g.maxRows)
+				k++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func (p *groupPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
 	if p.form != sparql.AskForm {
 		return false, fmt.Errorf("shard: Ask needs an ASK query")
@@ -402,4 +461,7 @@ func (p *groupPrepared) puller(sources []rowsSource) puller {
 	return newConcatPuller(sources)
 }
 
-var _ endpoint.PreparedQuery = (*groupPrepared)(nil)
+var (
+	_ endpoint.PreparedQuery = (*groupPrepared)(nil)
+	_ endpoint.BatchSelector = (*groupPrepared)(nil)
+)

@@ -99,6 +99,10 @@ func TestGroupContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	routed, err := g.Prepare("SELECT ?y WHERE { $x $r ?y }", "x", "r")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := sparql.IRIArg("http://x/p")
@@ -117,6 +121,15 @@ func TestGroupContextCancellation(t *testing.T) {
 		{"prepared SelectCtx", func() (endpoint.Rows, error) { _, err := sel.SelectCtx(ctx, p); return nil, err }},
 		{"prepared AskCtx", func() (endpoint.Rows, error) { _, err := ask.AskCtx(ctx, p); return nil, err }},
 		{"prepared Stream", func() (endpoint.Rows, error) { return sel.Stream(ctx, p) }},
+		{"prepared SelectBatch, routed", func() (endpoint.Rows, error) {
+			_, err := endpoint.SelectBatch(ctx, routed, [][]sparql.Arg{
+				{sparql.IRIArg("http://x/s1"), p}, {sparql.IRIArg("http://x/s2"), p}, {sparql.IRIArg("http://x/s3"), p}})
+			return nil, err
+		}},
+		{"prepared SelectBatch, fanned out", func() (endpoint.Rows, error) {
+			_, err := endpoint.SelectBatch(ctx, sel, [][]sparql.Arg{{p}, {p}})
+			return nil, err
+		}},
 	} {
 		start := time.Now()
 		rows, err := op.run()
