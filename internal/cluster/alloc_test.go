@@ -1,0 +1,59 @@
+package cluster
+
+import (
+	"runtime"
+	"testing"
+
+	"sofya/internal/sparql"
+)
+
+// TestAllocCeilingShardRequest guards what one request to a shard
+// allocates, on both sides of the wire — the servers run in this
+// process — in bytes as well as objects: a deployment pays it some fifty
+// times per aligned relation. Measured over a 3-shard HTTP cluster:
+//
+//	one routed stream probe (1 request, 1 row)    12.5 KB / 166 objects
+//	one RAND fan-out of 12 rows (3 requests)      43.5 KB / 557 objects
+//
+// The ceilings are 1.25 × that. Before the server prepared a stream's
+// text through the plan cache and decoded forms itself, and the client
+// recycled read buffers and sized a frame's rows once, the same probes
+// cost 15.8 KB / 208 and 56.9 KB / 678.
+func TestAllocCeilingShardRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	g, cleanup := newBenchCluster(t, benchKB(1024))
+	defer cleanup()
+	for _, c := range []struct {
+		name, probe, param string
+		rows               int
+		args               []sparql.Arg
+		bytes, objects     float64
+	}{
+		{"routed", benchProbeRouted, "x", 1, []sparql.Arg{sparql.IRIArg("http://x/s00007")}, 15_700, 208},
+		{"fanout", benchProbeSmall, "n", smallRows, []sparql.Arg{sparql.IntArg(smallRows)}, 54_400, 697},
+	} {
+		pq, err := g.Prepare(c.probe, c.param)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() { drainBench(t, pq, c.rows, c.args...) }
+		for i := 0; i < 20; i++ {
+			run() // plans, connections and pooled buffers settle
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		objects := float64(after.Mallocs-before.Mallocs) / runs
+		t.Logf("%s: %.0f bytes, %.1f objects a probe", c.name, bytes, objects)
+		if bytes > c.bytes || objects > c.objects {
+			t.Errorf("%s: %.0f bytes, %.1f objects a probe; ceilings %.0f and %.0f", c.name, bytes, objects, c.bytes, c.objects)
+		}
+	}
+}

@@ -17,39 +17,53 @@ import (
 // cluster with batch framing, and an HTTP cluster forced to row-at-a-
 // time framing — the before/after of the wire batching.
 
+// benchKB holds one relation of rows facts, p, and one of smallRows, q:
+// most relations an alignment probes are that small, and what such a
+// probe costs is what a request costs.
 func benchKB(rows int) *kb.KB {
 	k := kb.New("bench")
 	for i := 0; i < rows; i++ {
 		k.AddIRIs(fmt.Sprintf("http://x/s%05d", i), "http://x/p", fmt.Sprintf("http://x/o%05d", i))
 	}
+	for i := 0; i < smallRows; i++ {
+		k.AddIRIs(fmt.Sprintf("http://x/s%05d", i), "http://x/q", fmt.Sprintf("http://x/o%05d", i))
+	}
 	k.Freeze()
 	return k
 }
 
-const benchProbe = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o } ORDER BY RAND() LIMIT $n"
+const (
+	benchProbe = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o } ORDER BY RAND() LIMIT $n"
+	// The same probe over q: every shard streams its few facts whole.
+	benchProbeSmall = "SELECT ?s ?o WHERE { ?s <http://x/q> ?o } ORDER BY RAND() LIMIT $n"
+	smallRows       = 12
+	// A routed probe: the objects of one subject, from the one shard
+	// that has it — a single stream request.
+	benchProbeRouted = "SELECT ?y WHERE { $x <http://x/p> ?y }"
+)
 
-func drainBench(b *testing.B, pq endpoint.PreparedQuery, n int) {
-	b.Helper()
-	rows, err := pq.Stream(context.Background(), sparql.IntArg(n))
+func drainBench(tb testing.TB, pq endpoint.PreparedQuery, n int, args ...sparql.Arg) {
+	tb.Helper()
+	rows, err := pq.Stream(context.Background(), args...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cnt := 0
 	for rows.Next() {
 		cnt++
 	}
 	if err := rows.Err(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rows.Close()
 	if cnt != n {
-		b.Fatalf("drained %d rows, want %d", cnt, n)
+		tb.Fatalf("drained %d rows, want %d", cnt, n)
 	}
 }
 
 // newBenchCluster builds a 3-shard × 1-replica HTTP cluster.
-func newBenchCluster(b *testing.B, src *kb.KB) (*Group, func()) {
-	b.Helper()
+func newBenchCluster(tb testing.TB, src *kb.KB) (*Group, func()) {
+	tb.Helper()
 	const seed = 41
 	parts := kb.Partition(src, 3)
 	var servers []*httptest.Server
@@ -61,7 +75,7 @@ func newBenchCluster(b *testing.B, src *kb.KB) (*Group, func()) {
 	}
 	g, err := NewGroup(src.Name(), seed, shards, Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g, func() {
 		g.Close()
@@ -72,18 +86,42 @@ func newBenchCluster(b *testing.B, src *kb.KB) (*Group, func()) {
 }
 
 // BenchmarkClusterProbeHTTP: the RAND-ordered probe over a 3-shard
-// HTTP cluster (64-row batch framing).
+// HTTP cluster (64-row batch framing) — 32 of 4,096 facts, and all of a
+// relation of 12, where the three requests are most of the cost.
 func BenchmarkClusterProbeHTTP(b *testing.B) {
-	src := benchKB(4096)
-	g, cleanup := newBenchCluster(b, src)
+	g, cleanup := newBenchCluster(b, benchKB(4096))
 	defer cleanup()
-	pq, err := g.Prepare(benchProbe, "n")
+	for _, c := range []struct {
+		name, probe string
+		n           int
+	}{{"rows=4096", benchProbe, 32}, {"rows=12", benchProbeSmall, smallRows}} {
+		b.Run(c.name, func(b *testing.B) {
+			pq, err := g.Prepare(c.probe, "n")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drainBench(b, pq, c.n, sparql.IntArg(c.n))
+			}
+		})
+	}
+}
+
+// BenchmarkClusterProbeRoutedHTTP: one routed stream probe — one
+// request to one shard, one row back: the per-request floor.
+func BenchmarkClusterProbeRoutedHTTP(b *testing.B) {
+	g, cleanup := newBenchCluster(b, benchKB(1024))
+	defer cleanup()
+	pq, err := g.Prepare(benchProbeRouted, "x")
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drainBench(b, pq, 32)
+		drainBench(b, pq, 1, sparql.IRIArg("http://x/s00007"))
 	}
 }
 
@@ -137,7 +175,7 @@ func BenchmarkClusterProbeInProcess(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drainBench(b, pq, 32)
+		drainBench(b, pq, 32, sparql.IntArg(32))
 	}
 }
 
@@ -177,6 +215,6 @@ func BenchmarkClusterHedgedProbe(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		drainBench(b, pq, 32)
+		drainBench(b, pq, 32, sparql.IntArg(32))
 	}
 }

@@ -252,10 +252,6 @@ type jsonDec struct {
 	data    []byte
 	pos     int
 	scratch []byte // unescaped bytes of the last string that needed any
-	// A frame's rows and key values collect here, to be copied out into
-	// slices of exactly their size.
-	terms []rdf.Term
-	vals  []sparql.Value
 }
 
 // maxSkipDepth bounds the nesting skip will follow into a member it has
@@ -896,9 +892,9 @@ func (d *jsonDec) frame(line []byte, f *frame, width, nkeys int) error {
 				return d.errf("rows before the head frame")
 			}
 			if m == mRows {
-				f.terms, f.n, err = matrix(d, &d.terms, width, d.term)
+				f.terms, f.n, err = matrix(d, width, d.term)
 			} else {
-				f.keyvals, nkv, err = matrix(d, &d.vals, nkeys, d.keyValue)
+				f.keyvals, nkv, err = matrix(d, nkeys, d.keyValue)
 			}
 		case mEnd:
 			err = d.frameEnd(f)
@@ -997,21 +993,24 @@ func (d *jsonDec) frameEnd(f *frame) error {
 }
 
 // matrix reads an array of rows of width elements each, every element
-// read by elem, into one new backing slice, row-major. The elements
-// collect in *scratch first, so that the slice returned is cut to size.
-func matrix[T any](d *jsonDec, scratch *[]T, width int, elem func() (T, error)) (all []T, n int, err error) {
+// read by elem, into one new backing slice, row-major, made once for the
+// rows the array seems to hold: the encoder writes "],[" between two, so
+// one more than are left in the frame at most. That is believed up to a
+// full frame and to the elements the bytes could hold, 8 at the least
+// each; past it the slice grows.
+func matrix[T any](d *jsonDec, width int, elem func() (T, error)) (all []T, n int, err error) {
 	if err := d.open('['); err != nil {
 		return nil, 0, err
 	}
-	buf := (*scratch)[:0]
-	defer func() { *scratch = buf }()
+	rest := d.data[d.pos:]
+	buf := make([]T, 0, min(width*min(WireBatch, 1+bytes.Count(rest, []byte("],["))), len(rest)/8))
 	for first := true; ; first = false {
 		ok, err := d.element(first)
 		if err != nil {
 			return nil, 0, err
 		}
 		if !ok {
-			return append([]T(nil), buf...), n, nil
+			return buf, n, nil
 		}
 		if err := d.open('['); err != nil {
 			return nil, 0, err

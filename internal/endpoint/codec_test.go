@@ -111,7 +111,7 @@ func encodeStream(s *stream) ([]byte, *httptest.ResponseRecorder) {
 // lands in the stream's err, like the reference's; any other failure is
 // returned.
 func decodeStream(data []byte) (*stream, error) {
-	rows, err := newWireRows(io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil)
+	rows, err := newWireRows(io.NopCloser(bytes.NewReader(data)), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}

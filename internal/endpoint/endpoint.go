@@ -251,9 +251,22 @@ func (l *Local) AskCtx(ctx context.Context, query string) (bool, error) {
 // Prepare implements Endpoint: the template compiles once into a
 // slot-addressed plan over the endpoint's engine, and every execution
 // binds arguments into registers directly — no parsing, no planning,
-// no text interpolation. Prepared executions are charged against the
-// quota and statistics exactly like text queries.
+// no text interpolation. A template without parameters is a query text:
+// it is parsed, and bound to the plan the engine caches for its shape —
+// the one SelectCtx runs it on. Prepared executions are charged against
+// the quota and statistics exactly like text queries.
 func (l *Local) Prepare(template string, params ...string) (PreparedQuery, error) {
+	if len(params) == 0 {
+		q, err := sparql.Parse(template)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := l.engine.Bind(q)
+		if err != nil {
+			return nil, err
+		}
+		return &localPrepared{l: l, plan: plan}, nil
+	}
 	t, err := sparql.ParseTemplate(template, params...)
 	if err != nil {
 		return nil, err

@@ -237,7 +237,7 @@ func TestHTTPServerErrors(t *testing.T) {
 	// bad method
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL, nil)
 	resp, _ = srv.Client().Do(req)
-	if resp.StatusCode != http.StatusBadRequest {
+	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("bad method: status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()

@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -55,6 +56,11 @@ type wireReq struct {
 // keyword to tell ASK from SELECT, and a text that does not parse comes
 // back from the endpoint as the parser's error, answered 400.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
+		w.Header().Set("Allow", "GET, POST")
+		http.Error(w, fmt.Sprintf("endpoint: method %s not allowed", r.Method), http.StatusMethodNotAllowed)
+		return
+	}
 	req, err := extractQuery(w, r)
 	if err != nil {
 		code := http.StatusBadRequest
@@ -158,40 +164,93 @@ func tooManyErr(resp *http.Response, body []byte) error {
 // (413): its first megabyte could well parse, as another query.
 const maxQueryBytes = 1 << 20
 
+// extractQuery reads the protocol request of a GET or a POST. The body
+// of a POST is read here into one buffer, and the form it usually is
+// decoded in one pass (decodeForm); a form a handler in front has
+// parsed, or whose media type is not spelled the way every client
+// spells it, is net/http's to parse.
 func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 	var vals url.Values
-	switch r.Method {
-	case http.MethodGet:
+	ct := r.Header.Get("Content-Type")
+	raw := strings.HasPrefix(ct, "application/sparql-query")
+	switch {
+	case r.Method == http.MethodGet:
 		vals = r.URL.Query()
-	case http.MethodPost:
-		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
-		ct := r.Header.Get("Content-Type")
-		if strings.HasPrefix(ct, "application/sparql-query") {
-			b, err := io.ReadAll(r.Body)
-			if err != nil {
-				return nil, err
-			}
-			return &wireReq{query: string(b)}, nil
+	case raw || ct == "application/x-www-form-urlencoded" && r.PostForm == nil:
+		var body []byte
+		var err error
+		// A declared length is believed before the bytes arrive if short.
+		if n := r.ContentLength; n >= 0 && n <= 64<<10 {
+			body = make([]byte, n)
+			_, err = io.ReadFull(r.Body, body)
+		} else {
+			body, err = io.ReadAll(r.Body)
 		}
+		switch {
+		case err != nil:
+			return nil, err
+		case raw:
+			return &wireReq{query: string(body)}, nil
+		}
+		return decodeForm(string(body))
+	default:
 		if err := r.ParseForm(); err != nil {
 			return nil, err
 		}
 		vals = r.PostForm
-	default:
-		return nil, fmt.Errorf("endpoint: method %s not allowed", r.Method)
 	}
-	req := &wireReq{
-		query:     vals.Get("query"),
-		stream:    vals.Get("stream") == "1",
-		orderspec: vals.Get("orderspec"),
-	}
-	if req.query == "" {
+	return newWireReq(vals["query"], vals.Get("stream"), vals.Get("orderspec"), vals.Get("multi"))
+}
+
+// newWireReq makes a request of a form's fields: its queries, and the
+// first stream, orderspec and multi.
+func newWireReq(queries []string, stream, orderspec, multi string) (*wireReq, error) {
+	if len(queries) == 0 || queries[0] == "" {
 		return nil, errors.New("endpoint: missing query parameter")
 	}
-	if vals.Get("multi") == "1" {
-		req.multi = vals["query"]
+	req := &wireReq{query: queries[0], stream: stream == "1", orderspec: orderspec}
+	if multi == "1" {
+		req.multi = queries
 	}
 	return req, nil
+}
+
+// decodeForm reads the protocol's fields off a form body: it accepts,
+// refuses and reads what url.ParseQuery and url.Values.Get would
+// (FuzzFormDecode), but copies a key or a value only to unescape it.
+func decodeForm(body string) (*wireReq, error) {
+	queries := make([]string, 0, 1+strings.Count(body, "&query="))
+	var first [3]string // stream, orderspec, multi
+	var seen [3]bool
+	for body != "" {
+		var pair string
+		pair, body, _ = strings.Cut(body, "&")
+		if strings.Contains(pair, ";") {
+			return nil, errors.New("invalid semicolon separator in query")
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		key, kerr := url.QueryUnescape(key)
+		val, verr := url.QueryUnescape(val)
+		if err := cmp.Or(kerr, verr); err != nil {
+			return nil, err
+		}
+		i := -1
+		switch key {
+		case "query":
+			queries = append(queries, val)
+		case "stream":
+			i = 0
+		case "orderspec":
+			i = 1
+		case "multi":
+			i = 2
+		}
+		if i >= 0 && !seen[i] {
+			seen[i], first[i] = true, val
+		}
+	}
+	return newWireReq(queries, first[0], first[1], first[2])
 }
 
 // StatusError is a non-200 answer from a remote endpoint: the HTTP
@@ -417,7 +476,7 @@ func (c *Client) openStream(ctx context.Context, query, orderspec string) (Rows,
 		}
 		return ReplayRows(res), nil
 	}
-	return newWireRows(resp.Body, resp.ContentLength, nil)
+	return newWireRows(resp.Body, resp.ContentLength)
 }
 
 // SelectCtx implements Endpoint; the context cancels the HTTP exchange.

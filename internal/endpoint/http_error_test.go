@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -393,6 +394,149 @@ func TestServerOversizedQuery(t *testing.T) {
 			t.Fatalf("%s: a body one byte over the limit: status %d, want 413: %.100s", c.contentType, code, answer)
 		}
 	}
+}
+
+// TestServerMethodNotAllowed: the protocol is GET and POST; any other
+// method is a 405 that says so, whatever the request carries.
+func TestServerMethodNotAllowed(t *testing.T) {
+	srv := httptest.NewServer(NewServer(NewLocal(testKB(), 1)))
+	defer srv.Close()
+	const query = "query=ASK+%7B+%3Fs+%3Fp+%3Fo+%7D"
+	for _, c := range []struct {
+		method, body string
+		code         int
+	}{
+		{http.MethodGet, "", http.StatusOK},
+		{http.MethodPost, query, http.StatusOK},
+		{http.MethodPut, query, http.StatusMethodNotAllowed},
+		{http.MethodDelete, "", http.StatusMethodNotAllowed},
+		{http.MethodPatch, query, http.StatusMethodNotAllowed},
+		{http.MethodHead, "", http.StatusMethodNotAllowed},
+		{http.MethodOptions, "", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+"?"+query, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		allow := resp.Header.Get("Allow")
+		if resp.StatusCode != c.code || (c.code == http.StatusMethodNotAllowed) != (allow == "GET, POST") {
+			t.Errorf("%s: status %d, Allow %q; want %d", c.method, resp.StatusCode, allow, c.code)
+		}
+	}
+}
+
+// TestServerFormBodies: the ways a POST can carry its form. The handler
+// decodes the body itself only when nothing has read it and its media
+// type is written plainly; a form a handler in front has parsed (and
+// edited) is taken from there, a media type with a parameter goes
+// through net/http's parser, and a body that is no form has no query.
+func TestServerFormBodies(t *testing.T) {
+	h := NewServer(NewLocal(testKB(), 1))
+	const body = "query=ASK+%7B+%3Chttp%3A%2F%2Fx%2Fa%3E+%3Fp+%3Fo+%7D"
+	post := func(h http.Handler, contentType, body string, chunked bool) (int, string) {
+		t.Helper()
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		var rd io.Reader = strings.NewReader(body)
+		if chunked {
+			rd = io.MultiReader(rd) // no length to declare
+		}
+		resp, err := http.Post(srv.URL, contentType, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		answer, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(answer)
+	}
+	parsed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := r.ParseForm(); err != nil {
+			t.Error(err)
+		}
+		r.PostForm.Set("query", "ASK { <http://x/nobody> ?p ?o }")
+		h.ServeHTTP(w, r)
+	})
+	const yes, no = `{"head":{},"boolean":true}`, `{"head":{},"boolean":false}`
+	for _, c := range []struct {
+		name        string
+		h           http.Handler
+		contentType string
+		body        string
+		chunked     bool
+		code        int
+		answer      string
+	}{
+		{"plain", h, "application/x-www-form-urlencoded", body, false, 200, yes},
+		{"chunked", h, "application/x-www-form-urlencoded", body, true, 200, yes},
+		{"chunked, too long", h, "application/x-www-form-urlencoded", body + "&x=" + strings.Repeat("x", maxQueryBytes), true, 413, ""},
+		{"charset parameter", h, "application/x-www-form-urlencoded; charset=UTF-8", body, false, 200, yes},
+		{"parsed in front", parsed, "application/x-www-form-urlencoded", body, false, 200, no},
+		{"not a form", h, "text/plain", body, false, 400, "endpoint: missing query parameter\n"},
+		{"bad escape", h, "application/x-www-form-urlencoded", body + "&x=%zz", false, 400, "invalid URL escape \"%zz\"\n"},
+		{"semicolon", h, "application/x-www-form-urlencoded", body + "&a;b", false, 400, "invalid semicolon separator in query\n"},
+		{"no query", h, "application/x-www-form-urlencoded", "stream=1", false, 400, "endpoint: missing query parameter\n"},
+		{"first query empty", h, "application/x-www-form-urlencoded", "query=&" + body, false, 400, "endpoint: missing query parameter\n"},
+	} {
+		code, answer := post(c.h, c.contentType, c.body, c.chunked)
+		if code != c.code || (c.answer != "" && answer != c.answer) {
+			t.Errorf("%s: status %d, answer %q; want %d, %q", c.name, code, answer, c.code, c.answer)
+		}
+	}
+}
+
+// FuzzFormDecode holds the handler's own form decoder to net/url's: it
+// refuses the bodies url.ParseQuery refuses, and of one it accepts it
+// reads the fields url.Values.Get and the query list would give.
+func FuzzFormDecode(f *testing.F) {
+	const text = "SELECT ?x WHERE { ?x <http://x/p> \"a b+c&d=e%;\\n\"@en } LIMIT 3"
+	// What the client sends: appendFormField's output, field by field.
+	stream := appendFormField(appendFormField(appendFormField(nil, "orderspec", text+" ORDER BY ?x"), "query", text), "stream", "1")
+	multi := appendFormField(appendFormField([]byte("multi=1"), "query", text), "query", "ASK { }")
+	long := appendFormField(nil, "query", strings.Repeat("é ", maxQueryBytes/8))
+	for _, seed := range [][]byte{stream, multi, long, stream[:len(stream)/2], appendFormField(nil, "query", "")} {
+		f.Add(seed)
+	}
+	// And what anyone may: broken and cut escapes, semicolons, empty
+	// keys and values, escaped keys, repeated and unknown fields.
+	for _, seed := range []string{
+		"", "&&", "=", "=v", "k", "k=", "a;b", "query=a&b;c=d", "query=%zz", "query=%", "query=%4", "query=%4g&x;y",
+		"%71uery=x", "q%75ery=a+b%20c&%73tream=1", "stream=&stream=1&query=x", "stream=1&stream=&query=x",
+		"multi=1&multi=0&query=a&query=&query=c", "multi=0&multi=1&query=a", "query=&query=b&multi=1",
+		"orderspec=a&orderspec=b&query=x&format=json&default-graph-uri=", "query=a=b=c&query", "que ry=x&+query=y",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		vals, wantErr := url.ParseQuery(string(body))
+		got, err := decodeForm(string(body))
+		switch {
+		case wantErr != nil:
+			if err == nil {
+				t.Fatalf("accepted %q, which url.ParseQuery refuses: %v", body, wantErr)
+			}
+			return
+		case vals.Get("query") == "":
+			if err == nil || err.Error() != "endpoint: missing query parameter" {
+				t.Fatalf("%q has no query: %v", body, err)
+			}
+			return
+		case err != nil:
+			t.Fatalf("refused %q, which url.ParseQuery accepts: %v", body, err)
+		}
+		want := &wireReq{query: vals.Get("query"), stream: vals.Get("stream") == "1", orderspec: vals.Get("orderspec")}
+		if vals.Get("multi") == "1" {
+			want.multi = vals["query"]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q read as %+v, url.Values gives %+v", body, got, want)
+		}
+	})
 }
 
 // countOnlyWriter counts flushes without synchronization — for tests

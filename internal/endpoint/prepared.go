@@ -162,7 +162,7 @@ func (p *localPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*spa
 	if err := p.l.admitCtx(ctx); err != nil {
 		return nil, err
 	}
-	if p.plan.Template().Form() != sparql.SelectForm {
+	if p.plan.Form() != sparql.SelectForm {
 		return nil, errNeedSelect
 	}
 	res, err := p.plan.Exec(args...)
@@ -177,7 +177,7 @@ func (p *localPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, e
 	if err := p.l.admitCtx(ctx); err != nil {
 		return false, err
 	}
-	if p.plan.Template().Form() != sparql.AskForm {
+	if p.plan.Form() != sparql.AskForm {
 		return false, errNeedAsk
 	}
 	res, err := p.plan.Exec(args...)
@@ -209,7 +209,7 @@ func (p *localPrepared) stream(ctx context.Context, args []sparql.Arg, iter func
 	if err := p.l.admitCtx(ctx); err != nil {
 		return nil, err
 	}
-	if p.plan.Template().Form() != sparql.SelectForm {
+	if p.plan.Form() != sparql.SelectForm {
 		return nil, errNeedSelect
 	}
 	it, err := iter(p.plan, args...)

@@ -2,7 +2,6 @@ package endpoint
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -41,7 +40,12 @@ import (
 // error instead of a silently short result; bytes after one are a
 // protocol error.
 //
-// The frames are encoded and decoded by codec.go.
+// The frames are encoded and decoded by codec.go. Both sides recycle
+// their buffers, up to maxPooledFrameBufs each: the server its encode
+// buffers (frameBufs) when the handler returns, the client its read
+// buffer (readBufs) when the stream finishes — at its last row, an error
+// or Close. Nothing a stream hands out points into that buffer: the
+// strings of a decoded frame are copies, its rows one slice of their own.
 //
 // orderspec carries the canonical text of the *original* ordered query
 // whose stripped enumeration this stream is (the federation's ORDER BY
@@ -199,13 +203,13 @@ rows:
 // ORDER BY key values, which the federation merge consumes instead of
 // re-evaluating expressions.
 type wireRows struct {
-	body   io.ReadCloser
-	cancel context.CancelFunc // releases the request context; nil when caller-owned
+	body io.ReadCloser
 
 	// buf[rd:wr] is read from the body and not yet consumed; buf[rd:nl]
 	// is known to hold no newline. readErr is what the body's last Read
-	// returned, once that is not nil.
+	// returned, once that is not nil. buf is on loan from readBufs.
 	buf        []byte
+	pooled     *[]byte
 	rd, nl, wr int
 	readErr    error
 	dec        jsonDec
@@ -225,6 +229,9 @@ type wireRows struct {
 	done    bool
 }
 
+// readBufs lends streams their read buffers (see the file comment).
+var readBufs = sync.Pool{New: func() any { b := make([]byte, 4<<10); return &b }}
+
 // maxFrameBytes bounds one frame line, like the 64 MiB a whole-result
 // document may take.
 const maxFrameBytes = 64 << 20
@@ -233,11 +240,11 @@ const maxFrameBytes = 64 << 20
 // the server's first write arrives, which carries the first rows or the
 // whole answer: the signal hedged reads race on. size is the body's
 // length when the response declared one, for the read buffer.
-func newWireRows(body io.ReadCloser, size int64, cancel context.CancelFunc) (*wireRows, error) {
-	if size <= 0 || size > 64<<10 {
-		size = 4 << 10
+func newWireRows(body io.ReadCloser, size int64) (*wireRows, error) {
+	r := &wireRows{body: body, pooled: readBufs.Get().(*[]byte)}
+	if r.buf = *r.pooled; size > int64(len(r.buf)) && size <= maxPooledFrameBufs {
+		r.buf = make([]byte, size)
 	}
-	r := &wireRows{body: body, cancel: cancel, buf: make([]byte, size)}
 	var f frame
 	line, err := r.line()
 	if err == nil {
@@ -252,7 +259,7 @@ func newWireRows(body io.ReadCloser, size int64, cancel context.CancelFunc) (*wi
 		err = errors.New("endpoint: stream did not start with a head frame")
 	}
 	if err != nil {
-		body.Close()
+		r.finish()
 		return nil, err
 	}
 	r.vars, r.keyIdx = f.vars, f.keys
@@ -385,9 +392,11 @@ func (r *wireRows) finish() {
 	r.done = true
 	r.row, r.keys = nil, nil
 	r.body.Close()
-	if r.cancel != nil {
-		r.cancel()
+	if len(r.buf) <= maxPooledFrameBufs {
+		*r.pooled = r.buf
+		readBufs.Put(r.pooled)
 	}
+	r.buf = nil
 }
 
 var (

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"net/http/httptrace"
 	"net/url"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -390,4 +392,87 @@ func TestWirePlainResultsFallback(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("fallback stream yielded %d rows, want 3", n)
 	}
+}
+
+// TestWireRowsBufferReuse: a stream reads into a buffer it borrows from
+// a pool and gives back when it finishes — drained, closed early or cut
+// off — so the next stream overwrites it. Nothing a stream handed out
+// may change when that happens: every goroutine here keeps the rows of
+// its finished streams, while its own and the others' next streams
+// reuse their buffers, and compares them at the end. Run with -race.
+func TestWireRowsBufferReuse(t *testing.T) {
+	const all = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"
+	local := NewLocal(bigKB(300), 5)
+	want, err := local.SelectCtx(context.Background(), all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(local)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.Contains(r.FormValue("query"), "LIMIT 299") {
+			h.ServeHTTP(w, r)
+			return
+		}
+		// This one loses its connection after the first row.
+		w.Header().Set("Content-Type", StreamContentType)
+		io.WriteString(w, `{"head":{"vars":["s","o"]}}`+"\n"+
+			`{"rows":[[{"type":"uri","value":"http://x/s0000"},{"type":"uri","value":"http://x/o0000"}]]}`+"\n")
+		w.(http.Flusher).Flush()
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+	}))
+	defer srv.Close()
+	pq, err := NewClient("reuse", srv.URL, nil).Prepare(all+" LIMIT $n", "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var kept [][]rdf.Term // row i of a stream is want.Rows[i]
+			var at []int
+			for i := 0; i < 24; i++ {
+				limit, pull := 1+(37*g+13*i)%298, 1<<30
+				switch i % 3 {
+				case 1:
+					pull = 1 + limit/2 // closed early
+				case 2:
+					limit = 299 // cut
+				}
+				rows, err := pq.Stream(context.Background(), sparql.IntArg(limit))
+				if err != nil {
+					t.Errorf("stream %d.%d: %v", g, i, err)
+					return
+				}
+				n := 0
+				for n < pull && rows.Next() {
+					kept, at = append(kept, rows.Row()), append(at, n)
+					n++
+				}
+				rows.Close()
+				switch err := rows.Err(); {
+				case i%3 == 2:
+					if n != 1 || err == nil || !strings.Contains(err.Error(), "cut mid-flight") {
+						t.Errorf("cut stream %d.%d: %d rows, %v", g, i, n, err)
+					}
+				case err != nil || n != min(limit, pull):
+					t.Errorf("stream %d.%d: %d rows of %d, %v", g, i, n, min(limit, pull), err)
+				}
+				if rows.Row() != nil || rows.Next() {
+					t.Errorf("stream %d.%d: a row after Close", g, i)
+				}
+			}
+			for j, row := range kept {
+				if !reflect.DeepEqual(row, want.Rows[at[j]]) {
+					t.Errorf("goroutine %d: kept row %d is now %v, was %v", g, j, row, want.Rows[at[j]])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

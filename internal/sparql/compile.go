@@ -56,6 +56,17 @@ type paramSpec struct {
 // query's constants by the engine's plan cache), in which case Exec
 // binds them positionally. A Prepared is safe for concurrent Exec.
 type Prepared struct {
+	*compiled
+
+	// The handle of a concrete query (Engine.Bind) runs the lifted plan
+	// of its shape on the query's own constants, and takes no arguments.
+	q     *Query
+	bound []Arg
+}
+
+// compiled is the compiled form itself: immutable, and shared by every
+// handle bound to one lifted plan.
+type compiled struct {
 	eng      *Engine
 	form     Form
 	distinct bool
@@ -104,6 +115,9 @@ type Prepared struct {
 // Template returns the template this plan was compiled from, or nil.
 func (p *Prepared) Template() *Template { return p.tmpl }
 
+// Form returns the query form.
+func (p *Prepared) Form() Form { return p.form }
+
 // compiler carries state across the two compile passes.
 type compiler struct {
 	eng      *Engine
@@ -147,7 +161,7 @@ func (e *Engine) compile(q *Query, tmpl *Template, lift bool) (*Prepared, error)
 	// EXISTS subgroups.
 	c.assignSlots(q.Where)
 
-	p := &Prepared{
+	p := &Prepared{compiled: &compiled{
 		eng:         e,
 		form:        q.Form,
 		distinct:    q.Distinct,
@@ -158,7 +172,7 @@ func (e *Engine) compile(q *Query, tmpl *Template, lift bool) (*Prepared, error)
 		limitParam:  -1,
 		offsetParam: -1,
 		tmpl:        tmpl,
-	}
+	}}
 
 	// Pass 2: compile pattern terms and filters.
 	p.main = c.group(q.Where)
@@ -524,15 +538,34 @@ func (p *Prepared) resolve(args []Arg) []kb.TermID {
 	return res
 }
 
-// checkArgs validates Exec arguments against the plan's parameters.
-func (p *Prepared) checkArgs(args []Arg) error {
-	if len(args) != len(p.params) {
-		return fmt.Errorf("sparql: prepared query needs %d args, got %d", len(p.params), len(args))
+// bind validates an execution's arguments against the handle's
+// parameters and returns what the plan runs on: its argument values, and
+// the lazy supplier of the canonical query text that seeds the RAND()
+// stream — rendered at most once, and only by a query that draws.
+func (p *Prepared) bind(args []Arg) ([]Arg, func() string, error) {
+	want := len(p.params)
+	if p.q != nil {
+		want = 0
+	}
+	if len(args) != want {
+		return nil, nil, fmt.Errorf("sparql: prepared query needs %d args, got %d", want, len(args))
 	}
 	for i, a := range args {
 		if a.isInt != p.params[i].isInt {
-			return fmt.Errorf("sparql: prepared arg %d has the wrong kind", i)
+			return nil, nil, fmt.Errorf("sparql: prepared arg %d has the wrong kind", i)
 		}
 	}
-	return nil
+	switch {
+	case p.q != nil:
+		return p.bound, lazyText(p.q), nil
+	case p.tmpl != nil:
+		var text string
+		return args, func() string {
+			if text == "" {
+				text = p.tmpl.text(args)
+			}
+			return text
+		}, nil
+	}
+	return args, func() string { return p.text }, nil
 }

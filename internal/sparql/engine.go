@@ -103,15 +103,31 @@ func (e *Engine) Eval(q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	args := liftArgs(q, make([]Arg, 0, len(p.params)))
+	return p.exec(liftArgs(q, make([]Arg, 0, len(p.params))), lazyText(q))
+}
+
+// lazyText supplies an execution of q's lifted plan with q's canonical
+// text, rendered on first use.
+func lazyText(q *Query) func() string {
 	var text string
-	textFn := func() string {
+	return func() string {
 		if text == "" {
 			text = q.String()
 		}
 		return text
 	}
-	return p.exec(args, textFn)
+}
+
+// Bind is Prepare for a concrete query — a template without parameters:
+// the handle runs the plan cached for the query's shape, compiled only
+// if the shape is new to the engine, on the query's own constants. What
+// it answers is what Eval answers, byte for byte, any number of times.
+func (e *Engine) Bind(q *Query) (*Prepared, error) {
+	p, err := e.planFor(q)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{compiled: p.compiled, q: q, bound: liftArgs(q, make([]Arg, 0, len(p.params)))}, nil
 }
 
 // Prepare compiles a template into a reusable, parameterized plan —

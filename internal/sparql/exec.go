@@ -49,26 +49,11 @@ type execState struct {
 // Exec runs the prepared query with positional arguments (one per
 // declared template parameter). It is safe for concurrent use.
 func (p *Prepared) Exec(args ...Arg) (*Result, error) {
-	if err := p.checkArgs(args); err != nil {
+	args, textFn, err := p.bind(args)
+	if err != nil {
 		return nil, err
 	}
-	return p.exec(args, p.textFnFor(args))
-}
-
-// textFnFor builds the lazy canonical-text supplier used for RAND()
-// stream derivation; it renders at most once and only when the query
-// actually draws randomness.
-func (p *Prepared) textFnFor(args []Arg) func() string {
-	if p.tmpl != nil {
-		var text string
-		return func() string {
-			if text == "" {
-				text = p.tmpl.text(args)
-			}
-			return text
-		}
-	}
-	return func() string { return p.text }
+	return p.exec(args, textFn)
 }
 
 // start builds the execution state and resolves the effective LIMIT and

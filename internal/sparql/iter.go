@@ -89,10 +89,11 @@ func (p *Prepared) Iter(args ...Arg) (*RowIter, error) {
 	if p.form != SelectForm {
 		return nil, fmt.Errorf("sparql: Iter needs a SELECT query")
 	}
-	if err := p.checkArgs(args); err != nil {
+	args, textFn, err := p.bind(args)
+	if err != nil {
 		return nil, err
 	}
-	ex, limit, offset := p.start(args, p.textFnFor(args))
+	ex, limit, offset := p.start(args, textFn)
 	return newRowIter(p.vars, func(yield func([]rdf.Term) bool) error {
 		return ex.streamSelect(limit, offset, yield)
 	}), nil
@@ -117,10 +118,11 @@ func (p *Prepared) IterBorrowed(args ...Arg) (*RowIter, error) {
 	if p.form != SelectForm {
 		return nil, fmt.Errorf("sparql: IterBorrowed needs a SELECT query")
 	}
-	if err := p.checkArgs(args); err != nil {
+	args, textFn, err := p.bind(args)
+	if err != nil {
 		return nil, err
 	}
-	ex, limit, offset := p.start(args, p.textFnFor(args))
+	ex, limit, offset := p.start(args, textFn)
 	nv := len(p.vars)
 	slots := make([][]rdf.Term, borrowBatch)
 	backing := make([]rdf.Term, borrowBatch*nv)
@@ -182,23 +184,9 @@ func newBatchRowIter(vars []string, run func(yield func([][]rdf.Term) bool) erro
 // Stream evaluates a parsed SELECT query as a row iterator, through the
 // same shape-keyed plan cache Eval uses.
 func (e *Engine) Stream(q *Query) (*RowIter, error) {
-	if q.Form != SelectForm {
-		return nil, fmt.Errorf("sparql: Stream needs a SELECT query")
-	}
-	p, err := e.planFor(q)
+	p, err := e.Bind(q)
 	if err != nil {
 		return nil, err
 	}
-	args := liftArgs(q, make([]Arg, 0, len(p.params)))
-	var text string
-	textFn := func() string {
-		if text == "" {
-			text = q.String()
-		}
-		return text
-	}
-	ex, limit, offset := p.start(args, textFn)
-	return newRowIter(p.vars, func(yield func([]rdf.Term) bool) error {
-		return ex.streamSelect(limit, offset, yield)
-	}), nil
+	return p.Iter()
 }
