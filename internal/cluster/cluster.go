@@ -437,7 +437,11 @@ func (r *Replicas) Prepare(template string, params ...string) (endpoint.Prepared
 		}
 		handles[i] = pq
 	}
-	return &replicasPrepared{r: r, handles: handles}, nil
+	p := &replicasPrepared{r: r, handles: handles}
+	if _, ok := handles[0].(endpoint.BatchStreamer); ok {
+		return replicasBatched{p}, nil
+	}
+	return p, nil
 }
 
 // replicasPrepared is the set's PreparedQuery: per-replica handles, one
@@ -537,6 +541,28 @@ func (p *replicasPrepared) stream(ctx context.Context, open func(ctx context.Con
 	return &rowsWithCancel{Rows: rows, cancel: cancel}, nil
 }
 
+// replicasBatched is the handle of a set whose replicas take groups of
+// streams. Only such a set is an endpoint.BatchStreamer: over replicas
+// that do not — in-process Locals, wrapped clients — a group stays the
+// single hedged streams it stands for.
+type replicasBatched struct{ *replicasPrepared }
+
+// StreamBatch implements endpoint.BatchStreamer: the group is one
+// attempt, hedged at open like Stream and answered to its end by the
+// replica that won — a stream is not retried once open; the whole-group
+// retry is SelectBatch's, which holds no open body. The winner's context
+// lives until the group has no further set or is closed, not — as
+// rowsWithCancel lets go of a stream's — to the first exhausted set.
+func (p replicasBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
+	sets, cancel, err := hedge(ctx, p.r, max(1, len(argSets)), func(ctx context.Context, ep endpoint.Endpoint) (endpoint.RowSets, error) {
+		return endpoint.StreamBatch(ctx, p.handleFor(ep), argSets)
+	}, func(sets endpoint.RowSets) { sets.Close() })
+	if err != nil {
+		return nil, err
+	}
+	return endpoint.NewRowSets(sets, nil, cancel), nil
+}
+
 // rowsWithCancel ties the winning attempt's context to the stream's
 // lifetime: the remote enumeration is released when the consumer closes
 // or exhausts the stream, not when the open returns.
@@ -585,5 +611,6 @@ var (
 	_ endpoint.StreamBorrower = (*replicasPrepared)(nil)
 	_ endpoint.KeyedStreamer  = (*replicasPrepared)(nil)
 	_ endpoint.BatchSelector  = (*replicasPrepared)(nil)
+	_ endpoint.BatchStreamer  = replicasBatched{}
 	_ endpoint.KeyedRows      = (*rowsWithCancel)(nil)
 )

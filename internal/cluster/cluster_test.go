@@ -188,8 +188,10 @@ func runOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel,
 
 // runBatchOracle diffs grouped execution: the routed object and
 // predicate probes of twelve facts of rel (and a subject that has none),
-// and a group of sample probes — which fans every execution out — each
-// as one SelectBatch, against the unsharded reference probe by probe.
+// and groups that fan every execution out — sample probes, an unordered
+// merge, an ordered one whose key the shards attach — each as one
+// SelectBatch and as one StreamBatch, against the unsharded reference
+// probe by probe.
 func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel string) {
 	t.Helper()
 	facts, err := local.SelectCtx(context.Background(), fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } LIMIT 12", rel))
@@ -209,7 +211,11 @@ func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group,
 		{"SELECT ?y WHERE { $x $r ?y }", []string{"x", "r"}, objects},
 		{"SELECT ?p WHERE { $x ?p $y }", []string{"x", "y"}, preds},
 		{"SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n", []string{"r", "n"},
-			[][]sparql.Arg{{sparql.IRIArg(rel), sparql.IntArg(5)}, {sparql.IRIArg(rel), sparql.IntArg(2)}}},
+			[][]sparql.Arg{{sparql.IRIArg(rel), sparql.IntArg(5)}, {sparql.IRIArg(rel), sparql.IntArg(2)}, {sparql.IRIArg(rel), sparql.IntArg(300)}}},
+		{"SELECT ?x ?y WHERE { ?x $r ?y } LIMIT $n", []string{"r", "n"},
+			[][]sparql.Arg{{sparql.IRIArg(rel), sparql.IntArg(4)}, {sparql.IRIArg("http://nowhere/rel"), sparql.IntArg(4)}, {sparql.IRIArg(rel), sparql.IntArg(100)}}},
+		{"SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY ?y LIMIT $n", []string{"r", "n"},
+			[][]sparql.Arg{{sparql.IRIArg(rel), sparql.IntArg(6)}, {sparql.IRIArg(rel), sparql.IntArg(3)}}},
 		{"SELECT ?y WHERE { $x $r ?y }", []string{"x", "r"}, nil},
 	} {
 		lp, err := local.Prepare(group.tmpl, group.params...)
@@ -234,7 +240,35 @@ func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group,
 					label, gi, i, renderResult(got[i]), renderResult(want))
 			}
 		}
+		// The same group as streams, drained and left after a row.
+		for _, take := range []int{-1, 1} {
+			err := endpoint.EachSet(context.Background(), gp, group.argSets, func(i int, set endpoint.Rows) error {
+				rows, err := lp.Stream(context.Background(), group.argSets[i]...)
+				if err != nil {
+					return err
+				}
+				defer rows.Close()
+				if got, want := takeStream(set, take), takeStream(rows, take); got != want {
+					t.Errorf("%s: group %d set %d (take %d) diverges:\n--- cluster ---\n%s\n--- local ---\n%s", label, gi, i, take, got, want)
+				}
+				return rows.Err()
+			})
+			if err != nil {
+				t.Fatalf("%s: group %d StreamBatch: %v", label, gi, err)
+			}
+		}
 	}
+}
+
+// takeStream renders up to take rows of a stream (all, and its
+// truncation flag, when take < 0).
+func takeStream(rows endpoint.Rows, take int) string {
+	res := &sparql.Result{Vars: rows.Vars()}
+	for (take < 0 || len(res.Rows) < take) && rows.Next() {
+		res.Rows = append(res.Rows, append([]rdf.Term(nil), rows.Row()...))
+	}
+	res.Truncated = take < 0 && rows.Truncated()
+	return renderResult(res)
 }
 
 // runPreparedOracle diffs prepared execution, streaming and grouped
@@ -344,9 +378,22 @@ func TestClusterFailover(t *testing.T) {
 func TestClusterHedged(t *testing.T) {
 	const seed = 29
 	w, local, rel, rel2 := testWorld(t, seed)
-	tc := newTestCluster(t, w.Yago, 2, 2, seed, Options{HedgeDelay: time.Microsecond})
-	runOracle(t, "hedged", local, tc.group, rel, rel2)
-	runPreparedOracle(t, "hedged", local, tc.group, rel, rel2)
+	for _, nShards := range []int{1, 2, 3} {
+		for _, nReplicas := range []int{1, 2} {
+			label := fmt.Sprintf("hedged/shards=%d/replicas=%d", nShards, nReplicas)
+			tc := newTestCluster(t, w.Yago, nShards, nReplicas, seed, Options{HedgeDelay: time.Microsecond})
+			runOracle(t, label, local, tc.group, rel, rel2)
+			runPreparedOracle(t, label, local, tc.group, rel, rel2)
+			if nReplicas > 1 {
+				// One replica per shard dies mid-suite: open groups fail
+				// over like single streams.
+				for shard := 0; shard < nShards; shard++ {
+					tc.killReplica(shard, 0)
+				}
+				runPreparedOracle(t, label+"/post-kill", local, tc.group, rel, rel2)
+			}
+		}
+	}
 }
 
 // TestClusterContextCancellation is the query surface's cancellation
@@ -398,6 +445,12 @@ func TestClusterContextCancellation(t *testing.T) {
 		{"prepared SelectBatch, fanned out", func() (endpoint.Rows, error) {
 			_, err := endpoint.SelectBatch(ctx, sel, [][]sparql.Arg{{r}, {r}})
 			return nil, err
+		}},
+		{"prepared StreamBatch, routed", func() (endpoint.Rows, error) {
+			return streamBatchRows(ctx, routed, [][]sparql.Arg{{sparql.IRIArg("http://x/s1"), r}, {sparql.IRIArg("http://x/s2"), r}})
+		}},
+		{"prepared StreamBatch, fanned out", func() (endpoint.Rows, error) {
+			return streamBatchRows(ctx, sel, [][]sparql.Arg{{r}, {r}})
 		}},
 	} {
 		start := time.Now()
@@ -520,4 +573,14 @@ func TestReplicaSetNameStability(t *testing.T) {
 	if set.Name() != "stable/shard-0-of-1" {
 		t.Fatalf("set name = %q", set.Name())
 	}
+}
+
+// streamBatchRows is endpoint.StreamBatch for a cancellation table: a
+// failed open hands back no Rows, not a nil RowSets inside one.
+func streamBatchRows(ctx context.Context, pq endpoint.PreparedQuery, argSets [][]sparql.Arg) (endpoint.Rows, error) {
+	sets, err := endpoint.StreamBatch(ctx, pq, argSets)
+	if err != nil {
+		return nil, err
+	}
+	return sets, nil
 }

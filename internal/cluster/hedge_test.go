@@ -355,3 +355,154 @@ func TestGroupHedgeDelayScales(t *testing.T) {
 		t.Fatalf("a 50-tuple group was hedged within %v of a %v delay", 3*delay, delay)
 	}
 }
+
+// streamStub is a replica whose prepared handle takes groups of streams
+// natively: StreamBatch waits delay — through a cancellation when deaf —
+// fails with err when that is set, and otherwise answers one empty set
+// per tuple. It records opens and closes, the context of its last group,
+// and every step a consumer took in a group whose context had ended.
+type streamStub struct {
+	batchStub
+	delay time.Duration
+	deaf  bool
+
+	opens, closes, late atomic.Int64
+	last                atomic.Value // context.Context
+}
+
+func (s *streamStub) Prepare(string, ...string) (endpoint.PreparedQuery, error) {
+	return streamStubHandle{batchStubHandle{&s.batchStub}, s}, nil
+}
+
+type streamStubHandle struct {
+	batchStubHandle
+	s *streamStub
+}
+
+func (h streamStubHandle) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
+	h.s.opens.Add(1)
+	h.s.last.Store(ctx)
+	select {
+	case <-time.After(h.s.delay):
+	case <-ctx.Done():
+		if !h.s.deaf {
+			return nil, ctx.Err()
+		}
+		time.Sleep(h.s.delay)
+	}
+	if h.s.err != nil {
+		return nil, h.s.err
+	}
+	results := make([]*sparql.Result, len(argSets))
+	for i := range results {
+		results[i] = &sparql.Result{Vars: []string{"y"}}
+	}
+	return &stubSets{RowSets: endpoint.ReplaySets(results), ctx: ctx, s: h.s}, nil
+}
+
+type stubSets struct {
+	endpoint.RowSets
+	ctx context.Context
+	s   *streamStub
+}
+
+func (r *stubSets) NextResultSet() bool {
+	if r.ctx.Err() != nil {
+		r.s.late.Add(1)
+	}
+	return r.RowSets.NextResultSet()
+}
+
+func (r *stubSets) Close() {
+	r.s.closes.Add(1)
+	r.RowSets.Close()
+}
+
+func eventually(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+	}
+}
+
+// The hedge race of a group of streams is decided at its open, like a
+// stream's: the loser's group — here one that opens after all, deaf to
+// its cancellation — is closed, and the winner's context stays alive
+// across every set, to be released when the group is closed.
+func TestHedgeGroupOpen(t *testing.T) {
+	const n = 4
+	slow := &streamStub{batchStub: batchStub{name: "stub/shard-0-of-1"}, delay: 100 * time.Millisecond, deaf: true}
+	fast := &streamStub{batchStub: batchStub{name: "stub/shard-0-of-1"}}
+	set, err := NewReplicas([]endpoint.Endpoint{slow, fast}, Options{HedgeDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	pq, err := set.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pq.(endpoint.BatchStreamer); !ok {
+		t.Fatal("a set of replicas that take groups of streams does not")
+	}
+	sets, err := endpoint.StreamBatch(context.Background(), pq, stubGroup(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if sets.Next() || !sets.NextResultSet() {
+			t.Fatalf("set %d of %d: %v", i, n, sets.Err())
+		}
+	}
+	winner := fast.last.Load().(context.Context)
+	if fast.opens.Load() != 1 || fast.late.Load() != 0 || winner.Err() != nil {
+		t.Fatalf("winner: %d opens, %d steps under a dead context, context %v before the group is closed",
+			fast.opens.Load(), fast.late.Load(), winner.Err())
+	}
+	sets.Close()
+	if winner.Err() == nil || fast.closes.Load() != 1 {
+		t.Fatalf("closing the group: winner's context %v, %d closes", winner.Err(), fast.closes.Load())
+	}
+	eventually(t, "the losing attempt's group was never closed", func() bool { return slow.closes.Load() == 1 })
+
+	// Used up rather than closed, the group lets go of the context too.
+	if sets, err = endpoint.StreamBatch(context.Background(), pq, stubGroup(2)); err != nil {
+		t.Fatal(err)
+	}
+	if winner = fast.last.Load().(context.Context); !sets.NextResultSet() || winner.Err() != nil || sets.NextResultSet() || winner.Err() == nil {
+		t.Fatalf("a group read to its end: context %v", winner.Err())
+	}
+	sets.Close()
+}
+
+// A group of streams that cannot be opened on one replica opens on the
+// next, whole, and costs the failed one a single strike; once open it
+// is not retried, and a semantic error is not either.
+func TestStreamGroupFailsOverAtOpen(t *testing.T) {
+	const n = 6
+	down := &streamStub{batchStub: batchStub{name: "stub/shard-0-of-1", err: &endpoint.StatusError{Code: 503}}}
+	up := &streamStub{batchStub: batchStub{name: "stub/shard-0-of-1"}}
+	set, err := NewReplicas([]endpoint.Endpoint{down, up}, Options{FailAfter: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	pq, err := set.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := 0
+	err = endpoint.EachSet(context.Background(), pq, stubGroup(n), func(int, endpoint.Rows) error { opened++; return nil })
+	if err != nil || opened != n || down.opens.Load() != 1 || up.opens.Load() != 1 || up.closes.Load() != 1 {
+		t.Fatalf("%d sets, %v; %d and %d opens, %d closes", opened, err, down.opens.Load(), up.opens.Load(), up.closes.Load())
+	}
+	if st := set.Status()[0]; st.Fails != 1 || st.Errors != 1 || st.Requests != 1 {
+		t.Fatalf("failed replica's books: %+v; want one request, one error, one strike", st)
+	}
+	down.err = endpoint.ErrQuotaExceeded
+	if sets, err := endpoint.StreamBatch(context.Background(), pq, stubGroup(n)); !errors.Is(err, endpoint.ErrQuotaExceeded) || sets != nil || up.opens.Load() != 1 {
+		t.Fatalf("a quota error at open: %v, %v, %d opens on the next replica", sets, err, up.opens.Load())
+	}
+}

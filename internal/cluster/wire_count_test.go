@@ -72,10 +72,10 @@ func newWireKB(t *testing.T, src *kb.KB, seed int64, foreign bool) *wireKB {
 // saves where it is paid: the same heads aligned over two 3-shard HTTP
 // clusters, once against servers with the multi extension and once
 // against servers stripped of it. The alignments and the queries the
-// shards ran are the same; the HTTP requests are not: 8,057 against
-// 13,315 (0.605×) measured. What is left is streams — sample and
-// overlap probes, three shard streams each, and the head-sibling probes
-// core.headSiblings keeps as streams (grouped too, 6,891: 0.52×).
+// shards ran are the same; the HTTP requests are not: 2,095 against
+// 13,315 (0.157×) measured — a stage's sample, overlap, sibling and
+// object probes are each one request per shard. (8,057, 0.605×, while
+// only whole results were grouped and every stream was a request.)
 func TestAlignmentRequestsOnTheWire(t *testing.T) {
 	// The heads of the benchmark's onthefly workloads: every fifth Yago
 	// relation aligned into DBpedia's, every tenth DBpedia relation the
@@ -110,7 +110,7 @@ func TestAlignmentRequestsOnTheWire(t *testing.T) {
 		t.Fatalf("queries at the shards: %d with the extension, %d without (in %d requests)", gq, sq, sreqs)
 	}
 	t.Logf("%d heads, %d queries: %d HTTP requests with the extension, %d without", len(grouped), gq, greqs, sreqs)
-	if float64(greqs) > 0.65*float64(sreqs) {
-		t.Fatalf("%d HTTP requests with the extension, %d without: want at most 0.65×", greqs, sreqs)
+	if float64(greqs) > 0.25*float64(sreqs) {
+		t.Fatalf("%d HTTP requests with the extension, %d without: want at most 0.25×", greqs, sreqs)
 	}
 }

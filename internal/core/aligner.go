@@ -79,6 +79,9 @@ type Aligner struct {
 	// (Config.Parallelism) is the aligner-wide concurrency bound shared
 	// by every pipeline stage of every concurrently aligning relation.
 	sem chan struct{}
+	// rangeSize is how many items of a stage one stage task takes
+	// (runRanges): stageGroup when an endpoint groups, 1 otherwise.
+	rangeSize int
 	// names label the KBs in emitted rules.
 	kName, kPrimeName string
 
@@ -140,6 +143,12 @@ func New(k, kprime endpoint.Endpoint, links sampling.Translator, cfg Config) *Al
 	a.pEntityPreds = prep(kprime, tmplPredsBetween, "x", "y")
 	a.pLiteralAttrs = prep(kprime, tmplLiteralAttrs, "x")
 	a.pHeadPreds = prep(k, tmplPredsBetween, "x", "y")
+	a.rangeSize = 1
+	for _, pq := range []endpoint.PreparedQuery{a.pDiscover, a.pEntityPreds} { // one handle of K, one of K'
+		if _, ok := pq.(endpoint.BatchStreamer); ok {
+			a.rangeSize = stageGroup
+		}
+	}
 	return a
 }
 
@@ -214,15 +223,20 @@ func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alig
 // candidate, fanning the per-candidate endpoint work out over the
 // worker pool.
 func (a *Aligner) validate(r string, cands []*candidate) error {
-	return a.runStage(len(cands), func(i int) error {
-		c := cands[i]
-		ev, set, err := a.val.SimpleEvidence(c.rel, r, a.cfg.SampleSize)
-		if err != nil {
-			return fmt.Errorf("core: validating %s ⇒ %s: %w", c.rel, r, err)
+	rules := make([]sampling.Rule, len(cands))
+	for i, c := range cands {
+		rules[i] = sampling.Rule{Body: c.rel, Head: r}
+	}
+	err := a.runRanges(len(rules), func(lo, hi int) error {
+		if err := a.val.SimpleEvidenceEach(rules[lo:hi], a.cfg.SampleSize); err != nil {
+			return fmt.Errorf("core: validating %d candidates for %s: %w", hi-lo, r, err)
 		}
-		c.ev, c.set = ev, set
 		return nil
 	})
+	for i, c := range cands {
+		c.ev, c.set = rules[i].Ev, rules[i].Set
+	}
+	return err
 }
 
 // score turns validated candidates into Alignments and applies the
@@ -461,31 +475,26 @@ func (a *Aligner) applyUBS(r string, cands []*candidate, aligns map[string]*Alig
 		}
 	}
 
+	ubs := func(side sampling.Side, pairs []sampling.SiblingPair) error {
+		return a.runRanges(len(pairs), func(lo, hi int) error {
+			return a.val.ContradictionsEach(side, pairs[lo:hi], a.cfg.UBSSampleSize)
+		})
+	}
+
 	if a.cfg.UBSBodySiblings {
-		type bodyPair struct{ rA, rB string }
-		var pairs []bodyPair
-		for i := 0; i < len(provisional); i++ {
-			for j := 0; j < len(provisional); j++ {
+		var pairs []sampling.SiblingPair
+		for i := range provisional {
+			for j := range provisional {
 				if i != j {
-					pairs = append(pairs, bodyPair{provisional[i].rel, provisional[j].rel})
+					pairs = append(pairs, sampling.SiblingPair{A: provisional[i].rel, B: provisional[j].rel, Check: r})
 				}
 			}
 		}
-		results := make([]*sampling.UBSResult, len(pairs))
-		err := a.runStage(len(pairs), func(k int) error {
-			res, err := a.val.Contradictions(sampling.BodySide, pairs[k].rA, pairs[k].rB, r, a.cfg.UBSSampleSize)
-			if err != nil {
-				return err
-			}
-			results[k] = res
-			return nil
-		})
-		if err != nil {
+		if err := ubs(sampling.BodySide, pairs); err != nil {
 			return err
 		}
-		for k, p := range pairs {
-			res := results[k]
-			rA, rB := p.rA, p.rB
+		for _, p := range pairs {
+			res, rA, rB := p.Res, p.A, p.B
 			// rows refute rB ⇒ r (subsumption) and r ⇒ rA (reverse)
 			aligns[rB].Contradictions += res.CounterSubsumption()
 			aligns[rB].UBSRows += len(res.Rows)
@@ -503,42 +512,34 @@ func (a *Aligner) applyUBS(r string, cands []*candidate, aligns map[string]*Alig
 	}
 
 	if a.cfg.UBSHeadSiblings {
-		type headOutcome struct {
-			siblings []string
-			results  []*sampling.UBSResult
-		}
-		outcomes := make([]headOutcome, len(provisional))
-		err := a.runStage(len(provisional), func(i int) error {
-			c := provisional[i]
-			siblings, err := a.headSiblings(r, c)
-			if err != nil {
-				return err
-			}
-			results := make([]*sampling.UBSResult, len(siblings))
-			for k, z := range siblings {
-				res, err := a.val.Contradictions(sampling.HeadSide, r, z, c.rel, a.cfg.UBSSampleSize)
-				if err != nil {
-					return err
-				}
-				results[k] = res
-			}
-			outcomes[i] = headOutcome{siblings: siblings, results: results}
-			return nil
+		// Two stages: the siblings of every candidate, then the
+		// contradiction search of every (candidate, sibling), candidate
+		// after candidate.
+		siblings := make([][]string, len(provisional))
+		err := a.runRanges(len(provisional), func(lo, hi int) error {
+			return a.headSiblings(r, provisional[lo:hi], siblings[lo:hi])
 		})
 		if err != nil {
 			return err
 		}
+		var pairs []sampling.SiblingPair
 		for i, c := range provisional {
-			for k, z := range outcomes[i].siblings {
-				res := outcomes[i].results[k]
-				// rows with check(x,y2) refute c.rel ⇒ r
-				aligns[c.rel].Contradictions += res.CounterReverse()
-				aligns[c.rel].UBSRows += len(res.Rows)
-				if a.pairRefutes(res.CounterReverse(), len(res.Rows)) {
-					aligns[c.rel].PrunedByUBS = true
-					a.tracef("UBS head-pair (%s, %s) refutes %s ⇒ %s: %d/%d rows",
-						r, z, c.rel, r, res.CounterReverse(), len(res.Rows))
-				}
+			for _, z := range siblings[i] {
+				pairs = append(pairs, sampling.SiblingPair{A: r, B: z, Check: c.rel})
+			}
+		}
+		if err := ubs(sampling.HeadSide, pairs); err != nil {
+			return err
+		}
+		for _, p := range pairs {
+			res, al := p.Res, aligns[p.Check]
+			// rows with check(x,y2) refute c.rel ⇒ r
+			al.Contradictions += res.CounterReverse()
+			al.UBSRows += len(res.Rows)
+			if a.pairRefutes(res.CounterReverse(), len(res.Rows)) {
+				al.PrunedByUBS = true
+				a.tracef("UBS head-pair (%s, %s) refutes %s ⇒ %s: %d/%d rows",
+					r, p.B, p.Check, r, res.CounterReverse(), len(res.Rows))
 			}
 		}
 	}
@@ -572,86 +573,94 @@ func (a *Aligner) entityCandidate(c *candidate) bool {
 	return c.set.Facts[0].Y.IsIRI()
 }
 
-// headSiblings discovers relations z of K (z ≠ r) that also cover the
-// candidate's translated sample pairs — the sibling set for the
-// mirrored UBS strategy. Its probes are independent too, but stay
-// single streams on a measurement: submitted as a group they moved the
-// benchmark's batch_topk_scale peak resident set from 280 to 359 MiB, past
-// its bound (EXPERIMENTS.md, "One request per shard per stage"; ROADMAP
-// item 3a has why, and what grouping them would save).
-func (a *Aligner) headSiblings(r string, c *candidate) ([]string, error) {
-	counts := map[string]int{}
-	checked := 0
-	for _, f := range c.set.Facts {
-		if checked >= a.cfg.UBSSampleSize {
-			break
-		}
-		if !f.Y.IsIRI() {
-			continue
-		}
-		checked++
-		rows, err := a.pHeadPreds.Stream(context.Background(), sparql.IRIArg(f.X), sparql.IRIArg(f.Y.Value))
-		if err != nil {
-			return nil, err
-		}
-		for rows.Next() {
-			row := rows.Row()
-			if row[0].IsIRI() && row[0].Value != r {
-				counts[row[0].Value]++
+// headSiblings discovers, for each of cands, the relations z of K (z ≠ r)
+// that also cover the candidate's translated sample pairs — the sibling
+// set for the mirrored UBS strategy — into out. The probes of all of
+// them, one per sampled pair, go to K as one group.
+func (a *Aligner) headSiblings(r string, cands []*candidate, out [][]string) error {
+	probes := 0
+	for _, c := range cands {
+		probes += min(len(c.set.Facts), a.cfg.UBSSampleSize)
+	}
+	args := make([]sparql.Arg, 0, 2*probes)
+	argSets := make([][]sparql.Arg, 0, probes)
+	ends := make([]int, len(cands)) // the probes of cands[i] end before argSets[ends[i]]
+	for i, c := range cands {
+		start := len(argSets)
+		for _, f := range c.set.Facts {
+			if len(argSets)-start >= a.cfg.UBSSampleSize {
+				break
+			}
+			if f.Y.IsIRI() {
+				args = append(args, sparql.IRIArg(f.X), sparql.IRIArg(f.Y.Value))
+				argSets = append(argSets, args[len(args)-2:len(args):len(args)])
 			}
 		}
-		if err := rows.Err(); err != nil {
-			return nil, err
-		}
+		ends[i] = len(argSets)
 	}
 	type sib struct {
 		rel string
 		n   int
 	}
-	sibs := make([]sib, 0, len(counts))
-	for rel, n := range counts {
-		sibs = append(sibs, sib{rel, n})
-	}
-	sort.Slice(sibs, func(i, j int) bool {
-		if sibs[i].n != sibs[j].n {
-			return sibs[i].n > sibs[j].n
+	// c is the candidate whose probes are being read, counts what they
+	// have found for it; its siblings are ranked when its last probe is in.
+	c, counts := 0, map[string]int{}
+	return endpoint.EachSet(context.Background(), a.pHeadPreds, argSets, func(k int, rows endpoint.Rows) error {
+		for rows.Next() {
+			if p := rows.Row()[0]; p.IsIRI() && p.Value != r {
+				counts[p.Value]++
+			}
 		}
-		return sibs[i].rel < sibs[j].rel
+		for ; c < len(cands) && ends[c] <= k+1; c++ {
+			sibs := make([]sib, 0, len(counts))
+			for rel, n := range counts {
+				sibs = append(sibs, sib{rel, n})
+			}
+			clear(counts)
+			sort.Slice(sibs, func(i, j int) bool {
+				if sibs[i].n != sibs[j].n {
+					return sibs[i].n > sibs[j].n
+				}
+				return sibs[i].rel < sibs[j].rel
+			})
+			if len(sibs) > ubsMaxSiblings {
+				sibs = sibs[:ubsMaxSiblings]
+			}
+			out[c] = make([]string, len(sibs))
+			for j, s := range sibs {
+				out[c][j] = s.rel
+			}
+		}
+		return nil
 	})
-	if len(sibs) > ubsMaxSiblings {
-		sibs = sibs[:ubsMaxSiblings]
-	}
-	out := make([]string, len(sibs))
-	for i, s := range sibs {
-		out[i] = s.rel
-	}
-	return out, nil
 }
 
 // checkEquivalences validates the reverse rule r ⇒ r' for accepted
 // alignments through the aligner's flipped validator (roles of K and
-// K' swapped), one worker-pool task per accepted rule. Each task
-// writes only its own Alignment, so no collection step is needed.
+// K' swapped), over the worker pool.
 func (a *Aligner) checkEquivalences(r string, out []Alignment) error {
-	flipped := a.flipped
 	var accepted []int
+	var rules []sampling.Rule
 	for i := range out {
 		if out[i].Accepted {
 			accepted = append(accepted, i)
+			rules = append(rules, sampling.Rule{Body: r, Head: out[i].Rule.Body})
 		}
 	}
-	return a.runStage(len(accepted), func(k int) error {
-		al := &out[accepted[k]]
-		ev, _, err := flipped.SimpleEvidence(r, al.Rule.Body, a.cfg.SampleSize)
-		if err != nil {
-			return err
-		}
+	err := a.runRanges(len(rules), func(lo, hi int) error {
+		return a.flipped.SimpleEvidenceEach(rules[lo:hi], a.cfg.SampleSize)
+	})
+	if err != nil {
+		return err
+	}
+	for k, i := range accepted {
+		al, ev := &out[i], rules[k].Ev
 		al.ReverseConfidence = a.cfg.Measure.Conf(ev)
 		al.Equivalent = al.ReverseConfidence >= a.cfg.Threshold &&
 			ev.Support() >= a.cfg.MinSupport &&
 			!al.ReverseRefuted
-		return nil
-	})
+	}
+	return nil
 }
 
 // flipTranslator swaps the directions of a Translator.

@@ -44,11 +44,14 @@ type Config struct {
 	MinSupport int
 
 	// Parallelism bounds the aligner's total concurrent endpoint work:
-	// every endpoint-bound pipeline task (discovery probes, candidate
+	// every endpoint-bound stage task (discovery probes, candidate
 	// validations, UBS sibling checks, equivalence tests) across all
 	// relations an AlignRelations batch has in flight passes through
-	// one shared admission gate of this capacity, so a remote endpoint
-	// never sees more than Parallelism simultaneous queries from one
+	// one shared admission gate of this capacity. What it bounds is
+	// stage tasks: a task is one item of its stage, or — against
+	// endpoints that group probes — a range of them whose probes of a
+	// kind are one request per shard (runRanges), so an endpoint never
+	// has more than Parallelism requests per shard in flight from one
 	// aligner. 0 or negative selects runtime.GOMAXPROCS(0); 1 forces
 	// serial endpoint access. For deterministic endpoints (fixed Local
 	// seeds), results are identical at every setting.

@@ -128,3 +128,20 @@ func (a *Aligner) runStage(n int, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// stageGroup is how many items of a stage — candidates to validate,
+// sibling pairs to search — one stage task takes when an endpoint groups
+// probes (endpoint.BatchStreamer): the task's probes of a kind are then
+// one request per shard. Sixteen, not the whole stage: a task holds what
+// its items sampled until their object fetches are back, and a 240-pair
+// UBS stage still makes fifteen tasks for the pool to overlap.
+const stageGroup = 16
+
+// runRanges is runStage over the items 0 … n-1 of a stage, rangeSize of
+// them a task: fn(lo, hi) handles items lo … hi-1. Against endpoints that
+// do not group, a task is one item and issues the probes it always did.
+func (a *Aligner) runRanges(n int, fn func(lo, hi int) error) error {
+	return a.runStage((n+a.rangeSize-1)/a.rangeSize, func(t int) error {
+		return fn(t*a.rangeSize, min(n, (t+1)*a.rangeSize))
+	})
+}

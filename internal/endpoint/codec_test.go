@@ -111,7 +111,7 @@ func encodeStream(s *stream) ([]byte, *httptest.ResponseRecorder) {
 // lands in the stream's err, like the reference's; any other failure is
 // returned.
 func decodeStream(data []byte) (*stream, error) {
-	rows, err := newWireRows(io.NopCloser(bytes.NewReader(data)), int64(len(data)))
+	rows, err := newWireRows(io.NopCloser(bytes.NewReader(data)), int64(len(data)), 1)
 	if err != nil {
 		return nil, err
 	}
@@ -514,6 +514,12 @@ func FuzzWireFrames(f *testing.F) {
 	for _, in := range trickyStreams {
 		f.Add([]byte(in))
 	}
+	// A grouped answer is several sequences in one body: read as one
+	// stream it is refused at its second head, and what the fuzzer makes
+	// of the seam must not be accepted either way.
+	two, _ := encodeStream(&stream{vars: small.vars, rows: small.rows[:2], truncated: true})
+	f.Add(append(append([]byte{}, two...), two...))
+	f.Add(append(append([]byte{}, two...), `{"error":"boom","quota":true}`+"\n"...))
 	f.Fuzz(agreeOnStream)
 }
 

@@ -398,6 +398,13 @@ var cancelOps = []struct {
 		_, err := SelectBatch(ctx, sel, [][]sparql.Arg{{sparql.IRIArg("http://x/a")}, {sparql.IRIArg("http://x/b")}, {sparql.IRIArg("http://x/a")}})
 		return nil, err
 	}},
+	{"prepared StreamBatch", func(ctx context.Context, _ Endpoint, sel, _ PreparedQuery) (Rows, error) {
+		sets, err := StreamBatch(ctx, sel, [][]sparql.Arg{{sparql.IRIArg("http://x/a")}, {sparql.IRIArg("http://x/b")}})
+		if err != nil {
+			return nil, err
+		}
+		return sets, nil
+	}},
 }
 
 // TestCancellationContract states cancellation once for the whole query

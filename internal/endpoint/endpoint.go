@@ -20,12 +20,14 @@
 // aligns over stall, shed and time out, so every probe can be abandoned.
 //
 // Independent executions of one prepared template go to the endpoint
-// together: SelectBatch runs them natively where the handle is a
-// BatchSelector — the HTTP client, as one multi=1 request (multi.go);
-// shard and cluster federations, as one call per shard — and one after
-// the other where it is not. Local and the decorators deliberately are
-// not: a group reaches them as the single queries it stands for, so
-// quota, statistics, cache keys and admission count it as exactly that.
+// together, as a group: a sequence of streams (StreamBatch — the HTTP
+// client sends it as one multi=1 request, multi.go; shard and cluster
+// federations as one per shard) or, drained, of results (SelectBatch).
+// Where a handle is neither BatchStreamer nor BatchSelector the
+// executions run one after the other. Local and the decorators
+// deliberately are neither: a group reaches them as the single queries it
+// stands for, so quota, statistics, cache keys and admission count it as
+// exactly that.
 //
 // All endpoints record Stats, which the experiments use to report the
 // number of queries and rows each alignment consumed (experiment E4).

@@ -95,10 +95,12 @@ var wireGolden = []wireExchange{
 		"orderspec=SELECT+%3Fx+%3Fy+WHERE+%7B+%3Fx+%3Chttp%3A%2F%2Fx%2Fp%3E+%3Fy+%7D+ORDER+BY+DESC%28%3Fy%29+LIMIT+2&query=SELECT+%3Fx+%3Fy+WHERE+%7B%0A++%3Fx+%3Chttp%3A%2F%2Fx%2Fp%3E+%3Fy+.%0A%7D&stream=1",
 		"application/x-sofya-rows+jsonl",
 		"{\"head\":{\"vars\":[\"x\",\"y\"],\"keys\":[0]}}\n{\"rows\":[[{\"type\":\"uri\",\"value\":\"http://x/a\"},{\"type\":\"uri\",\"value\":\"http://x/b\"}],[{\"type\":\"uri\",\"value\":\"http://x/a\"},{\"type\":\"uri\",\"value\":\"http://x/c\"}],[{\"type\":\"uri\",\"value\":\"http://x/b\"},{\"type\":\"uri\",\"value\":\"http://x/c\"}]],\"keyvals\":[[{\"k\":\"t\",\"t\":{\"type\":\"uri\",\"value\":\"http://x/b\"}}],[{\"k\":\"t\",\"t\":{\"type\":\"uri\",\"value\":\"http://x/c\"}}],[{\"k\":\"t\",\"t\":{\"type\":\"uri\",\"value\":\"http://x/c\"}}]]}\n{\"end\":{\"truncated\":false}}\n"},
+	// The grouped pair is this commit's: a group was a line of results
+	// documents at 4d057cf, and is a sequence of streams now.
 	{"multi",
-		"multi=1&query=SELECT+%3Fy+WHERE+%7B%0A++%3Chttp%3A%2F%2Fx%2Fa%3E+%3Chttp%3A%2F%2Fx%2Fname%3E+%3Fy+.%0A%7D&query=SELECT+%3Fy+WHERE+%7B%0A++%3Chttp%3A%2F%2Fx%2Fb%3E+%3Chttp%3A%2F%2Fx%2Fyear%3E+%3Fy+.%0A%7D",
-		"application/x-sofya-results+jsonl",
-		"{\"head\":{\"vars\":[\"y\"]},\"results\":{\"bindings\":[{\"y\":{\"type\":\"literal\",\"value\":\"Ay\",\"xml:lang\":\"en\"}}]}}\n{\"head\":{\"vars\":[\"y\"]},\"results\":{\"bindings\":[{\"y\":{\"type\":\"literal\",\"value\":\"1999\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#gYear\"}}]}}\n"},
+		"multi=1&query=SELECT+%3Fy+WHERE+%7B%0A++%3Chttp%3A%2F%2Fx%2Fa%3E+%3Chttp%3A%2F%2Fx%2Fname%3E+%3Fy+.%0A%7D&query=SELECT+%3Fy+WHERE+%7B%0A++%3Chttp%3A%2F%2Fx%2Fb%3E+%3Chttp%3A%2F%2Fx%2Fyear%3E+%3Fy+.%0A%7D&stream=1",
+		"application/x-sofya-rows+jsonl; sets=2",
+		"{\"head\":{\"vars\":[\"y\"]}}\n{\"rows\":[[{\"type\":\"literal\",\"value\":\"Ay\",\"xml:lang\":\"en\"}]]}\n{\"end\":{\"truncated\":false}}\n{\"head\":{\"vars\":[\"y\"]}}\n{\"rows\":[[{\"type\":\"literal\",\"value\":\"1999\",\"datatype\":\"http://www.w3.org/2001/XMLSchema#gYear\"}]]}\n{\"end\":{\"truncated\":false}}\n"},
 	{"RAND stream",
 		"query=SELECT+%3Fx+%3Fy+WHERE+%7B%0A++%3Fx+%3Chttp%3A%2F%2Fx%2Fp%3E+%3Fy+.%0A%7D%0AORDER+BY+ASC%28RAND%28%29%29%0ALIMIT+2&stream=1",
 		"application/x-sofya-rows+jsonl",

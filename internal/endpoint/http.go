@@ -429,54 +429,49 @@ func (c *Client) statusErr(resp *http.Response) error {
 	return &StatusError{URL: c.baseURL, Code: resp.StatusCode, Snippet: bodySnippet(body)}
 }
 
-// wholeAnswer reads the answer to a sent request whole: the body of a
-// 200 and its media type, or the error any other status stands for.
-func (c *Client) wholeAnswer(resp *http.Response, err error) ([]byte, string, error) {
-	if err != nil {
-		return nil, "", err
-	}
+// document reads a whole-result answer: the results document of a 200,
+// or the error any other status stands for.
+func (c *Client) document(resp *http.Response) (*sparql.Result, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, "", c.statusErr(resp)
+		return nil, c.statusErr(resp)
 	}
 	body, err := readBody(resp, maxAnswerBytes)
-	return body, resp.Header.Get("Content-Type"), err
-}
-
-func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, error) {
-	body, _, err := c.wholeAnswer(c.post(ctx, query, false, ""))
 	if err != nil {
 		return nil, err
 	}
 	return UnmarshalResults(body)
 }
 
-// openStream requests the batch-framed stream for a SELECT text. A
-// server that answers with a plain JSON document (an older build, a
-// generic SPARQL endpoint) is transparently drained and replayed.
+func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, error) {
+	resp, err := c.post(ctx, query, false, "")
+	if err != nil {
+		return nil, err
+	}
+	return c.document(resp)
+}
+
+// openStream requests the batch-framed stream for a SELECT text.
 func (c *Client) openStream(ctx context.Context, query, orderspec string) (Rows, error) {
 	resp, err := c.post(ctx, query, true, orderspec)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, c.statusErr(resp)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, StreamContentType) {
-		// Not a framed stream: drain the whole JSON answer and replay.
-		defer resp.Body.Close()
-		body, err := readBody(resp, maxAnswerBytes)
-		if err != nil {
-			return nil, err
-		}
-		res, err := UnmarshalResults(body)
+	return c.rowsOf(resp, 1)
+}
+
+// rowsOf reads the answer to a stream request: the frames of its sets
+// sequences, or — from a server that answers a plain JSON document (an
+// older build, a generic SPARQL endpoint) — the document, replayed.
+func (c *Client) rowsOf(resp *http.Response, sets int) (Rows, error) {
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), StreamContentType) {
+		res, err := c.document(resp)
 		if err != nil {
 			return nil, err
 		}
 		return ReplayRows(res), nil
 	}
-	return newWireRows(resp.Body, resp.ContentLength)
+	return newWireRows(resp.Body, resp.ContentLength, sets)
 }
 
 // SelectCtx implements Endpoint; the context cancels the HTTP exchange.
@@ -510,8 +505,8 @@ func (c *Client) Prepare(template string, params ...string) (PreparedQuery, erro
 
 // clientPrepared is the HTTP client's PreparedQuery: text interpolation
 // for whole-result calls (one request, one JSON document), the framed
-// wire stream for Stream/StreamKeyed, one multi=1 request for a group
-// (SelectBatch, multi.go).
+// wire stream for Stream/StreamKeyed, one multi=1 request for a group of
+// streams (StreamBatch, multi.go).
 type clientPrepared struct {
 	textPrepared
 	c *Client
@@ -539,5 +534,4 @@ var (
 	_ Endpoint      = (*Client)(nil)
 	_ PreparedQuery = (*clientPrepared)(nil)
 	_ KeyedStreamer = (*clientPrepared)(nil)
-	_ BatchSelector = (*clientPrepared)(nil)
 )

@@ -25,14 +25,7 @@ import (
 // MarshalSelect encodes a SELECT result in SPARQL-results JSON. The
 // error is always nil.
 func MarshalSelect(res *sparql.Result) ([]byte, error) {
-	return appendSelect(make([]byte, 0, selectSizeHint(res)), res), nil
-}
-
-// selectSizeHint estimates the encoded size of a SELECT result.
-func selectSizeHint(res *sparql.Result) int { return 64 + 96*len(res.Vars)*len(res.Rows) }
-
-// appendSelect appends the SPARQL-results JSON document of res to out.
-func appendSelect(out []byte, res *sparql.Result) []byte {
+	out := make([]byte, 0, 64+96*len(res.Vars)*len(res.Rows))
 	out = append(out, `{"head":{`...)
 	if len(res.Vars) > 0 {
 		out = append(out, `"vars":`...)
@@ -58,7 +51,7 @@ func appendSelect(out []byte, res *sparql.Result) []byte {
 	if res.Truncated {
 		out = append(out, `,"truncated":true`...)
 	}
-	return append(out, '}')
+	return append(out, '}'), nil
 }
 
 // MarshalAsk encodes an ASK result in SPARQL-results JSON. The error is

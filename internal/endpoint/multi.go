@@ -1,10 +1,8 @@
 package endpoint
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,40 +12,45 @@ import (
 
 // multi.go is the grouped side of the SPARQL HTTP protocol. An
 // alignment stage holds many small independent probes at once, and what
-// a remote deployment pays for each is a round trip, so a group of them
-// crosses the wire as one request:
+// a remote deployment pays for each is a request, so a group of them
+// crosses the wire as one, answered as a sequence of streams (wire.go):
 //
-//	POST /sparql   multi=1&query=<text 1>&query=<text 2>&…
+//	POST /sparql   multi=1&query=<text 1>&query=<text 2>&…&stream=1
 //
-//	→ 200 Content-Type: application/x-sofya-results+jsonl
-//	  <SPARQL results JSON document of text 1>\n
-//	  <SPARQL results JSON document of text 2>\n
-//	  …
+//	→ 200 Content-Type: application/x-sofya-rows+jsonl; sets=N
+//	  {"head":…}  {"rows":…} …  {"end":…}      — text 1
+//	  {"head":…}  {"rows":…} …  {"end":…}      — text 2, …
 //
-// The server runs the texts in order through the endpoint it serves,
-// one SelectCtx each — quota, statistics and admission see single
-// queries, exactly those a client sending the texts one by one would
-// have caused — and answers every document in one body with a
-// Content-Length. The first text that fails answers for the request,
-// with the status its own request would have had; texts after it do not
-// run. Every text must be a SELECT and there are at most
-// maxMultiQueries of them (400 otherwise, before anything runs); stream
-// and orderspec mean nothing on a multi request and are not read.
+// The server runs the texts in order through the endpoint it serves, one
+// prepared stream each — quota, statistics and admission see the single
+// queries a client sending them one by one would have caused — and
+// encodes each as it drains it, through the one pair of buffers a single
+// stream uses: it never holds more of a group than the batch it is
+// encoding, and a group shorter than a batch is one write with a
+// Content-Length. A text that cannot be opened, or a request found
+// cancelled between two texts, answers for the request while nothing has
+// left, with the status its own request would have had (a shed stays a
+// retriable 429); once a batch is out it ends the answer in an error
+// frame where its sequence would have begun, and the sequences before it
+// stay valid. Texts after it do not run. Every text must be a SELECT and
+// there are at most maxMultiQueries of them (400 otherwise, before
+// anything runs); orderspec is not read.
 //
-// The request is also a plain protocol request for its first text:
-// a server that knows nothing of multi — any endpoint that is not
-// sparqld — reads one query field, the first, and answers one plain
-// results document. The client tells the two answers apart by media
-// type, keeps a plain one as the result of the first text, and sends
-// the others singly, so no query runs twice and none is lost.
-
-// MultiContentType is the media type of a multi=1 answer: one SPARQL
-// results JSON document per line, in request order.
-const MultiContentType = "application/x-sofya-results+jsonl"
+// The client owns the body from the open to the last sequence's end, an
+// error, or Close, and reads one sequence at a time off it through one
+// buffer. A body cut inside a sequence, a sets parameter that is not the
+// number of texts sent, and bytes after the last terminal frame are
+// errors that name the sequence, never a short set passed off as one.
+//
+// The request is also a plain stream request for its first text: a
+// server that streams but does not group answers one sequence without
+// the sets parameter, any endpoint that is not sparqld a plain results
+// document. The client keeps either as the first text's set and sends
+// the others singly as the caller reaches them: no query runs twice.
 
 // maxMultiQueries bounds the texts of one multi=1 request. The client
-// splits a longer group — and one whose encoded texts would pass
-// maxQueryBytes — over several requests.
+// continues a longer group — or one whose encoded texts would pass
+// maxQueryBytes — in a further request once the first's sets are used up.
 const maxMultiQueries = 64
 
 // serveMulti answers a multi=1 request.
@@ -62,119 +65,106 @@ func (s *Server) serveMulti(w http.ResponseWriter, r *http.Request, req *wireReq
 			return
 		}
 	}
-	results := make([]*sparql.Result, len(req.multi))
-	size := 0
-	for i, text := range req.multi {
-		res, err := s.local.SelectCtx(r.Context(), text)
-		if err != nil {
-			writeQueryError(w, err)
-			return
+	var fw frameWriter
+	fw.init(w)
+	w.Header().Set("Content-Type", StreamContentType+"; sets="+strconv.Itoa(len(req.multi)))
+	for _, text := range req.multi {
+		var rows Rows
+		err := r.Context().Err()
+		if err == nil {
+			var pq PreparedQuery
+			if pq, err = s.local.Prepare(text); err == nil {
+				rows, err = pq.Stream(r.Context())
+			}
 		}
-		results[i] = res
-		size += selectSizeHint(res) + 1
+		if err != nil && !fw.wrote {
+			// Nothing has left yet: the text's own status answers.
+			fw.failed = true
+			writeQueryError(w, err)
+			break
+		}
+		if err != nil {
+			fw.out = appendErrorFrame(fw.out, err)
+			break
+		}
+		if !fw.sequence(rows, nil, nil) {
+			break
+		}
 	}
-	body := make([]byte, 0, size)
-	for _, res := range results {
-		body = append(appendSelect(body, res), '\n')
-	}
-	w.Header().Set("Content-Type", MultiContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = w.Write(body)
+	fw.finish()
 }
 
-// SelectBatch implements BatchSelector: the tuples' canonical texts go
+// StreamBatch implements BatchStreamer: the tuples' canonical texts go
 // out as multi=1 requests of at most maxMultiQueries texts and
-// maxQueryBytes each, one after the other; a text left alone in its
-// request goes as the plain request it is.
-func (p *clientPrepared) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
-	texts := make([]string, len(argSets))
+// maxQueryBytes each, the next when the caller has used up the sets of
+// the one before.
+func (p *clientPrepared) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (RowSets, error) {
+	g := &clientGroup{ctx: ctx, c: p.c, texts: make([]string, len(argSets)), groups: true}
 	for i, args := range argSets {
 		text, err := p.tmpl.Text(args...)
 		if err != nil {
 			return nil, err
 		}
-		texts[i] = text
+		g.texts[i] = text
 	}
-	out := make([]*sparql.Result, 0, len(texts))
-	var form []byte
-	for len(texts) > 0 {
-		form = append(form[:0], "multi=1"...)
-		n := 0
-		for n < len(texts) && n < maxMultiQueries {
-			mark := len(form)
-			if form = appendFormField(form, "query", texts[n]); len(form) > maxQueryBytes && n > 0 {
-				form = form[:mark]
-				break
-			}
-			n++
-		}
-		if n == 1 {
-			res, err := p.c.roundTrip(ctx, texts[0])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res)
-		} else {
-			var err error
-			if out, err = p.c.roundTripMulti(ctx, form, texts[:n], out); err != nil {
-				return nil, err
-			}
-		}
-		texts = texts[n:]
+	switch first, err := g.next(); {
+	case err != nil:
+		return nil, err
+	case first == nil:
+		return ReplaySets(nil), nil
+	default:
+		return NewRowSets(first, g.next, nil), nil
 	}
-	return out, nil
 }
 
-// roundTripMulti sends form, the encoded multi=1 request for texts, and
-// appends the results to out. A plain results document in answer is the
-// first text's, from a server without the extension; the others are
-// then sent singly.
-func (c *Client) roundTripMulti(ctx context.Context, form []byte, texts []string, out []*sparql.Result) ([]*sparql.Result, error) {
-	body, ct, err := c.wholeAnswer(c.postForm(ctx, form))
+// clientGroup is what is left to send of a group.
+type clientGroup struct {
+	ctx    context.Context
+	c      *Client
+	texts  []string // those no request has carried yet
+	groups bool     // until the server has answered a group with one set
+}
+
+// next sends the next request — as many of the remaining texts as one
+// request holds, or one to a server known not to group — and returns its
+// answer: a body of that many sequences, or the first text's set.
+func (g *clientGroup) next() (Rows, error) {
+	if len(g.texts) == 0 {
+		return nil, nil
+	}
+	texts := g.texts[:min(len(g.texts), maxMultiQueries)]
+	if !g.groups {
+		texts = texts[:1]
+	}
+	size := 32
+	for _, text := range texts {
+		size += 16 + len(text) + len(text)/2
+	}
+	form, n := append(make([]byte, 0, min(size, maxQueryBytes)), "multi=1"...), 0
+	for ; n < len(texts); n++ {
+		mark := len(form)
+		if form = appendFormField(form, "query", texts[n]); len(form) > maxQueryBytes-len("&stream=1") && n > 0 {
+			form = form[:mark]
+			break
+		}
+	}
+	if n == 1 {
+		form = form[len("multi=1&"):] // alone, a text goes as the plain stream request it is
+	}
+	resp, err := g.c.postForm(g.ctx, appendFormField(form, "stream", "1"))
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasPrefix(ct, MultiContentType) {
-		return appendMultiAnswer(out, body, len(texts))
-	}
-	first, err := UnmarshalResults(body)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, first)
-	for _, text := range texts[1:] {
-		res, err := c.roundTrip(ctx, text)
-		if err != nil {
-			return nil, err
+	sets := 1
+	if param, ok := strings.CutPrefix(resp.Header.Get("Content-Type"), StreamContentType+"; sets="); ok {
+		if sets, err = strconv.Atoi(param); err != nil || sets != n {
+			resp.Body.Close()
+			return nil, fmt.Errorf("endpoint: %d queries answered in %q sets", n, param)
 		}
-		out = append(out, res)
 	}
-	return out, nil
+	g.groups = g.groups && (n == 1 || sets > 1)
+	g.texts = g.texts[sets:]
+	return g.c.rowsOf(resp, sets)
 }
 
-// appendMultiAnswer decodes a multi=1 answer of n documents, each on a
-// line of its own, onto out. An answer of fewer or more documents, or
-// one that ends inside a line, is an error — never a short result.
-func appendMultiAnswer(out []*sparql.Result, body []byte, n int) ([]*sparql.Result, error) {
-	docs := 0
-	for len(body) > 0 {
-		i := bytes.IndexByte(body, '\n')
-		if i < 0 {
-			return nil, fmt.Errorf("endpoint: multi answer cut inside document %d: %w", docs+1, io.ErrUnexpectedEOF)
-		}
-		if docs == n {
-			return nil, fmt.Errorf("endpoint: multi answer has more than the %d documents asked for", n)
-		}
-		res, err := UnmarshalResults(body[:i])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-		docs++
-		body = body[i+1:]
-	}
-	if docs != n {
-		return nil, fmt.Errorf("endpoint: multi answer has %d documents, %d asked for", docs, n)
-	}
-	return out, nil
-}
+var _ BatchStreamer = (*clientPrepared)(nil)

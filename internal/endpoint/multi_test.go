@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -274,8 +275,9 @@ func TestSelectBatchByteChunks(t *testing.T) {
 	}
 }
 
-// failAt passes SelectCtx calls through until call k (from 0), which
-// fails with err; calls counts every call that arrived.
+// failAt passes Prepare calls — the server prepares every text it is
+// sent — through until call k (from 0), which fails with err; calls
+// counts every call that arrived.
 type failAt struct {
 	Endpoint
 	k     int
@@ -283,12 +285,12 @@ type failAt struct {
 	calls int
 }
 
-func (f *failAt) SelectCtx(ctx context.Context, q string) (*sparql.Result, error) {
+func (f *failAt) Prepare(template string, params ...string) (PreparedQuery, error) {
 	f.calls++
 	if f.calls-1 == f.k {
 		return nil, f.err
 	}
-	return f.Endpoint.SelectCtx(ctx, q)
+	return f.Endpoint.Prepare(template, params...)
 }
 
 // TestSelectBatchFailures: a group fails as its tuples one by one would
@@ -351,7 +353,8 @@ func TestSelectBatchFailures(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || l.Stats().Queries != 3 {
+		// A text that does not parse is refused before it is admitted.
+		if resp.StatusCode != http.StatusBadRequest || l.Stats().Queries != 2 {
 			t.Errorf("status %d (%s), %d queries; want 400 from the third text and the fourth not run", resp.StatusCode, body, l.Stats().Queries)
 		}
 	})
@@ -395,12 +398,13 @@ func TestServerMultiLimits(t *testing.T) {
 	}
 
 	// What is allowed: the cap itself, one text, and GET.
+	setsOf := func(n int) string { return fmt.Sprintf("%s; sets=%d", StreamContentType, n) }
 	code, ct, body := post(url.Values{"multi": {"1"}, "query": texts(maxMultiQueries, selP)})
-	if code != http.StatusOK || ct != MultiContentType || strings.Count(body, "\n") != maxMultiQueries {
-		t.Errorf("%d texts: status %d, %s, %d lines", maxMultiQueries, code, ct, strings.Count(body, "\n"))
+	if res, err := readSets([]byte(body), maxMultiQueries); code != http.StatusOK || ct != setsOf(maxMultiQueries) || err != nil {
+		t.Errorf("%d texts: status %d, %s, %v, %v", maxMultiQueries, code, ct, res, err)
 	}
-	code, ct, body = post(url.Values{"multi": {"1"}, "query": {selP}})
-	if res, err := appendMultiAnswer(nil, []byte(body), 1); code != http.StatusOK || ct != MultiContentType || err != nil || len(res[0].Rows) == 0 {
+	code, ct, body = post(url.Values{"multi": {"1"}, "query": {selP}, "stream": {"1"}})
+	if res, err := readSets([]byte(body), 1); code != http.StatusOK || ct != setsOf(1) || err != nil || len(res[0].Rows) == 0 {
 		t.Errorf("one text: status %d, %s, %v, %v", code, ct, res, err)
 	}
 	resp, err := http.Get(srv.URL + "?" + url.Values{"multi": {"1"}, "query": {selP, selPX}}.Encode())
@@ -409,42 +413,76 @@ func TestServerMultiLimits(t *testing.T) {
 	}
 	got, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if res, err := appendMultiAnswer(nil, got, 2); err != nil || len(res) != 2 {
+	if res, err := readSets(got, 2); err != nil || len(res) != 2 {
 		t.Errorf("GET: %v, %v", res, err)
 	}
 }
 
+// readSets reads body as the answer to a group of n.
+func readSets(body []byte, n int) ([]*sparql.Result, error) {
+	rows, err := newWireRows(io.NopCloser(bytes.NewReader(body)), int64(len(body)), n)
+	if err != nil {
+		return nil, err
+	}
+	defer rows.Close()
+	out := make([]*sparql.Result, n)
+	for i := range out {
+		if i > 0 && !rows.NextResultSet() {
+			return nil, cmp.Or(rows.Err(), fmt.Errorf("%d sets of %d", i, n))
+		}
+		out[i] = &sparql.Result{Vars: rows.Vars()}
+		for rows.Next() {
+			out[i].Rows = append(out[i].Rows, rows.Row())
+		}
+		if err := rows.Err(); err != nil {
+			return nil, err
+		}
+		out[i].Truncated = rows.Truncated()
+	}
+	return out, nil
+}
+
 // TestMultiAnswerRejects: an answer that does not hold exactly the
-// documents asked for is an error, over the wire a retriable one when
-// the body was cut.
+// sequences asked for is an error that names the sequence, over the wire
+// a retriable one when the body was cut.
 func TestMultiAnswerRejects(t *testing.T) {
-	doc, _ := MarshalSelect(&sparql.Result{Vars: []string{"y"}, Rows: [][]rdf.Term{{rdf.NewIRI("http://x/a")}}})
-	line := string(doc) + "\n"
+	seq, _ := encodeStream(&stream{vars: []string{"y"}, rows: [][]rdf.Term{{rdf.NewIRI("http://x/a")}}})
+	one := string(seq)
 	for name, c := range map[string]struct {
-		body string
-		n    int
+		body, names string
+		n           int
 	}{
-		"fewer":           {line + line, 3},
-		"more":            {line + line + line, 2},
-		"none":            {"", 1},
-		"cut in a line":   {line + line[:len(line)/2], 2},
-		"no last newline": {line + string(doc), 2},
-		"not a document":  {line + "{}x\n", 2},
-		"blank line":      {line + "\n" + line, 3},
+		"fewer":           {one + one, "(sequence 3 of 3)", 3},
+		"more":            {one + one + one, "(sequence 2 of 2)", 2},
+		"none":            {"", "", 1},
+		"cut in a frame":  {one + one[:len(one)/2], "(sequence 2 of 2)", 2},
+		"no last newline": {one + one[:len(one)-1], "(sequence 2 of 2)", 2},
+		"not a frame":     {one + "{}x\n", "(sequence 2 of 2)", 2},
+		"blank line":      {one + "\n" + one, "(sequence 2 of 2)", 2},
+		"head twice":      {one[:strings.Index(one, "\n")+1] + one + one, "(sequence 1 of 2)", 2},
 	} {
-		if res, err := appendMultiAnswer(nil, []byte(c.body), c.n); err == nil {
-			t.Errorf("%s: accepted as %d results", name, len(res))
+		if res, err := readSets([]byte(c.body), c.n); err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("%s: %d results, %v; want an error naming %s", name, len(res), err, c.names)
 		}
 	}
-	if res, err := appendMultiAnswer(nil, []byte(line+line), 2); err != nil || len(res) != 2 {
+	if res, err := readSets([]byte(one+one+" \n"), 2); err != nil || len(res) != 2 {
 		t.Fatalf("a complete answer: %v, %v", res, err)
+	}
+	// An error frame where a sequence would begin ends the answer in its
+	// error, typed when it says so; the sets before it were read.
+	rows, err := newWireRows(io.NopCloser(strings.NewReader(one+`{"error":"out","quota":true}`+"\n")), -1, 3)
+	if err != nil || !rows.Next() || rows.Next() || rows.Err() != nil {
+		t.Fatalf("the set before the error: %v, %v", err, rows.Err())
+	}
+	if rows.NextResultSet() || !errors.Is(rows.Err(), ErrQuotaExceeded) || rows.NextResultSet() {
+		t.Fatalf("after the error frame: %v, want ErrQuotaExceeded and no further set", rows.Err())
 	}
 
 	// A server that dies inside its answer: the declared length is not met.
 	c := serveClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", MultiContentType)
-		w.Header().Set("Content-Length", fmt.Sprint(2*len(line)))
-		_, _ = w.Write([]byte(line + line[:10]))
+		w.Header().Set("Content-Type", StreamContentType+"; sets=2")
+		w.Header().Set("Content-Length", fmt.Sprint(2*len(one)))
+		_, _ = w.Write([]byte(one + one[:10]))
 		panic(http.ErrAbortHandler)
 	}))
 	pq, err := c.Prepare(batchTemplates[0].tmpl, batchTemplates[0].params...)
@@ -457,35 +495,46 @@ func TestMultiAnswerRejects(t *testing.T) {
 	}
 }
 
-// FuzzMultiAnswer: whatever the multi reader accepts is what splitting
-// the body at its newlines and reading every line as a results document
-// yields.
+// FuzzMultiAnswer: whatever the group reader accepts as n sets is what
+// cutting the body after every end frame and reading each piece as a
+// stream of its own yields.
 func FuzzMultiAnswer(f *testing.F) {
-	doc, _ := MarshalSelect(&sparql.Result{Vars: []string{"y"}, Rows: [][]rdf.Term{{rdf.NewIRI("http://x/a")}}})
-	empty, _ := MarshalSelect(&sparql.Result{Vars: []string{"p", "v"}})
-	f.Add(append(append(doc, '\n'), append(empty, '\n')...), 2)
-	f.Add(append(doc, '\n'), 1)
+	seq, _ := encodeStream(&stream{vars: []string{"y"}, rows: [][]rdf.Term{{rdf.NewIRI("http://x/a")}}})
+	empty, _ := encodeStream(&stream{vars: []string{"p", "v"}, truncated: true})
+	f.Add(append(append([]byte{}, seq...), empty...), 2)
+	f.Add(seq, 1)
 	f.Add([]byte{}, 0)
-	f.Add(append(doc, "\n\n"...), 2)
-	f.Add(doc, 1)
-	f.Add([]byte("{\"head\":{},\n\"boolean\":true}\n"), 1)
+	f.Add(append(append([]byte{}, seq...), "\n\n"...), 2)
+	f.Add(seq[:len(seq)-1], 1)
+	f.Add(append(append([]byte{}, empty...), `{"error":"boom","quota":true}`+"\n"...), 2)
 	f.Fuzz(func(t *testing.T, body []byte, n int) {
-		got, err := appendMultiAnswer(nil, body, n)
+		if n < 1 || n > 16 {
+			return
+		}
+		got, err := readSets(body, n)
 		if err != nil {
 			return
 		}
-		lines := bytes.Split(body, []byte("\n"))
-		if last := len(lines) - 1; len(got) != n || last != n || len(lines[last]) != 0 {
-			t.Fatalf("accepted as %d results for %d asked: %d lines, the last %q", len(got), n, len(lines), lines[last])
+		rest := body
+		for i := 0; i < n; i++ {
+			var want *stream
+			for at := 0; want == nil; {
+				nl := bytes.IndexByte(rest[at:], '\n')
+				if nl < 0 {
+					t.Fatalf("accepted as %d sets, but set %d does not end", n, i)
+				}
+				at += nl + 1
+				if s, err := decodeStream(rest[:at]); err == nil && s.err == nil {
+					want, rest = s, rest[at:]
+				}
+			}
+			res := &sparql.Result{Vars: want.vars, Rows: want.rows, Truncated: want.truncated}
+			if err := sameResult(got[i], res); err != nil {
+				t.Fatalf("set %d: %v", i, err)
+			}
 		}
-		for i, line := range lines[:n] {
-			want, err := UnmarshalResults(line)
-			if err != nil {
-				t.Fatalf("line %d accepted, but alone it reads: %v", i, err)
-			}
-			if err := sameResult(got[i], want); err != nil {
-				t.Fatalf("line %d: %v", i, err)
-			}
+		if len(bytes.TrimSpace(rest)) > 0 {
+			t.Fatalf("accepted as %d sets with %q after them", n, rest)
 		}
 	})
 }

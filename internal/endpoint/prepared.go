@@ -1,7 +1,9 @@
 package endpoint
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"strings"
 
 	"sofya/internal/sparql"
@@ -95,21 +97,48 @@ func StreamKeyed(ctx context.Context, pq PreparedQuery, orderText string, args .
 // fails the group, and tuples after it are not executed. It counts as
 // len(argSets) queries wherever queries are counted. What an
 // implementation saves is the per-call overhead between the caller and
-// the KB: the HTTP client sends a group as one request, the federation
-// as one per shard.
+// the KB: the federation sends a group as one call per shard, a replica
+// set as one attempt that moves whole on failover.
 type BatchSelector interface {
 	SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error)
 }
 
+// BatchStreamer is the streamed counterpart: StreamBatch answers one
+// stream per argument tuple as one RowSets, each set byte-identical to
+// Stream on its tuple. A tuple that fails ends the group: the open fails
+// with its error, or — sets before it having reached the caller —
+// NextResultSet reports false and Err the error. The HTTP client sends a
+// group as one request answered by one body (multi.go), a replica set
+// hedges it at open, the federation opens it once per shard and merges a
+// tuple when the caller reaches it. Callers must Close the RowSets.
+type BatchStreamer interface {
+	StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (RowSets, error)
+}
+
 // SelectBatch runs pq once per tuple of argSets: natively when pq is a
-// BatchSelector, one SelectCtx after the other otherwise — which is also
-// what keeps Caching, Coalescing, Admission and Local exact: they see a
-// group as the single probes it stands for.
+// BatchSelector, by draining the sets of a BatchStreamer's group, and one
+// SelectCtx after the other otherwise — which is also what keeps
+// Caching, Coalescing, Admission and Local exact: they see a group as
+// the single probes it stands for.
 func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
 	if b, ok := pq.(BatchSelector); ok {
 		return b.SelectBatch(ctx, argSets)
 	}
 	out := make([]*sparql.Result, len(argSets))
+	if _, ok := pq.(BatchStreamer); ok && len(argSets) > 1 {
+		err := EachSet(ctx, pq, argSets, func(i int, rows Rows) error {
+			out[i] = &sparql.Result{Vars: rows.Vars()}
+			for rows.Next() {
+				out[i].Rows = append(out[i].Rows, rows.Row())
+			}
+			out[i].Truncated = rows.Truncated()
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 	for i, args := range argSets {
 		res, err := pq.SelectCtx(ctx, args...)
 		if err != nil {
@@ -118,6 +147,56 @@ func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) 
 		out[i] = res
 	}
 	return out, nil
+}
+
+// StreamBatch opens pq once per tuple of argSets: natively when pq is a
+// BatchStreamer, and otherwise as one Stream per tuple, opened when the
+// caller reaches it and closed when it moves on — an endpoint that does
+// not group sees the calls of a caller that never heard of groups, in
+// their order, and a Local charges the rows actually pulled.
+func StreamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) (RowSets, error) {
+	if b, ok := pq.(BatchStreamer); ok {
+		return b.StreamBatch(ctx, argSets)
+	}
+	if len(argSets) == 0 {
+		return ReplaySets(nil), nil
+	}
+	rows, err := pq.Stream(ctx, argSets[0]...)
+	if err != nil {
+		return nil, err
+	}
+	rest := argSets[1:]
+	if len(rest) == 0 {
+		return NewRowSets(rows, nil, nil), nil // no closure for a caller that takes one item at a time
+	}
+	return NewRowSets(rows, func() (Rows, error) {
+		if len(rest) == 0 {
+			return nil, nil
+		}
+		args := rest[0]
+		rest = rest[1:]
+		return pq.Stream(ctx, args...)
+	}, nil), nil
+}
+
+// EachSet opens pq once per tuple of argSets (StreamBatch), hands every
+// set in turn to read — which pulls what it wants of it — and closes the
+// group: the loop of a caller that knows where each of its streams stops.
+func EachSet(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, read func(i int, rows Rows) error) error {
+	sets, err := StreamBatch(ctx, pq, argSets)
+	if err != nil {
+		return err
+	}
+	defer sets.Close()
+	for i := range argSets {
+		if i > 0 && !sets.NextResultSet() {
+			return cmp.Or(sets.Err(), fmt.Errorf("endpoint: a group of %d answered in %d sets", len(argSets), i))
+		}
+		if err := cmp.Or(read(i, sets), sets.Err()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // preparedKey renders a stable cache/coalescing key for one execution

@@ -1,6 +1,8 @@
 package endpoint
 
 import (
+	"cmp"
+
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
@@ -26,6 +28,76 @@ type Rows interface {
 	Err() error
 	Truncated() bool
 	Close()
+}
+
+// RowSets is the answer to a group of executions of one template
+// (StreamBatch): one result set per argument tuple, in tuple order, read
+// one after the other through the Rows methods — database/sql's shape.
+// It starts on the first tuple's set; NextResultSet abandons what is left
+// of the current set for the next tuple's, reporting false when there is
+// none or it failed (see Err). Close releases the whole group.
+type RowSets interface {
+	Rows
+	NextResultSet() bool
+}
+
+// rowSets is the RowSets of every group that is not one response body:
+// Rows is the current set — itself a RowSets when it is a grouped body,
+// whose own sets then come first — next opens the set after it (none
+// left: nil, nil), and done, if any, runs once when the group ends, at
+// Close or a false NextResultSet. A set that ended in error ends it.
+type rowSets struct {
+	Rows
+	next func() (Rows, error)
+	done func()
+	err  error
+}
+
+// NewRowSets makes a RowSets of a first set, the function that opens each
+// further one and the one that releases what the group holds (or nil).
+func NewRowSets(first Rows, next func() (Rows, error), done func()) RowSets {
+	return &rowSets{Rows: first, next: next, done: done}
+}
+
+func (s *rowSets) NextResultSet() bool {
+	if inner, ok := s.Rows.(RowSets); ok && inner.NextResultSet() {
+		return true
+	}
+	if s.err = cmp.Or(s.err, s.Rows.Err()); s.err == nil && s.next != nil {
+		s.Rows.Close()
+		var rows Rows
+		if rows, s.err = s.next(); rows != nil {
+			s.Rows = rows
+			return true
+		}
+	}
+	s.Close()
+	return false
+}
+
+func (s *rowSets) Close() {
+	s.Rows.Close()
+	if s.next = nil; s.done != nil {
+		s.done()
+		s.done = nil
+	}
+}
+
+func (s *rowSets) Err() error { return cmp.Or(s.err, s.Rows.Err()) }
+
+// ReplaySets wraps the results of a group as the group's streams — what
+// ReplayRows is to one result. No results make one empty set.
+func ReplaySets(results []*sparql.Result) RowSets {
+	if len(results) == 0 {
+		results = []*sparql.Result{{}}
+	}
+	i := 0
+	return NewRowSets(ReplayRows(results[0]), func() (Rows, error) {
+		if i++; i >= len(results) {
+			return nil, nil
+		}
+		return ReplayRows(results[i]), nil
+	}, nil)
 }
 
 // replayRows streams an in-memory Result — the drain-then-iterate
@@ -119,6 +191,7 @@ func (r *localRows) finish() {
 }
 
 var (
-	_ Rows = (*replayRows)(nil)
-	_ Rows = (*localRows)(nil)
+	_ Rows    = (*replayRows)(nil)
+	_ Rows    = (*localRows)(nil)
+	_ RowSets = (*rowSets)(nil)
 )

@@ -38,7 +38,10 @@ import (
 // stream's truncation flag) or an error frame — a stream that stops
 // without one was cut mid-flight and the client reports the transport
 // error instead of a silently short result; bytes after one are a
-// protocol error.
+// protocol error. A grouped answer (multi.go) is several such sequences,
+// head to terminal frame, one after the other in one body, its media type
+// saying how many ("; sets=N"): wireRows.NextResultSet moves from one to
+// the next, and only the last one's end is the body's.
 //
 // The frames are encoded and decoded by codec.go. Both sides recycle
 // their buffers, up to maxPooledFrameBufs each: the server its encode
@@ -87,39 +90,45 @@ func orderKeyEvals(orderspec string) (idx []int, evals []func([]rdf.Term) sparql
 	return idx, evals, nil
 }
 
-// frameBufs recycles writeStream's two encode buffers, so that a
+// frameBufs recycles a frameWriter's two encode buffers, so that a
 // steady stream of small answers allocates none; buffers a large batch
 // has grown beyond maxPooledFrameBufs are left to the collector.
 var frameBufs = sync.Pool{New: func() any { return new([2][]byte) }}
 
 const maxPooledFrameBufs = 64 << 10
 
-// writeStream drains rows into batch frames on w. Any mid-stream error
-// — a shard quota trip, a failed upstream — becomes the terminal error
-// frame; transport write errors just stop the stream (the peer is gone).
-//
-// Only a full batch is written out and flushed on its own. The head
-// frame, a final partial batch and the terminal frame ride in whatever
-// write carries them, so an answer shorter than a batch — most probes —
-// is one write with a Content-Length, and its reader sees the end of
-// the body with the last frame.
-func writeStream(w http.ResponseWriter, rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value) {
-	defer rows.Close()
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", StreamContentType)
+// frameWriter encodes frame sequences onto one response through one
+// pair of encode buffers: one sequence for a stream (writeStream), one
+// per text for a group (serveMulti). Only a full batch is written out
+// and flushed on its own. The head frame, a final partial batch and the
+// terminal frame ride in whatever write carries them, so an answer
+// shorter than a batch — most probes, and most groups of them — is one
+// write with a Content-Length, and its reader sees the end of the body
+// with the last frame.
+type frameWriter struct {
+	w    http.ResponseWriter
+	bufs *[2][]byte
+	// out holds the frames not yet written; kv collects the key values
+	// of the rows frame being built, because they follow the rows in it.
+	out, kv []byte
+	wrote   bool // a batch went out on its own: the answer is chunked
+	failed  bool // nothing more goes out: a write failed, or a status answered
+}
 
-	// out holds the frames not yet written; the rows frame being built
-	// starts at frameAt and has n rows so far. Its key values collect in
-	// kv until it is closed, because they follow the rows in it.
-	bufs := frameBufs.Get().(*[2][]byte)
-	out, kv := appendHeadFrame(bufs[0][:0], rows.Vars(), keyIdx), bufs[1][:0]
-	defer func() {
-		if cap(out)+cap(kv) <= maxPooledFrameBufs {
-			bufs[0], bufs[1] = out, kv
-			frameBufs.Put(bufs)
-		}
-	}()
-	n, frameAt, wrote := 0, 0, false
+func (fw *frameWriter) init(w http.ResponseWriter) {
+	fw.w, fw.bufs = w, frameBufs.Get().(*[2][]byte)
+	fw.out, fw.kv = fw.bufs[0][:0], fw.bufs[1][:0]
+}
+
+// sequence drains rows into one frame sequence and reports whether it
+// ended in an end frame. Any mid-stream error — a shard quota trip, a
+// failed upstream — becomes the terminal error frame; a transport write
+// error just stops the answer.
+func (fw *frameWriter) sequence(rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value) bool {
+	defer rows.Close()
+	// The rows frame being built starts at frameAt and has n rows so far.
+	out, kv := appendHeadFrame(fw.out, rows.Vars(), keyIdx), fw.kv
+	n, frameAt := 0, 0
 	closeFrame := func() {
 		if n == 0 {
 			return
@@ -171,13 +180,14 @@ rows:
 		}
 		if n++; n == WireBatch {
 			closeFrame()
-			if _, werr := w.Write(out); werr != nil {
-				return
+			if _, werr := fw.w.Write(out); werr != nil {
+				fw.out, fw.kv, fw.failed = out[:0], kv, true
+				return false
 			}
-			if flusher != nil {
-				flusher.Flush()
+			if f, ok := fw.w.(http.Flusher); ok {
+				f.Flush()
 			}
-			out, wrote = out[:0], true
+			out, fw.wrote = out[:0], true
 		}
 	}
 	closeFrame()
@@ -191,10 +201,31 @@ rows:
 	} else {
 		out = appendEndFrame(out, trunc)
 	}
-	if !wrote {
-		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	fw.out, fw.kv = out, kv
+	return err == nil
+}
+
+// finish writes what is left of the answer and recycles the buffers.
+func (fw *frameWriter) finish() {
+	if !fw.failed {
+		if !fw.wrote {
+			fw.w.Header().Set("Content-Length", strconv.Itoa(len(fw.out)))
+		}
+		_, _ = fw.w.Write(fw.out)
 	}
-	_, _ = w.Write(out)
+	if cap(fw.out)+cap(fw.kv) <= maxPooledFrameBufs {
+		fw.bufs[0], fw.bufs[1] = fw.out, fw.kv
+		frameBufs.Put(fw.bufs)
+	}
+}
+
+// writeStream answers one stream: rows as a single frame sequence.
+func writeStream(w http.ResponseWriter, rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value) {
+	w.Header().Set("Content-Type", StreamContentType)
+	var fw frameWriter
+	fw.init(w)
+	fw.sequence(rows, keyIdx, keyEvals)
+	fw.finish()
 }
 
 // wireRows is the client side of a batch-framed stream: Rows over an
@@ -213,6 +244,12 @@ type wireRows struct {
 	rd, nl, wr int
 	readErr    error
 	dec        jsonDec
+
+	// A grouped answer (multi.go) holds sets frame sequences, one after
+	// the other; set is the one being read, eos that its terminal frame
+	// is in. A plain stream is a group of one.
+	set, sets int
+	eos       bool
 
 	vars   []string
 	keyIdx []int
@@ -236,15 +273,23 @@ var readBufs = sync.Pool{New: func() any { b := make([]byte, 4<<10); return &b }
 // document may take.
 const maxFrameBytes = 64 << 20
 
-// newWireRows reads the stream's head frame — the open completes when
-// the server's first write arrives, which carries the first rows or the
-// whole answer: the signal hedged reads race on. size is the body's
-// length when the response declared one, for the read buffer.
-func newWireRows(body io.ReadCloser, size int64) (*wireRows, error) {
-	r := &wireRows{body: body, pooled: readBufs.Get().(*[]byte)}
+// newWireRows reads the head frame of the first of the body's sets
+// sequences — the open completes when the server's first write arrives,
+// which carries the first rows or the whole answer: the signal hedged
+// reads race on. size is the body's declared length, if any.
+func newWireRows(body io.ReadCloser, size int64, sets int) (*wireRows, error) {
+	r := &wireRows{body: body, pooled: readBufs.Get().(*[]byte), sets: sets}
 	if r.buf = *r.pooled; size > int64(len(r.buf)) && size <= maxPooledFrameBufs {
 		r.buf = make([]byte, size)
 	}
+	if !r.readHead() {
+		return nil, r.err
+	}
+	return r, nil
+}
+
+// readHead opens the sequence the body is at.
+func (r *wireRows) readHead() bool {
 	var f frame
 	line, err := r.line()
 	if err == nil {
@@ -252,18 +297,27 @@ func newWireRows(body io.ReadCloser, size int64) (*wireRows, error) {
 	}
 	switch {
 	case err != nil:
-		err = fmt.Errorf("endpoint: reading stream head: %w", err)
+		r.fail("reading stream head", err)
 	case f.kind == frameError:
-		err = f.err
-	case f.kind != frameHead:
-		err = errors.New("endpoint: stream did not start with a head frame")
-	}
-	if err != nil {
+		r.err = f.err
 		r.finish()
-		return nil, err
+	case f.kind != frameHead:
+		r.fail("stream did not start with a head frame", nil)
 	}
 	r.vars, r.keyIdx = f.vars, f.keys
-	return r, nil
+	return r.err == nil
+}
+
+// fail ends the stream in a transport or protocol error, naming the
+// sequence when there are several.
+func (r *wireRows) fail(what string, err error) {
+	if r.sets > 1 {
+		what = fmt.Sprintf("%s (sequence %d of %d)", what, r.set+1, r.sets)
+	}
+	if r.err = errors.New("endpoint: " + what); err != nil {
+		r.err = fmt.Errorf("endpoint: %s: %w", what, err)
+	}
+	r.finish()
 }
 
 // line returns the next frame line without its newline, valid until the
@@ -307,7 +361,7 @@ func (r *wireRows) AttachedKeys() []int     { return r.keyIdx }
 func (r *wireRows) RowKeys() []sparql.Value { return r.keys }
 
 func (r *wireRows) Next() bool {
-	if r.done {
+	if r.done || r.eos {
 		return false
 	}
 	for r.bi >= r.n {
@@ -325,39 +379,57 @@ func (r *wireRows) Next() bool {
 	return true
 }
 
-// nextFrame pulls the next rows frame; false at stream end (clean or
-// not).
+// nextFrame pulls the next rows frame; false at the sequence's end
+// (clean or not). The last sequence's end finishes the stream.
 func (r *wireRows) nextFrame() bool {
 	line, err := r.line()
 	if err != nil {
 		// The terminal frame never arrived: the connection died
 		// mid-stream. Surface the transport error rather than passing
 		// the prefix off as the whole result.
-		r.err = fmt.Errorf("endpoint: stream cut mid-flight: %w", err)
-		r.finish()
+		r.fail("stream cut mid-flight", err)
 		return false
 	}
 	var f frame
 	if err := r.dec.frame(line, &f, len(r.vars), len(r.keyIdx)); err != nil {
-		r.err = fmt.Errorf("endpoint: bad stream frame: %w", err)
-		r.finish()
+		r.fail("bad stream frame", err)
 		return false
 	}
 	switch f.kind {
 	case frameHead:
-		r.err = errors.New("endpoint: second head frame in a stream")
+		r.fail("second head frame in a stream", nil)
 	case frameError:
 		r.err = f.err
 		r.readTail()
+		r.finish()
 	case frameEnd:
-		r.trunc = f.truncated
-		r.readTail()
+		r.trunc, r.eos, r.row, r.keys = f.truncated, true, nil, nil
+		if r.set+1 >= r.sets {
+			r.readTail()
+			r.finish()
+		}
 	default:
 		r.terms, r.keyvals, r.n, r.bi = f.terms, f.keyvals, f.n, 0
 		return true
 	}
-	r.finish()
 	return false
+}
+
+// NextResultSet implements RowSets over a grouped answer: it reads past
+// what is left of the current sequence and opens the next one.
+func (r *wireRows) NextResultSet() bool {
+	if r.set+1 >= r.sets {
+		r.finish()
+	}
+	for !r.done && !r.eos {
+		r.nextFrame()
+	}
+	if r.done {
+		return false
+	}
+	r.set++
+	r.eos, r.trunc, r.n, r.bi = false, false, 0, 0
+	return r.readHead()
 }
 
 // readTail reads the body to its end once the terminal frame is in, so
@@ -370,7 +442,7 @@ func (r *wireRows) readTail() {
 	for reads := 0; ; reads++ {
 		if len(bytes.TrimSpace(rest)) > 0 {
 			if r.err == nil {
-				r.err = errors.New("endpoint: data after the stream's terminal frame")
+				r.fail("data after the stream's terminal frame", nil)
 			}
 			return
 		}
@@ -400,6 +472,6 @@ func (r *wireRows) finish() {
 }
 
 var (
-	_ Rows      = (*wireRows)(nil)
+	_ RowSets   = (*wireRows)(nil)
 	_ KeyedRows = (*wireRows)(nil)
 )

@@ -16,11 +16,14 @@
 //
 // Both samplers speak only SPARQL against endpoint.Endpoint values and
 // translate entities through a Translator, so they run unchanged against
-// in-process KBs and remote HTTP endpoints. Each issues one streamed
-// sample probe, read to its stopping point and closed, and then the
-// object fetches of the sampled subjects as one group
-// (endpoint.SelectBatch): against a remote KB a sampler costs two round
-// trips per shard, not one per subject.
+// in-process KBs and remote HTTP endpoints. Each takes a range of rules
+// or sibling pairs at once (SimpleEvidenceEach, ContradictionsEach): the
+// streamed sample probes of the range go out as one group
+// (endpoint.StreamBatch), each read to its stopping point, and then every
+// object fetch of the range as one group (endpoint.SelectBatch) — against
+// a remote KB a range costs two requests per shard, however many rules it
+// holds, and against an endpoint that does not group exactly the probes
+// its rules would have cost one by one.
 package sampling
 
 import (
@@ -172,17 +175,42 @@ func (v *Validator) window(n int) int {
 
 // SampleBody performs Simple Sample Extraction for rsub: it samples up
 // to n subject entities of rsub in K' whose facts translate into K, and
-// returns all their translated rsub facts. The sample window streams
-// row by row — the full window is never materialized at once.
+// returns all their translated rsub facts.
 func (v *Validator) SampleBody(rsub string, n int) (*SampleSet, error) {
+	sets, err := v.SampleBodies([]string{rsub}, n)
+	if err != nil {
+		return nil, err
+	}
+	return sets[0], nil
+}
+
+// SampleBodies is SampleBody for each of rsubs, their sample probes one
+// group. A sample window streams row by row — the full window is never
+// materialized at once.
+func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
 	if err := v.prepare(); err != nil {
 		return nil, err
 	}
-	rows, err := v.pBodySample.Stream(context.Background(), sparql.IRIArg(rsub), sparql.IntArg(v.window(n)))
-	if err != nil {
-		return nil, fmt.Errorf("sampling: body sample for <%s>: %w", rsub, err)
+	args := make([]sparql.Arg, 2*len(rsubs))
+	argSets := make([][]sparql.Arg, len(rsubs))
+	for i, rsub := range rsubs {
+		args[2*i], args[2*i+1] = sparql.IRIArg(rsub), sparql.IntArg(v.window(n))
+		argSets[i] = args[2*i : 2*i+2 : 2*i+2]
 	}
-	defer rows.Close()
+	out := make([]*SampleSet, len(rsubs))
+	err := endpoint.EachSet(context.Background(), v.pBodySample, argSets, func(i int, rows endpoint.Rows) error {
+		out[i] = v.readSample(rows, n)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sampling: body sample for <%s> and %d more: %w", rsubs[0], len(rsubs)-1, err)
+	}
+	return out, nil
+}
+
+// readSample reads one sample window into the translated facts of up to
+// n subjects.
+func (v *Validator) readSample(rows endpoint.Rows, n int) *SampleSet {
 	set := &SampleSet{}
 	seen := map[string]bool{}
 	factsBySubject := map[string][]BodyFact{}
@@ -224,41 +252,35 @@ func (v *Validator) SampleBody(rsub string, n int) (*SampleSet, error) {
 		}
 		factsBySubject[x] = append(factsBySubject[x], BodyFact{XPrime: xp, YPrime: yp, X: x, Y: y})
 	}
-	if err := rows.Err(); err != nil {
-		return nil, fmt.Errorf("sampling: body sample for <%s>: %w", rsub, err)
-	}
 	for _, x := range set.Subjects {
 		set.Facts = append(set.Facts, factsBySubject[x]...)
 	}
-	return set, nil
+	return set
 }
 
-// objectsOf fetches every object of r(x, ·) for each subject of xs
-// through the object probe pq, as one group (endpoint.SelectBatch): the
-// fetches are independent, so an endpoint that can take them together
-// does — one request, one per shard — and any other runs them in order,
-// stopping at the first failure. objs[i] holds the objects of xs[i].
-// It is the one object fetch of both samplers: Simple Sample Extraction
-// needs the full r-facts of its sampled subjects for the PCA
+// objectsOf runs the object probe pq for every (subject, relation) pair
+// of args — two arguments a fetch — as one group (endpoint.SelectBatch):
+// the fetches are independent, so an endpoint that can take them
+// together does — one request, one per shard — and any other runs them
+// in order, stopping at the first failure. objs[i] holds the objects of
+// pair i. It is the one object fetch of both samplers: Simple Sample
+// Extraction needs the full r-facts of its sampled subjects for the PCA
 // denominator, the UBS check stage those of its overlap subjects — over
 // the same template, so a caching endpoint deduplicates the two stages
 // against each other.
-func objectsOf(pq endpoint.PreparedQuery, r string, xs []string) ([][]rdf.Term, error) {
-	if len(xs) == 0 {
+func objectsOf(pq endpoint.PreparedQuery, args []sparql.Arg) ([][]rdf.Term, error) {
+	if len(args) == 0 {
 		return nil, nil
 	}
-	args := make([]sparql.Arg, 2*len(xs))
-	argSets := make([][]sparql.Arg, len(xs))
-	rel := sparql.IRIArg(r)
-	for i, x := range xs {
-		args[2*i], args[2*i+1] = sparql.IRIArg(x), rel
+	argSets := make([][]sparql.Arg, len(args)/2)
+	for i := range argSets {
 		argSets[i] = args[2*i : 2*i+2 : 2*i+2]
 	}
 	results, err := endpoint.SelectBatch(context.Background(), pq, argSets)
 	if err != nil {
-		return nil, fmt.Errorf("sampling: objects of <%s> for %d subjects: %w", r, len(xs), err)
+		return nil, fmt.Errorf("sampling: objects of %d subjects: %w", len(argSets), err)
 	}
-	objs := make([][]rdf.Term, len(xs))
+	objs := make([][]rdf.Term, len(results))
 	for i, res := range results {
 		objs[i] = make([]rdf.Term, len(res.Rows))
 		for j, row := range res.Rows {
@@ -268,33 +290,69 @@ func objectsOf(pq endpoint.PreparedQuery, r string, xs []string) ([][]rdf.Term, 
 	return objs, nil
 }
 
+// Rule is one candidate rule Body ⇒ Head, Body a relation of K' and Head
+// one of K, with what SimpleEvidenceEach found for it.
+type Rule struct {
+	Body, Head string
+	Ev         *ilp.Evidence
+	Set        *SampleSet
+}
+
 // SimpleEvidence runs the full Simple Sample Extraction pipeline for the
 // rule rsub ⇒ r with a sample of n subjects and returns the evidence
 // (one PairEvidence per translated rsub fact).
 func (v *Validator) SimpleEvidence(rsub, r string, n int) (*ilp.Evidence, *SampleSet, error) {
-	set, err := v.SampleBody(rsub, n)
+	rules := []Rule{{Body: rsub, Head: r}}
+	err := v.SimpleEvidenceEach(rules, n)
+	return rules[0].Ev, rules[0].Set, err
+}
+
+// SimpleEvidenceEach is SimpleEvidence for each of rules, filling in
+// their Ev and Set: the sample probes of all of them are one group, and
+// so are the head-object fetches of all their sampled subjects.
+func (v *Validator) SimpleEvidenceEach(rules []Rule, n int) error {
+	bodies := make([]string, len(rules))
+	for i := range rules {
+		bodies[i] = rules[i].Body
+	}
+	sets, err := v.SampleBodies(bodies, n)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	objs, err := objectsOf(v.pHeadObjects, r, set.Subjects)
+	subjects := 0
+	for _, set := range sets {
+		subjects += len(set.Subjects)
+	}
+	args := make([]sparql.Arg, 0, 2*subjects)
+	for i, set := range sets {
+		head := sparql.IRIArg(rules[i].Head)
+		for _, x := range set.Subjects {
+			args = append(args, sparql.IRIArg(x), head)
+		}
+	}
+	objs, err := objectsOf(v.pHeadObjects, args)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	ev := &ilp.Evidence{}
-	headObjs := make(map[string][]rdf.Term, len(objs))
-	for i, x := range set.Subjects {
-		headObjs[x] = objs[i]
+	for i, set := range sets {
+		ev := &ilp.Evidence{}
+		headObjs := make(map[string][]rdf.Term, len(set.Subjects))
+		for k, x := range set.Subjects {
+			headObjs[x] = objs[k]
+		}
+		objs = objs[len(set.Subjects):]
+		for _, f := range set.Facts {
+			held := headObjs[f.X]
+			ev.Add(ilp.PairEvidence{
+				X:              f.X,
+				Y:              f.Y.String(),
+				HeadHolds:      v.objectMatches(f.Y, held),
+				SubjectHasHead: len(held) > 0,
+			})
+		}
+		rules[i].Ev, rules[i].Set = ev, set
 	}
-	for _, f := range set.Facts {
-		objs := headObjs[f.X]
-		ev.Add(ilp.PairEvidence{
-			X:              f.X,
-			Y:              f.Y.String(),
-			HeadHolds:      v.objectMatches(f.Y, objs),
-			SubjectHasHead: len(objs) > 0,
-		})
-	}
-	return ev, set, nil
+	return nil
 }
 
 // objectMatches decides whether the translated object y occurs among the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"sofya/internal/endpoint"
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
@@ -86,6 +87,14 @@ func (u *UBSResult) CounterReverse() int {
 	return n
 }
 
+// SiblingPair is one contradiction search: the sibling relations A and B
+// sampled for overlap subjects, the relation Check they are checked
+// against in the opposite KB, and what ContradictionsEach found.
+type SiblingPair struct {
+	A, B, Check string
+	Res         *UBSResult
+}
+
 // Contradictions runs Unbiased Sample Extraction for the sibling pair
 // (a, b) against relation check. With side == BodySide, a and b are K'
 // relations and check is a K relation; with side == HeadSide the roles
@@ -96,8 +105,17 @@ func (u *UBSResult) CounterReverse() int {
 // Entity-entity relations only: rows with literal objects are skipped
 // (literal candidates are validated by the simple sampler alone).
 func (v *Validator) Contradictions(side Side, a, b, check string, m int) (*UBSResult, error) {
+	pairs := []SiblingPair{{A: a, B: b, Check: check}}
+	err := v.ContradictionsEach(side, pairs, m)
+	return pairs[0].Res, err
+}
+
+// ContradictionsEach is Contradictions for each of pairs, filling in
+// their Res: the overlap probes of all of them are one group, and so are
+// the check-object fetches of all their overlap subjects.
+func (v *Validator) ContradictionsEach(side Side, pairs []SiblingPair, m int) error {
 	if err := v.prepare(); err != nil {
-		return nil, err
+		return err
 	}
 	overlap, checkObjs := v.pOverlapBody, v.pHeadObjects
 	translate := v.Links.ToK
@@ -105,56 +123,75 @@ func (v *Validator) Contradictions(side Side, a, b, check string, m int) (*UBSRe
 		overlap, checkObjs = v.pOverlapHead, v.pPrimeObjs
 		translate = v.Links.FromK
 	}
-	rows, err := overlap.Stream(context.Background(), sparql.IRIArg(a), sparql.IRIArg(b), sparql.IntArg(v.window(m)))
-	if err != nil {
-		return nil, fmt.Errorf("sampling: UBS overlap query (%s,%s): %w", a, b, err)
+	args := make([]sparql.Arg, 3*len(pairs))
+	argSets := make([][]sparql.Arg, len(pairs))
+	for i, p := range pairs {
+		args[3*i], args[3*i+1], args[3*i+2] = sparql.IRIArg(p.A), sparql.IRIArg(p.B), sparql.IntArg(v.window(m))
+		argSets[i] = args[3*i : 3*i+3 : 3*i+3]
 	}
-	// Translation alone decides where the stream stops, so it is read to
-	// that point and closed before any check object is fetched: the
-	// stream — over HTTP a response body and a server-side enumeration —
-	// is not held open across the fetches, and the fetches, independent
-	// once their subjects are known, go out as one group.
-	out := &UBSResult{}
-	var xs []string        // distinct overlap subjects, first seen first
-	at := map[string]int{} // subject → its index in xs
-	for len(out.Rows) < m && rows.Next() {
-		out.Sampled++
-		row := rows.Row()
-		xp, y1p, y2p := row[0], row[1], row[2]
-		if !xp.IsIRI() || !y1p.IsIRI() || !y2p.IsIRI() {
-			continue
-		}
-		x, okX := translate(xp.Value)
-		y1, okY1 := translate(y1p.Value)
-		y2, okY2 := translate(y2p.Value)
-		if !okX || !okY1 || !okY2 {
-			out.Untranslatable++
-			continue
-		}
-		if _, seen := at[x]; !seen {
-			if xs == nil {
-				xs = make([]string, 0, m)
+	// Translation alone decides where an overlap stream stops, so each is
+	// read to that point and the group closed before any check object is
+	// fetched: the streams — over HTTP a response body and server-side
+	// enumerations — are not held open across the fetches, and the
+	// fetches, independent once their subjects are known, go out as one
+	// group: one per distinct overlap subject of a pair, first seen first,
+	// numbered on from those of the pairs before it. rowAt holds, row after
+	// row and pair after pair, the number of the row's subject.
+	fetches := 0
+	rowAt := make([]int, 0, m*len(pairs))
+	err := endpoint.EachSet(context.Background(), overlap, argSets, func(i int, rows endpoint.Rows) error {
+		out := &UBSResult{}
+		pairs[i].Res = out
+		at := map[string]int{} // subject → its number
+		for len(out.Rows) < m && rows.Next() {
+			out.Sampled++
+			row := rows.Row()
+			xp, y1p, y2p := row[0], row[1], row[2]
+			if !xp.IsIRI() || !y1p.IsIRI() || !y2p.IsIRI() {
+				continue
 			}
-			at[x] = len(xs)
-			xs = append(xs, x)
+			x, okX := translate(xp.Value)
+			y1, okY1 := translate(y1p.Value)
+			y2, okY2 := translate(y2p.Value)
+			if !okX || !okY1 || !okY2 {
+				out.Untranslatable++
+				continue
+			}
+			k, seen := at[x]
+			if !seen {
+				k = fetches
+				at[x] = k
+				fetches++
+			}
+			rowAt = append(rowAt, k)
+			out.Rows = append(out.Rows, Contradiction{X: x, Y1: rdf.NewIRI(y1), Y2: rdf.NewIRI(y2)})
 		}
-		out.Rows = append(out.Rows, Contradiction{X: x, Y1: rdf.NewIRI(y1), Y2: rdf.NewIRI(y2)})
-	}
-	err = rows.Err()
-	rows.Close()
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sampling: UBS overlap query (%s,%s): %w", a, b, err)
+		return fmt.Errorf("sampling: UBS overlap query (%s,%s) and %d more: %w", pairs[0].A, pairs[0].B, len(pairs)-1, err)
 	}
-	objs, err := objectsOf(checkObjs, check, xs)
+	fetch := make([]sparql.Arg, 2*fetches)
+	next := rowAt
+	for _, p := range pairs {
+		for _, c := range p.Res.Rows {
+			fetch[2*next[0]], fetch[2*next[0]+1] = sparql.IRIArg(c.X), sparql.IRIArg(p.Check)
+			next = next[1:]
+		}
+	}
+	objs, err := objectsOf(checkObjs, fetch)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for i := range out.Rows {
-		c := &out.Rows[i]
-		held := objs[at[c.X]]
-		c.CheckY1, c.CheckY2 = containsIRI(held, c.Y1.Value), containsIRI(held, c.Y2.Value)
+	for _, p := range pairs {
+		for k := range p.Res.Rows {
+			c := &p.Res.Rows[k]
+			held := objs[rowAt[0]]
+			c.CheckY1, c.CheckY2 = containsIRI(held, c.Y1.Value), containsIRI(held, c.Y2.Value)
+			rowAt = rowAt[1:]
+		}
 	}
-	return out, nil
+	return nil
 }
 
 func containsIRI(objs []rdf.Term, iri string) bool {

@@ -234,3 +234,198 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 		t.Errorf("%d queries ran for a group with a bad tuple", q)
 	}
 }
+
+// streamTemplates are the shapes a group of streams takes through a
+// federation: a routed one, the ordered fan-outs the aligner's samplers
+// send (a lone RAND() key: merged per tuple off the shards' groups), an
+// ordered fan-out whose key the shards can attach (its tuples stay single
+// keyed streams), and the two unordered merges.
+var streamTemplates = append(batchTemplates[:1:1], []struct {
+	name, tmpl string
+	params     []string
+	args       func(i int) []sparql.Arg
+}{
+	batchTemplates[3],
+	{"overlap", "SELECT ?x ?y1 ?y2 WHERE { ?x $a ?y1 . ?x $b ?y2 . FILTER NOT EXISTS { ?x $a ?y2 } } ORDER BY RAND() LIMIT $n", []string{"a", "b", "n"}, func(i int) []sparql.Arg {
+		return []sparql.Arg{sparql.IRIArg("http://x/q"), sparql.IRIArg("http://x/p"), sparql.IntArg(3 + i%7)}
+	}},
+	{"keyed", "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY DESC(?y) ?x LIMIT $n", []string{"r", "n"}, func(i int) []sparql.Arg {
+		return []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(2 + i%9)}
+	}},
+	{"merge", "SELECT ?x ?y WHERE { ?x $r ?y } LIMIT $n", []string{"r", "n"}, func(i int) []sparql.Arg {
+		return []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(1 + 3*(i%9))}
+	}},
+	{"concat", "SELECT ?y WHERE { ?x $r ?y }", []string{"r"}, func(i int) []sparql.Arg {
+		return []sparql.Arg{sparql.IRIArg([]string{"http://x/p", "http://x/q", "http://x/none"}[i%3])}
+	}},
+}...)
+
+// checkGroupStreamBatch holds a federation to the StreamBatch contract:
+// every set of a group is what Stream answers for its tuple, to the row
+// the caller stops at — which is what the unsharded Local streams — and
+// the group costs its shards the same queries and rows.
+func checkGroupStreamBatch(t *testing.T, build func(t *testing.T) (endpoint.Endpoint, func() endpoint.Stats), quota endpoint.Quota) {
+	t.Helper()
+	take := func(rows endpoint.Rows, n int) string {
+		res := &sparql.Result{Vars: rows.Vars()}
+		for (n < 0 || len(res.Rows) < n) && rows.Next() {
+			res.Rows = append(res.Rows, append([]rdf.Term(nil), rows.Row()...))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		res.Truncated = n < 0 && rows.Truncated()
+		return renderResult(res)
+	}
+	for _, tm := range streamTemplates {
+		for group, subjects := range batchGroups {
+			for _, n := range []int{-1, 1} {
+				t.Run(fmt.Sprintf("%s/%s/take=%d", tm.name, group, n), func(t *testing.T) {
+					argSets := make([][]sparql.Arg, len(subjects))
+					for i, s := range subjects {
+						argSets[i] = tm.args(s)
+					}
+					grouped, groupedStats := build(t)
+					single, singleStats := build(t)
+					pg, err := grouped.Prepare(tm.tmpl, tm.params...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ps, err := single.Prepare(tm.tmpl, tm.params...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pl, err := endpoint.NewLocalRestricted(batchKB(), 7, quota).Prepare(tm.tmpl, tm.params...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sets, err := endpoint.StreamBatch(context.Background(), pg, argSets)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sets.Close()
+					for i, args := range argSets {
+						if i > 0 && !sets.NextResultSet() {
+							t.Fatalf("no set for tuple %d: %v", i, sets.Err())
+						}
+						rows, err := ps.Stream(context.Background(), args...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := take(rows, n)
+						rows.Close()
+						if rows, err = pl.Stream(context.Background(), args...); err != nil {
+							t.Fatal(err)
+						}
+						local := take(rows, n)
+						rows.Close()
+						if got := take(sets, n); got != want || (got != local && tm.name != "concat") {
+							t.Fatalf("tuple %d: set\n%s\nsingle stream\n%s\nunsharded\n%s", i, got, want, local)
+						}
+					}
+					if sets.NextResultSet() || sets.Err() != nil {
+						t.Fatalf("a set past the last tuple, or an error: %v", sets.Err())
+					}
+					sets.Close()
+					if g, s := groupedStats(), singleStats(); g != s && n < 0 {
+						t.Fatalf("shards after the group %+v, after the single streams %+v", g, s)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestStreamBatchContract: a group of streams over in-process shards —
+// where the group is, by design, not an endpoint.BatchStreamer and its
+// tuples are the single streams they always were, with and without a
+// group row cap — and over HTTP shards, where it is one request per shard
+// however many tuples it has.
+func TestStreamBatchContract(t *testing.T) {
+	inProcess := Partitioned(batchKB(), 3, 7)
+	pq, err := inProcess.Prepare(batchTemplates[3].tmpl, batchTemplates[3].params...)
+	if _, batched := pq.(endpoint.BatchStreamer); err != nil || batched {
+		t.Fatalf("an in-process group's handle is a BatchStreamer (%v): it has no request to save", err)
+	}
+	for name, quota := range map[string]endpoint.Quota{"uncapped": {}, "row cap": {MaxRows: 2}} {
+		t.Run("in-process/"+name, func(t *testing.T) {
+			checkGroupStreamBatch(t, func(*testing.T) (endpoint.Endpoint, func() endpoint.Stats) {
+				g := PartitionedRestricted(batchKB(), 3, 7, quota)
+				return g, g.Stats
+			}, quota)
+		})
+	}
+	t.Run("http", func(t *testing.T) {
+		checkGroupStreamBatch(t, func(t *testing.T) (endpoint.Endpoint, func() endpoint.Stats) {
+			g, _, stats := httpShards(t, endpoint.Quota{})
+			return g, stats
+		}, endpoint.Quota{})
+	})
+
+	// What a fan-out group costs on the wire: one request per shard.
+	for _, tm := range streamTemplates[1:3] {
+		g, reqs, _ := httpShards(t, endpoint.Quota{})
+		pq, err := g.Prepare(tm.tmpl, tm.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, batched := pq.(endpoint.BatchStreamer); !batched {
+			t.Fatal("a group over HTTP shards is not a BatchStreamer")
+		}
+		argSets := make([][]sparql.Arg, 16)
+		for i := range argSets {
+			argSets[i] = tm.args(i)
+		}
+		rows := 0
+		err = endpoint.EachSet(context.Background(), pq, argSets, func(_ int, set endpoint.Rows) error {
+			for set.Next() {
+				rows++
+			}
+			return nil
+		})
+		if err != nil || rows == 0 || reqs.Load() != 3 {
+			t.Fatalf("%s: %d rows, %d requests for 16 tuples over 3 shards, %v", tm.name, rows, reqs.Load(), err)
+		}
+	}
+}
+
+// TestStreamBatchFailures: a shard's quota trip inside a group ends the
+// group in ErrQuotaExceeded, at the open or at the tuple it happens in,
+// and a tuple the template cannot take fails it before any shard is
+// asked.
+func TestStreamBatchFailures(t *testing.T) {
+	tm := batchTemplates[3]
+	argSets := make([][]sparql.Arg, 6)
+	for i := range argSets {
+		argSets[i] = tm.args(i)
+	}
+	for name, g := range map[string]*Group{
+		"in-process": PartitionedRestricted(batchKB(), 3, 7, endpoint.Quota{MaxQueries: 2}),
+		"http":       func() *Group { g, _, _ := httpShards(t, endpoint.Quota{MaxQueries: 2}); return g }(),
+	} {
+		pq, err := g.Prepare(tm.tmpl, tm.params...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = endpoint.EachSet(context.Background(), pq, argSets, func(_ int, set endpoint.Rows) error {
+			for set.Next() {
+			}
+			return nil
+		})
+		if !errors.Is(err, endpoint.ErrQuotaExceeded) {
+			t.Errorf("%s: %v; want ErrQuotaExceeded", name, err)
+		}
+	}
+	g, _, stats := httpShards(t, endpoint.Quota{})
+	pq, err := g.Prepare(tm.tmpl, tm.params...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(append([][]sparql.Arg{}, argSets[:3]...), []sparql.Arg{sparql.IntArg(1), sparql.IRIArg("http://x/p")})
+	if sets, err := endpoint.StreamBatch(context.Background(), pq, bad); err == nil || sets != nil {
+		t.Errorf("a tuple of the wrong kind: %v, %v", sets, err)
+	}
+	if q := stats().Queries; q != 0 {
+		t.Errorf("%d queries ran for a group with a bad tuple", q)
+	}
+}

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"sort"
 
 	"sofya/internal/endpoint"
@@ -89,6 +91,64 @@ func (r *capRows) Next() bool {
 func (r *capRows) Close() {
 	r.done = true
 	r.inner.Close()
+}
+
+// setRows is a shard's current set as a merge source. A merge closes a
+// source it is done with — exhausted, past its LIMIT, a loser — which must
+// leave the group's body open: NextResultSet reads past what is left.
+type setRows struct{ endpoint.RowSets }
+
+func (setRows) Close() {}
+
+// groupSets is a fan-out group of streams: every shard's group of
+// pushdown streams, open, merged one tuple at a time — when the caller
+// reaches it — so that a group holds one merge's window and one read
+// buffer per shard, however many tuples it has.
+type groupSets struct {
+	p       *groupPrepared
+	argSets [][]sparql.Arg // the tuples from the current one on
+	shards  []endpoint.RowSets
+}
+
+// merge merges the shards' current sets, as a single execution would.
+func (s *groupSets) merge() (endpoint.Rows, error) {
+	sources := make([]rowsSource, len(s.shards))
+	for i, sh := range s.shards {
+		sources[i] = setRows{sh}
+	}
+	p, args := s.p, s.argSets[0]
+	if p.strat == stratMergeOrdered {
+		spec, err := p.orderedSpec(args)
+		if err != nil {
+			return nil, err
+		}
+		return newOrderedRows(p.projVars, sources, spec), nil
+	}
+	limit, offset := p.effective(args)
+	return newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows), nil
+}
+
+// next moves every shard to its next set and merges them.
+func (s *groupSets) next() (endpoint.Rows, error) {
+	if len(s.argSets) < 2 {
+		return nil, nil
+	}
+	for _, sh := range s.shards {
+		if !sh.NextResultSet() {
+			return nil, cmp.Or(sh.Err(), errors.New("shard: a shard's group of streams ended before the federation's"))
+		}
+	}
+	s.argSets = s.argSets[1:]
+	return s.merge()
+}
+
+// close closes the group on every shard, whatever tuple it is on.
+func (s *groupSets) close() {
+	for _, sh := range s.shards {
+		if sh != nil {
+			sh.Close()
+		}
+	}
 }
 
 // puller produces merged rows one at a time, in the merge's order.

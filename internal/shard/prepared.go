@@ -277,6 +277,60 @@ func (p *groupPrepared) SelectBatch(ctx context.Context, argSets [][]sparql.Arg)
 	return out, nil
 }
 
+// groupBatched is the handle of a group whose shards take groups of
+// streams — remote ones, where a group saves requests. Only such a group
+// is an endpoint.BatchStreamer: an in-process one has none to save, keeps
+// its ordered merges' borrowed streams, and core does not batch for it.
+type groupBatched struct{ *groupPrepared }
+
+// StreamBatch implements endpoint.BatchStreamer. A fan-out template
+// opens its pushdown's group once on every shard — one request each —
+// and merges one tuple at a time, when the caller reaches it (groupSets).
+// A routed template answers its SelectBatch, replayed: its results are
+// whole either way. An ordered template whose keys the shards evaluate
+// sends a text of its own per tuple (orderspec): single keyed streams.
+func (p groupBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
+	if p.form != sparql.SelectForm {
+		return nil, fmt.Errorf("shard: Stream needs a SELECT query")
+	}
+	if p.strat == stratRoute {
+		results, err := p.SelectBatch(ctx, argSets)
+		if err != nil {
+			return nil, err
+		}
+		return endpoint.ReplaySets(results), nil
+	}
+	keyed := false
+	for _, k := range p.shape.Keys {
+		keyed = keyed || k.Eval != nil
+	}
+	if keyed || len(argSets) < 2 {
+		return endpoint.StreamBatch(ctx, p.groupPrepared, argSets)
+	}
+	pushSets := make([][]sparql.Arg, len(argSets))
+	for i, args := range argSets {
+		if err := p.validateArgs(args); err != nil {
+			return nil, err
+		}
+		pushSets[i] = p.pushArgs(args)
+	}
+	s := &groupSets{p: p.groupPrepared, argSets: argSets, shards: make([]endpoint.RowSets, len(p.push))}
+	// Opened under the caller's context, like openStreams' streams.
+	err := p.g.fanout(ctx, func(_ context.Context, i int) (err error) {
+		s.shards[i], err = endpoint.StreamBatch(ctx, p.push[i], pushSets)
+		return err
+	})
+	var first endpoint.Rows
+	if err == nil {
+		first, err = s.merge()
+	}
+	if err != nil {
+		s.close()
+		return nil, err
+	}
+	return endpoint.NewRowSets(first, s.next, s.close), nil
+}
+
 func (p *groupPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
 	if p.form != sparql.AskForm {
 		return false, fmt.Errorf("shard: Ask needs an ASK query")
@@ -464,4 +518,5 @@ func (p *groupPrepared) puller(sources []rowsSource) puller {
 var (
 	_ endpoint.PreparedQuery = (*groupPrepared)(nil)
 	_ endpoint.BatchSelector = (*groupPrepared)(nil)
+	_ endpoint.BatchStreamer = groupBatched{}
 )

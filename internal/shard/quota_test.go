@@ -130,6 +130,12 @@ func TestGroupContextCancellation(t *testing.T) {
 			_, err := endpoint.SelectBatch(ctx, sel, [][]sparql.Arg{{p}, {p}})
 			return nil, err
 		}},
+		{"prepared StreamBatch, routed", func() (endpoint.Rows, error) {
+			return streamBatchRows(ctx, routed, [][]sparql.Arg{{sparql.IRIArg("http://x/s1"), p}, {sparql.IRIArg("http://x/s2"), p}})
+		}},
+		{"prepared StreamBatch, fanned out", func() (endpoint.Rows, error) {
+			return streamBatchRows(ctx, sel, [][]sparql.Arg{{p}, {p}})
+		}},
 	} {
 		start := time.Now()
 		rows, err := op.run()
@@ -196,4 +202,14 @@ func TestGroupConcatBagSemantics(t *testing.T) {
 			t.Errorf("%q: err = %v, want ErrNotDecomposable", rejected, err)
 		}
 	}
+}
+
+// streamBatchRows is endpoint.StreamBatch for a cancellation table: a
+// failed open hands back no Rows, not a nil RowSets inside one.
+func streamBatchRows(ctx context.Context, pq endpoint.PreparedQuery, argSets [][]sparql.Arg) (endpoint.Rows, error) {
+	sets, err := endpoint.StreamBatch(ctx, pq, argSets)
+	if err != nil {
+		return nil, err
+	}
+	return sets, nil
 }

@@ -183,6 +183,11 @@ func (g *Group) Prepare(template string, params ...string) (endpoint.PreparedQue
 	if err != nil {
 		return nil, err
 	}
+	for _, h := range append(p.push, p.orig...) {
+		if _, ok := h.(endpoint.BatchStreamer); ok {
+			return groupBatched{p}, nil
+		}
+	}
 	return p, nil
 }
 

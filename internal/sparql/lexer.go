@@ -32,9 +32,12 @@ type lexer struct {
 	toks []token
 }
 
-// lex tokenizes the whole input up front.
+// lex tokenizes the whole input up front. The token slice is sized once,
+// by the white space of the input: a canonical text — what a server is
+// sent — separates nearly every token by a blank or a newline, and the
+// few it does not (ASC(RAND())) fit the margin; more just grows it.
 func lex(in string) ([]token, error) {
-	l := &lexer{in: in}
+	l := &lexer{in: in, toks: make([]token, 0, 4+strings.Count(in, " ")+strings.Count(in, "\n"))}
 	for {
 		t, err := l.next()
 		if err != nil {
