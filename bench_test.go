@@ -378,12 +378,6 @@ func BenchmarkLiteralMatcher(b *testing.B) {
 	}
 }
 
-func BenchmarkLevenshtein(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		strsim.Levenshtein("The Cathedral of the Orchard", "The Cathedrel of the Orchad")
-	}
-}
-
 func BenchmarkJaroWinkler(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		strsim.JaroWinkler("The Cathedral of the Orchard", "The Cathedrel of the Orchad")

@@ -5,10 +5,13 @@
 //
 //	kbgen -spec paper -out ./world
 //
-// With -snapshot, each KB (and each shard, with -shards) is also
-// written as a binary snapshot (*.snap) that kb.OpenSnapshot serves by
-// memory-mapping — cmd/sparqld, cmd/sofya and cmd/experiments restart
-// from snapshots without re-parsing or re-indexing:
+// With -snapshot, each KB is also written as a binary snapshot (*.snap)
+// that kb.OpenSnapshot serves by memory-mapping — cmd/sparqld, cmd/sofya
+// and cmd/experiments restart from snapshots without re-parsing or
+// re-indexing. With -shards n, each KB is also written as n subject-hash
+// shard snapshots (<kb>-shard-<i>-of-<n>.snap, with or without
+// -snapshot), each embedding the whole KB's planner statistics, so a
+// complete set restarts as a federation group:
 //
 //	kbgen -spec paper -out ./world -snapshot -shards 3
 //	sparqld -snapshot './world/yago-shard-*-of-3.snap'
@@ -27,10 +30,6 @@
 // options; consumers fall back to a fresh build when it is stale. It is
 // sampled through endpoint seed 2 — cmd/sofya's K' default — so the
 // loaded index is the one sofya would have built.
-//
-// Shard N-Triples files need the <name>-planstats.tsv sidecar to plan
-// like the whole KB (kb.ReadPlanStats + KB.SetPlanStats); shard
-// snapshots embed those statistics and are self-contained.
 package main
 
 import (
@@ -51,8 +50,8 @@ func main() {
 		specName = flag.String("spec", "tiny", "world size: tiny | paper")
 		out      = flag.String("out", ".", "output directory")
 		seed     = flag.Int64("seed", 0, "override the spec's seed (0 keeps default)")
-		shards   = flag.Int("shards", 1, "additionally write each KB partitioned into this many subject-hash shard files (kb-shard-i-of-n.nt)")
-		snapshot = flag.Bool("snapshot", false, "also write binary KB snapshots (*.snap) loadable by mmap, including per-shard snapshots with -shards")
+		shards   = flag.Int("shards", 1, "additionally write each KB partitioned into this many self-contained subject-hash shard snapshots (kb-shard-i-of-n.snap)")
+		snapshot = flag.Bool("snapshot", false, "also write each whole KB as a binary snapshot (*.snap) loadable by mmap")
 		cands    = flag.Bool("candidates", false, "also write candidate-index sidecars (<kb>-candidates.idx) for both alignment directions, loadable by sofya -candidx")
 		parallel = flag.Int("parallel", 0, "sampling fan-out for -candidates index builds (0 = GOMAXPROCS)")
 	)

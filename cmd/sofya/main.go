@@ -37,8 +37,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -51,33 +53,68 @@ import (
 	"sofya/internal/synth"
 )
 
-func main() {
-	var (
-		synthetic = flag.String("synthetic", "", "generate a synthetic world: tiny | paper")
-		direction = flag.String("direction", "d2y", "synthetic direction: d2y (dbp⊂yago) | y2d")
-		kPath     = flag.String("k", "", "N-Triples file of the head-side KB K")
-		kpPath    = flag.String("kprime", "", "N-Triples file of the body-side KB K'")
-		linkPath  = flag.String("links", "", "sameAs links file: K-IRI<TAB>K'-IRI per line")
-		relation  = flag.String("relation", "", "relation IRI of K to align")
-		all       = flag.Bool("all", false, "align every relation of K")
-		method    = flag.String("method", "ubs", "method: pca | cwa | ubs")
-		samples   = flag.Int("samples", 10, "sample size (subject entities)")
-		shards    = flag.Int("shards", 1, "partition each KB into this many subject-hash shards behind a federating endpoint group (results are identical at any setting)")
-		parallel  = flag.Int("parallel", 0, "pipeline worker bound (0 = GOMAXPROCS)")
-		batch     = flag.Bool("batch", false, "align relations concurrently over shared caching+coalescing endpoints")
-		cands     = flag.Bool("candidates", false, "prune each relation's candidate universe to the candidate index's top-k (internal/candidates); off = exact mode")
-		topk      = flag.Int("topk", 16, "candidate top-k when -candidates is set")
-		candidx   = flag.String("candidx", "", "candidate-index sidecar (kbgen -candidates); loaded instead of sampling when its fingerprint matches, rebuilt otherwise")
-		maxpost   = flag.Int("maxpostings", 0, "cap candidate-index posting lists at this many relations per gram (0 = uncapped; recall cost measured by experiment E9)")
-		verbose   = flag.Bool("v", false, "trace aligner decisions")
-		rejected  = flag.Bool("rejected", false, "also print rejected candidates")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cfg := methodConfig(*method)
+// run is main with its surroundings passed in: it parses args, writes
+// alignments to stdout and diagnostics to stderr, and returns the exit
+// status — 2 for a usage error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sofya", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		synthetic = fs.String("synthetic", "", "generate a synthetic world: tiny | paper")
+		direction = fs.String("direction", "d2y", "synthetic direction: d2y (dbp⊂yago) | y2d")
+		kPath     = fs.String("k", "", "N-Triples file of the head-side KB K")
+		kpPath    = fs.String("kprime", "", "N-Triples file of the body-side KB K'")
+		linkPath  = fs.String("links", "", "sameAs links file: K-IRI<TAB>K'-IRI per line")
+		relation  = fs.String("relation", "", "relation IRI of K to align")
+		all       = fs.Bool("all", false, "align every relation of K")
+		method    = fs.String("method", "ubs", "method: pca | cwa | ubs")
+		samples   = fs.Int("samples", 10, "sample size (subject entities)")
+		shards    = fs.Int("shards", 1, "partition each KB into this many subject-hash shards behind a federating endpoint group (results are identical at any setting)")
+		parallel  = fs.Int("parallel", 0, "pipeline worker bound (0 = GOMAXPROCS)")
+		batch     = fs.Bool("batch", false, "align relations concurrently over shared caching+coalescing endpoints")
+		cands     = fs.Bool("candidates", false, "prune each relation's candidate universe to the candidate index's top-k (internal/candidates); off = exact mode")
+		topk      = fs.Int("topk", 16, "candidate top-k when -candidates is set")
+		candidx   = fs.String("candidx", "", "candidate-index sidecar (kbgen -candidates); loaded instead of sampling when its fingerprint matches, rebuilt otherwise")
+		maxpost   = fs.Int("maxpostings", 0, "cap candidate-index posting lists at this many relations per gram (0 = uncapped; recall cost measured by experiment E9)")
+		verbose   = fs.Bool("v", false, "trace aligner decisions")
+		rejected  = fs.Bool("rejected", false, "also print rejected candidates")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "sofya: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "sofya:", err)
+		return 1
+	}
+
+	var cfg core.Config
+	switch strings.ToLower(*method) {
+	case "pca":
+		cfg = core.DefaultConfig()
+	case "cwa":
+		cfg = core.CWAConfig()
+	case "ubs":
+		cfg = core.UBSConfig()
+	default:
+		return usage("unknown -method %q: want pca, cwa or ubs", *method)
+	}
+	if *direction != "d2y" && *direction != "y2d" {
+		return usage("unknown -direction %q: want d2y or y2d", *direction)
+	}
+	if *synthetic != "" && *synthetic != "tiny" && *synthetic != "paper" {
+		return usage("unknown -synthetic %q: want tiny or paper", *synthetic)
+	}
 	cfg.SampleSize = *samples
 	cfg.Parallelism = *parallel
-	cfg.Shards = *shards
 	if *cands {
 		cfg.CandidateTopK = *topk
 		cfg.CandidateIndexPath = *candidx
@@ -85,22 +122,21 @@ func main() {
 	}
 	if *verbose {
 		cfg.Trace = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
+			fmt.Fprintf(stderr, "# "+format+"\n", args...)
 		}
 	}
 
 	k, kp, links, err := loadKBs(*synthetic, *direction, *kPath, *kpPath, *linkPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sofya:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	// Each KB serves unsharded, or split into subject-hash shards behind
 	// a federating group; either way the aligner sees one Endpoint and
 	// produces identical output.
 	endpointOf := func(base *kb.KB, seed int64) endpoint.Endpoint {
-		if cfg.Shards > 1 {
-			return shard.Partitioned(base, cfg.Shards, seed)
+		if *shards > 1 {
+			return shard.Partitioned(base, *shards, seed)
 		}
 		return endpoint.NewLocal(base, seed)
 	}
@@ -129,8 +165,7 @@ func main() {
 	case *relation != "":
 		heads = []string{*relation}
 	default:
-		fmt.Fprintln(os.Stderr, "sofya: need -relation <iri> or -all")
-		os.Exit(2)
+		return usage("need -relation <iri> or -all")
 	}
 
 	var results [][]core.Alignment
@@ -138,15 +173,13 @@ func main() {
 		var err error
 		results, err = aligner.AlignRelations(heads)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sofya:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	} else {
 		for _, head := range heads {
 			als, err := aligner.AlignRelation(head)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "sofya:", err)
-				os.Exit(1)
+				return fail(err)
 			}
 			results = append(results, als)
 		}
@@ -165,7 +198,7 @@ func main() {
 			if al.Equivalent {
 				equiv = "  [equivalent]"
 			}
-			fmt.Printf("%s  %s  conf=%.2f pca=%.2f cwa=%.2f support=%d/%d contradictions=%d%s\n",
+			fmt.Fprintf(stdout, "%s  %s  conf=%.2f pca=%.2f cwa=%.2f support=%d/%d contradictions=%d%s\n",
 				status, al.Rule, al.Confidence, al.PCA, al.CWA,
 				al.Support, al.Evidence, al.Contradictions, equiv)
 		}
@@ -177,24 +210,14 @@ func main() {
 		return endpoint.Stats{}
 	}
 	sK, sKP := statsOf(epK), statsOf(epKP)
-	fmt.Fprintf(os.Stderr, "# queries: K=%d K'=%d rows: K=%d K'=%d\n",
+	fmt.Fprintf(stderr, "# queries: K=%d K'=%d rows: K=%d K'=%d\n",
 		sK.Queries, sKP.Queries, sK.Rows, sKP.Rows)
 	if *batch {
 		csK, csKP := cacheK.CacheStats(), cacheKP.CacheStats()
-		fmt.Fprintf(os.Stderr, "# cache hits: K=%d/%d K'=%d/%d\n",
+		fmt.Fprintf(stderr, "# cache hits: K=%d/%d K'=%d/%d\n",
 			csK.Hits, csK.Hits+csK.Misses, csKP.Hits, csKP.Hits+csKP.Misses)
 	}
-}
-
-func methodConfig(method string) core.Config {
-	switch strings.ToLower(method) {
-	case "pca":
-		return core.DefaultConfig()
-	case "cwa":
-		return core.CWAConfig()
-	default:
-		return core.UBSConfig()
-	}
+	return 0
 }
 
 func loadKBs(synthetic, direction, kPath, kpPath, linkPath string) (*kb.KB, *kb.KB, sampling.Translator, error) {

@@ -97,3 +97,57 @@ func ExampleOpenKBSnapshot() {
 	// http://x/bornIn -> http://x/Warsaw
 	// http://x/field -> http://x/Physics
 }
+
+// The use case that motivates the paper: a query posed against K is
+// answered by K' — its relation aligned on the fly, the query rewritten
+// through the accepted alignment and the sameAs links, run on K', and the
+// answers translated back and confirmed in K. examples/federated is this
+// flow as a program; K' is incomplete, so not every answer it gives is
+// one K knows.
+func ExampleRewriter() {
+	ctx := context.Background()
+	world := sofya.Generate(sofya.TinyWorldSpec())
+	k := sofya.NewLocalEndpoint(world.Yago, 1)
+	kp := sofya.NewLocalEndpoint(world.Dbp, 2)
+	links := sofya.LinkView{Links: world.Links, KIsA: true}
+	const wasBornIn = "http://yago-knowledge.org/resource/wasBornIn"
+
+	als, err := sofya.NewAligner(k, kp, links, sofya.UBSConfig()).AlignRelation(wasBornIn)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rw := sofya.NewRewriter(links)
+	rw.Add(als)
+	rewritten, err := rw.RewriteString("SELECT ?who ?where WHERE { ?who <" + wasBornIn + "> ?where } LIMIT 5")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(rewritten)
+
+	res, err := kp.SelectCtx(ctx, rewritten)
+	if err != nil {
+		log.Fatal(err)
+	}
+	confirmed := 0
+	for _, row := range res.Rows {
+		who, ok1 := links.ToK(row[0].Value)
+		where, ok2 := links.ToK(row[1].Value)
+		if !ok1 || !ok2 {
+			continue
+		}
+		yes, err := k.AskCtx(ctx, fmt.Sprintf("ASK { <%s> <%s> <%s> }", who, wasBornIn, where))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if yes {
+			confirmed++
+		}
+	}
+	fmt.Printf("%d of %d answers from K' confirmed in K\n", confirmed, len(res.Rows))
+	// Output:
+	// SELECT ?who ?where WHERE {
+	//   ?who <http://dbpedia.org/property/birthPlace> ?where .
+	// }
+	// LIMIT 5
+	// 4 of 5 answers from K' confirmed in K
+}

@@ -538,7 +538,7 @@ func (p *replicasPrepared) stream(ctx context.Context, open func(ctx context.Con
 	if err != nil {
 		return nil, err
 	}
-	return &rowsWithCancel{Rows: rows, cancel: cancel}, nil
+	return &endpoint.ReleasingRows{Rows: rows, Release: cancel}, nil
 }
 
 // replicasBatched is the handle of a set whose replicas take groups of
@@ -552,7 +552,7 @@ type replicasBatched struct{ *replicasPrepared }
 // replica that won — a stream is not retried once open; the whole-group
 // retry is SelectBatch's, which holds no open body. The winner's context
 // lives until the group has no further set or is closed, not — as
-// rowsWithCancel lets go of a stream's — to the first exhausted set.
+// ReleasingRows lets go of a stream's — to the first exhausted set.
 func (p replicasBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
 	sets, cancel, err := hedge(ctx, p.r, max(1, len(argSets)), func(ctx context.Context, ep endpoint.Endpoint) (endpoint.RowSets, error) {
 		return endpoint.StreamBatch(ctx, p.handleFor(ep), argSets)
@@ -563,48 +563,6 @@ func (p replicasBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg
 	return endpoint.NewRowSets(sets, nil, cancel), nil
 }
 
-// rowsWithCancel ties the winning attempt's context to the stream's
-// lifetime: the remote enumeration is released when the consumer closes
-// or exhausts the stream, not when the open returns.
-type rowsWithCancel struct {
-	endpoint.Rows
-	cancel context.CancelFunc
-}
-
-func (r *rowsWithCancel) Next() bool {
-	ok := r.Rows.Next()
-	if !ok && r.cancel != nil {
-		r.cancel()
-		r.cancel = nil
-	}
-	return ok
-}
-
-func (r *rowsWithCancel) Close() {
-	r.Rows.Close()
-	if r.cancel != nil {
-		r.cancel()
-		r.cancel = nil
-	}
-}
-
-// AttachedKeys forwards the inner stream's attached ORDER BY keys (nil
-// when the winner was not a keyed stream).
-func (r *rowsWithCancel) AttachedKeys() []int {
-	if kr, ok := r.Rows.(endpoint.KeyedRows); ok {
-		return kr.AttachedKeys()
-	}
-	return nil
-}
-
-// RowKeys forwards the inner stream's current row keys.
-func (r *rowsWithCancel) RowKeys() []sparql.Value {
-	if kr, ok := r.Rows.(endpoint.KeyedRows); ok {
-		return kr.RowKeys()
-	}
-	return nil
-}
-
 var (
 	_ endpoint.Endpoint       = (*Replicas)(nil)
 	_ endpoint.PreparedQuery  = (*replicasPrepared)(nil)
@@ -612,5 +570,4 @@ var (
 	_ endpoint.KeyedStreamer  = (*replicasPrepared)(nil)
 	_ endpoint.BatchSelector  = (*replicasPrepared)(nil)
 	_ endpoint.BatchStreamer  = replicasBatched{}
-	_ endpoint.KeyedRows      = (*rowsWithCancel)(nil)
 )

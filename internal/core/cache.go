@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"sofya/internal/flight"
 )
@@ -14,59 +13,24 @@ import (
 // (expensive) alignment while the others wait for its result.
 type Cache struct {
 	aligner *Aligner
-	group   flight.Group[string, cached]
-
-	mu      sync.Mutex
-	results map[string]cached
-}
-
-type cached struct {
-	als []Alignment
-	err error
+	memo    flight.Memo[string, []Alignment]
 }
 
 // NewCache wraps an aligner with memoization.
 func NewCache(a *Aligner) *Cache {
-	return &Cache{aligner: a, results: make(map[string]cached)}
+	return &Cache{aligner: a}
 }
 
 // AlignRelation returns the memoized alignment for r, computing it on
 // first use. Errors are cached too: a failing endpoint will not be
 // hammered by retries within a session; call Invalidate to retry.
 func (c *Cache) AlignRelation(r string) ([]Alignment, error) {
-	c.mu.Lock()
-	if got, ok := c.results[r]; ok {
-		c.mu.Unlock()
-		return got.als, got.err
-	}
-	c.mu.Unlock()
-
-	// Miss: compute through the singleflight group so that concurrent
-	// misses on the same relation run one alignment. The computation
-	// stores its outcome (error included) before releasing the waiters;
-	// flightErr is only non-nil if the aligner panicked (the aligner
-	// is ctx-less, so there is no caller context to wait under).
-	got, flightErr, _ := c.group.DoCtx(context.Background(), r, func() (cached, error) {
-		// A flight forgets its key once served: a caller that missed
-		// above and got here after an earlier flight finished must find
-		// that flight's result, not compute again.
-		c.mu.Lock()
-		if got, ok := c.results[r]; ok {
-			c.mu.Unlock()
-			return got, nil
-		}
-		c.mu.Unlock()
-		als, err := c.aligner.AlignRelation(r)
-		got := cached{als: als, err: err}
-		c.mu.Lock()
-		c.results[r] = got
-		c.mu.Unlock()
-		return got, nil
+	// The aligner is ctx-less, so there is no caller context to wait
+	// under.
+	als, err, _ := c.memo.Get(context.Background(), r, func(context.Context) ([]Alignment, error) {
+		return c.aligner.AlignRelation(r)
 	})
-	if flightErr != nil {
-		return nil, flightErr
-	}
-	return got.als, got.err
+	return als, err
 }
 
 // AlignRelations is the batch variant: it aligns every relation in rs
@@ -93,18 +57,12 @@ func (c *Cache) AlignRelations(rs []string) ([][]Alignment, error) {
 // Invalidate drops the cached result for r (all relations when r is
 // empty).
 func (c *Cache) Invalidate(r string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if r == "" {
-		c.results = make(map[string]cached)
+		c.memo.Invalidate()
 		return
 	}
-	delete(c.results, r)
+	c.memo.Invalidate(r)
 }
 
 // Len reports how many relations are cached.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.results)
-}
+func (c *Cache) Len() int { return c.memo.Len() }

@@ -57,15 +57,6 @@ type Config struct {
 	// seeds), results are identical at every setting.
 	Parallelism int
 
-	// Shards asks drivers that build endpoints from local KBs (the
-	// sofya driver, cmd/sofya, the experiments harness) to partition
-	// each KB into this many subject-hash shards behind a federating
-	// endpoint group (internal/shard); 0 or 1 serves unsharded. The
-	// aligner itself is endpoint-agnostic — a sharded group answers
-	// every probe byte-identically to the unsharded endpoint — so the
-	// setting changes deployment shape, never results.
-	Shards int
-
 	// CandidateTopK enables candidate-generation pruning: before
 	// discovery, the aligner consults a lazily built
 	// candidates.Index over the target inventory and restricts each

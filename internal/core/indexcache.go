@@ -26,20 +26,14 @@ import (
 // query fails is not hammered by every aligner in turn; call Invalidate
 // to retry. The zero value is ready to use.
 type IndexCache struct {
-	group flight.Group[string, idxCached]
+	memo flight.Memo[string, *candidates.Index]
 
 	// Trace, when non-nil, receives printf-style diagnostics about
 	// loads, builds and fallbacks. Set it before the first Get.
 	Trace func(format string, args ...any)
 
-	mu      sync.Mutex
-	results map[string]idxCached
-	stats   IndexCacheStats
-}
-
-type idxCached struct {
-	ix  *candidates.Index
-	err error
+	mu    sync.Mutex
+	stats IndexCacheStats
 }
 
 // IndexCacheStats counts how Get calls were served.
@@ -67,46 +61,21 @@ func NewIndexCache() *IndexCache { return &IndexCache{} }
 // for whoever remains, and no caller's ctx.Err() is ever cached.
 func (c *IndexCache) Get(ctx context.Context, target endpoint.Endpoint, links candidates.Translator, path string, opt candidates.Options) (*candidates.Index, error) {
 	key := fmt.Sprintf("%s\x00%s\x00%016x", target.Name(), path, candidates.Fingerprint(nil, opt))
-	c.mu.Lock()
-	if got, ok := c.results[key]; ok {
-		c.stats.Hits++
-		c.mu.Unlock()
-		return got.ix, got.err
-	}
-	c.mu.Unlock()
-
-	got, flightErr, _ := c.group.DoCtx(ctx, key, func() (idxCached, error) {
-		// Re-check under the flight, as Cache.AlignRelation does: a
-		// result stored by a flight that finished since the check above
-		// is a hit.
-		c.mu.Lock()
-		if got, ok := c.results[key]; ok {
-			c.stats.Hits++
-			c.mu.Unlock()
-			return got, nil
-		}
-		c.mu.Unlock()
-		got := c.compute(context.WithoutCancel(ctx), target, links, path, opt)
-		c.mu.Lock()
-		if c.results == nil {
-			c.results = make(map[string]idxCached)
-		}
-		c.results[key] = got
-		c.mu.Unlock()
-		return got, nil
+	ix, err, hit := c.memo.Get(ctx, key, func(ctx context.Context) (*candidates.Index, error) {
+		return c.compute(ctx, target, links, path, opt)
 	})
-	if flightErr != nil {
-		return nil, flightErr
+	if hit {
+		c.note(func(s *IndexCacheStats) { s.Hits++ })
 	}
-	return got.ix, got.err
+	return ix, err
 }
 
 // compute runs the inventory + load-or-build path and keeps the stats.
-func (c *IndexCache) compute(ctx context.Context, target endpoint.Endpoint, links candidates.Translator, path string, opt candidates.Options) idxCached {
+func (c *IndexCache) compute(ctx context.Context, target endpoint.Endpoint, links candidates.Translator, path string, opt candidates.Options) (*candidates.Index, error) {
 	rels, err := candidates.Relations(target)
 	if err != nil {
 		c.note(func(s *IndexCacheStats) { s.Misses++ })
-		return idxCached{err: err}
+		return nil, err
 	}
 	ix, loaded, err := candidates.LoadOrBuild(ctx, path, target, rels, links, opt)
 	c.note(func(s *IndexCacheStats) {
@@ -121,7 +90,7 @@ func (c *IndexCache) compute(ctx context.Context, target endpoint.Endpoint, link
 	})
 	switch {
 	case err != nil:
-		return idxCached{err: err}
+		return nil, err
 	case loaded:
 		c.tracef("candidates: index for %s restored from %s (%d relations)", target.Name(), path, ix.Len())
 	case path != "":
@@ -129,10 +98,10 @@ func (c *IndexCache) compute(ctx context.Context, target endpoint.Endpoint, link
 	default:
 		c.tracef("candidates: built index for %s (%d relations)", target.Name(), ix.Len())
 	}
-	if g, d := ix.TruncationStats(); err == nil && d > 0 {
+	if g, d := ix.TruncationStats(); d > 0 {
 		c.tracef("candidates: posting cap %d truncated %d grams, dropped %d postings", ix.Options().MaxPostings, g, d)
 	}
-	return idxCached{ix: ix}
+	return ix, nil
 }
 
 func (c *IndexCache) note(f func(*IndexCacheStats)) {
@@ -156,15 +125,7 @@ func (c *IndexCache) Stats() IndexCacheStats {
 
 // Invalidate drops every cached index (and cached error), forcing the
 // next Get of each key to recompute.
-func (c *IndexCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.results = nil
-}
+func (c *IndexCache) Invalidate() { c.memo.Invalidate() }
 
 // Len reports how many distinct indexes (or cached failures) are held.
-func (c *IndexCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.results)
-}
+func (c *IndexCache) Len() int { return c.memo.Len() }

@@ -16,9 +16,9 @@ import (
 // With workers <= 1 the tasks run inline in order, stopping at the
 // first error exactly like the pre-pipeline sequential code.
 //
-// runIndexed is the scheduler for work that does not itself occupy an
-// endpoint (whole-relation tasks); endpoint-bound stage tasks go
-// through Aligner.runStage, which adds the global admission gate.
+// Work that does not itself occupy an endpoint (whole-relation tasks)
+// is scheduled directly; endpoint-bound stage tasks go through
+// Aligner.runStage, which adds the global admission gate.
 func runIndexed(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -74,59 +74,15 @@ func runIndexed(workers, n int, fn func(i int) error) error {
 //
 // Stage tasks must be leaves — they issue endpoint queries but never
 // call runStage themselves, so holding a slot cannot deadlock.
-// Error handling matches runIndexed: first failure skips unstarted
-// tasks and the lowest-index recorded error is returned.
+// Scheduling and error handling are runIndexed's; a task skipped after
+// a failure never takes a slot.
 func (a *Aligner) runStage(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := cap(a.sem)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			a.sem <- struct{}{}
-			err := fn(i)
-			<-a.sem
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if failed.Load() {
-					continue
-				}
-				a.sem <- struct{}{}
-				errs[i] = fn(i)
-				<-a.sem
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return runIndexed(cap(a.sem), n, func(i int) error {
+		a.sem <- struct{}{}
+		err := fn(i)
+		<-a.sem
+		return err
+	})
 }
 
 // stageGroup is how many items of a stage — candidates to validate,

@@ -72,16 +72,17 @@ func (s AdmissionStats) Shed() uint64 { return s.ShedQueueFull + s.ShedTimeout }
 // instantaneous concurrency of all sessions together.
 //
 // The decorator composes like Caching and Coalescing: it is safe for
-// concurrent use, delegates Stats to the inner endpoint, and with
-// unlimited Limits it is byte-transparent. Admission should sit
-// outermost when stacked over Caching/Coalescing, so cache hits and
-// coalesced followers are not charged a slot... or innermost, so they
-// are; outermost-by-default is what cmd/sparqld does, wrapping the
-// whole serving stack.
+// concurrent use, delegates Stats to the inner endpoint (sheds never
+// reach it, so its Denied counter reflects quota rejections only;
+// AdmissionStats counts sheds), and with unlimited Limits it is
+// byte-transparent. Admission should sit outermost when stacked over
+// Caching/Coalescing, so cache hits and coalesced followers are not
+// charged a slot... or innermost, so they are; outermost-by-default is
+// what cmd/sparqld does, wrapping the whole serving stack.
 type Admission struct {
-	inner Endpoint
-	lim   Limits
-	sem   chan struct{} // cap MaxInFlight; nil = unlimited
+	innerStats
+	lim Limits
+	sem chan struct{} // cap MaxInFlight; nil = unlimited
 
 	mu      sync.Mutex
 	waiting int
@@ -90,7 +91,7 @@ type Admission struct {
 
 // NewAdmission wraps inner with admission limits.
 func NewAdmission(inner Endpoint, lim Limits) *Admission {
-	a := &Admission{inner: inner, lim: lim}
+	a := &Admission{innerStats: innerStats{inner}, lim: lim}
 	if lim.MaxInFlight > 0 {
 		a.sem = make(chan struct{}, lim.MaxInFlight)
 	}
@@ -107,16 +108,13 @@ func (a *Admission) AdmissionStats() AdmissionStats {
 	return st
 }
 
-// releaseFunc frees an acquired slot; it is idempotent.
-type releaseFunc func()
-
 func noRelease() {}
 
 // acquire admits one call: immediately when a slot is free, after a
 // bounded wait when the queue has room, with ErrOverloaded otherwise.
 // ctx ending while queued returns ctx.Err() — the caller gave up, it
-// was not shed.
-func (a *Admission) acquire(ctx context.Context) (releaseFunc, error) {
+// was not shed. The release it returns frees the slot; it is idempotent.
+func (a *Admission) acquire(ctx context.Context) (release func(), err error) {
 	if a.sem == nil {
 		a.mu.Lock()
 		a.stats.Admitted++
@@ -169,7 +167,7 @@ func (a *Admission) acquire(ctx context.Context) (releaseFunc, error) {
 	}
 }
 
-func (a *Admission) releaser() releaseFunc {
+func (a *Admission) releaser() func() {
 	var once sync.Once
 	return func() { once.Do(func() { <-a.sem }) }
 }
@@ -206,23 +204,6 @@ func (a *Admission) Prepare(template string, params ...string) (PreparedQuery, e
 		return nil, err
 	}
 	return &admissionPrepared{a: a, inner: inner}, nil
-}
-
-// Stats implements StatsReporter by delegation, like the other
-// decorators: sheds never reach the inner endpoint, so its Denied
-// counter reflects quota rejections only; AdmissionStats counts sheds.
-func (a *Admission) Stats() Stats {
-	if sr, ok := a.inner.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return Stats{}
-}
-
-// ResetStats implements StatsReporter.
-func (a *Admission) ResetStats() {
-	if sr, ok := a.inner.(StatsReporter); ok {
-		sr.ResetStats()
-	}
 }
 
 // admissionPrepared admits each execution of a prepared handle.
@@ -278,43 +259,7 @@ func (p *admissionPrepared) stream(ctx context.Context, open func() (Rows, error
 		release()
 		return nil, err
 	}
-	return &admissionRows{Rows: rows, release: release}, nil
-}
-
-// admissionRows ties an admission slot to a stream's lifetime.
-type admissionRows struct {
-	Rows
-	release releaseFunc
-}
-
-func (r *admissionRows) Next() bool {
-	ok := r.Rows.Next()
-	if !ok {
-		r.release()
-	}
-	return ok
-}
-
-func (r *admissionRows) Close() {
-	r.Rows.Close()
-	r.release()
-}
-
-// AttachedKeys forwards the inner stream's attached ORDER BY keys (nil
-// when the inner stream carries none).
-func (r *admissionRows) AttachedKeys() []int {
-	if kr, ok := r.Rows.(KeyedRows); ok {
-		return kr.AttachedKeys()
-	}
-	return nil
-}
-
-// RowKeys forwards the inner stream's current row keys.
-func (r *admissionRows) RowKeys() []sparql.Value {
-	if kr, ok := r.Rows.(KeyedRows); ok {
-		return kr.RowKeys()
-	}
-	return nil
+	return &ReleasingRows{Rows: rows, Release: release}, nil
 }
 
 var (
@@ -323,5 +268,4 @@ var (
 	_ PreparedQuery  = (*admissionPrepared)(nil)
 	_ StreamBorrower = (*admissionPrepared)(nil)
 	_ KeyedStreamer  = (*admissionPrepared)(nil)
-	_ KeyedRows      = (*admissionRows)(nil)
 )

@@ -36,8 +36,8 @@ type CacheStats struct {
 // per query text). It is safe for concurrent use; to also deduplicate
 // concurrent identical misses, stack a Coalescing decorator on top.
 type Caching struct {
-	inner Endpoint
-	max   int
+	innerStats
+	max int
 
 	mu      sync.Mutex
 	entries map[string]*list.Element
@@ -63,10 +63,10 @@ func NewCaching(inner Endpoint, maxEntries int) *Caching {
 		maxEntries = DefaultCacheSize
 	}
 	return &Caching{
-		inner:   inner,
-		max:     maxEntries,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
+		innerStats: innerStats{inner},
+		max:        maxEntries,
+		entries:    make(map[string]*list.Element),
+		order:      list.New(),
 	}
 }
 
@@ -355,23 +355,6 @@ func (c *Caching) Purge() {
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*list.Element)
 	c.order = list.New()
-}
-
-// Stats implements StatsReporter by delegating to the inner endpoint,
-// so wrapping keeps the query accounting of the underlying service
-// observable (a zero Stats is reported for non-reporting inners).
-func (c *Caching) Stats() Stats {
-	if sr, ok := c.inner.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return Stats{}
-}
-
-// ResetStats implements StatsReporter.
-func (c *Caching) ResetStats() {
-	if sr, ok := c.inner.(StatsReporter); ok {
-		sr.ResetStats()
-	}
 }
 
 var (

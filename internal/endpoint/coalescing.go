@@ -28,7 +28,7 @@ import (
 // for whoever remains. Results are shared between coalesced callers —
 // treat rows as read-only, as with any endpoint.
 type Coalescing struct {
-	inner Endpoint
+	innerStats
 
 	// The drain-path singleflight groups.
 	sel       flight.Group[string, *sparql.Result]
@@ -43,7 +43,7 @@ type Coalescing struct {
 
 // NewCoalescing wraps inner with in-flight query deduplication.
 func NewCoalescing(inner Endpoint) *Coalescing {
-	return &Coalescing{inner: inner, streams: make(map[string]*sharedStream)}
+	return &Coalescing{innerStats: innerStats{inner}, streams: make(map[string]*sharedStream)}
 }
 
 // textKey scopes a raw query text to the inner endpoint.
@@ -326,21 +326,6 @@ var _ Rows = (*sharedRows)(nil)
 // Coalesced reports how many calls were served by another caller's
 // in-flight query instead of probing the inner endpoint.
 func (c *Coalescing) Coalesced() int64 { return c.coalesced.Load() }
-
-// Stats implements StatsReporter by delegating to the inner endpoint.
-func (c *Coalescing) Stats() Stats {
-	if sr, ok := c.inner.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return Stats{}
-}
-
-// ResetStats implements StatsReporter.
-func (c *Coalescing) ResetStats() {
-	if sr, ok := c.inner.(StatsReporter); ok {
-		sr.ResetStats()
-	}
-}
 
 var (
 	_ Endpoint      = (*Coalescing)(nil)

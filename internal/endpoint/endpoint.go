@@ -70,6 +70,27 @@ type StatsReporter interface {
 	ResetStats()
 }
 
+// innerStats is what every decorator (Caching, Coalescing, Admission)
+// embeds: the endpoint it wraps, and StatsReporter by delegation to it,
+// so wrapping keeps the query accounting of the underlying service
+// observable (a zero Stats is reported for non-reporting inners).
+type innerStats struct{ inner Endpoint }
+
+// Stats implements StatsReporter.
+func (d innerStats) Stats() Stats {
+	if sr, ok := d.inner.(StatsReporter); ok {
+		return sr.Stats()
+	}
+	return Stats{}
+}
+
+// ResetStats implements StatsReporter.
+func (d innerStats) ResetStats() {
+	if sr, ok := d.inner.(StatsReporter); ok {
+		sr.ResetStats()
+	}
+}
+
 // Quota models the access restrictions of a public SPARQL endpoint.
 // The zero value means unrestricted.
 type Quota struct {

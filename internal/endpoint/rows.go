@@ -85,6 +85,52 @@ func (s *rowSets) Close() {
 
 func (s *rowSets) Err() error { return cmp.Or(s.err, s.Rows.Err()) }
 
+// ReleasingRows is a stream that holds something for as long as it is
+// open — an admission slot, the context of the attempt that won a hedged
+// open: Release runs once, when the stream is exhausted or closed,
+// whichever comes first. It forwards the inner stream's KeyedRows.
+type ReleasingRows struct {
+	Rows
+	Release func()
+}
+
+func (r *ReleasingRows) Next() bool {
+	ok := r.Rows.Next()
+	if !ok {
+		r.release()
+	}
+	return ok
+}
+
+func (r *ReleasingRows) Close() {
+	r.Rows.Close()
+	r.release()
+}
+
+func (r *ReleasingRows) release() {
+	if r.Release != nil {
+		r.Release()
+		r.Release = nil
+	}
+}
+
+// AttachedKeys forwards the inner stream's attached ORDER BY keys (nil
+// when the inner stream carries none).
+func (r *ReleasingRows) AttachedKeys() []int {
+	if kr, ok := r.Rows.(KeyedRows); ok {
+		return kr.AttachedKeys()
+	}
+	return nil
+}
+
+// RowKeys forwards the inner stream's current row keys.
+func (r *ReleasingRows) RowKeys() []sparql.Value {
+	if kr, ok := r.Rows.(KeyedRows); ok {
+		return kr.RowKeys()
+	}
+	return nil
+}
+
 // ReplaySets wraps the results of a group as the group's streams — what
 // ReplayRows is to one result. No results make one empty set.
 func ReplaySets(results []*sparql.Result) RowSets {
@@ -194,4 +240,6 @@ var (
 	_ Rows    = (*replayRows)(nil)
 	_ Rows    = (*localRows)(nil)
 	_ RowSets = (*rowSets)(nil)
+
+	_ KeyedRows = (*ReleasingRows)(nil)
 )

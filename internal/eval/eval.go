@@ -27,9 +27,6 @@ func NewGold(pairs [][2]string) *Gold {
 	return g
 }
 
-// Holds reports whether body ⇒ head is gold.
-func (g *Gold) Holds(body, head string) bool { return g.set[body+"\x00"+head] }
-
 // Size is the number of gold pairs.
 func (g *Gold) Size() int { return len(g.set) }
 

@@ -19,8 +19,8 @@ func al(body, head string, conf float64, support int, accepted bool) core.Alignm
 
 func TestGold(t *testing.T) {
 	g := NewGold([][2]string{{"b1", "h1"}, {"b2", "h2"}})
-	if !g.Holds("b1", "h1") || g.Holds("b1", "h2") {
-		t.Fatal("Holds wrong")
+	if !g.set["b1\x00h1"] || g.set["b1\x00h2"] {
+		t.Fatal("gold set wrong")
 	}
 	if g.Size() != 2 {
 		t.Fatalf("Size = %d", g.Size())

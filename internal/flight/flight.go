@@ -1,12 +1,12 @@
 // Package flight provides a small generic singleflight group:
 // concurrent calls that share a key share one execution and receive its
 // result. It is the coalescing primitive behind endpoint.Coalescing
-// (deduplicating identical in-flight SPARQL queries) and core.Cache
-// (making concurrent misses on the same relation compute once).
+// (deduplicating identical in-flight SPARQL queries).
 //
 // Unlike a cache, a Group remembers nothing: once an execution
 // completes and its waiters are served, the key is forgotten and the
-// next call runs the function again.
+// next call runs the function again. Memo is the Group that remembers —
+// the body of core.Cache and core.IndexCache.
 package flight
 
 import (

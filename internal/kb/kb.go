@@ -443,3 +443,35 @@ func (k *KB) sortByTerm(ids []TermID) {
 		return k.terms[ids[i]].Compare(k.terms[ids[j]]) < 0
 	})
 }
+
+// AddInverses adds, for every entity-entity relation p in the KB, the
+// inverse facts p⁻(o,s) under the predicate IRI formed by appending
+// suffix to p's IRI (e.g. "_inv"). The paper assumes inverse relations
+// have been added to both KBs so that only direct rules need mining.
+// Literal-object facts are skipped (literals cannot be subjects).
+// It returns the number of inverse facts added.
+func (k *KB) AddInverses(suffix string) int {
+	type rev struct{ s, p, o TermID }
+	var pending []rev
+	for _, p := range k.Relations() {
+		pt := k.Term(p)
+		if !pt.IsIRI() {
+			continue
+		}
+		inv := k.Intern(rdf.NewIRI(pt.Value + suffix))
+		k.EachFactOf(p, func(s, o TermID) bool {
+			if k.terms[o].IsLiteral() {
+				return true
+			}
+			pending = append(pending, rev{s: o, p: inv, o: s})
+			return true
+		})
+	}
+	added := 0
+	for _, r := range pending {
+		if k.AddFact(r.s, r.p, r.o) {
+			added++
+		}
+	}
+	return added
+}

@@ -127,40 +127,41 @@ func TestEachFactOfDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestStats: the per-relation cardinalities the planner reads, on the
+// mutable KB and — through PlanStats, which freezes — on the frozen one.
 func TestStats(t *testing.T) {
 	k := New("t")
-	// p: 3 facts, 2 subjects, 3 objects -> fun 2/3
+	// p: 3 facts, 2 subjects, 3 objects
 	k.AddIRIs("http://x/s1", "http://x/p", "http://x/o1")
 	k.AddIRIs("http://x/s1", "http://x/p", "http://x/o2")
 	k.AddIRIs("http://x/s2", "http://x/p", "http://x/o3")
-	rs := k.StatsOf(k.Lookup(iri("p")))
-	if rs.Facts != 3 || rs.Subjects != 2 || rs.Objects != 3 {
-		t.Fatalf("stats = %+v", rs)
-	}
-	if rs.Functionality < 0.66 || rs.Functionality > 0.67 {
-		t.Fatalf("functionality = %f", rs.Functionality)
-	}
-	if rs.IsLiteralRelation() {
-		t.Fatal("entity relation misclassified as literal")
-	}
-
-	// literal relation
 	k.Add(rdf.NewTriple(iri("s1"), iri("name"), rdf.NewLiteral("Ada")))
-	lr := k.StatsOf(k.Lookup(iri("name")))
-	if !lr.IsLiteralRelation() {
-		t.Fatal("literal relation not detected")
+	p := k.Lookup(iri("p"))
+	if f, s := k.NumFactsOf(p), k.NumSubjectsOf(p); f != 3 || s != 2 {
+		t.Fatalf("mutable: %d facts, %d subjects", f, s)
 	}
-	if len(k.AllStats()) != 2 {
-		t.Fatalf("AllStats len = %d", len(k.AllStats()))
+	stats := k.PlanStats()
+	if got := stats[iri("p")]; got != (PredStats{Facts: 3, Subjects: 2, Objects: 3}) {
+		t.Fatalf("stats of p = %+v", got)
+	}
+	if got := stats[iri("name")]; got != (PredStats{Facts: 1, Subjects: 1, Objects: 1}) {
+		t.Fatalf("stats of name = %+v", got)
+	}
+	if len(stats) != 2 {
+		t.Fatalf("PlanStats len = %d", len(stats))
 	}
 }
 
 func TestStatsOfEmptyRelation(t *testing.T) {
 	k := New("t")
 	p := k.Intern(iri("never"))
-	rs := k.StatsOf(p)
-	if rs.Facts != 0 || rs.Functionality != 0 {
-		t.Fatalf("empty relation stats = %+v", rs)
+	for _, frozen := range []bool{false, true} {
+		if frozen {
+			k.Freeze()
+		}
+		if f, s, o := k.PlanFactsOf(p), k.PlanSubjectsOf(p), k.PlanObjectsOf(p); f != 0 || s != 0 || o != 0 {
+			t.Fatalf("empty relation (frozen=%v): %d facts, %d subjects, %d objects", frozen, f, s, o)
+		}
 	}
 }
 

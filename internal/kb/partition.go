@@ -1,14 +1,10 @@
 package kb
 
 import (
-	"bufio"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"slices"
-	"sort"
-	"strings"
 
 	"sofya/internal/rdf"
 )
@@ -108,72 +104,6 @@ func (k *KB) PlanObjectsOf(p TermID) int {
 		return k.NumObjectsOf(p)
 	}
 	return k.NumSubjectsOf(p)
-}
-
-// WritePlanStats serializes the KB's own per-predicate statistics as
-// TSV lines "<predicate-iri>\tfacts\tsubjects\tobjects", sorted by
-// IRI for determinism. It is the sidecar a shard snapshot needs: shard
-// N-Triples files alone cannot reconstruct a byte-identical federation
-// group, because the shards must plan with the whole KB's cardinalities
-// (SetPlanStats), not their own.
-func (k *KB) WritePlanStats(w io.Writer) error {
-	stats := k.PlanStats()
-	iris := make([]string, 0, len(stats))
-	byIRI := make(map[string]PredStats, len(stats))
-	for t, s := range stats {
-		iris = append(iris, t.Value)
-		byIRI[t.Value] = s
-	}
-	sort.Strings(iris)
-	bw := bufio.NewWriter(w)
-	for _, iri := range iris {
-		s := byIRI[iri]
-		if _, err := fmt.Fprintf(bw, "%s\t%d\t%d\t%d\n", iri, s.Facts, s.Subjects, s.Objects); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WritePlanStatsFile is WritePlanStats to a file.
-func (k *KB) WritePlanStatsFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := k.WritePlanStats(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadPlanStats parses a WritePlanStats sidecar back into the form
-// SetPlanStats consumes.
-func ReadPlanStats(r io.Reader) (map[rdf.Term]PredStats, error) {
-	stats := make(map[rdf.Term]PredStats)
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.Split(text, "\t")
-		var s PredStats
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("kb: plan stats line %d: want 4 tab-separated fields, got %d", line, len(parts))
-		}
-		if _, err := fmt.Sscanf(parts[1]+" "+parts[2]+" "+parts[3], "%d %d %d", &s.Facts, &s.Subjects, &s.Objects); err != nil {
-			return nil, fmt.Errorf("kb: plan stats line %d: %v", line, err)
-		}
-		stats[rdf.NewIRI(parts[0])] = s
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return stats, nil
 }
 
 // Partition splits src into n shards by subject hash. Shard i is named

@@ -159,28 +159,15 @@ func TestSubjectShardRange(t *testing.T) {
 	}
 }
 
+// TestPlanStatsRoundTrip: what PlanStats extracts from the whole KB,
+// installed with SetPlanStats on a shard that was written out and parsed
+// back, is what that shard then plans with.
 func TestPlanStatsRoundTrip(t *testing.T) {
 	src := buildTestKB(t)
-	var buf bytes.Buffer
-	if err := src.WritePlanStats(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPlanStats(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := src.PlanStats()
-	if len(got) != len(want) {
-		t.Fatalf("round trip lost predicates: %d vs %d", len(got), len(want))
-	}
-	for term, ws := range want {
-		if gs, ok := got[term]; !ok || gs != ws {
-			t.Fatalf("stats for %v: got %+v want %+v", term, got[term], ws)
-		}
-	}
 
-	// A reloaded shard with the sidecar installed plans like the whole
-	// KB; without it, it falls back to its local counts.
+	// A reloaded shard with the statistics installed plans like the
+	// whole KB; without them, it falls back to its local counts.
 	shards := Partition(buildTestKB(t), 2)
 	var nt bytes.Buffer
 	if err := shards[0].WriteNT(&nt); err != nil {
@@ -197,6 +184,6 @@ func TestPlanStatsRoundTrip(t *testing.T) {
 	}
 	reloaded.SetPlanStats(want)
 	if got := reloaded.PlanFactsOf(reloaded.Lookup(p)); got != src.NumFactsOf(src.Lookup(p)) {
-		t.Fatalf("reloaded shard with sidecar plans with %d facts, want global %d", got, src.NumFactsOf(src.Lookup(p)))
+		t.Fatalf("reloaded shard with the statistics plans with %d facts, want global %d", got, src.NumFactsOf(src.Lookup(p)))
 	}
 }

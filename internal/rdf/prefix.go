@@ -89,15 +89,6 @@ func (pm *PrefixMap) Expand(qname string) (string, error) {
 	return base + local, nil
 }
 
-// MustExpand is Expand but panics on error; for tests and literals in code.
-func (pm *PrefixMap) MustExpand(qname string) string {
-	iri, err := pm.Expand(qname)
-	if err != nil {
-		panic(err)
-	}
-	return iri
-}
-
 // Compact shortens a full IRI to "prefix:local" using the longest
 // matching base. If no base matches, the IRI is returned unchanged.
 func (pm *PrefixMap) Compact(iri string) string {

@@ -343,12 +343,3 @@ func TestPrefixMapAddOrder(t *testing.T) {
 		}
 	}
 }
-
-func TestMustExpandPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustExpand should panic on unknown prefix")
-		}
-	}()
-	NewPrefixMap().MustExpand("ghost:x")
-}

@@ -64,11 +64,6 @@ func (rw *Rewriter) Add(alignments []core.Alignment) {
 	}
 }
 
-// Mappings returns the substitutions for a K-relation, best first.
-func (rw *Rewriter) Mappings(head string) []Mapping {
-	return rw.byHead[head]
-}
-
 // Best returns the preferred substitution for a K-relation.
 func (rw *Rewriter) Best(head string) (Mapping, bool) {
 	ms := rw.byHead[head]

@@ -112,7 +112,7 @@ func TestRewriteAddIsIncremental(t *testing.T) {
 		{Rule: ilp.Rule{Body: "http://d/b2", Head: "http://y/h"}, Accepted: true, Confidence: 0.8},
 		{Rule: ilp.Rule{Body: "http://d/b3", Head: "http://y/h"}, Accepted: false, Confidence: 0.99},
 	})
-	ms := rw.Mappings("http://y/h")
+	ms := rw.byHead["http://y/h"]
 	if len(ms) != 2 {
 		t.Fatalf("mappings = %+v", ms)
 	}
@@ -129,7 +129,7 @@ func TestRewriteConfidenceTieBreaksOnBody(t *testing.T) {
 		{Rule: ilp.Rule{Body: "http://d/zeta", Head: "http://y/h"}, Accepted: true, Confidence: 0.7},
 		{Rule: ilp.Rule{Body: "http://d/alpha", Head: "http://y/h"}, Accepted: true, Confidence: 0.7},
 	})
-	ms := rw.Mappings("http://y/h")
+	ms := rw.byHead["http://y/h"]
 	if ms[0].Body != "http://d/alpha" || ms[1].Body != "http://d/zeta" {
 		t.Fatalf("tie-break wrong: %+v", ms)
 	}

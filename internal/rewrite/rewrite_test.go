@@ -43,7 +43,7 @@ func testRewriter() *Rewriter {
 
 func TestMappingsOrderEquivalentFirst(t *testing.T) {
 	rw := testRewriter()
-	ms := rw.Mappings("http://y/wasBornIn")
+	ms := rw.byHead["http://y/wasBornIn"]
 	if len(ms) != 2 {
 		t.Fatalf("mappings = %+v", ms)
 	}

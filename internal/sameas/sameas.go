@@ -98,15 +98,6 @@ func (l *Links) Pairs() []Pair {
 	return out
 }
 
-// Invert returns a new Links with the roles of A and B swapped.
-func (l *Links) Invert() *Links {
-	inv := New()
-	for _, p := range l.pairs {
-		inv.Add(p.B, p.A)
-	}
-	return inv
-}
-
 // Subset returns a new Links containing a deterministic random fraction
 // of the pairs (0 ≤ fraction ≤ 1), seeded by seed. Pair order is first
 // canonicalized so that equal inputs yield equal outputs regardless of

@@ -52,19 +52,6 @@ func TestSameClosure(t *testing.T) {
 	}
 }
 
-func TestInvert(t *testing.T) {
-	l := New()
-	l.Add("a1", "b1")
-	l.Add("a2", "b2")
-	inv := l.Invert()
-	if b, ok := inv.AtoB("b1"); !ok || b != "a1" {
-		t.Fatalf("inverted AtoB = %q, %v", b, ok)
-	}
-	if a, ok := inv.BtoA("a2"); !ok || a != "b2" {
-		t.Fatalf("inverted BtoA = %q, %v", a, ok)
-	}
-}
-
 func TestSubsetFractionAndDeterminism(t *testing.T) {
 	l := New()
 	for i := 0; i < 100; i++ {

@@ -91,9 +91,6 @@ func (v LinkView) FromK(k string) (string, bool) {
 	return v.Links.BtoA(k)
 }
 
-// Flip returns the Translator for the swapped direction.
-func (v LinkView) Flip() LinkView { return LinkView{Links: v.Links, KIsA: !v.KIsA} }
-
 // Validator runs sampling-based validation of candidate rules between a
 // head-side endpoint K and a body-side endpoint KPrime.
 type Validator struct {

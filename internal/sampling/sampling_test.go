@@ -118,7 +118,7 @@ func TestLinkView(t *testing.T) {
 	if got, ok := v.FromK("a1"); !ok || got != "b1" {
 		t.Fatalf("FromK = %q, %v", got, ok)
 	}
-	fl := v.Flip()
+	fl := LinkView{Links: links, KIsA: false}
 	if got, ok := fl.ToK("a1"); !ok || got != "b1" {
 		t.Fatalf("flipped ToK = %q, %v", got, ok)
 	}

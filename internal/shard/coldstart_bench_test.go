@@ -1,9 +1,8 @@
 package shard
 
 // Federated cold start: standing a 3-shard endpoint group back up from
-// kbgen's shard files — N-Triples plus the planner-stats sidecar
-// versus self-contained mmap snapshots. The EXPERIMENTS.md restart
-// numbers for `-shards 3` come from here.
+// kbgen's shard files, the self-contained mmap snapshots. The
+// EXPERIMENTS.md restart number for `-shards 3` comes from here.
 
 import (
 	"fmt"
@@ -19,35 +18,24 @@ import (
 
 const coldStartShards = 3
 
-type shardFiles struct {
-	ntPaths   []string
-	snapPaths []string
-	statsPath string
-}
+type shardFiles struct{ snapPaths []string }
 
 // paperShardFiles writes the paper-world YAGO shard files once per
-// process into a temp dir (reused across the two benchmarks so the
-// expensive world generation happens once).
+// process into a temp dir (so the expensive world generation happens
+// once however often the benchmark function is entered).
 var paperShardFiles = sync.OnceValue(func() *shardFiles {
 	src := synth.Generate(synth.DefaultSpec()).Yago
 	dir, err := os.MkdirTemp("", "sofya-coldstart-*")
 	if err != nil {
 		panic(err)
 	}
-	f := &shardFiles{statsPath: filepath.Join(dir, "yago-planstats.tsv")}
+	f := &shardFiles{}
 	for i, sh := range kb.Partition(src, coldStartShards) {
 		stem := filepath.Join(dir, fmt.Sprintf("yago-shard-%d-of-%d", i, coldStartShards))
-		if err := sh.WriteFile(stem + ".nt"); err != nil {
-			panic(err)
-		}
 		if err := sh.WriteSnapshotFile(stem + ".snap"); err != nil {
 			panic(err)
 		}
-		f.ntPaths = append(f.ntPaths, stem+".nt")
 		f.snapPaths = append(f.snapPaths, stem+".snap")
-	}
-	if err := src.WritePlanStatsFile(f.statsPath); err != nil {
-		panic(err)
 	}
 	return f
 })
@@ -57,44 +45,8 @@ func shardBenchFiles(b *testing.B) *shardFiles {
 	return paperShardFiles()
 }
 
-// BenchmarkGroupColdStartParse rebuilds the federation group the
-// pre-snapshot way: parse each shard's N-Triples, install the
-// planner-stats sidecar, freeze, federate.
-func BenchmarkGroupColdStartParse(b *testing.B) {
-	files := shardBenchFiles(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := os.Open(files.statsPath)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats, err := kb.ReadPlanStats(f)
-		f.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		eps := make([]endpoint.Endpoint, len(files.ntPaths))
-		for j, p := range files.ntPaths {
-			sh, err := kb.LoadFile(fmt.Sprintf("yago/shard-%d-of-%d", j, coldStartShards), p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sh.SetPlanStats(stats)
-			eps[j] = endpoint.NewLocal(sh, 1)
-		}
-		g, err := NewGroup("yago", 1, eps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if g.Name() != "yago" {
-			b.Fatal("bad group")
-		}
-	}
-}
-
-// BenchmarkGroupColdStartSnapshot restarts the same group from mmap
-// snapshots: no parsing, no sidecar, no re-index.
+// BenchmarkGroupColdStartSnapshot restarts the group from mmap
+// snapshots: no parsing, no re-index.
 func BenchmarkGroupColdStartSnapshot(b *testing.B) {
 	files := shardBenchFiles(b)
 	b.ReportAllocs()

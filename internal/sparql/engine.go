@@ -33,16 +33,6 @@ func (r *Result) Bindings(i int) map[string]rdf.Term {
 	return m
 }
 
-// Column returns the index of variable v in the projection, or -1.
-func (r *Result) Column(v string) int {
-	for i, name := range r.Vars {
-		if name == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // maxCachedPlans bounds the engine's compiled-plan cache. Workloads
 // like the SOFYA aligner issue thousands of queries drawn from a
 // handful of shapes, so a small LRU captures effectively all of them.

@@ -3,11 +3,11 @@
 // entity-literal relation, we retrieve from K facts of the samples and
 // apply string similarity functions to align the literals").
 //
-// It implements the classical edit-based measures (Levenshtein, Jaro,
-// Jaro-Winkler), n-gram profiles compared by Dice coefficient, and a
-// datatype-aware LiteralMatcher that short-circuits numeric and date
-// literals through value comparison before falling back to string
-// similarity — which is what makes "1815-12-10" match "10 December 1815".
+// It implements the classical edit-based measures (Jaro, Jaro-Winkler),
+// the n-gram profiles the candidate index posts, and a datatype-aware
+// LiteralMatcher that short-circuits numeric and date literals through
+// value comparison before falling back to string similarity — which is
+// what makes "1815-12-10" match "10 December 1815".
 package strsim
 
 import (
@@ -15,35 +15,6 @@ import (
 	"strings"
 	"unicode"
 )
-
-// Levenshtein returns the edit distance between a and b (insertions,
-// deletions, substitutions), operating on runes.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	curr := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		curr[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			curr[j] = min3(curr[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, curr = curr, prev
-	}
-	return prev[len(rb)]
-}
 
 // Jaro returns the Jaro similarity in [0,1].
 func Jaro(a, b string) float64 {
@@ -114,13 +85,6 @@ func JaroWinkler(a, b string) float64 {
 	return j + float64(prefix)*0.1*(1-j)
 }
 
-// Tokens lower-cases s and splits it on any non-letter/non-digit rune.
-func Tokens(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
-
 func ngrams(s string, n int) []string {
 	r := []rune(strings.ToLower(s))
 	if len(r) < n {
@@ -149,16 +113,6 @@ func Normalize(s string) string {
 		}
 	}
 	return strings.TrimSpace(sb.String())
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 func max2(a, b int) int {

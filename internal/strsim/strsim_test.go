@@ -3,31 +3,12 @@ package strsim
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"sofya/internal/rdf"
 )
-
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"go", "go", 0},
-		{"café", "cafe", 1}, // rune-aware
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
 
 func TestJaroKnownValues(t *testing.T) {
 	// canonical textbook example: MARTHA/MARHTA ≈ 0.944
@@ -53,19 +34,6 @@ func TestJaroWinklerPrefixBoost(t *testing.T) {
 	}
 	if JaroWinkler("abc", "abc") != 1 {
 		t.Fatal("identity")
-	}
-}
-
-func TestTokensAndJaccard(t *testing.T) {
-	toks := Tokens("Frank Sinatra, Jr. (singer)")
-	want := []string{"frank", "sinatra", "jr", "singer"}
-	if len(toks) != len(want) {
-		t.Fatalf("tokens = %v", toks)
-	}
-	for i := range want {
-		if toks[i] != want[i] {
-			t.Fatalf("tokens = %v", toks)
-		}
 	}
 }
 
@@ -199,7 +167,7 @@ func TestLiteralMatcherBest(t *testing.T) {
 
 func TestLiteralMatcherCustomSim(t *testing.T) {
 	sameTokens := func(a, b string) float64 {
-		ta, tb := Tokens(a), Tokens(b)
+		ta, tb := strings.Fields(a), strings.Fields(b)
 		sort.Strings(ta)
 		sort.Strings(tb)
 		if reflect.DeepEqual(ta, tb) {

@@ -25,15 +25,14 @@ import (
 // SaveOptions selects the on-disk representation of a saved world.
 type SaveOptions struct {
 	// Snapshots additionally writes binary KB snapshots (yago.snap,
-	// dbpedia.snap, and per-shard *.snap files) next to the N-Triples;
-	// kb.OpenSnapshot serves them by memory-mapping, skipping the parse
-	// and re-index cost entirely.
+	// dbpedia.snap) next to the N-Triples; kb.OpenSnapshot serves them
+	// by memory-mapping, skipping the parse and re-index cost entirely.
 	Snapshots bool
 	// Shards > 1 additionally writes each KB partitioned into that many
-	// subject-hash shard files (<name>-shard-<i>-of-<n>.nt, plus .snap
-	// with Snapshots) and the whole-KB planner-stats sidecar the
-	// N-Triples shards need (<name>-planstats.tsv). Snapshot shards are
-	// self-contained: they embed the planner statistics.
+	// subject-hash shard snapshots (<name>-shard-<i>-of-<n>.snap), with
+	// or without Snapshots. They are self-contained — each embeds the
+	// whole KB's planner statistics — and a complete set restarts as a
+	// federation group (shard.GroupFromSnapshots).
 	Shards int
 }
 
@@ -64,9 +63,6 @@ func SaveWorld(w *World, dir string, opts SaveOptions) error {
 		if !opts.Snapshots {
 			os.Remove(filepath.Join(dir, side.Name()+".snap"))
 		}
-		if opts.Shards <= 1 {
-			os.Remove(filepath.Join(dir, side.Name()+"-planstats.tsv"))
-		}
 
 		if err := side.WriteFile(filepath.Join(dir, side.Name()+".nt")); err != nil {
 			return err
@@ -77,8 +73,11 @@ func SaveWorld(w *World, dir string, opts SaveOptions) error {
 			}
 		}
 		if opts.Shards > 1 {
-			if err := saveShards(side, dir, opts.Shards, opts.Snapshots); err != nil {
-				return err
+			for i, sh := range kb.Partition(side, opts.Shards) {
+				name := fmt.Sprintf("%s-shard-%d-of-%d.snap", side.Name(), i, opts.Shards)
+				if err := sh.WriteSnapshotFile(filepath.Join(dir, name)); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -131,24 +130,6 @@ func SaveWorld(w *World, dir string, opts SaveOptions) error {
 		}
 		return nil
 	})
-}
-
-// saveShards writes one file per subject-hash shard plus the planner
-// statistics the N-Triples shards need to plan like the whole KB
-// (snapshot shards embed them).
-func saveShards(base *kb.KB, dir string, n int, snapshots bool) error {
-	for i, sh := range kb.Partition(base, n) {
-		stem := filepath.Join(dir, fmt.Sprintf("%s-shard-%d-of-%d", base.Name(), i, n))
-		if err := sh.WriteFile(stem + ".nt"); err != nil {
-			return err
-		}
-		if snapshots {
-			if err := sh.WriteSnapshotFile(stem + ".snap"); err != nil {
-				return err
-			}
-		}
-	}
-	return base.WritePlanStatsFile(filepath.Join(dir, base.Name()+"-planstats.tsv"))
 }
 
 func writeTruthPairs(w io.Writer, gt *GroundTruth) error {

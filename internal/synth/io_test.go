@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -46,7 +47,7 @@ func TestSaveWorldRemovesStaleOutputs(t *testing.T) {
 	if err := SaveWorld(fresh, dir, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, leftover := range []string{"yago.snap", "dbpedia.snap", "yago-shard-0-of-3.nt", "dbpedia-shard-2-of-3.snap", "yago-planstats.tsv"} {
+	for _, leftover := range []string{"yago.snap", "dbpedia.snap", "yago-shard-0-of-3.snap", "dbpedia-shard-2-of-3.snap"} {
 		if _, err := os.Stat(filepath.Join(dir, leftover)); err == nil {
 			t.Errorf("stale %s survived the re-save", leftover)
 		}
@@ -75,11 +76,19 @@ func TestSaveLoadWorldRoundTrip(t *testing.T) {
 			if err := SaveWorld(w, dir, SaveOptions{Snapshots: snapshots, Shards: 3}); err != nil {
 				t.Fatal(err)
 			}
-			if snapshots {
-				for _, f := range []string{"yago.snap", "dbpedia.snap", "yago-shard-0-of-3.snap", "dbpedia-shard-2-of-3.snap"} {
-					if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-						t.Errorf("expected %s: %v", f, err)
-					}
+			// Shards are written as self-contained snapshots, with or
+			// without Snapshots, and as nothing else.
+			for _, side := range []string{"yago", "dbpedia"} {
+				if _, err := os.Stat(filepath.Join(dir, side+".snap")); (err == nil) != snapshots {
+					t.Errorf("%s.snap: present = %v, want %v", side, err == nil, snapshots)
+				}
+				perShard, _ := filepath.Glob(filepath.Join(dir, side+"-shard-*"))
+				var want []string
+				for i := 0; i < 3; i++ {
+					want = append(want, filepath.Join(dir, fmt.Sprintf("%s-shard-%d-of-3.snap", side, i)))
+				}
+				if !reflect.DeepEqual(perShard, want) {
+					t.Errorf("%s shard files = %v, want %v", side, perShard, want)
 				}
 			}
 			got, err := LoadWorld(dir)
@@ -103,7 +112,7 @@ func TestSaveLoadWorldRoundTrip(t *testing.T) {
 				t.Error("truth pairs diverge after save/load")
 			}
 			for _, p := range w.Truth.DbpToYago {
-				if !got.Truth.HoldsDbpToYago(p.Body, p.Head) {
+				if !got.Truth.d2y[gtKey(p.Body, p.Head)] {
 					t.Errorf("loaded truth lost d2y pair %s => %s", p.Body, p.Head)
 				}
 			}

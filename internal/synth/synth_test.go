@@ -103,24 +103,24 @@ func TestGroundTruthShapes(t *testing.T) {
 	w := Generate(TinySpec())
 	gt := w.Truth
 	// equivalences appear in both directions
-	if !gt.HoldsDbpToYago(dbpNS+"birthPlace", yagoNS+"wasBornIn") {
+	if !gt.d2y[gtKey(dbpNS+"birthPlace", yagoNS+"wasBornIn")] {
 		t.Fatal("birthPlace ⇒ wasBornIn missing from gold")
 	}
-	if !gt.HoldsYagoToDbp(yagoNS+"wasBornIn", dbpNS+"birthPlace") {
+	if !gt.y2d[gtKey(yagoNS+"wasBornIn", dbpNS+"birthPlace")] {
 		t.Fatal("wasBornIn ⇒ birthPlace missing from gold")
 	}
 	// specializations are one-directional
-	if !gt.HoldsDbpToYago(dbpNS+"composerOf", yagoNS+"created") {
+	if !gt.d2y[gtKey(dbpNS+"composerOf", yagoNS+"created")] {
 		t.Fatal("composerOf ⇒ created missing from gold")
 	}
-	if gt.HoldsYagoToDbp(yagoNS+"created", dbpNS+"composerOf") {
+	if gt.y2d[gtKey(yagoNS+"created", dbpNS+"composerOf")] {
 		t.Fatal("created ⇒ composerOf must NOT be gold (strict subsumption)")
 	}
 	// confounders are not aligned to their targets
-	if gt.HoldsDbpToYago(dbpNS+"hasProducer", yagoNS+"directedBy") {
+	if gt.d2y[gtKey(dbpNS+"hasProducer", yagoNS+"directedBy")] {
 		t.Fatal("hasProducer ⇒ directedBy must not be gold")
 	}
-	if !gt.HoldsDbpToYago(dbpNS+"hasProducer", yagoNS+"producedBy") {
+	if !gt.d2y[gtKey(dbpNS+"hasProducer", yagoNS+"producedBy")] {
 		t.Fatal("hasProducer ⇒ producedBy missing from gold")
 	}
 	// no gold pair mentions a noise relation

@@ -42,15 +42,3 @@ func (gt *GroundTruth) addD2Y(body, head string, equiv bool) {
 	gt.d2y[gtKey(body, head)] = true
 	gt.DbpToYago = append(gt.DbpToYago, TruthPair{Body: body, Head: head, Equivalent: equiv})
 }
-
-// HoldsYagoToDbp reports whether body(x,y) ⇒ head(x,y) is gold for a
-// YAGO body and DBpedia head.
-func (gt *GroundTruth) HoldsYagoToDbp(body, head string) bool {
-	return gt.y2d[gtKey(body, head)]
-}
-
-// HoldsDbpToYago reports whether body(x,y) ⇒ head(x,y) is gold for a
-// DBpedia body and YAGO head.
-func (gt *GroundTruth) HoldsDbpToYago(body, head string) bool {
-	return gt.d2y[gtKey(body, head)]
-}
