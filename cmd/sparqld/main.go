@@ -212,7 +212,8 @@ func main() {
 		log.Printf("sparqld: admission control: max-inflight=%d queue=%d queue-timeout=%s",
 			*maxInflight, *queue, *queueTimeout)
 	}
-	mux := newServingMux(serve, clusterGroup, adm)
+	mux, vars := newServingMux(serve, clusterGroup, adm)
+	expvar.Publish("sofya", expvar.Func(vars))
 	if err := serveHTTP(*addr, mux, *drain); err != nil {
 		fatal(err)
 	}
@@ -247,11 +248,13 @@ func (r *statusRecorder) Flush() {
 
 // newServingMux assembles the serving surface: the query handler at /,
 // liveness at /healthz, expvar counters at /debug/vars, and pprof under
-// /debug/pprof/ — the "measured, not asserted" serving contract.
-func newServingMux(serve endpoint.Endpoint, cg *cluster.Group, adm *endpoint.Admission) *http.ServeMux {
+// /debug/pprof/ — the "measured, not asserted" serving contract. vars is
+// what main publishes as the expvar "sofya" (a name is published once a
+// process, and a test serves several muxes).
+func newServingMux(serve endpoint.Endpoint, cg *cluster.Group, adm *endpoint.Admission) (mux *http.ServeMux, vars func() any) {
 	m := &reqMetrics{}
 	sparqlHandler := endpoint.NewServerEndpoint(serve)
-	mux := http.NewServeMux()
+	mux = http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -283,16 +286,14 @@ func newServingMux(serve endpoint.Endpoint, cg *cluster.Group, adm *endpoint.Adm
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	publishVars(serve, cg, adm, m)
-	return mux
+	return mux, servingVars(serve, cg, adm, m)
 }
 
-// publishVars exposes the endpoint's counters over expvar: HTTP request
+// servingVars renders the endpoint's counters for expvar: HTTP request
 // latency, endpoint query/row statistics, admission-control sheds, and
 // (for a cluster front-end) per-replica health and traffic.
-func publishVars(serve endpoint.Endpoint, cg *cluster.Group, adm *endpoint.Admission, m *reqMetrics) {
-	expvar.Publish("sofya", expvar.Func(func() any {
+func servingVars(serve endpoint.Endpoint, cg *cluster.Group, adm *endpoint.Admission, m *reqMetrics) func() any {
+	return func() any {
 		vars := map[string]any{
 			"endpoint": serve.Name(),
 			"http": map[string]int64{
@@ -339,7 +340,7 @@ func publishVars(serve endpoint.Endpoint, cg *cluster.Group, adm *endpoint.Admis
 			vars["cluster"] = sets
 		}
 		return vars
-	}))
+	}
 }
 
 // parsePeers splits a -peers argument: commas separate shards, pipes

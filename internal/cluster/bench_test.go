@@ -10,6 +10,7 @@ import (
 	"sofya/internal/kb"
 	"sofya/internal/shard"
 	"sofya/internal/sparql"
+	"sofya/internal/synth"
 )
 
 // Benchmarks for the network-federation overhead table in
@@ -105,6 +106,37 @@ func BenchmarkClusterProbeHTTP(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				drainBench(b, pq, c.n, sparql.IntArg(c.n))
 			}
+		})
+	}
+}
+
+// BenchmarkClusterOrderedHTTP: deterministic-key ORDER BY over a 3-shard
+// HTTP cluster on the paper world — what evaluating such keys at the
+// merge costs (EXPERIMENTS.md, PR 23). No alignment probe and no ladder
+// workload has this shape.
+func BenchmarkClusterOrderedHTTP(b *testing.B) {
+	w := synth.Generate(synth.DefaultSpec())
+	w.Yago.Freeze()
+	rel, _ := entityRelations(b, w.Yago)
+	g, cleanup := newBenchCluster(b, w.Yago)
+	defer cleanup()
+	for _, c := range []struct{ name, order string }{
+		{"object_limit", "ORDER BY ?y LIMIT 6"},
+		{"desc_subject", "ORDER BY DESC(?x) ?y"},
+		{"expression", "ORDER BY STRLEN(STR(?y)) ?x LIMIT 6"},
+	} {
+		text := fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } %s", rel, c.order)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				res, err := g.SelectCtx(context.Background(), text)
+				if err != nil || len(res.Rows) == 0 {
+					b.Fatalf("%d rows, %v", len(res.Rows), err)
+				}
+				rows = len(res.Rows)
+			}
+			b.ReportMetric(float64(rows), "rows")
 		})
 	}
 }

@@ -522,15 +522,6 @@ func (p *replicasPrepared) StreamBorrowed(ctx context.Context, args ...sparql.Ar
 	})
 }
 
-// StreamKeyed implements endpoint.KeyedStreamer by delegation, so the
-// federation's behind-the-wire ORDER BY key evaluation survives the
-// replica layer.
-func (p *replicasPrepared) StreamKeyed(ctx context.Context, orderText string, args ...sparql.Arg) (endpoint.Rows, error) {
-	return p.stream(ctx, func(ctx context.Context, pq endpoint.PreparedQuery) (endpoint.Rows, error) {
-		return endpoint.StreamKeyed(ctx, pq, orderText, args...)
-	})
-}
-
 func (p *replicasPrepared) stream(ctx context.Context, open func(ctx context.Context, pq endpoint.PreparedQuery) (endpoint.Rows, error)) (endpoint.Rows, error) {
 	rows, cancel, err := hedge(ctx, p.r, 1, func(ctx context.Context, ep endpoint.Endpoint) (endpoint.Rows, error) {
 		return open(ctx, p.handleFor(ep))
@@ -567,7 +558,6 @@ var (
 	_ endpoint.Endpoint       = (*Replicas)(nil)
 	_ endpoint.PreparedQuery  = (*replicasPrepared)(nil)
 	_ endpoint.StreamBorrower = (*replicasPrepared)(nil)
-	_ endpoint.KeyedStreamer  = (*replicasPrepared)(nil)
 	_ endpoint.BatchSelector  = (*replicasPrepared)(nil)
 	_ endpoint.BatchStreamer  = replicasBatched{}
 )

@@ -59,29 +59,33 @@ func testWorld(t *testing.T, seed int64) (*synth.World, *endpoint.Local, string,
 	t.Helper()
 	w := synth.Generate(synth.TinySpec())
 	w.Yago.Freeze()
-	local := endpoint.NewLocal(w.Yago, seed)
+	rel, rel2 := entityRelations(t, w.Yago)
+	return w, endpoint.NewLocal(w.Yago, seed), rel, rel2
+}
+
+// entityRelations names the first two relations of k that hold at least
+// three facts and whose first objects are entities.
+func entityRelations(tb testing.TB, k *kb.KB) (string, string) {
+	tb.Helper()
 	var rels []string
-	for _, p := range w.Yago.Relations() {
-		iri := w.Yago.Term(p).Value
+	for _, p := range k.Relations() {
 		n, entity := 0, true
-		w.Yago.EachFactOf(p, func(s, o kb.TermID) bool {
+		k.EachFactOf(p, func(s, o kb.TermID) bool {
 			n++
-			if w.Yago.Term(o).IsLiteral() {
+			if k.Term(o).IsLiteral() {
 				entity = false
 			}
 			return n < 5 && entity
 		})
 		if n >= 3 && entity {
-			rels = append(rels, iri)
+			rels = append(rels, k.Term(p).Value)
 		}
 		if len(rels) == 2 {
-			break
+			return rels[0], rels[1]
 		}
 	}
-	if len(rels) < 2 {
-		t.Fatalf("world has fewer than two entity relations")
-	}
-	return w, local, rels[0], rels[1]
+	tb.Fatalf("world has fewer than two entity relations")
+	return "", ""
 }
 
 // testCluster is an in-process HTTP cluster: n shards × m replicas,
@@ -189,7 +193,7 @@ func runOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel,
 // runBatchOracle diffs grouped execution: the routed object and
 // predicate probes of twelve facts of rel (and a subject that has none),
 // and groups that fan every execution out — sample probes, an unordered
-// merge, an ordered one whose key the shards attach — each as one
+// merge, an ordered one on a deterministic key — each as one
 // SelectBatch and as one StreamBatch, against the unsharded reference
 // probe by probe.
 func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel string) {

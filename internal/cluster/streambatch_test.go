@@ -53,6 +53,9 @@ func TestStreamBatchContract(t *testing.T) {
 			argSets    [][]sparql.Arg
 		}{
 			{"overlap", groupOverlap, []string{"a", "b", "n"}, overlapGroup(16)},
+			{"ordered", "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY ?y LIMIT $n", []string{"r", "n"}, [][]sparql.Arg{
+				{sparql.IRIArg("http://x/a"), sparql.IntArg(6)}, {sparql.IRIArg("http://x/b"), sparql.IntArg(200)},
+				{sparql.IRIArg("http://x/none"), sparql.IntArg(3)}}},
 			{"objects", "SELECT ?y WHERE { $x $r ?y }", []string{"x", "r"}, [][]sparql.Arg{
 				{sparql.IRIArg("http://x/s001"), sparql.IRIArg("http://x/a")}, {sparql.IRIArg("http://x/none"), sparql.IRIArg("http://x/a")},
 				{sparql.IRIArg("http://x/s299"), sparql.IRIArg("http://x/b")}}},

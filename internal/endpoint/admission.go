@@ -75,10 +75,13 @@ func (s AdmissionStats) Shed() uint64 { return s.ShedQueueFull + s.ShedTimeout }
 // concurrent use, delegates Stats to the inner endpoint (sheds never
 // reach it, so its Denied counter reflects quota rejections only;
 // AdmissionStats counts sheds), and with unlimited Limits it is
-// byte-transparent. Admission should sit outermost when stacked over
-// Caching/Coalescing, so cache hits and coalesced followers are not
-// charged a slot... or innermost, so they are; outermost-by-default is
-// what cmd/sparqld does, wrapping the whole serving stack.
+// byte-transparent. cmd/sparqld puts it outermost, around whatever it
+// serves — a Local, a shard group, a cluster front-end: a slot is then
+// one HTTP request's query, -max-inflight bounds what the process has in
+// hand, and a federated query holds one slot, not one per shard it fans
+// out to. Outermost over Caching or Coalescing, a cache hit and a
+// coalesced follower hold a slot too; below them, only calls that reach
+// the inner endpoint do.
 type Admission struct {
 	innerStats
 	lim Limits
@@ -243,12 +246,6 @@ func (p *admissionPrepared) StreamBorrowed(ctx context.Context, args ...sparql.A
 	return p.stream(ctx, func() (Rows, error) { return StreamBorrowed(ctx, p.inner, args...) })
 }
 
-// StreamKeyed implements KeyedStreamer by delegation, so attached
-// ORDER BY keys survive an admission layer below a federation merge.
-func (p *admissionPrepared) StreamKeyed(ctx context.Context, orderText string, args ...sparql.Arg) (Rows, error) {
-	return p.stream(ctx, func() (Rows, error) { return StreamKeyed(ctx, p.inner, orderText, args...) })
-}
-
 func (p *admissionPrepared) stream(ctx context.Context, open func() (Rows, error)) (Rows, error) {
 	release, err := p.a.acquire(ctx)
 	if err != nil {
@@ -267,5 +264,4 @@ var (
 	_ StatsReporter  = (*Admission)(nil)
 	_ PreparedQuery  = (*admissionPrepared)(nil)
 	_ StreamBorrower = (*admissionPrepared)(nil)
-	_ KeyedStreamer  = (*admissionPrepared)(nil)
 )

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"unicode/utf8"
 
 	"sofya/internal/rdf"
-	"sofya/internal/sparql"
 )
 
 // codec.go is the JSON this package puts on the wire and takes off it —
@@ -107,78 +105,10 @@ func appendTerm(dst []byte, t rdf.Term) []byte {
 	return append(dst, '}')
 }
 
-// errKeyNotFinite ends a stream whose ORDER BY key evaluated to NaN or
-// an infinity, which JSON cannot carry.
-var errKeyNotFinite = errors.New("endpoint: ORDER BY key value is not a finite number")
-
-// appendKeyValue appends one ORDER BY key value of a stream frame:
-// {"k":kind} plus the field that kind selects — "b" | "n" | "s" | "t" |
-// "e" for a boolean, a number, a string, a term, an evaluation error. A
-// false, zero or empty payload is left out, as the decoder's default.
-func appendKeyValue(dst []byte, v sparql.Value) ([]byte, error) {
-	if b, ok := v.AsBool(); ok {
-		if b {
-			return append(dst, `{"k":"b","b":true}`...), nil
-		}
-		return append(dst, `{"k":"b"}`...), nil
-	}
-	if n, ok := v.AsNum(); ok {
-		if math.IsNaN(n) || math.IsInf(n, 0) {
-			return dst, errKeyNotFinite
-		}
-		if n == 0 {
-			return append(dst, `{"k":"n"}`...), nil
-		}
-		dst = append(dst, `{"k":"n","n":`...)
-		return append(appendJSONFloat(dst, n), '}'), nil
-	}
-	if s, ok := v.AsStr(); ok {
-		if s == "" {
-			return append(dst, `{"k":"s"}`...), nil
-		}
-		dst = append(dst, `{"k":"s","s":`...)
-		return append(appendJSONString(dst, s), '}'), nil
-	}
-	if t, ok := v.AsTerm(); ok {
-		dst = append(dst, `{"k":"t","t":`...)
-		return append(appendTerm(dst, t), '}'), nil
-	}
-	return append(dst, `{"k":"e"}`...), nil
-}
-
-// appendJSONFloat appends a finite float64 in encoding/json's format:
-// shortest round-trip digits, exponent form outside [1e-6, 1e21).
-func appendJSONFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
 // appendHeadFrame appends a stream's head frame line.
-func appendHeadFrame(dst []byte, vars []string, keyIdx []int) []byte {
+func appendHeadFrame(dst []byte, vars []string) []byte {
 	dst = append(dst, `{"head":{"vars":`...)
-	dst = appendVars(dst, vars)
-	if len(keyIdx) > 0 {
-		dst = append(dst, `,"keys":[`...)
-		for i, k := range keyIdx {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(k), 10)
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, "}}\n"...)
+	return append(appendVars(dst, vars), "}}\n"...)
 }
 
 func appendVars(dst []byte, vars []string) []byte {
@@ -387,31 +317,6 @@ func (d *jsonDec) number() ([]byte, error) {
 	text := data[d.pos:i]
 	d.pos = i
 	return text, nil
-}
-
-func (d *jsonDec) float() (float64, error) {
-	text, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	f, err := strconv.ParseFloat(string(text), 64)
-	if err != nil {
-		return 0, d.errf("number %s out of range", text)
-	}
-	return f, nil
-}
-
-// index reads a non-negative integer.
-func (d *jsonDec) index() (int, error) {
-	text, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(string(text))
-	if err != nil || n < 0 {
-		return 0, d.errf("%s is not a non-negative integer", text)
-	}
-	return n, nil
 }
 
 // str consumes a string and returns its value: a slice of the input
@@ -683,102 +588,6 @@ func (d *jsonDec) errRepeated(field string) error {
 	return d.errf("member %q repeated", field)
 }
 
-// keyValue reads one ORDER BY key value (see appendKeyValue).
-func (d *jsonDec) keyValue() (sparql.Value, error) {
-	var (
-		kind  string
-		b     bool
-		n     float64
-		s     string
-		t     rawTerm
-		hasT  bool // a term was given; seenT: or a null in its place
-		seenT bool
-	)
-	if err := d.open('{'); err != nil {
-		return sparql.Value{}, err
-	}
-	for first := true; ; first = false {
-		name, ok, err := d.member(first)
-		if err != nil {
-			return sparql.Value{}, err
-		}
-		if !ok {
-			break
-		}
-		switch {
-		case is(name, "t"):
-			if seenT {
-				return sparql.Value{}, d.errRepeated("t")
-			}
-			if seenT = true; !d.null() {
-				hasT = true
-				t, err = d.rawTerm()
-			}
-		case d.null():
-			// a null scalar is no member at all
-		case is(name, "k"):
-			var k []byte
-			if k, err = d.str(); err == nil {
-				kind = string(k)
-			}
-		case is(name, "b"):
-			b, err = d.boolean()
-		case is(name, "n"):
-			n, err = d.float()
-		case is(name, "s"):
-			var sb []byte
-			if sb, err = d.str(); err == nil {
-				s = string(sb)
-			}
-		default:
-			err = d.skip(0)
-		}
-		if err != nil {
-			return sparql.Value{}, err
-		}
-	}
-	switch kind {
-	case "b":
-		return sparql.BoolValue(b), nil
-	case "n":
-		return sparql.NumValue(n), nil
-	case "s":
-		return sparql.StrValue(s), nil
-	case "t":
-		if !hasT {
-			return sparql.Value{}, errors.New("endpoint: term key value without a term")
-		}
-		term, err := t.term()
-		if err != nil {
-			return sparql.Value{}, err
-		}
-		return sparql.TermValue(term), nil
-	case "e":
-		return sparql.ErrValue(), nil
-	default:
-		return sparql.Value{}, fmt.Errorf("endpoint: unknown key value kind %q", kind)
-	}
-}
-
-// indexList reads an array of non-negative integers.
-func (d *jsonDec) indexList() ([]int, error) {
-	if err := d.open('['); err != nil {
-		return nil, err
-	}
-	var out []int
-	for first := true; ; first = false {
-		ok, err := d.element(first)
-		if err != nil || !ok {
-			return out, err
-		}
-		k, err := d.index()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-}
-
 // stringList reads an array of strings.
 func (d *jsonDec) stringList() ([]string, error) {
 	if err := d.open('['); err != nil {
@@ -811,28 +620,24 @@ const (
 // frame is one decoded stream frame (see wire.go for the format).
 type frame struct {
 	kind frameKind
-	// head: the projected variables and the attached ORDER BY key indices
+	// head: the projected variables
 	vars []string
-	keys []int
-	// rows: n rows, row-major in terms; their key values likewise in
-	// keyvals, nil when the frame carries none
-	terms   []rdf.Term
-	keyvals []sparql.Value
-	n       int
+	// rows: n rows, row-major in terms
+	terms []rdf.Term
+	n     int
 	// end
 	truncated bool
 	// error: ErrQuotaExceeded, or the remote error's text
 	err error
 }
 
-// frame decodes one frame line into f. width and nkeys are the number of
-// variables and attached keys the stream's head declared, width -1 while
-// the head is still to come: a rows frame must fit them.
-func (d *jsonDec) frame(line []byte, f *frame, width, nkeys int) error {
+// frame decodes one frame line into f. width is the number of variables
+// the stream's head declared, -1 while the head is still to come: a rows
+// frame must fit it.
+func (d *jsonDec) frame(line []byte, f *frame, width int) error {
 	const (
 		mHead = 1 << iota
 		mRows
-		mKeyvals
 		mEnd
 		mError
 		mQuota
@@ -844,7 +649,6 @@ func (d *jsonDec) frame(line []byte, f *frame, width, nkeys int) error {
 		has   uint
 		msg   string
 		quota bool
-		nkv   int
 	)
 	if err := d.open('{'); err != nil {
 		return err
@@ -863,8 +667,6 @@ func (d *jsonDec) frame(line []byte, f *frame, width, nkeys int) error {
 			m = mHead
 		case is(name, "rows"):
 			m = mRows
-		case is(name, "keyvals"):
-			m = mKeyvals
 		case is(name, "end"):
 			m = mEnd
 		case is(name, "error"):
@@ -887,15 +689,11 @@ func (d *jsonDec) frame(line []byte, f *frame, width, nkeys int) error {
 		switch m {
 		case mHead:
 			err = d.frameHead(f)
-		case mRows, mKeyvals:
+		case mRows:
 			if width < 0 {
 				return d.errf("rows before the head frame")
 			}
-			if m == mRows {
-				f.terms, f.n, err = matrix(d, width, d.term)
-			} else {
-				f.keyvals, nkv, err = matrix(d, nkeys, d.keyValue)
-			}
+			f.terms, f.n, err = d.rows(width)
 		case mEnd:
 			err = d.frameEnd(f)
 		case mError:
@@ -914,7 +712,7 @@ func (d *jsonDec) frame(line []byte, f *frame, width, nkeys int) error {
 		return err
 	}
 	kinds := 0
-	if has&(mRows|mKeyvals) != 0 {
+	if has&mRows != 0 {
 		kinds++
 	}
 	if has&mHead != 0 {
@@ -932,11 +730,8 @@ func (d *jsonDec) frame(line []byte, f *frame, width, nkeys int) error {
 			f.err = fmt.Errorf("endpoint: remote stream: %s", msg)
 		}
 	}
-	switch {
-	case kinds > 1:
+	if kinds > 1 {
 		return d.errf("frame is of more than one kind")
-	case nkv != 0 && nkv != f.n:
-		return d.errf("%d rows of key values for %d rows", nkv, f.n)
 	}
 	return nil
 }
@@ -950,18 +745,11 @@ func (d *jsonDec) frameHead(f *frame) error {
 		if err != nil || !ok {
 			return err
 		}
-		// Given twice, a list replaces the one before; null is no list.
-		switch {
-		case is(name, "vars"):
-			if f.vars = nil; !d.null() {
-				f.vars, err = d.stringList()
-			}
-		case is(name, "keys"):
-			if f.keys = nil; !d.null() {
-				f.keys, err = d.indexList()
-			}
-		default:
+		// Given twice, the list replaces the one before; null is no list.
+		if !is(name, "vars") {
 			err = d.skip(0)
+		} else if f.vars = nil; !d.null() {
+			f.vars, err = d.stringList()
 		}
 		if err != nil {
 			return err
@@ -992,18 +780,17 @@ func (d *jsonDec) frameEnd(f *frame) error {
 	}
 }
 
-// matrix reads an array of rows of width elements each, every element
-// read by elem, into one new backing slice, row-major, made once for the
-// rows the array seems to hold: the encoder writes "],[" between two, so
-// one more than are left in the frame at most. That is believed up to a
-// full frame and to the elements the bytes could hold, 8 at the least
-// each; past it the slice grows.
-func matrix[T any](d *jsonDec, width int, elem func() (T, error)) (all []T, n int, err error) {
+// rows reads an array of rows of width terms each into one new backing
+// slice, row-major, made once for the rows the array seems to hold: the
+// encoder writes "],[" between two, so one more than are left in the
+// frame at most. That is believed up to a full frame and to the terms the
+// bytes could hold, 8 at the least each; past it the slice grows.
+func (d *jsonDec) rows(width int) (all []rdf.Term, n int, err error) {
 	if err := d.open('['); err != nil {
 		return nil, 0, err
 	}
 	rest := d.data[d.pos:]
-	buf := make([]T, 0, min(width*min(WireBatch, 1+bytes.Count(rest, []byte("],["))), len(rest)/8))
+	buf := make([]rdf.Term, 0, min(width*min(WireBatch, 1+bytes.Count(rest, []byte("],["))), len(rest)/8))
 	for first := true; ; first = false {
 		ok, err := d.element(first)
 		if err != nil {
@@ -1024,7 +811,7 @@ func matrix[T any](d *jsonDec, width int, elem func() (T, error)) (all []T, n in
 			if !ok {
 				break
 			}
-			e, err := elem()
+			e, err := d.term()
 			if err != nil {
 				return nil, 0, err
 			}

@@ -124,7 +124,6 @@ func refUnmarshalResults(data []byte) (*sparql.Result, error) {
 
 type wireHead struct {
 	Vars []string `json:"vars"`
-	Keys []int    `json:"keys,omitempty"`
 }
 
 type wireEnd struct {
@@ -132,72 +131,18 @@ type wireEnd struct {
 }
 
 type wireFrame struct {
-	Head    *wireHead     `json:"head,omitempty"`
-	Rows    [][]jsonTerm  `json:"rows,omitempty"`
-	KeyVals [][]wireValue `json:"keyvals,omitempty"`
-	End     *wireEnd      `json:"end,omitempty"`
-	Error   string        `json:"error,omitempty"`
-	Quota   bool          `json:"quota,omitempty"`
-}
-
-// wireValue is the JSON rendering of a sparql.Value ORDER BY key:
-// exactly one of the kind fields is meaningful, selected by K.
-type wireValue struct {
-	K string    `json:"k"` // "b" | "n" | "s" | "t" | "e"
-	B bool      `json:"b,omitempty"`
-	N float64   `json:"n,omitempty"`
-	S string    `json:"s,omitempty"`
-	T *jsonTerm `json:"t,omitempty"`
-}
-
-func valueToWire(v sparql.Value) wireValue {
-	if b, ok := v.AsBool(); ok {
-		return wireValue{K: "b", B: b}
-	}
-	if n, ok := v.AsNum(); ok {
-		return wireValue{K: "n", N: n}
-	}
-	if s, ok := v.AsStr(); ok {
-		return wireValue{K: "s", S: s}
-	}
-	if t, ok := v.AsTerm(); ok {
-		jt := termToJSON(t)
-		return wireValue{K: "t", T: &jt}
-	}
-	return wireValue{K: "e"}
-}
-
-func valueFromWire(w wireValue) (sparql.Value, error) {
-	switch w.K {
-	case "b":
-		return sparql.BoolValue(w.B), nil
-	case "n":
-		return sparql.NumValue(w.N), nil
-	case "s":
-		return sparql.StrValue(w.S), nil
-	case "t":
-		if w.T == nil {
-			return sparql.Value{}, errors.New("endpoint: term key value without a term")
-		}
-		t, err := termFromJSON(*w.T)
-		if err != nil {
-			return sparql.Value{}, err
-		}
-		return sparql.TermValue(t), nil
-	case "e":
-		return sparql.ErrValue(), nil
-	default:
-		return sparql.Value{}, fmt.Errorf("endpoint: unknown key value kind %q", w.K)
-	}
+	Head  *wireHead    `json:"head,omitempty"`
+	Rows  [][]jsonTerm `json:"rows,omitempty"`
+	End   *wireEnd     `json:"end,omitempty"`
+	Error string       `json:"error,omitempty"`
+	Quota bool         `json:"quota,omitempty"`
 }
 
 // stream is a whole row stream in memory — what a client is left with
 // once it has drained one — for comparing codecs.
 type stream struct {
 	vars      []string
-	keyIdx    []int
 	rows      [][]rdf.Term
-	keys      [][]sparql.Value // nil, or one key list per row (nil for a row that came without)
 	truncated bool
 	err       error // the terminal error frame's, nil after an end frame
 }
@@ -207,7 +152,7 @@ type stream struct {
 func refEncodeStream(s *stream) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(&wireFrame{Head: &wireHead{Vars: s.vars, Keys: s.keyIdx}}); err != nil {
+	if err := enc.Encode(&wireFrame{Head: &wireHead{Vars: s.vars}}); err != nil {
 		return nil, err
 	}
 	for at := 0; at < len(s.rows); at += WireBatch {
@@ -218,13 +163,6 @@ func refEncodeStream(s *stream) ([]byte, error) {
 				jr[j] = termToJSON(t)
 			}
 			f.Rows = append(f.Rows, jr)
-			if s.keys != nil {
-				kv := make([]wireValue, len(s.keys[i]))
-				for j, v := range s.keys[i] {
-					kv[j] = valueToWire(v)
-				}
-				f.KeyVals = append(f.KeyVals, kv)
-			}
 		}
 		if err := enc.Encode(&f); err != nil {
 			return nil, err
@@ -255,7 +193,7 @@ func refDecodeStream(data []byte) (*stream, error) {
 	if f.Head == nil {
 		return nil, errors.New("endpoint: stream did not start with a head frame")
 	}
-	s := &stream{vars: f.Head.Vars, keyIdx: f.Head.Keys}
+	s := &stream{vars: f.Head.Vars}
 	for {
 		var f wireFrame
 		if err := dec.Decode(&f); err != nil {
@@ -272,10 +210,7 @@ func refDecodeStream(data []byte) (*stream, error) {
 			s.truncated = f.End.Truncated
 			return s, nil
 		}
-		if len(f.KeyVals) > 0 && len(f.KeyVals) != len(f.Rows) {
-			return nil, errors.New("endpoint: key values do not pair with rows")
-		}
-		for i, jr := range f.Rows {
+		for _, jr := range f.Rows {
 			row := make([]rdf.Term, len(jr))
 			for j, jt := range jr {
 				t, err := termFromJSON(jt)
@@ -285,18 +220,6 @@ func refDecodeStream(data []byte) (*stream, error) {
 				row[j] = t
 			}
 			s.rows = append(s.rows, row)
-			var vals []sparql.Value
-			if len(f.KeyVals) > 0 {
-				vals = make([]sparql.Value, len(f.KeyVals[i]))
-				for j, kv := range f.KeyVals[i] {
-					v, err := valueFromWire(kv)
-					if err != nil {
-						return nil, err
-					}
-					vals[j] = v
-				}
-			}
-			s.keys = append(s.keys, vals)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -44,37 +43,16 @@ var hostileTerms = []rdf.Term{
 	{Kind: rdf.Kind(7), Value: "no such kind"},
 }
 
-// hostileValues are the five kinds of ORDER BY key value, each with the
-// payloads its encoding leaves out or escapes.
-func hostileValues() []sparql.Value {
-	vals := []sparql.Value{
-		sparql.BoolValue(true), sparql.BoolValue(false),
-		sparql.StrValue(""), sparql.StrValue("a\"b\\c\n< >"), sparql.StrValue("\xff"),
-		sparql.ErrValue(),
-	}
-	for _, n := range []float64{0, math.Copysign(0, -1), 3.25, -1, 1e21, 1e-7, 123456789.125, 1e20, 1e-6,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1 + 0.2} {
-		vals = append(vals, sparql.NumValue(n))
-	}
-	for _, t := range hostileTerms {
-		vals = append(vals, sparql.TermValue(t))
-	}
-	return vals
-}
-
-// hostileStream is a two-column, three-key stream over all of the above.
+// hostileStream is a two-column stream over all of the above.
 func hostileStream() *stream {
-	s := &stream{vars: []string{"x", "y\"<"}, keyIdx: []int{0, 2, 5}}
-	vals := hostileValues()
+	s := &stream{vars: []string{"x", "y\"<"}}
 	for i, t := range hostileTerms {
 		s.rows = append(s.rows, []rdf.Term{t, hostileTerms[len(hostileTerms)-1-i]})
-		s.keys = append(s.keys, []sparql.Value{vals[i%len(vals)], vals[(2*i+1)%len(vals)], vals[len(vals)-1-i]})
 	}
 	return s
 }
 
-// streamRows replays a stream as the Rows writeStream drains; keyEvals
-// hands back the stream's own key values for the row being written.
+// streamRows replays a stream as the Rows writeStream drains.
 type streamRows struct {
 	s *stream
 	i int
@@ -87,23 +65,11 @@ func (r *streamRows) Err() error      { return r.s.err }
 func (r *streamRows) Truncated() bool { return r.s.truncated }
 func (r *streamRows) Close()          {}
 
-func (r *streamRows) keyEvals() []func([]rdf.Term) sparql.Value {
-	if r.s.keys == nil {
-		return nil
-	}
-	evals := make([]func([]rdf.Term) sparql.Value, len(r.s.keyIdx))
-	for j := range evals {
-		evals[j] = func([]rdf.Term) sparql.Value { return r.s.keys[r.i-1][j] }
-	}
-	return evals
-}
-
 // encodeStream is writeStream's output for s: the body, and the recorder
 // it went to.
 func encodeStream(s *stream) ([]byte, *httptest.ResponseRecorder) {
 	rec := httptest.NewRecorder()
-	rows := &streamRows{s: s}
-	writeStream(rec, rows, s.keyIdx, rows.keyEvals())
+	writeStream(rec, &streamRows{s: s})
 	return rec.Body.Bytes(), rec
 }
 
@@ -116,10 +82,9 @@ func decodeStream(data []byte) (*stream, error) {
 		return nil, err
 	}
 	defer rows.Close()
-	s := &stream{vars: rows.Vars(), keyIdx: rows.AttachedKeys()}
+	s := &stream{vars: rows.Vars()}
 	for rows.Next() {
 		s.rows = append(s.rows, rows.Row())
-		s.keys = append(s.keys, rows.RowKeys())
 	}
 	if err := rows.Err(); err != nil {
 		if !errors.Is(err, ErrQuotaExceeded) && !strings.HasPrefix(err.Error(), "endpoint: remote stream: ") {
@@ -135,14 +100,11 @@ func sameError(a, b error) bool {
 	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
-// sameStream compares what two decoders made of one stream. A row
-// without key values equals a row with none of them.
+// sameStream compares what two decoders made of one stream.
 func sameStream(a, b *stream) error {
 	switch {
 	case fmt.Sprint(a.vars) != fmt.Sprint(b.vars) || len(a.vars) != len(b.vars):
 		return fmt.Errorf("vars %q vs %q", a.vars, b.vars)
-	case fmt.Sprint(a.keyIdx) != fmt.Sprint(b.keyIdx):
-		return fmt.Errorf("keys %v vs %v", a.keyIdx, b.keyIdx)
 	case a.truncated != b.truncated:
 		return fmt.Errorf("truncated %v vs %v", a.truncated, b.truncated)
 	case !sameError(a.err, b.err):
@@ -159,21 +121,6 @@ func sameStream(a, b *stream) error {
 				return fmt.Errorf("row %d: %v vs %v", i, a.rows[i], b.rows[i])
 			}
 		}
-		var ka, kb []sparql.Value
-		if a.keys != nil {
-			ka = a.keys[i]
-		}
-		if b.keys != nil {
-			kb = b.keys[i]
-		}
-		if len(ka) != len(kb) {
-			return fmt.Errorf("row %d keys: %v vs %v", i, ka, kb)
-		}
-		for j := range ka {
-			if ka[j] != kb[j] {
-				return fmt.Errorf("row %d key %d: %v vs %v", i, j, ka[j], kb[j])
-			}
-		}
 	}
 	return nil
 }
@@ -188,9 +135,8 @@ func sameResult(a, b *sparql.Result) error {
 	return sameStream(&stream{rows: a.Rows}, &stream{rows: b.Rows})
 }
 
-// TestCodecStreamInterop: over hostile terms and all five key value
-// kinds, in answers of less than a frame and of several, the codec
-// writes the reference's bytes, and each side reads the other's frames
+// TestCodecStreamInterop: over hostile terms, in answers of less than a
+// frame and of several, the codec writes the reference's bytes, and each side reads the other's frames
 // to the same stream.
 func TestCodecStreamInterop(t *testing.T) {
 	streams := map[string]*stream{
@@ -205,7 +151,6 @@ func TestCodecStreamInterop(t *testing.T) {
 	long := hostileStream()
 	for i := 0; len(long.rows) < 2*WireBatch+WireBatch/3; i++ {
 		long.rows = append(long.rows, long.rows[i])
-		long.keys = append(long.keys, long.keys[i])
 	}
 	streams["long"] = long
 	for name, s := range streams {
@@ -242,25 +187,6 @@ func TestCodecStreamInterop(t *testing.T) {
 		if len(hand.rows) != len(s.rows) {
 			t.Fatalf("%s: %d rows arrived of %d", name, len(hand.rows), len(s.rows))
 		}
-	}
-}
-
-// TestCodecStreamKeyNotFinite: a key value JSON cannot carry ends the
-// stream in an error frame, after the batches already complete.
-func TestCodecStreamKeyNotFinite(t *testing.T) {
-	s := &stream{vars: []string{"x"}, keyIdx: []int{0}}
-	for i := 0; i < WireBatch+5; i++ {
-		s.rows = append(s.rows, []rdf.Term{rdf.NewBlank(fmt.Sprint(i))})
-		s.keys = append(s.keys, []sparql.Value{sparql.NumValue(float64(i))})
-	}
-	s.keys[WireBatch+3][0] = sparql.NumValue(math.Inf(1))
-	body, _ := encodeStream(s)
-	got, err := decodeStream(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.rows) != WireBatch || got.err == nil || !strings.Contains(got.err.Error(), "not a finite number") {
-		t.Fatalf("%d rows, error %v; want the first full batch and the key error", len(got.rows), got.err)
 	}
 }
 
@@ -367,7 +293,6 @@ func TestCodecRejects(t *testing.T) {
 		"null row":              head + `{"rows":[null]}` + "\n" + end,
 		"unknown term type":     head + `{"rows":[[{"type":"iri","value":"a"}]]}` + "\n" + end,
 		"term not an object":    head + `{"rows":[["a"]]}` + "\n" + end,
-		"keys without rows":     head + `{"keyvals":[[]]}` + "\n" + end,
 		"two kinds":             head + `{"rows":[[{"type":"uri","value":"a"}]],"end":{}}` + "\n",
 		"member twice":          head + `{"end":{},"end":{}}` + "\n",
 		"rows in the head":      `{"head":{"vars":["x"]},"rows":[]}` + "\n" + end,
@@ -381,29 +306,11 @@ func TestCodecRejects(t *testing.T) {
 		"bad escape":            head + `{"error":"\x41"}` + "\n",
 		"short \\u":             head + `{"error":"\u00e"}` + "\n",
 		"number 01":             `{"head":{"vars":["x"],"keys":[01]}}` + "\n" + end,
-		"negative key index":    `{"head":{"vars":["x"],"keys":[-1]}}` + "\n" + end,
-		"fractional key index":  `{"head":{"vars":["x"],"keys":[1.0]}}` + "\n" + end,
 		"deep unknown member":   head + `{"x":` + strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2) + `}` + "\n" + end,
 	}
 	for name, in := range streams {
 		if s, err := decodeStream([]byte(in)); err == nil {
 			t.Errorf("stream %q was accepted: %+v", name, s)
-		}
-	}
-	keyed := `{"head":{"vars":["x"],"keys":[0]}}` + "\n"
-	for name, kv := range map[string]string{
-		"unknown kind":      `[[{"k":"?"}]]`,
-		"no kind":           `[[{"n":1}]]`,
-		"term without term": `[[{"k":"t"}]]`,
-		"term twice":        `[[{"k":"t","t":{"type":"uri","value":"a"},"t":{"type":"uri","value":"b"}}]]`,
-		"number too large":  `[[{"k":"n","n":1e999}]]`,
-		"too few":           `[[]]`,
-		"too many":          `[[{"k":"e"},{"k":"e"}]]`,
-		"more than rows":    `[[{"k":"e"}],[{"k":"e"}]]`,
-	} {
-		in := keyed + `{"rows":[[{"type":"uri","value":"a"}]],"keyvals":` + kv + "}\n" + end
-		if s, err := decodeStream([]byte(in)); err == nil {
-			t.Errorf("key values %q were accepted: %+v", name, s)
 		}
 	}
 	for name, doc := range map[string]string{
@@ -429,8 +336,9 @@ func TestCodecRejects(t *testing.T) {
 
 // trickyStreams and trickyDocs are inputs on which a decoder written by
 // hand most easily parts ways with encoding/json: names matched under
-// case folding (K, the Kelvin sign, folds to k), members given twice or
-// as null, empty and mixed frames, numbers at the edges of the grammar.
+// case folding, members given twice or as null, empty and mixed frames,
+// numbers at the edges of the grammar, and the "keys" and "keyvals"
+// members builds before PR 23 wrote, which neither side reads any more.
 // Whether the codec accepts one or not, it must not read it differently.
 var trickyStreams = []string{
 	`{"head":{"vars":["x"],"keys":[0]}}` + "\n" +
@@ -491,8 +399,8 @@ func allocated(fn func()) uint64 {
 }
 
 // allocBound is what a decoder may allocate for an input of n bytes: a
-// term is twice as large in memory as its shortest JSON, a key value
-// nine times, and slices double as they grow.
+// term is twice as large in memory as its shortest JSON, and slices
+// double as they grow.
 func allocBound(n int) uint64 { return 40*uint64(n) + 64<<10 }
 
 // FuzzWireFrames: arbitrary bytes never panic the frame reader nor make
@@ -504,9 +412,10 @@ func FuzzWireFrames(f *testing.F) {
 	// input it keeps, one byte at a time.
 	small := hostileStream()
 	for at := 0; at+3 <= len(small.rows); at += 8 {
-		body, _ := encodeStream(&stream{vars: small.vars, keyIdx: small.keyIdx, rows: small.rows[at : at+3], keys: small.keys[at : at+3]})
+		body, _ := encodeStream(&stream{vars: small.vars, rows: small.rows[at : at+3]})
 		f.Add(body)
 	}
+	f.Add([]byte(keyedStreamFixture.answer))
 	f.Add([]byte(`{"head":{"vars":["x"],"keys":[0]}}` + "\n" +
 		`{"keyvals":[[{"k":"n","n":-0.5e+1}]],"rows":[[{"value":"\ud83d\ude00\u00e9","type":"bnode","x":[{}]}]],"y":null}` + "\n" +
 		`{"error":"boom","quota":true}` + "\n \r\n"))
@@ -545,16 +454,6 @@ func agreeOnStream(t *testing.T, data []byte) {
 			// encode the remote error's text, not the text wrapped again
 			hand.err = errors.New(strings.TrimPrefix(hand.err.Error(), "endpoint: remote stream: "))
 			ref.err = fmt.Errorf("endpoint: remote stream: %s", hand.err)
-		}
-		// The stream's keys can be written out again if every row has
-		// one value for each key of the head.
-		for _, k := range hand.keys {
-			if len(k) != len(hand.keyIdx) {
-				return
-			}
-		}
-		if len(hand.keyIdx) == 0 {
-			hand.keys = nil
 		}
 		want, err := refEncodeStream(hand)
 		if err != nil {
@@ -635,14 +534,14 @@ func agreeOnResults(t *testing.T, data []byte) {
 	}
 }
 
-// frame64 is a full batch: 64 rows of two IRIs and a key each,
-// as one frame line, with the head it belongs under.
+// frame64 is a full batch: 64 rows of two IRIs each, as one frame line,
+// with the head it belongs under.
 func frame64() (s *stream, head, line []byte) {
-	s = &stream{vars: []string{"s", "o"}, keyIdx: []int{0}}
+	s = &stream{vars: []string{"s", "o"}}
 	for i := 0; i < WireBatch; i++ {
-		o := rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/Object_%04d", i))
-		s.rows = append(s.rows, []rdf.Term{rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/Subject_%04d", i)), o})
-		s.keys = append(s.keys, []sparql.Value{sparql.TermValue(o)})
+		s.rows = append(s.rows, []rdf.Term{
+			rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/Subject_%04d", i)),
+			rdf.NewIRI(fmt.Sprintf("http://dbpedia.org/resource/Object_%04d", i))})
 	}
 	body, _ := encodeStream(s)
 	lines := bytes.SplitAfter(body, []byte("\n"))
@@ -660,13 +559,12 @@ func (w discardWriter) WriteHeader(int)             {}
 func BenchmarkWireFrameEncode(b *testing.B) {
 	s, _, line := frame64()
 	rows := &streamRows{s: s}
-	evals := rows.keyEvals()
 	w := discardWriter{h: http.Header{}}
 	b.SetBytes(int64(len(line)))
 	b.ReportAllocs()
 	for b.Loop() {
 		rows.i = 0
-		writeStream(w, rows, s.keyIdx, evals)
+		writeStream(w, rows)
 	}
 }
 
@@ -677,7 +575,7 @@ func BenchmarkWireFrameDecode(b *testing.B) {
 	b.SetBytes(int64(len(line)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := d.frame(line, &f, 2, 1); err != nil {
+		if err := d.frame(line, &f, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -701,23 +599,22 @@ func allocCeiling(t *testing.T, limit float64, fn func()) {
 func TestAllocCeilingWireFrameEncode(t *testing.T) {
 	s, _, _ := frame64()
 	rows := &streamRows{s: s}
-	evals := rows.keyEvals()
 	w := discardWriter{h: http.Header{}}
 	allocCeiling(t, 2, func() {
 		rows.i = 0
-		writeStream(w, rows, s.keyIdx, evals)
+		writeStream(w, rows)
 	})
 }
 
-// Decoding one costs the strings it yields and the two backing slices:
-// 200 allocations measured for its 192 term values, where the reflected
-// decode cost 813.
+// Decoding one costs the strings it yields and their backing slice: 129
+// allocations measured for its 128 term values (200 while the frame also
+// carried a key value a row), where the reflected decode cost 813.
 func TestAllocCeilingWireFrameDecode(t *testing.T) {
 	_, _, line := frame64()
 	var d jsonDec
 	var f frame
-	allocCeiling(t, 400, func() {
-		if err := d.frame(line, &f, 2, 1); err != nil {
+	allocCeiling(t, 260, func() {
+		if err := d.frame(line, &f, 2); err != nil {
 			t.Fatal(err)
 		}
 	})

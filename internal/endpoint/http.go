@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
 
@@ -29,9 +28,8 @@ const ResultsContentType = "application/sparql-results+json"
 // A request carrying stream=1 selects the batch-framed streaming
 // response for SELECT queries (see wire.go): rows cross the wire in
 // flushed frames of up to WireBatch rows instead of one drained JSON
-// document, and an orderspec field makes the server attach deterministic
-// ORDER BY key values to every row. A request carrying multi=1 holds
-// several SELECT texts, answered in one response (see multi.go).
+// document. A request carrying multi=1 holds several SELECT texts,
+// answered in one response (see multi.go).
 type Server struct {
 	local Endpoint
 }
@@ -45,10 +43,9 @@ func NewServerEndpoint(ep Endpoint) *Server { return &Server{local: ep} }
 
 // wireReq is one parsed protocol request.
 type wireReq struct {
-	query     string
-	stream    bool
-	orderspec string   // original ordered query text for key attachment
-	multi     []string // every query text of a multi=1 request, query first
+	query  string
+	stream bool
+	multi  []string // every query text of a multi=1 request, query first
 }
 
 // ServeHTTP implements http.Handler. The query text is parsed once, by
@@ -105,16 +102,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // before the first frame still use plain HTTP status codes; after it,
 // they travel as terminal error frames.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *wireReq) {
-	var keyIdx []int
-	var keyEvals []func([]rdf.Term) sparql.Value
-	if req.orderspec != "" {
-		var err error
-		keyIdx, keyEvals, err = orderKeyEvals(req.orderspec)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
 	pq, err := s.local.Prepare(req.query)
 	if err != nil {
 		writeQueryError(w, err)
@@ -125,7 +112,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *wireRe
 		writeQueryError(w, err)
 		return
 	}
-	writeStream(w, rows, keyIdx, keyEvals)
+	writeStream(w, rows)
 }
 
 // OverloadedHeader marks a 429 as a load shed rather than a quota
@@ -200,16 +187,16 @@ func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
 		}
 		vals = r.PostForm
 	}
-	return newWireReq(vals["query"], vals.Get("stream"), vals.Get("orderspec"), vals.Get("multi"))
+	return newWireReq(vals["query"], vals.Get("stream"), vals.Get("multi"))
 }
 
 // newWireReq makes a request of a form's fields: its queries, and the
-// first stream, orderspec and multi.
-func newWireReq(queries []string, stream, orderspec, multi string) (*wireReq, error) {
+// first stream and multi.
+func newWireReq(queries []string, stream, multi string) (*wireReq, error) {
 	if len(queries) == 0 || queries[0] == "" {
 		return nil, errors.New("endpoint: missing query parameter")
 	}
-	req := &wireReq{query: queries[0], stream: stream == "1", orderspec: orderspec}
+	req := &wireReq{query: queries[0], stream: stream == "1"}
 	if multi == "1" {
 		req.multi = queries
 	}
@@ -221,8 +208,8 @@ func newWireReq(queries []string, stream, orderspec, multi string) (*wireReq, er
 // (FuzzFormDecode), but copies a key or a value only to unescape it.
 func decodeForm(body string) (*wireReq, error) {
 	queries := make([]string, 0, 1+strings.Count(body, "&query="))
-	var first [3]string // stream, orderspec, multi
-	var seen [3]bool
+	var first [2]string // stream, multi
+	var seen [2]bool
 	for body != "" {
 		var pair string
 		pair, body, _ = strings.Cut(body, "&")
@@ -241,16 +228,14 @@ func decodeForm(body string) (*wireReq, error) {
 			queries = append(queries, val)
 		case "stream":
 			i = 0
-		case "orderspec":
-			i = 1
 		case "multi":
-			i = 2
+			i = 1
 		}
 		if i >= 0 && !seen[i] {
 			seen[i], first[i] = true, val
 		}
 	}
-	return newWireReq(queries, first[0], first[1], first[2])
+	return newWireReq(queries, first[0], first[1])
 }
 
 // StatusError is a non-200 answer from a remote endpoint: the HTTP
@@ -381,13 +366,10 @@ func appendFormField(dst []byte, name, value string) []byte {
 	return dst
 }
 
-// post sends one protocol request: the query text, and for a streamed
-// one (stream=1) the orderspec, if any.
-func (c *Client) post(ctx context.Context, query string, stream bool, orderspec string) (*http.Response, error) {
-	form := make([]byte, 0, 64+len(query)+len(query)/2+2*len(orderspec))
-	if orderspec != "" {
-		form = appendFormField(form, "orderspec", orderspec)
-	}
+// post sends one protocol request: the query text, streamed (stream=1)
+// or not.
+func (c *Client) post(ctx context.Context, query string, stream bool) (*http.Response, error) {
+	form := make([]byte, 0, 64+len(query)+len(query)/2)
 	form = appendFormField(form, "query", query)
 	if stream {
 		form = appendFormField(form, "stream", "1")
@@ -444,7 +426,7 @@ func (c *Client) document(resp *http.Response) (*sparql.Result, error) {
 }
 
 func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, error) {
-	resp, err := c.post(ctx, query, false, "")
+	resp, err := c.post(ctx, query, false)
 	if err != nil {
 		return nil, err
 	}
@@ -452,8 +434,8 @@ func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, e
 }
 
 // openStream requests the batch-framed stream for a SELECT text.
-func (c *Client) openStream(ctx context.Context, query, orderspec string) (Rows, error) {
-	resp, err := c.post(ctx, query, true, orderspec)
+func (c *Client) openStream(ctx context.Context, query string) (Rows, error) {
+	resp, err := c.post(ctx, query, true)
 	if err != nil {
 		return nil, err
 	}
@@ -493,8 +475,8 @@ func (c *Client) AskCtx(ctx context.Context, query string) (bool, error) {
 // wire. A Local server on the far side derives RAND() streams from
 // that canonical text, so remote prepared results match in-process
 // prepared results byte for byte. Streamed executions use the
-// batch-framed wire protocol — rows cross the network once per frame,
-// not per row — and attach ORDER BY keys when asked (StreamKeyed).
+// batch-framed wire protocol: rows cross the network once per frame,
+// not per row.
 func (c *Client) Prepare(template string, params ...string) (PreparedQuery, error) {
 	t, err := sparql.ParseTemplate(template, params...)
 	if err != nil {
@@ -505,8 +487,8 @@ func (c *Client) Prepare(template string, params ...string) (PreparedQuery, erro
 
 // clientPrepared is the HTTP client's PreparedQuery: text interpolation
 // for whole-result calls (one request, one JSON document), the framed
-// wire stream for Stream/StreamKeyed, one multi=1 request for a group of
-// streams (StreamBatch, multi.go).
+// wire stream for Stream, one multi=1 request for a group of streams
+// (StreamBatch, multi.go).
 type clientPrepared struct {
 	textPrepared
 	c *Client
@@ -516,22 +498,14 @@ type clientPrepared struct {
 // stream: rows arrive in batches as the consumer pulls, and closing the
 // stream aborts the remote enumeration with the request context.
 func (p *clientPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows, error) {
-	return p.StreamKeyed(ctx, "", args...)
-}
-
-// StreamKeyed implements KeyedStreamer: the server evaluates the
-// deterministic ORDER BY keys of orderText per row and ships the values
-// with the frames (none for an empty orderText).
-func (p *clientPrepared) StreamKeyed(ctx context.Context, orderText string, args ...sparql.Arg) (Rows, error) {
 	text, err := p.tmpl.Text(args...)
 	if err != nil {
 		return nil, err
 	}
-	return p.c.openStream(ctx, text, orderText)
+	return p.c.openStream(ctx, text)
 }
 
 var (
 	_ Endpoint      = (*Client)(nil)
 	_ PreparedQuery = (*clientPrepared)(nil)
-	_ KeyedStreamer = (*clientPrepared)(nil)
 )

@@ -311,11 +311,11 @@ func TestServerStreamAskRejected(t *testing.T) {
 func TestClientFormEncoding(t *testing.T) {
 	for _, fields := range []url.Values{
 		{"query": {"SELECT ?x WHERE { ?x <http://x/p> \"a b+c&d=e%\\n\"@en } LIMIT 3"}},
-		{"query": {"ASK { }"}, "stream": {"1"}, "orderspec": {"é\x00\xff~_-.*/:?#[]@!$'()"}},
+		{"query": {"ASK { }"}, "stream": {"1"}, "multi": {"é\x00\xff~_-.*/:?#[]@!$'()"}},
 		{"query": {""}, "stream": {"1"}},
 	} {
 		var got []byte
-		for _, name := range []string{"orderspec", "query", "stream"} {
+		for _, name := range []string{"multi", "query", "stream"} {
 			if fields.Has(name) {
 				got = appendFormField(got, name, fields.Get(name))
 			}
@@ -495,7 +495,8 @@ func TestServerFormBodies(t *testing.T) {
 // reads the fields url.Values.Get and the query list would give.
 func FuzzFormDecode(f *testing.F) {
 	const text = "SELECT ?x WHERE { ?x <http://x/p> \"a b+c&d=e%;\\n\"@en } LIMIT 3"
-	// What the client sends: appendFormField's output, field by field.
+	// What the client sends: appendFormField's output, field by field
+	// (with the orderspec field of a client built before PR 23).
 	stream := appendFormField(appendFormField(appendFormField(nil, "orderspec", text+" ORDER BY ?x"), "query", text), "stream", "1")
 	multi := appendFormField(appendFormField([]byte("multi=1"), "query", text), "query", "ASK { }")
 	long := appendFormField(nil, "query", strings.Repeat("é ", maxQueryBytes/8))
@@ -529,7 +530,7 @@ func FuzzFormDecode(f *testing.F) {
 		case err != nil:
 			t.Fatalf("refused %q, which url.ParseQuery accepts: %v", body, err)
 		}
-		want := &wireReq{query: vals.Get("query"), stream: vals.Get("stream") == "1", orderspec: vals.Get("orderspec")}
+		want := &wireReq{query: vals.Get("query"), stream: vals.Get("stream") == "1"}
 		if vals.Get("multi") == "1" {
 			want.multi = vals["query"]
 		}

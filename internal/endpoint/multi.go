@@ -24,8 +24,8 @@ import (
 // The server runs the texts in order through the endpoint it serves, one
 // prepared stream each — quota, statistics and admission see the single
 // queries a client sending them one by one would have caused — and
-// encodes each as it drains it, through the one pair of buffers a single
-// stream uses: it never holds more of a group than the batch it is
+// encodes each as it drains it, through the one buffer a single stream
+// uses: it never holds more of a group than the batch it is
 // encoding, and a group shorter than a batch is one write with a
 // Content-Length. A text that cannot be opened, or a request found
 // cancelled between two texts, answers for the request while nothing has
@@ -34,7 +34,7 @@ import (
 // frame where its sequence would have begun, and the sequences before it
 // stay valid. Texts after it do not run. Every text must be a SELECT and
 // there are at most maxMultiQueries of them (400 otherwise, before
-// anything runs); orderspec is not read.
+// anything runs).
 //
 // The client owns the body from the open to the last sequence's end, an
 // error, or Close, and reads one sequence at a time off it through one
@@ -87,7 +87,7 @@ func (s *Server) serveMulti(w http.ResponseWriter, r *http.Request, req *wireReq
 			fw.out = appendErrorFrame(fw.out, err)
 			break
 		}
-		if !fw.sequence(rows, nil, nil) {
+		if !fw.sequence(rows) {
 			break
 		}
 	}

@@ -56,37 +56,19 @@ func StreamBorrowed(ctx context.Context, pq PreparedQuery, args ...sparql.Arg) (
 	return pq.Stream(ctx, args...)
 }
 
-// KeyedRows is a Rows whose rows arrive with pre-computed ORDER BY key
-// values: AttachedKeys names the ORDER BY key indices that ride along,
-// and RowKeys holds the current row's values in the same order (valid,
-// like the row, only until the next Next on borrowed-contract streams).
-// The federation's ordered merge consumes attached keys instead of
-// re-evaluating key expressions per merged row — for a remote shard
-// that moves the evaluation behind the wire, onto the shard's CPU.
+// KeyedRows and KeyedStreamer are declarations only: nothing in this
+// module implements or calls them — ORDER BY keys are evaluated where the
+// streams of a federation merge (shard/merge.go), never behind the wire.
+// They stay, name and method set, because bench/trace names them
+// (ARCHITECTURE.md, "What bench/ freezes"); ROADMAP item 1c deletes them.
 type KeyedRows interface {
 	Rows
 	AttachedKeys() []int
 	RowKeys() []sparql.Value
 }
 
-// KeyedStreamer is an optional PreparedQuery extension: StreamKeyed is
-// StreamBorrowed with deterministic ORDER BY key values attached to
-// every row, derived from orderText — the canonical text of the
-// original ordered query whose stripped enumeration this stream is.
-// Implementations that cannot attach keys simply don't implement it;
-// the merge evaluates keys itself for those streams.
 type KeyedStreamer interface {
 	StreamKeyed(ctx context.Context, orderText string, args ...sparql.Arg) (Rows, error)
-}
-
-// StreamKeyed opens a keyed stream when pq offers one and falls back to
-// the borrowed stream otherwise. Consumers must check per stream (via
-// the KeyedRows interface) whether keys actually arrived.
-func StreamKeyed(ctx context.Context, pq PreparedQuery, orderText string, args ...sparql.Arg) (Rows, error) {
-	if ks, ok := pq.(KeyedStreamer); ok {
-		return ks.StreamKeyed(ctx, orderText, args...)
-	}
-	return StreamBorrowed(ctx, pq, args...)
 }
 
 // BatchSelector is an optional PreparedQuery extension for callers that

@@ -88,7 +88,7 @@ func (s *rowSets) Err() error { return cmp.Or(s.err, s.Rows.Err()) }
 // ReleasingRows is a stream that holds something for as long as it is
 // open — an admission slot, the context of the attempt that won a hedged
 // open: Release runs once, when the stream is exhausted or closed,
-// whichever comes first. It forwards the inner stream's KeyedRows.
+// whichever comes first.
 type ReleasingRows struct {
 	Rows
 	Release func()
@@ -112,23 +112,6 @@ func (r *ReleasingRows) release() {
 		r.Release()
 		r.Release = nil
 	}
-}
-
-// AttachedKeys forwards the inner stream's attached ORDER BY keys (nil
-// when the inner stream carries none).
-func (r *ReleasingRows) AttachedKeys() []int {
-	if kr, ok := r.Rows.(KeyedRows); ok {
-		return kr.AttachedKeys()
-	}
-	return nil
-}
-
-// RowKeys forwards the inner stream's current row keys.
-func (r *ReleasingRows) RowKeys() []sparql.Value {
-	if kr, ok := r.Rows.(KeyedRows); ok {
-		return kr.RowKeys()
-	}
-	return nil
 }
 
 // ReplaySets wraps the results of a group as the group's streams — what
@@ -240,6 +223,4 @@ var (
 	_ Rows    = (*replayRows)(nil)
 	_ Rows    = (*localRows)(nil)
 	_ RowSets = (*rowSets)(nil)
-
-	_ KeyedRows = (*ReleasingRows)(nil)
 )

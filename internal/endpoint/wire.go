@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"sofya/internal/rdf"
-	"sofya/internal/sparql"
 )
 
 // wire.go is the batch-framed streaming side of the SPARQL HTTP
@@ -19,11 +18,11 @@ import (
 // regress that to a round trip per row, so streamed prepared queries
 // cross the wire in the same granularity:
 //
-//	POST /sparql   query=<text>&stream=1[&orderspec=<text>]
+//	POST /sparql   query=<text>&stream=1
 //
 //	→ 200 Content-Type: application/x-sofya-rows+jsonl
-//	  {"head":{"vars":["s","o"],"keys":[1]}}
-//	  {"rows":[[term,term],...], "keyvals":[[v],...]}   ≤ WireBatch rows
+//	  {"head":{"vars":["s","o"]}}
+//	  {"rows":[[term,term],...]}                        ≤ WireBatch rows
 //	  ...
 //	  {"end":{"truncated":false}}                       — or —
 //	  {"error":"...","quota":true}
@@ -45,21 +44,15 @@ import (
 //
 // The frames are encoded and decoded by codec.go. Both sides recycle
 // their buffers, up to maxPooledFrameBufs each: the server its encode
-// buffers (frameBufs) when the handler returns, the client its read
+// buffer (frameBufs) when the handler returns, the client its read
 // buffer (readBufs) when the stream finishes — at its last row, an error
 // or Close. Nothing a stream hands out points into that buffer: the
 // strings of a decoded frame are copies, its rows one slice of their own.
 //
-// orderspec carries the canonical text of the *original* ordered query
-// whose stripped enumeration this stream is (the federation's ORDER BY
-// pushdown). The server re-derives the deterministic ORDER BY keys from
-// it (sparql.AnalyzeShard — the same analysis the merge point runs) and
-// attaches each row's key values to the frames, so the merge point
-// receives keys instead of re-evaluating expressions per merged row.
-// Bare RAND() keys are never attached: their draws pair with rows in
-// whole-KB enumeration order, which only the merge point knows (no
-// shard can see where its rows land in the interleave), so they are
-// re-drawn merge-side from the seed ⊕ canonical-text stream.
+// A stream carries rows and nothing about their order: the ORDER BY keys
+// of a federated query are evaluated where its shards' streams merge
+// (shard/merge.go). Form fields and frame members this file does not
+// name are ignored, on both sides.
 
 // StreamContentType is the media type of the batch-framed row stream.
 const StreamContentType = "application/x-sofya-rows+jsonl"
@@ -69,36 +62,15 @@ const StreamContentType = "application/x-sofya-rows+jsonl"
 // one merge batch.
 const WireBatch = 64
 
-// orderKeyEvals compiles the deterministic ORDER BY key evaluators of
-// an orderspec query text: the canonical original query whose stripped
-// enumeration is being streamed. Returned evaluators run over projected
-// rows (the pushdown preserves the projection). RAND keys and keys the
-// analysis cannot compile are skipped — the merge point handles those.
-func orderKeyEvals(orderspec string) (idx []int, evals []func([]rdf.Term) sparql.Value, err error) {
-	q, err := sparql.Parse(orderspec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("endpoint: bad orderspec: %w", err)
-	}
-	shape := sparql.AnalyzeShard(q, nil)
-	for i, k := range shape.Keys {
-		if k.Eval == nil {
-			continue
-		}
-		idx = append(idx, i)
-		evals = append(evals, k.Eval)
-	}
-	return idx, evals, nil
-}
-
-// frameBufs recycles a frameWriter's two encode buffers, so that a
-// steady stream of small answers allocates none; buffers a large batch
-// has grown beyond maxPooledFrameBufs are left to the collector.
-var frameBufs = sync.Pool{New: func() any { return new([2][]byte) }}
+// frameBufs recycles a frameWriter's encode buffer, so that a steady
+// stream of small answers allocates none; a buffer a large batch has
+// grown beyond maxPooledFrameBufs is left to the collector.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledFrameBufs = 64 << 10
 
 // frameWriter encodes frame sequences onto one response through one
-// pair of encode buffers: one sequence for a stream (writeStream), one
+// encode buffer: one sequence for a stream (writeStream), one
 // per text for a group (serveMulti). Only a full batch is written out
 // and flushed on its own. The head frame, a final partial batch and the
 // terminal frame ride in whatever write carries them, so an answer
@@ -106,82 +78,43 @@ const maxPooledFrameBufs = 64 << 10
 // write with a Content-Length, and its reader sees the end of the body
 // with the last frame.
 type frameWriter struct {
-	w    http.ResponseWriter
-	bufs *[2][]byte
-	// out holds the frames not yet written; kv collects the key values
-	// of the rows frame being built, because they follow the rows in it.
-	out, kv []byte
-	wrote   bool // a batch went out on its own: the answer is chunked
-	failed  bool // nothing more goes out: a write failed, or a status answered
+	w      http.ResponseWriter
+	buf    *[]byte
+	out    []byte // the frames not yet written
+	wrote  bool   // a batch went out on its own: the answer is chunked
+	failed bool   // nothing more goes out: a write failed, or a status answered
 }
 
 func (fw *frameWriter) init(w http.ResponseWriter) {
-	fw.w, fw.bufs = w, frameBufs.Get().(*[2][]byte)
-	fw.out, fw.kv = fw.bufs[0][:0], fw.bufs[1][:0]
+	fw.w, fw.buf = w, frameBufs.Get().(*[]byte)
+	fw.out = (*fw.buf)[:0]
 }
 
 // sequence drains rows into one frame sequence and reports whether it
 // ended in an end frame. Any mid-stream error — a shard quota trip, a
 // failed upstream — becomes the terminal error frame; a transport write
 // error just stops the answer.
-func (fw *frameWriter) sequence(rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value) bool {
+func (fw *frameWriter) sequence(rows Rows) bool {
 	defer rows.Close()
-	// The rows frame being built starts at frameAt and has n rows so far.
-	out, kv := appendHeadFrame(fw.out, rows.Vars(), keyIdx), fw.kv
-	n, frameAt := 0, 0
-	closeFrame := func() {
-		if n == 0 {
-			return
-		}
-		out = append(out, ']')
-		if len(keyEvals) > 0 {
-			out = append(out, `,"keyvals":[`...)
-			out = append(out, kv...)
-			out = append(out, ']')
-			kv = kv[:0]
-		}
-		out = append(out, "}\n"...)
-		n = 0
-	}
-	var err error
-rows:
+	out := appendHeadFrame(fw.out, rows.Vars())
+	n := 0 // rows in the rows frame being built
 	for rows.Next() {
-		row := rows.Row()
 		if n == 0 {
-			frameAt = len(out)
 			out = append(out, `{"rows":[[`...)
 		} else {
 			out = append(out, ",["...)
 		}
-		for i, t := range row {
+		for i, t := range rows.Row() {
 			if i > 0 {
 				out = append(out, ',')
 			}
 			out = appendTerm(out, t)
 		}
 		out = append(out, ']')
-		if len(keyEvals) > 0 {
-			if n > 0 {
-				kv = append(kv, ',')
-			}
-			kv = append(kv, '[')
-			for i, ev := range keyEvals {
-				if i > 0 {
-					kv = append(kv, ',')
-				}
-				if kv, err = appendKeyValue(kv, ev(row)); err != nil {
-					// The frame that would misstate a key is dropped:
-					// the stream ends in the error.
-					out, n = out[:frameAt], 0
-					break rows
-				}
-			}
-			kv = append(kv, ']')
-		}
 		if n++; n == WireBatch {
-			closeFrame()
+			out, n = append(out, "]}\n"...), 0
 			if _, werr := fw.w.Write(out); werr != nil {
-				fw.out, fw.kv, fw.failed = out[:0], kv, true
+				fw.out, fw.failed = out[:0], true
 				return false
 			}
 			if f, ok := fw.w.(http.Flusher); ok {
@@ -190,10 +123,10 @@ rows:
 			out, fw.wrote = out[:0], true
 		}
 	}
-	closeFrame()
-	if err == nil {
-		err = rows.Err()
+	if n > 0 {
+		out = append(out, "]}\n"...)
 	}
+	err := rows.Err()
 	trunc := rows.Truncated()
 	rows.Close()
 	if err != nil {
@@ -201,7 +134,7 @@ rows:
 	} else {
 		out = appendEndFrame(out, trunc)
 	}
-	fw.out, fw.kv = out, kv
+	fw.out = out
 	return err == nil
 }
 
@@ -213,26 +146,23 @@ func (fw *frameWriter) finish() {
 		}
 		_, _ = fw.w.Write(fw.out)
 	}
-	if cap(fw.out)+cap(fw.kv) <= maxPooledFrameBufs {
-		fw.bufs[0], fw.bufs[1] = fw.out, fw.kv
-		frameBufs.Put(fw.bufs)
+	if cap(fw.out) <= maxPooledFrameBufs {
+		*fw.buf = fw.out
+		frameBufs.Put(fw.buf)
 	}
 }
 
 // writeStream answers one stream: rows as a single frame sequence.
-func writeStream(w http.ResponseWriter, rows Rows, keyIdx []int, keyEvals []func([]rdf.Term) sparql.Value) {
+func writeStream(w http.ResponseWriter, rows Rows) {
 	w.Header().Set("Content-Type", StreamContentType)
 	var fw frameWriter
 	fw.init(w)
-	fw.sequence(rows, keyIdx, keyEvals)
+	fw.sequence(rows)
 	fw.finish()
 }
 
 // wireRows is the client side of a batch-framed stream: Rows over an
-// HTTP response body, decoding one frame per line. It implements
-// KeyedRows — rows of an orderspec stream carry their deterministic
-// ORDER BY key values, which the federation merge consumes instead of
-// re-evaluating expressions.
+// HTTP response body, decoding one frame per line.
 type wireRows struct {
 	body io.ReadCloser
 
@@ -251,19 +181,15 @@ type wireRows struct {
 	set, sets int
 	eos       bool
 
-	vars   []string
-	keyIdx []int
+	vars []string
 	// The current frame: n rows, row-major in terms — one backing slice
-	// per frame, never reused, because rows stay valid after Next — and
-	// their key values likewise in keyvals when the frame carries any.
-	terms   []rdf.Term
-	keyvals []sparql.Value
-	n, bi   int
-	row     []rdf.Term
-	keys    []sparql.Value
-	err     error
-	trunc   bool
-	done    bool
+	// per frame, never reused, because rows stay valid after Next.
+	terms []rdf.Term
+	n, bi int
+	row   []rdf.Term
+	err   error
+	trunc bool
+	done  bool
 }
 
 // readBufs lends streams their read buffers (see the file comment).
@@ -293,7 +219,7 @@ func (r *wireRows) readHead() bool {
 	var f frame
 	line, err := r.line()
 	if err == nil {
-		err = r.dec.frame(line, &f, -1, 0)
+		err = r.dec.frame(line, &f, -1)
 	}
 	switch {
 	case err != nil:
@@ -304,7 +230,7 @@ func (r *wireRows) readHead() bool {
 	case f.kind != frameHead:
 		r.fail("stream did not start with a head frame", nil)
 	}
-	r.vars, r.keyIdx = f.vars, f.keys
+	r.vars = f.vars
 	return r.err == nil
 }
 
@@ -353,12 +279,10 @@ func (r *wireRows) line() ([]byte, error) {
 	}
 }
 
-func (r *wireRows) Vars() []string          { return r.vars }
-func (r *wireRows) Row() []rdf.Term         { return r.row }
-func (r *wireRows) Err() error              { return r.err }
-func (r *wireRows) Truncated() bool         { return r.trunc }
-func (r *wireRows) AttachedKeys() []int     { return r.keyIdx }
-func (r *wireRows) RowKeys() []sparql.Value { return r.keys }
+func (r *wireRows) Vars() []string  { return r.vars }
+func (r *wireRows) Row() []rdf.Term { return r.row }
+func (r *wireRows) Err() error      { return r.err }
+func (r *wireRows) Truncated() bool { return r.trunc }
 
 func (r *wireRows) Next() bool {
 	if r.done || r.eos {
@@ -369,12 +293,8 @@ func (r *wireRows) Next() bool {
 			return false
 		}
 	}
-	w, k := len(r.vars), len(r.keyIdx)
+	w := len(r.vars)
 	r.row = r.terms[r.bi*w : (r.bi+1)*w : (r.bi+1)*w]
-	r.keys = nil
-	if r.keyvals != nil {
-		r.keys = r.keyvals[r.bi*k : (r.bi+1)*k : (r.bi+1)*k]
-	}
 	r.bi++
 	return true
 }
@@ -391,7 +311,7 @@ func (r *wireRows) nextFrame() bool {
 		return false
 	}
 	var f frame
-	if err := r.dec.frame(line, &f, len(r.vars), len(r.keyIdx)); err != nil {
+	if err := r.dec.frame(line, &f, len(r.vars)); err != nil {
 		r.fail("bad stream frame", err)
 		return false
 	}
@@ -403,13 +323,13 @@ func (r *wireRows) nextFrame() bool {
 		r.readTail()
 		r.finish()
 	case frameEnd:
-		r.trunc, r.eos, r.row, r.keys = f.truncated, true, nil, nil
+		r.trunc, r.eos, r.row = f.truncated, true, nil
 		if r.set+1 >= r.sets {
 			r.readTail()
 			r.finish()
 		}
 	default:
-		r.terms, r.keyvals, r.n, r.bi = f.terms, f.keyvals, f.n, 0
+		r.terms, r.n, r.bi = f.terms, f.n, 0
 		return true
 	}
 	return false
@@ -462,7 +382,7 @@ func (r *wireRows) finish() {
 		return
 	}
 	r.done = true
-	r.row, r.keys = nil, nil
+	r.row = nil
 	r.body.Close()
 	if len(r.buf) <= maxPooledFrameBufs {
 		*r.pooled = r.buf
@@ -471,7 +391,4 @@ func (r *wireRows) finish() {
 	r.buf = nil
 }
 
-var (
-	_ RowSets   = (*wireRows)(nil)
-	_ KeyedRows = (*wireRows)(nil)
-)
+var _ RowSets = (*wireRows)(nil)

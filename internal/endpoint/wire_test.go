@@ -16,39 +16,10 @@ import (
 	"sofya/internal/sparql"
 )
 
-// wire_test.go covers the batch-framed stream protocol: value codec,
-// frame granularity (one flush per batch — the round-trip budget), and
-// behind-the-wire ORDER BY key attachment.
-
-func TestWireValueRoundTrip(t *testing.T) {
-	vals := []sparql.Value{
-		sparql.BoolValue(true),
-		sparql.BoolValue(false),
-		sparql.NumValue(3.25),
-		sparql.NumValue(0),
-		sparql.StrValue("hello"),
-		sparql.StrValue(""),
-		sparql.TermValue(rdf.NewIRI("http://x/a")),
-		sparql.TermValue(rdf.NewLangLiteral("Ay", "en")),
-		sparql.TermValue(rdf.NewTypedLiteral("1999", rdf.XSDGYear)),
-		sparql.ErrValue(),
-	}
-	for i, v := range vals {
-		got, err := valueFromWire(valueToWire(v))
-		if err != nil {
-			t.Fatalf("value %d: %v", i, err)
-		}
-		if sparql.CompareKeys([]sparql.Value{v}, []sparql.Value{got}, []bool{false}) != 0 {
-			t.Errorf("value %d changed across the wire", i)
-		}
-		if vw := valueToWire(v); vw.K != valueToWire(got).K {
-			t.Errorf("value %d changed kind across the wire: %q vs %q", i, vw.K, valueToWire(got).K)
-		}
-	}
-	if _, err := valueFromWire(wireValue{K: "?"}); err == nil {
-		t.Error("unknown value kind was accepted")
-	}
-}
+// wire_test.go covers the batch-framed stream protocol: frame
+// granularity (one flush per batch — the round-trip budget), truncation,
+// fallbacks, and what is left of the keyed-stream extension: being
+// ignored.
 
 // flushCountingWriter wraps a ResponseWriter and counts Flush calls —
 // each flush is one wire write the client pays one network read for,
@@ -284,75 +255,32 @@ func TestWireTruncationPropagates(t *testing.T) {
 	}
 }
 
-// TestWireKeyedStream: StreamKeyed ships deterministic ORDER BY key
-// values with the rows; RAND keys are never shipped.
-func TestWireKeyedStream(t *testing.T) {
-	local := NewLocal(bigKB(30), 1)
-	srv := httptest.NewServer(NewServer(local))
-	defer srv.Close()
-	client := NewClient("wire", srv.URL, nil)
-
-	// The stripped enumeration of an ORDER BY ?o query: the pushdown
-	// form streams unordered, the orderspec names the keys.
-	pq, err := client.Prepare("SELECT ?s ?o WHERE { ?s <http://x/p> ?o }")
+// TestWireKeyedStreamCompat: builds before PR 23 spoke a keyed-stream
+// extension this one does not. Their frames decode to the same rows with
+// the "keys" and "keyvals" members ignored, and their request — the
+// orderspec field is one more unknown form key — gets the plain stream's
+// bytes.
+func TestWireKeyedStreamCompat(t *testing.T) {
+	plain := wireGolden[1]
+	got, err := decodeStream([]byte(keyedStreamFixture.answer))
 	if err != nil {
 		t.Fatal(err)
 	}
-	orderspec := "SELECT ?s ?o WHERE { ?s <http://x/p> ?o } ORDER BY ?o LIMIT 5"
-	rows, err := StreamKeyed(context.Background(), pq, orderspec)
+	want, err := decodeStream([]byte(plain.answer))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rows.Close()
-	kr, ok := rows.(KeyedRows)
-	if !ok {
-		t.Fatal("wire stream does not implement KeyedRows")
+	if err := sameStream(got, want); err != nil || len(got.rows) != 3 {
+		t.Fatalf("an old server's keyed frames read as %d rows: %v", len(got.rows), err)
 	}
-	if got := kr.AttachedKeys(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("attached keys = %v, want [0]", got)
-	}
-	for rows.Next() {
-		keys := kr.RowKeys()
-		if len(keys) != 1 {
-			t.Fatalf("row carries %d keys, want 1", len(keys))
+	for _, request := range []string{keyedStreamFixture.request, "orderspec=NOT+SPARQL+AT+ALL&" + plain.request} {
+		req := httptest.NewRequest(http.MethodPost, "/sparql", strings.NewReader(request))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		rec := httptest.NewRecorder()
+		NewServer(NewLocal(testKB(), 1)).ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != plain.contentType || rec.Body.String() != plain.answer {
+			t.Errorf("an old client's %q answered %d %s\n%s\nwant the plain stream\n%s", request, rec.Code, rec.Header().Get("Content-Type"), rec.Body, plain.answer)
 		}
-		// The shipped key must equal the key evaluated locally: ?o is
-		// the row's second column.
-		want := sparql.TermValue(rows.Row()[1])
-		if keys[0] != want {
-			t.Fatalf("shipped key %v does not match row term %v", keys[0], rows.Row()[1])
-		}
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	// RAND keys stay merge-side: an ORDER BY RAND() orderspec attaches
-	// nothing.
-	randSpec := "SELECT ?s ?o WHERE { ?s <http://x/p> ?o } ORDER BY RAND() LIMIT 5"
-	rrows, err := StreamKeyed(context.Background(), pq, randSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rrows.Close()
-	if kr, ok := rrows.(KeyedRows); ok && len(kr.AttachedKeys()) != 0 {
-		t.Fatalf("RAND key was shipped over the wire: %v", kr.AttachedKeys())
-	}
-}
-
-// TestWireBadOrderspec: an unparseable orderspec is a 400, not a
-// silent unkeyed stream.
-func TestWireBadOrderspec(t *testing.T) {
-	local := NewLocal(testKB(), 1)
-	srv := httptest.NewServer(NewServer(local))
-	defer srv.Close()
-	client := NewClient("wire", srv.URL, nil)
-	pq, err := client.Prepare("SELECT ?x ?y WHERE { ?x <http://x/p> ?y }")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StreamKeyed(context.Background(), pq, "NOT SPARQL AT ALL"); err == nil {
-		t.Fatal("malformed orderspec was accepted")
 	}
 }
 

@@ -237,9 +237,10 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 
 // streamTemplates are the shapes a group of streams takes through a
 // federation: a routed one, the ordered fan-outs the aligner's samplers
-// send (a lone RAND() key: merged per tuple off the shards' groups), an
-// ordered fan-out whose key the shards can attach (its tuples stay single
-// keyed streams), and the two unordered merges.
+// send (a lone RAND() key), two ordered fan-outs on deterministic keys —
+// "keyed" is totally ordered and takes the bounded selection, "ordered"
+// the stable sort — all merged per tuple off the shards' groups, and the
+// two unordered merges.
 var streamTemplates = append(batchTemplates[:1:1], []struct {
 	name, tmpl string
 	params     []string
@@ -251,6 +252,9 @@ var streamTemplates = append(batchTemplates[:1:1], []struct {
 	}},
 	{"keyed", "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY DESC(?y) ?x LIMIT $n", []string{"r", "n"}, func(i int) []sparql.Arg {
 		return []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(2 + i%9)}
+	}},
+	{"ordered", "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY ?y LIMIT $n", []string{"r", "n"}, func(i int) []sparql.Arg {
+		return []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(1 + i%9)}
 	}},
 	{"merge", "SELECT ?x ?y WHERE { ?x $r ?y } LIMIT $n", []string{"r", "n"}, func(i int) []sparql.Arg {
 		return []sparql.Arg{sparql.IRIArg("http://x/p"), sparql.IntArg(1 + 3*(i%9))}
@@ -362,8 +366,9 @@ func TestStreamBatchContract(t *testing.T) {
 		}, endpoint.Quota{})
 	})
 
-	// What a fan-out group costs on the wire: one request per shard.
-	for _, tm := range streamTemplates[1:3] {
+	// What an ordered fan-out group costs on the wire, whatever its keys:
+	// one request per shard.
+	for _, tm := range streamTemplates[1:5] {
 		g, reqs, _ := httpShards(t, endpoint.Quota{})
 		pq, err := g.Prepare(tm.tmpl, tm.params...)
 		if err != nil {

@@ -153,14 +153,11 @@ func (s *groupSets) close() {
 
 // puller produces merged rows one at a time, in the merge's order.
 type puller interface {
-	// next returns the next merged row and the index of the source that
-	// yielded it; ok is false at exhaustion or error (err reports which
-	// — a shard quota rejection mid-stream arrives here, not as a
-	// silent end). The row is borrowed: it is valid until the following
-	// next call, which may reuse its buffer. The source index lets the
-	// ordered merge read per-source row annotations (attached ORDER BY
-	// keys) that share the row's lifetime.
-	next() (row []rdf.Term, src int, ok bool, err error)
+	// next returns the next merged row; ok is false at exhaustion or
+	// error (err reports which — a shard quota rejection mid-stream
+	// arrives here, not as a silent end). The row is borrowed: it is
+	// valid until the following next call, which may reuse its buffer.
+	next() (row []rdf.Term, ok bool, err error)
 	// truncated reports whether any contributing shard stream was
 	// truncated so far.
 	truncated() bool
@@ -178,18 +175,18 @@ func newConcatPuller(sources []rowsSource) *concatPuller {
 	return &concatPuller{sources: sources}
 }
 
-func (c *concatPuller) next() ([]rdf.Term, int, bool, error) {
+func (c *concatPuller) next() ([]rdf.Term, bool, error) {
 	for c.i < len(c.sources) {
 		src := c.sources[c.i]
 		if src.Next() {
-			return src.Row(), c.i, true, nil
+			return src.Row(), true, nil
 		}
 		if err := src.Err(); err != nil {
-			return nil, c.i, false, err
+			return nil, false, err
 		}
 		c.i++
 	}
-	return nil, -1, false, nil
+	return nil, false, nil
 }
 
 func (c *concatPuller) truncated() bool { return anyTruncated(c.sources) }
@@ -228,16 +225,16 @@ func (m *subjectPuller) advance(i int) error {
 	return m.sources[i].Err()
 }
 
-func (m *subjectPuller) next() ([]rdf.Term, int, bool, error) {
+func (m *subjectPuller) next() ([]rdf.Term, bool, error) {
 	if m.err != nil {
-		return nil, -1, false, m.err
+		return nil, false, m.err
 	}
 	if !m.primed {
 		m.primed = true
 		for i := range m.sources {
 			if err := m.advance(i); err != nil {
 				m.err = err
-				return nil, -1, false, err
+				return nil, false, err
 			}
 		}
 	} else if m.last >= 0 {
@@ -245,7 +242,7 @@ func (m *subjectPuller) next() ([]rdf.Term, int, bool, error) {
 		m.last = -1
 		if err := m.advance(i); err != nil {
 			m.err = err
-			return nil, -1, false, err
+			return nil, false, err
 		}
 	}
 	best := -1
@@ -258,10 +255,10 @@ func (m *subjectPuller) next() ([]rdf.Term, int, bool, error) {
 		}
 	}
 	if best < 0 {
-		return nil, -1, false, nil
+		return nil, false, nil
 	}
 	m.last = best
-	return m.heads[best], best, true, nil
+	return m.heads[best], true, nil
 }
 
 // closeSource drops source i from the merge and closes its stream —
@@ -386,7 +383,7 @@ func (f *fanoutRows) Next() bool {
 		return false
 	}
 	for {
-		row, _, ok, err := f.p.next()
+		row, ok, err := f.p.next()
 		if err != nil {
 			f.err = err
 			f.finish()
@@ -495,7 +492,6 @@ type orderedRows struct {
 	vars  []string
 	merge *subjectPuller
 	spec  orderedMergeSpec
-	keyed []keyedSrc // per source: attached-key access, zero when none
 
 	started bool
 	done    bool
@@ -506,41 +502,8 @@ type orderedRows struct {
 	trunc   bool
 }
 
-// keyedSrc caches one source's attached-key access for the merge loop:
-// slot maps each ORDER BY key index to its position in the source's
-// RowKeys (or -1 when the source did not attach that key).
-type keyedSrc struct {
-	kr   endpoint.KeyedRows
-	slot []int
-}
-
 func newOrderedRows(vars []string, sources []rowsSource, spec orderedMergeSpec) *orderedRows {
-	r := &orderedRows{vars: vars, merge: newSubjectPuller(sources, spec.col), spec: spec}
-	r.keyed = make([]keyedSrc, len(sources))
-	for i, s := range sources {
-		kr, ok := s.(endpoint.KeyedRows)
-		if !ok || len(kr.AttachedKeys()) == 0 {
-			continue
-		}
-		slot := make([]int, len(spec.keys))
-		for j := range slot {
-			slot[j] = -1
-		}
-		any := false
-		for pos, ki := range kr.AttachedKeys() {
-			// A key the merge would re-draw (RAND) is never consumed from
-			// a source: its draws pair with rows in whole-KB enumeration
-			// order, which only this merge point knows.
-			if ki >= 0 && ki < len(slot) && !spec.keys[ki].Rand {
-				slot[ki] = pos
-				any = true
-			}
-		}
-		if any {
-			r.keyed[i] = keyedSrc{kr: kr, slot: slot}
-		}
-	}
-	return r
+	return &orderedRows{vars: vars, merge: newSubjectPuller(sources, spec.col), spec: spec}
 }
 
 func (r *orderedRows) Vars() []string  { return r.vars }
@@ -641,7 +604,7 @@ func (r *orderedRows) selectRand(target int) ([][]rdf.Term, error) {
 	sel := sparql.NewRandTopK(target)
 	var slots [][]rdf.Term
 	for {
-		row, _, ok, err := r.merge.next()
+		row, ok, err := r.merge.next()
 		if err != nil {
 			return nil, err
 		}
@@ -669,8 +632,8 @@ func (r *orderedRows) selectRand(target int) ([][]rdf.Term, error) {
 }
 
 // selectKeyed is the merged enumeration for every other key list: keys
-// are re-drawn, taken from the shard that attached them or re-evaluated
-// per row, and compared by the engine's own comparator.
+// are re-drawn (RAND) or re-evaluated per row, and compared by the
+// engine's own comparator.
 func (r *orderedRows) selectKeyed(target int) ([][]rdf.Term, error) {
 	spec := &r.spec
 	// The comparators are the engine's own (sparql.CompareKeys, the
@@ -724,7 +687,7 @@ func (r *orderedRows) selectKeyed(target int) ([][]rdf.Term, error) {
 	cur := mrow{keys: keyScratch}
 	idx := 0
 	for {
-		row, src, ok, err := r.merge.next()
+		row, ok, err := r.merge.next()
 		if err != nil {
 			return nil, err
 		}
@@ -734,20 +697,10 @@ func (r *orderedRows) selectKeyed(target int) ([][]rdf.Term, error) {
 		if dedup != nil && dedup.dup(row) {
 			continue
 		}
-		// Attached keys (a remote shard evaluated them behind the wire)
-		// share the borrowed row's lifetime: read before the next pull.
-		var attached []sparql.Value
-		var slots []int
-		if ks := &r.keyed[src]; ks.kr != nil {
-			attached, slots = ks.kr.RowKeys(), ks.slot
-		}
 		for i := range spec.keys {
-			switch {
-			case spec.keys[i].Rand:
+			if spec.keys[i].Rand {
 				keyScratch[i] = sparql.NumValue(draw())
-			case slots != nil && slots[i] >= 0 && slots[i] < len(attached):
-				keyScratch[i] = attached[slots[i]]
-			default:
+			} else {
 				keyScratch[i] = spec.keys[i].Eval(row)
 			}
 		}

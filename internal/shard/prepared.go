@@ -287,8 +287,7 @@ type groupBatched struct{ *groupPrepared }
 // opens its pushdown's group once on every shard — one request each —
 // and merges one tuple at a time, when the caller reaches it (groupSets).
 // A routed template answers its SelectBatch, replayed: its results are
-// whole either way. An ordered template whose keys the shards evaluate
-// sends a text of its own per tuple (orderspec): single keyed streams.
+// whole either way.
 func (p groupBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
 	if p.form != sparql.SelectForm {
 		return nil, fmt.Errorf("shard: Stream needs a SELECT query")
@@ -300,11 +299,7 @@ func (p groupBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (
 		}
 		return endpoint.ReplaySets(results), nil
 	}
-	keyed := false
-	for _, k := range p.shape.Keys {
-		keyed = keyed || k.Eval != nil
-	}
-	if keyed || len(argSets) < 2 {
+	if len(argSets) < 2 {
 		return endpoint.StreamBatch(ctx, p.groupPrepared, argSets)
 	}
 	pushSets := make([][]sparql.Arg, len(argSets))
@@ -378,7 +373,7 @@ func (p *groupPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoin
 	if p.strat == stratMergeOrdered {
 		return p.streamOrdered(ctx, args)
 	}
-	sources, err := p.openStreams(ctx, args, false, "")
+	sources, err := p.openStreams(ctx, args, false)
 	if err != nil {
 		return nil, err
 	}
@@ -394,23 +389,7 @@ func (p *groupPrepared) streamOrdered(ctx context.Context, args []sparql.Arg) (e
 	if err != nil {
 		return nil, err
 	}
-	// When any key is deterministic (row-computable), offer shards the
-	// chance to evaluate keys behind the wire: the canonical original
-	// text names the keys, and remote shards that understand the keyed
-	// stream protocol attach per-row values the merge consumes instead
-	// of re-evaluating. RAND keys always stay merge-side.
-	orderText := ""
-	for _, k := range spec.keys {
-		if k.Eval != nil {
-			if orderText = spec.text; orderText == "" {
-				if orderText, err = p.tmpl.Text(args...); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-	}
-	sources, err := p.openStreams(ctx, args, true, orderText)
+	sources, err := p.openStreams(ctx, args, true)
 	if err != nil {
 		return nil, err
 	}
@@ -421,10 +400,7 @@ func (p *groupPrepared) streamOrdered(ctx context.Context, args []sparql.Arg) (e
 // concurrently. borrowed selects the borrowed-row contract (for the
 // ordered merge, which copies only winning rows); unordered merges keep
 // the regular contract, since fanoutRows hands shard rows to callers.
-// A non-empty orderText (borrowed path only) asks each shard for a
-// keyed stream — ORDER BY key values attached per row; shards without
-// the extension fall back to plain borrowed streams transparently.
-func (p *groupPrepared) openStreams(ctx context.Context, args []sparql.Arg, borrowed bool, orderText string) ([]rowsSource, error) {
+func (p *groupPrepared) openStreams(ctx context.Context, args []sparql.Arg, borrowed bool) ([]rowsSource, error) {
 	pargs := p.pushArgs(args)
 	sources := make([]rowsSource, len(p.push))
 	// The shard streams outlive the fan-out (the caller pulls from them
@@ -436,9 +412,7 @@ func (p *groupPrepared) openStreams(ctx context.Context, args []sparql.Arg, borr
 	err := p.g.fanout(ctx, func(_ context.Context, i int) error {
 		var rows endpoint.Rows
 		var err error
-		if borrowed && orderText != "" {
-			rows, err = endpoint.StreamKeyed(ctx, p.push[i], orderText, pargs...)
-		} else if borrowed {
+		if borrowed {
 			rows, err = endpoint.StreamBorrowed(ctx, p.push[i], pargs...)
 		} else {
 			rows, err = p.push[i].Stream(ctx, pargs...)
