@@ -78,9 +78,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "# world loaded from %s in %s (yago mmap=%v, dbpedia mmap=%v)\n",
 			*worldDir, time.Since(start).Round(time.Millisecond), world.Yago.Mapped(), world.Dbp.Mapped())
 	} else {
-		spec := synth.DefaultSpec()
-		if *specName == "tiny" {
-			spec = synth.TinySpec()
+		spec, err := synth.SpecNamed(*specName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: -spec:", err)
+			os.Exit(2)
 		}
 		world = synth.Generate(spec)
 	}

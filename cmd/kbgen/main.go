@@ -62,9 +62,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	spec := synth.TinySpec()
-	if *specName == "paper" {
-		spec = synth.DefaultSpec()
+	spec, err := synth.SpecNamed(*specName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kbgen: -spec:", err)
+		os.Exit(2)
 	}
 	if *seed != 0 {
 		spec.Seed = *seed

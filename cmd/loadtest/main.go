@@ -28,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -73,7 +74,10 @@ func main() {
 	}
 
 	ep, err := buildTarget(*url, *kbPath, *snapshot, *synthetic, *side, *seed)
-	if err != nil {
+	if errors.As(err, &usageError{}) {
+		fmt.Fprintln(os.Stderr, "loadtest:", err)
+		os.Exit(2)
+	} else if err != nil {
 		fatal(err)
 	}
 	if *maxInflight > 0 {
@@ -135,6 +139,10 @@ func main() {
 	fmt.Println(string(out))
 }
 
+// usageError is a flag value no switch knows: exit status 2, like the
+// flag package's own refusals.
+type usageError struct{ error }
+
 // buildTarget resolves the endpoint under test: exactly one source.
 func buildTarget(url, kbPath, snapshot, synthetic, side string, seed int64) (endpoint.Endpoint, error) {
 	n := 0
@@ -162,16 +170,13 @@ func buildTarget(url, kbPath, snapshot, synthetic, side string, seed int64) (end
 		}
 		return endpoint.NewLocal(k, seed), nil
 	default:
-		spec := synth.TinySpec()
-		if synthetic == "paper" {
-			spec = synth.DefaultSpec()
-		} else if synthetic != "tiny" {
-			return nil, fmt.Errorf("bad -synthetic %q: want tiny or paper", synthetic)
+		spec, err := synth.SpecNamed(synthetic)
+		if err != nil {
+			return nil, usageError{fmt.Errorf("-synthetic: %w", err)}
 		}
-		w := synth.Generate(spec)
-		k := w.Yago
-		if side == "dbp" {
-			k = w.Dbp
+		k, err := synth.Generate(spec).Side(side)
+		if err != nil {
+			return nil, usageError{fmt.Errorf("-side: %w", err)}
 		}
 		return endpoint.NewLocal(k, seed), nil
 	}

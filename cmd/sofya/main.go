@@ -110,8 +110,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *direction != "d2y" && *direction != "y2d" {
 		return usage("unknown -direction %q: want d2y or y2d", *direction)
 	}
-	if *synthetic != "" && *synthetic != "tiny" && *synthetic != "paper" {
-		return usage("unknown -synthetic %q: want tiny or paper", *synthetic)
+	var world *synth.Spec // nil: the KBs come from files
+	if *synthetic != "" {
+		spec, err := synth.SpecNamed(*synthetic)
+		if err != nil {
+			return usage("-synthetic: %v", err)
+		}
+		world = &spec
 	}
 	cfg.SampleSize = *samples
 	cfg.Parallelism = *parallel
@@ -126,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	k, kp, links, err := loadKBs(*synthetic, *direction, *kPath, *kpPath, *linkPath)
+	k, kp, links, err := loadKBs(world, *direction, *kPath, *kpPath, *linkPath)
 	if err != nil {
 		return fail(err)
 	}
@@ -220,13 +225,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func loadKBs(synthetic, direction, kPath, kpPath, linkPath string) (*kb.KB, *kb.KB, sampling.Translator, error) {
-	if synthetic != "" {
-		spec := synth.TinySpec()
-		if synthetic == "paper" {
-			spec = synth.DefaultSpec()
-		}
-		w := synth.Generate(spec)
+func loadKBs(world *synth.Spec, direction, kPath, kpPath, linkPath string) (*kb.KB, *kb.KB, sampling.Translator, error) {
+	if world != nil {
+		w := synth.Generate(*world)
 		if direction == "y2d" {
 			return w.Dbp, w.Yago, sampling.LinkView{Links: w.Links, KIsA: false}, nil
 		}

@@ -71,7 +71,7 @@ func TestRunUsageErrors(t *testing.T) {
 	}{
 		{[]string{"-synthetic", "tiny", "-all", "-method", "amie"}, `unknown -method "amie": want pca, cwa or ubs`},
 		{[]string{"-synthetic", "tiny", "-all", "-direction", "both"}, `unknown -direction "both": want d2y or y2d`},
-		{[]string{"-synthetic", "huge", "-all"}, `unknown -synthetic "huge": want tiny or paper`},
+		{[]string{"-synthetic", "huge", "-all"}, `-synthetic: unknown world "huge": want tiny or paper`},
 		{[]string{"-synthetic", "tiny"}, "need -relation <iri> or -all"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 	} {

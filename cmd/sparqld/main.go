@@ -158,14 +158,10 @@ func main() {
 			fatal(fmt.Errorf("%s holds shard %q of a %d-shard set; pass the complete set or -shard-of %d/%d", paths[0], base.Name(), n, i, n))
 		}
 	case *synthetic != "":
-		spec := synth.TinySpec()
-		if *synthetic == "paper" {
-			spec = synth.DefaultSpec()
-		}
-		w := synth.Generate(spec)
-		base = w.Yago
-		if *side == "dbp" {
-			base = w.Dbp
+		var err error
+		if base, err = syntheticKB(*synthetic, *side); err != nil {
+			fmt.Fprintln(os.Stderr, "sparqld:", err)
+			os.Exit(2)
 		}
 	case *kbPath != "":
 		var err error
@@ -359,6 +355,20 @@ func parsePeers(arg string) [][]string {
 		}
 	}
 	return shards
+}
+
+// syntheticKB generates the -synthetic world and picks its -side; a
+// name neither switch knows is an error naming the flag.
+func syntheticKB(world, side string) (*kb.KB, error) {
+	spec, err := synth.SpecNamed(world)
+	if err != nil {
+		return nil, fmt.Errorf("-synthetic: %w", err)
+	}
+	k, err := synth.Generate(spec).Side(side)
+	if err != nil {
+		return nil, fmt.Errorf("-side: %w", err)
+	}
+	return k, nil
 }
 
 // parseShardOf parses a -shard-of 'i/n' argument.

@@ -125,6 +125,23 @@ func TestParsers(t *testing.T) {
 		}
 	}
 
+	for _, tc := range []struct{ world, side, kb, err string }{
+		{"tiny", "yago", "yago", ""},
+		{"tiny", "dbp", "dbpedia", ""},
+		{"papre", "yago", "", `-synthetic: unknown world "papre": want tiny or paper`},
+		{"", "yago", "", `-synthetic: unknown world "": want tiny or paper`},
+		{"tiny", "dpb", "", `-side: unknown side "dpb": want yago or dbp`},
+		{"tiny", "dbpedia", "", `-side: unknown side "dbpedia": want yago or dbp`},
+	} {
+		k, err := syntheticKB(tc.world, tc.side)
+		switch {
+		case tc.err != "" && (err == nil || err.Error() != tc.err):
+			t.Errorf("syntheticKB(%q, %q): error %v, want %q", tc.world, tc.side, err, tc.err)
+		case tc.err == "" && (err != nil || k.Name() != tc.kb):
+			t.Errorf("syntheticKB(%q, %q) = %v, %v; want the KB %q", tc.world, tc.side, k, err, tc.kb)
+		}
+	}
+
 	dir := t.TempDir()
 	var shards []string
 	for i := 0; i < 3; i++ {

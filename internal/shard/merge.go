@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"sort"
 
 	"sofya/internal/endpoint"
 	"sofya/internal/rdf"
@@ -21,8 +20,7 @@ import (
 // rows are pulled and keeps only a bounded top-(offset+limit) selection
 // of winners — O(k) memory and row materialization over an O(result)
 // enumeration, byte-identical to the unsharded engine because the
-// selection is the engine's own (sparql.TopK under sparql.CompareKeys,
-// sparql.RandTopK for a lone RAND() key).
+// selection is the engine's own (sparql.OrderSelector).
 
 // rowsSource is the per-shard stream the mergers consume. The ordered
 // merge feeds on borrowed streams (endpoint.StreamBorrowed): a source's
@@ -458,31 +456,21 @@ type orderedMergeSpec struct {
 	text       string // canonical original text: the RAND stream's name
 }
 
-// mrow is one merged candidate row with its re-derived sort keys and
-// its whole-KB enumeration index — the tiebreak that makes the bounded
-// selection order total, exactly as in the engine. Kept rows own their
-// row and keys buffers; a replaced loser's buffers are reused in place.
-type mrow struct {
-	row  []rdf.Term
-	keys []sparql.Value
-	idx  int
-}
-
 // orderedRows reassembles an ORDER BY query from live shard streams as
 // an endpoint.Rows. Rows are enumerated in reconstructed whole-KB order
 // (subject-term merge over borrowed streams), DISTINCT drops duplicates
 // before any key is derived (duplicates consume no RAND draw, as in the
 // engine), each key is re-drawn (bare RAND, from the engine-identical
 // stream) or re-evaluated (deterministic keys, over the borrowed row),
-// and the final order is the engine's: a bounded top-k under the total
-// (keys, enumeration-index) order when the key list is statically
-// total-ordered and a LIMIT is set, the reference stable sort by keys
-// alone otherwise.
+// and sparql.OrderSelector — the selection the engine itself runs —
+// picks the window: bounded to offset+limit winners when the key list is
+// statically total-ordered and a LIMIT is set, the reference stable sort
+// by keys alone otherwise.
 //
-// On the bounded path only the offset+limit winners are ever
-// materialized — a losing row is rejected while still borrowed, with a
-// reused key buffer, so memory and copies are O(k) over an O(result)
-// enumeration. The selection itself is sparql.TopK, the executor's own.
+// A row the selector rejects is dropped while still borrowed; an
+// admitted one is copied into the payload slot the selector names, a
+// reusable term row, so a bounded selection's memory and copies are
+// O(k) over an O(result) enumeration.
 //
 // The enumeration runs on the first Next (ORDER BY cannot emit before
 // seeing every candidate); shard streams close as soon as the merge is
@@ -550,111 +538,25 @@ func (r *orderedRows) Close() {
 // closes every shard stream before returning.
 func (r *orderedRows) run() {
 	spec := &r.spec
-	target := -1
-	if spec.limit >= 0 {
-		target = spec.offset + spec.limit
+	// The engine's own case split (Prepared.orderRand): a lone ascending
+	// RAND() key is selected on the bare draws, with no key list.
+	lone := len(spec.keys) == 1 && spec.keys[0].Rand && !spec.keys[0].Desc
+	hasRand := lone
+	var desc []bool
+	var keys []sparql.Value
+	if !lone {
+		desc, keys = make([]bool, len(spec.keys)), make([]sparql.Value, len(spec.keys))
+		for i, k := range spec.keys {
+			desc[i] = k.Desc
+			hasRand = hasRand || k.Rand
+		}
 	}
-	if target == 0 {
+	sel := sparql.NewOrderSelector(desc, spec.orderTotal, lone, spec.offset, spec.limit)
+	if sel.Empty() {
 		r.trunc = r.merge.truncated()
 		r.merge.close()
 		return
 	}
-
-	// The engine's own case split (Prepared.orderRand): a lone
-	// ascending RAND() key under a LIMIT is selected on the bare draws.
-	var rows [][]rdf.Term // winners in emission order, from row 0
-	var err error
-	if len(spec.keys) == 1 && spec.keys[0].Rand && !spec.keys[0].Desc && target > 0 {
-		rows, err = r.selectRand(target)
-	} else {
-		rows, err = r.selectKeyed(target)
-	}
-	if err != nil {
-		r.err = err
-		r.merge.close()
-		return
-	}
-	r.trunc = r.merge.truncated()
-	r.merge.close()
-
-	if spec.offset < len(rows) {
-		rows = rows[spec.offset:]
-	} else {
-		rows = nil
-	}
-	if spec.maxRows > 0 && len(rows) > spec.maxRows {
-		rows = rows[:spec.maxRows]
-		r.trunc = true
-	}
-	r.out = rows
-}
-
-// selectRand is the merged enumeration for ORDER BY RAND() LIMIT n:
-// every row that survives DISTINCT consumes the stream's next draw, and
-// sparql.RandTopK — the selector the engine runs on this shape — says
-// which payload slot, if any, the borrowed row is copied into. Slots
-// are reusable term rows, so at most target rows are ever held.
-func (r *orderedRows) selectRand(target int) ([][]rdf.Term, error) {
-	draw, release := sparql.RandFloats(r.spec.seed, r.spec.text)
-	defer release()
-	var dedup *rowDedup
-	if r.spec.distinct {
-		dedup = newRowDedup()
-	}
-	sel := sparql.NewRandTopK(target)
-	var slots [][]rdf.Term
-	for {
-		row, ok, err := r.merge.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if dedup != nil && dedup.dup(row) {
-			continue
-		}
-		slot := sel.Offer(draw())
-		if slot < 0 {
-			continue
-		}
-		if slot == len(slots) {
-			slots = append(slots, nil)
-		}
-		slots[slot] = append(slots[slot][:0], row...)
-	}
-	sel.Sort()
-	rows := make([][]rdf.Term, sel.Len())
-	for i := range rows {
-		rows[i] = slots[sel.Slot(i)]
-	}
-	return rows, nil
-}
-
-// selectKeyed is the merged enumeration for every other key list: keys
-// are re-drawn (RAND) or re-evaluated per row, and compared by the
-// engine's own comparator.
-func (r *orderedRows) selectKeyed(target int) ([][]rdf.Term, error) {
-	spec := &r.spec
-	// The comparators are the engine's own (sparql.CompareKeys, the
-	// single definition both sides use), with the enumeration index as
-	// the tiebreak that makes `before` total.
-	desc := make([]bool, len(spec.keys))
-	hasRand := false
-	for i, k := range spec.keys {
-		desc[i] = k.Desc
-		hasRand = hasRand || k.Rand
-	}
-	keyLess := func(a, b *mrow) bool {
-		return sparql.CompareKeys(a.keys, b.keys, desc) < 0
-	}
-	before := func(a, b *mrow) bool {
-		if c := sparql.CompareKeys(a.keys, b.keys, desc); c != 0 {
-			return c < 0
-		}
-		return a.idx < b.idx
-	}
-
 	var draw func() float64
 	if hasRand {
 		var release func()
@@ -665,31 +567,21 @@ func (r *orderedRows) selectKeyed(target int) ([][]rdf.Term, error) {
 	if spec.distinct {
 		dedup = newRowDedup()
 	}
-
 	// Early close is sound only without RAND keys (every enumerated row
 	// must consume its draw — a closed stream would shift the pairing)
 	// and with the ascending subject as the first key, which makes each
 	// stream's first-key sequence non-decreasing: once a head's subject
 	// orders strictly after the worst kept row's, every later row of
 	// that stream loses the first-key comparison outright.
-	var topk *sparql.TopK[mrow]
-	earlyClose := false
-	if bounded := target > 0 && spec.orderTotal; bounded {
-		topk = sparql.NewTopK[mrow](target, before)
-		earlyClose = !hasRand && len(spec.keys) > 0 && spec.keys[0].SubjectKey && !spec.keys[0].Desc
-	}
+	earlyClose := !hasRand && len(spec.keys) > 0 && spec.keys[0].SubjectKey && !desc[0]
 
-	var all []mrow // unbounded path: every candidate, enumeration order
-	keyScratch := make([]sparql.Value, len(spec.keys))
-	// cur is the admission probe, hoisted out of the loop: its address
-	// goes into the dynamic Admits call, so a per-row local would
-	// escape and allocate on every merged row.
-	cur := mrow{keys: keyScratch}
-	idx := 0
+	var slots [][]rdf.Term
 	for {
 		row, ok, err := r.merge.next()
 		if err != nil {
-			return nil, err
+			r.err = err
+			r.merge.close()
+			return
 		}
 		if !ok {
 			break
@@ -697,61 +589,43 @@ func (r *orderedRows) selectKeyed(target int) ([][]rdf.Term, error) {
 		if dedup != nil && dedup.dup(row) {
 			continue
 		}
-		for i := range spec.keys {
-			if spec.keys[i].Rand {
-				keyScratch[i] = sparql.NumValue(draw())
-			} else {
-				keyScratch[i] = spec.keys[i].Eval(row)
+		var slot int
+		if lone {
+			slot = sel.OfferDraw(draw())
+		} else {
+			for i, k := range spec.keys {
+				if k.Rand {
+					keys[i] = sparql.NumValue(draw())
+				} else {
+					keys[i] = k.Eval(row)
+				}
+			}
+			slot = sel.OfferKeys(keys)
+		}
+		if slot >= 0 {
+			if slot == len(slots) {
+				slots = append(slots, nil)
+			}
+			slots[slot] = append(slots[slot][:0], row...)
+		}
+		if earlyClose {
+			if worst := sel.Worst(); worst >= 0 {
+				r.closeLosers(slots[worst])
 			}
 		}
-		cur.row, cur.idx = row, idx
-		idx++
+	}
+	r.trunc = r.merge.truncated()
+	r.merge.close()
 
-		if topk == nil {
-			all = append(all, mrow{
-				row:  append([]rdf.Term(nil), row...),
-				keys: append([]sparql.Value(nil), keyScratch...),
-				idx:  cur.idx,
-			})
-			continue
-		}
-		if topk.Admits(&cur) {
-			if topk.Full() {
-				// Overwrite the worst kept row in place, reusing its
-				// buffers — the zero-allocation replacement.
-				worst := topk.Worst()
-				worst.row = append(worst.row[:0], row...)
-				copy(worst.keys, keyScratch)
-				worst.idx = cur.idx
-				topk.FixWorst()
-			} else {
-				topk.Push(mrow{
-					row:  append([]rdf.Term(nil), row...),
-					keys: append([]sparql.Value(nil), keyScratch...),
-					idx:  cur.idx,
-				})
-			}
-		}
-		if earlyClose && topk.Full() {
-			r.closeLosers(topk.Worst().row)
-		}
+	n := sel.Window()
+	if spec.maxRows > 0 && n > spec.maxRows {
+		n = spec.maxRows
+		r.trunc = true
 	}
-
-	if topk != nil {
-		all = topk.Sorted()
-	} else {
-		// rows are in reconstructed enumeration order; the stable sort
-		// with the pure key comparator reproduces the engine exactly.
-		sort.SliceStable(all, func(i, j int) bool { return keyLess(&all[i], &all[j]) })
-		if target >= 0 && target < len(all) {
-			all = all[:target]
-		}
+	r.out = make([][]rdf.Term, n)
+	for i := range r.out {
+		r.out[i] = slots[sel.Slot(i)]
 	}
-	rows := make([][]rdf.Term, len(all))
-	for i := range all {
-		rows[i] = all[i].row
-	}
-	return rows, nil
 }
 
 // closeLosers closes every stream whose head subject orders strictly

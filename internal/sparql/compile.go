@@ -80,7 +80,7 @@ type compiled struct {
 	orderBy  []OrderKey
 	// orderKeys are the lowered ORDER BY expressions, one per orderBy
 	// entry, evaluated per surviving row; orderDesc are their Desc
-	// flags, in the form CompareKeys consumes.
+	// flags, in the form compareKeys consumes.
 	orderKeys []cexpr
 	orderDesc []bool
 	limit     int
@@ -104,8 +104,8 @@ type compiled struct {
 	// so those queries take the materialize-and-stable-sort path.
 	orderTotal bool
 	// orderRand marks the sampling-probe shape, ORDER BY RAND() and
-	// nothing else: with a LIMIT it is selected by RandTopK on the bare
-	// draws instead of by TopK on boxed key lists (streamRandSample).
+	// nothing else: OrderSelector selects it on the bare draws instead
+	// of on boxed key lists.
 	orderRand bool
 
 	text string    // canonical text, when the plan has no parameters

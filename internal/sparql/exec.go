@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"sofya/internal/kb"
@@ -216,175 +215,43 @@ func (ex *execState) streamUnordered(limit, offset int, yield func([]rdf.Term) b
 	return nil
 }
 
-// orderedRow is one candidate row of an ORDER BY execution: the
-// projected register snapshot (terms materialize only if the row
-// survives selection), its sort keys, and its enumeration index — the
-// tiebreak that makes the selection order total and therefore equal to
-// the reference evaluator's stable sort.
-type orderedRow struct {
-	ids  []kb.TermID
-	keys []Value
-	idx  int
-}
-
 // streamOrdered enumerates all matches (ORDER BY needs every row's
 // keys, and RAND() keys must be drawn in enumeration order) and emits
-// them in sorted order. When the key list is statically total-ordered
-// (Prepared.orderTotal — the ORDER BY RAND() probe shape) and a LIMIT
-// is set, only the top offset+limit candidates are kept in a bounded
-// heap — O(k) live rows for a LIMIT-k probe regardless of the match
-// count. Otherwise every candidate is kept and stable-sorted with the
-// reference comparator over rows in enumeration order, which is
-// byte-identical to the tree-walking evaluator by construction even
-// when some key pairs are incomparable (a non-transitive comparator
-// would make heap selection diverge from the stable sort, so the
-// bounded path is gated on the total-order guarantee). The sampling
-// probes' own key list, a lone ascending RAND() under a LIMIT
-// (Prepared.orderRand), leaves for streamRandSample: the same bounded
-// selection without boxed keys.
+// the window OrderSelector picks — the selection the federation merge
+// runs too (topk.go). Each row that survives DISTINCT consumes its draw
+// or has its keys evaluated, in enumeration order; an admitted row's
+// projected ids go into its slot of one flat arena (at most offset+limit
+// slots on the bounded selections, however many rows match), and terms
+// are materialized for the emitted window only.
 func (ex *execState) streamOrdered(limit, offset int, yield func([]rdf.Term) bool) error {
 	p := ex.p
-	target := -1 // unbounded: full stable sort
-	if limit >= 0 {
-		target = offset + limit
-		if target == 0 {
-			return nil
-		}
-	}
-	if p.orderRand && target > 0 {
-		return ex.streamRandSample(target, offset, yield)
-	}
-	bounded := target >= 0 && p.orderTotal
-	var distinct *distinctFilter
-	if p.distinct {
-		distinct = newDistinctFilter(len(p.projSlot))
-	}
-
-	// keyLess is the reference comparator over the sort keys alone
-	// (CompareKeys, shared with the federation merge); incomparable or
-	// equal keys fall through to the next criterion.
-	keyLess := func(a, b *orderedRow) bool {
-		return CompareKeys(a.keys, b.keys, p.orderDesc) < 0
-	}
-	// before adds the enumeration-index tiebreak, making the order
-	// total. It is only used on the bounded path, where orderTotal
-	// guarantees keyLess is a strict weak ordering, so sorting by
-	// `before` equals the stable sort by keyLess.
-	before := func(a, b *orderedRow) bool {
-		if c := CompareKeys(a.keys, b.keys, p.orderDesc); c != 0 {
-			return c < 0
-		}
-		return a.idx < b.idx
-	}
-
-	keyScratch := make([]Value, len(p.orderKeys))
-	idx := 0
-	snapshot := func(dst *orderedRow) {
-		if dst.ids == nil {
-			dst.ids = make([]kb.TermID, len(p.projSlot))
-			dst.keys = make([]Value, len(keyScratch))
-		}
-		for i, s := range p.projSlot {
-			dst.ids[i] = ex.regs[s]
-		}
-		copy(dst.keys, keyScratch)
-	}
-
-	// Bounded: the shared top-k selector (topk.go, the same selection
-	// the federation merge runs) keeps the best target rows; a newcomer
-	// that does not beat the worst kept row is rejected without ever
-	// being stored, and an admitted one overwrites the worst in place —
-	// reusing its buffers, no allocation.
-	var topk *TopK[orderedRow]
-	var rows []orderedRow
-	if bounded {
-		topk = NewTopK[orderedRow](target, before)
-	}
-	// cur is the admission probe, hoisted out of the emit callback: its
-	// address goes into the dynamic Admits call, so a per-row local
-	// would escape and allocate on every enumerated row.
-	cur := orderedRow{keys: keyScratch}
-	err := ex.runGroup(p.main, func() error {
-		if distinct != nil && distinct.dup(ex) {
-			return nil
-		}
-		for i, kf := range p.orderKeys {
-			keyScratch[i] = kf(ex)
-		}
-		cur.idx = idx
-		idx++
-		if topk != nil {
-			if !topk.Admits(&cur) {
-				return nil
-			}
-			if topk.Full() {
-				worst := topk.Worst()
-				worst.idx = cur.idx
-				snapshot(worst)
-				topk.FixWorst()
-				return nil
-			}
-			kept := orderedRow{idx: cur.idx}
-			snapshot(&kept)
-			topk.Push(kept)
-			return nil
-		}
-		kept := orderedRow{idx: cur.idx}
-		snapshot(&kept)
-		rows = append(rows, kept)
+	sel := NewOrderSelector(p.orderDesc, p.orderTotal, p.orderRand, offset, limit)
+	if sel.Empty() {
 		return nil
-	})
-	if err != nil && err != errStop {
-		return err
 	}
-
-	if topk != nil {
-		rows = topk.Sorted()
-	} else {
-		// rows are in enumeration order; the stable sort with the pure
-		// key comparator reproduces the reference engine exactly.
-		sort.SliceStable(rows, func(i, j int) bool { return keyLess(&rows[i], &rows[j]) })
-	}
-	end := len(rows)
-	if target >= 0 && target < end {
-		end = target
-	}
-	for i := offset; i < end; i++ {
-		row := ex.borrowRow
-		if row == nil {
-			row = make([]rdf.Term, len(rows[i].ids))
-		}
-		for j, id := range rows[i].ids {
-			row[j] = ex.k.Term(id)
-		}
-		if !yield(row) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// streamRandSample is streamOrdered for ORDER BY RAND() LIMIT n, the
-// shape of every sampling probe: the same rows in the same order,
-// selected by RandTopK on the bare draws. Each enumerated row consumes
-// one draw, after DISTINCT and in enumeration order, exactly as the key
-// closure would; an admitted row's projected ids go into its slot of
-// one flat arena (at most target slots, however many rows match), and
-// terms are materialized for the emitted window only.
-func (ex *execState) streamRandSample(target, offset int, yield func([]rdf.Term) bool) error {
-	p := ex.p
 	var distinct *distinctFilter
 	if p.distinct {
 		distinct = newDistinctFilter(len(p.projSlot))
 	}
-	sel := NewRandTopK(target)
+	var keys []Value
+	if !p.orderRand {
+		keys = make([]Value, len(p.orderKeys))
+	}
 	w := len(p.projSlot)
 	var arena []kb.TermID
 	err := ex.runGroup(p.main, func() error {
 		if distinct != nil && distinct.dup(ex) {
 			return nil
 		}
-		slot := sel.Offer(ex.rng().Float64())
+		var slot int
+		if p.orderRand {
+			slot = sel.OfferDraw(ex.rng().Float64())
+		} else {
+			for i, kf := range p.orderKeys {
+				keys[i] = kf(ex)
+			}
+			slot = sel.OfferKeys(keys)
+		}
 		if slot < 0 {
 			return nil
 		}
@@ -399,8 +266,7 @@ func (ex *execState) streamRandSample(target, offset int, yield func([]rdf.Term)
 	if err != nil && err != errStop {
 		return err
 	}
-	sel.Sort()
-	for i := offset; i < sel.Len(); i++ {
+	for i, n := 0, sel.Window(); i < n; i++ {
 		row := ex.borrowRow
 		if row == nil {
 			row = make([]rdf.Term, w)

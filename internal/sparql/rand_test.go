@@ -13,7 +13,7 @@ import (
 
 // rand_test.go covers the RAND() stream's plumbing: the pooled PRNG
 // state (randSource) and the cost of the sampling-probe shape it feeds
-// (streamRandSample).
+// (streamOrdered's OfferDraw branch).
 
 // TestPooledRandStreamIdentical holds the pooled stream to its
 // definition, written out here the way the reference engine writes it:

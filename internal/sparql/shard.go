@@ -6,13 +6,15 @@ import (
 	"sofya/internal/rdf"
 )
 
-// shard.go exports the query-structure analysis and the comparability /
-// randomness hooks the federation layer (internal/shard) needs to merge
-// per-shard result streams back into the whole-KB result byte for byte.
-// Everything here is derived from the same definitions the engine
-// executes — valuesOrder for ORDER BY comparisons, the seed ⊕ canonical
-// text PRNG for RAND() — so the merge point reproduces engine semantics
-// exactly instead of approximating them.
+// shard.go exports what the federation layer (internal/shard) needs to
+// merge per-shard result streams back into the whole-KB result byte for
+// byte: the query-structure analysis (AnalyzeShard → ShardShape, with a
+// row-level evaluator per ORDER BY key), NumValue to box a re-drawn
+// RAND() key, and the seed ⊕ canonical text PRNG stream (RandFloats).
+// The selection itself, key comparison included, is OrderSelector
+// (topk.go). Everything is the definition the engine executes, so the
+// merge point reproduces engine semantics exactly instead of
+// approximating them.
 
 // ShardOrderKey describes one ORDER BY key to the merge layer.
 type ShardOrderKey struct {
@@ -256,53 +258,9 @@ func compileRowKey(e Expr, vars []string) (func(row []rdf.Term) Value, bool) {
 	}, true
 }
 
-// CompareKeys is the engine's ORDER BY key-list comparison — the single
-// definition the executor (streamOrdered) and the federation merge both
-// sort with. It returns a negative value when key list a orders before
-// b under the per-key Desc flags, positive for after, and 0 when every
-// key pair is equal or incomparable (the caller's tiebreak decides).
-func CompareKeys(a, b []Value, desc []bool) int {
-	for k := range a {
-		c, ok := valuesOrder(a[k], b[k])
-		if !ok || c == 0 {
-			continue
-		}
-		if desc[k] {
-			return -c
-		}
-		return c
-	}
-	return 0
-}
-
-// NumValue wraps a float as the numeric Value RAND() keys produce.
+// NumValue wraps a float as the numeric Value RAND() keys produce: the
+// merge boxes a re-drawn RAND() key that shares its list with others.
 func NumValue(f float64) Value { return numValue(f) }
-
-// BoolValue wraps a boolean as an ORDER BY key Value.
-func BoolValue(b bool) Value { return boolValue(b) }
-
-// StrValue wraps a string as an ORDER BY key Value.
-func StrValue(s string) Value { return strValue(s) }
-
-// TermValue wraps an RDF term as an ORDER BY key Value.
-func TermValue(t rdf.Term) Value { return termValue(t) }
-
-// ErrValue is the evaluation-error Value; ORDER BY treats it as
-// incomparable, so a shipped error key sorts exactly like a merge-point
-// evaluation error would.
-func ErrValue() Value { return errValue() }
-
-// AsBool unpacks a boolean Value.
-func (v Value) AsBool() (bool, bool) { return v.b, v.kind == vBool }
-
-// AsNum unpacks a numeric Value.
-func (v Value) AsNum() (float64, bool) { return v.n, v.kind == vNum }
-
-// AsStr unpacks a string Value.
-func (v Value) AsStr() (string, bool) { return v.s, v.kind == vStr }
-
-// AsTerm unpacks an RDF-term Value.
-func (v Value) AsTerm() (rdf.Term, bool) { return v.t, v.kind == vTerm }
 
 // RandFloats returns the RAND() draw stream an engine with the given
 // seed derives for the canonical text of a query — the same stream, in

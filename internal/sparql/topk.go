@@ -6,159 +6,190 @@ import (
 	"sort"
 )
 
-// topk.go is the bounded top-k selection primitive shared by the
-// executor's ORDER BY path (streamOrdered) and the federation merge
-// (internal/shard): keep the best `target` items under a total order,
-// reject losers in O(log k) without retaining them, and emit the
-// winners sorted. Both sides selecting with literally the same code is
-// part of what keeps sharded ORDER BY results byte-identical to the
-// unsharded engine's. TopK is the selector for any key list; RandTopK
-// is the same selection for the one shape the aligner's sampling probes
-// have, a single ascending RAND() key, done on 24-byte entries.
+// topk.go is how an ORDER BY [OFFSET] [LIMIT] picks and orders its
+// winners from an enumeration — the one definition the executor
+// (streamOrdered) and the federation merge (shard.orderedRows) both run,
+// which is what keeps a sharded ORDER BY byte-identical to the unsharded
+// engine's. The selector sees keys and enumeration order only; each
+// caller stores the rows themselves, in whatever form it likes (the
+// executor: ids in a flat arena; the merge: reusable term rows), at the
+// payload slots the selector hands out.
 
-// TopK selects the `target` least items under a total `before` order
-// over a stream of candidates, holding at most `target` items at any
-// moment. Internally the kept items form a max-heap (the root is the
-// worst kept item, the one that would be emitted last), so a candidate
-// that does not order before the root is rejected in O(1) comparisons
-// without ever being stored — callers reuse the candidate's buffers for
-// the next row, which is what makes O(k) memory possible over an
-// O(result) enumeration.
+// OrderSelector selects the window [offset, offset+limit) of a stable
+// sort by ORDER BY keys over rows offered in enumeration order, and
+// chooses how from the query's static shape:
 //
-// `before` must be a strict total order (use an enumeration-index
-// tiebreak to totalize a key comparison); with a merely partial order
-// the heap selection can diverge from a reference stable sort.
+//   - lone ascending RAND() (the shape of every sampling probe): entries
+//     carry the bare draw — no Value, no key list — and at most
+//     offset+limit of them are kept. Most sampled relations have fewer
+//     matches than the fetch window, so entries are only appended until
+//     the selection is full; the heap is built when the first row beyond
+//     it arrives, if one does;
+//   - statically total key list: the same bounded selection under
+//     compareKeys with the enumeration index as the tiebreak, which makes
+//     the order total and therefore equal to the stable sort;
+//   - otherwise some key pairs may be incomparable, the comparator is not
+//     transitive and a heap could diverge from the reference evaluator:
+//     every row is kept and stable-sorted by keys alone.
 //
-// The zero value is not usable; construct with NewTopK. A TopK is not
-// safe for concurrent use.
-type TopK[T any] struct {
-	items  []T
-	target int
-	before func(a, b *T) bool
+// Without a LIMIT the first two keep every row too and sort once.
+//
+// An Offer returns the payload slot the caller must now fill with the
+// row, or -1 when the row is rejected while the caller still owns its
+// buffers. Slots count up from 0; one is handed out again only when its
+// row is evicted, so a bounded selection never has more than
+// offset+limit payloads live over an enumeration of any length.
+//
+// The zero value is not usable; construct with NewOrderSelector. An
+// OrderSelector is not safe for concurrent use.
+type OrderSelector struct {
+	desc   []bool
+	rand   bool // entries order by draw, not by key list
+	total  bool // (keys, enumeration index) is a total order
+	offset int
+	target int // offset+limit: rows that can reach the window; -1 = all
+
+	ents   []selEntry
+	keys   [][]Value // per payload slot; empty when rand
+	seen   int       // rows offered so far: the next enumeration index
+	heaped bool      // ents is a max-heap under order
 }
 
-// NewTopK returns a selector for the `target` least items under
-// `before`. target must be positive.
-func NewTopK[T any](target int, before func(a, b *T) bool) *TopK[T] {
-	return &TopK[T]{target: target, before: before}
+type selEntry struct {
+	f    float64 // the draw, when rand
+	idx  int     // enumeration index
+	slot int     // payload slot
 }
 
-// Full reports whether the selection holds target items — from then on
-// admission requires beating the worst kept item.
-func (t *TopK[T]) Full() bool { return len(t.items) == t.target }
-
-// Len returns the number of items currently held.
-func (t *TopK[T]) Len() int { return len(t.items) }
-
-// Admits reports whether x would enter the selection: always, until the
-// selection is full; afterwards only if x orders before the worst kept
-// item. It does not modify the selection.
-func (t *TopK[T]) Admits(x *T) bool {
-	return len(t.items) < t.target || t.before(x, &t.items[0])
-}
-
-// Worst returns the worst kept item in place (the heap root). Callers
-// on the zero-allocation path overwrite it — reusing its buffers — and
-// then call FixWorst. Only valid when Len() > 0.
-func (t *TopK[T]) Worst() *T { return &t.items[0] }
-
-// FixWorst restores the heap order after the caller overwrote *Worst().
-func (t *TopK[T]) FixWorst() { siftDown(t.items, 0, t.before) }
-
-// Push admits x into a non-full selection. Callers must check Admits
-// (or !Full) first; pushing into a full selection panics via the
-// append-beyond-target guard below.
-func (t *TopK[T]) Push(x T) {
-	if len(t.items) >= t.target {
-		panic("sparql: TopK.Push on a full selection (use Worst/FixWorst)")
+// NewOrderSelector returns the selector for one execution: desc are the
+// keys' Desc flags (not read when rand), total reports a statically
+// total key list, rand the lone ascending bare RAND() (which is total),
+// limit < 0 no LIMIT.
+func NewOrderSelector(desc []bool, total, rand bool, offset, limit int) *OrderSelector {
+	s := &OrderSelector{desc: desc, rand: rand, total: total, offset: offset, target: -1}
+	if limit >= 0 {
+		s.target = offset + limit
 	}
-	t.items = append(t.items, x)
-	siftUp(t.items, len(t.items)-1, t.before)
+	return s
 }
 
-// Sorted sorts the kept items into emission order (least first, under
-// `before`) and returns them. The selection must not be used afterwards.
-func (t *TopK[T]) Sorted() []T {
-	sort.Sort(byBefore[T]{t.items, t.before})
-	return t.items
-}
+// full reports a bounded selection that holds its offset+limit rows:
+// from then on a row is admitted only by evicting the worst kept one.
+func (s *OrderSelector) full() bool { return s.total && len(s.ents) == s.target }
 
-// byBefore sorts items under before through sort.Interface: no
-// reflection-built swapper as with sort.Slice, and the comparator sees
-// the elements in place (slices.SortFunc would hand it copies, whose
-// addresses escape through the dynamic before call).
-type byBefore[T any] struct {
-	items  []T
-	before func(a, b *T) bool
-}
+// Empty reports a window that is empty whatever is enumerated (LIMIT 0
+// without OFFSET): callers skip the enumeration, and must not offer.
+func (s *OrderSelector) Empty() bool { return s.target == 0 }
 
-func (s byBefore[T]) Len() int           { return len(s.items) }
-func (s byBefore[T]) Less(i, j int) bool { return s.before(&s.items[i], &s.items[j]) }
-func (s byBefore[T]) Swap(i, j int)      { s.items[i], s.items[j] = s.items[j], s.items[i] }
+// OfferDraw considers the next enumerated row of a rand selection, whose
+// draw is f. Rows must be offered in enumeration order.
+func (s *OrderSelector) OfferDraw(f float64) int { return s.offer(f, nil) }
 
-// siftUp restores the max-heap property (the root orders last under
-// `before`) upward from i.
-func siftUp[T any](s []T, i int, before func(a, b *T) bool) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(&s[parent], &s[i]) {
-			return
+// OfferKeys considers the next enumerated row of any other selection.
+// keys is the caller's scratch: an admitted row's keys are copied.
+func (s *OrderSelector) OfferKeys(keys []Value) int { return s.offer(0, keys) }
+
+func (s *OrderSelector) offer(f float64, keys []Value) int {
+	idx := s.seen
+	s.seen++
+	if !s.full() {
+		slot := len(s.ents)
+		s.ents = append(s.ents, selEntry{f, idx, slot})
+		if !s.rand {
+			s.keys = append(s.keys, slices.Clone(keys))
 		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
+		return slot
+	}
+	// idx exceeds every kept index, so an equal row loses the tiebreak.
+	worst := s.root()
+	if s.rand {
+		if f >= worst.f {
+			return -1
+		}
+	} else {
+		kept := s.keys[worst.slot]
+		if compareKeys(keys, kept, s.desc) >= 0 {
+			return -1
+		}
+		copy(kept, keys)
+	}
+	slot := worst.slot
+	worst.f, worst.idx = f, idx
+	s.siftDown(0)
+	return slot
+}
+
+// Worst returns the payload slot of the worst kept row once a bounded
+// selection is full — the row every later winner must beat — and -1
+// until then, or when every row is kept.
+func (s *OrderSelector) Worst() int {
+	if !s.full() {
+		return -1
+	}
+	return s.root().slot
+}
+
+// root returns the worst kept entry of a full selection: the root of
+// the heap, which is built on first use (out of line, so that root
+// itself inlines into the per-row offer).
+func (s *OrderSelector) root() *selEntry {
+	if !s.heaped {
+		s.heapify()
+	}
+	return &s.ents[0]
+}
+
+func (s *OrderSelector) heapify() {
+	s.heaped = true
+	for i := len(s.ents)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
 	}
 }
 
-// siftDown restores the max-heap property downward from i.
-func siftDown[T any](s []T, i int, before func(a, b *T) bool) {
-	n := len(s)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && before(&s[largest], &s[l]) {
-			largest = l
-		}
-		if r < n && before(&s[largest], &s[r]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		s[i], s[largest] = s[largest], s[i]
-		i = largest
+// Window ends the enumeration: it puts the kept rows in emission order,
+// cuts OFFSET and LIMIT, and returns how many rows the window holds;
+// Slot(i) is then the payload slot of its i-th row. The selector must
+// not be offered rows afterwards.
+func (s *OrderSelector) Window() int {
+	switch {
+	case s.rand:
+		slices.SortFunc(s.ents, compareDraws)
+	case s.total:
+		slices.SortFunc(s.ents, s.order)
+	default:
+		// ents are in enumeration order; the stable sort with the pure key
+		// comparator reproduces the reference evaluator exactly.
+		sort.SliceStable(s.ents, func(i, j int) bool {
+			return compareKeys(s.keys[s.ents[i].slot], s.keys[s.ents[j].slot], s.desc) < 0
+		})
 	}
+	end := len(s.ents)
+	if s.target >= 0 {
+		end = min(end, s.target)
+	}
+	s.ents = s.ents[min(s.offset, end):end]
+	return len(s.ents)
 }
 
-// RandTopK is TopK for rows ordered by one ascending RAND() key: the
-// `target` rows with the least draws, ties going to the row enumerated
-// first — the order `before` gives orderedRow and mrow for that key
-// list, without boxing the draw into a Value or comparing through a
-// closure. It sees only the draws. Offer hands back a payload slot in
-// [0, target) for each admitted row and the caller keeps the row there,
-// in whatever form it likes (the executor: ids in a flat arena; the
-// federation merge: reusable term rows); a slot is reused when its row
-// is evicted, so at most target payloads are ever live.
-//
-// Most sampled relations have fewer matches than the fetch window, so
-// entries are only appended until the selection is full; the heap is
-// built when the first row beyond target arrives, if one does.
-//
-// The zero value is not usable; construct with NewRandTopK. A RandTopK
-// is not safe for concurrent use.
-type RandTopK struct {
-	ents   []randEntry
-	target int
-	seen   int  // rows offered so far: the next enumeration index
-	heaped bool // ents is a max-heap under compareRand
+// Slot returns the payload slot of the i-th row of the window.
+func (s *OrderSelector) Slot(i int) int { return s.ents[i].slot }
+
+// order is the total selection order: draws or key lists first, ties to
+// the row enumerated first.
+func (s *OrderSelector) order(a, b selEntry) int {
+	if s.rand {
+		return compareDraws(a, b)
+	}
+	if c := compareKeys(s.keys[a.slot], s.keys[b.slot], s.desc); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
-type randEntry struct {
-	f    float64
-	idx  int // enumeration index
-	slot int // payload slot
-}
-
-func compareRand(a, b randEntry) int {
+// compareDraws is order for a rand selection, which needs nothing of
+// the selector: the sampling shape sorts with it directly, one call a
+// comparison where the method value would cost two.
+func compareDraws(a, b selEntry) int {
 	switch { // draws are never NaN
 	case a.f < b.f:
 		return -1
@@ -168,68 +199,41 @@ func compareRand(a, b randEntry) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// NewRandTopK returns a selector for the `target` least draws. target
-// must be positive.
-func NewRandTopK(target int) *RandTopK {
-	return &RandTopK{target: target}
-}
-
-// Offer considers the next enumerated row, whose draw is f. It returns
-// the payload slot the caller must now fill with the row, or -1 when
-// the row is rejected. Rows must be offered in enumeration order.
-func (t *RandTopK) Offer(f float64) int {
-	idx := t.seen
-	t.seen++
-	if len(t.ents) < t.target {
-		slot := len(t.ents)
-		t.ents = append(t.ents, randEntry{f, idx, slot})
-		return slot
-	}
-	if !t.heaped {
-		for i := len(t.ents)/2 - 1; i >= 0; i-- {
-			siftDownRand(t.ents, i)
+// compareKeys is the ORDER BY key-list comparison: negative when key
+// list a orders before b under the per-key Desc flags, positive for
+// after, and 0 when every key pair is equal or incomparable (the
+// caller's tiebreak decides).
+func compareKeys(a, b []Value, desc []bool) int {
+	for k := range a {
+		c, ok := valuesOrder(a[k], b[k])
+		if !ok || c == 0 {
+			continue
 		}
-		t.heaped = true
+		if desc[k] {
+			return -c
+		}
+		return c
 	}
-	// idx exceeds every kept index, so an equal draw loses the tiebreak.
-	worst := &t.ents[0]
-	if f >= worst.f {
-		return -1
-	}
-	slot := worst.slot
-	worst.f, worst.idx = f, idx
-	siftDownRand(t.ents, 0)
-	return slot
+	return 0
 }
 
-// Sort puts the kept rows in emission order for Len and Slot. The
-// selection must not be offered rows afterwards.
-func (t *RandTopK) Sort() { slices.SortFunc(t.ents, compareRand) }
-
-// Len returns the number of rows currently held.
-func (t *RandTopK) Len() int { return len(t.ents) }
-
-// Slot returns the payload slot of the i-th kept row (after Sort: the
-// i-th row in emission order).
-func (t *RandTopK) Slot(i int) int { return t.ents[i].slot }
-
-// siftDownRand restores the max-heap property (the root orders last
-// under compareRand) downward from i.
-func siftDownRand(s []randEntry, i int) {
-	n := len(s)
+// siftDown restores the max-heap property (the root orders last) downward
+// from i.
+func (s *OrderSelector) siftDown(i int) {
+	ents := s.ents
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && compareRand(s[largest], s[l]) < 0 {
+		if l < len(ents) && s.order(ents[largest], ents[l]) < 0 {
 			largest = l
 		}
-		if r < n && compareRand(s[largest], s[r]) < 0 {
+		if r < len(ents) && s.order(ents[largest], ents[r]) < 0 {
 			largest = r
 		}
 		if largest == i {
 			return
 		}
-		s[i], s[largest] = s[largest], s[i]
+		ents[i], ents[largest] = ents[largest], ents[i]
 		i = largest
 	}
 }

@@ -7,113 +7,140 @@ import (
 	"testing"
 )
 
-// topk_test.go checks both selectors against the definition they stand
-// in for: stable-sort every row by its key, then cut the window
-// [offset, target). Key streams are drawn from a handful of values, so
-// most comparisons are ties and the enumeration-index tiebreak decides.
+// topk_test.go checks OrderSelector, in each of its three strategies,
+// against the definition it stands in for: stable-sort every row by its
+// keys alone, truncate to offset+limit, cut the offset. Keys are drawn
+// from a handful of values, so most comparisons are ties and the
+// enumeration-index tiebreak decides.
 
-// selected is one row of a selector test: its key and where it came in
-// the enumeration.
-type selected struct {
-	key float64
-	idx int
+// referenceWindow is "stable sort by keys, truncate, skip": the
+// enumeration indexes of the window's rows. limit < 0 is no LIMIT.
+func referenceWindow(rows [][]Value, desc []bool, offset, limit int) []int {
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(i, j int) bool { return compareKeys(rows[idx[i]], rows[idx[j]], desc) < 0 })
+	if limit >= 0 {
+		idx = idx[:min(offset+limit, len(idx))]
+	}
+	return idx[min(offset, len(idx)):]
 }
 
-// referenceWindow is "stable sort by key, truncate".
-func referenceWindow(keys []float64, target, offset int) []int {
-	rows := make([]selected, len(keys))
-	for i, k := range keys {
-		rows[i] = selected{k, i}
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-	if target < len(rows) {
-		rows = rows[:target]
-	}
-	var out []int
-	for i := offset; i < len(rows); i++ {
-		out = append(out, rows[i].idx)
-	}
-	return out
+// selectorShape is one strategy's static shape and key generator.
+type selectorShape struct {
+	name        string
+	total, rand bool
+	nkeys       func(*rand.Rand) int
+	key         func(*rand.Rand) Value
 }
 
-// viaTopK runs the generic selector the way streamOrdered and the merge
-// drive it: probe with Admits, overwrite the worst in place once full.
-func viaTopK(keys []float64, target, offset int) []int {
-	topk := NewTopK[selected](target, func(a, b *selected) bool {
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.idx < b.idx
-	})
-	for i, k := range keys {
-		cur := selected{k, i}
-		if !topk.Admits(&cur) {
-			continue
-		}
-		if topk.Full() {
-			*topk.Worst() = cur
-			topk.FixWorst()
-		} else {
-			topk.Push(cur)
-		}
-	}
-	var out []int
-	for i, s := range topk.Sorted() {
-		if i >= offset {
-			out = append(out, s.idx)
-		}
-	}
-	return out
+var selectorShapes = []selectorShape{
+	{"rand", true, true,
+		func(*rand.Rand) int { return 1 },
+		func(r *rand.Rand) Value { return numValue(float64(r.Intn(4)) / 4) }},
+	{"total", true, false,
+		func(r *rand.Rand) int { return 1 + r.Intn(3) },
+		func(r *rand.Rand) Value { return numValue(float64(r.Intn(3))) }},
+	// Numbers, strings, booleans and errors do not compare with each
+	// other: the comparator is not transitive, only the stable sort is
+	// the reference's.
+	{"stable", false, false,
+		func(r *rand.Rand) int { return 1 + r.Intn(3) },
+		func(r *rand.Rand) Value {
+			switch r.Intn(4) {
+			case 0:
+				return numValue(float64(r.Intn(3)))
+			case 1:
+				return strValue(string(rune('a' + r.Intn(3))))
+			case 2:
+				return boolValue(r.Intn(2) == 0)
+			}
+			return errValue()
+		}},
 }
 
-// viaRandTopK runs the typed selector with the enumeration index as the
-// payload, and checks the slot contract on the way.
-func viaRandTopK(t *testing.T, keys []float64, target, offset int) []int {
-	sel := NewRandTopK(target)
+// viaSelector runs the selector with the enumeration index as the
+// payload, the way streamOrdered and the merge drive it, and checks the
+// slot contract and Worst on the way.
+func viaSelector(t *testing.T, sh selectorShape, rows [][]Value, desc []bool, offset, limit int) []int {
+	sel := NewOrderSelector(desc, sh.total, sh.rand, offset, limit)
+	if sel.Empty() != (limit == 0 && offset == 0) {
+		t.Fatalf("Empty() = %v with offset %d limit %d", sel.Empty(), offset, limit)
+	}
+	if sel.Empty() {
+		return nil
+	}
+	bounded := sh.total && limit >= 0
 	var payload []int
-	for i, k := range keys {
-		slot := sel.Offer(k)
+	for i, keys := range rows {
+		var slot int
+		if sh.rand {
+			slot = sel.OfferDraw(keys[0].n)
+		} else {
+			slot = sel.OfferKeys(slices.Clone(keys)) // a scratch the selector must not keep
+		}
 		switch {
+		case slot < 0 && !bounded:
+			t.Fatalf("row %d rejected by a selection that keeps every row", i)
 		case slot < 0:
-			continue
-		case slot >= target || slot > len(payload):
-			t.Fatalf("row %d: slot %d with target %d and %d slots in use", i, slot, target, len(payload))
+		case slot > len(payload) || bounded && slot >= offset+limit:
+			t.Fatalf("row %d: slot %d with %d slots in use, offset %d limit %d", i, slot, len(payload), offset, limit)
 		case slot == len(payload):
 			payload = append(payload, i)
+		case !bounded:
+			t.Fatalf("row %d: slot %d handed out twice by a selection that keeps every row", i, slot)
 		default:
 			payload[slot] = i
 		}
-		if sel.Len() > target {
-			t.Fatalf("row %d: selector holds %d rows, target %d", i, sel.Len(), target)
+		// Worst is the last row of the stable sort of what was offered so
+		// far, once that many rows are kept; a slot given away while its
+		// row was still among the winners would show here or in the window.
+		worst := sel.Worst()
+		if full := bounded && i+1 >= offset+limit; full != (worst >= 0) {
+			t.Fatalf("row %d: Worst() = %d, full = %v", i, worst, full)
+		} else if full {
+			kept := referenceWindow(rows[:i+1], desc, 0, offset+limit)
+			if want := kept[len(kept)-1]; payload[worst] != want {
+				t.Fatalf("row %d: worst kept row is %d, want %d", i, payload[worst], want)
+			}
 		}
 	}
-	sel.Sort()
-	var out []int
-	for i := offset; i < sel.Len(); i++ {
-		out = append(out, payload[sel.Slot(i)])
+	out := make([]int, sel.Window())
+	for i := range out {
+		out[i] = payload[sel.Slot(i)]
 	}
 	return out
 }
 
 func TestSelectorsEqualStableSortTruncate(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for round := 0; round < 300; round++ {
-		n := 1 + rng.Intn(60)
-		distinct := 1 + rng.Intn(4) // heavy duplicates
-		keys := make([]float64, n)
-		for i := range keys {
-			keys[i] = float64(rng.Intn(distinct)) / 4
-		}
-		for _, target := range []int{1, 1 + rng.Intn(n), n, n + 1 + rng.Intn(5)} {
-			for _, offset := range []int{0, 1, target - 1} {
-				want := referenceWindow(keys, target, offset)
-				if got := viaTopK(keys, target, offset); !slices.Equal(got, want) {
-					t.Fatalf("TopK n=%d target=%d offset=%d keys=%v:\n got %v\nwant %v", n, target, offset, keys, got, want)
+	for _, sh := range selectorShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for round := 0; round < 100; round++ {
+				n := 1 + rng.Intn(60)
+				desc := make([]bool, sh.nkeys(rng))
+				for i := range desc {
+					desc[i] = !sh.rand && rng.Intn(2) == 0
 				}
-				if got := viaRandTopK(t, keys, target, offset); !slices.Equal(got, want) {
-					t.Fatalf("RandTopK n=%d target=%d offset=%d keys=%v:\n got %v\nwant %v", n, target, offset, keys, got, want)
+				rows := make([][]Value, n)
+				for i := range rows {
+					rows[i] = make([]Value, len(desc))
+					for k := range rows[i] {
+						rows[i][k] = sh.key(rng)
+					}
+				}
+				mid := 1 + rng.Intn(n)
+				for _, offset := range []int{0, 1, mid, n + 2} {
+					for _, limit := range []int{-1, 0, 1, mid, n + 1 + rng.Intn(5)} {
+						want := referenceWindow(rows, desc, offset, limit)
+						got := viaSelector(t, sh, rows, desc, offset, limit)
+						if !slices.Equal(got, want) {
+							t.Fatalf("n=%d offset=%d limit=%d desc=%v rows=%v:\n got %v\nwant %v", n, offset, limit, desc, rows, got, want)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

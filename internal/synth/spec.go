@@ -27,6 +27,8 @@
 //     is how the real DBpedia property namespace reaches 1313 relations.
 package synth
 
+import "fmt"
+
 // Spec parameterizes world generation. Use DefaultSpec or TinySpec and
 // tweak fields; the zero value is not usable.
 type Spec struct {
@@ -190,4 +192,17 @@ func TinySpec() Spec {
 	s.VariantFraction = 0.7
 	s.MaxVariantsPerRelation = 1
 	return s
+}
+
+// SpecNamed resolves the world-size name every command's -spec or
+// -synthetic flag takes: "tiny" or "paper". Any other name is an error
+// that lists the two — a misspelt one must not run as a default.
+func SpecNamed(name string) (Spec, error) {
+	switch name {
+	case "tiny":
+		return TinySpec(), nil
+	case "paper":
+		return DefaultSpec(), nil
+	}
+	return Spec{}, fmt.Errorf("unknown world %q: want tiny or paper", name)
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -239,5 +240,34 @@ func TestNoiseRelationsAreDbpOnly(t *testing.T) {
 	}
 	if count != w.Report.NoiseRelations {
 		t.Fatalf("noise relations: report=%d, kb=%d", w.Report.NoiseRelations, count)
+	}
+}
+
+// TestNamedSpecAndSide is the seam behind every command's -spec,
+// -synthetic and -side flag: the known names resolve to what each
+// command used to pick by hand, and a misspelt one is refused with the
+// accepted names instead of running as a default.
+func TestNamedSpecAndSide(t *testing.T) {
+	for name, want := range map[string]Spec{"tiny": TinySpec(), "paper": DefaultSpec()} {
+		if got, err := SpecNamed(name); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("SpecNamed(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "tny", "papr", "papre", "Tiny", "default"} { // experiments, kbgen, sparqld typos
+		if _, err := SpecNamed(name); err == nil || !strings.Contains(err.Error(), "want tiny or paper") {
+			t.Errorf("SpecNamed(%q): error %v, want one naming tiny and paper", name, err)
+		}
+	}
+
+	w := Generate(TinySpec())
+	for name, want := range map[string]*kb.KB{"yago": w.Yago, "dbp": w.Dbp} {
+		if got, err := w.Side(name); err != nil || got != want {
+			t.Errorf("Side(%q) = %v, %v; want the world's own %s", name, got, err, want.Name())
+		}
+	}
+	for _, name := range []string{"", "dpb", "dbpedia", "Yago"} { // loadtest, sparqld typos
+		if k, err := w.Side(name); err == nil || k != nil || !strings.Contains(err.Error(), "want yago or dbp") {
+			t.Errorf("Side(%q) = %v, %v; want an error naming yago and dbp", name, k, err)
+		}
 	}
 }

@@ -24,6 +24,18 @@ type World struct {
 	Report Report
 }
 
+// Side resolves the KB name a command's -side flag takes: "yago" or
+// "dbp". Any other name is an error that lists the two.
+func (w *World) Side(name string) (*kb.KB, error) {
+	switch name {
+	case "yago":
+		return w.Yago, nil
+	case "dbp":
+		return w.Dbp, nil
+	}
+	return nil, fmt.Errorf("unknown side %q: want yago or dbp", name)
+}
+
 // Report counts the generated structures, for documentation and tests.
 type Report struct {
 	Families            int
