@@ -17,6 +17,7 @@ import (
 	"sofya/internal/core"
 	"sofya/internal/endpoint"
 	"sofya/internal/experiments"
+	"sofya/internal/kb"
 	"sofya/internal/paris"
 	"sofya/internal/sampling"
 	"sofya/internal/sparql"
@@ -224,12 +225,24 @@ func BenchmarkEndpointSelect(b *testing.B) {
 // template that binds two TermID registers. Run with -benchmem; the
 // prepared path must win on both ns/op and allocs/op.
 
+// subjectsWith lists p's distinct subjects in term order.
+func subjectsWith(k *kb.KB, p kb.TermID) []kb.TermID {
+	var out []kb.TermID
+	k.EachFactOf(p, func(s, _ kb.TermID) bool {
+		if len(out) == 0 || out[len(out)-1] != s {
+			out = append(out, s)
+		}
+		return true
+	})
+	return out
+}
+
 func benchProbeEntities(b *testing.B) (x, y string) {
 	w := world(b)
 	k := w.Yago
 	rels := k.Relations()
 	for _, p := range rels {
-		for _, s := range k.SubjectsWith(p) {
+		for _, s := range subjectsWith(k, p) {
 			objs := k.ObjectsOf(s, p)
 			if len(objs) > 0 && k.Term(objs[0]).IsIRI() {
 				return k.Term(s).Value, k.Term(objs[0]).Value
@@ -389,7 +402,7 @@ func BenchmarkKBHasFact(b *testing.B) {
 	k := w.Yago
 	rels := k.Relations()
 	p := rels[len(rels)/2]
-	subs := k.SubjectsWith(p)
+	subs := subjectsWith(k, p)
 	if len(subs) == 0 {
 		b.Skip("empty relation")
 	}

@@ -61,7 +61,7 @@ func ExampleNewShardedEndpoint() {
 	// rows=2 identical-to-unsharded=true
 }
 
-// Persist a frozen KB as a binary snapshot and reopen it by
+// Persist a KB as a binary snapshot and reopen it by
 // memory-mapping — the instant-restart path: no N-Triples parsing, no
 // re-indexing, byte-identical query answers.
 func ExampleOpenKBSnapshot() {

@@ -80,8 +80,8 @@ func main() {
 	fmt.Printf("batch queries reaching the KBs: K=%d, K'=%d (cache hits K=%d, K'=%d)\n",
 		k.Stats().Queries, kp.Stats().Queries, csK.Hits, csKP.Hits)
 
-	// Snapshots: persist a frozen KB once, restart it in milliseconds.
-	// WriteSnapshotFile serializes the compacted indexes; OpenKBSnapshot
+	// Snapshots: persist a KB once, restart it in milliseconds.
+	// WriteSnapshotFile serializes the CSR index; OpenKBSnapshot
 	// memory-maps them back — no N-Triples parsing, no re-indexing, and
 	// every query (RAND() streams included) answers byte-identically to
 	// the KB that wrote the file. cmd/kbgen -snapshot writes these for

@@ -129,8 +129,8 @@ type Local struct {
 
 // NewLocal builds an unrestricted endpoint over k with a deterministic
 // RAND() seed. Creating an endpoint marks the load → serve boundary of
-// the KB lifecycle: k is frozen into its compact read-optimized form
-// (kb.Freeze) so every query runs on CSR postings with O(1) statistics.
+// the KB lifecycle: k's index is built now (kb.Freeze), not by the
+// first query.
 func NewLocal(k *kb.KB, seed int64) *Local {
 	k.Freeze()
 	return &Local{name: k.Name(), engine: sparql.NewEngineSeeded(k, seed)}

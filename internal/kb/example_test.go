@@ -9,7 +9,7 @@ import (
 	"sofya/internal/rdf"
 )
 
-// A snapshot round trip: serialize a frozen KB to its binary snapshot
+// A snapshot round trip: serialize a KB to its binary snapshot
 // form and decode it back, preserving contents, iteration orders and
 // statistics exactly. (OpenSnapshot is the file-backed twin that
 // serves the arrays by memory-mapping instead of decoding.)
@@ -26,8 +26,13 @@ func ExampleKB_WriteSnapshot() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s: %d triples, %d terms\n", got.Name(), got.Size(), got.NumTerms())
-	for _, t := range got.Triples() {
+	triples := got.Triples()
+	terms := make(map[rdf.Term]bool)
+	for _, t := range triples {
+		terms[t.S], terms[t.P], terms[t.O] = true, true, true
+	}
+	fmt.Printf("%s: %d triples, %d terms\n", got.Name(), got.Size(), len(terms))
+	for _, t := range triples {
 		fmt.Println(t)
 	}
 	// Output:

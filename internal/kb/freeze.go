@@ -2,10 +2,9 @@ package kb
 
 import "sort"
 
-// frozen holds the compacted read-optimized indexes built by Freeze: the
-// three nested-map indexes flattened into CSR-style postings (dense
-// arrays plus offset tables) with binary-search lookups, and
-// per-predicate cardinality statistics.
+// frozen is the read index every KB read serves from: SPO, POS and PSO
+// as CSR-style postings (dense arrays plus offset tables) with
+// binary-search lookups.
 //
 // Layout, for an index X → key → posting list:
 //
@@ -13,10 +12,9 @@ import "sort"
 //	keys[e]                 e-th key entry (sorted by term order)
 //	post[e] .. post[e+1]    posting range of entry e in the value array
 //
-// Iteration orders are chosen to reproduce the mutable KB's observable
-// orders exactly: key entries are sorted by term (like sortByTerm) and
-// postings keep insertion order, so a frozen KB answers every query
-// byte-identically to an unfrozen one — only faster and allocation-free.
+// Key entries are sorted by term and postings keep insertion order, so
+// an index built at any point of a load answers like one built at its
+// end, restricted to the facts it has seen.
 type frozen struct {
 	// rank[id] is the position of term id in the global term sort order;
 	// comparing ranks is equivalent to comparing terms.
@@ -42,129 +40,111 @@ type frozen struct {
 
 	// relations is every predicate with at least one fact, term-sorted.
 	relations []TermID
-
-	// litObjs[p] counts facts of p with a literal object.
-	litObjs []int32
 }
 
-// Frozen reports whether the KB currently serves reads from the
-// compacted indexes.
-func (k *KB) Frozen() bool { return k.fr != nil }
+// Freeze builds the read index now rather than on the first read, so
+// the first query does not pay for it. It is idempotent.
+func (k *KB) Freeze() { k.index() }
 
-// Freeze compacts the three nested-map indexes into flat sorted
-// CSR-style postings and precomputes per-predicate cardinality
-// statistics. Reads keep their exact pre-freeze semantics (including
-// iteration orders) but run on dense arrays with binary-search lookups
-// and without per-call allocation.
-//
-// Freeze is idempotent. A frozen KB may be read concurrently; mutating
-// it (AddFact and friends) thaws it back to the mutable indexes, so
-// correctness never depends on the caller's discipline — only speed
-// does. Call Freeze again after a load phase to re-compact.
-func (k *KB) Freeze() {
-	if k.fr != nil {
-		return
+// index returns the read index, building it from the fact log when a
+// mutation dropped it (or none was built yet). It stays small enough to
+// inline, so a read pays one atomic load and a nil test.
+func (k *KB) index() *frozen {
+	if fr := k.fr.Load(); fr != nil {
+		return fr
+	}
+	return k.build()
+}
+
+// build derives the three indexes from the log and installs them.
+// Concurrent first reads build them once.
+func (k *KB) build() *frozen {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if fr := k.fr.Load(); fr != nil {
+		return fr
 	}
 	nt := len(k.terms)
-	fr := &frozen{
-		rank:    make([]int32, nt),
-		litObjs: make([]int32, nt),
-	}
-
-	// Global term order: ids sorted by term, then inverted into ranks.
+	fr := &frozen{rank: make([]int32, nt)}
 	byTerm := make([]TermID, nt)
 	for i := range byTerm {
 		byTerm[i] = TermID(i)
 	}
-	k.sortByTerm(byTerm)
+	sort.Slice(byTerm, func(i, j int) bool {
+		return k.terms[byTerm[i]].Compare(k.terms[byTerm[j]]) < 0
+	})
 	for r, id := range byTerm {
 		fr.rank[id] = int32(r)
 	}
-	rankSort := func(ids []TermID) {
-		sort.Slice(ids, func(i, j int) bool { return fr.rank[ids[i]] < fr.rank[ids[j]] })
+
+	const s, p, o = 0, 1, 2
+	fr.spoOff, fr.spoPred, fr.spoPost, fr.spoObj = fr.csr(k.log, s, p, o)
+	fr.posOff, fr.posObjE, fr.posPost, fr.posSub = fr.csr(k.log, p, o, s)
+	fr.psoOff, fr.psoSubE, fr.psoPost, fr.psoObj = fr.csr(k.log, p, s, o)
+	for _, id := range byTerm {
+		if fr.psoOff[id] < fr.psoOff[id+1] {
+			fr.relations = append(fr.relations, id)
+		}
 	}
-
-	// SPO.
-	fr.spoOff = make([]int32, nt+1)
-	fr.spoPost = append(fr.spoPost, 0)
-	for s := 0; s < nt; s++ {
-		po := k.spo[TermID(s)]
-		preds := make([]TermID, 0, len(po))
-		for p := range po {
-			preds = append(preds, p)
-		}
-		rankSort(preds)
-		for _, p := range preds {
-			fr.spoPred = append(fr.spoPred, p)
-			fr.spoObj = append(fr.spoObj, po[p]...)
-			fr.spoPost = append(fr.spoPost, int32(len(fr.spoObj)))
-		}
-		fr.spoOff[s+1] = int32(len(fr.spoPred))
-	}
-
-	// POS and PSO share the predicate axis; build both per predicate.
-	fr.posOff = make([]int32, nt+1)
-	fr.psoOff = make([]int32, nt+1)
-	fr.posPost = append(fr.posPost, 0)
-	fr.psoPost = append(fr.psoPost, 0)
-	for p := 0; p < nt; p++ {
-		pid := TermID(p)
-		if os := k.pos[pid]; len(os) > 0 {
-			objs := make([]TermID, 0, len(os))
-			for o := range os {
-				objs = append(objs, o)
-			}
-			rankSort(objs)
-			for _, o := range objs {
-				fr.posObjE = append(fr.posObjE, o)
-				fr.posSub = append(fr.posSub, os[o]...)
-				fr.posPost = append(fr.posPost, int32(len(fr.posSub)))
-			}
-		}
-		fr.posOff[p+1] = int32(len(fr.posObjE))
-
-		if so := k.pso[pid]; len(so) > 0 {
-			subs := make([]TermID, 0, len(so))
-			for s := range so {
-				subs = append(subs, s)
-			}
-			rankSort(subs)
-			for _, s := range subs {
-				fr.psoSubE = append(fr.psoSubE, s)
-				for _, o := range so[s] {
-					fr.psoObj = append(fr.psoObj, o)
-					if k.terms[o].IsLiteral() {
-						fr.litObjs[p]++
-					}
-				}
-				fr.psoPost = append(fr.psoPost, int32(len(fr.psoObj)))
-			}
-			fr.relations = append(fr.relations, pid)
-		}
-		fr.psoOff[p+1] = int32(len(fr.psoSubE))
-	}
-	rankSort(fr.relations)
-
-	k.fr = fr
+	k.fr.Store(fr)
+	return fr
 }
 
-// thaw drops the compacted indexes; called by every mutation. A
-// snapshot-loaded KB has no mutable indexes yet (and its terms may
-// alias a memory-mapped file), so it is first copied wholesale to the
-// heap (heapify, snapshot.go; the mapping itself stays valid for
-// escaped Terms until an explicit Close).
-func (k *KB) thaw() {
-	if k.fr != nil && k.spo == nil {
-		k.heapify()
+// csr builds one index over log: top-level id f[x], key entries f[e] in
+// term order, postings f[v] in log order. Two stable counting sorts —
+// by the rank of f[e], then by f[x] — order the facts by (x, rank of
+// e, log position) in linear time.
+func (fr *frozen) csr(log []fact, x, e, v int) (off []int32, keys []TermID, post []int32, vals []TermID) {
+	nt := len(fr.rank)
+	byRank := countingSort(log, nt, func(f fact) int { return int(fr.rank[f[e]]) })
+	sorted := countingSort(byRank, nt, func(f fact) int { return int(f[x]) })
+
+	off = make([]int32, nt+1)
+	post = []int32{0}
+	vals = make([]TermID, len(sorted))
+	for i, f := range sorted {
+		if i == 0 || f[x] != sorted[i-1][x] || f[e] != sorted[i-1][e] {
+			if i > 0 {
+				post = append(post, int32(i))
+			}
+			keys = append(keys, f[e])
+			off[f[x]+1]++
+		}
+		vals[i] = f[v]
 	}
-	k.fr = nil
+	if len(sorted) > 0 {
+		post = append(post, int32(len(sorted)))
+	}
+	for i := 0; i < nt; i++ {
+		off[i+1] += off[i]
+	}
+	return off, keys, post, vals
+}
+
+// countingSort returns facts stably ordered by key, which must lie in
+// [0, n).
+func countingSort(facts []fact, n int, key func(fact) int) []fact {
+	start := make([]int, n+1)
+	for _, f := range facts {
+		start[key(f)+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	out := make([]fact, len(facts))
+	for _, f := range facts {
+		c := key(f)
+		out[start[c]] = f
+		start[c]++
+	}
+	return out
 }
 
 // findEntry binary-searches the key entries keys[lo:hi] (sorted by term
 // rank) for key, returning the entry index or -1.
 func (fr *frozen) findEntry(keys []TermID, lo, hi int32, key TermID) int32 {
 	if !fr.inRange(key) {
-		return -1 // NoTerm, or interned after freeze: no frozen facts involve it
+		return -1
 	}
 	r := fr.rank[key]
 	end := hi
@@ -182,89 +162,5 @@ func (fr *frozen) findEntry(keys []TermID, lo, hi int32, key TermID) int32 {
 	return -1
 }
 
-// inRange reports whether id was interned before the freeze (only those
-// ids appear in the frozen arrays).
+// inRange reports whether id is a term of the index (NoTerm is not).
 func (fr *frozen) inRange(id TermID) bool { return id >= 0 && int(id) < len(fr.rank) }
-
-// objectsOf is ObjectsOf over the frozen index.
-func (fr *frozen) objectsOf(s, p TermID) []TermID {
-	if !fr.inRange(s) {
-		return nil
-	}
-	e := fr.findEntry(fr.spoPred, fr.spoOff[s], fr.spoOff[s+1], p)
-	if e < 0 {
-		return nil
-	}
-	return fr.spoObj[fr.spoPost[e]:fr.spoPost[e+1]]
-}
-
-// subjectsOf is SubjectsOf over the frozen index.
-func (fr *frozen) subjectsOf(p, o TermID) []TermID {
-	if !fr.inRange(p) {
-		return nil
-	}
-	e := fr.findEntry(fr.posObjE, fr.posOff[p], fr.posOff[p+1], o)
-	if e < 0 {
-		return nil
-	}
-	return fr.posSub[fr.posPost[e]:fr.posPost[e+1]]
-}
-
-// predicatesOfSubject returns the term-sorted predicate entries of s,
-// shared with the index (callers must not mutate).
-func (fr *frozen) predicatesOfSubject(s TermID) []TermID {
-	if !fr.inRange(s) {
-		return nil
-	}
-	return fr.spoPred[fr.spoOff[s]:fr.spoOff[s+1]]
-}
-
-// subjectsWith returns the term-sorted subject entries of p, shared
-// with the index.
-func (fr *frozen) subjectsWith(p TermID) []TermID {
-	if !fr.inRange(p) {
-		return nil
-	}
-	return fr.psoSubE[fr.psoOff[p]:fr.psoOff[p+1]]
-}
-
-// eachFactOf visits p's facts: subjects in term order, objects in
-// insertion order — the same order the mutable index produces.
-func (fr *frozen) eachFactOf(p TermID, fn func(s, o TermID) bool) {
-	if !fr.inRange(p) {
-		return
-	}
-	for e := fr.psoOff[p]; e < fr.psoOff[p+1]; e++ {
-		s := fr.psoSubE[e]
-		for _, o := range fr.psoObj[fr.psoPost[e]:fr.psoPost[e+1]] {
-			if !fn(s, o) {
-				return
-			}
-		}
-	}
-}
-
-// numFactsOf is O(1) on the frozen index.
-func (fr *frozen) numFactsOf(p TermID) int {
-	if !fr.inRange(p) {
-		return 0
-	}
-	lo, hi := fr.psoOff[p], fr.psoOff[p+1]
-	return int(fr.psoPost[hi] - fr.psoPost[lo])
-}
-
-// numSubjectsOf is O(1) on the frozen index.
-func (fr *frozen) numSubjectsOf(p TermID) int {
-	if !fr.inRange(p) {
-		return 0
-	}
-	return int(fr.psoOff[p+1] - fr.psoOff[p])
-}
-
-// numObjectsOf is O(1) on the frozen index.
-func (fr *frozen) numObjectsOf(p TermID) int {
-	if !fr.inRange(p) {
-		return 0
-	}
-	return int(fr.posOff[p+1] - fr.posOff[p])
-}

@@ -2,95 +2,65 @@ package kb
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"sofya/internal/rdf"
 )
 
-// randomKB builds a KB with a mix of entity and literal facts.
-func randomKB(seed int64, n int) *KB {
-	rng := rand.New(rand.NewSource(seed))
-	k := New("rand")
-	for i := 0; i < n; i++ {
-		s := rdf.NewIRI(fmt.Sprintf("http://x/e%d", rng.Intn(20)))
-		p := rdf.NewIRI(fmt.Sprintf("http://x/p%d", rng.Intn(6)))
-		var o rdf.Term
-		if rng.Intn(4) == 0 {
-			o = rdf.NewLiteral(fmt.Sprintf("lit%d", rng.Intn(10)))
-		} else {
-			o = rdf.NewIRI(fmt.Sprintf("http://x/e%d", rng.Intn(20)))
-		}
-		k.Add(rdf.NewTriple(s, p, o))
-	}
-	return k
-}
-
 // TestFreezeReadEquivalence asserts that every read accessor answers
-// identically — content and order — before and after Freeze. This is
-// the property the SPARQL engine's byte-identical-results guarantee
-// rests on.
+// like the brute-force reference over the facts the test added —
+// content and order, on a KB whose index the first read builds and on
+// one frozen explicitly. This is the property the SPARQL engine's
+// byte-identical-results guarantee rests on.
 func TestFreezeReadEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		k := randomKB(seed, 300)
-		f := randomKB(seed, 300)
-		f.Freeze()
-		if !f.Frozen() || k.Frozen() {
-			t.Fatal("Frozen() state wrong")
+		for _, freeze := range []bool{false, true} {
+			k, ref := randomKBWithRef(seed, 300)
+			if freeze {
+				k.Freeze()
+			}
+			checkAgainstRef(t, k, ref)
 		}
+	}
+}
 
-		if got, want := f.Size(), k.Size(); got != want {
-			t.Fatalf("Size: %d != %d", got, want)
+func checkAgainstRef(t *testing.T, k *KB, ref *refKB) {
+	t.Helper()
+	if got, want := k.Size(), len(ref.facts); got != want {
+		t.Fatalf("Size: %d != %d", got, want)
+	}
+	if !sameIDs(k.Relations(), ref.relations()) {
+		t.Fatalf("Relations differ:\n%v\n%v", k.Relations(), ref.relations())
+	}
+	nt := TermID(k.NumTerms())
+	for s := NoTerm; s < nt; s++ {
+		if !sameIDs(k.PredicatesOfSubject(s), ref.predicatesOfSubject(s)) {
+			t.Fatalf("PredicatesOfSubject(%d) differ", s)
 		}
-		if !reflect.DeepEqual(f.Relations(), k.Relations()) {
-			t.Fatalf("Relations differ:\n%v\n%v", f.Relations(), k.Relations())
-		}
-		nt := TermID(k.NumTerms())
-		for s := TermID(0); s < nt; s++ {
-			if !sameIDs(f.PredicatesOfSubject(s), k.PredicatesOfSubject(s)) {
-				t.Fatalf("PredicatesOfSubject(%d) differ", s)
+		for x := NoTerm; x < nt; x++ {
+			if !sameIDs(k.ObjectsOf(s, x), ref.objectsOf(s, x)) {
+				t.Fatalf("ObjectsOf(%d,%d): %v != %v", s, x, k.ObjectsOf(s, x), ref.objectsOf(s, x))
 			}
-			for p := TermID(0); p < nt; p++ {
-				if !sameIDs(f.ObjectsOf(s, p), k.ObjectsOf(s, p)) {
-					t.Fatalf("ObjectsOf(%d,%d): %v != %v", s, p, f.ObjectsOf(s, p), k.ObjectsOf(s, p))
-				}
+			if !sameIDs(k.SubjectsOf(s, x), ref.subjectsOf(s, x)) {
+				t.Fatalf("SubjectsOf(%d,%d) differ", s, x)
 			}
-			for o := TermID(0); o < nt; o++ {
-				if !sameIDs(f.PredicatesBetween(s, o), k.PredicatesBetween(s, o)) {
-					t.Fatalf("PredicatesBetween(%d,%d) differ", s, o)
-				}
-			}
-		}
-		for p := TermID(0); p < nt; p++ {
-			if !sameIDs(f.SubjectsWith(p), k.SubjectsWith(p)) {
-				t.Fatalf("SubjectsWith(%d) differ", p)
-			}
-			if f.NumFactsOf(p) != k.NumFactsOf(p) || f.NumSubjectsOf(p) != k.NumSubjectsOf(p) ||
-				f.NumObjectsOf(p) != k.NumObjectsOf(p) {
-				t.Fatalf("cardinalities of %d differ", p)
-			}
-			for o := TermID(0); o < nt; o++ {
-				if !sameIDs(f.SubjectsOf(p, o), k.SubjectsOf(p, o)) {
-					t.Fatalf("SubjectsOf(%d,%d) differ", p, o)
-				}
-			}
-			var gotF, gotK []string
-			f.EachFactOf(p, func(s, o TermID) bool {
-				gotF = append(gotF, fmt.Sprintf("%d-%d", s, o))
-				return true
-			})
-			k.EachFactOf(p, func(s, o TermID) bool {
-				gotK = append(gotK, fmt.Sprintf("%d-%d", s, o))
-				return true
-			})
-			if !reflect.DeepEqual(gotF, gotK) {
-				t.Fatalf("EachFactOf(%d) differ", p)
+			if !sameIDs(predicatesBetween(k, s, x), ref.predicatesBetween(s, x)) {
+				t.Fatalf("EachPredicateBetween(%d,%d) differ", s, x)
 			}
 		}
-		if !reflect.DeepEqual(f.Triples(), k.Triples()) {
-			t.Fatal("Triples differ")
+		p := s
+		if k.NumFactsOf(p) != len(ref.factsOf(p)) || k.NumSubjectsOf(p) != ref.numSubjectsOf(p) ||
+			k.NumObjectsOf(p) != ref.numObjectsOf(p) {
+			t.Fatalf("cardinalities of %d differ", p)
 		}
+		if got, want := factsOf(k, p), ref.factsOf(p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("EachFactOf(%d): %v != %v", p, got, want)
+		}
+	}
+	if !reflect.DeepEqual(k.Triples(), ref.triples()) {
+		t.Fatal("Triples differ")
 	}
 }
 
@@ -106,40 +76,32 @@ func sameIDs(a, b []TermID) bool {
 	return true
 }
 
-// TestFreezeThawOnMutation: adding a fact to a frozen KB thaws it and
-// the new fact is visible through every index.
+// TestFreezeThawOnMutation: add → read → add → read on a heap KB; a
+// fact added after a read is visible through every index.
 func TestFreezeThawOnMutation(t *testing.T) {
 	k := randomKB(7, 100)
 	k.Freeze()
-	if !k.Frozen() {
-		t.Fatal("not frozen")
-	}
 	if !k.AddIRIs("http://x/new-s", "http://x/new-p", "http://x/new-o") {
 		t.Fatal("AddIRIs failed")
 	}
-	if k.Frozen() {
-		t.Fatal("mutation should thaw")
-	}
 	s, p, o := k.LookupIRI("http://x/new-s"), k.LookupIRI("http://x/new-p"), k.LookupIRI("http://x/new-o")
-	if !k.HasFact(s, p, o) {
-		t.Fatal("new fact missing after thaw")
+	if !k.HasFact(s, p, o) || len(k.SubjectsOf(p, o)) != 1 || k.NumFactsOf(p) != 1 {
+		t.Fatal("new fact missing after a read")
 	}
-	// refreeze and read again
-	k.Freeze()
-	if !k.HasFact(s, p, o) || len(k.SubjectsOf(p, o)) != 1 {
-		t.Fatal("new fact missing after refreeze")
+	if !k.AddIRIs("http://x/new-s", "http://x/new-p", "http://x/e1") {
+		t.Fatal("second AddIRIs failed")
+	}
+	if got := k.ObjectsOf(s, p); len(got) != 2 || got[0] != o {
+		t.Fatalf("ObjectsOf after the second add = %v", got)
 	}
 }
 
-// TestFreezeInternAfterFreeze: interning a term without adding facts
-// keeps the frozen index valid; lookups of the new id find nothing.
+// TestFreezeInternAfterFreeze: a term interned after a read carries no
+// facts, and the reads after it find nothing for it.
 func TestFreezeInternAfterFreeze(t *testing.T) {
 	k := randomKB(3, 50)
 	k.Freeze()
 	id := k.Intern(rdf.NewIRI("http://x/unseen"))
-	if !k.Frozen() {
-		t.Fatal("Intern should not thaw")
-	}
 	if len(k.ObjectsOf(id, 0)) != 0 || len(k.SubjectsOf(id, 0)) != 0 ||
 		len(k.PredicatesOfSubject(id)) != 0 || k.NumFactsOf(id) != 0 {
 		t.Fatal("unseen term must have no facts")
@@ -150,12 +112,10 @@ func TestFreezeInternAfterFreeze(t *testing.T) {
 }
 
 // TestFreezeNoTermLookups: NoTerm (a Lookup miss) passed into read
-// accessors of a frozen KB must behave like the mutable KB — no match,
-// no panic.
+// accessors must match nothing and not panic.
 func TestFreezeNoTermLookups(t *testing.T) {
 	k := randomKB(5, 60)
-	k.Freeze()
-	s := k.SubjectsWith(k.Relations()[0])[0]
+	s := factsOf(k, k.Relations()[0])[0][0]
 	if k.HasFact(s, NoTerm, 0) || k.HasFact(NoTerm, 0, 0) {
 		t.Fatal("NoTerm must match nothing")
 	}
@@ -171,17 +131,65 @@ func TestFreezeNoTermLookups(t *testing.T) {
 func TestFreezeIdempotent(t *testing.T) {
 	k := randomKB(9, 80)
 	k.Freeze()
-	fr := k.fr
+	fr := k.fr.Load()
 	k.Freeze()
-	if k.fr != fr {
-		t.Fatal("second Freeze rebuilt the index")
+	k.Relations()
+	if k.fr.Load() != fr {
+		t.Fatal("second Freeze or a read rebuilt the index")
 	}
 }
 
 func TestFreezeEmptyKB(t *testing.T) {
 	k := New("empty")
 	k.Freeze()
-	if len(k.Relations()) != 0 || k.Size() != 0 {
+	if len(k.Relations()) != 0 || k.Size() != 0 || len(k.Triples()) != 0 {
 		t.Fatal("empty KB misbehaves frozen")
+	}
+}
+
+// TestAddNeverBuildsIndex: loading only appends to the log; a mutation
+// after a read drops the index instead of maintaining it.
+func TestAddNeverBuildsIndex(t *testing.T) {
+	k := randomKB(4, 200)
+	if k.fr.Load() != nil {
+		t.Fatal("Add built the index")
+	}
+	k.Relations()
+	if k.fr.Load() == nil {
+		t.Fatal("a read did not build the index")
+	}
+	k.AddIRIs("http://x/a", "http://x/p0", "http://x/b")
+	if k.fr.Load() != nil {
+		t.Fatal("Add after a read kept or rebuilt the index")
+	}
+}
+
+// TestFirstReadsConcurrent: goroutines racing to the first read of a KB
+// that was never frozen build one index and all read it whole (run it
+// under -race).
+func TestFirstReadsConcurrent(t *testing.T) {
+	k, ref := randomKBWithRef(6, 300)
+	want := ref.triples()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 && !reflect.DeepEqual(k.Triples(), want) {
+				errs <- fmt.Errorf("goroutine %d: Triples differ", g)
+			}
+			for _, p := range ref.relations() {
+				if got, want := k.NumFactsOf(p), len(ref.factsOf(p)); got != want {
+					errs <- fmt.Errorf("goroutine %d: NumFactsOf(%d) = %d, want %d", g, p, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -1,11 +1,12 @@
 // Package kb implements an in-memory indexed RDF triple store.
 //
-// A KB interns terms into dense integer IDs and maintains three indexes —
-// SPO (subject → predicate → objects), POS (predicate → object → subjects)
-// and PSO (predicate → subject → objects) — which together answer every
-// access pattern the SPARQL engine and the SOFYA samplers need: facts of a
-// relation, objects of a subject under a relation, subjects pointing at an
-// object, and the set of predicates linking two terms.
+// A KB interns terms into dense integer IDs and answers reads from
+// three CSR indexes — SPO (subject → predicate → objects), POS
+// (predicate → object → subjects) and PSO (predicate → subject →
+// objects) — which together answer every access pattern the SPARQL
+// engine and the SOFYA samplers need: facts of a relation, objects of a
+// subject under a relation, subjects pointing at an object, and the set
+// of predicates linking two terms.
 //
 // A KB is not safe for concurrent mutation. Once loaded it may be read
 // concurrently from any number of goroutines, which is how the endpoint
@@ -14,8 +15,8 @@ package kb
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sofya/internal/rdf"
 )
@@ -28,20 +29,23 @@ type TermID int32
 // NoTerm is returned by lookups that find nothing.
 const NoTerm TermID = -1
 
+// fact is one interned triple: subject, predicate, object.
+type fact [3]TermID
+
 // KB is an in-memory, indexed collection of triples. The zero value is
 // not usable; call New, Load, or OpenSnapshot.
 //
-// A KB has a two-phase lifecycle: it is mutable while loading, and
-// Freeze compacts its indexes into flat CSR postings for the serving
-// phase (see freeze.go). All read methods work in either phase with
-// identical results; mutations transparently thaw a frozen KB.
+// Loading appends facts to an insertion-ordered log; every read is
+// served by the CSR index built from that log (freeze.go), on the first
+// read after a mutation or by an explicit Freeze. Postings keep
+// insertion order, so the answers do not depend on when the index was
+// built.
 //
-// A frozen KB persists: WriteSnapshot serializes the dictionary and the
-// CSR arrays to a checksummed binary snapshot, and OpenSnapshot serves
-// one back by memory-mapping it — restart without re-parsing or
-// re-indexing (see snapshot.go and ARCHITECTURE.md). Mutating a
-// snapshot-backed KB copies everything to the heap first, so the
-// lifecycle contract is unchanged.
+// WriteSnapshot serializes the dictionary and the index to a
+// checksummed binary snapshot, and OpenSnapshot serves one back by
+// memory-mapping it — restart without re-parsing or re-indexing (see
+// snapshot.go and ARCHITECTURE.md). A snapshot-backed KB has no log and
+// is read-only.
 type KB struct {
 	name  string
 	dict  map[rdf.Term]TermID
@@ -51,12 +55,15 @@ type KB struct {
 	// (ensureDict); concurrent readers may race to the first Lookup.
 	dictOnce sync.Once
 
-	spo map[TermID]map[TermID][]TermID
-	pos map[TermID]map[TermID][]TermID
-	pso map[TermID]map[TermID][]TermID
+	// log holds every fact in insertion order and seen the same facts
+	// for dedup; seen is nil on a snapshot-backed (read-only) KB.
+	log  []fact
+	seen map[fact]struct{}
 
-	// fr is the compacted read index; nil while mutable.
-	fr *frozen
+	// fr is the read index, nil until the first read after a mutation;
+	// reach it through index(). mu serializes its build.
+	fr atomic.Pointer[frozen]
+	mu sync.Mutex
 
 	// snap pins the memory-mapped snapshot a KB from OpenSnapshot
 	// serves from; nil for heap-backed KBs.
@@ -76,9 +83,7 @@ func New(name string) *KB {
 	return &KB{
 		name: name,
 		dict: make(map[rdf.Term]TermID),
-		spo:  make(map[TermID]map[TermID][]TermID),
-		pos:  make(map[TermID]map[TermID][]TermID),
-		pso:  make(map[TermID]map[TermID][]TermID),
+		seen: make(map[fact]struct{}),
 	}
 }
 
@@ -87,9 +92,6 @@ func (k *KB) Name() string { return k.name }
 
 // Size returns the number of distinct triples stored.
 func (k *KB) Size() int { return k.size }
-
-// NumTerms returns the number of interned terms.
-func (k *KB) NumTerms() int { return len(k.terms) }
 
 // canonTerm normalizes a term for interning: an xsd:string literal is
 // the same RDF 1.1 term as the plain literal with that lexical form
@@ -119,13 +121,24 @@ func (k *KB) ensureDict() {
 	})
 }
 
-// Intern returns the ID for t, assigning a new one if t is unseen.
+// mutate panics on a snapshot-backed KB and drops the read index of a
+// heap KB; every mutation calls it first.
+func (k *KB) mutate() {
+	if k.seen == nil {
+		panic(fmt.Sprintf("kb: %s is served from a snapshot and is read-only", k.name))
+	}
+	k.fr.Store(nil)
+}
+
+// Intern returns the ID for t, assigning a new one if t is unseen. It
+// panics when t is unseen and the KB is snapshot-backed.
 func (k *KB) Intern(t rdf.Term) TermID {
 	k.ensureDict()
 	t = canonTerm(t)
 	if id, ok := k.dict[t]; ok {
 		return id
 	}
+	k.mutate()
 	id := TermID(len(k.terms))
 	k.dict[t] = id
 	k.terms = append(k.terms, t)
@@ -154,6 +167,7 @@ func (k *KB) Term(id TermID) rdf.Term {
 
 // Add inserts a triple, interning its terms. It reports whether the
 // triple was new. Structurally invalid triples are rejected with false.
+// It panics on a snapshot-backed KB.
 func (k *KB) Add(t rdf.Triple) bool {
 	if !t.Valid() {
 		return false
@@ -167,35 +181,15 @@ func (k *KB) AddIRIs(s, p, o string) bool {
 }
 
 // AddFact inserts an already-interned fact, reporting whether it was new.
+// It panics on a snapshot-backed KB.
 func (k *KB) AddFact(s, p, o TermID) bool {
-	k.thaw()
-	po, ok := k.spo[s]
-	if !ok {
-		po = make(map[TermID][]TermID, 4)
-		k.spo[s] = po
+	k.mutate()
+	f := fact{s, p, o}
+	if _, ok := k.seen[f]; ok {
+		return false
 	}
-	objs := po[p]
-	for _, x := range objs {
-		if x == o {
-			return false
-		}
-	}
-	po[p] = append(objs, o)
-
-	os, ok := k.pos[p]
-	if !ok {
-		os = make(map[TermID][]TermID, 16)
-		k.pos[p] = os
-	}
-	os[o] = append(os[o], s)
-
-	so, ok := k.pso[p]
-	if !ok {
-		so = make(map[TermID][]TermID, 16)
-		k.pso[p] = so
-	}
-	so[s] = append(so[s], o)
-
+	k.seen[f] = struct{}{}
+	k.log = append(k.log, f)
 	k.size++
 	return true
 }
@@ -210,129 +204,81 @@ func (k *KB) HasFact(s, p, o TermID) bool {
 	return false
 }
 
-// Has reports whether the triple is present (terms not yet interned
-// trivially make it absent).
-func (k *KB) Has(t rdf.Triple) bool {
-	s, p, o := k.Lookup(t.S), k.Lookup(t.P), k.Lookup(t.O)
-	if s == NoTerm || p == NoTerm || o == NoTerm {
-		return false
-	}
-	return k.HasFact(s, p, o)
-}
-
 // ObjectsOf returns the objects o with p(s,o), in insertion order. The
 // returned slice is owned by the KB and must not be mutated.
 func (k *KB) ObjectsOf(s, p TermID) []TermID {
-	if k.fr != nil {
-		return k.fr.objectsOf(s, p)
+	fr := k.index()
+	if !fr.inRange(s) {
+		return nil
 	}
-	return k.spo[s][p]
+	e := fr.findEntry(fr.spoPred, fr.spoOff[s], fr.spoOff[s+1], p)
+	if e < 0 {
+		return nil
+	}
+	return fr.spoObj[fr.spoPost[e]:fr.spoPost[e+1]]
 }
 
 // SubjectsOf returns the subjects s with p(s,o), in insertion order. The
 // returned slice is owned by the KB and must not be mutated.
 func (k *KB) SubjectsOf(p, o TermID) []TermID {
-	if k.fr != nil {
-		return k.fr.subjectsOf(p, o)
+	fr := k.index()
+	if !fr.inRange(p) {
+		return nil
 	}
-	return k.pos[p][o]
+	e := fr.findEntry(fr.posObjE, fr.posOff[p], fr.posOff[p+1], o)
+	if e < 0 {
+		return nil
+	}
+	return fr.posSub[fr.posPost[e]:fr.posPost[e+1]]
 }
 
 // PredicatesOfSubject returns the distinct predicates p such that s has
-// at least one p-fact, sorted by term for determinism. The returned
-// slice is owned by the KB and must not be mutated.
+// at least one p-fact, sorted by term. The returned slice is owned by
+// the KB and must not be mutated.
 func (k *KB) PredicatesOfSubject(s TermID) []TermID {
-	if k.fr != nil {
-		return k.fr.predicatesOfSubject(s)
+	fr := k.index()
+	if !fr.inRange(s) {
+		return nil
 	}
-	po := k.spo[s]
-	out := make([]TermID, 0, len(po))
-	for p := range po {
-		out = append(out, p)
-	}
-	k.sortByTerm(out)
-	return out
-}
-
-// PredicatesBetween returns the predicates p with p(s,o), sorted by term.
-func (k *KB) PredicatesBetween(s, o TermID) []TermID {
-	var out []TermID
-	k.EachPredicateBetween(s, o, func(p TermID) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
+	return fr.spoPred[fr.spoOff[s]:fr.spoOff[s+1]]
 }
 
 // EachPredicateBetween calls fn for every predicate p with p(s,o), in
 // sorted-term order, without allocating. fn returning false stops the
 // iteration.
 func (k *KB) EachPredicateBetween(s, o TermID, fn func(p TermID) bool) {
-	if k.fr != nil {
-		fr := k.fr
-		if !fr.inRange(s) {
-			return
-		}
-		for e := fr.spoOff[s]; e < fr.spoOff[s+1]; e++ {
-			for _, x := range fr.spoObj[fr.spoPost[e]:fr.spoPost[e+1]] {
-				if x == o {
-					if !fn(fr.spoPred[e]) {
-						return
-					}
-					break
-				}
-			}
-		}
+	fr := k.index()
+	if !fr.inRange(s) {
 		return
 	}
-	var preds []TermID
-	for p, objs := range k.spo[s] {
-		for _, x := range objs {
+	for e := fr.spoOff[s]; e < fr.spoOff[s+1]; e++ {
+		for _, x := range fr.spoObj[fr.spoPost[e]:fr.spoPost[e+1]] {
 			if x == o {
-				preds = append(preds, p)
+				if !fn(fr.spoPred[e]) {
+					return
+				}
 				break
 			}
-		}
-	}
-	k.sortByTerm(preds)
-	for _, p := range preds {
-		if !fn(p) {
-			return
 		}
 	}
 }
 
 // Relations returns every predicate that occurs in at least one fact,
-// sorted by term for determinism. The returned slice is owned by the KB
-// when frozen and must not be mutated.
-func (k *KB) Relations() []TermID {
-	if k.fr != nil {
-		return k.fr.relations
-	}
-	out := make([]TermID, 0, len(k.pso))
-	for p := range k.pso {
-		out = append(out, p)
-	}
-	k.sortByTerm(out)
-	return out
-}
+// sorted by term. The returned slice is owned by the KB and must not be
+// mutated.
+func (k *KB) Relations() []TermID { return k.index().relations }
 
 // EachFactOf calls fn for every fact (s,o) of relation p. Subjects are
 // visited in sorted-term order, objects in insertion order. fn returning
 // false stops the iteration.
 func (k *KB) EachFactOf(p TermID, fn func(s, o TermID) bool) {
-	if k.fr != nil {
-		k.fr.eachFactOf(p, fn)
+	fr := k.index()
+	if !fr.inRange(p) {
 		return
 	}
-	so := k.pso[p]
-	subjects := make([]TermID, 0, len(so))
-	for s := range so {
-		subjects = append(subjects, s)
-	}
-	k.sortByTerm(subjects)
-	for _, s := range subjects {
-		for _, o := range so[s] {
+	for e := fr.psoOff[p]; e < fr.psoOff[p+1]; e++ {
+		s := fr.psoSubE[e]
+		for _, o := range fr.psoObj[fr.psoPost[e]:fr.psoPost[e+1]] {
 			if !fn(s, o) {
 				return
 			}
@@ -340,138 +286,52 @@ func (k *KB) EachFactOf(p TermID, fn func(s, o TermID) bool) {
 	}
 }
 
-// SubjectsWith returns the distinct subjects that have at least one
-// p-fact, sorted by term. The returned slice is owned by the KB when
-// frozen and must not be mutated.
-func (k *KB) SubjectsWith(p TermID) []TermID {
-	if k.fr != nil {
-		return k.fr.subjectsWith(p)
-	}
-	so := k.pso[p]
-	out := make([]TermID, 0, len(so))
-	for s := range so {
-		out = append(out, s)
-	}
-	k.sortByTerm(out)
-	return out
-}
-
-// NumFactsOf returns the number of facts of relation p. O(1) on a
-// frozen KB.
+// NumFactsOf returns the number of facts of relation p, in O(1).
 func (k *KB) NumFactsOf(p TermID) int {
-	if k.fr != nil {
-		return k.fr.numFactsOf(p)
+	fr := k.index()
+	if !fr.inRange(p) {
+		return 0
 	}
-	n := 0
-	for _, objs := range k.pso[p] {
-		n += len(objs)
-	}
-	return n
+	return int(fr.psoPost[fr.psoOff[p+1]] - fr.psoPost[fr.psoOff[p]])
 }
 
-// NumSubjectsOf returns the number of distinct subjects of relation p.
-// O(1) on a frozen KB.
+// NumSubjectsOf returns the number of distinct subjects of relation p,
+// in O(1).
 func (k *KB) NumSubjectsOf(p TermID) int {
-	if k.fr != nil {
-		return k.fr.numSubjectsOf(p)
+	fr := k.index()
+	if !fr.inRange(p) {
+		return 0
 	}
-	return len(k.pso[p])
+	return int(fr.psoOff[p+1] - fr.psoOff[p])
 }
 
-// NumObjectsOf returns the number of distinct objects of relation p.
-// O(1) on a frozen KB.
+// NumObjectsOf returns the number of distinct objects of relation p, in
+// O(1).
 func (k *KB) NumObjectsOf(p TermID) int {
-	if k.fr != nil {
-		return k.fr.numObjectsOf(p)
+	fr := k.index()
+	if !fr.inRange(p) {
+		return 0
 	}
-	objs := make(map[TermID]struct{})
-	for _, os := range k.pso[p] {
-		for _, o := range os {
-			objs[o] = struct{}{}
-		}
-	}
-	return len(objs)
+	return int(fr.posOff[p+1] - fr.posOff[p])
 }
 
 // Triples materializes every stored triple, ordered by subject term,
 // then predicate term, then object insertion order. Intended for
 // serialization and tests, not hot paths.
 func (k *KB) Triples() []rdf.Triple {
-	if fr := k.fr; fr != nil {
-		// Snapshot-loaded KBs have no nested-map indexes; enumerate the
-		// frozen SPO arrays instead. Entry order is term-rank order and
-		// postings keep insertion order, so the result is identical to
-		// the map path's sort.
-		out := make([]rdf.Triple, 0, k.size)
-		byTerm := make([]TermID, len(fr.rank))
-		for id, r := range fr.rank {
-			byTerm[r] = TermID(id)
-		}
-		for _, s := range byTerm {
-			for e := fr.spoOff[s]; e < fr.spoOff[s+1]; e++ {
-				p := fr.spoPred[e]
-				for _, o := range fr.spoObj[fr.spoPost[e]:fr.spoPost[e+1]] {
-					out = append(out, rdf.Triple{S: k.terms[s], P: k.terms[p], O: k.terms[o]})
-				}
-			}
-		}
-		return out
-	}
+	fr := k.index()
 	out := make([]rdf.Triple, 0, k.size)
-	subjects := make([]TermID, 0, len(k.spo))
-	for s := range k.spo {
-		subjects = append(subjects, s)
+	byTerm := make([]TermID, len(fr.rank))
+	for id, r := range fr.rank {
+		byTerm[r] = TermID(id)
 	}
-	k.sortByTerm(subjects)
-	for _, s := range subjects {
-		preds := make([]TermID, 0, len(k.spo[s]))
-		for p := range k.spo[s] {
-			preds = append(preds, p)
-		}
-		k.sortByTerm(preds)
-		for _, p := range preds {
-			for _, o := range k.spo[s][p] {
+	for _, s := range byTerm {
+		for e := fr.spoOff[s]; e < fr.spoOff[s+1]; e++ {
+			p := fr.spoPred[e]
+			for _, o := range fr.spoObj[fr.spoPost[e]:fr.spoPost[e+1]] {
 				out = append(out, rdf.Triple{S: k.terms[s], P: k.terms[p], O: k.terms[o]})
 			}
 		}
 	}
 	return out
-}
-
-func (k *KB) sortByTerm(ids []TermID) {
-	sort.Slice(ids, func(i, j int) bool {
-		return k.terms[ids[i]].Compare(k.terms[ids[j]]) < 0
-	})
-}
-
-// AddInverses adds, for every entity-entity relation p in the KB, the
-// inverse facts p⁻(o,s) under the predicate IRI formed by appending
-// suffix to p's IRI (e.g. "_inv"). The paper assumes inverse relations
-// have been added to both KBs so that only direct rules need mining.
-// Literal-object facts are skipped (literals cannot be subjects).
-// It returns the number of inverse facts added.
-func (k *KB) AddInverses(suffix string) int {
-	type rev struct{ s, p, o TermID }
-	var pending []rev
-	for _, p := range k.Relations() {
-		pt := k.Term(p)
-		if !pt.IsIRI() {
-			continue
-		}
-		inv := k.Intern(rdf.NewIRI(pt.Value + suffix))
-		k.EachFactOf(p, func(s, o TermID) bool {
-			if k.terms[o].IsLiteral() {
-				return true
-			}
-			pending = append(pending, rev{s: o, p: inv, o: s})
-			return true
-		})
-	}
-	added := 0
-	for _, r := range pending {
-		if k.AddFact(r.s, r.p, r.o) {
-			added++
-		}
-	}
-	return added
 }

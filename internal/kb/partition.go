@@ -45,7 +45,7 @@ type PredStats struct {
 // enumeration — and with it RAND() pairing — interleaves back into the
 // whole-KB order. Terms unseen by the shard are interned, in term
 // order — the ids they get, and with them the snapshot's bytes, must
-// not depend on map iteration; call SetPlanStats before freezing the KB.
+// not depend on map iteration.
 func (k *KB) SetPlanStats(stats map[rdf.Term]PredStats) {
 	preds := make([]rdf.Term, 0, len(stats))
 	for t := range stats {
@@ -60,9 +60,8 @@ func (k *KB) SetPlanStats(stats map[rdf.Term]PredStats) {
 
 // PlanStats extracts the KB's own per-predicate statistics in the form
 // SetPlanStats consumes — the whole-KB truth a partitioner distributes
-// to its shards. The KB is frozen first so the object counts are O(1).
+// to its shards.
 func (k *KB) PlanStats() map[rdf.Term]PredStats {
-	k.Freeze()
 	stats := make(map[rdf.Term]PredStats)
 	for _, p := range k.Relations() {
 		stats[k.Term(p)] = PredStats{
@@ -92,25 +91,18 @@ func (k *KB) PlanSubjectsOf(p TermID) int {
 	return k.NumSubjectsOf(p)
 }
 
-// PlanObjectsOf is the planner's view of p's distinct object count. It
-// keeps the planner's historical fallback: exact on a frozen KB,
-// approximated by the subject count on a mutable one (an exact count
-// there would scan the whole relation per planning probe).
+// PlanObjectsOf is the planner's view of p's distinct object count.
 func (k *KB) PlanObjectsOf(p TermID) int {
 	if s, ok := k.planStats[p]; ok {
 		return s.Objects
 	}
-	if k.fr != nil {
-		return k.NumObjectsOf(p)
-	}
-	return k.NumSubjectsOf(p)
+	return k.NumObjectsOf(p)
 }
 
 // Partition splits src into n shards by subject hash. Shard i is named
 // "<src>/shard-<i>-of-<n>". Every shard carries src's global planner
 // statistics (SetPlanStats), so queries plan identically on a shard and
-// on the whole KB. The source is left frozen; shards are returned
-// mutable (serving endpoints freeze them).
+// on the whole KB.
 func Partition(src *KB, n int) []*KB {
 	if n <= 0 {
 		panic(fmt.Sprintf("kb: Partition needs a positive shard count, got %d", n))

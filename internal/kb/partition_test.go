@@ -40,7 +40,7 @@ func TestPartitionCoversAndSeparates(t *testing.T) {
 				if got := SubjectShard(tr.S, n); got != i {
 					t.Fatalf("triple %v placed in shard %d, hashes to %d", tr, i, got)
 				}
-				if !src.Has(tr) {
+				if !has(src, tr) {
 					t.Fatalf("shard %d holds triple %v the source lacks", i, tr)
 				}
 			}

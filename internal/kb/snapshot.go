@@ -1,25 +1,22 @@
 package kb
 
-// snapshot.go is the persistence half of the freeze lifecycle: a frozen
-// KB serializes to a versioned, checksummed binary snapshot whose
-// sections are the CSR posting arrays laid out verbatim (fixed-width
-// little-endian), so OpenSnapshot can memory-map the file and serve
-// Freeze()-equivalent reads directly from the mapped arrays — no
-// N-Triples parse, no re-index, no per-term allocation. ReadSnapshot is
+// snapshot.go persists the read index: a KB serializes to a versioned,
+// checksummed binary snapshot whose sections are the CSR posting arrays
+// laid out verbatim (fixed-width little-endian), so OpenSnapshot can
+// memory-map the file and serve reads directly from the mapped arrays —
+// no N-Triples parse, no re-index, no per-term allocation. ReadSnapshot is
 // the portable io.Reader twin that decodes onto the heap. The binary
 // layout is documented in ARCHITECTURE.md ("Snapshots" section);
 // mmap_unix.go / mmap_other.go hold the platform seam.
 //
-// A snapshot carries everything Freeze produced plus the planner-stat
+// A snapshot carries the whole index plus the planner-stat
 // overrides installed by SetPlanStats, so a partition shard written to
 // a snapshot is a self-contained serving unit: reloading it restores
 // the whole-KB planner statistics that keep federated merges
 // byte-identical, with no sidecar file.
 //
-// Mutating a snapshot-backed KB transparently copies every index and
-// term to the heap first (auto-thaw); reads before and after the thaw
-// observe identical data, and Terms that escaped before the thaw stay
-// valid because the read-only mapping is kept until an explicit Close.
+// A snapshot-backed KB has no fact log and is read-only: Add, AddFact
+// and Intern of an unseen term panic.
 
 import (
 	"encoding/binary"
@@ -29,7 +26,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"sofya/internal/binfmt"
 	"sofya/internal/rdf"
@@ -60,7 +56,6 @@ const (
 	secPsoPost             // (E_pso+1) × i32
 	secPsoObj              // psoPost[E_pso] × i32
 	secRelations           // |relations| × i32
-	secLitObjs             // numTerms × i32
 	secPlanStats           // count u64 | count × {pred, facts, subjects, objects: i64}
 	numSections
 )
@@ -73,26 +68,17 @@ var ErrBadSnapshot = errors.New("kb: invalid or corrupt snapshot")
 // snapFormat is the snapshot format over the binfmt container. The
 // magic's final byte is the major format generation (bumped only on
 // incompatible relayouts).
-var snapFormat = binfmt.Format{Magic: "SOFYAKB\x01", Version: 1, Sections: numSections, Err: ErrBadSnapshot}
+var snapFormat = binfmt.Format{Magic: "SOFYAKB\x01", Version: 2, Sections: numSections, Err: ErrBadSnapshot}
 
 var badSnap = snapFormat.Errorf
 
 // WriteSnapshot serializes the KB — term dictionary, CSR posting
 // arrays, per-predicate statistics and planner-stat overrides — as a
-// binary snapshot that OpenSnapshot can serve by memory-mapping. The KB
-// is frozen first (snapshots always capture the compacted serving
-// form). The output is deterministic: the same KB content and interning
-// order produce byte-identical snapshots.
+// binary snapshot that OpenSnapshot can serve by memory-mapping. The
+// output is deterministic: the same KB content and interning order
+// produce byte-identical snapshots.
 func (k *KB) WriteSnapshot(out io.Writer) error {
-	// Terms may legally be interned after a Freeze (they just carry no
-	// frozen facts); the snapshot's term sections would then outgrow
-	// the frozen arrays and the file would never load. Re-freeze so
-	// every section is sized to the same term space.
-	if k.fr != nil && len(k.fr.rank) != len(k.terms) {
-		k.thaw()
-	}
-	k.Freeze()
-	fr := k.fr
+	fr := k.index()
 	nt := len(k.terms)
 
 	w := binfmt.NewWriter(out, snapFormat)
@@ -130,7 +116,6 @@ func (k *KB) WriteSnapshot(out io.Writer) error {
 	binfmt.Slice(w, fr.psoPost)
 	binfmt.Slice(w, fr.psoObj)
 	binfmt.Slice(w, fr.relations)
-	binfmt.Slice(w, fr.litObjs)
 
 	// secPlanStats, sorted by predicate id for determinism.
 	w.Section()
@@ -175,13 +160,11 @@ func (m *snapMapping) close() error { return munmapFile(m.data) }
 // behavior, higher resident memory).
 //
 // The returned KB answers every read exactly like the KB that wrote the
-// snapshot did after Freeze — including iteration orders and the
-// planner-stat overrides a partition shard carries — so an endpoint
-// over a reopened snapshot is byte-identical to one over the original.
-// Mutating it auto-thaws: all indexes and terms are copied to the
-// heap, while the read-only mapping stays valid for any Terms already
-// handed out. Call Close to unmap when discarding the KB; neither the
-// KB nor previously obtained Terms may be used after Close.
+// snapshot — including iteration orders and the planner-stat overrides
+// a partition shard carries — so an endpoint over a reopened snapshot
+// is byte-identical to one over the original. It is read-only. Call
+// Close to unmap when discarding the KB; neither the KB nor previously
+// obtained Terms may be used after Close.
 func OpenSnapshot(path string) (*KB, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -250,10 +233,8 @@ func decodeSnapshot(data []byte) (*KB, error) {
 	nt := int(ntU)
 
 	// Terms. Their strings share the file's storage, which is safe
-	// because the snapshot bytes are immutable and the mapping, once
-	// created, is only ever released by an explicit Close — auto-thaw
-	// copies the KB's own state to the heap but keeps the mapping alive
-	// for Terms that escaped before the thaw.
+	// because the snapshot bytes are immutable and the mapping is only
+	// ever released by an explicit Close.
 	kinds := file.Bytes(secTermKinds)
 	if len(kinds) != nt {
 		return nil, badSnap("term kind section has %d entries, want %d", len(kinds), nt)
@@ -315,9 +296,6 @@ func decodeSnapshot(data []byte) (*KB, error) {
 			return nil, badSnap("rank %d assigned to more than one term", r)
 		}
 		rankSeen[r] = true
-	}
-	if fr.litObjs, err = binfmt.View[int32](file, secLitObjs, nt, "litObjs"); err != nil {
-		return nil, err
 	}
 
 	type csr struct {
@@ -405,29 +383,21 @@ func decodeSnapshot(data []byte) (*KB, error) {
 		}
 	}
 
-	// The mutable indexes and the dictionary stay nil: reads run on fr,
-	// the dictionary materializes on first Lookup/Intern (ensureDict),
-	// and the first mutation heapifies everything (thaw).
-	return &KB{
-		name:      name,
-		terms:     terms,
-		fr:        fr,
-		planStats: planStats,
-		size:      int(size),
-	}, nil
+	// The log and the dedup set stay nil, which makes the KB read-only;
+	// the dictionary materializes on first Lookup/Intern (ensureDict).
+	k := &KB{name: name, terms: terms, planStats: planStats, size: int(size)}
+	k.fr.Store(fr)
+	return k, nil
 }
 
 // ---------------------------------------------------------------------
 // Serving-state transitions
 
-// Mapped reports whether the KB currently serves from a memory-mapped
-// snapshot (OpenSnapshot, before any mutation).
+// Mapped reports whether the KB serves from a memory-mapped snapshot.
 func (k *KB) Mapped() bool { return k.snap != nil }
 
 // Close releases the memory-mapped snapshot backing a KB returned by
-// OpenSnapshot. It is a no-op for heap-backed KBs (including mapped KBs
-// that have already auto-thawed — the thaw keeps the mapping valid for
-// any Terms that escaped before it). Neither the KB nor any Term,
+// OpenSnapshot. It is a no-op for heap-backed KBs. Neither the KB nor any Term,
 // Triple or query result previously obtained from it may be used after
 // Close: their strings alias the unmapped file. The KB's indexes and
 // terms are cleared so stale KB use cannot fault on unmapped memory —
@@ -440,61 +410,10 @@ func (k *KB) Close() error {
 	}
 	m := k.snap
 	k.snap = nil
-	k.fr = nil
+	k.fr.Store(nil)
 	k.terms = nil
 	k.dict = nil
 	k.planStats = nil
 	k.size = 0
 	return m.close()
-}
-
-// heapify copies a snapshot-backed KB entirely onto the heap: terms
-// (including their strings, which may alias the mapping), the
-// dictionary, and the three nested-map indexes rebuilt from the frozen
-// arrays. Orders are preserved exactly: postings keep insertion order,
-// so re-freezing after a mutation reproduces the original enumeration
-// orders.
-func (k *KB) heapify() {
-	fr := k.fr
-	terms := make([]rdf.Term, len(k.terms))
-	for i, t := range k.terms {
-		terms[i] = rdf.Term{
-			Kind:     t.Kind,
-			Value:    strings.Clone(t.Value),
-			Datatype: strings.Clone(t.Datatype),
-			Lang:     strings.Clone(t.Lang),
-		}
-	}
-	dict := make(map[rdf.Term]TermID, len(terms))
-	for i, t := range terms {
-		dict[t] = TermID(i)
-	}
-	spo := make(map[TermID]map[TermID][]TermID)
-	pos := make(map[TermID]map[TermID][]TermID)
-	pso := make(map[TermID]map[TermID][]TermID)
-	unpack := func(dst map[TermID]map[TermID][]TermID, off, post []int32, keys, vals []TermID) {
-		for x := 0; x < len(off)-1; x++ {
-			lo, hi := off[x], off[x+1]
-			if lo == hi {
-				continue
-			}
-			m := make(map[TermID][]TermID, hi-lo)
-			for e := lo; e < hi; e++ {
-				m[keys[e]] = append([]TermID(nil), vals[post[e]:post[e+1]]...)
-			}
-			dst[TermID(x)] = m
-		}
-	}
-	unpack(spo, fr.spoOff, fr.spoPost, fr.spoPred, fr.spoObj)
-	unpack(pos, fr.posOff, fr.posPost, fr.posObjE, fr.posSub)
-	unpack(pso, fr.psoOff, fr.psoPost, fr.psoSubE, fr.psoObj)
-
-	k.terms, k.dict = terms, dict
-	k.spo, k.pos, k.pso = spo, pos, pso
-	// The mapping is deliberately NOT unmapped here: Terms handed out
-	// before the thaw (query results, rows cached by decorators, shards
-	// built by Partition) may still alias it, and read-only file-backed
-	// pages cost nothing to keep valid for the process lifetime. Close
-	// is the explicit opt-in to unmap.
-	k.snap = nil
 }

@@ -2,6 +2,7 @@ package kb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -12,12 +13,12 @@ import (
 // snapshotAllocBound is what decoding n bytes of snapshot may allocate.
 // The arrays are views of the input, so the decoder's own allocations
 // are one 56-byte rdf.Term and one rank-seen flag per term — a term
-// takes at least 33 bytes of input (kind, three string offsets, rank,
-// three CSR offsets, litObjs) — and one map entry (about 40 bytes, up
-// to twice that after the map's size rounding) per 32-byte plan-stat
-// record: under 3·n, plus about 1 KiB that does not depend on the input
-// (the section list, the KB and its frozen struct). The 1,664-byte
-// golden decodes in 2,312 bytes.
+// takes at least 29 bytes of input (kind, three string offsets, rank,
+// three CSR offsets) — and one map entry (about 40 bytes, up to twice
+// that after the map's size rounding) per 32-byte plan-stat record:
+// under 3·n, plus about 1 KiB that does not depend on the input (the
+// section list, the KB and its index struct). The 1,584-byte golden
+// decodes in 2,160 bytes.
 func snapshotAllocBound(n int) uint64 { return 4*uint64(n) + 64<<10 }
 
 // FuzzSnapshotDecode: arbitrary bytes, made checksum-valid again so
@@ -39,6 +40,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(sharded.Bytes())
+	v1 := append([]byte(nil), golden.Bytes()...) // a format version 1 file
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	binary.LittleEndian.PutUint32(v1[len(v1)-32+12:], 1)
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, in []byte) { checkSnapshotDecode(t, in) })
 }

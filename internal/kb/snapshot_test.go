@@ -3,11 +3,13 @@ package kb
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sofya/internal/binfmt/binfmttest"
@@ -85,8 +87,8 @@ func assertKBEquivalent(t *testing.T, want, got *KB) {
 		if !sameIDs(got.PredicatesOfSubject(id), want.PredicatesOfSubject(id)) {
 			t.Errorf("PredicatesOfSubject(%d) diverges", id)
 		}
-		if !sameIDs(got.SubjectsWith(id), want.SubjectsWith(id)) {
-			t.Errorf("SubjectsWith(%d) diverges", id)
+		if !reflect.DeepEqual(factsOf(got, id), factsOf(want, id)) {
+			t.Errorf("EachFactOf(%d) diverges", id)
 		}
 		if got.NumFactsOf(id) != want.NumFactsOf(id) ||
 			got.NumSubjectsOf(id) != want.NumSubjectsOf(id) ||
@@ -100,8 +102,8 @@ func assertKBEquivalent(t *testing.T, want, got *KB) {
 			if !sameIDs(got.SubjectsOf(id, o), want.SubjectsOf(id, o)) {
 				t.Errorf("SubjectsOf(%d,%d) diverges", id, o)
 			}
-			if !sameIDs(got.PredicatesBetween(id, o), want.PredicatesBetween(id, o)) {
-				t.Errorf("PredicatesBetween(%d,%d) diverges", id, o)
+			if !sameIDs(predicatesBetween(got, id, o), predicatesBetween(want, id, o)) {
+				t.Errorf("EachPredicateBetween(%d,%d) diverges", id, o)
 			}
 		}
 	}
@@ -121,10 +123,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotAfterPostFreezeIntern: terms interned after Freeze (a
-// supported operation — they carry no frozen facts) must not produce
-// an unloadable snapshot; WriteSnapshot re-freezes to keep the term
-// sections and the frozen arrays in one term space.
+// TestSnapshotAfterPostFreezeIntern: a term interned after a read
+// carries no facts and must not produce an unloadable snapshot: the
+// term sections and the index arrays share one term space.
 func TestSnapshotAfterPostFreezeIntern(t *testing.T) {
 	k := gnarlyKB()
 	k.Freeze()
@@ -166,96 +167,44 @@ func TestOpenSnapshotMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer got.Close()
-	if !got.Frozen() {
-		t.Error("snapshot KB should open frozen")
-	}
 	assertKBEquivalent(t, k, got)
 }
 
-func TestSnapshotAutoThaw(t *testing.T) {
-	k := randomKB(3, 200)
-	k.Freeze()
-	path := filepath.Join(t.TempDir(), "kb.snap")
-	if err := k.WriteSnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wasMapped := got.Mapped()
-	extra := rdf.NewTriple(rdf.NewIRI("http://x/new-subject"), rdf.NewIRI("http://x/p0"), rdf.NewIRI("http://x/e1"))
-	if !got.Add(extra) {
-		t.Fatal("Add of a new triple reported not-new")
-	}
-	if got.Mapped() {
-		t.Error("KB still mapped after mutation (auto-thaw should release the mapping)")
-	}
-	if got.Frozen() {
-		t.Error("KB still frozen after mutation")
-	}
-	if !got.Has(extra) {
-		t.Error("new triple missing after auto-thaw")
-	}
-	// The pre-existing data survived the thaw intact, in the same order.
-	k.Add(extra)
-	if !reflect.DeepEqual(got.Triples(), k.Triples()) {
-		t.Error("triples diverge from the source KB after auto-thaw + same mutation")
-	}
-	// Re-freezing works and the on-disk file was never touched.
-	got.Freeze()
-	k.Freeze()
-	assertKBEquivalent(t, k, got)
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("snapshot file changed on disk")
-	}
-	if wasMapped {
-		if err := got.Close(); err != nil {
-			t.Errorf("Close after thaw: %v", err)
-		}
-	}
-}
-
-// TestSnapshotEscapedTermsSurviveThaw: Terms handed out by a mapped KB
-// (whose strings alias the mapping) must stay readable after a
-// mutation auto-thaws the KB — the thaw keeps the mapping alive rather
-// than unmapping under escaped data.
-func TestSnapshotEscapedTermsSurviveThaw(t *testing.T) {
+// TestSnapshotReadOnly: a snapshot-backed KB has no fact log, so Add
+// and Intern of an unseen term panic, while Intern of a known term
+// answers its id.
+func TestSnapshotReadOnly(t *testing.T) {
 	k := gnarlyKB()
-	k.Freeze()
 	path := filepath.Join(t.TempDir(), "kb.snap")
 	if err := k.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := OpenSnapshot(path)
+	mapped, err := OpenSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	escapedTerms := make([]rdf.Term, got.NumTerms())
-	for i := range escapedTerms {
-		escapedTerms[i] = got.Term(TermID(i))
-	}
-	escapedTriples := got.Triples()
-
-	got.AddIRIs("http://x/thawer", "http://x/p1", "http://x/s1")
-
-	for i, want := range escapedTerms {
-		if want != k.Term(TermID(i)) {
-			t.Fatalf("escaped term %d unreadable or changed after thaw", i)
+	defer mapped.Close()
+	known := rdf.NewIRI("http://x/s1")
+	for name, got := range map[string]*KB{"mapped": mapped, "decoded": snapshotOf(t, k)} {
+		if id := got.Intern(known); id != k.Lookup(known) {
+			t.Errorf("%s: Intern of a known term = %d, want %d", name, id, k.Lookup(known))
 		}
-	}
-	for i, tr := range k.Triples() {
-		if escapedTriples[i] != tr {
-			t.Fatalf("escaped triple %d unreadable or changed after thaw", i)
+		for what, mutate := range map[string]func(){
+			"Add":     func() { got.AddIRIs("http://x/s1", "http://x/p1", "http://x/s2-new") },
+			"AddFact": func() { got.AddFact(0, 0, 0) },
+			"Intern":  func() { got.Intern(rdf.NewIRI("http://x/unseen")) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "read-only") {
+						t.Errorf("%s: %s did not panic naming the rule: %v", name, what, r)
+					}
+				}()
+				mutate()
+			}()
+		}
+		if got.Size() != k.Size() || !reflect.DeepEqual(got.Triples(), k.Triples()) {
+			t.Errorf("%s: a refused mutation changed the KB", name)
 		}
 	}
 }
@@ -347,6 +296,16 @@ func TestSnapshotCorruption(t *testing.T) {
 			t.Fatalf("flip at %d loaded successfully with divergent data", i)
 		}
 	}
+
+	// A version 1 header (v1 files carried a litObjs section) is refused
+	// by its version, with both versions named.
+	copy(data, orig)
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-32+12:], 1)
+	if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrBadSnapshot) ||
+		!strings.Contains(err.Error(), "version 1 (want 2)") {
+		t.Errorf("v1 header: err = %v, want ErrBadSnapshot naming versions 1 and 2", err)
+	}
 }
 
 func TestSnapshotTruncated(t *testing.T) {
@@ -433,7 +392,7 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 	}
 }
 
-// TestSnapshotGoldenBytes pins format version 1 to the byte: fixture
+// TestSnapshotGoldenBytes pins format version 2 to the byte: fixture
 // caches written by one commit are opened by the next, so WriteSnapshot
 // must keep emitting exactly these bytes (magic, section order, padding
 // and reserved bytes included).
@@ -442,7 +401,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	if err := gnarlyKB().WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	const wantLen, wantSum = 1664, "e9bb1256d197a98b7cbc1f7e8646f3ceabcbec5fc9bb0c61306126b41553ccfb"
+	const wantLen, wantSum = 1584, "ae7c9e54235458432cc4fe341fc347bc00219dd6ddec40b35fec7838807fea68"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || got != wantSum {
 		t.Fatalf("WriteSnapshot(gnarlyKB()) = %d bytes, sha256 %s; want %d bytes, %s", buf.Len(), got, wantLen, wantSum)
 	}

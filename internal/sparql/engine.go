@@ -77,15 +77,6 @@ func NewEngineSeeded(k *kb.KB, seed int64) *Engine {
 // KB returns the underlying knowledge base.
 func (e *Engine) KB() *kb.KB { return e.kb }
 
-// EvalString parses and evaluates a query.
-func (e *Engine) EvalString(query string) (*Result, error) {
-	q, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(q)
-}
-
 // Eval evaluates a parsed query: its shape is compiled (or fetched from
 // the plan cache) and executed with the query's constants as arguments.
 func (e *Engine) Eval(q *Query) (*Result, error) {

@@ -529,3 +529,48 @@ func TestEvalRandConcurrentMatchesIsolated(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineAnswersIndependentOfFreeze: an engine answers a query with
+// the same rows in the same order whether or not its KB was frozen
+// first. The overlap KB makes the planner's join order hinge on p's
+// distinct-object count: 100 p-facts share one object, and 50 of q's
+// 80 subjects are p-subjects.
+func TestEngineAnswersIndependentOfFreeze(t *testing.T) {
+	overlapKB := func() *kb.KB {
+		k := kb.New("overlap")
+		for i := 0; i < 100; i++ {
+			k.AddIRIs(fmt.Sprintf("http://x/s%d", i), "http://x/p", "http://x/o1")
+		}
+		for i := 0; i < 80; i++ {
+			s := fmt.Sprintf("http://x/s%d", 2*i)
+			if i >= 50 {
+				s = fmt.Sprintf("http://x/t%d", i)
+			}
+			k.AddIRIs(s, "http://x/q", fmt.Sprintf("http://x/y%d", i%7))
+		}
+		return k
+	}
+	queries := []string{
+		`SELECT ?x ?y WHERE { ?x <http://x/q> ?y . ?x <http://x/p> <http://x/o1> }`,
+		`SELECT ?x ?y WHERE { ?x <http://x/q> ?y . ?x <http://x/p> <http://x/o1> } LIMIT 5`,
+		`SELECT ?x ?y WHERE { ?x <http://x/q> ?y . ?x <http://x/p> ?z } ORDER BY RAND() LIMIT 10`,
+		`SELECT DISTINCT ?y WHERE { ?x <http://x/q> ?y . ?x <http://x/p> ?o }`,
+		`SELECT ?x ?y WHERE { ?x <http://x/q> ?y } ORDER BY ?y`,
+		`SELECT ?x ?o WHERE { ?x ?r ?o } ORDER BY RAND() LIMIT 20`,
+	}
+	for _, q := range queries {
+		frozen := overlapKB()
+		frozen.Freeze()
+		want, err := NewEngineSeeded(frozen, 7).EvalString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewEngineSeeded(overlapKB(), 7).EvalString(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("%s\nunfrozen KB answers %v\nfrozen KB answers   %v", q, got.Rows, want.Rows)
+		}
+	}
+}

@@ -102,7 +102,7 @@ func (p *Prepared) Iter(args ...Arg) (*RowIter, error) {
 // borrowBatch is the number of rows a borrowed iterator ferries per
 // coroutine switch. The iter.Pull handoff costs on the order of 100ns
 // per switch — per-row, that dwarfs the work of producing a row from a
-// frozen KB — so borrowed iterators rotate through a ring of batch
+// KB's index — so borrowed iterators rotate through a ring of batch
 // projection buffers and cross the coroutine boundary once per batch.
 const borrowBatch = 64
 

@@ -425,12 +425,12 @@ func (ev *naiveEvaluator) matchPattern(tp TriplePattern, b naiveBinding,
 		}
 		return nil
 	case sBound && oBound:
-		for _, p := range ev.kb.PredicatesBetween(sID, oID) {
-			if err := try(sID, p, oID); err != nil {
-				return err
-			}
-		}
-		return nil
+		var err error
+		ev.kb.EachPredicateBetween(sID, oID, func(p kb.TermID) bool {
+			err = try(sID, p, oID)
+			return err == nil
+		})
+		return err
 	case sBound:
 		for _, p := range ev.kb.PredicatesOfSubject(sID) {
 			for _, o := range ev.kb.ObjectsOf(sID, p) {

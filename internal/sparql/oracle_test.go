@@ -19,6 +19,18 @@ import (
 	"sofya/internal/synth"
 )
 
+// subjectsWith lists p's distinct subjects in term order.
+func subjectsWith(k *kb.KB, p kb.TermID) []kb.TermID {
+	var out []kb.TermID
+	k.EachFactOf(p, func(s, _ kb.TermID) bool {
+		if len(out) == 0 || out[len(out)-1] != s {
+			out = append(out, s)
+		}
+		return true
+	})
+	return out
+}
+
 // oracleQueries builds a corpus of query texts over a world KB,
 // covering the aligner's real probe shapes plus joins, filters,
 // DISTINCT, EXISTS and paging.
@@ -29,7 +41,7 @@ func oracleQueries(k *kb.KB, rng *rand.Rand) []string {
 		return t.Value
 	}
 	subjIRI := func(p kb.TermID) string {
-		subs := k.SubjectsWith(p)
+		subs := subjectsWith(k, p)
 		return k.Term(subs[rng.Intn(len(subs))]).Value
 	}
 	var qs []string

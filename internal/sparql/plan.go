@@ -12,7 +12,7 @@ import "sofya/internal/kb"
 //
 //   - costOrder ranks patterns by estimated result cardinality from the
 //     KB's per-predicate statistics (fact counts and functionalities,
-//     O(1) on a frozen KB). It is used for every query whose results
+//     O(1) each). It is used for every query whose results
 //     cannot depend on enumeration order.
 //
 //   - greedyOrder reproduces the reference tree-walking evaluator's
@@ -179,8 +179,7 @@ func (ex *execState) estimate(tp cpattern, bound []bool) int {
 	}
 	// The Plan* accessors serve partition-wide overrides on shard KBs
 	// (kb.SetPlanStats) so a shard plans exactly like the whole KB; on
-	// ordinary KBs they are the plain counts. PlanObjectsOf keeps the
-	// frozen/mutable fallback (exact only when O(1)).
+	// ordinary KBs they are the plain counts.
 	f := ex.k.PlanFactsOf(id)
 	switch {
 	case sB && oB:

@@ -13,8 +13,6 @@ type Profile struct {
 	Grams []string
 	// Counts holds the multiplicity of each gram, parallel to Grams.
 	Counts []int32
-	// Total is the total number of grams (Σ Counts).
-	Total int
 }
 
 // NewProfile builds the n-gram profile of s. Strings shorter than n (in
@@ -24,7 +22,7 @@ func NewProfile(s string, n int) *Profile {
 		n = 2
 	}
 	gs := ngrams(s, n)
-	p := &Profile{N: n, Total: len(gs)}
+	p := &Profile{N: n}
 	if len(gs) == 0 {
 		return p
 	}

@@ -4,8 +4,12 @@ import "testing"
 
 func TestProfileCounts(t *testing.T) {
 	p := NewProfile("aabab", 2) // grams: aa ab ba ab
-	if p.Total != 4 {
-		t.Fatalf("Total = %d, want 4", p.Total)
+	total := int32(0)
+	for _, c := range p.Counts {
+		total += c
+	}
+	if total != 4 {
+		t.Fatalf("Σ Counts = %d, want 4", total)
 	}
 	want := map[string]int32{"aa": 1, "ab": 2, "ba": 1}
 	if len(p.Grams) != len(want) {

@@ -17,7 +17,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			w1.Yago.Size(), w1.Dbp.Size(), w2.Yago.Size(), w2.Dbp.Size())
 	}
 	for _, tr := range w1.Yago.Triples() {
-		if !w2.Yago.Has(tr) {
+		if k := w2.Yago; !k.HasFact(k.Lookup(tr.S), k.Lookup(tr.P), k.Lookup(tr.O)) {
 			t.Fatalf("non-deterministic: %v missing from second world", tr)
 		}
 	}

@@ -52,10 +52,10 @@
 //
 // Against a local endpoint a prepared execution binds arguments into
 // the compiled plan's registers directly — no parsing, no planning, no
-// text interpolation — and runs on the KB's frozen CSR indexes. The
-// aligner's own probe stages run entirely on prepared templates; see
-// ARCHITECTURE.md for the parse → compile → exec pipeline and the KB
-// freeze lifecycle.
+// text interpolation — and runs on the KB's CSR indexes. The aligner's
+// own probe stages run entirely on prepared templates; see
+// ARCHITECTURE.md for the parse → compile → exec pipeline and the KB's
+// log → index lifecycle.
 //
 // Prepared queries also stream: Stream returns rows on demand, and
 // closing the stream early aborts the engine's join mid-flight, so
@@ -118,11 +118,11 @@ const (
 	XSDInteger = rdf.XSDInteger
 )
 
-// NewKB returns an empty knowledge base with the given name. A KB is
-// mutable while loading; creating a local endpoint over it (or calling
-// KB.Freeze directly) compacts its indexes into flat CSR postings with
-// precomputed per-relation statistics for the serving phase. Reads
-// behave identically in both phases; mutations transparently thaw.
+// NewKB returns an empty knowledge base with the given name. Loading
+// appends facts to a log; the first read after a mutation (or creating
+// a local endpoint over the KB, or calling KB.Freeze) indexes the log
+// into flat CSR postings with O(1) per-relation statistics, and every
+// read serves from them.
 func NewKB(name string) *KB { return kb.New(name) }
 
 // LoadKB reads N-Triples into a new KB.
@@ -132,12 +132,11 @@ func LoadKB(name string, r io.Reader) (*KB, error) { return kb.Load(name, r) }
 func LoadKBFile(name, path string) (*KB, error) { return kb.LoadFile(name, path) }
 
 // OpenKBSnapshot memory-maps a binary snapshot written by
-// KB.WriteSnapshot (or cmd/kbgen -snapshot) and serves frozen reads
-// directly from the mapped arrays: restart without re-parsing or
-// re-indexing. Every read — and every endpoint built over the KB — is
-// byte-identical to the KB that wrote the snapshot; mutations
-// transparently copy to the heap first. See ARCHITECTURE.md
-// ("Snapshots") for the format.
+// KB.WriteSnapshot (or cmd/kbgen -snapshot) and serves reads directly
+// from the mapped arrays: restart without re-parsing or re-indexing.
+// Every read — and every endpoint built over the KB — is byte-identical
+// to the KB that wrote the snapshot. The KB is read-only. See
+// ARCHITECTURE.md ("Snapshots") for the format.
 func OpenKBSnapshot(path string) (*KB, error) { return kb.OpenSnapshot(path) }
 
 // ReadKBSnapshot decodes a snapshot from r onto the heap — the

@@ -84,8 +84,8 @@ func TestFacadeKBConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Has(Triple{S: NewIRI("http://x/a"), P: NewIRI("http://x/p"), O: NewLiteral("v")}) {
-		t.Fatal("loaded KB missing triple")
+	if got := loaded.Triples(); len(got) != 1 || got[0] != (Triple{S: NewIRI("http://x/a"), P: NewIRI("http://x/p"), O: NewLiteral("v")}) {
+		t.Fatalf("loaded KB holds %v", got)
 	}
 }
 
