@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -201,16 +202,68 @@ func TestWorldSummary(t *testing.T) {
 	}
 }
 
-// Full-scale Table 1 shape check; skipped in -short runs.
+// TestTable1FullScale pins the paper-world Table 1 exactly (skipped in
+// -short runs): per row and direction τ and tp/fp/fn (precision, recall
+// and F1 follow from the counts), and for the two UBS runs the heads
+// aligned and the queries issued to K and K′. Parallelism 1 and 8 must
+// both give these numbers: concurrency moves the wall clock, never a
+// score or a query.
 func TestTable1FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full world")
 	}
-	s := NewSetup(synth.Generate(synth.DefaultSpec()))
-	res, err := Table1(s)
-	if err != nil {
-		t.Fatal(err)
+	type counts struct{ TP, FP, FN int }
+	golden := []struct {
+		method   string
+		tau      float64
+		y2d, d2y counts
+	}{
+		{"pcaconf", 0.90, counts{67, 41, 6}, counts{96, 27, 40}},      // paper P/F1: 0.55/0.58 (y⊂d), 0.51/0.48 (d⊂y)
+		{"cwaconf", 0.60, counts{64, 40, 9}, counts{121, 109, 15}},    // paper P/F1: 0.56/0.59 (y⊂d), 0.55/0.53 (d⊂y)
+		{"UBS pcaconf", 0.05, counts{71, 14, 2}, counts{122, 23, 14}}, // paper P/F1: 0.95/0.97 (y⊂d), 0.91/0.82 (d⊂y)
 	}
+	type ubsRun struct{ Heads, QueriesK, QueriesKPrime int }
+	wantY2D := ubsRun{1313, 14676, 23460}
+	wantD2Y := ubsRun{92, 25970, 7401}
+
+	w := synth.Generate(synth.DefaultSpec())
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			s := NewSetup(w)
+			s.Parallelism = par
+			res, err := Table1(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != len(golden) {
+				t.Fatalf("rows = %d, want %d", len(res.Rows), len(golden))
+			}
+			for i, g := range golden {
+				r := res.Rows[i]
+				gotY := counts{r.Y2D.TP, r.Y2D.FP, r.Y2D.FN}
+				gotD := counts{r.D2Y.TP, r.D2Y.FP, r.D2Y.FN}
+				if r.Method != g.method || r.Tau != g.tau || gotY != g.y2d || gotD != g.d2y {
+					t.Errorf("row %d: %s τ=%.2f y⊂d %+v d⊂y %+v, want %s τ=%.2f y⊂d %+v d⊂y %+v",
+						i, r.Method, r.Tau, gotY, gotD, g.method, g.tau, g.y2d, g.d2y)
+				}
+			}
+			for _, c := range []struct {
+				name string
+				run  *DirectionRun
+				want ubsRun
+			}{{"y⊂d", res.UBSY2D, wantY2D}, {"d⊂y", res.UBSD2Y, wantD2Y}} {
+				if got := (ubsRun{c.run.HeadsAligned, c.run.QueriesHead, c.run.QueriesBody}); got != c.want {
+					t.Errorf("UBS %s: %+v, want %+v", c.name, got, c.want)
+				}
+			}
+			checkTable1Claims(t, res)
+		})
+	}
+}
+
+// checkTable1Claims checks the paper's qualitative Table 1 claims.
+func checkTable1Claims(t *testing.T, res *Table1Result) {
+	t.Helper()
 	var pcaRow, cwaRow, ubsRow Table1Row
 	for _, r := range res.Rows {
 		switch r.Method {
