@@ -353,10 +353,11 @@ func BenchmarkSimpleSampling(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, err := v.SimpleEvidence(
-			"http://dbpedia.org/property/birthPlace",
-			"http://yago-knowledge.org/resource/wasBornIn", 10)
-		if err != nil {
+		rules := []sampling.Rule{{
+			Body: "http://dbpedia.org/property/birthPlace",
+			Head: "http://yago-knowledge.org/resource/wasBornIn",
+		}}
+		if err := v.SimpleEvidenceEach(rules, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,11 +372,12 @@ func BenchmarkUnbiasedSampling(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := v.Contradictions(sampling.BodySide,
-			"http://dbpedia.org/property/hasDirector",
-			"http://dbpedia.org/property/hasProducer",
-			"http://yago-knowledge.org/resource/directedBy", 14)
-		if err != nil {
+		pairs := []sampling.SiblingPair{{
+			A:     "http://dbpedia.org/property/hasDirector",
+			B:     "http://dbpedia.org/property/hasProducer",
+			Check: "http://yago-knowledge.org/resource/directedBy",
+		}}
+		if err := v.ContradictionsEach(sampling.BodySide, pairs, 14); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,10 +37,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"sofya/internal/endpoint"
+	"sofya/internal/flight"
 	"sofya/internal/sampling"
 	"sofya/internal/sparql"
 	"sofya/internal/strsim"
@@ -212,43 +211,13 @@ func BuildCtx(ctx context.Context, target endpoint.Endpoint, rels []string, link
 	}
 	sets := make([][]uint64, len(ix.rels))
 	errs := make([]error, len(ix.rels))
-	if workers > len(ix.rels) {
-		workers = len(ix.rels)
-	}
-	if workers <= 1 {
-		keys := make([]uint64, 0, 2*opt.SampleSize)
-		for i, rel := range ix.rels {
-			if ctx.Err() != nil {
-				break
-			}
-			keys, errs[i] = appendSampleKeys(ctx, keys[:0], probe, rel, opt.SampleSize, links)
-			if errs[i] == nil {
-				sets[i] = append([]uint64(nil), keys...)
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				keys := make([]uint64, 0, 2*opt.SampleSize)
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ix.rels) || ctx.Err() != nil {
-						return
-					}
-					keys, errs[i] = appendSampleKeys(ctx, keys[:0], probe, ix.rels[i], opt.SampleSize, links)
-					if errs[i] == nil {
-						sets[i] = append([]uint64(nil), keys...)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
+	// A relation's failure is recorded, not returned: it must not cancel
+	// the others, so Each only ever stops on ctx.
+	err = flight.Each(ctx, workers, len(ix.rels), func(ctx context.Context, i int) error {
+		sets[i], errs[i] = appendSampleKeys(ctx, make([]uint64, 0, 2*opt.SampleSize), probe, ix.rels[i], opt.SampleSize, links)
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("candidates: build against %s aborted: %w", target.Name(), err)
 	}
 	var fails []error

@@ -1,5 +1,11 @@
 package core
 
+import (
+	"context"
+
+	"sofya/internal/flight"
+)
+
 // AlignRelations is the batch API: it aligns every relation in rs,
 // scheduling up to Config.Parallelism relations concurrently, and
 // returns one result slice per input relation, positionally matching
@@ -18,7 +24,7 @@ package core
 // The first error (in rs order) aborts the batch.
 func (a *Aligner) AlignRelations(rs []string) ([][]Alignment, error) {
 	out := make([][]Alignment, len(rs))
-	err := runIndexed(a.cfg.Parallelism, len(rs), func(i int) error {
+	err := flight.Each(context.Background(), a.cfg.Parallelism, len(rs), func(_ context.Context, i int) error {
 		als, err := a.AlignRelation(rs[i])
 		if err != nil {
 			return err

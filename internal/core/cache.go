@@ -40,7 +40,7 @@ func (c *Cache) AlignRelation(r string) ([]Alignment, error) {
 // match rs; the first error (in rs order) aborts.
 func (c *Cache) AlignRelations(rs []string) ([][]Alignment, error) {
 	out := make([][]Alignment, len(rs))
-	err := runIndexed(c.aligner.cfg.Parallelism, len(rs), func(i int) error {
+	err := flight.Each(context.Background(), c.aligner.cfg.Parallelism, len(rs), func(_ context.Context, i int) error {
 		als, err := c.AlignRelation(rs[i])
 		if err != nil {
 			return err

@@ -1,12 +1,17 @@
-// Package flight provides a small generic singleflight group:
-// concurrent calls that share a key share one execution and receive its
-// result. It is the coalescing primitive behind endpoint.Coalescing
-// (deduplicating identical in-flight SPARQL queries).
+// Package flight holds the module's concurrency primitives:
 //
-// Unlike a cache, a Group remembers nothing: once an execution
-// completes and its waiters are served, the key is forgotten and the
-// next call runs the function again. Memo is the Group that remembers —
-// the body of core.Cache and core.IndexCache.
+//   - Group, a small generic singleflight group: concurrent calls that
+//     share a key share one execution and receive its result. It is the
+//     coalescing primitive behind endpoint.Coalescing (deduplicating
+//     identical in-flight SPARQL queries). Unlike a cache, a Group
+//     remembers nothing: once an execution completes and its waiters
+//     are served, the key is forgotten and the next call runs the
+//     function again.
+//   - Memo, the Group that remembers — the body of core.Cache and
+//     core.IndexCache.
+//   - Each, the one index-ordered parallel loop: the aligner's stages
+//     and batches, a shard group's fan-out and the candidate index's
+//     sampling pass all run their tasks through it.
 package flight
 
 import (

@@ -52,9 +52,7 @@ const (
 	XSDDateTime = "http://www.w3.org/2001/XMLSchema#dateTime"
 	XSDGYear    = "http://www.w3.org/2001/XMLSchema#gYear"
 
-	RDFType   = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-	RDFSLabel = "http://www.w3.org/2000/01/rdf-schema#label"
-	OWLSameAs = "http://www.w3.org/2002/07/owl#sameAs"
+	RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 )
 
 // Term is an RDF term. The zero value is the empty IRI, which is not a

@@ -170,20 +170,11 @@ func (v *Validator) window(n int) int {
 	return w
 }
 
-// SampleBody performs Simple Sample Extraction for rsub: it samples up
-// to n subject entities of rsub in K' whose facts translate into K, and
-// returns all their translated rsub facts.
-func (v *Validator) SampleBody(rsub string, n int) (*SampleSet, error) {
-	sets, err := v.SampleBodies([]string{rsub}, n)
-	if err != nil {
-		return nil, err
-	}
-	return sets[0], nil
-}
-
-// SampleBodies is SampleBody for each of rsubs, their sample probes one
-// group. A sample window streams row by row — the full window is never
-// materialized at once.
+// SampleBodies performs Simple Sample Extraction for each of rsubs, their
+// sample probes one group: for each rsub it samples up to n subject
+// entities of rsub in K' whose facts translate into K, and returns all
+// their translated rsub facts. A sample window streams row by row — the
+// full window is never materialized at once.
 func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
 	if err := v.prepare(); err != nil {
 		return nil, err
@@ -295,18 +286,11 @@ type Rule struct {
 	Set        *SampleSet
 }
 
-// SimpleEvidence runs the full Simple Sample Extraction pipeline for the
-// rule rsub ⇒ r with a sample of n subjects and returns the evidence
-// (one PairEvidence per translated rsub fact).
-func (v *Validator) SimpleEvidence(rsub, r string, n int) (*ilp.Evidence, *SampleSet, error) {
-	rules := []Rule{{Body: rsub, Head: r}}
-	err := v.SimpleEvidenceEach(rules, n)
-	return rules[0].Ev, rules[0].Set, err
-}
-
-// SimpleEvidenceEach is SimpleEvidence for each of rules, filling in
-// their Ev and Set: the sample probes of all of them are one group, and
-// so are the head-object fetches of all their sampled subjects.
+// SimpleEvidenceEach runs the full Simple Sample Extraction pipeline for
+// each of rules with a sample of n subjects, filling in its Ev (one
+// PairEvidence per translated body fact) and Set: the sample probes of
+// all of them are one group, and so are the head-object fetches of all
+// their sampled subjects.
 func (v *Validator) SimpleEvidenceEach(rules []Rule, n int) error {
 	bodies := make([]string, len(rules))
 	for i := range rules {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sofya/internal/endpoint"
+	"sofya/internal/ilp"
 	"sofya/internal/kb"
 	"sofya/internal/rdf"
 	"sofya/internal/sameas"
@@ -108,6 +109,28 @@ func newValidator(t *testing.T) (*Validator, *endpoint.Local, *endpoint.Local) {
 	return v, ky, kd
 }
 
+// sampleBody, simpleEvidence and contradictions run the Validator's
+// group calls for one item.
+func sampleBody(v *Validator, rsub string, n int) (*SampleSet, error) {
+	sets, err := v.SampleBodies([]string{rsub}, n)
+	if err != nil {
+		return nil, err
+	}
+	return sets[0], nil
+}
+
+func simpleEvidence(v *Validator, rsub, r string, n int) (*ilp.Evidence, *SampleSet, error) {
+	rules := []Rule{{Body: rsub, Head: r}}
+	err := v.SimpleEvidenceEach(rules, n)
+	return rules[0].Ev, rules[0].Set, err
+}
+
+func contradictions(v *Validator, side Side, a, b, check string, m int) (*UBSResult, error) {
+	pairs := []SiblingPair{{A: a, B: b, Check: check}}
+	err := v.ContradictionsEach(side, pairs, m)
+	return pairs[0].Res, err
+}
+
 func TestLinkView(t *testing.T) {
 	links := sameas.New()
 	links.Add("a1", "b1")
@@ -129,7 +152,7 @@ func TestLinkView(t *testing.T) {
 
 func TestSampleBody(t *testing.T) {
 	v, _, _ := newValidator(t)
-	set, err := v.SampleBody(dNS+"composerOf", 3)
+	set, err := sampleBody(v, dNS+"composerOf", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +171,7 @@ func TestSampleBody(t *testing.T) {
 
 func TestSampleBodyMoreThanAvailable(t *testing.T) {
 	v, _, _ := newValidator(t)
-	set, err := v.SampleBody(dNS+"composerOf", 100)
+	set, err := sampleBody(v, dNS+"composerOf", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +193,7 @@ func TestSampleBodySkipsUnlinked(t *testing.T) {
 		KPrime: endpoint.NewLocal(d, 2),
 		Links:  LinkView{Links: links, KIsA: true},
 	}
-	set, err := v.SampleBody(dNS+"composerOf", 100)
+	set, err := sampleBody(v, dNS+"composerOf", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +210,7 @@ func TestSampleBodySkipsUnlinked(t *testing.T) {
 func TestSimpleEvidenceTrueRule(t *testing.T) {
 	v, _, _ := newValidator(t)
 	// composerOf ⇒ creatorOf is true: every sampled fact confirmed
-	ev, set, err := v.SimpleEvidence(dNS+"composerOf", yNS+"creatorOf", 10)
+	ev, set, err := simpleEvidence(v, dNS+"composerOf", yNS+"creatorOf", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +233,7 @@ func TestSimpleEvidenceWrongDirectionIsBlindWithoutUBS(t *testing.T) {
 	// unconfirmed).
 	v, _, _ := newValidator(t)
 	flip := &Validator{K: v.KPrime, KPrime: v.K, Links: LinkView{Links: v.Links.(LinkView).Links, KIsA: false}, Matcher: v.Matcher}
-	ev, _, err := flip.SimpleEvidence(yNS+"creatorOf", dNS+"composerOf", 12)
+	ev, _, err := simpleEvidence(flip, yNS+"creatorOf", dNS+"composerOf", 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +280,7 @@ func TestLiteralEvidence(t *testing.T) {
 	v, _, _ := newValidator(t)
 	// birthDate(x, 1900-03-04) ⇒ bornYear(x, 1900): literal matcher
 	// bridges date vs gYear.
-	ev, _, err := v.SimpleEvidence(dNS+"birthDate", yNS+"bornYear", 10)
+	ev, _, err := simpleEvidence(v, dNS+"birthDate", yNS+"bornYear", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +295,7 @@ func TestLiteralEvidence(t *testing.T) {
 func TestLiteralEvidenceWithoutMatcher(t *testing.T) {
 	v, _, _ := newValidator(t)
 	v.Matcher = nil
-	ev, set, err := v.SimpleEvidence(dNS+"birthDate", yNS+"bornYear", 10)
+	ev, set, err := simpleEvidence(v, dNS+"birthDate", yNS+"bornYear", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +310,7 @@ func TestContradictionsComposerWriter(t *testing.T) {
 	// the only overlap subject; creatorOf holds for both of its works,
 	// so the row refutes the equivalence creatorOf ⇔ composerOf but NOT
 	// the subsumption writerOf ⇒ creatorOf.
-	res, err := v.Contradictions(BodySide, dNS+"composerOf", dNS+"writerOf", yNS+"creatorOf", 10)
+	res, err := contradictions(v, BodySide, dNS+"composerOf", dNS+"writerOf", yNS+"creatorOf", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +330,7 @@ func TestContradictionsDirectorProducer(t *testing.T) {
 	// siblings hasDirector/hasProducer against directedBy: movies 4..5
 	// have producer ≠ director; directedBy(x, director) holds while
 	// directedBy(x, producer) does not → refutes hasProducer ⇒ directedBy.
-	res, err := v.Contradictions(BodySide, dNS+"hasDirector", dNS+"hasProducer", yNS+"directedBy", 10)
+	res, err := contradictions(v, BodySide, dNS+"hasDirector", dNS+"hasProducer", yNS+"directedBy", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +352,7 @@ func TestContradictionsHeadSide(t *testing.T) {
 	// the head side of the flipped direction instead: siblings live in
 	// K (here K'), check relation lives in K'. We emulate the flipped
 	// aligner direction: rules yago-body ⇒ dbp-head.
-	res, err := v.Contradictions(HeadSide, yNS+"creatorOf", yNS+"creatorOf", dNS+"composerOf", 10)
+	res, err := contradictions(v, HeadSide, yNS+"creatorOf", yNS+"creatorOf", dNS+"composerOf", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +368,7 @@ func TestContradictionsQueryBudget(t *testing.T) {
 	v, ky, kd := newValidator(t)
 	ky.ResetStats()
 	kd.ResetStats()
-	_, err := v.Contradictions(BodySide, dNS+"hasDirector", dNS+"hasProducer", yNS+"directedBy", 10)
+	_, err := contradictions(v, BodySide, dNS+"hasDirector", dNS+"hasProducer", yNS+"directedBy", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +383,7 @@ func TestContradictionsQueryBudget(t *testing.T) {
 
 func TestSimpleEvidenceEmptyRelation(t *testing.T) {
 	v, _, _ := newValidator(t)
-	ev, set, err := v.SimpleEvidence(dNS+"nonexistent", yNS+"creatorOf", 5)
+	ev, set, err := simpleEvidence(v, dNS+"nonexistent", yNS+"creatorOf", 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,24 +95,17 @@ type SiblingPair struct {
 	Res         *UBSResult
 }
 
-// Contradictions runs Unbiased Sample Extraction for the sibling pair
-// (a, b) against relation check. With side == BodySide, a and b are K'
-// relations and check is a K relation; with side == HeadSide the roles
-// are mirrored. It samples up to m overlap subjects
-// x: a(x,y1) ∧ b(x,y2) ∧ ¬a(x,y2), translates each row into the opposite
-// KB, and evaluates check(x,y1) / check(x,y2) there.
+// ContradictionsEach runs Unbiased Sample Extraction for each sibling
+// pair (A, B) against relation Check, filling in its Res. With side ==
+// BodySide, A and B are K' relations and Check is a K relation; with side
+// == HeadSide the roles are mirrored. It samples up to m overlap subjects
+// x: A(x,y1) ∧ B(x,y2) ∧ ¬A(x,y2), translates each row into the opposite
+// KB, and evaluates Check(x,y1) / Check(x,y2) there. The overlap probes
+// of all the pairs are one group, and so are the check-object fetches of
+// all their overlap subjects.
 //
 // Entity-entity relations only: rows with literal objects are skipped
 // (literal candidates are validated by the simple sampler alone).
-func (v *Validator) Contradictions(side Side, a, b, check string, m int) (*UBSResult, error) {
-	pairs := []SiblingPair{{A: a, B: b, Check: check}}
-	err := v.ContradictionsEach(side, pairs, m)
-	return pairs[0].Res, err
-}
-
-// ContradictionsEach is Contradictions for each of pairs, filling in
-// their Res: the overlap probes of all of them are one group, and so are
-// the check-object fetches of all their overlap subjects.
 func (v *Validator) ContradictionsEach(side Side, pairs []SiblingPair, m int) error {
 	if err := v.prepare(); err != nil {
 		return err

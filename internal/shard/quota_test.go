@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,6 +201,104 @@ func TestGroupConcatBagSemantics(t *testing.T) {
 	} {
 		if _, err := g.SelectCtx(context.Background(), rejected); !errors.Is(err, ErrNotDecomposable) {
 			t.Errorf("%q: err = %v, want ErrNotDecomposable", rejected, err)
+		}
+	}
+}
+
+// stubShard answers every query it is handed the same way, whatever the
+// text: "fail" with ErrQuotaExceeded at once, "block" not until its
+// context ends, "true" and "false" as an ASK answer (and no rows as a
+// SELECT).
+type stubShard string
+
+func (s stubShard) Name() string { return "stub-" + string(s) }
+func (s stubShard) SelectCtx(ctx context.Context, _ string) (*sparql.Result, error) {
+	return stubPrepared{s}.SelectCtx(ctx)
+}
+func (s stubShard) AskCtx(ctx context.Context, _ string) (bool, error) {
+	return stubPrepared{s}.AskCtx(ctx)
+}
+func (s stubShard) Prepare(string, ...string) (endpoint.PreparedQuery, error) {
+	return stubPrepared{s}, nil
+}
+
+// stubPrepared is a stubShard's handle for every template.
+type stubPrepared struct{ s stubShard }
+
+func (p stubPrepared) err(ctx context.Context) error {
+	switch p.s {
+	case "fail":
+		return endpoint.ErrQuotaExceeded
+	case "block":
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	return nil
+}
+
+func (p stubPrepared) SelectCtx(ctx context.Context, _ ...sparql.Arg) (*sparql.Result, error) {
+	if err := p.err(ctx); err != nil {
+		return nil, err
+	}
+	return &sparql.Result{Vars: []string{"x", "y"}}, nil
+}
+
+func (p stubPrepared) AskCtx(ctx context.Context, _ ...sparql.Arg) (bool, error) {
+	err := p.err(ctx)
+	return err == nil && p.s == "true", err
+}
+
+func (p stubPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
+	res, err := p.SelectCtx(ctx, args...)
+	if err != nil {
+		return nil, err
+	}
+	return endpoint.ReplayRows(res), nil
+}
+
+// What a fan-out answers when its shards disagree. A SELECT reports the
+// shard that failed, never the cancellation that failure caused in a
+// sibling still at work, and returns as soon as it has failed. An ASK
+// answers true when any shard does, whatever another shard's error;
+// with no true answer a shard's error surfaces instead of a clean false.
+func TestFanoutFailurePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		query   string
+		shards  []stubShard
+		wantErr error
+		wantAsk bool
+	}{
+		{"SELECT ?x ?y WHERE { ?x <http://x/p> ?y }", []stubShard{"fail", "block"}, endpoint.ErrQuotaExceeded, false},
+		{"SELECT ?x ?y WHERE { ?x <http://x/p> ?y }", []stubShard{"block", "fail"}, endpoint.ErrQuotaExceeded, false},
+		{"SELECT ?x ?y WHERE { ?x <http://x/p> ?y }", []stubShard{"block", "false", "fail"}, endpoint.ErrQuotaExceeded, false},
+		{"ASK { ?x <http://x/p> ?y }", []stubShard{"fail", "true"}, nil, true},
+		{"ASK { ?x <http://x/p> ?y }", []stubShard{"true", "fail"}, nil, true},
+		{"ASK { ?x <http://x/p> ?y }", []stubShard{"false", "fail", "false"}, endpoint.ErrQuotaExceeded, false},
+		{"ASK { ?x <http://x/p> ?y }", []stubShard{"fail", "false"}, endpoint.ErrQuotaExceeded, false},
+	} {
+		eps := make([]endpoint.Endpoint, len(tc.shards))
+		for i, s := range tc.shards {
+			eps[i] = s
+		}
+		g, err := NewGroup("stub", 1, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The deadline only keeps a broken fan-out from hanging the test.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		start := time.Now()
+		var ok bool
+		if strings.HasPrefix(tc.query, "ASK") {
+			ok, err = g.AskCtx(ctx, tc.query)
+		} else {
+			_, err = g.SelectCtx(ctx, tc.query)
+		}
+		cancel()
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s over %v: took %v", tc.query, tc.shards, d)
+		}
+		if ok != tc.wantAsk || !errors.Is(err, tc.wantErr) || (tc.wantErr == nil && err != nil) {
+			t.Errorf("%s over %v = %v, %v; want %v, %v", tc.query, tc.shards, ok, err, tc.wantAsk, tc.wantErr)
 		}
 	}
 }

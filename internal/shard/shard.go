@@ -52,12 +52,14 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"sync"
 
 	"sofya/internal/endpoint"
+	"sofya/internal/flight"
 	"sofya/internal/kb"
 	"sofya/internal/sparql"
 )
@@ -216,86 +218,39 @@ func (g *Group) ResetStats() {
 	}
 }
 
-// fanout runs task(i) for every shard index concurrently, one
-// goroutine per shard. The first error cancels the remaining work. A
-// caller-context cancellation that skipped any task surfaces as the
-// context's error — never as a clean success with holes in the output.
-func (g *Group) fanout(parent context.Context, task func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := range g.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			if err := task(ctx, i); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr == nil {
-		firstErr = parent.Err()
-	}
-	return firstErr
+// fanout runs task(i) for every shard index through flight.Each, one
+// goroutine per shard (inline for a one-shard group). The first error
+// cancels the others' context; the lowest-indexed shard error is
+// returned, never a sibling's echoing cancellation, and a caller's
+// cancellation never as a clean success with holes in the output.
+func (g *Group) fanout(ctx context.Context, task func(ctx context.Context, i int) error) error {
+	return flight.Each(ctx, len(g.shards), len(g.shards), task)
 }
+
+// errFound is the task error that stops an ASK fan-out once a shard has
+// answered true.
+var errFound = errors.New("shard: a shard answered true")
 
 // fanoutAsk runs per-shard ASK probes concurrently and short-circuits
 // on the first true: remaining probes are cancelled, their outcomes
-// discarded. With no true answer, a shard error (a quota rejection,
-// say) or a caller-context cancellation surfaces instead of being
-// folded into a clean false.
-func (g *Group) fanoutAsk(parent context.Context, probe func(ctx context.Context, i int) (bool, error)) (bool, error) {
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		found    bool
-		firstErr error
-	)
-	for i := range g.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mu.Lock()
-			done := found
-			mu.Unlock()
-			if done || ctx.Err() != nil {
-				return
-			}
-			ok, err := probe(ctx, i)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case ok:
-				found = true
-				cancel()
-			case err != nil && firstErr == nil && ctx.Err() == nil:
-				firstErr = err
-			}
-		}(i)
-	}
-	wg.Wait()
-	if found {
+// discarded. A shard error does not cancel its siblings, since one of
+// them may still answer true; with no true answer, the lowest-indexed
+// shard error (a quota rejection, say) or a caller-context cancellation
+// surfaces instead of being folded into a clean false.
+func (g *Group) fanoutAsk(ctx context.Context, probe func(ctx context.Context, i int) (bool, error)) (bool, error) {
+	errs := make([]error, len(g.shards))
+	err := g.fanout(ctx, func(ctx context.Context, i int) error {
+		ok, err := probe(ctx, i)
+		if ok {
+			return errFound
+		}
+		errs[i] = err
+		return nil
+	})
+	if errors.Is(err, errFound) {
 		return true, nil
 	}
-	if firstErr == nil {
-		firstErr = parent.Err()
-	}
-	return false, firstErr
+	return false, cmp.Or(err, cmp.Or(errs...))
 }
 
 var (

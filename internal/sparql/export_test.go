@@ -8,3 +8,13 @@ func (e *Engine) EvalString(query string) (*Result, error) {
 	}
 	return e.Eval(q)
 }
+
+// Stream evaluates a parsed SELECT query as a row iterator, through the
+// same shape-keyed plan cache Eval uses.
+func (e *Engine) Stream(q *Query) (*RowIter, error) {
+	p, err := e.Bind(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Iter()
+}

@@ -180,13 +180,3 @@ func newBatchRowIter(vars []string, run func(yield func([][]rdf.Term) bool) erro
 	it.stop = stop
 	return it
 }
-
-// Stream evaluates a parsed SELECT query as a row iterator, through the
-// same shape-keyed plan cache Eval uses.
-func (e *Engine) Stream(q *Query) (*RowIter, error) {
-	p, err := e.Bind(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Iter()
-}
