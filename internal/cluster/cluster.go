@@ -401,26 +401,14 @@ func (r *Replicas) observeAttempt(rep *replica, d time.Duration, err error) {
 // caching and routing above.
 func (r *Replicas) Name() string { return r.name }
 
-// SelectCtx implements Endpoint with failover and hedging.
+// SelectCtx implements Endpoint by endpoint.SelectText.
 func (r *Replicas) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	res, cancel, err := hedge(ctx, r, 1, func(ctx context.Context, ep endpoint.Endpoint) (*sparql.Result, error) {
-		return ep.SelectCtx(ctx, query)
-	}, nil)
-	if cancel != nil {
-		cancel()
-	}
-	return res, err
+	return endpoint.SelectText(ctx, r, query)
 }
 
-// AskCtx implements Endpoint with failover and hedging.
+// AskCtx implements Endpoint, like SelectCtx.
 func (r *Replicas) AskCtx(ctx context.Context, query string) (bool, error) {
-	ok, cancel, err := hedge(ctx, r, 1, func(ctx context.Context, ep endpoint.Endpoint) (bool, error) {
-		return ep.AskCtx(ctx, query)
-	}, nil)
-	if cancel != nil {
-		cancel()
-	}
-	return ok, err
+	return endpoint.AskText(ctx, r, query)
 }
 
 // Prepare implements Endpoint: the template prepares once per replica,

@@ -120,6 +120,19 @@ func newTestCluster(t *testing.T, src *kb.KB, nShards, nReplicas int, seed int64
 	return tc
 }
 
+// cost sums what reached every replica's KB.
+func (tc *testCluster) cost() endpoint.Stats {
+	var sum endpoint.Stats
+	for _, l := range tc.locals {
+		s := l.Stats()
+		sum.Queries += s.Queries
+		sum.Rows += s.Rows
+		sum.Truncations += s.Truncations
+		sum.Denied += s.Denied
+	}
+	return sum
+}
+
 func (tc *testCluster) close() {
 	tc.group.Close()
 	for _, reps := range tc.servers {
@@ -157,35 +170,89 @@ func oracleAsks(rel string) []string {
 	}
 }
 
-// runOracle diffs the cluster against the unsharded reference on the
-// whole query battery.
-func runOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel, rel2 string) {
-	t.Helper()
-	for _, q := range oracleSelects(rel, rel2) {
-		want, err := local.SelectCtx(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: local %q: %v", label, q, err)
-		}
-		got, err := g.SelectCtx(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: cluster %q: %v", label, q, err)
-		}
-		if renderResult(got) != renderResult(want) {
-			t.Errorf("%s: Select diverges for %q:\n--- cluster ---\n%s\n--- local ---\n%s",
-				label, q, renderResult(got), renderResult(want))
+// textAnswer runs a text on ep through SelectCtx or AskCtx, by its form,
+// or prepared as the template without parameters it is, and renders the
+// answer.
+func textAnswer(ctx context.Context, ep endpoint.Endpoint, text string, prepared bool) (string, error) {
+	var pq endpoint.PreparedQuery
+	var err error
+	if prepared {
+		if pq, err = ep.Prepare(text); err != nil {
+			return "", err
 		}
 	}
-	for _, q := range oracleAsks(rel) {
-		want, err := local.AskCtx(context.Background(), q)
+	if sparql.FormOf(text) == sparql.AskForm {
+		var ok bool
+		if prepared {
+			ok, err = pq.AskCtx(ctx)
+		} else {
+			ok, err = ep.AskCtx(ctx, text)
+		}
+		return fmt.Sprint(ok), err
+	}
+	var res *sparql.Result
+	if prepared {
+		res, err = pq.SelectCtx(ctx)
+	} else {
+		res, err = ep.SelectCtx(ctx, text)
+	}
+	if err != nil {
+		return "", err
+	}
+	return renderResult(res), nil
+}
+
+// statsDelta is what a call cost, from the statistics around it.
+func statsDelta(after, before endpoint.Stats) endpoint.Stats {
+	return endpoint.Stats{
+		Queries:     after.Queries - before.Queries,
+		Rows:        after.Rows - before.Rows,
+		Truncations: after.Truncations - before.Truncations,
+		Denied:      after.Denied - before.Denied,
+	}
+}
+
+// runOracle diffs ep — a cluster, a replica set — against the unsharded
+// reference on the whole query battery, a routed SELECT and ASK among
+// it, every text two ways: through SelectCtx or AskCtx, and prepared as
+// the template without parameters it is. When cost reports what reached
+// the KBs behind ep (nil where hedging races replicas), a SELECT must
+// cost the same either way; a fanned-out ASK stops its shards at the
+// first true, so what it costs is a race.
+func runOracle(t *testing.T, label string, local *endpoint.Local, ep endpoint.Endpoint, cost func() endpoint.Stats, rel, rel2 string) {
+	t.Helper()
+	ctx := context.Background()
+	fact, err := local.SelectCtx(ctx, fmt.Sprintf("SELECT ?x WHERE { ?x <%s> ?y } LIMIT 1", rel))
+	if err != nil || len(fact.Rows) != 1 {
+		t.Fatalf("%s: no fact of %s: %v", label, rel, err)
+	}
+	s := fact.Rows[0][0].Value
+	texts := append(oracleSelects(rel, rel2), fmt.Sprintf("SELECT ?p ?y WHERE { <%s> ?p ?y }", s))
+	texts = append(append(texts, oracleAsks(rel)...), fmt.Sprintf("ASK { <%s> <%s> ?y }", s, rel))
+	for _, q := range texts {
+		want, err := textAnswer(ctx, local, q, false)
 		if err != nil {
 			t.Fatalf("%s: local %q: %v", label, q, err)
 		}
-		got, err := g.AskCtx(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: cluster %q: %v", label, q, err)
+		var costs [2]endpoint.Stats
+		for i, prepared := range []bool{false, true} {
+			var before endpoint.Stats
+			if cost != nil {
+				before = cost()
+			}
+			got, err := textAnswer(ctx, ep, q, prepared)
+			if err != nil {
+				t.Fatalf("%s: %q (prepared %v): %v", label, q, prepared, err)
+			}
+			if got != want {
+				t.Errorf("%s: %q (prepared %v) diverges:\n--- cluster ---\n%s\n--- local ---\n%s", label, q, prepared, got, want)
+			}
+			if cost != nil {
+				costs[i] = statsDelta(cost(), before)
+			}
 		}
-		if got != want {
-			t.Errorf("%s: Ask(%q) = %v, want %v", label, q, got, want)
+		if costs[0] != costs[1] && sparql.FormOf(q) == sparql.SelectForm {
+			t.Errorf("%s: %q costs %+v as a text, %+v prepared", label, q, costs[0], costs[1])
 		}
 	}
 }
@@ -334,11 +401,17 @@ func TestClusterOracle(t *testing.T) {
 			label := fmt.Sprintf("shards=%d/replicas=%d", nShards, nReplicas)
 			t.Run(label, func(t *testing.T) {
 				tc := newTestCluster(t, w.Yago, nShards, nReplicas, seed, Options{})
-				runOracle(t, label, local, tc.group, rel, rel2)
+				runOracle(t, label, local, tc.group, tc.cost, rel, rel2)
 				runPreparedOracle(t, label, local, tc.group, rel, rel2)
 			})
 		}
 	}
+	// One replica set of HTTP clients over the unsharded KB: the text
+	// calls Replicas hedges are its prepared ones.
+	t.Run("replicas", func(t *testing.T) {
+		tc := newTestCluster(t, w.Yago, 1, 2, seed, Options{})
+		runOracle(t, "replicas", local, tc.group.ReplicaSets()[0], tc.cost, rel, rel2)
+	})
 }
 
 // TestClusterFailover kills one replica per shard mid-suite: the
@@ -348,11 +421,11 @@ func TestClusterFailover(t *testing.T) {
 	const seed = 23
 	w, local, rel, rel2 := testWorld(t, seed)
 	tc := newTestCluster(t, w.Yago, 3, 2, seed, Options{})
-	runOracle(t, "pre-kill", local, tc.group, rel, rel2)
+	runOracle(t, "pre-kill", local, tc.group, nil, rel, rel2)
 	for shard := 0; shard < 3; shard++ {
 		tc.killReplica(shard, 0)
 	}
-	runOracle(t, "post-kill", local, tc.group, rel, rel2)
+	runOracle(t, "post-kill", local, tc.group, nil, rel, rel2)
 	runPreparedOracle(t, "post-kill", local, tc.group, rel, rel2)
 	// The dead replicas took strikes; after FailAfter of them the sets
 	// mark them ejected and stop paying the failed first attempt.
@@ -372,7 +445,7 @@ func TestClusterFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("dead replicas not ejected after traffic strikes (ejected=%d)", ejected)
 		}
-		runOracle(t, "strike-traffic", local, tc.group, rel, rel2)
+		runOracle(t, "strike-traffic", local, tc.group, nil, rel, rel2)
 	}
 }
 
@@ -386,7 +459,7 @@ func TestClusterHedged(t *testing.T) {
 		for _, nReplicas := range []int{1, 2} {
 			label := fmt.Sprintf("hedged/shards=%d/replicas=%d", nShards, nReplicas)
 			tc := newTestCluster(t, w.Yago, nShards, nReplicas, seed, Options{HedgeDelay: time.Microsecond})
-			runOracle(t, label, local, tc.group, rel, rel2)
+			runOracle(t, label, local, tc.group, nil, rel, rel2)
 			runPreparedOracle(t, label, local, tc.group, rel, rel2)
 			if nReplicas > 1 {
 				// One replica per shard dies mid-suite: open groups fail
@@ -436,6 +509,14 @@ func TestClusterContextCancellation(t *testing.T) {
 		}},
 		{"text AskCtx", func() (endpoint.Rows, error) {
 			_, err := g.AskCtx(ctx, fmt.Sprintf("ASK { ?x <%s> ?y }", rel))
+			return nil, err
+		}},
+		{"replica set text SelectCtx", func() (endpoint.Rows, error) {
+			_, err := g.ReplicaSets()[0].SelectCtx(ctx, fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y }", rel))
+			return nil, err
+		}},
+		{"replica set text AskCtx", func() (endpoint.Rows, error) {
+			_, err := g.ReplicaSets()[0].AskCtx(ctx, fmt.Sprintf("ASK { ?x <%s> ?y }", rel))
 			return nil, err
 		}},
 		{"prepared SelectCtx", func() (endpoint.Rows, error) { _, err := sel.SelectCtx(ctx, r); return nil, err }},

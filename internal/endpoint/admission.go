@@ -178,29 +178,19 @@ func (a *Admission) releaser() func() {
 // Name implements Endpoint.
 func (a *Admission) Name() string { return a.inner.Name() }
 
-// SelectCtx implements Endpoint, holding an admission slot for the
-// duration of the inner call.
+// SelectCtx implements Endpoint by SelectText.
 func (a *Admission) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	release, err := a.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return a.inner.SelectCtx(ctx, query)
+	return SelectText(ctx, a, query)
 }
 
-// AskCtx implements Endpoint.
+// AskCtx implements Endpoint, like SelectCtx.
 func (a *Admission) AskCtx(ctx context.Context, query string) (bool, error) {
-	release, err := a.acquire(ctx)
-	if err != nil {
-		return false, err
-	}
-	defer release()
-	return a.inner.AskCtx(ctx, query)
+	return AskText(ctx, a, query)
 }
 
 // Prepare implements Endpoint: preparation itself is not admitted (it
-// touches no data), every execution of the handle is.
+// touches no data), every execution of the handle is — so a query text
+// is parsed before it takes a slot.
 func (a *Admission) Prepare(template string, params ...string) (PreparedQuery, error) {
 	inner, err := a.inner.Prepare(template, params...)
 	if err != nil {

@@ -22,7 +22,7 @@ type CacheStats struct {
 }
 
 // Caching decorates an Endpoint with an LRU memo of successful SELECT
-// and ASK results, keyed by the exact query text. Identical queries —
+// and ASK results, keyed by template and arguments. Identical queries —
 // the dominant traffic of a batch alignment, where many relations probe
 // the same subjects and samples — reach the inner endpoint once.
 //
@@ -73,31 +73,14 @@ func NewCaching(inner Endpoint, maxEntries int) *Caching {
 // Name implements Endpoint.
 func (c *Caching) Name() string { return c.inner.Name() }
 
-// SelectCtx implements Endpoint.
+// SelectCtx implements Endpoint by SelectText.
 func (c *Caching) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	if res, ok := c.lookup("S\x00" + query); ok {
-		return res, nil
-	}
-	res, err := c.inner.SelectCtx(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	c.store("S\x00"+query, *res, true)
-	out := *res
-	return &out, nil
+	return SelectText(ctx, c, query)
 }
 
-// AskCtx implements Endpoint.
+// AskCtx implements Endpoint, like SelectCtx.
 func (c *Caching) AskCtx(ctx context.Context, query string) (bool, error) {
-	if res, ok := c.lookup("A\x00" + query); ok {
-		return res.Ask, nil
-	}
-	ok, err := c.inner.AskCtx(ctx, query)
-	if err != nil {
-		return false, err
-	}
-	c.store("A\x00"+query, sparql.Result{Ask: ok}, true)
-	return ok, nil
+	return AskText(ctx, c, query)
 }
 
 // lookup returns a copy of the cached result and bumps its recency.
@@ -164,9 +147,7 @@ func (c *Caching) store(key string, res sparql.Result, complete bool) {
 // Prepare implements Endpoint: prepared executions flow through the
 // same LRU, keyed by template, parameter order and rendered arguments,
 // so identical prepared probes — from any handle or pipeline stage
-// sharing the template — reach the inner endpoint once. (Text queries
-// keep their own keys: a text probe and its prepared equivalent are
-// cached independently.)
+// sharing the template — reach the inner endpoint once.
 func (c *Caching) Prepare(template string, params ...string) (PreparedQuery, error) {
 	inner, err := c.inner.Prepare(template, params...)
 	if err != nil {

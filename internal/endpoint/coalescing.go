@@ -11,14 +11,14 @@ import (
 )
 
 // Coalescing decorates an Endpoint by singleflighting identical
-// in-flight queries: when several goroutines issue the same query text
+// in-flight queries: when several goroutines issue the same query
 // concurrently, one probe reaches the inner endpoint and every caller
 // receives its result. Together with Caching underneath it gives a
 // batch of concurrent aligners exactly-once endpoint traffic per
 // distinct query.
 //
-// Flight keys carry the inner endpoint's Name(): prepared executions
-// are keyed by preparedKey, the form Caching uses for its entries.
+// Flights are keyed by preparedKey, the form Caching uses for its
+// entries, which carries the inner endpoint's Name().
 //
 // Unlike Caching it remembers nothing: once a query completes, the next
 // identical call probes again. The shared probe is detached from every
@@ -46,38 +46,17 @@ func NewCoalescing(inner Endpoint) *Coalescing {
 	return &Coalescing{innerStats: innerStats{inner}, streams: make(map[string]*sharedStream)}
 }
 
-// textKey scopes a raw query text to the inner endpoint.
-func (c *Coalescing) textKey(query string) string {
-	return c.inner.Name() + "\x00" + query
-}
-
 // Name implements Endpoint.
 func (c *Coalescing) Name() string { return c.inner.Name() }
 
-// SelectCtx implements Endpoint.
+// SelectCtx implements Endpoint by SelectText.
 func (c *Coalescing) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	res, err, shared := c.sel.DoCtx(ctx, c.textKey(query), func() (*sparql.Result, error) {
-		return c.inner.SelectCtx(context.WithoutCancel(ctx), query)
-	})
-	if shared {
-		c.coalesced.Add(1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := *res
-	return &out, nil
+	return SelectText(ctx, c, query)
 }
 
-// AskCtx implements Endpoint.
+// AskCtx implements Endpoint, like SelectCtx.
 func (c *Coalescing) AskCtx(ctx context.Context, query string) (bool, error) {
-	ok, err, shared := c.ask.DoCtx(ctx, c.textKey(query), func() (bool, error) {
-		return c.inner.AskCtx(context.WithoutCancel(ctx), query)
-	})
-	if shared {
-		c.coalesced.Add(1)
-	}
-	return ok, err
+	return AskText(ctx, c, query)
 }
 
 // Prepare implements Endpoint: prepared executions singleflight on the

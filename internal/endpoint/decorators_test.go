@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -205,7 +206,7 @@ func TestCoalescingSharesInFlightQueries(t *testing.T) {
 	}
 	// wait until the leader holds the gate and every follower has
 	// joined its flight, then release
-	for inner.selects.Load() == 0 || c.sel.Waiting(c.textKey(selP)) < n-1 {
+	for inner.selects.Load() == 0 || c.sel.Waiting(preparedKey('S', c.inner.Name(), selP, nil, nil)) < n-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(inner.gate)
@@ -257,7 +258,7 @@ func TestCoalescingLeaderCancellationDoesNotPoisonWaiters(t *testing.T) {
 		}
 		followerRows <- len(res.Rows)
 	}()
-	for c.sel.Waiting(c.textKey(selP)) < 1 {
+	for c.sel.Waiting(preparedKey('S', c.inner.Name(), selP, nil, nil)) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -407,6 +408,29 @@ var cancelOps = []struct {
 	}},
 }
 
+// stacks is every stack shape of this package over a Local, whose
+// statistics are what reached the KB; a stack's Coalescing, if it has
+// one, is returned too.
+var stacks = []struct {
+	name  string
+	build func(t *testing.T, l *Local) (Endpoint, *Coalescing)
+}{
+	{"Local", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return l, nil }},
+	{"Caching(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return NewCaching(l, 0), nil }},
+	{"Coalescing(Caching(Local))", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
+		c := NewCoalescing(NewCaching(l, 0))
+		return c, c
+	}},
+	{"Admission(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
+		return NewAdmission(l, Limits{MaxInFlight: 1}), nil
+	}},
+	{"Client", func(t *testing.T, l *Local) (Endpoint, *Coalescing) {
+		srv := httptest.NewServer(NewServer(l))
+		t.Cleanup(srv.Close)
+		return NewClient("test", srv.URL, srv.Client()), nil
+	}},
+}
+
 // TestCancellationContract states cancellation once for the whole query
 // surface, over every stack shape of this package (shard.Group and
 // cluster.Group run the same table in their packages): a call under a
@@ -414,25 +438,6 @@ var cancelOps = []struct {
 // no Rows to close, never reaches the KB, and leaves no coalesced
 // execution in flight behind it.
 func TestCancellationContract(t *testing.T) {
-	stacks := []struct {
-		name  string
-		build func(t *testing.T, l *Local) (Endpoint, *Coalescing)
-	}{
-		{"Local", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return l, nil }},
-		{"Caching(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return NewCaching(l, 0), nil }},
-		{"Coalescing(Caching(Local))", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
-			c := NewCoalescing(NewCaching(l, 0))
-			return c, c
-		}},
-		{"Admission(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
-			return NewAdmission(l, Limits{MaxInFlight: 1}), nil
-		}},
-		{"Client", func(t *testing.T, l *Local) (Endpoint, *Coalescing) {
-			srv := httptest.NewServer(NewServer(l))
-			t.Cleanup(srv.Close)
-			return NewClient("test", srv.URL, srv.Client()), nil
-		}},
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, st := range stacks {
@@ -473,5 +478,119 @@ func TestCancellationContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// textAnswer runs a text on ep through SelectCtx or AskCtx, by its form,
+// or prepared as the template without parameters it is, and renders the
+// answer.
+func textAnswer(ctx context.Context, ep Endpoint, text string, prepared bool) (string, error) {
+	var pq PreparedQuery
+	var err error
+	if prepared {
+		if pq, err = ep.Prepare(text); err != nil {
+			return "", err
+		}
+	}
+	if sparql.FormOf(text) == sparql.AskForm {
+		var ok bool
+		if prepared {
+			ok, err = pq.AskCtx(ctx)
+		} else {
+			ok, err = ep.AskCtx(ctx, text)
+		}
+		return fmt.Sprint(ok), err
+	}
+	var res *sparql.Result
+	if prepared {
+		res, err = pq.SelectCtx(ctx)
+	} else {
+		res, err = ep.SelectCtx(ctx, text)
+	}
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%v\n%struncated=%v", res.Vars, renderRes(res), res.Truncated), nil
+}
+
+// TestTextPathContract: over every stack of this package a query text is
+// the template without parameters — SelectCtx(text) and Prepare(text)
+// then SelectCtx() answer what a bare Local answers, byte for byte, at
+// the same cost to the KB behind the stack. Routed, star, a RAND()
+// sample, and an ASK answering true and one answering false.
+func TestTextPathContract(t *testing.T) {
+	ctx := context.Background()
+	texts := []struct{ text, want string }{
+		{selPX, "[y]\n<http://x/b>\t\n<http://x/c>\t\ntruncated=false"},
+		{selP, ""},
+		{`SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND() LIMIT 2`, ""},
+		{askAB, "true"},
+		{`ASK { <http://x/c> <http://x/p> ?y }`, "false"},
+	}
+	for _, st := range stacks {
+		for _, tc := range texts {
+			ref := NewLocal(testKB(), 1)
+			want, err := textAnswer(ctx, ref, tc.text, false)
+			if err != nil || tc.want != "" && want != tc.want {
+				t.Fatalf("%q on a Local: %q, %v; want %q", tc.text, want, err, tc.want)
+			}
+			for _, prepared := range []bool{false, true} {
+				l := NewLocal(testKB(), 1)
+				ep, _ := st.build(t, l)
+				got, err := textAnswer(ctx, ep, tc.text, prepared)
+				if err != nil || got != want {
+					t.Errorf("%s, %q (prepared %v): %q, %v; a Local answers %q", st.name, tc.text, prepared, got, err, want)
+				}
+				if l.Stats() != ref.Stats() {
+					t.Errorf("%s, %q (prepared %v): costs %+v, on a Local %+v", st.name, tc.text, prepared, l.Stats(), ref.Stats())
+				}
+			}
+		}
+	}
+}
+
+// TestTextParsedBeforeTheWire: Client's own SelectCtx is the one text
+// transport, sending the caller's bytes in whatever dialect they are; a
+// stack over a Client runs a text as a template, so a text the parser
+// refuses fails at the caller with the parser's error and sends nothing.
+func TestTextParsedBeforeTheWire(t *testing.T) {
+	const optional = `SELECT ?x ?z WHERE { ?x <http://x/p> ?y OPTIONAL { ?y <http://x/p> ?z } }`
+	_, parseErr := sparql.Parse(optional)
+	if parseErr == nil {
+		t.Fatal("the fixture parses: pick a text the parser refuses")
+	}
+	var mu sync.Mutex
+	var sent []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := r.ParseForm(); err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		sent = append(sent, r.PostForm.Get("query"))
+		mu.Unlock()
+		body, _ := MarshalSelect(&sparql.Result{Vars: []string{"x", "z"}})
+		w.Header().Set("Content-Type", ResultsContentType)
+		w.Write(body)
+	}))
+	defer srv.Close()
+	client := NewClient("test", srv.URL, srv.Client())
+	ctx := context.Background()
+
+	if _, err := NewCoalescing(NewCaching(client, 0)).SelectCtx(ctx, optional); err == nil || err.Error() != parseErr.Error() {
+		t.Fatalf("through Coalescing(Caching(Client)): %v, want the parser's %v", err, parseErr)
+	}
+	mu.Lock()
+	n := len(sent)
+	mu.Unlock()
+	if n != 0 {
+		t.Fatalf("a text the parser refuses reached the server %d times", n)
+	}
+	if _, err := client.SelectCtx(ctx, optional); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sent) != 1 || sent[0] != optional {
+		t.Fatalf("Client.SelectCtx sent %q, want the caller's bytes %q", sent, optional)
 	}
 }

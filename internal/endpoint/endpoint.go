@@ -18,6 +18,8 @@
 // Every call that reaches a KB takes a context (SelectCtx / AskCtx /
 // Stream), and there is no context-free spelling: the endpoints SOFYA
 // aligns over stall, shed and time out, so every probe can be abandoned.
+// A query text is a template without parameters (SelectText): only
+// Client, the one text transport, sends it as it came.
 //
 // Independent executions of one prepared template go to the endpoint
 // together, as a group: a sequence of streams (StreamBatch — the HTTP
@@ -57,10 +59,10 @@ type Endpoint interface {
 	// AskCtx runs an ASK query, honoring ctx like SelectCtx.
 	AskCtx(ctx context.Context, query string) (bool, error)
 	// Prepare compiles a query template (parameters written $name in
-	// term positions, or LIMIT $name) for repeated execution. Results
-	// are byte-identical to sending the equivalent query text; local
-	// endpoints skip parse, plan and interpolation per call, remote
-	// ones fall back to canonical text rendering (NewTextPrepared).
+	// term positions, or LIMIT $name) for repeated execution; SelectCtx
+	// and AskCtx run a text as the template without parameters. Local
+	// endpoints skip parse, plan and interpolation per call, remote ones
+	// render canonical text (NewTextPrepared).
 	Prepare(template string, params ...string) (PreparedQuery, error)
 }
 
@@ -232,52 +234,21 @@ func (l *Local) countStreamed(rows int, truncated bool) {
 	l.mu.Unlock()
 }
 
-// SelectCtx implements Endpoint.
+// SelectCtx implements Endpoint by SelectText.
 func (l *Local) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	if err := l.admitCtx(ctx); err != nil {
-		return nil, err
-	}
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if q.Form != sparql.SelectForm {
-		return nil, errNeedSelect
-	}
-	res, err := l.engine.Eval(q)
-	if err != nil {
-		return nil, err
-	}
-	l.capAndCount(res)
-	return res, nil
+	return SelectText(ctx, l, query)
 }
 
-// AskCtx implements Endpoint.
+// AskCtx implements Endpoint, like SelectCtx.
 func (l *Local) AskCtx(ctx context.Context, query string) (bool, error) {
-	if err := l.admitCtx(ctx); err != nil {
-		return false, err
-	}
-	q, err := sparql.Parse(query)
-	if err != nil {
-		return false, err
-	}
-	if q.Form != sparql.AskForm {
-		return false, errNeedAsk
-	}
-	res, err := l.engine.Eval(q)
-	if err != nil {
-		return false, err
-	}
-	return res.Ask, nil
+	return AskText(ctx, l, query)
 }
 
 // Prepare implements Endpoint: the template compiles once into a
 // slot-addressed plan over the endpoint's engine, and every execution
 // binds arguments into registers directly — no parsing, no planning,
-// no text interpolation. A template without parameters is a query text:
-// it is parsed, and bound to the plan the engine caches for its shape —
-// the one SelectCtx runs it on. Prepared executions are charged against
-// the quota and statistics exactly like text queries.
+// no text interpolation. A query text is parsed, and bound to the plan
+// the engine caches for its shape.
 func (l *Local) Prepare(template string, params ...string) (PreparedQuery, error) {
 	if len(params) == 0 {
 		q, err := sparql.Parse(template)

@@ -366,9 +366,17 @@ func appendFormField(dst []byte, name, value string) []byte {
 	return dst
 }
 
-// post sends one protocol request: the query text, streamed (stream=1)
-// or not.
-func (c *Client) post(ctx context.Context, query string, stream bool) (*http.Response, error) {
+// post sends one protocol request: a text of form want, streamed
+// (stream=1) or not. A text of the other form by sparql.FormOf, the
+// Server's test, is refused unsent with Local's error: it would be
+// answered in its own form, which reads back as no answer.
+func (c *Client) post(ctx context.Context, query string, want sparql.Form, stream bool) (*http.Response, error) {
+	if sparql.FormOf(query) != want {
+		if want == sparql.AskForm {
+			return nil, errNeedAsk
+		}
+		return nil, errNeedSelect
+	}
 	form := make([]byte, 0, 64+len(query)+len(query)/2)
 	form = appendFormField(form, "query", query)
 	if stream {
@@ -425,8 +433,8 @@ func (c *Client) document(resp *http.Response) (*sparql.Result, error) {
 	return UnmarshalResults(body)
 }
 
-func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, error) {
-	resp, err := c.post(ctx, query, false)
+func (c *Client) roundTrip(ctx context.Context, query string, want sparql.Form) (*sparql.Result, error) {
+	resp, err := c.post(ctx, query, want, false)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +443,7 @@ func (c *Client) roundTrip(ctx context.Context, query string) (*sparql.Result, e
 
 // openStream requests the batch-framed stream for a SELECT text.
 func (c *Client) openStream(ctx context.Context, query string) (Rows, error) {
-	resp, err := c.post(ctx, query, true)
+	resp, err := c.post(ctx, query, sparql.SelectForm, true)
 	if err != nil {
 		return nil, err
 	}
@@ -456,14 +464,16 @@ func (c *Client) rowsOf(resp *http.Response, sets int) (Rows, error) {
 	return newWireRows(resp.Body, resp.ContentLength, sets)
 }
 
-// SelectCtx implements Endpoint; the context cancels the HTTP exchange.
+// SelectCtx implements Endpoint as the one text transport: the caller's
+// bytes go out as they are, in any dialect the server speaks, unless
+// post refuses their form. The context cancels the HTTP exchange.
 func (c *Client) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	return c.roundTrip(ctx, query)
+	return c.roundTrip(ctx, query, sparql.SelectForm)
 }
 
-// AskCtx implements Endpoint.
+// AskCtx implements Endpoint, like SelectCtx.
 func (c *Client) AskCtx(ctx context.Context, query string) (bool, error) {
-	res, err := c.roundTrip(ctx, query)
+	res, err := c.roundTrip(ctx, query, sparql.AskForm)
 	if err != nil {
 		return false, err
 	}

@@ -10,8 +10,11 @@ import (
 	"net/url"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sofya/internal/sparql"
 )
 
 // http_error_test.go injects failures into the HTTP protocol — the
@@ -276,6 +279,66 @@ func TestClientCallCancellation(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled call did not return")
+	}
+}
+
+// TestClientFormMismatch: a call whose text or template is of the other
+// form is refused at the Client with the error Local gives, before any
+// request — the server would answer it in its own form, which reads back
+// as a false, an empty result or a stream of no rows.
+func TestClientFormMismatch(t *testing.T) {
+	local := NewLocal(testKB(), 1)
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		NewServer(local).ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+	client := NewClient("test", srv.URL, srv.Client())
+	askTmpl, err := client.Prepare(`ASK { $x <http://x/p> ?y }`, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := sparql.IRIArg("http://x/a"), sparql.IRIArg("http://x/b")
+	for _, c := range []struct {
+		name string
+		run  func(ep Endpoint, ask PreparedQuery) error
+		want error
+	}{
+		{"AskCtx of a SELECT", func(ep Endpoint, _ PreparedQuery) error { _, err := ep.AskCtx(ctx, selP); return err }, errNeedAsk},
+		{"SelectCtx of an ASK", func(ep Endpoint, _ PreparedQuery) error { _, err := ep.SelectCtx(ctx, askAB); return err }, errNeedSelect},
+		{"Stream of an ASK template", func(_ Endpoint, ask PreparedQuery) error {
+			rows, err := ask.Stream(ctx, a)
+			if rows != nil {
+				rows.Close()
+			}
+			return err
+		}, errNeedSelect},
+		{"StreamBatch of an ASK template", func(_ Endpoint, ask PreparedQuery) error {
+			sets, err := StreamBatch(ctx, ask, [][]sparql.Arg{{a}, {b}})
+			if sets != nil {
+				sets.Close()
+			}
+			return err
+		}, errNeedSelect},
+	} {
+		localAsk, err := local.Prepare(`ASK { $x <http://x/p> ?y }`, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.run(local, localAsk); err != c.want {
+			t.Fatalf("%s on a Local: %v, want %v", c.name, err, c.want)
+		}
+		if err := c.run(client, askTmpl); err != c.want {
+			t.Errorf("%s on a Client: %v, want Local's %v", c.name, err, c.want)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("%d requests sent for calls of the wrong form", n)
+	}
+	if ok, err := askTmpl.AskCtx(ctx, a); err != nil || !ok {
+		t.Fatalf("the ASK template asked as one: %v, %v", ok, err)
 	}
 }
 

@@ -99,6 +99,9 @@ func (s *Server) serveMulti(w http.ResponseWriter, r *http.Request, req *wireReq
 // maxQueryBytes each, the next when the caller has used up the sets of
 // the one before.
 func (p *clientPrepared) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (RowSets, error) {
+	if sparql.FormOf(p.tmpl.Source()) != sparql.SelectForm {
+		return nil, errNeedSelect // as post refuses it
+	}
 	g := &clientGroup{ctx: ctx, c: p.c, texts: make([]string, len(argSets)), groups: true}
 	for i, args := range argSets {
 		text, err := p.tmpl.Text(args...)

@@ -181,6 +181,34 @@ func EachSet(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, read
 	return nil
 }
 
+// SelectText runs a query text as the template without parameters it
+// is — ep.Prepare(query), then the handle — unless ctx has ended. It is
+// every SelectCtx(ctx, query) of the module but Client's. An endpoint
+// defines its text calls by its Prepare, as here, or its Prepare by its
+// text calls (NewTextPrepared), never both: that recurses forever.
+func SelectText(ctx context.Context, ep Endpoint, query string) (*sparql.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pq, err := ep.Prepare(query)
+	if err != nil {
+		return nil, err
+	}
+	return pq.SelectCtx(ctx)
+}
+
+// AskText is SelectText for ASK.
+func AskText(ctx context.Context, ep Endpoint, query string) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	pq, err := ep.Prepare(query)
+	if err != nil {
+		return false, err
+	}
+	return pq.AskCtx(ctx)
+}
+
 // preparedKey renders a stable cache/coalescing key for one execution
 // of a prepared query: the endpoint name, the template source, its
 // parameter declaration order, and the canonical argument renderings.
@@ -212,19 +240,19 @@ func preparedKey(form byte, name, source string, params []string, args []sparql.
 }
 
 // localPrepared is Local's PreparedQuery: a compiled plan executed
-// in-process under the endpoint's quota and statistics, exactly like a
-// text query but with parse and plan cost paid once at Prepare.
+// in-process under the endpoint's quota and statistics. A call of the
+// wrong form is refused before it is admitted, and charges nothing.
 type localPrepared struct {
 	l    *Local
 	plan *sparql.Prepared
 }
 
 func (p *localPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
-	if err := p.l.admitCtx(ctx); err != nil {
-		return nil, err
-	}
 	if p.plan.Form() != sparql.SelectForm {
 		return nil, errNeedSelect
+	}
+	if err := p.l.admitCtx(ctx); err != nil {
+		return nil, err
 	}
 	res, err := p.plan.Exec(args...)
 	if err != nil {
@@ -235,11 +263,11 @@ func (p *localPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*spa
 }
 
 func (p *localPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
-	if err := p.l.admitCtx(ctx); err != nil {
-		return false, err
-	}
 	if p.plan.Form() != sparql.AskForm {
 		return false, errNeedAsk
+	}
+	if err := p.l.admitCtx(ctx); err != nil {
+		return false, err
 	}
 	res, err := p.plan.Exec(args...)
 	if err != nil {
@@ -267,11 +295,11 @@ func (p *localPrepared) StreamBorrowed(ctx context.Context, args ...sparql.Arg) 
 }
 
 func (p *localPrepared) stream(ctx context.Context, args []sparql.Arg, iter func(*sparql.Prepared, ...sparql.Arg) (*sparql.RowIter, error)) (Rows, error) {
-	if err := p.l.admitCtx(ctx); err != nil {
-		return nil, err
-	}
 	if p.plan.Form() != sparql.SelectForm {
 		return nil, errNeedSelect
+	}
+	if err := p.l.admitCtx(ctx); err != nil {
+		return nil, err
 	}
 	it, err := iter(p.plan, args...)
 	if err != nil {
@@ -291,8 +319,8 @@ type textPrepared struct {
 }
 
 // NewTextPrepared builds a PreparedQuery over any Endpoint by text
-// interpolation. Endpoint implementations without a native prepared
-// path use it to satisfy Prepare.
+// interpolation. Endpoints without a native prepared path use it to
+// satisfy Prepare, and then must not run their text calls by SelectText.
 func NewTextPrepared(ep Endpoint, template string, params ...string) (PreparedQuery, error) {
 	t, err := sparql.ParseTemplate(template, params...)
 	if err != nil {

@@ -127,6 +127,16 @@ func oracleQueries(rel, rel2, s, o string) (selects, asks []string) {
 	return selects, asks
 }
 
+// statsDelta is what a call cost, from the statistics around it.
+func statsDelta(after, before endpoint.Stats) endpoint.Stats {
+	return endpoint.Stats{
+		Queries:     after.Queries - before.Queries,
+		Rows:        after.Rows - before.Rows,
+		Truncations: after.Truncations - before.Truncations,
+		Denied:      after.Denied - before.Denied,
+	}
+}
+
 func TestGroupTextOracle(t *testing.T) {
 	w := synth.Generate(synth.TinySpec())
 	rel, rel2 := entityRelations(t, w)
@@ -142,23 +152,30 @@ func TestGroupTextOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("local %q: %v", q, err)
 			}
+			before := g.Stats()
 			got, err := g.SelectCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("k=%d %q: %v", k, q, err)
 			}
+			textCost := statsDelta(g.Stats(), before)
 			if renderResult(got) != renderResult(want) {
 				t.Errorf("k=%d Select diverges for %q:\n--- sharded ---\n%s\n--- local ---\n%s",
 					k, q, renderResult(got), renderResult(want))
 			}
 			// The same text as a zero-parameter template: drained and
-			// streamed, it is the same answer.
+			// streamed, it is the same answer, and drained, the same cost
+			// (an ASK's is a race: its fan-out stops at the first true).
 			pq, err := g.Prepare(q)
 			if err != nil {
 				t.Fatalf("k=%d Prepare(%q): %v", k, q, err)
 			}
+			before = g.Stats()
 			got, err = pq.SelectCtx(context.Background())
 			if err != nil {
 				t.Fatalf("k=%d prepared %q: %v", k, q, err)
+			}
+			if c := statsDelta(g.Stats(), before); c != textCost {
+				t.Errorf("k=%d %q costs %+v prepared, %+v as a text", k, q, c, textCost)
 			}
 			if renderResult(got) != renderResult(want) {
 				t.Errorf("k=%d prepared Select diverges for %q:\n--- sharded ---\n%s\n--- local ---\n%s",

@@ -156,6 +156,69 @@ func TestGroupContextCancellation(t *testing.T) {
 	}
 }
 
+// TestUnrunnableQueryChargesNothing: a text the parser refuses and a
+// call of the wrong form are refused before anything is charged — at a
+// Local, through its decorators and across a federation alike — so under
+// a one-query budget the next valid query still answers.
+func TestUnrunnableQueryChargesNothing(t *testing.T) {
+	ctx := context.Background()
+	quota := endpoint.Quota{MaxQueries: 1}
+	world := func() *kb.KB {
+		k := kb.New("unrunnable")
+		for i := 0; i < 9; i++ {
+			k.AddIRIs(fmt.Sprintf("http://x/s%d", i), "http://x/p", "http://x/o")
+		}
+		return k
+	}
+	const (
+		sel = "SELECT ?y WHERE { <http://x/s4> <http://x/p> ?y }"
+		ask = "ASK { ?x <http://x/p> ?y }"
+	)
+	for _, st := range []struct {
+		name string
+		ep   interface {
+			endpoint.Endpoint
+			endpoint.StatsReporter
+		}
+	}{
+		{"Local", endpoint.NewLocalRestricted(world(), 1, quota)},
+		{"Admission(Local)", endpoint.NewAdmission(endpoint.NewLocalRestricted(world(), 1, quota), endpoint.Limits{MaxInFlight: 1})},
+		{"Coalescing(Caching(Local))", endpoint.NewCoalescing(endpoint.NewCaching(endpoint.NewLocalRestricted(world(), 1, quota), 0))},
+		{"PartitionedRestricted(3)", PartitionedRestricted(world(), 3, 1, quota)},
+	} {
+		for _, bad := range []struct {
+			name string
+			run  func() error
+		}{
+			{"SelectCtx of a text that does not parse", func() error { _, err := st.ep.SelectCtx(ctx, "SELEC ?x"); return err }},
+			{"AskCtx of a text that does not parse", func() error { _, err := st.ep.AskCtx(ctx, "ASK {"); return err }},
+			{"SelectCtx of an ASK", func() error { _, err := st.ep.SelectCtx(ctx, ask); return err }},
+			{"AskCtx of a SELECT", func() error { _, err := st.ep.AskCtx(ctx, sel); return err }},
+			{"Stream of an ASK", func() error {
+				pq, err := st.ep.Prepare(ask)
+				if err != nil {
+					return err
+				}
+				rows, err := pq.Stream(ctx)
+				if rows != nil {
+					rows.Close()
+				}
+				return err
+			}},
+		} {
+			if err := bad.run(); err == nil {
+				t.Errorf("%s: %s answered", st.name, bad.name)
+			}
+		}
+		if got := st.ep.Stats(); got != (endpoint.Stats{}) {
+			t.Errorf("%s: queries that cannot run cost %+v", st.name, got)
+		}
+		if res, err := st.ep.SelectCtx(ctx, sel); err != nil || len(res.Rows) != 1 {
+			t.Errorf("%s: the one query the budget allows: %v, %v", st.name, res, err)
+		}
+	}
+}
+
 // Hidden-subject unordered queries concatenate: the bag of rows is the
 // whole KB's, deterministically ordered by shard — and the moment a
 // LIMIT or OFFSET would turn that reordering into a different row set,

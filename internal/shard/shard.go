@@ -151,29 +151,20 @@ func (g *Group) Name() string { return g.name }
 // Shards exposes the federated shard endpoints, in partition order.
 func (g *Group) Shards() []endpoint.Endpoint { return g.shards }
 
-// SelectCtx implements Endpoint: the text is a zero-parameter template,
-// prepared once (cached by text) and executed like any prepared query.
+// SelectCtx implements Endpoint by endpoint.SelectText.
 func (g *Group) SelectCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	p, err := g.planFor(query)
-	if err != nil {
-		return nil, err
-	}
-	return p.SelectCtx(ctx)
+	return endpoint.SelectText(ctx, g, query)
 }
 
 // AskCtx implements Endpoint, like SelectCtx.
 func (g *Group) AskCtx(ctx context.Context, query string) (bool, error) {
-	p, err := g.planFor(query)
-	if err != nil {
-		return false, err
-	}
-	return p.AskCtx(ctx)
+	return endpoint.AskText(ctx, g, query)
 }
 
 // Prepare implements Endpoint: the template is analyzed once, prepared
 // once per shard (original and pushdown forms), and every execution
 // routes or fans out per its bound arguments. A template without
-// parameters is a query text and shares the text path's cache.
+// parameters is a query text, kept in the text-plan cache (planFor).
 func (g *Group) Prepare(template string, params ...string) (endpoint.PreparedQuery, error) {
 	var p *groupPrepared
 	var err error
@@ -185,9 +176,11 @@ func (g *Group) Prepare(template string, params ...string) (endpoint.PreparedQue
 	if err != nil {
 		return nil, err
 	}
-	for _, h := range append(p.push, p.orig...) {
-		if _, ok := h.(endpoint.BatchStreamer); ok {
-			return groupBatched{p}, nil
+	for _, hs := range [...][]endpoint.PreparedQuery{p.push, p.orig} {
+		for _, h := range hs {
+			if _, ok := h.(endpoint.BatchStreamer); ok {
+				return groupBatched{p}, nil
+			}
 		}
 	}
 	return p, nil

@@ -77,16 +77,6 @@ func NewEngineSeeded(k *kb.KB, seed int64) *Engine {
 // KB returns the underlying knowledge base.
 func (e *Engine) KB() *kb.KB { return e.kb }
 
-// Eval evaluates a parsed query: its shape is compiled (or fetched from
-// the plan cache) and executed with the query's constants as arguments.
-func (e *Engine) Eval(q *Query) (*Result, error) {
-	p, err := e.planFor(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.exec(liftArgs(q, make([]Arg, 0, len(p.params))), lazyText(q))
-}
-
 // lazyText supplies an execution of q's lifted plan with q's canonical
 // text, rendered on first use.
 func lazyText(q *Query) func() string {
@@ -101,8 +91,8 @@ func lazyText(q *Query) func() string {
 
 // Bind is Prepare for a concrete query — a template without parameters:
 // the handle runs the plan cached for the query's shape, compiled only
-// if the shape is new to the engine, on the query's own constants. What
-// it answers is what Eval answers, byte for byte, any number of times.
+// if the shape is new to the engine, on the query's own constants, any
+// number of times.
 func (e *Engine) Bind(q *Query) (*Prepared, error) {
 	p, err := e.planFor(q)
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 // exec.go is the final stage of the parse → compile → exec pipeline:
 // it runs a Prepared plan with bindings held in a flat []TermID
 // register file — no per-row maps, no string keys — and produces rows
-// through a pull-friendly streaming core (streamSelect). Eval/Exec
-// drain the stream into a Result; Iter (iter.go) hands the same stream
+// through a pull-friendly streaming core (streamSelect). Exec
+// drains the stream into a Result; Iter (iter.go) hands the same stream
 // to the caller row by row, so LIMIT-heavy probes stop paying for rows
 // they discard.
 

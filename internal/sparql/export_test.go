@@ -1,5 +1,16 @@
 package sparql
 
+// Eval evaluates a parsed query: its shape is compiled (or fetched from
+// the plan cache) and executed with the query's constants as arguments —
+// the oracles' direct route into the engine, past Bind's handle.
+func (e *Engine) Eval(q *Query) (*Result, error) {
+	p, err := e.planFor(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.exec(liftArgs(q, make([]Arg, 0, len(p.params))), lazyText(q))
+}
+
 // EvalString parses and evaluates a query.
 func (e *Engine) EvalString(query string) (*Result, error) {
 	q, err := Parse(query)

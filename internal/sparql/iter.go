@@ -11,7 +11,7 @@ import (
 // iterator: the join tree produces rows on demand, so a caller that
 // stops pulling — an early LIMIT, a probe that found what it needed —
 // aborts the enumeration instead of paying for the rows it discards.
-// Draining a RowIter yields exactly the rows Eval/Exec would return,
+// Draining a RowIter yields exactly the rows Exec would return,
 // byte for byte, RAND() streams included: both run the same stream.
 
 // RowIter iterates over the rows of one SELECT execution. It is not
