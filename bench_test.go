@@ -472,7 +472,7 @@ func BenchmarkAlignRelationsSequential(b *testing.B) {
 }
 
 // The tentpole configuration: relations aligned concurrently over
-// shared Caching+Coalescing endpoints. Identical output, fewer
+// shared Caching endpoints. Identical output, fewer
 // endpoint queries (reported as queries/op), less wall clock.
 func BenchmarkAlignRelationsParallelShared(b *testing.B) {
 	w := world(b)
@@ -482,8 +482,8 @@ func BenchmarkAlignRelationsParallelShared(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := endpoint.NewLocal(w.Yago, 1)
 		kp := endpoint.NewLocal(w.Dbp, 2)
-		qk := endpoint.NewCoalescing(endpoint.NewCaching(k, 0))
-		qkp := endpoint.NewCoalescing(endpoint.NewCaching(kp, 0))
+		qk := endpoint.NewCaching(k, 0)
+		qkp := endpoint.NewCaching(kp, 0)
 		a := core.New(qk, qkp, sampling.LinkView{Links: w.Links, KIsA: true}, cfg)
 		if _, err := a.AlignRelations(rels); err != nil {
 			b.Fatal(err)
@@ -500,8 +500,8 @@ func BenchmarkAlignRelationDecorated(b *testing.B) {
 	w := world(b)
 	cfg := core.UBSConfig()
 	for i := 0; i < b.N; i++ {
-		qk := endpoint.NewCoalescing(endpoint.NewCaching(endpoint.NewLocal(w.Yago, 1), 0))
-		qkp := endpoint.NewCoalescing(endpoint.NewCaching(endpoint.NewLocal(w.Dbp, 2), 0))
+		qk := endpoint.NewCaching(endpoint.NewLocal(w.Yago, 1), 0)
+		qkp := endpoint.NewCaching(endpoint.NewLocal(w.Dbp, 2), 0)
 		a := core.New(qk, qkp, sampling.LinkView{Links: w.Links, KIsA: true}, cfg)
 		if _, err := a.AlignRelation("http://yago-knowledge.org/resource/directedBy"); err != nil {
 			b.Fatal(err)

@@ -19,8 +19,8 @@
 //
 // With -all, every relation of the head KB is aligned. With -batch,
 // the requested relations align concurrently (bounded by -parallel)
-// over caching+coalescing endpoint decorators, which deduplicate the
-// endpoint traffic the concurrent aligners share; output order and
+// over caching endpoint decorators, which deduplicate the endpoint
+// traffic the concurrent aligners share; output order and
 // content match the sequential run.
 //
 // With -candidates, each relation's candidate universe is pruned to the
@@ -73,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		samples   = fs.Int("samples", 10, "sample size (subject entities)")
 		shards    = fs.Int("shards", 1, "partition each KB into this many subject-hash shards behind a federating endpoint group (results are identical at any setting)")
 		parallel  = fs.Int("parallel", 0, "pipeline worker bound (0 = GOMAXPROCS)")
-		batch     = fs.Bool("batch", false, "align relations concurrently over shared caching+coalescing endpoints")
+		batch     = fs.Bool("batch", false, "align relations concurrently over shared caching endpoints")
 		cands     = fs.Bool("candidates", false, "prune each relation's candidate universe to the candidate index's top-k (internal/candidates); off = exact mode")
 		topk      = fs.Int("topk", 16, "candidate top-k when -candidates is set")
 		candidx   = fs.String("candidx", "", "candidate-index sidecar (kbgen -candidates); loaded instead of sampling when its fingerprint matches, rebuilt otherwise")
@@ -148,16 +148,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	epK := endpointOf(k, 1)
 	epKP := endpointOf(kp, 2)
 
-	// In batch mode the aligner speaks to decorated endpoints: a
-	// caching layer memoizes identical queries, a coalescing layer on
-	// top singleflights the ones concurrent relations issue together.
+	// In batch mode the aligner speaks to memoized endpoints: a
+	// Caching decorator runs each distinct query once — concurrent
+	// relations that issue it together share the one execution, later
+	// ones find it stored.
 	var qK, qKP endpoint.Endpoint = epK, epKP
 	var cacheK, cacheKP *endpoint.Caching
 	if *batch {
 		cacheK = endpoint.NewCaching(epK, 0)
 		cacheKP = endpoint.NewCaching(epKP, 0)
-		qK = endpoint.NewCoalescing(cacheK)
-		qKP = endpoint.NewCoalescing(cacheKP)
+		qK, qKP = cacheK, cacheKP
 	}
 	aligner := core.New(qK, qKP, links, cfg)
 

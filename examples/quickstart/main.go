@@ -50,21 +50,17 @@ func main() {
 	fmt.Printf("queries issued: K=%d, K'=%d\n", k.Stats().Queries, kp.Stats().Queries)
 
 	// Batch alignment: align every YAGO relation concurrently. The
-	// caching decorator memoizes identical queries, the coalescing
-	// decorator on top singleflights the ones issued at the same
-	// moment, so the concurrent relations share one stream of endpoint
-	// traffic. For fixed endpoint seeds the results are identical to
-	// aligning each relation sequentially.
+	// caching decorator runs identical queries issued at the same moment
+	// once and memoizes the results, so the concurrent relations share
+	// one stream of endpoint traffic. For fixed endpoint seeds the
+	// results are identical to aligning each relation sequentially.
 	k.ResetStats()
 	kp.ResetStats()
 	cacheK := sofya.NewCachingEndpoint(k, 0)
 	cacheKP := sofya.NewCachingEndpoint(kp, 0)
 	cfg := sofya.UBSConfig()
 	cfg.Parallelism = 0 // 0 = GOMAXPROCS
-	batch := sofya.NewAligner(
-		sofya.NewCoalescingEndpoint(cacheK),
-		sofya.NewCoalescingEndpoint(cacheKP),
-		links, cfg)
+	batch := sofya.NewAligner(cacheK, cacheKP, links, cfg)
 
 	relations := world.Report.YagoRelations
 	results, err := batch.AlignRelations(relations)

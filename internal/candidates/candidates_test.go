@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"sofya/internal/endpoint"
 	"sofya/internal/kb"
@@ -512,4 +514,24 @@ func BenchmarkExactTopK(b *testing.B) {
 func ExampleLocalName() {
 	fmt.Println(LocalName("http://dbpedia.org/property/birthPlace"))
 	// Output: birthPlace
+}
+
+// TestProberReleasesItsIndex: an index dropped with its last prober is
+// collected by the next collection. The prober's scratch pool, once
+// used, stays on the runtime's list of pools for up to two collections;
+// if the pool reached the index, a process that opens a new index while
+// letting an old aligner go held both at once.
+func TestProberReleasesItsIndex(t *testing.T) {
+	b := newBed(t, synth.TinySpec())
+	dropped := func() weak.Pointer[Index] {
+		ix, pr := b.build(t, Options{})
+		if _, err := pr.TopK(b.world.Report.YagoRelations[0], 4); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(ix)
+	}()
+	runtime.GC()
+	if dropped.Value() != nil {
+		t.Fatal("an index outlived its last prober by a collection")
+	}
 }

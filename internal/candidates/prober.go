@@ -23,8 +23,11 @@ type Prober struct {
 	probe  endpoint.PreparedQuery
 
 	// scratch pools *probeScratch values sized to ix (per prober, not
-	// package-wide: the accumulators are inventory-length).
-	scratch sync.Pool
+	// package-wide: the accumulators are inventory-length). A used pool
+	// stays on the runtime's list of pools for up to two collections, so
+	// it must not reach the index: it is an object of its own, and New
+	// holds sizes only.
+	scratch *sync.Pool
 }
 
 // probeScratch is the working memory of one TopK/ExactTopK call.
@@ -59,11 +62,11 @@ func NewProber(ix *Index, source endpoint.Endpoint) (*Prober, error) {
 	if err != nil {
 		return nil, fmt.Errorf("candidates: preparing source probe against %s: %w", source.Name(), err)
 	}
-	p := &Prober{ix: ix, source: source, probe: probe}
+	n, hashes := ix.Len(), ix.opt.Hashes
+	p := &Prober{ix: ix, source: source, probe: probe, scratch: &sync.Pool{}}
 	p.scratch.New = func() any {
-		n := ix.Len()
 		return &probeScratch{
-			sig:   make([]uint64, ix.opt.Hashes),
+			sig:   make([]uint64, hashes),
 			name:  make([]float64, n),
 			jac:   make([]float64, n),
 			stamp: make([]uint32, n),

@@ -212,20 +212,20 @@ func (r *Replicas) Status() []ReplicaStatus {
 // which keeps caches hot on one machine per shard, and the rest are
 // failover and hedge targets — then ejected ones as a last resort: a
 // set with every replica ejected still tries rather than failing
-// outright, and the attempt doubles as its recovery probe.
+// outright, and the attempt doubles as its recovery probe. Each
+// replica's health is read once, so one that flips meanwhile is listed
+// exactly once all the same.
 func (r *Replicas) order() []*replica {
 	out := make([]*replica, 0, len(r.reps))
+	var ejected []*replica
 	for _, rep := range r.reps {
 		if rep.isHealthy() {
 			out = append(out, rep)
+		} else {
+			ejected = append(ejected, rep)
 		}
 	}
-	for _, rep := range r.reps {
-		if !rep.isHealthy() {
-			out = append(out, rep)
-		}
-	}
-	return out
+	return append(out, ejected...)
 }
 
 // hedgeDelay resolves the current hedge delay: the observed latency

@@ -660,6 +660,58 @@ func TestReplicaSetNameStability(t *testing.T) {
 	}
 }
 
+// TestReplicaOrderIsAPermutation: the attempt order lists every replica
+// exactly once while another goroutine flips one replica's health — a
+// prober's recovery or a concurrent attempt's outcome. A health read per
+// loop could drop the flipped replica or list it twice; with one replica
+// a dropped one left nothing to attempt, and the set answered no result
+// and no error. Run with -race.
+func TestReplicaOrderIsAPermutation(t *testing.T) {
+	k := kb.New("flip/shard-0-of-1")
+	k.AddIRIs("http://x/a", "http://x/p", "http://x/b")
+	for _, n := range []int{1, 3} {
+		eps := make([]endpoint.Endpoint, n)
+		for i := range eps {
+			eps[i] = endpoint.NewLocal(k, 1)
+		}
+		set, err := NewReplicas(eps, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := set.reps[n-1]
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				flipped.mu.Lock()
+				flipped.healthy = !flipped.healthy
+				flipped.mu.Unlock()
+			}
+		}()
+		for i := 0; i < 100_000; i++ {
+			order := set.order()
+			seen := make(map[*replica]bool, n)
+			for _, rep := range order {
+				seen[rep] = true
+			}
+			if len(order) != n || len(seen) != n {
+				close(stop)
+				<-done
+				t.Fatalf("%d replica(s), call %d: order lists %d replicas, %d distinct", n, i, len(order), len(seen))
+			}
+		}
+		close(stop)
+		<-done
+		set.Close()
+	}
+}
+
 // streamBatchRows is endpoint.StreamBatch for a cancellation table: a
 // failed open hands back no Rows, not a nil RowSets inside one.
 func streamBatchRows(ctx context.Context, pq endpoint.PreparedQuery, argSets [][]sparql.Arg) (endpoint.Rows, error) {

@@ -14,12 +14,11 @@ import (
 // how many relations are being aligned at once.
 //
 // Point the aligner at endpoints decorated with endpoint.Caching and
-// endpoint.Coalescing and the batch shares deduplicated endpoint
-// traffic across relations — the concurrent aligners probe overlapping
-// subjects and samples, and each distinct query reaches the backing
-// service once. For deterministic endpoints (fixed Local seeds) the
-// output is identical to calling AlignRelation sequentially, at any
-// Parallelism.
+// the batch shares deduplicated endpoint traffic across relations —
+// the concurrent aligners probe overlapping subjects and samples, and
+// each distinct query reaches the backing service once. For
+// deterministic endpoints (fixed Local seeds) the output is identical
+// to calling AlignRelation sequentially, at any Parallelism.
 //
 // The first error (in rs order) aborts the batch.
 func (a *Aligner) AlignRelations(rs []string) ([][]Alignment, error) {

@@ -68,8 +68,8 @@ func TestAlignRelationsDecoratedMatchesUndecorated(t *testing.T) {
 	y, d, links := paperWorld()
 	cfg := UBSConfig()
 	cfg.Parallelism = 8
-	qy := endpoint.NewCoalescing(endpoint.NewCaching(endpoint.NewLocal(y, 3), 0))
-	qd := endpoint.NewCoalescing(endpoint.NewCaching(endpoint.NewLocal(d, 4), 0))
+	qy := endpoint.NewCaching(endpoint.NewLocal(y, 3), 0)
+	qd := endpoint.NewCaching(endpoint.NewLocal(d, 4), 0)
 	dec := New(qy, qd, sampling.LinkView{Links: links, KIsA: true}, cfg)
 	got, err := dec.AlignRelations(batchHeads)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestAlignRelationsDecoratedMatchesUndecorated(t *testing.T) {
 }
 
 // The acceptance criterion on endpoint economy: a batch over shared
-// Caching+Coalescing endpoints issues strictly fewer queries than N
+// Caching endpoints issues strictly fewer queries than N
 // independent sequential AlignRelation calls.
 func TestBatchSharedCacheIssuesFewerQueries(t *testing.T) {
 	heads := batchHeads[:4] // the relations that actually exist
@@ -100,8 +100,8 @@ func TestBatchSharedCacheIssuesFewerQueries(t *testing.T) {
 	cfg.Parallelism = 8
 	ky := endpoint.NewLocal(y, 3)
 	kd := endpoint.NewLocal(d, 4)
-	qy := endpoint.NewCoalescing(endpoint.NewCaching(ky, 0))
-	qd := endpoint.NewCoalescing(endpoint.NewCaching(kd, 0))
+	qy := endpoint.NewCaching(ky, 0)
+	qd := endpoint.NewCaching(kd, 0)
 	batch := New(qy, qd, sampling.LinkView{Links: links, KIsA: true}, cfg)
 	if _, err := batch.AlignRelations(heads); err != nil {
 		t.Fatal(err)

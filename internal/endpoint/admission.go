@@ -71,7 +71,7 @@ func (s AdmissionStats) Shed() uint64 { return s.ShedQueueFull + s.ShedTimeout }
 // quota bounds one session's total demand, admission bounds the
 // instantaneous concurrency of all sessions together.
 //
-// The decorator composes like Caching and Coalescing: it is safe for
+// The decorator composes like Caching: it is safe for
 // concurrent use, delegates Stats to the inner endpoint (sheds never
 // reach it, so its Denied counter reflects quota rejections only;
 // AdmissionStats counts sheds), and with unlimited Limits it is
@@ -79,9 +79,9 @@ func (s AdmissionStats) Shed() uint64 { return s.ShedQueueFull + s.ShedTimeout }
 // serves — a Local, a shard group, a cluster front-end: a slot is then
 // one HTTP request's query, -max-inflight bounds what the process has in
 // hand, and a federated query holds one slot, not one per shard it fans
-// out to. Outermost over Caching or Coalescing, a cache hit and a
-// coalesced follower hold a slot too; below them, only calls that reach
-// the inner endpoint do.
+// out to. Outermost over Caching, a cache hit and a coalesced follower
+// hold a slot too; below it, only calls that reach the inner endpoint
+// do.
 type Admission struct {
 	innerStats
 	lim Limits

@@ -15,8 +15,7 @@ import (
 // The decorator-transparency differential: an Admission-wrapped Local
 // with unlimited limits answers byte-identically to the bare Local
 // across the oracle shapes — text Select/Ask, prepared execution, and
-// streams (drained and closed early) — exactly like Caching and
-// Coalescing.
+// streams (drained and closed early) — exactly like Caching.
 func TestAdmissionTransparent(t *testing.T) {
 	for _, lim := range []Limits{
 		{},                                     // unlimited: the no-semaphore fast path

@@ -1,10 +1,16 @@
 package endpoint
 
 import (
+	"cmp"
 	"container/list"
 	"context"
+	"errors"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 
+	"sofya/internal/flight"
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
@@ -15,59 +21,71 @@ const DefaultCacheSize = 4096
 
 // CacheStats counts a Caching decorator's activity.
 type CacheStats struct {
-	// Hits and Misses count lookups served from / past the cache.
+	// Hits counts calls answered from a stored result, Misses the calls
+	// that ran the inner execution; with Caching.Coalesced — the calls
+	// that joined one in flight — they add up to the calls made.
 	Hits, Misses int
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int
 }
 
-// Caching decorates an Endpoint with an LRU memo of successful SELECT
-// and ASK results, keyed by template and arguments. Identical queries —
-// the dominant traffic of a batch alignment, where many relations probe
-// the same subjects and samples — reach the inner endpoint once.
-//
-// Errors are never cached, so quota rejections and transient failures
-// are retried on the next call. Cached results are shared between
-// callers: treat a returned Result's rows as read-only, exactly as with
-// an undecorated endpoint.
-//
-// Caching assumes the inner endpoint answers a given query identically
-// every time, which Local guarantees (its RAND() streams are derived
-// per query text). It is safe for concurrent use; to also deduplicate
-// concurrent identical misses, stack a Coalescing decorator on top.
+// Caching is the one memo decorator: each distinct probe of a batch
+// alignment, where concurrent relations send the same ones, reaches the
+// inner endpoint once. Concurrent identical calls (by preparedKey,
+// rendered once per call) share one inner execution — a drain through a
+// flight.Group, a stream through one shared entry — detached from every
+// caller's context: a caller that gives up stops waiting, and the probe
+// completes for the others and for the memo. A successful result, or
+// the prefix a stream drained before its last consumer left, stays in an
+// LRU of maxEntries; errors are never kept. Results are shared: treat
+// rows as read-only. Caching assumes the inner endpoint answers a query
+// identically every time, which Local guarantees (its RAND() streams are
+// derived per query text).
 type Caching struct {
 	innerStats
+	// max bounds the LRU; 0 — NewCoalescing over anything but a Caching
+	// — keeps nothing once an execution's last caller leaves.
 	max int
+
+	drains    flight.Group[string, sparql.Result] // SelectCtx and AskCtx in flight
+	coalesced atomic.Int64
 
 	mu      sync.Mutex
 	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	order   list.List              // front = most recently used
+	streams map[string]*memoStream // streams in flight
 	stats   CacheStats
 }
+
+// Coalescing is Caching, under the name bench/ builds its stack with
+// (NewCoalescing).
+type Coalescing = Caching
 
 type cacheEntry struct {
 	key string
 	res sparql.Result
-	// complete marks a fully drained result. Streamed executions that
-	// were closed early store their drained prefix with complete=false:
-	// a later identical stream replays the prefix and only re-probes
-	// the inner endpoint if its consumer pulls past it, while the
-	// drain-everything paths (SelectCtx/AskCtx) treat prefixes as misses.
+	// complete marks a fully drained result; a stream closed early stores
+	// its drained prefix, which SelectCtx and AskCtx treat as a miss.
 	complete bool
 }
 
-// NewCaching wraps inner with an LRU of at most maxEntries results
+// NewCaching wraps inner with a memo of at most maxEntries results
 // (DefaultCacheSize when maxEntries <= 0).
 func NewCaching(inner Endpoint, maxEntries int) *Caching {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheSize
 	}
-	return &Caching{
-		innerStats: innerStats{inner},
-		max:        maxEntries,
-		entries:    make(map[string]*list.Element),
-		order:      list.New(),
+	return &Caching{innerStats: innerStats{inner}, max: maxEntries}
+}
+
+// NewCoalescing returns inner itself when it is a *Caching, which already
+// shares in-flight executions, and otherwise a memo over inner that
+// shares them but keeps nothing once an execution's last caller leaves.
+func NewCoalescing(inner Endpoint) *Coalescing {
+	if c, ok := inner.(*Caching); ok {
+		return c
 	}
+	return &Caching{innerStats: innerStats{inner}}
 }
 
 // Name implements Endpoint.
@@ -83,70 +101,8 @@ func (c *Caching) AskCtx(ctx context.Context, query string) (bool, error) {
 	return AskText(ctx, c, query)
 }
 
-// lookup returns a copy of the cached result and bumps its recency.
-// Only complete results qualify — the drain-everything paths must never
-// serve a stream's stored prefix.
-func (c *Caching) lookup(key string) (*sparql.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok || !el.Value.(*cacheEntry).complete {
-		c.stats.Misses++
-		return nil, false
-	}
-	c.stats.Hits++
-	c.order.MoveToFront(el)
-	res := el.Value.(*cacheEntry).res
-	return &res, true
-}
-
-// lookupPrefix returns the cached entry for a streamed execution: the
-// drained prefix (possibly the complete result) to replay. The rows
-// slice is shared read-only with the cache.
-func (c *Caching) lookupPrefix(key string) (res sparql.Result, complete, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.entries[key]
-	if !found {
-		c.stats.Misses++
-		return sparql.Result{}, false, false
-	}
-	c.stats.Hits++
-	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.res, e.complete, true
-}
-
-// store inserts a successful result, evicting the least recently used
-// entry past the bound. An existing entry is only ever upgraded — to a
-// complete result, or to a longer drained prefix — never replaced by
-// less data; the inner endpoint answers identical queries identically,
-// so concurrent stores agree on every shared row.
-func (c *Caching) store(key string, res sparql.Result, complete bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.complete || (!complete && len(res.Rows) <= len(e.res.Rows)) {
-			c.order.MoveToFront(el)
-			return
-		}
-		e.res, e.complete = res, complete
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res, complete: complete})
-	for c.order.Len() > c.max {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
-		c.stats.Evictions++
-	}
-}
-
-// Prepare implements Endpoint: prepared executions flow through the
-// same LRU, keyed by template, parameter order and rendered arguments,
-// so identical prepared probes — from any handle or pipeline stage
+// Prepare implements Endpoint: the executions of every handle share one
+// memo, so identical prepared probes — from any handle or pipeline stage
 // sharing the template — reach the inner endpoint once.
 func (c *Caching) Prepare(template string, params ...string) (PreparedQuery, error) {
 	inner, err := c.inner.Prepare(template, params...)
@@ -163,158 +119,349 @@ type cachingPrepared struct {
 	params []string
 }
 
-func (p *cachingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
-	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
-	if res, ok := p.c.lookup(key); ok {
-		return res, nil
+func (p *cachingPrepared) key(form byte, args []sparql.Arg) string {
+	return preparedKey(form, p.c.inner.Name(), p.source, p.params, args)
+}
+
+// preparedKey renders the memo's key for one execution of a prepared
+// query: the endpoint name, the template source, its parameter
+// declaration order, and the canonical argument renderings. Two prepared
+// handles over the same endpoint, template and parameter list — even
+// from different decorator instances or pipeline stages — collide on
+// identical arguments; the parameter names keep handles that declare the
+// same text with a different parameter order (different semantics)
+// apart, and the endpoint name keeps identical templates against
+// different endpoints (the shards of a federation group) from answering
+// each other.
+func preparedKey(form byte, name, source string, params []string, args []sparql.Arg) string {
+	var sb strings.Builder
+	sb.Grow(len(name) + len(source) + 16*(len(args)+len(params)) + 5)
+	sb.WriteByte('P')
+	sb.WriteByte(form)
+	sb.WriteByte(0)
+	sb.WriteString(name)
+	sb.WriteByte(0)
+	sb.WriteString(source)
+	for _, p := range params {
+		sb.WriteByte(0x1e)
+		sb.WriteString(p)
 	}
-	res, err := p.inner.SelectCtx(ctx, args...)
+	for _, a := range args {
+		sb.WriteByte(0x1f)
+		sb.WriteString(a.Key())
+	}
+	return sb.String()
+}
+
+func (p *cachingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	res, err := p.drain(ctx, 'S', args)
 	if err != nil {
 		return nil, err
 	}
-	p.c.store(key, *res, true)
-	out := *res
-	return &out, nil
+	return &res, nil
 }
 
 func (p *cachingPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
-	key := preparedKey('A', p.c.inner.Name(), p.source, p.params, args)
-	if res, ok := p.c.lookup(key); ok {
-		return res.Ask, nil
-	}
-	ok, err := p.inner.AskCtx(ctx, args...)
-	if err != nil {
-		return false, err
-	}
-	p.c.store(key, sparql.Result{Ask: ok}, true)
-	return ok, nil
+	res, err := p.drain(ctx, 'A', args)
+	return res.Ask, err
 }
 
-// Stream implements PreparedQuery with prefix-aware caching. A complete
-// cached result replays from memory. A cached prefix — stored by an
-// earlier identical stream that was closed early — replays without
-// touching the inner endpoint, and only if the consumer pulls past it
-// does the stream re-issue the inner query, fast-forward over the
-// prefix (the inner endpoint answers identically every time), and
-// continue. Whatever this stream drains is stored back, upgrading the
-// entry: repeated identical probes that stop at the same point never
-// reach the inner endpoint again.
-func (p *cachingPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows, error) {
-	key := preparedKey('S', p.c.inner.Name(), p.source, p.params, args)
-	if res, complete, ok := p.c.lookupPrefix(key); ok {
-		if complete {
-			return ReplayRows(&res), nil
-		}
-		return &cachingRows{
-			c: p.c, key: key, vars: res.Vars, prefix: res.Rows,
-			open: func() (Rows, error) { return p.inner.Stream(ctx, args...) },
-		}, nil
+// drain answers a SelectCtx ('S') or AskCtx ('A') execution from a
+// complete stored result (a hit, which takes no flight), by joining the
+// identical flight (coalesced), or as its leader — which looks again
+// first, since a flight forgets its key once served: the result of one
+// that finished meanwhile is a hit, not a second run.
+func (p *cachingPrepared) drain(ctx context.Context, form byte, args []sparql.Arg) (sparql.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return sparql.Result{}, err
 	}
-	inner, err := p.inner.Stream(ctx, args...)
+	c, key := p.c, p.key(form, args)
+	if res, ok := c.lookup(key, false); ok {
+		return res, nil
+	}
+	res, err, shared := c.drains.DoCtx(ctx, key, func() (res sparql.Result, err error) {
+		if res, ok := c.lookup(key, true); ok {
+			return res, nil
+		}
+		ctx := context.WithoutCancel(ctx)
+		if form == 'A' {
+			res.Ask, err = p.inner.AskCtx(ctx, args...)
+		} else {
+			var r *sparql.Result
+			if r, err = p.inner.SelectCtx(ctx, args...); err == nil {
+				res = *r
+			}
+		}
+		if err == nil {
+			c.mu.Lock()
+			c.store(key, res, true)
+			c.mu.Unlock()
+		}
+		return res, err
+	})
+	if shared {
+		c.coalesced.Add(1)
+	}
+	return res, err
+}
+
+// lookup returns the complete result stored under key, counting a hit;
+// finding a prefix or nothing counts a miss when miss is set.
+func (c *Caching) lookup(key string, miss bool) (sparql.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.stored(key); e != nil && e.complete {
+		c.stats.Hits++
+		return e.res, true
+	}
+	if miss {
+		c.stats.Misses++
+	}
+	return sparql.Result{}, false
+}
+
+// stored returns the entry under key, now the most recently used, or
+// nil. c.mu is held.
+func (c *Caching) stored(key string) *cacheEntry {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*cacheEntry)
+}
+
+// store keeps a successful result, evicting the least recently used
+// entry past the bound. An entry is only ever upgraded — to a complete
+// result, or to a longer prefix — never replaced by less data; the inner
+// endpoint answers identical queries identically, so every store agrees
+// on the rows they share. c.mu is held.
+func (c *Caching) store(key string, res sparql.Result, complete bool) {
+	if c.max == 0 {
+		return
+	}
+	if e := c.stored(key); e != nil {
+		if !e.complete && (complete || len(res.Rows) > len(e.res.Rows)) {
+			e.res, e.complete = res, complete
+		}
+		return
+	}
+	if c.entries == nil {
+		c.entries = make(map[string]*list.Element)
+	}
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res, complete: complete})
+	for c.order.Len() > c.max {
+		last := c.order.Back()
+		c.order.Remove(last)
+		delete(c.entries, last.Value.(*cacheEntry).key)
+		c.stats.Evictions++
+	}
+}
+
+// Stream implements PreparedQuery. A complete stored result replays from
+// memory (a hit); a call that finds the identical stream in flight joins
+// it (coalesced). Otherwise the call starts the entry, over a stored
+// prefix (a hit) that only re-opens the inner stream once a consumer
+// pulls past it, or over an inner stream opened now (a miss). A caller
+// already cancelled neither starts nor joins a stream; past that, each
+// consumer leaves by closing its own Rows.
+func (p *cachingPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	c, key := p.c, p.key('S', args)
+	c.mu.Lock()
+	e := c.stored(key)
+	if e != nil && e.complete {
+		c.stats.Hits++
+		res := e.res
+		c.mu.Unlock()
+		return ReplayRows(&res), nil
+	}
+	if s, ok := c.streams[key]; ok {
+		s.refs++
+		c.mu.Unlock()
+		c.coalesced.Add(1)
+		return &memoRows{s: s}, nil
+	}
+	s := &memoStream{p: p, key: key, ctx: context.WithoutCancel(ctx), args: args, refs: 1}
+	s.cond.L = &s.mu
+	if e != nil {
+		c.stats.Hits++
+		s.vars, s.rows, s.ready = e.res.Vars, slices.Clip(e.res.Rows), true
+	} else {
+		c.stats.Misses++
+	}
+	if c.streams == nil {
+		c.streams = make(map[string]*memoStream)
+	}
+	c.streams[key] = s
+	c.mu.Unlock()
+
+	if e == nil {
+		inner, err := s.p.inner.Stream(s.ctx, s.args...)
+		s.mu.Lock()
+		if s.ready, s.done, s.err = true, err != nil, err; err == nil {
+			s.inner, s.vars = inner, inner.Vars()
+		}
+		s.mu.Unlock()
+		s.cond.Broadcast()
+		if err != nil {
+			s.leave()
+			return nil, err
+		}
+	}
+	return &memoRows{s: s}, nil
+}
+
+// errPrefixLost ends a stream whose re-opened inner stream answered
+// fewer rows than the prefix it continues.
+var errPrefixLost = errors.New("endpoint: a re-opened stream ended inside the rows it already answered")
+
+// memoStream is one streamed execution shared by every concurrent
+// identical call: a grow-only row buffer — what its consumers replay and
+// what is kept when the last of them leaves — fed from the inner stream
+// by whichever consumer needs a row first.
+type memoStream struct {
+	p    *cachingPrepared
+	key  string
+	ctx  context.Context // detached from every caller
+	args []sparql.Arg
+
+	mu        sync.Mutex
+	cond      sync.Cond
+	inner     Rows // nil until opened; an entry over a prefix opens on demand
+	vars      []string
+	ready     bool // vars are known: opened, failed, or over a prefix
+	producing bool // a consumer is pulling from inner outside mu
+	rows      [][]rdf.Term
+	done      bool // exhausted or failed
+	err       error
+	trunc     bool
+
+	refs int // guarded by c.mu
+}
+
+// next advances r to its next row: a buffered one, or one r pulls from
+// the inner stream — re-opened and fast-forwarded over the buffer first,
+// if none is open — while the other consumers wait.
+func (s *memoStream) next(r *memoRows) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if r.pos < len(s.rows) {
+			r.row = s.rows[r.pos]
+			r.pos++
+			return true
+		}
+		if s.done {
+			r.row, r.err, r.trunc = nil, s.err, s.trunc
+			return false
+		}
+		if !s.ready || s.producing {
+			s.cond.Wait()
+			continue
+		}
+		s.producing = true
+		inner, skip := s.inner, len(s.rows)
+		s.mu.Unlock()
+		var err error
+		if inner == nil {
+			inner, err = s.reopen(skip)
+		}
+		ok := err == nil && inner.Next()
+		s.mu.Lock()
+		s.producing, s.inner = false, inner
+		switch {
+		case ok:
+			s.rows = append(s.rows, inner.Row())
+		case err != nil:
+			s.done, s.err = true, err
+		default:
+			s.done, s.err, s.trunc = true, inner.Err(), inner.Truncated()
+		}
+		s.cond.Broadcast()
+	}
+}
+
+func (s *memoStream) reopen(skip int) (Rows, error) {
+	inner, err := s.p.inner.Stream(s.ctx, s.args...)
 	if err != nil {
 		return nil, err
 	}
-	return &cachingRows{c: p.c, key: key, vars: inner.Vars(), inner: inner}, nil
-}
-
-// cachingRows tees a streamed execution into the cache: it replays the
-// stored prefix first, continues from the inner endpoint on demand, and
-// stores the drained prefix (complete, when exhausted) on finish.
-type cachingRows struct {
-	c      *Caching
-	key    string
-	vars   []string
-	prefix [][]rdf.Term // cached rows to replay before touching inner
-	pos    int
-	drain  [][]rdf.Term // rows observed by this stream, prefix included
-	inner  Rows
-	open   func() (Rows, error) // lazily opens the continuation
-	row    []rdf.Term
-	err    error
-	trunc  bool
-	done   bool
-}
-
-func (r *cachingRows) Vars() []string  { return r.vars }
-func (r *cachingRows) Row() []rdf.Term { return r.row }
-func (r *cachingRows) Err() error      { return r.err }
-func (r *cachingRows) Truncated() bool { return r.trunc }
-
-func (r *cachingRows) Next() bool {
-	if r.done {
-		return false
+	for ; skip > 0; skip-- {
+		if !inner.Next() {
+			inner.Close()
+			return nil, cmp.Or(inner.Err(), errPrefixLost)
+		}
 	}
-	if r.pos < len(r.prefix) {
-		r.row = r.prefix[r.pos]
-		r.pos++
+	return inner, nil
+}
+
+// leave drops one consumer. A failed entry leaves the in-flight table at
+// once, so the next call starts afresh; the last consumer out takes it
+// off, closes the inner stream (early, if nobody drained it) and keeps
+// the complete result, or the prefix, or nothing after an error.
+func (s *memoStream) leave() {
+	c := s.p.c
+	c.mu.Lock()
+	s.mu.Lock()
+	s.refs--
+	if (s.refs == 0 || s.err != nil) && c.streams[s.key] == s {
+		delete(c.streams, s.key)
+	}
+	var inner Rows
+	if s.refs == 0 {
+		inner = s.inner
+		if s.err == nil && (len(s.rows) > 0 || s.done) {
+			c.store(s.key, sparql.Result{Vars: s.vars, Rows: s.rows, Truncated: s.trunc}, s.done)
+		}
+	}
+	s.mu.Unlock()
+	c.mu.Unlock()
+	if inner != nil {
+		inner.Close()
+	}
+}
+
+// memoRows is one consumer's cursor over a memoStream.
+type memoRows struct {
+	s     *memoStream
+	pos   int
+	row   []rdf.Term
+	err   error
+	trunc bool
+	left  bool
+}
+
+func (r *memoRows) Vars() []string {
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.ready {
+		s.cond.Wait()
+	}
+	return s.vars
+}
+
+func (r *memoRows) Row() []rdf.Term { return r.row }
+func (r *memoRows) Err() error      { return r.err }
+func (r *memoRows) Truncated() bool { return r.trunc }
+
+func (r *memoRows) Next() bool {
+	if !r.left && r.s.next(r) {
 		return true
 	}
-	if r.inner == nil {
-		if r.open == nil || !r.openContinuation() {
-			return false
-		}
-	}
-	if !r.inner.Next() {
-		r.err = r.inner.Err()
-		r.trunc = r.inner.Truncated()
-		r.finish(r.err == nil)
-		return false
-	}
-	r.row = r.inner.Row()
-	r.drain = append(r.drain, r.row)
-	r.pos++
-	return true
+	r.Close()
+	return false
 }
 
-// openContinuation re-issues the inner stream and fast-forwards over
-// the already-replayed prefix.
-func (r *cachingRows) openContinuation() bool {
-	inner, err := r.open()
-	if err != nil {
-		r.err = err
-		r.finish(false)
-		return false
-	}
-	r.inner = inner
-	r.drain = append(make([][]rdf.Term, 0, len(r.prefix)+8), r.prefix...)
-	for i := 0; i < len(r.prefix); i++ {
-		if !inner.Next() {
-			// the inner result ended inside the cached prefix — it must
-			// have been produced by a different endpoint state; end the
-			// stream without storing anything.
-			r.err = inner.Err()
-			r.drain = nil
-			r.finish(false)
-			return false
-		}
-	}
-	return true
-}
-
-func (r *cachingRows) Close() {
-	if !r.done {
-		r.finish(false)
+func (r *memoRows) Close() {
+	if !r.left {
+		r.left, r.row = true, nil
+		r.s.leave()
 	}
 }
-
-// finish closes the continuation and stores this stream's drained rows:
-// the complete result when the inner stream was exhausted cleanly, the
-// prefix otherwise. Errored streams store nothing new.
-func (r *cachingRows) finish(complete bool) {
-	if r.done {
-		return
-	}
-	r.done = true
-	r.row = nil
-	if r.inner != nil {
-		r.inner.Close()
-	}
-	if r.err == nil && (len(r.drain) > 0 || complete) {
-		r.c.store(r.key, sparql.Result{Vars: r.vars, Rows: r.drain, Truncated: r.trunc}, complete)
-	}
-}
-
-var _ Rows = (*cachingRows)(nil)
 
 // CacheStats returns the decorator's own hit/miss/eviction counters.
 func (c *Caching) CacheStats() CacheStats {
@@ -323,6 +470,10 @@ func (c *Caching) CacheStats() CacheStats {
 	return c.stats
 }
 
+// Coalesced reports how many calls joined an identical execution in
+// flight instead of running their own.
+func (c *Caching) Coalesced() int64 { return c.coalesced.Load() }
+
 // Len reports how many results are currently cached.
 func (c *Caching) Len() int {
 	c.mu.Lock()
@@ -330,15 +481,17 @@ func (c *Caching) Len() int {
 	return len(c.entries)
 }
 
-// Purge drops every cached result (counters keep running).
+// Purge drops every cached result (counters keep running; a stream in
+// flight keeps what it answered when its last consumer leaves).
 func (c *Caching) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*list.Element)
-	c.order = list.New()
+	c.entries = nil
+	c.order.Init()
 }
 
 var (
 	_ Endpoint      = (*Caching)(nil)
 	_ StatsReporter = (*Caching)(nil)
+	_ Rows          = (*memoRows)(nil)
 )

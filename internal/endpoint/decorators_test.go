@@ -174,8 +174,8 @@ func TestCachingConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	cs := c.CacheStats()
-	if cs.Hits+cs.Misses != 8*40 {
-		t.Fatalf("stats lost lookups: %+v", cs)
+	if n := int64(cs.Hits+cs.Misses) + c.Coalesced(); n != 8*40 {
+		t.Fatalf("stats lost calls: %+v + %d coalesced = %d, want %d", cs, c.Coalesced(), n, 8*40)
 	}
 	if c.Len() > 8 {
 		t.Fatalf("Len = %d exceeds bound", c.Len())
@@ -206,7 +206,7 @@ func TestCoalescingSharesInFlightQueries(t *testing.T) {
 	}
 	// wait until the leader holds the gate and every follower has
 	// joined its flight, then release
-	for inner.selects.Load() == 0 || c.sel.Waiting(preparedKey('S', c.inner.Name(), selP, nil, nil)) < n-1 {
+	for inner.selects.Load() == 0 || c.drains.Waiting(preparedKey('S', c.inner.Name(), selP, nil, nil)) < n-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(inner.gate)
@@ -258,7 +258,7 @@ func TestCoalescingLeaderCancellationDoesNotPoisonWaiters(t *testing.T) {
 		}
 		followerRows <- len(res.Rows)
 	}()
-	for c.sel.Waiting(preparedKey('S', c.inner.Name(), selP, nil, nil)) < 1 {
+	for c.drains.Waiting(preparedKey('S', c.inner.Name(), selP, nil, nil)) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -315,10 +315,115 @@ func TestStackedDecoratorsExactlyOnceTraffic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// 2 distinct queries → at most 2 probes (coalescing may even merge
-	// the initial races down to exactly one per query)
-	if got := inner.selects.Load(); got > 2 {
-		t.Fatalf("inner selects = %d, want ≤ 2", got)
+	// 2 distinct queries → exactly 2 probes: a call either finds the
+	// result stored, joins the one flight, or leads it and finds the
+	// result an earlier flight stored
+	if got := inner.selects.Load(); got != 2 {
+		t.Fatalf("inner selects = %d, want 2", got)
+	}
+}
+
+// TestCachingCoalescesConcurrentCalls: on a bare Caching, concurrent
+// identical SelectCtx, AskCtx and Stream calls reach the inner endpoint
+// once — the leader's — while the rest join it and answer alike; every
+// call counts as a hit, a miss or coalesced. Run with -race.
+func TestCachingCoalescesConcurrentCalls(t *testing.T) {
+	ctx := context.Background()
+	inner := &gatedEndpoint{Local: NewLocal(testKB(), 1)}
+	c := NewCaching(inner, 0)
+	pq, err := c.Prepare(selP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	waiting := func(form byte, text string) int {
+		return c.drains.Waiting(preparedKey(form, inner.Name(), text, nil, nil))
+	}
+	for _, tc := range []struct {
+		name   string
+		joined func() bool // every follower is on the leader's execution
+		call   func() (string, error)
+	}{
+		{"SelectCtx", func() bool { return waiting('S', selP) == n-1 }, func() (string, error) {
+			res, err := c.SelectCtx(ctx, selP)
+			if err != nil {
+				return "", err
+			}
+			return renderRes(res), nil
+		}},
+		{"AskCtx", func() bool { return waiting('A', askAB) == n-1 }, func() (string, error) {
+			ok, err := c.AskCtx(ctx, askAB)
+			return fmt.Sprint(ok), err
+		}},
+		{"Stream", func() bool { return c.Coalesced() == 3*(n-1) }, func() (string, error) {
+			rows, err := pq.Stream(ctx)
+			if err != nil {
+				return "", err
+			}
+			defer rows.Close()
+			res := &sparql.Result{Vars: rows.Vars()}
+			for rows.Next() {
+				res.Rows = append(res.Rows, rows.Row())
+			}
+			return renderRes(res), rows.Err()
+		}},
+	} {
+		c.Purge() // the stream shares the SELECT's key
+		probes := func() int64 { return inner.selects.Load() + inner.asks.Load() }
+		before := probes()
+		inner.gate = make(chan struct{})
+		out := make([]string, n)
+		errs := make(chan error, n)
+		for i := range out {
+			go func() {
+				var err error
+				out[i], err = tc.call()
+				errs <- err
+			}()
+		}
+		for probes() == before || !tc.joined() {
+			time.Sleep(time.Millisecond)
+		}
+		close(inner.gate)
+		for range out {
+			if err := <-errs; err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		if got := probes() - before; got != 1 {
+			t.Fatalf("%s: %d calls reached the inner endpoint, want 1", tc.name, got)
+		}
+		for i := range out {
+			if out[i] != out[0] || out[i] == "" {
+				t.Fatalf("%s: caller %d answered %q, caller 0 %q", tc.name, i, out[i], out[0])
+			}
+		}
+	}
+	if st := c.CacheStats(); st.Hits != 0 || st.Misses != 3 || c.Coalesced() != 3*(n-1) {
+		t.Fatalf("stats %+v, %d coalesced; want 3 misses and %d coalesced", st, c.Coalesced(), 3*(n-1))
+	}
+}
+
+// TestCoalescingOverCachingIsCaching: a Caching already coalesces, so
+// NewCoalescing returns it as it is; over anything else it builds a memo
+// that keeps nothing once its callers leave.
+func TestCoalescingOverCachingIsCaching(t *testing.T) {
+	local := NewLocal(testKB(), 1)
+	c := NewCaching(local, 5)
+	if co := NewCoalescing(c); co != c {
+		t.Fatalf("NewCoalescing(NewCaching(x, 5)) = %p, want its argument %p", co, c)
+	}
+	co := NewCoalescing(local)
+	if co == NewCoalescing(local) {
+		t.Fatal("two NewCoalescing over one Local share a memo")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := co.SelectCtx(context.Background(), selP); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if co.Len() != 0 || local.Stats().Queries != 2 {
+		t.Fatalf("Coalescing(Local) kept %d results; %d queries reached the KB, want 2", co.Len(), local.Stats().Queries)
 	}
 }
 
@@ -409,22 +514,31 @@ var cancelOps = []struct {
 }
 
 // stacks is every stack shape of this package over a Local, whose
-// statistics are what reached the KB; a stack's Coalescing, if it has
-// one, is returned too.
+// statistics are what reached the KB; a stack's memo, if it has one, is
+// returned too. Coalescing(Caching(Local)) is the Caching(Local) object
+// itself — the composition bench/ builds — and Coalescing(Local) the memo
+// that keeps nothing.
 var stacks = []struct {
 	name  string
-	build func(t *testing.T, l *Local) (Endpoint, *Coalescing)
+	build func(t *testing.T, l *Local) (Endpoint, *Caching)
 }{
-	{"Local", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return l, nil }},
-	{"Caching(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) { return NewCaching(l, 0), nil }},
-	{"Coalescing(Caching(Local))", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
+	{"Local", func(_ *testing.T, l *Local) (Endpoint, *Caching) { return l, nil }},
+	{"Caching(Local)", func(_ *testing.T, l *Local) (Endpoint, *Caching) {
+		c := NewCaching(l, 0)
+		return c, c
+	}},
+	{"Coalescing(Caching(Local))", func(_ *testing.T, l *Local) (Endpoint, *Caching) {
 		c := NewCoalescing(NewCaching(l, 0))
 		return c, c
 	}},
-	{"Admission(Local)", func(_ *testing.T, l *Local) (Endpoint, *Coalescing) {
+	{"Coalescing(Local)", func(_ *testing.T, l *Local) (Endpoint, *Caching) {
+		c := NewCoalescing(l)
+		return c, c
+	}},
+	{"Admission(Local)", func(_ *testing.T, l *Local) (Endpoint, *Caching) {
 		return NewAdmission(l, Limits{MaxInFlight: 1}), nil
 	}},
-	{"Client", func(t *testing.T, l *Local) (Endpoint, *Coalescing) {
+	{"Client", func(t *testing.T, l *Local) (Endpoint, *Caching) {
 		srv := httptest.NewServer(NewServer(l))
 		t.Cleanup(srv.Close)
 		return NewClient("test", srv.URL, srv.Client()), nil
@@ -444,7 +558,7 @@ func TestCancellationContract(t *testing.T) {
 		for _, op := range cancelOps {
 			t.Run(st.name+"/"+op.name, func(t *testing.T) {
 				local := NewLocal(testKB(), 1)
-				ep, co := st.build(t, local)
+				ep, memo := st.build(t, local)
 				sel, err := ep.Prepare(`SELECT ?y WHERE { $x <http://x/p> ?y }`, "x")
 				if err != nil {
 					t.Fatal(err)
@@ -468,11 +582,11 @@ func TestCancellationContract(t *testing.T) {
 				if q := local.Stats().Queries; q != 0 {
 					t.Errorf("%d queries reached the KB", q)
 				}
-				if co != nil {
-					co.smu.Lock()
-					streams := len(co.streams)
-					co.smu.Unlock()
-					if n := co.sel.InFlight() + co.ask.InFlight() + streams; n != 0 {
+				if memo != nil {
+					memo.mu.Lock()
+					streams := len(memo.streams)
+					memo.mu.Unlock()
+					if n := memo.drains.InFlight() + streams; n != 0 {
 						t.Errorf("%d coalesced executions left in flight", n)
 					}
 				}
@@ -576,8 +690,8 @@ func TestTextParsedBeforeTheWire(t *testing.T) {
 	client := NewClient("test", srv.URL, srv.Client())
 	ctx := context.Background()
 
-	if _, err := NewCoalescing(NewCaching(client, 0)).SelectCtx(ctx, optional); err == nil || err.Error() != parseErr.Error() {
-		t.Fatalf("through Coalescing(Caching(Client)): %v, want the parser's %v", err, parseErr)
+	if _, err := NewCaching(client, 0).SelectCtx(ctx, optional); err == nil || err.Error() != parseErr.Error() {
+		t.Fatalf("through Caching(Client): %v, want the parser's %v", err, parseErr)
 	}
 	mu.Lock()
 	n := len(sent)

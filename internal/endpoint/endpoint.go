@@ -10,10 +10,10 @@
 //   - Server / Client speak the SPARQL 1.1 protocol over HTTP with
 //     application/sparql-results+json bodies, so the alignment pipeline
 //     can run against a genuinely remote KB.
-//   - Caching and Coalescing are composable decorators for concurrent
-//     alignment pipelines: Caching memoizes successful results under an
-//     LRU bound, Coalescing singleflights identical in-flight queries
-//     so concurrent aligners share one probe.
+//   - Caching is the one memo decorator for concurrent alignment
+//     pipelines: identical in-flight queries share one probe and
+//     successful results stay under an LRU bound, so each distinct
+//     query reaches the KB once (Coalescing is the same type).
 //
 // Every call that reaches a KB takes a context (SelectCtx / AskCtx /
 // Stream), and there is no context-free spelling: the endpoints SOFYA
@@ -72,7 +72,7 @@ type StatsReporter interface {
 	ResetStats()
 }
 
-// innerStats is what every decorator (Caching, Coalescing, Admission)
+// innerStats is what every decorator (Caching, Admission)
 // embeds: the endpoint it wraps, and StatsReporter by delegation to it,
 // so wrapping keeps the query accounting of the underlying service
 // observable (a zero Stats is reported for non-reporting inners).

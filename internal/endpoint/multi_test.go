@@ -178,6 +178,7 @@ func TestSelectBatchContract(t *testing.T) {
 		"Coalescing(Caching(Local))": func(_ *testing.T, l *Local) Endpoint {
 			return NewCoalescing(NewCaching(l, 0))
 		},
+		"Coalescing(Local)": func(_ *testing.T, l *Local) Endpoint { return NewCoalescing(l) },
 		"Admission(Local)": func(_ *testing.T, l *Local) Endpoint {
 			return NewAdmission(l, Limits{MaxInFlight: 1})
 		},

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"strings"
 
 	"sofya/internal/sparql"
 )
@@ -100,7 +99,7 @@ type BatchStreamer interface {
 // SelectBatch runs pq once per tuple of argSets: natively when pq is a
 // BatchSelector, by draining the sets of a BatchStreamer's group, and one
 // SelectCtx after the other otherwise — which is also what keeps
-// Caching, Coalescing, Admission and Local exact: they see a group as
+// Caching, Admission and Local exact: they see a group as
 // the single probes it stands for.
 func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
 	if b, ok := pq.(BatchSelector); ok {
@@ -207,36 +206,6 @@ func AskText(ctx context.Context, ep Endpoint, query string) (bool, error) {
 		return false, err
 	}
 	return pq.AskCtx(ctx)
-}
-
-// preparedKey renders a stable cache/coalescing key for one execution
-// of a prepared query: the endpoint name, the template source, its
-// parameter declaration order, and the canonical argument renderings.
-// Two prepared handles over the same endpoint, template and parameter
-// list — even from different decorator instances or pipeline stages —
-// collide on identical arguments; the parameter names keep handles that
-// declare the same text with a different parameter order (different
-// semantics) apart, and the endpoint name keeps identical templates
-// against different endpoints (the shards of a federation group) from
-// answering each other.
-func preparedKey(form byte, name, source string, params []string, args []sparql.Arg) string {
-	var sb strings.Builder
-	sb.Grow(len(name) + len(source) + 16*(len(args)+len(params)) + 5)
-	sb.WriteByte('P')
-	sb.WriteByte(form)
-	sb.WriteByte(0)
-	sb.WriteString(name)
-	sb.WriteByte(0)
-	sb.WriteString(source)
-	for _, p := range params {
-		sb.WriteByte(0x1e)
-		sb.WriteString(p)
-	}
-	for _, a := range args {
-		sb.WriteByte(0x1f)
-		sb.WriteString(a.Key())
-	}
-	return sb.String()
 }
 
 // localPrepared is Local's PreparedQuery: a compiled plan executed

@@ -142,7 +142,7 @@ func TestCoalescingPrepared(t *testing.T) {
 		}()
 	}
 	key := preparedKey('S', co.Name(), "SELECT ?y WHERE { $s <http://x/p> ?y }", []string{"s"}, []sparql.Arg{sparql.IRIArg("http://x/a")})
-	for inner.selects.Load() == 0 || co.sel.Waiting(key) < n-1 {
+	for inner.selects.Load() == 0 || co.drains.Waiting(key) < n-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(inner.gate)

@@ -33,6 +33,7 @@ func streamsOnly(h http.Handler) http.Handler {
 var streamStacks = map[string]func(t *testing.T, l *Local) Endpoint{
 	"Local":                      func(_ *testing.T, l *Local) Endpoint { return l },
 	"Coalescing(Caching(Local))": func(_ *testing.T, l *Local) Endpoint { return NewCoalescing(NewCaching(l, 0)) },
+	"Coalescing(Local)":          func(_ *testing.T, l *Local) Endpoint { return NewCoalescing(l) },
 	"Client→Server(Local)":       func(t *testing.T, l *Local) Endpoint { return serveClient(t, NewServer(l)) },
 	"Client→streams only(Local)": func(t *testing.T, l *Local) Endpoint { return serveClient(t, streamsOnly(NewServer(l))) },
 	"Client→foreign(Local)":      func(t *testing.T, l *Local) Endpoint { return serveClient(t, &foreignHandler{ep: l}) },

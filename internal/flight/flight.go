@@ -2,7 +2,7 @@
 //
 //   - Group, a small generic singleflight group: concurrent calls that
 //     share a key share one execution and receive its result. It is the
-//     coalescing primitive behind endpoint.Coalescing (deduplicating
+//     coalescing primitive behind endpoint.Caching (deduplicating
 //     identical in-flight SPARQL queries). Unlike a cache, a Group
 //     remembers nothing: once an execution completes and its waiters
 //     are served, the key is forgotten and the next call runs the

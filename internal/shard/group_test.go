@@ -224,15 +224,14 @@ func TestGroupStreamEarlyClose(t *testing.T) {
 	}
 }
 
-// Decorator composition: Caching and Coalescing wrap a Group like any
-// endpoint.
+// Decorator composition: Caching wraps a Group like any endpoint.
 func TestGroupUnderDecorators(t *testing.T) {
 	w := synth.Generate(synth.TinySpec())
 	rel, _ := entityRelations(t, w)
 	const seed = 5
 	local := endpoint.NewLocal(w.Yago, seed)
 	g := Partitioned(w.Yago, 3, seed)
-	deco := endpoint.NewCoalescing(endpoint.NewCaching(g, 0))
+	deco := endpoint.NewCaching(g, 0)
 
 	q := fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY RAND() LIMIT 5", rel)
 	want, err := local.SelectCtx(context.Background(), q)

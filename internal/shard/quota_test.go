@@ -183,7 +183,8 @@ func TestUnrunnableQueryChargesNothing(t *testing.T) {
 	}{
 		{"Local", endpoint.NewLocalRestricted(world(), 1, quota)},
 		{"Admission(Local)", endpoint.NewAdmission(endpoint.NewLocalRestricted(world(), 1, quota), endpoint.Limits{MaxInFlight: 1})},
-		{"Coalescing(Caching(Local))", endpoint.NewCoalescing(endpoint.NewCaching(endpoint.NewLocalRestricted(world(), 1, quota), 0))},
+		{"Caching(Local)", endpoint.NewCaching(endpoint.NewLocalRestricted(world(), 1, quota), 0)},
+		{"Coalescing(Local)", endpoint.NewCoalescing(endpoint.NewLocalRestricted(world(), 1, quota))},
 		{"PartitionedRestricted(3)", PartitionedRestricted(world(), 3, 1, quota)},
 	} {
 		for _, bad := range []struct {

@@ -24,14 +24,14 @@
 // # Batch alignment
 //
 // Aligning many relations is a concurrent pipeline. Decorate each
-// endpoint with a caching layer (memoizes identical queries under an
-// LRU bound) and a coalescing layer (singleflights identical in-flight
-// queries), set Config.Parallelism, and call AlignRelations:
+// endpoint with a caching layer — it shares one execution among
+// identical in-flight queries and memoizes the results under an LRU
+// bound — set Config.Parallelism, and call AlignRelations:
 //
 //	cfg := sofya.UBSConfig()
 //	cfg.Parallelism = 8 // 0 = GOMAXPROCS
-//	qk := sofya.NewCoalescingEndpoint(sofya.NewCachingEndpoint(k, 0))
-//	qkp := sofya.NewCoalescingEndpoint(sofya.NewCachingEndpoint(kp, 0))
+//	qk := sofya.NewCachingEndpoint(k, 0)
+//	qkp := sofya.NewCachingEndpoint(kp, 0)
 //	aligner := sofya.NewAligner(qk, qkp, links, cfg)
 //	results, err := aligner.AlignRelations(world.Report.YagoRelations)
 //
@@ -157,9 +157,11 @@ type (
 	// protocol; SPARQLClient consumes one.
 	SPARQLServer = endpoint.Server
 	SPARQLClient = endpoint.Client
-	// CachingEndpoint memoizes successful results under an LRU bound.
+	// CachingEndpoint shares one execution among identical in-flight
+	// queries and memoizes successful results under an LRU bound.
 	CachingEndpoint = endpoint.Caching
-	// CoalescingEndpoint singleflights identical in-flight queries.
+	// CoalescingEndpoint is CachingEndpoint, under the name of the
+	// in-flight sharing it provides.
 	CoalescingEndpoint = endpoint.Coalescing
 	// EndpointCacheStats counts a CachingEndpoint's hits and misses.
 	EndpointCacheStats = endpoint.CacheStats
@@ -260,15 +262,18 @@ func NewClusterEndpoint(name string, seed int64, shardURLs [][]string, opt Clust
 	return cluster.FromURLs(name, seed, shardURLs, opt)
 }
 
-// NewCachingEndpoint decorates inner with an LRU memo of successful
-// results (maxEntries <= 0 selects the default bound). Stack a
-// coalescing decorator on top for concurrent batch alignment.
+// NewCachingEndpoint decorates inner with a memo: identical in-flight
+// queries from concurrent aligners share one probe, and successful
+// results stay under an LRU bound (maxEntries <= 0 selects the default).
+// It is the one decorator concurrent batch alignment needs.
 func NewCachingEndpoint(inner Endpoint, maxEntries int) *CachingEndpoint {
 	return endpoint.NewCaching(inner, maxEntries)
 }
 
-// NewCoalescingEndpoint decorates inner so identical in-flight queries
-// from concurrent aligners share one probe.
+// NewCoalescingEndpoint returns inner itself when inner is already a
+// CachingEndpoint, which shares in-flight queries. Otherwise it
+// decorates inner so identical in-flight queries from concurrent
+// aligners share one probe, and keeps no result once its callers leave.
 func NewCoalescingEndpoint(inner Endpoint) *CoalescingEndpoint {
 	return endpoint.NewCoalescing(inner)
 }

@@ -156,7 +156,7 @@ func TestFacadeBatchAlignment(t *testing.T) {
 	cacheKP := NewCachingEndpoint(kp, 0)
 	cfg := UBSConfig()
 	cfg.Parallelism = 8
-	batch := NewAligner(NewCoalescingEndpoint(cacheK), NewCoalescingEndpoint(cacheKP), links, cfg)
+	batch := NewAligner(cacheK, cacheKP, links, cfg)
 	got, err := batch.AlignRelations(relations)
 	if err != nil {
 		t.Fatal(err)
