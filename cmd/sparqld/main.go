@@ -97,6 +97,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sparqld:", err)
 		os.Exit(1)
 	}
+	var paths []string // what -snapshot names
+	if *snapshot != "" {
+		var err error
+		if paths, err = snapshotPaths(*snapshot); err != nil {
+			fatal(err)
+		}
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := flagConflicts(set, len(paths)); err != nil {
+		fmt.Fprintln(os.Stderr, "sparqld:", err)
+		os.Exit(2)
+	}
 	quota := endpoint.Quota{MaxQueries: *maxQueries, MaxRows: *maxRows}
 
 	var serve endpoint.Endpoint
@@ -124,10 +137,6 @@ func main() {
 		log.Printf("sparqld: federating %q over %d remote shard(s) on %s (hedge=%s probe=%s)",
 			*clusterNm, len(shardURLs), *addr, *hedge, *probeEvery)
 	case *snapshot != "":
-		paths, err := snapshotPaths(*snapshot)
-		if err != nil {
-			fatal(err)
-		}
 		if len(paths) == 0 {
 			fatal(fmt.Errorf("-snapshot %q matches no files", *snapshot))
 		}
@@ -143,6 +152,7 @@ func main() {
 			log.Printf("sparqld: serving %q from %d mapped shard snapshot(s) on %s", g.Name(), len(paths), *addr)
 			break
 		}
+		var err error
 		if base, err = kb.OpenSnapshot(paths[0]); err != nil {
 			fatal(err)
 		}
@@ -214,6 +224,35 @@ func main() {
 		fatal(err)
 	}
 	log.Print("sparqld: shut down cleanly")
+}
+
+// flagConflicts refuses a set flag the mode the others select would
+// ignore: a -peers front-end keeps no query budget of its own (its data
+// nodes do) and serves the partition its peers make up; a set of
+// snapshotFiles > 1 shard snapshots is served as the partition it is;
+// a -shard-of data node serves its one shard unsharded. set holds the
+// names of the flags given on the command line.
+func flagConflicts(set map[string]bool, snapshotFiles int) error {
+	for _, c := range []struct {
+		mode, ignored string
+		on            bool
+	}{
+		{"peers", "max-queries", set["peers"]},
+		{"peers", "shards", set["peers"]},
+		{"peers", "shard-of", set["peers"]},
+		{"snapshot", "shard-of", snapshotFiles > 1},
+		{"snapshot", "shards", snapshotFiles > 1},
+		{"shard-of", "shards", set["shard-of"]},
+	} {
+		if c.on && set[c.ignored] {
+			mode := "-" + c.mode
+			if c.mode == "snapshot" {
+				mode = fmt.Sprintf("-snapshot of %d shard files", snapshotFiles)
+			}
+			return fmt.Errorf("%s ignores -%s: drop one of the two", mode, c.ignored)
+		}
+	}
+	return nil
 }
 
 // reqMetrics counts the query handler's traffic for /debug/vars.

@@ -170,3 +170,35 @@ func TestParsers(t *testing.T) {
 		t.Errorf("a malformed pattern was accepted: %q", got)
 	}
 }
+
+// TestFlagConflicts: a flag the selected mode would ignore is refused,
+// naming both flags, rather than dropped in silence.
+func TestFlagConflicts(t *testing.T) {
+	for _, c := range []struct {
+		flags []string
+		files int    // what -snapshot resolves to
+		want  string // "" for no conflict
+	}{
+		{[]string{"synthetic", "max-queries", "max-rows", "shards"}, 0, ""},
+		{[]string{"synthetic", "shard-of"}, 0, ""},
+		{[]string{"peers", "max-rows", "hedge"}, 0, ""},
+		{[]string{"snapshot", "shard-of"}, 1, ""}, // a lone shard file's data node
+		{[]string{"snapshot", "max-queries"}, 3, ""},
+		{[]string{"peers", "max-queries"}, 0, "-peers ignores -max-queries"},
+		{[]string{"peers", "shards"}, 0, "-peers ignores -shards"},
+		{[]string{"peers", "shard-of"}, 0, "-peers ignores -shard-of"},
+		{[]string{"snapshot", "shard-of"}, 3, "-snapshot of 3 shard files ignores -shard-of"},
+		{[]string{"snapshot", "shards"}, 3, "-snapshot of 3 shard files ignores -shards"},
+		{[]string{"synthetic", "shard-of", "shards"}, 0, "-shard-of ignores -shards"},
+		{[]string{"snapshot", "shard-of", "shards"}, 1, "-shard-of ignores -shards"},
+	} {
+		set := map[string]bool{}
+		for _, f := range c.flags {
+			set[f] = true
+		}
+		err := flagConflicts(set, c.files)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)) {
+			t.Errorf("%v over %d snapshot files: %v; want %q", c.flags, c.files, err, c.want)
+		}
+	}
+}

@@ -276,11 +276,12 @@ type attemptOut[T any] struct {
 // the other on the caller's goroutine (inOrder).
 //
 // tuples is how many executions one attempt carries: 1, or the size of
-// a SelectBatch group. A group is one attempt — one request, one
-// success or strike, moved whole on failover — but not one latency
+// a group of streams (StreamBatch; never 0, an empty group makes no
+// attempt). A group is one attempt — one request, one success or
+// strike, moved whole on failover at its open — but not one latency
 // sample: the window holds per-execution latencies, so an attempt
-// records its duration divided by tuples and is given tuples times the
-// hedge delay before its hedge launches.
+// records its open's duration divided by tuples and is given tuples
+// times the hedge delay before its hedge launches.
 func hedge[T any](ctx context.Context, r *Replicas, tuples int, call func(ctx context.Context, ep endpoint.Endpoint) (T, error), discard func(T)) (T, context.CancelFunc, error) {
 	var zero T
 	cands := r.order()
@@ -469,23 +470,6 @@ func (p *replicasPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool
 	return ok, err
 }
 
-// SelectBatch implements endpoint.BatchSelector: the whole group is one
-// hedged call, answered by one replica. A retriable error moves the
-// group, whole, to the next replica; a semantic one — quota, parse,
-// caller cancellation — propagates at once.
-func (p *replicasPrepared) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
-	if len(argSets) == 0 {
-		return []*sparql.Result{}, nil // no attempt to make
-	}
-	res, cancel, err := hedge(ctx, p.r, len(argSets), func(ctx context.Context, ep endpoint.Endpoint) ([]*sparql.Result, error) {
-		return endpoint.SelectBatch(ctx, p.handleFor(ep), argSets)
-	}, nil)
-	if cancel != nil {
-		cancel()
-	}
-	return res, err
-}
-
 // closeRows releases a losing attempt's open stream.
 func closeRows(rows endpoint.Rows) { rows.Close() }
 
@@ -527,13 +511,18 @@ func (p *replicasPrepared) stream(ctx context.Context, open func(ctx context.Con
 type replicasBatched struct{ *replicasPrepared }
 
 // StreamBatch implements endpoint.BatchStreamer: the group is one
-// attempt, hedged at open like Stream and answered to its end by the
-// replica that won — a stream is not retried once open; the whole-group
-// retry is SelectBatch's, which holds no open body. The winner's context
-// lives until the group has no further set or is closed, not — as
-// ReleasingRows lets go of a stream's — to the first exhausted set.
+// attempt, hedged and failed over whole at its open like Stream, and
+// answered to its end by the replica that won. Once open it is not
+// retried: a cut after the open is the caller's typed error, and the
+// replica takes no strike for it. The winner's context lives until the
+// group has no further set or is closed, not — as ReleasingRows lets go
+// of a stream's — to the first exhausted set. An empty group is no
+// attempt at all.
 func (p replicasBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
-	sets, cancel, err := hedge(ctx, p.r, max(1, len(argSets)), func(ctx context.Context, ep endpoint.Endpoint) (endpoint.RowSets, error) {
+	if len(argSets) == 0 {
+		return endpoint.ReplaySets(nil), nil
+	}
+	sets, cancel, err := hedge(ctx, p.r, len(argSets), func(ctx context.Context, ep endpoint.Endpoint) (endpoint.RowSets, error) {
 		return endpoint.StreamBatch(ctx, p.handleFor(ep), argSets)
 	}, func(sets endpoint.RowSets) { sets.Close() })
 	if err != nil {
@@ -546,6 +535,5 @@ var (
 	_ endpoint.Endpoint       = (*Replicas)(nil)
 	_ endpoint.PreparedQuery  = (*replicasPrepared)(nil)
 	_ endpoint.StreamBorrower = (*replicasPrepared)(nil)
-	_ endpoint.BatchSelector  = (*replicasPrepared)(nil)
 	_ endpoint.BatchStreamer  = replicasBatched{}
 )

@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,10 +181,11 @@ func TestFailoverWithinOneCall(t *testing.T) {
 	}
 }
 
-// batchStub is a replica whose prepared handle takes groups natively:
-// SelectBatch waits for release (when set), takes perTuple per tuple,
-// and fails with err when that is set. It records what arrived and how
-// long the group took, measured inside the call.
+// batchStub is a replica whose prepared handle takes groups of streams
+// natively: StreamBatch waits for release (when set), takes perTuple per
+// tuple, fails with err when that is set, and otherwise answers one
+// empty set per tuple. It records what arrived and how long the open
+// took, measured inside the call.
 type batchStub struct {
 	name     string
 	perTuple time.Duration
@@ -201,7 +208,7 @@ func (s *batchStub) Prepare(string, ...string) (endpoint.PreparedQuery, error) {
 type batchStubHandle struct{ s *batchStub }
 
 func (h batchStubHandle) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
-	res, err := h.SelectBatch(ctx, [][]sparql.Arg{args})
+	res, err := h.group(ctx, [][]sparql.Arg{args})
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +223,15 @@ func (h batchStubHandle) Stream(ctx context.Context, args ...sparql.Arg) (endpoi
 	return endpoint.ReplayRows(res), nil
 }
 
-func (h batchStubHandle) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+func (h batchStubHandle) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
+	res, err := h.group(ctx, argSets)
+	if err != nil {
+		return nil, err
+	}
+	return endpoint.ReplaySets(res), nil
+}
+
+func (h batchStubHandle) group(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
 	start := time.Now()
 	h.s.groups.Add(1)
 	h.s.tuples.Add(int64(len(argSets)))
@@ -504,5 +519,100 @@ func TestStreamGroupFailsOverAtOpen(t *testing.T) {
 	down.err = endpoint.ErrQuotaExceeded
 	if sets, err := endpoint.StreamBatch(context.Background(), pq, stubGroup(n)); !errors.Is(err, endpoint.ErrQuotaExceeded) || sets != nil || up.opens.Load() != 1 {
 		t.Fatalf("a quota error at open: %v, %v, %d opens on the next replica", sets, err, up.opens.Load())
+	}
+}
+
+// An empty group is no attempt at all: it reaches no replica, costs none
+// a request, and puts no latency sample of about 0 in the window the
+// percentile hedge delay is read from.
+func TestStreamGroupEmptyIsNoAttempt(t *testing.T) {
+	first := &streamStub{batchStub: batchStub{name: "stub/shard-0-of-1"}}
+	second := &streamStub{batchStub: batchStub{name: "stub/shard-0-of-1"}}
+	set, err := NewReplicas([]endpoint.Endpoint{first, second}, Options{HedgePercentile: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	pq, err := set.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := endpoint.StreamBatch(context.Background(), pq, nil)
+	if err != nil || sets.Next() || sets.NextResultSet() || sets.Err() != nil {
+		t.Fatalf("an empty group: %v, %v", err, sets.Err())
+	}
+	sets.Close()
+	rep := set.reps[0]
+	rep.mu.Lock()
+	samples := rep.latN
+	rep.mu.Unlock()
+	if st := set.Status()[0]; st.Requests != 0 || samples != 0 || first.opens.Load() != 0 || second.opens.Load() != 0 {
+		t.Fatalf("an empty group: first replica's books %+v, %d latency samples, %d and %d opens",
+			st, samples, first.opens.Load(), second.opens.Load())
+	}
+}
+
+// cutServer serves k like sparqld but cuts every grouped answer inside
+// its set at: the declared length is not met, and the connection ends
+// in the middle of that set's frames.
+func cutServer(t *testing.T, k *kb.KB, at int) *httptest.Server {
+	h := endpoint.NewServer(endpoint.NewLocal(k, 3))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if !strings.Contains(rec.Header().Get("Content-Type"), "; sets=") {
+			w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+			_, _ = w.Write(body)
+			return
+		}
+		cut := 0
+		for set := 0; set <= at; set++ {
+			cut += bytes.Index(body[cut:], []byte(`{"head"`)) + 1
+		}
+		cut += bytes.IndexByte(body[cut:], '\n') + 3 // into the set's first frame after its head
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		_, _ = w.Write(body[:cut])
+		w.(http.Flusher).Flush() // the open's bytes leave; the rest never does
+		panic(http.ErrAbortHandler)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// A group drained over a replica set fails over whole at its open, and
+// only there: a body cut inside set k after the open is the transport's
+// error — never fewer results — the group is not sent again, and the
+// replica that answered takes no strike.
+func TestStreamGroupCutAfterOpen(t *testing.T) {
+	src := groupKB(30)
+	for _, at := range []int{0, 2} {
+		cut, whole := cutServer(t, src, at), httptest.NewServer(endpoint.NewServer(endpoint.NewLocal(src, 3)))
+		t.Cleanup(whole.Close)
+		set, err := NewReplicas([]endpoint.Endpoint{
+			endpoint.NewClient("group", cut.URL, cut.Client()),
+			endpoint.NewClient("group", whole.URL, whole.Client()),
+		}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		pq, err := set.Prepare("SELECT ?y WHERE { $x $r ?y }", "x", "r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		argSets := make([][]sparql.Arg, 4)
+		for i := range argSets {
+			argSets[i] = []sparql.Arg{sparql.IRIArg(fmt.Sprintf("http://x/s%03d", i)), sparql.IRIArg("http://x/a")}
+		}
+		res, err := endpoint.SelectBatch(context.Background(), pq, argSets)
+		if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) || res != nil {
+			t.Fatalf("cut inside set %d: %d results, %v; want the transport error and none", at, len(res), err)
+		}
+		st := set.Status()
+		if st[0].Requests != 1 || st[0].Fails != 0 || st[0].Errors != 0 || st[1].Requests != 0 {
+			t.Fatalf("cut inside set %d: replicas' books %+v; want one clean open on the first and nothing on the second", at, st)
+		}
 	}
 }

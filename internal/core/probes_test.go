@@ -17,7 +17,7 @@ import (
 
 // probeLog is what a recording endpoint saw: every execution that
 // reached it, as "endpoint|call|template|arguments", and the size of
-// every SelectBatch group.
+// every group (StreamBatch).
 type probeLog struct {
 	mu     sync.Mutex
 	calls  []string
@@ -44,10 +44,10 @@ func (l *probeLog) digest() (calls int, sum uint64) {
 	return len(l.calls), h.Sum64()
 }
 
-// recEndpoint records the probes an aligner sends through it. Its
-// handles take SelectBatch — so a group is seen as the group it was sent
-// as — and, when batches is set, StreamBatch too, both by running the
-// tuples one by one on the endpoint they wrap.
+// recEndpoint records the probes an aligner sends through it. When
+// batches is set its handles take StreamBatch — so a group is seen as the
+// group it was sent as — by running the tuples one by one on the endpoint
+// they wrap; otherwise they take every tuple as the single call it is.
 type recEndpoint struct {
 	endpoint.Endpoint
 	log     *probeLog
@@ -79,20 +79,18 @@ func (h recHandle) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.R
 	return h.PreparedQuery.SelectCtx(ctx, args...)
 }
 
-func (h recHandle) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+type recBatched struct{ recHandle }
+
+// StreamBatch logs the group — its size, and each tuple — and opens it
+// on the handle it wraps, which takes it tuple by tuple.
+func (h recBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
 	h.log.mu.Lock()
 	h.log.groups = append(h.log.groups, len(argSets))
 	h.log.mu.Unlock()
 	for _, args := range argSets {
-		h.log.add(h.name, "SelectBatch", h.tmpl, args)
+		h.log.add(h.name, "StreamBatch", h.tmpl, args)
 	}
-	return endpoint.SelectBatch(ctx, h.PreparedQuery, argSets)
-}
-
-type recBatched struct{ recHandle }
-
-func (h recBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
-	return endpoint.StreamBatch(ctx, h.recHandle, argSets)
+	return endpoint.StreamBatch(ctx, h.PreparedQuery, argSets)
 }
 
 // alignAll aligns every relation of the paper world, both directions,
@@ -128,31 +126,46 @@ func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *prob
 // TestProbesOnANonGroupingEndpoint: against endpoints that do not group
 // streams — Local, the decorators, a tracing wrapper — a pass issues the
 // multiset of calls it issued before stages took ranges of items: a
-// Stream where it streamed, a SelectBatch of the same tuples where it
-// grouped. The digest was recorded at commit a620545, with this file's
-// recording endpoints and no other change. Against endpoints that do
-// group, the alignments and the multiset of tuples are the same, and
-// only the groups grow.
+// Stream where it streamed, a SelectCtx per tuple where it grouped. The
+// digest was recorded at commit 1af688c, with this file's recording
+// endpoints and no other change. Against endpoints that do group, the
+// alignments and the multiset of tuples are the same, and only the
+// groups grow.
 func TestProbesOnANonGroupingEndpoint(t *testing.T) {
-	const wantCalls, wantDigest = 649, uint64(0xfe72f1fb8a15e327)
+	const wantCalls, wantDigest = 649, uint64(0xc97a6004506c8e12)
 	var ref [][]Alignment
 	var tuples []string
 	for _, parallelism := range []int{1, 4} {
 		als, log := alignAll(t, parallelism, false)
 		calls, digest := log.digest()
 		t.Logf("parallelism %d: %d calls in %d groups, digest %#x", parallelism, calls, len(log.groups), digest)
-		if calls != wantCalls || digest != wantDigest {
-			t.Errorf("parallelism %d: %d calls, digest %#x; the parent's pass issued %d, digest %#x", parallelism, calls, digest, wantCalls, wantDigest)
+		if calls != wantCalls || digest != wantDigest || len(log.groups) != 0 {
+			t.Errorf("parallelism %d: %d calls in %d groups, digest %#x; the parent's pass issued %d in none, digest %#x",
+				parallelism, calls, len(log.groups), digest, wantCalls, wantDigest)
 		}
 		if ref == nil {
-			ref, tuples = als, log.calls
+			ref, tuples = als, withoutCalls(log.calls)
 		} else if !reflect.DeepEqual(als, ref) {
 			t.Errorf("parallelism %d: alignments differ", parallelism)
 		}
 	}
 	als, log := alignAll(t, 4, true)
 	log.digest()
-	if !reflect.DeepEqual(als, ref) || !reflect.DeepEqual(log.calls, tuples) {
-		t.Errorf("against endpoints that group streams: alignments equal %v, %d tuples for %d", reflect.DeepEqual(als, ref), len(log.calls), len(tuples))
+	if got := withoutCalls(log.calls); !reflect.DeepEqual(als, ref) || !reflect.DeepEqual(got, tuples) || len(log.groups) == 0 {
+		t.Errorf("against endpoints that group streams: alignments equal %v, %d tuples for %d in %d groups",
+			reflect.DeepEqual(als, ref), len(got), len(tuples), len(log.groups))
 	}
+}
+
+// withoutCalls is a log's tuples, "endpoint|template|arguments", sorted:
+// what was asked, whichever call asked it.
+func withoutCalls(calls []string) []string {
+	out := make([]string, len(calls))
+	for i, c := range calls {
+		name, rest, _ := strings.Cut(c, "|")
+		_, rest, _ = strings.Cut(rest, "|")
+		out[i] = name + "|" + rest
+	}
+	sort.Strings(out)
+	return out
 }

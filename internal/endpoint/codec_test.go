@@ -52,7 +52,7 @@ func hostileStream() *stream {
 	return s
 }
 
-// streamRows replays a stream as the Rows writeStream drains.
+// streamRows replays a stream as the Rows writeOne drains.
 type streamRows struct {
 	s *stream
 	i int
@@ -65,11 +65,17 @@ func (r *streamRows) Err() error      { return r.s.err }
 func (r *streamRows) Truncated() bool { return r.s.truncated }
 func (r *streamRows) Close()          {}
 
-// encodeStream is writeStream's output for s: the body, and the recorder
-// it went to.
+// writeOne is the server's framed answer to one stream: the group of one
+// rows.
+func writeOne(w http.ResponseWriter, rows Rows) {
+	writeSets(w, StreamContentType, 1, func(int) (Rows, error) { return rows, nil })
+}
+
+// encodeStream is writeOne's output for s: the body, and the recorder it
+// went to.
 func encodeStream(s *stream) ([]byte, *httptest.ResponseRecorder) {
 	rec := httptest.NewRecorder()
-	writeStream(rec, &streamRows{s: s})
+	writeOne(rec, &streamRows{s: s})
 	return rec.Body.Bytes(), rec
 }
 
@@ -549,7 +555,7 @@ func frame64() (s *stream, head, line []byte) {
 }
 
 // discardWriter is the cheapest ResponseWriter there is, so that what a
-// benchmark or an allocation count sees is writeStream.
+// benchmark or an allocation count sees is the framed answer (writeOne).
 type discardWriter struct{ h http.Header }
 
 func (w discardWriter) Header() http.Header         { return w.h }
@@ -564,7 +570,7 @@ func BenchmarkWireFrameEncode(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		rows.i = 0
-		writeStream(w, rows)
+		writeOne(w, rows)
 	}
 }
 
@@ -602,7 +608,7 @@ func TestAllocCeilingWireFrameEncode(t *testing.T) {
 	w := discardWriter{h: http.Header{}}
 	allocCeiling(t, 2, func() {
 		rows.i = 0
-		writeStream(w, rows)
+		writeOne(w, rows)
 	})
 }
 

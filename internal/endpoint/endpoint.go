@@ -22,14 +22,15 @@
 // Client, the one text transport, sends it as it came.
 //
 // Independent executions of one prepared template go to the endpoint
-// together, as a group: a sequence of streams (StreamBatch — the HTTP
-// client sends it as one multi=1 request, multi.go; shard and cluster
-// federations as one per shard) or, drained, of results (SelectBatch).
-// Where a handle is neither BatchStreamer nor BatchSelector the
-// executions run one after the other. Local and the decorators
-// deliberately are neither: a group reaches them as the single queries it
-// stands for, so quota, statistics, cache keys and admission count it as
-// exactly that.
+// together, as a group, and a group is a sequence of streams at every
+// layer (BatchStreamer): the HTTP client sends it as one multi=1 request
+// (multi.go), a replica set hedges and fails it over whole at its open,
+// and shard and cluster federations open it once per shard. A caller
+// that wants whole results drains the sets (SelectBatch). Where a handle
+// is no BatchStreamer the executions run one after the other. Local and
+// the decorators deliberately are none: a group reaches them as the
+// single queries it stands for, so quota, statistics, cache keys and
+// admission count it as exactly that.
 //
 // All endpoints record Stats, which the experiments use to report the
 // number of queries and rows each alignment consumed (experiment E4).

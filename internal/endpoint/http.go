@@ -29,7 +29,8 @@ const ResultsContentType = "application/sparql-results+json"
 // response for SELECT queries (see wire.go): rows cross the wire in
 // flushed frames of up to WireBatch rows instead of one drained JSON
 // document. A request carrying multi=1 holds several SELECT texts,
-// answered in one response (see multi.go).
+// answered in one response (see multi.go); a stream is the group of one
+// text, answered by the same loop (serveFramed).
 type Server struct {
 	local Endpoint
 }
@@ -68,13 +69,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	if req.multi != nil {
-		s.serveMulti(w, r, req)
-		return
-	}
 	form := sparql.FormOf(req.query)
-	if req.stream && form == sparql.SelectForm {
-		s.serveStream(w, r, req)
+	if req.multi != nil || req.stream && form == sparql.SelectForm {
+		s.serveFramed(w, r, req)
 		return
 	}
 	var body []byte
@@ -96,23 +93,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", ResultsContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
-}
-
-// serveStream answers a stream=1 SELECT with batch frames. Errors
-// before the first frame still use plain HTTP status codes; after it,
-// they travel as terminal error frames.
-func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, req *wireReq) {
-	pq, err := s.local.Prepare(req.query)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	rows, err := pq.Stream(r.Context())
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeStream(w, rows)
 }
 
 // OverloadedHeader marks a 429 as a load shed rather than a quota

@@ -21,12 +21,13 @@ import (
 //	  {"head":…}  {"rows":…} …  {"end":…}      — text 1
 //	  {"head":…}  {"rows":…} …  {"end":…}      — text 2, …
 //
-// The server runs the texts in order through the endpoint it serves, one
-// prepared stream each — quota, statistics and admission see the single
-// queries a client sending them one by one would have caused — and
-// encodes each as it drains it, through the one buffer a single stream
-// uses: it never holds more of a group than the batch it is
-// encoding, and a group shorter than a batch is one write with a
+// The server answers it through the loop that answers a single stream,
+// the group of one (serveFramed, writeSets): it runs the texts in order
+// through the endpoint it serves, one prepared stream each — quota,
+// statistics and admission see the single queries a client sending them
+// one by one would have caused — and encodes each as it drains it,
+// through one buffer: it never holds more of a group than the batch it
+// is encoding, and a group shorter than a batch is one write with a
 // Content-Length. A text that cannot be opened, or a request found
 // cancelled between two texts, answers for the request while nothing has
 // left, with the status its own request would have had (a shed stays a
@@ -53,45 +54,38 @@ import (
 // maxQueryBytes — in a further request once the first's sets are used up.
 const maxMultiQueries = 64
 
-// serveMulti answers a multi=1 request.
-func (s *Server) serveMulti(w http.ResponseWriter, r *http.Request, req *wireReq) {
-	if len(req.multi) > maxMultiQueries {
-		http.Error(w, fmt.Sprintf("endpoint: %d queries in one request, at most %d", len(req.multi), maxMultiQueries), http.StatusBadRequest)
-		return
-	}
-	for _, text := range req.multi {
-		if sparql.FormOf(text) != sparql.SelectForm {
-			http.Error(w, "endpoint: a multi request takes SELECT queries only", http.StatusBadRequest)
+// serveFramed answers a stream request through the one framed-answer
+// loop (writeSets): a multi=1 request as its texts' sequences, a stream=1
+// SELECT as the group of one it is — whose media type, alone, carries no
+// sets parameter.
+func (s *Server) serveFramed(w http.ResponseWriter, r *http.Request, req *wireReq) {
+	texts, contentType := req.multi, StreamContentType
+	if texts == nil {
+		texts = []string{req.query}
+	} else {
+		if len(texts) > maxMultiQueries {
+			http.Error(w, fmt.Sprintf("endpoint: %d queries in one request, at most %d", len(texts), maxMultiQueries), http.StatusBadRequest)
 			return
 		}
-	}
-	var fw frameWriter
-	fw.init(w)
-	w.Header().Set("Content-Type", StreamContentType+"; sets="+strconv.Itoa(len(req.multi)))
-	for _, text := range req.multi {
-		var rows Rows
-		err := r.Context().Err()
-		if err == nil {
-			var pq PreparedQuery
-			if pq, err = s.local.Prepare(text); err == nil {
-				rows, err = pq.Stream(r.Context())
+		for _, text := range texts {
+			if sparql.FormOf(text) != sparql.SelectForm {
+				http.Error(w, "endpoint: a multi request takes SELECT queries only", http.StatusBadRequest)
+				return
 			}
 		}
-		if err != nil && !fw.wrote {
-			// Nothing has left yet: the text's own status answers.
-			fw.failed = true
-			writeQueryError(w, err)
-			break
-		}
-		if err != nil {
-			fw.out = appendErrorFrame(fw.out, err)
-			break
-		}
-		if !fw.sequence(rows) {
-			break
-		}
+		contentType += "; sets=" + strconv.Itoa(len(texts))
 	}
-	fw.finish()
+	ctx := r.Context()
+	writeSets(w, contentType, len(texts), func(i int) (Rows, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		pq, err := s.local.Prepare(texts[i])
+		if err != nil {
+			return nil, err
+		}
+		return pq.Stream(ctx)
+	})
 }
 
 // StreamBatch implements BatchStreamer: the tuples' canonical texts go

@@ -59,7 +59,7 @@ func batchKB() *kb.KB {
 	return k
 }
 
-// batchGroups are the groups every BatchSelector is held to, as subject
+// batchGroups are the groups every stack is held to, as subject
 // indices. A subject past the KB's 40 matches nothing.
 var batchGroups = map[string][]int{
 	"empty":      {},

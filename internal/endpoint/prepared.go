@@ -70,41 +70,31 @@ type KeyedStreamer interface {
 	StreamKeyed(ctx context.Context, orderText string, args ...sparql.Arg) (Rows, error)
 }
 
-// BatchSelector is an optional PreparedQuery extension for callers that
-// hold several independent executions of one template at once — a
-// stage's per-subject object fetches, say. SelectBatch runs the template
-// once per argument tuple and returns the results in tuple order, each
-// byte-identical to SelectCtx on that tuple; the first failing tuple
-// fails the group, and tuples after it are not executed. It counts as
-// len(argSets) queries wherever queries are counted. What an
-// implementation saves is the per-call overhead between the caller and
-// the KB: the federation sends a group as one call per shard, a replica
-// set as one attempt that moves whole on failover.
-type BatchSelector interface {
-	SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error)
-}
-
-// BatchStreamer is the streamed counterpart: StreamBatch answers one
+// BatchStreamer is the one optional PreparedQuery extension for callers
+// that hold several independent executions of one template at once — a
+// stage's per-subject object fetches, say: StreamBatch answers one
 // stream per argument tuple as one RowSets, each set byte-identical to
 // Stream on its tuple. A tuple that fails ends the group: the open fails
 // with its error, or — sets before it having reached the caller —
 // NextResultSet reports false and Err the error. The HTTP client sends a
 // group as one request answered by one body (multi.go), a replica set
-// hedges it at open, the federation opens it once per shard and merges a
-// tuple when the caller reaches it. Callers must Close the RowSets.
+// hedges it at open, the federation opens it once per shard that has
+// tuples and hands the sets back in tuple order. It counts as
+// len(argSets) queries wherever queries are counted; a caller that wants
+// whole results drains it (SelectBatch). Callers must Close the RowSets.
 type BatchStreamer interface {
 	StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (RowSets, error)
 }
 
-// SelectBatch runs pq once per tuple of argSets: natively when pq is a
-// BatchSelector, by draining the sets of a BatchStreamer's group, and one
-// SelectCtx after the other otherwise — which is also what keeps
-// Caching, Admission and Local exact: they see a group as
-// the single probes it stands for.
+// SelectBatch runs pq once per tuple of argSets and returns the results
+// in tuple order, each byte-identical to SelectCtx on its tuple: it
+// drains the sets of a BatchStreamer's group (EachSet), and calls
+// SelectCtx one tuple after the other otherwise — which is also what keeps
+// Caching, Admission and Local exact: they see a group as the single
+// probes it stands for. The first failing tuple fails the group; a group
+// cut after its open fails with the transport's error, never a short
+// result.
 func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
-	if b, ok := pq.(BatchSelector); ok {
-		return b.SelectBatch(ctx, argSets)
-	}
 	out := make([]*sparql.Result, len(argSets))
 	if _, ok := pq.(BatchStreamer); ok && len(argSets) > 1 {
 		err := EachSet(ctx, pq, argSets, func(i int, rows Rows) error {

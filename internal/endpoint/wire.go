@@ -70,13 +70,12 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledFrameBufs = 64 << 10
 
 // frameWriter encodes frame sequences onto one response through one
-// encode buffer: one sequence for a stream (writeStream), one
-// per text for a group (serveMulti). Only a full batch is written out
-// and flushed on its own. The head frame, a final partial batch and the
-// terminal frame ride in whatever write carries them, so an answer
-// shorter than a batch — most probes, and most groups of them — is one
-// write with a Content-Length, and its reader sees the end of the body
-// with the last frame.
+// encode buffer (writeSets): one sequence for a stream, one per text for
+// a group. Only a full batch is written out and flushed on its own. The
+// head frame, a final partial batch and the terminal frame ride in
+// whatever write carries them, so an answer shorter than a batch — most
+// probes, and most groups of them — is one write with a Content-Length,
+// and its reader sees the end of the body with the last frame.
 type frameWriter struct {
 	w      http.ResponseWriter
 	buf    *[]byte
@@ -152,12 +151,32 @@ func (fw *frameWriter) finish() {
 	}
 }
 
-// writeStream answers one stream: rows as a single frame sequence.
-func writeStream(w http.ResponseWriter, rows Rows) {
-	w.Header().Set("Content-Type", StreamContentType)
+// writeSets is the one framed answer: n frame sequences, the i-th of the
+// rows open(i) returns, in order — one for a stream, one per text for a
+// group. A set that cannot be opened answers for the request, with the
+// status its own request would have had, while nothing has left; once a
+// batch is out it ends the answer in an error frame where its sequence
+// would have begun, and the sequences before it stay valid. Sets after a
+// failed one are not opened.
+func writeSets(w http.ResponseWriter, contentType string, n int, open func(i int) (Rows, error)) {
 	var fw frameWriter
 	fw.init(w)
-	fw.sequence(rows)
+	w.Header().Set("Content-Type", contentType)
+	for i := 0; i < n; i++ {
+		rows, err := open(i)
+		if err != nil && !fw.wrote {
+			fw.failed = true
+			writeQueryError(w, err)
+			break
+		}
+		if err != nil {
+			fw.out = appendErrorFrame(fw.out, err)
+			break
+		}
+		if !fw.sequence(rows) {
+			break
+		}
+	}
 	fw.finish()
 }
 

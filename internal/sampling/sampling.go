@@ -18,12 +18,14 @@
 // translate entities through a Translator, so they run unchanged against
 // in-process KBs and remote HTTP endpoints. Each takes a range of rules
 // or sibling pairs at once (SimpleEvidenceEach, ContradictionsEach): the
-// streamed sample probes of the range go out as one group
+// sample probes of the range go out as one group of streams
 // (endpoint.StreamBatch), each read to its stopping point, and then every
-// object fetch of the range as one group (endpoint.SelectBatch) — against
-// a remote KB a range costs two requests per shard, however many rules it
-// holds, and against an endpoint that does not group exactly the probes
-// its rules would have cost one by one.
+// object fetch of the range as one group of streams, drained
+// (endpoint.SelectBatch) — against a remote KB a range costs two requests
+// per shard, however many rules it holds; a group fails over whole at its
+// open, and is the caller's error once cut after it; against an endpoint
+// that does not group a range costs exactly the probes its rules would
+// have cost one by one.
 package sampling
 
 import (
@@ -247,10 +249,10 @@ func (v *Validator) readSample(rows endpoint.Rows, n int) *SampleSet {
 }
 
 // objectsOf runs the object probe pq for every (subject, relation) pair
-// of args — two arguments a fetch — as one group (endpoint.SelectBatch):
-// the fetches are independent, so an endpoint that can take them
-// together does — one request, one per shard — and any other runs them
-// in order, stopping at the first failure. objs[i] holds the objects of
+// of args — two arguments a fetch — as one group, drained
+// (endpoint.SelectBatch): the fetches are independent, so an endpoint
+// that can take them together does — one request, one per shard — and
+// any other runs them in order, stopping at the first failure. objs[i] holds the objects of
 // pair i. It is the one object fetch of both samplers: Simple Sample
 // Extraction needs the full r-facts of its sampled subjects for the PCA
 // denominator, the UBS check stage those of its overlap subjects — over

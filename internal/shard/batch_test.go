@@ -169,8 +169,8 @@ func httpShards(t *testing.T, quota endpoint.Quota) (g *Group, reqs *atomic.Int6
 	return g, reqs, backing.Stats
 }
 
-// TestGroupSelectBatchOverHTTP: over shards that are BatchSelectors the
-// contract holds as well, and a routed group costs one request per
+// TestGroupSelectBatchOverHTTP: over shards that take groups of streams
+// the contract holds as well, and a routed group costs one request per
 // shard that has a tuple, whatever its size.
 func TestGroupSelectBatchOverHTTP(t *testing.T) {
 	checkGroupBatch(t, func(t *testing.T) (endpoint.Endpoint, func() endpoint.Stats) {
@@ -200,7 +200,9 @@ func TestGroupSelectBatchOverHTTP(t *testing.T) {
 
 // TestGroupSelectBatchFailures: a shard's quota error fails the group
 // as it fails a single probe, and a tuple the template cannot take
-// fails it before any shard is asked.
+// fails a group that groups — over HTTP shards — before any shard is
+// asked. (An in-process group runs its tuples one after the other, up to
+// the bad one.)
 func TestGroupSelectBatchFailures(t *testing.T) {
 	tm := batchTemplates[0]
 	argSets := make([][]sparql.Arg, 12)
@@ -221,7 +223,7 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 		}
 	}
 
-	g := Partitioned(batchKB(), 3, 7)
+	g, _, stats := httpShards(t, endpoint.Quota{})
 	pq, err := g.Prepare(tm.tmpl, tm.params...)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +232,7 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 	if res, err := endpoint.SelectBatch(context.Background(), pq, bad); err == nil || res != nil {
 		t.Errorf("a tuple of the wrong kind: %v, %v", res, err)
 	}
-	if q := g.Stats().Queries; q != 0 {
+	if q := stats().Queries; q != 0 {
 		t.Errorf("%d queries ran for a group with a bad tuple", q)
 	}
 }
@@ -366,9 +368,9 @@ func TestStreamBatchContract(t *testing.T) {
 		}, endpoint.Quota{})
 	})
 
-	// What an ordered fan-out group costs on the wire, whatever its keys:
-	// one request per shard.
-	for _, tm := range streamTemplates[1:5] {
+	// What a routed group and an ordered fan-out group cost on the wire,
+	// whatever their keys: one request per shard.
+	for _, tm := range streamTemplates[:5] {
 		g, reqs, _ := httpShards(t, endpoint.Quota{})
 		pq, err := g.Prepare(tm.tmpl, tm.params...)
 		if err != nil {

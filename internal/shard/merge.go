@@ -91,30 +91,45 @@ func (r *capRows) Close() {
 	r.inner.Close()
 }
 
-// setRows is a shard's current set as a merge source. A merge closes a
-// source it is done with — exhausted, past its LIMIT, a loser — which must
-// leave the group's body open: NextResultSet reads past what is left.
-type setRows struct{ endpoint.RowSets }
+// setRows is a shard's current set as a merge source or a routed set. A
+// merge or a row cap closes a source it is done with — exhausted, past its
+// LIMIT, a loser — which must leave the group's body open: NextResultSet
+// reads past what is left. It shows only the set's Rows, so that a
+// RowSets handing it out never takes it for a group of its own and moves
+// the shard's group on.
+type setRows struct{ endpoint.Rows }
 
 func (setRows) Close() {}
 
-// groupSets is a fan-out group of streams: every shard's group of
-// pushdown streams, open, merged one tuple at a time — when the caller
-// reaches it — so that a group holds one merge's window and one read
-// buffer per shard, however many tuples it has.
+// groupSets is a group of streams over the shards: every shard that has
+// tuples holds its group open — a fan-out template's pushdown on every
+// shard, a routed template's own on the shards its tuples route to — and
+// the sets come back in tuple order, each when the caller reaches it. A
+// routed tuple's set is its shard's current one: the first tuple routed to
+// a shard takes the shard's open set, each later one moves the shard's
+// group on. A fan-out tuple's set merges every shard's current one, as a
+// single execution would. Either way a group holds at most one merge's
+// window and one read buffer per shard, however many tuples it has.
 type groupSets struct {
 	p       *groupPrepared
 	argSets [][]sparql.Arg // the tuples from the current one on
+	shardOf []int          // routed: their shards, from the current one on
 	shards  []endpoint.RowSets
+	used    []bool // routed: the shard's group has handed out its open set
 }
 
-// merge merges the shards' current sets, as a single execution would.
-func (s *groupSets) merge() (endpoint.Rows, error) {
+// set is the current tuple's set.
+func (s *groupSets) set() (endpoint.Rows, error) {
+	p, args := s.p, s.argSets[0]
+	if s.shardOf != nil {
+		sh := s.shardOf[0]
+		s.used[sh] = true
+		return newCapRows(setRows{s.shards[sh]}, p.g.maxRows), nil
+	}
 	sources := make([]rowsSource, len(s.shards))
 	for i, sh := range s.shards {
 		sources[i] = setRows{sh}
 	}
-	p, args := s.p, s.argSets[0]
 	if p.strat == stratMergeOrdered {
 		spec, err := p.orderedSpec(args)
 		if err != nil {
@@ -126,21 +141,25 @@ func (s *groupSets) merge() (endpoint.Rows, error) {
 	return newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows), nil
 }
 
-// next moves every shard to its next set and merges them.
+// next moves the shards the next tuple reads to their next set.
 func (s *groupSets) next() (endpoint.Rows, error) {
 	if len(s.argSets) < 2 {
 		return nil, nil
 	}
-	for _, sh := range s.shards {
-		if !sh.NextResultSet() {
+	s.argSets = s.argSets[1:]
+	if s.shardOf != nil {
+		s.shardOf = s.shardOf[1:]
+	}
+	for i, sh := range s.shards {
+		if (s.shardOf == nil || s.shardOf[0] == i && s.used[i]) && !sh.NextResultSet() {
 			return nil, cmp.Or(sh.Err(), errors.New("shard: a shard's group of streams ended before the federation's"))
 		}
 	}
-	s.argSets = s.argSets[1:]
-	return s.merge()
+	return s.set()
 }
 
-// close closes the group on every shard, whatever tuple it is on.
+// close closes the group on every shard that has one, whatever tuple it
+// is on.
 func (s *groupSets) close() {
 	for _, sh := range s.shards {
 		if sh != nil {

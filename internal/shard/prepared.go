@@ -218,106 +218,59 @@ func (p *groupPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*spa
 	return drainRows(newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows))
 }
 
-// SelectBatch implements endpoint.BatchSelector for routed templates:
-// the tuples are grouped by the shard their subject hashes to, every
-// shard with any runs its group as one call (one request, when the shard
-// is remote), and the results scatter back into tuple order. Within a
-// shard the tuples run in order and stop at the first failure; across
-// shards they run concurrently, and the first error cancels the rest.
-// Any other strategy already fans every execution out to all shards, so
-// its group is the executions one after the other.
-func (p *groupPrepared) SelectBatch(ctx context.Context, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
-	out := make([]*sparql.Result, len(argSets))
-	if p.form != sparql.SelectForm || p.strat != stratRoute || len(argSets) < 2 {
-		for i, args := range argSets {
-			res, err := p.SelectCtx(ctx, args...)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-		}
-		return out, nil
-	}
-	shardOf := make([]int, len(argSets))
-	for i, args := range argSets {
-		if err := p.validateArgs(args); err != nil {
-			return nil, err
-		}
-		var err error
-		if shardOf[i], err = p.routeShard(args); err != nil {
-			return nil, err
-		}
-	}
-	err := p.g.fanout(ctx, func(ctx context.Context, sh int) error {
-		var sub [][]sparql.Arg
-		for i, args := range argSets {
-			if shardOf[i] == sh {
-				sub = append(sub, args)
-			}
-		}
-		if len(sub) == 0 {
-			return nil
-		}
-		results, err := endpoint.SelectBatch(ctx, p.orig[sh], sub)
-		if err != nil {
-			return err
-		}
-		k := 0
-		for i := range argSets {
-			if shardOf[i] == sh {
-				out[i] = capResult(results[k], p.g.maxRows)
-				k++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // groupBatched is the handle of a group whose shards take groups of
 // streams — remote ones, where a group saves requests. Only such a group
 // is an endpoint.BatchStreamer: an in-process one has none to save, keeps
-// its ordered merges' borrowed streams, and core does not batch for it.
+// its ordered merges' borrowed streams, and runs a group's tuples one
+// after the other.
 type groupBatched struct{ *groupPrepared }
 
-// StreamBatch implements endpoint.BatchStreamer. A fan-out template
-// opens its pushdown's group once on every shard — one request each —
-// and merges one tuple at a time, when the caller reaches it (groupSets).
-// A routed template answers its SelectBatch, replayed: its results are
-// whole either way.
+// StreamBatch implements endpoint.BatchStreamer: every tuple is checked —
+// and, routed, given its shard — before any shard is asked; then every
+// shard that has tuples opens its group, concurrently, one request each,
+// and the sets come back in tuple order (groupSets).
 func (p groupBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
 	if p.form != sparql.SelectForm {
 		return nil, fmt.Errorf("shard: Stream needs a SELECT query")
 	}
-	if p.strat == stratRoute {
-		results, err := p.SelectBatch(ctx, argSets)
-		if err != nil {
-			return nil, err
-		}
-		return endpoint.ReplaySets(results), nil
-	}
 	if len(argSets) < 2 {
 		return endpoint.StreamBatch(ctx, p.groupPrepared, argSets)
 	}
-	pushSets := make([][]sparql.Arg, len(argSets))
+	s := &groupSets{p: p.groupPrepared, argSets: argSets, shards: make([]endpoint.RowSets, len(p.g.shards))}
+	handles, sub := p.push, make([][][]sparql.Arg, len(p.g.shards)) // the tuples each shard runs
+	if p.strat == stratRoute {
+		handles, s.shardOf, s.used = p.orig, make([]int, len(argSets)), make([]bool, len(sub))
+	}
+	var pushSets [][]sparql.Arg
 	for i, args := range argSets {
 		if err := p.validateArgs(args); err != nil {
 			return nil, err
 		}
-		pushSets[i] = p.pushArgs(args)
+		if s.shardOf == nil {
+			pushSets = append(pushSets, p.pushArgs(args))
+			continue
+		}
+		sh, err := p.routeShard(args)
+		if err != nil {
+			return nil, err
+		}
+		s.shardOf[i], sub[sh] = sh, append(sub[sh], args)
 	}
-	s := &groupSets{p: p.groupPrepared, argSets: argSets, shards: make([]endpoint.RowSets, len(p.push))}
+	if s.shardOf == nil {
+		for sh := range sub {
+			sub[sh] = pushSets // a fan-out runs every tuple on every shard
+		}
+	}
 	// Opened under the caller's context, like openStreams' streams.
-	err := p.g.fanout(ctx, func(_ context.Context, i int) (err error) {
-		s.shards[i], err = endpoint.StreamBatch(ctx, p.push[i], pushSets)
+	err := p.g.fanout(ctx, func(_ context.Context, sh int) (err error) {
+		if len(sub[sh]) > 0 {
+			s.shards[sh], err = endpoint.StreamBatch(ctx, handles[sh], sub[sh])
+		}
 		return err
 	})
 	var first endpoint.Rows
 	if err == nil {
-		first, err = s.merge()
+		first, err = s.set()
 	}
 	if err != nil {
 		s.close()
@@ -491,6 +444,5 @@ func (p *groupPrepared) puller(sources []rowsSource) puller {
 
 var (
 	_ endpoint.PreparedQuery = (*groupPrepared)(nil)
-	_ endpoint.BatchSelector = (*groupPrepared)(nil)
 	_ endpoint.BatchStreamer = groupBatched{}
 )

@@ -108,7 +108,6 @@ type compiled struct {
 	// of on boxed key lists.
 	orderRand bool
 
-	text string    // canonical text, when the plan has no parameters
 	tmpl *Template // source template, when compiled from one
 }
 
@@ -132,9 +131,10 @@ type compiler struct {
 	err      error
 }
 
-// compile builds a Prepared. Exactly one of tmpl/lift modes may be
-// active; with both zero it compiles the concrete query.
-func (e *Engine) compile(q *Query, tmpl *Template, lift bool) (*Prepared, error) {
+// compile builds a Prepared: the plan of a template, or — tmpl nil — the
+// lifted plan of q's shape, every pattern constant, LIMIT and OFFSET a
+// parameter.
+func (e *Engine) compile(q *Query, tmpl *Template) (*Prepared, error) {
 	if q.Where == nil {
 		return nil, fmt.Errorf("sparql: query has no WHERE pattern")
 	}
@@ -144,7 +144,7 @@ func (e *Engine) compile(q *Query, tmpl *Template, lift bool) (*Prepared, error)
 	c := &compiler{
 		eng:      e,
 		q:        q,
-		lift:     lift,
+		lift:     tmpl == nil,
 		paramIdx: map[string]int{},
 		slots:    map[string]int32{},
 		exists:   map[*GroupPattern]*cgroup{},
@@ -194,7 +194,7 @@ func (e *Engine) compile(q *Query, tmpl *Template, lift bool) (*Prepared, error)
 		p.limitParam = int32(i)
 	case q.LimitVar != "":
 		return nil, fmt.Errorf("sparql: unbound LIMIT parameter $%s", q.LimitVar)
-	case lift:
+	case c.lift:
 		p.limitParam = int32(len(c.params))
 		c.params = append(c.params, paramSpec{isInt: true})
 		p.offsetParam = int32(len(c.params))
@@ -259,10 +259,6 @@ func (e *Engine) compile(q *Query, tmpl *Template, lift bool) (*Prepared, error)
 		if !exprAlwaysNumeric(k.Expr) {
 			p.orderTotal = false
 		}
-	}
-
-	if len(p.params) == 0 {
-		p.text = q.String()
 	}
 	return p, nil
 }
@@ -555,17 +551,14 @@ func (p *Prepared) bind(args []Arg) ([]Arg, func() string, error) {
 			return nil, nil, fmt.Errorf("sparql: prepared arg %d has the wrong kind", i)
 		}
 	}
-	switch {
-	case p.q != nil:
+	if p.q != nil {
 		return p.bound, lazyText(p.q), nil
-	case p.tmpl != nil:
-		var text string
-		return args, func() string {
-			if text == "" {
-				text = p.tmpl.text(args)
-			}
-			return text
-		}, nil
 	}
-	return args, func() string { return p.text }, nil
+	var text string
+	return args, func() string {
+		if text == "" {
+			text = p.tmpl.text(args)
+		}
+		return text
+	}, nil
 }

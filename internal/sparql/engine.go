@@ -105,7 +105,7 @@ func (e *Engine) Bind(q *Query) (*Prepared, error) {
 // the fast path for hot query shapes: no parsing, no planning, no
 // string interpolation per call.
 func (e *Engine) Prepare(t *Template) (*Prepared, error) {
-	return e.compile(t.q, t, false)
+	return e.compile(t.q, t)
 }
 
 // planFor returns the cached lifted plan for q's shape, compiling and
@@ -121,7 +121,7 @@ func (e *Engine) planFor(q *Query) (*Prepared, error) {
 		e.order.MoveToFront(el)
 		return el.Value.(*planEntry).plan, nil
 	}
-	p, err := e.compile(q, nil, true)
+	p, err := e.compile(q, nil)
 	if err != nil {
 		return nil, err
 	}
