@@ -368,7 +368,7 @@ func BenchmarkSimpleSampling(b *testing.B) {
 			Body: "http://dbpedia.org/property/birthPlace",
 			Head: "http://yago-knowledge.org/resource/wasBornIn",
 		}}
-		if err := v.SimpleEvidenceEach(rules, 10); err != nil {
+		if err := v.SimpleEvidenceEach(new(sampling.ObjectMemo), rules, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -388,7 +388,7 @@ func BenchmarkUnbiasedSampling(b *testing.B) {
 			B:     "http://dbpedia.org/property/hasProducer",
 			Check: "http://yago-knowledge.org/resource/directedBy",
 		}}
-		if err := v.ContradictionsEach(sampling.BodySide, pairs, 14); err != nil {
+		if err := v.ContradictionsEach(new(sampling.ObjectMemo), sampling.BodySide, pairs, 14); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -93,7 +94,24 @@ func entityRelations(tb testing.TB, k *kb.KB) (string, string) {
 type testCluster struct {
 	group   *Group
 	servers [][]*httptest.Server // [shard][replica]
+	killed  [][]*killable        // their handlers, [shard][replica]
 	locals  []*endpoint.Local    // every replica's backing endpoint
+}
+
+// killable serves its replica until killed, and then answers every
+// request 503 — a dead replica whose port stays bound until the test
+// ends, so that no other test's server can take it over meanwhile.
+type killable struct {
+	http.Handler
+	dead atomic.Bool
+}
+
+func (k *killable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if k.dead.Load() {
+		http.Error(w, "replica killed", http.StatusServiceUnavailable)
+		return
+	}
+	k.Handler.ServeHTTP(w, r)
 }
 
 func newTestCluster(t *testing.T, src *kb.KB, nShards, nReplicas int, seed int64, opt Options) *testCluster {
@@ -101,13 +119,16 @@ func newTestCluster(t *testing.T, src *kb.KB, nShards, nReplicas int, seed int64
 	parts := kb.Partition(src, nShards)
 	shards := make([][]endpoint.Endpoint, nShards)
 	servers := make([][]*httptest.Server, nShards)
+	killed := make([][]*killable, nShards)
 	var locals []*endpoint.Local
 	for i, part := range parts {
 		for j := 0; j < nReplicas; j++ {
 			local := endpoint.NewLocal(part, seed)
 			locals = append(locals, local)
-			srv := httptest.NewServer(endpoint.NewServer(local))
+			h := &killable{Handler: endpoint.NewServer(local)}
+			srv := httptest.NewServer(h)
 			servers[i] = append(servers[i], srv)
+			killed[i] = append(killed[i], h)
 			shards[i] = append(shards[i], endpoint.NewClient(part.Name(), srv.URL, nil))
 		}
 	}
@@ -115,7 +136,7 @@ func newTestCluster(t *testing.T, src *kb.KB, nShards, nReplicas int, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &testCluster{group: g, servers: servers, locals: locals}
+	tc := &testCluster{group: g, servers: servers, killed: killed, locals: locals}
 	t.Cleanup(tc.close)
 	return tc
 }
@@ -142,10 +163,11 @@ func (tc *testCluster) close() {
 	}
 }
 
-// killReplica closes one replica's HTTP server; its clients start
-// failing with connection errors, which the set fails over.
+// killReplica kills one replica: its server answers 503 from then on,
+// a retriable error the set fails over and counts against the replica.
+// The server keeps its port until the test's cleanup closes it.
 func (tc *testCluster) killReplica(shard, replica int) {
-	tc.servers[shard][replica].Close()
+	tc.killed[shard][replica].dead.Store(true)
 }
 
 func oracleSelects(rel, rel2 string) []string {
@@ -446,6 +468,13 @@ func TestClusterFailover(t *testing.T) {
 			t.Fatalf("dead replicas not ejected after traffic strikes (ejected=%d)", ejected)
 		}
 		runOracle(t, "strike-traffic", local, tc.group, nil, rel, rel2)
+	}
+	// The ejected ones are the killed ones, each with its failed attempts
+	// on record.
+	for shard, set := range tc.group.ReplicaSets() {
+		if st := set.Status(); st[0].Healthy || st[0].Errors == 0 || !st[1].Healthy {
+			t.Errorf("shard %d: replica status %+v, want replica 0 ejected with failed attempts, replica 1 healthy", shard, st)
+		}
 	}
 }
 

@@ -72,10 +72,13 @@ func newWireKB(t *testing.T, src *kb.KB, seed int64, foreign bool) *wireKB {
 // saves where it is paid: the same heads aligned over two 3-shard HTTP
 // clusters, once against servers with the multi extension and once
 // against servers stripped of it. The alignments and the queries the
-// shards ran are the same; the HTTP requests are not: 2,095 against
-// 13,315 (0.157×) measured — a stage's sample, overlap, sibling and
-// object probes are each one request per shard. (8,057, 0.605×, while
-// only whole results were grouped and every stream was a request.)
+// shards ran are the same; the HTTP requests are not: 1,996 against
+// 9,529 (0.209×) measured — a stage's sample, overlap, sibling and
+// object probes are each one request per shard. (2,095 against 13,315,
+// 0.157×, before each alignment asked every object question once: the
+// repeats it stopped asking were mostly riders on requests sent anyway.
+// 8,057, 0.605×, while only whole results were grouped and every stream
+// was a request.)
 func TestAlignmentRequestsOnTheWire(t *testing.T) {
 	// The heads of the benchmark's onthefly workloads: every fifth Yago
 	// relation aligned into DBpedia's, every tenth DBpedia relation the

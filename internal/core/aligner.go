@@ -28,6 +28,27 @@ const (
 	tmplLiteralAttrs = "SELECT ?p ?v WHERE { $x ?p ?v . FILTER ISLITERAL(?v) }"
 )
 
+// ProbeTemplate is one probe template an aligner prepares: its source
+// text and its class, the probe shape it stands for.
+type ProbeTemplate struct {
+	Source string
+	// Class is one of "sample", "objects", "overlap", "between" and
+	// "literals" — the names the benchmark's tracer reports probes by.
+	Class string
+}
+
+// ProbeTemplates lists every probe template an aligner prepares, so that
+// probes can be classified by their template from outside the aligner.
+func ProbeTemplates() []ProbeTemplate {
+	return []ProbeTemplate{
+		{sampling.TmplSample, "sample"},
+		{sampling.TmplObjects, "objects"},
+		{sampling.TmplOverlap, "overlap"},
+		{tmplPredsBetween, "between"},
+		{tmplLiteralAttrs, "literals"},
+	}
+}
+
 // Alignment is the aligner's verdict on one candidate rule r' ⇒ r.
 type Alignment struct {
 	// Rule is the subsumption hypothesis (body in K', head in K).
@@ -93,8 +114,8 @@ type Aligner struct {
 	pHeadPreds    endpoint.PreparedQuery // on K: tmplPredsBetween
 	prepErr       error
 
-	// flipped validates reverse rules r ⇒ r' (roles of K and K'
-	// swapped); built once so its prepared probes are shared by every
+	// flipped validates reverse rules r ⇒ r' (val.Flip: roles of K and
+	// K' swapped); built once so its prepared probes are shared by every
 	// equivalence check.
 	flipped *sampling.Validator
 
@@ -120,15 +141,10 @@ func New(k, kprime endpoint.Endpoint, links sampling.Translator, cfg Config) *Al
 			Links:   links,
 			Matcher: cfg.Matcher,
 		},
-		flipped: &sampling.Validator{
-			K:       kprime,
-			KPrime:  k,
-			Links:   flipTranslator{links},
-			Matcher: cfg.Matcher,
-		},
 		kName:      k.Name(),
 		kPrimeName: kprime.Name(),
 	}
+	a.flipped = a.val.Flip()
 	prep := func(ep endpoint.Endpoint, tmpl string, params ...string) endpoint.PreparedQuery {
 		if a.prepErr != nil {
 			return nil
@@ -178,7 +194,8 @@ type candidate struct {
 // per-sibling-pair contradiction checks, per-rule equivalence tests)
 // execute on a worker pool bounded by Config.Parallelism. Results are
 // collected by index, so the output is identical to the sequential run
-// for deterministic endpoints.
+// for deterministic endpoints. Every stage fetches objects through one
+// sampling.ObjectMemo, so the alignment asks each object question once.
 func (a *Aligner) AlignRelation(r string) ([]Alignment, error) {
 	allowed, err := a.prune(r)
 	if err != nil {
@@ -201,17 +218,20 @@ func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alig
 	if err != nil {
 		return nil, err
 	}
-	if err := a.validate(r, cands); err != nil {
+	// room for a validation of every candidate and the equivalence check
+	// of one: enough for most alignments, whose memo then never grows
+	memo := sampling.NewObjectMemo((len(cands) + 1) * a.cfg.SampleSize)
+	if err := a.validate(memo, r, cands); err != nil {
 		return nil, err
 	}
 	out, aligns := a.score(r, cands)
 	if a.cfg.UseUBS {
-		if err := a.applyUBS(r, cands, aligns); err != nil {
+		if err := a.applyUBS(memo, r, cands, aligns); err != nil {
 			return nil, err
 		}
 	}
 	if a.cfg.CheckEquivalence {
-		if err := a.checkEquivalences(r, out); err != nil {
+		if err := a.checkEquivalences(memo, r, out); err != nil {
 			return nil, err
 		}
 	}
@@ -222,13 +242,13 @@ func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alig
 // validate runs Simple Sample Extraction for every discovered
 // candidate, fanning the per-candidate endpoint work out over the
 // worker pool.
-func (a *Aligner) validate(r string, cands []*candidate) error {
+func (a *Aligner) validate(memo *sampling.ObjectMemo, r string, cands []*candidate) error {
 	rules := make([]sampling.Rule, len(cands))
 	for i, c := range cands {
 		rules[i] = sampling.Rule{Body: c.rel, Head: r}
 	}
 	err := a.runRanges(len(rules), func(lo, hi int) error {
-		if err := a.val.SimpleEvidenceEach(rules[lo:hi], a.cfg.SampleSize); err != nil {
+		if err := a.val.SimpleEvidenceEach(memo, rules[lo:hi], a.cfg.SampleSize); err != nil {
 			return fmt.Errorf("core: validating %d candidates for %s: %w", hi-lo, r, err)
 		}
 		return nil
@@ -465,7 +485,7 @@ func (a *Aligner) discover(r string, allowed map[string]bool) ([]*candidate, err
 // endpoint-heavy contradiction searches fan out over the worker pool;
 // their results are applied sequentially in pair order, so the
 // aggregated counters and verdicts match the sequential run exactly.
-func (a *Aligner) applyUBS(r string, cands []*candidate, aligns map[string]*Alignment) error {
+func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []*candidate, aligns map[string]*Alignment) error {
 	// provisional = accepted so far (confidence+support); only those
 	// are worth the extra queries.
 	var provisional []*candidate
@@ -477,7 +497,7 @@ func (a *Aligner) applyUBS(r string, cands []*candidate, aligns map[string]*Alig
 
 	ubs := func(side sampling.Side, pairs []sampling.SiblingPair) error {
 		return a.runRanges(len(pairs), func(lo, hi int) error {
-			return a.val.ContradictionsEach(side, pairs[lo:hi], a.cfg.UBSSampleSize)
+			return a.val.ContradictionsEach(memo, side, pairs[lo:hi], a.cfg.UBSSampleSize)
 		})
 	}
 
@@ -638,7 +658,7 @@ func (a *Aligner) headSiblings(r string, cands []*candidate, out [][]string) err
 // checkEquivalences validates the reverse rule r ⇒ r' for accepted
 // alignments through the aligner's flipped validator (roles of K and
 // K' swapped), over the worker pool.
-func (a *Aligner) checkEquivalences(r string, out []Alignment) error {
+func (a *Aligner) checkEquivalences(memo *sampling.ObjectMemo, r string, out []Alignment) error {
 	var accepted []int
 	var rules []sampling.Rule
 	for i := range out {
@@ -648,7 +668,7 @@ func (a *Aligner) checkEquivalences(r string, out []Alignment) error {
 		}
 	}
 	err := a.runRanges(len(rules), func(lo, hi int) error {
-		return a.flipped.SimpleEvidenceEach(rules[lo:hi], a.cfg.SampleSize)
+		return a.flipped.SimpleEvidenceEach(memo, rules[lo:hi], a.cfg.SampleSize)
 	})
 	if err != nil {
 		return err
@@ -662,12 +682,6 @@ func (a *Aligner) checkEquivalences(r string, out []Alignment) error {
 	}
 	return nil
 }
-
-// flipTranslator swaps the directions of a Translator.
-type flipTranslator struct{ t sampling.Translator }
-
-func (f flipTranslator) ToK(x string) (string, bool)   { return f.t.FromK(x) }
-func (f flipTranslator) FromK(x string) (string, bool) { return f.t.ToK(x) }
 
 // Accepted filters alignments down to the accepted ones.
 func Accepted(all []Alignment) []Alignment {

@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sofya/internal/endpoint"
 	"sofya/internal/sampling"
@@ -16,12 +20,34 @@ import (
 )
 
 // probeLog is what a recording endpoint saw: every execution that
-// reached it, as "endpoint|call|template|arguments", and the size of
-// every group (StreamBatch).
+// reached it, as "endpoint|call|template|arguments", the size of every
+// group (StreamBatch), and where in calls each alignment began.
 type probeLog struct {
 	mu     sync.Mutex
 	calls  []string
 	groups []int
+	starts []int
+}
+
+// mark notes that an alignment begins.
+func (l *probeLog) mark() {
+	l.mu.Lock()
+	l.starts = append(l.starts, len(l.calls))
+	l.mu.Unlock()
+}
+
+// perAlignment is the calls of each alignment, in the order they were
+// seen; call it before digest, which sorts them.
+func (l *probeLog) perAlignment() [][]string {
+	out := make([][]string, len(l.starts))
+	for i, start := range l.starts {
+		end := len(l.calls)
+		if i+1 < len(l.starts) {
+			end = l.starts[i+1]
+		}
+		out[i] = l.calls[start:end]
+	}
+	return out
 }
 
 func (l *probeLog) add(name, call, tmpl string, args []sparql.Arg) {
@@ -107,6 +133,7 @@ func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *prob
 	y2d := New(kd, ky, sampling.LinkView{Links: links, KIsA: false}, cfg)
 	var out [][]Alignment
 	for _, r := range []string{"creatorOf", "directedBy", "producedBy", "bornYear"} {
+		log.mark()
 		als, err := d2y.AlignRelation(yNS + r)
 		if err != nil {
 			t.Fatal(err)
@@ -114,6 +141,7 @@ func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *prob
 		out = append(out, als)
 	}
 	for _, r := range []string{"composerOf", "writerOf", "hasDirector", "hasProducer", "birthDate"} {
+		log.mark()
 		als, err := y2d.AlignRelation(dNS + r)
 		if err != nil {
 			t.Fatal(err)
@@ -127,12 +155,15 @@ func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *prob
 // streams — Local, the decorators, a tracing wrapper — a pass issues the
 // multiset of calls it issued before stages took ranges of items: a
 // Stream where it streamed, a SelectCtx per tuple where it grouped. The
-// digest was recorded at commit 1af688c, with this file's recording
-// endpoints and no other change. Against endpoints that do group, the
-// alignments and the multiset of tuples are the same, and only the
-// groups grow.
+// digest was first recorded at commit 1af688c, with this file's
+// recording endpoints and no other change: 649 calls, digest
+// 0xc97a6004506c8e12. It was recorded again when each alignment began
+// to ask every object question once (sampling.ObjectMemo): 558 calls,
+// the 91 gone all repeated object fetches. Against endpoints that do
+// group, the alignments and the multiset of tuples are the same, and
+// only the groups grow.
 func TestProbesOnANonGroupingEndpoint(t *testing.T) {
-	const wantCalls, wantDigest = 649, uint64(0xc97a6004506c8e12)
+	const wantCalls, wantDigest = 558, uint64(0xa71e214e672d8fa1)
 	var ref [][]Alignment
 	var tuples []string
 	for _, parallelism := range []int{1, 4} {
@@ -140,7 +171,7 @@ func TestProbesOnANonGroupingEndpoint(t *testing.T) {
 		calls, digest := log.digest()
 		t.Logf("parallelism %d: %d calls in %d groups, digest %#x", parallelism, calls, len(log.groups), digest)
 		if calls != wantCalls || digest != wantDigest || len(log.groups) != 0 {
-			t.Errorf("parallelism %d: %d calls in %d groups, digest %#x; the parent's pass issued %d in none, digest %#x",
+			t.Errorf("parallelism %d: %d calls in %d groups, digest %#x; want %d in none, digest %#x",
 				parallelism, calls, len(log.groups), digest, wantCalls, wantDigest)
 		}
 		if ref == nil {
@@ -168,4 +199,211 @@ func withoutCalls(calls []string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestAlignmentAsksEachObjectOnce: within one alignment no object
+// question — (endpoint, TmplObjects, x, r) — reaches an endpoint twice,
+// at any Parallelism, on the per-tuple path and on the grouped one. What
+// the memo takes away is only repeats: each alignment asks the same set
+// of distinct questions as before it, and the alignments are the ones
+// recorded before it (at commit c872d42, with this file's recording
+// endpoints: a pass there made 649 calls, 532 of them distinct within
+// their alignment; it makes 558 now, the other 26 repeated probes of
+// other templates).
+func TestAlignmentAsksEachObjectOnce(t *testing.T) {
+	const wantAlignments, wantAsked, wantDistinct = uint64(0xe5e6ccd2da7c90d2), uint64(0x311d23a4eefddc31), 532
+	for _, parallelism := range []int{1, 4} {
+		for _, batches := range []bool{false, true} {
+			name := fmt.Sprintf("parallelism %d, grouped %v", parallelism, batches)
+			als, log := alignAll(t, parallelism, batches)
+			var asked []string // "alignment|endpoint|template|arguments", each once
+			for i, calls := range log.perAlignment() {
+				seen := map[string]bool{}
+				for _, c := range withoutCalls(calls) {
+					if seen[c] {
+						if strings.Contains(c, "|"+sampling.TmplObjects+"|") {
+							t.Errorf("%s: alignment %d asks %s twice", name, i, c)
+						}
+						continue
+					}
+					seen[c] = true
+					asked = append(asked, fmt.Sprint(i, "|", c))
+				}
+			}
+			sort.Strings(asked)
+			if got := fingerprint(asked); got != wantAsked || len(asked) != wantDistinct {
+				t.Errorf("%s: %d distinct questions, digest %#x; want %d, %#x", name, len(asked), got, wantDistinct, wantAsked)
+			}
+			if got := fingerprint(als); got != wantAlignments {
+				t.Errorf("%s: alignments digest %#x, want %#x", name, got, wantAlignments)
+			}
+		}
+	}
+	t.Run("a failed fetch fails its waiter", objectFetchFailure)
+}
+
+// objectFetchFailure: a fetch that fails while another stage task of
+// the alignment waits on its keys fails both tasks with the fetch's own
+// error, and leaves no goroutine behind. The first task's fetch holds
+// every key of the rule; the second samples the same subjects and is
+// released into its wait as the first fails — or, some rounds, finds the
+// failure already stored, which must read the same
+// (flight.TestClaimsContract pins the waiting case on its own).
+func objectFetchFailure(t *testing.T) {
+	y, d, links := paperWorld()
+	boom := errors.New("boom")
+	rule := []sampling.Rule{{Body: dNS + "composerOf", Head: yNS + "creatorOf"}}
+	before := runtime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		ky := &failFirstObjects{Endpoint: endpoint.NewLocal(y, 11), err: boom, entered: make(chan struct{}), release: make(chan struct{})}
+		kd := &secondSample{Endpoint: endpoint.NewLocal(d, 22), read: make(chan struct{})}
+		a := New(ky, kd, sampling.LinkView{Links: links, KIsA: true}, UBSConfig())
+		memo := new(sampling.ObjectMemo)
+		first, second := make(chan error, 1), make(chan error, 1)
+		go func() { first <- a.val.SimpleEvidenceEach(memo, rule, 10) }()
+		<-ky.entered
+		go func() { second <- a.val.SimpleEvidenceEach(memo, rule, 10) }()
+		<-kd.read
+		close(ky.release)
+		if errA, errB := <-first, <-second; !errors.Is(errA, boom) || errB != errA {
+			t.Fatalf("round %d: errors %v and %v; want the fetch's, twice", round, errA, errB)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// failFirstObjects fails the first object fetch that reaches it, once
+// released, and answers every other probe.
+type failFirstObjects struct {
+	endpoint.Endpoint
+	err              error
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (e *failFirstObjects) Prepare(tmpl string, params ...string) (endpoint.PreparedQuery, error) {
+	pq, err := e.Endpoint.Prepare(tmpl, params...)
+	if tmpl == sampling.TmplObjects {
+		return failFirstHandle{pq, e}, err
+	}
+	return pq, err
+}
+
+type failFirstHandle struct {
+	endpoint.PreparedQuery
+	e *failFirstObjects
+}
+
+func (h failFirstHandle) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	first := false
+	h.e.once.Do(func() { first = true })
+	if !first {
+		return h.PreparedQuery.SelectCtx(ctx, args...)
+	}
+	close(h.e.entered)
+	<-h.e.release
+	return nil, h.e.err
+}
+
+// secondSample closes read when the second sample stream opened on it
+// is closed, its sample read.
+type secondSample struct {
+	endpoint.Endpoint
+	read    chan struct{}
+	streams atomic.Int32
+}
+
+func (e *secondSample) Prepare(tmpl string, params ...string) (endpoint.PreparedQuery, error) {
+	pq, err := e.Endpoint.Prepare(tmpl, params...)
+	if tmpl == sampling.TmplSample {
+		return secondSampleHandle{pq, e}, err
+	}
+	return pq, err
+}
+
+type secondSampleHandle struct {
+	endpoint.PreparedQuery
+	e *secondSample
+}
+
+func (h secondSampleHandle) Stream(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
+	rows, err := h.PreparedQuery.Stream(ctx, args...)
+	if err != nil || h.e.streams.Add(1) != 2 {
+		return rows, err
+	}
+	return closeSignal{rows, h.e.read}, nil
+}
+
+type closeSignal struct {
+	endpoint.Rows
+	closed chan struct{}
+}
+
+func (r closeSignal) Close() {
+	r.Rows.Close()
+	close(r.closed)
+}
+
+// TestProbeTemplatesCoverTheAligner: every template an aligner prepares —
+// its own, its validators', its candidate prober's — is in
+// ProbeTemplates, and every listed one is prepared.
+func TestProbeTemplatesCoverTheAligner(t *testing.T) {
+	listed := map[string]bool{}
+	for _, pt := range ProbeTemplates() {
+		listed[pt.Source] = true
+	}
+	if len(listed) != 5 {
+		t.Fatalf("%d distinct templates listed, want 5", len(listed))
+	}
+	y, d, links := paperWorld()
+	prepared := &prepareLog{seen: map[string]bool{}}
+	cfg := UBSConfig()
+	cfg.CandidateTopK = 16
+	a := New(prepared.wrap(endpoint.NewLocal(y, 11)), prepared.wrap(endpoint.NewLocal(d, 22)), sampling.LinkView{Links: links, KIsA: true}, cfg)
+	for _, r := range []string{"creatorOf", "directedBy", "bornYear"} {
+		if _, err := a.AlignRelation(yNS + r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tmpl := range prepared.seen {
+		if !listed[tmpl] {
+			t.Errorf("the aligner prepares %q, which ProbeTemplates does not list", tmpl)
+		}
+	}
+	for tmpl := range listed {
+		if !prepared.seen[tmpl] {
+			t.Errorf("ProbeTemplates lists %q, which the aligner never prepares", tmpl)
+		}
+	}
+}
+
+// prepareLog records the templates prepared on the endpoints it wraps.
+type prepareLog struct {
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (l *prepareLog) wrap(ep endpoint.Endpoint) endpoint.Endpoint { return preparing{ep, l} }
+
+type preparing struct {
+	endpoint.Endpoint
+	log *prepareLog
+}
+
+func (e preparing) Prepare(tmpl string, params ...string) (endpoint.PreparedQuery, error) {
+	e.log.mu.Lock()
+	e.log.seen[tmpl] = true
+	e.log.mu.Unlock()
+	return e.Endpoint.Prepare(tmpl, params...)
+}
+
+// fingerprint hashes v's printed form; %v prints every float exactly.
+func fingerprint(v any) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", v)
+	return h.Sum64()
 }

@@ -9,6 +9,8 @@
 //     function again.
 //   - Memo, the Group that remembers — the body of core.Cache and
 //     core.IndexCache.
+//   - Claims, the Memo a call asks many keys of at once, fetching its
+//     misses together — the aligner's per-alignment object memo.
 //   - Each, the one index-ordered parallel loop: the aligner's stages
 //     and batches, a shard group's fan-out and the candidate index's
 //     sampling pass all run their tasks through it.

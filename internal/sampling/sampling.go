@@ -25,7 +25,8 @@
 // per shard, however many rules it holds; a group fails over whole at its
 // open, and is the caller's error once cut after it; against an endpoint
 // that does not group a range costs exactly the probes its rules would
-// have cost one by one.
+// have cost one by one. Object fetches go through an ObjectMemo, one per
+// alignment: an alignment asks each of its object questions once.
 package sampling
 
 import (
@@ -34,6 +35,7 @@ import (
 	"sync"
 
 	"sofya/internal/endpoint"
+	"sofya/internal/flight"
 	"sofya/internal/ilp"
 	"sofya/internal/rdf"
 	"sofya/internal/sameas"
@@ -45,9 +47,9 @@ import (
 // probes through endpoint.PreparedQuery handles compiled once per
 // validator (see Validator.prepare), so the per-probe cost is argument
 // binding — no query construction, parsing or planning. The object
-// probe is shared by Simple Sample Extraction and the UBS check stage:
-// with a caching endpoint the two stages deduplicate against each
-// other, exactly as their identical query texts used to.
+// probe is shared by Simple Sample Extraction and the UBS check stage,
+// and the alignment's ObjectMemo deduplicates the two stages against
+// each other on every endpoint.
 const (
 	// TmplSample randomly samples facts of one relation.
 	TmplSample = "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n"
@@ -105,6 +107,10 @@ type Validator struct {
 	// Matcher aligns literal objects; nil disables literal alignment.
 	Matcher *strsim.LiteralMatcher
 
+	// flipped marks a validator made by Flip: its K is the K' of the
+	// validator it flips, which is what an ObjectMemo's keys name.
+	flipped bool
+
 	// prepared probe handles, compiled lazily once per validator.
 	prepOnce     sync.Once
 	prepErr      error
@@ -114,6 +120,20 @@ type Validator struct {
 	pOverlapBody endpoint.PreparedQuery // on KPrime: TmplOverlap
 	pOverlapHead endpoint.PreparedQuery // on K: TmplOverlap
 }
+
+// Flip returns the validator of the reverse rules r ⇒ r': K and K'
+// swapped, links read the other way. An ObjectMemo serves v and its
+// Flip together: the objects Flip fetches from its K are the ones v
+// fetches from its K'.
+func (v *Validator) Flip() *Validator {
+	return &Validator{K: v.KPrime, KPrime: v.K, Links: flipTranslator{v.Links}, Matcher: v.Matcher, flipped: !v.flipped}
+}
+
+// flipTranslator swaps the directions of a Translator.
+type flipTranslator struct{ t Translator }
+
+func (f flipTranslator) ToK(x string) (string, bool)   { return f.t.FromK(x) }
+func (f flipTranslator) FromK(x string) (string, bool) { return f.t.ToK(x) }
 
 // prepare compiles the validator's probe templates against both
 // endpoints, once.
@@ -155,7 +175,8 @@ type SampleSet struct {
 	// Subjects lists the distinct sampled subject IRIs (K space), in
 	// sample order; at most the requested sample size.
 	Subjects []string
-	// Facts holds every translated r_sub fact of the sampled subjects.
+	// Facts holds every translated r_sub fact of the sampled subjects,
+	// grouped by subject in Subjects order.
 	Facts []BodyFact
 	// SkippedNoLink counts fetched facts dropped for missing sameAs
 	// links (the paper: such facts are ignored, not punished).
@@ -248,36 +269,105 @@ func (v *Validator) readSample(rows endpoint.Rows, n int) *SampleSet {
 	return set
 }
 
-// objectsOf runs the object probe pq for every (subject, relation) pair
-// of args — two arguments a fetch — as one group, drained
-// (endpoint.SelectBatch): the fetches are independent, so an endpoint
-// that can take them together does — one request, one per shard — and
-// any other runs them in order, stopping at the first failure. objs[i] holds the objects of
-// pair i. It is the one object fetch of both samplers: Simple Sample
-// Extraction needs the full r-facts of its sampled subjects for the PCA
-// denominator, the UBS check stage those of its overlap subjects — over
-// the same template, so a caching endpoint deduplicates the two stages
-// against each other.
-func objectsOf(pq endpoint.PreparedQuery, args []sparql.Arg) ([][]rdf.Term, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	argSets := make([][]sparql.Arg, len(args)/2)
-	for i := range argSets {
-		argSets[i] = args[2*i : 2*i+2 : 2*i+2]
-	}
-	results, err := endpoint.SelectBatch(context.Background(), pq, argSets)
-	if err != nil {
-		return nil, fmt.Errorf("sampling: objects of %d subjects: %w", len(argSets), err)
-	}
-	objs := make([][]rdf.Term, len(results))
-	for i, res := range results {
-		objs[i] = make([]rdf.Term, len(res.Rows))
-		for j, row := range res.Rows {
-			objs[i][j] = row[0]
+// ObjectMemo is one alignment's object memo: the objects of r(x, ·) in
+// either KB, keyed by (KB, x, r), each fetched once whatever the stage,
+// Parallelism, grouping or timing — so every stage of an alignment asks
+// each object question once, on every endpoint, and which stage task
+// asks it is the only thing timing decides. A TmplObjects result has no
+// RAND and no LIMIT, so the answer a stage reuses is the one it would
+// have fetched. Create one per alignment and hand it to every object
+// fetch of that alignment, through one Validator and its Flip. The zero
+// value is ready to use.
+type ObjectMemo struct {
+	claims flight.Claims[objectKey, []rdf.Term]
+
+	mu   sync.Mutex
+	rels []relation // an objectKey's rel indexes this
+}
+
+// relation is one relation of one KB: of the K' of the unflipped
+// validator when kPrime is set, of its K otherwise.
+type relation struct {
+	r      string
+	kPrime bool
+}
+
+// objectKey names one object question: the objects of rels[rel](x, ·).
+// An alignment asks of a few relations about many subjects, so the
+// relation half of the key is a number: the key is small, and so is the
+// memo's table.
+type objectKey struct {
+	x   string
+	rel uint32
+}
+
+// NewObjectMemo returns an ObjectMemo with room for n object questions.
+func NewObjectMemo(n int) *ObjectMemo {
+	m := new(ObjectMemo)
+	m.claims.Reserve(n)
+	return m
+}
+
+// relation numbers r, a relation of K — of K' when prime is set — for
+// v's object questions about it.
+func (v *Validator) relation(memo *ObjectMemo, prime bool, r string) uint32 {
+	rel := relation{r, prime != v.flipped}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	for i, have := range memo.rels {
+		if have == rel {
+			return uint32(i)
 		}
 	}
-	return objs, nil
+	memo.rels = append(memo.rels, rel)
+	return uint32(len(memo.rels) - 1)
+}
+
+// objectsOf returns, for every key, the objects of its relation in K —
+// in K' when prime is set — for its subject. The keys memo has not seen
+// go out as one group, drained (endpoint.SelectBatch): the fetches are
+// independent, so an endpoint that can take them together does — one
+// request, one per shard — and any other runs them in order, stopping at
+// the first failure; then it waits for the keys another stage task is
+// fetching. It is the one object fetch of both samplers: Simple Sample
+// Extraction needs the full r-facts of its sampled subjects for the PCA
+// denominator, the UBS check stage those of its overlap subjects.
+func (v *Validator) objectsOf(memo *ObjectMemo, prime bool, keys []objectKey) ([][]rdf.Term, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	pq := v.pHeadObjects
+	if prime {
+		pq = v.pPrimeObjs
+	}
+	return memo.claims.Get(keys, func(miss []int) ([][]rdf.Term, error) {
+		memo.mu.Lock()
+		rels := memo.rels
+		memo.mu.Unlock()
+		args := make([]sparql.Arg, 2*len(miss))
+		argSets := make([][]sparql.Arg, len(miss))
+		for j, i := range miss {
+			args[2*j], args[2*j+1] = sparql.IRIArg(keys[i].x), sparql.IRIArg(rels[keys[i].rel].r)
+			argSets[j] = args[2*j : 2*j+2 : 2*j+2]
+		}
+		results, err := endpoint.SelectBatch(context.Background(), pq, argSets)
+		if err != nil {
+			return nil, fmt.Errorf("sampling: objects of %d subjects: %w", len(argSets), err)
+		}
+		n := 0
+		for _, res := range results {
+			n += len(res.Rows)
+		}
+		flat := make([]rdf.Term, 0, n)
+		objs := make([][]rdf.Term, len(results))
+		for i, res := range results {
+			for _, row := range res.Rows {
+				flat = append(flat, row[0])
+			}
+			objs[i], flat = flat[:len(flat):len(flat)], flat[len(flat):]
+		}
+		return objs, nil
+	})
 }
 
 // Rule is one candidate rule Body ⇒ Head, Body a relation of K' and Head
@@ -291,9 +381,9 @@ type Rule struct {
 // SimpleEvidenceEach runs the full Simple Sample Extraction pipeline for
 // each of rules with a sample of n subjects, filling in its Ev (one
 // PairEvidence per translated body fact) and Set: the sample probes of
-// all of them are one group, and so are the head-object fetches of all
-// their sampled subjects.
-func (v *Validator) SimpleEvidenceEach(rules []Rule, n int) error {
+// all of them are one group, and the head-object fetches of all their
+// sampled subjects go through memo.
+func (v *Validator) SimpleEvidenceEach(memo *ObjectMemo, rules []Rule, n int) error {
 	bodies := make([]string, len(rules))
 	for i := range rules {
 		bodies[i] = rules[i].Body
@@ -306,26 +396,26 @@ func (v *Validator) SimpleEvidenceEach(rules []Rule, n int) error {
 	for _, set := range sets {
 		subjects += len(set.Subjects)
 	}
-	args := make([]sparql.Arg, 0, 2*subjects)
+	keys := make([]objectKey, 0, subjects)
 	for i, set := range sets {
-		head := sparql.IRIArg(rules[i].Head)
+		head := v.relation(memo, false, rules[i].Head)
 		for _, x := range set.Subjects {
-			args = append(args, sparql.IRIArg(x), head)
+			keys = append(keys, objectKey{x, head})
 		}
 	}
-	objs, err := objectsOf(v.pHeadObjects, args)
+	objs, err := v.objectsOf(memo, false, keys)
 	if err != nil {
 		return err
 	}
 	for i, set := range sets {
 		ev := &ilp.Evidence{}
-		headObjs := make(map[string][]rdf.Term, len(set.Subjects))
-		for k, x := range set.Subjects {
-			headObjs[x] = objs[k]
-		}
-		objs = objs[len(set.Subjects):]
+		// the facts come subject after subject, in Subjects order
+		k := 0
 		for _, f := range set.Facts {
-			held := headObjs[f.X]
+			for set.Subjects[k] != f.X {
+				k++
+			}
+			held := objs[k]
 			ev.Add(ilp.PairEvidence{
 				X:              f.X,
 				Y:              f.Y.String(),
@@ -333,6 +423,7 @@ func (v *Validator) SimpleEvidenceEach(rules []Rule, n int) error {
 				SubjectHasHead: len(held) > 0,
 			})
 		}
+		objs = objs[len(set.Subjects):]
 		rules[i].Ev, rules[i].Set = ev, set
 	}
 	return nil

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,7 +10,6 @@ import (
 	"sofya/internal/kb"
 	"sofya/internal/rdf"
 	"sofya/internal/sameas"
-	"sofya/internal/sparql"
 	"sofya/internal/strsim"
 )
 
@@ -121,13 +121,13 @@ func sampleBody(v *Validator, rsub string, n int) (*SampleSet, error) {
 
 func simpleEvidence(v *Validator, rsub, r string, n int) (*ilp.Evidence, *SampleSet, error) {
 	rules := []Rule{{Body: rsub, Head: r}}
-	err := v.SimpleEvidenceEach(rules, n)
+	err := v.SimpleEvidenceEach(new(ObjectMemo), rules, n)
 	return rules[0].Ev, rules[0].Set, err
 }
 
 func contradictions(v *Validator, side Side, a, b, check string, m int) (*UBSResult, error) {
 	pairs := []SiblingPair{{A: a, B: b, Check: check}}
-	err := v.ContradictionsEach(side, pairs, m)
+	err := v.ContradictionsEach(new(ObjectMemo), side, pairs, m)
 	return pairs[0].Res, err
 }
 
@@ -249,30 +249,46 @@ func TestSimpleEvidenceWrongDirectionIsBlindWithoutUBS(t *testing.T) {
 }
 
 func TestHeadObjects(t *testing.T) {
-	v, ky, _ := newValidator(t)
+	v, ky, kd := newValidator(t)
 	if err := v.prepare(); err != nil {
 		t.Fatal(err)
 	}
-	// one group: a subject with two objects, one with one, one with none
-	var args []sparql.Arg
-	for _, x := range []string{"poly", "c0", "nobody"} {
-		args = append(args, sparql.IRIArg(yNS+x), sparql.IRIArg(yNS+"creatorOf"))
+	// one group: a subject with two objects, one with one, one with none,
+	// and the first again
+	memo := new(ObjectMemo)
+	var keys []objectKey
+	for _, x := range []string{"poly", "c0", "nobody", "poly"} {
+		keys = append(keys, objectKey{yNS + x, v.relation(memo, false, yNS+"creatorOf")})
 	}
-	objs, err := objectsOf(v.pHeadObjects, args)
+	objs, err := v.objectsOf(memo, false, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(objs) != 3 || len(objs[0]) != 2 || len(objs[1]) != 1 || len(objs[2]) != 0 {
+	if len(objs) != 4 || len(objs[0]) != 2 || len(objs[1]) != 1 || len(objs[2]) != 0 || !reflect.DeepEqual(objs[3], objs[0]) {
 		t.Fatalf("objects = %v", objs)
 	}
 	if objs[1][0] != rdf.NewIRI(yNS+"comp0") {
 		t.Fatalf("objects of c0 = %v", objs[1])
 	}
 	if q := ky.Stats().Queries; q != 3 {
-		t.Fatalf("K queries = %d, want 3 (one per subject)", q)
+		t.Fatalf("K queries = %d, want 3 (one per distinct subject)", q)
 	}
-	if objs, err := objectsOf(v.pHeadObjects, nil); err != nil || objs != nil || ky.Stats().Queries != 3 {
+	if objs, err := v.objectsOf(memo, false, nil); err != nil || objs != nil || ky.Stats().Queries != 3 {
 		t.Fatalf("empty group: %v, %v, %d queries", objs, err, ky.Stats().Queries)
+	}
+	// The memo answers a key it has seen; its Flip asks the same KB from
+	// the other side, so it shares the answers — and asks nothing of the
+	// other KB for them.
+	flip := v.Flip()
+	if err := flip.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flip.objectsOf(memo, true, []objectKey{{yNS + "c0", flip.relation(memo, true, yNS+"creatorOf")}}); err != nil || ky.Stats().Queries != 3 || kd.Stats().Queries != 0 {
+		t.Fatalf("flipped validator over the same memo: %v, %d + %d queries", err, ky.Stats().Queries, kd.Stats().Queries)
+	}
+	// The same (x, r) in the other KB is another question.
+	if _, err := v.objectsOf(memo, true, []objectKey{{yNS + "c0", v.relation(memo, true, yNS+"creatorOf")}}); err != nil || kd.Stats().Queries != 1 {
+		t.Fatalf("K' objects: %v, %d queries", err, kd.Stats().Queries)
 	}
 }
 

@@ -101,20 +101,18 @@ type SiblingPair struct {
 // == HeadSide the roles are mirrored. It samples up to m overlap subjects
 // x: A(x,y1) ∧ B(x,y2) ∧ ¬A(x,y2), translates each row into the opposite
 // KB, and evaluates Check(x,y1) / Check(x,y2) there. The overlap probes
-// of all the pairs are one group, and so are the check-object fetches of
-// all their overlap subjects.
+// of all the pairs are one group, and the check-object fetches of all
+// their overlap subjects go through memo.
 //
 // Entity-entity relations only: rows with literal objects are skipped
 // (literal candidates are validated by the simple sampler alone).
-func (v *Validator) ContradictionsEach(side Side, pairs []SiblingPair, m int) error {
+func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []SiblingPair, m int) error {
 	if err := v.prepare(); err != nil {
 		return err
 	}
-	overlap, checkObjs := v.pOverlapBody, v.pHeadObjects
-	translate := v.Links.ToK
+	overlap, translate := v.pOverlapBody, v.Links.ToK
 	if side == HeadSide {
-		overlap, checkObjs = v.pOverlapHead, v.pPrimeObjs
-		translate = v.Links.FromK
+		overlap, translate = v.pOverlapHead, v.Links.FromK
 	}
 	args := make([]sparql.Arg, 3*len(pairs))
 	argSets := make([][]sparql.Arg, len(pairs))
@@ -125,17 +123,13 @@ func (v *Validator) ContradictionsEach(side Side, pairs []SiblingPair, m int) er
 	// Translation alone decides where an overlap stream stops, so each is
 	// read to that point and the group closed before any check object is
 	// fetched: the streams — over HTTP a response body and server-side
-	// enumerations — are not held open across the fetches, and the
-	// fetches, independent once their subjects are known, go out as one
-	// group: one per distinct overlap subject of a pair, first seen first,
-	// numbered on from those of the pairs before it. rowAt holds, row after
-	// row and pair after pair, the number of the row's subject.
-	fetches := 0
-	rowAt := make([]int, 0, m*len(pairs))
+	// enumerations — are not held open across the fetches. keys holds,
+	// row after row and pair after pair, the check fetch of the row.
+	keys := make([]objectKey, 0, m*len(pairs))
 	err := endpoint.EachSet(context.Background(), overlap, argSets, func(i int, rows endpoint.Rows) error {
 		out := &UBSResult{}
 		pairs[i].Res = out
-		at := map[string]int{} // subject → its number
+		check := v.relation(memo, side == HeadSide, pairs[i].Check)
 		for len(out.Rows) < m && rows.Next() {
 			out.Sampled++
 			row := rows.Row()
@@ -150,13 +144,7 @@ func (v *Validator) ContradictionsEach(side Side, pairs []SiblingPair, m int) er
 				out.Untranslatable++
 				continue
 			}
-			k, seen := at[x]
-			if !seen {
-				k = fetches
-				at[x] = k
-				fetches++
-			}
-			rowAt = append(rowAt, k)
+			keys = append(keys, objectKey{x, check})
 			out.Rows = append(out.Rows, Contradiction{X: x, Y1: rdf.NewIRI(y1), Y2: rdf.NewIRI(y2)})
 		}
 		return nil
@@ -164,24 +152,15 @@ func (v *Validator) ContradictionsEach(side Side, pairs []SiblingPair, m int) er
 	if err != nil {
 		return fmt.Errorf("sampling: UBS overlap query (%s,%s) and %d more: %w", pairs[0].A, pairs[0].B, len(pairs)-1, err)
 	}
-	fetch := make([]sparql.Arg, 2*fetches)
-	next := rowAt
-	for _, p := range pairs {
-		for _, c := range p.Res.Rows {
-			fetch[2*next[0]], fetch[2*next[0]+1] = sparql.IRIArg(c.X), sparql.IRIArg(p.Check)
-			next = next[1:]
-		}
-	}
-	objs, err := objectsOf(checkObjs, fetch)
+	objs, err := v.objectsOf(memo, side == HeadSide, keys)
 	if err != nil {
 		return err
 	}
 	for _, p := range pairs {
 		for k := range p.Res.Rows {
 			c := &p.Res.Rows[k]
-			held := objs[rowAt[0]]
-			c.CheckY1, c.CheckY2 = containsIRI(held, c.Y1.Value), containsIRI(held, c.Y2.Value)
-			rowAt = rowAt[1:]
+			c.CheckY1, c.CheckY2 = containsIRI(objs[0], c.Y1.Value), containsIRI(objs[0], c.Y2.Value)
+			objs = objs[1:]
 		}
 	}
 	return nil
