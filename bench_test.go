@@ -356,11 +356,10 @@ func BenchmarkKBFreeze(b *testing.B) {
 
 func BenchmarkSimpleSampling(b *testing.B) {
 	w := world(b)
-	v := &sampling.Validator{
-		K:       endpoint.NewLocal(w.Yago, 1),
-		KPrime:  endpoint.NewLocal(w.Dbp, 2),
-		Links:   sampling.LinkView{Links: w.Links, KIsA: true},
-		Matcher: strsim.DefaultMatcher(),
+	v, err := sampling.NewValidator(endpoint.NewLocal(w.Yago, 1), endpoint.NewLocal(w.Dbp, 2),
+		sampling.LinkView{Links: w.Links, KIsA: true}, strsim.DefaultMatcher())
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -376,10 +375,10 @@ func BenchmarkSimpleSampling(b *testing.B) {
 
 func BenchmarkUnbiasedSampling(b *testing.B) {
 	w := world(b)
-	v := &sampling.Validator{
-		K:      endpoint.NewLocal(w.Yago, 1),
-		KPrime: endpoint.NewLocal(w.Dbp, 2),
-		Links:  sampling.LinkView{Links: w.Links, KIsA: true},
+	v, err := sampling.NewValidator(endpoint.NewLocal(w.Yago, 1), endpoint.NewLocal(w.Dbp, 2),
+		sampling.LinkView{Links: w.Links, KIsA: true}, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,45 +9,17 @@ import (
 	"sofya/internal/candidates"
 	"sofya/internal/endpoint"
 	"sofya/internal/ilp"
-	"sofya/internal/rdf"
 	"sofya/internal/sampling"
-	"sofya/internal/sparql"
-)
-
-// Query templates of the aligner's own probe sites. Like the sampling
-// templates they are prepared once per aligner and bound per stage, so
-// the thousands of structurally identical probes an alignment fires
-// skip query construction, parsing and planning entirely.
-const (
-	// tmplPredsBetween asks which predicates connect two entities —
-	// the discovery stage's entity probe and, mirrored onto K, the
-	// head-sibling (equivalence) probe.
-	tmplPredsBetween = "SELECT ?p WHERE { $x ?p $y }"
-	// tmplLiteralAttrs scans an entity's literal attributes for the
-	// discovery stage's literal matcher.
-	tmplLiteralAttrs = "SELECT ?p ?v WHERE { $x ?p ?v . FILTER ISLITERAL(?v) }"
 )
 
 // ProbeTemplate is one probe template an aligner prepares: its source
 // text and its class, the probe shape it stands for.
-type ProbeTemplate struct {
-	Source string
-	// Class is one of "sample", "objects", "overlap", "between" and
-	// "literals" — the names the benchmark's tracer reports probes by.
-	Class string
-}
+type ProbeTemplate = sampling.ProbeTemplate
 
-// ProbeTemplates lists every probe template an aligner prepares, so that
-// probes can be classified by their template from outside the aligner.
-func ProbeTemplates() []ProbeTemplate {
-	return []ProbeTemplate{
-		{sampling.TmplSample, "sample"},
-		{sampling.TmplObjects, "objects"},
-		{sampling.TmplOverlap, "overlap"},
-		{tmplPredsBetween, "between"},
-		{tmplLiteralAttrs, "literals"},
-	}
-}
+// ProbeTemplates lists every probe template an aligner prepares — the
+// probe table of its sampling.Validator — so that probes can be
+// classified by their template from outside the aligner.
+func ProbeTemplates() []ProbeTemplate { return sampling.ProbeTemplates() }
 
 // Alignment is the aligner's verdict on one candidate rule r' ⇒ r.
 type Alignment struct {
@@ -95,29 +67,18 @@ type Alignment struct {
 // It is deterministic for fixed endpoint seeds.
 type Aligner struct {
 	cfg Config
-	val *sampling.Validator
+	// val sends every probe of the aligner; prepErr, its failed
+	// preparation, surfaces at alignment time.
+	val     *sampling.Validator
+	prepErr error
 	// sem admits endpoint-bound stage tasks; its capacity
 	// (Config.Parallelism) is the aligner-wide concurrency bound shared
 	// by every pipeline stage of every concurrently aligning relation.
 	sem chan struct{}
 	// rangeSize is how many items of a stage one stage task takes
-	// (runRanges): stageGroup when an endpoint groups, 1 otherwise.
+	// (runRanges): stageGroup when the endpoints group (val.Groups), 1
+	// otherwise.
 	rangeSize int
-	// names label the KBs in emitted rules.
-	kName, kPrimeName string
-
-	// prepared probe templates, compiled once in New and bound per
-	// stage; prepErr surfaces a failed Prepare at alignment time.
-	pDiscover     endpoint.PreparedQuery // on K: sampling.TmplSample
-	pEntityPreds  endpoint.PreparedQuery // on K': tmplPredsBetween
-	pLiteralAttrs endpoint.PreparedQuery // on K': tmplLiteralAttrs
-	pHeadPreds    endpoint.PreparedQuery // on K: tmplPredsBetween
-	prepErr       error
-
-	// flipped validates reverse rules r ⇒ r' (val.Flip: roles of K and
-	// K' swapped); built once so its prepared probes are shared by every
-	// equivalence check.
-	flipped *sampling.Validator
 
 	// candidate-generation index (Config.CandidateTopK > 0), built
 	// lazily on first alignment so aligners that never align do not pay
@@ -132,38 +93,10 @@ type Aligner struct {
 // to align against), and the sameAs translator between them.
 func New(k, kprime endpoint.Endpoint, links sampling.Translator, cfg Config) *Aligner {
 	cfg = cfg.normalized()
-	a := &Aligner{
-		cfg: cfg,
-		sem: make(chan struct{}, cfg.Parallelism),
-		val: &sampling.Validator{
-			K:       k,
-			KPrime:  kprime,
-			Links:   links,
-			Matcher: cfg.Matcher,
-		},
-		kName:      k.Name(),
-		kPrimeName: kprime.Name(),
-	}
-	a.flipped = a.val.Flip()
-	prep := func(ep endpoint.Endpoint, tmpl string, params ...string) endpoint.PreparedQuery {
-		if a.prepErr != nil {
-			return nil
-		}
-		pq, err := ep.Prepare(tmpl, params...)
-		if err != nil {
-			a.prepErr = fmt.Errorf("core: preparing probe against %s: %w", ep.Name(), err)
-		}
-		return pq
-	}
-	a.pDiscover = prep(k, sampling.TmplSample, "r", "n")
-	a.pEntityPreds = prep(kprime, tmplPredsBetween, "x", "y")
-	a.pLiteralAttrs = prep(kprime, tmplLiteralAttrs, "x")
-	a.pHeadPreds = prep(k, tmplPredsBetween, "x", "y")
-	a.rangeSize = 1
-	for _, pq := range []endpoint.PreparedQuery{a.pDiscover, a.pEntityPreds} { // one handle of K, one of K'
-		if _, ok := pq.(endpoint.BatchStreamer); ok {
-			a.rangeSize = stageGroup
-		}
+	a := &Aligner{cfg: cfg, sem: make(chan struct{}, cfg.Parallelism), rangeSize: 1}
+	a.val, a.prepErr = sampling.NewValidator(k, kprime, links, cfg.Matcher)
+	if a.prepErr == nil && a.val.Groups() {
+		a.rangeSize = stageGroup
 	}
 	return a
 }
@@ -175,14 +108,6 @@ func (a *Aligner) tracef(format string, args ...any) {
 	if a.cfg.Trace != nil {
 		a.cfg.Trace(format, args...)
 	}
-}
-
-// candidate tracks one discovered relation during alignment.
-type candidate struct {
-	rel  string
-	hits int
-	ev   *ilp.Evidence
-	set  *sampling.SampleSet
 }
 
 // AlignRelation finds relations r' of K' with r'(x,y) ⇒ r(x,y), for r a
@@ -197,6 +122,9 @@ type candidate struct {
 // for deterministic endpoints. Every stage fetches objects through one
 // sampling.ObjectMemo, so the alignment asks each object question once.
 func (a *Aligner) AlignRelation(r string) ([]Alignment, error) {
+	if a.prepErr != nil {
+		return nil, a.prepErr
+	}
 	allowed, err := a.prune(r)
 	if err != nil {
 		return nil, err
@@ -214,7 +142,7 @@ func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alig
 	if a.prepErr != nil {
 		return nil, a.prepErr
 	}
-	cands, err := a.discover(r, allowed)
+	cands, hits, err := a.discover(r, allowed)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +152,7 @@ func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alig
 	if err := a.validate(memo, r, cands); err != nil {
 		return nil, err
 	}
-	out, aligns := a.score(r, cands)
+	out, aligns := a.score(cands, hits)
 	if a.cfg.UseUBS {
 		if err := a.applyUBS(memo, r, cands, aligns); err != nil {
 			return nil, err
@@ -239,48 +167,40 @@ func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alig
 	return out, nil
 }
 
-// validate runs Simple Sample Extraction for every discovered
-// candidate, fanning the per-candidate endpoint work out over the
-// worker pool.
-func (a *Aligner) validate(memo *sampling.ObjectMemo, r string, cands []*candidate) error {
-	rules := make([]sampling.Rule, len(cands))
-	for i, c := range cands {
-		rules[i] = sampling.Rule{Body: c.rel, Head: r}
-	}
-	err := a.runRanges(len(rules), func(lo, hi int) error {
-		if err := a.val.SimpleEvidenceEach(memo, rules[lo:hi], a.cfg.SampleSize); err != nil {
+// validate runs Simple Sample Extraction for every candidate rule,
+// filling in its Ev and Set, fanning the per-candidate endpoint work out
+// over the worker pool.
+func (a *Aligner) validate(memo *sampling.ObjectMemo, r string, cands []sampling.Rule) error {
+	return a.runRanges(len(cands), func(lo, hi int) error {
+		if err := a.val.SimpleEvidenceEach(memo, cands[lo:hi], a.cfg.SampleSize); err != nil {
 			return fmt.Errorf("core: validating %d candidates for %s: %w", hi-lo, r, err)
 		}
 		return nil
 	})
-	for i, c := range cands {
-		c.ev, c.set = rules[i].Ev, rules[i].Set
-	}
-	return err
 }
 
 // score turns validated candidates into Alignments and applies the
 // confidence threshold and support gates. Pure computation — no
 // endpoint traffic.
-func (a *Aligner) score(r string, cands []*candidate) ([]Alignment, map[string]*Alignment) {
+func (a *Aligner) score(cands []sampling.Rule, hits map[string]int) ([]Alignment, map[string]*Alignment) {
 	out := make([]Alignment, 0, len(cands))
 	aligns := make(map[string]*Alignment, len(cands))
 	for _, c := range cands {
 		al := Alignment{
 			Rule: ilp.Rule{
-				BodyKB: a.kPrimeName, HeadKB: a.kName,
-				Body: c.rel, Head: r,
+				BodyKB: a.val.KPrime.Name(), HeadKB: a.val.K.Name(),
+				Body: c.Body, Head: c.Head,
 			},
-			PCA:           c.ev.PCAConf(),
-			CWA:           c.ev.CWAConf(),
-			Support:       c.ev.Support(),
-			Evidence:      c.ev.Total(),
-			DiscoveryHits: c.hits,
+			PCA:           c.Ev.PCAConf(),
+			CWA:           c.Ev.CWAConf(),
+			Support:       c.Ev.Support(),
+			Evidence:      c.Ev.Total(),
+			DiscoveryHits: hits[c.Body],
 		}
-		al.Confidence = a.cfg.Measure.Conf(c.ev)
+		al.Confidence = a.cfg.Measure.Conf(c.Ev)
 		al.Accepted = al.Confidence >= a.cfg.Threshold && al.Support >= a.cfg.MinSupport
 		out = append(out, al)
-		aligns[c.rel] = &out[len(out)-1]
+		aligns[c.Body] = &out[len(out)-1]
 	}
 	return out, aligns
 }
@@ -297,55 +217,6 @@ func sortAlignments(out []Alignment) {
 		}
 		return out[i].Rule.Body < out[j].Rule.Body
 	})
-}
-
-// discoveryProbes are the K'-side co-occurrence queries of one
-// discovery sample, as the argument tuples of their two templates:
-// entity probes on pEntityPreds (which predicates connect the translated
-// pair?) and literal scans on pLiteralAttrs, scan i matched against
-// lits[i].
-type discoveryProbes struct {
-	entity  [][]sparql.Arg
-	literal [][]sparql.Arg
-	lits    []rdf.Term
-}
-
-// discoverProbes pulls the discovery sample stream until SampleSize
-// translatable probes are collected, then closes it — rows past that
-// point are never pulled from the endpoint.
-func (a *Aligner) discoverProbes(r string, window int) (discoveryProbes, error) {
-	var probes discoveryProbes
-	rows, err := a.pDiscover.Stream(context.Background(), sparql.IRIArg(r), sparql.IntArg(window))
-	if err != nil {
-		return probes, err
-	}
-	defer rows.Close()
-	for len(probes.entity)+len(probes.literal) < a.cfg.SampleSize && rows.Next() {
-		row := rows.Row()
-		x, y := row[0], row[1]
-		if !x.IsIRI() {
-			continue
-		}
-		xp, ok := a.val.Links.FromK(x.Value)
-		if !ok {
-			continue
-		}
-		switch {
-		case y.IsIRI():
-			yp, ok := a.val.Links.FromK(y.Value)
-			if !ok {
-				continue
-			}
-			probes.entity = append(probes.entity, []sparql.Arg{sparql.IRIArg(xp), sparql.IRIArg(yp)})
-		case y.IsLiteral():
-			if a.cfg.Matcher == nil {
-				continue
-			}
-			probes.literal = append(probes.literal, []sparql.Arg{sparql.IRIArg(xp)})
-			probes.lits = append(probes.lits, y)
-		}
-	}
-	return probes, rows.Err()
 }
 
 // ensureCandidates obtains the candidate index over the target
@@ -403,101 +274,50 @@ func (a *Aligner) prune(r string) (map[string]bool, error) {
 	return allowed, nil
 }
 
-// discover samples r-facts from K, translates them into K', and
-// collects candidate predicates by co-occurrence. The sample window is
-// consumed as a stream: once SampleSize translatable probes are
-// found, the stream closes and the endpoint stops producing — the
-// window rows past that point are never materialized. The collected
-// probes are independent, so each kind goes to K' as one group
-// (endpoint.SelectBatch) — a stage task of its own, when there is any of
-// that kind — and the hits are counted once both are back.
-func (a *Aligner) discover(r string, allowed map[string]bool) ([]*candidate, error) {
-	window := 40 * a.cfg.SampleSize
-	if window < 200 {
-		window = 200
-	}
-	// the sample stream occupies an endpoint like any stage task
-	a.sem <- struct{}{}
-	probes, err := a.discoverProbes(r, window)
-	<-a.sem
+// discover returns the candidate rules r' ⇒ r — r' a relation of K'
+// that co-occurs with r's sampled facts (Validator.Discover) and is in
+// allowed (nil allows all), most hits first, at most maxCandidates — and
+// the hits of every co-occurring relation.
+func (a *Aligner) discover(r string, allowed map[string]bool) ([]sampling.Rule, map[string]int, error) {
+	hits, err := a.val.Discover(r, a.cfg.SampleSize, a.runStage)
 	if err != nil {
-		return nil, fmt.Errorf("core: discovery sample for <%s>: %w", r, err)
+		return nil, nil, err
 	}
-
-	// One group per kind of probe, one stage task per group that has
-	// any: a relation's probes are mostly of one kind, and often none.
-	groups := [2]struct {
-		pq      endpoint.PreparedQuery
-		argSets [][]sparql.Arg
-		results []*sparql.Result
-	}{{pq: a.pEntityPreds, argSets: probes.entity}, {pq: a.pLiteralAttrs, argSets: probes.literal}}
-	run := groups[:]
-	if len(probes.entity) == 0 {
-		run = run[1:]
-	}
-	if len(probes.literal) == 0 {
-		run = run[:len(run)-1]
-	}
-	err = a.runStage(len(run), func(i int) error {
-		var err error
-		run[i].results, err = endpoint.SelectBatch(context.Background(), run[i].pq, run[i].argSets)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	hits := map[string]int{}
-	count := func(rel rdf.Term) {
-		if rel.IsIRI() && (allowed == nil || allowed[rel.Value]) {
-			hits[rel.Value]++
+	cands := make([]sampling.Rule, 0, len(hits))
+	for rel := range hits {
+		if allowed == nil || allowed[rel] {
+			cands = append(cands, sampling.Rule{Body: rel, Head: r})
 		}
-	}
-	for _, res := range groups[0].results {
-		for _, row := range res.Rows {
-			count(row[0])
-		}
-	}
-	for i, res := range groups[1].results {
-		for _, row := range res.Rows {
-			if ok, _ := a.cfg.Matcher.Match(probes.lits[i], row[1]); ok {
-				count(row[0])
-			}
-		}
-	}
-
-	cands := make([]*candidate, 0, len(hits))
-	for rel, h := range hits {
-		cands = append(cands, &candidate{rel: rel, hits: h})
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].hits != cands[j].hits {
-			return cands[i].hits > cands[j].hits
+		if hi, hj := hits[cands[i].Body], hits[cands[j].Body]; hi != hj {
+			return hi > hj
 		}
-		return cands[i].rel < cands[j].rel
+		return cands[i].Body < cands[j].Body
 	})
 	if len(cands) > maxCandidates {
 		cands = cands[:maxCandidates]
 	}
-	return cands, nil
+	return cands, hits, nil
 }
 
 // applyUBS runs both contradiction-search strategies and prunes. The
 // endpoint-heavy contradiction searches fan out over the worker pool;
 // their results are applied sequentially in pair order, so the
 // aggregated counters and verdicts match the sequential run exactly.
-func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []*candidate, aligns map[string]*Alignment) error {
+func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []sampling.Rule, aligns map[string]*Alignment) error {
 	// provisional = accepted so far (confidence+support); only those
 	// are worth the extra queries.
-	var provisional []*candidate
+	var provisional []sampling.Rule
 	for _, c := range cands {
-		if aligns[c.rel].Accepted && a.entityCandidate(c) {
+		if aligns[c.Body].Accepted && entityCandidate(c) {
 			provisional = append(provisional, c)
 		}
 	}
 
 	ubs := func(side sampling.Side, pairs []sampling.SiblingPair) error {
 		return a.runRanges(len(pairs), func(lo, hi int) error {
-			return a.val.ContradictionsEach(memo, side, pairs[lo:hi], a.cfg.UBSSampleSize)
+			return a.val.ContradictionsEach(memo, side, pairs[lo:hi], ubsSampleSize)
 		})
 	}
 
@@ -506,7 +326,7 @@ func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []*candida
 		for i := range provisional {
 			for j := range provisional {
 				if i != j {
-					pairs = append(pairs, sampling.SiblingPair{A: provisional[i].rel, B: provisional[j].rel, Check: r})
+					pairs = append(pairs, sampling.SiblingPair{A: provisional[i].Body, B: provisional[j].Body, Check: r})
 				}
 			}
 		}
@@ -537,7 +357,9 @@ func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []*candida
 		// after candidate.
 		siblings := make([][]string, len(provisional))
 		err := a.runRanges(len(provisional), func(lo, hi int) error {
-			return a.headSiblings(r, provisional[lo:hi], siblings[lo:hi])
+			sibs, err := a.val.HeadSiblings(provisional[lo:hi], ubsSampleSize, ubsMaxSiblings)
+			copy(siblings[lo:hi], sibs)
+			return err
 		})
 		if err != nil {
 			return err
@@ -545,7 +367,7 @@ func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []*candida
 		var pairs []sampling.SiblingPair
 		for i, c := range provisional {
 			for _, z := range siblings[i] {
-				pairs = append(pairs, sampling.SiblingPair{A: r, B: z, Check: c.rel})
+				pairs = append(pairs, sampling.SiblingPair{A: r, B: z, Check: c.Body})
 			}
 		}
 		if err := ubs(sampling.HeadSide, pairs); err != nil {
@@ -553,7 +375,7 @@ func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []*candida
 		}
 		for _, p := range pairs {
 			res, al := p.Res, aligns[p.Check]
-			// rows with check(x,y2) refute c.rel ⇒ r
+			// rows with check(x,y2) refute check ⇒ r
 			al.Contradictions += res.CounterReverse()
 			al.UBSRows += len(res.Rows)
 			if a.pairRefutes(res.CounterReverse(), len(res.Rows)) {
@@ -565,8 +387,8 @@ func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []*candida
 	}
 
 	for _, c := range cands {
-		if aligns[c.rel].PrunedByUBS {
-			aligns[c.rel].Accepted = false
+		if aligns[c.Body].PrunedByUBS {
+			aligns[c.Body].Accepted = false
 		}
 	}
 	return nil
@@ -586,78 +408,16 @@ func (a *Aligner) pairRefutes(contradictions, rows int) bool {
 
 // entityCandidate reports whether the candidate's sampled objects are
 // entities (UBS applies only to entity-entity relations).
-func (a *Aligner) entityCandidate(c *candidate) bool {
-	if c.set == nil || len(c.set.Facts) == 0 {
+func entityCandidate(c sampling.Rule) bool {
+	if c.Set == nil || len(c.Set.Facts) == 0 {
 		return false
 	}
-	return c.set.Facts[0].Y.IsIRI()
-}
-
-// headSiblings discovers, for each of cands, the relations z of K (z ≠ r)
-// that also cover the candidate's translated sample pairs — the sibling
-// set for the mirrored UBS strategy — into out. The probes of all of
-// them, one per sampled pair, go to K as one group.
-func (a *Aligner) headSiblings(r string, cands []*candidate, out [][]string) error {
-	probes := 0
-	for _, c := range cands {
-		probes += min(len(c.set.Facts), a.cfg.UBSSampleSize)
-	}
-	args := make([]sparql.Arg, 0, 2*probes)
-	argSets := make([][]sparql.Arg, 0, probes)
-	ends := make([]int, len(cands)) // the probes of cands[i] end before argSets[ends[i]]
-	for i, c := range cands {
-		start := len(argSets)
-		for _, f := range c.set.Facts {
-			if len(argSets)-start >= a.cfg.UBSSampleSize {
-				break
-			}
-			if f.Y.IsIRI() {
-				args = append(args, sparql.IRIArg(f.X), sparql.IRIArg(f.Y.Value))
-				argSets = append(argSets, args[len(args)-2:len(args):len(args)])
-			}
-		}
-		ends[i] = len(argSets)
-	}
-	type sib struct {
-		rel string
-		n   int
-	}
-	// c is the candidate whose probes are being read, counts what they
-	// have found for it; its siblings are ranked when its last probe is in.
-	c, counts := 0, map[string]int{}
-	return endpoint.EachSet(context.Background(), a.pHeadPreds, argSets, func(k int, rows endpoint.Rows) error {
-		for rows.Next() {
-			if p := rows.Row()[0]; p.IsIRI() && p.Value != r {
-				counts[p.Value]++
-			}
-		}
-		for ; c < len(cands) && ends[c] <= k+1; c++ {
-			sibs := make([]sib, 0, len(counts))
-			for rel, n := range counts {
-				sibs = append(sibs, sib{rel, n})
-			}
-			clear(counts)
-			sort.Slice(sibs, func(i, j int) bool {
-				if sibs[i].n != sibs[j].n {
-					return sibs[i].n > sibs[j].n
-				}
-				return sibs[i].rel < sibs[j].rel
-			})
-			if len(sibs) > ubsMaxSiblings {
-				sibs = sibs[:ubsMaxSiblings]
-			}
-			out[c] = make([]string, len(sibs))
-			for j, s := range sibs {
-				out[c][j] = s.rel
-			}
-		}
-		return nil
-	})
+	return c.Set.Facts[0].Y.IsIRI()
 }
 
 // checkEquivalences validates the reverse rule r ⇒ r' for accepted
-// alignments through the aligner's flipped validator (roles of K and
-// K' swapped), over the worker pool.
+// alignments through the flipped validator (val.Flip: roles of K and K'
+// swapped), over the worker pool.
 func (a *Aligner) checkEquivalences(memo *sampling.ObjectMemo, r string, out []Alignment) error {
 	var accepted []int
 	var rules []sampling.Rule
@@ -667,8 +427,9 @@ func (a *Aligner) checkEquivalences(memo *sampling.ObjectMemo, r string, out []A
 			rules = append(rules, sampling.Rule{Body: r, Head: out[i].Rule.Body})
 		}
 	}
+	flipped := a.val.Flip()
 	err := a.runRanges(len(rules), func(lo, hi int) error {
-		return a.flipped.SimpleEvidenceEach(memo, rules[lo:hi], a.cfg.SampleSize)
+		return flipped.SimpleEvidenceEach(memo, rules[lo:hi], a.cfg.SampleSize)
 	})
 	if err != nil {
 		return err

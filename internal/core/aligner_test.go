@@ -316,10 +316,6 @@ func TestConfigNormalization(t *testing.T) {
 	if c.SampleSize != 10 || c.MinSupport != 1 || c.MinContradictions != 1 {
 		t.Fatalf("normalized = %+v", c)
 	}
-	c2 := Config{SampleSize: 5}.normalized()
-	if c2.UBSSampleSize != 5 {
-		t.Fatalf("normalized = %+v", c2)
-	}
 }
 
 func TestAlignerQueryCounts(t *testing.T) {

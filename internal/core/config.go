@@ -16,8 +16,10 @@
 //  4. reports subsumptions with confidence scores, and equivalences via
 //     the double-subsumption test.
 //
-// Everything runs through endpoint.Endpoint values: a handful of SPARQL
-// queries per aligned relation, never a dataset download.
+// The aligner schedules the stages and makes the decisions; a
+// sampling.Validator prepares and sends every probe over endpoint.Endpoint
+// values: a handful of SPARQL queries per aligned relation, never a
+// dataset download.
 package core
 
 import (
@@ -89,9 +91,6 @@ type Config struct {
 
 	// UseUBS enables Unbiased Sample Extraction.
 	UseUBS bool
-	// UBSSampleSize is the number of overlap subjects examined per
-	// sibling pair.
-	UBSSampleSize int
 	// UBSBodySiblings enables contradiction search over sibling
 	// candidates in K' (strategy for "overlappings that are not
 	// subsumptions", e.g. hasProducer vs hasDirector).
@@ -131,6 +130,10 @@ const (
 	maxCandidates = 16
 	// ubsMaxSiblings caps sibling relations tried per candidate.
 	ubsMaxSiblings = 4
+	// ubsSampleSize is the number of overlap subjects examined per
+	// sibling pair, and of sampled pairs a candidate's head siblings are
+	// found from.
+	ubsSampleSize = 14
 )
 
 // DefaultConfig is the baseline of Table 1: pcaconf with τ > 0.3 over
@@ -161,7 +164,6 @@ func UBSConfig() Config {
 	c.UseUBS = true
 	c.Threshold = 0.05
 	c.MinSupport = 2
-	c.UBSSampleSize = 14
 	c.UBSBodySiblings = true
 	c.UBSHeadSiblings = true
 	// Two independent contradictions prune a rule, and they must cover
@@ -179,9 +181,6 @@ func UBSConfig() Config {
 func (c Config) normalized() Config {
 	if c.SampleSize <= 0 {
 		c.SampleSize = 10
-	}
-	if c.UBSSampleSize <= 0 {
-		c.UBSSampleSize = c.SampleSize
 	}
 	if c.MinContradictions <= 0 {
 		c.MinContradictions = 1

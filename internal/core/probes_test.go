@@ -359,32 +359,83 @@ func TestProbeTemplatesCoverTheAligner(t *testing.T) {
 	if len(listed) != 5 {
 		t.Fatalf("%d distinct templates listed, want 5", len(listed))
 	}
-	y, d, links := paperWorld()
-	prepared := &prepareLog{seen: map[string]bool{}}
-	cfg := UBSConfig()
-	cfg.CandidateTopK = 16
-	a := New(prepared.wrap(endpoint.NewLocal(y, 11)), prepared.wrap(endpoint.NewLocal(d, 22)), sampling.LinkView{Links: links, KIsA: true}, cfg)
-	for _, r := range []string{"creatorOf", "directedBy", "bornYear"} {
-		if _, err := a.AlignRelation(yNS + r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for tmpl := range prepared.seen {
-		if !listed[tmpl] {
-			t.Errorf("the aligner prepares %q, which ProbeTemplates does not list", tmpl)
+	prepared := alignPreparing(t, 16)
+	seen := map[string]bool{}
+	for at := range prepared {
+		seen[at.tmpl] = true
+		if !listed[at.tmpl] {
+			t.Errorf("the aligner prepares %q, which ProbeTemplates does not list", at.tmpl)
 		}
 	}
 	for tmpl := range listed {
-		if !prepared.seen[tmpl] {
+		if !seen[tmpl] {
 			t.Errorf("ProbeTemplates lists %q, which the aligner never prepares", tmpl)
 		}
 	}
 }
 
-// prepareLog records the templates prepared on the endpoints it wraps.
+// TestAlignerPreparesEachProbeOnce: an aligner prepares each template it
+// sends on an endpoint once — its validator's and its Flip's probes are
+// one set of handles — nine in all: the five templates on K', all but
+// the literal scan on K.
+func TestAlignerPreparesEachProbeOnce(t *testing.T) {
+	prepared := alignPreparing(t, 0)
+	for at, n := range prepared {
+		if n != 1 {
+			t.Errorf("%s prepares %q %d times", at.endpoint, at.tmpl, n)
+		}
+	}
+	if len(prepared) != 9 {
+		t.Errorf("%d (endpoint, template) pairs prepared, want 9: %v", len(prepared), prepared)
+	}
+}
+
+// TestAlignerReportsPrepareError: a probe an endpoint cannot prepare is
+// the error of every alignment, before any candidate index is built.
+func TestAlignerReportsPrepareError(t *testing.T) {
+	y, d, links := paperWorld()
+	cfg := UBSConfig()
+	cfg.CandidateTopK = 16
+	a := New(endpoint.NewLocal(y, 11), refusing{endpoint.NewLocal(d, 22)}, sampling.LinkView{Links: links, KIsA: true}, cfg)
+	if _, err := a.AlignRelation(yNS + "creatorOf"); !errors.Is(err, errRefused) {
+		t.Errorf("AlignRelation: %v", err)
+	}
+	if _, err := a.AlignRelationWithin(yNS+"creatorOf", nil); !errors.Is(err, errRefused) {
+		t.Errorf("AlignRelationWithin: %v", err)
+	}
+}
+
+var errRefused = errors.New("refused")
+
+type refusing struct{ endpoint.Endpoint }
+
+func (refusing) Prepare(string, ...string) (endpoint.PreparedQuery, error) { return nil, errRefused }
+
+// alignPreparing aligns creatorOf, directedBy and bornYear of the paper
+// world under UBSConfig with the given CandidateTopK, and returns how many
+// times each template was prepared on each endpoint.
+func alignPreparing(t *testing.T, topK int) map[preparedAt]int {
+	t.Helper()
+	y, d, links := paperWorld()
+	l := &prepareLog{n: map[preparedAt]int{}}
+	cfg := UBSConfig()
+	cfg.CandidateTopK = topK
+	a := New(l.wrap(endpoint.NewLocal(y, 11)), l.wrap(endpoint.NewLocal(d, 22)), sampling.LinkView{Links: links, KIsA: true}, cfg)
+	for _, r := range []string{"creatorOf", "directedBy", "bornYear"} {
+		if _, err := a.AlignRelation(yNS + r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l.n
+}
+
+// preparedAt is one template on one endpoint.
+type preparedAt struct{ endpoint, tmpl string }
+
+// prepareLog counts the templates prepared on the endpoints it wraps.
 type prepareLog struct {
-	mu   sync.Mutex
-	seen map[string]bool
+	mu sync.Mutex
+	n  map[preparedAt]int
 }
 
 func (l *prepareLog) wrap(ep endpoint.Endpoint) endpoint.Endpoint { return preparing{ep, l} }
@@ -396,7 +447,7 @@ type preparing struct {
 
 func (e preparing) Prepare(tmpl string, params ...string) (endpoint.PreparedQuery, error) {
 	e.log.mu.Lock()
-	e.log.seen[tmpl] = true
+	e.log.n[preparedAt{e.Name(), tmpl}]++
 	e.log.mu.Unlock()
 	return e.Endpoint.Prepare(tmpl, params...)
 }

@@ -59,7 +59,7 @@ func StreamBorrowed(ctx context.Context, pq PreparedQuery, args ...sparql.Arg) (
 // module implements or calls them — ORDER BY keys are evaluated where the
 // streams of a federation merge (shard/merge.go), never behind the wire.
 // They stay, name and method set, because bench/trace names them
-// (ARCHITECTURE.md, "What bench/ freezes"); ROADMAP item 1c deletes them.
+// (ARCHITECTURE.md, "What bench/ freezes"); ROADMAP item 1b deletes them.
 type KeyedRows interface {
 	Rows
 	AttachedKeys() []int

@@ -1,5 +1,7 @@
-// Package sampling implements the two instance-sampling strategies of
-// SOFYA §2.2 over SPARQL endpoints:
+// Package sampling is the aligner's one probe layer: NewValidator
+// prepares every probe template once, from one table, and a Validator's
+// methods send every probe of an alignment — candidate discovery
+// (Discover) and the two instance-sampling strategies of SOFYA §2.2:
 //
 //   - Simple Sample Extraction: a pseudo-random sample of subjects of a
 //     candidate relation r_sub in K', restricted to facts whose subject
@@ -14,13 +16,13 @@
 //     equivalences (r(x,y1) ∧ r(x,y2) both hold in the other KB) and
 //     (ii) wrong subsumptions (r(x,y1) holds but r(x,y2) does not).
 //
-// Both samplers speak only SPARQL against endpoint.Endpoint values and
+// The samplers speak only SPARQL against endpoint.Endpoint values and
 // translate entities through a Translator, so they run unchanged against
 // in-process KBs and remote HTTP endpoints. Each takes a range of rules
-// or sibling pairs at once (SimpleEvidenceEach, ContradictionsEach): the
-// sample probes of the range go out as one group of streams
-// (endpoint.StreamBatch), each read to its stopping point, and then every
-// object fetch of the range as one group of streams, drained
+// or sibling pairs at once (SimpleEvidenceEach, ContradictionsEach,
+// HeadSiblings): the sample probes of the range go out as one group of
+// streams (endpoint.StreamBatch), each read to its stopping point, and
+// then every object fetch of the range as one group of streams, drained
 // (endpoint.SelectBatch) — against a remote KB a range costs two requests
 // per shard, however many rules it holds; a group fails over whole at its
 // open, and is the caller's error once cut after it; against an endpoint
@@ -32,6 +34,7 @@ package sampling
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sofya/internal/endpoint"
@@ -43,13 +46,12 @@ import (
 	"sofya/internal/strsim"
 )
 
-// Query templates of the sampling stages. Each sampler executes its
-// probes through endpoint.PreparedQuery handles compiled once per
-// validator (see Validator.prepare), so the per-probe cost is argument
-// binding — no query construction, parsing or planning. The object
-// probe is shared by Simple Sample Extraction and the UBS check stage,
-// and the alignment's ObjectMemo deduplicates the two stages against
-// each other on every endpoint.
+// Query templates of the probes, prepared once per validator (the probe
+// table), so the per-probe cost is argument binding — no query
+// construction, parsing or planning. The object probe is shared by
+// Simple Sample Extraction and the UBS check stage, and the alignment's
+// ObjectMemo deduplicates the two stages against each other on every
+// endpoint.
 const (
 	// TmplSample randomly samples facts of one relation.
 	TmplSample = "SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n"
@@ -62,7 +64,57 @@ const (
   ?x $b ?y2 .
   FILTER NOT EXISTS { ?x $a ?y2 }
 } ORDER BY RAND() LIMIT $n`
+	// tmplPredsBetween asks which predicates connect two entities: the
+	// discovery entity probe on K', the head-sibling probe on K.
+	tmplPredsBetween = "SELECT ?p WHERE { $x ?p $y }"
+	// tmplLiteralAttrs scans an entity's literal attributes for the
+	// discovery stage's literal matcher.
+	tmplLiteralAttrs = "SELECT ?p ?v WHERE { $x ?p ?v . FILTER ISLITERAL(?v) }"
 )
+
+// probe is a row of the probe table.
+type probe uint8
+
+const (
+	pSample probe = iota
+	pObjects
+	pOverlap
+	pBetween
+	pLiterals
+	numProbes
+)
+
+// ProbeTemplate is one probe template: its source text and its class,
+// the probe shape it stands for.
+type ProbeTemplate struct {
+	Source string
+	// Class is one of "sample", "objects", "overlap", "between" and
+	// "literals" — the names the benchmark's tracer reports probes by.
+	Class string
+}
+
+// probes is the probe table: NewValidator prepares every row on K and on
+// K', a literal scan on K' alone.
+var probes = [numProbes]struct {
+	ProbeTemplate
+	params     []string
+	kPrimeOnly bool
+}{
+	pSample:   {ProbeTemplate{TmplSample, "sample"}, []string{"r", "n"}, false},
+	pObjects:  {ProbeTemplate{TmplObjects, "objects"}, []string{"x", "r"}, false},
+	pOverlap:  {ProbeTemplate{TmplOverlap, "overlap"}, []string{"a", "b", "n"}, false},
+	pBetween:  {ProbeTemplate{tmplPredsBetween, "between"}, []string{"x", "y"}, false},
+	pLiterals: {ProbeTemplate{tmplLiteralAttrs, "literals"}, []string{"x"}, true},
+}
+
+// ProbeTemplates lists the templates of the probe table.
+func ProbeTemplates() []ProbeTemplate {
+	out := make([]ProbeTemplate, len(probes))
+	for i, p := range probes {
+		out[i] = p.ProbeTemplate
+	}
+	return out
+}
 
 // Translator converts entity IRIs between the two KBs' namespaces.
 type Translator interface {
@@ -95,8 +147,9 @@ func (v LinkView) FromK(k string) (string, bool) {
 	return v.Links.BtoA(k)
 }
 
-// Validator runs sampling-based validation of candidate rules between a
-// head-side endpoint K and a body-side endpoint KPrime.
+// Validator runs discovery and sampling-based validation of candidate
+// rules between a head-side endpoint K and a body-side endpoint KPrime.
+// NewValidator builds one; its fields are what it was built from.
 type Validator struct {
 	// K is the endpoint of the source KB (rule heads r).
 	K endpoint.Endpoint
@@ -107,26 +160,39 @@ type Validator struct {
 	// Matcher aligns literal objects; nil disables literal alignment.
 	Matcher *strsim.LiteralMatcher
 
+	// h is the prepared probe table, shared with Flip: h[0] on the K of
+	// the validator NewValidator built, h[1] on its K'.
+	h *[2][numProbes]endpoint.PreparedQuery
 	// flipped marks a validator made by Flip: its K is the K' of the
-	// validator it flips, which is what an ObjectMemo's keys name.
+	// validator it flips, which is what h and an ObjectMemo's keys name.
 	flipped bool
+}
 
-	// prepared probe handles, compiled lazily once per validator.
-	prepOnce     sync.Once
-	prepErr      error
-	pBodySample  endpoint.PreparedQuery // on KPrime: TmplSample
-	pHeadObjects endpoint.PreparedQuery // on K: TmplObjects
-	pPrimeObjs   endpoint.PreparedQuery // on KPrime: TmplObjects
-	pOverlapBody endpoint.PreparedQuery // on KPrime: TmplOverlap
-	pOverlapHead endpoint.PreparedQuery // on K: TmplOverlap
+// NewValidator returns the Validator between k and kprime, the probe
+// table prepared on both.
+func NewValidator(k, kprime endpoint.Endpoint, links Translator, matcher *strsim.LiteralMatcher) (*Validator, error) {
+	h := new([2][numProbes]endpoint.PreparedQuery)
+	for side, ep := range [2]endpoint.Endpoint{k, kprime} {
+		for p, row := range probes {
+			if side == 0 && row.kPrimeOnly {
+				continue
+			}
+			pq, err := ep.Prepare(row.Source, row.params...)
+			if err != nil {
+				return nil, fmt.Errorf("sampling: preparing probe against %s: %w", ep.Name(), err)
+			}
+			h[side][p] = pq
+		}
+	}
+	return &Validator{K: k, KPrime: kprime, Links: links, Matcher: matcher, h: h}, nil
 }
 
 // Flip returns the validator of the reverse rules r ⇒ r': K and K'
-// swapped, links read the other way. An ObjectMemo serves v and its
-// Flip together: the objects Flip fetches from its K are the ones v
-// fetches from its K'.
+// swapped, links read the other way, the prepared probes shared. An
+// ObjectMemo serves v and its Flip together: the objects Flip fetches
+// from its K are the ones v fetches from its K'.
 func (v *Validator) Flip() *Validator {
-	return &Validator{K: v.KPrime, KPrime: v.K, Links: flipTranslator{v.Links}, Matcher: v.Matcher, flipped: !v.flipped}
+	return &Validator{K: v.KPrime, KPrime: v.K, Links: flipTranslator{v.Links}, Matcher: v.Matcher, h: v.h, flipped: !v.flipped}
 }
 
 // flipTranslator swaps the directions of a Translator.
@@ -135,27 +201,126 @@ type flipTranslator struct{ t Translator }
 func (f flipTranslator) ToK(x string) (string, bool)   { return f.t.FromK(x) }
 func (f flipTranslator) FromK(x string) (string, bool) { return f.t.ToK(x) }
 
-// prepare compiles the validator's probe templates against both
-// endpoints, once.
-func (v *Validator) prepare() error {
-	v.prepOnce.Do(func() {
-		prep := func(ep endpoint.Endpoint, tmpl string, params ...string) endpoint.PreparedQuery {
-			if v.prepErr != nil {
-				return nil
-			}
-			pq, err := ep.Prepare(tmpl, params...)
-			if err != nil {
-				v.prepErr = fmt.Errorf("sampling: preparing probe against %s: %w", ep.Name(), err)
-			}
-			return pq
+// handle is v's probe p on its K, on its K' when prime is set.
+func (v *Validator) handle(p probe, prime bool) endpoint.PreparedQuery {
+	if prime != v.flipped {
+		return v.h[1][p]
+	}
+	return v.h[0][p]
+}
+
+// Groups reports whether K or K' takes a group of probes as one
+// (endpoint.BatchStreamer).
+func (v *Validator) Groups() bool {
+	_, k := v.h[0][pSample].(endpoint.BatchStreamer)
+	_, kPrime := v.h[1][pSample].(endpoint.BatchStreamer)
+	return k || kPrime
+}
+
+// tuples is the argument tuples of a group, cut from one flat slice.
+type tuples struct {
+	flat []sparql.Arg
+	sets [][]sparql.Arg
+}
+
+// newTuples returns room for n tuples of width arguments.
+func newTuples(n, width int) tuples {
+	return tuples{make([]sparql.Arg, 0, n*width), make([][]sparql.Arg, 0, n)}
+}
+
+// add appends the tuple args.
+func (t *tuples) add(args ...sparql.Arg) {
+	t.flat = append(t.flat, args...)
+	t.sets = append(t.sets, t.flat[len(t.flat)-len(args):len(t.flat):len(t.flat)])
+}
+
+// Discover samples r-facts from K, translates up to n of them into K',
+// and returns how often each predicate of K' co-occurs with them: connects
+// a translated entity pair, or is a literal attribute of a translated
+// subject that matches its literal object. The sample window is a stream,
+// closed once n translatable facts are found. The probes of each kind go
+// to K' as one group (endpoint.SelectBatch). stage runs the tasks: the
+// sample stream, then one per kind of probe that has any — a relation's
+// probes are mostly of one kind, and often none.
+func (v *Validator) Discover(r string, n int, stage func(n int, task func(i int) error) error) (map[string]int, error) {
+	entity, literal := newTuples(n, 2), tuples{}
+	var lits []rdf.Term // literal.sets[i] is matched against lits[i]
+	err := stage(1, func(int) error {
+		rows, err := v.handle(pSample, false).Stream(context.Background(), sparql.IRIArg(r), sparql.IntArg(v.window(n)))
+		if err != nil {
+			return err
 		}
-		v.pBodySample = prep(v.KPrime, TmplSample, "r", "n")
-		v.pHeadObjects = prep(v.K, TmplObjects, "x", "r")
-		v.pPrimeObjs = prep(v.KPrime, TmplObjects, "x", "r")
-		v.pOverlapBody = prep(v.KPrime, TmplOverlap, "a", "b", "n")
-		v.pOverlapHead = prep(v.K, TmplOverlap, "a", "b", "n")
+		defer rows.Close()
+		for len(entity.sets)+len(literal.sets) < n && rows.Next() {
+			row := rows.Row()
+			x, y := row[0], row[1]
+			if !x.IsIRI() {
+				continue
+			}
+			xp, ok := v.Links.FromK(x.Value)
+			if !ok {
+				continue
+			}
+			switch {
+			case y.IsIRI():
+				yp, ok := v.Links.FromK(y.Value)
+				if !ok {
+					continue
+				}
+				entity.add(sparql.IRIArg(xp), sparql.IRIArg(yp))
+			case y.IsLiteral():
+				if v.Matcher == nil {
+					continue
+				}
+				literal.add(sparql.IRIArg(xp))
+				lits = append(lits, y)
+			}
+		}
+		return rows.Err()
 	})
-	return v.prepErr
+	if err != nil {
+		return nil, fmt.Errorf("sampling: discovery sample for <%s>: %w", r, err)
+	}
+
+	groups := [2]struct {
+		pq      endpoint.PreparedQuery
+		argSets [][]sparql.Arg
+		results []*sparql.Result
+	}{{pq: v.handle(pBetween, true), argSets: entity.sets}, {pq: v.handle(pLiterals, true), argSets: literal.sets}}
+	run := groups[:]
+	if len(entity.sets) == 0 {
+		run = run[1:]
+	}
+	if len(literal.sets) == 0 {
+		run = run[:len(run)-1]
+	}
+	err = stage(len(run), func(i int) error {
+		var err error
+		run[i].results, err = endpoint.SelectBatch(context.Background(), run[i].pq, run[i].argSets)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	hits := map[string]int{}
+	count := func(rel rdf.Term) {
+		if rel.IsIRI() {
+			hits[rel.Value]++
+		}
+	}
+	for _, res := range groups[0].results {
+		for _, row := range res.Rows {
+			count(row[0])
+		}
+	}
+	for i, res := range groups[1].results {
+		for _, row := range res.Rows {
+			if ok, _ := v.Matcher.Match(lits[i], row[1]); ok {
+				count(row[0])
+			}
+		}
+	}
+	return hits, nil
 }
 
 // BodyFact is one sampled r_sub fact translated into K space.
@@ -175,8 +340,8 @@ type SampleSet struct {
 	// Subjects lists the distinct sampled subject IRIs (K space), in
 	// sample order; at most the requested sample size.
 	Subjects []string
-	// Facts holds every translated r_sub fact of the sampled subjects,
-	// grouped by subject in Subjects order.
+	// Facts holds the translated r_sub facts of the sampled subjects,
+	// each translated pair once, grouped by subject in Subjects order.
 	Facts []BodyFact
 	// SkippedNoLink counts fetched facts dropped for missing sameAs
 	// links (the paper: such facts are ignored, not punished).
@@ -185,13 +350,7 @@ type SampleSet struct {
 
 // window bounds how many candidate facts one sampling query retrieves
 // before link-filtering: 40× the sample size, at least 200.
-func (v *Validator) window(n int) int {
-	w := 40 * n
-	if w < 200 {
-		w = 200
-	}
-	return w
-}
+func (v *Validator) window(n int) int { return max(40*n, 200) }
 
 // SampleBodies performs Simple Sample Extraction for each of rsubs, their
 // sample probes one group: for each rsub it samples up to n subject
@@ -199,17 +358,12 @@ func (v *Validator) window(n int) int {
 // their translated rsub facts. A sample window streams row by row — the
 // full window is never materialized at once.
 func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
-	if err := v.prepare(); err != nil {
-		return nil, err
-	}
-	args := make([]sparql.Arg, 2*len(rsubs))
-	argSets := make([][]sparql.Arg, len(rsubs))
-	for i, rsub := range rsubs {
-		args[2*i], args[2*i+1] = sparql.IRIArg(rsub), sparql.IntArg(v.window(n))
-		argSets[i] = args[2*i : 2*i+2 : 2*i+2]
+	g := newTuples(len(rsubs), 2)
+	for _, rsub := range rsubs {
+		g.add(sparql.IRIArg(rsub), sparql.IntArg(v.window(n)))
 	}
 	out := make([]*SampleSet, len(rsubs))
-	err := endpoint.EachSet(context.Background(), v.pBodySample, argSets, func(i int, rows endpoint.Rows) error {
+	err := endpoint.EachSet(context.Background(), v.handle(pSample, true), g.sets, func(i int, rows endpoint.Rows) error {
 		out[i] = v.readSample(rows, n)
 		return nil
 	})
@@ -220,10 +374,11 @@ func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
 }
 
 // readSample reads one sample window into the translated facts of up to
-// n subjects.
+// n subjects. Subjects and facts are told apart in K: two K' subjects
+// linked to one K entity are one subject, and two facts that translate to
+// one pair are one.
 func (v *Validator) readSample(rows endpoint.Rows, n int) *SampleSet {
 	set := &SampleSet{}
-	seen := map[string]bool{}
 	factsBySubject := map[string][]BodyFact{}
 	for rows.Next() {
 		row := rows.Row()
@@ -254,14 +409,16 @@ func (v *Validator) readSample(rows endpoint.Rows, n int) *SampleSet {
 		default:
 			continue
 		}
-		if !seen[xp.Value] {
+		facts, seen := factsBySubject[x]
+		if !seen {
 			if len(set.Subjects) >= n {
 				continue
 			}
-			seen[xp.Value] = true
 			set.Subjects = append(set.Subjects, x)
 		}
-		factsBySubject[x] = append(factsBySubject[x], BodyFact{XPrime: xp, YPrime: yp, X: x, Y: y})
+		if !slices.ContainsFunc(facts, func(f BodyFact) bool { return f.Y == y }) {
+			factsBySubject[x] = append(facts, BodyFact{XPrime: xp, YPrime: yp, X: x, Y: y})
+		}
 	}
 	for _, x := range set.Subjects {
 		set.Facts = append(set.Facts, factsBySubject[x]...)
@@ -336,23 +493,17 @@ func (v *Validator) objectsOf(memo *ObjectMemo, prime bool, keys []objectKey) ([
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	pq := v.pHeadObjects
-	if prime {
-		pq = v.pPrimeObjs
-	}
 	return memo.claims.Get(keys, func(miss []int) ([][]rdf.Term, error) {
 		memo.mu.Lock()
 		rels := memo.rels
 		memo.mu.Unlock()
-		args := make([]sparql.Arg, 2*len(miss))
-		argSets := make([][]sparql.Arg, len(miss))
-		for j, i := range miss {
-			args[2*j], args[2*j+1] = sparql.IRIArg(keys[i].x), sparql.IRIArg(rels[keys[i].rel].r)
-			argSets[j] = args[2*j : 2*j+2 : 2*j+2]
+		g := newTuples(len(miss), 2)
+		for _, i := range miss {
+			g.add(sparql.IRIArg(keys[i].x), sparql.IRIArg(rels[keys[i].rel].r))
 		}
-		results, err := endpoint.SelectBatch(context.Background(), pq, argSets)
+		results, err := endpoint.SelectBatch(context.Background(), v.handle(pObjects, prime), g.sets)
 		if err != nil {
-			return nil, fmt.Errorf("sampling: objects of %d subjects: %w", len(argSets), err)
+			return nil, fmt.Errorf("sampling: objects of %d subjects: %w", len(miss), err)
 		}
 		n := 0
 		for _, res := range results {

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,13 +101,16 @@ func newValidator(t *testing.T) (*Validator, *endpoint.Local, *endpoint.Local) {
 	y, d, links := paperWorld()
 	ky := endpoint.NewLocal(y, 11)
 	kd := endpoint.NewLocal(d, 22)
-	v := &Validator{
-		K:       ky,
-		KPrime:  kd,
-		Links:   LinkView{Links: links, KIsA: true},
-		Matcher: strsim.DefaultMatcher(),
+	return mustValidator(t, ky, kd, LinkView{Links: links, KIsA: true}, strsim.DefaultMatcher()), ky, kd
+}
+
+func mustValidator(t *testing.T, k, kprime endpoint.Endpoint, links Translator, m *strsim.LiteralMatcher) *Validator {
+	t.Helper()
+	v, err := NewValidator(k, kprime, links, m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return v, ky, kd
+	return v
 }
 
 // sampleBody, simpleEvidence and contradictions run the Validator's
@@ -188,11 +192,7 @@ func TestSampleBodySkipsUnlinked(t *testing.T) {
 	y, d, links := paperWorld()
 	// an unlinked fact: subject with no sameAs
 	d.AddIRIs(dNS+"ghost", dNS+"composerOf", dNS+"comp0")
-	v := &Validator{
-		K:      endpoint.NewLocal(y, 1),
-		KPrime: endpoint.NewLocal(d, 2),
-		Links:  LinkView{Links: links, KIsA: true},
-	}
+	v := mustValidator(t, endpoint.NewLocal(y, 1), endpoint.NewLocal(d, 2), LinkView{Links: links, KIsA: true}, nil)
 	set, err := sampleBody(v, dNS+"composerOf", 100)
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +204,32 @@ func TestSampleBodySkipsUnlinked(t *testing.T) {
 		if strings.Contains(f.X, "ghost") {
 			t.Fatal("unlinked subject sampled")
 		}
+	}
+}
+
+// TestSampleAliasedSubject: two K' subjects linked to one K entity are
+// one sampled subject, and the facts that translate to one pair — from
+// either subject, or to two objects linked to one — are one fact.
+func TestSampleAliasedSubject(t *testing.T) {
+	y, d, links := kb.New("K"), kb.New("Kprime"), sameas.New()
+	links.Add(yNS+"a", dNS+"b1")
+	links.Add(yNS+"a", dNS+"b2")
+	links.Add(yNS+"o", dNS+"o1")
+	links.Add(yNS+"o", dNS+"o2")
+	y.AddIRIs(yNS+"a", yNS+"r", yNS+"o")
+	d.AddIRIs(dNS+"b1", dNS+"rp", dNS+"o1")
+	d.AddIRIs(dNS+"b1", dNS+"rp", dNS+"o2")
+	d.AddIRIs(dNS+"b2", dNS+"rp", dNS+"o1")
+	v := mustValidator(t, endpoint.NewLocal(y, 1), endpoint.NewLocal(d, 2), LinkView{Links: links, KIsA: true}, nil)
+	ev, set, err := simpleEvidence(v, dNS+"rp", yNS+"r", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(set.Subjects, []string{yNS + "a"}) || len(set.Facts) != 1 {
+		t.Fatalf("subjects %v, %d facts; want [a], 1", set.Subjects, len(set.Facts))
+	}
+	if ev.Support() != 1 || ev.Total() != 1 {
+		t.Fatalf("support %d of %d pairs; want 1 of 1", ev.Support(), ev.Total())
 	}
 }
 
@@ -232,7 +258,7 @@ func TestSimpleEvidenceWrongDirectionIsBlindWithoutUBS(t *testing.T) {
 	// pca ≥ cwa, and support < total (the writers' books are
 	// unconfirmed).
 	v, _, _ := newValidator(t)
-	flip := &Validator{K: v.KPrime, KPrime: v.K, Links: LinkView{Links: v.Links.(LinkView).Links, KIsA: false}, Matcher: v.Matcher}
+	flip := mustValidator(t, v.KPrime, v.K, LinkView{Links: v.Links.(LinkView).Links, KIsA: false}, v.Matcher)
 	ev, _, err := simpleEvidence(flip, yNS+"creatorOf", dNS+"composerOf", 12)
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +276,6 @@ func TestSimpleEvidenceWrongDirectionIsBlindWithoutUBS(t *testing.T) {
 
 func TestHeadObjects(t *testing.T) {
 	v, ky, kd := newValidator(t)
-	if err := v.prepare(); err != nil {
-		t.Fatal(err)
-	}
 	// one group: a subject with two objects, one with one, one with none,
 	// and the first again
 	memo := new(ObjectMemo)
@@ -280,9 +303,6 @@ func TestHeadObjects(t *testing.T) {
 	// the other side, so it shares the answers — and asks nothing of the
 	// other KB for them.
 	flip := v.Flip()
-	if err := flip.prepare(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := flip.objectsOf(memo, true, []objectKey{{yNS + "c0", flip.relation(memo, true, yNS+"creatorOf")}}); err != nil || ky.Stats().Queries != 3 || kd.Stats().Queries != 0 {
 		t.Fatalf("flipped validator over the same memo: %v, %d + %d queries", err, ky.Stats().Queries, kd.Stats().Queries)
 	}
@@ -309,8 +329,8 @@ func TestLiteralEvidence(t *testing.T) {
 }
 
 func TestLiteralEvidenceWithoutMatcher(t *testing.T) {
-	v, _, _ := newValidator(t)
-	v.Matcher = nil
+	withMatcher, ky, kd := newValidator(t)
+	v := mustValidator(t, ky, kd, withMatcher.Links, nil)
 	ev, set, err := simpleEvidence(v, dNS+"birthDate", yNS+"bornYear", 10)
 	if err != nil {
 		t.Fatal(err)
@@ -407,3 +427,109 @@ func TestSimpleEvidenceEmptyRelation(t *testing.T) {
 		t.Fatal("evidence from empty relation")
 	}
 }
+
+// inOrder runs a stage's tasks one after the other, recording how many
+// each stage had.
+type inOrder struct{ stages []int }
+
+func (s *inOrder) run(n int, task func(i int) error) error {
+	s.stages = append(s.stages, n)
+	for i := 0; i < n; i++ {
+		if err := task(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestDiscover(t *testing.T) {
+	v, _, kd := newValidator(t)
+	for _, c := range []struct {
+		r       string
+		hits    map[string]int
+		stages  []int
+		queries int // on K', one per probe
+	}{
+		// 12 creatorOf facts, 10 of them probed: composers and writers
+		{yNS + "creatorOf", nil, []int{1, 1}, 10},
+		{yNS + "bornYear", map[string]int{dNS + "birthDate": 5}, []int{1, 1}, 5},
+		{yNS + "nonexistent", map[string]int{}, []int{1, 0}, 0},
+	} {
+		kd.ResetStats()
+		stage := &inOrder{}
+		hits, err := v.Discover(c.r, 10, stage.run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.hits == nil {
+			if len(hits) != 2 || hits[dNS+"composerOf"]+hits[dNS+"writerOf"] != 10 {
+				t.Errorf("%s: hits %v; want 10 among composerOf and writerOf", c.r, hits)
+			}
+		} else if !reflect.DeepEqual(hits, c.hits) {
+			t.Errorf("%s: hits %v, want %v", c.r, hits, c.hits)
+		}
+		if !reflect.DeepEqual(stage.stages, c.stages) {
+			t.Errorf("%s: stages of %v tasks, want %v", c.r, stage.stages, c.stages)
+		}
+		if q := kd.Stats().Queries; q != c.queries {
+			t.Errorf("%s: %d K' queries, want %d", c.r, q, c.queries)
+		}
+	}
+	// without a Matcher, literal facts are not probed
+	y, d, links := paperWorld()
+	plain := mustValidator(t, endpoint.NewLocal(y, 11), endpoint.NewLocal(d, 22), LinkView{Links: links, KIsA: true}, nil)
+	if hits, err := plain.Discover(yNS+"bornYear", 10, (&inOrder{}).run); err != nil || len(hits) != 0 {
+		t.Errorf("matcherless literal discovery: %v, %v", hits, err)
+	}
+}
+
+func TestHeadSiblings(t *testing.T) {
+	v, ky, _ := newValidator(t)
+	rules := []Rule{
+		{Body: dNS + "nonexistent", Head: yNS + "creatorOf"},
+		{Body: dNS + "hasDirector", Head: yNS + "directedBy"},
+		{Body: dNS + "composerOf", Head: yNS + "creatorOf"},
+	}
+	if err := v.SimpleEvidenceEach(new(ObjectMemo), rules, 10); err != nil {
+		t.Fatal(err)
+	}
+	ky.ResetStats()
+	// a rule with no sampled pair has no siblings, and takes none of the
+	// next rule's; movies 0..3 are produced by their director
+	sibs, err := v.HeadSiblings(rules, 14, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sibs) != 3 || len(sibs[0]) != 0 || !reflect.DeepEqual(sibs[1], []string{yNS + "producedBy"}) || len(sibs[2]) != 0 {
+		t.Fatalf("siblings %v", sibs)
+	}
+	if q := ky.Stats().Queries; q != 12 {
+		t.Fatalf("K queries = %d, want 12 (6 movies, 6 composers)", q)
+	}
+	if sibs, err := v.HeadSiblings(rules[1:2], 2, 0); err != nil || len(sibs[0]) != 0 {
+		t.Fatalf("keep 0: %v, %v", sibs, err)
+	}
+}
+
+// TestNewValidatorPrepareError: a probe an endpoint cannot prepare fails
+// the validator, naming the endpoint.
+func TestNewValidatorPrepareError(t *testing.T) {
+	y, d, links := paperWorld()
+	_, err := NewValidator(endpoint.NewLocal(y, 1), refusing{endpoint.NewLocal(d, 2)}, LinkView{Links: links, KIsA: true}, nil)
+	if err == nil || !strings.Contains(err.Error(), "Kprime") || !errors.Is(err, errRefused) {
+		t.Fatalf("err = %v", err)
+	}
+	v, _, _ := newValidator(t)
+	if v.Groups() {
+		t.Fatal("Local endpoints group")
+	}
+	if got := ProbeTemplates(); len(got) != 5 || got[0].Source != TmplSample || got[4].Class != "literals" {
+		t.Fatalf("ProbeTemplates = %v", got)
+	}
+}
+
+var errRefused = errors.New("refused")
+
+type refusing struct{ endpoint.Endpoint }
+
+func (refusing) Prepare(string, ...string) (endpoint.PreparedQuery, error) { return nil, errRefused }

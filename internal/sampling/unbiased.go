@@ -1,8 +1,12 @@
 package sampling
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"sofya/internal/endpoint"
 	"sofya/internal/rdf"
@@ -107,18 +111,13 @@ type SiblingPair struct {
 // Entity-entity relations only: rows with literal objects are skipped
 // (literal candidates are validated by the simple sampler alone).
 func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []SiblingPair, m int) error {
-	if err := v.prepare(); err != nil {
-		return err
-	}
-	overlap, translate := v.pOverlapBody, v.Links.ToK
+	translate := v.Links.ToK
 	if side == HeadSide {
-		overlap, translate = v.pOverlapHead, v.Links.FromK
+		translate = v.Links.FromK
 	}
-	args := make([]sparql.Arg, 3*len(pairs))
-	argSets := make([][]sparql.Arg, len(pairs))
-	for i, p := range pairs {
-		args[3*i], args[3*i+1], args[3*i+2] = sparql.IRIArg(p.A), sparql.IRIArg(p.B), sparql.IntArg(v.window(m))
-		argSets[i] = args[3*i : 3*i+3 : 3*i+3]
+	g := newTuples(len(pairs), 3)
+	for _, p := range pairs {
+		g.add(sparql.IRIArg(p.A), sparql.IRIArg(p.B), sparql.IntArg(v.window(m)))
 	}
 	// Translation alone decides where an overlap stream stops, so each is
 	// read to that point and the group closed before any check object is
@@ -126,7 +125,7 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 	// enumerations — are not held open across the fetches. keys holds,
 	// row after row and pair after pair, the check fetch of the row.
 	keys := make([]objectKey, 0, m*len(pairs))
-	err := endpoint.EachSet(context.Background(), overlap, argSets, func(i int, rows endpoint.Rows) error {
+	err := endpoint.EachSet(context.Background(), v.handle(pOverlap, side == BodySide), g.sets, func(i int, rows endpoint.Rows) error {
 		out := &UBSResult{}
 		pairs[i].Res = out
 		check := v.relation(memo, side == HeadSide, pairs[i].Check)
@@ -164,6 +163,55 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 		}
 	}
 	return nil
+}
+
+// HeadSiblings finds, for each of rules, the relations z of K other than
+// its Head that also connect the first m entity pairs of its Set — the
+// siblings the mirrored UBS strategy searches against the Head: those
+// connecting the most pairs, most first, at most keep of them. The
+// probes of all the rules, one per pair, go to K as one group.
+func (v *Validator) HeadSiblings(rules []Rule, m, keep int) ([][]string, error) {
+	n := 0
+	for _, rule := range rules {
+		n += min(len(rule.Set.Facts), m)
+	}
+	g := newTuples(n, 2)
+	of := make([]int, 0, n) // the rule g.sets[k] probes for
+	for i, rule := range rules {
+		start := len(g.sets)
+		for _, f := range rule.Set.Facts {
+			if len(g.sets)-start >= m {
+				break
+			}
+			if f.Y.IsIRI() {
+				g.add(sparql.IRIArg(f.X), sparql.IRIArg(f.Y.Value))
+				of = append(of, i)
+			}
+		}
+	}
+	counts := make([]map[string]int, len(rules))
+	err := endpoint.EachSet(context.Background(), v.handle(pBetween, false), g.sets, func(k int, rows endpoint.Rows) error {
+		i := of[k]
+		if counts[i] == nil {
+			counts[i] = map[string]int{}
+		}
+		for rows.Next() {
+			if p := rows.Row()[0]; p.IsIRI() && p.Value != rules[i].Head {
+				counts[i][p.Value]++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]string, len(rules))
+	for i, c := range counts {
+		sibs := slices.Collect(maps.Keys(c))
+		slices.SortFunc(sibs, func(a, b string) int { return cmp.Or(c[b]-c[a], strings.Compare(a, b)) })
+		out[i] = slices.Clip(sibs[:min(len(sibs), keep)])
+	}
+	return out, nil
 }
 
 func containsIRI(objs []rdf.Term, iri string) bool {
