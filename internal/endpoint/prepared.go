@@ -88,16 +88,20 @@ type BatchStreamer interface {
 
 // SelectBatch runs pq once per tuple of argSets and returns the results
 // in tuple order, each byte-identical to SelectCtx on its tuple: it
-// drains the sets of a BatchStreamer's group (EachSet), and calls
+// drains the sets of a BatchStreamer's group (StreamBatch), and calls
 // SelectCtx one tuple after the other otherwise — which is also what keeps
 // Caching, Admission and Local exact: they see a group as the single
-// probes it stands for. The first failing tuple fails the group; a group
-// cut after its open fails with the transport's error, never a short
-// result.
+// probes it stands for. The rows are the caller's to keep. The first
+// failing tuple fails the group; a group cut after its open fails with
+// the transport's error, never a short result.
 func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
 	out := make([]*sparql.Result, len(argSets))
 	if _, ok := pq.(BatchStreamer); ok && len(argSets) > 1 {
-		err := EachSet(ctx, pq, argSets, func(i int, rows Rows) error {
+		sets, err := StreamBatch(ctx, pq, argSets)
+		if err != nil {
+			return nil, err
+		}
+		err = readGroup(sets, len(argSets), func(i int, rows Rows) error {
 			out[i] = &sparql.Result{Vars: rows.Vars()}
 			for rows.Next() {
 				out[i].Rows = append(out[i].Rows, rows.Row())
@@ -126,13 +130,19 @@ func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) 
 // not group sees the calls of a caller that never heard of groups, in
 // their order, and a Local charges the rows actually pulled.
 func StreamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) (RowSets, error) {
+	return streamBatch(ctx, pq, argSets, pq.Stream)
+}
+
+// streamBatch is StreamBatch with open as the per-tuple stream of a pq
+// that does not group.
+func streamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, open func(ctx context.Context, args ...sparql.Arg) (Rows, error)) (RowSets, error) {
 	if b, ok := pq.(BatchStreamer); ok {
 		return b.StreamBatch(ctx, argSets)
 	}
 	if len(argSets) == 0 {
 		return ReplaySets(nil), nil
 	}
-	rows, err := pq.Stream(ctx, argSets[0]...)
+	rows, err := open(ctx, argSets[0]...)
 	if err != nil {
 		return nil, err
 	}
@@ -146,22 +156,33 @@ func StreamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) 
 		}
 		args := rest[0]
 		rest = rest[1:]
-		return pq.Stream(ctx, args...)
+		return open(ctx, args...)
 	}, nil), nil
 }
 
 // EachSet opens pq once per tuple of argSets (StreamBatch), hands every
 // set in turn to read — which pulls what it wants of it — and closes the
 // group: the loop of a caller that knows where each of its streams stops.
+// The rows are borrowed: on an endpoint that does not group, each tuple
+// is a StreamBorrowed, so read must copy what it keeps of a row before
+// its next Next.
 func EachSet(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, read func(i int, rows Rows) error) error {
-	sets, err := StreamBatch(ctx, pq, argSets)
+	sets, err := streamBatch(ctx, pq, argSets, func(ctx context.Context, args ...sparql.Arg) (Rows, error) {
+		return StreamBorrowed(ctx, pq, args...)
+	})
 	if err != nil {
 		return err
 	}
+	return readGroup(sets, len(argSets), read)
+}
+
+// readGroup hands the n sets of a group in turn to read, and closes the
+// group.
+func readGroup(sets RowSets, n int, read func(i int, rows Rows) error) error {
 	defer sets.Close()
-	for i := range argSets {
+	for i := range n {
 		if i > 0 && !sets.NextResultSet() {
-			return cmp.Or(sets.Err(), fmt.Errorf("endpoint: a group of %d answered in %d sets", len(argSets), i))
+			return cmp.Or(sets.Err(), fmt.Errorf("endpoint: a group of %d answered in %d sets", n, i))
 		}
 		if err := cmp.Or(read(i, sets), sets.Err()); err != nil {
 			return err

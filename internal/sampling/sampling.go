@@ -246,7 +246,7 @@ func (v *Validator) Discover(r string, n int, stage func(n int, task func(i int)
 	entity, literal := newTuples(n, 2), tuples{}
 	var lits []rdf.Term // literal.sets[i] is matched against lits[i]
 	err := stage(1, func(int) error {
-		rows, err := v.handle(pSample, false).Stream(context.Background(), sparql.IRIArg(r), sparql.IntArg(v.window(n)))
+		rows, err := endpoint.StreamBorrowed(context.Background(), v.handle(pSample, false), sparql.IRIArg(r), sparql.IntArg(v.window(n)))
 		if err != nil {
 			return err
 		}

@@ -169,7 +169,8 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 // its Head that also connect the first m entity pairs of its Set — the
 // siblings the mirrored UBS strategy searches against the Head: those
 // connecting the most pairs, most first, at most keep of them. The
-// probes of all the rules, one per pair, go to K as one group.
+// probes of all the rules, one per pair, go to K as one group, drained
+// (endpoint.SelectBatch): each answers a row or two, read whole.
 func (v *Validator) HeadSiblings(rules []Rule, m, keep int) ([][]string, error) {
 	n := 0
 	for _, rule := range rules {
@@ -189,21 +190,21 @@ func (v *Validator) HeadSiblings(rules []Rule, m, keep int) ([][]string, error) 
 			}
 		}
 	}
+	results, err := endpoint.SelectBatch(context.Background(), v.handle(pBetween, false), g.sets)
+	if err != nil {
+		return nil, err
+	}
 	counts := make([]map[string]int, len(rules))
-	err := endpoint.EachSet(context.Background(), v.handle(pBetween, false), g.sets, func(k int, rows endpoint.Rows) error {
+	for k, res := range results {
 		i := of[k]
 		if counts[i] == nil {
 			counts[i] = map[string]int{}
 		}
-		for rows.Next() {
-			if p := rows.Row()[0]; p.IsIRI() && p.Value != rules[i].Head {
+		for _, row := range res.Rows {
+			if p := row[0]; p.IsIRI() && p.Value != rules[i].Head {
 				counts[i][p.Value]++
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	out := make([][]string, len(rules))
 	for i, c := range counts {

@@ -237,6 +237,72 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 	}
 }
 
+// TestSelectBatchRowsAreOwned guards the line between SelectBatch,
+// whose rows the caller keeps, and EachSet, whose rows are borrowed: over
+// a Local (which does not group), an in-process Group and a grouping
+// HTTP Client, a group's results still equal per-tuple SelectCtx after
+// further calls on the same handle — groups, borrowed and owned streams —
+// have run.
+func TestSelectBatchRowsAreOwned(t *testing.T) {
+	srv := httptest.NewServer(endpoint.NewServer(endpoint.NewLocal(batchKB(), 7)))
+	defer srv.Close()
+	for name, ep := range map[string]endpoint.Endpoint{
+		"local":       endpoint.NewLocal(batchKB(), 7),
+		"in-process":  Partitioned(batchKB(), 3, 7),
+		"http client": endpoint.NewClient("batch", srv.URL, srv.Client()),
+	} {
+		for _, tm := range streamTemplates {
+			pq, err := ep.Prepare(tm.tmpl, tm.params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			argSets := make([][]sparql.Arg, 10)
+			for i := range argSets {
+				argSets[i] = tm.args(i + 1)
+			}
+			ctx := context.Background()
+			got, err := endpoint.SelectBatch(ctx, pq, argSets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := endpoint.SelectBatch(ctx, pq, argSets); err != nil {
+				t.Fatal(err)
+			}
+			err = endpoint.EachSet(ctx, pq, argSets, func(_ int, rows endpoint.Rows) error {
+				for rows.Next() {
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range argSets {
+				for _, open := range []func() (endpoint.Rows, error){
+					func() (endpoint.Rows, error) { return pq.Stream(ctx, args...) },
+					func() (endpoint.Rows, error) { return endpoint.StreamBorrowed(ctx, pq, args...) },
+				} {
+					rows, err := open()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rows.Next() {
+					}
+					rows.Close()
+				}
+			}
+			for i, args := range argSets {
+				want, err := pq.SelectCtx(ctx, args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if renderResult(got[i]) != renderResult(want) {
+					t.Fatalf("%s, %s, tuple %d: the group's result is now\n%s\nSelectCtx answers\n%s", name, tm.name, i, renderResult(got[i]), renderResult(want))
+				}
+			}
+		}
+	}
+}
+
 // streamTemplates are the shapes a group of streams takes through a
 // federation: a routed one, the ordered fan-outs the aligner's samplers
 // send (a lone RAND() key), two ordered fan-outs on deterministic keys —

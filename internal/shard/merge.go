@@ -571,6 +571,7 @@ func (r *orderedRows) run() {
 		}
 	}
 	sel := sparql.NewOrderSelector(desc, spec.orderTotal, lone, spec.offset, spec.limit)
+	defer sel.Release() // r.out keeps the winning payloads, not the selector's slots
 	if sel.Empty() {
 		r.trunc = r.merge.truncated()
 		r.merge.close()

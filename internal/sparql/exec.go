@@ -14,10 +14,11 @@ import (
 // exec.go is the final stage of the parse → compile → exec pipeline:
 // it runs a Prepared plan with bindings held in a flat []TermID
 // register file — no per-row maps, no string keys — and produces rows
-// through a pull-friendly streaming core (streamSelect). Exec
-// drains the stream into a Result; Iter (iter.go) hands the same stream
-// to the caller row by row, so LIMIT-heavy probes stop paying for rows
-// they discard.
+// through one of two cores: an unordered plan streams rows off the join
+// tree (streamUnordered), an ORDER BY plan selects its window first
+// (selectWindow) and then emits it (windowRow). Exec drains either into
+// a Result; Iter (iter.go) hands the same rows to the caller one by one,
+// so LIMIT-heavy probes stop paying for rows they discard.
 
 // errStop aborts row enumeration early once LIMIT is satisfied or the
 // consumer stops pulling.
@@ -33,11 +34,17 @@ type execState struct {
 	textFn func() string
 
 	// borrowRow, when non-nil, is the reused projection buffer of a
-	// borrowed-row execution (Prepared.IterBorrowed): every emitted row
-	// is written into it instead of a fresh allocation, so the consumer
-	// must copy rows it keeps. nil = materialize a fresh row per
-	// emission (the default contract).
+	// borrowed-row unordered stream (Prepared.IterBorrowed): every
+	// emitted row is written into it instead of a fresh allocation, so
+	// the consumer must copy rows it keeps. nil = materialize a fresh row
+	// per emission (the default contract).
 	borrowRow []rdf.Term
+
+	// sel and ids are an ordered execution's window, from selectWindow
+	// until releaseWindow: the selector, and the projected ids of its
+	// kept rows, one slot of len(projSlot) ids each. Both are pooled.
+	sel *OrderSelector
+	ids *[]kb.TermID
 
 	// planned caches per-execution join orders of EXISTS subgroups;
 	// their bound-register set is fixed by the attachment point, so one
@@ -98,7 +105,21 @@ func (p *Prepared) exec(args []Arg, textFn func() string) (*Result, error) {
 	}
 
 	res := &Result{Vars: p.vars}
-	err := ex.streamSelect(limit, offset, func(row []rdf.Term) bool {
+	if len(p.orderBy) > 0 {
+		n, err := ex.selectWindow(limit, offset)
+		if err != nil {
+			return nil, err
+		}
+		defer ex.releaseWindow()
+		if n > 0 {
+			res.Rows = make([][]rdf.Term, n)
+		}
+		for i := range res.Rows {
+			res.Rows[i] = ex.windowRow(i, nil)
+		}
+		return res, nil
+	}
+	err := ex.streamUnordered(limit, offset, func(row []rdf.Term) bool {
 		res.Rows = append(res.Rows, row)
 		return true
 	})
@@ -120,26 +141,6 @@ func (ex *execState) runGroup(g *cgroup, emit func() error) error {
 		}
 	}
 	return ex.join(g, &pl, 0, emit)
-}
-
-// streamSelect enumerates the SELECT result rows in final result order
-// — project → DISTINCT → ORDER keys → sort → OFFSET/LIMIT, mirroring
-// the reference evaluator's pipeline — and calls yield for each row.
-// Enumeration aborts as soon as yield returns false or the LIMIT is
-// satisfied, so a consumer that stops pulling stops paying.
-func (ex *execState) streamSelect(limit, offset int, yield func([]rdf.Term) bool) error {
-	// Every SELECT execution ends here — drained, exhausted, closed
-	// early (yield returns false) or failed — so this is where its PRNG
-	// goes back to the pool.
-	defer ex.releaseRand()
-	if !ex.p.projOK {
-		// A projected variable the pattern never binds drops every row.
-		return nil
-	}
-	if len(ex.p.orderBy) > 0 {
-		return ex.streamOrdered(limit, offset, yield)
-	}
-	return ex.streamUnordered(limit, offset, yield)
 }
 
 // distinctFilter dedups rows on the projected register snapshot.
@@ -178,12 +179,19 @@ func (ex *execState) projectRow() []rdf.Term {
 	return row
 }
 
-// streamUnordered streams rows straight off the join tree: DISTINCT
-// filtering and OFFSET skipping happen inline and LIMIT is an early
-// exit that aborts the join, so only the yielded rows are ever
-// materialized.
+// streamUnordered streams the rows of a plan without ORDER BY straight
+// off the join tree, calling yield for each: DISTINCT filtering and
+// OFFSET skipping happen inline and LIMIT is an early exit that aborts
+// the join, so only the yielded rows are ever materialized. Enumeration
+// aborts as soon as yield returns false, so a consumer that stops
+// pulling stops paying.
 func (ex *execState) streamUnordered(limit, offset int, yield func([]rdf.Term) bool) error {
-	if limit == 0 {
+	// The execution ends here — drained, exhausted, closed early (yield
+	// returns false) or failed — so this is where its PRNG goes back to
+	// the pool.
+	defer ex.releaseRand()
+	if !ex.p.projOK || limit == 0 {
+		// A projected variable the pattern never binds drops every row.
 		return nil
 	}
 	p := ex.p
@@ -215,20 +223,33 @@ func (ex *execState) streamUnordered(limit, offset int, yield func([]rdf.Term) b
 	return nil
 }
 
-// streamOrdered enumerates all matches (ORDER BY needs every row's
-// keys, and RAND() keys must be drawn in enumeration order) and emits
-// the window OrderSelector picks — the selection the federation merge
-// runs too (topk.go). Each row that survives DISTINCT consumes its draw
-// or has its keys evaluated, in enumeration order; an admitted row's
-// projected ids go into its slot of one flat arena (at most offset+limit
-// slots on the bounded selections, however many rows match), and terms
-// are materialized for the emitted window only.
-func (ex *execState) streamOrdered(limit, offset int, yield func([]rdf.Term) bool) error {
+// idPool recycles the id arenas of ordered executions, as selectorPool
+// does their selectors.
+var idPool = sync.Pool{New: func() any { return new([]kb.TermID) }}
+
+// selectWindow is the selection half of an ordered execution: it
+// enumerates all matches (ORDER BY needs every row's keys, and RAND()
+// keys must be drawn in enumeration order) and keeps the window
+// OrderSelector picks — the selection the federation merge runs too
+// (topk.go). Each row that survives DISTINCT consumes its draw or has
+// its keys evaluated, in enumeration order; an admitted row's projected
+// ids go into its slot of one flat arena (at most offset+limit slots on
+// the bounded selections, however many rows match), and no term is
+// materialized. It returns the window's row count; windowRow emits them,
+// and releaseWindow must follow once the last is read, or the execution
+// is abandoned. On failure the window is already released.
+func (ex *execState) selectWindow(limit, offset int) (int, error) {
+	defer ex.releaseRand() // the enumeration draws all there is to draw
 	p := ex.p
-	sel := NewOrderSelector(p.orderDesc, p.orderTotal, p.orderRand, offset, limit)
-	if sel.Empty() {
-		return nil
+	if !p.projOK {
+		return 0, nil
 	}
+	sel := NewOrderSelector(p.orderDesc, p.orderTotal, p.orderRand, offset, limit)
+	ex.sel = sel
+	if sel.Empty() {
+		return 0, nil
+	}
+	ex.ids = idPool.Get().(*[]kb.TermID)
 	var distinct *distinctFilter
 	if p.distinct {
 		distinct = newDistinctFilter(len(p.projSlot))
@@ -238,7 +259,6 @@ func (ex *execState) streamOrdered(limit, offset int, yield func([]rdf.Term) boo
 		keys = make([]Value, len(p.orderKeys))
 	}
 	w := len(p.projSlot)
-	var arena []kb.TermID
 	err := ex.runGroup(p.main, func() error {
 		if distinct != nil && distinct.dup(ex) {
 			return nil
@@ -255,30 +275,53 @@ func (ex *execState) streamOrdered(limit, offset int, yield func([]rdf.Term) boo
 		if slot < 0 {
 			return nil
 		}
-		if slot*w == len(arena) {
-			arena = slices.Grow(arena, w)[:len(arena)+w]
+		ids := *ex.ids
+		if slot*w == len(ids) {
+			ids = slices.Grow(ids, w)[:len(ids)+w]
+			*ex.ids = ids
 		}
 		for i, s := range p.projSlot {
-			arena[slot*w+i] = ex.regs[s]
+			ids[slot*w+i] = ex.regs[s]
 		}
 		return nil
 	})
 	if err != nil && err != errStop {
-		return err
+		ex.releaseWindow()
+		return 0, err
 	}
-	for i, n := 0, sel.Window(); i < n; i++ {
-		row := ex.borrowRow
-		if row == nil {
-			row = make([]rdf.Term, w)
-		}
-		for j, id := range arena[sel.Slot(i)*w:][:w] {
-			row[j] = ex.k.Term(id)
-		}
-		if !yield(row) {
-			return nil
-		}
+	return sel.Window(), nil
+}
+
+// windowRow is the emission half of an ordered execution: it writes the
+// terms of the window's i-th row into row — a fresh row when row is nil
+// — and returns it.
+func (ex *execState) windowRow(i int, row []rdf.Term) []rdf.Term {
+	w := len(ex.p.projSlot)
+	if row == nil {
+		row = make([]rdf.Term, w)
 	}
-	return nil
+	for j, id := range (*ex.ids)[ex.sel.Slot(i)*w:][:w] {
+		row[j] = ex.k.Term(id)
+	}
+	return row
+}
+
+// releaseWindow hands an ordered execution's selector and id arena back
+// to their pools — an arena above maxPooledScratch is dropped — once the
+// execution has ended: exhausted, closed or failed. It is idempotent; no
+// windowRow may follow.
+func (ex *execState) releaseWindow() {
+	if ex.sel != nil {
+		ex.sel.Release()
+		ex.sel = nil
+	}
+	if ex.ids != nil {
+		if cap(*ex.ids) <= maxPooledScratch {
+			*ex.ids = (*ex.ids)[:0]
+			idPool.Put(ex.ids)
+		}
+		ex.ids = nil
+	}
 }
 
 // join recurses over the planned steps, applying each step's attached

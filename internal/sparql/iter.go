@@ -7,12 +7,16 @@ import (
 	"sofya/internal/rdf"
 )
 
-// iter.go exposes the streaming core (exec.go) as a pull-based row
-// iterator: the join tree produces rows on demand, so a caller that
-// stops pulling — an early LIMIT, a probe that found what it needed —
-// aborts the enumeration instead of paying for the rows it discards.
-// Draining a RowIter yields exactly the rows Exec would return,
-// byte for byte, RAND() streams included: both run the same stream.
+// iter.go exposes the execution cores (exec.go) as a pull-based row
+// iterator. An unordered plan's join tree produces rows on demand, on
+// an iter.Pull coroutine, so a caller that stops pulling — an early
+// LIMIT, a probe that found what it needed — aborts the enumeration
+// instead of paying for the rows it discards. An ORDER BY plan has
+// enumerated every match before its first row can leave, so it needs no
+// coroutine: the first Next selects the window in the caller's
+// goroutine, and later calls walk it. Draining a RowIter yields exactly
+// the rows Exec would return, byte for byte, RAND() streams included:
+// both run the same cores.
 
 // RowIter iterates over the rows of one SELECT execution. It is not
 // safe for concurrent use, but independent iterators obtained from one
@@ -20,25 +24,22 @@ import (
 // (draining to exhaustion closes it implicitly).
 type RowIter struct {
 	vars []string
-	next func() ([]rdf.Term, bool)
-	stop func()
-	errp *error
+	src  rowSource
 	row  []rdf.Term
 	err  error
 	done bool
 }
 
-// newRowIter wraps the push-form streaming core into a pull iterator.
-// run must call yield for every result row, in order, and return only
-// real errors (a false yield is a clean stop).
-func newRowIter(vars []string, run func(yield func([]rdf.Term) bool) error) *RowIter {
-	it := &RowIter{vars: vars}
-	runErr := new(error)
-	it.errp = runErr
-	it.next, it.stop = iter.Pull(func(yield func([]rdf.Term) bool) {
-		*runErr = run(yield)
-	})
-	return it
+// rowSource is what a RowIter pulls from: an unordered stream's
+// coroutine (pulled) or an ordered execution's window (windowRows).
+type rowSource interface {
+	// next returns the next row, or false once the rows are exhausted or
+	// the execution failed (see err).
+	next() ([]rdf.Term, bool)
+	// err is the error that ended the rows, read once next returned false.
+	err() error
+	// stop abandons the execution before next returned false.
+	stop()
 }
 
 // Vars returns the projected variable names, in projection order.
@@ -50,11 +51,11 @@ func (it *RowIter) Next() bool {
 	if it.done {
 		return false
 	}
-	row, ok := it.next()
+	row, ok := it.src.next()
 	if !ok {
 		it.done = true
 		it.row = nil
-		it.err = *it.errp
+		it.err = it.src.err()
 		return false
 	}
 	it.row = row
@@ -79,61 +80,135 @@ func (it *RowIter) Close() {
 	}
 	it.done = true
 	it.row = nil
-	it.stop()
+	it.src.stop()
 }
 
 // Iter executes the prepared query as a stream: rows are produced on
 // demand and the join aborts as soon as the caller closes the iterator.
-// The query must be a SELECT.
+// Every row is freshly allocated. The query must be a SELECT.
 func (p *Prepared) Iter(args ...Arg) (*RowIter, error) {
-	if p.form != SelectForm {
-		return nil, fmt.Errorf("sparql: Iter needs a SELECT query")
-	}
-	args, textFn, err := p.bind(args)
-	if err != nil {
-		return nil, err
-	}
-	ex, limit, offset := p.start(args, textFn)
-	return newRowIter(p.vars, func(yield func([]rdf.Term) bool) error {
-		return ex.streamSelect(limit, offset, yield)
-	}), nil
+	return p.iter("Iter", args, false)
 }
 
-// borrowBatch is the number of rows a borrowed iterator ferries per
-// coroutine switch. The iter.Pull handoff costs on the order of 100ns
-// per switch — per-row, that dwarfs the work of producing a row from a
-// KB's index — so borrowed iterators rotate through a ring of batch
+// borrowBatch is the number of rows a borrowed unordered iterator
+// ferries per coroutine switch. The iter.Pull handoff costs on the order
+// of 100ns per switch — per-row, that dwarfs the work of producing a row
+// from a KB's index — so those iterators rotate through a ring of batch
 // projection buffers and cross the coroutine boundary once per batch.
 const borrowBatch = 64
 
 // IterBorrowed is Iter with borrowed rows: Row() returns a buffer that
-// is reused after at most borrowBatch further Next calls (treat it as
-// valid only until the next Next) — the iterator writes rows into a
-// fixed ring of projection buffers instead of allocating per row.
-// Consumers that inspect rows at a merge point and copy only the
-// winners (the federation's ordered merge) avoid O(result) row
-// materialization; everything else about the stream — order, RAND()
-// pairing, errors — is byte-identical to Iter.
+// the iterator reuses (treat it as valid only until the next Next)
+// instead of allocating per row — one buffer on an ORDER BY plan, a ring
+// of borrowBatch buffers otherwise. Consumers that inspect rows at a
+// merge point and copy only the winners (the federation's ordered
+// merge), or that copy out the terms they keep (the samplers), avoid
+// O(result) row materialization; everything else about the stream —
+// order, RAND() pairing, errors — is byte-identical to Iter.
 func (p *Prepared) IterBorrowed(args ...Arg) (*RowIter, error) {
+	return p.iter("IterBorrowed", args, true)
+}
+
+func (p *Prepared) iter(name string, args []Arg, borrowed bool) (*RowIter, error) {
 	if p.form != SelectForm {
-		return nil, fmt.Errorf("sparql: IterBorrowed needs a SELECT query")
+		return nil, fmt.Errorf("sparql: %s needs a SELECT query", name)
 	}
 	args, textFn, err := p.bind(args)
 	if err != nil {
 		return nil, err
 	}
 	ex, limit, offset := p.start(args, textFn)
-	nv := len(p.vars)
+	it := &RowIter{vars: p.vars}
+	switch {
+	case len(p.orderBy) > 0:
+		w := &windowRows{ex: ex, limit: limit, offset: offset}
+		if borrowed {
+			w.buf = make([]rdf.Term, len(p.projSlot))
+		}
+		it.src = w
+	case borrowed:
+		it.src = pullBorrowed(ex, limit, offset)
+	default:
+		it.src = pull(func(yield func([]rdf.Term) bool) error {
+			return ex.streamUnordered(limit, offset, yield)
+		})
+	}
+	return it, nil
+}
+
+// windowRows is the rowSource of an ORDER BY execution: the first next
+// runs the selection (selectWindow) in the caller's goroutine, and every
+// next emits one window row — into buf when the rows are borrowed, a
+// fresh row otherwise. The window's scratch goes back to its pools when
+// the rows are exhausted, when the iterator is closed, or when the
+// selection fails.
+type windowRows struct {
+	ex            *execState
+	limit, offset int
+	buf           []rdf.Term
+
+	selected bool
+	n, i     int
+	e        error
+}
+
+func (w *windowRows) next() ([]rdf.Term, bool) {
+	if !w.selected {
+		w.selected = true
+		w.n, w.e = w.ex.selectWindow(w.limit, w.offset)
+	}
+	if w.i >= w.n {
+		w.ex.releaseWindow()
+		return nil, false
+	}
+	row := w.ex.windowRow(w.i, w.buf)
+	w.i++
+	return row, true
+}
+
+func (w *windowRows) err() error { return w.e }
+func (w *windowRows) stop()      { w.ex.releaseWindow() }
+
+// pulled is the rowSource of an unordered stream: the push-form core
+// runs on an iter.Pull coroutine and hands rows across as they come.
+type pulled struct {
+	pull   func() ([]rdf.Term, bool)
+	cancel func()
+	runErr error
+}
+
+func (s *pulled) next() ([]rdf.Term, bool) { return s.pull() }
+func (s *pulled) err() error               { return s.runErr }
+func (s *pulled) stop()                    { s.cancel() }
+
+// pull wraps the push-form streaming core into a pull source. run must
+// call yield for every result row, in order, and return only real
+// errors (a false yield is a clean stop).
+func pull(run func(yield func([]rdf.Term) bool) error) *pulled {
+	s := &pulled{}
+	s.pull, s.cancel = iter.Pull(func(yield func([]rdf.Term) bool) {
+		s.runErr = run(yield)
+	})
+	return s
+}
+
+// pullBorrowed is pull for a borrowed unordered stream: the core writes
+// rows into a ring of borrowBatch projection buffers and crosses the
+// coroutine boundary once per batch, which stays readable until the
+// consumer pulls past it.
+func pullBorrowed(ex *execState, limit, offset int) *pulled {
+	nv := len(ex.p.projSlot)
 	slots := make([][]rdf.Term, borrowBatch)
 	backing := make([]rdf.Term, borrowBatch*nv)
 	for i := range slots {
 		slots[i] = backing[i*nv : (i+1)*nv : (i+1)*nv]
 	}
-	return newBatchRowIter(p.vars, func(yield func([][]rdf.Term) bool) error {
+	s := &pulled{}
+	batches, cancel := iter.Pull(func(yield func([][]rdf.Term) bool) {
 		buf := make([][]rdf.Term, 0, borrowBatch)
 		si := 0
 		ex.borrowRow = slots[0]
-		err := ex.streamSelect(limit, offset, func(row []rdf.Term) bool {
+		s.runErr = ex.streamUnordered(limit, offset, func(row []rdf.Term) bool {
 			buf = append(buf, row)
 			si++
 			if si == borrowBatch {
@@ -145,29 +220,15 @@ func (p *Prepared) IterBorrowed(args ...Arg) (*RowIter, error) {
 			ex.borrowRow = slots[si]
 			return true
 		})
-		if err == nil && len(buf) > 0 {
+		if s.runErr == nil && len(buf) > 0 {
 			yield(buf)
 		}
-		return err
-	}), nil
-}
-
-// newBatchRowIter wraps a batch-yielding streaming core into the same
-// pull iterator, amortizing the coroutine switch over whole batches.
-// run must yield non-empty batches of rows, in order; a yielded batch
-// stays readable until run resumes (the consumer pulls again).
-func newBatchRowIter(vars []string, run func(yield func([][]rdf.Term) bool) error) *RowIter {
-	it := &RowIter{vars: vars}
-	runErr := new(error)
-	it.errp = runErr
-	pull, stop := iter.Pull(func(yield func([][]rdf.Term) bool) {
-		*runErr = run(yield)
 	})
 	var cur [][]rdf.Term
 	bi := 0
-	it.next = func() ([]rdf.Term, bool) {
+	s.pull = func() ([]rdf.Term, bool) {
 		for bi >= len(cur) {
-			b, ok := pull()
+			b, ok := batches()
 			if !ok {
 				return nil, false
 			}
@@ -177,6 +238,6 @@ func newBatchRowIter(vars []string, run func(yield func([][]rdf.Term) bool) erro
 		bi++
 		return row, true
 	}
-	it.stop = stop
-	return it
+	s.cancel = cancel
+	return s
 }

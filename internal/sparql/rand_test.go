@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 // rand_test.go covers the RAND() stream's plumbing: the pooled PRNG
 // state (randSource) and the cost of the sampling-probe shape it feeds
-// (streamOrdered's OfferDraw branch).
+// (selectWindow's OfferDraw branch).
 
 // TestPooledRandStreamIdentical holds the pooled stream to its
 // definition, written out here the way the reference engine writes it:
@@ -51,22 +52,45 @@ func TestPooledRandStreamIdentical(t *testing.T) {
 	}
 }
 
-// TestConcurrentRandStreams runs the sampling probe from many
-// goroutines at once, half of them abandoning their stream after one
-// row: each execution's PRNG goes back to the pool when its stream
-// ends, and a state still in use must never be handed out again.
+// TestConcurrentRandStreams runs ordered probes from many goroutines at
+// once — the sampling shape and a keyed DISTINCT … ORDER BY ?x LIMIT
+// (OrderSelector's OfferKeys path), through Iter and IterBorrowed —
+// closing each stream before its first row, after one, mid-window or
+// past the end. Every execution hands its PRNG, selector and id arena
+// back to their pools when it ends, and which stream gets them next is
+// decided between goroutines: a scratch still in use must never be
+// handed out again, so every row read must be Exec's.
 func TestConcurrentRandStreams(t *testing.T) {
-	k := benchKB(500)
-	e := NewEngineSeeded(k, 3)
-	p, err := e.Prepare(MustParseTemplate(
-		"SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n", "r", "n"))
-	if err != nil {
-		t.Fatal(err)
+	e := NewEngineSeeded(sampleKB(500), 3)
+	shapes := []struct {
+		tmpl *Template
+		args func(n int) []Arg
+	}{
+		{MustParseTemplate("SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n", "r", "n"),
+			func(n int) []Arg { return []Arg{IRIArg("http://b/p"), IntArg(n)} }},
+		{MustParseTemplate("SELECT DISTINCT ?x WHERE { ?x ?p ?y } ORDER BY ?x LIMIT $n", "n"),
+			func(n int) []Arg { return []Arg{IntArg(n)} }},
 	}
-	want := make([]*Result, 8)
-	for n := range want {
-		if want[n], err = p.Exec(IRIArg("http://b/p"), IntArg(n+2)); err != nil {
+	type exec struct {
+		p    *Prepared
+		args []Arg
+		want *Result
+	}
+	var execs []exec
+	for _, sh := range shapes {
+		p, err := e.Prepare(sh.tmpl)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for n := 2; n < 10; n++ {
+			want, err := p.Exec(sh.args(n)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Rows) != n {
+				t.Fatalf("LIMIT %d: Exec gave %d rows", n, len(want.Rows))
+			}
+			execs = append(execs, exec{p, sh.args(n), want})
 		}
 	}
 	var wg sync.WaitGroup
@@ -75,23 +99,32 @@ func TestConcurrentRandStreams(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
-				n := (g + round) % len(want)
-				it, err := p.Iter(IRIArg("http://b/p"), IntArg(n+2))
+				x := execs[(g+round)%len(execs)]
+				open := x.p.Iter
+				if (g+round)%3 == 0 {
+					open = x.p.IterBorrowed
+				}
+				it, err := open(x.args...)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				keep := len(want[n].Rows)
-				if (g+round)%2 == 0 {
-					keep = 1 // close early
-				}
-				for i := 0; i < keep; i++ {
+				rows := len(x.want.Rows)
+				// Close before the first row, after one, mid-window, past the end.
+				read := []int{0, 1, rows / 2, rows + 1}[(g*7+round)%4]
+				for i := 0; i < read; i++ {
 					if !it.Next() {
-						t.Errorf("LIMIT %d stream ended at row %d: %v", n+2, i, it.Err())
+						if i < rows {
+							t.Errorf("%v: stream ended at row %d of %d: %v", x.args, i, rows, it.Err())
+						}
 						break
 					}
-					if it.Row()[0] != want[n].Rows[i][0] || it.Row()[1] != want[n].Rows[i][1] {
-						t.Errorf("LIMIT %d stream diverged at row %d", n+2, i)
+					if i >= rows {
+						t.Errorf("%v: row %d past the %d of Exec", x.args, i, rows)
+						break
+					}
+					if !slices.Equal(it.Row(), x.want.Rows[i]) {
+						t.Errorf("%v: stream diverged at row %d: %v, Exec %v", x.args, i, it.Row(), x.want.Rows[i])
 						break
 					}
 				}
@@ -129,10 +162,58 @@ func TestAllocCeilingRandSample(t *testing.T) {
 	if small != large {
 		t.Fatalf("%.0f allocs/op over 10³ facts, %.0f over 10⁵: the selection is not bounded by the LIMIT", small, large)
 	}
-	// 200 result rows, the result slice's growth steps, the selector and
-	// arena's, and the execution's fixed state.
-	if large > 260 {
-		t.Fatalf("%.0f allocs/op, ceiling 260", large)
+	// 200 result rows, the result's row slice and the execution's fixed
+	// state: the selector and its arena come from their pools. Measured
+	// at 220.
+	if large > 228 {
+		t.Fatalf("%.0f allocs/op, ceiling 228", large)
 	}
 	t.Logf("%.0f allocs/op", large)
+}
+
+// TestAllocCeilingBorrowedWindow pins what a borrowed stream of a
+// sampling probe allocates: the execution's fixed state and one row
+// buffer, whether the 200-row window is read to its end or closed after
+// sampleEarlyClose rows, over a relation of 10³ subjects and one of 10⁵.
+// A row allocated per emission, a selection that buffered every match or
+// scratch that is not reused would each break the equality.
+func TestAllocCeilingBorrowedWindow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	small, large := NewEngineSeeded(sampleKB(1_000), 1), NewEngineSeeded(sampleKB(100_000), 1)
+	for _, probe := range sampleProbes {
+		var counts []float64
+		for _, e := range []*Engine{small, large} {
+			p, err := e.Prepare(probe.tmpl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{-1, sampleEarlyClose} {
+				want := 200
+				if n >= 0 {
+					want = n
+				}
+				run := func() {
+					if got, err := readStream(p, probe.args, true, n); err != nil || got != want {
+						t.Fatalf("%s: read %d rows, want %d: %v", probe.name, got, want, err)
+					}
+				}
+				run() // fill the pools
+				counts = append(counts, testing.AllocsPerRun(20, run))
+			}
+		}
+		for _, c := range counts[1:] {
+			if c != counts[0] {
+				t.Fatalf("%s: %v allocs/op (10³ subjects: window, %d rows; 10⁵: window, %d rows); want one count",
+					probe.name, counts, sampleEarlyClose, sampleEarlyClose)
+			}
+		}
+		// Measured at 20 (sample) and 35 (overlap, whose NOT EXISTS plans
+		// its subgroup).
+		if counts[0] > 40 {
+			t.Fatalf("%s: %.0f allocs/op, ceiling 40", probe.name, counts[0])
+		}
+		t.Logf("%s: %.0f allocs/op", probe.name, counts[0])
+	}
 }

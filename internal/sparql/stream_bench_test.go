@@ -145,55 +145,117 @@ func BenchmarkFilterClosureProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkRandSample is the selection the aligner's two sampling
-// probes run (sampling.TmplSample and sampling.TmplOverlap, copied here
-// because sampling imports this package), over a relation smaller than
-// the 200-row fetch window — every match is kept — and one far larger.
-func BenchmarkRandSample(b *testing.B) {
-	for _, size := range []struct {
-		name  string
-		facts int
-	}{{"small", 100}, {"large", benchProbeRows}} {
-		k := kb.New("sample")
-		for i := 0; i < size.facts; i++ {
-			s := fmt.Sprintf("http://b/s%06d", i)
-			k.AddIRIs(s, "http://b/p", fmt.Sprintf("http://b/o%06d", i))
-			k.AddIRIs(s, "http://b/q", fmt.Sprintf("http://b/o%06d", i+1))
-		}
-		k.Freeze()
-		e := NewEngineSeeded(k, 1)
-		p, q := IRIArg("http://b/p"), IRIArg("http://b/q")
-		for _, probe := range []struct {
-			name string
-			tmpl *Template
-			args []Arg
-		}{
-			{"sample", MustParseTemplate(
-				"SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n", "r", "n"),
-				[]Arg{p, IntArg(200)}},
-			{"overlap", MustParseTemplate(`SELECT ?x ?y1 ?y2 WHERE {
+// sampleKB builds the relation pair the sampling probes run over:
+// subjects subjects, each with one p-object and one q-object, which the
+// overlap probe's a(x,y1) ∧ b(x,y2) ∧ ¬a(x,y2) matches once a subject.
+func sampleKB(subjects int) *kb.KB {
+	k := kb.New("sample")
+	for i := 0; i < subjects; i++ {
+		s := fmt.Sprintf("http://b/s%06d", i)
+		k.AddIRIs(s, "http://b/p", fmt.Sprintf("http://b/o%06d", i))
+		k.AddIRIs(s, "http://b/q", fmt.Sprintf("http://b/o%06d", i+1))
+	}
+	k.Freeze()
+	return k
+}
+
+// sampleProbes are the aligner's two sampling probes with a 200-row
+// window (sampling.TmplSample and sampling.TmplOverlap, copied here
+// because sampling imports this package) over sampleKB's relations.
+var sampleProbes = []struct {
+	name string
+	tmpl *Template
+	args []Arg
+}{
+	{"sample", MustParseTemplate(
+		"SELECT ?x ?y WHERE { ?x $r ?y } ORDER BY RAND() LIMIT $n", "r", "n"),
+		[]Arg{IRIArg("http://b/p"), IntArg(200)}},
+	{"overlap", MustParseTemplate(`SELECT ?x ?y1 ?y2 WHERE {
   ?x $a ?y1 .
   ?x $b ?y2 .
   FILTER NOT EXISTS { ?x $a ?y2 }
 } ORDER BY RAND() LIMIT $n`, "a", "b", "n"),
-				[]Arg{p, q, IntArg(200)}},
-		} {
+		[]Arg{IRIArg("http://b/p"), IRIArg("http://b/q"), IntArg(200)}},
+}
+
+// sampleEarlyClose is how many window rows the short stream readings
+// take before closing: a sampler closes its window once it has its
+// sample, often a few rows in.
+const sampleEarlyClose = 14
+
+// readStream opens p's stream on args — borrowed or not — reads at
+// most n rows (n < 0: all of them) and closes it, returning how many it
+// read.
+func readStream(p *Prepared, args []Arg, borrowed bool, n int) (int, error) {
+	open := p.Iter
+	if borrowed {
+		open = p.IterBorrowed
+	}
+	it, err := open(args...)
+	if err != nil {
+		return 0, err
+	}
+	defer it.Close()
+	read := 0
+	for read != n && it.Next() {
+		read++
+	}
+	return read, it.Err()
+}
+
+// BenchmarkRandSample is the selection the aligner's two sampling
+// probes run, over a relation smaller than the 200-row fetch window —
+// every match is kept — and one far larger: executed whole (Exec), and
+// as a stream (Iter, IterBorrowed) read to the end of the window or
+// closed after sampleEarlyClose rows.
+func BenchmarkRandSample(b *testing.B) {
+	for _, size := range []struct {
+		name     string
+		subjects int
+	}{{"small", 100}, {"large", benchProbeRows}} {
+		e := NewEngineSeeded(sampleKB(size.subjects), 1)
+		want := min(size.subjects, 200)
+		for _, probe := range sampleProbes {
 			prep, err := e.Prepare(probe.tmpl)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(probe.name+"/"+size.name, func(b *testing.B) {
+			name := probe.name + "/" + size.name
+			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := prep.Exec(probe.args...)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if want := min(size.facts, 200); len(res.Rows) != want {
+					if len(res.Rows) != want {
 						b.Fatalf("rows = %d, want %d", len(res.Rows), want)
 					}
 				}
 			})
+			for _, stream := range []struct {
+				name     string
+				borrowed bool
+			}{{"Iter", false}, {"IterBorrowed", true}} {
+				for _, read := range []struct {
+					name string
+					n    int
+				}{{"window", -1}, {fmt.Sprintf("%drows", sampleEarlyClose), sampleEarlyClose}} {
+					wantRead := want
+					if read.n >= 0 {
+						wantRead = min(want, read.n)
+					}
+					b.Run(name+"/"+stream.name+"/"+read.name, func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							got, err := readStream(prep, probe.args, stream.borrowed, read.n)
+							if err != nil || got != wantRead {
+								b.Fatalf("read %d rows, want %d: %v", got, wantRead, err)
+							}
+						}
+					})
+				}
+			}
 		}
 	}
 }

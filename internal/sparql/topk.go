@@ -4,11 +4,12 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // topk.go is how an ORDER BY [OFFSET] [LIMIT] picks and orders its
 // winners from an enumeration — the one definition the executor
-// (streamOrdered) and the federation merge (shard.orderedRows) both run,
+// (selectWindow) and the federation merge (shard.orderedRows) both run,
 // which is what keeps a sharded ORDER BY byte-identical to the unsharded
 // engine's. The selector sees keys and enumeration order only; each
 // caller stores the rows themselves, in whatever form it likes (the
@@ -40,6 +41,10 @@ import (
 // row is evicted, so a bounded selection never has more than
 // offset+limit payloads live over an enumeration of any length.
 //
+// Selectors come from a pool, entries and all, so a probe that runs
+// again finds its selection's room already grown: the caller hands it
+// back with Release when the execution ends, whichever way it ends.
+//
 // The zero value is not usable; construct with NewOrderSelector. An
 // OrderSelector is not safe for concurrent use.
 type OrderSelector struct {
@@ -53,7 +58,18 @@ type OrderSelector struct {
 	keys   [][]Value // per payload slot; empty when rand
 	seen   int       // rows offered so far: the next enumeration index
 	heaped bool      // ents is a max-heap under order
+	lo     int       // the window's first entry, once Window has cut it
 }
+
+// maxPooledScratch bounds, in elements, a selection buffer that goes
+// back to its pool (a selector's entries, an execution's id arena): a
+// larger one — an ORDER BY without LIMIT over a large result — is
+// dropped, so a pool never pins what one outsized execution grew. The
+// sampling probes' windows (200 to a few thousand rows) stay far below.
+const maxPooledScratch = 1 << 13
+
+// selectorPool recycles selectors with their entries.
+var selectorPool = sync.Pool{New: func() any { return new(OrderSelector) }}
 
 type selEntry struct {
 	f    float64 // the draw, when rand
@@ -66,11 +82,24 @@ type selEntry struct {
 // total key list, rand the lone ascending bare RAND() (which is total),
 // limit < 0 no LIMIT.
 func NewOrderSelector(desc []bool, total, rand bool, offset, limit int) *OrderSelector {
-	s := &OrderSelector{desc: desc, rand: rand, total: total, offset: offset, target: -1}
+	s := selectorPool.Get().(*OrderSelector)
+	*s = OrderSelector{desc: desc, rand: rand, total: total, offset: offset, target: -1, ents: s.ents[:0]}
 	if limit >= 0 {
 		s.target = offset + limit
 	}
 	return s
+}
+
+// Release ends the selection and hands the selector back to its pool,
+// entries included unless they outgrew maxPooledScratch. Call it once,
+// after the last Slot: neither the selector nor its slots may be read
+// afterwards (the payloads, being the caller's, stay valid).
+func (s *OrderSelector) Release() {
+	if cap(s.ents) > maxPooledScratch {
+		return
+	}
+	*s = OrderSelector{ents: s.ents[:0]}
+	selectorPool.Put(s)
 }
 
 // full reports a bounded selection that holds its offset+limit rows:
@@ -167,12 +196,13 @@ func (s *OrderSelector) Window() int {
 	if s.target >= 0 {
 		end = min(end, s.target)
 	}
-	s.ents = s.ents[min(s.offset, end):end]
-	return len(s.ents)
+	// Cut the end only, so that Release finds the entries' whole room.
+	s.ents, s.lo = s.ents[:end], min(s.offset, end)
+	return end - s.lo
 }
 
 // Slot returns the payload slot of the i-th row of the window.
-func (s *OrderSelector) Slot(i int) int { return s.ents[i].slot }
+func (s *OrderSelector) Slot(i int) int { return s.ents[s.lo+i].slot }
 
 // order is the total selection order: draws or key lists first, ties to
 // the row enumerated first.

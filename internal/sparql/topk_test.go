@@ -61,7 +61,7 @@ var selectorShapes = []selectorShape{
 }
 
 // viaSelector runs the selector with the enumeration index as the
-// payload, the way streamOrdered and the merge drive it, and checks the
+// payload, the way selectWindow and the merge drive it, and checks the
 // slot contract and Worst on the way.
 func viaSelector(t *testing.T, sh selectorShape, rows [][]Value, desc []bool, offset, limit int) []int {
 	sel := NewOrderSelector(desc, sh.total, sh.rand, offset, limit)
