@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
+	"sofya/internal/endpoint"
 	"sofya/internal/sparql"
 )
 
@@ -55,5 +57,55 @@ func TestAllocCeilingShardRequest(t *testing.T) {
 		if bytes > c.bytes || objects > c.objects {
 			t.Errorf("%s: %.0f bytes, %.1f objects a probe; ceilings %.0f and %.0f", c.name, bytes, objects, c.bytes, c.objects)
 		}
+	}
+}
+
+// TestAllocCeilingOrderedWindowOverWire guards the path every sample and
+// overlap window of a federated alignment takes: one ORDER BY RAND()
+// LIMIT 400 over 4,096 facts, read through EachSet from a 3-shard HTTP
+// group, both sides of the wire in this process. Every shard streams its
+// whole pushdown enumeration, ≈ 1,365 rows, and the merge keeps 400.
+// Measured at 8,743 objects / 173 KB a window, most of the objects the
+// decoded term strings; before the shard servers, the wire decoder and
+// the merge borrowed their rows — each row materialized three times — it
+// was 13,334 objects / 1,257 KB. The ceilings are 2 × that.
+func TestAllocCeilingOrderedWindowOverWire(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	g, cleanup := newBenchCluster(t, benchKB(4096))
+	defer cleanup()
+	pq, err := g.Prepare(benchProbe, "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	argSets := [][]sparql.Arg{{sparql.IntArg(400)}}
+	run := func() {
+		n := 0
+		err := endpoint.EachSet(context.Background(), pq, argSets, func(_ int, rows endpoint.Rows) error {
+			for rows.Next() {
+				n++
+			}
+			return nil
+		})
+		if err != nil || n != 400 {
+			t.Fatalf("%d rows, %v", n, err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		run() // plans, connections and pooled buffers settle
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("one window: %.0f bytes, %.1f objects", bytes, objects)
+	if bytes > 346_000 || objects > 17_486 {
+		t.Errorf("one window: %.0f bytes, %.1f objects; ceilings 346000 and 17486", bytes, objects)
 	}
 }

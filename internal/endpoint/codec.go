@@ -633,8 +633,10 @@ type frame struct {
 
 // frame decodes one frame line into f. width is the number of variables
 // the stream's head declared, -1 while the head is still to come: a rows
-// frame must fit it.
-func (d *jsonDec) frame(line []byte, f *frame, width int) error {
+// frame must fit it. A rows frame's terms are decoded into into's room
+// — the reused buffer of a stream whose rows are borrowed — or, when
+// into is nil, into a new slice the rows may keep.
+func (d *jsonDec) frame(line []byte, f *frame, width int, into []rdf.Term) error {
 	const (
 		mHead = 1 << iota
 		mRows
@@ -693,7 +695,7 @@ func (d *jsonDec) frame(line []byte, f *frame, width int) error {
 			if width < 0 {
 				return d.errf("rows before the head frame")
 			}
-			f.terms, f.n, err = d.rows(width)
+			f.terms, f.n, err = d.rows(width, into)
 		case mEnd:
 			err = d.frameEnd(f)
 		case mError:
@@ -780,17 +782,21 @@ func (d *jsonDec) frameEnd(f *frame) error {
 	}
 }
 
-// rows reads an array of rows of width terms each into one new backing
-// slice, row-major, made once for the rows the array seems to hold: the
-// encoder writes "],[" between two, so one more than are left in the
-// frame at most. That is believed up to a full frame and to the terms the
-// bytes could hold, 8 at the least each; past it the slice grows.
-func (d *jsonDec) rows(width int) (all []rdf.Term, n int, err error) {
+// rows reads an array of rows of width terms each into one backing
+// slice, row-major: into[:0] when into is not nil, and otherwise a new
+// one, made once for the rows the array seems to hold: the encoder
+// writes "],[" between two, so one more than are left in the frame at
+// most. That is believed up to a full frame and to the terms the bytes
+// could hold, 8 at the least each; past it the slice grows.
+func (d *jsonDec) rows(width int, into []rdf.Term) (all []rdf.Term, n int, err error) {
 	if err := d.open('['); err != nil {
 		return nil, 0, err
 	}
 	rest := d.data[d.pos:]
-	buf := make([]rdf.Term, 0, min(width*min(WireBatch, 1+bytes.Count(rest, []byte("],["))), len(rest)/8))
+	buf := into[:0]
+	if into == nil {
+		buf = make([]rdf.Term, 0, min(width*min(WireBatch, 1+bytes.Count(rest, []byte("],["))), len(rest)/8))
+	}
 	for first := true; ; first = false {
 		ok, err := d.element(first)
 		if err != nil {

@@ -83,7 +83,7 @@ func encodeStream(s *stream) ([]byte, *httptest.ResponseRecorder) {
 // lands in the stream's err, like the reference's; any other failure is
 // returned.
 func decodeStream(data []byte) (*stream, error) {
-	rows, err := newWireRows(io.NopCloser(bytes.NewReader(data)), int64(len(data)), 1)
+	rows, err := newWireRows(io.NopCloser(bytes.NewReader(data)), int64(len(data)), 1, false)
 	if err != nil {
 		return nil, err
 	}
@@ -581,7 +581,7 @@ func BenchmarkWireFrameDecode(b *testing.B) {
 	b.SetBytes(int64(len(line)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := d.frame(line, &f, 2); err != nil {
+		if err := d.frame(line, &f, 2, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -620,15 +620,16 @@ func TestAllocCeilingWireFrameDecode(t *testing.T) {
 	var d jsonDec
 	var f frame
 	allocCeiling(t, 260, func() {
-		if err := d.frame(line, &f, 2); err != nil {
+		if err := d.frame(line, &f, 2, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 // A streamed row over an httptest loopback — request, server plan and
-// enumeration, frames, client decode — measured at 3.3 allocations a
-// row on a 1024-row stream, where it was 9.5 through encoding/json.
+// enumeration, frames, client decode — measured at 2.2 allocations a
+// row on a 1024-row stream (2,225): 3.2 (3,250) while the server
+// materialized every row it encoded, 9.5 through encoding/json.
 func TestAllocCeilingWireStreamedRow(t *testing.T) {
 	const rows = 1024
 	srv := httptest.NewServer(NewServer(NewLocal(bigKB(rows), 1)))
@@ -637,7 +638,7 @@ func TestAllocCeilingWireStreamedRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocCeiling(t, 6*rows, func() {
+	allocCeiling(t, 4*rows, func() {
 		stream, err := pq.Stream(context.Background())
 		if err != nil {
 			t.Fatal(err)

@@ -422,18 +422,19 @@ func (c *Client) roundTrip(ctx context.Context, query string, want sparql.Form) 
 }
 
 // openStream requests the batch-framed stream for a SELECT text.
-func (c *Client) openStream(ctx context.Context, query string) (Rows, error) {
+func (c *Client) openStream(ctx context.Context, query string, borrowed bool) (Rows, error) {
 	resp, err := c.post(ctx, query, sparql.SelectForm, true)
 	if err != nil {
 		return nil, err
 	}
-	return c.rowsOf(resp, 1)
+	return c.rowsOf(resp, 1, borrowed)
 }
 
 // rowsOf reads the answer to a stream request: the frames of its sets
-// sequences, or — from a server that answers a plain JSON document (an
-// older build, a generic SPARQL endpoint) — the document, replayed.
-func (c *Client) rowsOf(resp *http.Response, sets int) (Rows, error) {
+// sequences, their rows borrowed or not (newWireRows), or — from a
+// server that answers a plain JSON document (an older build, a generic
+// SPARQL endpoint) — the document, replayed.
+func (c *Client) rowsOf(resp *http.Response, sets int, borrowed bool) (Rows, error) {
 	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), StreamContentType) {
 		res, err := c.document(resp)
 		if err != nil {
@@ -441,7 +442,7 @@ func (c *Client) rowsOf(resp *http.Response, sets int) (Rows, error) {
 		}
 		return ReplayRows(res), nil
 	}
-	return newWireRows(resp.Body, resp.ContentLength, sets)
+	return newWireRows(resp.Body, resp.ContentLength, sets, borrowed)
 }
 
 // SelectCtx implements Endpoint as the one text transport: the caller's
@@ -488,14 +489,25 @@ type clientPrepared struct {
 // stream: rows arrive in batches as the consumer pulls, and closing the
 // stream aborts the remote enumeration with the request context.
 func (p *clientPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows, error) {
+	return p.stream(ctx, args, false)
+}
+
+// StreamBorrowed implements StreamBorrower: the same wire stream, its
+// frames decoded into one pooled buffer instead of a slice each.
+func (p *clientPrepared) StreamBorrowed(ctx context.Context, args ...sparql.Arg) (Rows, error) {
+	return p.stream(ctx, args, true)
+}
+
+func (p *clientPrepared) stream(ctx context.Context, args []sparql.Arg, borrowed bool) (Rows, error) {
 	text, err := p.tmpl.Text(args...)
 	if err != nil {
 		return nil, err
 	}
-	return p.c.openStream(ctx, text)
+	return p.c.openStream(ctx, text, borrowed)
 }
 
 var (
-	_ Endpoint      = (*Client)(nil)
-	_ PreparedQuery = (*clientPrepared)(nil)
+	_ Endpoint       = (*Client)(nil)
+	_ PreparedQuery  = (*clientPrepared)(nil)
+	_ StreamBorrower = (*clientPrepared)(nil)
 )

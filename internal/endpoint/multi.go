@@ -23,7 +23,7 @@ import (
 //
 // The server answers it through the loop that answers a single stream,
 // the group of one (serveFramed, writeSets): it runs the texts in order
-// through the endpoint it serves, one prepared stream each — quota,
+// through the endpoint it serves, one borrowed stream each — quota,
 // statistics and admission see the single queries a client sending them
 // one by one would have caused — and encodes each as it drains it,
 // through one buffer: it never holds more of a group than the batch it
@@ -57,7 +57,9 @@ const maxMultiQueries = 64
 // serveFramed answers a stream request through the one framed-answer
 // loop (writeSets): a multi=1 request as its texts' sequences, a stream=1
 // SELECT as the group of one it is — whose media type, alone, carries no
-// sets parameter.
+// sets parameter. Each text opens as a borrowed stream (StreamBorrowed):
+// the frame writer encodes a row before it pulls the next, so the
+// endpoint need not materialize one.
 func (s *Server) serveFramed(w http.ResponseWriter, r *http.Request, req *wireReq) {
 	texts, contentType := req.multi, StreamContentType
 	if texts == nil {
@@ -84,7 +86,7 @@ func (s *Server) serveFramed(w http.ResponseWriter, r *http.Request, req *wireRe
 		if err != nil {
 			return nil, err
 		}
-		return pq.Stream(ctx)
+		return StreamBorrowed(ctx, pq) // each row is encoded before the next
 	})
 }
 
@@ -161,7 +163,7 @@ func (g *clientGroup) next() (Rows, error) {
 	}
 	g.groups = g.groups && (n == 1 || sets > 1)
 	g.texts = g.texts[sets:]
-	return g.c.rowsOf(resp, sets)
+	return g.c.rowsOf(resp, sets, true)
 }
 
 var _ BatchStreamer = (*clientPrepared)(nil)

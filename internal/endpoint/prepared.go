@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 
+	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
 
@@ -74,14 +75,18 @@ type KeyedStreamer interface {
 // that hold several independent executions of one template at once — a
 // stage's per-subject object fetches, say: StreamBatch answers one
 // stream per argument tuple as one RowSets, each set byte-identical to
-// Stream on its tuple. A tuple that fails ends the group: the open fails
-// with its error, or — sets before it having reached the caller —
-// NextResultSet reports false and Err the error. The HTTP client sends a
-// group as one request answered by one body (multi.go), a replica set
-// hedges it at open, the federation opens it once per shard that has
-// tuples and hands the sets back in tuple order. It counts as
-// len(argSets) queries wherever queries are counted; a caller that wants
-// whole results drains it (SelectBatch). Callers must Close the RowSets.
+// Stream on its tuple. A set's rows are borrowed, as StreamBorrowed's
+// are: a row is valid until the next Next (or NextResultSet), so every
+// layer a group crosses — wire decoder, shard merge, server — reuses its
+// buffers, and a caller keeping a row copies it. A tuple that fails ends
+// the group: the open fails with its error, or — sets before it having
+// reached the caller — NextResultSet reports false and Err the error.
+// The HTTP client sends a group as one request answered by one body
+// (multi.go), a replica set hedges it at open, the federation opens it
+// once per shard that has tuples and hands the sets back in tuple order.
+// It counts as len(argSets) queries wherever queries are counted; a
+// caller that wants whole results drains it (SelectBatch), the one drain
+// that copies. Callers must Close the RowSets.
 type BatchStreamer interface {
 	StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (RowSets, error)
 }
@@ -91,7 +96,8 @@ type BatchStreamer interface {
 // drains the sets of a BatchStreamer's group (StreamBatch), and calls
 // SelectCtx one tuple after the other otherwise — which is also what keeps
 // Caching, Admission and Local exact: they see a group as the single
-// probes it stands for. The rows are the caller's to keep. The first
+// probes it stands for. The rows are the caller's to keep: a set's
+// borrowed rows are copied into one flat slice per set. The first
 // failing tuple fails the group; a group cut after its open fails with
 // the transport's error, never a short result.
 func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
@@ -102,11 +108,7 @@ func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) 
 			return nil, err
 		}
 		err = readGroup(sets, len(argSets), func(i int, rows Rows) error {
-			out[i] = &sparql.Result{Vars: rows.Vars()}
-			for rows.Next() {
-				out[i].Rows = append(out[i].Rows, rows.Row())
-			}
-			out[i].Truncated = rows.Truncated()
+			out[i] = keepRows(rows)
 			return nil
 		})
 		if err != nil {
@@ -124,25 +126,40 @@ func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) 
 	return out, nil
 }
 
-// StreamBatch opens pq once per tuple of argSets: natively when pq is a
-// BatchStreamer, and otherwise as one Stream per tuple, opened when the
-// caller reaches it and closed when it moves on — an endpoint that does
-// not group sees the calls of a caller that never heard of groups, in
-// their order, and a Local charges the rows actually pulled.
-func StreamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) (RowSets, error) {
-	return streamBatch(ctx, pq, argSets, pq.Stream)
+// keepRows drains what is left of a borrowed set into a Result whose
+// rows share one backing slice of copied terms.
+func keepRows(rows Rows) *sparql.Result {
+	res := &sparql.Result{Vars: rows.Vars()}
+	var terms []rdf.Term
+	n := 0
+	for ; rows.Next(); n++ {
+		terms = append(terms, rows.Row()...)
+	}
+	if n > 0 {
+		w := len(terms) / n
+		res.Rows = make([][]rdf.Term, n)
+		for j := range res.Rows {
+			res.Rows[j] = terms[j*w : (j+1)*w : (j+1)*w]
+		}
+	}
+	res.Truncated = rows.Truncated()
+	return res
 }
 
-// streamBatch is StreamBatch with open as the per-tuple stream of a pq
-// that does not group.
-func streamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, open func(ctx context.Context, args ...sparql.Arg) (Rows, error)) (RowSets, error) {
+// StreamBatch opens pq once per tuple of argSets: natively when pq is a
+// BatchStreamer, and otherwise as one StreamBorrowed per tuple, opened
+// when the caller reaches it and closed when it moves on — an endpoint
+// that does not group sees the calls of a caller that never heard of
+// groups, in their order, and a Local charges the rows actually pulled.
+// Either way the rows are borrowed (BatchStreamer).
+func StreamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) (RowSets, error) {
 	if b, ok := pq.(BatchStreamer); ok {
 		return b.StreamBatch(ctx, argSets)
 	}
 	if len(argSets) == 0 {
 		return ReplaySets(nil), nil
 	}
-	rows, err := open(ctx, argSets[0]...)
+	rows, err := StreamBorrowed(ctx, pq, argSets[0]...)
 	if err != nil {
 		return nil, err
 	}
@@ -156,20 +173,17 @@ func streamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, 
 		}
 		args := rest[0]
 		rest = rest[1:]
-		return open(ctx, args...)
+		return StreamBorrowed(ctx, pq, args...)
 	}, nil), nil
 }
 
 // EachSet opens pq once per tuple of argSets (StreamBatch), hands every
 // set in turn to read — which pulls what it wants of it — and closes the
 // group: the loop of a caller that knows where each of its streams stops.
-// The rows are borrowed: on an endpoint that does not group, each tuple
-// is a StreamBorrowed, so read must copy what it keeps of a row before
+// The rows are borrowed, so read must copy what it keeps of a row before
 // its next Next.
 func EachSet(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, read func(i int, rows Rows) error) error {
-	sets, err := streamBatch(ctx, pq, argSets, func(ctx context.Context, args ...sparql.Arg) (Rows, error) {
-		return StreamBorrowed(ctx, pq, args...)
-	})
+	sets, err := StreamBatch(ctx, pq, argSets)
 	if err != nil {
 		return err
 	}

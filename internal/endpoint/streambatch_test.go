@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,12 +41,13 @@ var streamStacks = map[string]func(t *testing.T, l *Local) Endpoint{
 }
 
 // takeRows pulls up to take rows (all of them when take < 0) and, when
-// that drained the stream, its truncation flag.
+// that drained the stream, its truncation flag. A set's rows are
+// borrowed: each is copied before the next Next.
 func takeRows(t *testing.T, rows Rows, take int) (vars []string, out [][]rdf.Term, trunc bool) {
 	t.Helper()
 	vars = rows.Vars()
 	for (take < 0 || len(out) < take) && rows.Next() {
-		out = append(out, rows.Row())
+		out = append(out, slices.Clone(rows.Row()))
 	}
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)

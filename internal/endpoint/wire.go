@@ -43,11 +43,18 @@ import (
 // the next, and only the last one's end is the body's.
 //
 // The frames are encoded and decoded by codec.go. Both sides recycle
-// their buffers, up to maxPooledFrameBufs each: the server its encode
-// buffer (frameBufs) when the handler returns, the client its read
-// buffer (readBufs) when the stream finishes — at its last row, an error
-// or Close. Nothing a stream hands out points into that buffer: the
-// strings of a decoded frame are copies, its rows one slice of their own.
+// their buffers: the server its encode buffer (frameBufs) when the
+// handler returns, the client its read buffer (readBufs) when the stream
+// finishes — at its last row, an error or Close. Nothing a stream hands
+// out points into the read buffer: the strings of a decoded frame are
+// copies. Where its rows go depends on who reads them. A stream whose
+// rows are borrowed — every set of a group (multi.go), a StreamBorrowed
+// — decodes each frame into one term buffer on loan from termBufs, which
+// the next frame overwrites and which goes back with the read buffer;
+// its rows are valid until the next Next, and a caller keeping one
+// copies it. A Stream's rows are its caller's: each frame is decoded
+// into a slice of its own. The server encodes each row before it pulls
+// the next, so it reads its endpoint's streams borrowed.
 //
 // A stream carries rows and nothing about their order: the ORDER BY keys
 // of a federated query are evaluated where its shards' streams merge
@@ -201,18 +208,28 @@ type wireRows struct {
 	eos       bool
 
 	vars []string
-	// The current frame: n rows, row-major in terms — one backing slice
-	// per frame, never reused, because rows stay valid after Next.
-	terms []rdf.Term
-	n, bi int
-	row   []rdf.Term
-	err   error
-	trunc bool
-	done  bool
+	// The current frame: n rows, row-major in terms. When the rows are
+	// borrowed, terms is the one buffer every frame is decoded into, on
+	// loan from termBufs (pooledTerms); otherwise each frame has a
+	// backing slice of its own, which its rows keep after Next.
+	terms       []rdf.Term
+	pooledTerms *[]rdf.Term
+	n, bi       int
+	row         []rdf.Term
+	err         error
+	trunc       bool
+	done        bool
 }
 
 // readBufs lends streams their read buffers (see the file comment).
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 4<<10); return &b }}
+
+// termBufs lends borrowed streams the buffer their frames are decoded
+// into; one that a frame has grown past maxPooledTerms is dropped.
+var termBufs = sync.Pool{New: func() any { return new([]rdf.Term) }}
+
+// maxPooledTerms is a full frame of 64 terms to the row.
+const maxPooledTerms = WireBatch * 64
 
 // maxFrameBytes bounds one frame line, like the 64 MiB a whole-result
 // document may take.
@@ -221,11 +238,16 @@ const maxFrameBytes = 64 << 20
 // newWireRows reads the head frame of the first of the body's sets
 // sequences — the open completes when the server's first write arrives,
 // which carries the first rows or the whole answer: the signal hedged
-// reads race on. size is the body's declared length, if any.
-func newWireRows(body io.ReadCloser, size int64, sets int) (*wireRows, error) {
+// reads race on. size is the body's declared length, if any; borrowed
+// says whether the rows are valid only until the next Next.
+func newWireRows(body io.ReadCloser, size int64, sets int, borrowed bool) (*wireRows, error) {
 	r := &wireRows{body: body, pooled: readBufs.Get().(*[]byte), sets: sets}
 	if r.buf = *r.pooled; size > int64(len(r.buf)) && size <= maxPooledFrameBufs {
 		r.buf = make([]byte, size)
+	}
+	if borrowed {
+		r.pooledTerms = termBufs.Get().(*[]rdf.Term)
+		r.terms = *r.pooledTerms
 	}
 	if !r.readHead() {
 		return nil, r.err
@@ -238,7 +260,7 @@ func (r *wireRows) readHead() bool {
 	var f frame
 	line, err := r.line()
 	if err == nil {
-		err = r.dec.frame(line, &f, -1)
+		err = r.dec.frame(line, &f, -1, nil)
 	}
 	switch {
 	case err != nil:
@@ -330,7 +352,11 @@ func (r *wireRows) nextFrame() bool {
 		return false
 	}
 	var f frame
-	if err := r.dec.frame(line, &f, len(r.vars)); err != nil {
+	var into []rdf.Term // a frame of its own, unless the rows are borrowed
+	if r.pooledTerms != nil {
+		into = r.terms
+	}
+	if err := r.dec.frame(line, &f, len(r.vars), into); err != nil {
 		r.fail("bad stream frame", err)
 		return false
 	}
@@ -408,6 +434,12 @@ func (r *wireRows) finish() {
 		readBufs.Put(r.pooled)
 	}
 	r.buf = nil
+	if r.pooledTerms != nil && cap(r.terms) <= maxPooledTerms {
+		clear(r.terms[:cap(r.terms)]) // the pool pins no decoded strings
+		*r.pooledTerms = r.terms[:0]
+		termBufs.Put(r.pooledTerms)
+	}
+	r.terms, r.pooledTerms = nil, nil
 }
 
 var _ RowSets = (*wireRows)(nil)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"sync"
 
 	"sofya/internal/endpoint"
 	"sofya/internal/rdf"
@@ -135,7 +136,7 @@ func (s *groupSets) set() (endpoint.Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newOrderedRows(p.projVars, sources, spec), nil
+		return newOrderedRows(p.projVars, sources, spec, false), nil
 	}
 	limit, offset := p.effective(args)
 	return newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows), nil
@@ -447,8 +448,8 @@ func (f *fanoutRows) finish() {
 var _ endpoint.Rows = (*fanoutRows)(nil)
 
 // drainRows collects a merged stream into a Result. Emitted rows must
-// be owned by the stream's consumer side (fanoutRows yields rows of
-// non-borrowed sources; orderedRows yields owned winner buffers).
+// be the caller's to keep: a fanoutRows over sources that are not
+// borrowed, an orderedRows made owned.
 func drainRows(rows endpoint.Rows) (*sparql.Result, error) {
 	defer rows.Close()
 	res := &sparql.Result{Vars: rows.Vars()}
@@ -489,7 +490,12 @@ type orderedMergeSpec struct {
 // A row the selector rejects is dropped while still borrowed; an
 // admitted one is copied into the payload slot the selector names, a
 // reusable term row, so a bounded selection's memory and copies are
-// O(k) over an O(result) enumeration.
+// O(k) over an O(result) enumeration. The slots and the window's
+// emission order live in one pooled mergeScratch, taken when the
+// enumeration starts and handed back at exhaustion or Close: the rows
+// are borrowed, valid until the next Next. An owned merge — a Stream's,
+// a SelectCtx's — copies the window it emits into one slice of its own
+// when the selection ends; that copy's destination is all that differs.
 //
 // The enumeration runs on the first Next (ORDER BY cannot emit before
 // seeing every candidate); shard streams close as soon as the merge is
@@ -499,9 +505,11 @@ type orderedRows struct {
 	vars  []string
 	merge *subjectPuller
 	spec  orderedMergeSpec
+	owned bool // the emitted rows are the caller's to keep
 
 	started bool
 	done    bool
+	sc      *mergeScratch
 	out     [][]rdf.Term // sorted winners awaiting emission
 	next    int          // emission cursor into out
 	row     []rdf.Term
@@ -509,8 +517,24 @@ type orderedRows struct {
 	trunc   bool
 }
 
-func newOrderedRows(vars []string, sources []rowsSource, spec orderedMergeSpec) *orderedRows {
-	return &orderedRows{vars: vars, merge: newSubjectPuller(sources, spec.col), spec: spec}
+// mergeScratch is an ordered merge's working memory: the payload slots
+// the selector names, slot s at terms[s*w:(s+1)*w] for rows w terms
+// wide, and the window in emission order.
+type mergeScratch struct {
+	terms []rdf.Term
+	out   [][]rdf.Term
+}
+
+// mergeScratchPool recycles merge scratch, as sparql pools an ordered
+// execution's selector and id arena; scratch whose slots outgrew
+// maxPooledMergeTerms — an ORDER BY without LIMIT over a large result —
+// is dropped.
+var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+const maxPooledMergeTerms = 1 << 13
+
+func newOrderedRows(vars []string, sources []rowsSource, spec orderedMergeSpec, owned bool) *orderedRows {
+	return &orderedRows{vars: vars, merge: newSubjectPuller(sources, spec.col), spec: spec, owned: owned}
 }
 
 func (r *orderedRows) Vars() []string  { return r.vars }
@@ -525,14 +549,9 @@ func (r *orderedRows) Next() bool {
 	if !r.started {
 		r.started = true
 		r.run()
-		if r.err != nil {
-			r.done = true
-			return false
-		}
 	}
-	if r.next >= len(r.out) {
-		r.done = true
-		r.row = nil
+	if r.err != nil || r.next >= len(r.out) {
+		r.finish()
 		return false
 	}
 	r.row = r.out[r.next]
@@ -544,11 +563,26 @@ func (r *orderedRows) Close() {
 	if r.done {
 		return
 	}
-	r.done = true
-	r.row = nil
 	if !r.started {
 		// The enumeration never ran: the shard streams are still open.
 		r.merge.close()
+	}
+	r.finish()
+}
+
+// finish ends the stream and hands its scratch back, cleared, so that
+// the pool pins no rows.
+func (r *orderedRows) finish() {
+	r.done = true
+	r.row, r.out = nil, nil
+	if sc := r.sc; sc != nil {
+		r.sc = nil
+		if cap(sc.terms) <= maxPooledMergeTerms && cap(sc.out) <= maxPooledMergeTerms {
+			clear(sc.terms[:cap(sc.terms)])
+			clear(sc.out[:cap(sc.out)])
+			sc.terms, sc.out = sc.terms[:0], sc.out[:0]
+			mergeScratchPool.Put(sc)
+		}
 	}
 }
 
@@ -595,7 +629,8 @@ func (r *orderedRows) run() {
 	// that stream loses the first-key comparison outright.
 	earlyClose := !hasRand && len(spec.keys) > 0 && spec.keys[0].SubjectKey && !desc[0]
 
-	var slots [][]rdf.Term
+	r.sc = mergeScratchPool.Get().(*mergeScratch)
+	sc, w, slots := r.sc, len(r.vars), 0
 	for {
 		row, ok, err := r.merge.next()
 		if err != nil {
@@ -622,15 +657,15 @@ func (r *orderedRows) run() {
 			}
 			slot = sel.OfferKeys(keys)
 		}
-		if slot >= 0 {
-			if slot == len(slots) {
-				slots = append(slots, nil)
-			}
-			slots[slot] = append(slots[slot][:0], row...)
+		if slot == slots {
+			sc.terms = append(sc.terms, row...)
+			slots++
+		} else if slot >= 0 {
+			copy(sc.terms[slot*w:(slot+1)*w], row)
 		}
 		if earlyClose {
 			if worst := sel.Worst(); worst >= 0 {
-				r.closeLosers(slots[worst])
+				r.closeLosers(sc.terms[worst*w : (worst+1)*w])
 			}
 		}
 	}
@@ -642,10 +677,20 @@ func (r *orderedRows) run() {
 		n = spec.maxRows
 		r.trunc = true
 	}
-	r.out = make([][]rdf.Term, n)
-	for i := range r.out {
-		r.out[i] = slots[sel.Slot(i)]
+	var keep []rdf.Term // an owned merge's copy of the window
+	if r.owned {
+		keep = make([]rdf.Term, 0, n*w)
 	}
+	for i := range n {
+		s := sel.Slot(i)
+		row := sc.terms[s*w : (s+1)*w : (s+1)*w]
+		if r.owned {
+			keep = append(keep, row...)
+			row = keep[i*w : (i+1)*w : (i+1)*w]
+		}
+		sc.out = append(sc.out, row)
+	}
+	r.out = sc.out
 }
 
 // closeLosers closes every stream whose head subject orders strictly

@@ -128,7 +128,7 @@ func TestOrderedMergeMidStreamError(t *testing.T) {
 			seed:       1,
 			text:       "q",
 		}
-		rows := newOrderedRows([]string{"x"}, sources, spec)
+		rows := newOrderedRows([]string{"x"}, sources, spec, false)
 		for rows.Next() {
 		}
 		if !errors.Is(rows.Err(), endpoint.ErrQuotaExceeded) {
@@ -142,7 +142,7 @@ func TestOrderedMergeMidStreamError(t *testing.T) {
 	sources, trackers := trackedSources(
 		&errRows{rows: [][]rdf.Term{rowOf("http://x/a")}, err: endpoint.ErrQuotaExceeded},
 	)
-	if _, err := drainRows(newOrderedRows([]string{"x"}, sources, orderedMergeSpec{col: 0, limit: -1})); !errors.Is(err, endpoint.ErrQuotaExceeded) {
+	if _, err := drainRows(newOrderedRows([]string{"x"}, sources, orderedMergeSpec{col: 0, limit: -1}, true)); !errors.Is(err, endpoint.ErrQuotaExceeded) {
 		t.Fatalf("drained merge returned %v, want ErrQuotaExceeded", err)
 	}
 	assertAllClosed(t, trackers)
@@ -174,7 +174,7 @@ func TestOrderedStreamCloseReleasesShards(t *testing.T) {
 		endpoint.ReplayRows(mkResult("http://x/a", "http://x/c")),
 		endpoint.ReplayRows(mkResult("http://x/b")),
 	)
-	rows := newOrderedRows([]string{"x"}, sources, spec)
+	rows := newOrderedRows([]string{"x"}, sources, spec, false)
 	rows.Close()
 	assertAllClosed(t, trackers)
 	if rows.Next() {
@@ -186,7 +186,7 @@ func TestOrderedStreamCloseReleasesShards(t *testing.T) {
 		endpoint.ReplayRows(mkResult("http://x/a", "http://x/c")),
 		endpoint.ReplayRows(mkResult("http://x/b", "http://x/d")),
 	)
-	rows = newOrderedRows([]string{"x"}, sources, spec)
+	rows = newOrderedRows([]string{"x"}, sources, spec, false)
 	if !rows.Next() {
 		t.Fatalf("merge yielded no rows: %v", rows.Err())
 	}

@@ -204,7 +204,7 @@ func (p *groupPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*spa
 		return capResult(res, p.g.maxRows), nil
 	}
 	if p.strat == stratMergeOrdered {
-		rows, err := p.streamOrdered(ctx, args)
+		rows, err := p.streamOrdered(ctx, args, true)
 		if err != nil {
 			return nil, err
 		}
@@ -306,6 +306,17 @@ func (p *groupPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, e
 // enumeration is still consumed — ORDER BY cannot emit earlier — but
 // over borrowed per-shard streams that never materialize losing rows.
 func (p *groupPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
+	return p.stream(ctx, args, false)
+}
+
+// StreamBorrowed implements endpoint.StreamBorrower: Stream over the
+// shards' borrowed streams, an ordered merge emitting from its pooled
+// scratch (orderedRows).
+func (p *groupPrepared) StreamBorrowed(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
+	return p.stream(ctx, args, true)
+}
+
+func (p *groupPrepared) stream(ctx context.Context, args []sparql.Arg, borrowed bool) (endpoint.Rows, error) {
 	if p.form != sparql.SelectForm {
 		return nil, fmt.Errorf("shard: Stream needs a SELECT query")
 	}
@@ -317,16 +328,16 @@ func (p *groupPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoin
 		if err != nil {
 			return nil, err
 		}
-		rows, err := p.orig[i].Stream(ctx, args...)
+		rows, err := open(ctx, p.orig[i], args, borrowed)
 		if err != nil {
 			return nil, err
 		}
 		return newCapRows(rows, p.g.maxRows), nil
 	}
 	if p.strat == stratMergeOrdered {
-		return p.streamOrdered(ctx, args)
+		return p.streamOrdered(ctx, args, !borrowed)
 	}
-	sources, err := p.openStreams(ctx, args, false)
+	sources, err := p.openStreams(ctx, args, borrowed)
 	if err != nil {
 		return nil, err
 	}
@@ -334,10 +345,19 @@ func (p *groupPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoin
 	return newFanoutRows(p.projVars, p.puller(sources), p.distinct, offset, limit, p.g.maxRows), nil
 }
 
+// open opens pq's stream, its rows borrowed or not.
+func open(ctx context.Context, pq endpoint.PreparedQuery, args []sparql.Arg, borrowed bool) (endpoint.Rows, error) {
+	if borrowed {
+		return endpoint.StreamBorrowed(ctx, pq, args...)
+	}
+	return pq.Stream(ctx, args...)
+}
+
 // streamOrdered opens borrowed per-shard streams and reassembles the
-// ordered whole-KB result over them — the one ordered-merge path both
-// SelectCtx and Stream use.
-func (p *groupPrepared) streamOrdered(ctx context.Context, args []sparql.Arg) (endpoint.Rows, error) {
+// ordered whole-KB result over them — the one ordered-merge path
+// SelectCtx, Stream and StreamBorrowed use; owned says whether the
+// emitted rows are the caller's to keep.
+func (p *groupPrepared) streamOrdered(ctx context.Context, args []sparql.Arg, owned bool) (endpoint.Rows, error) {
 	spec, err := p.orderedSpec(args)
 	if err != nil {
 		return nil, err
@@ -346,13 +366,15 @@ func (p *groupPrepared) streamOrdered(ctx context.Context, args []sparql.Arg) (e
 	if err != nil {
 		return nil, err
 	}
-	return newOrderedRows(p.projVars, sources, spec), nil
+	return newOrderedRows(p.projVars, sources, spec, owned), nil
 }
 
 // openStreams opens the pushdown query's stream on every shard
-// concurrently. borrowed selects the borrowed-row contract (for the
-// ordered merge, which copies only winning rows); unordered merges keep
-// the regular contract, since fanoutRows hands shard rows to callers.
+// concurrently. borrowed selects the borrowed-row contract — for the
+// ordered merge, which copies only winning rows, and for a borrowed
+// unordered merge, which hands each shard row on before pulling the
+// next; an owned unordered merge keeps the regular contract, since
+// fanoutRows hands shard rows to callers.
 func (p *groupPrepared) openStreams(ctx context.Context, args []sparql.Arg, borrowed bool) ([]rowsSource, error) {
 	pargs := p.pushArgs(args)
 	sources := make([]rowsSource, len(p.push))
@@ -363,13 +385,7 @@ func (p *groupPrepared) openStreams(ctx context.Context, args []sparql.Arg, borr
 	// caching continuation) must not see a context that expired with
 	// the open.
 	err := p.g.fanout(ctx, func(_ context.Context, i int) error {
-		var rows endpoint.Rows
-		var err error
-		if borrowed {
-			rows, err = endpoint.StreamBorrowed(ctx, p.push[i], pargs...)
-		} else {
-			rows, err = p.push[i].Stream(ctx, pargs...)
-		}
+		rows, err := open(ctx, p.push[i], pargs, borrowed)
 		if err != nil {
 			return err
 		}
@@ -443,6 +459,7 @@ func (p *groupPrepared) puller(sources []rowsSource) puller {
 }
 
 var (
-	_ endpoint.PreparedQuery = (*groupPrepared)(nil)
-	_ endpoint.BatchStreamer = groupBatched{}
+	_ endpoint.PreparedQuery  = (*groupPrepared)(nil)
+	_ endpoint.StreamBorrower = (*groupPrepared)(nil)
+	_ endpoint.BatchStreamer  = groupBatched{}
 )

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"iter"
+	"sync"
 
 	"sofya/internal/rdf"
 )
@@ -31,7 +32,8 @@ type RowIter struct {
 }
 
 // rowSource is what a RowIter pulls from: an unordered stream's
-// coroutine (pulled) or an ordered execution's window (windowRows).
+// coroutine (pulled, or ringRows when its rows are borrowed) or an
+// ordered execution's window (windowRows).
 type rowSource interface {
 	// next returns the next row, or false once the rows are exhausted or
 	// the execution failed (see err).
@@ -99,12 +101,13 @@ const borrowBatch = 64
 
 // IterBorrowed is Iter with borrowed rows: Row() returns a buffer that
 // the iterator reuses (treat it as valid only until the next Next)
-// instead of allocating per row — one buffer on an ORDER BY plan, a ring
-// of borrowBatch buffers otherwise. Consumers that inspect rows at a
-// merge point and copy only the winners (the federation's ordered
-// merge), or that copy out the terms they keep (the samplers), avoid
-// O(result) row materialization; everything else about the stream —
-// order, RAND() pairing, errors — is byte-identical to Iter.
+// instead of allocating per row — one buffer on an ORDER BY plan, a
+// pooled ring of borrowBatch buffers otherwise. Consumers that inspect
+// rows at a merge point and copy only the winners (the federation's
+// ordered merge), that copy out the terms they keep (the samplers), or
+// that encode each row before the next (the server's frame writer),
+// avoid O(result) row materialization; everything else about the
+// stream — order, RAND() pairing, errors — is byte-identical to Iter.
 func (p *Prepared) IterBorrowed(args ...Arg) (*RowIter, error) {
 	return p.iter("IterBorrowed", args, true)
 }
@@ -192,22 +195,66 @@ func pull(run func(yield func([]rdf.Term) bool) error) *pulled {
 	return s
 }
 
-// pullBorrowed is pull for a borrowed unordered stream: the core writes
-// rows into a ring of borrowBatch projection buffers and crosses the
-// coroutine boundary once per batch, which stays readable until the
-// consumer pulls past it.
-func pullBorrowed(ex *execState, limit, offset int) *pulled {
-	nv := len(ex.p.projSlot)
-	slots := make([][]rdf.Term, borrowBatch)
-	backing := make([]rdf.Term, borrowBatch*nv)
-	for i := range slots {
-		slots[i] = backing[i*nv : (i+1)*nv : (i+1)*nv]
+// ring is the projection buffers of a borrowed unordered stream:
+// borrowBatch rows of one width over one backing, and the batch of them
+// the core hands across the coroutine boundary.
+type ring struct {
+	backing []rdf.Term
+	slots   [][]rdf.Term
+	batch   [][]rdf.Term
+}
+
+// ringPool recycles rings, as idPool does ordered executions' arenas: a
+// borrowed stream takes one when it opens and hands it back when it is
+// exhausted or stopped, so a server streaming answer after answer
+// allocates none. A ring wider than maxPooledScratch terms is dropped.
+var ringPool = sync.Pool{New: func() any {
+	return &ring{slots: make([][]rdf.Term, borrowBatch), batch: make([][]rdf.Term, 0, borrowBatch)}
+}}
+
+// getRing lends a ring of rows nv terms wide.
+func getRing(nv int) *ring {
+	rg := ringPool.Get().(*ring)
+	if cap(rg.backing) < borrowBatch*nv {
+		rg.backing = make([]rdf.Term, borrowBatch*nv)
 	}
-	s := &pulled{}
-	batches, cancel := iter.Pull(func(yield func([][]rdf.Term) bool) {
-		buf := make([][]rdf.Term, 0, borrowBatch)
+	for i := range rg.slots {
+		rg.slots[i] = rg.backing[i*nv : (i+1)*nv : (i+1)*nv]
+	}
+	return rg
+}
+
+// put hands the ring back, its terms cleared so that the pool pins no
+// KB's strings.
+func (rg *ring) put() {
+	if len(rg.backing) > maxPooledScratch {
+		return
+	}
+	clear(rg.backing)
+	rg.batch = rg.batch[:0]
+	ringPool.Put(rg)
+}
+
+// ringRows is the rowSource of a borrowed unordered stream: the core
+// writes rows into a pooled ring and crosses the coroutine boundary once
+// per batch, which stays readable until the consumer pulls past it. The
+// ring goes back to its pool when the stream is exhausted or stopped.
+type ringRows struct {
+	batches func() ([][]rdf.Term, bool)
+	cancel  func()
+	ring    *ring
+	cur     [][]rdf.Term
+	bi      int
+	runErr  error
+}
+
+func pullBorrowed(ex *execState, limit, offset int) *ringRows {
+	s := &ringRows{ring: getRing(len(ex.p.projSlot))}
+	rg := s.ring
+	s.batches, s.cancel = iter.Pull(func(yield func([][]rdf.Term) bool) {
+		buf := rg.batch
 		si := 0
-		ex.borrowRow = slots[0]
+		ex.borrowRow = rg.slots[0]
 		s.runErr = ex.streamUnordered(limit, offset, func(row []rdf.Term) bool {
 			buf = append(buf, row)
 			si++
@@ -217,27 +264,43 @@ func pullBorrowed(ex *execState, limit, offset int) *pulled {
 				}
 				buf, si = buf[:0], 0
 			}
-			ex.borrowRow = slots[si]
+			ex.borrowRow = rg.slots[si]
 			return true
 		})
 		if s.runErr == nil && len(buf) > 0 {
 			yield(buf)
 		}
 	})
-	var cur [][]rdf.Term
-	bi := 0
-	s.pull = func() ([]rdf.Term, bool) {
-		for bi >= len(cur) {
-			b, ok := batches()
-			if !ok {
-				return nil, false
-			}
-			cur, bi = b, 0
-		}
-		row := cur[bi]
-		bi++
-		return row, true
-	}
-	s.cancel = cancel
 	return s
+}
+
+func (s *ringRows) next() ([]rdf.Term, bool) {
+	for s.bi >= len(s.cur) {
+		b, ok := s.batches()
+		if !ok {
+			s.release()
+			return nil, false
+		}
+		s.cur, s.bi = b, 0
+	}
+	row := s.cur[s.bi]
+	s.bi++
+	return row, true
+}
+
+func (s *ringRows) err() error { return s.runErr }
+
+// stop ends the coroutine — iter.Pull's stop returns once it has — and
+// only then hands the ring back.
+func (s *ringRows) stop() {
+	s.cancel()
+	s.release()
+}
+
+func (s *ringRows) release() {
+	if s.ring != nil {
+		s.cur = nil
+		s.ring.put()
+		s.ring = nil
+	}
 }
