@@ -14,13 +14,16 @@ import (
 // process — in bytes as well as objects: a deployment pays it some fifty
 // times per aligned relation. Measured over a 3-shard HTTP cluster:
 //
-//	one routed stream probe (1 request, 1 row)    12.5 KB / 166 objects
-//	one RAND fan-out of 12 rows (3 requests)      43.5 KB / 557 objects
+//	one routed stream probe (1 request, 1 row)    11.6 KB / 152 objects
+//	one RAND fan-out of 12 rows (3 requests)      36.6 KB / 478 objects
 //
 // The ceilings are 1.25 × that. Before the server prepared a stream's
 // text through the plan cache and decoded forms itself, and the client
 // recycled read buffers and sized a frame's rows once, the same probes
-// cost 15.8 KB / 208 and 56.9 KB / 678.
+// cost 15.8 KB / 208 and 56.9 KB / 678; before federated rows were
+// borrowed end to end, 12.5 KB / 166 and 43.5 KB / 557; before the
+// engine seeded RAND() without rendering the query text and planned a
+// one-pattern group without a table, 11.6 KB / 160 and 36.9 KB / 502.
 func TestAllocCeilingShardRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -33,8 +36,8 @@ func TestAllocCeilingShardRequest(t *testing.T) {
 		args               []sparql.Arg
 		bytes, objects     float64
 	}{
-		{"routed", benchProbeRouted, "x", 1, []sparql.Arg{sparql.IRIArg("http://x/s00007")}, 15_700, 208},
-		{"fanout", benchProbeSmall, "n", smallRows, []sparql.Arg{sparql.IntArg(smallRows)}, 54_400, 697},
+		{"routed", benchProbeRouted, "x", 1, []sparql.Arg{sparql.IRIArg("http://x/s00007")}, 14_500, 190},
+		{"fanout", benchProbeSmall, "n", smallRows, []sparql.Arg{sparql.IntArg(smallRows)}, 45_800, 598},
 	} {
 		pq, err := g.Prepare(c.probe, c.param)
 		if err != nil {

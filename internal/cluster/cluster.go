@@ -32,6 +32,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -282,7 +283,13 @@ type attemptOut[T any] struct {
 // sample: the window holds per-execution latencies, so an attempt
 // records its open's duration divided by tuples and is given tuples
 // times the hedge delay before its hedge launches.
-func hedge[T any](ctx context.Context, r *Replicas, tuples int, call func(ctx context.Context, ep endpoint.Endpoint) (T, error), discard func(T)) (T, context.CancelFunc, error) {
+//
+// With a hedge timer armed, every attempt runs on a goroutine of its own,
+// which may read its arguments after hedge has returned: a loser still
+// running, or one launched just before the winner answered. So hedge
+// calls own first, which gives call a copy of the arguments it reads:
+// the caller's are the callee's for the call alone.
+func hedge[T any](ctx context.Context, r *Replicas, tuples int, call func(ctx context.Context, ep endpoint.Endpoint) (T, error), discard func(T), own func()) (T, context.CancelFunc, error) {
 	var zero T
 	cands := r.order()
 	var delay time.Duration
@@ -292,6 +299,7 @@ func hedge[T any](ctx context.Context, r *Replicas, tuples int, call func(ctx co
 	if delay <= 0 {
 		return inOrder(ctx, r, cands, tuples, call)
 	}
+	own()
 	outs := make(chan attemptOut[T], len(cands))
 	cancels := make([]context.CancelFunc, 0, len(cands))
 	launched := 0
@@ -453,7 +461,7 @@ func (p *replicasPrepared) handleFor(ep endpoint.Endpoint) endpoint.PreparedQuer
 func (p *replicasPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
 	res, cancel, err := hedge(ctx, p.r, 1, func(ctx context.Context, ep endpoint.Endpoint) (*sparql.Result, error) {
 		return p.handleFor(ep).SelectCtx(ctx, args...)
-	}, nil)
+	}, nil, func() { args = slices.Clone(args) })
 	if cancel != nil {
 		cancel()
 	}
@@ -463,7 +471,7 @@ func (p *replicasPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*
 func (p *replicasPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
 	ok, cancel, err := hedge(ctx, p.r, 1, func(ctx context.Context, ep endpoint.Endpoint) (bool, error) {
 		return p.handleFor(ep).AskCtx(ctx, args...)
-	}, nil)
+	}, nil, func() { args = slices.Clone(args) })
 	if cancel != nil {
 		cancel()
 	}
@@ -482,22 +490,22 @@ func closeRows(rows endpoint.Rows) { rows.Close() }
 // attempt's context stays alive until the stream is closed or
 // exhausted, and losing attempts' streams are canceled and closed.
 func (p *replicasPrepared) Stream(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
-	return p.stream(ctx, func(ctx context.Context, pq endpoint.PreparedQuery) (endpoint.Rows, error) {
+	return p.stream(ctx, args, func(ctx context.Context, pq endpoint.PreparedQuery, args []sparql.Arg) (endpoint.Rows, error) {
 		return pq.Stream(ctx, args...)
 	})
 }
 
 // StreamBorrowed implements endpoint.StreamBorrower by delegation.
 func (p *replicasPrepared) StreamBorrowed(ctx context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
-	return p.stream(ctx, func(ctx context.Context, pq endpoint.PreparedQuery) (endpoint.Rows, error) {
+	return p.stream(ctx, args, func(ctx context.Context, pq endpoint.PreparedQuery, args []sparql.Arg) (endpoint.Rows, error) {
 		return endpoint.StreamBorrowed(ctx, pq, args...)
 	})
 }
 
-func (p *replicasPrepared) stream(ctx context.Context, open func(ctx context.Context, pq endpoint.PreparedQuery) (endpoint.Rows, error)) (endpoint.Rows, error) {
+func (p *replicasPrepared) stream(ctx context.Context, args []sparql.Arg, open func(ctx context.Context, pq endpoint.PreparedQuery, args []sparql.Arg) (endpoint.Rows, error)) (endpoint.Rows, error) {
 	rows, cancel, err := hedge(ctx, p.r, 1, func(ctx context.Context, ep endpoint.Endpoint) (endpoint.Rows, error) {
-		return open(ctx, p.handleFor(ep))
-	}, closeRows)
+		return open(ctx, p.handleFor(ep), args)
+	}, closeRows, func() { args = slices.Clone(args) })
 	if err != nil {
 		return nil, err
 	}
@@ -524,11 +532,26 @@ func (p replicasBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg
 	}
 	sets, cancel, err := hedge(ctx, p.r, len(argSets), func(ctx context.Context, ep endpoint.Endpoint) (endpoint.RowSets, error) {
 		return endpoint.StreamBatch(ctx, p.handleFor(ep), argSets)
-	}, func(sets endpoint.RowSets) { sets.Close() })
+	}, func(sets endpoint.RowSets) { sets.Close() }, func() { argSets = cloneArgSets(argSets) })
 	if err != nil {
 		return nil, err
 	}
 	return endpoint.NewRowSets(sets, nil, cancel), nil
+}
+
+// cloneArgSets copies a group's tuples into one flat slice of its own.
+func cloneArgSets(argSets [][]sparql.Arg) [][]sparql.Arg {
+	n := 0
+	for _, args := range argSets {
+		n += len(args)
+	}
+	flat := make([]sparql.Arg, 0, n)
+	out := make([][]sparql.Arg, len(argSets))
+	for i, args := range argSets {
+		flat = append(flat, args...)
+		out[i] = flat[len(flat)-len(args) : len(flat) : len(flat)]
+	}
+	return out
 }
 
 var (

@@ -616,3 +616,92 @@ func TestStreamGroupCutAfterOpen(t *testing.T) {
 		}
 	}
 }
+
+// lateReader is a replica whose prepared handle waits delay, heedless of
+// its context, before it reads its first argument, and reports what it
+// read on seen: an attempt descheduled past the call that launched it.
+type lateReader struct {
+	endpoint.Endpoint
+	delay time.Duration
+	seen  chan string
+}
+
+func (e *lateReader) Prepare(tmpl string, params ...string) (endpoint.PreparedQuery, error) {
+	pq, err := e.Endpoint.Prepare(tmpl, params...)
+	return lateHandle{pq, e}, err
+}
+
+type lateHandle struct {
+	endpoint.PreparedQuery
+	e *lateReader
+}
+
+func (h lateHandle) read(args []sparql.Arg) {
+	time.Sleep(h.e.delay)
+	term, _ := args[0].Term()
+	h.e.seen <- term.Value
+}
+
+func (h lateHandle) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	h.read(args)
+	return h.PreparedQuery.SelectCtx(ctx, args...)
+}
+
+func (h lateHandle) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
+	h.read(argSets[0])
+	return endpoint.StreamBatch(ctx, h.PreparedQuery, argSets)
+}
+
+// TestHedgedAttemptOwnsItsArgs: arguments are the callee's for the call
+// alone (endpoint.PreparedQuery, endpoint.BatchStreamer), and a hedged
+// attempt can outlive the call — here the hedge, launched after 1ms,
+// reads its arguments 30ms later, long after the first replica's answer
+// at 5ms has returned and the caller has written another subject into
+// its slice. The attempt must read the arguments it was launched with.
+func TestHedgedAttemptOwnsItsArgs(t *testing.T) {
+	k := kb.New("late/shard-0-of-1")
+	k.AddIRIs("http://x/a", "http://x/p", "http://x/o")
+	k.Freeze()
+	seen := make(chan string, 4)
+	first := &lateReader{endpoint.NewLocal(k, 1), 5 * time.Millisecond, seen}
+	hedged := &lateReader{endpoint.NewLocal(k, 1), 30 * time.Millisecond, seen}
+	set, err := NewReplicas([]endpoint.Endpoint{first, hedged}, Options{HedgeDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	pq, err := set.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		call func(args []sparql.Arg) error
+	}{
+		{"SelectCtx", func(args []sparql.Arg) error {
+			_, err := pq.SelectCtx(ctx, args...)
+			return err
+		}},
+		{"StreamBatch", func(args []sparql.Arg) error {
+			_, err := endpoint.SelectBatch(ctx, pq, [][]sparql.Arg{args, args})
+			return err
+		}},
+	} {
+		args := []sparql.Arg{sparql.IRIArg("http://x/a")}
+		if err := c.call(args); err != nil {
+			t.Fatal(err)
+		}
+		args[0] = sparql.IRIArg("http://x/b")
+		for i := range 2 {
+			select {
+			case got := <-seen:
+				if got != "http://x/a" {
+					t.Errorf("%s: attempt %d read %s, want http://x/a", c.name, i, got)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: attempt %d never read its arguments", c.name, i)
+			}
+		}
+	}
+}

@@ -167,7 +167,7 @@ func UBSConfig() Config {
 	c.UBSBodySiblings = true
 	c.UBSHeadSiblings = true
 	// Two independent contradictions prune a rule, and they must cover
-	// at least 20% of the inspected overlap rows. The paper prunes on a
+	// at least 30% of the inspected overlap rows. The paper prunes on a
 	// single case; the stricter gate absorbs residual cross-KB value
 	// noise (which the overlap query adversely selects) without letting
 	// real confounders through. Ablated in experiment E6.

@@ -119,6 +119,13 @@ func (h recBatched) StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (en
 	return endpoint.StreamBatch(ctx, h.PreparedQuery, argSets)
 }
 
+// The relations of the paper world each direction aligns: d2yRelations
+// of K = yago from K' = dbpedia, y2dRelations the other way.
+var (
+	d2yRelations = []string{"creatorOf", "directedBy", "producedBy", "bornYear"}
+	y2dRelations = []string{"composerOf", "writerOf", "hasDirector", "hasProducer", "birthDate"}
+)
+
 // alignAll aligns every relation of the paper world, both directions,
 // through recording endpoints.
 func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *probeLog) {
@@ -132,7 +139,7 @@ func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *prob
 	d2y := New(ky, kd, sampling.LinkView{Links: links, KIsA: true}, cfg)
 	y2d := New(kd, ky, sampling.LinkView{Links: links, KIsA: false}, cfg)
 	var out [][]Alignment
-	for _, r := range []string{"creatorOf", "directedBy", "producedBy", "bornYear"} {
+	for _, r := range d2yRelations {
 		log.mark()
 		als, err := d2y.AlignRelation(yNS + r)
 		if err != nil {
@@ -140,7 +147,7 @@ func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *prob
 		}
 		out = append(out, als)
 	}
-	for _, r := range []string{"composerOf", "writerOf", "hasDirector", "hasProducer", "birthDate"} {
+	for _, r := range y2dRelations {
 		log.mark()
 		als, err := y2d.AlignRelation(dNS + r)
 		if err != nil {

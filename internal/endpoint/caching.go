@@ -179,6 +179,11 @@ func (p *cachingPrepared) drain(ctx context.Context, form byte, args []sparql.Ar
 	if res, ok := c.lookup(key, false); ok {
 		return res, nil
 	}
+	if ctx.Done() != nil {
+		// A leader whose context ends leaves its flight running: the
+		// flight reads a copy of the arguments, not the caller's.
+		args = slices.Clone(args)
+	}
 	res, err, shared := c.drains.DoCtx(ctx, key, func() (res sparql.Result, err error) {
 		if res, ok := c.lookup(key, true); ok {
 			return res, nil
@@ -284,7 +289,7 @@ func (p *cachingPrepared) Stream(ctx context.Context, args ...sparql.Arg) (Rows,
 		c.coalesced.Add(1)
 		return &memoRows{s: s}, nil
 	}
-	s := &memoStream{p: p, key: key, ctx: context.WithoutCancel(ctx), args: args, refs: 1}
+	s := &memoStream{p: p, key: key, ctx: context.WithoutCancel(ctx), args: slices.Clone(args), refs: 1}
 	s.cond.L = &s.mu
 	if e != nil {
 		c.stats.Hits++
@@ -326,7 +331,7 @@ type memoStream struct {
 	p    *cachingPrepared
 	key  string
 	ctx  context.Context // detached from every caller
-	args []sparql.Arg
+	args []sparql.Arg    // the starter's, copied: a re-open outlives its call
 
 	mu        sync.Mutex
 	cond      sync.Cond

@@ -18,6 +18,14 @@ import (
 // equivalent query text, so prepared and text traffic can be mixed
 // freely.
 //
+// Arguments belong to the callee for the call alone: once SelectCtx,
+// AskCtx or Stream has returned — a stream it opened may still be read —
+// the caller may overwrite the args slice and reuse it. An
+// implementation that reads arguments later (a shared stream re-opened
+// past a stored prefix, a RAND() stream seeded on the first draw, a
+// hedged attempt still running) copies or renders them before it
+// returns.
+//
 // Implementations are safe for concurrent use.
 type PreparedQuery interface {
 	// SelectCtx executes the template as a SELECT query, honoring ctx
@@ -87,6 +95,12 @@ type KeyedStreamer interface {
 // It counts as len(argSets) queries wherever queries are counted; a
 // caller that wants whole results drains it (SelectBatch), the one drain
 // that copies. Callers must Close the RowSets.
+//
+// argSets and the tuples in it are the callee's until the RowSets is
+// closed, or the open has failed — a group's tuples may be opened one by
+// one as the caller reaches them (StreamBatch) — and no longer: a caller
+// may reuse them after that, so a callee that reads them later, such as
+// a hedged attempt still running, copies them first.
 type BatchStreamer interface {
 	StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (RowSets, error)
 }

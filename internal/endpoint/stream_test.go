@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -235,6 +236,128 @@ func TestCachingStreamPrefix(t *testing.T) {
 	_ = pull(1 << 20)
 	if n := inner.selects.Load(); n != 4 {
 		t.Fatalf("complete replay touched inner: selects = %d, want 4", n)
+	}
+}
+
+// TestCachingStreamOwnsItsArgs: the arguments of a stream are the
+// caller's again once Stream has returned (PreparedQuery), so a shared
+// stream that re-opens its inner stream past a stored prefix must do so
+// with the arguments it was started with, whatever the caller has since
+// written into its slice. Reading the caller's slice, the stream below
+// answered a's stored row followed by b's: a0 b1 b2 b3 b4, stored under
+// a's key by its last consumer.
+func TestCachingStreamOwnsItsArgs(t *testing.T) {
+	k := kb.New("args")
+	for _, s := range []string{"a", "b"} {
+		for i := range 5 {
+			k.AddIRIs("http://x/"+s, "http://x/p", fmt.Sprintf("http://x/%s%d", s, i))
+		}
+	}
+	pq, err := NewCaching(NewLocal(k, 1), 0).Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	read := func(rows Rows, n int) string {
+		t.Helper()
+		defer rows.Close()
+		var out []string
+		for len(out) < n && rows.Next() {
+			out = append(out, strings.TrimPrefix(rows.Row()[0].Value, "http://x/"))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(out, " ")
+	}
+	rows, err := pq.Stream(ctx, sparql.IRIArg("http://x/a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read(rows, 1); got != "a0" {
+		t.Fatalf("prefix %q, want a0", got)
+	}
+	args := []sparql.Arg{sparql.IRIArg("http://x/a")}
+	rows, err = pq.Stream(ctx, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args[0] = sparql.IRIArg("http://x/b")
+	const want = "a0 a1 a2 a3 a4"
+	if got := read(rows, 10); got != want {
+		t.Errorf("stream over a stored prefix, its args slice then overwritten: %s, want %s", got, want)
+	}
+	rows, err = pq.Stream(ctx, sparql.IRIArg("http://x/a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read(rows, 10); got != want {
+		t.Errorf("stored under a's key: %s, want %s", got, want)
+	}
+}
+
+// argGate is an endpoint whose prepared handles read their arguments
+// only once gate is closed.
+type argGate struct {
+	*Local
+	gate chan struct{}
+}
+
+func (e argGate) Prepare(template string, params ...string) (PreparedQuery, error) {
+	pq, err := e.Local.Prepare(template, params...)
+	return argGateHandle{pq, e.gate}, err
+}
+
+type argGateHandle struct {
+	PreparedQuery
+	gate chan struct{}
+}
+
+func (h argGateHandle) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	<-h.gate
+	return h.PreparedQuery.SelectCtx(ctx, args...)
+}
+
+// TestCachingFlightOwnsItsArgs: a leader whose context ends leaves its
+// flight running, so the flight must read a copy of the leader's
+// arguments — the caller may write into its slice once SelectCtx has
+// returned, and the flight stores what it answers under the key of the
+// arguments it started with.
+func TestCachingFlightOwnsItsArgs(t *testing.T) {
+	k := kb.New("args")
+	k.AddIRIs("http://x/a", "http://x/p", "http://x/a0")
+	k.AddIRIs("http://x/b", "http://x/p", "http://x/b0")
+	gate := make(chan struct{})
+	c := NewCaching(argGate{NewLocal(k, 1), gate}, 0)
+	pq, err := c.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	args := []sparql.Arg{sparql.IRIArg("http://x/a")}
+	left := make(chan error)
+	go func() {
+		_, err := pq.SelectCtx(ctx, args...)
+		left <- err
+	}()
+	for c.drains.InFlight() == 0 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-left; err == nil {
+		t.Fatal("a cancelled leader answered")
+	}
+	args[0] = sparql.IRIArg("http://x/b")
+	close(gate)
+	for c.drains.InFlight() > 0 {
+		runtime.Gosched()
+	}
+	res, err := pq.SelectCtx(context.Background(), sparql.IRIArg("http://x/a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[<http://x/a0>]]" {
+		t.Errorf("a's objects, after the flight a's cancelled leader left: %s", got)
 	}
 }
 

@@ -12,6 +12,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates the three syntactic categories of RDF terms.
@@ -115,22 +116,30 @@ func (t Term) String() string {
 		return "<" + t.Value + ">"
 	case Blank:
 		return "_:" + t.Value
+	}
+	return string(t.Append(make([]byte, 0, len(t.Value)+len(t.Datatype)+len(t.Lang)+8)))
+}
+
+// Append appends the term's N-Triples rendering — the bytes String
+// returns — to b and returns the extended slice, so a caller that only
+// reads the rendering (hashes it, say) can do so in a buffer of its own.
+func (t Term) Append(b []byte) []byte {
+	switch t.Kind {
+	case IRI:
+		return append(append(append(b, '<'), t.Value...), '>')
+	case Blank:
+		return append(append(b, "_:"...), t.Value...)
 	case Literal:
-		var sb strings.Builder
-		sb.WriteByte('"')
-		escapeLiteral(&sb, t.Value)
-		sb.WriteByte('"')
+		b = append(appendEscaped(append(b, '"'), t.Value), '"')
 		if t.Lang != "" {
-			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
-		} else if t.Datatype != "" && t.Datatype != XSDString {
-			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
-			sb.WriteByte('>')
+			return append(append(b, '@'), t.Lang...)
 		}
-		return sb.String()
+		if t.Datatype != "" && t.Datatype != XSDString {
+			return append(append(append(b, "^^<"...), t.Datatype...), '>')
+		}
+		return b
 	default:
-		return fmt.Sprintf("<invalid term kind %d>", t.Kind)
+		return fmt.Appendf(b, "<invalid term kind %d>", t.Kind)
 	}
 }
 
@@ -152,23 +161,26 @@ func (t Term) Compare(u Term) int {
 	return strings.Compare(t.Lang, u.Lang)
 }
 
-func escapeLiteral(sb *strings.Builder, s string) {
+// appendEscaped appends s with N-Triples string escapes; an invalid
+// UTF-8 byte becomes U+FFFD.
+func appendEscaped(b []byte, s string) []byte {
 	for _, r := range s {
 		switch r {
 		case '"':
-			sb.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\\':
-			sb.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			b = append(b, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			b = append(b, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			b = append(b, `\t`...)
 		default:
-			sb.WriteRune(r)
+			b = utf8.AppendRune(b, r)
 		}
 	}
+	return b
 }
 
 // Triple is a single RDF statement.

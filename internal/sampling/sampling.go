@@ -234,6 +234,53 @@ func (t *tuples) add(args ...sparql.Arg) {
 	t.sets = append(t.sets, t.flat[len(t.flat)-len(args):len(t.flat):len(t.flat)])
 }
 
+// scratch is the bookkeeping of a range call that nothing it returns
+// keeps: the object questions of its rows (keys), and what reading a
+// sample window needs (readSample) — the window's facts in window
+// order, each with its subject's index in the subjects so far, and a
+// count per subject. None of it reaches an endpoint, so it comes from
+// scratchPool (newScratch) and goes back, cleared, when the call
+// returns (release).
+type scratch struct {
+	keys     []objectKey
+	subjects []string
+	facts    []windowFact
+	start    []int
+}
+
+// windowFact is a translated fact of a window: subjects[subject] is X.
+type windowFact struct {
+	subject int
+	y       rdf.Term
+}
+
+// scratchPool recycles the scratch of range calls.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledScratch bounds the slices of the scratch release keeps: a
+// larger call's are left to the collector.
+const maxPooledScratch = 4096
+
+// newScratch returns a scratch with room for n object keys.
+func newScratch(n int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.keys = slices.Grow(sc.keys, n)
+	return sc
+}
+
+// release hands sc back to scratchPool, cleared; sc must not be used
+// after.
+func (sc *scratch) release() {
+	if max(cap(sc.keys), cap(sc.subjects), cap(sc.facts)) > maxPooledScratch {
+		return
+	}
+	clear(sc.keys)
+	clear(sc.subjects)
+	clear(sc.facts)
+	sc.keys, sc.subjects, sc.facts = sc.keys[:0], sc.subjects[:0], sc.facts[:0]
+	scratchPool.Put(sc)
+}
+
 // Discover samples r-facts from K, translates up to n of them into K',
 // and returns how often each predicate of K' co-occurs with them: connects
 // a translated entity pair, or is a literal attribute of a translated
@@ -325,8 +372,6 @@ func (v *Validator) Discover(r string, n int, stage func(n int, task func(i int)
 
 // BodyFact is one sampled r_sub fact translated into K space.
 type BodyFact struct {
-	// XPrime, YPrime are the original K' terms.
-	XPrime, YPrime rdf.Term
 	// X is the subject translated into K.
 	X string
 	// Y is the object translated into K: an IRI term for entities, the
@@ -362,9 +407,13 @@ func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
 	for _, rsub := range rsubs {
 		g.add(sparql.IRIArg(rsub), sparql.IntArg(v.window(n)))
 	}
+	sets := make([]SampleSet, len(rsubs))
 	out := make([]*SampleSet, len(rsubs))
+	sc := newScratch(0)
+	defer sc.release()
 	err := endpoint.EachSet(context.Background(), v.handle(pSample, true), g.sets, func(i int, rows endpoint.Rows) error {
-		out[i] = v.readSample(rows, n)
+		out[i] = &sets[i]
+		v.readSample(rows, n, out[i], sc)
 		return nil
 	})
 	if err != nil {
@@ -373,13 +422,14 @@ func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
 	return out, nil
 }
 
-// readSample reads one sample window into the translated facts of up to
-// n subjects. Subjects and facts are told apart in K: two K' subjects
-// linked to one K entity are one subject, and two facts that translate to
-// one pair are one.
-func (v *Validator) readSample(rows endpoint.Rows, n int) *SampleSet {
-	set := &SampleSet{}
-	factsBySubject := map[string][]BodyFact{}
+// readSample reads one sample window into set: the translated facts of
+// up to n subjects. Subjects and facts are told apart in K: two K'
+// subjects linked to one K entity are one subject, and two facts that
+// translate to one pair are one. The facts are read in window order and
+// then grouped by subject, stably, into Facts; both of set's slices are
+// cut to size.
+func (v *Validator) readSample(rows endpoint.Rows, n int, set *SampleSet, sc *scratch) {
+	sc.subjects, sc.facts = sc.subjects[:0], sc.facts[:0]
 	for rows.Next() {
 		row := rows.Row()
 		xp, yp := row[0], row[1]
@@ -409,21 +459,36 @@ func (v *Validator) readSample(rows endpoint.Rows, n int) *SampleSet {
 		default:
 			continue
 		}
-		facts, seen := factsBySubject[x]
-		if !seen {
-			if len(set.Subjects) >= n {
+		subject := slices.Index(sc.subjects, x)
+		if subject < 0 {
+			if len(sc.subjects) >= n {
 				continue
 			}
-			set.Subjects = append(set.Subjects, x)
+			subject = len(sc.subjects)
+			sc.subjects = append(sc.subjects, x)
 		}
-		if !slices.ContainsFunc(facts, func(f BodyFact) bool { return f.Y == y }) {
-			factsBySubject[x] = append(facts, BodyFact{XPrime: xp, YPrime: yp, X: x, Y: y})
+		if !slices.Contains(sc.facts, windowFact{subject, y}) {
+			sc.facts = append(sc.facts, windowFact{subject, y})
 		}
 	}
-	for _, x := range set.Subjects {
-		set.Facts = append(set.Facts, factsBySubject[x]...)
+	if len(sc.subjects) == 0 {
+		return
 	}
-	return set
+	set.Subjects = slices.Clone(sc.subjects)
+	// A stable counting sort by subject: start[s] is where subject s's
+	// next fact goes.
+	sc.start = append(sc.start[:0], make([]int, len(sc.subjects)+1)...)
+	for _, f := range sc.facts {
+		sc.start[f.subject+1]++
+	}
+	for s := 1; s < len(sc.start); s++ {
+		sc.start[s] += sc.start[s-1]
+	}
+	set.Facts = make([]BodyFact, len(sc.facts))
+	for _, f := range sc.facts {
+		set.Facts[sc.start[f.subject]] = BodyFact{X: set.Subjects[f.subject], Y: f.y}
+		sc.start[f.subject]++
+	}
 }
 
 // ObjectMemo is one alignment's object memo: the objects of r(x, ·) in
@@ -543,23 +608,27 @@ func (v *Validator) SimpleEvidenceEach(memo *ObjectMemo, rules []Rule, n int) er
 	if err != nil {
 		return err
 	}
-	subjects := 0
+	subjects, facts := 0, 0
 	for _, set := range sets {
-		subjects += len(set.Subjects)
+		subjects, facts = subjects+len(set.Subjects), facts+len(set.Facts)
 	}
-	keys := make([]objectKey, 0, subjects)
+	sc := newScratch(subjects)
+	defer sc.release()
 	for i, set := range sets {
 		head := v.relation(memo, false, rules[i].Head)
 		for _, x := range set.Subjects {
-			keys = append(keys, objectKey{x, head})
+			sc.keys = append(sc.keys, objectKey{x, head})
 		}
 	}
-	objs, err := v.objectsOf(memo, false, keys)
+	objs, err := v.objectsOf(memo, false, sc.keys)
 	if err != nil {
 		return err
 	}
+	evs := make([]ilp.Evidence, len(sets))
+	pairs := make([]ilp.PairEvidence, facts) // cut into each rule's Pairs
 	for i, set := range sets {
-		ev := &ilp.Evidence{}
+		ev := &evs[i]
+		ev.Pairs, pairs = pairs[:0:len(set.Facts)], pairs[len(set.Facts):]
 		// the facts come subject after subject, in Subjects order
 		k := 0
 		for _, f := range set.Facts {

@@ -35,10 +35,11 @@ const (
 type Contradiction struct {
 	// X is the overlap subject (identifier space of the checked KB).
 	X string
-	// Y1 is the object of the first sibling a (a(x,y1) held).
-	Y1 rdf.Term
-	// Y2 is the object of the second sibling b (b(x,y2) held, ¬a(x,y2)).
-	Y2 rdf.Term
+	// Y1 is the object IRI of the first sibling a (a(x,y1) held).
+	Y1 string
+	// Y2 is the object IRI of the second sibling b (b(x,y2) held,
+	// ¬a(x,y2)).
+	Y2 string
 	// CheckY1 and CheckY2 report whether the checked relation holds for
 	// (x,y1) and (x,y2) in the opposite KB.
 	CheckY1, CheckY2 bool
@@ -122,14 +123,19 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 	// Translation alone decides where an overlap stream stops, so each is
 	// read to that point and the group closed before any check object is
 	// fetched: the streams — over HTTP a response body and server-side
-	// enumerations — are not held open across the fetches. keys holds,
-	// row after row and pair after pair, the check fetch of the row.
-	keys := make([]objectKey, 0, m*len(pairs))
+	// enumerations — are not held open across the fetches. found holds,
+	// row after row and pair after pair, the rows of every pair, and
+	// sc.keys the check fetch of each row.
+	results := make([]UBSResult, len(pairs))
+	found := make([]Contradiction, 0, m*len(pairs))
+	sc := newScratch(m * len(pairs))
+	defer sc.release()
 	err := endpoint.EachSet(context.Background(), v.handle(pOverlap, side == BodySide), g.sets, func(i int, rows endpoint.Rows) error {
-		out := &UBSResult{}
+		out := &results[i]
 		pairs[i].Res = out
 		check := v.relation(memo, side == HeadSide, pairs[i].Check)
-		for len(out.Rows) < m && rows.Next() {
+		start := len(found)
+		for len(found)-start < m && rows.Next() {
 			out.Sampled++
 			row := rows.Row()
 			xp, y1p, y2p := row[0], row[1], row[2]
@@ -143,22 +149,25 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 				out.Untranslatable++
 				continue
 			}
-			keys = append(keys, objectKey{x, check})
-			out.Rows = append(out.Rows, Contradiction{X: x, Y1: rdf.NewIRI(y1), Y2: rdf.NewIRI(y2)})
+			sc.keys = append(sc.keys, objectKey{x, check})
+			found = append(found, Contradiction{X: x, Y1: y1, Y2: y2})
+		}
+		if len(found) > start {
+			out.Rows = found[start:len(found):len(found)]
 		}
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("sampling: UBS overlap query (%s,%s) and %d more: %w", pairs[0].A, pairs[0].B, len(pairs)-1, err)
 	}
-	objs, err := v.objectsOf(memo, side == HeadSide, keys)
+	objs, err := v.objectsOf(memo, side == HeadSide, sc.keys)
 	if err != nil {
 		return err
 	}
 	for _, p := range pairs {
 		for k := range p.Res.Rows {
 			c := &p.Res.Rows[k]
-			c.CheckY1, c.CheckY2 = containsIRI(objs[0], c.Y1.Value), containsIRI(objs[0], c.Y2.Value)
+			c.CheckY1, c.CheckY2 = containsIRI(objs[0], c.Y1), containsIRI(objs[0], c.Y2)
 			objs = objs[1:]
 		}
 	}

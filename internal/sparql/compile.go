@@ -535,30 +535,23 @@ func (p *Prepared) resolve(args []Arg) []kb.TermID {
 }
 
 // bind validates an execution's arguments against the handle's
-// parameters and returns what the plan runs on: its argument values, and
-// the lazy supplier of the canonical query text that seeds the RAND()
-// stream — rendered at most once, and only by a query that draws.
-func (p *Prepared) bind(args []Arg) ([]Arg, func() string, error) {
+// parameters and returns the argument values the plan runs on: args, or
+// a concrete query's own constants.
+func (p *Prepared) bind(args []Arg) ([]Arg, error) {
 	want := len(p.params)
 	if p.q != nil {
 		want = 0
 	}
 	if len(args) != want {
-		return nil, nil, fmt.Errorf("sparql: prepared query needs %d args, got %d", want, len(args))
+		return nil, fmt.Errorf("sparql: prepared query needs %d args, got %d", want, len(args))
 	}
 	for i, a := range args {
 		if a.isInt != p.params[i].isInt {
-			return nil, nil, fmt.Errorf("sparql: prepared arg %d has the wrong kind", i)
+			return nil, fmt.Errorf("sparql: prepared arg %d has the wrong kind", i)
 		}
 	}
 	if p.q != nil {
-		return p.bound, lazyText(p.q), nil
+		return p.bound, nil
 	}
-	var text string
-	return args, func() string {
-		if text == "" {
-			text = p.tmpl.text(args)
-		}
-		return text
-	}, nil
+	return args, nil
 }

@@ -77,18 +77,6 @@ func NewEngineSeeded(k *kb.KB, seed int64) *Engine {
 // KB returns the underlying knowledge base.
 func (e *Engine) KB() *kb.KB { return e.kb }
 
-// lazyText supplies an execution of q's lifted plan with q's canonical
-// text, rendered on first use.
-func lazyText(q *Query) func() string {
-	var text string
-	return func() string {
-		if text == "" {
-			text = q.String()
-		}
-		return text
-	}
-}
-
 // Bind is Prepare for a concrete query — a template without parameters:
 // the handle runs the plan cached for the query's shape, compiled only
 // if the shape is new to the engine, on the query's own constants, any

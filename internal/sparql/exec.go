@@ -26,12 +26,16 @@ var errStop = fmt.Errorf("sparql: enumeration stopped")
 
 // execState is the per-execution scratch of one Prepared run.
 type execState struct {
-	p      *Prepared
-	k      *kb.KB
-	regs   []kb.TermID // register file; NoTerm = unbound
-	res    []kb.TermID // resolved parameter and constant ids
-	rnd    *rand.Rand
-	textFn func() string
+	p    *Prepared
+	k    *kb.KB
+	regs []kb.TermID // register file; NoTerm = unbound
+	res  []kb.TermID // resolved parameter and constant ids
+	rnd  *rand.Rand
+	// fp is a template execution's RAND() fingerprint, taken at start
+	// when the plan draws (Template.fingerprint): the arguments are the
+	// caller's only for the call that opened the execution, and a stream
+	// draws later.
+	fp uint64
 
 	// borrowRow, when non-nil, is the reused projection buffer of a
 	// borrowed-row unordered stream (Prepared.IterBorrowed): every
@@ -55,22 +59,24 @@ type execState struct {
 // Exec runs the prepared query with positional arguments (one per
 // declared template parameter). It is safe for concurrent use.
 func (p *Prepared) Exec(args ...Arg) (*Result, error) {
-	args, textFn, err := p.bind(args)
+	args, err := p.bind(args)
 	if err != nil {
 		return nil, err
 	}
-	return p.exec(args, textFn)
+	return p.exec(args)
 }
 
 // start builds the execution state and resolves the effective LIMIT and
 // OFFSET for one run.
-func (p *Prepared) start(args []Arg, textFn func() string) (ex *execState, limit, offset int) {
+func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
 	ex = &execState{
-		p:      p,
-		k:      p.eng.kb,
-		regs:   make([]kb.TermID, p.nslots),
-		res:    p.resolve(args),
-		textFn: textFn,
+		p:    p,
+		k:    p.eng.kb,
+		regs: make([]kb.TermID, p.nslots),
+		res:  p.resolve(args),
+	}
+	if p.usesRand && p.q == nil {
+		ex.fp = p.tmpl.fingerprint(args)
 	}
 	for i := range ex.regs {
 		ex.regs[i] = kb.NoTerm
@@ -85,11 +91,9 @@ func (p *Prepared) start(args []Arg, textFn func() string) (ex *execState, limit
 	return ex, limit, offset
 }
 
-// exec runs the plan by draining the streaming core. textFn supplies
-// the canonical query text for RAND() stream derivation and is only
-// invoked when the query draws randomness.
-func (p *Prepared) exec(args []Arg, textFn func() string) (*Result, error) {
-	ex, limit, offset := p.start(args, textFn)
+// exec runs the plan by draining the streaming core.
+func (p *Prepared) exec(args []Arg) (*Result, error) {
+	ex, limit, offset := p.start(args)
 
 	if p.form == AskForm {
 		defer ex.releaseRand()
@@ -331,8 +335,12 @@ func (ex *execState) join(g *cgroup, pl *plannedGroup, step int, emit func() err
 		return emit()
 	}
 	tp := g.pats[pl.order[step]]
+	var after []int32
+	if pl.after != nil {
+		after = pl.after[step]
+	}
 	return ex.match(tp, func() error {
-		for _, fi := range pl.after[step] {
+		for _, fi := range after {
 			ok, valid := g.filters[fi].pred(ex)
 			if !valid || !ok {
 				return nil
@@ -480,30 +488,42 @@ func (ex *execState) match(tp cpattern, found func() error) error {
 // is 4.9 KiB, and every RAND() execution needs one.
 var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
+// fnvOffset is the FNV-64a offset basis, the hash of no bytes.
+const fnvOffset = 14695981039346656037
+
+// fnv64a extends the FNV-64a hash h over the bytes of s.
+func fnv64a[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
 // randSource derives the deterministic PRNG of one query execution from
-// the engine seed and the canonical query text (FNV-64a). It is the
-// single definition of the RAND() stream: the execution path (rng) and
-// the federation merge layer (RandFloats) both draw from it, which is
-// what keeps sharded RAND() results byte-identical to unsharded ones.
-// The state comes from randPool — Seed leaves it exactly as
+// the engine seed and fp, the FNV-64a hash of the canonical query text.
+// It is the single definition of the RAND() stream: the execution path
+// (rng) and the federation merge layer (RandFloats) both draw from it,
+// which is what keeps sharded RAND() results byte-identical to unsharded
+// ones. The state comes from randPool — Seed leaves it exactly as
 // rand.NewSource would create it — and the caller hands it back with
 // randPool.Put when its execution ends.
-func randSource(seed int64, text string) *rand.Rand {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(text); i++ {
-		h = (h ^ uint64(text[i])) * 1099511628211
-	}
+func randSource(seed int64, fp uint64) *rand.Rand {
 	r := randPool.Get().(*rand.Rand)
-	r.Seed(seed*1_000_003 ^ int64(h))
+	r.Seed(seed*1_000_003 ^ int64(fp))
 	return r
 }
 
 // rng derives the execution's PRNG on first use, exactly like the
-// reference engine: queries that never call RAND() pay neither the text
-// rendering nor the PRNG seeding.
+// reference engine: an execution that never draws pays no PRNG seeding.
+// A template execution was fingerprinted at start; a concrete query's
+// handle hashes the query's canonical text here.
 func (ex *execState) rng() *rand.Rand {
 	if ex.rnd == nil {
-		ex.rnd = randSource(ex.p.eng.seed, ex.textFn())
+		fp := ex.fp
+		if ex.p.q != nil {
+			fp = fnv64a(fnvOffset, ex.p.q.String())
+		}
+		ex.rnd = randSource(ex.p.eng.seed, fp)
 	}
 	return ex.rnd
 }

@@ -2,13 +2,14 @@ package sparql
 
 // Eval evaluates a parsed query: its shape is compiled (or fetched from
 // the plan cache) and executed with the query's constants as arguments —
-// the oracles' direct route into the engine, past Bind's handle.
+// the oracles' direct route into the engine, past the handle's argument
+// check.
 func (e *Engine) Eval(q *Query) (*Result, error) {
-	p, err := e.planFor(q)
+	p, err := e.Bind(q)
 	if err != nil {
 		return nil, err
 	}
-	return p.exec(liftArgs(q, make([]Arg, 0, len(p.params))), lazyText(q))
+	return p.exec(p.bound)
 }
 
 // EvalString parses and evaluates a query.

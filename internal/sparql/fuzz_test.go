@@ -77,7 +77,9 @@ func FuzzParse(f *testing.F) {
 // and executing the template against a tiny engine must agree with
 // evaluating the rendered text. Inputs that put $name where it cannot
 // be bound (projected, in a FILTER or ORDER BY expression, inside an
-// expression-nested EXISTS) must fail ParseTemplate gracefully.
+// expression-nested EXISTS) must fail ParseTemplate gracefully. The
+// fingerprint that seeds a prepared execution's RAND() stream must be
+// the FNV-64a of the rendered text.
 func FuzzTemplate(f *testing.F) {
 	seeds := []string{
 		// the aligner's real templates
@@ -126,6 +128,9 @@ func FuzzTemplate(f *testing.F) {
 		text, err := tm.Text(args...)
 		if err != nil {
 			t.Fatalf("instantiating a parsed template failed: %v\ninput: %q", err, in)
+		}
+		if got, want := tm.fingerprint(args), fnv64a(fnvOffset, text); got != want {
+			t.Fatalf("fingerprint %#x, FNV-64a of the text %#x\ninput: %q\ntext:  %q", got, want, in, text)
 		}
 		q, err := Parse(text)
 		if err != nil {

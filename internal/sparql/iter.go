@@ -116,11 +116,11 @@ func (p *Prepared) iter(name string, args []Arg, borrowed bool) (*RowIter, error
 	if p.form != SelectForm {
 		return nil, fmt.Errorf("sparql: %s needs a SELECT query", name)
 	}
-	args, textFn, err := p.bind(args)
+	args, err := p.bind(args)
 	if err != nil {
 		return nil, err
 	}
-	ex, limit, offset := p.start(args, textFn)
+	ex, limit, offset := p.start(args)
 	it := &RowIter{vars: p.vars}
 	switch {
 	case len(p.orderBy) > 0:

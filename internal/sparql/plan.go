@@ -23,36 +23,46 @@ import "sofya/internal/kb"
 //     order keeps results byte-identical to the reference engine.
 type plannedGroup struct {
 	order []int32   // indexes into cgroup.pats, execution order
-	after [][]int32 // filter indexes evaluated after each step
+	after [][]int32 // filter indexes evaluated after each step; nil without filters
 	pre   []int32   // filter indexes evaluated before any step
 }
+
+// onePattern is the order of every one-pattern group, shared: nothing
+// writes a plan's order.
+var onePattern = []int32{0}
 
 // planGroup orders g's patterns given the currently-bound register set
 // and attaches its filters.
 func (ex *execState) planGroup(g *cgroup, bound []bool) plannedGroup {
 	n := len(g.pats)
-	var order []int32
-	if ex.p.usesRand {
-		order = ex.greedyOrder(g, bound)
-	} else {
-		order = ex.costOrder(g, bound)
+	var pl plannedGroup
+	switch {
+	case n == 1:
+		pl.order = onePattern
+	case ex.p.usesRand:
+		pl.order = ex.greedyOrder(g, bound)
+	default:
+		pl.order = ex.costOrder(g, bound)
 	}
+	if len(g.filters) == 0 {
+		return pl
+	}
+	pl.after = make([][]int32, n)
 
-	pl := plannedGroup{order: order, after: make([][]int32, n)}
-
-	// Cumulative bound sets along the chosen order.
-	cum := make([][]bool, n+1)
-	cum[0] = bound
-	for i, pi := range order {
-		next := make([]bool, len(bound))
-		copy(next, cum[i])
+	// Cumulative bound sets along the chosen order: the set before step
+	// i is cum[i*w:][:w].
+	w := len(bound)
+	cum := make([]bool, (n+1)*w)
+	copy(cum, bound)
+	for i, pi := range pl.order {
+		next := cum[(i+1)*w:][:w]
+		copy(next, cum[i*w:][:w])
 		tp := g.pats[pi]
 		for _, ct := range []cterm{tp.s, tp.p, tp.o} {
 			if ct.isVar {
 				next[ct.slot] = true
 			}
 		}
-		cum[i+1] = next
 	}
 
 	for fi, f := range g.filters {
@@ -71,7 +81,7 @@ func (ex *execState) planGroup(g *cgroup, bound []bool) plannedGroup {
 		for i := 0; i <= n && !placed; i++ {
 			all := true
 			for _, d := range f.deps {
-				if !cum[i][d] {
+				if !cum[i*w+int(d)] {
 					all = false
 					break
 				}

@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"sofya/internal/kb"
+	"sofya/internal/rdf"
 )
 
 // rand_test.go covers the RAND() stream's plumbing: the pooled PRNG
@@ -19,14 +22,14 @@ import (
 // TestPooledRandStreamIdentical holds the pooled stream to its
 // definition, written out here the way the reference engine writes it:
 // a fresh standard source seeded with seed*1_000_003 XOR the FNV-64a of
-// the text. A recycled state must give the same draws whatever its
+// the text (hash/fnv's, against which fnv64a is held too). A recycled state must give the same draws whatever its
 // previous holder did with it.
 func TestPooledRandStreamIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 1000; i++ {
 		// Dirty a state and hand it back: the next randSource on this
 		// goroutine is likely to get it.
-		prior := randSource(rng.Int63(), "prior")
+		prior := randSource(rng.Int63(), fnv64a(fnvOffset, "prior"))
 		for j := rng.Intn(700); j > 0; j-- {
 			if j%3 == 0 {
 				prior.Int63()
@@ -42,13 +45,56 @@ func TestPooledRandStreamIdentical(t *testing.T) {
 		io.WriteString(h, text)
 		want := rand.New(rand.NewSource(seed*1_000_003 ^ int64(h.Sum64())))
 
-		got := randSource(seed, text)
+		got := randSource(seed, fnv64a(fnvOffset, text))
 		for d := 0; d < 256; d++ {
 			if g, w := got.Float64(), want.Float64(); g != w {
 				t.Fatalf("pair %d, draw %d: pooled stream gives %v, a fresh source %v", i, d, g, w)
 			}
 		}
 		randPool.Put(got)
+	}
+}
+
+// TestTemplateFingerprint holds the fingerprint a prepared execution
+// seeds its RAND() stream with to its definition, hash/fnv's FNV-64a of
+// the instantiated text, on arguments the aligner never sends: escaped
+// and non-ASCII literals, invalid UTF-8, language tags and datatypes,
+// blank nodes, a term longer than the hashing buffer, LIMIT 0 and the
+// largest LIMIT.
+func TestTemplateFingerprint(t *testing.T) {
+	tm := MustParseTemplate(`SELECT ?x ?y WHERE {
+  ?x $r ?y .
+  ?x $r $o .
+  FILTER NOT EXISTS { ?y $r $o }
+} ORDER BY RAND() LIMIT $n`, "r", "o", "n")
+	long := "http://x/" + strings.Repeat("long/", 80)
+	for _, c := range []struct {
+		name string
+		r, o rdf.Term
+		n    int
+	}{
+		{"iri", rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o"), 14},
+		{"escapes", rdf.NewIRI("http://x/p"), rdf.NewLiteral("a\"b\\c\nd\te\rf"), 1},
+		{"non-ascii", rdf.NewIRI("http://x/p"), rdf.NewLiteral("naïve — 日本"), 2},
+		{"invalid utf-8", rdf.NewIRI("http://x/p"), rdf.NewLiteral("x\xffy\xc3"), 3},
+		{"language tag", rdf.NewIRI("http://x/p"), rdf.NewLangLiteral("chat", "fr-CA"), 4},
+		{"datatype", rdf.NewIRI("http://x/p"), rdf.NewTypedLiteral("1999", rdf.XSDGYear), 5},
+		{"xsd:string", rdf.NewIRI("http://x/p"), rdf.NewTypedLiteral("s", rdf.XSDString), 6},
+		{"blank node", rdf.NewIRI("http://x/p"), rdf.NewBlank("b0"), 7},
+		{"long term", rdf.NewIRI(long), rdf.NewLiteral(long + "\n"), 8},
+		{"limit 0", rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o"), 0},
+		{"largest limit", rdf.NewIRI("http://x/p"), rdf.NewIRI("http://x/o"), math.MaxInt},
+	} {
+		args := []Arg{TermArg(c.r), TermArg(c.o), IntArg(c.n)}
+		text, err := tm.Text(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		io.WriteString(h, text)
+		if got, want := tm.fingerprint(args), h.Sum64(); got != want {
+			t.Errorf("%s: fingerprint %#x, FNV-64a of %q %#x", c.name, got, text, want)
+		}
 	}
 }
 

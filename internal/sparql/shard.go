@@ -269,6 +269,6 @@ func NumValue(f float64) Value { return numValue(f) }
 // in reconstructed enumeration order. release returns the stream's
 // state for reuse; draw must not be called after it.
 func RandFloats(seed int64, canonicalText string) (draw func() float64, release func()) {
-	r := randSource(seed, canonicalText)
+	r := randSource(seed, fnv64a(fnvOffset, canonicalText))
 	return r.Float64, func() { randPool.Put(r) }
 }

@@ -328,6 +328,27 @@ func (t *Template) text(args []Arg) string {
 	return sb.String()
 }
 
+// fingerprint is the FNV-64a hash of text(args), the canonical text that
+// seeds an execution's RAND() stream, taken over the segments and the
+// arguments as text writes them — the same bytes, literals escaped alike
+// — without rendering the text.
+func (t *Template) fingerprint(args []Arg) uint64 {
+	var buf [256]byte // a longer term spills to the heap, hashed alike
+	h := uint64(fnvOffset)
+	for i, seg := range t.segs {
+		h = fnv64a(h, seg)
+		if i < len(t.gaps) {
+			g := t.gaps[i]
+			if g.isInt {
+				h = fnv64a(h, strconv.AppendInt(buf[:0], int64(args[g.param].n), 10))
+			} else {
+				h = fnv64a(h, args[g.param].term.Append(buf[:0]))
+			}
+		}
+	}
+	return h
+}
+
 // eachExists walks an expression tree, applying fn to every EXISTS node
 // in syntactic order.
 func eachExists(e Expr, fn func(exExists)) {
