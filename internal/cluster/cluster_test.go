@@ -182,6 +182,8 @@ func oracleSelects(rel, rel2 string) []string {
 		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY RAND()", rel),
 		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY ?y LIMIT 6", rel),
 		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY DESC(?x) ?y", rel),
+		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY STRLEN(STR(?y)) ?x LIMIT 6", rel),
+		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY DESC(LCASE(STR(?y))) ?x", rel),
 	}
 }
 

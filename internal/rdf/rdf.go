@@ -53,7 +53,8 @@ const (
 	XSDDateTime = "http://www.w3.org/2001/XMLSchema#dateTime"
 	XSDGYear    = "http://www.w3.org/2001/XMLSchema#gYear"
 
-	RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+	RDFType       = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+	RDFLangString = "http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"
 )
 
 // Term is an RDF term. The zero value is the empty IRI, which is not a

@@ -481,7 +481,8 @@ type orderedMergeSpec struct {
 // (subject-term merge over borrowed streams), DISTINCT drops duplicates
 // before any key is derived (duplicates consume no RAND draw, as in the
 // engine), each key is re-drawn (bare RAND, from the engine-identical
-// stream) or re-evaluated (deterministic keys, over the borrowed row),
+// stream) or re-evaluated (deterministic keys, by the engine's own
+// lowered closures over the borrowed row, through one sparql.RowKeys),
 // and sparql.OrderSelector — the selection the engine itself runs —
 // picks the window: bounded to offset+limit winners when the key list is
 // statically total-ordered and a LIMIT is set, the reference stable sort
@@ -597,12 +598,14 @@ func (r *orderedRows) run() {
 	hasRand := lone
 	var desc []bool
 	var keys []sparql.Value
+	var rowKeys *sparql.RowKeys
 	if !lone {
 		desc, keys = make([]bool, len(spec.keys)), make([]sparql.Value, len(spec.keys))
 		for i, k := range spec.keys {
 			desc[i] = k.Desc
 			hasRand = hasRand || k.Rand
 		}
+		rowKeys = sparql.NewRowKeys(spec.keys)
 	}
 	sel := sparql.NewOrderSelector(desc, spec.orderTotal, lone, spec.offset, spec.limit)
 	defer sel.Release() // r.out keeps the winning payloads, not the selector's slots
@@ -652,7 +655,7 @@ func (r *orderedRows) run() {
 				if k.Rand {
 					keys[i] = sparql.NumValue(draw())
 				} else {
-					keys[i] = k.Eval(row)
+					keys[i] = rowKeys.Eval(i, row)
 				}
 			}
 			slot = sel.OfferKeys(keys)

@@ -108,6 +108,8 @@ func oracleQueries(rel, rel2, s, o string) (selects, asks []string) {
 		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY RAND() LIMIT 3 OFFSET 2", rel),
 		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY ?y LIMIT 6", rel),
 		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY DESC(?x) ?y", rel),
+		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY STRLEN(STR(?y)) ?x LIMIT 6", rel),
+		fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } ORDER BY DESC(LCASE(STR(?y))) ?x", rel),
 		fmt.Sprintf(`SELECT ?x ?y1 ?y2 WHERE {
   ?x <%s> ?y1 .
   ?x <%s> ?y2 .

@@ -1,21 +1,19 @@
 package sparql
 
 import (
-	"math/rand"
 	"regexp"
 
 	"sofya/internal/kb"
-	"sofya/internal/rdf"
 )
 
 // cexpr.go lowers filter and ORDER BY expressions into closure chains at
-// compile time, so the hot join loop never walks an AST or resolves a
-// variable name: variables are pre-resolved to register slots, constants
-// are folded to Values once, and EXISTS subgroups become probes over
-// their pre-compiled cgroups. The lowered closures evaluate against the
-// execution's register file with exactly the semantics of Expr.eval over
-// an execState — which is what keeps compiled, streamed, and reference
-// results byte-identical.
+// compile time. The closures are the one expression evaluator: the join
+// loop never walks an AST or resolves a variable name. Variables are
+// pre-resolved to register slots (or, for the merge layer's ORDER BY
+// keys, to projected columns), constant subtrees are folded to Values by
+// running their own closures once, and EXISTS subgroups become probes
+// over their pre-compiled cgroups. naive_test.go's tree-walker is the
+// reference these closures are held to.
 
 // cexpr is a compiled expression: it evaluates against one execution's
 // register file. Closures are immutable and shared by concurrent
@@ -32,56 +30,45 @@ func (c *compiler) lowerPred(e Expr) cpred {
 	return func(ex *execState) (bool, bool) { return f(ex).EBV() }
 }
 
-// constEnv evaluates constant subtrees at compile time. Lowering only
-// uses it on expressions without variables, BOUND, RAND or EXISTS, so
-// none of its methods are ever reached.
-type constEnv struct{}
-
-func (constEnv) lookupVar(string) (rdf.Term, bool)      { return rdf.Term{}, false }
-func (constEnv) rng() *rand.Rand                        { return nil }
-func (constEnv) evalExists(*GroupPattern) (bool, error) { return false, nil }
-
 // isConstExpr reports whether e evaluates to the same Value on every
 // row: no variables, no randomness, no pattern probes.
 func isConstExpr(e Expr) bool {
-	switch x := e.(type) {
-	case exConst, exNum, exBool:
-		return true
-	case exNot:
-		return isConstExpr(x.arg)
-	case exAnd:
-		return isConstExpr(x.l) && isConstExpr(x.r)
-	case exOr:
-		return isConstExpr(x.l) && isConstExpr(x.r)
-	case exCompare:
-		return isConstExpr(x.l) && isConstExpr(x.r)
-	case exCall:
-		if x.name == "RAND" || x.name == "BOUND" {
-			return false
+	konst := true
+	walkExpr(e, func(x Expr) bool {
+		switch x := x.(type) {
+		case exVar, exExists:
+			konst = false
+		case exCall:
+			konst = konst && x.name != "RAND" && x.name != "BOUND"
 		}
-		for _, a := range x.args {
-			if !isConstExpr(a) {
-				return false
-			}
-		}
-		return true
-	default: // exVar, exExists
-		return false
-	}
+		return konst
+	})
+	return konst
 }
 
-// lowerExpr compiles e into a closure over the register file.
+// constExpr is the closure of a folded constant.
+func constExpr(v Value) cexpr { return func(*execState) Value { return v } }
+
+// lowerExpr compiles e into a closure over the register file — over the
+// projected row, in row mode. A constant subtree is folded: its closure
+// runs once, here, with no execution state, which it never reads.
 func (c *compiler) lowerExpr(e Expr) cexpr {
-	if isConstExpr(e) {
-		v := e.eval(constEnv{})
-		return func(*execState) Value { return v }
-	}
+	var f cexpr
 	switch x := e.(type) {
+	case exConst:
+		return constExpr(termValue(x.t))
+	case exNum:
+		return constExpr(numValue(x.n))
+	case exBool:
+		return constExpr(boolValue(x.b))
 	case exVar:
 		slot, ok := c.slots[x.name]
-		if !ok {
+		switch {
+		case !ok:
 			// a variable no pattern binds: unbound on every row
-			return func(*execState) Value { return errValue() }
+			return constExpr(errValue())
+		case c.rows:
+			return func(ex *execState) Value { return termValue(ex.borrowRow[slot]) }
 		}
 		return func(ex *execState) Value {
 			id := ex.regs[slot]
@@ -90,51 +77,6 @@ func (c *compiler) lowerExpr(e Expr) cexpr {
 			}
 			return termValue(ex.k.Term(id))
 		}
-	case exNot:
-		arg := c.lowerExpr(x.arg)
-		return func(ex *execState) Value {
-			b, ok := arg(ex).EBV()
-			if !ok {
-				return errValue()
-			}
-			return boolValue(!b)
-		}
-	case exAnd:
-		l, r := c.lowerExpr(x.l), c.lowerExpr(x.r)
-		return func(ex *execState) Value {
-			lb, lok := l(ex).EBV()
-			if lok && !lb {
-				return boolValue(false)
-			}
-			rb, rok := r(ex).EBV()
-			if rok && !rb {
-				return boolValue(false)
-			}
-			if !lok || !rok {
-				return errValue()
-			}
-			return boolValue(true)
-		}
-	case exOr:
-		l, r := c.lowerExpr(x.l), c.lowerExpr(x.r)
-		return func(ex *execState) Value {
-			lb, lok := l(ex).EBV()
-			if lok && lb {
-				return boolValue(true)
-			}
-			rb, rok := r(ex).EBV()
-			if rok && rb {
-				return boolValue(true)
-			}
-			if !lok || !rok {
-				return errValue()
-			}
-			return boolValue(false)
-		}
-	case exCompare:
-		return c.lowerCompare(x)
-	case exCall:
-		return c.lowerCall(x)
 	case exExists:
 		cg := c.exists[x.group]
 		neg := x.negate
@@ -143,14 +85,53 @@ func (c *compiler) lowerExpr(e Expr) cexpr {
 			if err != nil {
 				return errValue()
 			}
-			if neg {
-				found = !found
-			}
-			return boolValue(found)
+			return boolValue(found != neg)
 		}
+	case exNot:
+		arg := c.lowerExpr(x.arg)
+		f = func(ex *execState) Value {
+			b, ok := arg(ex).EBV()
+			if !ok {
+				return errValue()
+			}
+			return boolValue(!b)
+		}
+	case exAnd:
+		f = c.lowerLogic(x.l, x.r, false)
+	case exOr:
+		f = c.lowerLogic(x.l, x.r, true)
+	case exCompare:
+		f = c.lowerCompare(x)
+	case exCall:
+		f = c.lowerCall(x)
 	default:
 		// unreachable with the current parser; evaluate conservatively
-		return func(*execState) Value { return errValue() }
+		return constExpr(errValue())
+	}
+	if isConstExpr(e) {
+		return constExpr(f(nil))
+	}
+	return f
+}
+
+// lowerLogic lowers && (decisive false) and || (decisive true): either
+// operand's decisive EBV decides, an error on the other side
+// notwithstanding.
+func (c *compiler) lowerLogic(l, r Expr, decisive bool) cexpr {
+	lf, rf := c.lowerExpr(l), c.lowerExpr(r)
+	return func(ex *execState) Value {
+		lb, lok := lf(ex).EBV()
+		if lok && lb == decisive {
+			return boolValue(decisive)
+		}
+		rb, rok := rf(ex).EBV()
+		if rok && rb == decisive {
+			return boolValue(decisive)
+		}
+		if !lok || !rok {
+			return errValue()
+		}
+		return boolValue(!decisive)
 	}
 }
 
@@ -169,10 +150,7 @@ func (c *compiler) lowerCompare(x exCompare) cexpr {
 			if !ok {
 				return errValue()
 			}
-			if neq {
-				eq = !eq
-			}
-			return boolValue(eq)
+			return boolValue(eq != neq)
 		}
 	}
 	var test func(c int) bool
@@ -186,7 +164,7 @@ func (c *compiler) lowerCompare(x exCompare) cexpr {
 	case ">=":
 		test = func(c int) bool { return c >= 0 }
 	default:
-		return func(*execState) Value { return errValue() }
+		return constExpr(errValue())
 	}
 	return func(ex *execState) Value {
 		lv, rv := l(ex), r(ex)
@@ -201,21 +179,22 @@ func (c *compiler) lowerCompare(x exCompare) cexpr {
 	}
 }
 
-// lowerCall compiles a builtin call: BOUND and RAND read the execution
-// state directly, the hottest unary predicates are inlined, REGEX with a
-// constant pattern precompiles its automaton, and the rest evaluate
-// their lowered arguments strictly and share callBuiltin with the
-// reference evaluator.
+// lowerCall compiles a builtin call. BOUND and RAND read the execution
+// state directly; every other builtin's body is picked from the table
+// once, here, and runs on its lowered arguments, evaluated strictly in
+// order. REGEX with a constant pattern compiles its automaton once.
 func (c *compiler) lowerCall(x exCall) cexpr {
 	switch x.name {
 	case "BOUND":
-		v, ok := x.args[0].(exVar)
-		if !ok {
-			return func(*execState) Value { return errValue() }
+		v, isVar := x.args[0].(exVar)
+		if !isVar {
+			return constExpr(errValue())
 		}
 		slot, ok := c.slots[v.name]
-		if !ok {
-			return func(*execState) Value { return boolValue(false) }
+		if !ok || c.rows {
+			// no pattern binds the variable, or it is a projected
+			// column, which every row binds
+			return constExpr(boolValue(ok))
 		}
 		return func(ex *execState) Value {
 			return boolValue(ex.regs[slot] != kb.NoTerm)
@@ -224,86 +203,77 @@ func (c *compiler) lowerCall(x exCall) cexpr {
 		return func(ex *execState) Value {
 			return numValue(ex.rng().Float64())
 		}
-	case "ISIRI", "ISURI":
-		a := c.lowerExpr(x.args[0])
-		return func(ex *execState) Value {
-			v := a(ex)
-			if v.IsErr() {
-				return errValue()
-			}
-			return boolValue(v.kind == vTerm && v.t.IsIRI())
-		}
-	case "ISLITERAL":
-		a := c.lowerExpr(x.args[0])
-		return func(ex *execState) Value {
-			v := a(ex)
-			if v.IsErr() {
-				return errValue()
-			}
-			return boolValue(v.kind == vTerm && v.t.IsLiteral())
-		}
-	case "ISBLANK":
-		a := c.lowerExpr(x.args[0])
-		return func(ex *execState) Value {
-			v := a(ex)
-			if v.IsErr() {
-				return errValue()
-			}
-			return boolValue(v.kind == vTerm && v.t.IsBlank())
-		}
-	case "REGEX":
-		if re, ok := c.constRegex(x); ok {
-			a := c.lowerExpr(x.args[0])
-			return func(ex *execState) Value {
-				v := a(ex)
-				if v.IsErr() {
-					return errValue()
-				}
-				text, ok := v.asString()
-				if !ok || re == nil {
-					return errValue()
-				}
-				return boolValue(re.MatchString(text))
-			}
-		}
 	}
 	args := make([]cexpr, len(x.args))
 	for i, a := range x.args {
 		args[i] = c.lowerExpr(a)
 	}
-	name := x.name
-	return func(ex *execState) Value {
-		vals := make([]Value, len(args))
-		for i, a := range args {
-			vals[i] = a(ex)
-			if vals[i].IsErr() {
+	bi := builtins[x.name]
+	switch {
+	case bi.fn1 != nil:
+		f, a := bi.fn1, args[0]
+		return func(ex *execState) Value {
+			av := a(ex)
+			if av.IsErr() {
 				return errValue()
 			}
+			return f(av)
 		}
-		return callBuiltin(name, vals)
+	case bi.fn2 != nil:
+		f, a, b := bi.fn2, args[0], args[1]
+		return func(ex *execState) Value {
+			av := a(ex)
+			if av.IsErr() {
+				return errValue()
+			}
+			bv := b(ex)
+			if bv.IsErr() {
+				return errValue()
+			}
+			return f(av, bv)
+		}
+	}
+	if len(args) == 2 {
+		args = append(args, constExpr(strValue("")))
+	}
+	f, a, b, d := bi.fn3, args[0], args[1], args[2]
+	if x.name == "REGEX" && isConstExpr(x.args[1]) && (len(x.args) == 2 || isConstExpr(x.args[2])) {
+		re := constRegex(b(nil), d(nil))
+		f = func(text, _, _ Value) Value {
+			s, ok := text.asString()
+			if !ok || re == nil {
+				return errValue()
+			}
+			return boolValue(re.MatchString(s))
+		}
+	}
+	return func(ex *execState) Value {
+		av := a(ex)
+		if av.IsErr() {
+			return errValue()
+		}
+		bv := b(ex)
+		if bv.IsErr() {
+			return errValue()
+		}
+		dv := d(ex)
+		if dv.IsErr() {
+			return errValue()
+		}
+		return f(av, bv, dv)
 	}
 }
 
-// constRegex precompiles REGEX's automaton when the pattern (and flags,
-// if present) are constant. ok=false falls back to per-row compilation;
-// ok=true with re=nil preserves the always-error behavior of an invalid
-// or non-string constant pattern.
-func (c *compiler) constRegex(x exCall) (re *regexp.Regexp, ok bool) {
-	if !isConstExpr(x.args[1]) || (len(x.args) > 2 && !isConstExpr(x.args[2])) {
-		return nil, false
-	}
-	pv := x.args[1].eval(constEnv{})
-	pat, ok := pv.asString()
+// constRegex compiles a constant REGEX pattern once, from the folded
+// pattern and flags; nil, for a pattern that is not a string or does not
+// compile, keeps the always-error answer. An erring pattern or flags
+// value never reaches the body.
+func constRegex(pat, flags Value) *regexp.Regexp {
+	p, ok := pat.asString()
 	if !ok {
-		return nil, true
+		return nil
 	}
-	var flags string
-	if len(x.args) > 2 {
-		flags, _ = x.args[2].eval(constEnv{}).asString()
-	}
-	compiled, err := compileRegex(pat, flags)
-	if err != nil {
-		return nil, true
-	}
-	return compiled, true
+	f, _ := flags.asString()
+	re, _ := compileRegex(p, f)
+	return re
 }

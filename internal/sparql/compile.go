@@ -92,9 +92,9 @@ type compiled struct {
 	offsetParam int32      // parameter index for OFFSET (lifted plans), or -1
 
 	// usesRand marks queries whose results depend on the RAND() stream;
-	// they are planned with the reference greedy order so that the
-	// per-row draw sequence — and therefore the output bytes — match
-	// the tree-walking evaluator exactly.
+	// they are planned with the greedy order of the reference engine
+	// (naive_test.go) so that the per-row draw sequence — and therefore
+	// the output bytes — match it exactly.
 	usesRand bool
 	// orderTotal marks ORDER BY key lists whose values are totally
 	// ordered on every row (currently: every key is numeric by
@@ -129,6 +129,10 @@ type compiler struct {
 	exists   map[*GroupPattern]*cgroup
 	groups   []*cgroup
 	err      error
+	// rows marks row mode, in which slots maps each projected variable
+	// to its column and a variable reads the projected row
+	// (compileRowKey) instead of the register file.
+	rows bool
 }
 
 // compile builds a Prepared: the plan of a template, or — tmpl nil — the
@@ -340,50 +344,14 @@ func (c *compiler) term(pt PatternTerm) cterm {
 	return cterm{res: i} // resolved table is params, then constants
 }
 
-// exprVars collects the variables mentioned by an expression (EXISTS
-// subgroups are existential and excluded).
-func exprVars(e Expr) []string {
-	var out []string
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case exVar:
-			out = append(out, x.name)
-		case exNot:
-			walk(x.arg)
-		case exAnd:
-			walk(x.l)
-			walk(x.r)
-		case exOr:
-			walk(x.l)
-			walk(x.r)
-		case exCompare:
-			walk(x.l)
-			walk(x.r)
-		case exCall:
-			for _, a := range x.args {
-				walk(a)
-			}
-		}
-	}
-	walk(e)
-	return out
-}
-
 // exprAlwaysNumeric reports whether the expression yields a numeric
 // Value on every row regardless of bindings — the static guarantee
 // under which ORDER BY comparison is a total order (numeric pairs are
 // always comparable). RAND() and numeric literals qualify; anything
 // value-dependent does not.
 func exprAlwaysNumeric(e Expr) bool {
-	switch x := e.(type) {
-	case exNum:
-		return true
-	case exCall:
-		return x.name == "RAND"
-	default:
-		return false
-	}
+	_, num := e.(exNum)
+	return num || isBareRand(e)
 }
 
 // isBareRand reports whether the expression is the RAND() call itself,
@@ -391,45 +359,6 @@ func exprAlwaysNumeric(e Expr) bool {
 func isBareRand(e Expr) bool {
 	call, ok := e.(exCall)
 	return ok && call.name == "RAND" && len(call.args) == 0
-}
-
-// exprUsesRand reports whether the expression draws from the RAND()
-// stream anywhere, including inside EXISTS subgroup filters.
-func exprUsesRand(e Expr) bool {
-	found := false
-	var walk func(Expr)
-	var walkGroup func(*GroupPattern)
-	walkGroup = func(g *GroupPattern) {
-		for _, f := range g.Filters {
-			walk(f)
-		}
-	}
-	walk = func(e Expr) {
-		switch x := e.(type) {
-		case exCall:
-			if x.name == "RAND" {
-				found = true
-			}
-			for _, a := range x.args {
-				walk(a)
-			}
-		case exNot:
-			walk(x.arg)
-		case exAnd:
-			walk(x.l)
-			walk(x.r)
-		case exOr:
-			walk(x.l)
-			walk(x.r)
-		case exCompare:
-			walk(x.l)
-			walk(x.r)
-		case exExists:
-			walkGroup(x.group)
-		}
-	}
-	walk(e)
-	return found
 }
 
 // shapeKey serializes the structure of a query with pattern constants,

@@ -574,3 +574,73 @@ func TestEngineAnswersIndependentOfFreeze(t *testing.T) {
 		}
 	}
 }
+
+// TestNumericLexicalXSDForms: a literal reads as a number only when its
+// lexical form is an XSD numeral; strconv's own spellings (inf,
+// Infinity, NaN, hex floats) stay strings, and INF, +INF, -INF and NaN
+// are numbers on xsd:double alone.
+func TestNumericLexicalXSDForms(t *testing.T) {
+	for _, c := range []struct {
+		lex, dt string
+		want    bool
+	}{
+		{"42", "", true},
+		{"-3.5", "", true},
+		{"+.5e-3", "", true},
+		{"5.", rdf.XSDDecimal, true},
+		{"1E3", rdf.XSDDouble, true},
+		{"1990", rdf.XSDGYear, true},
+		{"Infinity", "", false},
+		{"inf", "", false},
+		{"+Inf", "", false},
+		{"NaN", "", false},
+		{"INF", "", false},
+		{"0x1p-2", "", false},
+		{"0x10", rdf.XSDInteger, false},
+		{"1e", "", false},
+		{".", "", false},
+		{"", "", false},
+		{"INF", rdf.XSDDouble, true},
+		{"+INF", rdf.XSDDouble, true},
+		{"-INF", rdf.XSDDouble, true},
+		{"NaN", rdf.XSDDouble, true},
+		{"inf", rdf.XSDDouble, false},
+		{"Infinity", rdf.XSDDouble, false},
+		{"INF", rdf.XSDDecimal, false},
+		{"12", rdf.XSDString, false},
+	} {
+		term := rdf.NewTypedLiteral(c.lex, c.dt)
+		if _, got := numericLexical(term); got != c.want {
+			t.Errorf("numericLexical(%s) = %v, want %v", term, got, c.want)
+		}
+	}
+
+	k := kb.New("numerals")
+	for _, lex := range []string{"+Inf", "Infinity", "inf", "NaN"} {
+		k.Add(rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewLiteral(lex)))
+	}
+	for q, want := range map[string]int{
+		`SELECT ?v WHERE { ?s <http://x/p> ?v . FILTER (?v = "Infinity") }`: 1,
+		`SELECT ?v WHERE { ?s <http://x/p> ?v . FILTER (?v = ?v) }`:         4,
+	} {
+		if got := evalQ(t, k, q).Rows; len(got) != want {
+			t.Errorf("%s: rows %v, want %d", q, got, want)
+		}
+	}
+}
+
+// TestDatatypeOfLangLiteral: DATATYPE of a language-tagged literal is
+// rdf:langString (SPARQL 1.1), of a plain one xsd:string.
+func TestDatatypeOfLangLiteral(t *testing.T) {
+	for dt, want := range map[string]string{rdf.RDFLangString: "bob", rdf.XSDString: "alice"} {
+		q := fmt.Sprintf(`SELECT ?x WHERE { ?x <http://x/name> ?v . FILTER (DATATYPE(?v) = <%s>) }`, dt)
+		res := evalQ(t, familyKB(), q)
+		if len(res.Rows) != 1 || res.Rows[0][0].Value != "http://x/"+want {
+			t.Errorf("DATATYPE = <%s>: rows %v, want %s", dt, res.Rows, want)
+		}
+	}
+	res := evalQ(t, familyKB(), `SELECT ?x WHERE { ?x <http://x/name> ?v . FILTER (STR(DATATYPE(?v)) = "") }`)
+	if len(res.Rows) != 0 {
+		t.Errorf(`STR(DATATYPE(?v)) = "" holds for %v`, res.Rows)
+	}
+}

@@ -41,7 +41,9 @@ type execState struct {
 	// borrowed-row unordered stream (Prepared.IterBorrowed): every
 	// emitted row is written into it instead of a fresh allocation, so
 	// the consumer must copy rows it keeps. nil = materialize a fresh row
-	// per emission (the default contract).
+	// per emission (the default contract). Its second use: in RowKeys'
+	// state it is the projected row that row-mode key closures read
+	// (cexpr.go), so evaluating a merge key adds no field here.
 	borrowRow []rdf.Term
 
 	// sel and ids are an ordered execution's window, from selectWindow

@@ -1,10 +1,10 @@
 package sparql
 
 import (
-	"math/rand"
 	"regexp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"sofya/internal/rdf"
 )
@@ -92,109 +92,70 @@ func (v Value) asString() (string, bool) {
 	}
 }
 
+// numericLexical reads a literal as a number when its datatype is a
+// numeric one (gYear included) or it is plain, and its lexical form is
+// an XSD numeral: an optional sign, digits with an optional fraction,
+// and an optional exponent; xsd:double also spells INF, +INF, -INF and
+// NaN. Plain literals that look numeric participate in numeric
+// comparison, which is how YAGO-style TSV dumps behave; strconv's other
+// spellings ("inf", "Infinity", hex floats) are not numbers here.
 func numericLexical(t rdf.Term) (float64, bool) {
 	if t.Kind != rdf.Literal {
 		return 0, false
 	}
 	switch t.Datatype {
-	case rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble, rdf.XSDGYear:
-		f, err := strconv.ParseFloat(t.Value, 64)
-		return f, err == nil
-	case "":
-		// plain literals that look numeric participate in numeric
-		// comparison, which is how YAGO-style TSV dumps behave.
-		f, err := strconv.ParseFloat(t.Value, 64)
-		return f, err == nil
+	case rdf.XSDInteger, rdf.XSDDecimal, rdf.XSDDouble, rdf.XSDGYear, "":
 	default:
 		return 0, false
 	}
+	f, err := strconv.ParseFloat(t.Value, 64)
+	switch {
+	case err != nil:
+		return 0, false
+	case strings.Trim(t.Value, "0123456789+-.eE") == "":
+		return f, true
+	}
+	switch t.Value {
+	case "INF", "+INF", "-INF", "NaN":
+		return f, t.Datatype == rdf.XSDDouble
+	}
+	return 0, false
 }
 
-// env provides variable lookups during expression evaluation.
-type env interface {
-	lookupVar(name string) (rdf.Term, bool)
-	rng() *rand.Rand
-	evalExists(g *GroupPattern) (bool, error)
-}
-
-// Expr is a parsed SPARQL expression.
+// Expr is a parsed SPARQL expression. The compiler lowers it to closures
+// (cexpr.go), the one evaluator; the node types carry no behaviour but
+// their rendering.
 type Expr interface {
-	eval(e env) Value
 	// String renders the expression approximately in SPARQL syntax.
 	String() string
 }
 
 type exVar struct{ name string }
 
-func (x exVar) eval(e env) Value {
-	t, ok := e.lookupVar(x.name)
-	if !ok {
-		return errValue()
-	}
-	return termValue(t)
-}
 func (x exVar) String() string { return "?" + x.name }
 
 type exConst struct{ t rdf.Term }
 
-func (x exConst) eval(env) Value { return termValue(x.t) }
 func (x exConst) String() string { return x.t.String() }
 
 type exNum struct{ n float64 }
 
-func (x exNum) eval(env) Value { return numValue(x.n) }
 func (x exNum) String() string { return strconv.FormatFloat(x.n, 'g', -1, 64) }
 
 type exBool struct{ b bool }
 
-func (x exBool) eval(env) Value { return boolValue(x.b) }
 func (x exBool) String() string { return strconv.FormatBool(x.b) }
 
 type exNot struct{ arg Expr }
 
-func (x exNot) eval(e env) Value {
-	b, ok := x.arg.eval(e).EBV()
-	if !ok {
-		return errValue()
-	}
-	return boolValue(!b)
-}
 func (x exNot) String() string { return "!(" + x.arg.String() + ")" }
 
 type exAnd struct{ l, r Expr }
 
-func (x exAnd) eval(e env) Value {
-	lb, lok := x.l.eval(e).EBV()
-	if lok && !lb {
-		return boolValue(false)
-	}
-	rb, rok := x.r.eval(e).EBV()
-	if rok && !rb {
-		return boolValue(false)
-	}
-	if !lok || !rok {
-		return errValue()
-	}
-	return boolValue(true)
-}
 func (x exAnd) String() string { return "(" + x.l.String() + " && " + x.r.String() + ")" }
 
 type exOr struct{ l, r Expr }
 
-func (x exOr) eval(e env) Value {
-	lb, lok := x.l.eval(e).EBV()
-	if lok && lb {
-		return boolValue(true)
-	}
-	rb, rok := x.r.eval(e).EBV()
-	if rok && rb {
-		return boolValue(true)
-	}
-	if !lok || !rok {
-		return errValue()
-	}
-	return boolValue(false)
-}
 func (x exOr) String() string { return "(" + x.l.String() + " || " + x.r.String() + ")" }
 
 type exCompare struct {
@@ -202,38 +163,6 @@ type exCompare struct {
 	l, r Expr
 }
 
-func (x exCompare) eval(e env) Value {
-	lv, rv := x.l.eval(e), x.r.eval(e)
-	if lv.IsErr() || rv.IsErr() {
-		return errValue()
-	}
-	switch x.op {
-	case "=", "!=":
-		eq, ok := valuesEqual(lv, rv)
-		if !ok {
-			return errValue()
-		}
-		if x.op == "!=" {
-			eq = !eq
-		}
-		return boolValue(eq)
-	}
-	c, ok := valuesOrder(lv, rv)
-	if !ok {
-		return errValue()
-	}
-	switch x.op {
-	case "<":
-		return boolValue(c < 0)
-	case "<=":
-		return boolValue(c <= 0)
-	case ">":
-		return boolValue(c > 0)
-	case ">=":
-		return boolValue(c >= 0)
-	}
-	return errValue()
-}
 func (x exCompare) String() string {
 	return "(" + x.l.String() + " " + x.op + " " + x.r.String() + ")"
 }
@@ -302,27 +231,128 @@ func (x exCall) String() string {
 	return x.name + "(" + strings.Join(parts, ", ") + ")"
 }
 
-func (x exCall) eval(e env) Value {
-	switch x.name {
-	case "BOUND":
-		v, ok := x.args[0].(exVar)
+// builtin is one builtin function: its argument-count range and its
+// body. A body runs on its arguments' values, evaluated in order and
+// none an error: every builtin is strict but BOUND and RAND, which read
+// the execution's registers and PRNG and have no body (lowerCall lowers
+// them itself). A body takes one Value per argument up to maxArgs; a
+// call that leaves the last one out passes the empty string for it.
+type builtin struct {
+	minArgs, maxArgs int
+	fn1              func(a Value) Value
+	fn2              func(a, b Value) Value
+	fn3              func(a, b, c Value) Value
+}
+
+// builtins is the one table of builtin functions, by upper-cased name:
+// the parser checks arities against it and lowerCall picks bodies from
+// it. It is a package-level var, not filled by init, because package
+// variables that parse queries are initialized before init runs.
+var builtins = map[string]builtin{
+	"RAND":      {},
+	"BOUND":     {minArgs: 1, maxArgs: 1},
+	"STR":       {minArgs: 1, maxArgs: 1, fn1: builtinStr},
+	"LANG":      {minArgs: 1, maxArgs: 1, fn1: builtinLang},
+	"DATATYPE":  {minArgs: 1, maxArgs: 1, fn1: builtinDatatype},
+	"ISIRI":     {minArgs: 1, maxArgs: 1, fn1: builtinIsIRI},
+	"ISURI":     {minArgs: 1, maxArgs: 1, fn1: builtinIsIRI},
+	"ISLITERAL": {minArgs: 1, maxArgs: 1, fn1: func(v Value) Value { return boolValue(v.kind == vTerm && v.t.IsLiteral()) }},
+	"ISBLANK":   {minArgs: 1, maxArgs: 1, fn1: func(v Value) Value { return boolValue(v.kind == vTerm && v.t.IsBlank()) }},
+	"STRLEN":    {minArgs: 1, maxArgs: 1, fn1: onString(func(s string) Value { return numValue(float64(utf8.RuneCountInString(s))) })},
+	"LCASE":     {minArgs: 1, maxArgs: 1, fn1: onString(func(s string) Value { return strValue(strings.ToLower(s)) })},
+	"UCASE":     {minArgs: 1, maxArgs: 1, fn1: onString(func(s string) Value { return strValue(strings.ToUpper(s)) })},
+	"SAMETERM":  {minArgs: 2, maxArgs: 2, fn2: builtinSameTerm},
+	"CONTAINS":  {minArgs: 2, maxArgs: 2, fn2: onStrings(strings.Contains)},
+	"STRSTARTS": {minArgs: 2, maxArgs: 2, fn2: onStrings(strings.HasPrefix)},
+	"STRENDS":   {minArgs: 2, maxArgs: 2, fn2: onStrings(strings.HasSuffix)},
+	"REGEX":     {minArgs: 2, maxArgs: 3, fn3: builtinRegex},
+}
+
+func builtinStr(v Value) Value {
+	switch v.kind {
+	case vTerm:
+		return strValue(v.t.Value)
+	case vStr:
+		return strValue(v.s)
+	case vNum:
+		return strValue(strconv.FormatFloat(v.n, 'g', -1, 64))
+	case vBool:
+		return strValue(strconv.FormatBool(v.b))
+	}
+	return errValue()
+}
+
+func builtinLang(v Value) Value {
+	if v.kind == vTerm && v.t.Kind == rdf.Literal {
+		return strValue(v.t.Lang)
+	}
+	return errValue()
+}
+
+// builtinDatatype is SPARQL 1.1's DATATYPE: a plain literal is an
+// xsd:string, a language-tagged one an rdf:langString.
+func builtinDatatype(v Value) Value {
+	if v.kind != vTerm || v.t.Kind != rdf.Literal {
+		return errValue()
+	}
+	dt := v.t.Datatype
+	switch {
+	case dt != "":
+	case v.t.Lang != "":
+		dt = rdf.RDFLangString
+	default:
+		dt = rdf.XSDString
+	}
+	return termValue(rdf.NewIRI(dt))
+}
+
+func builtinIsIRI(v Value) Value { return boolValue(v.kind == vTerm && v.t.IsIRI()) }
+
+func builtinSameTerm(a, b Value) Value {
+	if a.kind == vTerm && b.kind == vTerm {
+		return boolValue(a.t == b.t)
+	}
+	return errValue()
+}
+
+// builtinRegex compiles its pattern on every call; lowerCall compiles a
+// constant pattern once instead (constRegex).
+func builtinRegex(text, pat, flags Value) Value {
+	s, ok1 := text.asString()
+	p, ok2 := pat.asString()
+	if !ok1 || !ok2 {
+		return errValue()
+	}
+	f, _ := flags.asString()
+	re, err := compileRegex(p, f)
+	if err != nil {
+		return errValue()
+	}
+	return boolValue(re.MatchString(s))
+}
+
+// onString lifts a string function to a body that errs on a value with
+// no string form.
+func onString(f func(string) Value) func(Value) Value {
+	return func(v Value) Value {
+		s, ok := v.asString()
 		if !ok {
 			return errValue()
 		}
-		_, bound := e.lookupVar(v.name)
-		return boolValue(bound)
-	case "RAND":
-		return numValue(e.rng().Float64())
+		return f(s)
 	}
-	// remaining functions evaluate all arguments strictly
-	vals := make([]Value, len(x.args))
-	for i, a := range x.args {
-		vals[i] = a.eval(e)
-		if vals[i].IsErr() {
+}
+
+// onStrings lifts a string predicate to a two-argument body.
+func onStrings(f func(a, b string) bool) func(a, b Value) Value {
+	return func(a, b Value) Value {
+		as, ok1 := a.asString()
+		bs, ok2 := b.asString()
+		if !ok1 || !ok2 {
 			return errValue()
 		}
+		return boolValue(f(as, bs))
 	}
-	return callBuiltin(x.name, vals)
 }
 
 // compileRegex builds the Go regexp for a SPARQL REGEX pattern with the
@@ -334,139 +364,9 @@ func compileRegex(pat, flags string) (*regexp.Regexp, error) {
 	return regexp.Compile(pat)
 }
 
-// callBuiltin applies a strict builtin (every builtin except BOUND and
-// RAND) to its evaluated, error-free arguments. It is shared by the
-// tree-walking evaluator and the compiled closures (cexpr.go).
-func callBuiltin(name string, vals []Value) Value {
-	switch name {
-	case "STR":
-		v := vals[0]
-		switch v.kind {
-		case vTerm:
-			return strValue(v.t.Value)
-		case vStr:
-			return strValue(v.s)
-		case vNum:
-			return strValue(strconv.FormatFloat(v.n, 'g', -1, 64))
-		case vBool:
-			return strValue(strconv.FormatBool(v.b))
-		}
-		return errValue()
-	case "LANG":
-		if vals[0].kind == vTerm && vals[0].t.Kind == rdf.Literal {
-			return strValue(vals[0].t.Lang)
-		}
-		return errValue()
-	case "DATATYPE":
-		if vals[0].kind == vTerm && vals[0].t.Kind == rdf.Literal {
-			dt := vals[0].t.Datatype
-			if dt == "" && vals[0].t.Lang == "" {
-				dt = rdf.XSDString
-			}
-			return termValue(rdf.NewIRI(dt))
-		}
-		return errValue()
-	case "ISIRI", "ISURI":
-		return boolValue(vals[0].kind == vTerm && vals[0].t.IsIRI())
-	case "ISLITERAL":
-		return boolValue(vals[0].kind == vTerm && vals[0].t.IsLiteral())
-	case "ISBLANK":
-		return boolValue(vals[0].kind == vTerm && vals[0].t.IsBlank())
-	case "SAMETERM":
-		if vals[0].kind == vTerm && vals[1].kind == vTerm {
-			return boolValue(vals[0].t == vals[1].t)
-		}
-		return errValue()
-	case "REGEX":
-		text, ok1 := vals[0].asString()
-		pat, ok2 := vals[1].asString()
-		if !ok1 || !ok2 {
-			return errValue()
-		}
-		var flags string
-		if len(vals) > 2 {
-			flags, _ = vals[2].asString()
-		}
-		re, err := compileRegex(pat, flags)
-		if err != nil {
-			return errValue()
-		}
-		return boolValue(re.MatchString(text))
-	case "CONTAINS":
-		a, ok1 := vals[0].asString()
-		b, ok2 := vals[1].asString()
-		if !ok1 || !ok2 {
-			return errValue()
-		}
-		return boolValue(strings.Contains(a, b))
-	case "STRSTARTS":
-		a, ok1 := vals[0].asString()
-		b, ok2 := vals[1].asString()
-		if !ok1 || !ok2 {
-			return errValue()
-		}
-		return boolValue(strings.HasPrefix(a, b))
-	case "STRENDS":
-		a, ok1 := vals[0].asString()
-		b, ok2 := vals[1].asString()
-		if !ok1 || !ok2 {
-			return errValue()
-		}
-		return boolValue(strings.HasSuffix(a, b))
-	case "STRLEN":
-		a, ok := vals[0].asString()
-		if !ok {
-			return errValue()
-		}
-		return numValue(float64(len([]rune(a))))
-	case "LCASE":
-		a, ok := vals[0].asString()
-		if !ok {
-			return errValue()
-		}
-		return strValue(strings.ToLower(a))
-	case "UCASE":
-		a, ok := vals[0].asString()
-		if !ok {
-			return errValue()
-		}
-		return strValue(strings.ToUpper(a))
-	}
-	return errValue()
-}
-
-// knownFunction reports whether name (upper-cased) is a builtin and its
-// argument-count range.
-func knownFunction(name string) (minArgs, maxArgs int, ok bool) {
-	switch name {
-	case "RAND":
-		return 0, 0, true
-	case "BOUND", "STR", "LANG", "DATATYPE", "ISIRI", "ISURI", "ISLITERAL",
-		"ISBLANK", "STRLEN", "LCASE", "UCASE":
-		return 1, 1, true
-	case "SAMETERM", "CONTAINS", "STRSTARTS", "STRENDS":
-		return 2, 2, true
-	case "REGEX":
-		return 2, 3, true
-	default:
-		return 0, 0, false
-	}
-}
-
 type exExists struct {
 	negate bool
 	group  *GroupPattern
-}
-
-func (x exExists) eval(e env) Value {
-	ok, err := e.evalExists(x.group)
-	if err != nil {
-		return errValue()
-	}
-	if x.negate {
-		ok = !ok
-	}
-	return boolValue(ok)
 }
 
 // String renders the EXISTS in parseable inline form, so that
@@ -505,4 +405,74 @@ func writeInlineGroup(sb *strings.Builder, g *GroupPattern) {
 		}
 		sb.WriteString("FILTER (" + f.String() + ") ")
 	}
+}
+
+// walkExpr calls visit on e and, while visit returns true, on each of
+// its operands, depth first in syntactic order. It does not enter an
+// EXISTS group: a caller that needs the group's filters walks them
+// itself. It is the one traversal of the node kinds; the lowering
+// (cexpr.go) is the one evaluation.
+func walkExpr(e Expr, visit func(Expr) bool) {
+	if !visit(e) {
+		return
+	}
+	switch x := e.(type) {
+	case exNot:
+		walkExpr(x.arg, visit)
+	case exAnd:
+		walkExpr(x.l, visit)
+		walkExpr(x.r, visit)
+	case exOr:
+		walkExpr(x.l, visit)
+		walkExpr(x.r, visit)
+	case exCompare:
+		walkExpr(x.l, visit)
+		walkExpr(x.r, visit)
+	case exCall:
+		for _, a := range x.args {
+			walkExpr(a, visit)
+		}
+	}
+}
+
+// eachExists applies fn to every EXISTS node of an expression, in
+// syntactic order.
+func eachExists(e Expr, fn func(exExists)) {
+	walkExpr(e, func(x Expr) bool {
+		if ex, ok := x.(exExists); ok {
+			fn(ex)
+		}
+		return true
+	})
+}
+
+// exprVars collects the variables an expression mentions (EXISTS
+// subgroups are existential and excluded).
+func exprVars(e Expr) []string {
+	var out []string
+	walkExpr(e, func(x Expr) bool {
+		if v, ok := x.(exVar); ok {
+			out = append(out, v.name)
+		}
+		return true
+	})
+	return out
+}
+
+// exprUsesRand reports whether the expression draws from the RAND()
+// stream anywhere, including inside EXISTS subgroup filters.
+func exprUsesRand(e Expr) bool {
+	found := false
+	walkExpr(e, func(x Expr) bool {
+		switch x := x.(type) {
+		case exCall:
+			found = found || x.name == "RAND"
+		case exExists:
+			for _, f := range x.group.Filters {
+				found = found || exprUsesRand(f)
+			}
+		}
+		return !found
+	})
+	return found
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sofya/internal/kb"
+	"sofya/internal/rdf"
 )
 
 // FuzzParse exercises the SPARQL parser with a seed corpus drawn from
@@ -12,7 +13,11 @@ import (
 // RAND() determinism rests on: any query that parses must serialize to
 // canonical text that reparses, and that canonical text must be a
 // fixpoint of String ∘ Parse. FormOf, which routes a text before it is
-// parsed, must name the form the parse then finds.
+// parsed, must name the form the parse then finds. Every accepted query
+// also runs on a tiny KB through the compiled engine and the reference
+// evaluator (naive_test.go), compared as TestOracleCompiledMatchesNaive
+// compares them; an unordered LIMIT or OFFSET may keep different rows
+// in each, so those inputs are not run.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		// discover window / body sample
@@ -50,6 +55,8 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	k := fuzzKB()
+	naive, compiled := newNaiveEngine(k, 3), NewEngineSeeded(k, 3)
 	f.Fuzz(func(t *testing.T, in string) {
 		q, err := Parse(in)
 		if err != nil {
@@ -66,7 +73,62 @@ func FuzzParse(f *testing.F) {
 		if again := q2.String(); again != canon {
 			t.Fatalf("canonicalization is not a fixpoint:\nfirst:  %q\nsecond: %q", canon, again)
 		}
+		switch {
+		case len(q.OrderBy) == 0 && (q.Limit >= 0 || q.Offset > 0), q.LimitVar != "":
+			return // unordered paging; a template's LIMIT $n, which only Prepare binds
+		case q.Where == nil || countPatterns(q.Where) > 5:
+			return // no pattern, or a cross join too large to enumerate per input
+		}
+		want, werr := naive.Eval(q)
+		got, gerr := compiled.Eval(q)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("reference error %v, compiled error %v\ninput: %q", werr, gerr, in)
+		}
+		if werr != nil {
+			return
+		}
+		if want.Ask != got.Ask {
+			t.Fatalf("ASK differs: reference %v, compiled %v\ninput: %q", want.Ask, got.Ask, in)
+		}
+		cmp := multisetEqual
+		if len(q.OrderBy) > 0 {
+			cmp = rowsEqual
+		}
+		if err := cmp(want, got); err != nil {
+			t.Fatalf("reference and compiled differ: %v\ninput: %q", err, in)
+		}
 	})
+}
+
+// fuzzKB is FuzzParse's world: IRIs, plain, language-tagged and typed
+// literals (numerals among them) under a few predicates.
+func fuzzKB() *kb.KB {
+	k := kb.New("fuzz")
+	x := func(s string) rdf.Term { return rdf.NewIRI("http://x/" + s) }
+	for _, tr := range []rdf.Triple{
+		rdf.NewTriple(x("a"), x("p"), x("b")),
+		rdf.NewTriple(x("b"), x("p"), x("c")),
+		rdf.NewTriple(x("a"), x("q"), x("c")),
+		rdf.NewTriple(x("a"), x("p"), rdf.NewLiteral("lit")),
+		rdf.NewTriple(x("b"), x("q"), rdf.NewLangLiteral("Abc", "en")),
+		rdf.NewTriple(x("c"), x("p"), rdf.NewTypedLiteral("5", rdf.XSDInteger)),
+		rdf.NewTriple(x("c"), x("q"), rdf.NewTypedLiteral("1990", rdf.XSDGYear)),
+		rdf.NewTriple(x("b"), x("p"), rdf.NewLiteral("4.5")),
+	} {
+		k.Add(tr)
+	}
+	k.Freeze()
+	return k
+}
+
+// countPatterns counts the triple patterns of g and of its EXISTS
+// subgroups.
+func countPatterns(g *GroupPattern) int {
+	n := len(g.Triples)
+	for _, f := range g.Filters {
+		eachExists(f, func(ex exExists) { n += countPatterns(ex.group) })
+	}
+	return n
 }
 
 // FuzzTemplate exercises template parameter binding: inputs are parsed

@@ -5,6 +5,8 @@ package sparql
 // started from, kept verbatim (modulo renames) so the differential
 // oracle (oracle_test.go) can prove the compiled slot-based engine
 // produces byte-identical results — including ORDER BY RAND() streams.
+// Its expression evaluator (naiveBindingEnv.eval) is the reference for
+// the compiled closures (cexpr.go), the only evaluator product code has.
 
 import (
 	"fmt"
@@ -97,7 +99,7 @@ func (e *naiveEngine) evalSelect(q *Query, ev *naiveEvaluator) (*Result, error) 
 			sr.keys = make([]Value, len(q.OrderBy))
 			envb := &naiveBindingEnv{ev: ev, b: b}
 			for i, k := range q.OrderBy {
-				sr.keys[i] = k.Expr.eval(envb)
+				sr.keys[i] = envb.eval(k.Expr)
 			}
 		}
 		rows = append(rows, sr)
@@ -184,8 +186,6 @@ func (be *naiveBindingEnv) lookupVar(name string) (rdf.Term, bool) {
 	return be.ev.kb.Term(id), true
 }
 
-func (be *naiveBindingEnv) rng() *rand.Rand { return be.ev.rng() }
-
 func (be *naiveBindingEnv) evalExists(g *GroupPattern) (bool, error) {
 	found := false
 	err := be.ev.run(g, be.b, func(naiveBinding) error {
@@ -196,6 +196,127 @@ func (be *naiveBindingEnv) evalExists(g *GroupPattern) (bool, error) {
 		return false, err
 	}
 	return found, nil
+}
+
+// eval is the reference expression evaluator: a walk over the AST with
+// its own type switch. It shares only the builtin table's bodies and the
+// Value helpers with the compiled closures.
+func (be *naiveBindingEnv) eval(e Expr) Value {
+	switch x := e.(type) {
+	case exVar:
+		t, ok := be.lookupVar(x.name)
+		if !ok {
+			return errValue()
+		}
+		return termValue(t)
+	case exConst:
+		return termValue(x.t)
+	case exNum:
+		return numValue(x.n)
+	case exBool:
+		return boolValue(x.b)
+	case exNot:
+		b, ok := be.eval(x.arg).EBV()
+		if !ok {
+			return errValue()
+		}
+		return boolValue(!b)
+	case exAnd:
+		lb, lok := be.eval(x.l).EBV()
+		if lok && !lb {
+			return boolValue(false)
+		}
+		rb, rok := be.eval(x.r).EBV()
+		if rok && !rb {
+			return boolValue(false)
+		}
+		if !lok || !rok {
+			return errValue()
+		}
+		return boolValue(true)
+	case exOr:
+		lb, lok := be.eval(x.l).EBV()
+		if lok && lb {
+			return boolValue(true)
+		}
+		rb, rok := be.eval(x.r).EBV()
+		if rok && rb {
+			return boolValue(true)
+		}
+		if !lok || !rok {
+			return errValue()
+		}
+		return boolValue(false)
+	case exCompare:
+		lv, rv := be.eval(x.l), be.eval(x.r)
+		if lv.IsErr() || rv.IsErr() {
+			return errValue()
+		}
+		switch x.op {
+		case "=", "!=":
+			eq, ok := valuesEqual(lv, rv)
+			if !ok {
+				return errValue()
+			}
+			if x.op == "!=" {
+				eq = !eq
+			}
+			return boolValue(eq)
+		}
+		c, ok := valuesOrder(lv, rv)
+		if !ok {
+			return errValue()
+		}
+		switch x.op {
+		case "<":
+			return boolValue(c < 0)
+		case "<=":
+			return boolValue(c <= 0)
+		case ">":
+			return boolValue(c > 0)
+		case ">=":
+			return boolValue(c >= 0)
+		}
+		return errValue()
+	case exCall:
+		switch x.name {
+		case "BOUND":
+			v, ok := x.args[0].(exVar)
+			if !ok {
+				return errValue()
+			}
+			_, bound := be.lookupVar(v.name)
+			return boolValue(bound)
+		case "RAND":
+			return numValue(be.ev.rng().Float64())
+		}
+		// remaining functions evaluate all arguments strictly
+		vals := make([]Value, len(x.args))
+		for i, a := range x.args {
+			vals[i] = be.eval(a)
+			if vals[i].IsErr() {
+				return errValue()
+			}
+		}
+		b := builtins[x.name]
+		switch {
+		case b.fn1 != nil:
+			return b.fn1(vals[0])
+		case b.fn2 != nil:
+			return b.fn2(vals[0], vals[1])
+		}
+		if len(vals) == 2 {
+			vals = append(vals, strValue(""))
+		}
+		return b.fn3(vals[0], vals[1], vals[2])
+	case exExists:
+		ok, err := be.evalExists(x.group)
+		if err != nil {
+			return errValue()
+		}
+		return boolValue(ok != x.negate)
+	}
+	return errValue()
 }
 
 type naivePlanned struct {
@@ -320,7 +441,7 @@ func (ev *naiveEvaluator) run(g *GroupPattern, pre naiveBinding, emit func(naive
 	}
 	envb := &naiveBindingEnv{ev: ev, b: b}
 	for _, f := range pl.preFilters {
-		ok, valid := f.eval(envb).EBV()
+		ok, valid := envb.eval(f).EBV()
 		if !valid || !ok {
 			return nil
 		}
@@ -335,7 +456,7 @@ func (ev *naiveEvaluator) join(pl naivePlanned, step int, b naiveBinding, envb *
 	tp := pl.steps[step]
 	return ev.matchPattern(tp, b, func(newVars []string) error {
 		for _, f := range pl.filtersAfter[step] {
-			ok, valid := f.eval(envb).EBV()
+			ok, valid := envb.eval(f).EBV()
 			if !valid || !ok {
 				return nil
 			}

@@ -88,7 +88,8 @@ func oracleQueries(k *kb.KB, rng *rand.Rand) []string {
 
 // oracleFilterQueries widens the corpus with filter-heavy shapes —
 // numeric comparisons, !=, [NOT] EXISTS nested inside boolean
-// operators, REGEX, BOUND over never-bound variables — and a LIMIT
+// operators, REGEX (constant, invalid, non-string and per-row patterns),
+// BOUND over never-bound variables, constant-folded subexpressions — and a LIMIT
 // span covering 0, 1, a mid value, and beyond any result size, with
 // and without ORDER BY. These are the shapes the compiled filter
 // closures (cexpr.go) and the bounded top-k selection (exec.go) lower
@@ -134,6 +135,22 @@ func oracleFilterQueries(k *kb.KB, rng *rand.Rand) []string {
 	qs = append(qs, fmt.Sprintf(
 		"SELECT ?x ?v WHERE { ?x <%s> ?v . FILTER (DATATYPE(?v) = <http://www.w3.org/2001/XMLSchema#gYear> || ISIRI(?v)) }",
 		relIRI()))
+
+	// constant subexpressions, folded at compile time by running their
+	// own closures once
+	qs = append(qs, fmt.Sprintf(
+		`SELECT ?x ?y WHERE { ?x <%s> ?y . FILTER (STRLEN("abc") = 3 && (UCASE("a") = "A" || ?x = ?y) && STRLEN(STR(?y)) > %d) } ORDER BY ?y ?x LIMIT 9`,
+		relIRI(), rng.Intn(20)))
+	qs = append(qs, fmt.Sprintf(
+		`SELECT ?x WHERE { ?x <%s> ?y . FILTER (!(LCASE("B") != "b") || CONTAINS(UCASE("abc"), "Z")) } ORDER BY DESC(?x) LIMIT 4`,
+		relIRI()))
+
+	// REGEX patterns that are invalid, not strings or not constant, and
+	// constant flags that are an error
+	for _, re := range []string{`"["`, `3`, `STR(?x)`, `"a", STRLEN(3)`, `STR(?x), "i"`} {
+		qs = append(qs, fmt.Sprintf(
+			`SELECT ?x ?y WHERE { ?x <%s> ?y . FILTER REGEX(STR(?y), %s) } ORDER BY ?x ?y LIMIT 12`, relIRI(), re))
+	}
 
 	// LIMIT span: 0, 1, mid, beyond-result-size — streamed early exit
 	// and the bounded ORDER BY selection must match the reference

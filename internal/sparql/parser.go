@@ -272,7 +272,7 @@ func (p *parser) orderKey() (OrderKey, bool, error) {
 		return OrderKey{Expr: exVar{name: t.text}}, true, nil
 	}
 	if t.kind == tokIdent {
-		if _, _, ok := knownFunction(upper(t.text)); ok {
+		if _, ok := builtins[upper(t.text)]; ok {
 			e, err := p.primaryExpr()
 			return OrderKey{Expr: e}, true, err
 		}
@@ -585,7 +585,7 @@ func (p *parser) primaryExpr() (Expr, error) {
 			}
 			return exExists{group: g}, nil
 		}
-		if minA, maxA, ok := knownFunction(name); ok {
+		if b, ok := builtins[name]; ok {
 			p.pos++
 			if err := p.expectPunct("("); err != nil {
 				return nil, err
@@ -607,8 +607,8 @@ func (p *parser) primaryExpr() (Expr, error) {
 					break
 				}
 			}
-			if len(args) < minA || len(args) > maxA {
-				return nil, p.errf("%s takes %d..%d arguments, got %d", name, minA, maxA, len(args))
+			if len(args) < b.minArgs || len(args) > b.maxArgs {
+				return nil, p.errf("%s takes %d..%d arguments, got %d", name, b.minArgs, b.maxArgs, len(args))
 			}
 			return exCall{name: name, args: args}, nil
 		}

@@ -1,16 +1,14 @@
 package sparql
 
-import (
-	"math/rand"
-
-	"sofya/internal/rdf"
-)
+import "sofya/internal/rdf"
 
 // shard.go exports what the federation layer (internal/shard) needs to
 // merge per-shard result streams back into the whole-KB result byte for
-// byte: the query-structure analysis (AnalyzeShard → ShardShape, with a
-// row-level evaluator per ORDER BY key), NumValue to box a re-drawn
-// RAND() key, and the seed ⊕ canonical text PRNG stream (RandFloats).
+// byte: the query-structure analysis (AnalyzeShard → ShardShape, each
+// deterministic ORDER BY key lowered by the engine's own expression
+// compiler over the projected row and evaluated through RowKeys),
+// NumValue to box a re-drawn RAND() key, and the seed ⊕ canonical text
+// PRNG stream (RandFloats).
 // The selection itself, key comparison included, is OrderSelector
 // (topk.go). Everything is the definition the engine executes, so the
 // merge point reproduces engine semantics exactly instead of
@@ -34,9 +32,10 @@ type ShardOrderKey struct {
 	// has a ≥ subject and a larger enumeration index. RAND keys void
 	// this (every enumerated row must consume a draw).
 	SubjectKey bool
-	// Eval computes the key's Value from a projected row; nil when Rand
-	// is set or the key cannot be computed from the projection alone.
-	Eval func(row []rdf.Term) Value
+	// key is the key lowered in row mode (compileRowKey), which RowKeys
+	// evaluates; nil when Rand is set or the key cannot be computed from
+	// the projection alone.
+	key cexpr
 }
 
 // ShardShape is the static decomposability analysis of one query over a
@@ -167,17 +166,11 @@ func AnalyzeShard(q *Query, isParam func(name string) bool) ShardShape {
 		}
 	}
 
-	// RAND usage outside ORDER BY keys.
-	var walkFilters func(g *GroupPattern)
-	walkFilters = func(g *GroupPattern) {
-		for _, f := range g.Filters {
-			if exprUsesRand(f) {
-				sh.RandFilters = true
-			}
-			eachExists(f, func(ex exExists) { walkFilters(ex.group) })
-		}
+	// RAND usage outside ORDER BY keys (exprUsesRand enters EXISTS
+	// groups).
+	for _, f := range q.Where.Filters {
+		sh.RandFilters = sh.RandFilters || exprUsesRand(f)
 	}
-	walkFilters(q.Where)
 
 	// ORDER BY keys. A key list is statically total-ordered when every
 	// key is always-numeric (the engine's own gate) or the bare subject
@@ -208,54 +201,60 @@ func AnalyzeShard(q *Query, isParam func(name string) bool) ShardShape {
 			sh.KeysMergeable = false
 			continue
 		}
-		ev, ok := compileRowKey(k.Expr, q.Vars)
+		key, ok := compileRowKey(k.Expr, q.Vars)
 		if !ok {
 			sh.KeysMergeable = false
 			continue
 		}
-		sh.Keys[i].Eval = ev
+		sh.Keys[i].key = key
 	}
 	return sh
 }
 
-// rowEnv evaluates an expression over one projected row.
-type rowEnv struct {
-	cols map[string]int
-	row  []rdf.Term
-}
-
-func (e *rowEnv) lookupVar(name string) (rdf.Term, bool) {
-	i, ok := e.cols[name]
-	if !ok {
-		return rdf.Term{}, false
+// compileRowKey lowers an ORDER BY key without RAND in row mode, with
+// the projected columns as its slots, when the key reads only projected
+// variables and needs no KB (EXISTS).
+func compileRowKey(e Expr, vars []string) (cexpr, bool) {
+	c := &compiler{slots: make(map[string]int32, len(vars)), rows: true}
+	for i, v := range vars {
+		c.slots[v] = int32(i)
 	}
-	return e.row[i], true
-}
-
-func (e *rowEnv) rng() *rand.Rand                        { return nil } // unreachable: RAND keys never compile here
-func (e *rowEnv) evalExists(*GroupPattern) (bool, error) { return false, nil }
-
-// compileRowKey builds an evaluator for an ORDER BY key over the
-// projected row, when the key reads only projected variables and needs
-// neither the KB (EXISTS) nor the PRNG (RAND).
-func compileRowKey(e Expr, vars []string) (func(row []rdf.Term) Value, bool) {
-	hasExists := false
-	eachExists(e, func(exExists) { hasExists = true })
-	if hasExists || exprUsesRand(e) {
+	ok := true
+	walkExpr(e, func(x Expr) bool {
+		switch x := x.(type) {
+		case exExists:
+			ok = false
+		case exVar:
+			_, projected := c.slots[x.name]
+			ok = ok && projected
+		}
+		return ok
+	})
+	if !ok {
 		return nil, false
 	}
-	cols := make(map[string]int, len(vars))
-	for i, v := range vars {
-		cols[v] = i
-	}
-	for _, name := range exprVars(e) {
-		if _, ok := cols[name]; !ok {
-			return nil, false
-		}
-	}
-	return func(row []rdf.Term) Value {
-		return e.eval(&rowEnv{cols: cols, row: row})
-	}, true
+	return c.lowerExpr(e), true
+}
+
+// RowKeys evaluates a shape's deterministic ORDER BY keys over projected
+// rows. It holds the one execution state its keys' closures read, so a
+// key costs no allocation per row; one ordered merge uses one RowKeys,
+// from one goroutine.
+type RowKeys struct {
+	keys []ShardOrderKey
+	ex   execState
+}
+
+// NewRowKeys returns the evaluator of keys, a ShardShape's Keys.
+func NewRowKeys(keys []ShardOrderKey) *RowKeys { return &RowKeys{keys: keys} }
+
+// Eval computes key i — one the shape made mergeable and not Rand — over
+// a projected row, which it reads only for the call.
+func (r *RowKeys) Eval(i int, row []rdf.Term) Value {
+	r.ex.borrowRow = row
+	v := r.keys[i].key(&r.ex)
+	r.ex.borrowRow = nil
+	return v
 }
 
 // NumValue wraps a float as the numeric Value RAND() keys produce: the

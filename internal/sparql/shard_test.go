@@ -101,13 +101,17 @@ func TestAnalyzeShardShapes(t *testing.T) {
 
 	// Deterministic ORDER BY keys over projected variables compile.
 	sh = analyze(t, "SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY DESC(?y) ?x")
-	if !sh.KeysMergeable || len(sh.Keys) != 2 || sh.Keys[0].Eval == nil || !sh.Keys[0].Desc {
+	if !sh.KeysMergeable || len(sh.Keys) != 2 || sh.Keys[0].key == nil || !sh.Keys[0].Desc {
 		t.Fatalf("deterministic keys misclassified: %+v", sh)
 	}
 	row := []rdf.Term{rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/b")}
-	v := sh.Keys[0].Eval(row)
-	if c, ok := valuesOrder(v, sh.Keys[0].Eval(row)); !ok || c != 0 {
+	rk := NewRowKeys(sh.Keys)
+	v := rk.Eval(0, row)
+	if c, ok := valuesOrder(v, rk.Eval(0, row)); !ok || c != 0 {
 		t.Fatalf("key evaluator unstable: %v %v", c, ok)
+	}
+	if v.kind != vTerm || v.t != row[1] {
+		t.Fatalf("DESC(?y) over %v = %+v, want the ?y column", row, v)
 	}
 
 	// Keys over unprojected variables do not.

@@ -348,27 +348,3 @@ func (t *Template) fingerprint(args []Arg) uint64 {
 	}
 	return h
 }
-
-// eachExists walks an expression tree, applying fn to every EXISTS node
-// in syntactic order.
-func eachExists(e Expr, fn func(exExists)) {
-	switch x := e.(type) {
-	case exExists:
-		fn(x)
-	case exNot:
-		eachExists(x.arg, fn)
-	case exAnd:
-		eachExists(x.l, fn)
-		eachExists(x.r, fn)
-	case exOr:
-		eachExists(x.l, fn)
-		eachExists(x.r, fn)
-	case exCompare:
-		eachExists(x.l, fn)
-		eachExists(x.r, fn)
-	case exCall:
-		for _, a := range x.args {
-			eachExists(a, fn)
-		}
-	}
-}

@@ -55,10 +55,10 @@ type OrderSelector struct {
 	target int // offset+limit: rows that can reach the window; -1 = all
 
 	ents   []selEntry
-	keys   [][]Value // per payload slot; empty when rand
-	seen   int       // rows offered so far: the next enumeration index
-	heaped bool      // ents is a max-heap under order
-	lo     int       // the window's first entry, once Window has cut it
+	keys   []Value // len(desc) per payload slot, in slot order; empty when rand
+	seen   int     // rows offered so far: the next enumeration index
+	heaped bool    // ents is a max-heap under order
+	lo     int     // the window's first entry, once Window has cut it
 }
 
 // maxPooledScratch bounds, in elements, a selection buffer that goes
@@ -68,7 +68,7 @@ type OrderSelector struct {
 // sampling probes' windows (200 to a few thousand rows) stay far below.
 const maxPooledScratch = 1 << 13
 
-// selectorPool recycles selectors with their entries.
+// selectorPool recycles selectors with their entries and keys.
 var selectorPool = sync.Pool{New: func() any { return new(OrderSelector) }}
 
 type selEntry struct {
@@ -83,7 +83,7 @@ type selEntry struct {
 // limit < 0 no LIMIT.
 func NewOrderSelector(desc []bool, total, rand bool, offset, limit int) *OrderSelector {
 	s := selectorPool.Get().(*OrderSelector)
-	*s = OrderSelector{desc: desc, rand: rand, total: total, offset: offset, target: -1, ents: s.ents[:0]}
+	*s = OrderSelector{desc: desc, rand: rand, total: total, offset: offset, target: -1, ents: s.ents[:0], keys: s.keys[:0]}
 	if limit >= 0 {
 		s.target = offset + limit
 	}
@@ -91,15 +91,23 @@ func NewOrderSelector(desc []bool, total, rand bool, offset, limit int) *OrderSe
 }
 
 // Release ends the selection and hands the selector back to its pool,
-// entries included unless they outgrew maxPooledScratch. Call it once,
-// after the last Slot: neither the selector nor its slots may be read
-// afterwards (the payloads, being the caller's, stay valid).
+// entries and cleared keys included unless they outgrew
+// maxPooledScratch. Call it once, after the last Slot: neither the
+// selector nor its slots may be read afterwards (the payloads, being
+// the caller's, stay valid).
 func (s *OrderSelector) Release() {
-	if cap(s.ents) > maxPooledScratch {
+	if cap(s.ents) > maxPooledScratch || cap(s.keys) > maxPooledScratch {
 		return
 	}
-	*s = OrderSelector{ents: s.ents[:0]}
+	clear(s.keys)
+	*s = OrderSelector{ents: s.ents[:0], keys: s.keys[:0]}
 	selectorPool.Put(s)
+}
+
+// slotKeys returns the keys kept for a payload slot.
+func (s *OrderSelector) slotKeys(slot int) []Value {
+	w := len(s.desc)
+	return s.keys[slot*w : (slot+1)*w]
 }
 
 // full reports a bounded selection that holds its offset+limit rows:
@@ -125,7 +133,7 @@ func (s *OrderSelector) offer(f float64, keys []Value) int {
 		slot := len(s.ents)
 		s.ents = append(s.ents, selEntry{f, idx, slot})
 		if !s.rand {
-			s.keys = append(s.keys, slices.Clone(keys))
+			s.keys = append(s.keys, keys...)
 		}
 		return slot
 	}
@@ -136,7 +144,7 @@ func (s *OrderSelector) offer(f float64, keys []Value) int {
 			return -1
 		}
 	} else {
-		kept := s.keys[worst.slot]
+		kept := s.slotKeys(worst.slot)
 		if compareKeys(keys, kept, s.desc) >= 0 {
 			return -1
 		}
@@ -189,7 +197,7 @@ func (s *OrderSelector) Window() int {
 		// ents are in enumeration order; the stable sort with the pure key
 		// comparator reproduces the reference evaluator exactly.
 		sort.SliceStable(s.ents, func(i, j int) bool {
-			return compareKeys(s.keys[s.ents[i].slot], s.keys[s.ents[j].slot], s.desc) < 0
+			return compareKeys(s.slotKeys(s.ents[i].slot), s.slotKeys(s.ents[j].slot), s.desc) < 0
 		})
 	}
 	end := len(s.ents)
@@ -210,7 +218,7 @@ func (s *OrderSelector) order(a, b selEntry) int {
 	if s.rand {
 		return compareDraws(a, b)
 	}
-	if c := compareKeys(s.keys[a.slot], s.keys[b.slot], s.desc); c != 0 {
+	if c := compareKeys(s.slotKeys(a.slot), s.slotKeys(b.slot), s.desc); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.idx, b.idx)
