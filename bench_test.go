@@ -1,7 +1,8 @@
 package sofya
 
 // Benchmark harness: one benchmark per experiment of DESIGN.md §4 (E1 =
-// the paper's Table 1, E2–E7 the extension ablations) plus
+// the paper's Table 1, whose baseline grid E3 renders; E2 and E4–E7 the
+// extension ablations) plus
 // micro-benchmarks of the substrates. The experiment benchmarks run on
 // the tiny world so that `go test -bench=.` finishes in minutes; the
 // paper-scale numbers are produced by `go run ./cmd/experiments -spec
@@ -68,6 +69,9 @@ func BenchmarkTable1_UBS(b *testing.B) {
 	}
 }
 
+// BenchmarkTable1_FullBothDirections times the whole of Table 1: the
+// 80-run baseline grid (pcaconf and cwaconf at each of the 20 τ, both
+// directions), from which E3 renders too, and the two UBS runs.
 func BenchmarkTable1_FullBothDirections(b *testing.B) {
 	s := benchSetup(b)
 	for i := 0; i < b.N; i++ {
@@ -84,19 +88,6 @@ func BenchmarkSampleSizeSweep(b *testing.B) {
 		if _, err := experiments.SampleSizeSweep(s, []int{2, 10, 20}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// E3 — threshold sweep over the threshold-0 baseline run.
-func BenchmarkThresholdSweep(b *testing.B) {
-	s := benchSetup(b)
-	res, err := experiments.Table1(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.ThresholdSweep(res)
 	}
 }
 

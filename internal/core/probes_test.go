@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sofya/internal/endpoint"
+	"sofya/internal/ilp"
 	"sofya/internal/sampling"
 	"sofya/internal/sparql"
 )
@@ -127,15 +128,21 @@ var (
 )
 
 // alignAll aligns every relation of the paper world, both directions,
-// through recording endpoints.
+// under UBSConfig through recording endpoints.
 func alignAll(t *testing.T, parallelism int, batches bool) ([][]Alignment, *probeLog) {
+	t.Helper()
+	cfg := UBSConfig()
+	cfg.Parallelism = parallelism
+	return alignAllUnder(t, cfg, batches)
+}
+
+// alignAllUnder is alignAll under cfg.
+func alignAllUnder(t *testing.T, cfg Config, batches bool) ([][]Alignment, *probeLog) {
 	t.Helper()
 	y, d, links := paperWorld()
 	log := &probeLog{}
 	ky := recEndpoint{endpoint.NewLocal(y, 11), log, batches}
 	kd := recEndpoint{endpoint.NewLocal(d, 22), log, batches}
-	cfg := UBSConfig()
-	cfg.Parallelism = parallelism
 	d2y := New(ky, kd, sampling.LinkView{Links: links, KIsA: true}, cfg)
 	y2d := New(kd, ky, sampling.LinkView{Links: links, KIsA: false}, cfg)
 	var out [][]Alignment
@@ -196,6 +203,57 @@ func TestProbesOnANonGroupingEndpoint(t *testing.T) {
 	if got := withoutCalls(log.calls); !reflect.DeepEqual(als, ref) || !reflect.DeepEqual(got, tuples) || len(log.groups) == 0 {
 		t.Errorf("against endpoints that group streams: alignments equal %v, %d tuples for %d in %d groups",
 			reflect.DeepEqual(als, ref), len(got), len(tuples), len(log.groups))
+	}
+}
+
+// TestThresholdOnlySetsAcceptance: under DefaultConfig with the
+// equivalence check off, the measure and τ decide each alignment's
+// Confidence and Accepted and nothing else — the probes sent and the
+// rest of every alignment are the same at any (measure, τ). Table 1
+// and E3 (internal/experiments) run each grid point through the aligner
+// and read one grid run's query counts for E4's baseline rows on the
+// strength of it. It does not hold under UBSConfig: there τ picks the
+// provisional set whose sibling pairs the contradiction search probes.
+func TestThresholdOnlySetsAcceptance(t *testing.T) {
+	var (
+		ref        [][]Alignment
+		refCalls   int
+		refDigest  uint64
+		acceptedAt = map[string]int{}
+	)
+	for _, p := range []struct {
+		measure ilp.Measure
+		tau     float64
+	}{{ilp.PCA, 0}, {ilp.PCA, 0.9}, {ilp.CWA, 0.6}} {
+		name := fmt.Sprintf("%s τ=%.2f", p.measure, p.tau)
+		cfg := DefaultConfig()
+		cfg.CheckEquivalence = false
+		cfg.Measure, cfg.Threshold = p.measure, p.tau
+		als, log := alignAllUnder(t, cfg, false)
+		calls, digest := log.digest()
+		for _, rel := range als {
+			for i := range rel {
+				if rel[i].Accepted {
+					acceptedAt[name]++
+				}
+				rel[i].Confidence, rel[i].Accepted = 0, false
+			}
+			sort.Slice(rel, func(i, j int) bool { return rel[i].Rule.Body < rel[j].Rule.Body })
+		}
+		if ref == nil {
+			ref, refCalls, refDigest = als, calls, digest
+			continue
+		}
+		if calls != refCalls || digest != refDigest {
+			t.Errorf("%s: %d calls, digest %#x; at pcaconf τ=0: %d, %#x", name, calls, digest, refCalls, refDigest)
+		}
+		if !reflect.DeepEqual(als, ref) {
+			t.Errorf("%s: alignments differ from pcaconf τ=0 beyond Confidence and Accepted", name)
+		}
+	}
+	// the grid points differ where they should: in what they accept
+	if a, b, c := acceptedAt["pcaconf τ=0.00"], acceptedAt["pcaconf τ=0.90"], acceptedAt["cwaconf τ=0.60"]; a <= b || a <= c {
+		t.Errorf("accepted at pcaconf τ=0 / τ=0.9 / cwaconf τ=0.6: %d / %d / %d; τ=0 should accept the most", a, b, c)
 	}
 }
 

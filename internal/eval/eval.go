@@ -1,8 +1,9 @@
 // Package eval scores predicted relation alignments against a gold
 // standard and renders the experiment tables. It provides the
-// precision/recall/F1 accounting behind Table 1, post-hoc threshold
-// sweeps (the paper selects the τ with the best average F1), and plain
-// text/markdown table formatting.
+// precision/recall/F1 accounting of the alignments an aligner accepted,
+// the τ grid Table 1 runs the baselines at, and plain text/markdown
+// table formatting. Acceptance itself is the aligner's (internal/core):
+// nothing here re-thresholds a confidence.
 package eval
 
 import (
@@ -77,74 +78,7 @@ func Score(accepted []core.Alignment, gold *Gold) PRF {
 	return prf(tp, fp, gold.Size()-tp)
 }
 
-// ScoreAt re-thresholds the full candidate list post hoc: a rule counts
-// as predicted when its confidence ≥ tau, its support ≥ minSupport, and
-// (when respectUBS) its recorded contradictions stay below
-// minContradictions. This matches the paper's methodology of choosing τ
-// after the fact.
-func ScoreAt(all []core.Alignment, gold *Gold, tau float64, minSupport int, respectUBS bool, minContradictions int) PRF {
-	pred := map[string]bool{}
-	for _, al := range all {
-		if al.Confidence < tau || al.Support < minSupport {
-			continue
-		}
-		if respectUBS && al.Contradictions >= minContradictions {
-			continue
-		}
-		pred[al.Rule.Body+"\x00"+al.Rule.Head] = true
-	}
-	tp, fp := 0, 0
-	for k := range pred {
-		if gold.set[k] {
-			tp++
-		} else {
-			fp++
-		}
-	}
-	return prf(tp, fp, gold.Size()-tp)
-}
-
-// SweepPoint is one threshold evaluation.
-type SweepPoint struct {
-	Tau float64
-	PRF PRF
-}
-
-// SweepThresholds scores the candidate list at each τ.
-func SweepThresholds(all []core.Alignment, gold *Gold, taus []float64, minSupport int) []SweepPoint {
-	out := make([]SweepPoint, 0, len(taus))
-	for _, tau := range taus {
-		out = append(out, SweepPoint{Tau: tau, PRF: ScoreAt(all, gold, tau, minSupport, false, 1)})
-	}
-	return out
-}
-
-// BestAvgF1 picks the τ that maximizes the mean F1 across several
-// directions' candidate lists — the paper's selection criterion ("we
-// have selected the thresholds τ that led to the highest average F1
-// score for both ways implications").
-func BestAvgF1(directions [][]core.Alignment, golds []*Gold, taus []float64, minSupport int) (float64, []PRF) {
-	if len(directions) != len(golds) {
-		panic("eval: directions and golds must pair up")
-	}
-	bestTau, bestAvg := 0.0, math.Inf(-1)
-	var bestPRFs []PRF
-	for _, tau := range taus {
-		var sum float64
-		prfs := make([]PRF, len(directions))
-		for i := range directions {
-			prfs[i] = ScoreAt(directions[i], golds[i], tau, minSupport, false, 1)
-			sum += prfs[i].F1
-		}
-		avg := sum / float64(len(directions))
-		if avg > bestAvg {
-			bestAvg, bestTau, bestPRFs = avg, tau, prfs
-		}
-	}
-	return bestTau, bestPRFs
-}
-
-// DefaultTaus is the sweep grid used by the experiments.
+// DefaultTaus is the τ grid Table 1 runs each baseline measure at.
 func DefaultTaus() []float64 {
 	taus := make([]float64, 0, 20)
 	for t := 0.05; t < 1.0001; t += 0.05 {

@@ -61,62 +61,6 @@ func TestScoreEmpty(t *testing.T) {
 	}
 }
 
-func TestScoreAt(t *testing.T) {
-	g := NewGold([][2]string{{"b1", "h1"}, {"b2", "h2"}})
-	all := []core.Alignment{
-		al("b1", "h1", 0.9, 5, false),
-		al("b2", "h2", 0.4, 5, false),
-		al("bX", "h1", 0.5, 5, false),
-		al("bY", "h2", 0.9, 1, false), // support 1
-	}
-	// τ 0.8, minSupport 2: accepts only b1
-	m := ScoreAt(all, g, 0.8, 2, false, 1)
-	if m.TP != 1 || m.FP != 0 || m.FN != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	// τ 0.3: accepts b1, b2, bX
-	m = ScoreAt(all, g, 0.3, 2, false, 1)
-	if m.TP != 2 || m.FP != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	// UBS-respecting scoring drops contradicted rules
-	contr := al("bX", "h1", 0.5, 5, false)
-	contr.Contradictions = 3
-	m = ScoreAt([]core.Alignment{contr}, g, 0.3, 2, true, 1)
-	if m.FP != 0 {
-		t.Fatalf("contradicted rule not dropped: %+v", m)
-	}
-}
-
-func TestSweepAndBestAvgF1(t *testing.T) {
-	g := NewGold([][2]string{{"b1", "h1"}})
-	all := []core.Alignment{
-		al("b1", "h1", 0.9, 5, false),
-		al("bX", "h1", 0.4, 5, false),
-	}
-	points := SweepThresholds(all, g, []float64{0.2, 0.5, 0.95}, 1)
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	// τ 0.2: P=0.5 R=1; τ 0.5: P=1 R=1; τ 0.95: P=0 R=0
-	if points[1].PRF.F1 != 1 {
-		t.Fatalf("sweep = %+v", points)
-	}
-	tau, prfs := BestAvgF1([][]core.Alignment{all}, []*Gold{g}, []float64{0.2, 0.5, 0.95}, 1)
-	if tau != 0.5 || prfs[0].F1 != 1 {
-		t.Fatalf("best tau = %f, prfs = %+v", tau, prfs)
-	}
-}
-
-func TestBestAvgF1PanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	BestAvgF1(nil, []*Gold{NewGold(nil)}, []float64{0.5}, 1)
-}
-
 func TestDefaultTaus(t *testing.T) {
 	taus := DefaultTaus()
 	if len(taus) != 20 || taus[0] != 0.05 || taus[len(taus)-1] != 1.0 {

@@ -5,7 +5,6 @@ import (
 
 	"sofya/internal/core"
 	"sofya/internal/eval"
-	"sofya/internal/ilp"
 	"sofya/internal/paris"
 	"sofya/internal/sampling"
 	"sofya/internal/synth"
@@ -14,7 +13,7 @@ import (
 // E2 — SampleSizePoint is one entry of the sample-size sweep.
 type SampleSizePoint struct {
 	N        int
-	Baseline eval.PRF // pcaconf at its Table-1 τ
+	Baseline eval.PRF // pcaconf at DefaultConfig's τ 0.3
 	UBS      eval.PRF
 }
 
@@ -50,21 +49,14 @@ func RenderSampleSize(points []SampleSizePoint) *eval.Table {
 	return t
 }
 
-// ThresholdSweep (experiment E3) scores the threshold-0 baseline runs
-// at every τ for both measures, in the dbpd ⊂ yago direction.
-func ThresholdSweep(r *Table1Result) (pca, cwa []eval.SweepPoint) {
-	taus := eval.DefaultTaus()
-	pca = eval.SweepThresholds(withMeasure(r.BaselineD2Y.All, ilp.PCA), r.BaselineD2Y.Gold, taus, 1)
-	cwa = eval.SweepThresholds(withMeasure(r.BaselineD2Y.All, ilp.CWA), r.BaselineD2Y.Gold, taus, 1)
-	return pca, cwa
-}
-
-// RenderThresholdSweep formats E3.
-func RenderThresholdSweep(pca, cwa []eval.SweepPoint) *eval.Table {
+// RenderThresholdSweep formats experiment E3: Table 1's baseline grid
+// in the dbpd ⊂ yago direction, both measures side by side at each τ.
+func RenderThresholdSweep(r *Table1Result) *eval.Table {
 	t := &eval.Table{Header: []string{"tau", "pca P", "pca R", "pca F1", "cwa P", "cwa R", "cwa F1"}}
-	for i := range pca {
-		t.Add(pca[i].Tau, pca[i].PRF.Precision, pca[i].PRF.Recall, pca[i].PRF.F1,
-			cwa[i].PRF.Precision, cwa[i].PRF.Recall, cwa[i].PRF.F1)
+	n := len(r.Grid) / 2
+	for i, pca := range r.Grid[:n] {
+		cwa := r.Grid[n+i].D2Y
+		t.Add(pca.Tau, pca.D2Y.Precision, pca.D2Y.Recall, pca.D2Y.F1, cwa.Precision, cwa.Recall, cwa.F1)
 	}
 	return t
 }
@@ -130,10 +122,11 @@ type CoveragePoint struct {
 func SameAsCoverage(s *Setup, fractions []float64) ([]CoveragePoint, error) {
 	out := make([]CoveragePoint, 0, len(fractions))
 	for _, frac := range fractions {
-		sub := *s.World
-		sub.Links = s.World.Links.Subset(frac, 99)
-		subSetup := &Setup{World: &sub, Seed: s.Seed}
-		run, err := subSetup.Run(DbpToYago, core.UBSConfig())
+		w := *s.World
+		w.Links = s.World.Links.Subset(frac, 99)
+		sub := *s
+		sub.World = &w
+		run, err := sub.Run(DbpToYago, core.UBSConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -164,11 +157,7 @@ func UBSAblation(s *Setup) ([]AblationRow, error) {
 	mk := func(name string, mod func(*core.Config)) (AblationRow, error) {
 		cfg := core.UBSConfig()
 		mod(&cfg)
-		d2y, err := s.Run(DbpToYago, cfg)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		y2d, err := s.Run(YagoToDbp, cfg)
+		y2d, d2y, err := s.runBoth(cfg)
 		if err != nil {
 			return AblationRow{}, err
 		}

@@ -40,8 +40,8 @@ func (d Direction) String() string {
 // direction under one configuration.
 type DirectionRun struct {
 	Direction Direction
-	// All collects every validated candidate across heads (accepted or
-	// not) — the raw material for post-hoc threshold sweeps.
+	// All collects every validated candidate across heads, accepted or
+	// not, as the aligner returned them.
 	All []core.Alignment
 	// Gold is the direction's gold standard.
 	Gold *eval.Gold
@@ -135,23 +135,8 @@ func (s *Setup) Run(dir Direction, cfg core.Config) (*DirectionRun, error) {
 	return run, nil
 }
 
-// withMeasure rewrites each alignment's Confidence to the given measure
-// (both raw values are recorded on every alignment), enabling one
-// baseline run to feed both the pcaconf and cwaconf sweeps.
-func withMeasure(all []core.Alignment, m ilp.Measure) []core.Alignment {
-	out := make([]core.Alignment, len(all))
-	copy(out, all)
-	for i := range out {
-		if m == ilp.CWA {
-			out[i].Confidence = out[i].CWA
-		} else {
-			out[i].Confidence = out[i].PCA
-		}
-	}
-	return out
-}
-
-// Table1Row is one method row of the Table 1 reproduction.
+// Table1Row is one method row of the Table 1 reproduction, or one
+// (measure, τ) point of its baseline grid.
 type Table1Row struct {
 	Method string
 	Tau    float64
@@ -163,55 +148,63 @@ type Table1Row struct {
 // Table1Result is the full reproduction of the paper's Table 1.
 type Table1Result struct {
 	Rows []Table1Row
-	// BaselineY2D / BaselineD2Y keep the raw threshold-0 candidate
-	// lists for further sweeps (E3).
+	// Grid holds every baseline run: pcaconf at each τ of
+	// eval.DefaultTaus, ascending, then cwaconf at each (E3).
+	Grid []Table1Row
+	// BaselineY2D / BaselineD2Y keep the first grid point's runs. The
+	// baseline's probes do not depend on the measure or τ, so E4 reads
+	// its query stats from them.
 	BaselineY2D, BaselineD2Y *DirectionRun
 	// UBSY2D / UBSD2Y keep the UBS runs (E4 reads their query stats).
 	UBSY2D, UBSD2Y *DirectionRun
 }
 
-// Table1 reproduces the paper's Table 1: pcaconf and cwaconf baselines
-// with the τ that maximizes average F1 (the paper's selection rule),
-// plus UBS.
+// runBoth runs cfg in both directions.
+func (s *Setup) runBoth(cfg core.Config) (y2d, d2y *DirectionRun, err error) {
+	if y2d, err = s.Run(YagoToDbp, cfg); err != nil {
+		return nil, nil, err
+	}
+	d2y, err = s.Run(DbpToYago, cfg)
+	return y2d, d2y, err
+}
+
+// baselineConfig is a Table 1 baseline: DefaultConfig under measure m at
+// threshold tau, without the equivalence check.
+func baselineConfig(m ilp.Measure, tau float64) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Measure, cfg.Threshold, cfg.CheckEquivalence = m, tau, false
+	return cfg
+}
+
+// Table1 reproduces the paper's Table 1. Each baseline row runs the
+// aligner at every τ of eval.DefaultTaus in both directions and keeps
+// the τ with the best mean F1 — the paper's rule, "the thresholds that
+// led to the highest average F1 score for both ways implications" — and
+// the lowest such τ on a tie. The UBS row runs UBSConfig as it is.
 func Table1(s *Setup) (*Table1Result, error) {
-	// one threshold-0 baseline run per direction serves both measures
-	base := core.DefaultConfig()
-	base.Threshold = 0
-	base.CheckEquivalence = false
-
-	d2y, err := s.Run(DbpToYago, base)
-	if err != nil {
-		return nil, err
-	}
-	y2d, err := s.Run(YagoToDbp, base)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Table1Result{BaselineY2D: y2d, BaselineD2Y: d2y}
-	taus := eval.DefaultTaus()
-
+	res := &Table1Result{}
 	for _, m := range []ilp.Measure{ilp.PCA, ilp.CWA} {
-		dirY := withMeasure(y2d.All, m)
-		dirD := withMeasure(d2y.All, m)
-		tau, prfs := eval.BestAvgF1(
-			[][]core.Alignment{dirY, dirD},
-			[]*eval.Gold{y2d.Gold, d2y.Gold},
-			taus, 1)
-		res.Rows = append(res.Rows, Table1Row{
-			Method: m.String(),
-			Tau:    tau,
-			Y2D:    prfs[0],
-			D2Y:    prfs[1],
-		})
+		bestAvg := -1.0
+		var best Table1Row
+		for _, tau := range eval.DefaultTaus() {
+			y2d, d2y, err := s.runBoth(baselineConfig(m, tau))
+			if err != nil {
+				return nil, err
+			}
+			if res.BaselineY2D == nil {
+				res.BaselineY2D, res.BaselineD2Y = y2d, d2y
+			}
+			row := Table1Row{Method: m.String(), Tau: tau, Y2D: y2d.PRF, D2Y: d2y.PRF}
+			res.Grid = append(res.Grid, row)
+			if avg := (row.Y2D.F1 + row.D2Y.F1) / 2; avg > bestAvg {
+				bestAvg, best = avg, row
+			}
+		}
+		res.Rows = append(res.Rows, best)
 	}
 
 	ubs := core.UBSConfig()
-	ud2y, err := s.Run(DbpToYago, ubs)
-	if err != nil {
-		return nil, err
-	}
-	uy2d, err := s.Run(YagoToDbp, ubs)
+	uy2d, ud2y, err := s.runBoth(ubs)
 	if err != nil {
 		return nil, err
 	}

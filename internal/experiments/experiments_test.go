@@ -4,14 +4,38 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sofya/internal/core"
+	"sofya/internal/eval"
+	"sofya/internal/ilp"
 	"sofya/internal/synth"
 )
 
 func tinySetup() *Setup {
 	return NewSetup(synth.Generate(synth.TinySpec()))
+}
+
+var (
+	tinyTable1Once  sync.Once
+	tinyTable1Setup *Setup
+	tinyTable1Res   *Table1Result
+	tinyTable1Err   error
+)
+
+// tinyTable1 is Table 1 on the tiny world, computed once for the tests
+// that read it: its grid is 80 runs.
+func tinyTable1(t *testing.T) (*Setup, *Table1Result) {
+	t.Helper()
+	tinyTable1Once.Do(func() {
+		tinyTable1Setup = tinySetup()
+		tinyTable1Res, tinyTable1Err = Table1(tinyTable1Setup)
+	})
+	if tinyTable1Err != nil {
+		t.Fatal(tinyTable1Err)
+	}
+	return tinyTable1Setup, tinyTable1Res
 }
 
 func TestRunDirectionBasics(t *testing.T) {
@@ -41,11 +65,7 @@ func TestRunDirectionBasics(t *testing.T) {
 // F1 beat both baselines in both directions. Loose bounds — this is a
 // statistical system on a small world — but directionally strict.
 func TestTable1ShapeOnTinyWorld(t *testing.T) {
-	s := tinySetup()
-	res, err := Table1(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := tinyTable1(t)
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -90,22 +110,28 @@ func TestSampleSizeSweep(t *testing.T) {
 }
 
 func TestThresholdSweepAndQueryBudget(t *testing.T) {
-	s := tinySetup()
-	res, err := Table1(s)
-	if err != nil {
-		t.Fatal(err)
+	s, res := tinyTable1(t)
+	taus := eval.DefaultTaus()
+	if len(res.Grid) != 2*len(taus) {
+		t.Fatalf("grid has %d points, want %d", len(res.Grid), 2*len(taus))
 	}
-	pca, cwa := ThresholdSweep(res)
-	if len(pca) != len(cwa) || len(pca) == 0 {
-		t.Fatalf("sweep lengths: %d, %d", len(pca), len(cwa))
+	// each measure's τ ascends; a higher τ accepts a subset of what a
+	// lower one accepts, so recall never rises, in either direction
+	for i, p := range res.Grid {
+		if want := []string{"pcaconf", "cwaconf"}[i/len(taus)]; p.Method != want || p.Tau != taus[i%len(taus)] {
+			t.Fatalf("grid point %d is %s τ=%.2f, want %s τ=%.2f", i, p.Method, p.Tau, want, taus[i%len(taus)])
+		}
+		if i%len(taus) == 0 {
+			continue
+		}
+		prev := res.Grid[i-1]
+		if p.Y2D.Recall > prev.Y2D.Recall || p.D2Y.Recall > prev.D2Y.Recall {
+			t.Errorf("%s: recall rose from τ=%.2f to τ=%.2f: y⊂d %.2f → %.2f, d⊂y %.2f → %.2f", p.Method,
+				prev.Tau, p.Tau, prev.Y2D.Recall, p.Y2D.Recall, prev.D2Y.Recall, p.D2Y.Recall)
+		}
 	}
-	// precision should not decrease as τ increases (weakly, allowing
-	// small-sample wobble at the top end)
-	if pca[0].PRF.Recall < pca[len(pca)-1].PRF.Recall {
-		t.Fatalf("recall should shrink with τ: %+v", pca)
-	}
-	if RenderThresholdSweep(pca, cwa).String() == "" {
-		t.Fatal("empty render")
+	if got := len(RenderThresholdSweep(res).Rows); got != len(taus) {
+		t.Fatalf("E3 renders %d rows, want %d", got, len(taus))
 	}
 
 	rows := QueryBudget(s, res)
@@ -140,6 +166,25 @@ func TestSameAsCoverageSweep(t *testing.T) {
 	}
 }
 
+// E5 keeps the setup's serving shape: on three shards at Parallelism 1
+// it gives the unsharded points.
+func TestSameAsCoverageSharded(t *testing.T) {
+	fractions := []float64{0.5, 1.0}
+	want, err := SameAsCoverage(tinySetup(), fractions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := tinySetup()
+	s.Shards, s.Parallelism = 3, 1
+	got, err := SameAsCoverage(s, fractions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded E5 %+v, unsharded %+v", got, want)
+	}
+}
+
 func TestUBSAblation(t *testing.T) {
 	s := tinySetup()
 	rows, err := UBSAblation(s)
@@ -167,11 +212,7 @@ func TestUBSAblation(t *testing.T) {
 }
 
 func TestSnapshotComparison(t *testing.T) {
-	s := tinySetup()
-	res, err := Table1(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, res := tinyTable1(t)
 	rows := SnapshotComparison(s, res)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -205,9 +246,11 @@ func TestWorldSummary(t *testing.T) {
 // TestTable1FullScale pins the paper-world Table 1 exactly (skipped in
 // -short runs): per row and direction τ and tp/fp/fn (precision, recall
 // and F1 follow from the counts), and for the two UBS runs the heads
-// aligned and the queries issued to K and K′. Parallelism 1 and 8 must
-// both give these numbers: concurrency moves the wall clock, never a
-// score or a query.
+// aligned and the queries issued to K and K′. At Parallelism 8 the
+// whole table runs, its 80-run baseline grid included; at Parallelism 1
+// the three pinned rows' configurations run alone and must give the
+// same numbers: concurrency moves the wall clock, never a score or a
+// query.
 func TestTable1FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full world")
@@ -235,7 +278,7 @@ func TestTable1FullScale(t *testing.T) {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			s := NewSetup(w)
 			s.Parallelism = par
-			res, err := Table1(s)
+			res, err := pinnedTable1(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,6 +306,33 @@ func TestTable1FullScale(t *testing.T) {
 			checkTable1Claims(t, res)
 		})
 	}
+}
+
+// pinnedTable1 is Table1, or at Parallelism 1 the rows of Table 1 run at
+// TestTable1FullScale's pinned configurations alone: pcaconf τ 0.90,
+// cwaconf τ 0.60 and UBS.
+func pinnedTable1(s *Setup) (*Table1Result, error) {
+	if s.Parallelism != 1 {
+		return Table1(s)
+	}
+	res := &Table1Result{}
+	for _, p := range []struct {
+		measure ilp.Measure
+		tau     float64
+	}{{ilp.PCA, 0.90}, {ilp.CWA, 0.60}} {
+		y2d, d2y, err := s.runBoth(baselineConfig(p.measure, p.tau))
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, Table1Row{Method: p.measure.String(), Tau: p.tau, Y2D: y2d.PRF, D2Y: d2y.PRF})
+	}
+	ubs := core.UBSConfig()
+	var err error
+	if res.UBSY2D, res.UBSD2Y, err = s.runBoth(ubs); err != nil {
+		return nil, err
+	}
+	res.Rows = append(res.Rows, Table1Row{Method: "UBS pcaconf", Tau: ubs.Threshold, Y2D: res.UBSY2D.PRF, D2Y: res.UBSD2Y.PRF})
+	return res, nil
 }
 
 // checkTable1Claims checks the paper's qualitative Table 1 claims.
