@@ -14,8 +14,8 @@ import (
 // process — in bytes as well as objects: a deployment pays it some fifty
 // times per aligned relation. Measured over a 3-shard HTTP cluster:
 //
-//	one routed stream probe (1 request, 1 row)    11.6 KB / 152 objects
-//	one RAND fan-out of 12 rows (3 requests)      36.6 KB / 478 objects
+//	one routed stream probe (1 request, 1 row)    10.5 KB / 138 objects
+//	one RAND fan-out of 12 rows (3 requests)      33.1 KB / 442 objects
 //
 // The ceilings are 1.25 × that. Before the server prepared a stream's
 // text through the plan cache and decoded forms itself, and the client
@@ -23,7 +23,10 @@ import (
 // cost 15.8 KB / 208 and 56.9 KB / 678; before federated rows were
 // borrowed end to end, 12.5 KB / 166 and 43.5 KB / 557; before the
 // engine seeded RAND() without rendering the query text and planned a
-// one-pattern group without a table, 11.6 KB / 160 and 36.9 KB / 502.
+// one-pattern group without a table, 11.6 KB / 160 and 36.9 KB / 502;
+// before the server bound a canonical text off its shape's skeleton
+// instead of parsing it, and a template rendered a text in one
+// allocation, 11.4 KB / 152 and 36.5 KB / 478.
 func TestAllocCeilingShardRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -36,8 +39,8 @@ func TestAllocCeilingShardRequest(t *testing.T) {
 		args               []sparql.Arg
 		bytes, objects     float64
 	}{
-		{"routed", benchProbeRouted, "x", 1, []sparql.Arg{sparql.IRIArg("http://x/s00007")}, 14_500, 190},
-		{"fanout", benchProbeSmall, "n", smallRows, []sparql.Arg{sparql.IntArg(smallRows)}, 45_800, 598},
+		{"routed", benchProbeRouted, "x", 1, []sparql.Arg{sparql.IRIArg("http://x/s00007")}, 13_200, 173},
+		{"fanout", benchProbeSmall, "n", smallRows, []sparql.Arg{sparql.IntArg(smallRows)}, 41_400, 552},
 	} {
 		pq, err := g.Prepare(c.probe, c.param)
 		if err != nil {

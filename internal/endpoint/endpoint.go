@@ -248,15 +248,13 @@ func (l *Local) AskCtx(ctx context.Context, query string) (bool, error) {
 // Prepare implements Endpoint: the template compiles once into a
 // slot-addressed plan over the endpoint's engine, and every execution
 // binds arguments into registers directly — no parsing, no planning,
-// no text interpolation. A query text is parsed, and bound to the plan
-// the engine caches for its shape.
+// no text interpolation. A query text — what a server is sent, a
+// template's canonical text nearly always — is bound to the plan the
+// engine caches for its shape (sparql.Engine.BindText): read off the
+// shape's skeleton when it is canonical, parsed when it is not.
 func (l *Local) Prepare(template string, params ...string) (PreparedQuery, error) {
 	if len(params) == 0 {
-		q, err := sparql.Parse(template)
-		if err != nil {
-			return nil, err
-		}
-		plan, err := l.engine.Bind(q)
+		plan, err := l.engine.BindText(template)
 		if err != nil {
 			return nil, err
 		}

@@ -26,14 +26,15 @@ import (
 // through the endpoint it serves, one borrowed stream each — quota,
 // statistics and admission see the single queries a client sending them
 // one by one would have caused — and encodes each as it drains it,
-// through one buffer: it never holds more of a group than the batch it
-// is encoding, and a group shorter than a batch is one write with a
-// Content-Length. A text that cannot be opened, or a request found
-// cancelled between two texts, answers for the request while nothing has
-// left, with the status its own request would have had (a shed stays a
-// retriable 429); once a batch is out it ends the answer in an error
-// frame where its sequence would have begun, and the sequences before it
-// stay valid. Texts after it do not run. Every text must be a SELECT and
+// through one buffer. A full batch leaves on its own, and so do the
+// short sets encoded so far once they pass half the pooled buffer: a
+// group under a batch a text and under that half is one write with a
+// Content-Length, a longer one is chunked. A text that cannot be opened,
+// or a request found cancelled between two texts, answers for the
+// request while nothing has left, with the status its own request would
+// have had (a shed stays a retriable 429); once a write is out it ends
+// the answer in an error frame where its sequence would have begun, and
+// the sequences before it stay valid. Texts after it do not run. Every text must be a SELECT and
 // there are at most maxMultiQueries of them (400 otherwise, before
 // anything runs).
 //

@@ -347,3 +347,63 @@ func TestServerStreamTextErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocCeilingServerText pins what a server pays for a received
+// text: Local.Prepare, then the borrowed stream serveFramed drains. A
+// canonical text of a shape the engine holds — everything a client's
+// templates send — is read off its skeleton without a parse: the
+// objects probe, one row, measured at 23 objects (34 while every text
+// was parsed), the 5-row sample probe at 11 (45, its RAND() seed then
+// rendering the parsed query again). The ceilings are about 1.25 × that.
+// A text spelled any other way is parsed as before, and its ceilings are
+// what it cost then: 33 and 41 objects.
+func TestAllocCeilingServerText(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	l := NewLocal(batchKB(), 1)
+	objects := sparql.MustParseTemplate("SELECT ?y WHERE { $x $r ?y }", "x", "r")
+	sample := sparql.MustParseTemplate(sampleTmpl, "r", "n")
+	text := func(tm *sparql.Template, args ...sparql.Arg) string {
+		s, err := tm.Text(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name, text string
+		rows       int
+		ceiling    float64
+	}{
+		{"objects, canonical", text(objects, sparql.IRIArg(batchSubject(5)), sparql.IRIArg("http://x/p")), 1, 29},
+		{"sample, canonical", text(sample, sparql.IRIArg("http://x/p"), sparql.IntArg(5)), 5, 14},
+		{"objects, spelled otherwise", "SELECT ?y WHERE { <" + batchSubject(5) + "> <http://x/p> ?y }", 1, 33},
+		{"sample, spelled otherwise", "SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND() LIMIT 5", 5, 41},
+	} {
+		run := func() {
+			pq, err := l.Prepare(c.text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := StreamBorrowed(context.Background(), pq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for rows.Next() {
+				n++
+			}
+			rows.Close()
+			if n != c.rows || rows.Err() != nil {
+				t.Fatalf("%s: %d rows, %v", c.name, n, rows.Err())
+			}
+		}
+		run() // the engine meets the shape, the pools fill
+		got := testing.AllocsPerRun(50, run)
+		t.Logf("%s: %.0f objects", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f objects, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

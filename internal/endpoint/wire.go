@@ -30,17 +30,18 @@ import (
 // Each frame is one JSON line. A full batch is written and flushed as a
 // unit: the consumer costs one network read per batch, not per row. The
 // head frame, a final partial batch and the terminal frame are never
-// flushed on their own — they leave with the next batch or when the
-// handler returns — so an answer shorter than one batch is a single
-// write, and a stream opens for its reader when its first rows (or its
-// end) arrive. The terminal frame is either an end frame (with the
-// stream's truncation flag) or an error frame — a stream that stops
-// without one was cut mid-flight and the client reports the transport
-// error instead of a silently short result; bytes after one are a
-// protocol error. A grouped answer (multi.go) is several such sequences,
-// head to terminal frame, one after the other in one body, its media type
-// saying how many ("; sets=N"): wireRows.NextResultSet moves from one to
-// the next, and only the last one's end is the body's.
+// flushed on their own — they leave with the next batch, with the frames
+// of a group's earlier sets once those pass half the pooled encode
+// buffer, or when the handler returns — so an answer shorter than one
+// batch is a single write, and a stream opens for its reader when its
+// first rows (or its end) arrive. The terminal frame is either an end
+// frame (with the stream's truncation flag) or an error frame — a stream
+// that stops without one was cut mid-flight and the client reports the
+// transport error instead of a silently short result; bytes after one
+// are a protocol error. A grouped answer (multi.go) is several such
+// sequences, head to terminal frame, one after the other in one body,
+// its media type saying how many ("; sets=N"): wireRows.NextResultSet
+// moves from one to the next, and only the last one's end is the body's.
 //
 // The frames are encoded and decoded by codec.go. Both sides recycle
 // their buffers: the server its encode buffer (frameBufs) when the
@@ -78,16 +79,18 @@ const maxPooledFrameBufs = 64 << 10
 
 // frameWriter encodes frame sequences onto one response through one
 // encode buffer (writeSets): one sequence for a stream, one per text for
-// a group. Only a full batch is written out and flushed on its own. The
-// head frame, a final partial batch and the terminal frame ride in
-// whatever write carries them, so an answer shorter than a batch — most
-// probes, and most groups of them — is one write with a Content-Length,
-// and its reader sees the end of the body with the last frame.
+// a group. Only a full batch — or, between two sets of a group, frames
+// past half of maxPooledFrameBufs — is written out and flushed on its
+// own. The head frame, a final partial batch and the terminal frame ride
+// in whatever write carries them, so an answer shorter than a batch —
+// most probes, and most groups of them — is one write with a
+// Content-Length, and its reader sees the end of the body with the last
+// frame; a longer one is chunked.
 type frameWriter struct {
 	w      http.ResponseWriter
 	buf    *[]byte
 	out    []byte // the frames not yet written
-	wrote  bool   // a batch went out on its own: the answer is chunked
+	wrote  bool   // frames went out before the end: the answer is chunked
 	failed bool   // nothing more goes out: a write failed, or a status answered
 }
 
@@ -118,15 +121,12 @@ func (fw *frameWriter) sequence(rows Rows) bool {
 		}
 		out = append(out, ']')
 		if n++; n == WireBatch {
-			out, n = append(out, "]}\n"...), 0
-			if _, werr := fw.w.Write(out); werr != nil {
-				fw.out, fw.failed = out[:0], true
+			var ok bool
+			if out, ok = fw.writeOut(append(out, "]}\n"...)); !ok {
+				fw.out = out
 				return false
 			}
-			if f, ok := fw.w.(http.Flusher); ok {
-				f.Flush()
-			}
-			out, fw.wrote = out[:0], true
+			n = 0
 		}
 	}
 	if n > 0 {
@@ -142,6 +142,21 @@ func (fw *frameWriter) sequence(rows Rows) bool {
 	}
 	fw.out = out
 	return err == nil
+}
+
+// writeOut writes out and flushes the frames in out, as a unit — from
+// then on the answer is chunked — and returns out emptied, or reports
+// that the write failed.
+func (fw *frameWriter) writeOut(out []byte) ([]byte, bool) {
+	if _, err := fw.w.Write(out); err != nil {
+		fw.failed = true
+		return out[:0], false
+	}
+	if f, ok := fw.w.(http.Flusher); ok {
+		f.Flush()
+	}
+	fw.wrote = true
+	return out[:0], true
 }
 
 // finish writes what is left of the answer and recycles the buffers.
@@ -162,7 +177,7 @@ func (fw *frameWriter) finish() {
 // rows open(i) returns, in order — one for a stream, one per text for a
 // group. A set that cannot be opened answers for the request, with the
 // status its own request would have had, while nothing has left; once a
-// batch is out it ends the answer in an error frame where its sequence
+// write is out it ends the answer in an error frame where its sequence
 // would have begun, and the sequences before it stay valid. Sets after a
 // failed one are not opened.
 func writeSets(w http.ResponseWriter, contentType string, n int, open func(i int) (Rows, error)) {
@@ -182,6 +197,15 @@ func writeSets(w http.ResponseWriter, contentType string, n int, open func(i int
 		}
 		if !fw.sequence(rows) {
 			break
+		}
+		// Short sets pile up in the buffer until a batch leaves; past half
+		// its pooled size, they leave as one, so a group's buffer never
+		// outgrows the pool.
+		if i+1 < n && len(fw.out) > maxPooledFrameBufs/2 {
+			var ok bool
+			if fw.out, ok = fw.writeOut(fw.out); !ok {
+				break
+			}
 		}
 	}
 	fw.finish()

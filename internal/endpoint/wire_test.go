@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"sofya/internal/kb"
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
@@ -403,4 +405,72 @@ func TestWireRowsBufferReuse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestWireGroupOfShortSetsStaysPooled: a group of sets each shorter than
+// a batch, together far past maxPooledFrameBufs, reads back as its texts
+// answer one by one, and the server's encode buffer goes back to
+// frameBufs: the short sets leave in writes of about half the pooled
+// size instead of piling up until the handler returns.
+func TestWireGroupOfShortSetsStaysPooled(t *testing.T) {
+	k := kb.New("wide")
+	for i := 0; i < maxMultiQueries; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("http://x/s%02d", i))
+		for j := 0; j < WireBatch-1; j++ {
+			k.Add(rdf.NewTriple(s, rdf.NewIRI("http://x/name"),
+				rdf.NewLiteral(fmt.Sprintf("subject %02d, a name long enough to fill frames, %03d", i, j))))
+		}
+	}
+	const tmpl = "SELECT ?v WHERE { $x <http://x/name> ?v }"
+	tm := sparql.MustParseTemplate(tmpl, "x")
+	argSets := make([][]sparql.Arg, maxMultiQueries)
+	texts := make([]string, len(argSets))
+	for i := range argSets {
+		argSets[i] = []sparql.Arg{sparql.IRIArg(fmt.Sprintf("http://x/s%02d", i))}
+		texts[i], _ = tm.Text(argSets[i]...)
+	}
+
+	srv := httptest.NewServer(NewServer(NewLocal(k, 1)))
+	defer srv.Close()
+	pq, err := NewClient("wide", srv.URL, srv.Client()).Prepare(tmpl, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SelectBatch(context.Background(), pq, argSets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := NewLocal(k, 1)
+	for i, text := range texts {
+		want, err := single.SelectCtx(context.Background(), text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) != WireBatch-1 || !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("text %d: group answered\n%s\nsingle probe\n%s", i, renderRes(got[i]), renderRes(want))
+		}
+	}
+
+	// The same group straight into a recorder: empty the pool first, so
+	// the buffer the answer leaves there is the one it was encoded in.
+	for n := 0; n < 1000 && cap(*frameBufs.Get().(*[]byte)) > 0; n++ {
+	}
+	local, rec := NewLocal(k, 1), httptest.NewRecorder()
+	writeSets(rec, StreamContentType, len(texts), func(i int) (Rows, error) {
+		p, err := local.Prepare(texts[i])
+		if err != nil {
+			return nil, err
+		}
+		return StreamBorrowed(context.Background(), p)
+	})
+	if n := rec.Body.Len(); n <= 2*maxPooledFrameBufs || rec.Header().Get("Content-Length") != "" {
+		t.Fatalf("a %d-byte answer with Content-Length %q; want a chunked answer past %d bytes",
+			n, rec.Header().Get("Content-Length"), 2*maxPooledFrameBufs)
+	}
+	if raceEnabled {
+		return // the race detector drops pooled items at random
+	}
+	if c := cap(*frameBufs.Get().(*[]byte)); c == 0 || c > maxPooledFrameBufs {
+		t.Fatalf("the pool gave back a %d-byte buffer; want the answer's, at most %d", c, maxPooledFrameBufs)
+	}
 }

@@ -58,10 +58,12 @@ type paramSpec struct {
 type Prepared struct {
 	*compiled
 
-	// The handle of a concrete query (Engine.Bind) runs the lifted plan
-	// of its shape on the query's own constants, and takes no arguments.
-	q     *Query
+	// The handle of a concrete query (Engine.BindText) runs the lifted
+	// plan of its shape on the query's own constants, bound, and takes no
+	// arguments; fp is the FNV-64a hash of its canonical text, the seed
+	// of its RAND() stream, when the plan draws.
 	bound []Arg
+	fp    uint64
 }
 
 // compiled is the compiled form itself: immutable, and shared by every
@@ -468,7 +470,7 @@ func (p *Prepared) resolve(args []Arg) []kb.TermID {
 // a concrete query's own constants.
 func (p *Prepared) bind(args []Arg) ([]Arg, error) {
 	want := len(p.params)
-	if p.q != nil {
+	if p.bound != nil {
 		want = 0
 	}
 	if len(args) != want {
@@ -479,7 +481,7 @@ func (p *Prepared) bind(args []Arg) ([]Arg, error) {
 			return nil, fmt.Errorf("sparql: prepared arg %d has the wrong kind", i)
 		}
 	}
-	if p.q != nil {
+	if p.bound != nil {
 		return p.bound, nil
 	}
 	return args, nil

@@ -31,10 +31,11 @@ type execState struct {
 	regs []kb.TermID // register file; NoTerm = unbound
 	res  []kb.TermID // resolved parameter and constant ids
 	rnd  *rand.Rand
-	// fp is a template execution's RAND() fingerprint, taken at start
-	// when the plan draws (Template.fingerprint): the arguments are the
-	// caller's only for the call that opened the execution, and a stream
-	// draws later.
+	// fp is the execution's RAND() fingerprint, taken at start when the
+	// plan draws: a concrete query's handle holds it, a template
+	// execution hashes its arguments (Template.fingerprint) — they are
+	// the caller's only for the call that opened the execution, and a
+	// stream draws later.
 	fp uint64
 
 	// borrowRow, when non-nil, is the reused projection buffer of a
@@ -77,8 +78,11 @@ func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
 		regs: make([]kb.TermID, p.nslots),
 		res:  p.resolve(args),
 	}
-	if p.usesRand && p.q == nil {
-		ex.fp = p.tmpl.fingerprint(args)
+	if p.usesRand {
+		ex.fp = p.fp
+		if p.bound == nil {
+			ex.fp = p.tmpl.fingerprint(args)
+		}
 	}
 	for i := range ex.regs {
 		ex.regs[i] = kb.NoTerm
@@ -517,15 +521,9 @@ func randSource(seed int64, fp uint64) *rand.Rand {
 
 // rng derives the execution's PRNG on first use, exactly like the
 // reference engine: an execution that never draws pays no PRNG seeding.
-// A template execution was fingerprinted at start; a concrete query's
-// handle hashes the query's canonical text here.
 func (ex *execState) rng() *rand.Rand {
 	if ex.rnd == nil {
-		fp := ex.fp
-		if ex.p.q != nil {
-			fp = fnv64a(fnvOffset, ex.p.q.String())
-		}
-		ex.rnd = randSource(ex.p.eng.seed, fp)
+		ex.rnd = randSource(ex.p.eng.seed, ex.fp)
 	}
 	return ex.rnd
 }

@@ -5,26 +5,28 @@ package sparql
 // the oracles' direct route into the engine, past the handle's argument
 // check.
 func (e *Engine) Eval(q *Query) (*Result, error) {
-	p, err := e.Bind(q)
+	p, err := e.bind(q)
 	if err != nil {
 		return nil, err
 	}
 	return p.exec(p.bound)
 }
 
-// EvalString parses and evaluates a query.
+// EvalString evaluates a query text through BindText, the endpoint's
+// route: a canonical text of a shape the engine holds is bound without
+// a parse.
 func (e *Engine) EvalString(query string) (*Result, error) {
-	q, err := Parse(query)
+	p, err := e.BindText(query)
 	if err != nil {
 		return nil, err
 	}
-	return e.Eval(q)
+	return p.exec(p.bound)
 }
 
 // Stream evaluates a parsed SELECT query as a row iterator, through the
 // same shape-keyed plan cache Eval uses.
 func (e *Engine) Stream(q *Query) (*RowIter, error) {
-	p, err := e.Bind(q)
+	p, err := e.bind(q)
 	if err != nil {
 		return nil, err
 	}

@@ -150,6 +150,13 @@ func (l *lexer) takeWhile(pred func(byte) bool) string {
 
 func (l *lexer) lexString() (string, error) {
 	l.pos++ // opening quote
+	// A string without escapes is its own bytes: the token is a view of
+	// the input, like an IRI's.
+	if end := strings.IndexAny(l.in[l.pos:], `"\\`); end >= 0 && l.in[l.pos+end] == '"' {
+		s := l.in[l.pos : l.pos+end]
+		l.pos += end + 1
+		return s, nil
+	}
 	var sb strings.Builder
 	for {
 		if l.pos >= len(l.in) {

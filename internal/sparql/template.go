@@ -59,15 +59,10 @@ type Template struct {
 	// segs/gaps split the canonical text at parameter sites: the
 	// instantiated text is segs[0] + render(gaps[0]) + segs[1] + ...
 	segs []string
-	gaps []tmplGap
+	gaps []textGap
 
 	// isInt[i] reports whether parameter i is a LIMIT parameter.
 	isInt []bool
-}
-
-type tmplGap struct {
-	param int
-	isInt bool
 }
 
 // ParseTemplate parses a query template. Every name in params must
@@ -147,23 +142,18 @@ func ParseTemplate(text string, params ...string) (*Template, error) {
 		return nil, exprErr
 	}
 
-	// Mark every parameter site with a sentinel, serialize canonically,
-	// and split the text at the sentinels. Marks contain NUL, which the
-	// template text was checked not to contain.
+	// Split the canonical text at every parameter site.
 	seen := make([]bool, len(params))
-	mark := func(i int) string { return "\x00#" + strconv.Itoa(i) + "\x00" }
-	marked := q.MapPatterns(func(tp TriplePattern) TriplePattern {
-		sub := func(pt PatternTerm) PatternTerm {
-			if pt.IsVar {
-				if i, ok := idx[pt.Var]; ok {
-					seen[i] = true
-					return Concrete(rdf.NewIRI(mark(i)))
-				}
+	site := func(pt PatternTerm, _ bool) int {
+		if pt.IsVar {
+			if i, ok := idx[pt.Var]; ok {
+				seen[i] = true
+				return i
 			}
-			return pt
 		}
-		return TriplePattern{S: sub(tp.S), P: sub(tp.P), O: sub(tp.O)}
-	})
+		return -1
+	}
+	limit := -1
 	if q.LimitVar != "" {
 		i, ok := idx[q.LimitVar]
 		if !ok {
@@ -171,15 +161,59 @@ func ParseTemplate(text string, params ...string) (*Template, error) {
 		}
 		seen[i] = true
 		t.isInt[i] = true
-		marked.LimitVar = mark(i)
+		limit = i
+	}
+	if t.segs, t.gaps, err = splitSites(q, site, limit, -1); err != nil {
+		return nil, err
 	}
 	for i, name := range params {
 		if !seen[i] {
 			return nil, fmt.Errorf("sparql: template parameter $%s does not occur in the query", name)
 		}
 	}
+	return t, nil
+}
 
-	canon := marked.String()
+// textGap is one argument site of a split canonical text: where the
+// argument at position param is written, as a term or as the digits of
+// a LIMIT or OFFSET.
+type textGap struct {
+	param int
+	isInt bool
+}
+
+// siteMark is the sentinel that stands for argument i while a query is
+// serialized for splitSites. It contains NUL, which the text being split
+// must not.
+func siteMark(i int) string { return "\x00#" + strconv.Itoa(i) + "\x00" }
+
+// splitSites is the one mark-and-split of a canonical text, shared by
+// templates and the engine's skeletons (skeleton.go). It serializes q
+// canonically with a sentinel at every argument site — each pattern term
+// site maps to an argument position (−1: none; obj says the term is an
+// object), the LIMIT when limit ≥ 0 and the OFFSET when offset ≥ 0 — and
+// splits the text at the sentinels: the text of arguments a is segs[0] +
+// a[gaps[0].param] + segs[1] + … .
+func splitSites(q *Query, site func(pt PatternTerm, obj bool) int, limit, offset int) (segs []string, gaps []textGap, err error) {
+	marked := q.MapPatterns(func(tp TriplePattern) TriplePattern {
+		sub := func(pt PatternTerm, obj bool) PatternTerm {
+			if i := site(pt, obj); i >= 0 {
+				return Concrete(rdf.NewIRI(siteMark(i)))
+			}
+			return pt
+		}
+		return TriplePattern{S: sub(tp.S, false), P: sub(tp.P, false), O: sub(tp.O, true)}
+	})
+	if limit >= 0 {
+		marked.LimitVar = siteMark(limit)
+	}
+	canon := ""
+	if offset >= 0 {
+		// OFFSET is the last clause of a canonical text.
+		marked.Offset = 0
+		canon = "\nOFFSET " + siteMark(offset)
+	}
+	canon = marked.String() + canon
 	rest := canon
 	for {
 		at := strings.Index(rest, "\x00#")
@@ -188,28 +222,29 @@ func ParseTemplate(text string, params ...string) (*Template, error) {
 		}
 		end := strings.Index(rest[at+2:], "\x00")
 		if end < 0 {
-			return nil, fmt.Errorf("sparql: internal template mark error")
+			return nil, nil, fmt.Errorf("sparql: internal template mark error")
 		}
 		i, err := strconv.Atoi(rest[at+2 : at+2+end])
 		if err != nil {
-			return nil, fmt.Errorf("sparql: internal template mark error: %v", err)
+			return nil, nil, fmt.Errorf("sparql: internal template mark error: %v", err)
 		}
 		seg, tail := rest[:at], rest[at+2+end+1:]
-		if t.isInt[i] {
+		isInt := i == limit || i == offset
+		switch {
+		case i == limit:
 			// drop the "$" that introduced the limit parameter
 			seg = strings.TrimSuffix(seg, "$")
-		} else {
+		case !isInt:
 			// drop the surrounding <...> of the sentinel IRI: the bound
 			// term renders its own delimiters
 			seg = strings.TrimSuffix(seg, "<")
 			tail = strings.TrimPrefix(tail, ">")
 		}
-		t.segs = append(t.segs, seg)
-		t.gaps = append(t.gaps, tmplGap{param: i, isInt: t.isInt[i]})
+		segs = append(segs, seg)
+		gaps = append(gaps, textGap{param: i, isInt: isInt})
 		rest = tail
 	}
-	t.segs = append(t.segs, rest)
-	return t, nil
+	return append(segs, rest), gaps, nil
 }
 
 // MustParseTemplate is ParseTemplate panicking on error, for static
@@ -253,12 +288,11 @@ func TemplateFromQuery(q *Query, params ...string) (*Template, error) {
 	for i, name := range params {
 		idx[name] = i
 	}
-	mark := func(i int) string { return "\x00#" + strconv.Itoa(i) + "\x00" }
 	marked := q.MapPatterns(func(tp TriplePattern) TriplePattern {
 		sub := func(pt PatternTerm) PatternTerm {
 			if pt.IsVar {
 				if i, ok := idx[pt.Var]; ok {
-					return Concrete(rdf.NewIRI(mark(i)))
+					return Concrete(rdf.NewIRI(siteMark(i)))
 				}
 			}
 			return pt
@@ -270,14 +304,14 @@ func TemplateFromQuery(q *Query, params ...string) (*Template, error) {
 		if !ok {
 			return nil, fmt.Errorf("sparql: LIMIT $%s is not a declared parameter", q.LimitVar)
 		}
-		marked.LimitVar = mark(i)
+		marked.LimitVar = siteMark(i)
 	}
 	text := marked.String()
 	for i, name := range params {
 		// Pattern sites render the sentinel as an IRI; the LIMIT site
 		// renders it after the "$" the serializer emits for LimitVar.
-		text = strings.ReplaceAll(text, "<"+mark(i)+">", "$"+name)
-		text = strings.ReplaceAll(text, mark(i), name)
+		text = strings.ReplaceAll(text, "<"+siteMark(i)+">", "$"+name)
+		text = strings.ReplaceAll(text, siteMark(i), name)
 	}
 	return ParseTemplate(text, params...)
 }
@@ -311,21 +345,24 @@ func (t *Template) Text(args ...Arg) (string, error) {
 	return t.text(args), nil
 }
 
-// text is Text after argument validation.
+// text is Text after argument validation. The text is assembled in a
+// stack buffer, arguments written by Term.Append, and copied out once: a
+// text of up to 1 KiB is one allocation.
 func (t *Template) text(args []Arg) string {
-	var sb strings.Builder
+	var buf [1 << 10]byte
+	b := buf[:0]
 	for i, seg := range t.segs {
-		sb.WriteString(seg)
+		b = append(b, seg...)
 		if i < len(t.gaps) {
 			g := t.gaps[i]
 			if g.isInt {
-				sb.WriteString(strconv.Itoa(args[g.param].n))
+				b = strconv.AppendInt(b, int64(args[g.param].n), 10)
 			} else {
-				sb.WriteString(args[g.param].term.String())
+				b = args[g.param].term.Append(b)
 			}
 		}
 	}
-	return sb.String()
+	return string(b)
 }
 
 // fingerprint is the FNV-64a hash of text(args), the canonical text that
