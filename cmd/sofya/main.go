@@ -37,12 +37,15 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"sofya/internal/core"
 	"sofya/internal/endpoint"
@@ -53,12 +56,17 @@ import (
 	"sofya/internal/synth"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-// run is main with its surroundings passed in: it parses args, writes
-// alignments to stdout and diagnostics to stderr, and returns the exit
-// status — 2 for a usage error, 1 for a failed run.
-func run(args []string, stdout, stderr io.Writer) int {
+// run is main with its surroundings passed in, ctx ending at SIGINT or
+// SIGTERM: it writes alignments to stdout and diagnostics to stderr,
+// and returns the exit status — 2 for a usage error, 1 for a failed run.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sofya", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -176,13 +184,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var results [][]core.Alignment
 	if *batch {
 		var err error
-		results, err = aligner.AlignRelations(heads)
+		results, err = aligner.AlignRelationsContext(ctx, heads)
 		if err != nil {
 			return fail(err)
 		}
 	} else {
 		for _, head := range heads {
-			als, err := aligner.AlignRelation(head)
+			als, err := aligner.AlignRelationContext(ctx, head)
 			if err != nil {
 				return fail(err)
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestRunGolden(t *testing.T) {
 		t.Run(strings.Join(extra, " "), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			args := append([]string{"-synthetic", "tiny", "-relation", wasBornIn}, extra...)
-			if code := run(args, &stdout, &stderr); code != 0 {
+			if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 			}
 			if got := stdout.String(); got != goldenWasBornIn {
@@ -48,7 +49,7 @@ func TestRunAllIdenticalAcrossShapes(t *testing.T) {
 	for _, extra := range [][]string{nil, {"-shards", "3"}, {"-batch"}, {"-shards", "3", "-batch"}} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-synthetic", "tiny", "-all", "-rejected"}, extra...)
-		if code := run(args, &stdout, &stderr); code != 0 {
+		if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
 			t.Fatalf("%v: exit %d, stderr:\n%s", extra, code, stderr.String())
 		}
 		if want == "" {
@@ -76,7 +77,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(tc.args, &stdout, &stderr); code != 2 {
+		if code := run(context.Background(), tc.args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", tc.args, code)
 		}
 		if !strings.Contains(stderr.String(), tc.want) {
@@ -91,10 +92,27 @@ func TestRunUsageErrors(t *testing.T) {
 // TestRunFailure: a run that cannot start is exit status 1.
 func TestRunFailure(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-all"}, &stdout, &stderr); code != 1 {
+	if code := run(context.Background(), []string{"-all"}, &stdout, &stderr); code != 1 {
 		t.Errorf("exit %d, want 1", code)
 	}
 	if !strings.Contains(stderr.String(), "need -k, -kprime and -links") {
 		t.Errorf("stderr %q", stderr.String())
+	}
+}
+
+// TestRunInterrupted: a run whose context ends — as main's does at
+// SIGINT or SIGTERM — exits 1 with the cancellation named on stderr, and
+// prints no alignment, sequential or batched.
+func TestRunInterrupted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{{"-synthetic", "tiny", "-all"}, {"-synthetic", "tiny", "-all", "-batch", "-parallel", "4"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(ctx, args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.Contains(stderr.String(), context.Canceled.Error()) || stdout.Len() != 0 {
+			t.Errorf("%v: stdout %q, stderr %q", args, stdout.String(), stderr.String())
+		}
 	}
 }

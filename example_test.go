@@ -2,10 +2,12 @@ package sofya_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"time"
 
 	"sofya"
 )
@@ -28,6 +30,32 @@ func ExampleAligner_AlignRelation() {
 	}
 	// Output:
 	// dbpedia:birthPlace(x, y) ⇒ yago:wasBornIn(x, y) conf=1.00
+}
+
+// An alignment lives inside its caller's deadline: every probe goes out
+// under the context, and once the context ends the alignment stops
+// before its next probe and fails with the context's error.
+func ExampleAligner_AlignRelationContext() {
+	world := sofya.Generate(sofya.TinyWorldSpec())
+	k := sofya.NewLocalEndpoint(world.Yago, 1)
+	kp := sofya.NewLocalEndpoint(world.Dbp, 2)
+	aligner := sofya.NewAligner(k, kp, sofya.LinkView{Links: world.Links, KIsA: true}, sofya.UBSConfig())
+	const wasBornIn = "http://yago-knowledge.org/resource/wasBornIn"
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	alignments, err := aligner.AlignRelationContext(ctx, wasBornIn)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(len(sofya.AcceptedAlignments(alignments)), "accepted")
+
+	cancel() // the caller gives up: no probe is sent
+	_, err = aligner.AlignRelationContext(ctx, wasBornIn)
+	fmt.Println(errors.Is(err, context.Canceled))
+	// Output:
+	// 1 accepted
+	// true
 }
 
 // Serve a KB as subject-hash shards behind one federating endpoint:

@@ -267,12 +267,6 @@ type identityTranslator struct{}
 
 func (identityTranslator) ToK(s string) (string, bool) { return s, true }
 
-// sampleQueryKeys samples the query relation from its own endpoint; no
-// translation is needed.
-func sampleQueryKeys(keys []uint64, probe endpoint.PreparedQuery, rel string, n int) ([]uint64, error) {
-	return appendSampleKeys(context.Background(), keys, probe, rel, n, identityTranslator{})
-}
-
 // Relations lists the distinct relation IRIs of an endpoint, sorted —
 // the endpoint-agnostic inventory query (it needs no KB access, only
 // SPARQL).

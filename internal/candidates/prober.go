@@ -2,6 +2,7 @@ package candidates
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -94,23 +95,28 @@ func (sc *probeScratch) touch(id int32) {
 	}
 }
 
-// TopK returns the top-k candidate target relations for source relation
-// rel, ranked by the blended name+signature score (ties broken by
-// relation IRI). Cost is sub-linear in the inventory: only posting
-// lists of the query's grams and LSH band buckets of the query's
-// signature are touched. The signature channel is gated by the pool:
-// a relation that collides with the query in some band gets its exact
-// key-set Jaccard (bitwise equal to ExactTopK's); a relation that
-// shares name grams but misses every band keeps a zero signature
-// component — computing Jaccards for every gram-sharing relation
-// would make the probe linear in the inventory on stem-heavy
-// namespaces. Name cosines match ExactTopK bitwise, so the LSH band
-// selection is the only approximation, and the experiments measure it
-// as candidate recall. Ordering is deterministic.
+// TopK is TopKContext under context.Background(), for bench/'s names.
 func (p *Prober) TopK(rel string, k int) ([]Candidate, error) {
+	return p.TopKContext(context.Background(), rel, k)
+}
+
+// TopKContext returns the top-k candidate target relations for source
+// relation rel, its sampling probe sent under ctx, ranked by the blended
+// name+signature score (ties broken by relation IRI). Cost is sub-linear
+// in the inventory: only posting lists of the query's grams and LSH band
+// buckets of the query's signature are touched. The signature channel is
+// gated by the pool: a relation that collides with the query in some
+// band gets its exact key-set Jaccard (bitwise equal to ExactTopK's); a
+// relation that shares name grams but misses every band keeps a zero
+// signature component — computing Jaccards for every gram-sharing
+// relation would make the probe linear in the inventory on stem-heavy
+// namespaces. Name cosines match ExactTopK bitwise, so the LSH band
+// selection is the only approximation, and the experiments measure it as
+// candidate recall. Ordering is deterministic.
+func (p *Prober) TopKContext(ctx context.Context, rel string, k int) ([]Candidate, error) {
 	sc := p.scratch.Get().(*probeScratch)
 	defer p.scratch.Put(sc)
-	if err := p.queryState(sc, rel); err != nil {
+	if err := p.queryState(ctx, sc, rel); err != nil {
 		return nil, err
 	}
 	sc.begin()
@@ -134,7 +140,7 @@ func (p *Prober) TopK(rel string, k int) ([]Candidate, error) {
 func (p *Prober) ExactTopK(rel string, k int) ([]Candidate, error) {
 	sc := p.scratch.Get().(*probeScratch)
 	defer p.scratch.Put(sc)
-	if err := p.queryState(sc, rel); err != nil {
+	if err := p.queryState(context.Background(), sc, rel); err != nil {
 		return nil, err
 	}
 	sc.begin()
@@ -149,11 +155,11 @@ func (p *Prober) ExactTopK(rel string, k int) ([]Candidate, error) {
 // queryState samples rel from the source endpoint and derives the
 // query-side scoring state into sc: name vector, signature keys,
 // minhash signature (meaningful only when keys is non-empty).
-func (p *Prober) queryState(sc *probeScratch, rel string) error {
+func (p *Prober) queryState(ctx context.Context, sc *probeScratch, rel string) error {
 	prof := profileOf(rel, p.ix.opt.GramN)
 	p.ix.name.queryVector(prof, &sc.qv)
 	var err error
-	sc.keys, err = sampleQueryKeys(sc.keys[:0], p.probe, rel, p.ix.opt.SampleSize)
+	sc.keys, err = appendSampleKeys(ctx, sc.keys[:0], p.probe, rel, p.ix.opt.SampleSize, identityTranslator{})
 	if err != nil {
 		return fmt.Errorf("candidates: sampling query <%s>: %w", rel, err)
 	}

@@ -4,22 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"sofya/internal/candidates"
 	"sofya/internal/endpoint"
+	"sofya/internal/flight"
 	"sofya/internal/ilp"
 	"sofya/internal/sampling"
 )
-
-// ProbeTemplate is one probe template an aligner prepares: its source
-// text and its class, the probe shape it stands for.
-type ProbeTemplate = sampling.ProbeTemplate
-
-// ProbeTemplates lists every probe template an aligner prepares — the
-// probe table of its sampling.Validator — so that probes can be
-// classified by their template from outside the aligner.
-func ProbeTemplates() []ProbeTemplate { return sampling.ProbeTemplates() }
 
 // Alignment is the aligner's verdict on one candidate rule r' ⇒ r.
 type Alignment struct {
@@ -80,12 +71,10 @@ type Aligner struct {
 	// otherwise.
 	rangeSize int
 
-	// candidate-generation index (Config.CandidateTopK > 0), built
-	// lazily on first alignment so aligners that never align do not pay
-	// the per-target-relation sampling pass.
-	candOnce   sync.Once
-	candErr    error
-	candProber *candidates.Prober
+	// cands holds the candidate prober (Config.CandidateTopK > 0), under
+	// struct{}{}: built on first alignment so aligners that never align
+	// do not pay the per-target-relation sampling pass.
+	cands flight.Memo[struct{}, *candidates.Prober]
 }
 
 // New builds an aligner from the head-side endpoint k (the KB whose
@@ -110,9 +99,15 @@ func (a *Aligner) tracef(format string, args ...any) {
 	}
 }
 
-// AlignRelation finds relations r' of K' with r'(x,y) ⇒ r(x,y), for r a
-// relation IRI of K. It returns every validated candidate (accepted or
-// not), ordered by decreasing confidence.
+// AlignRelation is AlignRelationContext under context.Background(). It,
+// AlignRelations and their Cache twins stay for the benchmark's names.
+func (a *Aligner) AlignRelation(r string) ([]Alignment, error) {
+	return a.AlignRelationContext(context.Background(), r)
+}
+
+// AlignRelationContext finds relations r' of K' with r'(x,y) ⇒ r(x,y),
+// for r a relation IRI of K. It returns every validated candidate
+// (accepted or not), ordered by decreasing confidence.
 //
 // The alignment runs as an explicit pipeline — discover → validate →
 // UBS → equivalence — whose fan-out stages (per-candidate validation,
@@ -121,45 +116,46 @@ func (a *Aligner) tracef(format string, args ...any) {
 // collected by index, so the output is identical to the sequential run
 // for deterministic endpoints. Every stage fetches objects through one
 // sampling.ObjectMemo, so the alignment asks each object question once.
-func (a *Aligner) AlignRelation(r string) ([]Alignment, error) {
+// Every probe goes out under ctx; once it ends, the alignment fails.
+func (a *Aligner) AlignRelationContext(ctx context.Context, r string) ([]Alignment, error) {
 	if a.prepErr != nil {
 		return nil, a.prepErr
 	}
-	allowed, err := a.prune(r)
+	allowed, err := a.prune(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-	return a.AlignRelationWithin(r, allowed)
+	return a.AlignRelationWithin(ctx, r, allowed)
 }
 
-// AlignRelationWithin is AlignRelation with an injected candidate
+// AlignRelationWithin is AlignRelationContext with an injected candidate
 // universe: only target relations in allowed survive discovery (nil
 // means unrestricted). The experiments' differential harness uses it to
 // run the alignment pipeline over an externally computed candidate set;
-// AlignRelation itself passes the candidate index's top-k when
+// AlignRelationContext itself passes the candidate index's top-k when
 // Config.CandidateTopK is on.
-func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alignment, error) {
+func (a *Aligner) AlignRelationWithin(ctx context.Context, r string, allowed map[string]bool) ([]Alignment, error) {
 	if a.prepErr != nil {
 		return nil, a.prepErr
 	}
-	cands, hits, err := a.discover(r, allowed)
+	cands, hits, err := a.discover(ctx, r, allowed)
 	if err != nil {
 		return nil, err
 	}
 	// room for a validation of every candidate and the equivalence check
 	// of one: enough for most alignments, whose memo then never grows
 	memo := sampling.NewObjectMemo((len(cands) + 1) * a.cfg.SampleSize)
-	if err := a.validate(memo, r, cands); err != nil {
+	if err := a.validate(ctx, memo, r, cands); err != nil {
 		return nil, err
 	}
 	out, aligns := a.score(cands, hits)
 	if a.cfg.UseUBS {
-		if err := a.applyUBS(memo, r, cands, aligns); err != nil {
+		if err := a.applyUBS(ctx, memo, r, cands, aligns); err != nil {
 			return nil, err
 		}
 	}
 	if a.cfg.CheckEquivalence {
-		if err := a.checkEquivalences(memo, r, out); err != nil {
+		if err := a.checkEquivalences(ctx, memo, r, out); err != nil {
 			return nil, err
 		}
 	}
@@ -167,12 +163,50 @@ func (a *Aligner) AlignRelationWithin(r string, allowed map[string]bool) ([]Alig
 	return out, nil
 }
 
+// AlignRelations is AlignRelationsContext under context.Background().
+func (a *Aligner) AlignRelations(rs []string) ([][]Alignment, error) {
+	return a.AlignRelationsContext(context.Background(), rs)
+}
+
+// AlignRelationsContext is the batch API: it aligns every relation in
+// rs, scheduling up to Config.Parallelism relations concurrently, and
+// returns one result slice per input relation, positionally matching
+// rs. The in-flight relations share the aligner's global admission
+// gate, so total endpoint concurrency stays at Parallelism no matter
+// how many relations are being aligned at once.
+//
+// Point the aligner at endpoints decorated with endpoint.Caching and
+// the batch shares deduplicated endpoint traffic across relations —
+// the concurrent aligners probe overlapping subjects and samples, and
+// each distinct query reaches the backing service once. For
+// deterministic endpoints (fixed Local seeds) the output is identical
+// to calling AlignRelationContext sequentially, at any Parallelism.
+//
+// The first error (in rs order) aborts the batch, cancelling the
+// probes of the relations still in flight.
+func (a *Aligner) AlignRelationsContext(ctx context.Context, rs []string) ([][]Alignment, error) {
+	return alignEach(ctx, a.cfg.Parallelism, rs, a.AlignRelationContext)
+}
+
+// alignEach is the batch loop of Aligner and Cache, collected by index.
+func alignEach(ctx context.Context, parallelism int, rs []string, align func(context.Context, string) ([]Alignment, error)) ([][]Alignment, error) {
+	out := make([][]Alignment, len(rs))
+	err := flight.Each(ctx, parallelism, len(rs), func(ctx context.Context, i int) (err error) {
+		out[i], err = align(ctx, rs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // validate runs Simple Sample Extraction for every candidate rule,
 // filling in its Ev and Set, fanning the per-candidate endpoint work out
 // over the worker pool.
-func (a *Aligner) validate(memo *sampling.ObjectMemo, r string, cands []sampling.Rule) error {
-	return a.runRanges(len(cands), func(lo, hi int) error {
-		if err := a.val.SimpleEvidenceEach(memo, cands[lo:hi], a.cfg.SampleSize); err != nil {
+func (a *Aligner) validate(ctx context.Context, memo *sampling.ObjectMemo, r string, cands []sampling.Rule) error {
+	return a.runRanges(ctx, len(cands), func(ctx context.Context, lo, hi int) error {
+		if err := a.val.SimpleEvidenceEach(ctx, memo, cands[lo:hi], a.cfg.SampleSize); err != nil {
 			return fmt.Errorf("core: validating %d candidates for %s: %w", hi-lo, r, err)
 		}
 		return nil
@@ -219,49 +253,47 @@ func sortAlignments(out []Alignment) {
 	})
 }
 
-// ensureCandidates obtains the candidate index over the target
-// inventory, once per aligner: from Config.CandidateIndexCache when one
-// is shared (so co-targeted aligners resolve the index once), through a
+// candidateProber obtains the candidate index over the target
+// inventory, for a.cands: from Config.CandidateIndexCache when one is
+// shared (so co-targeted aligners resolve the index once), through a
 // private cache otherwise — the cache handles sidecar restore and the
 // build fallback either way. The resolution holds one admission-gate
 // slot like any endpoint-bound stage; a build fans its sampling out
 // over its own Config.Parallelism-bounded pool, which stands in for the
-// gate during this one-time pass.
-func (a *Aligner) ensureCandidates() (*candidates.Prober, error) {
-	a.candOnce.Do(func() {
-		a.sem <- struct{}{}
-		defer func() { <-a.sem }()
-		cache := a.cfg.CandidateIndexCache
-		if cache == nil {
-			cache = NewIndexCache()
-			cache.Trace = a.cfg.Trace
-		}
-		ix, err := cache.Get(context.Background(), a.val.KPrime, a.val.Links, a.cfg.CandidateIndexPath, candidates.Options{
-			MaxPostings: a.cfg.CandidateMaxPostings,
-			Parallelism: a.cfg.Parallelism,
-		})
-		if err != nil {
-			a.candErr = err
-			return
-		}
-		a.candProber, a.candErr = candidates.NewProber(ix, a.val.K)
+// gate during this one-time pass, which flight.Memo runs detached.
+func (a *Aligner) candidateProber(ctx context.Context) (*candidates.Prober, error) {
+	a.sem <- struct{}{}
+	defer func() { <-a.sem }()
+	cache := a.cfg.CandidateIndexCache
+	if cache == nil {
+		cache = NewIndexCache()
+		cache.Trace = a.cfg.Trace
+	}
+	ix, err := cache.Get(ctx, a.val.KPrime, a.val.Links, a.cfg.CandidateIndexPath, candidates.Options{
+		MaxPostings: a.cfg.CandidateMaxPostings,
+		Parallelism: a.cfg.Parallelism,
 	})
-	return a.candProber, a.candErr
+	if err != nil {
+		return nil, err
+	}
+	return candidates.NewProber(ix, a.val.K)
 }
 
 // prune computes the allowed candidate set for r from the candidate
 // index — or nil (no restriction) when pruning is off.
-func (a *Aligner) prune(r string) (map[string]bool, error) {
+func (a *Aligner) prune(ctx context.Context, r string) (map[string]bool, error) {
 	if a.cfg.CandidateTopK <= 0 {
 		return nil, nil
 	}
-	prober, err := a.ensureCandidates()
+	prober, err, _ := a.cands.Get(ctx, struct{}{}, a.candidateProber)
 	if err != nil {
 		return nil, fmt.Errorf("core: candidate index: %w", err)
 	}
-	a.sem <- struct{}{}
-	top, err := prober.TopK(r, a.cfg.CandidateTopK)
-	<-a.sem
+	var top []candidates.Candidate
+	err = a.runStage(ctx, 1, func(ctx context.Context, _ int) (err error) {
+		top, err = prober.TopKContext(ctx, r, a.cfg.CandidateTopK)
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: candidate probe for <%s>: %w", r, err)
 	}
@@ -278,8 +310,8 @@ func (a *Aligner) prune(r string) (map[string]bool, error) {
 // that co-occurs with r's sampled facts (Validator.Discover) and is in
 // allowed (nil allows all), most hits first, at most maxCandidates — and
 // the hits of every co-occurring relation.
-func (a *Aligner) discover(r string, allowed map[string]bool) ([]sampling.Rule, map[string]int, error) {
-	hits, err := a.val.Discover(r, a.cfg.SampleSize, a.runStage)
+func (a *Aligner) discover(ctx context.Context, r string, allowed map[string]bool) ([]sampling.Rule, map[string]int, error) {
+	hits, err := a.val.Discover(ctx, r, a.cfg.SampleSize, a.runStage)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -305,7 +337,7 @@ func (a *Aligner) discover(r string, allowed map[string]bool) ([]sampling.Rule, 
 // endpoint-heavy contradiction searches fan out over the worker pool;
 // their results are applied sequentially in pair order, so the
 // aggregated counters and verdicts match the sequential run exactly.
-func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []sampling.Rule, aligns map[string]*Alignment) error {
+func (a *Aligner) applyUBS(ctx context.Context, memo *sampling.ObjectMemo, r string, cands []sampling.Rule, aligns map[string]*Alignment) error {
 	// provisional = accepted so far (confidence+support); only those
 	// are worth the extra queries.
 	var provisional []sampling.Rule
@@ -316,8 +348,8 @@ func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []sampling
 	}
 
 	ubs := func(side sampling.Side, pairs []sampling.SiblingPair) error {
-		return a.runRanges(len(pairs), func(lo, hi int) error {
-			return a.val.ContradictionsEach(memo, side, pairs[lo:hi], ubsSampleSize)
+		return a.runRanges(ctx, len(pairs), func(ctx context.Context, lo, hi int) error {
+			return a.val.ContradictionsEach(ctx, memo, side, pairs[lo:hi], ubsSampleSize)
 		})
 	}
 
@@ -356,8 +388,8 @@ func (a *Aligner) applyUBS(memo *sampling.ObjectMemo, r string, cands []sampling
 		// contradiction search of every (candidate, sibling), candidate
 		// after candidate.
 		siblings := make([][]string, len(provisional))
-		err := a.runRanges(len(provisional), func(lo, hi int) error {
-			sibs, err := a.val.HeadSiblings(provisional[lo:hi], ubsSampleSize, ubsMaxSiblings)
+		err := a.runRanges(ctx, len(provisional), func(ctx context.Context, lo, hi int) error {
+			sibs, err := a.val.HeadSiblings(ctx, provisional[lo:hi], ubsSampleSize, ubsMaxSiblings)
 			copy(siblings[lo:hi], sibs)
 			return err
 		})
@@ -418,7 +450,7 @@ func entityCandidate(c sampling.Rule) bool {
 // checkEquivalences validates the reverse rule r ⇒ r' for accepted
 // alignments through the flipped validator (val.Flip: roles of K and K'
 // swapped), over the worker pool.
-func (a *Aligner) checkEquivalences(memo *sampling.ObjectMemo, r string, out []Alignment) error {
+func (a *Aligner) checkEquivalences(ctx context.Context, memo *sampling.ObjectMemo, r string, out []Alignment) error {
 	var accepted []int
 	var rules []sampling.Rule
 	for i := range out {
@@ -428,8 +460,8 @@ func (a *Aligner) checkEquivalences(memo *sampling.ObjectMemo, r string, out []A
 		}
 	}
 	flipped := a.val.Flip()
-	err := a.runRanges(len(rules), func(lo, hi int) error {
-		return flipped.SimpleEvidenceEach(memo, rules[lo:hi], a.cfg.SampleSize)
+	err := a.runRanges(ctx, len(rules), func(ctx context.Context, lo, hi int) error {
+		return flipped.SimpleEvidenceEach(ctx, memo, rules[lo:hi], a.cfg.SampleSize)
 	})
 	if err != nil {
 		return err

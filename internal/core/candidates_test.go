@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestAlignPruningOffBuildsNoIndex(t *testing.T) {
 	if len(als) == 0 {
 		t.Fatal("no alignments")
 	}
-	if a.candProber != nil {
+	if a.cands.Len() != 0 {
 		t.Fatal("candidate index built despite CandidateTopK == 0")
 	}
 }
@@ -73,7 +74,7 @@ func TestAlignPrunedIsSubsetOfExact(t *testing.T) {
 // TestAlignRelationWithin checks the injected-universe form directly.
 func TestAlignRelationWithin(t *testing.T) {
 	a := alignerD2Y(DefaultConfig())
-	als, err := a.AlignRelationWithin(yNS+"creatorOf", map[string]bool{dNS + "composerOf": true})
+	als, err := a.AlignRelationWithin(context.Background(), yNS+"creatorOf", map[string]bool{dNS + "composerOf": true})
 	if err != nil {
 		t.Fatalf("align within: %v", err)
 	}
@@ -81,7 +82,7 @@ func TestAlignRelationWithin(t *testing.T) {
 		t.Fatalf("restricted universe leaked: %+v", als)
 	}
 	// nil universe = unrestricted: same as AlignRelation.
-	all, err := a.AlignRelationWithin(yNS+"creatorOf", nil)
+	all, err := a.AlignRelationWithin(context.Background(), yNS+"creatorOf", nil)
 	if err != nil {
 		t.Fatalf("align within nil: %v", err)
 	}

@@ -18,13 +18,21 @@ import (
 // Scheduling and error handling are flight.Each's (whole-relation tasks,
 // which occupy no endpoint themselves, call it directly): tasks fill
 // slots indexed by i, a task skipped after a failure never takes a slot,
-// and the lowest-indexed error is returned.
-func (a *Aligner) runStage(n int, fn func(i int) error) error {
-	return flight.Each(context.Background(), cap(a.sem), n, func(_ context.Context, i int) error {
-		a.sem <- struct{}{}
-		err := fn(i)
-		<-a.sem
-		return err
+// the first failure cancels the probes its siblings have in flight (the
+// context Each derives from ctx), and the lowest-indexed error returns.
+func (a *Aligner) runStage(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	return flight.Each(ctx, cap(a.sem), n, func(ctx context.Context, i int) error {
+		select {
+		case a.sem <- struct{}{}:
+		default: // full: only now read ctx.Done, which makes its channel
+			select {
+			case a.sem <- struct{}{}:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		defer func() { <-a.sem }()
+		return fn(ctx, i)
 	})
 }
 
@@ -39,8 +47,8 @@ const stageGroup = 16
 // runRanges is runStage over the items 0 … n-1 of a stage, rangeSize of
 // them a task: fn(lo, hi) handles items lo … hi-1. Against endpoints that
 // do not group, a task is one item and issues the probes it always did.
-func (a *Aligner) runRanges(n int, fn func(lo, hi int) error) error {
-	return a.runStage((n+a.rangeSize-1)/a.rangeSize, func(t int) error {
-		return fn(t*a.rangeSize, min(n, (t+1)*a.rangeSize))
+func (a *Aligner) runRanges(ctx context.Context, n int, fn func(ctx context.Context, lo, hi int) error) error {
+	return a.runStage(ctx, (n+a.rangeSize-1)/a.rangeSize, func(ctx context.Context, t int) error {
+		return fn(ctx, t*a.rangeSize, min(n, (t+1)*a.rangeSize))
 	})
 }

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sofya/internal/endpoint"
 	"sofya/internal/ilp"
@@ -329,20 +328,16 @@ func objectFetchFailure(t *testing.T) {
 		a := New(ky, kd, sampling.LinkView{Links: links, KIsA: true}, UBSConfig())
 		memo := new(sampling.ObjectMemo)
 		first, second := make(chan error, 1), make(chan error, 1)
-		go func() { first <- a.val.SimpleEvidenceEach(memo, rule, 10) }()
+		go func() { first <- a.val.SimpleEvidenceEach(context.Background(), memo, rule, 10) }()
 		<-ky.entered
-		go func() { second <- a.val.SimpleEvidenceEach(memo, rule, 10) }()
+		go func() { second <- a.val.SimpleEvidenceEach(context.Background(), memo, rule, 10) }()
 		<-kd.read
 		close(ky.release)
 		if errA, errB := <-first, <-second; !errors.Is(errA, boom) || errB != errA {
 			t.Fatalf("round %d: errors %v and %v; want the fetch's, twice", round, errA, errB)
 		}
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left, %d before", runtime.NumGoroutine(), before)
-		}
-	}
+	waitGoroutines(t, before)
 }
 
 // failFirstObjects fails the first object fetch that reaches it, once
@@ -419,10 +414,10 @@ func (r closeSignal) Close() {
 
 // TestProbeTemplatesCoverTheAligner: every template an aligner prepares —
 // its own, its validators', its candidate prober's — is in
-// ProbeTemplates, and every listed one is prepared.
+// sampling.ProbeTemplates, and every listed one is prepared.
 func TestProbeTemplatesCoverTheAligner(t *testing.T) {
 	listed := map[string]bool{}
-	for _, pt := range ProbeTemplates() {
+	for _, pt := range sampling.ProbeTemplates() {
 		listed[pt.Source] = true
 	}
 	if len(listed) != 5 {
@@ -469,7 +464,7 @@ func TestAlignerReportsPrepareError(t *testing.T) {
 	if _, err := a.AlignRelation(yNS + "creatorOf"); !errors.Is(err, errRefused) {
 		t.Errorf("AlignRelation: %v", err)
 	}
-	if _, err := a.AlignRelationWithin(yNS+"creatorOf", nil); !errors.Is(err, errRefused) {
+	if _, err := a.AlignRelationWithin(context.Background(), yNS+"creatorOf", nil); !errors.Is(err, errRefused) {
 		t.Errorf("AlignRelationWithin: %v", err)
 	}
 }

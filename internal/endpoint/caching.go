@@ -47,7 +47,7 @@ type Caching struct {
 	// — keeps nothing once an execution's last caller leaves.
 	max int
 
-	drains    flight.Group[string, sparql.Result] // SelectCtx and AskCtx in flight
+	drains    flight.Group[string, *sparql.Result] // SelectCtx and AskCtx in flight
 	coalesced atomic.Int64
 
 	mu      sync.Mutex
@@ -154,75 +154,75 @@ func preparedKey(form byte, name, source string, params []string, args []sparql.
 }
 
 func (p *cachingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
-	res, err := p.drain(ctx, 'S', args)
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return p.drain(ctx, 'S', args)
 }
 
 func (p *cachingPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
 	res, err := p.drain(ctx, 'A', args)
-	return res.Ask, err
+	return err == nil && res.Ask, err
 }
 
 // drain answers a SelectCtx ('S') or AskCtx ('A') execution from a
 // complete stored result (a hit, which takes no flight), by joining the
 // identical flight (coalesced), or as its leader — which looks again
 // first, since a flight forgets its key once served: the result of one
-// that finished meanwhile is a hit, not a second run.
-func (p *cachingPrepared) drain(ctx context.Context, form byte, args []sparql.Arg) (sparql.Result, error) {
+// that finished meanwhile is a hit, not a second run. Every caller of a
+// key gets one shared result: a complete entry is never written again.
+func (p *cachingPrepared) drain(ctx context.Context, form byte, args []sparql.Arg) (*sparql.Result, error) {
 	if err := ctx.Err(); err != nil {
-		return sparql.Result{}, err
+		return nil, err
 	}
-	c, key := p.c, p.key(form, args)
-	if res, ok := c.lookup(key, false); ok {
+	key := p.key(form, args)
+	if res := p.c.lookup(key, false); res != nil {
 		return res, nil
 	}
-	if ctx.Done() != nil {
-		// A leader whose context ends leaves its flight running: the
-		// flight reads a copy of the arguments, not the caller's.
-		args = slices.Clone(args)
-	}
-	res, err, shared := c.drains.DoCtx(ctx, key, func() (res sparql.Result, err error) {
-		if res, ok := c.lookup(key, true); ok {
-			return res, nil
-		}
-		ctx := context.WithoutCancel(ctx)
-		if form == 'A' {
-			res.Ask, err = p.inner.AskCtx(ctx, args...)
-		} else {
-			var r *sparql.Result
-			if r, err = p.inner.SelectCtx(ctx, args...); err == nil {
-				res = *r
-			}
-		}
-		if err == nil {
-			c.mu.Lock()
-			c.store(key, res, true)
-			c.mu.Unlock()
-		}
-		return res, err
+	// A leader whose context ends leaves its flight running: the flight
+	// reads a copy of the arguments, not the caller's.
+	args = slices.Clone(args)
+	res, err, shared := p.c.drains.DoCtx(ctx, key, func() (*sparql.Result, error) {
+		return p.run(context.WithoutCancel(ctx), form, key, args)
 	})
 	if shared {
-		c.coalesced.Add(1)
+		p.c.coalesced.Add(1)
 	}
 	return res, err
 }
 
-// lookup returns the complete result stored under key, counting a hit;
-// finding a prefix or nothing counts a miss when miss is set.
-func (c *Caching) lookup(key string, miss bool) (sparql.Result, bool) {
+// run is a drain's flight: the inner execution, its result stored.
+func (p *cachingPrepared) run(ctx context.Context, form byte, key string, args []sparql.Arg) (*sparql.Result, error) {
+	if res := p.c.lookup(key, true); res != nil {
+		return res, nil
+	}
+	var res *sparql.Result
+	var err error
+	if form == 'A' {
+		res = new(sparql.Result)
+		res.Ask, err = p.inner.AskCtx(ctx, args...)
+	} else {
+		res, err = p.inner.SelectCtx(ctx, args...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.c.mu.Lock()
+	p.c.store(key, *res, true)
+	p.c.mu.Unlock()
+	return res, nil
+}
+
+// lookup returns the complete result stored under key, counting a hit,
+// or nil; finding a prefix or nothing counts a miss when miss is set.
+func (c *Caching) lookup(key string, miss bool) *sparql.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.stored(key); e != nil && e.complete {
 		c.stats.Hits++
-		return e.res, true
+		return &e.res
 	}
 	if miss {
 		c.stats.Misses++
 	}
-	return sparql.Result{}, false
+	return nil
 }
 
 // stored returns the entry under key, now the most recently used, or

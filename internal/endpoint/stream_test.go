@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sofya/internal/kb"
 	"sofya/internal/rdf"
@@ -359,6 +360,74 @@ func TestCachingFlightOwnsItsArgs(t *testing.T) {
 	if got := fmt.Sprint(res.Rows); got != "[[<http://x/a0>]]" {
 		t.Errorf("a's objects, after the flight a's cancelled leader left: %s", got)
 	}
+}
+
+// TestCachingFlightsKeepTheirArgs: concurrent drains with distinct
+// arguments go through one Caching, half of them from callers that give
+// up while their flight runs and write into their argument slice as
+// soon as SelectCtx returns. Every inner call sees, from its start to
+// its end, the arguments its key was rendered from, and every stored
+// result is its key's. CI repeats it under the race detector.
+func TestCachingFlightsKeepTheirArgs(t *testing.T) {
+	const callers, calls = 8, 64
+	subject := func(n int) string { return fmt.Sprintf("http://x/s%04d", n) }
+	c := NewCaching(argCheck{NewLocal(bigKB(callers*calls), 1), t}, 0)
+	pq, err := c.Prepare("SELECT ?y WHERE { $x <http://x/p> ?y }", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			args := make([]sparql.Arg, 1)
+			for i := range calls {
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%2 == 1 {
+					time.AfterFunc(time.Duration(i%7)*10*time.Microsecond, cancel)
+				}
+				args[0] = sparql.IRIArg(subject(g*calls + i))
+				pq.SelectCtx(ctx, args...)
+				args[0] = sparql.IRIArg("http://x/overwritten")
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	for n := range callers * calls {
+		res, err := pq.SelectCtx(context.Background(), sparql.IRIArg(subject(n)))
+		if want := fmt.Sprintf("[[<http://x/o%04d>]]", n); err != nil || fmt.Sprint(res.Rows) != want {
+			t.Fatalf("objects of %s: %v, %v; want %s", subject(n), res, err, want)
+		}
+	}
+}
+
+// argCheck fails the test when the arguments of one of its calls change
+// while the call runs.
+type argCheck struct {
+	*Local
+	t *testing.T
+}
+
+func (e argCheck) Prepare(template string, params ...string) (PreparedQuery, error) {
+	pq, err := e.Local.Prepare(template, params...)
+	return argCheckHandle{pq, e.t}, err
+}
+
+type argCheckHandle struct {
+	PreparedQuery
+	t *testing.T
+}
+
+func (h argCheckHandle) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	want := args[0].Key()
+	time.Sleep(50 * time.Microsecond) // long enough for a leader to leave
+	res, err := h.PreparedQuery.SelectCtx(ctx, args...)
+	if got := args[0].Key(); got != want {
+		h.t.Errorf("an inner call's argument went from %s to %s", want, got)
+	}
+	return res, err
 }
 
 // TestCachingStreamCompleteServesSelect: a stream drained to exhaustion

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -241,13 +242,13 @@ func CandidateDifferential(s *Setup, cfg core.Config, topk, maxSources int) (*Di
 		res.CandidateMassRecall += candidates.ScoreRecall(approx, exact)
 
 		start = time.Now()
-		prunedAls, err := prunedAligner.AlignRelationWithin(r, universe(approx))
+		prunedAls, err := prunedAligner.AlignRelationWithin(context.Background(), r, universe(approx))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: pruned align <%s>: %w", r, err)
 		}
 		res.PrunedAlign += time.Since(start)
 		start = time.Now()
-		exactAls, err := exactAligner.AlignRelationWithin(r, universe(exact))
+		exactAls, err := exactAligner.AlignRelationWithin(context.Background(), r, universe(exact))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: exact align <%s>: %w", r, err)
 		}

@@ -289,11 +289,11 @@ func (sc *scratch) release() {
 // to K' as one group (endpoint.SelectBatch). stage runs the tasks: the
 // sample stream, then one per kind of probe that has any — a relation's
 // probes are mostly of one kind, and often none.
-func (v *Validator) Discover(r string, n int, stage func(n int, task func(i int) error) error) (map[string]int, error) {
+func (v *Validator) Discover(ctx context.Context, r string, n int, stage func(ctx context.Context, n int, task func(ctx context.Context, i int) error) error) (map[string]int, error) {
 	entity, literal := newTuples(n, 2), tuples{}
 	var lits []rdf.Term // literal.sets[i] is matched against lits[i]
-	err := stage(1, func(int) error {
-		rows, err := endpoint.StreamBorrowed(context.Background(), v.handle(pSample, false), sparql.IRIArg(r), sparql.IntArg(v.window(n)))
+	err := stage(ctx, 1, func(ctx context.Context, _ int) error {
+		rows, err := endpoint.StreamBorrowed(ctx, v.handle(pSample, false), sparql.IRIArg(r), sparql.IntArg(v.window(n)))
 		if err != nil {
 			return err
 		}
@@ -341,9 +341,9 @@ func (v *Validator) Discover(r string, n int, stage func(n int, task func(i int)
 	if len(literal.sets) == 0 {
 		run = run[:len(run)-1]
 	}
-	err = stage(len(run), func(i int) error {
+	err = stage(ctx, len(run), func(ctx context.Context, i int) error {
 		var err error
-		run[i].results, err = endpoint.SelectBatch(context.Background(), run[i].pq, run[i].argSets)
+		run[i].results, err = endpoint.SelectBatch(ctx, run[i].pq, run[i].argSets)
 		return err
 	})
 	if err != nil {
@@ -402,7 +402,7 @@ func (v *Validator) window(n int) int { return max(40*n, 200) }
 // entities of rsub in K' whose facts translate into K, and returns all
 // their translated rsub facts. A sample window streams row by row — the
 // full window is never materialized at once.
-func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
+func (v *Validator) SampleBodies(ctx context.Context, rsubs []string, n int) ([]*SampleSet, error) {
 	g := newTuples(len(rsubs), 2)
 	for _, rsub := range rsubs {
 		g.add(sparql.IRIArg(rsub), sparql.IntArg(v.window(n)))
@@ -411,7 +411,7 @@ func (v *Validator) SampleBodies(rsubs []string, n int) ([]*SampleSet, error) {
 	out := make([]*SampleSet, len(rsubs))
 	sc := newScratch(0)
 	defer sc.release()
-	err := endpoint.EachSet(context.Background(), v.handle(pSample, true), g.sets, func(i int, rows endpoint.Rows) error {
+	err := endpoint.EachSet(ctx, v.handle(pSample, true), g.sets, func(i int, rows endpoint.Rows) error {
 		out[i] = &sets[i]
 		v.readSample(rows, n, out[i], sc)
 		return nil
@@ -554,7 +554,7 @@ func (v *Validator) relation(memo *ObjectMemo, prime bool, r string) uint32 {
 // fetching. It is the one object fetch of both samplers: Simple Sample
 // Extraction needs the full r-facts of its sampled subjects for the PCA
 // denominator, the UBS check stage those of its overlap subjects.
-func (v *Validator) objectsOf(memo *ObjectMemo, prime bool, keys []objectKey) ([][]rdf.Term, error) {
+func (v *Validator) objectsOf(ctx context.Context, memo *ObjectMemo, prime bool, keys []objectKey) ([][]rdf.Term, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
@@ -566,7 +566,7 @@ func (v *Validator) objectsOf(memo *ObjectMemo, prime bool, keys []objectKey) ([
 		for _, i := range miss {
 			g.add(sparql.IRIArg(keys[i].x), sparql.IRIArg(rels[keys[i].rel].r))
 		}
-		results, err := endpoint.SelectBatch(context.Background(), v.handle(pObjects, prime), g.sets)
+		results, err := endpoint.SelectBatch(ctx, v.handle(pObjects, prime), g.sets)
 		if err != nil {
 			return nil, fmt.Errorf("sampling: objects of %d subjects: %w", len(miss), err)
 		}
@@ -599,12 +599,12 @@ type Rule struct {
 // PairEvidence per translated body fact) and Set: the sample probes of
 // all of them are one group, and the head-object fetches of all their
 // sampled subjects go through memo.
-func (v *Validator) SimpleEvidenceEach(memo *ObjectMemo, rules []Rule, n int) error {
+func (v *Validator) SimpleEvidenceEach(ctx context.Context, memo *ObjectMemo, rules []Rule, n int) error {
 	bodies := make([]string, len(rules))
 	for i := range rules {
 		bodies[i] = rules[i].Body
 	}
-	sets, err := v.SampleBodies(bodies, n)
+	sets, err := v.SampleBodies(ctx, bodies, n)
 	if err != nil {
 		return err
 	}
@@ -620,7 +620,7 @@ func (v *Validator) SimpleEvidenceEach(memo *ObjectMemo, rules []Rule, n int) er
 			sc.keys = append(sc.keys, objectKey{x, head})
 		}
 	}
-	objs, err := v.objectsOf(memo, false, sc.keys)
+	objs, err := v.objectsOf(ctx, memo, false, sc.keys)
 	if err != nil {
 		return err
 	}

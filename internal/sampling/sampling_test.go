@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -116,7 +117,7 @@ func mustValidator(t *testing.T, k, kprime endpoint.Endpoint, links Translator, 
 // sampleBody, simpleEvidence and contradictions run the Validator's
 // group calls for one item.
 func sampleBody(v *Validator, rsub string, n int) (*SampleSet, error) {
-	sets, err := v.SampleBodies([]string{rsub}, n)
+	sets, err := v.SampleBodies(context.Background(), []string{rsub}, n)
 	if err != nil {
 		return nil, err
 	}
@@ -125,13 +126,13 @@ func sampleBody(v *Validator, rsub string, n int) (*SampleSet, error) {
 
 func simpleEvidence(v *Validator, rsub, r string, n int) (*ilp.Evidence, *SampleSet, error) {
 	rules := []Rule{{Body: rsub, Head: r}}
-	err := v.SimpleEvidenceEach(new(ObjectMemo), rules, n)
+	err := v.SimpleEvidenceEach(context.Background(), new(ObjectMemo), rules, n)
 	return rules[0].Ev, rules[0].Set, err
 }
 
 func contradictions(v *Validator, side Side, a, b, check string, m int) (*UBSResult, error) {
 	pairs := []SiblingPair{{A: a, B: b, Check: check}}
-	err := v.ContradictionsEach(new(ObjectMemo), side, pairs, m)
+	err := v.ContradictionsEach(context.Background(), new(ObjectMemo), side, pairs, m)
 	return pairs[0].Res, err
 }
 
@@ -283,7 +284,7 @@ func TestHeadObjects(t *testing.T) {
 	for _, x := range []string{"poly", "c0", "nobody", "poly"} {
 		keys = append(keys, objectKey{yNS + x, v.relation(memo, false, yNS+"creatorOf")})
 	}
-	objs, err := v.objectsOf(memo, false, keys)
+	objs, err := v.objectsOf(context.Background(), memo, false, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,18 +297,18 @@ func TestHeadObjects(t *testing.T) {
 	if q := ky.Stats().Queries; q != 3 {
 		t.Fatalf("K queries = %d, want 3 (one per distinct subject)", q)
 	}
-	if objs, err := v.objectsOf(memo, false, nil); err != nil || objs != nil || ky.Stats().Queries != 3 {
+	if objs, err := v.objectsOf(context.Background(), memo, false, nil); err != nil || objs != nil || ky.Stats().Queries != 3 {
 		t.Fatalf("empty group: %v, %v, %d queries", objs, err, ky.Stats().Queries)
 	}
 	// The memo answers a key it has seen; its Flip asks the same KB from
 	// the other side, so it shares the answers — and asks nothing of the
 	// other KB for them.
 	flip := v.Flip()
-	if _, err := flip.objectsOf(memo, true, []objectKey{{yNS + "c0", flip.relation(memo, true, yNS+"creatorOf")}}); err != nil || ky.Stats().Queries != 3 || kd.Stats().Queries != 0 {
+	if _, err := flip.objectsOf(context.Background(), memo, true, []objectKey{{yNS + "c0", flip.relation(memo, true, yNS+"creatorOf")}}); err != nil || ky.Stats().Queries != 3 || kd.Stats().Queries != 0 {
 		t.Fatalf("flipped validator over the same memo: %v, %d + %d queries", err, ky.Stats().Queries, kd.Stats().Queries)
 	}
 	// The same (x, r) in the other KB is another question.
-	if _, err := v.objectsOf(memo, true, []objectKey{{yNS + "c0", v.relation(memo, true, yNS+"creatorOf")}}); err != nil || kd.Stats().Queries != 1 {
+	if _, err := v.objectsOf(context.Background(), memo, true, []objectKey{{yNS + "c0", v.relation(memo, true, yNS+"creatorOf")}}); err != nil || kd.Stats().Queries != 1 {
 		t.Fatalf("K' objects: %v, %d queries", err, kd.Stats().Queries)
 	}
 }
@@ -432,10 +433,10 @@ func TestSimpleEvidenceEmptyRelation(t *testing.T) {
 // each stage had.
 type inOrder struct{ stages []int }
 
-func (s *inOrder) run(n int, task func(i int) error) error {
+func (s *inOrder) run(ctx context.Context, n int, task func(ctx context.Context, i int) error) error {
 	s.stages = append(s.stages, n)
 	for i := 0; i < n; i++ {
-		if err := task(i); err != nil {
+		if err := task(ctx, i); err != nil {
 			return err
 		}
 	}
@@ -457,7 +458,7 @@ func TestDiscover(t *testing.T) {
 	} {
 		kd.ResetStats()
 		stage := &inOrder{}
-		hits, err := v.Discover(c.r, 10, stage.run)
+		hits, err := v.Discover(context.Background(), c.r, 10, stage.run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +479,7 @@ func TestDiscover(t *testing.T) {
 	// without a Matcher, literal facts are not probed
 	y, d, links := paperWorld()
 	plain := mustValidator(t, endpoint.NewLocal(y, 11), endpoint.NewLocal(d, 22), LinkView{Links: links, KIsA: true}, nil)
-	if hits, err := plain.Discover(yNS+"bornYear", 10, (&inOrder{}).run); err != nil || len(hits) != 0 {
+	if hits, err := plain.Discover(context.Background(), yNS+"bornYear", 10, (&inOrder{}).run); err != nil || len(hits) != 0 {
 		t.Errorf("matcherless literal discovery: %v, %v", hits, err)
 	}
 }
@@ -490,13 +491,13 @@ func TestHeadSiblings(t *testing.T) {
 		{Body: dNS + "hasDirector", Head: yNS + "directedBy"},
 		{Body: dNS + "composerOf", Head: yNS + "creatorOf"},
 	}
-	if err := v.SimpleEvidenceEach(new(ObjectMemo), rules, 10); err != nil {
+	if err := v.SimpleEvidenceEach(context.Background(), new(ObjectMemo), rules, 10); err != nil {
 		t.Fatal(err)
 	}
 	ky.ResetStats()
 	// a rule with no sampled pair has no siblings, and takes none of the
 	// next rule's; movies 0..3 are produced by their director
-	sibs, err := v.HeadSiblings(rules, 14, 4)
+	sibs, err := v.HeadSiblings(context.Background(), rules, 14, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +507,7 @@ func TestHeadSiblings(t *testing.T) {
 	if q := ky.Stats().Queries; q != 12 {
 		t.Fatalf("K queries = %d, want 12 (6 movies, 6 composers)", q)
 	}
-	if sibs, err := v.HeadSiblings(rules[1:2], 2, 0); err != nil || len(sibs[0]) != 0 {
+	if sibs, err := v.HeadSiblings(context.Background(), rules[1:2], 2, 0); err != nil || len(sibs[0]) != 0 {
 		t.Fatalf("keep 0: %v, %v", sibs, err)
 	}
 }

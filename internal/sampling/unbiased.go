@@ -111,7 +111,7 @@ type SiblingPair struct {
 //
 // Entity-entity relations only: rows with literal objects are skipped
 // (literal candidates are validated by the simple sampler alone).
-func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []SiblingPair, m int) error {
+func (v *Validator) ContradictionsEach(ctx context.Context, memo *ObjectMemo, side Side, pairs []SiblingPair, m int) error {
 	translate := v.Links.ToK
 	if side == HeadSide {
 		translate = v.Links.FromK
@@ -130,7 +130,7 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 	found := make([]Contradiction, 0, m*len(pairs))
 	sc := newScratch(m * len(pairs))
 	defer sc.release()
-	err := endpoint.EachSet(context.Background(), v.handle(pOverlap, side == BodySide), g.sets, func(i int, rows endpoint.Rows) error {
+	err := endpoint.EachSet(ctx, v.handle(pOverlap, side == BodySide), g.sets, func(i int, rows endpoint.Rows) error {
 		out := &results[i]
 		pairs[i].Res = out
 		check := v.relation(memo, side == HeadSide, pairs[i].Check)
@@ -160,7 +160,7 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 	if err != nil {
 		return fmt.Errorf("sampling: UBS overlap query (%s,%s) and %d more: %w", pairs[0].A, pairs[0].B, len(pairs)-1, err)
 	}
-	objs, err := v.objectsOf(memo, side == HeadSide, sc.keys)
+	objs, err := v.objectsOf(ctx, memo, side == HeadSide, sc.keys)
 	if err != nil {
 		return err
 	}
@@ -180,7 +180,7 @@ func (v *Validator) ContradictionsEach(memo *ObjectMemo, side Side, pairs []Sibl
 // connecting the most pairs, most first, at most keep of them. The
 // probes of all the rules, one per pair, go to K as one group, drained
 // (endpoint.SelectBatch): each answers a row or two, read whole.
-func (v *Validator) HeadSiblings(rules []Rule, m, keep int) ([][]string, error) {
+func (v *Validator) HeadSiblings(ctx context.Context, rules []Rule, m, keep int) ([][]string, error) {
 	n := 0
 	for _, rule := range rules {
 		n += min(len(rule.Set.Facts), m)
@@ -199,7 +199,7 @@ func (v *Validator) HeadSiblings(rules []Rule, m, keep int) ([][]string, error) 
 			}
 		}
 	}
-	results, err := endpoint.SelectBatch(context.Background(), v.handle(pBetween, false), g.sets)
+	results, err := endpoint.SelectBatch(ctx, v.handle(pBetween, false), g.sets)
 	if err != nil {
 		return nil, err
 	}

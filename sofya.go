@@ -15,33 +15,36 @@
 //	kp := sofya.NewLocalEndpoint(world.Dbp, 2)       // target KB K'
 //	links := sofya.LinkView{Links: world.Links, KIsA: true}
 //	aligner := sofya.NewAligner(k, kp, links, sofya.UBSConfig())
-//	als, err := aligner.AlignRelation("http://yago-knowledge.org/resource/wasBornIn")
+//	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+//	defer cancel()
+//	als, err := aligner.AlignRelationContext(ctx, "http://yago-knowledge.org/resource/wasBornIn")
 //
 // The returned alignments carry the paper's confidence measures, UBS
 // contradiction counts, and the equivalence verdict from the
-// double-subsumption test.
+// double-subsumption test. The caller's context reaches every probe:
+// past the deadline the alignment fails with context.DeadlineExceeded.
 //
 // # Batch alignment
 //
 // Aligning many relations is a concurrent pipeline. Decorate each
 // endpoint with a caching layer — it shares one execution among
 // identical in-flight queries and memoizes the results under an LRU
-// bound — set Config.Parallelism, and call AlignRelations:
+// bound — set Config.Parallelism, and call AlignRelationsContext:
 //
 //	cfg := sofya.UBSConfig()
 //	cfg.Parallelism = 8 // 0 = GOMAXPROCS
 //	qk := sofya.NewCachingEndpoint(k, 0)
 //	qkp := sofya.NewCachingEndpoint(kp, 0)
 //	aligner := sofya.NewAligner(qk, qkp, links, cfg)
-//	results, err := aligner.AlignRelations(world.Report.YagoRelations)
+//	results, err := aligner.AlignRelationsContext(ctx, world.Report.YagoRelations)
 //
 // Relations align concurrently while sharing deduplicated endpoint
 // traffic, and — because a Local endpoint answers a given query
 // identically regardless of execution order — the batch output is
-// byte-identical to the sequential run for fixed endpoint seeds.
-// Every endpoint call takes a context (SelectCtx / AskCtx / Stream) for
-// cancellation and deadlines, and NewAlignerCache memoizes per-relation
-// results with singleflighted misses for query-time serving.
+// byte-identical to the sequential run for fixed endpoint seeds; the
+// first relation to fail cancels the others' probes. Every endpoint call
+// takes a context (SelectCtx / AskCtx / Stream), and NewAlignerCache
+// memoizes per-relation results with singleflighted misses.
 //
 // # Prepared queries
 //
