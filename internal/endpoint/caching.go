@@ -2,11 +2,10 @@ package endpoint
 
 import (
 	"cmp"
-	"container/list"
 	"context"
 	"errors"
 	"slices"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -35,12 +34,12 @@ type CacheStats struct {
 // rendered once per call) share one inner execution — a drain through a
 // flight.Group, a stream through one shared entry — detached from every
 // caller's context: a caller that gives up stops waiting, and the probe
-// completes for the others and for the memo. A successful result, or
-// the prefix a stream drained before its last consumer left, stays in an
-// LRU of maxEntries; errors are never kept. Results are shared: treat
-// rows as read-only. Caching assumes the inner endpoint answers a query
-// identically every time, which Local guarantees (its RAND() streams are
-// derived per query text).
+// completes for the others and for the memo. A successful result, or the
+// prefix a stream drained before its last consumer left, stays in an
+// intrusive LRU of maxEntries; errors are never kept. Results are
+// shared: treat rows as read-only. Caching assumes the inner endpoint
+// answers a query identically every time, which Local guarantees (its
+// RAND() streams are derived per query text).
 type Caching struct {
 	innerStats
 	// max bounds the LRU; 0 — NewCoalescing over anything but a Caching
@@ -51,8 +50,8 @@ type Caching struct {
 	coalesced atomic.Int64
 
 	mu      sync.Mutex
-	entries map[string]*list.Element
-	order   list.List              // front = most recently used
+	entries map[string]*cacheEntry
+	lru     cacheEntry             // the ring's sentinel: next = most recently used
 	streams map[string]*memoStream // streams in flight
 	stats   CacheStats
 }
@@ -62,8 +61,9 @@ type Caching struct {
 type Coalescing = Caching
 
 type cacheEntry struct {
-	key string
-	res sparql.Result
+	prev, next *cacheEntry // the LRU ring through Caching.lru: no allocation of its own
+	key        string
+	res        sparql.Result
 	// complete marks a fully drained result; a stream closed early stores
 	// its drained prefix, which SelectCtx and AskCtx treat as a miss.
 	complete bool
@@ -125,7 +125,8 @@ func (p *cachingPrepared) key(form byte, args []sparql.Arg) string {
 
 // preparedKey renders the memo's key for one execution of a prepared
 // query: the endpoint name, the template source, its parameter
-// declaration order, and the canonical argument renderings. Two prepared
+// declaration order, and the canonical argument renderings (Arg.Key's
+// bytes, in a stack buffer: one allocation a key). Two prepared
 // handles over the same endpoint, template and parameter list — even
 // from different decorator instances or pipeline stages — collide on
 // identical arguments; the parameter names keep handles that declare the
@@ -134,23 +135,22 @@ func (p *cachingPrepared) key(form byte, args []sparql.Arg) string {
 // different endpoints (the shards of a federation group) from answering
 // each other.
 func preparedKey(form byte, name, source string, params []string, args []sparql.Arg) string {
-	var sb strings.Builder
-	sb.Grow(len(name) + len(source) + 16*(len(args)+len(params)) + 5)
-	sb.WriteByte('P')
-	sb.WriteByte(form)
-	sb.WriteByte(0)
-	sb.WriteString(name)
-	sb.WriteByte(0)
-	sb.WriteString(source)
+	var buf [256]byte
+	b := append(append(append(buf[:0], 'P', form, 0), name...), 0)
+	b = append(b, source...)
 	for _, p := range params {
-		sb.WriteByte(0x1e)
-		sb.WriteString(p)
+		b = append(append(b, 0x1e), p...)
 	}
 	for _, a := range args {
-		sb.WriteByte(0x1f)
-		sb.WriteString(a.Key())
+		b = append(b, 0x1f)
+		if t, ok := a.Term(); ok {
+			b = t.Append(b)
+		} else {
+			n, _ := a.Int()
+			b = strconv.AppendInt(b, int64(n), 10)
+		}
 	}
-	return sb.String()
+	return string(b)
 }
 
 func (p *cachingPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
@@ -228,12 +228,21 @@ func (c *Caching) lookup(key string, miss bool) *sparql.Result {
 // stored returns the entry under key, now the most recently used, or
 // nil. c.mu is held.
 func (c *Caching) stored(key string) *cacheEntry {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
+	e := c.entries[key]
+	if e != nil {
+		c.toFront(e)
 	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry)
+	return e
+}
+
+// toFront makes e the most recently used entry, first taking it out of
+// the ring if it is in. c.mu is held.
+func (c *Caching) toFront(e *cacheEntry) {
+	if e.next != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &c.lru, c.lru.next
+	e.next.prev, c.lru.next = e, e
 }
 
 // store keeps a successful result, evicting the least recently used
@@ -252,13 +261,17 @@ func (c *Caching) store(key string, res sparql.Result, complete bool) {
 		return
 	}
 	if c.entries == nil {
-		c.entries = make(map[string]*list.Element)
+		c.entries = make(map[string]*cacheEntry)
+		c.lru.prev, c.lru.next = &c.lru, &c.lru
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res, complete: complete})
-	for c.order.Len() > c.max {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
+	e := &cacheEntry{key: key, res: res, complete: complete}
+	c.entries[key] = e
+	c.toFront(e)
+	for len(c.entries) > c.max {
+		last := c.lru.prev
+		last.prev.next, c.lru.prev = &c.lru, last.prev
+		last.prev, last.next = nil, nil
+		delete(c.entries, last.key)
 		c.stats.Evictions++
 	}
 }
@@ -491,8 +504,7 @@ func (c *Caching) Len() int {
 func (c *Caching) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = nil
-	c.order.Init()
+	c.entries, c.lru = nil, cacheEntry{}
 }
 
 var (

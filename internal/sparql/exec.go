@@ -490,9 +490,9 @@ func (ex *execState) match(tp cpattern, found func() error) error {
 	}
 }
 
-// randPool recycles PRNG states: a rand.Rand over the standard source
-// is 4.9 KiB, and every RAND() execution needs one.
-var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// randPool recycles PRNG states: a rand.Rand over a lazySource is
+// 4.9 KiB, and every RAND() execution needs one.
+var randPool = sync.Pool{New: func() any { return rand.New(new(lazySource)) }}
 
 // fnvOffset is the FNV-64a offset basis, the hash of no bytes.
 const fnvOffset = 14695981039346656037
@@ -510,9 +510,9 @@ func fnv64a[S string | []byte](h uint64, s S) uint64 {
 // It is the single definition of the RAND() stream: the execution path
 // (rng) and the federation merge layer (RandFloats) both draw from it,
 // which is what keeps sharded RAND() results byte-identical to unsharded
-// ones. The state comes from randPool — Seed leaves it exactly as
-// rand.NewSource would create it — and the caller hands it back with
-// randPool.Put when its execution ends.
+// ones. The state comes from randPool — a lazySource, which gives the
+// standard source's draws for the seed but makes only the words they
+// read — and the caller hands it back with randPool.Put when done.
 func randSource(seed int64, fp uint64) *rand.Rand {
 	r := randPool.Get().(*rand.Rand)
 	r.Seed(seed*1_000_003 ^ int64(fp))

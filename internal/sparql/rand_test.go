@@ -22,8 +22,9 @@ import (
 // TestPooledRandStreamIdentical holds the pooled stream to its
 // definition, written out here the way the reference engine writes it:
 // a fresh standard source seeded with seed*1_000_003 XOR the FNV-64a of
-// the text (hash/fnv's, against which fnv64a is held too). A recycled state must give the same draws whatever its
-// previous holder did with it.
+// the text (hash/fnv's, against which fnv64a is held too). A recycled
+// state must give the same draws whatever its previous holder did with
+// it.
 func TestPooledRandStreamIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 1000; i++ {
@@ -52,6 +53,99 @@ func TestPooledRandStreamIdentical(t *testing.T) {
 			}
 		}
 		randPool.Put(got)
+	}
+}
+
+// TestLazySourceMatchesMathRand holds lazySource to math/rand's standard
+// source draw for draw: edge seeds (0 and the multiples of 2³¹−1 that
+// reduce to it, ±1, the int64 extremes, 89482311 — what 0 stands for)
+// and 2,000 random ones, each drawn 1,500 times through Float64, Int63
+// and Uint64 — past the tap's first read of a fed word (draw 274) and
+// the register's wrap (draw 608). One source, dirtied by the previous
+// seed's draws, is re-seeded for each.
+func TestLazySourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, lehmerMod, -lehmerMod, 2 * lehmerMod, 1 << 62, math.MinInt64, math.MaxInt64, 89482311}
+	pick := rand.New(rand.NewSource(45))
+	for len(seeds) < 2010 {
+		seeds = append(seeds, int64(pick.Uint64()))
+	}
+	got := rand.New(new(lazySource))
+	for _, seed := range seeds {
+		got.Seed(seed)
+		want := rand.New(rand.NewSource(seed))
+		for d := 0; d < 1500; d++ {
+			var g, w any
+			switch d % 3 {
+			case 0:
+				g, w = got.Float64(), want.Float64()
+			case 1:
+				g, w = got.Int63(), want.Int63()
+			default:
+				g, w = got.Uint64(), want.Uint64()
+			}
+			if g != w {
+				t.Fatalf("seed %d, draw %d: lazy source gives %v, math/rand %v", seed, d, g, w)
+			}
+		}
+	}
+}
+
+// TestLazySourceMaterializesOnlyWhatItReads counts the register words a
+// lazySource makes, over a register poisoned with a value no word takes
+// here: none on Seed, and two a draw — its tap and its feed — until
+// draw 274 taps the word draw 1 fed.
+func TestLazySourceMaterializesOnlyWhatItReads(t *testing.T) {
+	const poison = 0x5eed5eed5eed5eed
+	var s lazySource
+	for i := range s.vec {
+		s.vec[i] = poison
+	}
+	made := func() (n int) {
+		for _, w := range s.vec {
+			if w != poison {
+				n++
+			}
+		}
+		return n
+	}
+	s.Seed(7)
+	if n := made(); n != 0 {
+		t.Fatalf("Seed made %d words, want 0", n)
+	}
+	for k := 1; k <= rngTap; k++ {
+		s.Uint64()
+		if n := made(); n != 2*k {
+			t.Fatalf("%d draws made %d words, want %d", k, n, 2*k)
+		}
+	}
+}
+
+// BenchmarkRandSeed times one RAND() window's PRNG: a pooled state
+// seeded, then drawn 14 times (the aligner's sample), 200 and 1,000,
+// over the lazy source and over math/rand's standard source.
+func BenchmarkRandSeed(b *testing.B) {
+	for _, src := range []struct {
+		name string
+		new  func() rand.Source
+	}{
+		{"lazy", func() rand.Source { return new(lazySource) }},
+		{"std", func() rand.Source { return rand.NewSource(0) }},
+	} {
+		for _, draws := range []int{14, 200, 1000} {
+			b.Run(fmt.Sprintf("%s/draws=%d", src.name, draws), func(b *testing.B) {
+				r := rand.New(src.new())
+				var sum float64
+				for i := 0; i < b.N; i++ {
+					r.Seed(int64(i))
+					for d := 0; d < draws; d++ {
+						sum += r.Float64()
+					}
+				}
+				if sum < 0 {
+					b.Fatal(sum)
+				}
+			})
+		}
 	}
 }
 
