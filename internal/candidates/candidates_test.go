@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -450,6 +451,47 @@ func TestAllocCeilingProbeTopK(t *testing.T) {
 		t.Fatalf("%.0f allocs/call, ceiling 32", large)
 	}
 	t.Logf("%.0f allocs/call (%d and %d relations scored)", large, touchedSmall, touchedLarge)
+}
+
+// TestProbersShareScratch: a new Prober over an index of the same size
+// takes its accumulators from the scratch an earlier one left in the
+// pool — a batch makes a Prober a pass — so even its first TopK
+// allocates no inventory-length array: fewer bytes than one float64 a
+// relation.
+func TestProbersShareScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled values at random")
+	}
+	source := &hookEndpoint{
+		Endpoint: endpoint.NewLocal(kb.New("empty"), 1),
+		probe: func(func() (*sparql.Result, error)) (*sparql.Result, error) {
+			return &sparql.Result{Vars: []string{"x", "y"}, Rows: [][]rdf.Term{{rdf.NewIRI("http://k/a"), rdf.NewIRI("http://k/b")}}}, nil
+		},
+	}
+	const n = 20_000
+	ix := wordInventory(n, []uint64{subjectKey("http://k/a"), objectKey("http://k/b")})
+	query := ix.rels[n/2]
+	firstCall := make([]uint64, 11) // bytes of each new prober's first TopK
+	for i := range firstCall {
+		pr, err := NewProber(ix, source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := pr.TopK(query, 16)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(c) == 0 {
+			t.Fatalf("TopK: %d candidates, %v", len(c), err)
+		}
+		firstCall[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(firstCall[1:]) // the first prober of all may find the pool empty
+	median := firstCall[1+len(firstCall[1:])/2]
+	t.Logf("a new prober's first call over %d relations: %d bytes (median of %d)", n, median, len(firstCall)-1)
+	if median >= n*8 {
+		t.Fatalf("a new prober's first call allocates %d bytes: it made its own accumulators (one array is %d)", median, n*8)
+	}
 }
 
 // scaleBed caches one mid-size world + index for the benchmarks, so

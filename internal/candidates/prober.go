@@ -15,21 +15,21 @@ import (
 // relations living on a source endpoint. It holds only immutable
 // state — the index, the prepared sampling probe — so any number of
 // goroutines may call TopK/ExactTopK on one Prober without
-// serializing: each call takes its working memory from the prober's
-// scratch pool, and nothing is locked while the sampling probe is out
-// at the source endpoint.
+// serializing: each call takes its working memory from scratchPool,
+// and nothing is locked while the sampling probe is out at the source
+// endpoint.
 type Prober struct {
 	ix     *Index
 	source endpoint.Endpoint
 	probe  endpoint.PreparedQuery
-
-	// scratch pools *probeScratch values sized to ix (per prober, not
-	// package-wide: the accumulators are inventory-length). A used pool
-	// stays on the runtime's list of pools for up to two collections, so
-	// it must not reach the index: it is an object of its own, and New
-	// holds sizes only.
-	scratch *sync.Pool
 }
+
+// scratchPool holds the *probeScratch of every Prober's calls, so that a
+// new Prober over an index of the same size — a batch builds one a pass —
+// reuses the inventory-length accumulators of the last. A scratch holds
+// arrays only: a pool keeps nothing that reaches an index, so a dropped
+// index is collected however long the pool lives.
+var scratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
 
 // probeScratch is the working memory of one TopK/ExactTopK call.
 type probeScratch struct {
@@ -63,17 +63,22 @@ func NewProber(ix *Index, source endpoint.Endpoint) (*Prober, error) {
 	if err != nil {
 		return nil, fmt.Errorf("candidates: preparing source probe against %s: %w", source.Name(), err)
 	}
-	n, hashes := ix.Len(), ix.opt.Hashes
-	p := &Prober{ix: ix, source: source, probe: probe, scratch: &sync.Pool{}}
-	p.scratch.New = func() any {
-		return &probeScratch{
-			sig:   make([]uint64, hashes),
-			name:  make([]float64, n),
-			jac:   make([]float64, n),
-			stamp: make([]uint32, n),
-		}
+	return &Prober{ix: ix, source: source, probe: probe}, nil
+}
+
+// getScratch takes a scratch from scratchPool sized to p's index: its
+// arrays resliced when their capacity suffices, made anew otherwise.
+// Resliced stamps stay valid — every one is from an earlier epoch of the
+// same arrays — so only new arrays start the epochs over.
+func (p *Prober) getScratch() *probeScratch {
+	n, hashes := p.ix.Len(), p.ix.opt.Hashes
+	sc := scratchPool.Get().(*probeScratch)
+	if cap(sc.stamp) < n {
+		sc.name, sc.jac, sc.stamp, sc.epoch = make([]float64, n), make([]float64, n), make([]uint32, n), 0
 	}
-	return p, nil
+	sc.name, sc.jac, sc.stamp = sc.name[:n], sc.jac[:n], sc.stamp[:n]
+	sc.sig = slices.Grow(sc.sig[:0], hashes)[:hashes]
+	return sc
 }
 
 // begin starts a fresh accumulation: no relation is touched.
@@ -81,7 +86,7 @@ func (sc *probeScratch) begin() {
 	sc.touched = sc.touched[:0]
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
-		clear(sc.stamp)
+		clear(sc.stamp[:cap(sc.stamp)])
 		sc.epoch = 1
 	}
 }
@@ -114,8 +119,8 @@ func (p *Prober) TopK(rel string, k int) ([]Candidate, error) {
 // selection is the only approximation, and the experiments measure it as
 // candidate recall. Ordering is deterministic.
 func (p *Prober) TopKContext(ctx context.Context, rel string, k int) ([]Candidate, error) {
-	sc := p.scratch.Get().(*probeScratch)
-	defer p.scratch.Put(sc)
+	sc := p.getScratch()
+	defer scratchPool.Put(sc)
 	if err := p.queryState(ctx, sc, rel); err != nil {
 		return nil, err
 	}
@@ -138,8 +143,8 @@ func (p *Prober) TopKContext(ctx context.Context, rel string, k int) ([]Candidat
 // is linear in the inventory — the differential experiments use it as
 // the unpruned baseline and recall reference.
 func (p *Prober) ExactTopK(rel string, k int) ([]Candidate, error) {
-	sc := p.scratch.Get().(*probeScratch)
-	defer p.scratch.Put(sc)
+	sc := p.getScratch()
+	defer scratchPool.Put(sc)
 	if err := p.queryState(context.Background(), sc, rel); err != nil {
 		return nil, err
 	}

@@ -14,8 +14,8 @@ import (
 // process — in bytes as well as objects: a deployment pays it some fifty
 // times per aligned relation. Measured over a 3-shard HTTP cluster:
 //
-//	one routed stream probe (1 request, 1 row)    10.5 KB / 138 objects
-//	one RAND fan-out of 12 rows (3 requests)      33.1 KB / 442 objects
+//	one routed stream probe (1 request, 1 row)    10.4 KB / 136 objects
+//	one RAND fan-out of 12 rows (3 requests)      32.5 KB / 415 objects
 //
 // The ceilings are 1.25 × that. Before the server prepared a stream's
 // text through the plan cache and decoded forms itself, and the client
@@ -26,7 +26,9 @@ import (
 // one-pattern group without a table, 11.6 KB / 160 and 36.9 KB / 502;
 // before the server bound a canonical text off its shape's skeleton
 // instead of parsing it, and a template rendered a text in one
-// allocation, 11.4 KB / 152 and 36.5 KB / 478.
+// allocation, 11.4 KB / 152 and 36.5 KB / 478; before the client interned
+// the strings it decodes and both sides read a body into a pooled buffer,
+// 10.5 KB / 138 and 33.1 KB / 442.
 func TestAllocCeilingShardRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -39,8 +41,8 @@ func TestAllocCeilingShardRequest(t *testing.T) {
 		args               []sparql.Arg
 		bytes, objects     float64
 	}{
-		{"routed", benchProbeRouted, "x", 1, []sparql.Arg{sparql.IRIArg("http://x/s00007")}, 13_200, 173},
-		{"fanout", benchProbeSmall, "n", smallRows, []sparql.Arg{sparql.IntArg(smallRows)}, 41_400, 552},
+		{"routed", benchProbeRouted, "x", 1, []sparql.Arg{sparql.IRIArg("http://x/s00007")}, 13_000, 170},
+		{"fanout", benchProbeSmall, "n", smallRows, []sparql.Arg{sparql.IntArg(smallRows)}, 40_600, 519},
 	} {
 		pq, err := g.Prepare(c.probe, c.param)
 		if err != nil {
@@ -71,10 +73,11 @@ func TestAllocCeilingShardRequest(t *testing.T) {
 // LIMIT 400 over 4,096 facts, read through EachSet from a 3-shard HTTP
 // group, both sides of the wire in this process. Every shard streams its
 // whole pushdown enumeration, ≈ 1,365 rows, and the merge keeps 400.
-// Measured at 8,743 objects / 173 KB a window, most of the objects the
-// decoded term strings; before the shard servers, the wire decoder and
-// the merge borrowed their rows — each row materialized three times — it
-// was 13,334 objects / 1,257 KB. The ceilings are 2 × that.
+// Measured at 481 objects / 32 KB a window; while the client copied every
+// term string it decoded it was 8,743 objects / 173 KB, and before the
+// shard servers, the wire decoder and the merge borrowed their rows — each
+// row materialized three times — 13,334 objects / 1,257 KB. The ceilings
+// are 2 × that.
 func TestAllocCeilingOrderedWindowOverWire(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -111,7 +114,7 @@ func TestAllocCeilingOrderedWindowOverWire(t *testing.T) {
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	objects := float64(after.Mallocs-before.Mallocs) / runs
 	t.Logf("one window: %.0f bytes, %.1f objects", bytes, objects)
-	if bytes > 346_000 || objects > 17_486 {
-		t.Errorf("one window: %.0f bytes, %.1f objects; ceilings 346000 and 17486", bytes, objects)
+	if bytes > 64_000 || objects > 962 {
+		t.Errorf("one window: %.0f bytes, %.1f objects; ceilings 64000 and 962", bytes, objects)
 	}
 }

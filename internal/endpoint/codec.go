@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -497,6 +499,44 @@ func is(name []byte, field string) bool {
 	return string(name) == field || (len(name) >= len(field) && strings.EqualFold(string(name), field))
 }
 
+// internTable holds one copy of each string the decoder has read off
+// the wire, for every Client and both formats: a result repeats the same
+// few terms, so a decode costs a lookup, not a copy. It keeps at most
+// maxInterned strings, none longer than maxInternLen (a text, not a
+// name), so it holds at most 32 MiB. It is cut by hash into shards, each
+// a locked map cleared when full: a Go map past 1,024 entries grows by
+// two fresh 1,024-slot tables at once (≈ 66 KiB), which one decode
+// would pay, while a shard's largest growth is ≈ 17 KiB.
+var internTable [internShards]struct {
+	sync.Mutex
+	m map[string]string
+}
+
+var internSeed = maphash.MakeSeed()
+
+const maxInterned, internShards, maxInternLen = 1 << 16, 256, 512
+
+// intern returns a string equal to b that shares no memory with it.
+func intern(b []byte) string {
+	if len(b) > maxInternLen {
+		return string(b)
+	}
+	t := &internTable[maphash.Bytes(internSeed, b)%internShards]
+	t.Lock()
+	s, ok := t.m[string(b)]
+	if !ok {
+		if len(t.m) >= maxInterned/internShards {
+			clear(t.m)
+		} else if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		s = string(b)
+		t.m[s] = s
+	}
+	t.Unlock()
+	return s
+}
+
 // rawTerm is a term object as read, before its type is judged.
 type rawTerm struct {
 	typ                   string // "uri" | "bnode" | "literal", or what was there instead
@@ -504,7 +544,8 @@ type rawTerm struct {
 }
 
 // rawTerm reads one term object. Its members are plain strings, so a
-// repeated one simply overwrites.
+// repeated one simply overwrites; its value, language and datatype are
+// interned.
 func (d *jsonDec) rawTerm() (rawTerm, error) {
 	var t rawTerm
 	if err := d.open('{'); err != nil {
@@ -541,7 +582,7 @@ func (d *jsonDec) rawTerm() (rawTerm, error) {
 		// no allocation for the three types every term has one of
 		switch {
 		case field != &t.typ:
-			*field = string(s)
+			*field = intern(s)
 		case string(s) == "uri":
 			t.typ = "uri"
 		case string(s) == "bnode":
@@ -588,7 +629,7 @@ func (d *jsonDec) errRepeated(field string) error {
 	return d.errf("member %q repeated", field)
 }
 
-// stringList reads an array of strings.
+// stringList reads an array of strings, interned.
 func (d *jsonDec) stringList() ([]string, error) {
 	if err := d.open('['); err != nil {
 		return nil, err
@@ -603,7 +644,7 @@ func (d *jsonDec) stringList() ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, string(s))
+		out = append(out, intern(s))
 	}
 }
 

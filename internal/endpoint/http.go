@@ -88,7 +88,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeQueryError(w, err)
 			return
 		}
-		body, _ = MarshalSelect(res)
+		buf := frameBufs.Get().(*[]byte)
+		body = appendSelect((*buf)[:0], res)
+		defer putFrameBuf(buf, body)
 	}
 	w.Header().Set("Content-Type", ResultsContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -132,10 +134,10 @@ func tooManyErr(resp *http.Response, body []byte) error {
 const maxQueryBytes = 1 << 20
 
 // extractQuery reads the protocol request of a GET or a POST. The body
-// of a POST is read here into one buffer, and the form it usually is
-// decoded in one pass (decodeForm); a form a handler in front has
-// parsed, or whose media type is not spelled the way every client
-// spells it, is net/http's to parse.
+// of a POST is read here (readBody) and copied out of its buffer, and
+// the form it usually is decoded in one pass (decodeForm); a form a
+// handler in front has parsed, or whose media type is not spelled the
+// way every client spells it, is net/http's to parse.
 func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 	var vals url.Values
@@ -145,22 +147,17 @@ func extractQuery(w http.ResponseWriter, r *http.Request) (*wireReq, error) {
 	case r.Method == http.MethodGet:
 		vals = r.URL.Query()
 	case raw || ct == "application/x-www-form-urlencoded" && r.PostForm == nil:
-		var body []byte
-		var err error
-		// A declared length is believed before the bytes arrive if short.
-		if n := r.ContentLength; n >= 0 && n <= 64<<10 {
-			body = make([]byte, n)
-			_, err = io.ReadFull(r.Body, body)
-		} else {
-			body, err = io.ReadAll(r.Body)
-		}
+		// Past maxQueryBytes, the MaxBytesReader fails the read.
+		body, pooled, err := readBody(r.Body, r.ContentLength, maxQueryBytes+1)
+		text := string(body)
+		putReadBuf(pooled, body)
 		switch {
 		case err != nil:
 			return nil, err
 		case raw:
-			return &wireReq{query: string(body)}, nil
+			return &wireReq{query: text}, nil
 		}
-		return decodeForm(string(body))
+		return decodeForm(text)
 	default:
 		if err := r.ParseForm(); err != nil {
 			return nil, err
@@ -378,21 +375,26 @@ func (c *Client) postForm(ctx context.Context, form []byte) (*http.Response, err
 // maxAnswerBytes bounds a whole-result answer held in memory.
 const maxAnswerBytes = 64 << 20
 
-// readBody reads a response body of at most limit bytes (more is cut
-// off, and then fails to parse), into a buffer of the declared length
-// when the response has one.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= limit {
-		body := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, body)
-		return body, err
+// readBody reads a whole body of declared length n (-1 if unknown) and
+// of at most limit bytes: more is cut off, and then fails to parse. A
+// declared length up to maxPooledFrameBufs is read into a buffer on loan
+// from readBufs, which the caller gives back with putReadBuf(pooled,
+// body) once nothing it keeps points into it; a longer one is not
+// believed before the bytes arrive, and pooled is nil.
+func readBody(r io.Reader, n, limit int64) (body []byte, pooled *[]byte, err error) {
+	if n >= 0 && n <= min(limit, maxPooledFrameBufs) {
+		pooled, body = readBuf(n)
+		m, err := io.ReadFull(r, body[:n])
+		return body[:m], pooled, err // a short body, not the pool's stale bytes
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, limit))
+	body, err = io.ReadAll(io.LimitReader(r, limit))
+	return body, nil, err
 }
 
 // statusErr turns a non-200 answer into the error it stands for.
 func (c *Client) statusErr(resp *http.Response) error {
-	body, _ := readBody(resp, 1<<20) // a partial body still makes a snippet
+	body, pooled, _ := readBody(resp.Body, resp.ContentLength, 1<<20) // a partial body still makes a snippet
+	defer putReadBuf(pooled, body)
 	if resp.StatusCode == http.StatusTooManyRequests {
 		return tooManyErr(resp, body)
 	}
@@ -400,13 +402,15 @@ func (c *Client) statusErr(resp *http.Response) error {
 }
 
 // document reads a whole-result answer: the results document of a 200,
-// or the error any other status stands for.
+// or the error any other status stands for. The decoded result shares
+// no memory with the body: its strings are interned copies.
 func (c *Client) document(resp *http.Response) (*sparql.Result, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.statusErr(resp)
 	}
-	body, err := readBody(resp, maxAnswerBytes)
+	body, pooled, err := readBody(resp.Body, resp.ContentLength, maxAnswerBytes)
+	defer putReadBuf(pooled, body)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
@@ -24,8 +25,12 @@ import (
 
 // MarshalSelect encodes a SELECT result in SPARQL-results JSON. The
 // error is always nil.
-func MarshalSelect(res *sparql.Result) ([]byte, error) {
-	out := make([]byte, 0, 64+96*len(res.Vars)*len(res.Rows))
+func MarshalSelect(res *sparql.Result) ([]byte, error) { return appendSelect(nil, res), nil }
+
+// appendSelect appends MarshalSelect's document to out, which it first
+// grows by an estimate of the document's length.
+func appendSelect(out []byte, res *sparql.Result) []byte {
+	out = slices.Grow(out, 64+96*len(res.Vars)*len(res.Rows))
 	out = append(out, `{"head":{`...)
 	if len(res.Vars) > 0 {
 		out = append(out, `"vars":`...)
@@ -51,7 +56,7 @@ func MarshalSelect(res *sparql.Result) ([]byte, error) {
 	if res.Truncated {
 		out = append(out, `,"truncated":true`...)
 	}
-	return append(out, '}'), nil
+	return append(out, '}')
 }
 
 // MarshalAsk encodes an ASK result in SPARQL-results JSON. The error is

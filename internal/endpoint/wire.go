@@ -48,14 +48,15 @@ import (
 // handler returns, the client its read buffer (readBufs) when the stream
 // finishes — at its last row, an error or Close. Nothing a stream hands
 // out points into the read buffer: the strings of a decoded frame are
-// copies. Where its rows go depends on who reads them. A stream whose
-// rows are borrowed — every set of a group (multi.go), a StreamBorrowed
-// — decodes each frame into one term buffer on loan from termBufs, which
-// the next frame overwrites and which goes back with the read buffer;
-// its rows are valid until the next Next, and a caller keeping one
-// copies it. A Stream's rows are its caller's: each frame is decoded
-// into a slice of its own. The server encodes each row before it pulls
-// the next, so it reads its endpoint's streams borrowed.
+// interned copies, kept in codec.go's internTable until their shard of
+// it fills and is cleared. Where its rows go depends on who reads them.
+// A stream whose rows are borrowed — every set of a group (multi.go), a
+// StreamBorrowed — decodes each frame into one term buffer on loan from
+// termBufs, which the next frame overwrites and which goes back with the
+// read buffer; its rows are valid until the next Next, and a caller
+// keeping one copies it. A Stream's rows are its caller's: each frame is
+// decoded into a slice of its own. The server encodes each row before it
+// pulls the next, so it reads its endpoint's streams borrowed.
 //
 // A stream carries rows and nothing about their order: the ORDER BY keys
 // of a federated query are evaluated where its shards' streams merge
@@ -167,9 +168,15 @@ func (fw *frameWriter) finish() {
 		}
 		_, _ = fw.w.Write(fw.out)
 	}
-	if cap(fw.out) <= maxPooledFrameBufs {
-		*fw.buf = fw.out
-		frameBufs.Put(fw.buf)
+	putFrameBuf(fw.buf, fw.out)
+}
+
+// putFrameBuf gives b back to frameBufs through p, unless it has grown
+// past maxPooledFrameBufs.
+func putFrameBuf(p *[]byte, b []byte) {
+	if cap(b) <= maxPooledFrameBufs {
+		*p = b
+		frameBufs.Put(p)
 	}
 }
 
@@ -245,8 +252,29 @@ type wireRows struct {
 	done        bool
 }
 
-// readBufs lends streams their read buffers (see the file comment).
+// readBufs lends streams their read buffers (see the file comment), and
+// readBody the buffer a whole body is read into.
 var readBufs = sync.Pool{New: func() any { b := make([]byte, 4<<10); return &b }}
+
+// readBuf lends a buffer from readBufs, of at least n bytes when the
+// pool would take that back.
+func readBuf(n int64) (*[]byte, []byte) {
+	p := readBufs.Get().(*[]byte)
+	b := *p
+	if n > int64(len(b)) && n <= maxPooledFrameBufs {
+		b = make([]byte, n)
+	}
+	return p, b
+}
+
+// putReadBuf gives b back to readBufs through p, unless p is nil or b has
+// grown past maxPooledFrameBufs.
+func putReadBuf(p *[]byte, b []byte) {
+	if b = b[:cap(b)]; p != nil && len(b) <= maxPooledFrameBufs {
+		*p = b
+		readBufs.Put(p)
+	}
+}
 
 // termBufs lends borrowed streams the buffer their frames are decoded
 // into; one that a frame has grown past maxPooledTerms is dropped.
@@ -265,10 +293,8 @@ const maxFrameBytes = 64 << 20
 // reads race on. size is the body's declared length, if any; borrowed
 // says whether the rows are valid only until the next Next.
 func newWireRows(body io.ReadCloser, size int64, sets int, borrowed bool) (*wireRows, error) {
-	r := &wireRows{body: body, pooled: readBufs.Get().(*[]byte), sets: sets}
-	if r.buf = *r.pooled; size > int64(len(r.buf)) && size <= maxPooledFrameBufs {
-		r.buf = make([]byte, size)
-	}
+	r := &wireRows{body: body, sets: sets}
+	r.pooled, r.buf = readBuf(size)
 	if borrowed {
 		r.pooledTerms = termBufs.Get().(*[]rdf.Term)
 		r.terms = *r.pooledTerms
@@ -453,10 +479,7 @@ func (r *wireRows) finish() {
 	r.done = true
 	r.row = nil
 	r.body.Close()
-	if len(r.buf) <= maxPooledFrameBufs {
-		*r.pooled = r.buf
-		readBufs.Put(r.pooled)
-	}
+	putReadBuf(r.pooled, r.buf)
 	r.buf = nil
 	if r.pooledTerms != nil && cap(r.terms) <= maxPooledTerms {
 		clear(r.terms[:cap(r.terms)]) // the pool pins no decoded strings
