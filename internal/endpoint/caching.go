@@ -500,11 +500,14 @@ func (c *Caching) Len() int {
 }
 
 // Purge drops every cached result (counters keep running; a stream in
-// flight keeps what it answered when its last consumer leaves).
+// flight keeps what it answered when its last consumer leaves). The
+// table is kept, emptied, for the next fill: it never holds more than
+// max entries.
 func (c *Caching) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries, c.lru = nil, cacheEntry{}
+	clear(c.entries)
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 }
 
 var (

@@ -84,7 +84,8 @@ func TestAllocCeilingPreparedKey(t *testing.T) {
 // TestCachingLRUOrder runs prepared probes through a memo of three: a
 // hit makes its entry the most recently used, the least recently used
 // one is evicted and runs the inner call again, and a purged memo stores
-// anew. Len and CacheStats agree throughout.
+// anew, in the same order, in the table it kept. Len and CacheStats agree
+// throughout.
 func TestCachingLRUOrder(t *testing.T) {
 	inner := &gatedEndpoint{Local: NewLocal(testKB(), 1)}
 	c := NewCaching(inner, 3)
@@ -128,4 +129,20 @@ func TestCachingLRUOrder(t *testing.T) {
 	run("a", 7)
 	run("a", 7)
 	check(CacheStats{Hits: 5, Misses: 7, Evictions: 3}, 1)
+
+	// A second fill of the purged table evicts in LRU order too.
+	run("b", 8)
+	run("c", 9)
+	run("a", 9)  // a hit: the order is a, c, b
+	run("d", 10) // evicts b
+	check(CacheStats{Hits: 6, Misses: 10, Evictions: 4}, 3)
+	run("c", 10)
+	run("b", 11) // evicts a
+	run("d", 11)
+	run("a", 12) // evicts c
+	check(CacheStats{Hits: 8, Misses: 12, Evictions: 6}, 3)
+	c.Purge()
+	check(CacheStats{Hits: 8, Misses: 12, Evictions: 6}, 0)
+	run("d", 13)
+	check(CacheStats{Hits: 8, Misses: 13, Evictions: 6}, 1)
 }

@@ -98,7 +98,7 @@ func refUnmarshalResults(data []byte) (*sparql.Result, error) {
 	}
 	res := &sparql.Result{Vars: in.Head.Vars, Truncated: in.Truncated}
 	if in.Boolean != nil {
-		res.Ask = *in.Boolean
+		res.Ask, res.Truncated = *in.Boolean, false // an ASK answer has no rows to cut
 		return res, nil
 	}
 	if in.Results == nil {

@@ -153,7 +153,9 @@ func (d *jsonDec) resultsDoc() (*sparql.Result, error) {
 		}
 	}
 	if isAsk {
-		res.Ask, res.Rows = boolean, nil
+		// An ASK answer has no rows to cut: MarshalAsk writes no
+		// "truncated", so none is read.
+		res.Ask, res.Rows, res.Truncated = boolean, nil, false
 	}
 	return res, nil
 }

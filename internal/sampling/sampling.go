@@ -235,17 +235,20 @@ func (t *tuples) add(args ...sparql.Arg) {
 }
 
 // scratch is the bookkeeping of a range call that nothing it returns
-// keeps: the object questions of its rows (keys), and what reading a
-// sample window needs (readSample) — the window's facts in window
-// order, each with its subject's index in the subjects so far, and a
-// count per subject. None of it reaches an endpoint, so it comes from
-// scratchPool (newScratch) and goes back, cleared, when the call
-// returns (release).
+// keeps: the object questions of its rows (keys), what reading a sample
+// window needs (readSample) — the window's facts in window order, each
+// with its subject's index in the subjects so far, and a count per
+// subject — and the overlap rows ContradictionsEach reads before it
+// copies them out (found, with each pair's end offset in ends). None of
+// it reaches an endpoint, so it comes from scratchPool (newScratch) and
+// goes back, cleared, when the call returns (release).
 type scratch struct {
 	keys     []objectKey
 	subjects []string
 	facts    []windowFact
 	start    []int
+	found    []Contradiction
+	ends     []int
 }
 
 // windowFact is a translated fact of a window: subjects[subject] is X.
@@ -271,13 +274,15 @@ func newScratch(n int) *scratch {
 // release hands sc back to scratchPool, cleared; sc must not be used
 // after.
 func (sc *scratch) release() {
-	if max(cap(sc.keys), cap(sc.subjects), cap(sc.facts)) > maxPooledScratch {
+	if max(cap(sc.keys), cap(sc.subjects), cap(sc.facts), cap(sc.found), cap(sc.ends)) > maxPooledScratch {
 		return
 	}
 	clear(sc.keys)
 	clear(sc.subjects)
 	clear(sc.facts)
+	clear(sc.found)
 	sc.keys, sc.subjects, sc.facts = sc.keys[:0], sc.subjects[:0], sc.facts[:0]
+	sc.found, sc.ends = sc.found[:0], sc.ends[:0]
 	scratchPool.Put(sc)
 }
 

@@ -123,19 +123,18 @@ func (v *Validator) ContradictionsEach(ctx context.Context, memo *ObjectMemo, si
 	// Translation alone decides where an overlap stream stops, so each is
 	// read to that point and the group closed before any check object is
 	// fetched: the streams — over HTTP a response body and server-side
-	// enumerations — are not held open across the fetches. found holds,
-	// row after row and pair after pair, the rows of every pair, and
-	// sc.keys the check fetch of each row.
+	// enumerations — are not held open across the fetches. sc.found holds,
+	// row after row and pair after pair, the rows of every pair, sc.ends
+	// where each pair's rows end, and sc.keys the check fetch of each row.
 	results := make([]UBSResult, len(pairs))
-	found := make([]Contradiction, 0, m*len(pairs))
 	sc := newScratch(m * len(pairs))
 	defer sc.release()
 	err := endpoint.EachSet(ctx, v.handle(pOverlap, side == BodySide), g.sets, func(i int, rows endpoint.Rows) error {
 		out := &results[i]
 		pairs[i].Res = out
 		check := v.relation(memo, side == HeadSide, pairs[i].Check)
-		start := len(found)
-		for len(found)-start < m && rows.Next() {
+		start := len(sc.found)
+		for len(sc.found)-start < m && rows.Next() {
 			out.Sampled++
 			row := rows.Row()
 			xp, y1p, y2p := row[0], row[1], row[2]
@@ -150,15 +149,21 @@ func (v *Validator) ContradictionsEach(ctx context.Context, memo *ObjectMemo, si
 				continue
 			}
 			sc.keys = append(sc.keys, objectKey{x, check})
-			found = append(found, Contradiction{X: x, Y1: y1, Y2: y2})
+			sc.found = append(sc.found, Contradiction{X: x, Y1: y1, Y2: y2})
 		}
-		if len(found) > start {
-			out.Rows = found[start:len(found):len(found)]
-		}
+		sc.ends = append(sc.ends, len(sc.found))
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("sampling: UBS overlap query (%s,%s) and %d more: %w", pairs[0].A, pairs[0].B, len(pairs)-1, err)
+	}
+	// What the results keep is one slice of exactly the rows read.
+	found, start := slices.Clone(sc.found), 0
+	for i, end := range sc.ends {
+		if end > start {
+			results[i].Rows = found[start:end:end]
+		}
+		start = end
 	}
 	objs, err := v.objectsOf(ctx, memo, side == HeadSide, sc.keys)
 	if err != nil {

@@ -446,23 +446,23 @@ func liftArgs(q *Query, out []Arg) []Arg {
 	return out
 }
 
-// resolve builds the execution's resolved-value table: parameter
-// values first (in declaration order), then the plan's own constants.
-// Unknown terms resolve to NoTerm, which simply matches nothing.
-func (p *Prepared) resolve(args []Arg) []kb.TermID {
-	res := make([]kb.TermID, len(p.params)+len(p.constTerms))
+// resolve appends the execution's resolved-value table to dst and
+// returns it: parameter values first (in declaration order), then the
+// plan's own constants. Unknown terms resolve to NoTerm, which simply
+// matches nothing.
+func (p *Prepared) resolve(dst []kb.TermID, args []Arg) []kb.TermID {
 	k := p.eng.kb
 	for i, a := range args {
 		if p.params[i].isInt {
-			res[i] = kb.NoTerm
+			dst = append(dst, kb.NoTerm)
 			continue
 		}
-		res[i] = k.Lookup(a.term)
+		dst = append(dst, k.Lookup(a.term))
 	}
-	for i, t := range p.constTerms {
-		res[len(p.params)+i] = k.Lookup(t)
+	for _, t := range p.constTerms {
+		dst = append(dst, k.Lookup(t))
 	}
-	return res
+	return dst
 }
 
 // bind validates an execution's arguments against the handle's

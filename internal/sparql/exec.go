@@ -24,7 +24,10 @@ import (
 // consumer stops pulling.
 var errStop = fmt.Errorf("sparql: enumeration stopped")
 
-// execState is the per-execution scratch of one Prepared run.
+// execState is the per-execution scratch of one Prepared run. It is the
+// engine's, not the caller's: start takes it from execPool and end, once
+// the execution has ended, hands it back — so nothing that outlives an
+// execution (a Result, its rows, a RowIter, a fresh row) points into it.
 type execState struct {
 	p    *Prepared
 	k    *kb.KB
@@ -46,6 +49,9 @@ type execState struct {
 	// state it is the projected row that row-mode key closures read
 	// (cexpr.go), so evaluating a merge key adds no field here.
 	borrowRow []rdf.Term
+	// rowBuf is the one row a borrowed ordered stream writes its window
+	// rows into; it is kept, cleared, with the state.
+	rowBuf []rdf.Term
 
 	// sel and ids are an ordered execution's window, from selectWindow
 	// until releaseWindow: the selector, and the projected ids of its
@@ -55,9 +61,14 @@ type execState struct {
 
 	// planned caches per-execution join orders of EXISTS subgroups;
 	// their bound-register set is fixed by the attachment point, so one
-	// plan serves every row.
+	// plan serves every row. The map is kept, emptied, with the state.
 	planned map[*cgroup]*plannedGroup
 }
+
+// execPool recycles execution states, register file, resolved ids,
+// row buffer and EXISTS plans included: on the sampling probes an
+// execution answers a few rows, so its fixed state is most of its cost.
+var execPool = sync.Pool{New: func() any { return new(execState) }}
 
 // Exec runs the prepared query with positional arguments (one per
 // declared template parameter). It is safe for concurrent use.
@@ -69,23 +80,23 @@ func (p *Prepared) Exec(args ...Arg) (*Result, error) {
 	return p.exec(args)
 }
 
-// start builds the execution state and resolves the effective LIMIT and
-// OFFSET for one run.
+// start takes an execution state from execPool, sized to the plan, and
+// resolves the effective LIMIT and OFFSET for one run. The execution
+// owns the state until it ends, when end hands it back.
 func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
-	ex = &execState{
-		p:    p,
-		k:    p.eng.kb,
-		regs: make([]kb.TermID, p.nslots),
-		res:  p.resolve(args),
+	ex = execPool.Get().(*execState)
+	ex.p, ex.k = p, p.eng.kb
+	ex.regs = slices.Grow(ex.regs[:0], p.nslots)[:p.nslots]
+	for i := range ex.regs {
+		ex.regs[i] = kb.NoTerm
 	}
+	ex.res = p.resolve(ex.res[:0], args)
+	ex.fp = 0
 	if p.usesRand {
 		ex.fp = p.fp
 		if p.bound == nil {
 			ex.fp = p.tmpl.fingerprint(args)
 		}
-	}
-	for i := range ex.regs {
-		ex.regs[i] = kb.NoTerm
 	}
 	limit, offset = p.limit, p.offset
 	if p.limitParam >= 0 {
@@ -97,12 +108,36 @@ func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
 	return ex, limit, offset
 }
 
+// end is where every execution ends — drained, exhausted, closed or
+// failed — and the one place its state goes back to execPool: the PRNG
+// and the window go back to theirs first, the row buffer is cleared so
+// that the pool pins no KB's strings, and a slice above maxPooledScratch
+// is dropped. Call it exactly once per start; the state must not be read
+// afterwards.
+func (ex *execState) end() {
+	ex.releaseRand()
+	ex.releaseWindow()
+	clear(ex.rowBuf)
+	clear(ex.planned)
+	ex.p, ex.k, ex.borrowRow = nil, nil, nil
+	if cap(ex.regs) > maxPooledScratch {
+		ex.regs = nil
+	}
+	if cap(ex.res) > maxPooledScratch {
+		ex.res = nil
+	}
+	if cap(ex.rowBuf) > maxPooledScratch {
+		ex.rowBuf = nil
+	}
+	execPool.Put(ex)
+}
+
 // exec runs the plan by draining the streaming core.
 func (p *Prepared) exec(args []Arg) (*Result, error) {
 	ex, limit, offset := p.start(args)
+	defer ex.end()
 
 	if p.form == AskForm {
-		defer ex.releaseRand()
 		found := false
 		err := ex.runGroup(p.main, func() error {
 			found = true
@@ -120,7 +155,6 @@ func (p *Prepared) exec(args []Arg) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer ex.releaseWindow()
 		if n > 0 {
 			res.Rows = make([][]rdf.Term, n)
 		}
@@ -196,10 +230,6 @@ func (ex *execState) projectRow() []rdf.Term {
 // aborts as soon as yield returns false, so a consumer that stops
 // pulling stops paying.
 func (ex *execState) streamUnordered(limit, offset int, yield func([]rdf.Term) bool) error {
-	// The execution ends here — drained, exhausted, closed early (yield
-	// returns false) or failed — so this is where its PRNG goes back to
-	// the pool.
-	defer ex.releaseRand()
 	if !ex.p.projOK || limit == 0 {
 		// A projected variable the pattern never binds drops every row.
 		return nil
@@ -246,8 +276,8 @@ var idPool = sync.Pool{New: func() any { return new([]kb.TermID) }}
 // ids go into its slot of one flat arena (at most offset+limit slots on
 // the bounded selections, however many rows match), and no term is
 // materialized. It returns the window's row count; windowRow emits them,
-// and releaseWindow must follow once the last is read, or the execution
-// is abandoned. On failure the window is already released.
+// and end must follow once the last is read, or the execution is
+// abandoned. On failure the window is already released.
 func (ex *execState) selectWindow(limit, offset int) (int, error) {
 	defer ex.releaseRand() // the enumeration draws all there is to draw
 	p := ex.p
@@ -317,9 +347,9 @@ func (ex *execState) windowRow(i int, row []rdf.Term) []rdf.Term {
 }
 
 // releaseWindow hands an ordered execution's selector and id arena back
-// to their pools — an arena above maxPooledScratch is dropped — once the
-// execution has ended: exhausted, closed or failed. It is idempotent; no
-// windowRow may follow.
+// to their pools — an arena above maxPooledScratch is dropped — when the
+// selection fails or the execution ends. It is idempotent; no windowRow
+// may follow.
 func (ex *execState) releaseWindow() {
 	if ex.sel != nil {
 		ex.sel.Release()

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"sync"
 
 	"sofya/internal/rdf"
@@ -29,6 +30,9 @@ type RowIter struct {
 	row  []rdf.Term
 	err  error
 	done bool
+	// win is an ordered execution's source (src points at it), so that
+	// an ordered iterator is one allocation.
+	win windowRows
 }
 
 // rowSource is what a RowIter pulls from: an unordered stream's
@@ -40,7 +44,8 @@ type rowSource interface {
 	next() ([]rdf.Term, bool)
 	// err is the error that ended the rows, read once next returned false.
 	err() error
-	// stop abandons the execution before next returned false.
+	// stop abandons the execution. It is idempotent, and a no-op once
+	// next has returned false.
 	stop()
 }
 
@@ -77,9 +82,6 @@ func (it *RowIter) Err() error { return it.err }
 // Close releases the iterator's resources and aborts the underlying
 // enumeration. It is idempotent and implied by exhausting the rows.
 func (it *RowIter) Close() {
-	if it.done {
-		return
-	}
 	it.done = true
 	it.row = nil
 	it.src.stop()
@@ -124,15 +126,19 @@ func (p *Prepared) iter(name string, args []Arg, borrowed bool) (*RowIter, error
 	it := &RowIter{vars: p.vars}
 	switch {
 	case len(p.orderBy) > 0:
-		w := &windowRows{ex: ex, limit: limit, offset: offset}
+		it.win = windowRows{ex: ex, limit: limit, offset: offset, borrowed: borrowed}
 		if borrowed {
-			w.buf = make([]rdf.Term, len(p.projSlot))
+			ex.rowBuf = slices.Grow(ex.rowBuf[:0], len(p.projSlot))[:len(p.projSlot)]
 		}
-		it.src = w
+		it.src = &it.win
+	// An unordered stream's execution ends on its coroutine, as soon as
+	// the core returns. One closed before its first Next never starts
+	// its coroutine: its state is left to the collector, never reused.
 	case borrowed:
 		it.src = pullBorrowed(ex, limit, offset)
 	default:
 		it.src = pull(func(yield func([]rdf.Term) bool) error {
+			defer ex.end()
 			return ex.streamUnordered(limit, offset, yield)
 		})
 	}
@@ -141,14 +147,14 @@ func (p *Prepared) iter(name string, args []Arg, borrowed bool) (*RowIter, error
 
 // windowRows is the rowSource of an ORDER BY execution: the first next
 // runs the selection (selectWindow) in the caller's goroutine, and every
-// next emits one window row — into buf when the rows are borrowed, a
-// fresh row otherwise. The window's scratch goes back to its pools when
-// the rows are exhausted, when the iterator is closed, or when the
-// selection fails.
+// next emits one window row — into the state's rowBuf when the rows are
+// borrowed, a fresh row otherwise. The execution ends (end, once; ex is
+// nil after) when the rows are exhausted, when the iterator is closed,
+// or when the selection fails.
 type windowRows struct {
 	ex            *execState
 	limit, offset int
-	buf           []rdf.Term
+	borrowed      bool
 
 	selected bool
 	n, i     int
@@ -161,16 +167,26 @@ func (w *windowRows) next() ([]rdf.Term, bool) {
 		w.n, w.e = w.ex.selectWindow(w.limit, w.offset)
 	}
 	if w.i >= w.n {
-		w.ex.releaseWindow()
+		w.stop()
 		return nil, false
 	}
-	row := w.ex.windowRow(w.i, w.buf)
+	var buf []rdf.Term
+	if w.borrowed {
+		buf = w.ex.rowBuf
+	}
+	row := w.ex.windowRow(w.i, buf)
 	w.i++
 	return row, true
 }
 
 func (w *windowRows) err() error { return w.e }
-func (w *windowRows) stop()      { w.ex.releaseWindow() }
+
+func (w *windowRows) stop() {
+	if w.ex != nil {
+		w.ex.end()
+		w.ex = nil
+	}
+}
 
 // pulled is the rowSource of an unordered stream: the push-form core
 // runs on an iter.Pull coroutine and hands rows across as they come.
@@ -267,6 +283,9 @@ func pullBorrowed(ex *execState, limit, offset int) *ringRows {
 			ex.borrowRow = rg.slots[si]
 			return true
 		})
+		// The last batch is the ring's, not the state's: the execution
+		// ends before it is handed across.
+		ex.end()
 		if s.runErr == nil && len(buf) > 0 {
 			yield(buf)
 		}
