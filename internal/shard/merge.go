@@ -341,15 +341,16 @@ func rowKey(row []rdf.Term) string {
 // rowDedup is the merge point's DISTINCT filter: one reused key buffer,
 // a map of already-emitted keys. Only a genuinely new row costs an
 // allocation (the map's owned key string); duplicate checks are
-// allocation-free.
+// allocation-free. The zero value is empty.
 type rowDedup struct {
 	seen map[string]struct{}
 	buf  []byte
 }
 
-func newRowDedup() *rowDedup {
-	return &rowDedup{seen: make(map[string]struct{})}
-}
+// maxPooledDedup bounds the entries of a DISTINCT table that pooled
+// merge scratch keeps: a larger one is dropped, not cleared, so the pool
+// never pins a large table.
+const maxPooledDedup = 1 << 8
 
 // dup records the row and reports whether it was already seen.
 func (d *rowDedup) dup(row []rdf.Term) bool {
@@ -357,8 +358,19 @@ func (d *rowDedup) dup(row []rdf.Term) bool {
 	if _, dup := d.seen[string(d.buf)]; dup {
 		return true
 	}
+	if d.seen == nil {
+		d.seen = make(map[string]struct{})
+	}
 	d.seen[string(d.buf)] = struct{}{}
 	return false
+}
+
+// release empties the filter, dropping a table above maxPooledDedup.
+func (d *rowDedup) release() {
+	if len(d.seen) > maxPooledDedup {
+		d.seen = nil
+	}
+	clear(d.seen)
 }
 
 // fanoutRows is the merged stream handed to callers: it applies the
@@ -382,7 +394,7 @@ type fanoutRows struct {
 func newFanoutRows(vars []string, p puller, distinct bool, offset, limit, maxRows int) *fanoutRows {
 	f := &fanoutRows{vars: vars, p: p, offset: offset, limit: limit, maxRows: maxRows}
 	if distinct {
-		f.dedup = newRowDedup()
+		f.dedup = new(rowDedup)
 	}
 	return f
 }
@@ -491,12 +503,13 @@ type orderedMergeSpec struct {
 // A row the selector rejects is dropped while still borrowed; an
 // admitted one is copied into the payload slot the selector names, a
 // reusable term row, so a bounded selection's memory and copies are
-// O(k) over an O(result) enumeration. The slots and the window's
-// emission order live in one pooled mergeScratch, taken when the
-// enumeration starts and handed back at exhaustion or Close: the rows
-// are borrowed, valid until the next Next. An owned merge — a Stream's,
-// a SelectCtx's — copies the window it emits into one slice of its own
-// when the selection ends; that copy's destination is all that differs.
+// O(k) over an O(result) enumeration. The selector, the RAND() stream,
+// the DISTINCT filter, the slots and the window's emission order live in
+// one pooled mergeScratch, taken when the enumeration starts and handed
+// back at exhaustion or Close: the rows are borrowed, valid until the
+// next Next. An owned merge — a Stream's, a SelectCtx's — copies the
+// window it emits into one slice of its own when the selection ends;
+// that copy's destination is all that differs.
 //
 // The enumeration runs on the first Next (ORDER BY cannot emit before
 // seeing every candidate); shard streams close as soon as the merge is
@@ -518,18 +531,21 @@ type orderedRows struct {
 	trunc   bool
 }
 
-// mergeScratch is an ordered merge's working memory: the payload slots
-// the selector names, slot s at terms[s*w:(s+1)*w] for rows w terms
-// wide, and the window in emission order.
+// mergeScratch is an ordered merge's working memory: its selector and
+// RAND() stream, its DISTINCT filter, the payload slots the selector
+// names, slot s at terms[s*w:(s+1)*w] for rows w terms wide, and the
+// window in emission order.
 type mergeScratch struct {
+	sel   sparql.OrderSelector
+	rand  sparql.RandStream
+	dedup rowDedup
 	terms []rdf.Term
 	out   [][]rdf.Term
 }
 
-// mergeScratchPool recycles merge scratch, as sparql pools an ordered
-// execution's selector and id arena; scratch whose slots outgrew
-// maxPooledMergeTerms — an ORDER BY without LIMIT over a large result —
-// is dropped.
+// mergeScratchPool recycles merge scratch, as sparql pools an
+// execution's state; scratch whose slots outgrew maxPooledMergeTerms —
+// an ORDER BY without LIMIT over a large result — is dropped.
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 const maxPooledMergeTerms = 1 << 13
@@ -578,6 +594,8 @@ func (r *orderedRows) finish() {
 	r.row, r.out = nil, nil
 	if sc := r.sc; sc != nil {
 		r.sc = nil
+		sc.sel.Release()
+		sc.dedup.release()
 		if cap(sc.terms) <= maxPooledMergeTerms && cap(sc.out) <= maxPooledMergeTerms {
 			clear(sc.terms[:cap(sc.terms)])
 			clear(sc.out[:cap(sc.out)])
@@ -607,22 +625,17 @@ func (r *orderedRows) run() {
 		}
 		rowKeys = sparql.NewRowKeys(spec.keys)
 	}
-	sel := sparql.NewOrderSelector(desc, spec.orderTotal, lone, spec.offset, spec.limit)
-	defer sel.Release() // r.out keeps the winning payloads, not the selector's slots
+	r.sc = mergeScratchPool.Get().(*mergeScratch)
+	sc, w, slots := r.sc, len(r.vars), 0
+	sel := &sc.sel
+	sel.Reset(desc, spec.orderTotal, lone, spec.offset, spec.limit)
 	if sel.Empty() {
 		r.trunc = r.merge.truncated()
 		r.merge.close()
 		return
 	}
-	var draw func() float64
 	if hasRand {
-		var release func()
-		draw, release = sparql.RandFloats(spec.seed, spec.text)
-		defer release()
-	}
-	var dedup *rowDedup
-	if spec.distinct {
-		dedup = newRowDedup()
+		sc.rand.Seed(spec.seed, spec.text)
 	}
 	// Early close is sound only without RAND keys (every enumerated row
 	// must consume its draw — a closed stream would shift the pairing)
@@ -632,8 +645,6 @@ func (r *orderedRows) run() {
 	// that stream loses the first-key comparison outright.
 	earlyClose := !hasRand && len(spec.keys) > 0 && spec.keys[0].SubjectKey && !desc[0]
 
-	r.sc = mergeScratchPool.Get().(*mergeScratch)
-	sc, w, slots := r.sc, len(r.vars), 0
 	for {
 		row, ok, err := r.merge.next()
 		if err != nil {
@@ -644,16 +655,16 @@ func (r *orderedRows) run() {
 		if !ok {
 			break
 		}
-		if dedup != nil && dedup.dup(row) {
+		if spec.distinct && sc.dedup.dup(row) {
 			continue
 		}
 		var slot int
 		if lone {
-			slot = sel.OfferDraw(draw())
+			slot = sel.OfferDraw(sc.rand.Float64())
 		} else {
 			for i, k := range spec.keys {
 				if k.Rand {
-					keys[i] = sparql.NumValue(draw())
+					keys[i] = sparql.NumValue(sc.rand.Float64())
 				} else {
 					keys[i] = rowKeys.Eval(i, row)
 				}

@@ -35,7 +35,7 @@
 //   - ORDER BY reassembly. Ordered queries are pushed down stripped of
 //     ORDER BY / LIMIT / OFFSET; the merge point re-derives each key on
 //     the reconstructed enumeration: bare RAND() keys are re-drawn from
-//     the engine-identical PRNG stream (sparql.RandFloats over the
+//     the engine-identical PRNG stream (sparql.RandStream over the
 //     original canonical text) in enumeration order, deterministic keys
 //     are re-evaluated over the projected row, and rows are selected
 //     with the engine's own comparator — a bounded top-k heap with

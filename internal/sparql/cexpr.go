@@ -201,7 +201,7 @@ func (c *compiler) lowerCall(x exCall) cexpr {
 		}
 	case "RAND":
 		return func(ex *execState) Value {
-			return numValue(ex.rng().Float64())
+			return numValue(ex.rand.Float64())
 		}
 	}
 	args := make([]cexpr, len(x.args))

@@ -3,7 +3,6 @@ package sparql
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -24,7 +23,8 @@ import (
 // consumer stops pulling.
 var errStop = fmt.Errorf("sparql: enumeration stopped")
 
-// execState is the per-execution scratch of one Prepared run. It is the
+// execState is the per-execution scratch of one Prepared run: every
+// buffer an execution reads and writes is a field of it. It is the
 // engine's, not the caller's: start takes it from execPool and end, once
 // the execution has ended, hands it back — so nothing that outlives an
 // execution (a Result, its rows, a RowIter, a fresh row) points into it.
@@ -33,13 +33,12 @@ type execState struct {
 	k    *kb.KB
 	regs []kb.TermID // register file; NoTerm = unbound
 	res  []kb.TermID // resolved parameter and constant ids
-	rnd  *rand.Rand
-	// fp is the execution's RAND() fingerprint, taken at start when the
-	// plan draws: a concrete query's handle holds it, a template
-	// execution hashes its arguments (Template.fingerprint) — they are
-	// the caller's only for the call that opened the execution, and a
-	// stream draws later.
-	fp uint64
+	// rand is the execution's RAND() stream, seeded at start when the
+	// plan draws: from the handle's fingerprint for a concrete query, or
+	// the hash of its arguments for a template execution
+	// (Template.fingerprint) — they are the caller's only for the call
+	// that opened the execution, and a stream draws later.
+	rand RandStream
 
 	// borrowRow, when non-nil, is the reused projection buffer of a
 	// borrowed-row unordered stream (Prepared.IterBorrowed): every
@@ -49,26 +48,48 @@ type execState struct {
 	// state it is the projected row that row-mode key closures read
 	// (cexpr.go), so evaluating a merge key adds no field here.
 	borrowRow []rdf.Term
-	// rowBuf is the one row a borrowed ordered stream writes its window
-	// rows into; it is kept, cleared, with the state.
-	rowBuf []rdf.Term
+	// rows are a borrowed stream's row buffers: the one row an ordered
+	// stream writes its window rows into, or the ring of borrowBatch
+	// rows an unordered one writes its batches into (ringRows).
+	rows []rdf.Term
 
 	// sel and ids are an ordered execution's window, from selectWindow
-	// until releaseWindow: the selector, and the projected ids of its
-	// kept rows, one slot of len(projSlot) ids each. Both are pooled.
-	sel *OrderSelector
-	ids *[]kb.TermID
+	// until end: the selector, and the projected ids of its kept rows,
+	// one slot of len(projSlot) ids each.
+	sel OrderSelector
+	ids []kb.TermID
+
+	// bound is the planner's bound-register set (boundRegs), distinct
+	// the DISTINCT filter's seen projections.
+	bound    []bool
+	distinct distinctFilter
 
 	// planned caches per-execution join orders of EXISTS subgroups;
 	// their bound-register set is fixed by the attachment point, so one
-	// plan serves every row. The map is kept, emptied, with the state.
+	// plan serves every row.
 	planned map[*cgroup]*plannedGroup
 }
 
-// execPool recycles execution states, register file, resolved ids,
-// row buffer and EXISTS plans included: on the sampling probes an
-// execution answers a few rows, so its fixed state is most of its cost.
+// execPool recycles execution states with every buffer they hold: on
+// the sampling probes an execution answers a few rows, so its fixed
+// state is most of its cost. It is the one pool of the package.
 var execPool = sync.Pool{New: func() any { return new(execState) }}
+
+// maxPooledScratch bounds, in elements, a slice that a pooled state
+// keeps (a selector's entries, an id arena, a ring of rows): a larger
+// one — an ORDER BY without LIMIT over a large result — is dropped, so
+// the pool never pins what one outsized execution grew. The sampling
+// probes' windows (200 to a few thousand rows) stay far below.
+const maxPooledScratch = 1 << 13
+
+// trim empties s for reuse, or drops it once it outgrew
+// maxPooledScratch. Clear what s pins before trimming it.
+func trim[S ~[]E, E any](s S) S {
+	if cap(s) > maxPooledScratch {
+		return nil
+	}
+	return s[:0]
+}
 
 // Exec runs the prepared query with positional arguments (one per
 // declared template parameter). It is safe for concurrent use.
@@ -91,12 +112,12 @@ func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
 		ex.regs[i] = kb.NoTerm
 	}
 	ex.res = p.resolve(ex.res[:0], args)
-	ex.fp = 0
 	if p.usesRand {
-		ex.fp = p.fp
+		fp := p.fp
 		if p.bound == nil {
-			ex.fp = p.tmpl.fingerprint(args)
+			fp = p.tmpl.fingerprint(args)
 		}
+		ex.rand.seed(p.eng.seed, fp)
 	}
 	limit, offset = p.limit, p.offset
 	if p.limitParam >= 0 {
@@ -109,26 +130,19 @@ func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
 }
 
 // end is where every execution ends — drained, exhausted, closed or
-// failed — and the one place its state goes back to execPool: the PRNG
-// and the window go back to theirs first, the row buffer is cleared so
-// that the pool pins no KB's strings, and a slice above maxPooledScratch
-// is dropped. Call it exactly once per start; the state must not be read
-// afterwards.
+// failed — and the one place its state is cleared and goes back to
+// execPool: what could pin a KB's strings or a plan (rows, selector
+// keys, the EXISTS plans) is cleared, a slice above maxPooledScratch and
+// a DISTINCT table above maxPooledDistinct are dropped. Call it exactly
+// once per start; the state must not be read afterwards.
 func (ex *execState) end() {
-	ex.releaseRand()
-	ex.releaseWindow()
-	clear(ex.rowBuf)
+	clear(ex.rows)
 	clear(ex.planned)
 	ex.p, ex.k, ex.borrowRow = nil, nil, nil
-	if cap(ex.regs) > maxPooledScratch {
-		ex.regs = nil
-	}
-	if cap(ex.res) > maxPooledScratch {
-		ex.res = nil
-	}
-	if cap(ex.rowBuf) > maxPooledScratch {
-		ex.rowBuf = nil
-	}
+	ex.regs, ex.res, ex.rows = trim(ex.regs), trim(ex.res), trim(ex.rows)
+	ex.ids, ex.bound = trim(ex.ids), trim(ex.bound)
+	ex.sel.Release()
+	ex.distinct.release()
 	execPool.Put(ex)
 }
 
@@ -176,8 +190,7 @@ func (p *Prepared) exec(args []Arg) (*Result, error) {
 // runGroup plans the main group against the empty register file,
 // applies its pre-step filters and enumerates matches.
 func (ex *execState) runGroup(g *cgroup, emit func() error) error {
-	bound := make([]bool, len(ex.regs))
-	pl := ex.planGroup(g, bound)
+	pl := ex.planGroup(g, ex.boundRegs())
 	for _, fi := range pl.pre {
 		ok, valid := g.filters[fi].pred(ex)
 		if !valid || !ok {
@@ -187,27 +200,51 @@ func (ex *execState) runGroup(g *cgroup, emit func() error) error {
 	return ex.join(g, &pl, 0, emit)
 }
 
-// distinctFilter dedups rows on the projected register snapshot.
+// boundRegs returns the state's bound-register set: which registers
+// hold a value. The planners copy what they need of it.
+func (ex *execState) boundRegs() []bool {
+	ex.bound = slices.Grow(ex.bound[:0], len(ex.regs))[:len(ex.regs)]
+	for i, v := range ex.regs {
+		ex.bound[i] = v != kb.NoTerm
+	}
+	return ex.bound
+}
+
+// distinctFilter dedups rows on the projected register snapshot. The
+// zero value is empty.
 type distinctFilter struct {
 	seen   map[string]struct{}
 	keyBuf []byte
 }
 
-func newDistinctFilter(n int) *distinctFilter {
-	return &distinctFilter{seen: make(map[string]struct{}), keyBuf: make([]byte, 4*n)}
-}
+// maxPooledDistinct bounds the entries of a DISTINCT table that a
+// pooled state keeps: a larger one is dropped, not cleared, so the pool
+// never pins a large table.
+const maxPooledDistinct = 1 << 8
 
 // dup records the current projection and reports whether it was already
 // emitted.
 func (d *distinctFilter) dup(ex *execState) bool {
-	for i, s := range ex.p.projSlot {
-		binary.LittleEndian.PutUint32(d.keyBuf[4*i:], uint32(ex.regs[s]))
+	d.keyBuf = d.keyBuf[:0]
+	for _, s := range ex.p.projSlot {
+		d.keyBuf = binary.LittleEndian.AppendUint32(d.keyBuf, uint32(ex.regs[s]))
 	}
 	if _, dup := d.seen[string(d.keyBuf)]; dup {
 		return true
 	}
+	if d.seen == nil {
+		d.seen = make(map[string]struct{})
+	}
 	d.seen[string(d.keyBuf)] = struct{}{}
 	return false
+}
+
+// release empties the filter, dropping a table above maxPooledDistinct.
+func (d *distinctFilter) release() {
+	if len(d.seen) > maxPooledDistinct {
+		d.seen = nil
+	}
+	clear(d.seen)
 }
 
 // projectRow materializes the projected registers as a term row: a
@@ -235,13 +272,9 @@ func (ex *execState) streamUnordered(limit, offset int, yield func([]rdf.Term) b
 		return nil
 	}
 	p := ex.p
-	var distinct *distinctFilter
-	if p.distinct {
-		distinct = newDistinctFilter(len(p.projSlot))
-	}
 	skipped, emitted := 0, 0
 	err := ex.runGroup(p.main, func() error {
-		if distinct != nil && distinct.dup(ex) {
+		if p.distinct && ex.distinct.dup(ex) {
 			return nil
 		}
 		if skipped < offset {
@@ -263,10 +296,6 @@ func (ex *execState) streamUnordered(limit, offset int, yield func([]rdf.Term) b
 	return nil
 }
 
-// idPool recycles the id arenas of ordered executions, as selectorPool
-// does their selectors.
-var idPool = sync.Pool{New: func() any { return new([]kb.TermID) }}
-
 // selectWindow is the selection half of an ordered execution: it
 // enumerates all matches (ORDER BY needs every row's keys, and RAND()
 // keys must be drawn in enumeration order) and keeps the window
@@ -275,24 +304,17 @@ var idPool = sync.Pool{New: func() any { return new([]kb.TermID) }}
 // its keys evaluated, in enumeration order; an admitted row's projected
 // ids go into its slot of one flat arena (at most offset+limit slots on
 // the bounded selections, however many rows match), and no term is
-// materialized. It returns the window's row count; windowRow emits them,
-// and end must follow once the last is read, or the execution is
-// abandoned. On failure the window is already released.
+// materialized. It returns the window's row count; windowRow emits them
+// until end.
 func (ex *execState) selectWindow(limit, offset int) (int, error) {
-	defer ex.releaseRand() // the enumeration draws all there is to draw
 	p := ex.p
 	if !p.projOK {
 		return 0, nil
 	}
-	sel := NewOrderSelector(p.orderDesc, p.orderTotal, p.orderRand, offset, limit)
-	ex.sel = sel
+	sel := &ex.sel
+	sel.Reset(p.orderDesc, p.orderTotal, p.orderRand, offset, limit)
 	if sel.Empty() {
 		return 0, nil
-	}
-	ex.ids = idPool.Get().(*[]kb.TermID)
-	var distinct *distinctFilter
-	if p.distinct {
-		distinct = newDistinctFilter(len(p.projSlot))
 	}
 	var keys []Value
 	if !p.orderRand {
@@ -300,12 +322,12 @@ func (ex *execState) selectWindow(limit, offset int) (int, error) {
 	}
 	w := len(p.projSlot)
 	err := ex.runGroup(p.main, func() error {
-		if distinct != nil && distinct.dup(ex) {
+		if p.distinct && ex.distinct.dup(ex) {
 			return nil
 		}
 		var slot int
 		if p.orderRand {
-			slot = sel.OfferDraw(ex.rng().Float64())
+			slot = sel.OfferDraw(ex.rand.Float64())
 		} else {
 			for i, kf := range p.orderKeys {
 				keys[i] = kf(ex)
@@ -315,18 +337,15 @@ func (ex *execState) selectWindow(limit, offset int) (int, error) {
 		if slot < 0 {
 			return nil
 		}
-		ids := *ex.ids
-		if slot*w == len(ids) {
-			ids = slices.Grow(ids, w)[:len(ids)+w]
-			*ex.ids = ids
+		if slot*w == len(ex.ids) {
+			ex.ids = slices.Grow(ex.ids, w)[:len(ex.ids)+w]
 		}
 		for i, s := range p.projSlot {
-			ids[slot*w+i] = ex.regs[s]
+			ex.ids[slot*w+i] = ex.regs[s]
 		}
 		return nil
 	})
 	if err != nil && err != errStop {
-		ex.releaseWindow()
 		return 0, err
 	}
 	return sel.Window(), nil
@@ -340,28 +359,10 @@ func (ex *execState) windowRow(i int, row []rdf.Term) []rdf.Term {
 	if row == nil {
 		row = make([]rdf.Term, w)
 	}
-	for j, id := range (*ex.ids)[ex.sel.Slot(i)*w:][:w] {
+	for j, id := range ex.ids[ex.sel.Slot(i)*w:][:w] {
 		row[j] = ex.k.Term(id)
 	}
 	return row
-}
-
-// releaseWindow hands an ordered execution's selector and id arena back
-// to their pools — an arena above maxPooledScratch is dropped — when the
-// selection fails or the execution ends. It is idempotent; no windowRow
-// may follow.
-func (ex *execState) releaseWindow() {
-	if ex.sel != nil {
-		ex.sel.Release()
-		ex.sel = nil
-	}
-	if ex.ids != nil {
-		if cap(*ex.ids) <= maxPooledScratch {
-			*ex.ids = (*ex.ids)[:0]
-			idPool.Put(ex.ids)
-		}
-		ex.ids = nil
-	}
 }
 
 // join recurses over the planned steps, applying each step's attached
@@ -520,53 +521,6 @@ func (ex *execState) match(tp cpattern, found func() error) error {
 	}
 }
 
-// randPool recycles PRNG states: a rand.Rand over a lazySource is
-// 4.9 KiB, and every RAND() execution needs one.
-var randPool = sync.Pool{New: func() any { return rand.New(new(lazySource)) }}
-
-// fnvOffset is the FNV-64a offset basis, the hash of no bytes.
-const fnvOffset = 14695981039346656037
-
-// fnv64a extends the FNV-64a hash h over the bytes of s.
-func fnv64a[S string | []byte](h uint64, s S) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
-}
-
-// randSource derives the deterministic PRNG of one query execution from
-// the engine seed and fp, the FNV-64a hash of the canonical query text.
-// It is the single definition of the RAND() stream: the execution path
-// (rng) and the federation merge layer (RandFloats) both draw from it,
-// which is what keeps sharded RAND() results byte-identical to unsharded
-// ones. The state comes from randPool — a lazySource, which gives the
-// standard source's draws for the seed but makes only the words they
-// read — and the caller hands it back with randPool.Put when done.
-func randSource(seed int64, fp uint64) *rand.Rand {
-	r := randPool.Get().(*rand.Rand)
-	r.Seed(seed*1_000_003 ^ int64(fp))
-	return r
-}
-
-// rng derives the execution's PRNG on first use, exactly like the
-// reference engine: an execution that never draws pays no PRNG seeding.
-func (ex *execState) rng() *rand.Rand {
-	if ex.rnd == nil {
-		ex.rnd = randSource(ex.p.eng.seed, ex.fp)
-	}
-	return ex.rnd
-}
-
-// releaseRand returns the execution's PRNG, if it drew one, to the
-// pool. The execution must not draw afterwards.
-func (ex *execState) releaseRand() {
-	if ex.rnd != nil {
-		randPool.Put(ex.rnd)
-		ex.rnd = nil
-	}
-}
-
 // runExists probes a compiled EXISTS subgroup against the current
 // registers — the nested compiled probe a lowered [NOT] EXISTS closure
 // (cexpr.go) dispatches to. The subgroup's plan is computed on first
@@ -581,11 +535,7 @@ func (ex *execState) runExists(cg *cgroup) (bool, error) {
 	}
 	pl := ex.planned[cg]
 	if pl == nil {
-		bound := make([]bool, len(ex.regs))
-		for i, v := range ex.regs {
-			bound[i] = v != kb.NoTerm
-		}
-		planned := ex.planGroup(cg, bound)
+		planned := ex.planGroup(cg, ex.boundRegs())
 		pl = &planned
 		ex.planned[cg] = pl
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sync"
 
 	"sofya/internal/rdf"
 )
@@ -19,6 +18,13 @@ import (
 // goroutine, and later calls walk it. Draining a RowIter yields exactly
 // the rows Exec would return, byte for byte, RAND() streams included:
 // both run the same cores.
+//
+// Every source ends its execution by one rule: the RowIter ends it
+// (execState.end), once, on the caller's goroutine, when the rows are
+// exhausted or the iterator is closed — after an unordered stream's
+// coroutine has returned (iter.Pull's stop returns once it has). So a
+// borrowed row stays the state's until the reader pulls past it, and a
+// stream closed before its first Next hands its state back too.
 
 // RowIter iterates over the rows of one SELECT execution. It is not
 // safe for concurrent use, but independent iterators obtained from one
@@ -26,6 +32,7 @@ import (
 // (draining to exhaustion closes it implicitly).
 type RowIter struct {
 	vars []string
+	ex   *execState // the execution, nil once it has ended
 	src  rowSource
 	row  []rdf.Term
 	err  error
@@ -44,8 +51,9 @@ type rowSource interface {
 	next() ([]rdf.Term, bool)
 	// err is the error that ended the rows, read once next returned false.
 	err() error
-	// stop abandons the execution. It is idempotent, and a no-op once
-	// next has returned false.
+	// stop abandons the rows, and returns once nothing reads the
+	// execution state any more. It is idempotent, and a no-op once next
+	// has returned false.
 	stop()
 }
 
@@ -60,9 +68,8 @@ func (it *RowIter) Next() bool {
 	}
 	row, ok := it.src.next()
 	if !ok {
-		it.done = true
-		it.row = nil
 		it.err = it.src.err()
+		it.Close()
 		return false
 	}
 	it.row = row
@@ -85,6 +92,10 @@ func (it *RowIter) Close() {
 	it.done = true
 	it.row = nil
 	it.src.stop()
+	if it.ex != nil {
+		it.ex.end()
+		it.ex = nil
+	}
 }
 
 // Iter executes the prepared query as a stream: rows are produced on
@@ -104,12 +115,13 @@ const borrowBatch = 64
 // IterBorrowed is Iter with borrowed rows: Row() returns a buffer that
 // the iterator reuses (treat it as valid only until the next Next)
 // instead of allocating per row — one buffer on an ORDER BY plan, a
-// pooled ring of borrowBatch buffers otherwise. Consumers that inspect
-// rows at a merge point and copy only the winners (the federation's
-// ordered merge), that copy out the terms they keep (the samplers), or
-// that encode each row before the next (the server's frame writer),
-// avoid O(result) row materialization; everything else about the
-// stream — order, RAND() pairing, errors — is byte-identical to Iter.
+// ring of borrowBatch buffers otherwise, both the execution state's.
+// Consumers that inspect rows at a merge point and copy only the winners
+// (the federation's ordered merge), that copy out the terms they keep
+// (the samplers), or that encode each row before the next (the server's
+// frame writer), avoid O(result) row materialization; everything else
+// about the stream — order, RAND() pairing, errors — is byte-identical
+// to Iter.
 func (p *Prepared) IterBorrowed(args ...Arg) (*RowIter, error) {
 	return p.iter("IterBorrowed", args, true)
 }
@@ -123,34 +135,33 @@ func (p *Prepared) iter(name string, args []Arg, borrowed bool) (*RowIter, error
 		return nil, err
 	}
 	ex, limit, offset := p.start(args)
-	it := &RowIter{vars: p.vars}
+	it := &RowIter{vars: p.vars, ex: ex}
 	switch {
 	case len(p.orderBy) > 0:
 		it.win = windowRows{ex: ex, limit: limit, offset: offset, borrowed: borrowed}
 		if borrowed {
-			ex.rowBuf = slices.Grow(ex.rowBuf[:0], len(p.projSlot))[:len(p.projSlot)]
+			ex.borrowRows(1)
 		}
 		it.src = &it.win
-	// An unordered stream's execution ends on its coroutine, as soon as
-	// the core returns. One closed before its first Next never starts
-	// its coroutine: its state is left to the collector, never reused.
 	case borrowed:
 		it.src = pullBorrowed(ex, limit, offset)
 	default:
-		it.src = pull(func(yield func([]rdf.Term) bool) error {
-			defer ex.end()
-			return ex.streamUnordered(limit, offset, yield)
-		})
+		it.src = pull(ex, limit, offset)
 	}
 	return it, nil
 }
 
+// borrowRows lays out n borrowed rows of the projection's width in the
+// state's row buffers.
+func (ex *execState) borrowRows(n int) []rdf.Term {
+	ex.rows = slices.Grow(ex.rows[:0], n*len(ex.p.projSlot))[:n*len(ex.p.projSlot)]
+	return ex.rows
+}
+
 // windowRows is the rowSource of an ORDER BY execution: the first next
 // runs the selection (selectWindow) in the caller's goroutine, and every
-// next emits one window row — into the state's rowBuf when the rows are
-// borrowed, a fresh row otherwise. The execution ends (end, once; ex is
-// nil after) when the rows are exhausted, when the iterator is closed,
-// or when the selection fails.
+// next emits one window row — into the state's row buffer when the
+// rows are borrowed, a fresh row otherwise.
 type windowRows struct {
 	ex            *execState
 	limit, offset int
@@ -167,12 +178,11 @@ func (w *windowRows) next() ([]rdf.Term, bool) {
 		w.n, w.e = w.ex.selectWindow(w.limit, w.offset)
 	}
 	if w.i >= w.n {
-		w.stop()
 		return nil, false
 	}
 	var buf []rdf.Term
 	if w.borrowed {
-		buf = w.ex.rowBuf
+		buf = w.ex.rows
 	}
 	row := w.ex.windowRow(w.i, buf)
 	w.i++
@@ -180,13 +190,7 @@ func (w *windowRows) next() ([]rdf.Term, bool) {
 }
 
 func (w *windowRows) err() error { return w.e }
-
-func (w *windowRows) stop() {
-	if w.ex != nil {
-		w.ex.end()
-		w.ex = nil
-	}
-}
+func (w *windowRows) stop()      {}
 
 // pulled is the rowSource of an unordered stream: the push-form core
 // runs on an iter.Pull coroutine and hands rows across as they come.
@@ -200,126 +204,64 @@ func (s *pulled) next() ([]rdf.Term, bool) { return s.pull() }
 func (s *pulled) err() error               { return s.runErr }
 func (s *pulled) stop()                    { s.cancel() }
 
-// pull wraps the push-form streaming core into a pull source. run must
-// call yield for every result row, in order, and return only real
-// errors (a false yield is a clean stop).
-func pull(run func(yield func([]rdf.Term) bool) error) *pulled {
+// pull runs the unordered core on an iter.Pull coroutine.
+func pull(ex *execState, limit, offset int) *pulled {
 	s := &pulled{}
 	s.pull, s.cancel = iter.Pull(func(yield func([]rdf.Term) bool) {
-		s.runErr = run(yield)
+		s.runErr = ex.streamUnordered(limit, offset, yield)
 	})
 	return s
 }
 
-// ring is the projection buffers of a borrowed unordered stream:
-// borrowBatch rows of one width over one backing, and the batch of them
-// the core hands across the coroutine boundary.
-type ring struct {
-	backing []rdf.Term
-	slots   [][]rdf.Term
-	batch   [][]rdf.Term
-}
-
-// ringPool recycles rings, as idPool does ordered executions' arenas: a
-// borrowed stream takes one when it opens and hands it back when it is
-// exhausted or stopped, so a server streaming answer after answer
-// allocates none. A ring wider than maxPooledScratch terms is dropped.
-var ringPool = sync.Pool{New: func() any {
-	return &ring{slots: make([][]rdf.Term, borrowBatch), batch: make([][]rdf.Term, 0, borrowBatch)}
-}}
-
-// getRing lends a ring of rows nv terms wide.
-func getRing(nv int) *ring {
-	rg := ringPool.Get().(*ring)
-	if cap(rg.backing) < borrowBatch*nv {
-		rg.backing = make([]rdf.Term, borrowBatch*nv)
-	}
-	for i := range rg.slots {
-		rg.slots[i] = rg.backing[i*nv : (i+1)*nv : (i+1)*nv]
-	}
-	return rg
-}
-
-// put hands the ring back, its terms cleared so that the pool pins no
-// KB's strings.
-func (rg *ring) put() {
-	if len(rg.backing) > maxPooledScratch {
-		return
-	}
-	clear(rg.backing)
-	rg.batch = rg.batch[:0]
-	ringPool.Put(rg)
-}
-
 // ringRows is the rowSource of a borrowed unordered stream: the core
-// writes rows into a pooled ring and crosses the coroutine boundary once
-// per batch, which stays readable until the consumer pulls past it. The
-// ring goes back to its pool when the stream is exhausted or stopped.
+// writes rows into a ring of borrowBatch rows (the state's row buffers)
+// and crosses the coroutine boundary once per batch, whose rows stay
+// readable until the consumer pulls past them.
 type ringRows struct {
-	batches func() ([][]rdf.Term, bool)
+	batches func() (int, bool)
 	cancel  func()
-	ring    *ring
-	cur     [][]rdf.Term
-	bi      int
+	ring    []rdf.Term
+	w       int // row width
+	n, i    int // rows in the current batch, rows read of it
 	runErr  error
 }
 
 func pullBorrowed(ex *execState, limit, offset int) *ringRows {
-	s := &ringRows{ring: getRing(len(ex.p.projSlot))}
-	rg := s.ring
-	s.batches, s.cancel = iter.Pull(func(yield func([][]rdf.Term) bool) {
-		buf := rg.batch
-		si := 0
-		ex.borrowRow = rg.slots[0]
-		s.runErr = ex.streamUnordered(limit, offset, func(row []rdf.Term) bool {
-			buf = append(buf, row)
-			si++
-			if si == borrowBatch {
-				if !yield(buf) {
+	s := &ringRows{ring: ex.borrowRows(borrowBatch), w: len(ex.p.projSlot)}
+	s.batches, s.cancel = iter.Pull(func(yield func(int) bool) {
+		n := 0
+		ex.borrowRow = s.row(0)
+		s.runErr = ex.streamUnordered(limit, offset, func([]rdf.Term) bool {
+			if n++; n == borrowBatch {
+				if !yield(n) {
 					return false
 				}
-				buf, si = buf[:0], 0
+				n = 0
 			}
-			ex.borrowRow = rg.slots[si]
+			ex.borrowRow = s.row(n)
 			return true
 		})
-		// The last batch is the ring's, not the state's: the execution
-		// ends before it is handed across.
-		ex.end()
-		if s.runErr == nil && len(buf) > 0 {
-			yield(buf)
+		if s.runErr == nil && n > 0 {
+			yield(n)
 		}
 	})
 	return s
 }
 
+// row is the ring's i-th row.
+func (s *ringRows) row(i int) []rdf.Term { return s.ring[i*s.w : (i+1)*s.w : (i+1)*s.w] }
+
 func (s *ringRows) next() ([]rdf.Term, bool) {
-	for s.bi >= len(s.cur) {
-		b, ok := s.batches()
+	if s.i == s.n {
+		n, ok := s.batches()
 		if !ok {
-			s.release()
 			return nil, false
 		}
-		s.cur, s.bi = b, 0
+		s.n, s.i = n, 0
 	}
-	row := s.cur[s.bi]
-	s.bi++
-	return row, true
+	s.i++
+	return s.row(s.i - 1), true
 }
 
 func (s *ringRows) err() error { return s.runErr }
-
-// stop ends the coroutine — iter.Pull's stop returns once it has — and
-// only then hands the ring back.
-func (s *ringRows) stop() {
-	s.cancel()
-	s.release()
-}
-
-func (s *ringRows) release() {
-	if s.ring != nil {
-		s.cur = nil
-		s.ring.put()
-		s.ring = nil
-	}
-}
+func (s *ringRows) stop()      { s.cancel() }

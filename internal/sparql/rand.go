@@ -2,6 +2,45 @@ package sparql
 
 import "math/rand"
 
+// RandStream is the RAND() draw stream of one query execution, the
+// single definition of it: an engine seeded with seed draws, for a query
+// whose canonical text hashes (FNV-64a) to fp, from the standard
+// generator seeded with seed*1_000_003 XOR fp. The execution path
+// (execState) and the federation merge (internal/shard) both draw from
+// it, which is what keeps sharded RAND() results byte-identical to
+// unsharded ones. Its state is a lazySource, made on the first Seed and
+// kept with whatever holds the stream (a pooled execution state, a
+// merge's scratch): seeding it again costs O(1) and makes only the
+// words the draws read. A stream must be seeded before its first draw.
+type RandStream struct{ r *rand.Rand }
+
+// Seed starts the stream an engine seeded with seed draws for the
+// canonical text of a query.
+func (s *RandStream) Seed(seed int64, canonicalText string) {
+	s.seed(seed, fnv64a(fnvOffset, canonicalText))
+}
+
+func (s *RandStream) seed(seed int64, fp uint64) {
+	if s.r == nil {
+		s.r = rand.New(new(lazySource))
+	}
+	s.r.Seed(seed*1_000_003 ^ int64(fp))
+}
+
+// Float64 is the stream's next draw, in [0, 1).
+func (s *RandStream) Float64() float64 { return s.r.Float64() }
+
+// fnvOffset is the FNV-64a offset basis, the hash of no bytes.
+const fnvOffset = 14695981039346656037
+
+// fnv64a extends the FNV-64a hash h over the bytes of s.
+func fnv64a[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
 // lazySource is math/rand's standard generator — the same 607-word
 // lagged Fibonacci register, tap and feed, so the same draws for the
 // same seed — seeded lazily: Seed keeps the reduced seed x₀, and word i

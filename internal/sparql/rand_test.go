@@ -15,30 +15,31 @@ import (
 	"sofya/internal/rdf"
 )
 
-// rand_test.go covers the RAND() stream's plumbing: the pooled PRNG
-// state (randSource) and the cost of the sampling-probe shape it feeds
-// (selectWindow's OfferDraw branch).
+// rand_test.go covers the RAND() stream's plumbing: the stream an
+// execution state or a merge keeps and re-seeds (RandStream) and the
+// cost of the sampling-probe shape it feeds (selectWindow's OfferDraw
+// branch).
 
-// TestPooledRandStreamIdentical holds the pooled stream to its
+// TestPooledRandStreamIdentical holds the kept stream to its
 // definition, written out here the way the reference engine writes it:
 // a fresh standard source seeded with seed*1_000_003 XOR the FNV-64a of
-// the text (hash/fnv's, against which fnv64a is held too). A recycled
-// state must give the same draws whatever its previous holder did with
+// the text (hash/fnv's, against which fnv64a is held too). A re-seeded
+// stream must give the same draws whatever its previous holder did with
 // it.
 func TestPooledRandStreamIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	var got RandStream
 	for i := 0; i < 1000; i++ {
-		// Dirty a state and hand it back: the next randSource on this
-		// goroutine is likely to get it.
-		prior := randSource(rng.Int63(), fnv64a(fnvOffset, "prior"))
+		// Dirty the stream, as a previous holder would: the next Seed
+		// must forget everything it drew.
+		got.Seed(rng.Int63(), "prior")
 		for j := rng.Intn(700); j > 0; j-- {
 			if j%3 == 0 {
-				prior.Int63()
+				got.r.Int63()
 			} else {
-				prior.Float64()
+				got.Float64()
 			}
 		}
-		randPool.Put(prior)
 
 		seed := rng.Int63() - 1<<62
 		text := fmt.Sprintf("SELECT ?x WHERE { ?x <http://x/p%d> ?y } ORDER BY RAND() LIMIT %d", rng.Intn(50), i)
@@ -46,13 +47,12 @@ func TestPooledRandStreamIdentical(t *testing.T) {
 		io.WriteString(h, text)
 		want := rand.New(rand.NewSource(seed*1_000_003 ^ int64(h.Sum64())))
 
-		got := randSource(seed, fnv64a(fnvOffset, text))
+		got.Seed(seed, text)
 		for d := 0; d < 256; d++ {
 			if g, w := got.Float64(), want.Float64(); g != w {
 				t.Fatalf("pair %d, draw %d: pooled stream gives %v, a fresh source %v", i, d, g, w)
 			}
 		}
-		randPool.Put(got)
 	}
 }
 
@@ -303,8 +303,8 @@ func TestAllocCeilingRandSample(t *testing.T) {
 		t.Fatalf("%.0f allocs/op over 10³ facts, %.0f over 10⁵: the selection is not bounded by the LIMIT", small, large)
 	}
 	// 200 result rows, the result's row slice and the execution's fixed
-	// state: the selector and its arena come from their pools. Measured
-	// at 220.
+	// state: the selector and its arena come with the pooled state.
+	// Measured at 202 (203 while they had pools of their own).
 	if large > 228 {
 		t.Fatalf("%.0f allocs/op, ceiling 228", large)
 	}
@@ -313,10 +313,10 @@ func TestAllocCeilingRandSample(t *testing.T) {
 
 // TestAllocCeilingBorrowedWindow pins what a borrowed stream of a
 // sampling probe allocates: the iterator and what planning the join
-// costs — the execution's state, its row buffer and its window come
-// from pools — whether the 200-row window is read to its end or closed
-// after sampleEarlyClose rows, over a relation of 10³ subjects and one
-// of 10⁵. A row allocated per emission, a selection that buffered every
+// costs — the execution's state, with its row buffer and its window,
+// comes from the pool — whether the 200-row window is read to its end
+// or closed after sampleEarlyClose rows, over a relation of 10³
+// subjects and one of 10⁵. A row allocated per emission, a selection that buffered every
 // match or scratch that is not reused would each break the equality.
 func TestAllocCeilingBorrowedWindow(t *testing.T) {
 	if raceEnabled {
@@ -350,9 +350,11 @@ func TestAllocCeilingBorrowedWindow(t *testing.T) {
 					probe.name, counts, sampleEarlyClose, sampleEarlyClose)
 			}
 		}
-		// Measured at 2 (sample) and 10 (overlap, whose NOT EXISTS plans
-		// its subgroup); 7 and 17 while every execution made its state.
-		if ceiling := map[string]float64{"sample": 2, "overlap": 12}[probe.name]; counts[0] > ceiling {
+		// Measured at 1 (sample) and 8 (overlap, whose NOT EXISTS plans
+		// its subgroup); 2 and 10 while the planner's bound set was made
+		// per execution and the selector, id arena and PRNG had pools of
+		// their own, 7 and 17 while every execution made its state.
+		if ceiling := map[string]float64{"sample": 1, "overlap": 10}[probe.name]; counts[0] > ceiling {
 			t.Fatalf("%s: %.0f allocs/op, ceiling %.0f", probe.name, counts[0], ceiling)
 		}
 		t.Logf("%s: %.0f allocs/op", probe.name, counts[0])

@@ -8,7 +8,7 @@ import "sofya/internal/rdf"
 // deterministic ORDER BY key lowered by the engine's own expression
 // compiler over the projected row and evaluated through RowKeys),
 // NumValue to box a re-drawn RAND() key, and the seed ⊕ canonical text
-// PRNG stream (RandFloats).
+// PRNG stream (RandStream, rand.go).
 // The selection itself, key comparison included, is OrderSelector
 // (topk.go). Everything is the definition the engine executes, so the
 // merge point reproduces engine semantics exactly instead of
@@ -18,7 +18,7 @@ import "sofya/internal/rdf"
 type ShardOrderKey struct {
 	// Rand marks a bare RAND() key: its value is not a function of the
 	// row but the next draw of the query's PRNG stream, taken in
-	// enumeration order — the merge layer re-draws it from RandFloats.
+	// enumeration order — the merge layer re-draws it from a RandStream.
 	Rand bool
 	// Desc is the key's sort direction.
 	Desc bool
@@ -260,14 +260,3 @@ func (r *RowKeys) Eval(i int, row []rdf.Term) Value {
 // NumValue wraps a float as the numeric Value RAND() keys produce: the
 // merge boxes a re-drawn RAND() key that shares its list with others.
 func NumValue(f float64) Value { return numValue(f) }
-
-// RandFloats returns the RAND() draw stream an engine with the given
-// seed derives for the canonical text of a query — the same stream, in
-// the same order, that the engine pairs with rows as it enumerates
-// them. The merge layer uses it to re-assign RAND keys to merged rows
-// in reconstructed enumeration order. release returns the stream's
-// state for reuse; draw must not be called after it.
-func RandFloats(seed int64, canonicalText string) (draw func() float64, release func()) {
-	r := randSource(seed, fnv64a(fnvOffset, canonicalText))
-	return r.Float64, func() { randPool.Put(r) }
-}

@@ -121,7 +121,7 @@ func TestAnalyzeShardShapes(t *testing.T) {
 	}
 }
 
-func TestRandFloatsMatchesEngineStream(t *testing.T) {
+func TestRandStreamMatchesEngineStream(t *testing.T) {
 	k := kb.New("rand")
 	for i := 0; i < 20; i++ {
 		k.AddIRIs(
@@ -146,8 +146,9 @@ func TestRandFloatsMatchesEngineStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	draw, release := RandFloats(42, q.String())
-	defer release()
+	var stream RandStream
+	stream.Seed(42, q.String())
+	draw := stream.Float64
 	type keyed struct {
 		row []rdf.Term
 		k   float64

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // topk.go is how an ORDER BY [OFFSET] [LIMIT] picks and orders its
@@ -41,12 +40,13 @@ import (
 // row is evicted, so a bounded selection never has more than
 // offset+limit payloads live over an enumeration of any length.
 //
-// Selectors come from a pool, entries and all, so a probe that runs
-// again finds its selection's room already grown: the caller hands it
-// back with Release when the execution ends, whichever way it ends.
+// A selector is held by value in something pooled — an execution's
+// state, a merge's scratch — and Reset for each selection, so a probe
+// that runs again finds its selection's room already grown: its holder
+// calls Release when the selection's rows have been read.
 //
-// The zero value is not usable; construct with NewOrderSelector. An
-// OrderSelector is not safe for concurrent use.
+// The zero value selects nothing until Reset. An OrderSelector is not
+// safe for concurrent use.
 type OrderSelector struct {
 	desc   []bool
 	rand   bool // entries order by draw, not by key list
@@ -61,47 +61,30 @@ type OrderSelector struct {
 	lo     int     // the window's first entry, once Window has cut it
 }
 
-// maxPooledScratch bounds, in elements, a selection buffer that goes
-// back to its pool (a selector's entries, an execution's id arena): a
-// larger one — an ORDER BY without LIMIT over a large result — is
-// dropped, so a pool never pins what one outsized execution grew. The
-// sampling probes' windows (200 to a few thousand rows) stay far below.
-const maxPooledScratch = 1 << 13
-
-// selectorPool recycles selectors with their entries and keys.
-var selectorPool = sync.Pool{New: func() any { return new(OrderSelector) }}
-
 type selEntry struct {
 	f    float64 // the draw, when rand
 	idx  int     // enumeration index
 	slot int     // payload slot
 }
 
-// NewOrderSelector returns the selector for one execution: desc are the
-// keys' Desc flags (not read when rand), total reports a statically
+// Reset starts a selection, keeping the room of the last one: desc are
+// the keys' Desc flags (not read when rand), total reports a statically
 // total key list, rand the lone ascending bare RAND() (which is total),
 // limit < 0 no LIMIT.
-func NewOrderSelector(desc []bool, total, rand bool, offset, limit int) *OrderSelector {
-	s := selectorPool.Get().(*OrderSelector)
+func (s *OrderSelector) Reset(desc []bool, total, rand bool, offset, limit int) {
 	*s = OrderSelector{desc: desc, rand: rand, total: total, offset: offset, target: -1, ents: s.ents[:0], keys: s.keys[:0]}
 	if limit >= 0 {
 		s.target = offset + limit
 	}
-	return s
 }
 
-// Release ends the selection and hands the selector back to its pool,
-// entries and cleared keys included unless they outgrew
-// maxPooledScratch. Call it once, after the last Slot: neither the
-// selector nor its slots may be read afterwards (the payloads, being
-// the caller's, stay valid).
+// Release ends the selection: the kept keys are cleared, so that the
+// selector pins no Value, and entries or keys above maxPooledScratch are
+// dropped. Call it after the last Slot; the slots may not be read
+// afterwards (the payloads, being the caller's, stay valid).
 func (s *OrderSelector) Release() {
-	if cap(s.ents) > maxPooledScratch || cap(s.keys) > maxPooledScratch {
-		return
-	}
 	clear(s.keys)
-	*s = OrderSelector{ents: s.ents[:0], keys: s.keys[:0]}
-	selectorPool.Put(s)
+	*s = OrderSelector{ents: trim(s.ents), keys: trim(s.keys)}
 }
 
 // slotKeys returns the keys kept for a payload slot.

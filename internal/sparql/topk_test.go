@@ -64,7 +64,8 @@ var selectorShapes = []selectorShape{
 // payload, the way selectWindow and the merge drive it, and checks the
 // slot contract and Worst on the way.
 func viaSelector(t *testing.T, sh selectorShape, rows [][]Value, desc []bool, offset, limit int) []int {
-	sel := NewOrderSelector(desc, sh.total, sh.rand, offset, limit)
+	var sel OrderSelector
+	sel.Reset(desc, sh.total, sh.rand, offset, limit)
 	if sel.Empty() != (limit == 0 && offset == 0) {
 		t.Fatalf("Empty() = %v with offset %d limit %d", sel.Empty(), offset, limit)
 	}
