@@ -39,10 +39,13 @@ type cfilter struct {
 	exists   bool // top-level [NOT] EXISTS: attaches after the last step
 }
 
-// cgroup is a compiled basic graph pattern.
+// cgroup is a compiled basic graph pattern. ix numbers it within its
+// plan (the main group is 0), and off is where its plan lies in an
+// execution's plan words: one word per pattern, then one per filter.
 type cgroup struct {
 	pats    []cpattern
 	filters []cfilter
+	ix, off int
 }
 
 // paramSpec describes one declared parameter of a compiled template.
@@ -78,7 +81,9 @@ type compiled struct {
 	nslots   int
 	slots    map[string]int32
 	main     *cgroup
-	mainBind []bool // slots bound by the main group's patterns
+	groups   []*cgroup // every group, by ix: main, then EXISTS subgroups
+	nwords   int       // plan words of all groups (cgroup.off)
+	mainBind []bool    // slots bound by the main group's patterns
 	orderBy  []OrderKey
 	// orderKeys are the lowered ORDER BY expressions, one per orderBy
 	// entry, evaluated per surviving row; orderDesc are their Desc
@@ -94,9 +99,9 @@ type compiled struct {
 	offsetParam int32      // parameter index for OFFSET (lifted plans), or -1
 
 	// usesRand marks queries whose results depend on the RAND() stream;
-	// they are planned with the greedy order of the reference engine
-	// (naive_test.go) so that the per-row draw sequence — and therefore
-	// the output bytes — match it exactly.
+	// their plans skip the cardinality estimate, which leaves the greedy
+	// order of the reference engine (naive_test.go), so that the per-row
+	// draw sequence — and therefore the output bytes — match it exactly.
 	usesRand bool
 	// orderTotal marks ORDER BY key lists whose values are totally
 	// ordered on every row (currently: every key is numeric by
@@ -130,6 +135,7 @@ type compiler struct {
 	slots    map[string]int32
 	exists   map[*GroupPattern]*cgroup
 	groups   []*cgroup
+	nwords   int
 	err      error
 	// rows marks row mode, in which slots maps each projected variable
 	// to its column and a variable reads the projected row
@@ -185,6 +191,7 @@ func (e *Engine) compile(q *Query, tmpl *Template) (*Prepared, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
+	p.groups, p.nwords = c.groups, c.nwords
 	p.slots = c.slots
 	p.nslots = len(c.slots)
 	p.params = c.params
@@ -233,7 +240,7 @@ func (e *Engine) compile(q *Query, tmpl *Template) (*Prepared, error) {
 		}
 	}
 
-	// RAND() anywhere forces reference-greedy planning (see plan.go).
+	// RAND() anywhere plans without the estimate (see plan.go).
 	for _, g := range c.groups {
 		for _, f := range g.filters {
 			if exprUsesRand(f.expr) {
@@ -293,7 +300,7 @@ func (c *compiler) assignSlots(g *GroupPattern) {
 // group compiles one basic graph pattern and, recursively, the EXISTS
 // subgroups referenced by its filters.
 func (c *compiler) group(g *GroupPattern) *cgroup {
-	cg := &cgroup{}
+	cg := &cgroup{ix: len(c.groups)}
 	c.groups = append(c.groups, cg)
 	for _, tp := range g.Triples {
 		cg.pats = append(cg.pats, cpattern{c.term(tp.S), c.term(tp.P), c.term(tp.O)})
@@ -320,6 +327,8 @@ func (c *compiler) group(g *GroupPattern) *cgroup {
 			}
 		})
 	}
+	cg.off = c.nwords
+	c.nwords += len(cg.pats) + len(cg.filters)
 	return cg
 }
 

@@ -40,15 +40,15 @@ type execState struct {
 	// that opened the execution, and a stream draws later.
 	rand RandStream
 
-	// borrowRow, when non-nil, is the reused projection buffer of a
-	// borrowed-row unordered stream (Prepared.IterBorrowed): every
-	// emitted row is written into it instead of a fresh allocation, so
-	// the consumer must copy rows it keeps. nil = materialize a fresh row
-	// per emission (the default contract). Its second use: in RowKeys'
-	// state it is the projected row that row-mode key closures read
-	// (cexpr.go), so evaluating a merge key adds no field here.
+	// borrowRow, when non-nil, is the reused projection buffer of an
+	// unordered stream (ringRows): every emitted row is written into it
+	// instead of a fresh allocation, so the consumer must copy rows it
+	// keeps. nil = materialize a fresh row per emission (Exec). Its
+	// second use: in RowKeys' state it is the projected row that
+	// row-mode key closures read (cexpr.go), so evaluating a merge key
+	// adds no field here.
 	borrowRow []rdf.Term
-	// rows are a borrowed stream's row buffers: the one row an ordered
+	// rows are a stream's row buffers: the one row a borrowed ordered
 	// stream writes its window rows into, or the ring of borrowBatch
 	// rows an unordered one writes its batches into (ringRows).
 	rows []rdf.Term
@@ -64,10 +64,13 @@ type execState struct {
 	bound    []bool
 	distinct distinctFilter
 
-	// planned caches per-execution join orders of EXISTS subgroups;
-	// their bound-register set is fixed by the attachment point, so one
-	// plan serves every row.
-	planned map[*cgroup]*plannedGroup
+	// plans are the execution's plans, one per group (cgroup.ix), and
+	// words what they hold: a group's join order and filter steps at its
+	// offset (cgroup.off). An EXISTS subgroup is planned on its first
+	// evaluation: its bound-register set is fixed by the attachment
+	// point, so one plan serves every row.
+	plans []plannedGroup
+	words []int32
 }
 
 // execPool recycles execution states with every buffer they hold: on
@@ -112,6 +115,8 @@ func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
 		ex.regs[i] = kb.NoTerm
 	}
 	ex.res = p.resolve(ex.res[:0], args)
+	ex.plans = slices.Grow(ex.plans[:0], len(p.groups))[:len(p.groups)]
+	ex.words = slices.Grow(ex.words[:0], p.nwords)[:p.nwords]
 	if p.usesRand {
 		fp := p.fp
 		if p.bound == nil {
@@ -132,15 +137,16 @@ func (p *Prepared) start(args []Arg) (ex *execState, limit, offset int) {
 // end is where every execution ends — drained, exhausted, closed or
 // failed — and the one place its state is cleared and goes back to
 // execPool: what could pin a KB's strings or a plan (rows, selector
-// keys, the EXISTS plans) is cleared, a slice above maxPooledScratch and
-// a DISTINCT table above maxPooledDistinct are dropped. Call it exactly
+// keys, the plans) is cleared, a slice above maxPooledScratch and a
+// DISTINCT table above maxPooledDistinct are dropped. Call it exactly
 // once per start; the state must not be read afterwards.
 func (ex *execState) end() {
 	clear(ex.rows)
-	clear(ex.planned)
+	clear(ex.plans)
 	ex.p, ex.k, ex.borrowRow = nil, nil, nil
 	ex.regs, ex.res, ex.rows = trim(ex.regs), trim(ex.res), trim(ex.rows)
 	ex.ids, ex.bound = trim(ex.ids), trim(ex.bound)
+	ex.plans, ex.words = trim(ex.plans), trim(ex.words)
 	ex.sel.Release()
 	ex.distinct.release()
 	execPool.Put(ex)
@@ -190,18 +196,15 @@ func (p *Prepared) exec(args []Arg) (*Result, error) {
 // runGroup plans the main group against the empty register file,
 // applies its pre-step filters and enumerates matches.
 func (ex *execState) runGroup(g *cgroup, emit func() error) error {
-	pl := ex.planGroup(g, ex.boundRegs())
-	for _, fi := range pl.pre {
-		ok, valid := g.filters[fi].pred(ex)
-		if !valid || !ok {
-			return nil
-		}
+	pl := ex.plan(g)
+	if !ex.filtersPass(g, pl, 0) {
+		return nil
 	}
-	return ex.join(g, &pl, 0, emit)
+	return ex.join(g, pl, 0, emit)
 }
 
 // boundRegs returns the state's bound-register set: which registers
-// hold a value. The planners copy what they need of it.
+// hold a value. The planner marks it as it binds patterns.
 func (ex *execState) boundRegs() []bool {
 	ex.bound = slices.Grow(ex.bound[:0], len(ex.regs))[:len(ex.regs)]
 	for i, v := range ex.regs {
@@ -365,26 +368,33 @@ func (ex *execState) windowRow(i int, row []rdf.Term) []rdf.Term {
 	return row
 }
 
-// join recurses over the planned steps, applying each step's attached
-// filters before descending.
+// join recurses over the planned steps, applying the filters placed
+// after each step before descending.
 func (ex *execState) join(g *cgroup, pl *plannedGroup, step int, emit func() error) error {
 	if step == len(pl.order) {
 		return emit()
 	}
-	tp := g.pats[pl.order[step]]
-	var after []int32
-	if pl.after != nil {
-		after = pl.after[step]
-	}
-	return ex.match(tp, func() error {
-		for _, fi := range after {
-			ok, valid := g.filters[fi].pred(ex)
-			if !valid || !ok {
-				return nil
-			}
+	return ex.match(g.pats[pl.order[step]], func() error {
+		if !ex.filtersPass(g, pl, step+1) {
+			return nil
 		}
 		return ex.join(g, pl, step+1, emit)
 	})
+}
+
+// filtersPass evaluates, in filter order, g's filters that pl places
+// after step steps, and reports whether the current bindings pass them
+// all.
+func (ex *execState) filtersPass(g *cgroup, pl *plannedGroup, step int) bool {
+	for fi, at := range pl.at {
+		if int(at) != step {
+			continue
+		}
+		if ok, valid := g.filters[fi].pred(ex); !valid || !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // match enumerates KB facts matching tp under the current registers,
@@ -530,20 +540,12 @@ func (ex *execState) runExists(cg *cgroup) (bool, error) {
 	if cg == nil {
 		return false, fmt.Errorf("sparql: EXISTS group was not compiled")
 	}
-	if ex.planned == nil {
-		ex.planned = make(map[*cgroup]*plannedGroup, 2)
+	pl := &ex.plans[cg.ix]
+	if !pl.done {
+		pl = ex.plan(cg)
 	}
-	pl := ex.planned[cg]
-	if pl == nil {
-		planned := ex.planGroup(cg, ex.boundRegs())
-		pl = &planned
-		ex.planned[cg] = pl
-	}
-	for _, fi := range pl.pre {
-		ok, valid := cg.filters[fi].pred(ex)
-		if !valid || !ok {
-			return false, nil
-		}
+	if !ex.filtersPass(cg, pl, 0) {
+		return false, nil
 	}
 	found := false
 	err := ex.join(cg, pl, 0, func() error {

@@ -10,12 +10,14 @@ import (
 
 // iter.go exposes the execution cores (exec.go) as a pull-based row
 // iterator. An unordered plan's join tree produces rows on demand, on
-// an iter.Pull coroutine, so a caller that stops pulling — an early
-// LIMIT, a probe that found what it needed — aborts the enumeration
-// instead of paying for the rows it discards. An ORDER BY plan has
-// enumerated every match before its first row can leave, so it needs no
-// coroutine: the first Next selects the window in the caller's
-// goroutine, and later calls walk it. Draining a RowIter yields exactly
+// an iter.Pull coroutine, a batch of up to borrowBatch rows at a time
+// (ringRows), so a caller that stops pulling — an early LIMIT, a probe
+// that found what it needed — aborts the enumeration instead of paying
+// for the rows it discards. An ORDER BY plan has enumerated every match
+// before its first row can leave, so it needs no coroutine: the first
+// Next selects the window in the caller's goroutine, and later calls
+// walk it (windowRows). An unordered iterator of fresh rows copies
+// each row it hands out of the ring. Draining a RowIter yields exactly
 // the rows Exec would return, byte for byte, RAND() streams included:
 // both run the same cores.
 //
@@ -37,14 +39,16 @@ type RowIter struct {
 	row  []rdf.Term
 	err  error
 	done bool
+	// fresh marks an unordered iterator of fresh rows (Iter): Next
+	// copies the ring's row.
+	fresh bool
 	// win is an ordered execution's source (src points at it), so that
 	// an ordered iterator is one allocation.
 	win windowRows
 }
 
 // rowSource is what a RowIter pulls from: an unordered stream's
-// coroutine (pulled, or ringRows when its rows are borrowed) or an
-// ordered execution's window (windowRows).
+// coroutine (ringRows) or an ordered execution's window (windowRows).
 type rowSource interface {
 	// next returns the next row, or false once the rows are exhausted or
 	// the execution failed (see err).
@@ -71,6 +75,9 @@ func (it *RowIter) Next() bool {
 		it.err = it.src.err()
 		it.Close()
 		return false
+	}
+	if it.fresh {
+		row = slices.Clone(row)
 	}
 	it.row = row
 	return true
@@ -105,11 +112,12 @@ func (p *Prepared) Iter(args ...Arg) (*RowIter, error) {
 	return p.iter("Iter", args, false)
 }
 
-// borrowBatch is the number of rows a borrowed unordered iterator
-// ferries per coroutine switch. The iter.Pull handoff costs on the order
-// of 100ns per switch — per-row, that dwarfs the work of producing a row
-// from a KB's index — so those iterators rotate through a ring of batch
+// borrowBatch is the number of rows an unordered iterator ferries per
+// coroutine switch. The iter.Pull handoff costs on the order of 100ns
+// per switch — per-row, that dwarfs the work of producing a row from a
+// KB's index — so those iterators rotate through a ring of batch
 // projection buffers and cross the coroutine boundary once per batch.
+// The enumeration thus runs up to borrowBatch rows ahead of the reader.
 const borrowBatch = 64
 
 // IterBorrowed is Iter with borrowed rows: Row() returns a buffer that
@@ -136,17 +144,14 @@ func (p *Prepared) iter(name string, args []Arg, borrowed bool) (*RowIter, error
 	}
 	ex, limit, offset := p.start(args)
 	it := &RowIter{vars: p.vars, ex: ex}
-	switch {
-	case len(p.orderBy) > 0:
+	if len(p.orderBy) > 0 {
 		it.win = windowRows{ex: ex, limit: limit, offset: offset, borrowed: borrowed}
 		if borrowed {
 			ex.borrowRows(1)
 		}
 		it.src = &it.win
-	case borrowed:
-		it.src = pullBorrowed(ex, limit, offset)
-	default:
-		it.src = pull(ex, limit, offset)
+	} else {
+		it.src, it.fresh = pullRing(ex, limit, offset), !borrowed
 	}
 	return it, nil
 }
@@ -192,31 +197,10 @@ func (w *windowRows) next() ([]rdf.Term, bool) {
 func (w *windowRows) err() error { return w.e }
 func (w *windowRows) stop()      {}
 
-// pulled is the rowSource of an unordered stream: the push-form core
-// runs on an iter.Pull coroutine and hands rows across as they come.
-type pulled struct {
-	pull   func() ([]rdf.Term, bool)
-	cancel func()
-	runErr error
-}
-
-func (s *pulled) next() ([]rdf.Term, bool) { return s.pull() }
-func (s *pulled) err() error               { return s.runErr }
-func (s *pulled) stop()                    { s.cancel() }
-
-// pull runs the unordered core on an iter.Pull coroutine.
-func pull(ex *execState, limit, offset int) *pulled {
-	s := &pulled{}
-	s.pull, s.cancel = iter.Pull(func(yield func([]rdf.Term) bool) {
-		s.runErr = ex.streamUnordered(limit, offset, yield)
-	})
-	return s
-}
-
-// ringRows is the rowSource of a borrowed unordered stream: the core
-// writes rows into a ring of borrowBatch rows (the state's row buffers)
-// and crosses the coroutine boundary once per batch, whose rows stay
-// readable until the consumer pulls past them.
+// ringRows is the rowSource of an unordered stream: the core runs on
+// an iter.Pull coroutine, writes rows into a ring of borrowBatch rows
+// (the state's row buffers) and crosses the coroutine boundary once per
+// batch, whose rows stay readable until the consumer pulls past them.
 type ringRows struct {
 	batches func() (int, bool)
 	cancel  func()
@@ -226,7 +210,7 @@ type ringRows struct {
 	runErr  error
 }
 
-func pullBorrowed(ex *execState, limit, offset int) *ringRows {
+func pullRing(ex *execState, limit, offset int) *ringRows {
 	s := &ringRows{ring: ex.borrowRows(borrowBatch), w: len(ex.p.projSlot)}
 	s.batches, s.cancel = iter.Pull(func(yield func(int) bool) {
 		n := 0

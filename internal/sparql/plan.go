@@ -1,6 +1,10 @@
 package sparql
 
-import "sofya/internal/kb"
+import (
+	"slices"
+
+	"sofya/internal/kb"
+)
 
 // plan.go finalizes a compiled group for one execution: it chooses the
 // join order and attaches filters to the earliest step at which their
@@ -8,102 +12,81 @@ import "sofya/internal/kb"
 // because a Prepared's parameters are bound at execution time and the
 // cost of a pattern depends on the actual predicate's cardinality.
 //
-// Two orderers exist:
-//
-//   - costOrder ranks patterns by estimated result cardinality from the
-//     KB's per-predicate statistics (fact counts and functionalities,
-//     O(1) each). It is used for every query whose results
-//     cannot depend on enumeration order.
-//
-//   - greedyOrder reproduces the reference tree-walking evaluator's
-//     heuristic exactly (most-bound first, smaller relation on ties,
-//     input order last). It is used whenever the query draws from the
-//     RAND() stream, because there the per-row draw sequence pairs
-//     random values with enumeration order: only an identical join
-//     order keeps results byte-identical to the reference engine.
+// One greedy loop orders every group: each step picks the pattern with
+// the smallest estimated result cardinality (estimate, from the KB's
+// per-predicate statistics, O(1) each), then the most bound positions,
+// then the smallest relation, then input order. A plan that draws from
+// the RAND() stream skips the estimate, and the loop is then exactly the
+// reference tree-walking evaluator's heuristic: there the per-row draw
+// sequence pairs random values with enumeration order, so only an
+// identical join order keeps results byte-identical to the reference
+// engine.
+
+// plannedGroup is one group's plan for one execution, written into the
+// state's words at the group's offset (cgroup.off).
 type plannedGroup struct {
-	order []int32   // indexes into cgroup.pats, execution order
-	after [][]int32 // filter indexes evaluated after each step; nil without filters
-	pre   []int32   // filter indexes evaluated before any step
+	order []int32 // indexes into cgroup.pats, execution order
+	// at is, per filter, the number of steps after which it is
+	// evaluated: 0 before any step, len(order) after the last.
+	at   []int32
+	done bool // planned in this execution
 }
 
-// onePattern is the order of every one-pattern group, shared: nothing
-// writes a plan's order.
-var onePattern = []int32{0}
-
-// planGroup orders g's patterns given the currently-bound register set
-// and attaches its filters.
-func (ex *execState) planGroup(g *cgroup, bound []bool) plannedGroup {
+// plan orders g's patterns given the currently-bound registers and
+// places its filters: each goes to the first step after which its
+// registers are bound. EXISTS filters and filters over never-bound
+// variables go after the last step (before any step when the group has
+// no patterns).
+func (ex *execState) plan(g *cgroup) *plannedGroup {
 	n := len(g.pats)
-	var pl plannedGroup
-	switch {
-	case n == 1:
-		pl.order = onePattern
-	case ex.p.usesRand:
-		pl.order = ex.greedyOrder(g, bound)
-	default:
-		pl.order = ex.costOrder(g, bound)
+	w := ex.words[g.off:][:n+len(g.filters)]
+	pl := &ex.plans[g.ix]
+	*pl = plannedGroup{order: w[:0:n], at: w[n:], done: true}
+	for fi := range pl.at {
+		pl.at[fi] = int32(n)
 	}
-	if len(g.filters) == 0 {
-		return pl
-	}
-	pl.after = make([][]int32, n)
-
-	// Cumulative bound sets along the chosen order: the set before step
-	// i is cum[i*w:][:w].
-	w := len(bound)
-	cum := make([]bool, (n+1)*w)
-	copy(cum, bound)
-	for i, pi := range pl.order {
-		next := cum[(i+1)*w:][:w]
-		copy(next, cum[i*w:][:w])
-		tp := g.pats[pi]
+	bound := ex.boundRegs()
+	noEstimate := ex.p.usesRand
+	for step := range n {
+		for fi, f := range g.filters {
+			if pl.at[fi] == int32(n) && !f.exists && !f.unplaced && allBound(f.deps, bound) {
+				pl.at[fi] = int32(step)
+			}
+		}
+		best, bestEst, bestScore, bestSize := -1, 0, 0, 0
+		for i, tp := range g.pats {
+			if slices.Contains(pl.order, int32(i)) {
+				continue
+			}
+			est := 0
+			if !noEstimate {
+				est = ex.estimate(tp, bound)
+			}
+			sc, sz := ex.boundCount(tp, bound), ex.relSize(tp)
+			if best < 0 || est < bestEst ||
+				(est == bestEst && (sc > bestScore || (sc == bestScore && sz < bestSize))) {
+				best, bestEst, bestScore, bestSize = i, est, sc, sz
+			}
+		}
+		pl.order = append(pl.order, int32(best))
+		tp := g.pats[best]
 		for _, ct := range []cterm{tp.s, tp.p, tp.o} {
 			if ct.isVar {
-				next[ct.slot] = true
-			}
-		}
-	}
-
-	for fi, f := range g.filters {
-		if f.exists || f.unplaced {
-			// EXISTS filters and filters over never-bound variables
-			// evaluate after the last step (before any step when the
-			// group has no patterns).
-			if n == 0 {
-				pl.pre = append(pl.pre, int32(fi))
-			} else {
-				pl.after[n-1] = append(pl.after[n-1], int32(fi))
-			}
-			continue
-		}
-		placed := false
-		for i := 0; i <= n && !placed; i++ {
-			all := true
-			for _, d := range f.deps {
-				if !cum[i*w+int(d)] {
-					all = false
-					break
-				}
-			}
-			if all {
-				if i == 0 {
-					pl.pre = append(pl.pre, int32(fi))
-				} else {
-					pl.after[i-1] = append(pl.after[i-1], int32(fi))
-				}
-				placed = true
-			}
-		}
-		if !placed {
-			if n == 0 {
-				pl.pre = append(pl.pre, int32(fi))
-			} else {
-				pl.after[n-1] = append(pl.after[n-1], int32(fi))
+				bound[ct.slot] = true
 			}
 		}
 	}
 	return pl
+}
+
+// allBound reports whether every register in deps is bound.
+func allBound(deps []int32, bound []bool) bool {
+	for _, d := range deps {
+		if !bound[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // boundCount counts pattern positions that are concrete or already
@@ -130,38 +113,6 @@ func (ex *execState) relSize(tp cpattern) int {
 		return 0
 	}
 	return ex.k.PlanFactsOf(id)
-}
-
-// greedyOrder replicates the reference evaluator's plan loop exactly,
-// tie-breaks included.
-func (ex *execState) greedyOrder(g *cgroup, bound []bool) []int32 {
-	n := len(g.pats)
-	used := make([]bool, n)
-	b := make([]bool, len(bound))
-	copy(b, bound)
-	order := make([]int32, 0, n)
-	for len(order) < n {
-		best, bestScore, bestSize := -1, -1, 0
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			sc := ex.boundCount(g.pats[i], b)
-			sz := ex.relSize(g.pats[i])
-			if sc > bestScore || (sc == bestScore && sz < bestSize) {
-				best, bestScore, bestSize = i, sc, sz
-			}
-		}
-		used[best] = true
-		tp := g.pats[best]
-		order = append(order, int32(best))
-		for _, ct := range []cterm{tp.s, tp.p, tp.o} {
-			if ct.isVar {
-				b[ct.slot] = true
-			}
-		}
-	}
-	return order
 }
 
 // estimate predicts the number of rows a pattern yields given the
@@ -209,41 +160,4 @@ func (ex *execState) estimate(tp cpattern, bound []bool) int {
 	default:
 		return f
 	}
-}
-
-// costOrder greedily picks the pattern with the smallest estimated
-// cardinality next, breaking ties with the reference criteria so the
-// order stays deterministic.
-func (ex *execState) costOrder(g *cgroup, bound []bool) []int32 {
-	n := len(g.pats)
-	used := make([]bool, n)
-	b := make([]bool, len(bound))
-	copy(b, bound)
-	order := make([]int32, 0, n)
-	for len(order) < n {
-		best := -1
-		bestEst, bestScore, bestSize := 0, -1, 0
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			est := ex.estimate(g.pats[i], b)
-			sc := ex.boundCount(g.pats[i], b)
-			sz := ex.relSize(g.pats[i])
-			better := best == -1 || est < bestEst ||
-				(est == bestEst && (sc > bestScore || (sc == bestScore && sz < bestSize)))
-			if better {
-				best, bestEst, bestScore, bestSize = i, est, sc, sz
-			}
-		}
-		used[best] = true
-		tp := g.pats[best]
-		order = append(order, int32(best))
-		for _, ct := range []cterm{tp.s, tp.p, tp.o} {
-			if ct.isVar {
-				b[ct.slot] = true
-			}
-		}
-	}
-	return order
 }
