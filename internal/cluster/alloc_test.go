@@ -70,7 +70,7 @@ func TestAllocCeilingShardRequest(t *testing.T) {
 
 // TestAllocCeilingOrderedWindowOverWire guards the path every sample and
 // overlap window of a federated alignment takes: one ORDER BY RAND()
-// LIMIT 400 over 4,096 facts, read through EachSet from a 3-shard HTTP
+// LIMIT 400 over 4,096 facts, read through eachSet from a 3-shard HTTP
 // group, both sides of the wire in this process. Every shard streams its
 // whole pushdown enumeration, ≈ 1,365 rows, and the merge keeps 400.
 // Measured at 481 objects / 32 KB a window; while the client copied every
@@ -91,7 +91,7 @@ func TestAllocCeilingOrderedWindowOverWire(t *testing.T) {
 	argSets := [][]sparql.Arg{{sparql.IntArg(400)}}
 	run := func() {
 		n := 0
-		err := endpoint.EachSet(context.Background(), pq, argSets, func(_ int, rows endpoint.Rows) error {
+		err := eachSet(context.Background(), pq, argSets, func(_ int, rows endpoint.Rows) error {
 			for rows.Next() {
 				n++
 			}

@@ -180,7 +180,7 @@ func BenchmarkClusterProbeBatchHTTP(b *testing.B) {
 	}
 	b.Run("group", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			results, err := endpoint.SelectBatch(context.Background(), pq, argSets)
+			results, err := selectGroup(context.Background(), pq, argSets)
 			if err != nil || len(results) != len(argSets) {
 				b.Fatalf("%d results, %v", len(results), err)
 			}

@@ -284,9 +284,9 @@ func runOracle(t *testing.T, label string, local *endpoint.Local, ep endpoint.En
 // runBatchOracle diffs grouped execution: the routed object and
 // predicate probes of twelve facts of rel (and a subject that has none),
 // and groups that fan every execution out — sample probes, an unordered
-// merge, an ordered one on a deterministic key — each as one
-// SelectBatch and as one StreamBatch, against the unsharded reference
-// probe by probe.
+// merge, an ordered one on a deterministic key — each as one drained
+// group (selectGroup) and as one StreamBatch, against the unsharded
+// reference probe by probe.
 func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group, rel string) {
 	t.Helper()
 	facts, err := local.SelectCtx(context.Background(), fmt.Sprintf("SELECT ?x ?y WHERE { ?x <%s> ?y } LIMIT 12", rel))
@@ -321,9 +321,9 @@ func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group,
 		if err != nil {
 			t.Fatalf("%s: group %d Prepare: %v", label, gi, err)
 		}
-		got, err := endpoint.SelectBatch(context.Background(), gp, group.argSets)
+		got, err := selectGroup(context.Background(), gp, group.argSets)
 		if err != nil || len(got) != len(group.argSets) {
-			t.Fatalf("%s: group %d SelectBatch: %d results for %d tuples, %v", label, gi, len(got), len(group.argSets), err)
+			t.Fatalf("%s: group %d drained: %d results for %d tuples, %v", label, gi, len(got), len(group.argSets), err)
 		}
 		for i, args := range group.argSets {
 			want, err := lp.SelectCtx(context.Background(), args...)
@@ -337,7 +337,7 @@ func runBatchOracle(t *testing.T, label string, local *endpoint.Local, g *Group,
 		}
 		// The same group as streams, drained and left after a row.
 		for _, take := range []int{-1, 1} {
-			err := endpoint.EachSet(context.Background(), gp, group.argSets, func(i int, set endpoint.Rows) error {
+			err := eachSet(context.Background(), gp, group.argSets, func(i int, set endpoint.Rows) error {
 				rows, err := lp.Stream(context.Background(), group.argSets[i]...)
 				if err != nil {
 					return err
@@ -554,12 +554,12 @@ func TestClusterContextCancellation(t *testing.T) {
 		{"prepared AskCtx", func() (endpoint.Rows, error) { _, err := ask.AskCtx(ctx, r); return nil, err }},
 		{"prepared Stream", func() (endpoint.Rows, error) { return sel.Stream(ctx, r) }},
 		{"prepared SelectBatch, routed", func() (endpoint.Rows, error) {
-			_, err := endpoint.SelectBatch(ctx, routed, [][]sparql.Arg{
+			_, err := selectGroup(ctx, routed, [][]sparql.Arg{
 				{sparql.IRIArg("http://x/s1"), r}, {sparql.IRIArg("http://x/s2"), r}, {sparql.IRIArg("http://x/s3"), r}})
 			return nil, err
 		}},
 		{"prepared SelectBatch, fanned out", func() (endpoint.Rows, error) {
-			_, err := endpoint.SelectBatch(ctx, sel, [][]sparql.Arg{{r}, {r}})
+			_, err := selectGroup(ctx, sel, [][]sparql.Arg{{r}, {r}})
 			return nil, err
 		}},
 		{"prepared StreamBatch, routed", func() (endpoint.Rows, error) {

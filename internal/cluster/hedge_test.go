@@ -280,7 +280,7 @@ func TestGroupIsOneAttemptNotOneSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	res, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(n))
+	res, err := selectGroup(context.Background(), pq, stubGroup(n))
 	around := time.Since(start)
 	if err != nil || len(res) != n {
 		t.Fatalf("%d results, %v", len(res), err)
@@ -299,7 +299,7 @@ func TestGroupIsOneAttemptNotOneSample(t *testing.T) {
 			sample, n, inside, around, inside/n, around/n)
 	}
 	// An empty group is no attempt at all.
-	if res, err := endpoint.SelectBatch(context.Background(), pq, nil); err != nil || len(res) != 0 || stub.groups.Load() != 1 {
+	if res, err := selectGroup(context.Background(), pq, nil); err != nil || len(res) != 0 || stub.groups.Load() != 1 {
 		t.Fatalf("empty group: %v, %v, %d groups reached the replica", res, err, stub.groups.Load())
 	}
 }
@@ -319,7 +319,7 @@ func TestGroupFailsOverWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(n)); err != nil || len(res) != n {
+	if res, err := selectGroup(context.Background(), pq, stubGroup(n)); err != nil || len(res) != n {
 		t.Fatalf("%d results, %v", len(res), err)
 	}
 	if down.groups.Load() != 1 || up.groups.Load() != 1 || up.tuples.Load() != n {
@@ -331,7 +331,7 @@ func TestGroupFailsOverWhole(t *testing.T) {
 	}
 
 	down.err = endpoint.ErrQuotaExceeded
-	if _, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(n)); !errors.Is(err, endpoint.ErrQuotaExceeded) {
+	if _, err := selectGroup(context.Background(), pq, stubGroup(n)); !errors.Is(err, endpoint.ErrQuotaExceeded) {
 		t.Fatalf("err = %v, want ErrQuotaExceeded", err)
 	}
 	if up.groups.Load() != 1 {
@@ -357,7 +357,7 @@ func TestGroupHedgeDelayScales(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := endpoint.SelectBatch(context.Background(), pq, stubGroup(50))
+		_, err := selectGroup(context.Background(), pq, stubGroup(50))
 		done <- err
 	}()
 	time.Sleep(3 * delay)
@@ -509,7 +509,7 @@ func TestStreamGroupFailsOverAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	opened := 0
-	err = endpoint.EachSet(context.Background(), pq, stubGroup(n), func(int, endpoint.Rows) error { opened++; return nil })
+	err = eachSet(context.Background(), pq, stubGroup(n), func(int, endpoint.Rows) error { opened++; return nil })
 	if err != nil || opened != n || down.opens.Load() != 1 || up.opens.Load() != 1 || up.closes.Load() != 1 {
 		t.Fatalf("%d sets, %v; %d and %d opens, %d closes", opened, err, down.opens.Load(), up.opens.Load(), up.closes.Load())
 	}
@@ -606,7 +606,7 @@ func TestStreamGroupCutAfterOpen(t *testing.T) {
 		for i := range argSets {
 			argSets[i] = []sparql.Arg{sparql.IRIArg(fmt.Sprintf("http://x/s%03d", i)), sparql.IRIArg("http://x/a")}
 		}
-		res, err := endpoint.SelectBatch(context.Background(), pq, argSets)
+		res, err := selectGroup(context.Background(), pq, argSets)
 		if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) || res != nil {
 			t.Fatalf("cut inside set %d: %d results, %v; want the transport error and none", at, len(res), err)
 		}
@@ -684,7 +684,7 @@ func TestHedgedAttemptOwnsItsArgs(t *testing.T) {
 			return err
 		}},
 		{"StreamBatch", func(args []sparql.Arg) error {
-			_, err := endpoint.SelectBatch(ctx, pq, [][]sparql.Arg{args, args})
+			_, err := selectGroup(ctx, pq, [][]sparql.Arg{args, args})
 			return err
 		}},
 	} {

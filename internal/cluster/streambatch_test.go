@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,42 @@ import (
 	"sofya/internal/kb"
 	"sofya/internal/sparql"
 )
+
+// eachSet opens argSets on pq as one group (endpoint.StreamBatch), hands
+// every set in turn to read and closes the group. A group answered in
+// fewer sets than tuples fails.
+func eachSet(ctx context.Context, pq endpoint.PreparedQuery, argSets [][]sparql.Arg, read func(i int, rows endpoint.Rows) error) error {
+	sets, err := endpoint.StreamBatch(ctx, pq, argSets)
+	if err != nil {
+		return err
+	}
+	defer sets.Close()
+	for i := range argSets {
+		if i > 0 && !sets.NextResultSet() {
+			return cmp.Or(sets.Err(), fmt.Errorf("a group of %d answered in %d sets", len(argSets), i))
+		}
+		if err := cmp.Or(read(i, sets), sets.Err()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// selectGroup is eachSet copying every set out whole, in tuple order.
+func selectGroup(ctx context.Context, pq endpoint.PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+	out := make([]*sparql.Result, len(argSets))
+	if err := eachSet(ctx, pq, argSets, func(i int, rows endpoint.Rows) error {
+		out[i] = &sparql.Result{Vars: rows.Vars()}
+		for rows.Next() {
+			out[i].Rows = append(out[i].Rows, slices.Clone(rows.Row()))
+		}
+		out[i].Truncated = rows.Truncated()
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // groupKB holds n subjects under two relations whose objects differ for
 // two subjects in three: what an overlap probe enumerates.
@@ -76,7 +113,7 @@ func TestStreamBatchContract(t *testing.T) {
 				if _, ok := pg.(endpoint.BatchStreamer); !ok {
 					t.Fatal("a cluster group's handle is not a BatchStreamer")
 				}
-				err = endpoint.EachSet(context.Background(), pg, group.argSets, func(i int, set endpoint.Rows) error {
+				err = eachSet(context.Background(), pg, group.argSets, func(i int, set endpoint.Rows) error {
 					rows, err := ps.Stream(context.Background(), group.argSets[i]...)
 					if err != nil {
 						return err
@@ -161,7 +198,7 @@ func TestAllocCeilingGroupedStreams(t *testing.T) {
 // UBS sampler does.
 func drainGroup(tb testing.TB, pq endpoint.PreparedQuery, argSets [][]sparql.Arg) {
 	tb.Helper()
-	err := endpoint.EachSet(context.Background(), pq, argSets, func(i int, rows endpoint.Rows) error {
+	err := eachSet(context.Background(), pq, argSets, func(i int, rows endpoint.Rows) error {
 		n := 0
 		for n < 14 && rows.Next() {
 			n++
@@ -222,10 +259,10 @@ func BenchmarkClusterGroupedStreams(b *testing.B) {
 
 // TestBorrowedGroupsSurvivePoolReuse: what a caller keeps of a federated
 // answer is its own. A group's sets, a merge's window, a wire frame and
-// a server's ring are borrowed from pools, so this keeps a SelectBatch
-// group, owned Streams (ordered, fanned-out unordered and routed) and a
+// a server's ring are borrowed from pools, so this keeps a drained
+// group (selectGroup), owned Streams (ordered, fanned-out unordered and routed) and a
 // SelectCtx from a 3-shard HTTP group, then runs fifty-odd sample and
-// overlap windows through EachSet over the same pools, and only then
+// overlap windows through eachSet over the same pools, and only then
 // compares what it kept with the unsharded Local's answers. A kept row
 // that points into a pooled buffer reads as another window's row.
 func TestBorrowedGroupsSurvivePoolReuse(t *testing.T) {
@@ -276,16 +313,16 @@ func TestBorrowedGroupsSurvivePoolReuse(t *testing.T) {
 		params  []string
 		argSets [][]sparql.Arg
 	}{
-		{"SelectBatch overlap", groupOverlap, []string{"a", "b", "n"}, overlapGroup(4)},
-		{"SelectBatch sample", sample, []string{"r", "n"}, [][]sparql.Arg{{a, sparql.IntArg(40)}, {b, sparql.IntArg(90)}}},
-		{"SelectBatch objects", objects, []string{"x", "r"}, [][]sparql.Arg{
+		{"drained overlap", groupOverlap, []string{"a", "b", "n"}, overlapGroup(4)},
+		{"drained sample", sample, []string{"r", "n"}, [][]sparql.Arg{{a, sparql.IntArg(40)}, {b, sparql.IntArg(90)}}},
+		{"drained objects", objects, []string{"x", "r"}, [][]sparql.Arg{
 			{sparql.IRIArg("http://x/s001"), a}, {sparql.IRIArg("http://x/s299"), b}, {sparql.IRIArg("http://x/s150"), a}}},
 	} {
-		got, err := endpoint.SelectBatch(ctx, prepare(g, c.tmpl, c.params...), c.argSets)
+		got, err := selectGroup(ctx, prepare(g, c.tmpl, c.params...), c.argSets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := endpoint.SelectBatch(ctx, prepare(local, c.tmpl, c.params...), c.argSets)
+		want, err := selectGroup(ctx, prepare(local, c.tmpl, c.params...), c.argSets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,9 +374,9 @@ func TestBorrowedGroupsSurvivePoolReuse(t *testing.T) {
 			for i := w; i < 14; i += 2 {
 				sampleSets := [][]sparql.Arg{{a, sparql.IntArg(50 + i)}, {b, sparql.IntArg(200 - i)}}
 				err := cmp.Or(
-					endpoint.EachSet(ctx, pSample, sampleSets, read),
-					endpoint.EachSet(ctx, pSample, sampleSets[1:], read), // a group of one streams its tuple
-					endpoint.EachSet(ctx, pOverlap, overlapGroup(1+i%3), read))
+					eachSet(ctx, pSample, sampleSets, read),
+					eachSet(ctx, pSample, sampleSets[1:], read), // a group of one streams its tuple
+					eachSet(ctx, pOverlap, overlapGroup(1+i%3), read))
 				if err != nil {
 					errs <- err
 					return

@@ -185,14 +185,9 @@ func (a *Aligner) AlignRelations(rs []string) ([][]Alignment, error) {
 // The first error (in rs order) aborts the batch, cancelling the
 // probes of the relations still in flight.
 func (a *Aligner) AlignRelationsContext(ctx context.Context, rs []string) ([][]Alignment, error) {
-	return alignEach(ctx, a.cfg.Parallelism, rs, a.AlignRelationContext)
-}
-
-// alignEach is the batch loop of Aligner and Cache, collected by index.
-func alignEach(ctx context.Context, parallelism int, rs []string, align func(context.Context, string) ([]Alignment, error)) ([][]Alignment, error) {
 	out := make([][]Alignment, len(rs))
-	err := flight.Each(ctx, parallelism, len(rs), func(ctx context.Context, i int) (err error) {
-		out[i], err = align(ctx, rs[i])
+	err := flight.Each(ctx, a.cfg.Parallelism, len(rs), func(ctx context.Context, i int) (err error) {
+		out[i], err = a.AlignRelationContext(ctx, rs[i])
 		return err
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"sofya/internal/endpoint"
@@ -125,64 +124,5 @@ func TestAlignRelationsErrorPropagation(t *testing.T) {
 	a := New(ky, kd, sampling.LinkView{Links: links, KIsA: true}, cfg)
 	if _, err := a.AlignRelations(batchHeads); err == nil {
 		t.Fatal("quota exhaustion did not surface")
-	}
-}
-
-// Concurrent cache misses on one relation must run a single alignment:
-// the query bill of 8 racing callers equals one sequential computation.
-func TestCacheSingleflightsConcurrentMisses(t *testing.T) {
-	ref, refY, refD := alignerWithParallelism(DefaultConfig(), 1)
-	if _, err := ref.AlignRelation(yNS + "directedBy"); err != nil {
-		t.Fatal(err)
-	}
-	oneRun := refY.Stats().Queries + refD.Stats().Queries
-
-	a, ky, kd := alignerWithParallelism(DefaultConfig(), 1)
-	c := NewCache(a)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.AlignRelation(yNS + "directedBy"); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := ky.Stats().Queries + kd.Stats().Queries; got != oneRun {
-		t.Fatalf("8 concurrent misses issued %d queries, one sequential run %d — duplicate work not singleflighted", got, oneRun)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
-// Cache.AlignRelations batches through the memo: overlapping batches
-// share results, and positions match inputs.
-func TestCacheAlignRelationsBatch(t *testing.T) {
-	a, ky, kd := alignerWithParallelism(UBSConfig(), 4)
-	c := NewCache(a)
-	first, err := c.AlignRelations(batchHeads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != len(batchHeads) {
-		t.Fatalf("results = %d", len(first))
-	}
-	spent := ky.Stats().Queries + kd.Stats().Queries
-
-	second, err := c.AlignRelations(batchHeads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ky.Stats().Queries+kd.Stats().Queries != spent {
-		t.Fatal("cached batch issued queries")
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("cached batch differs")
-	}
-	if dir := find(first[1], dNS+"hasDirector"); dir == nil || !dir.Accepted {
-		t.Fatalf("directedBy batch slot wrong: %+v", first[1])
 	}
 }

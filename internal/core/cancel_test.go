@@ -175,8 +175,8 @@ func TestStageFailureCancelsSiblings(t *testing.T) {
 // TestCancelledCallersStoreNothing: a caller whose context ends — before
 // it asks, or while the computation it started is under way — gets
 // ctx.Err(), and the next caller, under context.Background(), gets what
-// a fresh aligner computes: from a core.Cache, whose alignment completes
-// detached, and from an aligner whose candidate index was being built.
+// a fresh aligner computes, from an aligner whose candidate index was
+// being built.
 func TestCancelledCallersStoreNothing(t *testing.T) {
 	y, d, links := paperWorld()
 	r := yNS + "directedBy"
@@ -201,10 +201,6 @@ func TestCancelledCallersStoreNothing(t *testing.T) {
 	}{
 		{"aligner", func(a *Aligner) func(context.Context) ([]Alignment, error) {
 			return func(ctx context.Context) ([]Alignment, error) { return a.AlignRelationContext(ctx, r) }
-		}},
-		{"cache", func(a *Aligner) func(context.Context) ([]Alignment, error) {
-			c := NewCache(a)
-			return func(ctx context.Context) ([]Alignment, error) { return c.AlignRelationContext(ctx, r) }
 		}},
 	} {
 		kd, entered, release := gated()

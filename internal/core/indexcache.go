@@ -16,8 +16,7 @@ import (
 // serving goroutine, one per experiment arm — have no reason to pay the
 // per-relation sampling pass N times. A process-wide cache (handed to
 // each aligner via Config.CandidateIndexCache) builds or loads each
-// distinct index once; concurrent first requests are singleflighted,
-// exactly like Cache does for alignments.
+// distinct index once; concurrent first requests are singleflighted.
 //
 // Entries are keyed by target name, sidecar path, and the options
 // fingerprint (candidates.Fingerprint — which excludes the build-shape
@@ -47,8 +46,7 @@ type IndexCacheStats struct {
 	Loaded, Built int
 }
 
-// NewIndexCache returns an empty cache. (The zero value works too; the
-// constructor exists for symmetry with NewCache.)
+// NewIndexCache returns an empty cache. (The zero value works too.)
 func NewIndexCache() *IndexCache { return &IndexCache{} }
 
 // Get returns the candidate index for target under the given options,

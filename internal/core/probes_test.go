@@ -174,17 +174,34 @@ func alignAllUnder(t *testing.T, cfg Config, batches bool) ([][]Alignment, *prob
 // to ask every object question once (sampling.ObjectMemo): 558 calls,
 // the 91 gone all repeated object fetches; digest 0xa71e214e672d8fa1.
 // It was recorded once more when the head-sibling probes, which answer
-// a row or two each, began to be drained whole (endpoint.SelectBatch):
-// the same 558 calls and tuples, those probes now a SelectCtx each
-// where they were a Stream; digest 0x19eadff330193d5f. Against
-// endpoints that do group, the alignments and the multiset of tuples
-// are the same, and only the groups grow.
+// a row or two each, began to be drained whole: the same 558 calls and
+// tuples, those probes now a SelectCtx each where they were a Stream;
+// digest 0x19eadff330193d5f. It held unchanged when every probe began to
+// leave through one dispatch (sampling's send); the split by probe class
+// is pinned too. Against endpoints that do group, the alignments and the
+// multiset of tuples are the same, and only the groups grow.
 func TestProbesOnANonGroupingEndpoint(t *testing.T) {
 	const wantCalls, wantDigest = 558, uint64(0x19eadff330193d5f)
+	wantSplit := map[string]int{
+		"SelectCtx objects": 293, "SelectCtx between": 194, "SelectCtx literals": 20,
+		"Stream sample": 31, "Stream overlap": 20,
+	}
+	class := map[string]string{}
+	for _, p := range sampling.ProbeTemplates() {
+		class[p.Source] = p.Class
+	}
 	var ref [][]Alignment
 	var tuples []string
 	for _, parallelism := range []int{1, 4} {
 		als, log := alignAll(t, parallelism, false)
+		split := map[string]int{}
+		for _, c := range log.calls {
+			f := strings.SplitN(c, "|", 4)
+			split[f[1]+" "+class[f[2]]]++
+		}
+		if !reflect.DeepEqual(split, wantSplit) {
+			t.Errorf("parallelism %d: calls by kind and probe class %v, want %v", parallelism, split, wantSplit)
+		}
 		calls, digest := log.digest()
 		t.Logf("parallelism %d: %d calls in %d groups, digest %#x", parallelism, calls, len(log.groups), digest)
 		if calls != wantCalls || digest != wantDigest || len(log.groups) != 0 {

@@ -501,7 +501,7 @@ var cancelOps = []struct {
 		return sel.Stream(ctx, sparql.IRIArg("http://x/a"))
 	}},
 	{"prepared SelectBatch", func(ctx context.Context, _ Endpoint, sel, _ PreparedQuery) (Rows, error) {
-		_, err := SelectBatch(ctx, sel, [][]sparql.Arg{{sparql.IRIArg("http://x/a")}, {sparql.IRIArg("http://x/b")}, {sparql.IRIArg("http://x/a")}})
+		_, err := selectGroup(ctx, sel, [][]sparql.Arg{{sparql.IRIArg("http://x/a")}, {sparql.IRIArg("http://x/b")}, {sparql.IRIArg("http://x/a")}})
 		return nil, err
 	}},
 	{"prepared StreamBatch", func(ctx context.Context, _ Endpoint, sel, _ PreparedQuery) (Rows, error) {

@@ -25,9 +25,9 @@
 // together, as a group, and a group is a sequence of streams at every
 // layer (BatchStreamer): the HTTP client sends it as one multi=1 request
 // (multi.go), a replica set hedges and fails it over whole at its open,
-// and shard and cluster federations open it once per shard. A caller
-// that wants whole results drains the sets (SelectBatch). Where a handle
-// is no BatchStreamer the executions run one after the other. Local and
+// and shard and cluster federations open it once per shard; a caller
+// reads each set as it arrives. Where a handle is no BatchStreamer the
+// executions run one after the other. Local and
 // the decorators deliberately are none: a group reaches them as the
 // single queries it stands for, so quota, statistics, cache keys and
 // admission count it as exactly that.

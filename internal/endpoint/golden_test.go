@@ -54,7 +54,7 @@ func wireExchanges(t *testing.T) []wireExchange {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SelectBatch(ctx, objects, [][]sparql.Arg{
+	if _, err := selectGroup(ctx, objects, [][]sparql.Arg{
 		{sparql.IRIArg("http://x/a"), sparql.IRIArg("http://x/name")},
 		{sparql.IRIArg("http://x/b"), sparql.IRIArg("http://x/year")},
 	}); err != nil {

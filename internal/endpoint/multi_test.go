@@ -78,10 +78,10 @@ func seq(n int) []int {
 	return out
 }
 
-// checkBatchContract holds build's stack to the SelectBatch contract:
-// over the same stack built twice, a group answers what its tuples
-// answer one by one, in order, and leaves the backing Local with the
-// same statistics.
+// checkBatchContract holds build's stack to the drained-group contract
+// (selectGroup): over the same stack built twice, a group answers what
+// its tuples answer one by one, in order, and leaves the backing Local
+// with the same statistics.
 func checkBatchContract(t *testing.T, build func(t *testing.T, l *Local) Endpoint) {
 	t.Helper()
 	for _, tm := range batchTemplates {
@@ -108,7 +108,7 @@ func checkBatchEqualsLoop(t *testing.T, build func(t *testing.T, l *Local) Endpo
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SelectBatch(context.Background(), pg, argSets)
+	got, err := selectGroup(context.Background(), pg, argSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func serveClient(t *testing.T, h http.Handler) *Client {
 }
 
 // TestSelectBatchContract: one contract, every stack of this package —
-// the decorators and Local through the helper's loop, the client
-// natively against sparqld's handler and against a foreign one.
+// the decorators and Local through StreamBatch's per-tuple streams, the
+// client natively against sparqld's handler and against a foreign one.
 // shard.Group and cluster.Group run the same groups in their packages.
 func TestSelectBatchContract(t *testing.T) {
 	stacks := map[string]func(t *testing.T, l *Local) Endpoint{
@@ -214,7 +214,7 @@ func TestSelectBatchRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SelectBatch(context.Background(), pq, group(c.tuples)); err != nil {
+		if _, err := selectGroup(context.Background(), pq, group(c.tuples)); err != nil {
 			t.Fatal(err)
 		}
 		if got := int(h.reqs.Load()); got != c.reqs || l.Stats().Queries != c.tuples {
@@ -228,7 +228,7 @@ func TestSelectBatchRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SelectBatch(context.Background(), pq, group(10)); err != nil {
+	if _, err := selectGroup(context.Background(), pq, group(10)); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
@@ -264,7 +264,7 @@ func TestSelectBatchByteChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SelectBatch(context.Background(), pq, argSets)
+	got, err := selectGroup(context.Background(), pq, argSets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestSelectBatchFailures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := SelectBatch(context.Background(), pq, argSets)
+			res, err := selectGroup(context.Background(), pq, argSets)
 			if !errors.Is(err, ErrQuotaExceeded) || errors.Is(err, ErrOverloaded) || res != nil {
 				t.Errorf("%s: %v, %v; want ErrQuotaExceeded", name, res, err)
 			}
@@ -334,7 +334,7 @@ func TestSelectBatchFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = SelectBatch(context.Background(), pq, argSets)
+		_, err = selectGroup(context.Background(), pq, argSets)
 		if !errors.Is(err, ErrOverloaded) || !Retriable(err) {
 			t.Errorf("err = %v, want a retriable ErrOverloaded", err)
 		}
@@ -490,7 +490,7 @@ func TestMultiAnswerRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SelectBatch(context.Background(), pq, [][]sparql.Arg{batchTemplates[0].args(1), batchTemplates[0].args(2)})
+	res, err := selectGroup(context.Background(), pq, [][]sparql.Arg{batchTemplates[0].args(1), batchTemplates[0].args(2)})
 	if err == nil || !Retriable(err) || res != nil {
 		t.Fatalf("truncated answer: %v, %v; want a retriable error", res, err)
 	}
@@ -544,8 +544,11 @@ func FuzzMultiAnswer(f *testing.F) {
 // request, ten server executions, one answer, ten documents decoded —
 // measured at 637 allocations, 661 while the server materialized the
 // rows it encoded and the client decoded each frame into a slice of its
-// own; the ten single probes cost 1,513. The ceiling, set at 2 × 594
-// when grouping came in, is below 2 × either count and stays.
+// own; the ten single probes cost 1,513. It read 353 through the drain
+// this package exported until the aligner's probes went through one
+// dispatch (sampling's send), and reads 359 through selectGroup, which
+// copies each row. The ceiling, set at 2 × 594 when grouping came
+// in, is below 2 × either count and stays.
 func TestAllocCeilingSelectBatch(t *testing.T) {
 	tm := batchTemplates[0]
 	srv := httptest.NewServer(NewServer(NewLocal(batchKB(), 1)))
@@ -559,7 +562,7 @@ func TestAllocCeilingSelectBatch(t *testing.T) {
 		argSets[i] = tm.args(i)
 	}
 	allocCeiling(t, 2*594, func() {
-		if res, err := SelectBatch(context.Background(), pq, argSets); err != nil || len(res) != 10 {
+		if res, err := selectGroup(context.Background(), pq, argSets); err != nil || len(res) != 10 {
 			t.Fatalf("%d results, %v", len(res), err)
 		}
 	})

@@ -1,11 +1,8 @@
 package endpoint
 
 import (
-	"cmp"
 	"context"
-	"fmt"
 
-	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
 
@@ -93,8 +90,8 @@ type KeyedStreamer interface {
 // (multi.go), a replica set hedges it at open, the federation opens it
 // once per shard that has tuples and hands the sets back in tuple order.
 // It counts as len(argSets) queries wherever queries are counted; a
-// caller that wants whole results drains it (SelectBatch), the one drain
-// that copies. Callers must Close the RowSets.
+// caller that wants whole results copies what it reads of each set.
+// Callers must Close the RowSets.
 //
 // argSets and the tuples in it are the callee's until the RowSets is
 // closed, or the open has failed — a group's tuples may be opened one by
@@ -103,61 +100,6 @@ type KeyedStreamer interface {
 // a hedged attempt still running, copies them first.
 type BatchStreamer interface {
 	StreamBatch(ctx context.Context, argSets [][]sparql.Arg) (RowSets, error)
-}
-
-// SelectBatch runs pq once per tuple of argSets and returns the results
-// in tuple order, each byte-identical to SelectCtx on its tuple: it
-// drains the sets of a BatchStreamer's group (StreamBatch), and calls
-// SelectCtx one tuple after the other otherwise — which is also what keeps
-// Caching, Admission and Local exact: they see a group as the single
-// probes it stands for. The rows are the caller's to keep: a set's
-// borrowed rows are copied into one flat slice per set. The first
-// failing tuple fails the group; a group cut after its open fails with
-// the transport's error, never a short result.
-func SelectBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
-	out := make([]*sparql.Result, len(argSets))
-	if _, ok := pq.(BatchStreamer); ok && len(argSets) > 1 {
-		sets, err := StreamBatch(ctx, pq, argSets)
-		if err != nil {
-			return nil, err
-		}
-		err = readGroup(sets, len(argSets), func(i int, rows Rows) error {
-			out[i] = keepRows(rows)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for i, args := range argSets {
-		res, err := pq.SelectCtx(ctx, args...)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// keepRows drains what is left of a borrowed set into a Result whose
-// rows share one backing slice of copied terms.
-func keepRows(rows Rows) *sparql.Result {
-	res := &sparql.Result{Vars: rows.Vars()}
-	var terms []rdf.Term
-	n := 0
-	for ; rows.Next(); n++ {
-		terms = append(terms, rows.Row()...)
-	}
-	if n > 0 {
-		w := len(terms) / n
-		res.Rows = make([][]rdf.Term, n)
-		for j := range res.Rows {
-			res.Rows[j] = terms[j*w : (j+1)*w : (j+1)*w]
-		}
-	}
-	res.Truncated = rows.Truncated()
-	return res
 }
 
 // StreamBatch opens pq once per tuple of argSets: natively when pq is a
@@ -189,34 +131,6 @@ func StreamBatch(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) 
 		rest = rest[1:]
 		return StreamBorrowed(ctx, pq, args...)
 	}, nil), nil
-}
-
-// EachSet opens pq once per tuple of argSets (StreamBatch), hands every
-// set in turn to read — which pulls what it wants of it — and closes the
-// group: the loop of a caller that knows where each of its streams stops.
-// The rows are borrowed, so read must copy what it keeps of a row before
-// its next Next.
-func EachSet(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, read func(i int, rows Rows) error) error {
-	sets, err := StreamBatch(ctx, pq, argSets)
-	if err != nil {
-		return err
-	}
-	return readGroup(sets, len(argSets), read)
-}
-
-// readGroup hands the n sets of a group in turn to read, and closes the
-// group.
-func readGroup(sets RowSets, n int, read func(i int, rows Rows) error) error {
-	defer sets.Close()
-	for i := range n {
-		if i > 0 && !sets.NextResultSet() {
-			return cmp.Or(sets.Err(), fmt.Errorf("endpoint: a group of %d answered in %d sets", n, i))
-		}
-		if err := cmp.Or(read(i, sets), sets.Err()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SelectText runs a query text as the template without parameters it

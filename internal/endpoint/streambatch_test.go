@@ -1,8 +1,10 @@
 package endpoint
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"reflect"
 	"slices"
@@ -14,6 +16,42 @@ import (
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
+
+// eachSet opens argSets on pq as one group (StreamBatch), hands every
+// set in turn to read and closes the group. A group answered in fewer
+// sets than tuples fails.
+func eachSet(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg, read func(i int, rows Rows) error) error {
+	sets, err := StreamBatch(ctx, pq, argSets)
+	if err != nil {
+		return err
+	}
+	defer sets.Close()
+	for i := range argSets {
+		if i > 0 && !sets.NextResultSet() {
+			return cmp.Or(sets.Err(), fmt.Errorf("a group of %d answered in %d sets", len(argSets), i))
+		}
+		if err := cmp.Or(read(i, sets), sets.Err()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// selectGroup is eachSet copying every set out whole, in tuple order.
+func selectGroup(ctx context.Context, pq PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+	out := make([]*sparql.Result, len(argSets))
+	if err := eachSet(ctx, pq, argSets, func(i int, rows Rows) error {
+		out[i] = &sparql.Result{Vars: rows.Vars()}
+		for rows.Next() {
+			out[i].Rows = append(out[i].Rows, slices.Clone(rows.Row()))
+		}
+		out[i].Truncated = rows.Truncated()
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // streamsOnly makes h a server that streams but does not group: an older
 // sparqld, which sees one query field, the first, and stream=1.
@@ -151,7 +189,7 @@ func TestStreamBatchRequests(t *testing.T) {
 	}
 	drain := func(pq PreparedQuery, n int) {
 		t.Helper()
-		err := EachSet(context.Background(), pq, group(n), func(int, Rows) error { return nil })
+		err := eachSet(context.Background(), pq, group(n), func(int, Rows) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +261,7 @@ func TestStreamBatchByteChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rowsOf := make([]int, len(argSets))
-	err = EachSet(context.Background(), pq, argSets, func(i int, rows Rows) error {
+	err = eachSet(context.Background(), pq, argSets, func(i int, rows Rows) error {
 		for rows.Next() {
 			rowsOf[i]++
 		}

@@ -436,7 +436,7 @@ func TestWireGroupOfShortSetsStaysPooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SelectBatch(context.Background(), pq, argSets)
+	got, err := selectGroup(context.Background(), pq, argSets)
 	if err != nil {
 		t.Fatal(err)
 	}

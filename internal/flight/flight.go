@@ -7,8 +7,8 @@
 //     remembers nothing: once an execution completes and its waiters
 //     are served, the key is forgotten and the next call runs the
 //     function again.
-//   - Memo, the Group that remembers — the body of core.Cache and
-//     core.IndexCache.
+//   - Memo, the Group that remembers — the body of the two candidate
+//     index builds, core.IndexCache and an aligner's own prober.
 //   - Claims, the Memo a call asks many keys of at once, fetching its
 //     misses together — the aligner's per-alignment object memo.
 //   - Each, the one index-ordered parallel loop: the aligner's stages

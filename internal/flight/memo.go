@@ -26,10 +26,14 @@ type outcome[V any] struct {
 // use. fn runs under a context that carries ctx's values but none of its
 // cancellation: it completes and is stored for whoever asks next, while
 // each caller stops waiting with its own ctx.Err() — which is never
-// stored — as soon as its context ends. A panic in fn surfaces as
-// ErrPanicked and stores nothing. hit reports that this call found the
-// outcome stored (a caller that joined a computation another started is
-// neither a hit nor the one that computed).
+// stored — as soon as its context ends. That is intended: what a Memo
+// holds is a shared build, a candidate index (core.IndexCache, an
+// aligner's own prober), which the next caller would otherwise start
+// over; a computation that must stop with its callers is no Memo's. A
+// panic in fn surfaces as ErrPanicked and stores nothing. hit reports
+// that this call found the outcome stored (a caller that joined a
+// computation another started is neither a hit nor the one that
+// computed).
 func (m *Memo[K, V]) Get(ctx context.Context, key K, fn func(context.Context) (V, error)) (v V, err error, hit bool) {
 	if got, ok := m.load(key); ok {
 		return got.val, got.err, true
@@ -65,17 +69,11 @@ func (m *Memo[K, V]) load(key K) (outcome[V], bool) {
 	return got, ok
 }
 
-// Invalidate drops the outcome stored for each of keys — every outcome
-// when none is given — so the next Get computes again.
-func (m *Memo[K, V]) Invalidate(keys ...K) {
+// Invalidate drops every stored outcome, so the next Get computes again.
+func (m *Memo[K, V]) Invalidate() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(keys) == 0 {
-		m.results = nil
-	}
-	for _, k := range keys {
-		delete(m.results, k)
-	}
+	m.results = nil
+	m.mu.Unlock()
 }
 
 // Len reports how many outcomes are stored.

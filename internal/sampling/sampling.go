@@ -18,20 +18,22 @@
 //
 // The samplers speak only SPARQL against endpoint.Endpoint values and
 // translate entities through a Translator, so they run unchanged against
-// in-process KBs and remote HTTP endpoints. Each takes a range of rules
-// or sibling pairs at once (SimpleEvidenceEach, ContradictionsEach,
-// HeadSiblings): the sample probes of the range go out as one group of
-// streams (endpoint.StreamBatch), each read to its stopping point, and
-// then every object fetch of the range as one group of streams, drained
-// (endpoint.SelectBatch) — against a remote KB a range costs two requests
-// per shard, however many rules it holds; a group fails over whole at its
-// open, and is the caller's error once cut after it; against an endpoint
-// that does not group a range costs exactly the probes its rules would
-// have cost one by one. Object fetches go through an ObjectMemo, one per
+// in-process KBs and remote HTTP endpoints. Every probe leaves through
+// one dispatch (send), which hands each answer's rows to its reader as
+// they arrive. Each sampler takes a range of rules or sibling pairs at
+// once (SimpleEvidenceEach, ContradictionsEach, HeadSiblings): the sample
+// probes of the range go out as one group of streams, each read to its
+// stopping point, and then every object fetch of the range as one group,
+// read whole — against a remote KB a range costs two requests per shard,
+// however many rules it holds; a group fails over whole at its open, and
+// is the caller's error once cut after it; against an endpoint that does
+// not group a range costs exactly the probes its rules would have cost
+// one by one. Object fetches go through an ObjectMemo, one per
 // alignment: an alignment asks each of its object questions once.
 package sampling
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -94,17 +96,20 @@ type ProbeTemplate struct {
 }
 
 // probes is the probe table: NewValidator prepares every row on K and on
-// K', a literal scan on K' alone.
+// K', a literal scan on K' alone. A streamed probe is read to a stopping
+// point of its reader's (a sample window, an overlap window); any other
+// is drained, each answer a row or a few, read whole (send).
 var probes = [numProbes]struct {
 	ProbeTemplate
 	params     []string
 	kPrimeOnly bool
+	streamed   bool
 }{
-	pSample:   {ProbeTemplate{TmplSample, "sample"}, []string{"r", "n"}, false},
-	pObjects:  {ProbeTemplate{TmplObjects, "objects"}, []string{"x", "r"}, false},
-	pOverlap:  {ProbeTemplate{TmplOverlap, "overlap"}, []string{"a", "b", "n"}, false},
-	pBetween:  {ProbeTemplate{tmplPredsBetween, "between"}, []string{"x", "y"}, false},
-	pLiterals: {ProbeTemplate{tmplLiteralAttrs, "literals"}, []string{"x"}, true},
+	pSample:   {ProbeTemplate{TmplSample, "sample"}, []string{"r", "n"}, false, true},
+	pObjects:  {ProbeTemplate{TmplObjects, "objects"}, []string{"x", "r"}, false, false},
+	pOverlap:  {ProbeTemplate{TmplOverlap, "overlap"}, []string{"a", "b", "n"}, false, true},
+	pBetween:  {ProbeTemplate{tmplPredsBetween, "between"}, []string{"x", "y"}, false, false},
+	pLiterals: {ProbeTemplate{tmplLiteralAttrs, "literals"}, []string{"x"}, true, false},
 }
 
 // ProbeTemplates lists the templates of the probe table.
@@ -201,14 +206,6 @@ type flipTranslator struct{ t Translator }
 func (f flipTranslator) ToK(x string) (string, bool)   { return f.t.FromK(x) }
 func (f flipTranslator) FromK(x string) (string, bool) { return f.t.ToK(x) }
 
-// handle is v's probe p on its K, on its K' when prime is set.
-func (v *Validator) handle(p probe, prime bool) endpoint.PreparedQuery {
-	if prime != v.flipped {
-		return v.h[1][p]
-	}
-	return v.h[0][p]
-}
-
 // Groups reports whether K or K' takes a group of probes as one
 // (endpoint.BatchStreamer).
 func (v *Validator) Groups() bool {
@@ -216,6 +213,93 @@ func (v *Validator) Groups() bool {
 	_, kPrime := v.h[1][pSample].(endpoint.BatchStreamer)
 	return k || kPrime
 }
+
+// send is the one place a probe leaves the package: it executes probe p
+// on v's K — on its K' when prime is set — once per tuple of sets, and
+// hands each answer to read, in tuple order, its rows as they arrive.
+// The rows are borrowed (endpoint.BatchStreamer): read copies what it
+// keeps of a row before its next Next. A handle that groups takes a
+// streamed probe as one group, and a drained one as one group of two or
+// more tuples. Any other handle takes a drained probe as one SelectCtx a
+// tuple — which keeps Caching, Admission and Local exact: they see the
+// single probes a group stands for — and a streamed one as one borrowed
+// stream a tuple, opened when read reaches it. The first failing tuple,
+// or read's first error, ends the call; a group answered in fewer sets
+// than tuples fails it, never passing a short answer off as whole. The
+// error names the probe and how many tuples it had.
+func (v *Validator) send(ctx context.Context, p probe, prime bool, sets [][]sparql.Arg, read func(i int, rows endpoint.Rows) error) error {
+	pq, streamed := v.h[0][p], probes[p].streamed
+	if prime != v.flipped {
+		pq = v.h[1][p]
+	}
+	err := func() error {
+		if b, ok := pq.(endpoint.BatchStreamer); ok && (streamed || len(sets) > 1) {
+			group, err := b.StreamBatch(ctx, sets)
+			if err != nil {
+				return err
+			}
+			defer group.Close()
+			for i := range sets {
+				if i > 0 && !group.NextResultSet() {
+					return cmp.Or(group.Err(), fmt.Errorf("a group of %d answered in %d sets", len(sets), i))
+				}
+				if err := cmp.Or(read(i, group), group.Err()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		var drained resultRows // one for every answer of the call
+		for i, args := range sets {
+			var rows endpoint.Rows = &drained
+			if streamed {
+				var err error
+				if rows, err = endpoint.StreamBorrowed(ctx, pq, args...); err != nil {
+					return err
+				}
+			} else {
+				res, err := pq.SelectCtx(ctx, args...)
+				if err != nil {
+					return err
+				}
+				drained = resultRows{res: res}
+			}
+			err := cmp.Or(read(i, rows), rows.Err())
+			rows.Close()
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	if err != nil {
+		return fmt.Errorf("sampling: %s probe, %d tuples: %w", probes[p].Class, len(sets), err)
+	}
+	return nil
+}
+
+// resultRows reads a drained answer as the stream send's reader takes.
+// send keeps one for the whole call: endpoint.ReplayRows, one a tuple,
+// made a paper-world relation allocate 46.0 KB / 450 objects against
+// 40.9 KB / 406 (TestAllocCeilingAlignRelation).
+type resultRows struct {
+	res *sparql.Result
+	i   int // rows read
+}
+
+func (r *resultRows) Next() bool {
+	if r.i == len(r.res.Rows) {
+		return false
+	}
+	r.i++
+	return true
+}
+
+func (r *resultRows) Vars() []string  { return r.res.Vars }
+func (r *resultRows) Row() []rdf.Term { return r.res.Rows[r.i-1] }
+func (r *resultRows) Err() error      { return nil }
+func (r *resultRows) Truncated() bool { return r.res.Truncated }
+func (r *resultRows) Close()          { r.i = len(r.res.Rows) }
 
 // tuples is the argument tuples of a group, cut from one flat slice.
 type tuples struct {
@@ -238,16 +322,18 @@ func (t *tuples) add(args ...sparql.Arg) {
 // keeps: the object questions of its rows (keys), what reading a sample
 // window needs (readSample) — the window's facts in window order, each
 // with its subject's index in the subjects so far, and a count per
-// subject — and the overlap rows ContradictionsEach reads before it
-// copies them out (found, with each pair's end offset in ends). None of
-// it reaches an endpoint, so it comes from scratchPool (newScratch) and
-// goes back, cleared, when the call returns (release).
+// subject — and the rows read before they are copied out, each answer's
+// end offset in ends: the overlap rows of ContradictionsEach (found) and
+// the objects of an object fetch (objects). None of it reaches an
+// endpoint, so it comes from scratchPool (newScratch) and goes back,
+// cleared, when the call returns (release).
 type scratch struct {
 	keys     []objectKey
 	subjects []string
 	facts    []windowFact
 	start    []int
 	found    []Contradiction
+	objects  []rdf.Term
 	ends     []int
 }
 
@@ -274,15 +360,16 @@ func newScratch(n int) *scratch {
 // release hands sc back to scratchPool, cleared; sc must not be used
 // after.
 func (sc *scratch) release() {
-	if max(cap(sc.keys), cap(sc.subjects), cap(sc.facts), cap(sc.found), cap(sc.ends)) > maxPooledScratch {
+	if max(cap(sc.keys), cap(sc.subjects), cap(sc.facts), cap(sc.found), cap(sc.objects), cap(sc.ends)) > maxPooledScratch {
 		return
 	}
 	clear(sc.keys)
 	clear(sc.subjects)
 	clear(sc.facts)
 	clear(sc.found)
+	clear(sc.objects)
 	sc.keys, sc.subjects, sc.facts = sc.keys[:0], sc.subjects[:0], sc.facts[:0]
-	sc.found, sc.ends = sc.found[:0], sc.ends[:0]
+	sc.found, sc.objects, sc.ends = sc.found[:0], sc.objects[:0], sc.ends[:0]
 	scratchPool.Put(sc)
 }
 
@@ -291,54 +378,50 @@ func (sc *scratch) release() {
 // a translated entity pair, or is a literal attribute of a translated
 // subject that matches its literal object. The sample window is a stream,
 // closed once n translatable facts are found. The probes of each kind go
-// to K' as one group (endpoint.SelectBatch). stage runs the tasks: the
-// sample stream, then one per kind of probe that has any — a relation's
-// probes are mostly of one kind, and often none.
+// to K' as one group, their predicates counted as they arrive. stage
+// runs the tasks: the sample stream, then one per kind of probe that has
+// any — a relation's probes are mostly of one kind, and often none.
 func (v *Validator) Discover(ctx context.Context, r string, n int, stage func(ctx context.Context, n int, task func(ctx context.Context, i int) error) error) (map[string]int, error) {
 	entity, literal := newTuples(n, 2), tuples{}
 	var lits []rdf.Term // literal.sets[i] is matched against lits[i]
 	err := stage(ctx, 1, func(ctx context.Context, _ int) error {
-		rows, err := endpoint.StreamBorrowed(ctx, v.handle(pSample, false), sparql.IRIArg(r), sparql.IntArg(v.window(n)))
-		if err != nil {
-			return err
-		}
-		defer rows.Close()
-		for len(entity.sets)+len(literal.sets) < n && rows.Next() {
-			row := rows.Row()
-			x, y := row[0], row[1]
-			if !x.IsIRI() {
-				continue
-			}
-			xp, ok := v.Links.FromK(x.Value)
-			if !ok {
-				continue
-			}
-			switch {
-			case y.IsIRI():
-				yp, ok := v.Links.FromK(y.Value)
+		return v.send(ctx, pSample, false, [][]sparql.Arg{{sparql.IRIArg(r), sparql.IntArg(v.window(n))}}, func(_ int, rows endpoint.Rows) error {
+			for len(entity.sets)+len(literal.sets) < n && rows.Next() {
+				row := rows.Row()
+				x, y := row[0], row[1]
+				if !x.IsIRI() {
+					continue
+				}
+				xp, ok := v.Links.FromK(x.Value)
 				if !ok {
 					continue
 				}
-				entity.add(sparql.IRIArg(xp), sparql.IRIArg(yp))
-			case y.IsLiteral():
-				if v.Matcher == nil {
-					continue
+				switch {
+				case y.IsIRI():
+					yp, ok := v.Links.FromK(y.Value)
+					if !ok {
+						continue
+					}
+					entity.add(sparql.IRIArg(xp), sparql.IRIArg(yp))
+				case y.IsLiteral():
+					if v.Matcher == nil {
+						continue
+					}
+					literal.add(sparql.IRIArg(xp))
+					lits = append(lits, y)
 				}
-				literal.add(sparql.IRIArg(xp))
-				lits = append(lits, y)
 			}
-		}
-		return rows.Err()
+			return nil
+		})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("sampling: discovery sample for <%s>: %w", r, err)
+		return nil, fmt.Errorf("discovery sample for <%s>: %w", r, err)
 	}
 
 	groups := [2]struct {
-		pq      endpoint.PreparedQuery
-		argSets [][]sparql.Arg
-		results []*sparql.Result
-	}{{pq: v.handle(pBetween, true), argSets: entity.sets}, {pq: v.handle(pLiterals, true), argSets: literal.sets}}
+		p    probe
+		sets [][]sparql.Arg
+	}{{pBetween, entity.sets}, {pLiterals, literal.sets}}
 	run := groups[:]
 	if len(entity.sets) == 0 {
 		run = run[1:]
@@ -346,31 +429,28 @@ func (v *Validator) Discover(ctx context.Context, r string, n int, stage func(ct
 	if len(literal.sets) == 0 {
 		run = run[:len(run)-1]
 	}
+	hits := map[string]int{}
+	var mu sync.Mutex // the groups' tasks may count at once
 	err = stage(ctx, len(run), func(ctx context.Context, i int) error {
-		var err error
-		run[i].results, err = endpoint.SelectBatch(ctx, run[i].pq, run[i].argSets)
-		return err
+		return v.send(ctx, run[i].p, true, run[i].sets, func(k int, rows endpoint.Rows) error {
+			for rows.Next() {
+				row := rows.Row()
+				if run[i].p == pLiterals {
+					if ok, _ := v.Matcher.Match(lits[k], row[1]); !ok {
+						continue
+					}
+				}
+				if row[0].IsIRI() {
+					mu.Lock()
+					hits[row[0].Value]++
+					mu.Unlock()
+				}
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
-	}
-	hits := map[string]int{}
-	count := func(rel rdf.Term) {
-		if rel.IsIRI() {
-			hits[rel.Value]++
-		}
-	}
-	for _, res := range groups[0].results {
-		for _, row := range res.Rows {
-			count(row[0])
-		}
-	}
-	for i, res := range groups[1].results {
-		for _, row := range res.Rows {
-			if ok, _ := v.Matcher.Match(lits[i], row[1]); ok {
-				count(row[0])
-			}
-		}
 	}
 	return hits, nil
 }
@@ -416,13 +496,13 @@ func (v *Validator) SampleBodies(ctx context.Context, rsubs []string, n int) ([]
 	out := make([]*SampleSet, len(rsubs))
 	sc := newScratch(0)
 	defer sc.release()
-	err := endpoint.EachSet(ctx, v.handle(pSample, true), g.sets, func(i int, rows endpoint.Rows) error {
+	err := v.send(ctx, pSample, true, g.sets, func(i int, rows endpoint.Rows) error {
 		out[i] = &sets[i]
 		v.readSample(rows, n, out[i], sc)
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("sampling: body sample for <%s> and %d more: %w", rsubs[0], len(rsubs)-1, err)
+		return nil, fmt.Errorf("body sample for <%s> and %d more: %w", rsubs[0], len(rsubs)-1, err)
 	}
 	return out, nil
 }
@@ -552,13 +632,14 @@ func (v *Validator) relation(memo *ObjectMemo, prime bool, r string) uint32 {
 
 // objectsOf returns, for every key, the objects of its relation in K —
 // in K' when prime is set — for its subject. The keys memo has not seen
-// go out as one group, drained (endpoint.SelectBatch): the fetches are
-// independent, so an endpoint that can take them together does — one
-// request, one per shard — and any other runs them in order, stopping at
-// the first failure; then it waits for the keys another stage task is
-// fetching. It is the one object fetch of both samplers: Simple Sample
-// Extraction needs the full r-facts of its sampled subjects for the PCA
-// denominator, the UBS check stage those of its overlap subjects.
+// go out as one group, drained (send): the fetches are independent, so
+// an endpoint that can take them together does — one request, one per
+// shard — and any other runs them in order, stopping at the first
+// failure; then it waits for the keys another stage task is fetching.
+// What the memo keeps is one slice of exactly the objects read. It is
+// the one object fetch of both samplers: Simple Sample Extraction needs
+// the full r-facts of its sampled subjects for the PCA denominator, the
+// UBS check stage those of its overlap subjects.
 func (v *Validator) objectsOf(ctx context.Context, memo *ObjectMemo, prime bool, keys []objectKey) ([][]rdf.Term, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -571,21 +652,22 @@ func (v *Validator) objectsOf(ctx context.Context, memo *ObjectMemo, prime bool,
 		for _, i := range miss {
 			g.add(sparql.IRIArg(keys[i].x), sparql.IRIArg(rels[keys[i].rel].r))
 		}
-		results, err := endpoint.SelectBatch(ctx, v.handle(pObjects, prime), g.sets)
-		if err != nil {
-			return nil, fmt.Errorf("sampling: objects of %d subjects: %w", len(miss), err)
-		}
-		n := 0
-		for _, res := range results {
-			n += len(res.Rows)
-		}
-		flat := make([]rdf.Term, 0, n)
-		objs := make([][]rdf.Term, len(results))
-		for i, res := range results {
-			for _, row := range res.Rows {
-				flat = append(flat, row[0])
+		sc := newScratch(0)
+		defer sc.release()
+		err := v.send(ctx, pObjects, prime, g.sets, func(_ int, rows endpoint.Rows) error {
+			for rows.Next() {
+				sc.objects = append(sc.objects, rows.Row()[0])
 			}
-			objs[i], flat = flat[:len(flat):len(flat)], flat[len(flat):]
+			sc.ends = append(sc.ends, len(sc.objects))
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		flat, start := slices.Clone(sc.objects), 0
+		objs := make([][]rdf.Term, len(miss))
+		for i, end := range sc.ends {
+			objs[i], start = flat[start:end:end], end
 		}
 		return objs, nil
 	})

@@ -3,6 +3,7 @@ package sampling
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"sofya/internal/kb"
 	"sofya/internal/rdf"
 	"sofya/internal/sameas"
+	"sofya/internal/sparql"
 	"sofya/internal/strsim"
 )
 
@@ -534,3 +536,207 @@ var errRefused = errors.New("refused")
 type refusing struct{ endpoint.Endpoint }
 
 func (refusing) Prepare(string, ...string) (endpoint.PreparedQuery, error) { return nil, errRefused }
+
+// sendHandle is a probe handle whose answer to tuple (IntArg k) is the
+// one row <http://x/k>. It fails at the open of tuple fail, and cuts the
+// stream of tuple cut after its row (none if < 0). It writes every call
+// it takes, and every set send hands to read, to log.
+type sendHandle struct {
+	log       *[]string
+	fail, cut int
+}
+
+func (h sendHandle) answer(call string, args []sparql.Arg) (*sparql.Result, error) {
+	k, _ := args[0].Int()
+	*h.log = append(*h.log, fmt.Sprint(call, " ", k))
+	if k == h.fail {
+		return nil, errSendFailed
+	}
+	return &sparql.Result{Vars: []string{"y"}, Rows: [][]rdf.Term{{rdf.NewIRI(fmt.Sprint("http://x/", k))}}}, nil
+}
+
+var errSendFailed = errors.New("tuple failed")
+
+func (h sendHandle) SelectCtx(_ context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	return h.answer("SelectCtx", args)
+}
+
+func (h sendHandle) AskCtx(context.Context, ...sparql.Arg) (bool, error) {
+	return false, errors.New("not an ASK")
+}
+
+func (h sendHandle) Stream(_ context.Context, args ...sparql.Arg) (endpoint.Rows, error) {
+	res, err := h.answer("Stream", args)
+	if err != nil {
+		return nil, err
+	}
+	if k, _ := args[0].Int(); k == h.cut {
+		return cutRows{endpoint.ReplayRows(res)}, nil
+	}
+	return endpoint.ReplayRows(res), nil
+}
+
+// cutRows is a stream cut after its rows.
+type cutRows struct{ endpoint.Rows }
+
+func (cutRows) Err() error { return errSendFailed }
+
+// sendGroups is a sendHandle that groups, answering short sets fewer
+// sets than tuples.
+type sendGroups struct {
+	sendHandle
+	short int
+}
+
+func (h sendGroups) StreamBatch(_ context.Context, argSets [][]sparql.Arg) (endpoint.RowSets, error) {
+	*h.log = append(*h.log, fmt.Sprint("StreamBatch of ", len(argSets)))
+	results := make([]*sparql.Result, len(argSets)-h.short)
+	for i := range results {
+		results[i], _ = h.answer("set", argSets[i])
+	}
+	return endpoint.ReplaySets(results), nil
+}
+
+// TestSendContract: what each kind of handle sees of the one dispatch,
+// and how a call ends early. Over a handle that does not group, a drained
+// probe is one SelectCtx a tuple, in order, and a streamed one a stream
+// a tuple, each opened only once read has returned from the one before;
+// the first failing tuple, or read's error, ends the call, and nothing
+// after it runs. A handle that groups takes a streamed probe as one
+// group, and a drained one as one group of two or more tuples; a group
+// answered in fewer sets than tuples fails the call — read never sees a
+// short answer passed off as whole. Every error names the probe and its
+// tuples once, with the cause still reachable through errors.Is.
+func TestSendContract(t *testing.T) {
+	tuples := func(n int) [][]sparql.Arg {
+		out := make([][]sparql.Arg, n)
+		for i := range out {
+			out[i] = []sparql.Arg{sparql.IntArg(i)}
+		}
+		return out
+	}
+	readErr := errors.New("read failed")
+	for _, c := range []struct {
+		name     string
+		p        probe
+		groups   bool
+		n, short int // tuples sent, and how many fewer sets a group answers
+		fail     int // the tuple whose open fails
+		cut      int // the tuple whose stream is cut
+		readErr  int // the tuple whose read fails
+		want     []string
+		wantErr  error
+		wantText string
+	}{
+		{name: "drained, one SelectCtx a tuple", p: pObjects, n: 3, fail: -1, cut: -1, readErr: -1,
+			want: []string{"SelectCtx 0", "read 0 http://x/0", "SelectCtx 1", "read 1 http://x/1", "SelectCtx 2", "read 2 http://x/2"}},
+		{name: "streamed, each opened after the read before", p: pSample, n: 3, fail: -1, cut: -1, readErr: -1,
+			want: []string{"Stream 0", "read 0 http://x/0", "Stream 1", "read 1 http://x/1", "Stream 2", "read 2 http://x/2"}},
+		{name: "drained, the first failure stops the rest", p: pBetween, n: 3, fail: 1, cut: -1, readErr: -1,
+			want: []string{"SelectCtx 0", "read 0 http://x/0", "SelectCtx 1"}, wantErr: errSendFailed},
+		{name: "streamed, the first failure stops the rest", p: pOverlap, n: 3, fail: 1, cut: -1, readErr: -1,
+			want: []string{"Stream 0", "read 0 http://x/0", "Stream 1"}, wantErr: errSendFailed},
+		{name: "a stream cut ends the call", p: pSample, n: 3, fail: -1, cut: 1, readErr: -1,
+			want: []string{"Stream 0", "read 0 http://x/0", "Stream 1", "read 1 http://x/1"}, wantErr: errSendFailed},
+		{name: "a read error ends the call", p: pSample, n: 3, fail: -1, cut: -1, readErr: 0,
+			want: []string{"Stream 0", "read 0 http://x/0"}, wantErr: readErr},
+		{name: "grouped", p: pObjects, groups: true, n: 3, fail: -1, cut: -1, readErr: -1,
+			want: []string{"StreamBatch of 3", "set 0", "set 1", "set 2", "read 0 http://x/0", "read 1 http://x/1", "read 2 http://x/2"}},
+		{name: "grouped, a drained tuple alone", p: pObjects, groups: true, n: 1, fail: -1, cut: -1, readErr: -1,
+			want: []string{"SelectCtx 0", "read 0 http://x/0"}},
+		{name: "grouped, a streamed tuple alone", p: pSample, groups: true, n: 1, fail: -1, cut: -1, readErr: -1,
+			want: []string{"StreamBatch of 1", "set 0", "read 0 http://x/0"}},
+		{name: "grouped, answered short", p: pLiterals, groups: true, n: 3, short: 1, fail: -1, cut: -1, readErr: -1,
+			want:     []string{"StreamBatch of 3", "set 0", "set 1", "read 0 http://x/0", "read 1 http://x/1"},
+			wantText: "a group of 3 answered in 2 sets"},
+	} {
+		var log []string
+		var pq endpoint.PreparedQuery = sendHandle{&log, c.fail, c.cut}
+		if c.groups {
+			pq = sendGroups{sendHandle{&log, c.fail, c.cut}, c.short}
+		}
+		v := &Validator{h: new([2][numProbes]endpoint.PreparedQuery)}
+		v.h[1][c.p] = pq
+		err := v.send(context.Background(), c.p, true, tuples(c.n), func(i int, rows endpoint.Rows) error {
+			for rows.Next() {
+				log = append(log, fmt.Sprint("read ", i, " ", rows.Row()[0].Value))
+			}
+			if i == c.readErr {
+				return readErr
+			}
+			return nil
+		})
+		if !reflect.DeepEqual(log, c.want) {
+			t.Errorf("%s: %q, want %q", c.name, log, c.want)
+		}
+		switch {
+		case c.wantErr == nil && c.wantText == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.wantErr != nil && !errors.Is(err, c.wantErr):
+			t.Errorf("%s: %v, want %v", c.name, err, c.wantErr)
+		case c.wantText != "" && (err == nil || !strings.HasSuffix(err.Error(), c.wantText)):
+			t.Errorf("%s: %v, want %q", c.name, err, c.wantText)
+		}
+		if err != nil {
+			want := fmt.Sprintf("sampling: %s probe, %d tuples: ", probes[c.p].Class, c.n)
+			if !strings.HasPrefix(err.Error(), want) || strings.Count(err.Error(), "sampling:") != 1 {
+				t.Errorf("%s: %q, want one prefix %q", c.name, err, want)
+			}
+		}
+	}
+}
+
+// TestSamplerErrorsNameTheirProbe: the error of a failed probe names the
+// probe and its tuples once (send), under the relations its site names,
+// and is still the transport's error. Every probe here meets a context
+// that has ended; Discover's K' probes meet it in the stage after the
+// sample's.
+func TestSamplerErrorsNameTheirProbe(t *testing.T) {
+	v, _, _ := newValidator(t)
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	set, err := sampleBody(v, dNS+"composerOf", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		want string
+		run  func() error
+	}{
+		{"discovery sample for <" + yNS + "creatorOf>: sampling: sample probe, 1 tuples: ", func() error {
+			_, err := v.Discover(dead, yNS+"creatorOf", 5, new(inOrder).run)
+			return err
+		}},
+		{"sampling: between probe, ", func() error {
+			stages := 0
+			_, err := v.Discover(context.Background(), yNS+"creatorOf", 5, func(ctx context.Context, n int, task func(context.Context, int) error) error {
+				if stages++; stages > 1 {
+					ctx = dead
+				}
+				return new(inOrder).run(ctx, n, task)
+			})
+			return err
+		}},
+		{"body sample for <" + dNS + "composerOf> and 0 more: sampling: sample probe, 1 tuples: ", func() error {
+			_, err := v.SampleBodies(dead, []string{dNS + "composerOf"}, 3)
+			return err
+		}},
+		{"UBS overlap query (" + dNS + "composerOf," + dNS + "writerOf) and 0 more: sampling: overlap probe, 1 tuples: ", func() error {
+			return v.ContradictionsEach(dead, new(ObjectMemo), BodySide, []SiblingPair{{A: dNS + "composerOf", B: dNS + "writerOf", Check: yNS + "creatorOf"}}, 5)
+		}},
+		{"sampling: objects probe, 1 tuples: ", func() error {
+			memo := new(ObjectMemo)
+			_, err := v.objectsOf(dead, memo, false, []objectKey{{set.Subjects[0], v.relation(memo, false, yNS+"creatorOf")}})
+			return err
+		}},
+		{"sampling: between probe, " + fmt.Sprint(len(set.Facts)) + " tuples: ", func() error {
+			_, err := v.HeadSiblings(dead, []Rule{{Body: dNS + "composerOf", Head: yNS + "creatorOf", Set: set}}, 10, 2)
+			return err
+		}},
+	} {
+		err := c.run()
+		if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), c.want) || strings.Count(err.Error(), "sampling:") != 1 {
+			t.Errorf("%v; want context.Canceled under one %q", err, c.want)
+		}
+	}
+}

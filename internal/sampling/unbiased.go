@@ -129,7 +129,7 @@ func (v *Validator) ContradictionsEach(ctx context.Context, memo *ObjectMemo, si
 	results := make([]UBSResult, len(pairs))
 	sc := newScratch(m * len(pairs))
 	defer sc.release()
-	err := endpoint.EachSet(ctx, v.handle(pOverlap, side == BodySide), g.sets, func(i int, rows endpoint.Rows) error {
+	err := v.send(ctx, pOverlap, side == BodySide, g.sets, func(i int, rows endpoint.Rows) error {
 		out := &results[i]
 		pairs[i].Res = out
 		check := v.relation(memo, side == HeadSide, pairs[i].Check)
@@ -155,7 +155,7 @@ func (v *Validator) ContradictionsEach(ctx context.Context, memo *ObjectMemo, si
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("sampling: UBS overlap query (%s,%s) and %d more: %w", pairs[0].A, pairs[0].B, len(pairs)-1, err)
+		return fmt.Errorf("UBS overlap query (%s,%s) and %d more: %w", pairs[0].A, pairs[0].B, len(pairs)-1, err)
 	}
 	// What the results keep is one slice of exactly the rows read.
 	found, start := slices.Clone(sc.found), 0
@@ -184,7 +184,7 @@ func (v *Validator) ContradictionsEach(ctx context.Context, memo *ObjectMemo, si
 // siblings the mirrored UBS strategy searches against the Head: those
 // connecting the most pairs, most first, at most keep of them. The
 // probes of all the rules, one per pair, go to K as one group, drained
-// (endpoint.SelectBatch): each answers a row or two, read whole.
+// (send): each answers a row or two, counted as it arrives.
 func (v *Validator) HeadSiblings(ctx context.Context, rules []Rule, m, keep int) ([][]string, error) {
 	n := 0
 	for _, rule := range rules {
@@ -204,21 +204,21 @@ func (v *Validator) HeadSiblings(ctx context.Context, rules []Rule, m, keep int)
 			}
 		}
 	}
-	results, err := endpoint.SelectBatch(ctx, v.handle(pBetween, false), g.sets)
-	if err != nil {
-		return nil, err
-	}
 	counts := make([]map[string]int, len(rules))
-	for k, res := range results {
+	err := v.send(ctx, pBetween, false, g.sets, func(k int, rows endpoint.Rows) error {
 		i := of[k]
 		if counts[i] == nil {
 			counts[i] = map[string]int{}
 		}
-		for _, row := range res.Rows {
-			if p := row[0]; p.IsIRI() && p.Value != rules[i].Head {
+		for rows.Next() {
+			if p := rows.Row()[0]; p.IsIRI() && p.Value != rules[i].Head {
 				counts[i][p.Value]++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]string, len(rules))
 	for i, c := range counts {

@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,6 +16,42 @@ import (
 	"sofya/internal/rdf"
 	"sofya/internal/sparql"
 )
+
+// eachSet opens argSets on pq as one group (endpoint.StreamBatch), hands
+// every set in turn to read and closes the group. A group answered in
+// fewer sets than tuples fails.
+func eachSet(ctx context.Context, pq endpoint.PreparedQuery, argSets [][]sparql.Arg, read func(i int, rows endpoint.Rows) error) error {
+	sets, err := endpoint.StreamBatch(ctx, pq, argSets)
+	if err != nil {
+		return err
+	}
+	defer sets.Close()
+	for i := range argSets {
+		if i > 0 && !sets.NextResultSet() {
+			return cmp.Or(sets.Err(), fmt.Errorf("a group of %d answered in %d sets", len(argSets), i))
+		}
+		if err := cmp.Or(read(i, sets), sets.Err()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// selectGroup is eachSet copying every set out whole, in tuple order.
+func selectGroup(ctx context.Context, pq endpoint.PreparedQuery, argSets [][]sparql.Arg) ([]*sparql.Result, error) {
+	out := make([]*sparql.Result, len(argSets))
+	if err := eachSet(ctx, pq, argSets, func(i int, rows endpoint.Rows) error {
+		out[i] = &sparql.Result{Vars: rows.Vars()}
+		for rows.Next() {
+			out[i].Rows = append(out[i].Rows, slices.Clone(rows.Row()))
+		}
+		out[i].Truncated = rows.Truncated()
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // The aligner's group shapes (the endpoint package holds its own stacks
 // to the same ones): three routed by their subject parameter, and the
@@ -65,8 +103,8 @@ var batchGroups = map[string][]int{
 	"all":        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39},
 }
 
-// checkGroupBatch holds a federation to the SelectBatch contract: a
-// group answers what its tuples answer one by one — which is what the
+// checkGroupBatch holds a federation to the drained-group contract
+// (selectGroup): a group answers what its tuples answer one by one — which is what the
 // unsharded Local answers — and costs its shards the same queries and
 // rows.
 func checkGroupBatch(t *testing.T, build func(t *testing.T) (endpoint.Endpoint, func() endpoint.Stats), quota endpoint.Quota) {
@@ -92,7 +130,7 @@ func checkGroupBatch(t *testing.T, build func(t *testing.T) (endpoint.Endpoint, 
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := endpoint.SelectBatch(context.Background(), pg, argSets)
+				got, err := selectGroup(context.Background(), pg, argSets)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +228,7 @@ func TestGroupSelectBatchOverHTTP(t *testing.T) {
 		argSets[i] = tm.args(i)
 		shards[kb.SubjectShard(rdf.NewIRI(batchSubject(i)), 3)] = true
 	}
-	if _, err := endpoint.SelectBatch(context.Background(), pq, argSets); err != nil {
+	if _, err := selectGroup(context.Background(), pq, argSets); err != nil {
 		t.Fatal(err)
 	}
 	if got := int(reqs.Load()); got != len(shards) {
@@ -217,7 +255,7 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := endpoint.SelectBatch(context.Background(), pq, argSets)
+		res, err := selectGroup(context.Background(), pq, argSets)
 		if !errors.Is(err, endpoint.ErrQuotaExceeded) || res != nil {
 			t.Errorf("%s: %v, %v; want ErrQuotaExceeded", name, res, err)
 		}
@@ -229,7 +267,7 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := append(append([][]sparql.Arg{}, argSets[:5]...), []sparql.Arg{sparql.IntArg(1), sparql.IRIArg("http://x/p")})
-	if res, err := endpoint.SelectBatch(context.Background(), pq, bad); err == nil || res != nil {
+	if res, err := selectGroup(context.Background(), pq, bad); err == nil || res != nil {
 		t.Errorf("a tuple of the wrong kind: %v, %v", res, err)
 	}
 	if q := stats().Queries; q != 0 {
@@ -237,8 +275,8 @@ func TestGroupSelectBatchFailures(t *testing.T) {
 	}
 }
 
-// TestSelectBatchRowsAreOwned guards the line between SelectBatch,
-// whose rows the caller keeps, and EachSet, whose rows are borrowed: over
+// TestSelectBatchRowsAreOwned guards the line between the rows a drain
+// copies out (selectGroup) and a group's borrowed rows (eachSet): over
 // a Local (which does not group), an in-process Group and a grouping
 // HTTP Client, a group's results still equal per-tuple SelectCtx after
 // further calls on the same handle — groups, borrowed and owned streams —
@@ -261,14 +299,14 @@ func TestSelectBatchRowsAreOwned(t *testing.T) {
 				argSets[i] = tm.args(i + 1)
 			}
 			ctx := context.Background()
-			got, err := endpoint.SelectBatch(ctx, pq, argSets)
+			got, err := selectGroup(ctx, pq, argSets)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := endpoint.SelectBatch(ctx, pq, argSets); err != nil {
+			if _, err := selectGroup(ctx, pq, argSets); err != nil {
 				t.Fatal(err)
 			}
-			err = endpoint.EachSet(ctx, pq, argSets, func(_ int, rows endpoint.Rows) error {
+			err = eachSet(ctx, pq, argSets, func(_ int, rows endpoint.Rows) error {
 				for rows.Next() {
 				}
 				return nil
@@ -450,7 +488,7 @@ func TestStreamBatchContract(t *testing.T) {
 			argSets[i] = tm.args(i)
 		}
 		rows := 0
-		err = endpoint.EachSet(context.Background(), pq, argSets, func(_ int, set endpoint.Rows) error {
+		err = eachSet(context.Background(), pq, argSets, func(_ int, set endpoint.Rows) error {
 			for set.Next() {
 				rows++
 			}
@@ -480,7 +518,7 @@ func TestStreamBatchFailures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = endpoint.EachSet(context.Background(), pq, argSets, func(_ int, set endpoint.Rows) error {
+		err = eachSet(context.Background(), pq, argSets, func(_ int, set endpoint.Rows) error {
 			for set.Next() {
 			}
 			return nil

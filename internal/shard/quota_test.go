@@ -123,12 +123,12 @@ func TestGroupContextCancellation(t *testing.T) {
 		{"prepared AskCtx", func() (endpoint.Rows, error) { _, err := ask.AskCtx(ctx, p); return nil, err }},
 		{"prepared Stream", func() (endpoint.Rows, error) { return sel.Stream(ctx, p) }},
 		{"prepared SelectBatch, routed", func() (endpoint.Rows, error) {
-			_, err := endpoint.SelectBatch(ctx, routed, [][]sparql.Arg{
+			_, err := selectGroup(ctx, routed, [][]sparql.Arg{
 				{sparql.IRIArg("http://x/s1"), p}, {sparql.IRIArg("http://x/s2"), p}, {sparql.IRIArg("http://x/s3"), p}})
 			return nil, err
 		}},
 		{"prepared SelectBatch, fanned out", func() (endpoint.Rows, error) {
-			_, err := endpoint.SelectBatch(ctx, sel, [][]sparql.Arg{{p}, {p}})
+			_, err := selectGroup(ctx, sel, [][]sparql.Arg{{p}, {p}})
 			return nil, err
 		}},
 		{"prepared StreamBatch, routed", func() (endpoint.Rows, error) {

@@ -43,8 +43,7 @@
 // identically regardless of execution order — the batch output is
 // byte-identical to the sequential run for fixed endpoint seeds; the
 // first relation to fail cancels the others' probes. Every endpoint call
-// takes a context (SelectCtx / AskCtx / Stream), and NewAlignerCache
-// memoizes per-relation results with singleflighted misses.
+// takes a context (SelectCtx / AskCtx / Stream).
 //
 // # Prepared queries
 //
@@ -317,20 +316,12 @@ const (
 	CWA = ilp.CWA
 )
 
-// AlignerCache memoizes an aligner's per-relation results with
-// singleflighted misses, for query-time serving.
-type AlignerCache = core.Cache
-
 // NewAligner builds an aligner: k is the source endpoint K (whose
 // relation arrives in a query), kprime the target endpoint K', links
 // the sameAs translator between them.
 func NewAligner(k, kprime Endpoint, links Translator, cfg Config) *Aligner {
 	return core.New(k, kprime, links, cfg)
 }
-
-// NewAlignerCache wraps an aligner with per-relation memoization;
-// concurrent misses on the same relation compute once.
-func NewAlignerCache(a *Aligner) *AlignerCache { return core.NewCache(a) }
 
 // DefaultConfig is the pcaconf baseline of Table 1 (τ > 0.3, 10-subject
 // samples).

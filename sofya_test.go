@@ -173,31 +173,6 @@ func TestFacadeBatchAlignment(t *testing.T) {
 		cacheK.CacheStats().Hits, cacheKP.CacheStats().Hits)
 }
 
-// The aligner cache memoizes per-relation results behind the facade.
-func TestFacadeAlignerCache(t *testing.T) {
-	world := Generate(TinyWorldSpec())
-	k := NewLocalEndpoint(world.Yago, 1)
-	kp := NewLocalEndpoint(world.Dbp, 2)
-	cache := NewAlignerCache(NewAligner(k, kp,
-		LinkView{Links: world.Links, KIsA: true}, DefaultConfig()))
-
-	const r = "http://yago-knowledge.org/resource/wasBornIn"
-	if _, err := cache.AlignRelation(r); err != nil {
-		t.Fatal(err)
-	}
-	spent := k.Stats().Queries + kp.Stats().Queries
-	again, err := cache.AlignRelation(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Stats().Queries+kp.Stats().Queries != spent {
-		t.Fatal("cached relation issued queries")
-	}
-	if len(AcceptedAlignments(again)) == 0 {
-		t.Fatal("cached result lost alignments")
-	}
-}
-
 // A sharded endpoint is a drop-in replacement behind the facade: the
 // aligner produces the same accepted rules over a federated KB.
 func TestFacadeShardedEndpoint(t *testing.T) {
