@@ -33,6 +33,9 @@
 // corrupt or stale sidecar falls back to a fresh build. -maxpostings
 // caps the index's per-gram posting lists (experiment E9 measures the
 // recall cost).
+//
+// A flag the others make the run ignore (-topk without -candidates,
+// -relation with -all, -k with -synthetic, ...) is a usage error.
 package main
 
 import (
@@ -102,6 +105,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "sofya:", err)
 		return 1
+	}
+	// A flag given on the command line that the others make the run
+	// ignore is refused, not dropped in silence.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, c := range []struct {
+		flags   []string
+		why     string
+		ignored bool
+	}{
+		{[]string{"topk", "candidx", "maxpostings"}, "without -candidates", !*cands},
+		{[]string{"relation"}, "with -all", *all},
+		{[]string{"k", "kprime", "links"}, "with -synthetic", *synthetic != ""},
+		{[]string{"direction"}, "without -synthetic", *synthetic == ""},
+	} {
+		for _, f := range c.flags {
+			if c.ignored && set[f] {
+				return usage("-%s is ignored %s: drop it", f, c.why)
+			}
+		}
 	}
 
 	var cfg core.Config

@@ -64,7 +64,8 @@ func TestRunAllIdenticalAcrossShapes(t *testing.T) {
 }
 
 // TestRunUsageErrors: a value no switch knows is refused by name, exit
-// status 2, with nothing aligned — not run as ubs / d2y / tiny.
+// status 2, with nothing aligned — not run as ubs / d2y / tiny — and so
+// is a flag the others would make the run ignore.
 func TestRunUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -75,6 +76,14 @@ func TestRunUsageErrors(t *testing.T) {
 		{[]string{"-synthetic", "huge", "-all"}, `-synthetic: unknown world "huge": want tiny or paper`},
 		{[]string{"-synthetic", "tiny"}, "need -relation <iri> or -all"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		{[]string{"-synthetic", "tiny", "-all", "-topk", "4"}, "-topk is ignored without -candidates"},
+		{[]string{"-synthetic", "tiny", "-all", "-candidx", "x.idx"}, "-candidx is ignored without -candidates"},
+		{[]string{"-synthetic", "tiny", "-all", "-maxpostings", "8"}, "-maxpostings is ignored without -candidates"},
+		{[]string{"-synthetic", "tiny", "-all", "-relation", "http://x/r"}, "-relation is ignored with -all"},
+		{[]string{"-synthetic", "tiny", "-all", "-k", "k.nt"}, "-k is ignored with -synthetic"},
+		{[]string{"-synthetic", "tiny", "-all", "-kprime", "kp.nt"}, "-kprime is ignored with -synthetic"},
+		{[]string{"-synthetic", "tiny", "-all", "-links", "l.tsv"}, "-links is ignored with -synthetic"},
+		{[]string{"-k", "k.nt", "-kprime", "kp.nt", "-links", "l.tsv", "-all", "-direction", "y2d"}, "-direction is ignored without -synthetic"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), tc.args, &stdout, &stderr); code != 2 {

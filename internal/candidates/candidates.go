@@ -51,27 +51,24 @@ type Translator interface {
 	ToK(kPrime string) (string, bool)
 }
 
-// Options parameterize index construction. The zero value is usable:
-// every field defaults via normalized().
+// The index parameters, fixed so that every index over one inventory
+// is built alike. Sidecars still store them and fingerprints hash them.
+const (
+	sampleSize            = 48     // facts sampled per relation for its instance signature
+	sigHashes, sigBands   = 64, 32 // minhash functions, LSH bands
+	sigRows               = sigHashes / sigBands
+	gramN                 = 3          // n-gram size of the name index
+	nameWeight, sigWeight = 0.65, 0.35 // blend of the two signals
+	// maxGramFrac makes a gram a stop gram once its document frequency
+	// exceeds this fraction of the inventory (floored at 32 relations).
+	// Stop grams are dropped identically from the postings, the query
+	// vector, and the exact scorer.
+	maxGramFrac = 0.10
+	sigSeed     = 1 // perturbs the minhash functions
+)
+
+// Options parameterize index construction. The zero value is usable.
 type Options struct {
-	// SampleSize is how many facts are sampled per relation for its
-	// instance signature (default 48).
-	SampleSize int
-	// Hashes is the number of minhash functions (default 64).
-	Hashes int
-	// Bands is the number of LSH bands; Hashes/Bands rows per band
-	// (default 32, i.e. two rows per band).
-	Bands int
-	// GramN is the n-gram size for name indexing (default 3).
-	GramN int
-	// NameWeight and SigWeight blend the two signals (defaults 0.65 and
-	// 0.35).
-	NameWeight, SigWeight float64
-	// MaxGramFrac declares a gram a stop gram once its document
-	// frequency exceeds this fraction of the inventory (default 0.10,
-	// floored at 32 relations). Stop grams are dropped identically from
-	// the postings, the query vector, and the exact scorer.
-	MaxGramFrac float64
 	// MaxPostings caps the inverted posting list of any single gram:
 	// grams whose document frequency is below the stop-gram cutoff but
 	// above this cap keep only their MaxPostings highest-weight
@@ -81,8 +78,6 @@ type Options struct {
 	// relations the inverted probe can reach, and experiment E9
 	// measures that recall cost. 0 leaves posting lists uncapped.
 	MaxPostings int
-	// Seed perturbs the minhash functions (default 1).
-	Seed uint64
 
 	// Parallelism bounds the concurrent per-relation sampling probes of
 	// the build pass (0 = GOMAXPROCS, 1 = serial). Sample streams are
@@ -93,35 +88,7 @@ type Options struct {
 }
 
 func (o Options) normalized() Options {
-	if o.SampleSize <= 0 {
-		o.SampleSize = 48
-	}
-	if o.Hashes <= 0 {
-		o.Hashes = 64
-	}
-	if o.Bands <= 0 {
-		o.Bands = 32
-	}
-	if o.Bands > o.Hashes {
-		o.Bands = o.Hashes
-	}
-	// Hashes must divide evenly into bands.
-	o.Hashes -= o.Hashes % o.Bands
-	if o.GramN <= 0 {
-		o.GramN = 3
-	}
-	if o.NameWeight <= 0 && o.SigWeight <= 0 {
-		o.NameWeight, o.SigWeight = 0.65, 0.35
-	}
-	if o.MaxGramFrac <= 0 {
-		o.MaxGramFrac = 0.10
-	}
-	if o.MaxPostings < 0 {
-		o.MaxPostings = 0
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	o.MaxPostings = max(o.MaxPostings, 0)
 	return o
 }
 
@@ -192,17 +159,15 @@ func Build(target endpoint.Endpoint, rels []string, links Translator, opt Option
 // error, ordered by relation IRI (lowest first), so operators see the
 // full blast radius of a misbehaving endpoint in a single report.
 func BuildCtx(ctx context.Context, target endpoint.Endpoint, rels []string, links Translator, opt Options) (*Index, error) {
-	opt = opt.normalized()
 	workers := opt.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The stored options describe the index content; the build shape
-	// does not (see Options.Parallelism).
-	opt.Parallelism = 0
-	ix := &Index{opt: opt, rels: append([]string(nil), rels...)}
+	// The index keeps the options that describe its content, not the
+	// build's shape (see Options.Parallelism).
+	ix := &Index{opt: Options{MaxPostings: opt.normalized().MaxPostings}, rels: append([]string(nil), rels...)}
 	sort.Strings(ix.rels)
-	ix.fp = Fingerprint(ix.rels, opt)
+	ix.fp = Fingerprint(ix.rels, ix.opt)
 	ix.buildNameIndex()
 
 	probe, err := target.Prepare(sampling.TmplSample, "r", "n")
@@ -214,7 +179,7 @@ func BuildCtx(ctx context.Context, target endpoint.Endpoint, rels []string, link
 	// A relation's failure is recorded, not returned: it must not cancel
 	// the others, so Each only ever stops on ctx.
 	err = flight.Each(ctx, workers, len(ix.rels), func(ctx context.Context, i int) error {
-		sets[i], errs[i] = appendSampleKeys(ctx, make([]uint64, 0, 2*opt.SampleSize), probe, ix.rels[i], opt.SampleSize, links)
+		sets[i], errs[i] = appendSampleKeys(ctx, make([]uint64, 0, 2*sampleSize), probe, ix.rels[i], links)
 		return nil
 	})
 	if err != nil {
@@ -234,11 +199,11 @@ func BuildCtx(ctx context.Context, target endpoint.Endpoint, rels []string, link
 	return ix, nil
 }
 
-// appendSampleKeys samples up to n facts of rel and appends their
-// signature keys: one key per linked subject, one per linked (or
+// appendSampleKeys samples up to sampleSize facts of rel and appends
+// their signature keys: one key per linked subject, one per linked (or
 // literal) object. Keys are deduplicated, sorted.
-func appendSampleKeys(ctx context.Context, keys []uint64, probe endpoint.PreparedQuery, rel string, n int, links Translator) ([]uint64, error) {
-	res, err := probe.SelectCtx(ctx, sparql.IRIArg(rel), sparql.IntArg(n))
+func appendSampleKeys(ctx context.Context, keys []uint64, probe endpoint.PreparedQuery, rel string, links Translator) ([]uint64, error) {
+	res, err := probe.SelectCtx(ctx, sparql.IRIArg(rel), sparql.IntArg(sampleSize))
 	if err != nil {
 		return nil, err
 	}
@@ -352,8 +317,8 @@ func ScoreRecall(approx, exact []Candidate) float64 {
 // profileOf builds the trigram profile of a relation's lowercased local
 // name. Index profiles are built once per relation (not memoized
 // globally: a 10⁵-relation inventory would thrash the strsim cache).
-func profileOf(iri string, n int) *strsim.Profile {
-	return strsim.NewProfile(strings.ToLower(LocalName(iri)), n)
+func profileOf(iri string) *strsim.Profile {
+	return strsim.NewProfile(strings.ToLower(LocalName(iri)), gramN)
 }
 
 // dedupSorted sorts keys and removes duplicates in place.

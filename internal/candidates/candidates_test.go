@@ -96,20 +96,6 @@ func TestLocalName(t *testing.T) {
 	}
 }
 
-func TestOptionsNormalized(t *testing.T) {
-	o := Options{}.normalized()
-	if o.SampleSize <= 0 || o.Hashes <= 0 || o.Bands <= 0 || o.GramN <= 0 {
-		t.Fatalf("zero options not defaulted: %+v", o)
-	}
-	if o.Hashes%o.Bands != 0 {
-		t.Fatalf("hashes %d not divisible by bands %d", o.Hashes, o.Bands)
-	}
-	o = Options{Hashes: 10, Bands: 16}.normalized()
-	if o.Bands != 10 || o.Hashes != 10 {
-		t.Fatalf("bands not clamped to hashes: %+v", o)
-	}
-}
-
 func TestRecallHelper(t *testing.T) {
 	mk := func(rels ...string) []Candidate {
 		out := make([]Candidate, len(rels))

@@ -11,8 +11,8 @@ package candidates
 // A sidecar is only valid for the exact inventory and options it was
 // built from: a stale index silently serving wrong candidates would be
 // far worse than a rebuild. Every file therefore carries a fingerprint
-// — FNV-64a over the format version, the normalized Options (excluding
-// Parallelism, which shapes the build, not the index) and the sorted
+// — FNV-64a over the format version, the index parameters (package
+// constants, which the decoder also checks), MaxPostings and the sorted
 // relation inventory — and LoadOrBuild falls back to a fresh build
 // whenever the sidecar is missing, corrupt, or fingerprint-mismatched.
 //
@@ -43,7 +43,7 @@ const idxVersion = 1
 // Section ids, in file order; the section table is indexed by these
 // constants, so the order is part of the format.
 const (
-	isecMeta      = iota // fingerprint, counts, normalized options (see writeMeta)
+	isecMeta      = iota // fingerprint, counts, parameters and options (see WriteIndex)
 	isecRelOff           // (N+1) × u32 byte offsets into isecRelBlob
 	isecRelBlob          // concatenated relation IRIs, id order
 	isecGramOff          // (G+1) × u32 byte offsets into isecGramBlob
@@ -82,11 +82,12 @@ var badIdx = idxFormat.Errorf
 // Fingerprint
 
 // Fingerprint identifies the index a given inventory and options would
-// build: FNV-64a over the format version, the normalized options
-// (excluding Parallelism — a build-shape knob, not an index parameter)
-// and the sorted relation IRIs. Two calls agree exactly when BuildCtx
-// would produce interchangeable indexes, so it is the staleness key for
-// persisted sidecars and the identity key for shared caches.
+// build: FNV-64a over the format version, the index parameters,
+// MaxPostings (Parallelism is a build-shape knob, not an index
+// parameter) and the sorted relation IRIs. Two calls agree exactly when
+// BuildCtx would produce interchangeable indexes, so it is the
+// staleness key for persisted sidecars and the identity key for shared
+// caches.
 func Fingerprint(rels []string, opt Options) uint64 {
 	opt = opt.normalized()
 	sorted := rels
@@ -96,15 +97,15 @@ func Fingerprint(rels []string, opt Options) uint64 {
 	}
 	h := newFP()
 	h.u64(idxVersion)
-	h.u64(uint64(opt.SampleSize))
-	h.u64(uint64(opt.Hashes))
-	h.u64(uint64(opt.Bands))
-	h.u64(uint64(opt.GramN))
-	h.u64(math.Float64bits(opt.NameWeight))
-	h.u64(math.Float64bits(opt.SigWeight))
-	h.u64(math.Float64bits(opt.MaxGramFrac))
+	h.u64(sampleSize)
+	h.u64(sigHashes)
+	h.u64(sigBands)
+	h.u64(gramN)
+	h.u64(math.Float64bits(nameWeight))
+	h.u64(math.Float64bits(sigWeight))
+	h.u64(math.Float64bits(maxGramFrac))
 	h.u64(uint64(opt.MaxPostings))
-	h.u64(opt.Seed)
+	h.u64(sigSeed)
 	h.u64(uint64(len(sorted)))
 	for _, r := range sorted {
 		h.str(r)
@@ -161,15 +162,15 @@ func (ix *Index) WriteIndex(out io.Writer) error {
 	w.U64(uint64(ix.truncGrams))
 	w.U64(uint64(ix.truncPostings))
 	w.U32(uint32(n.stopDF))
-	w.U32(uint32(ix.opt.SampleSize))
-	w.U32(uint32(ix.opt.Hashes))
-	w.U32(uint32(ix.opt.Bands))
-	w.U32(uint32(ix.opt.GramN))
+	w.U32(sampleSize)
+	w.U32(sigHashes)
+	w.U32(sigBands)
+	w.U32(gramN)
 	w.U32(uint32(ix.opt.MaxPostings))
-	w.U64(math.Float64bits(ix.opt.NameWeight))
-	w.U64(math.Float64bits(ix.opt.SigWeight))
-	w.U64(math.Float64bits(ix.opt.MaxGramFrac))
-	w.U64(ix.opt.Seed)
+	w.U64(math.Float64bits(nameWeight))
+	w.U64(math.Float64bits(sigWeight))
+	w.U64(math.Float64bits(maxGramFrac))
+	w.U64(sigSeed)
 
 	w.Strings(N, func(i int) string { return ix.rels[i] })
 	w.Strings(len(n.grams), func(i int) string { return n.grams[i] })
@@ -244,25 +245,25 @@ func decodeIndex(data []byte) (*Index, error) {
 	truncG := binary.LittleEndian.Uint64(meta[16:])
 	truncP := binary.LittleEndian.Uint64(meta[24:])
 	stopDF := int32(binary.LittleEndian.Uint32(meta[32:]))
-	opt := Options{
-		SampleSize:  int(binary.LittleEndian.Uint32(meta[36:])),
-		Hashes:      int(binary.LittleEndian.Uint32(meta[40:])),
-		Bands:       int(binary.LittleEndian.Uint32(meta[44:])),
-		GramN:       int(binary.LittleEndian.Uint32(meta[48:])),
-		MaxPostings: int(binary.LittleEndian.Uint32(meta[52:])),
-		NameWeight:  math.Float64frombits(binary.LittleEndian.Uint64(meta[56:])),
-		SigWeight:   math.Float64frombits(binary.LittleEndian.Uint64(meta[64:])),
-		MaxGramFrac: math.Float64frombits(binary.LittleEndian.Uint64(meta[72:])),
-		Seed:        binary.LittleEndian.Uint64(meta[80:]),
+	// The stored index parameters must be this package's constants.
+	le := binary.LittleEndian
+	f64 := func(off int) float64 { return math.Float64frombits(le.Uint64(meta[off:])) }
+	type params struct {
+		SampleSize, Hashes, Bands, GramN   uint32
+		NameWeight, SigWeight, MaxGramFrac float64
+		Seed                               uint64
 	}
-	if opt != opt.normalized() {
-		return nil, badIdx("stored options are not in normalized form")
+	stored := params{le.Uint32(meta[36:]), le.Uint32(meta[40:]), le.Uint32(meta[44:]), le.Uint32(meta[48:]),
+		f64(56), f64(64), f64(72), le.Uint64(meta[80:])}
+	if want := (params{sampleSize, sigHashes, sigBands, gramN, nameWeight, sigWeight, maxGramFrac, sigSeed}); stored != want {
+		return nil, badIdx("stored parameters %+v are not the index's %+v", stored, want)
 	}
+	opt := Options{MaxPostings: int(le.Uint32(meta[52:]))}
 	if nU > math.MaxInt32 {
 		return nil, badIdx("relation count %d exceeds int32 id space", nU)
 	}
-	if nU*uint64(opt.Bands) > math.MaxUint32 {
-		return nil, badIdx("%d relations × %d bands exceed the bucket table's offsets", nU, opt.Bands)
+	if nU*sigBands > math.MaxUint32 {
+		return nil, badIdx("%d relations × %d bands exceed the bucket table's offsets", nU, sigBands)
 	}
 	N := int(nU)
 	if truncG > uint64(math.MaxInt) || truncP > uint64(math.MaxInt) {
@@ -293,7 +294,7 @@ func decodeIndex(data []byte) (*Index, error) {
 	ix := &Index{opt: opt, rels: rels, truncGrams: int(truncG), truncPostings: int(truncP)}
 	n := &ix.name
 	n.stopDF = stopDF
-	if want := stopCutoff(N, opt.MaxGramFrac); stopDF != want {
+	if want := stopCutoff(N); stopDF != want {
 		return nil, badIdx("stop-gram cutoff %d inconsistent with options (want %d)", stopDF, want)
 	}
 
@@ -382,10 +383,7 @@ func decodeIndex(data []byte) (*Index, error) {
 
 	// Signature side.
 	s := &ix.sig
-	s.hashes, s.bands = opt.Hashes, opt.Bands
-	s.rows = s.hashes / s.bands
-	s.seed = opt.Seed
-	if s.sigs, err = binfmt.View[uint64](file, isecSigs, N*s.hashes, "signature"); err != nil {
+	if s.sigs, err = binfmt.View[uint64](file, isecSigs, N*sigHashes, "signature"); err != nil {
 		return nil, err
 	}
 	if len(file.Bytes(isecEmpty)) != N {

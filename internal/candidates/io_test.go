@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -173,15 +175,74 @@ func TestFingerprintSemantics(t *testing.T) {
 	if Fingerprint(rels, Options{Parallelism: 8}) != base {
 		t.Error("fingerprint depends on Parallelism")
 	}
-	if Fingerprint(rels, Options{SampleSize: 48}) != base {
-		t.Error("fingerprint distinguishes explicit defaults from zero options")
+	if Fingerprint(rels, Options{MaxPostings: -1}) != base {
+		t.Error("fingerprint distinguishes a clamped MaxPostings from zero options")
 	}
-	if Fingerprint(rels, Options{SampleSize: 32}) == base {
-		t.Error("fingerprint ignores SampleSize")
+	if Fingerprint(rels, Options{MaxPostings: 32}) == base {
+		t.Error("fingerprint ignores MaxPostings")
 	}
 	if Fingerprint(rels[:2], Options{}) == base {
 		t.Error("fingerprint ignores inventory content")
 	}
+}
+
+// TestIndexRefusesOtherParameters: the index parameters are package
+// constants, so a sidecar storing other values — its fingerprint and
+// checksums made to agree with what it stores — is refused, naming
+// both sets, rather than probed with the wrong hashes or weights.
+func TestIndexRefusesOtherParameters(t *testing.T) {
+	le := binary.LittleEndian
+	ix := tinyIndex()
+	orig := encodeIndex(t, ix)
+	var fp [8]byte
+	le.PutUint64(fp[:], ix.Fingerprint())
+	at := bytes.Index(orig, fp[:]) // the meta section opens with the fingerprint
+	if at < 0 || metaFingerprint(orig[at:at+88], ix.Relations()) != ix.Fingerprint() {
+		t.Fatal("meta section not found")
+	}
+	for name, set := range map[string]func(meta []byte){
+		"32 hashes":    func(m []byte) { le.PutUint32(m[40:], 32) },
+		"16 bands":     func(m []byte) { le.PutUint32(m[44:], 16) },
+		"sample of 32": func(m []byte) { le.PutUint32(m[36:], 32) },
+		"4-grams":      func(m []byte) { le.PutUint32(m[48:], 4) },
+		"weights 0.5": func(m []byte) {
+			le.PutUint64(m[56:], math.Float64bits(0.5))
+			le.PutUint64(m[64:], math.Float64bits(0.5))
+		},
+		"stop frac 0.2":  func(m []byte) { le.PutUint64(m[72:], math.Float64bits(0.2)) },
+		"minhash seed 2": func(m []byte) { le.PutUint64(m[80:], 2) },
+	} {
+		data := bytes.Clone(orig)
+		meta := data[at : at+88]
+		set(meta)
+		le.PutUint64(meta, metaFingerprint(meta, ix.Relations()))
+		binfmttest.Restamp(data)
+		_, err := decodeIndex(data)
+		if !errors.Is(err, ErrBadIndex) || !strings.Contains(err.Error(), "stored parameters") {
+			t.Errorf("%s: decode error %v, want ErrBadIndex naming the stored parameters", name, err)
+		}
+	}
+}
+
+// metaFingerprint is Fingerprint over the parameters a meta section
+// stores, in Fingerprint's order.
+func metaFingerprint(meta []byte, rels []string) uint64 {
+	le := binary.LittleEndian
+	h := newFP()
+	h.u64(idxVersion)
+	for _, off := range []int{36, 40, 44, 48} {
+		h.u64(uint64(le.Uint32(meta[off:])))
+	}
+	for _, off := range []int{56, 64, 72} {
+		h.u64(le.Uint64(meta[off:]))
+	}
+	h.u64(uint64(le.Uint32(meta[52:])))
+	h.u64(le.Uint64(meta[80:]))
+	h.u64(uint64(len(rels)))
+	for _, r := range rels {
+		h.str(r)
+	}
+	return h.sum
 }
 
 func TestLoadOrBuildFallback(t *testing.T) {
@@ -241,15 +302,15 @@ func TestLoadOrBuildFallback(t *testing.T) {
 
 	// Stale sidecar (different options): builds with the caller's
 	// options, and openMatching reports the mismatch as ErrStaleIndex.
-	if _, err := openMatching(path, Fingerprint(b.rels, Options{SampleSize: 16})); !errors.Is(err, ErrStaleIndex) {
+	if _, err := openMatching(path, Fingerprint(b.rels, Options{MaxPostings: 16})); !errors.Is(err, ErrStaleIndex) {
 		t.Fatalf("openMatching(stale) error %v does not wrap ErrStaleIndex", err)
 	}
-	ix, loaded, err = LoadOrBuild(ctx, path, b.target, b.rels, b.links, Options{SampleSize: 16})
+	ix, loaded, err = LoadOrBuild(ctx, path, b.target, b.rels, b.links, Options{MaxPostings: 16})
 	if err != nil || loaded {
 		t.Fatalf("LoadOrBuild(stale) = loaded %v, err %v", loaded, err)
 	}
-	if got := ix.Options().SampleSize; got != 16 {
-		t.Fatalf("fallback build used SampleSize %d, want 16", got)
+	if got := ix.Options().MaxPostings; got != 16 {
+		t.Fatalf("fallback build used MaxPostings %d, want 16", got)
 	}
 }
 

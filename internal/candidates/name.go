@@ -43,15 +43,11 @@ type nameIndex struct {
 }
 
 // stopCutoff is the stop-gram document-frequency cutoff for an
-// inventory of n relations: MaxGramFrac of the inventory, floored at
+// inventory of n relations: maxGramFrac of the inventory, floored at
 // 32. Shared with the sidecar decoder, which cross-checks the stored
 // cutoff against it.
-func stopCutoff(n int, maxGramFrac float64) int32 {
-	cut := int32(float64(n) * maxGramFrac)
-	if cut < 32 {
-		cut = 32
-	}
-	return cut
+func stopCutoff(n int) int32 {
+	return max(int32(float64(n)*maxGramFrac), 32)
 }
 
 // buildNameIndex derives the trigram index from ix.rels.
@@ -61,7 +57,7 @@ func (ix *Index) buildNameIndex() {
 	relProfs := make([]*strsim.Profile, N)
 	gramID := map[string]int32{}
 	for i, rel := range ix.rels {
-		p := profileOf(rel, ix.opt.GramN)
+		p := profileOf(rel)
 		relProfs[i] = p
 		for _, g := range p.Grams {
 			if _, ok := gramID[g]; !ok {
@@ -84,7 +80,7 @@ func (ix *Index) buildNameIndex() {
 			n.df[gramID[g]]++
 		}
 	}
-	n.stopDF = stopCutoff(N, ix.opt.MaxGramFrac)
+	n.stopDF = stopCutoff(N)
 	n.idf = make([]float64, len(n.grams))
 	for g, df := range n.df {
 		if df >= n.stopDF {

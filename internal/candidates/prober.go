@@ -34,9 +34,9 @@ var scratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
 // probeScratch is the working memory of one TopK/ExactTopK call.
 type probeScratch struct {
 	qv   queryVec
-	keys []uint64 // sampled query key set
-	sig  []uint64 // its minhash signature
-	cand []int32  // LSH band-collision pool
+	keys []uint64          // sampled query key set
+	sig  [sigHashes]uint64 // its minhash signature
+	cand []int32           // LSH band-collision pool
 
 	// Dense per-relation accumulators. name[id] and jac[id] are valid
 	// only where stamp[id] == epoch — bumping epoch invalidates them all
@@ -71,13 +71,12 @@ func NewProber(ix *Index, source endpoint.Endpoint) (*Prober, error) {
 // Resliced stamps stay valid — every one is from an earlier epoch of the
 // same arrays — so only new arrays start the epochs over.
 func (p *Prober) getScratch() *probeScratch {
-	n, hashes := p.ix.Len(), p.ix.opt.Hashes
+	n := p.ix.Len()
 	sc := scratchPool.Get().(*probeScratch)
 	if cap(sc.stamp) < n {
 		sc.name, sc.jac, sc.stamp, sc.epoch = make([]float64, n), make([]float64, n), make([]uint32, n), 0
 	}
 	sc.name, sc.jac, sc.stamp = sc.name[:n], sc.jac[:n], sc.stamp[:n]
-	sc.sig = slices.Grow(sc.sig[:0], hashes)[:hashes]
 	return sc
 }
 
@@ -127,7 +126,7 @@ func (p *Prober) TopKContext(ctx context.Context, rel string, k int) ([]Candidat
 	sc.begin()
 	p.ix.name.accumulate(&sc.qv, sc)
 	if len(sc.keys) > 0 {
-		sc.cand = p.ix.sig.candidates(sc.sig, sc.cand[:0])
+		sc.cand = p.ix.sig.candidates(sc.sig[:], sc.cand[:0])
 		for _, id := range sc.cand {
 			sc.touch(id)
 			sc.jac[id] = p.ix.sig.exactJaccard(sc.keys, id)
@@ -161,15 +160,15 @@ func (p *Prober) ExactTopK(rel string, k int) ([]Candidate, error) {
 // query-side scoring state into sc: name vector, signature keys,
 // minhash signature (meaningful only when keys is non-empty).
 func (p *Prober) queryState(ctx context.Context, sc *probeScratch, rel string) error {
-	prof := profileOf(rel, p.ix.opt.GramN)
+	prof := profileOf(rel)
 	p.ix.name.queryVector(prof, &sc.qv)
 	var err error
-	sc.keys, err = appendSampleKeys(ctx, sc.keys[:0], p.probe, rel, p.ix.opt.SampleSize, identityTranslator{})
+	sc.keys, err = appendSampleKeys(ctx, sc.keys[:0], p.probe, rel, identityTranslator{})
 	if err != nil {
 		return fmt.Errorf("candidates: sampling query <%s>: %w", rel, err)
 	}
 	if len(sc.keys) > 0 {
-		minhash(sc.sig, sc.keys, p.ix.sig.seed)
+		minhash(sc.sig[:], sc.keys)
 	}
 	return nil
 }
@@ -184,10 +183,9 @@ func (p *Prober) queryState(ctx context.Context, sc *probeScratch, rel string) e
 // so the selected set (and therefore the output) is identical to a
 // full sort.
 func (p *Prober) rank(sc *probeScratch, k int) []Candidate {
-	nw, sw := p.ix.opt.NameWeight, p.ix.opt.SigWeight
 	rows := sc.ranked[:0]
 	for _, id := range sc.touched {
-		if s := nw*sc.name[id] + sw*sc.jac[id]; s > 0 {
+		if s := nameWeight*sc.name[id] + sigWeight*sc.jac[id]; s > 0 {
 			rows = append(rows, scored{s, id})
 		}
 	}

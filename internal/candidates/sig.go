@@ -16,11 +16,8 @@ import (
 // the band-collision pool — which relations get scored at all — is the
 // index's only approximation.
 type sigIndex struct {
-	hashes, bands, rows int
-	seed                uint64
-
 	// sigs holds each relation's minhash signature, flattened:
-	// sigs[rel*hashes : (rel+1)*hashes]. Relations with an empty key
+	// sigs[rel*sigHashes : (rel+1)*sigHashes]. Relations with an empty key
 	// set have no signature (empty[rel] is true) and never collide.
 	sigs  []uint64
 	empty []bool
@@ -67,11 +64,11 @@ func subjectKey(iri string) uint64 { return splitmix64(fnv64a(iri) ^ 0x5368) } /
 func objectKey(iri string) uint64  { return splitmix64(fnv64a(iri) ^ 0x4f62) } // "Ob"
 func literalKey(lex string) uint64 { return splitmix64(fnv64a(lex) ^ 0x4c69) } // "Li"
 
-// minhash fills sig (length hashes) with the minimum of
+// minhash fills sig (length sigHashes) with the minimum of
 // splitmix64(key ^ seed_i) over keys for each hash position i.
-func minhash(sig []uint64, keys []uint64, seed uint64) {
+func minhash(sig []uint64, keys []uint64) {
 	for i := range sig {
-		hseed := splitmix64(seed + uint64(i))
+		hseed := splitmix64(sigSeed + uint64(i))
 		min := ^uint64(0)
 		for _, k := range keys {
 			if h := splitmix64(k ^ hseed); h < min {
@@ -97,10 +94,6 @@ func bandHash(band int, rowsVals []uint64) uint64 {
 // per-relation sampled key sets (index order = ix.rels order).
 func (ix *Index) buildSigIndex(sets [][]uint64) {
 	s := &ix.sig
-	s.hashes = ix.opt.Hashes
-	s.bands = ix.opt.Bands
-	s.rows = s.hashes / s.bands
-	s.seed = ix.opt.Seed
 	N := len(ix.rels)
 
 	s.keyStart = make([]int32, N+1)
@@ -109,7 +102,7 @@ func (ix *Index) buildSigIndex(sets [][]uint64) {
 		total += len(set)
 	}
 	s.keys = make([]uint64, 0, total)
-	s.sigs = make([]uint64, N*s.hashes)
+	s.sigs = make([]uint64, N*sigHashes)
 	s.empty = make([]bool, N)
 	for i, set := range sets {
 		s.keyStart[i+1] = s.keyStart[i] + int32(len(set))
@@ -118,7 +111,7 @@ func (ix *Index) buildSigIndex(sets [][]uint64) {
 			s.empty[i] = true
 			continue
 		}
-		minhash(s.sigs[i*s.hashes:(i+1)*s.hashes], set, s.seed)
+		minhash(s.sigs[i*sigHashes:(i+1)*sigHashes], set)
 	}
 	s.buildBuckets()
 }
@@ -132,7 +125,7 @@ func (s *sigIndex) buildBuckets() {
 	pairs := 0
 	for _, e := range s.empty {
 		if !e {
-			pairs += s.bands
+			pairs += sigBands
 		}
 	}
 	slotBits := 0
@@ -146,9 +139,9 @@ func (s *sigIndex) buildBuckets() {
 			if e {
 				continue
 			}
-			sig := s.sigs[i*s.hashes : (i+1)*s.hashes]
-			for b := 0; b < s.bands; b++ {
-				visit(bandHash(b, sig[b*s.rows:(b+1)*s.rows]), int32(i))
+			sig := s.sigs[i*sigHashes : (i+1)*sigHashes]
+			for b := 0; b < sigBands; b++ {
+				visit(bandHash(b, sig[b*sigRows:(b+1)*sigRows]), int32(i))
 			}
 		}
 	}
@@ -204,8 +197,8 @@ func (s *sigIndex) bucket(key uint64) []int32 {
 // least one band, deduplicated ascending. Empty-signature queries
 // yield nothing.
 func (s *sigIndex) candidates(sig []uint64, out []int32) []int32 {
-	for b := 0; b < s.bands; b++ {
-		key := bandHash(b, sig[b*s.rows:(b+1)*s.rows])
+	for b := 0; b < sigBands; b++ {
+		key := bandHash(b, sig[b*sigRows:(b+1)*sigRows])
 		out = append(out, s.bucket(key)...)
 	}
 	slices.Sort(out)

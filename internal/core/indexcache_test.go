@@ -146,7 +146,7 @@ func TestAlignerStaleSidecarFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("relations: %v", err)
 	}
-	stale, err := candidates.Build(target, rels, links, candidates.Options{SampleSize: 3})
+	stale, err := candidates.Build(target, rels, links, candidates.Options{MaxPostings: 3})
 	if err != nil {
 		t.Fatalf("build stale: %v", err)
 	}

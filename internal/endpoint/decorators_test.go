@@ -427,20 +427,6 @@ func TestCoalescingOverCachingIsCaching(t *testing.T) {
 	}
 }
 
-func TestLocalSelectCtxCancellation(t *testing.T) {
-	ep := NewLocalRestricted(testKB(), 1, Quota{Latency: 200 * time.Millisecond})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := ep.SelectCtx(ctx, selP)
-	if err != context.DeadlineExceeded {
-		t.Fatalf("err = %v", err)
-	}
-	if time.Since(start) > 150*time.Millisecond {
-		t.Fatal("cancellation did not cut the latency sleep short")
-	}
-}
-
 func TestLocalConcurrentIdenticalResults(t *testing.T) {
 	ep := NewLocal(testKB(), 3)
 	q := `SELECT ?x ?y WHERE { ?x <http://x/p> ?y } ORDER BY RAND()`

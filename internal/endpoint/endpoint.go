@@ -5,8 +5,8 @@
 // download the dataset:
 //
 //   - Local wraps an in-process sparql.Engine and enforces an access
-//     Quota: a per-session query budget, a per-query row cap (public
-//     DBpedia truncates at 10 000 rows), and optional simulated latency.
+//     Quota: a per-session query budget and a per-query row cap (public
+//     DBpedia truncates at 10 000 rows).
 //   - Server / Client speak the SPARQL 1.1 protocol over HTTP with
 //     application/sparql-results+json bodies, so the alignment pipeline
 //     can run against a genuinely remote KB.
@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"sofya/internal/kb"
 	"sofya/internal/sparql"
@@ -104,8 +103,6 @@ type Quota struct {
 	// Truncation is flagged on the result, like a public endpoint's
 	// silent result cap.
 	MaxRows int
-	// Latency is added to every query, simulating network round trips.
-	Latency time.Duration
 }
 
 // Stats counts endpoint usage.
@@ -174,8 +171,13 @@ func (l *Local) ResetStats() {
 	l.stats = Stats{}
 }
 
-// admit charges one query against the quota.
-func (l *Local) admit() error {
+// admitCtx charges one query against the quota unless the context has
+// already ended; evaluation itself is in-process and fast, so it is not
+// interruptible.
+func (l *Local) admitCtx(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.quota.MaxQueries > 0 && l.stats.Queries >= l.quota.MaxQueries {
@@ -190,19 +192,6 @@ var (
 	errNeedSelect = errors.New("endpoint: Select needs a SELECT query")
 	errNeedAsk    = errors.New("endpoint: Ask needs an ASK query")
 )
-
-// admitCtx charges the quota and simulates latency: the context is
-// checked before the query is admitted and while the latency elapses;
-// evaluation itself is in-process and fast, so it is not interruptible.
-func (l *Local) admitCtx(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := l.admit(); err != nil {
-		return err
-	}
-	return sleepCtx(ctx, l.latency())
-}
 
 // capAndCount applies the row cap and records result statistics.
 func (l *Local) capAndCount(res *sparql.Result) {
@@ -269,28 +258,6 @@ func (l *Local) Prepare(template string, params ...string) (PreparedQuery, error
 		return nil, err
 	}
 	return &localPrepared{l: l, plan: plan}, nil
-}
-
-func (l *Local) latency() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.quota.Latency
-}
-
-// sleepCtx sleeps for d, returning early with ctx.Err() if the context
-// ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 var (

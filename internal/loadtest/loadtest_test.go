@@ -10,6 +10,7 @@ import (
 	"sofya/internal/endpoint"
 	"sofya/internal/kb"
 	"sofya/internal/rdf"
+	"sofya/internal/sparql"
 )
 
 func testKB() *kb.KB {
@@ -19,6 +20,53 @@ func testKB() *kb.KB {
 	k.AddIRIs("http://x/b", "http://x/q", "http://x/c")
 	k.Add(rdf.NewTriple(rdf.NewIRI("http://x/a"), rdf.NewIRI("http://x/name"), rdf.NewLangLiteral("Ay", "en")))
 	return k
+}
+
+// slowEndpoint answers like the endpoint it wraps, d later: a busy KB
+// behind the admission gate under test.
+type slowEndpoint struct {
+	endpoint.Endpoint
+	d time.Duration
+}
+
+func (s slowEndpoint) Prepare(template string, params ...string) (endpoint.PreparedQuery, error) {
+	pq, err := s.Endpoint.Prepare(template, params...)
+	if err != nil {
+		return nil, err
+	}
+	return slowPrepared{pq, s.d}, nil
+}
+
+// slowPrepared waits d, or until its context ends, before each SELECT
+// and ASK it runs.
+type slowPrepared struct {
+	endpoint.PreparedQuery
+	d time.Duration
+}
+
+func (p slowPrepared) wait(ctx context.Context) error {
+	t := time.NewTimer(p.d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+func (p slowPrepared) SelectCtx(ctx context.Context, args ...sparql.Arg) (*sparql.Result, error) {
+	if err := p.wait(ctx); err != nil {
+		return nil, err
+	}
+	return p.PreparedQuery.SelectCtx(ctx, args...)
+}
+
+func (p slowPrepared) AskCtx(ctx context.Context, args ...sparql.Arg) (bool, error) {
+	if err := p.wait(ctx); err != nil {
+		return false, err
+	}
+	return p.PreparedQuery.AskCtx(ctx, args...)
 }
 
 // The closed loop drives real traffic: every probe shape executes,
@@ -94,7 +142,7 @@ func TestOpenLoopTracksOfferedRate(t *testing.T) {
 // An open loop over a saturated admission gate counts sheds instead of
 // collapsing: the arrival schedule never blocks on completions.
 func TestOpenLoopCountsSheds(t *testing.T) {
-	inner := endpoint.NewLocalRestricted(testKB(), 1, endpoint.Quota{Latency: 30 * time.Millisecond})
+	inner := slowEndpoint{endpoint.NewLocal(testKB(), 1), 30 * time.Millisecond}
 	ep := endpoint.NewAdmission(inner, endpoint.Limits{MaxInFlight: 1})
 	res, err := Run(context.Background(), ep, Config{
 		Rate:     300,
@@ -119,7 +167,7 @@ func TestOpenLoopCountsSheds(t *testing.T) {
 // latency stays bounded because excess load sheds. This is the
 // EXPERIMENTS.md scenario in miniature.
 func TestSweepWithAdmissionSheds(t *testing.T) {
-	inner := endpoint.NewLocalRestricted(testKB(), 1, endpoint.Quota{Latency: time.Millisecond})
+	inner := slowEndpoint{endpoint.NewLocal(testKB(), 1), time.Millisecond}
 	ep := endpoint.NewAdmission(inner, endpoint.Limits{MaxInFlight: 2, Queue: 2, QueueTimeout: time.Millisecond})
 	results, err := Sweep(context.Background(), ep, Config{
 		Duration: 120 * time.Millisecond,

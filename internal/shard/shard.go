@@ -128,8 +128,8 @@ func Partitioned(src *kb.KB, n int, seed int64, opts ...Option) *Group {
 // PartitionedRestricted is Partitioned under an access quota. The row
 // cap is enforced at the merge point (one cap for the whole answer,
 // exactly like the unsharded restricted endpoint), while the query
-// budget and latency apply per shard — a fan-out consumes one query on
-// every shard, a routed probe on one.
+// budget applies per shard — a fan-out consumes one query on every
+// shard, a routed probe on one.
 func PartitionedRestricted(src *kb.KB, n int, seed int64, q endpoint.Quota, opts ...Option) *Group {
 	shardQuota := q
 	shardQuota.MaxRows = 0

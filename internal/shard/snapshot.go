@@ -57,7 +57,7 @@ func GroupFromSnapshots(seed int64, paths []string, opts ...Option) (*Group, err
 
 // GroupFromSnapshotsRestricted is GroupFromSnapshots under an access
 // quota, with PartitionedRestricted's semantics: the row cap applies
-// once at the merge point, the query budget and latency per shard.
+// once at the merge point, the query budget per shard.
 func GroupFromSnapshotsRestricted(seed int64, q endpoint.Quota, paths []string, opts ...Option) (*Group, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("shard: no snapshot paths given")

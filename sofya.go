@@ -219,9 +219,8 @@ func NewShardedEndpoint(k *KB, n int, seed int64) *ShardedEndpoint {
 
 // NewShardedEndpointRestricted is NewShardedEndpoint under an access
 // quota: the row cap is enforced once on the merged answer (matching
-// the unsharded endpoint's contract), while the query budget and
-// latency apply per shard — a fanned-out probe consumes one query on
-// every shard.
+// the unsharded endpoint's contract), while the query budget applies
+// per shard — a fanned-out probe consumes one query on every shard.
 func NewShardedEndpointRestricted(k *KB, n int, seed int64, q Quota) *ShardedEndpoint {
 	return shard.PartitionedRestricted(k, n, seed, q)
 }
